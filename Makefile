@@ -6,7 +6,7 @@ export PYTHONPATH := src
 
 .PHONY: test test-reference coverage test-udp bench-smoke bench-transfer \
 	bench-ingest bench-raptor bench-adaptive bench-udp bench-swarm \
-	bench-gate \
+	bench-gate bench-e2e bench-e2e-quick \
 	swarm-smoke docs-check typecheck all
 
 all: test docs-check typecheck
@@ -90,6 +90,17 @@ bench-swarm:
 # per-metric tolerances.  Run a bench target first.
 bench-gate:
 	$(PYTHON) tools/check_bench.py
+
+# The end-to-end delivery benchmark BENCHMARK.json declares: four
+# workloads (UDP, memory, file), every delivery verified byte for byte,
+# each in its own interpreter (~20 s per workload; benchmarks/e2e/README.md
+# defines the metrics).  The quick target runs three small repetitions
+# per workload — a harness smoke test, not a measurement.
+bench-e2e:
+	python3 benchmarks/e2e/run.py
+
+bench-e2e-quick:
+	python3 benchmarks/e2e/run.py --quick
 
 # Quick population-scale pass over committed scenarios: one scaled
 # flash crowd with exact-replay validation, plus a cross-scenario

@@ -120,16 +120,22 @@ class CarouselServer(SequencedPacketSource):
             raise ParameterError(
                 "index-only carousel cannot emit payload packets; "
                 "construct with an encoding block")
-        t = self._pos + np.arange(count, dtype=np.int64)
-        indices = self.order[t % self.cycle_length]
+        batch = self._ahead(self._pos, count, self.cycle_length)
         self._pos += int(count)
+        return batch
+
+    def _synthesise(self, first: int, count: int
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        t = first + np.arange(count, dtype=np.int64)
+        indices = self.order[t % self.cycle_length]
         return indices, self.encoding[indices]
 
     def _next_packet(self) -> EncodingPacket:
-        index = int(self.order[self._pos % self.cycle_length])
-        header = self._sequencer.next_header(index, block=self.block)
+        indices, payloads = self._ahead(self._pos, 1, self.cycle_length)
+        header = self._sequencer.next_header(int(indices[0]),
+                                             block=self.block)
         self._pos += 1
-        return EncodingPacket(header=header, payload=self.encoding[index])
+        return EncodingPacket(header=header, payload=payloads[0])
 
     def _rewind(self) -> None:
         self._pos = 0

@@ -119,6 +119,14 @@ class RatelessServer(SequencedPacketSource):
             return self.id_range
         return max(0, self.id_range - self._emitted)
 
+    def _exhausted(self) -> ProtocolError:
+        return ProtocolError(
+            f"droplet id range exhausted: server emitted all "
+            f"{self.id_range} ids in [{self.start}, "
+            f"{self.start + self.id_range}); give mirrors disjoint "
+            f"ranges with more headroom, or pass wrap=True to "
+            f"cycle (receivers will then see duplicate droplets)")
+
     @property
     def next_droplet_id(self) -> int:
         """The droplet id the next emitted packet will carry.
@@ -128,12 +136,7 @@ class RatelessServer(SequencedPacketSource):
         """
         if self._emitted >= self.id_range:
             if not self.wrap:
-                raise ProtocolError(
-                    f"droplet id range exhausted: server emitted all "
-                    f"{self.id_range} ids in [{self.start}, "
-                    f"{self.start + self.id_range}); give mirrors disjoint "
-                    f"ranges with more headroom, or pass wrap=True to "
-                    f"cycle (receivers will then see duplicate droplets)")
+                raise self._exhausted()
             return self.start + self._emitted % self.id_range
         return self.start + self._emitted
 
@@ -174,24 +177,23 @@ class RatelessServer(SequencedPacketSource):
                 "index-only rateless server cannot emit payload packets; "
                 "construct with a source block")
         if not self.wrap and self._emitted + count > self.id_range:
-            raise ProtocolError(
-                f"droplet id range exhausted: server emitted all "
-                f"{self.id_range} ids in [{self.start}, "
-                f"{self.start + self.id_range}); give mirrors disjoint "
-                f"ranges with more headroom, or pass wrap=True to "
-                f"cycle (receivers will then see duplicate droplets)")
-        ids = self.start + (self._emitted
-                            + np.arange(count, dtype=np.int64)) % self.id_range
+            raise self._exhausted()
+        batch = self._ahead(self._emitted, count, self.ids_remaining)
         self._emitted += int(count)
+        return batch
+
+    def _synthesise(self, first: int, count: int
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        ids = self.start + (first
+                            + np.arange(count, dtype=np.int64)) % self.id_range
         return ids, self.encoder.payload_block(ids)
 
     def _next_packet(self) -> EncodingPacket:
         droplet_id = self.next_droplet_id
+        _, payloads = self._ahead(self._emitted, 1, self.ids_remaining)
         header = self._sequencer.next_header(droplet_id, block=self.block)
         self._emitted += 1
-        return EncodingPacket(
-            header=header,
-            payload=self.encoder.droplet_payload(droplet_id))
+        return EncodingPacket(header=header, payload=payloads[0])
 
     def _rewind(self) -> None:
         self._emitted = 0

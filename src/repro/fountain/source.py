@@ -37,6 +37,7 @@ from typing import (
     List,
     Optional,
     Protocol,
+    Tuple,
     runtime_checkable,
 )
 
@@ -46,6 +47,7 @@ from repro.errors import ParameterError
 from repro.fountain.packets import EncodingPacket, HeaderSequencer
 
 __all__ = [
+    "LOOKAHEAD",
     "PacketSource",
     "SequencedPacketSource",
     "SOURCE_MODES",
@@ -53,6 +55,14 @@ __all__ = [
     "build_packet_source",
     "register_source",
 ]
+
+
+#: emissions synthesised per look-ahead fill.  A block source derives
+#: this many payloads in one batched pass (one ``payload_block`` / one
+#: fancy-indexed row gather) and hands them out a packet at a time, so
+#: the per-call cost of neighbour derivation is paid once per fill; it
+#: holds at most this many payloads beyond what it has emitted.
+LOOKAHEAD = 32
 
 
 @runtime_checkable
@@ -76,6 +86,15 @@ class SequencedPacketSource:
     counted ``packets()`` loop in terms of one abstract
     :meth:`_next_packet`, and splits :meth:`reset` into the shared
     sequencer half plus a subclass :meth:`_rewind` hook.
+
+    Block sources synthesise ahead of emission: :meth:`_ahead` serves
+    emission positions — a packet at a time for ``packets()``, a few at
+    a time for small ``payload_batch`` calls — out of a buffer refilled
+    by one batched :meth:`_synthesise` call per :data:`LOOKAHEAD`
+    emissions.  Synthesis is a pure function of the position, so the
+    buffer is keyed by position and never goes stale — the emission
+    cursor (what the subclass reports and ``reset()`` rewinds) is the
+    only stream state.
 
     Parameters
     ----------
@@ -101,6 +120,34 @@ class SequencedPacketSource:
         self._sequencer = (HeaderSequencer(group=group)
                            if sequencer is None else sequencer)
         self.group = self._sequencer.group
+        self._ahead_from = 0
+        self._ahead_indices = self._ahead_payloads = np.empty(0)
+
+    def _synthesise(self, first: int, count: int
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Indices and payloads of emissions ``first .. first + count``
+        (block-source hook; must not depend on stream state)."""
+        raise NotImplementedError  # pragma: no cover - abstract
+
+    def _ahead(self, position: int, count: int, available: int
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """Indices and payloads of emissions ``position .. position +
+        count``, through the look-ahead buffer.
+
+        A miss refills the buffer from ``position`` on, synthesising
+        :data:`LOOKAHEAD` emissions but never more than ``available``
+        (what a bounded id range has left).  Requests of a whole
+        look-ahead or more are their own batch and bypass the buffer.
+        """
+        if count >= LOOKAHEAD:
+            return self._synthesise(position, count)
+        row = position - self._ahead_from
+        if not 0 <= row <= len(self._ahead_indices) - count:
+            self._ahead_indices, self._ahead_payloads = self._synthesise(
+                position, max(count, min(LOOKAHEAD, available)))
+            self._ahead_from, row = position, 0
+        return (self._ahead_indices[row:row + count],
+                self._ahead_payloads[row:row + count])
 
     def _next_packet(self) -> EncodingPacket:
         """Produce the next packet of the stream (subclass hook)."""
@@ -125,6 +172,7 @@ class SequencedPacketSource:
         transfer server) resets the whole striped stream.
         """
         self._rewind()
+        self._ahead_indices = self._ahead_payloads = np.empty(0)
         if self._owns_sequencer:
             self._sequencer.reset()
 

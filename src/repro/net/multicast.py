@@ -73,8 +73,5 @@ class MulticastNetwork:
                  deliver: Delivery) -> None:
         """Send ``packet`` to ``group``; call ``deliver`` per survivor."""
         for receiver in self.groups[group].subscribers:
-            channel = self.channels[receiver]
-            channel.sent += 1
-            if not bool(channel.loss_model.losses(1, channel.rng)[0]):
-                channel.delivered += 1
+            if not self.channels[receiver].lost():
                 deliver(receiver, packet)

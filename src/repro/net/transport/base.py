@@ -48,7 +48,9 @@ from __future__ import annotations
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Type
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Type
+
+import numpy as np
 
 from repro.errors import ProtocolError
 
@@ -58,18 +60,25 @@ __all__ = [
     "FRAME_DATA",
     "FRAME_FEEDBACK",
     "FRAME_MANIFEST",
+    "SERVE_WINDOW",
     "ServeReport",
     "Subscription",
     "Transport",
     "TRANSPORTS",
     "iter_frames",
     "pack_frame",
+    "packet_ids",
     "register_transport",
     "transport_names",
 ]
 
 #: emission budget per source packet before a serve is declared stuck.
 EMISSION_LIMIT_FACTOR = 200
+
+#: most packets a shadowed serve (memory, file) pulls, crosses the
+#: channel with and feeds to its shadows in one window; bounds what a
+#: window holds in memory however large the decode deficit is.
+SERVE_WINDOW = 1024
 
 #: records per ingest batch for transports without a backlog signal.
 FEED_BATCH = 256
@@ -116,6 +125,13 @@ def iter_frames(datagram: bytes) -> Iterator[Tuple[int, bytes]]:
                 f"{total - offset} remain in the datagram")
         yield frame_type, datagram[offset:offset + length]
         offset += length
+
+
+def packet_ids(packets: Sequence[Any]) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(blocks, indices)`` a window of packets names, as arrays —
+    what a structural shadow needs of them."""
+    return (np.array([packet.block for packet in packets], dtype=np.int64),
+            np.array([packet.index for packet in packets], dtype=np.int64))
 
 
 @dataclass(frozen=True)

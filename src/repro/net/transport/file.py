@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import pathlib
 import time
+from itertools import compress, islice
 from typing import Any, Iterator, Optional, Union
 
 from repro.errors import ProtocolError, ReproError
@@ -23,9 +24,11 @@ from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss
 from repro.net.transport.base import (
     EMISSION_LIMIT_FACTOR,
+    SERVE_WINDOW,
     ServeReport,
     Subscription,
     Transport,
+    packet_ids,
     register_transport,
 )
 
@@ -167,17 +170,28 @@ class FileTransport(Transport):
         start = time.perf_counter()
         survivors = 0
         extra_left = extra
+        packets = session.packets(limit)
         with open(self.directory / STREAM_NAME, "wb") as stream:
-            for packet in channel.transmit(session.packets(limit)):
-                stream.write(packet.to_bytes())
-                survivors += 1
-                # The structural shadow only matters for the automatic
-                # stop; an explicit count skips its decode work too.
-                if count is None and shadow.receive_index(packet.block,
-                                                          packet.index):
-                    if extra_left <= 0:
-                        break
-                    extra_left -= 1
+            while channel.sent < limit:
+                # A window is the most emissions that provably cannot
+                # overshoot the stop: the shadow's deficit in survivors,
+                # then the extra survivors still owed (each emission
+                # yields at most one).  The structural shadow only
+                # matters for the automatic stop; an explicit count
+                # skips its decode work too.
+                deficit = shadow.min_additional if count is None else limit
+                n = min(deficit or extra_left, limit - channel.sent,
+                        SERVE_WINDOW)
+                if n == 0:
+                    break
+                window = list(compress(islice(packets, n),
+                                       channel.delivery_mask(n).tolist()))
+                stream.writelines(packet.to_bytes() for packet in window)
+                survivors += len(window)
+                if not deficit:
+                    extra_left -= len(window)
+                elif count is None:
+                    shadow.receive_window(*packet_ids(window))
         if count is None and not shadow.is_complete:
             raise ReproError(
                 f"channel too lossy: {limit} emissions were not enough "

@@ -24,16 +24,22 @@ moves.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Iterator, List, Optional
+from collections import deque
+from itertools import compress, islice
+from typing import Any, Callable, Deque, Iterator, List, Optional
+
+import numpy as np
 
 from repro.errors import ProtocolError, ReproError
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss
 from repro.net.transport.base import (
     EMISSION_LIMIT_FACTOR,
+    SERVE_WINDOW,
     ServeReport,
     Subscription,
     Transport,
+    packet_ids,
     register_transport,
 )
 from repro.protocol.adaptive import AdaptivePolicy
@@ -97,7 +103,7 @@ class MemoryTransport(Transport):
         self.seed = seed
         self.subscriptions: List[MemorySubscription] = []
         #: encoded feedback frames awaiting the sender (FIFO).
-        self.feedback_queue: List[bytes] = []
+        self.feedback_queue: Deque[bytes] = deque()
 
     def subscribe(self, **options: Any) -> MemorySubscription:
         if options:
@@ -116,7 +122,7 @@ class MemoryTransport(Transport):
         """Decode and hand out every queued feedback frame."""
         reports = []
         while self.feedback_queue:
-            report = FeedbackReport.decode(self.feedback_queue.pop(0))
+            report = FeedbackReport.decode(self.feedback_queue.popleft())
             reports.append(report)
             if policy is not None:
                 policy.observe(report, now=now)
@@ -164,23 +170,37 @@ class MemoryTransport(Transport):
         source = getattr(session, "source", session)
         reweight = getattr(source, "reweight", None)
         block_ks = session.codec.plan.block_ks
+        every = max(1, report_every)
         start = time.perf_counter()
-        emitted = delivered = dropped = 0
+        emitted = delivered = 0
         extra_left = extra
-        for packet in session.packets(limit):
-            emitted += 1
-            record = None
-            for sub, shadow in zip(self.subscriptions, shadows):
-                if bool(sub.channel.delivery_mask(1)[0]):
-                    if record is None:
-                        record = packet.to_bytes()
-                    sub._records.append(record)
-                    delivered += 1
-                    if not shadow.is_complete:
-                        shadow.receive_index(packet.block, packet.index)
-                else:
-                    dropped += 1
-            if adaptive and emitted % max(1, report_every) == 0:
+        stream = session.packets(limit)
+        while emitted < limit:
+            # A window is the most emissions that provably cannot
+            # overshoot the stop — the neediest shadow's deficit, then
+            # the extras — so the stop only ever lands on its last packet.
+            deficit = (max(shadow.min_additional for shadow in shadows)
+                       if count is None else limit)
+            n = min(deficit or extra_left, limit - emitted, SERVE_WINDOW)
+            if adaptive:
+                n = min(n, every - emitted % every)
+            if n == 0:
+                break
+            if not deficit:
+                extra_left -= n
+            window = list(islice(stream, n))
+            emitted += n
+            blocks, indices = packet_ids(window)
+            masks = [sub.channel.delivery_mask(n)
+                     for sub in self.subscriptions]
+            records = [packet.to_bytes() if wanted else None
+                       for packet, wanted in zip(
+                           window, np.logical_or.reduce(masks).tolist())]
+            for sub, shadow, mask in zip(self.subscriptions, shadows, masks):
+                sub._records.extend(compress(records, mask.tolist()))
+                delivered += int(mask.sum())
+                shadow.receive_window(blocks[mask], indices[mask])
+            if adaptive and emitted % every == 0:
                 now = time.perf_counter() - start
                 for i, (sub, shadow) in enumerate(
                         zip(self.subscriptions, shadows)):
@@ -197,10 +217,6 @@ class MemoryTransport(Transport):
                     decision = policy.decide(block_ks, now=now)
                     if decision.weights:
                         reweight(list(decision.weights))
-            if count is None and all(s.is_complete for s in shadows):
-                if extra_left <= 0:
-                    break
-                extra_left -= 1
         if count is None and not all(s.is_complete for s in shadows):
             incomplete = [i for i, s in enumerate(shadows)
                           if not s.is_complete]
@@ -211,7 +227,7 @@ class MemoryTransport(Transport):
             transport=self.name,
             emitted=emitted,
             delivered=delivered,
-            dropped=dropped,
+            dropped=emitted * len(shadows) - delivered,
             duration=time.perf_counter() - start,
             destinations=len(self.subscriptions),
         )

@@ -45,6 +45,7 @@ import time
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ParameterError, ProtocolError
+from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss, LossModel
 from repro.net.transport.base import (
     EMISSION_LIMIT_FACTOR,
@@ -395,32 +396,9 @@ class _SenderProtocol(asyncio.DatagramProtocol):
                 self.malformed += 1
 
 
-class _LossStream:
-    """Stateful per-destination loss draws from any loss model.
-
-    Models like Gilbert-Elliott re-draw their hidden state from
-    stationarity on every ``losses`` call, so asking for one packet at
-    a time would flatten the bursts back into Bernoulli.  Drawing in
-    chunks keeps the burst structure (mean bursts are far shorter than
-    a chunk) while the serve loop still consumes one verdict per
-    packet.
-    """
-
-    _CHUNK = 512
-
-    def __init__(self, model: LossModel, rng: Any):
-        self.model = model
-        self.rng = rng
-        self._mask: Any = None
-        self._pos = 0
-
-    def lost(self) -> bool:
-        if self._mask is None or self._pos >= len(self._mask):
-            self._mask = self.model.losses(self._CHUNK, self.rng)
-            self._pos = 0
-        verdict = bool(self._mask[self._pos])
-        self._pos += 1
-        return verdict
+#: one destination's injected loss is a plain channel crossing, read a
+#: verdict at a time through :meth:`LossyChannel.lost`.
+_LossStream = LossyChannel
 
 
 @register_transport
@@ -445,7 +423,7 @@ class UdpTransport(Transport):
         Any :class:`~repro.net.loss.LossModel` for the injected loss
         instead of the Bernoulli shorthand — e.g. ``GilbertElliottLoss``
         for bursty-channel acceptance runs.  Each destination gets an
-        independent stateful draw stream.  Overrides ``loss``.
+        independent loss channel.  Overrides ``loss``.
     seed:
         RNG seed for the injected loss (``None`` draws fresh entropy).
     manifest_interval:
@@ -509,7 +487,7 @@ class UdpTransport(Transport):
         return asyncio.run(self.serve_async(session, count=count, **options))
 
     def _loss_streams(self) -> Optional[List[_LossStream]]:
-        """One independent stateful loss stream per destination."""
+        """One independent loss channel per destination."""
         model = self.loss_model
         if model is None and self.loss > 0:
             model = BernoulliLoss(self.loss)

@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.codes.backend import is_vectorized
 from repro.errors import ParameterError
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss, LossModel
@@ -43,52 +42,6 @@ _LOSS_STREAM = 0x1055
 
 #: structural-mode chunk size for vectorised loss draws.
 _CHUNK = 4096
-
-#: synthesis quantum: payloads generated per block-source call in the
-#: batched driver.  Generation is deterministic and rng-free, so
-#: synthesising ahead of emission is exact; bigger quanta amortise the
-#: per-call neighbour-derivation cost of rateless sources.  Sized so a
-#: block's typical emission count (k plus loss and reception overhead)
-#: fits in one generation call.
-_FEED_QUANTUM = 192
-
-
-class _BlockFeed:
-    """Buffered payload stream over one block source.
-
-    Hands out ``(ids, payloads)`` in exact emission order while
-    generating from the underlying source in :data:`_FEED_QUANTUM`
-    batches.  A rateless source's look-ahead is capped at its remaining
-    id range, so exhaustion raises on the same emission as sequential
-    feeding would.
-    """
-
-    __slots__ = ("source", "ids", "payloads", "pos")
-
-    def __init__(self, source):
-        self.source = source
-        self.ids: Optional[np.ndarray] = None
-        self.payloads: Optional[np.ndarray] = None
-        self.pos = 0
-
-    def take(self, count: int):
-        buffered = 0 if self.ids is None else len(self.ids) - self.pos
-        if buffered >= count:
-            pos = self.pos
-            self.pos = pos + count
-            return (self.ids[pos:pos + count],
-                    self.payloads[pos:pos + count])
-        want = _FEED_QUANTUM
-        remaining = getattr(self.source, "ids_remaining", None)
-        if remaining is not None:
-            want = min(want, remaining)
-        want = max(want, count - buffered)
-        ids, payloads = self.source.payload_batch(want)
-        if buffered:
-            ids = np.concatenate([self.ids[self.pos:], ids])
-            payloads = np.concatenate([self.payloads[self.pos:], payloads])
-        self.ids, self.payloads, self.pos = ids, payloads, count
-        return ids[:count], payloads[:count]
 
 
 @dataclass(frozen=True)
@@ -126,47 +79,6 @@ def _as_loss_model(loss: Union[float, LossModel]) -> LossModel:
     return BernoulliLoss(float(loss))
 
 
-def _drive_payload_batched(plan: BlockPlan,
-                           codec: ObjectCodec,
-                           server: TransferServer,
-                           client: TransferClient,
-                           channel: LossyChannel,
-                           schedule: str,
-                           limit: int) -> int:
-    """Run the payload pipeline in deficit-bounded chunks.
-
-    Result-identical to feeding ``server.packets(limit)`` through the
-    channel one packet at a time: the loss model draws one delivery per
-    emission in emission order, every emitted slot advances its block
-    source (dropped or not), and chunks are capped at the provable
-    lower bound on packets the transfer still needs
-    (:meth:`~repro.transfer.client.TransferClient.block_min_additional`
-    summed over incomplete blocks) — the transfer cannot complete
-    before a chunk's final slot, so reception counters at completion
-    match the sequential run exactly.
-    """
-    slots = make_schedule(schedule, plan.block_ks)
-    feeds = [_BlockFeed(source) for source in server.block_sources]
-    sent = 0
-    while not client.is_complete and sent < limit:
-        deficit = sum(client.block_min_additional(b)
-                      for b in client.incomplete_blocks)
-        chunk = min(deficit, limit - sent, _CHUNK)
-        blocks = np.fromiter(islice(slots, chunk), dtype=np.int64,
-                             count=chunk)
-        mask = channel.delivery_mask(chunk)
-        sent += chunk
-        for b in np.unique(blocks):
-            sel = blocks == b
-            # Every emitted slot advances the block's stream position,
-            # delivered or not; only survivors reach the client.
-            ids, pays = feeds[int(b)].take(int(sel.sum()))
-            delivered = mask[sel]
-            if delivered.any():
-                client.receive_many(int(b), ids[delivered], pays[delivered])
-    return sent
-
-
 def simulate_transfer(file_size: int,
                       packet_size: int = 1024,
                       block_packets: int = 256,
@@ -193,14 +105,25 @@ def simulate_transfer(file_size: int,
                                  dtype=np.uint8).tobytes()
         server = TransferServer(codec, data, schedule=schedule, seed=seed)
         client = TransferClient(codec)
-        if is_vectorized():
-            sent = _drive_payload_batched(plan, codec, server, client,
-                                          channel, schedule, limit)
-        else:
-            for packet in channel.transmit(server.packets(limit)):
-                if client.receive(packet):
-                    break
-            sent = channel.sent
+        # Deficit-bounded windows, result-identical to crossing the
+        # channel one packet at a time: every slot advances its block
+        # source (delivered or not), and the transfer cannot complete
+        # before a window's final packet, so reception counters at
+        # completion match the sequential run exactly.  Windows draw
+        # payloads a block at a time — no packet objects or headers.
+        slots = make_schedule(schedule, plan.block_ks)
+        while not client.is_complete and channel.sent < limit:
+            n = min(client.min_additional, limit - channel.sent, _CHUNK)
+            blocks = np.fromiter(islice(slots, n), dtype=np.int64, count=n)
+            ids = np.empty(n, dtype=np.int64)
+            payloads = np.empty((n, packet_size), dtype=np.uint8)
+            for b in np.unique(blocks):
+                sel = blocks == b
+                ids[sel], payloads[sel] = server.block_sources[
+                    b].payload_batch(int(sel.sum()))
+            mask = channel.delivery_mask(n)
+            client.receive_window(blocks[mask], ids[mask], payloads[mask])
+        sent = channel.sent
         if not client.is_complete:
             raise ParameterError(
                 f"transfer did not complete within {limit} emissions; "

@@ -108,6 +108,30 @@ class TransferClient:
                 self._incomplete.discard(block)
         return self.is_complete
 
+    def receive_window(self, blocks: np.ndarray, indices: np.ndarray,
+                       payloads: Optional[np.ndarray] = None) -> int:
+        """Ingest an arrival-ordered run of packets spanning blocks.
+
+        The batch twin of one :meth:`receive_index` call per packet, and
+        counter-exact against it: the run is taken in chunks no longer
+        than :attr:`min_additional`, so the transfer can only complete
+        on a chunk's final packet, and each chunk reaches the decoders
+        one :meth:`receive_many` per block.  Returns how many packets
+        were consumed — the rest arrived after completion and are left
+        unread, as the sequential loop would leave them.
+        """
+        pos, total = 0, len(blocks)
+        while pos < total and self._incomplete:
+            sel = slice(pos, pos + min(self.min_additional, total - pos))
+            chunk = blocks[sel]
+            for block in np.unique(chunk):
+                rows = chunk == block
+                self.receive_many(
+                    int(block), indices[sel][rows],
+                    None if payloads is None else payloads[sel][rows])
+            pos = sel.stop
+        return pos
+
     def block_distinct(self, block: int) -> int:
         """Distinct packets the given block has received so far."""
         client = self._clients[block]
@@ -117,9 +141,7 @@ class TransferClient:
         """Lower bound on further packets ``block`` needs to complete.
 
         Zero once the block has decoded; before its first packet the
-        bound is the block's ``k``.  Batch drivers sum this over the
-        incomplete blocks to size delivery chunks that provably cannot
-        complete the transfer before their final packet.
+        bound is the block's ``k``.
         """
         if block not in self._incomplete:
             return 0
@@ -127,6 +149,18 @@ class TransferClient:
         if client is None:
             return self.codec.plan.spec(block).k
         return client.min_additional
+
+    @property
+    def min_additional(self) -> int:
+        """Lower bound on further packets the whole transfer needs.
+
+        Every incomplete block needs at least its own bound and a
+        packet serves one block, so the bounds add.  Batch drivers size
+        delivery windows by it: a window this long provably cannot
+        complete the transfer before its final packet.
+        """
+        return sum(self.block_min_additional(block)
+                   for block in self._incomplete)
 
     # -- progress --------------------------------------------------------------
 

@@ -180,3 +180,138 @@ def raptor_encode_pair(backend: str, k: int, payload_size: int,
                              plan=assets.encode_plan())
         slow = RaptorEncoder(assets.geometry, source)
     return fast.intermediates.tobytes(), slow.intermediates.tobytes()
+
+
+# -- per-packet serve loops (the windowed transports' oracles) -----------------
+#
+# The memory and file serve loops exactly as they ran before the send
+# path went windowed: one packet pulled, one loss draw per subscriber,
+# one shadow ``receive_index`` at a time.  ``tests/test_windowed_serve.py``
+# holds the windowed ``serve`` methods to these, byte for byte.
+
+
+def oracle_memory_serve(transport, session, *, count=None, extra=0,
+                        policy=None, feedback=None, report_every=128):
+    """``MemoryTransport.serve``, one packet at a time."""
+    import time
+
+    from repro.errors import ReproError
+    from repro.net.transport.base import EMISSION_LIMIT_FACTOR, ServeReport
+    from repro.protocol.feedback import FeedbackReport, report_from_client
+    from repro.transfer.client import TransferClient
+
+    self = transport
+    manifest = session.manifest()
+    shadows = []
+    for sub in self.subscriptions:
+        sub._manifest = manifest
+        shadows.append(TransferClient(session.codec, payload_size=None))
+    limit = (EMISSION_LIMIT_FACTOR * session.total_k
+             if count is None else count)
+    adaptive = policy is not None or feedback is not None
+    source = getattr(session, "source", session)
+    reweight = getattr(source, "reweight", None)
+    block_ks = session.codec.plan.block_ks
+    start = time.perf_counter()
+    emitted = delivered = dropped = 0
+    extra_left = extra
+    for packet in session.packets(limit):
+        emitted += 1
+        record = None
+        for sub, shadow in zip(self.subscriptions, shadows):
+            if bool(sub.channel.delivery_mask(1)[0]):
+                if record is None:
+                    record = packet.to_bytes()
+                sub._records.append(record)
+                delivered += 1
+                if not shadow.is_complete:
+                    shadow.receive_index(packet.block, packet.index)
+            else:
+                dropped += 1
+        if adaptive and emitted % max(1, report_every) == 0:
+            now = time.perf_counter() - start
+            for i, (sub, shadow) in enumerate(
+                    zip(self.subscriptions, shadows)):
+                report = FeedbackReport.decode(report_from_client(
+                    shadow, receiver_id=i,
+                    loss=sub.channel.observed_loss_rate,
+                    packets_used=shadow.total_received).encode())
+                if policy is not None:
+                    policy.observe(report, now=now)
+                if feedback is not None:
+                    feedback(report)
+            self.drain_feedback(policy, feedback, now=now)
+            if policy is not None and reweight is not None:
+                decision = policy.decide(block_ks, now=now)
+                if decision.weights:
+                    reweight(list(decision.weights))
+        if count is None and all(s.is_complete for s in shadows):
+            if extra_left <= 0:
+                break
+            extra_left -= 1
+    if count is None and not all(s.is_complete for s in shadows):
+        incomplete = [i for i, s in enumerate(shadows)
+                      if not s.is_complete]
+        raise ReproError(
+            f"channel too lossy: {limit} emissions were not enough "
+            f"for subscribers {incomplete[:8]}")
+    return ServeReport(
+        transport=self.name,
+        emitted=emitted,
+        delivered=delivered,
+        dropped=dropped,
+        duration=time.perf_counter() - start,
+        destinations=len(self.subscriptions),
+    )
+
+
+def oracle_file_serve(transport, session, *, count=None, extra=0):
+    """``FileTransport.serve``, one packet at a time."""
+    import json
+    import time
+
+    from repro import __version__
+    from repro.errors import ReproError
+    from repro.net.channel import LossyChannel
+    from repro.net.loss import BernoulliLoss
+    from repro.net.transport.base import EMISSION_LIMIT_FACTOR, ServeReport
+    from repro.net.transport.file import MANIFEST_NAME, STREAM_NAME
+    from repro.transfer.client import TransferClient
+
+    self = transport
+    channel = LossyChannel(BernoulliLoss(self.loss), rng=self.seed)
+    shadow = TransferClient(session.codec, payload_size=None)
+    limit = (EMISSION_LIMIT_FACTOR * session.total_k
+             if count is None else count)
+    self.directory.mkdir(parents=True, exist_ok=True)
+    (self.directory / MANIFEST_NAME).unlink(missing_ok=True)
+    start = time.perf_counter()
+    survivors = 0
+    extra_left = extra
+    with open(self.directory / STREAM_NAME, "wb") as stream:
+        for packet in channel.transmit(session.packets(limit)):
+            stream.write(packet.to_bytes())
+            survivors += 1
+            if count is None and shadow.receive_index(packet.block,
+                                                      packet.index):
+                if extra_left <= 0:
+                    break
+                extra_left -= 1
+    if count is None and not shadow.is_complete:
+        raise ReproError(
+            f"channel too lossy: {limit} emissions were not enough "
+            f"(blocks incomplete: {shadow.incomplete_blocks[:8]})")
+    manifest = session.manifest(
+        version=__version__,
+        loss=self.loss,
+        packets_written=survivors,
+    )
+    (self.directory / MANIFEST_NAME).write_text(
+        json.dumps(manifest, indent=2))
+    return ServeReport(
+        transport=self.name,
+        emitted=channel.sent,
+        delivered=survivors,
+        dropped=channel.sent - channel.delivered,
+        duration=time.perf_counter() - start,
+    )

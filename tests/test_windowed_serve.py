@@ -1,0 +1,439 @@
+"""The windowed send path emits exactly what the per-packet one did.
+
+Two layers, both held to per-packet oracles on both codec backends:
+
+* the **look-ahead** behind ``packets()`` — block sources synthesise
+  :data:`~repro.fountain.source.LOOKAHEAD` emissions per batched call —
+  against ``droplet_payload`` / ``encoding[index]`` one packet at a
+  time, including every cursor the sources expose;
+* the **deficit-bounded windows** of ``MemoryTransport.serve`` and
+  ``FileTransport.serve`` against the per-packet serve loops kept in
+  :mod:`tests._oracles`: same ``ServeReport`` counters, same subscriber
+  record bytes, same ``stream.pkt`` and ``manifest.json`` bytes.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from itertools import islice
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _oracles import make_source, oracle_file_serve, oracle_memory_serve
+from repro import api
+from repro.codes.backend import use_backend
+from repro.codes.registry import build_code
+from repro.errors import ProtocolError, ReproError
+from repro.fountain.carousel import CarouselServer
+from repro.fountain.rateless import RatelessServer
+from repro.fountain.source import LOOKAHEAD
+from repro.net.channel import LossyChannel
+from repro.net.loss import BernoulliLoss, GilbertElliottLoss
+from repro.net.transport import FileTransport, MemoryTransport
+from repro.net.transport.base import SERVE_WINDOW
+from repro.protocol.adaptive import AdaptivePolicy
+from repro.transfer.client import TransferClient
+
+BACKENDS = ["vectorized", "reference"]
+CODES = ["lt", "raptor", "tornado-b", "rs", "interleaved"]
+
+#: three blocks of 60/60/37 packets: uneven, so the stripe and the
+#: deficit sums are not symmetric.
+PACKET = 32
+BLOCK = 60 * PACKET
+OBJECT = 157 * PACKET
+
+
+@pytest.fixture(params=BACKENDS)
+def backend(request):
+    with use_backend(request.param):
+        yield request.param
+
+
+def _data(seed: int, size: int = OBJECT) -> bytes:
+    return np.random.default_rng(seed).integers(
+        0, 256, size=size, dtype=np.uint8).tobytes()
+
+
+def _session(code: str, seed: int = 3, size: int = OBJECT):
+    return api.SenderSession(_data(seed, size), code=code, packet_size=PACKET,
+                             block_size=BLOCK, seed=seed)
+
+
+def _counters(report) -> dict:
+    fields = dataclasses.asdict(report)
+    del fields["duration"]
+    return fields
+
+
+# -- look-ahead behind packets() -----------------------------------------------
+
+
+def _rateless(k=24, spec="lt", seed=5, **options):
+    code = build_code(spec, k, seed=seed)
+    source = make_source(k, PACKET, seed)
+    return RatelessServer(code, source, **options), code.encoder(source)
+
+
+def _carousel(k=24, spec="tornado-b", seed=5, lazy=True):
+    code = build_code(spec, k, seed=seed)
+    source = make_source(k, PACKET, seed)
+    encoding = code.block_encoder(source) if lazy else code.encode(source)
+    return CarouselServer(code, encoding, seed=seed), code.encode(source)
+
+
+class TestLookahead:
+    @pytest.mark.parametrize("spec", ["lt", "raptor"])
+    def test_rateless_packets_match_per_droplet_oracle(self, backend, spec):
+        server, encoder = _rateless(spec=spec, start=7, block=2)
+        packets = list(server.packets(3 * LOOKAHEAD + 5))
+        for serial, packet in enumerate(packets):
+            assert packet.index == 7 + serial
+            assert packet.header.serial == serial
+            assert packet.block == 2
+            assert (packet.payload.tobytes()
+                    == encoder.droplet_payload(7 + serial).tobytes())
+
+    @pytest.mark.parametrize("spec", ["tornado-b", "rs", "interleaved"])
+    @pytest.mark.parametrize("lazy", [True, False])
+    def test_carousel_packets_match_row_oracle(self, backend, spec, lazy):
+        server, encoding = _carousel(spec=spec, lazy=lazy)
+        n = server.cycle_length
+        packets = list(server.packets(2 * n + 3))   # wraps the cycle twice
+        for slot, packet in enumerate(packets):
+            index = int(server.order[slot % n])
+            assert packet.index == index
+            assert type(packet.index) is int
+            assert packet.payload.tobytes() == encoding[index].tobytes()
+
+    def test_narrow_id_range_raises_on_the_same_emission(self, backend):
+        server, encoder = _rateless(start=100, id_range=LOOKAHEAD + 3)
+        stream = server.packets()
+        got = []
+        with pytest.raises(ProtocolError, match="id range exhausted"):
+            for packet in stream:
+                got.append(packet)
+        assert [p.index for p in got] == list(range(100, 103 + LOOKAHEAD))
+        assert (got[-1].payload.tobytes()
+                == encoder.droplet_payload(got[-1].index).tobytes())
+        assert server.ids_remaining == 0
+        with pytest.raises(ProtocolError):
+            server.next_droplet_id
+
+    def test_wrapping_id_range_cycles(self, backend):
+        server, encoder = _rateless(start=9, id_range=5, wrap=True)
+        packets = list(server.packets(13))
+        assert [p.index for p in packets] == [9 + t % 5 for t in range(13)]
+        assert [p.header.serial for p in packets] == list(range(13))
+        for packet in packets:
+            assert (packet.payload.tobytes()
+                    == encoder.droplet_payload(packet.index).tobytes())
+
+    def test_cursors_report_emitted_not_synthesised(self, backend):
+        server, _ = _rateless(start=4, id_range=100)
+        stream = server.packets()
+        for emitted in range(1, 4):
+            next(stream)
+            # a whole LOOKAHEAD has been synthesised; three were emitted
+            assert server.next_droplet_id == 4 + emitted
+            assert server.ids_remaining == 100 - emitted
+        carousel, _ = _carousel()
+        next(carousel.packets())
+        ids, _ = carousel.payload_batch(2)
+        assert ids.tolist() == carousel.order[1:3].tolist()
+
+    def test_reset_drops_the_buffer_and_restarts(self, backend):
+        for server in (_rateless()[0], _carousel()[0]):
+            first = [p.to_bytes() for p in server.packets(5)]
+            assert len(server._ahead_payloads)
+            server.reset()
+            assert not len(server._ahead_payloads)
+            assert [p.to_bytes() for p in server.packets(5)] == first
+
+    @pytest.mark.parametrize("make", [_rateless, _carousel])
+    def test_payload_batch_interleaves_with_packets(self, backend, make):
+        server, _ = make()
+        straight, _ = make()
+        want = list(straight.packets(3 * LOOKAHEAD))
+        got_ids, got_payloads = [], []
+        stream = server.packets()
+        cuts = [3, 0, LOOKAHEAD - 1, 1, LOOKAHEAD + 7, 2]
+        for turn, count in enumerate(cuts):
+            if turn % 2:
+                ids, payloads = server.payload_batch(count)
+                got_ids += ids.tolist()
+                got_payloads += [row.tobytes() for row in payloads]
+            else:
+                for packet in islice(stream, count):
+                    got_ids.append(packet.index)
+                    got_payloads.append(packet.payload.tobytes())
+        assert got_ids == [p.index for p in want[:len(got_ids)]]
+        assert got_payloads == [p.payload.tobytes()
+                                for p in want[:len(got_ids)]]
+
+    @pytest.mark.parametrize("code", ["lt", "tornado-b"])
+    def test_reweight_mid_stream_only_moves_the_slot_cursor(self, backend,
+                                                            code):
+        weights = [0.2, 3.0, 1.0]
+        live = _session(code).source
+        head = [p.to_bytes() for p in live.packets(50)]
+        live.reweight(weights)
+        tail = list(live.packets(120))
+        # The oracle: per-block streams are untouched by the reweight, so
+        # block b's j-th packet after it is the (emitted_b + j)-th packet
+        # of a solo stream of block b — whatever was synthesised ahead.
+        solo = _session(code).source.block_sources
+        pulled = [source.packets() for source in solo]
+        emitted = [0, 0, 0]
+        for record in head:
+            emitted[int.from_bytes(record[12:16], "big")] += 1
+        for b, count in enumerate(emitted):
+            for _ in range(count):
+                next(pulled[b])
+        for packet in tail:
+            twin = next(pulled[packet.block])
+            assert packet.index == twin.index
+            assert packet.payload.tobytes() == twin.payload.tobytes()
+        counts = np.bincount([p.block for p in tail], minlength=3)
+        assert counts[1] > counts[0]        # the weights took effect
+
+    def test_forks_are_independent_streams(self, backend):
+        server = _session("lt").source
+        want = [p.to_bytes() for p in _session("lt").source.packets(90)]
+        fork = server.fork()
+        ours, theirs = server.packets(), fork.packets()
+        got_ours, got_theirs = [], []
+        for take_ours, take_theirs in [(7, 40), (50, 1), (33, 49)]:
+            got_ours += [p.to_bytes() for p in islice(ours, take_ours)]
+            got_theirs += [p.to_bytes() for p in islice(theirs, take_theirs)]
+        assert got_ours == want
+        assert got_theirs == want
+
+
+# -- the channel's verdict stream ----------------------------------------------
+
+
+class TestVerdictStream:
+    @pytest.mark.parametrize("model", [
+        BernoulliLoss(0.3),
+        BernoulliLoss(0.0),
+        GilbertElliottLoss.from_loss_and_burst(0.2, 6.0),
+    ], ids=repr)
+    def test_any_partition_draws_the_same_mask(self, model):
+        total = 3 * LossyChannel._CHUNK + 17
+        whole = LossyChannel(model, rng=11).delivery_mask(total)
+        rng = np.random.default_rng(0)
+        channel = LossyChannel(model, rng=11)
+        parts = []
+        while sum(map(len, parts)) < total:
+            left = total - sum(map(len, parts))
+            if rng.random() < 0.5:
+                parts.append([not channel.lost()])
+            else:
+                parts.append(channel.delivery_mask(
+                    min(left, int(rng.integers(0, 700)))))
+        assert np.concatenate(parts).tolist() == whole.tolist()
+        assert channel.sent == total
+        assert channel.delivered == int(whole.sum())
+
+    def test_bernoulli_stream_is_the_seeds_uniform_stream(self):
+        """The verdicts every earlier release drew for this seed: one
+        uniform per slot, in slot order, however the slots are asked for."""
+        want = np.random.default_rng(42).random(2000) >= 0.25
+        channel = LossyChannel(BernoulliLoss(0.25), rng=42)
+        got = [not channel.lost() for _ in range(700)]
+        got += channel.delivery_mask(1300).tolist()
+        assert got == want.tolist()
+
+    def test_transmit_keeps_gilbert_elliott_bursts(self):
+        """``transmit`` used to ask the model for one slot at a time,
+        re-drawing the hidden state from stationarity each packet: a
+        memoryless channel with mean burst 1 / (1 - 0.2) = 1.25."""
+        model = GilbertElliottLoss.from_loss_and_burst(0.2, 8.0)
+        channel = LossyChannel(model, rng=3)
+        survived = set(channel.transmit(range(60_000)))
+        lost = np.array([slot not in survived for slot in range(60_000)])
+        edges = np.diff(np.concatenate([[0], lost.astype(int), [0]]))
+        bursts = np.nonzero(edges == -1)[0] - np.nonzero(edges == 1)[0]
+        assert abs(bursts.mean() - 8.0) < 0.8
+        assert abs(lost.mean() - 0.2) < 0.03
+
+
+# -- the hoisted deficit loop --------------------------------------------------
+
+
+class TestReceiveWindow:
+    @pytest.mark.parametrize("code", CODES)
+    def test_matches_sequential_receive_index(self, backend, code):
+        session = _session(code)
+        arrivals = [(p.block, p.index) for p in session.packets(400)
+                    if p.header.serial % 5]
+        blocks, indices = map(np.array, zip(*arrivals))
+        scalar = TransferClient(session.codec, payload_size=None)
+        used = next(n for n, (b, i) in enumerate(arrivals, 1)
+                    if scalar.receive_index(int(b), int(i)))
+        windowed = TransferClient(session.codec, payload_size=None)
+        fed = 0
+        for cut in (1, 50, 51, 170, len(arrivals)):
+            fed += windowed.receive_window(blocks[fed:cut], indices[fed:cut])
+        assert windowed.is_complete
+        assert fed == used
+        assert windowed.total_received == scalar.total_received
+        assert windowed.distinct_received == scalar.distinct_received
+        assert windowed.min_additional == 0
+
+
+# -- windowed serves vs the per-packet oracles ---------------------------------
+
+
+def _memory_run(serve, code, *, loss=0.2, loss_seed=5, subscribers=1,
+                **options):
+    session = _session(code)
+    transport = MemoryTransport(loss=loss, seed=loss_seed)
+    subs = [transport.subscribe() for _ in range(subscribers)]
+    report = serve(transport, session, **options)
+    return _counters(report), [list(sub.records()) for sub in subs]
+
+
+def _file_run(serve, directory, code, *, loss=0.1, loss_seed=5, **options):
+    transport = FileTransport(directory, loss=loss, seed=loss_seed)
+    report = serve(transport, _session(code), **options)
+    return (_counters(report), (directory / "stream.pkt").read_bytes(),
+            (directory / "manifest.json").read_bytes())
+
+
+class TestMemoryServe:
+    @pytest.mark.parametrize("code", CODES)
+    @pytest.mark.parametrize("options", [
+        {},
+        {"extra": 9},
+        {"subscribers": 3},
+        {"subscribers": 3, "extra": 2, "loss": 0.35},
+        {"count": 150},
+        {"count": 400, "subscribers": 2},
+        {"loss": 0.0},
+    ], ids=str)
+    def test_identical_to_per_packet_loop(self, backend, code, options):
+        got = _memory_run(MemoryTransport.serve, code, **options)
+        want = _memory_run(oracle_memory_serve, code, **options)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+
+    @pytest.mark.parametrize("code", ["lt", "raptor", "tornado-b"])
+    @pytest.mark.parametrize("options", [
+        {"report_every": 16, "subscribers": 2},
+        {"report_every": 7, "extra": 5},
+        {"report_every": 1, "count": 90},
+        {"report_every": 50, "count": 300, "subscribers": 3},
+    ], ids=str)
+    def test_same_reports_at_the_same_emissions(self, backend, code,
+                                                options):
+        def run(serve):
+            seen = []
+            session = _session(code)
+            transport = MemoryTransport(loss=0.25, seed=8)
+            subs = [transport.subscribe()
+                    for _ in range(options.get("subscribers", 1))]
+
+            def tap(report):
+                seen.append((subs[0].channel.sent, report.encode()))
+
+            kwargs = {k: v for k, v in options.items() if k != "subscribers"}
+            report = serve(transport, session, feedback=tap,
+                           policy=AdaptivePolicy(nominal_loss=0.25),
+                           **kwargs)
+            return (_counters(report), seen,
+                    [list(sub.records()) for sub in subs])
+
+        got, want = run(MemoryTransport.serve), run(oracle_memory_serve)
+        assert got[1], "the policy must have seen reports"
+        assert got == want
+
+    def test_too_lossy_raises_after_the_same_limit(self, backend):
+        def run(serve):
+            session = _session("rs", size=4 * PACKET)
+            transport = MemoryTransport(loss=0.9999, seed=2)
+            sub = transport.subscribe()
+            with pytest.raises(ReproError, match="channel too lossy") as err:
+                serve(transport, session)
+            return str(err.value), sub.channel.sent, list(sub.records())
+
+        got, want = run(MemoryTransport.serve), run(oracle_memory_serve)
+        assert got == want
+        assert got[1] == 200 * 4
+
+    def test_windows_are_capped(self, backend):
+        """A deficit beyond SERVE_WINDOW still serves in bounded windows."""
+        session = _session("rs", size=(SERVE_WINDOW + 300) * PACKET)
+        transport = MemoryTransport(loss=0.0, seed=1)
+        channel = transport.subscribe().channel
+        draw, sizes = channel.delivery_mask, []
+        channel.delivery_mask = lambda n: sizes.append(n) or draw(n)
+        report = transport.serve(session)
+        assert sizes[0] == SERVE_WINDOW == max(sizes)
+        assert sum(sizes) == report.emitted == session.total_k
+
+    def test_feedback_queue_is_fifo(self):
+        transport = MemoryTransport(seed=0)
+        sub = transport.subscribe()
+        sent = [api.FeedbackReport(receiver_id=i, loss=0.0, progress=0.0,
+                                   packets_used=i, blocks_total=1)
+                for i in range(5)]
+        for report in sent:
+            assert sub.send_feedback(report)
+        assert [r.receiver_id for r in transport.drain_feedback()] \
+            == [0, 1, 2, 3, 4]
+        assert not transport.feedback_queue
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), loss=st.floats(0.0, 0.6),
+           extra=st.integers(0, 12), code=st.sampled_from(CODES))
+    def test_property_identical(self, seed, loss, extra, code):
+        options = dict(loss=loss, loss_seed=seed, extra=extra)
+        assert (_memory_run(MemoryTransport.serve, code, **options)
+                == _memory_run(oracle_memory_serve, code, **options))
+
+
+class TestFileServe:
+    @pytest.mark.parametrize("code", CODES)
+    @pytest.mark.parametrize("options", [
+        {},
+        {"extra": 9},
+        {"extra": 3, "loss": 0.4},
+        {"count": 150},
+        {"loss": 0.0},
+    ], ids=str)
+    def test_identical_to_per_packet_loop(self, backend, tmp_path, code,
+                                          options):
+        got = _file_run(FileTransport.serve, tmp_path / "got", code,
+                        **options)
+        want = _file_run(oracle_file_serve, tmp_path / "want", code,
+                         **options)
+        assert got == want
+
+    def test_too_lossy_raises_after_the_same_limit(self, backend, tmp_path):
+        def run(serve, directory):
+            session = _session("rs", size=4 * PACKET)
+            transport = FileTransport(directory, loss=0.9999, seed=2)
+            with pytest.raises(ReproError, match="channel too lossy") as err:
+                serve(transport, session)
+            return (str(err.value), (directory / "stream.pkt").read_bytes(),
+                    (directory / "manifest.json").exists())
+
+        got = run(FileTransport.serve, tmp_path / "got")
+        assert got == run(oracle_file_serve, tmp_path / "want")
+        assert got[2] is False
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), loss=st.floats(0.0, 0.6),
+           extra=st.integers(0, 12), code=st.sampled_from(CODES))
+    def test_property_identical(self, tmp_path_factory, seed, loss, extra,
+                                code):
+        base = tmp_path_factory.mktemp("prop")
+        options = dict(loss=loss, loss_seed=seed, extra=extra)
+        assert (_file_run(FileTransport.serve, base / "got", code, **options)
+                == _file_run(oracle_file_serve, base / "want", code,
+                             **options))
