@@ -58,9 +58,6 @@ bench-transfer:
 # Decode-ingest rates: droplets/sec and decode MB/s per backend and
 # batch size, including the gated batched_ingest_speedup headline
 # (asserted >= 4x in the bench itself, floor-checked by bench-gate).
-# Note: a standalone run rewrites BENCH_transfer.json with only the
-# ingest rows — run bench-smoke (or bench-transfer in the same pytest
-# process) afterwards before invoking bench-gate.
 bench-ingest:
 	$(PYTHON) -m pytest -q benchmarks/bench_decode_ingest.py
 

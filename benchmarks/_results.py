@@ -6,7 +6,9 @@ module a one-call way to publish the numbers that actually track the
 project's perf trajectory (reception overhead, goodput, packets per
 second) as a small stable JSON file at the repo root.  The conftest's
 ``pytest_sessionfinish`` hook flushes every recorder that collected
-rows, so a partial run (``-k``) only rewrites the files it touched.
+rows, and a flush merges by ``case`` into the file already on disk, so
+a partial run (``-k``, or one bench module alone) only touches the
+rows it re-measured.
 
 The committed ``BENCH_*.json`` files hold only the gated metric rows —
 they are the baselines ``tools/check_bench.py`` compares fresh runs
@@ -37,8 +39,8 @@ class BenchRecorder:
 
     One recorder per summary file: constructing a second recorder for
     the same file name hands back the first instance, so several bench
-    modules can publish into one summary (``flush`` rewrites the whole
-    file, and separate instances would clobber each other's rows).
+    modules of one session publish into one summary through one row
+    list.
     """
 
     _by_path: Dict[pathlib.Path, "BenchRecorder"] = {}
@@ -64,11 +66,27 @@ class BenchRecorder:
         self.rows.append({"case": case, **metrics})
 
     def flush(self) -> None:
+        """Merge this session's rows, by ``case``, into the file on disk.
+
+        A case recorded this session replaces the stored row; every
+        other stored row is kept, so a partial run (one bench module of
+        the several that publish into one summary) refreshes its own
+        rows without stripping the rest.  The price: a case no bench
+        records any more (renamed, removed) stays — and stays gated —
+        until its row is deleted from the file by hand.  A file that
+        does not parse as a summary is overwritten, as it always was.
+        """
         if not self.rows:
             return
-        payload = {
-            "results": sorted(self.rows, key=lambda row: row["case"]),
-        }
+        merged: Dict[str, Dict[str, Any]] = {}
+        try:
+            stored = json.loads(self.path.read_text())["results"]
+            merged = {row["case"]: row for row in stored}
+        except (OSError, ValueError, KeyError, TypeError):
+            pass
+        for row in self.rows:
+            merged[row["case"]] = row
+        payload = {"results": [merged[case] for case in sorted(merged)]}
         self.path.write_text(json.dumps(payload, indent=2, sort_keys=True)
                              + "\n")
 

@@ -408,8 +408,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
           f"in {report.duration:.2f}s "
           f"({report.packets_per_second:,.0f} pkt/s)")
     if args.adaptive:
+        malformed = (f", {report.malformed_frames} malformed"
+                     if report.malformed_frames else "")
         print(f"adaptive: {report.feedback_frames} receiver feedback "
-              "frames heard")
+              f"frames heard{malformed}")
     print(f"{session.code_spec} x {session.num_blocks} blocks, "
           f"schedule={session.schedule}, k={session.total_k}")
     return 0

@@ -57,9 +57,10 @@ class LTDecoder(PeelingEngine):
                          inactivation_limit=inactivation_limit)
         # With the finisher able to take on the whole block (limit >= k)
         # the bitmatrix engine decodes lazily: droplets accumulate as
-        # packed rows and one structured elimination recovers everything
-        # at the first full-rank packet — the same packet incremental
-        # peeling would finish on, without its per-wave payload traffic.
+        # packed rows and one factorization plus one payload replay
+        # recover everything at the first full-rank packet — the same
+        # packet incremental peeling would finish on, without its
+        # per-wave payload traffic.
         self._lazy_peel = (self._bitmatrix
                            and self.inactivation_limit >= spec.k)
         self._droplet_ids: Set[int] = set()
@@ -89,9 +90,10 @@ class LTDecoder(PeelingEngine):
         """Provable lower bound on further droplets needed to complete.
 
         Information-theoretic: completion needs the received generator
-        matrix to reach rank ``k``, each droplet raises that rank by at
-        most one, and peeling never changes it (substitution within the
-        row span).  Two bounds compose, both exact in droplet counts:
+        matrix to reach full rank over the engine's nodes, each droplet
+        raises that rank by at most one, and peeling never changes it
+        (substitution within the row span).  Two bounds compose, both
+        exact in droplet counts:
 
         * unknowns minus active equations (rank <= surviving rows);
         * the rank deficit recorded by the last failed elimination
@@ -100,6 +102,12 @@ class LTDecoder(PeelingEngine):
           after substitution) raises the rank without ever joining
           ``equation_count``, so counting stored rows would overstate
           the bound and let a batch chunk complete mid-chunk.
+
+        Equations a subclass pre-installs (the Raptor precode rows) are
+        already inside the system: fresh off construction a Raptor
+        decoder's bound is ``k' - r = k``, exactly the source size, and
+        its systematic fast path never beats it — each banked packet is
+        also one engine row.
 
         Batch feeders size ingest chunks with this so completion can
         only land on a chunk's final packet, keeping reception counters
@@ -118,11 +126,29 @@ class LTDecoder(PeelingEngine):
                         deficit - (self._equations_seen - stalled_seen))
         return bound
 
+    # -- subclass hooks --------------------------------------------------------
+
+    def _esis(self, ids):
+        """Hook: the spec's droplet rows behind external droplet ids.
+
+        ``ids`` is one id (the scalar intake) or an id array (a batch).
+        A plain LT droplet id *is* its row; a systematic code maps ids
+        through its index first.
+        """
+        return ids
+
+    def _bank(self, ids, payloads: Optional[np.ndarray]) -> None:
+        """Hook: sees every fresh droplet before its equation forms.
+
+        One id with its payload, or an id array with row-aligned
+        ``payloads`` — a systematic code keeps the verbatim source
+        packets here.  Nothing to keep for LT.
+        """
+
     # -- feeding droplets ------------------------------------------------------
 
-    def add_packet(self, index: int,
-                   payload: Optional[np.ndarray] = None) -> bool:
-        """Feed droplet ``index``; returns True when it was a new droplet.
+    def _admit(self, index: int, has_payload: bool) -> bool:
+        """Validate, dedup and count one droplet id; True when new.
 
         ``index`` is the droplet id from the packet header — any
         non-negative integer, there is no ``n`` to bound it.
@@ -132,13 +158,32 @@ class LTDecoder(PeelingEngine):
         if index in self._droplet_ids:
             self._duplicates += 1
             return False
-        if self.values is not None and payload is None:
+        if self.values is not None and not has_payload:
             raise ParameterError("payload decoder requires droplet payloads")
-        self._droplet_ids.add(int(index))
+        self._droplet_ids.add(index)
         self._packets_added += 1
-        contributed = self.add_equation(self.spec.neighbours(index), payload)
-        if not contributed:
+        return True
+
+    def _add_one(self, index: int, payload: Optional[np.ndarray],
+                 drop_late: bool) -> None:
+        """Scalar intake of one admitted droplet: bank, then equation.
+
+        With ``drop_late``, a droplet that finds the decoder complete
+        (possibly by its own banking) is still new, and was counted,
+        but carries no information worth building an equation from.
+        """
+        self._bank(index, payload)
+        if (drop_late and self.is_complete) or not self.add_equation(
+                self.spec.neighbours(int(self._esis(index))), payload):
             self._redundant += 1
+
+    def add_packet(self, index: int,
+                   payload: Optional[np.ndarray] = None) -> bool:
+        """Feed droplet ``index``; returns True when it was a new droplet."""
+        index = int(index)
+        if not self._admit(index, payload is not None):
+            return False
+        self._add_one(index, payload, drop_late=False)
         self.maybe_inactivate()
         return True
 
@@ -168,59 +213,38 @@ class LTDecoder(PeelingEngine):
         fresh = 0
         for row, index in enumerate(indices):
             index = int(index)
-            if index < 0:
-                raise ParameterError("droplet id must be >= 0")
-            if index in self._droplet_ids:
-                self._duplicates += 1
-                continue
-            if self.values is not None and payloads is None:
-                raise ParameterError(
-                    "payload decoder requires droplet payloads")
-            self._droplet_ids.add(index)
-            self._packets_added += 1
-            fresh += 1
-            if self.is_complete:
-                # Late droplets are still new (and counted), but carry
-                # no information worth building an equation from.
-                self._redundant += 1
-                continue
-            payload = None if payloads is None else payloads[row]
-            if not self.add_equation(self.spec.neighbours(index), payload):
-                self._redundant += 1
+            if self._admit(index, payloads is not None):
+                fresh += 1
+                self._add_one(index,
+                              None if payloads is None else payloads[row],
+                              drop_late=True)
         self.maybe_inactivate()
         return fresh
 
     def _add_packets_batch(self, indices: Sequence[int],
                            payloads: Optional[np.ndarray]) -> int:
         """Vectorized :meth:`add_packets`: one equation batch per call."""
+        has_payload = payloads is not None
         fresh_rows = []
         for row, index in enumerate(indices):
             index = int(index)
-            if index < 0:
-                raise ParameterError("droplet id must be >= 0")
-            if index in self._droplet_ids:
-                self._duplicates += 1
-                continue
-            if self.values is not None and payloads is None:
-                raise ParameterError(
-                    "payload decoder requires droplet payloads")
-            self._droplet_ids.add(index)
-            self._packets_added += 1
-            fresh_rows.append((row, index))
+            if self._admit(index, has_payload):
+                fresh_rows.append((row, index))
         if not fresh_rows:
             return 0
+        rows = np.asarray([r for r, _ in fresh_rows], dtype=np.int64)
+        ids = np.asarray([i for _, i in fresh_rows], dtype=np.int64)
+        rhs = None
+        if has_payload:
+            rhs = np.ascontiguousarray(
+                np.asarray(payloads, dtype=np.uint8)[rows])
+        self._bank(ids, rhs)
         if self.is_complete:
             # Late droplets are still new (and counted), but carry no
             # information worth building equations from.
             self._redundant += len(fresh_rows)
             return len(fresh_rows)
-        rows = np.asarray([r for r, _ in fresh_rows], dtype=np.int64)
-        ids = np.asarray([i for _, i in fresh_rows], dtype=np.int64)
-        flat, indptr = self.spec.neighbour_block(ids)
-        rhs = None
-        if payloads is not None:
-            rhs = np.ascontiguousarray(
-                np.asarray(payloads, dtype=np.uint8)[rows])
+        flat, indptr = self.spec.neighbour_block(self._esis(ids))
         contributed = self.add_equations(indptr, flat, rhs)
         self._redundant += int(np.count_nonzero(~contributed))
         self.maybe_inactivate()

@@ -40,8 +40,9 @@ The engine can run in two modes:
 
 When peeling stalls, *inactivation decoding* (the standard modern
 extension, cf. RaptorQ / RFC 6330) optionally solves the stalled
-equations directly by bit-packed Gaussian elimination over GF(2); see
-:meth:`PeelingEngine._maybe_inactivate`.
+equations directly over GF(2): one structural peel-and-inactivate
+factorization (:func:`factor_gf2`) followed by a payload pass; see
+:meth:`PeelingEngine.maybe_inactivate`.
 """
 
 from __future__ import annotations
@@ -96,17 +97,7 @@ def _scatter_bits(dest: np.ndarray, cols: np.ndarray) -> None:
                      np.uint64(1) << (cols & 63).astype(np.uint64))
 
 
-def _bit_indices(x: int) -> np.ndarray:
-    """Positions of the set bits of a non-negative python int."""
-    if x == 0:
-        return np.zeros(0, dtype=np.int64)
-    buf = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"),
-                        dtype=np.uint8)
-    return np.nonzero(np.unpackbits(buf, bitorder="little"))[0]
-
-
-def _st_fold_dense(basis: Dict[int, Tuple[int, int]], r: int,
-                   c: int) -> None:
+def _fold_dense(basis: Dict[int, Tuple[int, int]], r: int, c: int) -> None:
     """Echelon-fold one dense row (coefficients ``r``, row-combo ``c``)."""
     while r:
         top = r.bit_length() - 1
@@ -116,6 +107,189 @@ def _st_fold_dense(basis: Dict[int, Tuple[int, int]], r: int,
             return
         r ^= entry[0]
         c ^= entry[1]
+
+
+@dataclass
+class GF2Factorization:
+    """What :func:`factor_gf2` learned about one sparse GF(2) system.
+
+    Purely structural — no payload has moved yet.  Two consumers read
+    it: the engine finisher replays it over big-int payloads
+    (:meth:`PeelingEngine._replay_payloads`) and
+    :func:`record_solve_plan` levels it into XOR waves.
+
+    Attributes
+    ----------
+    pivots:
+        ``(column, row)`` in peel order, which is a topological order
+        of the substitution DAG: every other participant of a pivot row
+        is an inactive column or an earlier pivot's column.
+    inactive:
+        Inactivated columns; position ``t`` here is bit ``t`` of every
+        inactive mask below.
+    col_expr:
+        Each determined column as ``(inactive mask, rhs-row mask)`` —
+        the column's value is the XOR of the named inactive columns and
+        the named rows' right-hand sides.
+    basis:
+        Echelon basis of the dense core (the non-pivot rows, reduced to
+        equations over the inactive columns), keyed by top inactive
+        position: ``(reduced coefficients, rhs-row mask)``.
+    row_indptr, row_cols:
+        The factored rows' column lists (flat, python lists) for the
+        payload pass.
+    num_rows:
+        Rows folded so far — the factored ones plus every
+        :meth:`fold_row` since.
+    """
+
+    pivots: List[Tuple[int, int]]
+    inactive: List[int]
+    col_expr: Dict[int, Tuple[int, int]]
+    basis: Dict[int, Tuple[int, int]]
+    row_indptr: List[int]
+    row_cols: List[int]
+    num_rows: int
+
+    @property
+    def deficit(self) -> int:
+        """Rank deficit: pivot rows are triangular over the peeled
+        columns, so the system's rank is ``peeled + rank(dense core)``
+        and what is missing is exactly what the core is short of."""
+        return len(self.inactive) - len(self.basis)
+
+    def fold_row(self, cols: List[int]) -> None:
+        """Append one equation over already-determined columns.
+
+        Every column it names is a pivot or inactive, so the row
+        reduces straight to a dense equation over the inactive columns
+        and folds into the core — no re-factorization.
+        """
+        ri, rc = 0, 1 << self.num_rows
+        for c in cols:
+            expr_i, expr_c = self.col_expr[c]
+            ri ^= expr_i
+            rc ^= expr_c
+        _fold_dense(self.basis, ri, rc)
+        self.num_rows += 1
+
+    def inactive_combos(self) -> List[int]:
+        """Back-substitute the full-rank dense core: one rhs-row mask
+        per inactive column, naming the right-hand sides whose XOR is
+        that column's value."""
+        combos = [0] * len(self.inactive)
+        for top in sorted(self.basis):
+            r, c = self.basis[top]
+            r ^= 1 << top
+            while r:
+                low = r & -r
+                c ^= combos[low.bit_length() - 1]
+                r ^= low
+            combos[top] = c
+        return combos
+
+
+def factor_gf2(rows: np.ndarray, cols: np.ndarray, num_rows: int,
+               columns: np.ndarray, num_cols: int) -> GF2Factorization:
+    """Peel-and-inactivate factorization of a sparse GF(2) system.
+
+    The system arrives as ``(row, column)`` incidence pairs grouped by
+    ascending row — the one form every caller already holds (a CSR, a
+    gathered adjacency, the set bits of a packed matrix).  ``columns``
+    lists the unknowns to determine, all below ``num_cols``.
+
+    The classic structure (cf. RaptorQ / RFC 6330): peel the matrix
+    *structurally* — no payload traffic — inactivating a highest-degree
+    column whenever the ripple dries up, until every column is either a
+    peeling pivot or inactive; then echelon-fold the rows that never
+    became pivots, which by then are dense equations over the inactive
+    columns only.  A column leaves the active system exactly once, so
+    every column->rows list is walked at most once and the whole pass
+    is O(edges).  Peel waves are one to three rows wide in practice, so
+    a tight python loop beats per-wave numpy dispatch here.
+    """
+    cnt_arr = np.bincount(rows, minlength=num_rows)
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(cnt_arr, out=indptr[1:])
+    # XOR of each row's active column ids: once a single column is left
+    # it is read off directly (the engine's ``xor_ids`` trick).
+    left_arr = np.zeros(num_rows, dtype=np.int64)
+    filled = np.nonzero(cnt_arr)[0]
+    if filled.size:
+        left_arr[filled] = np.bitwise_xor.reduceat(cols, indptr[filled])
+    cnt, left = cnt_arr.tolist(), left_arr.tolist()
+    # Column -> rows adjacency, flat: the rows of column c (ascending)
+    # are ``rows_by_col[col_ptr[c]:col_ptr[c + 1]]``.  Pairs are unique,
+    # so sorting one combined key orders them by column, then row.
+    degs = np.bincount(cols, minlength=num_cols)
+    col_ptr = np.concatenate(([0], np.cumsum(degs))).tolist()
+    rows_by_col = (np.sort(cols * num_rows + rows) % num_rows).tolist()
+    # Inactivation order, fixed up front: busiest column first (ties to
+    # the lowest id) over initial degrees — the standard greedy
+    # heuristic, precomputed so the dry-ripple branch only advances a
+    # pointer.  Zero-degree unknowns sort last; they can never peel, so
+    # they always end up inactivated (and undetermined by the dense
+    # core unless later rows name them).
+    inact_order = columns[np.lexsort((columns, -degs[columns]))].tolist()
+    inact_ptr = 0
+    determined = bytearray(num_cols)
+    # Substituting a determined column out of row q rewrites q as an
+    # equation over its still-active columns, the inactive columns in
+    # ``row_inact[q]`` and the XOR of the right-hand sides named by
+    # ``row_combo[q]`` (bit = row).
+    row_inact = [0] * num_rows
+    row_combo = [1 << p for p in range(num_rows)]
+    is_pivot = [False] * num_rows
+    col_expr: Dict[int, Tuple[int, int]] = {}
+    inactive: List[int] = []
+    pivots: List[Tuple[int, int]] = []
+    remaining = int(columns.size)
+    frontier = [p for p in range(num_rows) if cnt[p] == 1]
+    while remaining:
+        if not frontier:
+            # Ripple dry: inactivate the next undetermined column.
+            c = inact_order[inact_ptr]
+            while determined[c]:
+                inact_ptr += 1
+                c = inact_order[inact_ptr]
+            determined[c] = 1
+            remaining -= 1
+            expr_i = 1 << len(inactive)
+            inactive.append(c)
+            col_expr[c] = (expr_i, 0)
+            for q in rows_by_col[col_ptr[c]:col_ptr[c + 1]]:
+                left[q] ^= c
+                cnt[q] -= 1
+                row_inact[q] ^= expr_i
+                if cnt[q] == 1:
+                    frontier.append(q)
+            continue
+        next_frontier: List[int] = []
+        for p in frontier:
+            if cnt[p] != 1 or is_pivot[p]:
+                continue
+            c = left[p]
+            is_pivot[p] = True
+            determined[c] = 1
+            remaining -= 1
+            pivots.append((c, p))
+            expr_i, expr_c = row_inact[p], row_combo[p]
+            col_expr[c] = (expr_i, expr_c)
+            for q in rows_by_col[col_ptr[c]:col_ptr[c + 1]]:
+                left[q] ^= c
+                cnt[q] -= 1
+                if q != p:
+                    row_inact[q] ^= expr_i
+                    row_combo[q] ^= expr_c
+                    if cnt[q] == 1:
+                        next_frontier.append(q)
+        frontier = next_frontier
+    basis: Dict[int, Tuple[int, int]] = {}
+    for p in range(num_rows):
+        if not is_pivot[p]:
+            _fold_dense(basis, row_inact[p], row_combo[p])
+    return GF2Factorization(pivots, inactive, col_expr, basis,
+                            indptr.tolist(), cols.tolist(), num_rows)
 
 
 class PeelingEngine:
@@ -167,16 +341,11 @@ class PeelingEngine:
         self._inactivation_runs = 0
         # After a failed solve: (unknowns, equations_seen, rank deficit).
         self._stall_gate: Optional[Tuple[int, int, int]] = None
-        # Incremental elimination state (vectorized backend): the echelon
-        # basis survives across attempts while the known set is stable,
-        # so a retry folds in only the equations that arrived since.
-        self._known_generation = 0
-        self._ml_basis: Optional[dict] = None
-        self._ml_state: Optional[Tuple[int, int]] = None
-        # Structured-finisher decomposition cached across failed attempts
-        # (bitmatrix engines): valid while the known set is stable, so a
-        # retry only folds the equations that arrived since.
-        self._st_cache: Optional[dict] = None
+        # Factorization of the stalled system, kept across failed
+        # attempts (vectorized backend): valid until the known set
+        # changes (:meth:`_mark_known` drops it), so a retry only folds
+        # the equations that arrived since.
+        self._factored: Optional[GF2Factorization] = None
         # Static incidence (node -> equations), built once by
         # load_static_equations; None until then.
         self._node_indptr: Optional[np.ndarray] = None
@@ -189,17 +358,16 @@ class PeelingEngine:
         # Dynamic incidence for equations added after construction.  The
         # vectorized backend stores it as a packed uint64 bitmatrix (one
         # row per equation, bit = participant unknown at entry) so waves
-        # and the inactivation finisher run as whole-matrix bit ops; the
-        # reference backend (and any engine with static equations) keeps
-        # per-node adjacency dicts.
+        # run as whole-matrix bit ops; the reference backend (and any
+        # engine with static equations) keeps per-node adjacency dicts.
         self._bitmatrix = (self._vectorized
                            and self.num_nodes <= _BITMATRIX_MAX_NODES)
         # Lazy-peel discipline (opt-in, bitmatrix engines only): skip
         # incremental payload peeling entirely and let the gated
-        # structured finisher decode the accumulated system in one
-        # decomposition + one batched back-substitution.  Completion
-        # lands on the same packet either way — both disciplines finish
-        # exactly when the received system first reaches full rank.
+        # finisher decode the accumulated system in one factorization
+        # plus one payload replay.  Completion lands on the same packet
+        # either way — both disciplines finish exactly when the received
+        # system first reaches full rank.
         self._lazy_peel = False
         self._words = (self.num_nodes + 63) >> 6
         self._dyn_rows = np.zeros((0, self._words), dtype=np.uint64)
@@ -286,7 +454,7 @@ class PeelingEngine:
             acc = None
         if unknown.size == 0:
             return False
-        if unknown.size == 1 and not self._st_deferred():
+        if unknown.size == 1 and not self._defers_peeling():
             node = int(unknown[0])
             if self.values is not None:
                 self.values[node] = acc
@@ -357,10 +525,10 @@ class PeelingEngine:
         deg = np.bincount(eq_of[unknown_edge], minlength=m)
         # Degree >= 2 equations join the active system *before* the
         # propagation wave, so the wave reduces them like any other.
-        # While the engine is stalled on a cached decomposition, degree
-        # one equations join the system too (see _st_deferred) instead
+        # While the engine is stalled on a kept factorization, degree
+        # one equations join the system too (see _defers_peeling) instead
         # of solving their node — the elimination retry folds them.
-        min_deg = 1 if self._st_deferred() else 2
+        min_deg = 1 if self._defers_peeling() else 2
         keep = np.nonzero(deg >= min_deg)[0]
         if keep.size:
             while self._num_equations + keep.size > self.unknown_count.shape[0]:
@@ -489,8 +657,8 @@ class PeelingEngine:
             _scatter_bits(self._known_bits, nodes)
         self._source_known += int(np.count_nonzero(nodes < self.source_count))
         # Any change to the known set reshapes the stalled system's
-        # columns; the incremental elimination basis is built per shape.
-        self._known_generation += 1
+        # columns; a factorization is built per shape.
+        self._factored = None
 
     def _gather_incidences(self, nodes: np.ndarray):
         """All (equation, node) incidences of ``nodes`` as flat arrays."""
@@ -634,7 +802,7 @@ class PeelingEngine:
 
     @property
     def inactivation_runs(self) -> int:
-        """Number of Gaussian-elimination fallbacks executed so far."""
+        """Number of GF(2) finisher attempts executed so far."""
         return self._inactivation_runs
 
     def _elimination_nodes(self) -> np.ndarray:
@@ -656,32 +824,27 @@ class PeelingEngine:
         self._eq_indptr = np.zeros(self._static_eq_count + 1, dtype=np.int64)
         np.cumsum(counts, out=self._eq_indptr[1:])
 
-    def _equation_participants(self, eq: int) -> np.ndarray:
-        """All original participants of equation ``eq`` (known or not)."""
-        if eq < self._static_eq_count:
-            lo, hi = self._eq_indptr[eq], self._eq_indptr[eq + 1]
-            return self._eq_nodes[lo:hi]
-        if self._bitmatrix:
-            bits = np.unpackbits(
-                np.ascontiguousarray(self._dyn_rows[eq]).view(np.uint8),
-                bitorder="little")
-            return np.nonzero(bits)[0].astype(np.int64)
-        return self._dyn_eq_nodes[eq]
+    def _residual_incidences(self, rows: np.ndarray
+                             ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(matrix row, unknown node)`` pairs of equations ``rows``.
 
-    def _row_incidences(self, rows: np.ndarray
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        """Flat ``(participants, matrix-row)`` pairs for equations ``rows``.
-
-        Static equations gather through the eq -> nodes CSR in one
-        flattened multi-slice; dynamic equations append their stored
-        neighbour arrays.  ``matrix-row`` is the *position* of the
-        equation inside ``rows``, i.e. its row in the elimination matrix.
+        ``matrix row`` is the *position* of the equation inside
+        ``rows``; pairs come grouped by ascending matrix row.  One
+        gather per storage: the set bits of the packed rows, a flattened
+        multi-slice through the static eq -> nodes CSR, the stored
+        neighbour arrays of dict-adjacency rows.
         """
+        if self._bitmatrix:
+            resid = self._dyn_rows[rows] & ~self._known_bits
+            return np.nonzero(np.unpackbits(
+                resid.view(np.uint8), bitorder="little"
+            ).reshape(rows.size, self._words * 64))
         parts_list: List[np.ndarray] = []
         row_list: List[np.ndarray] = []
         static_mask = rows < self._static_eq_count
         static_rows = rows[static_mask]
         if static_rows.size:
+            self._ensure_eq_csr()
             starts = self._eq_indptr[static_rows]
             counts = self._eq_indptr[static_rows + 1] - starts
             total = int(counts.sum())
@@ -697,7 +860,9 @@ class PeelingEngine:
             row_list.append(np.full(seg.size, i, dtype=np.int64))
         if not parts_list:
             return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-        return np.concatenate(parts_list), np.concatenate(row_list)
+        parts = np.concatenate(parts_list)
+        alive = ~self.known[parts]
+        return np.concatenate(row_list)[alive], parts[alive]
 
     def maybe_inactivate(self) -> None:
         """Run the GF(2) fallback when enabled, useful and able to succeed.
@@ -729,153 +894,31 @@ class PeelingEngine:
         self._run_inactivation()
 
     def _run_inactivation(self) -> bool:
-        """Solve the stalled equations by bit-packed GF(2) elimination.
+        """Solve the stalled equations directly over GF(2).
 
         Unknown nodes become columns; every equation that still has
         unknown participants becomes a row whose right-hand side is the
-        XOR of its known participants (``acc``).  On full column rank all
-        unknowns are recovered at once.
+        XOR of its known participants (``acc``).  On full column rank
+        all unknowns are recovered at once; a failed attempt records the
+        rank deficit for the stall gate.
         """
-        if self._bitmatrix:
-            return self._run_inactivation_structured()
-        self._ensure_eq_csr()
         unknown_nodes = self._elimination_nodes()
         u = unknown_nodes.size
         if u == 0:
             return True
-        col_of = np.full(self.num_nodes, -1, dtype=np.int64)
-        col_of[unknown_nodes] = np.arange(u)
         rows = np.nonzero(self.unknown_count[:self._num_equations] >= 1)[0]
         if rows.size < u:
             # Rank is at most rows.size; at least u - rows.size more
             # equations must arrive before a solve can succeed.
             self._stall_gate = (u, self._equations_seen, u - rows.size)
             return False
-        # Bit-packed coefficient matrix: one uint64 word per 64 columns.
-        words = (u + 63) // 64
         self._inactivation_runs += 1
-        if self._vectorized:
-            # Incremental attempt: while the known set is unchanged the
-            # column mapping is stable and equations only append, so the
-            # echelon basis from the last failed attempt stays valid and
-            # only the new rows need folding in.
-            state = self._ml_state
-            if (state is not None and state[0] == self._known_generation
-                    and state[1] <= rows.size):
-                done = state[1]
-            else:
-                self._ml_basis = {}
-                done = 0
-            new_rows = rows[done:]
-            if new_rows.size:
-                mat = np.zeros((new_rows.size, words), dtype=np.uint64)
-                parts, row_rep = self._row_incidences(new_rows)
-                alive = ~self.known[parts]
-                cols = col_of[parts[alive]]
-                np.bitwise_or.at(mat, (row_rep[alive], cols >> 6),
-                                 np.uint64(1) << (cols & 63).astype(np.uint64))
-                _gf2_fold_rows(self._ml_basis, mat, done)
-            self._ml_state = (self._known_generation, rows.size)
-            rank = len(self._ml_basis)
-            if rank < u:
-                self._stall_gate = (u, self._equations_seen, u - rank)
-                return False
-            if self._acc is not None:
-                rhs = self._acc[rows].copy()
-                combo = _gf2_backsub_combos(self._ml_basis, u, rows.size)
-                _apply_row_combos(combo, rhs)
-                self.values[unknown_nodes] = rhs[:u]
-            self._ml_basis = None
-            self._ml_state = None
-        else:
-            mat = np.zeros((rows.size, words), dtype=np.uint64)
-            for i, eq in enumerate(rows):
-                participants = self._equation_participants(int(eq))
-                cols = col_of[participants[~self.known[participants]]]
-                # bitwise_or.at because several columns can share a word
-                np.bitwise_or.at(mat[i], cols >> 6,
-                                 np.uint64(1) << (cols & 63).astype(np.uint64))
-            rhs = self._acc[rows].copy() if self._acc is not None else None
-            solved, rank = _gf2_eliminate(mat, u, rhs)
-            if solved is None:
-                self._stall_gate = (u, self._equations_seen, u - rank)
-                return False
-            if self.values is not None:
-                self.values[unknown_nodes] = rhs[solved]
-        self._stall_gate = None
-        self._mark_known(unknown_nodes)
-        # Let peeling mop up anything downstream (e.g. unknown checks of
-        # now-complete layers) so counters stay consistent.
-        self._propagate(unknown_nodes)
-        return True
-
-    def _st_deferred(self) -> bool:
-        """True while new equations extend a cached stalled decomposition.
-
-        Once the structured finisher has decomposed the stalled system,
-        running peeling waves between elimination retries would reshape
-        the known set and force a full re-decomposition per arrival
-        batch.  Deferring peeling instead — every new equation (degree
-        one included) joins the system and folds straight into the
-        cached dense core — costs nothing observable: the next
-        successful elimination recovers every node either way, at the
-        same packet, and a success immediately propagates.
-        """
-        if self._lazy_peel and self._bitmatrix:
-            return True
-        cache = self._st_cache
-        return (cache is not None
-                and cache["gen"] == self._known_generation)
-
-    def _run_inactivation_structured(self) -> bool:
-        """Inactivation-decode the stalled system on the packed bitmatrix.
-
-        The classic structure (cf. RaptorQ / RFC 6330): peel the residual
-        matrix *structurally* — no payload traffic — inactivating a
-        highest-degree column whenever the ripple dries up, until every
-        column is either a peeling pivot or inactive.  Pivot rows are
-        triangular over the peeled columns, so the system's true rank is
-        exactly ``peeled + rank(dense core)``; a failed solve therefore
-        records the same rank deficit full elimination would, keeping
-        the stall gate exact.  On success only the small dense core over
-        the inactive columns is solved by echelon elimination; every
-        other value falls out of replaying the peel waves, touching each
-        wide payload row once per incidence instead of the dense
-        row-combination traffic a straight Gauss-Jordan pays.
-        """
-        unknown_nodes = self._elimination_nodes()
-        u = unknown_nodes.size
-        if u == 0:
-            return True
-        rows_idx = np.nonzero(
-            self.unknown_count[:self._num_equations] >= 1)[0]
-        nrows = rows_idx.size
-        if nrows < u:
-            # Rank is at most nrows; at least u - nrows more equations
-            # must arrive before a solve can succeed.
-            self._stall_gate = (u, self._equations_seen, u - nrows)
+        solve = (self._solve_factored if self._vectorized
+                 else self._solve_reference)
+        deficit = solve(rows, unknown_nodes)
+        if deficit:
+            self._stall_gate = (u, self._equations_seen, deficit)
             return False
-        self._inactivation_runs += 1
-        cache = self._st_cache
-        if (cache is not None and cache["gen"] == self._known_generation
-                and cache["done"] <= nrows):
-            # Known set unchanged since the failed attempt: the old rows
-            # kept their residual shape and new equations only appended,
-            # so the decomposition stands and the retry folds only the
-            # new rows into the dense core.
-            self._st_fold_new(cache, rows_idx)
-        else:
-            cache = self._st_decompose(rows_idx, unknown_nodes)
-            self._st_cache = cache
-        num_inactive = len(cache["inactive"])
-        rank_dense = len(cache["basis"])
-        if rank_dense < num_inactive:
-            self._stall_gate = (u, self._equations_seen,
-                                num_inactive - rank_dense)
-            return False
-        if self._acc is not None:
-            self._st_backsubstitute(cache, rows_idx)
-        self._st_cache = None
         self._stall_gate = None
         self._mark_known(unknown_nodes)
         if self._lazy_peel and bool(np.all(self.known)):
@@ -884,157 +927,80 @@ class PeelingEngine:
             # instead of replaying payload waves over the full system.
             self.unknown_count[:self._num_equations] = 0
         else:
+            # Let peeling mop up anything downstream (e.g. unknown
+            # checks of now-complete layers) so counters stay consistent.
             self._propagate(unknown_nodes)
         return True
 
-    def _st_decompose(self, rows_idx: np.ndarray,
-                      unknown_nodes: np.ndarray) -> dict:
-        """Structurally peel the residual system into pivots + dense core.
+    def _solve_reference(self, rows: np.ndarray,
+                         unknown_nodes: np.ndarray) -> int:
+        """Reference finisher: bit-packed Gauss-Jordan, payloads inline.
 
-        Rows become python ints over the residual columns; a column
-        leaves the active system exactly once (peeled or inactivated),
-        so every column->rows adjacency list is walked at most once and
-        the whole pass is O(residual edges).  Residual peel waves are
-        one to three rows wide in practice, so a tight python loop beats
-        per-wave numpy dispatch here; the expensive payload traffic is
-        all deferred to :meth:`_st_backsubstitute`, and thanks to
-        deferred peeling (:meth:`_st_deferred`) this decomposition runs
-        once per stall instead of once per arrival batch.
+        Returns the rank deficit (0 = solved, values written).
         """
-        nrows = rows_idx.size
-        resid = self._dyn_rows[rows_idx] & ~self._known_bits
-        bools = np.unpackbits(resid.view(np.uint8),
-                              bitorder="little").reshape(nrows, -1)
-        cnt = _row_popcounts(resid).tolist()
-        c_all, r_all = np.nonzero(bools.T)
-        col_rows: Dict[int, List[int]] = {}
-        if c_all.size:
-            starts, cols_u = _group_sorted(c_all)
-            bounds = np.append(starts, c_all.size)
-            for j, c in enumerate(cols_u.tolist()):
-                col_rows[c] = r_all[bounds[j]:bounds[j + 1]].tolist()
-        # Inactivation order, fixed up front: busiest column first (ties
-        # to the lowest id) over initial degrees — the standard greedy
-        # heuristic, precomputed so the dry-ripple branch only advances
-        # a pointer.  Zero-degree unknowns sort last; they can never
-        # peel, so they always end up inactivated (and undetermined by
-        # the dense core unless new equations name them).
-        degs = np.bincount(c_all, minlength=self.num_nodes)
-        inact_order = unknown_nodes[
-            np.lexsort((unknown_nodes, -degs[unknown_nodes]))].tolist()
-        inact_ptr = 0
-        determined = bytearray(self.num_nodes)
-        raw = resid.tobytes()
-        width = self._words * 8
-        masks = [int.from_bytes(raw[p * width:(p + 1) * width], "little")
-                 for p in range(nrows)]
-        # Substituting a determined column out of row q rewrites q as an
-        # equation over its still-active columns, the inactive columns
-        # in ``row_inact[q]`` and the XOR of the residual right-hand
-        # sides named by ``row_combo[q]`` (bit = position in rows_idx).
-        orig = masks[:]
-        row_inact = [0] * nrows
-        row_combo = [1 << p for p in range(nrows)]
-        is_pivot = [False] * nrows
-        col_expr: Dict[int, Tuple[int, int]] = {}
-        inact_pos: Dict[int, int] = {}
-        inactive: List[int] = []
-        pivots: List[Tuple[int, int]] = []
-        remaining = unknown_nodes.size
-        frontier = [p for p in range(nrows) if cnt[p] == 1]
-        while remaining:
-            if not frontier:
-                # Ripple dry: inactivate the next undetermined column.
-                c = inact_order[inact_ptr]
-                while determined[c]:
-                    inact_ptr += 1
-                    c = inact_order[inact_ptr]
-                determined[c] = 1
-                remaining -= 1
-                expr_i = 1 << len(inactive)
-                inact_pos[c] = len(inactive)
-                inactive.append(c)
-                bitc = 1 << c
-                for q in col_rows.get(c, []):
-                    masks[q] ^= bitc
-                    cnt[q] -= 1
-                    row_inact[q] ^= expr_i
-                    if cnt[q] == 1:
-                        frontier.append(q)
-                continue
-            next_frontier: List[int] = []
-            for p in frontier:
-                if cnt[p] != 1 or is_pivot[p]:
-                    continue
-                c = masks[p].bit_length() - 1
-                is_pivot[p] = True
-                determined[c] = 1
-                remaining -= 1
-                # Peel order is a topological order of the substitution
-                # DAG: every other participant of row p is determined by
-                # an earlier pivot or an inactive column, which is what
-                # lets back-substitution walk ``pivots`` front to back.
-                pivots.append((c, p))
-                expr_i, expr_c = row_inact[p], row_combo[p]
-                col_expr[c] = (expr_i, expr_c)
-                bitc = 1 << c
-                for q in col_rows.get(c, []):
-                    masks[q] ^= bitc
-                    cnt[q] -= 1
-                    if q != p:
-                        row_inact[q] ^= expr_i
-                        row_combo[q] ^= expr_c
-                        if cnt[q] == 1:
-                            next_frontier.append(q)
-            frontier = next_frontier
-        # Non-pivot rows have no active columns left: each is now a
-        # dense equation over the inactive columns.  Echelon-fold them
-        # (with row-combination tracking, cf. _gf2_fold_rows) so the
-        # core's rank — and, on success, each inactive value as one XOR
-        # combination of residual right-hand sides — falls out.
-        basis: Dict[int, Tuple[int, int]] = {}
-        for p in range(nrows):
-            if not is_pivot[p]:
-                _st_fold_dense(basis, row_inact[p], row_combo[p])
-        return {
-            "gen": self._known_generation,
-            "done": nrows,
-            "orig_masks": orig,
-            "col_expr": col_expr,
-            "inact_pos": inact_pos,
-            "inactive": inactive,
-            "pivots": pivots,
-            "basis": basis,
-        }
+        u = unknown_nodes.size
+        col_of = np.full(self.num_nodes, -1, dtype=np.int64)
+        col_of[unknown_nodes] = np.arange(u)
+        # Bit-packed coefficient matrix: one uint64 word per 64 columns.
+        mat = np.zeros((rows.size, (u + 63) // 64), dtype=np.uint64)
+        row_rep, nodes = self._residual_incidences(rows)
+        cols = col_of[nodes]
+        # bitwise_or.at because several columns can share a word
+        np.bitwise_or.at(mat, (row_rep, cols >> 6),
+                         np.uint64(1) << (cols & 63).astype(np.uint64))
+        rhs = self._acc[rows].copy() if self._acc is not None else None
+        solved, rank = _gf2_eliminate(mat, u, rhs)
+        if solved is None:
+            return u - rank
+        if self.values is not None:
+            self.values[unknown_nodes] = rhs[solved]
+        return 0
 
-    def _st_fold_new(self, cache: dict, rows_idx: np.ndarray) -> None:
-        """Fold rows that arrived since the cached decomposition.
+    def _defers_peeling(self) -> bool:
+        """True while new equations extend a kept factorization.
 
-        With the known set stable, every column a new equation touches
-        is already determined (peeled or inactive), so the row reduces
-        straight to a dense equation over the inactive columns: XOR the
-        owning pivot rows' expressions for its peeled columns, set the
-        positions of its inactive columns, and fold.
+        Once the finisher has factored the stalled system, running
+        peeling waves between elimination retries would reshape the
+        known set and force a full re-factorization per arrival batch.
+        Deferring peeling instead — every new equation (degree one
+        included) joins the system and folds straight into the kept
+        dense core — costs nothing observable: the next successful
+        elimination recovers every node either way, at the same packet,
+        and a success immediately propagates.
         """
-        col_expr = cache["col_expr"]
-        inact_pos = cache["inact_pos"]
-        basis = cache["basis"]
-        known = self._known_bits
-        for p in range(cache["done"], rows_idx.size):
-            resid = self._dyn_rows[rows_idx[p]] & ~known
-            ri = rc = 0
-            for c in _bit_indices(int.from_bytes(resid.tobytes(), "little")):
-                expr = col_expr.get(c)
-                if expr is not None:
-                    ri ^= expr[0]
-                    rc ^= expr[1]
-                else:
-                    ri ^= 1 << inact_pos[c]
-            _st_fold_dense(basis, ri, rc ^ (1 << p))
-        cache["done"] = rows_idx.size
+        return self._lazy_peel or self._factored is not None
 
-    def _st_backsubstitute(self, cache: dict, rows_idx: np.ndarray) -> None:
-        """Recover every residual value from a full-rank decomposition.
+    def _solve_factored(self, rows: np.ndarray,
+                        unknown_nodes: np.ndarray) -> int:
+        """Vectorized-backend finisher, whatever the equation storage.
+
+        Factor the residual system structurally (:func:`factor_gf2`) —
+        or, when the known set has not moved since a failed attempt,
+        fold only the rows that arrived since into the kept
+        factorization: the old rows kept their residual shape and new
+        equations only appended.  Payloads move once, after rank is
+        established (:meth:`_replay_payloads`), so a failed attempt
+        costs no payload traffic at all.  Returns the rank deficit.
+        """
+        fact = self._factored
+        if fact is not None and fact.num_rows <= rows.size:
+            fresh = rows.size - fact.num_rows
+            row_rep, nodes = self._residual_incidences(rows[fact.num_rows:])
+            bounds = np.searchsorted(row_rep, np.arange(fresh + 1)).tolist()
+            nodes_l = nodes.tolist()
+            for j in range(fresh):
+                fact.fold_row(nodes_l[bounds[j]:bounds[j + 1]])
+        else:
+            row_rep, nodes = self._residual_incidences(rows)
+            fact = self._factored = factor_gf2(
+                row_rep, nodes, rows.size, unknown_nodes, self.num_nodes)
+        if fact.deficit == 0 and self._acc is not None:
+            self._replay_payloads(fact, rows)
+        return fact.deficit
+
+    def _replay_payloads(self, fact: GF2Factorization,
+                         rows: np.ndarray) -> None:
+        """Recover every residual value from a full-rank factorization.
 
         Payloads travel as python big integers: the peel replay and the
         dense-core combinations are a few thousand XORs of packet-wide
@@ -1048,44 +1014,26 @@ class PeelingEngine:
         """
         values = self.values
         width = int(values.shape[1])
-        raw = self._acc[rows_idx].tobytes()
+        raw = self._acc[rows].tobytes()
         rhs = [int.from_bytes(raw[p * width:(p + 1) * width], "little")
-               for p in range(rows_idx.size)]
+               for p in range(rows.size)]
         val: Dict[int, int] = {}
-        inactive = cache["inactive"]
-        basis = cache["basis"]
-        if inactive:
-            # Solve the dense core: each basis row's combination field
-            # names the residual right-hand sides whose XOR is the
-            # inactive column's value.
-            combos = [0] * len(inactive)
-            for top in sorted(basis):
-                r, c = basis[top]
-                r ^= 1 << top
-                while r:
-                    low = r & -r
-                    c ^= combos[low.bit_length() - 1]
-                    r ^= low
-                combos[top] = c
-            for t, col in enumerate(inactive):
-                v = 0
-                c = combos[t]
-                while c:
-                    low = c & -c
-                    v ^= rhs[low.bit_length() - 1]
-                    c ^= low
-                val[col] = v
+        for col, combo in zip(fact.inactive, fact.inactive_combos()):
+            v = 0
+            while combo:
+                low = combo & -combo
+                v ^= rhs[low.bit_length() - 1]
+                combo ^= low
+            val[col] = v
         # Replay the peel in topological order: a pivot's value is its
         # row's right-hand side XOR the values of the row's other
         # residual participants, all determined earlier in the order.
-        orig = cache["orig_masks"]
-        for c, p in cache["pivots"]:
+        indptr, row_cols = fact.row_indptr, fact.row_cols
+        for c, p in fact.pivots:
+            val[c] = 0
             v = rhs[p]
-            m = orig[p] ^ (1 << c)
-            while m:
-                low = m & -m
-                v ^= val[low.bit_length() - 1]
-                m ^= low
+            for q in row_cols[indptr[p]:indptr[p + 1]]:
+                v ^= val[q]
             val[c] = v
         cols = list(val)
         out = b"".join(val[c].to_bytes(width, "little") for c in cols)
@@ -1099,13 +1047,10 @@ def gf2_gauss_jordan(mat: np.ndarray, num_cols: int,
 
     Returns the row index holding each column's pivot (so ``rhs[result]``
     lists the solved values column by column), or ``None`` when the
-    matrix does not have full column rank.  ``rhs`` pivot rows hold the
-    solved values on success; under the reference backend every ``rhs``
-    row is XORed along with its coefficient row (the original discipline),
-    while the vectorized backend eliminates *structurally first* —
-    tracking each row as a bit-combination of original rows — and touches
-    the wide ``rhs`` payloads only once, after rank is established.  A
-    failed attempt therefore costs no payload traffic at all.
+    matrix does not have full column rank.  Every ``rhs`` row is XORed
+    along with its coefficient row, so ``rhs`` pivot rows hold the
+    solved values on success.  This is the reference backend's
+    eliminator and the tests' oracle for :func:`factor_gf2`.
     """
     solved, _ = _gf2_eliminate(mat, num_cols, rhs)
     return solved
@@ -1116,15 +1061,11 @@ def _gf2_eliminate(mat: np.ndarray, num_cols: int,
                    ) -> Tuple[Optional[np.ndarray], int]:
     """:func:`gf2_gauss_jordan` plus the achieved rank.
 
-    Under the reference backend elimination continues past pivotless
-    columns so that the reported rank is the matrix's true row rank,
-    which the stall gate of :meth:`PeelingEngine.maybe_inactivate` turns
-    into a lower bound on how many more equations a retry needs.  The
-    vectorized backend reaches the same results through
-    :func:`_gf2_eliminate_int`.
+    Elimination continues past pivotless columns so that the reported
+    rank is the matrix's true row rank, which the stall gate of
+    :meth:`PeelingEngine.maybe_inactivate` turns into a lower bound on
+    how many more equations a retry needs.
     """
-    if is_vectorized():
-        return _gf2_eliminate_int(mat, num_cols, rhs)
     num_rows = mat.shape[0]
     inline = rhs is not None
     pivot_row_of_col = np.full(num_cols, -1, dtype=np.int64)
@@ -1153,107 +1094,6 @@ def _gf2_eliminate(mat: np.ndarray, num_cols: int,
     if row < num_cols:
         return None, row
     return pivot_row_of_col, row
-
-
-def _gf2_eliminate_int(mat: np.ndarray, num_cols: int,
-                       rhs: Optional[np.ndarray]
-                       ) -> Tuple[Optional[np.ndarray], int]:
-    """Arbitrary-precision-int twin of :func:`_gf2_eliminate`.
-
-    Rows become python ints and fold into an echelon basis keyed by top
-    bit — far cheaper than per-column numpy passes at the couple-hundred
-    column scale inactivation runs at.  Each basis row carries a second
-    int recording which original rows it combines, so a successful solve
-    back-substitutes into one combination per column and touches the
-    wide ``rhs`` payloads exactly once, in :func:`_apply_row_combos`; a
-    failed attempt costs no payload traffic at all.
-    """
-    basis: dict = {}
-    _gf2_fold_rows(basis, mat, 0)
-    rank = len(basis)
-    if rank < num_cols:
-        return None, rank
-    if rhs is not None:
-        combo = _gf2_backsub_combos(basis, num_cols, mat.shape[0])
-        _apply_row_combos(combo, rhs)
-    return np.arange(num_cols, dtype=np.int64), rank
-
-
-def _gf2_fold_rows(basis: dict, mat: np.ndarray, start_index: int) -> None:
-    """Fold packed rows into an echelon ``basis`` keyed by top bit.
-
-    Each basis entry is ``(reduced row, combo)`` where the combo int
-    records which original rows (bit = row index, offset by
-    ``start_index`` for incremental feeding) XOR to the reduced row.
-    """
-    for i in range(mat.shape[0]):
-        r = int.from_bytes(mat[i].tobytes(), "little")
-        c = 1 << (start_index + i)
-        while r:
-            top = r.bit_length() - 1
-            entry = basis.get(top)
-            if entry is None:
-                basis[top] = (r, c)
-                break
-            r ^= entry[0]
-            c ^= entry[1]
-
-
-def _gf2_backsub_combos(basis: dict, num_cols: int,
-                        num_rows: int) -> np.ndarray:
-    """Per-column row combinations of a full-column-rank echelon basis.
-
-    Walks the pivots from the lowest bit up, substituting already-solved
-    columns, so row ``t`` of the returned bit-packed matrix names
-    exactly the original rows whose XOR yields column ``t``.
-    """
-    combos = [0] * num_cols
-    for top in sorted(basis):
-        r, c = basis[top]
-        r ^= 1 << top
-        while r:
-            low = r & -r
-            c ^= combos[low.bit_length() - 1]
-            r ^= low
-        combos[top] = c
-    combo_words = (num_rows + 63) // 64
-    width = combo_words * 8
-    packed = b"".join(ci.to_bytes(width, "little") for ci in combos)
-    return np.frombuffer(packed, dtype=np.uint64).reshape(
-        num_cols, combo_words)
-
-
-def _apply_row_combos(combo: np.ndarray, rhs: np.ndarray) -> None:
-    """Overwrite ``rhs[r]`` with the XOR of the original ``rhs`` rows whose
-    bits are set in ``combo[r]``, for every row of ``combo``.
-
-    Output rows are computed into a scratch block before any write, so
-    rows may freely appear in each other's combinations.  The work is
-    chunked so the gathered source rows stay cache-sized even when the
-    eliminated system is dense (each combo row can reference about half
-    of the original rows).
-    """
-    u, width = combo.shape[0], rhs.shape[1]
-    out = np.empty((u, width), dtype=np.uint8)
-    est_sources = max(1, (combo.shape[1] << 6) // 2)
-    chunk = max(1, (4 << 20) // max(1, est_sources * width))
-    lane = np.arange(64, dtype=np.uint64)
-    for lo in range(0, u, chunk):
-        block = combo[lo:lo + chunk]
-        r_idx, w_idx = np.nonzero(block)
-        bits = ((block[r_idx, w_idx][:, None] >> lane)
-                & np.uint64(1)).astype(bool)
-        hit, bitpos = np.nonzero(bits)
-        source = (w_idx[hit] << 6) + bitpos
-        out_row = r_idx[hit]
-        gathered = rhs[source]
-        starts = np.concatenate(
-            ([0], np.nonzero(np.diff(out_row))[0] + 1))
-        folded = np.bitwise_xor.reduceat(xor_view(gathered), starts, axis=0)
-        if folded.dtype == np.uint64:
-            folded = folded.view(np.uint8)
-        out[lo + out_row[starts]] = folded
-    rhs[:u] = out
 
 
 # -- recorded solve plans ------------------------------------------------------
@@ -1342,16 +1182,14 @@ def record_solve_plan(num_nodes: int, indptr: np.ndarray,
     systematic pre-solve); a rank-deficient system raises
     :class:`~repro.errors.ParameterError`.
 
-    The factorization runs the engine's structured-finisher discipline
-    (:meth:`PeelingEngine._st_decompose`) over the whole system:
-    structural peeling with busiest-column inactivation, the dense core
-    over the inactive columns echelon-folded with row-combination
-    tracking.  But instead of moving payloads it *records* where each
-    node's value comes from — an inactive column is the XOR of the
-    right-hand sides its dense-core combination names, a pivot is its
-    row's right-hand side XOR the row's other (earlier-determined)
-    participants — and batches those reads into dependency-levelled
-    waves for :meth:`SolvePlan.apply`.
+    The factorization is the engine finisher's own (:func:`factor_gf2`,
+    over the whole system — nothing is known yet).  But instead of
+    moving payloads the plan *records* where each node's value comes
+    from — an inactive column is the XOR of the right-hand sides its
+    dense-core combination names, a pivot is its row's right-hand side
+    XOR the row's other (earlier-determined) participants — and batches
+    those reads into dependency-levelled waves for
+    :meth:`SolvePlan.apply`.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     flat = np.asarray(participants, dtype=np.int64)
@@ -1369,106 +1207,20 @@ def record_solve_plan(num_nodes: int, indptr: np.ndarray,
         raise ParameterError("equation participant outside node range")
     if np.any(rhs_rows >= num_inputs) or np.any(rhs_rows < -1):
         raise ParameterError("equation rhs outside input range")
-    # Row bitmasks over the node columns (cf. _st_decompose's residual
-    # masks — here nothing is known yet, so residual == original).
-    sizes = np.diff(indptr)
-    cnt = sizes.tolist()
-    masks: List[int] = []
-    scratch = np.zeros(num_nodes, dtype=np.uint8)
-    for p in range(m):
-        seg = flat[indptr[p]:indptr[p + 1]]
-        scratch[seg] = 1
-        masks.append(int.from_bytes(
-            np.packbits(scratch, bitorder="little").tobytes(), "little"))
-        scratch[seg] = 0
-    # Column -> rows adjacency, walked at most once per column.
-    eq_of = np.repeat(np.arange(m), sizes)
-    order = np.argsort(flat, kind="stable")
-    cols_s, eqs_s = flat[order], eq_of[order]
-    col_rows: Dict[int, List[int]] = {}
-    if cols_s.size:
-        starts, cols_u = _group_sorted(cols_s)
-        bounds = np.append(starts, cols_s.size)
-        for j, c in enumerate(cols_u.tolist()):
-            col_rows[c] = eqs_s[bounds[j]:bounds[j + 1]].tolist()
-    degs = np.bincount(flat, minlength=num_nodes)
-    inact_order = np.lexsort((np.arange(num_nodes), -degs)).tolist()
-    inact_ptr = 0
-    determined = bytearray(num_nodes)
-    row_inact = [0] * m
-    row_combo = [1 << p for p in range(m)]
-    is_pivot = [False] * m
-    inactive: List[int] = []
-    pivots: List[Tuple[int, int]] = []
-    remaining = num_nodes
-    frontier = [p for p in range(m) if cnt[p] == 1]
-    while remaining:
-        if not frontier:
-            c = inact_order[inact_ptr]
-            while determined[c]:
-                inact_ptr += 1
-                c = inact_order[inact_ptr]
-            determined[c] = 1
-            remaining -= 1
-            expr_i = 1 << len(inactive)
-            inactive.append(c)
-            bitc = 1 << c
-            for q in col_rows.get(c, []):
-                masks[q] ^= bitc
-                cnt[q] -= 1
-                row_inact[q] ^= expr_i
-                if cnt[q] == 1:
-                    frontier.append(q)
-            continue
-        next_frontier: List[int] = []
-        for p in frontier:
-            if cnt[p] != 1 or is_pivot[p]:
-                continue
-            c = masks[p].bit_length() - 1
-            is_pivot[p] = True
-            determined[c] = 1
-            remaining -= 1
-            pivots.append((c, p))
-            expr_i, expr_c = row_inact[p], row_combo[p]
-            bitc = 1 << c
-            for q in col_rows.get(c, []):
-                masks[q] ^= bitc
-                cnt[q] -= 1
-                if q != p:
-                    row_inact[q] ^= expr_i
-                    row_combo[q] ^= expr_c
-                    if cnt[q] == 1:
-                        next_frontier.append(q)
-        frontier = next_frontier
-    # Dense core over the inactive columns: echelon-fold the non-pivot
-    # rows, then back-substitute into one rhs-row combination per
-    # inactive column (cf. _st_backsubstitute).
-    basis: Dict[int, Tuple[int, int]] = {}
-    for p in range(m):
-        if not is_pivot[p]:
-            _st_fold_dense(basis, row_inact[p], row_combo[p])
-    if len(basis) < len(inactive):
+    fact = factor_gf2(np.repeat(np.arange(m), np.diff(indptr)), flat, m,
+                      np.arange(num_nodes), num_nodes)
+    if fact.deficit:
         raise ParameterError(
             "solve plan requires a full-rank system "
-            f"(dense core rank {len(basis)} < {len(inactive)} "
+            f"(dense core rank {len(fact.basis)} < {len(fact.inactive)} "
             "inactivated columns)")
-    combos = [0] * len(inactive)
-    for top in sorted(basis):
-        r, cb = basis[top]
-        r ^= 1 << top
-        while r:
-            low = r & -r
-            cb ^= combos[low.bit_length() - 1]
-            r ^= low
-        combos[top] = cb
     # Per-node source rows in arena coordinates, plus dependency level.
     zero_row = num_inputs
     base = num_inputs + 1
     level = np.zeros(num_nodes, dtype=np.int64)
     srcs: List[Optional[List[int]]] = [None] * num_nodes
-    for t, col in enumerate(inactive):
+    for col, cb in zip(fact.inactive, fact.inactive_combos()):
         rows: List[int] = []
-        cb = combos[t]
         while cb:
             low = cb & -cb
             rp = int(rhs_rows[low.bit_length() - 1])
@@ -1476,13 +1228,13 @@ def record_solve_plan(num_nodes: int, indptr: np.ndarray,
                 rows.append(rp)
             cb ^= low
         srcs[col] = rows or [zero_row]
-    for c, p in pivots:
+    for c, p in fact.pivots:
         rows = []
         rp = int(rhs_rows[p])
         if rp >= 0:
             rows.append(rp)
         lvl = 0
-        for q in flat[indptr[p]:indptr[p + 1]].tolist():
+        for q in fact.row_cols[fact.row_indptr[p]:fact.row_indptr[p + 1]]:
             if q == c:
                 continue
             lvl = max(lvl, int(level[q]) + 1)

@@ -1,7 +1,10 @@
 """Two-stage Raptor decoder on the shared peeling engine.
 
-One :class:`~repro.codes.peeling.PeelingEngine` instance solves the
-joint system: the engine's nodes are the ``k'`` intermediates and two
+A :class:`~repro.codes.lt.decoder.LTDecoder` over the geometry's
+droplet spec — intake, dedup, reception counters and the
+``min_additional_packets`` rank bound are the LT decoder's own — whose
+one :class:`~repro.codes.peeling.PeelingEngine` solves the joint
+system: the engine's nodes are the ``k'`` intermediates and two
 kinds of equations populate it:
 
 * the ``r`` **precode constraints** — sparse LDPC checks and the
@@ -11,8 +14,8 @@ kinds of equations populate it:
   :meth:`~repro.codes.peeling.PeelingEngine.add_equations` ingest the
   droplets use.  Feeding them as (zero-rhs) dynamic rows rather than
   through ``load_static_equations`` keeps the engine on its packed
-  bitmatrix fast path — wave peeling, lazy decode and the structured
-  GF(2) inactivation finisher all operate on the one dynamic store.
+  bitmatrix fast path — wave peeling and lazy decode both operate on
+  the one dynamic store.
 * received **droplets** — every external id maps through the
   geometry's systematic index to an internal droplet row (ESI), and
   the row's weakened-distribution neighbour set regenerates locally
@@ -33,19 +36,19 @@ source packets are then one capped-degree re-encode away.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set
+from typing import Optional
 
 import numpy as np
 
+from repro.codes.lt.decoder import LTDecoder
 from repro.codes.lt.encoder import LTEncoder
-from repro.codes.peeling import PeelingEngine, _VECTOR_INTAKE_MIN
 from repro.codes.raptor.precode import RaptorGeometry
 from repro.errors import DecodeFailure, ParameterError
 
 __all__ = ["RaptorDecoder"]
 
 
-class RaptorDecoder(PeelingEngine):
+class RaptorDecoder(LTDecoder):
     """Incremental systematic-droplet decoder over a :class:`RaptorGeometry`.
 
     Parameters
@@ -66,24 +69,10 @@ class RaptorDecoder(PeelingEngine):
                  payload_size: Optional[int] = None,
                  inactivation_limit: Optional[int] = None):
         self.geometry = geometry
-        self.spec = geometry.spec
-        if inactivation_limit is None:
-            inactivation_limit = geometry.intermediate_count
-        super().__init__(geometry.intermediate_count,
-                         payload_size=payload_size,
-                         source_count=geometry.intermediate_count,
+        # The engine's nodes are the k' intermediates, all of which
+        # must be solved (geometry.spec.k == intermediate_count).
+        super().__init__(geometry.spec, payload_size=payload_size,
                          inactivation_limit=inactivation_limit)
-        # Same lazy discipline as the LT decoder: with the finisher able
-        # to take on the whole block, droplets accumulate as packed rows
-        # and one structured elimination recovers everything at the
-        # first full-rank packet.
-        self._lazy_peel = (self._bitmatrix and
-                           self.inactivation_limit
-                           >= geometry.intermediate_count)
-        self._droplet_ids: Set[int] = set()
-        self._packets_added = 0
-        self._duplicates = 0
-        self._redundant = 0
         self._sys_mask = np.zeros(geometry.k, dtype=bool)
         self._sys_payloads: Optional[np.ndarray] = None
         if payload_size is not None:
@@ -107,21 +96,6 @@ class RaptorDecoder(PeelingEngine):
     # -- public state ----------------------------------------------------------
 
     @property
-    def packets_added(self) -> int:
-        """Distinct droplets fed in so far (precode rows excluded)."""
-        return self._packets_added
-
-    @property
-    def duplicates_seen(self) -> int:
-        """Droplets fed in more than once (same droplet id)."""
-        return self._duplicates
-
-    @property
-    def redundant_droplets(self) -> int:
-        """Distinct droplets that carried no new information on arrival."""
-        return self._redundant
-
-    @property
     def _engine_complete(self) -> bool:
         """Joint system solved — every intermediate known."""
         return self._source_known >= self.source_count
@@ -139,30 +113,6 @@ class RaptorDecoder(PeelingEngine):
         if self.is_complete:
             return self.geometry.k
         return int(np.count_nonzero(self._sys_mask))
-
-    @property
-    def min_additional_packets(self) -> int:
-        """Provable lower bound on further droplets needed to complete.
-
-        The same two rank bounds as the LT decoder (unknowns minus
-        active rows; the last failed elimination's deficit less one per
-        arrival since), with the precode constraints already inside the
-        system: fresh off construction the bound is ``k' - r = k``,
-        exactly the source size.  The systematic fast path never beats
-        it — each banked packet is also one engine row.
-        """
-        if self.is_complete:
-            return 0
-        unknowns = self.num_nodes - int(np.count_nonzero(self.known))
-        rows = int(np.count_nonzero(
-            self.unknown_count[:self._num_equations] >= 1))
-        bound = max(1, unknowns - rows)
-        gate = self._stall_gate
-        if gate is not None:
-            _, stalled_seen, deficit = gate
-            bound = max(bound,
-                        deficit - (self._equations_seen - stalled_seen))
-        return bound
 
     def missing_source_indices(self) -> np.ndarray:
         """Source packet ids not yet recoverable."""
@@ -197,123 +147,22 @@ class RaptorDecoder(PeelingEngine):
             self.geometry.systematic_esis[missing])
         return out
 
-    # -- systematic id mapping -------------------------------------------------
+    # -- the two intake hooks --------------------------------------------------
 
-    def _neighbours(self, droplet_id: int) -> np.ndarray:
-        """Participants of droplet ``droplet_id``'s equation."""
-        esi = self.geometry.internal_esis(
-            np.asarray([droplet_id], dtype=np.int64))
-        return self.spec.neighbours(int(esi[0]))
+    def _esis(self, ids):
+        """External droplet ids through the systematic index."""
+        return self.geometry.internal_esis(ids)
 
-    def _neighbour_block(self, ids: np.ndarray):
-        """CSR neighbour sets for an external droplet id batch."""
-        flat, indptr = self.spec.neighbour_block(
-            self.geometry.internal_esis(ids))
-        return flat, indptr
-
-    def _bank_systematic(self, index: int,
-                         payload: Optional[np.ndarray]) -> None:
-        """Stash a verbatim source packet for the loss-free fast path."""
-        if index < self.geometry.k:
-            self._sys_mask[index] = True
-            if self._sys_payloads is not None and payload is not None:
-                self._sys_payloads[index] = payload
-
-    # -- feeding droplets ------------------------------------------------------
-
-    def add_packet(self, index: int,
-                   payload: Optional[np.ndarray] = None) -> bool:
-        """Feed droplet ``index``; returns True when it was a new droplet."""
-        if index < 0:
-            raise ParameterError("droplet id must be >= 0")
-        if index in self._droplet_ids:
-            self._duplicates += 1
-            return False
-        if self.values is not None and payload is None:
-            raise ParameterError("payload decoder requires droplet payloads")
-        self._droplet_ids.add(int(index))
-        self._packets_added += 1
-        self._bank_systematic(int(index), payload)
-        contributed = self.add_equation(self._neighbours(index), payload)
-        if not contributed:
-            self._redundant += 1
-        self.maybe_inactivate()
-        return True
-
-    def add_packets(self, indices: Sequence[int],
-                    payloads: Optional[np.ndarray] = None) -> int:
-        """Feed a batch of droplets; returns the number of new droplet ids.
-
-        Mirrors the LT decoder: the vectorized backend turns the whole
-        batch into one :meth:`add_equations` call (all rows through one
-        ``neighbour_block`` pass over the mapped ESIs) and considers
-        the inactivation fallback once, after the batch.  Sub-threshold
-        batches take the sequential path — per-droplet derivation beats
-        one-row CSR passes there (see the LT decoder's routing note).
-        """
-        if self._vectorized and len(indices) >= _VECTOR_INTAKE_MIN:
-            return self._add_packets_batch(indices, payloads)
-        fresh = 0
-        for row, index in enumerate(indices):
-            index = int(index)
-            if index < 0:
-                raise ParameterError("droplet id must be >= 0")
-            if index in self._droplet_ids:
-                self._duplicates += 1
-                continue
-            if self.values is not None and payloads is None:
-                raise ParameterError(
-                    "payload decoder requires droplet payloads")
-            self._droplet_ids.add(index)
-            self._packets_added += 1
-            fresh += 1
-            payload = None if payloads is None else payloads[row]
-            self._bank_systematic(index, payload)
-            if self.is_complete:
-                self._redundant += 1
-                continue
-            if not self.add_equation(self._neighbours(index), payload):
-                self._redundant += 1
-        self.maybe_inactivate()
-        return fresh
-
-    def _add_packets_batch(self, indices: Sequence[int],
-                           payloads: Optional[np.ndarray]) -> int:
-        """Vectorized :meth:`add_packets`: one equation batch per call."""
-        fresh_rows = []
-        for row, index in enumerate(indices):
-            index = int(index)
-            if index < 0:
-                raise ParameterError("droplet id must be >= 0")
-            if index in self._droplet_ids:
-                self._duplicates += 1
-                continue
-            if self.values is not None and payloads is None:
-                raise ParameterError(
-                    "payload decoder requires droplet payloads")
-            self._droplet_ids.add(index)
-            self._packets_added += 1
-            fresh_rows.append((row, index))
-        if not fresh_rows:
-            return 0
-        rows = np.asarray([r for r, _ in fresh_rows], dtype=np.int64)
-        ids = np.asarray([i for _, i in fresh_rows], dtype=np.int64)
-        systematic = ids < self.geometry.k
-        if systematic.any():
-            self._sys_mask[ids[systematic]] = True
-            if self._sys_payloads is not None and payloads is not None:
-                block = np.asarray(payloads, dtype=np.uint8)
-                self._sys_payloads[ids[systematic]] = (
-                    block[rows[systematic]])
-        if self.is_complete:
-            self._redundant += len(fresh_rows)
-            return len(fresh_rows)
-        flat, indptr = self._neighbour_block(ids)
-        rhs = None
-        if payloads is not None:
-            rhs = np.ascontiguousarray(
-                np.asarray(payloads, dtype=np.uint8)[rows])
-        contributed = self.add_equations(indptr, flat, rhs)
-        self._redundant += int(np.count_nonzero(~contributed))
-        self.maybe_inactivate()
-        return len(fresh_rows)
+    def _bank(self, ids, payloads: Optional[np.ndarray]) -> None:
+        """Stash verbatim source packets for the loss-free fast path."""
+        if not isinstance(ids, int):
+            # a batch: keep its systematic rows
+            systematic = ids < self.geometry.k
+            ids = ids[systematic]
+            if payloads is not None:
+                payloads = payloads[systematic]
+        elif ids >= self.geometry.k:
+            return
+        self._sys_mask[ids] = True
+        if self._sys_payloads is not None and payloads is not None:
+            self._sys_payloads[ids] = payloads

@@ -49,12 +49,13 @@ class PeelingDecoder(PeelingEngine):
     inactivation_limit:
         When positive, enables *inactivation decoding*: if peeling stalls
         with at most this many unknown packets remaining, the stalled XOR
-        equations are solved directly by Gaussian elimination over GF(2)
-        (bit-packed).  This is the standard modern extension of peeling
-        (cf. RaptorQ, RFC 6330); it trades extra decode work for a lower
-        reception overhead — the same axis along which the paper's
-        Tornado B trades against Tornado A.  Zero disables the fallback
-        (pure peeling, the paper's original decoder).
+        equations are solved directly over GF(2) (the engine's one
+        finisher, shared with LT and Raptor).  This is the standard
+        modern extension of peeling (cf. RaptorQ, RFC 6330); it trades
+        extra decode work for a lower reception overhead — the same
+        axis along which the paper's Tornado B trades against
+        Tornado A.  Zero disables the fallback (pure peeling, the
+        paper's original decoder).
     """
 
     def __init__(self, structure: CascadeStructure,

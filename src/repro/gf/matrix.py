@@ -407,38 +407,3 @@ def is_identity(mat: np.ndarray) -> bool:
     mat = np.asarray(mat)
     n = mat.shape[0]
     return mat.shape == (n, n) and bool(np.all(mat == np.eye(n, dtype=mat.dtype)))
-
-
-def gf2_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a dense GF(2) system ``mat @ x = rhs`` (bool arrays).
-
-    Used by the "dense random binary cap" ablation for the Tornado
-    cascade's terminating code.  ``rhs`` may be a matrix of packed packet
-    payloads (uint8) in which case XOR row-ops act on payload rows.
-    """
-    mat = np.asarray(mat).astype(bool).copy()
-    rhs = np.asarray(rhs).copy()
-    n = mat.shape[1]
-    if mat.shape[0] < n:
-        raise SingularMatrixError("underdetermined GF(2) system")
-    row = 0
-    pivot_rows = []
-    for col in range(n):
-        pivot = -1
-        for r in range(row, mat.shape[0]):
-            if mat[r, col]:
-                pivot = r
-                break
-        if pivot < 0:
-            raise SingularMatrixError(f"GF(2) system singular at column {col}")
-        if pivot != row:
-            mat[[row, pivot]] = mat[[pivot, row]]
-            rhs[[row, pivot]] = rhs[[pivot, row]]
-        others = np.nonzero(mat[:, col])[0]
-        others = others[others != row]
-        if others.size:
-            mat[others] ^= mat[row]
-            rhs[others] ^= rhs[row]
-        pivot_rows.append(row)
-        row += 1
-    return rhs[:n]

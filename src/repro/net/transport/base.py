@@ -158,6 +158,11 @@ class ServeReport:
     #: receiver feedback reports decoded during the serve (adaptive
     #: senders; always 0 on transports without a return path).
     feedback_frames: int = 0
+    #: datagrams heard on the reply port that were not a decodable
+    #: feedback report: bad framing, a non-feedback frame type, or a
+    #: feedback body that fails to decode (bodies are only decoded when
+    #: the serve listens, i.e. with ``policy=`` or ``feedback=``).
+    malformed_frames: int = 0
 
     @property
     def packets_per_second(self) -> float:

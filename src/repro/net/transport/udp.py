@@ -42,7 +42,9 @@ import ipaddress
 import json
 import socket
 import time
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from collections import deque
+from typing import Any, Callable, Deque, Iterator, List, Optional, Sequence, \
+    Tuple, Union
 
 from repro.errors import ParameterError, ProtocolError
 from repro.net.channel import LossyChannel
@@ -372,7 +374,7 @@ class _SenderProtocol(asyncio.DatagramProtocol):
         self.errors = 0
         self.last_error: Optional[Exception] = None
         #: undecoded feedback frame bodies, arrival order.
-        self.feedback: List[bytes] = []
+        self.feedback: Deque[bytes] = deque()
         #: datagrams that were not well-formed feedback (stray chatter).
         self.malformed = 0
 
@@ -573,7 +575,7 @@ class UdpTransport(Transport):
                 if protocol.feedback and (adaptive or feedback is not None):
                     now = time.perf_counter() - start
                     while protocol.feedback:
-                        body = protocol.feedback.pop(0)
+                        body = protocol.feedback.popleft()
                         try:
                             report = FeedbackReport.decode(body)
                         except ProtocolError:
@@ -623,4 +625,5 @@ class UdpTransport(Transport):
             manifest_frames=manifest_frames,
             socket_errors=protocol.errors,
             feedback_frames=feedback_frames,
+            malformed_frames=protocol.malformed,
         )

@@ -190,6 +190,34 @@ def raptor_encode_pair(backend: str, k: int, payload_size: int,
 # holds the windowed ``serve`` methods to these, byte for byte.
 
 
+def pack_gf2_rows(coeffs: np.ndarray) -> np.ndarray:
+    """A ``(rows, cols)`` bool matrix as the bit-packed uint64 rows the
+    reference eliminator (:func:`gf2_gauss_jordan`) works on."""
+    coeffs = np.asarray(coeffs, dtype=bool)
+    num_rows, num_cols = coeffs.shape
+    padded = np.zeros((num_rows, ((num_cols + 63) // 64) * 64), dtype=np.uint8)
+    padded[:, :num_cols] = coeffs
+    return np.ascontiguousarray(
+        np.packbits(padded, axis=1, bitorder="little").view(np.uint64))
+
+
+def gf2_oracle_solve(coeffs: np.ndarray,
+                     rhs: np.ndarray) -> Optional[np.ndarray]:
+    """Solve ``coeffs @ x = rhs`` over GF(2) with the reference eliminator.
+
+    ``coeffs`` is a ``(rows, cols)`` bool matrix, ``rhs`` a ``(rows, P)``
+    uint8 payload block.  Returns the ``(cols, P)`` solution, or None
+    when the system lacks full column rank.  :func:`gf2_gauss_jordan`
+    is the one GF(2) eliminator the finisher, the solve plans and these
+    tests are all measured against.
+    """
+    from repro.codes.peeling import gf2_gauss_jordan
+    work = np.array(rhs, dtype=np.uint8)
+    solved = gf2_gauss_jordan(pack_gf2_rows(coeffs),
+                              np.asarray(coeffs).shape[1], work)
+    return None if solved is None else work[solved]
+
+
 def oracle_memory_serve(transport, session, *, count=None, extra=0,
                         policy=None, feedback=None, report_every=128):
     """``MemoryTransport.serve``, one packet at a time."""

@@ -24,11 +24,14 @@ from repro.codes.backend import is_vectorized
 from repro.errors import ParameterError, ProtocolError
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss
 from repro.net.transport import (
+    FRAME_DATA,
     MemoryTransport,
     TokenBucket,
     UdpSubscription,
     UdpTransport,
+    pack_frame,
 )
+from repro.net.transport.base import FRAME_FEEDBACK
 from repro.protocol import (
     AdaptivePolicy,
     FeedbackReport,
@@ -673,3 +676,46 @@ class TestUdpAdaptive:
         assert report.feedback_frames > 0
         assert seen and seen[-1].complete
         assert policy.reports_seen == report.feedback_frames
+
+    def test_stray_datagrams_are_counted_and_survived(self):
+        """Hostile chatter on the reply port is reported, never fatal.
+
+        Three datagrams hit the sender's source port mid-serve: one that
+        fails framing, a well-framed frame of the wrong type, and a
+        feedback frame cut short.  The serve (listening: ``feedback=``
+        is what makes it decode bodies) must run to its full count,
+        hand no report to the callback, and surface all three in
+        ``ServeReport.malformed_frames``.
+        """
+        count = 300
+        session = api.SenderSession(_random_bytes(60_000, seed=47),
+                                    code="lt", seed=47, file_name="blob")
+        ear = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        ear.bind(("127.0.0.1", 0))
+        ear.settimeout(20.0)
+        transport = UdpTransport([ear.getsockname()], pace=1_500)
+        seen, holder = [], {}
+
+        def serve():
+            holder["report"] = session.serve(transport, count=count,
+                                             feedback=seen.append)
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        try:
+            _, sender = ear.recvfrom(65536)
+            whole = pack_frame(FRAME_FEEDBACK, FeedbackReport(
+                receiver_id=1, loss=0.1, progress=0.5, packets_used=9,
+                blocks_total=1).encode())
+            for junk in (b"\x03\xff",                    # framing fails
+                         pack_frame(FRAME_DATA, b"abc"),  # not feedback
+                         pack_frame(FRAME_FEEDBACK, whole[3:-4])):
+                ear.sendto(junk, sender)
+        finally:
+            thread.join(timeout=20.0)
+            ear.close()
+        assert not thread.is_alive()
+        report = holder["report"]
+        assert report.emitted == count
+        assert report.feedback_frames == 0 and seen == []
+        assert report.malformed_frames == 3

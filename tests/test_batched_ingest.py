@@ -10,6 +10,8 @@ finisher on hand-built stalled systems where pure peeling provably
 cannot start.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,9 @@ from hypothesis import strategies as st
 
 from repro import api
 from repro.codes.backend import use_backend
+from repro.codes.lt.decoder import LTDecoder
 from repro.codes.peeling import PeelingEngine
+from repro.codes.raptor.decoder import RaptorDecoder
 from repro.codes.registry import build_code
 from repro.fountain.client import FountainClient
 
@@ -214,3 +218,107 @@ def test_duplicate_droplet_ids_never_reach_decoder():
     assert batched.decoder_calls <= batched.distinct_received
     assert batched._decoder.packets_added == batched.distinct_received
     assert np.array_equal(batched.source_data(), source)
+
+
+# -- one droplet decoder: LT and Raptor share intake and counters ------------
+
+def test_raptor_decoder_inherits_the_lt_intake():
+    """Intake, dedup, counters and the rank bound are written once.
+
+    ``benchmarks/e2e`` patches ``add_packet`` / ``add_packets`` on the
+    class whose namespace holds them, so they must stay on ``LTDecoder``
+    itself for the ``codes.decode.intake`` span to survive.
+    """
+    for name in ("add_packet", "add_packets", "_add_packets_batch",
+                 "min_additional_packets", "packets_added",
+                 "duplicates_seen", "redundant_droplets"):
+        assert name in vars(LTDecoder)
+        assert name not in vars(RaptorDecoder)
+    assert issubclass(RaptorDecoder, LTDecoder)
+
+
+def _droplet_stream(k, seed):
+    """2k shuffled ids out of 3k, with k/4 repeats sprinkled in late."""
+    if seed == "sys":
+        # Loss-free systematic prefix, repair ids after completion,
+        # then repeats of the first ten.
+        return np.concatenate([np.arange(k), np.arange(k, k + 20),
+                               np.arange(10)])
+    rng = np.random.default_rng(1000 + seed)
+    ids = rng.permutation(3 * k)[:2 * k]
+    repeats = rng.choice(ids[:k], size=k // 4, replace=False)
+    where = np.sort(rng.choice(np.arange(k // 2, 2 * k), size=repeats.size,
+                               replace=False))
+    return np.insert(ids, where, repeats)
+
+
+#: (backend, spec, seed, feeding) -> (packets fed when complete,
+#: inactivation runs, final (packets_added, duplicates_seen,
+#: redundant_droplets, min_additional_packets), crc32 of the repr of the
+#: whole per-call trajectory of that 4-tuple) — recorded at the parent
+#: commit, where the two decoders were separate classes.
+_PINNED = {
+    ("reference", "lt", 1, "bulk"): (64, 0, (80, 10, 36, 0), 0x6B54B509),
+    ("reference", "lt", 1, "single"): (51, 4, (80, 10, 38, 0), 0xA04818D5),
+    ("reference", "lt", 1, "small"): (51, 2, (80, 10, 38, 0), 0x0708EA85),
+    ("reference", "lt", 2, "bulk"): (64, 0, (80, 10, 27, 0), 0x1AAD2973),
+    ("reference", "lt", 2, "single"): (47, 4, (80, 10, 37, 0), 0x6D8B064E),
+    ("reference", "lt", 2, "small"): (48, 3, (80, 10, 37, 0), 0xF7AD2B12),
+    ("reference", "raptor", 1, "bulk"): (64, 1, (80, 10, 24, 0), 0x4D64F2B7),
+    ("reference", "raptor", 1, "single"): (48, 4, (80, 10, 37, 0), 0xE965DCC3),
+    ("reference", "raptor", 1, "small"): (48, 2, (80, 10, 37, 0), 0xC8992501),
+    ("reference", "raptor", 2, "bulk"): (64, 1, (80, 10, 24, 0), 0xEADC62E0),
+    ("reference", "raptor", 2, "single"): (44, 2, (80, 10, 39, 0), 0x6A1AAA13),
+    ("reference", "raptor", 2, "small"): (45, 2, (80, 10, 39, 0), 0xD23A909D),
+    ("reference", "raptor", "sys", "bulk"): (64, 0, (60, 10, 21, 0), 0xD42D9AC0),
+    ("reference", "raptor", "sys", "single"): (40, 0, (60, 10, 0, 0), 0xC4223CC9),
+    ("reference", "raptor", "sys", "small"): (42, 0, (60, 10, 21, 0), 0x368BE624),
+    ("vectorized", "lt", 1, "bulk"): (64, 1, (80, 10, 24, 0), 0x4D64F2B7),
+    ("vectorized", "lt", 1, "single"): (51, 5, (80, 10, 35, 0), 0x0412FFFF),
+    ("vectorized", "lt", 1, "small"): (51, 3, (80, 10, 35, 0), 0x4C9F0256),
+    ("vectorized", "lt", 2, "bulk"): (64, 1, (80, 10, 24, 0), 0xEADC62E0),
+    ("vectorized", "lt", 2, "single"): (47, 4, (80, 10, 37, 0), 0x6D8B064E),
+    ("vectorized", "lt", 2, "small"): (48, 3, (80, 10, 36, 0), 0x4C083C48),
+    ("vectorized", "raptor", 1, "bulk"): (64, 1, (80, 10, 24, 0), 0x4D64F2B7),
+    ("vectorized", "raptor", 1, "single"): (48, 4, (80, 10, 37, 0), 0xE965DCC3),
+    ("vectorized", "raptor", 1, "small"): (48, 2, (80, 10, 37, 0), 0xC8992501),
+    ("vectorized", "raptor", 2, "bulk"): (64, 1, (80, 10, 24, 0), 0xEADC62E0),
+    ("vectorized", "raptor", 2, "single"): (44, 2, (80, 10, 39, 0), 0x6A1AAA13),
+    ("vectorized", "raptor", 2, "small"): (45, 2, (80, 10, 39, 0), 0xD23A909D),
+    ("vectorized", "raptor", "sys", "bulk"): (64, 0, (60, 10, 28, 0), 0x68E862FA),
+    ("vectorized", "raptor", "sys", "single"): (40, 0, (60, 10, 0, 0), 0xC4223CC9),
+    ("vectorized", "raptor", "sys", "small"): (42, 0, (60, 10, 21, 0), 0x368BE624),
+}
+_STEP = {"single": 1, "small": 3, "bulk": 32}
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED, key=repr), ids=lambda key:
+                         "-".join(str(part) for part in key))
+def test_droplet_decoder_counter_trajectories_are_pinned(key):
+    backend, spec, seed, feeding = key
+    k, payload_size = 40, 8
+    code_seed = 5 if seed == "sys" else seed
+    with use_backend(backend):
+        code = build_code(spec, k, seed=code_seed)
+        source = np.random.default_rng(code_seed).integers(
+            0, 256, size=(k, payload_size), dtype=np.uint8)
+        encoder = code.encoder(source)
+        decoder = code.new_decoder(payload_size)
+        ids = _droplet_stream(k, seed)
+        trajectory, complete_at = [], None
+        for lo in range(0, len(ids), _STEP[feeding]):
+            chunk = [int(i) for i in ids[lo:lo + _STEP[feeding]]]
+            payloads = np.stack([encoder.droplet_payload(i) for i in chunk])
+            if feeding == "single":
+                decoder.add_packet(chunk[0], payloads[0])
+            else:
+                decoder.add_packets(chunk, payloads)
+            trajectory.append((decoder.packets_added,
+                               decoder.duplicates_seen,
+                               decoder.redundant_droplets,
+                               int(decoder.min_additional_packets)))
+            if complete_at is None and decoder.is_complete:
+                complete_at = lo + len(chunk)
+        assert np.array_equal(decoder.source_data(), source)
+    assert (complete_at, decoder.inactivation_runs, trajectory[-1],
+            zlib.crc32(repr(trajectory).encode())) == _PINNED[key]

@@ -2,9 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.codes.peeling import PeelingEngine, gf2_gauss_jordan
+from repro.codes import peeling
+from repro.codes.backend import use_backend
+from repro.codes.lt.decoder import LTDecoder
+from repro.codes.peeling import PeelingEngine, _gf2_eliminate, \
+    gf2_gauss_jordan, record_solve_plan
+from repro.codes.registry import build_code
 from repro.errors import DecodeFailure, ParameterError
+
+from tests._oracles import gf2_oracle_solve, make_source, pack_gf2_rows
 
 
 def payload(*values):
@@ -138,3 +147,296 @@ class TestGaussJordan:
     def test_rank_deficient_returns_none(self):
         mat = np.asarray([[0b11], [0b11]], dtype=np.uint64)
         assert gf2_gauss_jordan(mat, 2, None) is None
+
+
+# -- one finisher, three equation storages -----------------------------------
+#
+# On the vectorized backend a stalled engine reaches the one structural
+# factorization (``factor_gf2``) whatever holds its equations: packed
+# bitmatrix rows (LT, Raptor), the static CSR (Tornado), or the dict
+# adjacency used above ``_BITMATRIX_MAX_NODES``.  The reference backend
+# finishes with ``gf2_gauss_jordan`` instead and is what each storage is
+# measured against.
+
+#: storage -> (code spec, k, finisher capped below k?).
+#: ``bitmatrix-lazy`` is the LT decoder as shipped (one elimination over
+#: the whole accumulated system); the other LT rows cap the finisher
+#: below ``k`` so that engine peels incrementally, like the reference
+#: backend does, and attempt counts are comparable.  Tornado B needs
+#: k >= 160 to have a cascade graph at all (below that it is one RS cap).
+STORAGES = {
+    "bitmatrix": ("lt", 48, True),
+    "bitmatrix-lazy": ("lt", 48, False),
+    "static-csr": ("tornado-b", 200, False),
+    "dict": ("lt", 48, True),
+}
+_P = 16
+
+
+@pytest.fixture(params=["reference", "vectorized"])
+def backend(request):
+    with use_backend(request.param):
+        yield request.param
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """Counts ``factor_gf2`` / ``fold_row`` calls made by the engine."""
+    calls = {"factor": 0, "fold": 0}
+    real_factor = peeling.factor_gf2
+    real_fold = peeling.GF2Factorization.fold_row
+
+    def counting_factor(*args, **kwargs):
+        calls["factor"] += 1
+        return real_factor(*args, **kwargs)
+
+    def counting_fold(self, cols):
+        calls["fold"] += 1
+        return real_fold(self, cols)
+
+    monkeypatch.setattr(peeling, "factor_gf2", counting_factor)
+    monkeypatch.setattr(peeling.GF2Factorization, "fold_row", counting_fold)
+    return calls
+
+
+def _storage_of(engine):
+    if engine._bitmatrix:
+        return "bitmatrix"
+    return "static-csr" if engine._node_indptr is not None else "dict"
+
+
+def _decode_one_at_a_time(storage, seed, monkeypatch, payload_size=_P):
+    """Feed a shuffled stream packet by packet under the active backend.
+
+    Returns ``(decoder, packets fed at completion, source block)``.
+    """
+    spec, k, capped = STORAGES[storage]
+    if storage == "dict":
+        monkeypatch.setattr(peeling, "_BITMATRIX_MAX_NODES", 0)
+    code = build_code(spec, k, seed=seed)
+    source = make_source(k, _P, seed)
+    if spec == "lt":
+        decoder = LTDecoder(code.spec, payload_size=payload_size,
+                            inactivation_limit=k - 1 if capped else None)
+        stream = np.random.default_rng(seed).permutation(4 * k)
+        payload_of = code.encoder(source).droplet_payload
+    else:
+        decoder = code.new_decoder(payload_size)
+        stream = np.random.default_rng(seed).permutation(code.n)
+        payload_of = code.encode(source).__getitem__
+    for fed, index in enumerate(stream.tolist(), start=1):
+        decoder.add_packet(
+            index, None if payload_size is None else payload_of(index))
+        if decoder.is_complete:
+            return decoder, fed, source
+    raise AssertionError("stream exhausted before completion")
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("storage", sorted(STORAGES))
+def test_finisher_matches_reference_on_every_storage(
+        storage, seed, backend, factor_calls, monkeypatch):
+    decoder, fed, source = _decode_one_at_a_time(storage, seed, monkeypatch)
+    with use_backend("reference"):
+        oracle, oracle_fed, _ = _decode_one_at_a_time(
+            storage, seed, monkeypatch)
+    assert oracle.inactivation_runs >= 1      # the finisher was needed
+    assert fed == oracle_fed                  # same completing packet
+    assert decoder.source_data().tobytes() == source.tobytes() \
+        == oracle.source_data().tobytes()
+    if storage != "bitmatrix-lazy":
+        assert decoder.inactivation_runs == oracle.inactivation_runs
+    if backend == "vectorized":
+        assert _storage_of(decoder) == storage.replace("-lazy", "")
+        assert factor_calls["factor"] >= 1    # reached the one factorization
+    else:
+        assert factor_calls["factor"] == 0    # gf2_gauss_jordan finished it
+
+
+def _stalled_engine(storage, payload_size, monkeypatch):
+    """Nodes 0-3 unknown behind the rank-3 system {0,1},{1,2},{0,2},{2,3}.
+
+    Returns ``(engine, values)``; ``values[:4]`` is what a full decode
+    must recover and node 4 is known (value ``values[4]``), so ``{4}``
+    is an all-known arrival.  Under ``static-csr`` the four equations
+    are static checks whose private check nodes (4-7) have been
+    observed, which leaves exactly the same residual system in the CSR
+    store.
+    """
+    rows = [[0, 1], [1, 2], [0, 2], [2, 3]]
+    values = make_source(8, 8, seed=9)
+    for check, nodes in enumerate(rows):
+        values[4 + check] = np.bitwise_xor.reduce(values[nodes], axis=0)
+    if storage == "dict":
+        monkeypatch.setattr(peeling, "_BITMATRIX_MAX_NODES", 0)
+    if storage == "static-csr":
+        engine = PeelingEngine(8, payload_size=payload_size, source_count=4,
+                               inactivation_limit=4)
+        nodes = np.concatenate([r + [4 + e] for e, r in enumerate(rows)])
+        eqs = np.repeat(np.arange(4), [len(r) + 1 for r in rows])
+        engine.load_static_equations(4, nodes, eqs)
+        engine.observe_nodes(np.arange(4, 8), None if payload_size is None
+                             else values[4:])
+    else:
+        engine = PeelingEngine(5, payload_size=payload_size, source_count=4,
+                               inactivation_limit=4)
+        engine.add_equation([4], None if payload_size is None
+                            else values[4])
+        for check, nodes in enumerate(rows):
+            engine.add_equation(nodes, None if payload_size is None
+                                else values[4 + check])
+    return engine, values
+
+
+@pytest.mark.parametrize("redundant_first", [False, True])
+@pytest.mark.parametrize("storage", ["bitmatrix", "static-csr", "dict"])
+def test_failed_attempt_then_fold_and_retry(storage, redundant_first, backend,
+                                            factor_calls, monkeypatch):
+    """A singular stall records its deficit; the retry only folds.
+
+    The first attempt must fail (rank 3 of 4) without recovering
+    anything.  The odd-weight row ``{0,1,2}`` is independent of the
+    all-even span: on arrival it joins the kept factorization as one
+    folded row — no second factorization — and completes the decode.
+
+    With ``redundant_first`` an all-known equation arrives in between.
+    The stall gate counts arrivals, so it re-opens with no new row to
+    fold: that attempt must run (as the reference backend's does), fail
+    with the same deficit and leave the kept factorization usable.
+    """
+    engine, values = _stalled_engine(storage, 8, monkeypatch)
+    engine.maybe_inactivate()
+    assert not engine.is_complete
+    assert engine.source_known_count == 0
+    assert engine._stall_gate[2] == 1
+    if redundant_first:
+        assert not engine.add_equation([4], values[4])
+        engine.maybe_inactivate()
+        assert engine.inactivation_runs == 2
+        assert not engine.is_complete
+        assert engine._stall_gate[2] == 1
+    engine.add_equation(
+        [0, 1, 2], np.bitwise_xor.reduce(values[[0, 1, 2]], axis=0))
+    engine.maybe_inactivate()
+    assert engine.is_complete
+    assert engine.inactivation_runs == 2 + redundant_first
+    assert np.array_equal(engine.source_data(), values[:4])
+    if backend == "vectorized":
+        assert _storage_of(engine) == storage
+        assert factor_calls == {"factor": 1, "fold": 1}
+    else:
+        assert factor_calls == {"factor": 0, "fold": 0}
+
+
+#: (seed, inactivation_limit) -> (packets at completion, attempts) of a
+#: structural k=64 LT decoder fed ids 0, 1, 2, ... one at a time, per
+#: backend, as the parent commit measured them.  Every seed here has a
+#: limit at which a retry is opened by redundant arrivals alone.
+_CAPPED_LT = {
+    (23, 8): {"vectorized": (75, 1), "reference": (75, 1)},
+    (23, 16): {"vectorized": (71, 1), "reference": (71, 1)},
+    (23, 32): {"vectorized": (68, 3), "reference": (68, 3)},
+    (31, 8): {"vectorized": (96, 11), "reference": (96, 10)},
+    (31, 16): {"vectorized": (96, 26), "reference": (96, 25)},
+    (31, 32): {"vectorized": (96, 28), "reference": (96, 28)},
+    (39, 8): {"vectorized": (81, 2), "reference": (81, 2)},
+    (39, 16): {"vectorized": (81, 2), "reference": (81, 2)},
+    (39, 32): {"vectorized": (81, 8), "reference": (81, 9)},
+    (47, 8): {"vectorized": (77, 4), "reference": (77, 3)},
+    (47, 16): {"vectorized": (77, 9), "reference": (77, 8)},
+    (47, 32): {"vectorized": (77, 11), "reference": (77, 11)},
+}
+
+
+@pytest.mark.parametrize("seed,limit", sorted(_CAPPED_LT))
+def test_capped_finisher_retries_through_redundant_arrivals(
+        seed, limit, backend):
+    """A finisher capped below ``k`` retries many times per decode.
+
+    Between attempts the stream delivers droplets whose neighbours are
+    all known already; they tick the stall gate without adding a row.
+    """
+    decoder = LTDecoder(build_code("lt", 64, seed=seed).spec,
+                        inactivation_limit=limit)
+    fed = 0
+    while not decoder.is_complete:
+        decoder.add_packet(fed)
+        fed += 1
+    assert (fed, decoder.inactivation_runs) == _CAPPED_LT[seed, limit][backend]
+
+
+@st.composite
+def _gf2_systems(draw, max_extra_rows):
+    """Random sparse-to-dense bool systems, ``n + extra`` rows by ``n``."""
+    n = draw(st.integers(2, 20))
+    m = n + draw(st.integers(0, max_extra_rows))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    density = draw(st.sampled_from([0.15, 0.3, 0.5]))
+    return np.random.default_rng(seed).random((m, n)) < density
+
+
+def _csr(coeffs):
+    rows, cols = np.nonzero(coeffs)
+    indptr = np.concatenate(([0], np.cumsum(coeffs.sum(axis=1))))
+    return indptr.astype(np.int64), cols.astype(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=_gf2_systems(max_extra_rows=0))
+def test_plan_engine_and_oracle_agree_on_square_systems(coeffs):
+    """``record_solve_plan(...).apply`` == engine decode == Gauss-Jordan."""
+    n = coeffs.shape[0]
+    truth = make_source(n, 8, seed=n)
+    rhs = np.zeros_like(truth)
+    for row in range(n):
+        rhs[row] = np.bitwise_xor.reduce(
+            truth[coeffs[row]], axis=0, initial=0)
+    indptr, flat = _csr(coeffs)
+    expected = gf2_oracle_solve(coeffs, rhs)
+    for name in ("reference", "vectorized"):
+        with use_backend(name):
+            engine = PeelingEngine(n, payload_size=8, inactivation_limit=n)
+            engine.add_equations(indptr, flat, rhs)
+            engine.maybe_inactivate()
+            if expected is None:
+                assert not engine.is_complete
+                with pytest.raises(ParameterError):
+                    record_solve_plan(n, indptr, flat, np.arange(n), n)
+                continue
+            assert np.array_equal(expected, truth)
+            assert np.array_equal(engine.source_data(), truth)
+            plan = record_solve_plan(n, indptr, flat, np.arange(n), n)
+            assert np.array_equal(plan.apply(rhs), truth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=_gf2_systems(max_extra_rows=6),
+       storage=st.sampled_from(["bitmatrix", "dict"]))
+def test_structural_stall_gate_matches_reference_rank(coeffs, storage):
+    """A structural engine's recorded deficit is the true rank deficit.
+
+    Whenever an elimination attempt actually ran and failed, the stall
+    gate must hold exactly ``columns - rank`` as the reference
+    eliminator computes it; an attempt skipped for want of rows records
+    a smaller, still valid, bound.  Full rank completes.
+    """
+    m, n = coeffs.shape
+    _, rank = _gf2_eliminate(pack_gf2_rows(coeffs), n, None)
+    indptr, flat = _csr(coeffs)
+    with pytest.MonkeyPatch.context() as patch, use_backend("vectorized"):
+        if storage == "dict":
+            patch.setattr(peeling, "_BITMATRIX_MAX_NODES", 0)
+        engine = PeelingEngine(n, inactivation_limit=n)
+        assert _storage_of(engine) == storage
+        for row in range(m):
+            engine.add_equation(flat[indptr[row]:indptr[row + 1]])
+        engine.maybe_inactivate()
+    if rank == n:
+        assert engine.is_complete
+        return
+    assert not engine.is_complete
+    deficit = engine._stall_gate[2]
+    if engine.inactivation_runs:
+        assert deficit == n - rank
+    else:
+        assert 1 <= deficit <= n - rank

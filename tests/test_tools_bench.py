@@ -278,3 +278,55 @@ class TestAgainstCommittedBaselines:
             pytest.skip("no committed benchmark summaries")
         assert check_bench.main(["--baseline-dir", str(root),
                                  "--current-dir", str(root)]) == 0
+
+
+def _load_results_module(name):
+    """A private instance of ``benchmarks/_results.py`` — one per
+    simulated bench session, with its own recorder registry."""
+    spec = importlib.util.spec_from_file_location(
+        name, pathlib.Path(__file__).resolve().parent.parent
+        / "benchmarks" / "_results.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchRecorderMerge:
+    def test_second_session_keeps_the_first_sessions_cases(self, tmp_path):
+        """A standalone ``bench-ingest`` must not strip the transfer rows
+        another session published into the same summary file."""
+        target = str(tmp_path / "BENCH_t.json")
+        first = _load_results_module("_results_session_one").BenchRecorder(
+            target)
+        first.record("transfer-lt", goodput=20.0)
+        first.record("ingest-b256", droplets_per_second=1000)
+        first.flush()
+        second = _load_results_module("_results_session_two").BenchRecorder(
+            target)
+        second.record("ingest-b256", droplets_per_second=1500)
+        second.record("ingest-b1", droplets_per_second=90)
+        second.flush()
+        assert json.loads(pathlib.Path(target).read_text()) == {"results": [
+            {"case": "ingest-b1", "droplets_per_second": 90},
+            {"case": "ingest-b256", "droplets_per_second": 1500},
+            {"case": "transfer-lt", "goodput": 20.0},
+        ]}
+
+    def test_recorder_without_rows_leaves_the_file_alone(self, tmp_path):
+        target = tmp_path / "BENCH_t.json"
+        target.write_text("untouched")
+        _load_results_module("_results_session_idle").BenchRecorder(
+            str(target)).flush()
+        assert target.read_text() == "untouched"
+
+    @pytest.mark.parametrize("stored", ["not json", "{}", '{"results": 3}',
+                                        '{"results": [{"metric": 1}]}'])
+    def test_unreadable_summary_is_overwritten(self, tmp_path, stored):
+        target = tmp_path / "BENCH_t.json"
+        target.write_text(stored)
+        recorder = _load_results_module(
+            "_results_session_bad").BenchRecorder(str(target))
+        recorder.record("ingest-b1", droplets_per_second=90)
+        recorder.flush()
+        assert json.loads(target.read_text()) == {"results": [
+            {"case": "ingest-b1", "droplets_per_second": 90}]}
