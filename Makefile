@@ -38,10 +38,12 @@ coverage:
 			"(pip install pytest-cov)"; \
 	fi
 
-# Just the transport layer (framing, pacing, memory/file/UDP delivery).
+# Just the transport layer (framing, pacing, memory/file/UDP delivery)
+# plus the windowed UDP serve held to its per-packet oracle.
 # Binds real loopback sockets; skips gracefully where unavailable.
 test-udp:
-	$(PYTHON) -m pytest -q tests/test_transport.py
+	$(PYTHON) -m pytest -q tests/test_transport.py \
+		tests/test_windowed_serve.py::TestUdpServe
 
 # One quick pass over the benchmark suite — catches rot in the
 # table/figure harnesses without paying for full measurement runs.

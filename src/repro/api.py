@@ -62,7 +62,7 @@ import numpy as np
 from repro.codes.registry import CodeSpec
 from repro.errors import DecodeFailure, ReproError
 from repro.fountain.metrics import ReceptionStats
-from repro.fountain.packets import EncodingPacket
+from repro.fountain.packets import EncodingPacket, header_fields
 from repro.net.transport.base import ServeReport, Subscription, Transport
 from repro.protocol.adaptive import AdaptivePolicy
 from repro.protocol.feedback import (
@@ -373,18 +373,14 @@ class ReceiverSession:
             return self.is_complete
         buf = np.frombuffer(b"".join(records), dtype=np.uint8)
         buf = buf.reshape(len(records), self.record_size)
-        ids = buf[:, 0:4].view(">u4").ravel().astype(np.int64)
-        serials = (buf[:, 4:8].view(">u4").ravel().astype(np.int64)
-                   if self.reporting else None)
-        if self.block_aware:
-            blocks = buf[:, 12:16].view(">u4").ravel().astype(np.int64)
-        else:
-            blocks = np.zeros(len(records), dtype=np.int64)
+        fields = header_fields(buf, self.header_size)
+        blocks = (fields[:, 3] if self.block_aware
+                  else np.zeros(len(records), dtype=np.int64))
         payloads = buf[:, self.header_size:]
-        used = self.client.receive_window(blocks, ids, payloads)
+        used = self.client.receive_window(blocks, fields[:, 0], payloads)
         self.packets_used += used
-        if serials is not None:
-            self.loss_estimator.observe(serials[:used].tolist())
+        if self.reporting:
+            self.loss_estimator.observe(fields[:used, 1].tolist())
         return self.client.is_complete
 
     def receive_stream_bytes(self, raw: bytes) -> bool:

@@ -456,6 +456,10 @@ def cmd_fetch(args: argparse.Namespace) -> int:
           f"{session.packets_used} packets over {args.transport}")
     print(f"{session.code_spec}: all blocks complete; reception overhead "
           f"{session.stats().reception_overhead:+.1%}")
+    if args.report and args.transport == "udp":
+        print(f"reported: {subscription.feedback_sent} feedback frames "
+              f"sent; {subscription.datagrams} datagrams seen, "
+              f"{subscription.malformed} malformed")
     return 0
 
 

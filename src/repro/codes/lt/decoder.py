@@ -67,6 +67,10 @@ class LTDecoder(PeelingEngine):
         self._packets_added = 0
         self._duplicates = 0
         self._redundant = 0
+        # Droplets a subclass admitted and banked but whose equations
+        # :meth:`_deferred` is holding back; they count as rows and as
+        # arrivals in :attr:`min_additional_packets`.  Always 0 for LT.
+        self._held_rows = 0
 
     # -- public state ----------------------------------------------------------
 
@@ -107,7 +111,10 @@ class LTDecoder(PeelingEngine):
         already inside the system: fresh off construction a Raptor
         decoder's bound is ``k' - r = k``, exactly the source size, and
         its systematic fast path never beats it — each banked packet is
-        also one engine row.
+        also one row of the system, entered or still held back
+        (:meth:`_deferred`): a held row counts here as the row and the
+        arrival it will be on release, so the bound reads the same
+        whether or not the engine has seen it yet.
 
         Batch feeders size ingest chunks with this so completion can
         only land on a chunk's final packet, keeping reception counters
@@ -116,14 +123,14 @@ class LTDecoder(PeelingEngine):
         if self.is_complete:
             return 0
         unknowns = self.num_nodes - int(np.count_nonzero(self.known))
-        rows = int(np.count_nonzero(
+        rows = self._held_rows + int(np.count_nonzero(
             self.unknown_count[:self._num_equations] >= 1))
         bound = max(1, unknowns - rows)
         gate = self._stall_gate
         if gate is not None:
             _, stalled_seen, deficit = gate
-            bound = max(bound,
-                        deficit - (self._equations_seen - stalled_seen))
+            arrivals = self._equations_seen + self._held_rows
+            bound = max(bound, deficit - (arrivals - stalled_seen))
         return bound
 
     # -- subclass hooks --------------------------------------------------------
@@ -144,6 +151,16 @@ class LTDecoder(PeelingEngine):
         ``payloads`` — a systematic code keeps the verbatim source
         packets here.  Nothing to keep for LT.
         """
+
+    def _deferred(self, ids, payloads: Optional[np.ndarray]):
+        """Hook: which equations form now, given these banked droplets.
+
+        ``None`` (LT, always) means exactly these, the usual way.
+        Otherwise an ``(ids, payloads)`` batch to enter instead: empty
+        while a systematic code holds its verbatim rows back, the held
+        rows followed by these once it releases them.
+        """
+        return None
 
     # -- feeding droplets ------------------------------------------------------
 
@@ -173,9 +190,23 @@ class LTDecoder(PeelingEngine):
         but carries no information worth building an equation from.
         """
         self._bank(index, payload)
-        if (drop_late and self.is_complete) or not self.add_equation(
-                self.spec.neighbours(int(self._esis(index))), payload):
+        if drop_late and self.is_complete:
             self._redundant += 1
+            return
+        batch = self._deferred(index, payload)
+        if batch is None:
+            if not self.add_equation(
+                    self.spec.neighbours(int(self._esis(index))), payload):
+                self._redundant += 1
+        elif batch[0].size:
+            self._enter(*batch)
+
+    def _enter(self, ids: np.ndarray, rhs: Optional[np.ndarray]) -> None:
+        """One equation batch for droplets ``ids`` (at least one): one
+        neighbour pass, one engine intake."""
+        flat, indptr = self.spec.neighbour_block(self._esis(ids))
+        contributed = self.add_equations(indptr, flat, rhs)
+        self._redundant += int(np.count_nonzero(~contributed))
 
     def add_packet(self, index: int,
                    payload: Optional[np.ndarray] = None) -> bool:
@@ -244,8 +275,10 @@ class LTDecoder(PeelingEngine):
             # information worth building equations from.
             self._redundant += len(fresh_rows)
             return len(fresh_rows)
-        flat, indptr = self.spec.neighbour_block(self._esis(ids))
-        contributed = self.add_equations(indptr, flat, rhs)
-        self._redundant += int(np.count_nonzero(~contributed))
-        self.maybe_inactivate()
+        batch = self._deferred(ids, rhs)
+        if batch is not None:
+            ids, rhs = batch
+        if ids.size:
+            self._enter(ids, rhs)
+            self.maybe_inactivate()
         return len(fresh_rows)

@@ -21,9 +21,14 @@ kinds of equations populate it:
   the row's weakened-distribution neighbour set regenerates locally
   from the shared spec, exactly like an LT droplet.  Systematic ids
   (< ``k``) are no different structurally; their payloads just happen
-  to be source packets verbatim, which the decoder additionally banks
-  in a side cache so a loss-free receiver completes without touching
-  the solver at all.
+  to be source packets verbatim, which the decoder banks in a side
+  cache — and while a block has seen nothing *but* systematic ids, the
+  bank is all it touches: the rows are only *held* (ids; the payloads
+  already sit in the cache).  The first repair droplet releases every
+  held row plus itself as one equation batch, so the engine ends up
+  with exactly the rows eager intake would have given it, and a
+  loss-free receiver completes without ever building a droplet
+  equation.
 
 Because every droplet row is drawn from the same distribution no
 matter which ids were lost, the engine always faces the
@@ -36,7 +41,7 @@ source packets are then one capped-degree re-encode away.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -46,6 +51,8 @@ from repro.codes.raptor.precode import RaptorGeometry
 from repro.errors import DecodeFailure, ParameterError
 
 __all__ = ["RaptorDecoder"]
+
+_NO_IDS = np.empty(0, dtype=np.int64)
 
 
 class RaptorDecoder(LTDecoder):
@@ -78,6 +85,10 @@ class RaptorDecoder(LTDecoder):
         if payload_size is not None:
             self._sys_payloads = np.zeros((geometry.k, payload_size),
                                           dtype=np.uint8)
+        # Systematic ids banked but not yet entered as equations, in
+        # arrival order; None once the first repair droplet released
+        # them (from then on every droplet enters on arrival).
+        self._held: Optional[List] = []
         self._install_constraints()
 
     def _install_constraints(self) -> None:
@@ -94,6 +105,11 @@ class RaptorDecoder(LTDecoder):
         self.add_equations(indptr, flat, rhs)
 
     # -- public state ----------------------------------------------------------
+
+    @property
+    def held_rows(self) -> int:
+        """Systematic rows banked but not yet in the engine."""
+        return self._held_rows
 
     @property
     def _engine_complete(self) -> bool:
@@ -147,7 +163,7 @@ class RaptorDecoder(LTDecoder):
             self.geometry.systematic_esis[missing])
         return out
 
-    # -- the two intake hooks --------------------------------------------------
+    # -- the three intake hooks ------------------------------------------------
 
     def _esis(self, ids):
         """External droplet ids through the systematic index."""
@@ -166,3 +182,35 @@ class RaptorDecoder(LTDecoder):
         self._sys_mask[ids] = True
         if self._sys_payloads is not None and payloads is not None:
             self._sys_payloads[ids] = payloads
+
+    def _deferred(self, ids, payloads: Optional[np.ndarray]):
+        """Hold systematic rows until the block's first repair droplet.
+
+        The constraints plus any set of distinct systematic rows are
+        linearly independent (the systematic index was chosen so), so
+        while nothing else has arrived the solver could learn nothing
+        from them that the bank does not already hold.
+        """
+        if self._held is None:
+            return None
+        if np.all(ids < self.geometry.k):
+            self._held.append(ids)
+            self._held_rows += np.size(ids)
+            return _NO_IDS, None
+        if not self._held_rows:
+            self._held = None
+            return None
+        held = np.hstack(self._held + [ids])
+        if payloads is not None:
+            payloads = np.concatenate([
+                self._sys_payloads[held[:self._held_rows]],
+                np.atleast_2d(payloads)])
+        self._held = None
+        self._held_rows = 0
+        return held, payloads
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (f"RaptorDecoder(k={self.geometry.k}, "
+                f"source_known={self.source_known_count}, "
+                f"held_rows={self.held_rows}, "
+                f"equations={self.equation_count})")

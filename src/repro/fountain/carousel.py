@@ -139,3 +139,6 @@ class CarouselServer(SequencedPacketSource):
 
     def _rewind(self) -> None:
         self._pos = 0
+
+    def _retreat(self, count: int) -> None:
+        self._pos -= count

@@ -49,6 +49,17 @@ _HEADER_STRUCT = struct.Struct(">III")
 _BLOCK_STRUCT = struct.Struct(">IIII")
 
 
+def header_fields(records: np.ndarray, header_size: int) -> np.ndarray:
+    """The header columns of a ``(n, record_size)`` uint8 record matrix.
+
+    One vectorized parse for a whole batch of wire records: column 0 is
+    ``index``, 1 ``serial``, 2 ``group`` and — with the 16-byte
+    :class:`BlockHeader` — 3 ``block``, as an ``(n, header_size // 4)``
+    int64 array.
+    """
+    return records[:, :header_size].view(">u4").astype(np.int64)
+
+
 def _check_uint32(name: str, value: int) -> None:
     if not 0 <= value < SERIAL_MODULUS:
         raise ProtocolError(
@@ -188,6 +199,23 @@ class HeaderSequencer:
                                  group=self.group, block=block)
         self._serial = (self._serial + 1) % SERIAL_MODULUS
         return header
+
+    def take(self, count: int) -> np.ndarray:
+        """The serials of the next ``count`` packets; advances past them.
+
+        The batched twin of ``count`` :meth:`next_header` calls, for
+        callers that stamp a whole window of headers in one pass.
+        """
+        serials = (self._serial
+                   + np.arange(count, dtype=np.int64)) % SERIAL_MODULUS
+        self._serial = (self._serial + count) % SERIAL_MODULUS
+        return serials
+
+    def retreat(self, count: int) -> None:
+        """Hand the last ``count`` serials back: a sender that stamped a
+        window and was stopped before all of it reached the wire re-uses
+        them for what it sends next."""
+        self._serial = (self._serial - count) % SERIAL_MODULUS
 
     def reset(self) -> None:
         """Rewind to the starting serial (a fresh session)."""

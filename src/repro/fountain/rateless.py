@@ -197,3 +197,6 @@ class RatelessServer(SequencedPacketSource):
 
     def _rewind(self) -> None:
         self._emitted = 0
+
+    def _retreat(self, count: int) -> None:
+        self._emitted -= count

@@ -157,6 +157,12 @@ class SequencedPacketSource:
         """Rewind subclass stream state (subclass hook)."""
         raise NotImplementedError  # pragma: no cover - abstract
 
+    def _retreat(self, count: int) -> None:
+        """Move the emission cursor back ``count`` emissions (block-source
+        hook).  The look-ahead buffer is keyed by position, so whatever
+        was synthesised for them is served again as-is."""
+        raise NotImplementedError  # pragma: no cover - abstract
+
     def packets(self, count: Optional[int] = None
                 ) -> Iterator[EncodingPacket]:
         """Yield the next ``count`` packets (infinite when ``None``)."""

@@ -65,6 +65,7 @@ __all__ = [
     "Subscription",
     "Transport",
     "TRANSPORTS",
+    "frame_records",
     "iter_frames",
     "pack_frame",
     "packet_ids",
@@ -75,9 +76,10 @@ __all__ = [
 #: emission budget per source packet before a serve is declared stuck.
 EMISSION_LIMIT_FACTOR = 200
 
-#: most packets a shadowed serve (memory, file) pulls, crosses the
-#: channel with and feeds to its shadows in one window; bounds what a
-#: window holds in memory however large the decode deficit is.
+#: most packets a serve draws from its source in one window (memory and
+#: file also cross the channel with and feed their shadows a window at a
+#: time); bounds what a window holds in memory however large the decode
+#: deficit or the emission count is.
 SERVE_WINDOW = 1024
 
 #: records per ingest batch for transports without a backlog signal.
@@ -93,13 +95,33 @@ FRAME_FEEDBACK = 0x03
 _FRAME_HEAD = struct.Struct(">BH")
 
 
+def _frame_head(frame_type: int, length: int) -> bytes:
+    if length > 0xFFFF:
+        raise ProtocolError(
+            f"frame body of {length} bytes exceeds the u16 length "
+            "prefix; shrink the packet size")
+    return _FRAME_HEAD.pack(frame_type, length)
+
+
 def pack_frame(frame_type: int, body: bytes) -> bytes:
     """One length-prefixed frame: type byte, u16 body length, body."""
-    if len(body) > 0xFFFF:
-        raise ProtocolError(
-            f"frame body of {len(body)} bytes exceeds the u16 length "
-            "prefix; shrink the packet size")
-    return _FRAME_HEAD.pack(frame_type, len(body)) + body
+    return _frame_head(frame_type, len(body)) + body
+
+
+def frame_records(records: np.ndarray) -> np.ndarray:
+    """A window of equal-size wire records as ``FRAME_DATA`` frames.
+
+    The batched twin of ``pack_frame(FRAME_DATA, record)``: row ``i`` of
+    the returned ``(n, 3 + size)`` array is byte for byte the frame
+    :func:`pack_frame` builds for record ``i``, so a sender slices
+    datagrams out of one buffer.
+    """
+    count, size = records.shape
+    frames = np.empty((count, _FRAME_HEAD.size + size), dtype=np.uint8)
+    frames[:, :_FRAME_HEAD.size] = np.frombuffer(
+        _frame_head(FRAME_DATA, size), dtype=np.uint8)
+    frames[:, _FRAME_HEAD.size:] = records
+    return frames
 
 
 def iter_frames(datagram: bytes) -> Iterator[Tuple[int, bytes]]:

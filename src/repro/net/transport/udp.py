@@ -46,6 +46,8 @@ from collections import deque
 from typing import Any, Callable, Deque, Iterator, List, Optional, Sequence, \
     Tuple, Union
 
+import numpy as np
+
 from repro.errors import ParameterError, ProtocolError
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss, LossModel
@@ -54,9 +56,11 @@ from repro.net.transport.base import (
     FRAME_DATA,
     FRAME_FEEDBACK,
     FRAME_MANIFEST,
+    SERVE_WINDOW,
     ServeReport,
     Subscription,
     Transport,
+    frame_records,
     iter_frames,
     pack_frame,
     register_transport,
@@ -138,13 +142,18 @@ class UdpSubscription(Subscription):
         host, port = parse_address(address)
         self.timeout = float(timeout)
         self._manifest: Optional[dict] = None
-        self._pending: List[bytes] = []
+        #: data-record size the adopted manifest describes (None before
+        #: one is adopted, or when it names no usable geometry).
+        self._record_bytes: Optional[int] = None
+        self._pending: Deque[bytes] = deque()
         self._closed = False
         #: source address of the last well-formed datagram — where
         #: feedback replies go.
         self._sender: Optional[Address] = None
         #: feedback frames actually sent back up the control plane.
         self.feedback_sent = 0
+        #: every datagram received, well-formed or not.
+        self.datagrams = 0
         #: data frames whose framing failed to parse (foreign senders).
         self.malformed = 0
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM,
@@ -179,6 +188,12 @@ class UdpSubscription(Subscription):
             self._closed = True
             self.socket.close()
 
+    def __repr__(self) -> str:
+        where = "closed" if self._closed else "%s:%d" % self.address
+        return (f"UdpSubscription({where}, datagrams={self.datagrams}, "
+                f"malformed={self.malformed}, "
+                f"feedback_sent={self.feedback_sent})")
+
     def _frames(self, timeout: Optional[float]
                 ) -> Iterator[Tuple[int, bytes]]:
         """Parsed frames from arriving datagrams; times out on silence."""
@@ -196,6 +211,7 @@ class UdpSubscription(Subscription):
                 if self._closed:
                     return
                 raise
+            self.datagrams += 1
             try:
                 # Materialise first: a datagram either parses whole or
                 # is discarded whole — no half-delivered prefixes.
@@ -229,22 +245,21 @@ class UdpSubscription(Subscription):
         return True
 
     def _learn_manifest(self, body: bytes) -> bool:
-        """Adopt a manifest frame's body; False (and counted) if bogus."""
+        """Adopt a manifest frame's body; False (and counted) if bogus.
+
+        The data-record size it describes is derived here, once per
+        adoption, for the per-datagram size filter.
+        """
         try:
             self._manifest = json.loads(body.decode("utf-8"))
-            return True
         except (UnicodeDecodeError, ValueError):
             self.malformed += 1
             return False
-
-    def _record_bytes(self) -> Optional[int]:
-        """Expected data-record size, once a manifest has been learned."""
-        if self._manifest is None:
-            return None
         try:
-            return record_size(self._manifest)
+            self._record_bytes = record_size(self._manifest)
         except (KeyError, TypeError, ValueError):
-            return None
+            self._record_bytes = None
+        return True
 
     def manifest(self, timeout: Optional[float] = None) -> dict:
         """Wait for a manifest frame (buffering data frames meanwhile)."""
@@ -270,26 +285,29 @@ class UdpSubscription(Subscription):
         counted in :attr:`malformed` and skipped, not handed to the
         decoder.
         """
-        size = self._record_bytes()
         while self._pending:
-            body = self._pending.pop(0)
-            if size is not None and len(body) != size:
-                self.malformed += 1
+            body = self._pending.popleft()
+            if self._wrong_size(body):
                 continue
             yield body
         for frame_type, body in self._frames(timeout):
             if frame_type == FRAME_MANIFEST:
-                if self._learn_manifest(body):
-                    size = self._record_bytes()
-            elif frame_type == FRAME_DATA:
-                if size is not None and len(body) != size:
-                    self.malformed += 1
-                    continue
+                self._learn_manifest(body)
+            elif frame_type == FRAME_DATA and not self._wrong_size(body):
                 yield body
+
+    def _wrong_size(self, body: bytes) -> bool:
+        """True (and counted) for a data record the manifest rules out."""
+        size = self._record_bytes
+        if size is None or len(body) == size:
+            return False
+        self.malformed += 1
+        return True
 
     def _collect(self, datagram: bytes, batch: List[bytes],
                  addr: Optional[Address] = None) -> None:
         """Parse one datagram's frames into ``batch`` (data bodies only)."""
+        self.datagrams += 1
         try:
             frames = list(iter_frames(datagram))
         except ProtocolError:
@@ -300,11 +318,7 @@ class UdpSubscription(Subscription):
         for frame_type, body in frames:
             if frame_type == FRAME_MANIFEST:
                 self._learn_manifest(body)
-            elif frame_type == FRAME_DATA:
-                size = self._record_bytes()
-                if size is not None and len(body) != size:
-                    self.malformed += 1
-                    continue
+            elif frame_type == FRAME_DATA and not self._wrong_size(body):
                 batch.append(body)
 
     def record_batches(self, timeout: Optional[float] = None
@@ -319,14 +333,11 @@ class UdpSubscription(Subscription):
         :meth:`records`.
         """
         wait = self.timeout if timeout is None else float(timeout)
-        size = self._record_bytes()
         batch: List[bytes] = []
         while self._pending:
-            body = self._pending.pop(0)
-            if size is not None and len(body) != size:
-                self.malformed += 1
-                continue
-            batch.append(body)
+            body = self._pending.popleft()
+            if not self._wrong_size(body):
+                batch.append(body)
         if batch:
             yield batch
         while True:
@@ -527,6 +538,15 @@ class UdpTransport(Transport):
         additionally capped at the emission-budget limit so a fade that
         swallows all feedback cannot spin it forever.  ``feedback``
         (a callable) observes every decoded report.
+
+        Emissions are drawn a window at a time
+        (:meth:`~repro.transfer.server.TransferServer.record_window`,
+        framed in one buffer), while every check above still runs once
+        per emission.  When the serve ends with part of a window unsent
+        the source takes those emissions back (``unwind``), so a later
+        serve — or ``packets()`` — continues the stream from the last
+        frame that reached the socket; ``emitted`` counts frames
+        offered to the socket loop, as always.
         """
         should_stop = _stop_check(stop)
         adaptive = policy is not None
@@ -548,6 +568,11 @@ class UdpTransport(Transport):
         streams = self._loss_streams()
         source = getattr(session, "source", session)
         reweight = getattr(source, "reweight", None)
+        # A transfer server hands over whole windows of wire records and
+        # takes back what a stop leaves unsent; any other source is
+        # pulled a packet — a window of one — at a time.
+        draw = getattr(source, "record_window", None)
+        packets = None if draw is not None else session.packets(count)
         codec = getattr(session, "codec", None)
         block_ks = codec.plan.block_ks if codec is not None else [1]
         manifest_frame = pack_frame(
@@ -557,57 +582,91 @@ class UdpTransport(Transport):
         deadline = None if duration is None else start + float(duration)
         emitted = delivered = dropped = manifest_frames = 0
         feedback_frames = 0
+        # Records of the current window not yet handed to the socket: a
+        # window left part-sent (stop, duration, everyone complete) ends
+        # the serve.
+        pending = 0
         try:
-            for packet in session.packets(count):
-                if should_stop():
-                    break
-                if (deadline is not None
-                        and time.perf_counter() >= deadline):
-                    break
-                slept = 0.0
-                if bucket is not None:
-                    slept = await bucket.throttle()
-                if slept == 0.0 and emitted % _YIELD_EVERY == 0:
-                    # A CPU-bound serve below the pace rate never runs
-                    # the bucket dry; yield anyway so the event loop
-                    # polls the socket and feedback frames get read.
-                    await asyncio.sleep(0)
-                if protocol.feedback and (adaptive or feedback is not None):
-                    now = time.perf_counter() - start
-                    while protocol.feedback:
-                        body = protocol.feedback.popleft()
-                        try:
-                            report = FeedbackReport.decode(body)
-                        except ProtocolError:
-                            protocol.malformed += 1
-                            continue
-                        feedback_frames += 1
-                        if policy is not None:
-                            policy.observe(report, now=now)
-                        if feedback is not None:
-                            feedback(report)
-                if adaptive and emitted and emitted % adapt_every == 0:
-                    now = time.perf_counter() - start
-                    decision = policy.decide(block_ks, now=now)
-                    if decision.all_complete:
+            while not pending and (count is None or emitted < count):
+                size = (SERVE_WINDOW if count is None
+                        else min(SERVE_WINDOW, count - emitted))
+                if adaptive:
+                    # A decision may reweight the schedule from the next
+                    # slot on, so a window ends on the emission it is
+                    # taken at.
+                    decide_at = adapt_every * -(-max(emitted, 1)
+                                                // adapt_every)
+                    size = min(size, decide_at - emitted + 1)
+                if draw is not None:
+                    records = draw(size)
+                else:
+                    packet = next(packets, None)
+                    if packet is None:
                         break
-                    if bucket is not None and self.pace is not None:
-                        bucket.set_rate(self.pace * decision.rate_scale)
-                    if decision.weights and reweight is not None:
-                        reweight(list(decision.weights))
-                if emitted % self.manifest_interval == 0:
-                    for dest in self.destinations:
-                        transport.sendto(manifest_frame, dest)
-                    manifest_frames += 1
-                frame = pack_frame(FRAME_DATA, packet.to_bytes())
-                for di, dest in enumerate(self.destinations):
-                    if streams is not None and streams[di].lost():
-                        dropped += 1
-                        continue
-                    transport.sendto(frame, dest)
-                    delivered += 1
-                emitted += 1
+                    records = np.frombuffer(packet.to_bytes(),
+                                            dtype=np.uint8)[None]
+                frames = frame_records(records)
+                wire = memoryview(frames.reshape(-1))
+                step = frames.shape[1]
+                pending = len(frames)
+                survives = None if streams is None else [
+                    stream.delivery_mask(pending).tolist()
+                    for stream in streams]
+                for row in range(pending):
+                    if should_stop() or (deadline is not None and
+                                         time.perf_counter() >= deadline):
+                        break
+                    slept = 0.0
+                    if bucket is not None:
+                        slept = await bucket.throttle()
+                    if slept == 0.0 and emitted % _YIELD_EVERY == 0:
+                        # A CPU-bound serve below the pace rate never
+                        # runs the bucket dry; yield anyway so the event
+                        # loop polls the socket and feedback frames get
+                        # read.
+                        await asyncio.sleep(0)
+                    if protocol.feedback and (adaptive
+                                              or feedback is not None):
+                        now = time.perf_counter() - start
+                        while protocol.feedback:
+                            body = protocol.feedback.popleft()
+                            try:
+                                report = FeedbackReport.decode(body)
+                            except ProtocolError:
+                                protocol.malformed += 1
+                                continue
+                            feedback_frames += 1
+                            if policy is not None:
+                                policy.observe(report, now=now)
+                            if feedback is not None:
+                                feedback(report)
+                    if adaptive and emitted and emitted % adapt_every == 0:
+                        now = time.perf_counter() - start
+                        decision = policy.decide(block_ks, now=now)
+                        if decision.all_complete:
+                            break
+                        if bucket is not None and self.pace is not None:
+                            bucket.set_rate(self.pace * decision.rate_scale)
+                        if decision.weights and reweight is not None:
+                            reweight(list(decision.weights))
+                    if emitted % self.manifest_interval == 0:
+                        for dest in self.destinations:
+                            transport.sendto(manifest_frame, dest)
+                        manifest_frames += 1
+                    frame = wire[row * step:(row + 1) * step]
+                    for di, dest in enumerate(self.destinations):
+                        if survives is not None and not survives[di][row]:
+                            dropped += 1
+                            continue
+                        transport.sendto(frame, dest)
+                        delivered += 1
+                    emitted += 1
+                    pending -= 1
         finally:
+            if pending and draw is not None:
+                # Stopped (or interrupted) mid-window: the source resumes
+                # from the last frame handed to the socket, no id skipped.
+                source.unwind(pending)
             # One final manifest so late joiners of a finite serve still
             # learn the geometry, then let the endpoint flush and close.
             for dest in self.destinations:

@@ -20,12 +20,12 @@ of block ``b`` wait a whole revolution for ``b`` to come around again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 from repro.errors import ParameterError
+from repro.fountain.packets import header_fields
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss, LossModel
 from repro.transfer.blocks import BlockPlan
@@ -109,20 +109,17 @@ def simulate_transfer(file_size: int,
         # channel one packet at a time: every slot advances its block
         # source (delivered or not), and the transfer cannot complete
         # before a window's final packet, so reception counters at
-        # completion match the sequential run exactly.  Windows draw
-        # payloads a block at a time — no packet objects or headers.
-        slots = make_schedule(schedule, plan.block_ks)
+        # completion match the sequential run exactly.  A window is the
+        # server's wire-record array — no packet objects.
         while not client.is_complete and channel.sent < limit:
             n = min(client.min_additional, limit - channel.sent, _CHUNK)
-            blocks = np.fromiter(islice(slots, n), dtype=np.int64, count=n)
-            ids = np.empty(n, dtype=np.int64)
-            payloads = np.empty((n, packet_size), dtype=np.uint8)
-            for b in np.unique(blocks):
-                sel = blocks == b
-                ids[sel], payloads[sel] = server.block_sources[
-                    b].payload_batch(int(sel.sum()))
-            mask = channel.delivery_mask(n)
-            client.receive_window(blocks[mask], ids[mask], payloads[mask])
+            records = server.record_window(n)[channel.delivery_mask(n)]
+            fields = header_fields(records,
+                                   records.shape[1] - packet_size)
+            blocks = (fields[:, 3] if plan.num_blocks > 1
+                      else np.zeros(len(records), dtype=np.int64))
+            client.receive_window(blocks, fields[:, 0],
+                                  records[:, -packet_size:])
         sent = channel.sent
         if not client.is_complete:
             raise ParameterError(

@@ -28,12 +28,18 @@ redundancy rows the carousels never reach are never computed at all.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from collections import deque
+from itertools import islice
+from typing import Deque, Iterator, List, Optional
 
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.fountain.packets import EncodingPacket
+from repro.fountain.packets import (
+    BLOCK_HEADER_SIZE,
+    HEADER_SIZE,
+    EncodingPacket,
+)
 from repro.fountain.source import (
     PacketSource,
     SequencedPacketSource,
@@ -95,8 +101,14 @@ class TransferServer(SequencedPacketSource):
                 seed=block_seed(self.seed, spec.block),
                 sequencer=self._sequencer,
                 block=spec.block if multi else None))
-        self._slots = make_schedule(schedule, codec.plan.block_ks)
+        self._schedule = make_schedule(schedule, codec.plan.block_ks)
+        #: slots :meth:`unwind` took back, re-emitted before the schedule
+        #: moves on.
+        self._unsent: Deque[int] = deque()
+        self._slots = self._slot_stream()
         self._streams = [source.packets() for source in self.block_sources]
+        #: block ids of the last :meth:`record_window`, for :meth:`unwind`.
+        self._window_blocks = np.empty(0, dtype=np.int64)
 
     @staticmethod
     def _materialise(codec: ObjectCodec, data: bytes) -> List:
@@ -125,8 +137,65 @@ class TransferServer(SequencedPacketSource):
     def num_blocks(self) -> int:
         return self.codec.num_blocks
 
+    def _slot_stream(self) -> Iterator[int]:
+        """The block of each emission: taken-back slots first, then
+        whatever schedule is current (``reweight`` swaps it live)."""
+        while True:
+            while self._unsent:
+                yield self._unsent.popleft()
+            yield next(self._schedule)
+
     def _next_packet(self) -> EncodingPacket:
         return next(self._streams[next(self._slots)])
+
+    def record_window(self, count: int) -> np.ndarray:
+        """The next ``count`` emissions as a ``(count, H + P)`` array of
+        wire records — what ``count`` :meth:`_next_packet` calls and a
+        ``to_bytes`` each would serialise, with no per-packet object.
+
+        One pass per layer: ``count`` schedule slots, one
+        ``payload_batch`` per block they name, then index / serial /
+        group (/ block, on multi-block plans; single-block plans keep
+        the 12-byte header) stamped as big-endian ``u4`` columns.
+        Cursors advance exactly as ``count`` packets would advance them,
+        so windows and ``packets()`` interleave freely.
+        """
+        blocks = np.fromiter(islice(self._slots, count), dtype=np.int64,
+                             count=count)
+        multi = self.num_blocks > 1
+        header = BLOCK_HEADER_SIZE if multi else HEADER_SIZE
+        records = np.empty((count, header + self.codec.plan.packet_size),
+                           dtype=np.uint8)
+        fields = np.empty((count, header // 4), dtype=">u4")
+        for block in np.unique(blocks):
+            rows = blocks == block
+            fields[rows, 0], records[rows, header:] = self.block_sources[
+                block].payload_batch(int(rows.sum()))
+        fields[:, 1] = self._sequencer.take(count)
+        fields[:, 2] = self.group
+        if multi:
+            fields[:, 3] = blocks
+        records[:, :header] = fields.view(np.uint8)
+        self._window_blocks = blocks
+        return records
+
+    def unwind(self, count: int) -> None:
+        """Take back the last ``count`` emissions of the last window.
+
+        For a sender stopped mid-window: slots, block cursors and
+        serials return to the last record that actually went out, so
+        the next window (or packet) continues the stream with no id
+        skipped.  Synthesis is a pure function of the emission
+        position, so the sources' look-ahead buffers stay valid.
+        """
+        if count <= 0:
+            return
+        unsent = self._window_blocks[-count:]
+        self._window_blocks = self._window_blocks[:-count]
+        self._unsent.extendleft(unsent[::-1].tolist())
+        for block, emissions in zip(*np.unique(unsent, return_counts=True)):
+            self.block_sources[block]._retreat(int(emissions))
+        self._sequencer.retreat(count)
 
     def reweight(self, weights: Optional[List[float]]) -> None:
         """Swap the cross-block schedule for a weighted stripe, live.
@@ -139,16 +208,19 @@ class TransferServer(SequencedPacketSource):
         mix.  ``None`` restores the server's configured schedule.
         """
         if weights is None:
-            self._slots = make_schedule(self.schedule,
-                                        self.codec.plan.block_ks)
+            self._schedule = make_schedule(self.schedule,
+                                           self.codec.plan.block_ks)
         else:
-            self._slots = weighted_slots(self.codec.plan.block_ks, weights)
+            self._schedule = weighted_slots(self.codec.plan.block_ks,
+                                            weights)
+        self._unsent.clear()
 
     def _rewind(self) -> None:
         for source in self.block_sources:
             source.reset()
-        self._slots = make_schedule(self.schedule, self.codec.plan.block_ks)
+        self.reweight(None)
         self._streams = [source.packets() for source in self.block_sources]
+        self._window_blocks = self._window_blocks[:0]
 
     def fork(self, *, seed: Optional[int] = None,
              schedule: Optional[str] = None,

@@ -182,12 +182,59 @@ def raptor_encode_pair(backend: str, k: int, payload_size: int,
     return fast.intermediates.tobytes(), slow.intermediates.tobytes()
 
 
+# -- eager droplet intake (the deferred Raptor intake's oracle) -----------------
+
+
+def eager_raptor_decoder(geometry, payload_size=None):
+    """A Raptor decoder that turns every droplet into an equation on
+    arrival — the intake exactly as it ran before systematic rows were
+    held back, for ``tests/test_batched_ingest.py`` to hold the
+    deferred intake to: same completing packet, bytes, counters and
+    ``min_additional_packets`` after every call."""
+    from repro.codes.raptor.decoder import RaptorDecoder
+
+    class EagerRaptorDecoder(RaptorDecoder):
+        def _add_one(self, index, payload, drop_late):
+            self._bank(index, payload)
+            if (drop_late and self.is_complete) or not self.add_equation(
+                    self.spec.neighbours(int(self._esis(index))), payload):
+                self._redundant += 1
+
+        def _add_packets_batch(self, indices, payloads):
+            has_payload = payloads is not None
+            fresh_rows = []
+            for row, index in enumerate(indices):
+                index = int(index)
+                if self._admit(index, has_payload):
+                    fresh_rows.append((row, index))
+            if not fresh_rows:
+                return 0
+            rows = np.asarray([r for r, _ in fresh_rows], dtype=np.int64)
+            ids = np.asarray([i for _, i in fresh_rows], dtype=np.int64)
+            rhs = None
+            if has_payload:
+                rhs = np.ascontiguousarray(
+                    np.asarray(payloads, dtype=np.uint8)[rows])
+            self._bank(ids, rhs)
+            if self.is_complete:
+                self._redundant += len(fresh_rows)
+                return len(fresh_rows)
+            flat, indptr = self.spec.neighbour_block(self._esis(ids))
+            contributed = self.add_equations(indptr, flat, rhs)
+            self._redundant += int(np.count_nonzero(~contributed))
+            self.maybe_inactivate()
+            return len(fresh_rows)
+
+    return EagerRaptorDecoder(geometry, payload_size=payload_size)
+
+
 # -- per-packet serve loops (the windowed transports' oracles) -----------------
 #
-# The memory and file serve loops exactly as they ran before the send
-# path went windowed: one packet pulled, one loss draw per subscriber,
-# one shadow ``receive_index`` at a time.  ``tests/test_windowed_serve.py``
-# holds the windowed ``serve`` methods to these, byte for byte.
+# The memory, file and (at the end of the module) UDP serve loops
+# exactly as they ran before the send path went windowed: one packet
+# pulled, one loss draw per subscriber, one shadow ``receive_index`` at
+# a time.  ``tests/test_windowed_serve.py`` holds the windowed ``serve``
+# methods to these, byte for byte.
 
 
 def pack_gf2_rows(coeffs: np.ndarray) -> np.ndarray:
@@ -342,4 +389,143 @@ def oracle_file_serve(transport, session, *, count=None, extra=0):
         delivered=survivors,
         dropped=channel.sent - channel.delivered,
         duration=time.perf_counter() - start,
+    )
+
+
+def oracle_udp_serve(transport, session, **options):
+    """``UdpTransport.serve``, one packet at a time (synchronous wrapper)."""
+    import asyncio
+
+    return asyncio.run(oracle_udp_serve_async(transport, session, **options))
+
+
+async def oracle_udp_serve_async(transport, session, *, count=None,
+                                 duration=None, stop=None, policy=None,
+                                 feedback=None, adapt_every=64):
+    """``UdpTransport.serve_async`` exactly as it ran before the UDP
+    send path went windowed: one packet pulled, one header object and
+    ``to_bytes``, one ``pack_frame`` and one ``lost()`` verdict per
+    destination at a time.  ``TestUdpServe`` holds the windowed serve
+    to the datagrams this puts on the wire."""
+    import asyncio
+    import json
+    import socket
+    import time
+
+    from repro.errors import ProtocolError
+    from repro.net.transport.base import (
+        EMISSION_LIMIT_FACTOR,
+        FRAME_DATA,
+        FRAME_MANIFEST,
+        ServeReport,
+        pack_frame,
+    )
+    from repro.net.transport.pacing import TokenBucket
+    from repro.net.transport.udp import (
+        _YIELD_EVERY,
+        _SenderProtocol,
+        _stop_check,
+        is_multicast,
+    )
+    from repro.protocol.feedback import FeedbackReport
+
+    self = transport
+    should_stop = _stop_check(stop)
+    adaptive = policy is not None
+    if adaptive and count is None:
+        count = EMISSION_LIMIT_FACTOR * session.total_k
+    loop = asyncio.get_running_loop()
+    transport, protocol = await loop.create_datagram_endpoint(
+        _SenderProtocol,
+        local_addr=self.bind or ("0.0.0.0", 0))
+    sock = transport.get_extra_info("socket")
+    if sock is not None and any(is_multicast(host)
+                                for host, _ in self.destinations):
+        sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_TTL,
+                        self.ttl)
+        sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_LOOP, 1)
+        sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_IF,
+                        socket.inet_aton(self.interface))
+    bucket = None if self.pace is None else TokenBucket(self.pace)
+    streams = self._loss_streams()
+    source = getattr(session, "source", session)
+    reweight = getattr(source, "reweight", None)
+    codec = getattr(session, "codec", None)
+    block_ks = codec.plan.block_ks if codec is not None else [1]
+    manifest_frame = pack_frame(
+        FRAME_MANIFEST,
+        json.dumps(session.manifest()).encode("utf-8"))
+    start = time.perf_counter()
+    deadline = None if duration is None else start + float(duration)
+    emitted = delivered = dropped = manifest_frames = 0
+    feedback_frames = 0
+    try:
+        for packet in session.packets(count):
+            if should_stop():
+                break
+            if (deadline is not None
+                    and time.perf_counter() >= deadline):
+                break
+            slept = 0.0
+            if bucket is not None:
+                slept = await bucket.throttle()
+            if slept == 0.0 and emitted % _YIELD_EVERY == 0:
+                # A CPU-bound serve below the pace rate never runs
+                # the bucket dry; yield anyway so the event loop
+                # polls the socket and feedback frames get read.
+                await asyncio.sleep(0)
+            if protocol.feedback and (adaptive or feedback is not None):
+                now = time.perf_counter() - start
+                while protocol.feedback:
+                    body = protocol.feedback.popleft()
+                    try:
+                        report = FeedbackReport.decode(body)
+                    except ProtocolError:
+                        protocol.malformed += 1
+                        continue
+                    feedback_frames += 1
+                    if policy is not None:
+                        policy.observe(report, now=now)
+                    if feedback is not None:
+                        feedback(report)
+            if adaptive and emitted and emitted % adapt_every == 0:
+                now = time.perf_counter() - start
+                decision = policy.decide(block_ks, now=now)
+                if decision.all_complete:
+                    break
+                if bucket is not None and self.pace is not None:
+                    bucket.set_rate(self.pace * decision.rate_scale)
+                if decision.weights and reweight is not None:
+                    reweight(list(decision.weights))
+            if emitted % self.manifest_interval == 0:
+                for dest in self.destinations:
+                    transport.sendto(manifest_frame, dest)
+                manifest_frames += 1
+            frame = pack_frame(FRAME_DATA, packet.to_bytes())
+            for di, dest in enumerate(self.destinations):
+                if streams is not None and streams[di].lost():
+                    dropped += 1
+                    continue
+                transport.sendto(frame, dest)
+                delivered += 1
+            emitted += 1
+    finally:
+        # One final manifest so late joiners of a finite serve still
+        # learn the geometry, then let the endpoint flush and close.
+        for dest in self.destinations:
+            transport.sendto(manifest_frame, dest)
+        manifest_frames += 1
+        await asyncio.sleep(0)
+        transport.close()
+    return ServeReport(
+        transport=self.name,
+        emitted=emitted,
+        delivered=delivered,
+        dropped=dropped,
+        duration=time.perf_counter() - start,
+        destinations=len(self.destinations),
+        manifest_frames=manifest_frames,
+        socket_errors=protocol.errors,
+        feedback_frames=feedback_frames,
+        malformed_frames=protocol.malformed,
     )

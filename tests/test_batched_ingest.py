@@ -25,7 +25,11 @@ from repro.codes.raptor.decoder import RaptorDecoder
 from repro.codes.registry import build_code
 from repro.fountain.client import FountainClient
 
-from tests._oracles import assert_batched_identical, make_source
+from tests._oracles import (
+    assert_batched_identical,
+    eager_raptor_decoder,
+    make_source,
+)
 
 # -- batched vs sequential intake, all families ------------------------------
 
@@ -322,3 +326,142 @@ def test_droplet_decoder_counter_trajectories_are_pinned(key):
         assert np.array_equal(decoder.source_data(), source)
     assert (complete_at, decoder.inactivation_runs, trajectory[-1],
             zlib.crc32(repr(trajectory).encode())) == _PINNED[key]
+
+
+# -- deferred systematic intake vs the eager oracle --------------------------
+
+_K = 40
+
+
+def _arrivals(kind, seed):
+    """Droplet-id arrival orders that stress when rows are held/released."""
+    rng = np.random.default_rng(seed)
+    k = _K
+    if kind == "systematic-first":      # lossy source prefix, then repairs
+        survivors = np.arange(k)[rng.random(k) > 0.3 * rng.random()]
+        return np.concatenate([survivors, np.arange(k, 3 * k)])
+    if kind == "repair-first":
+        return np.concatenate([np.arange(k, 2 * k), np.arange(k)])
+    if kind == "interleaved":
+        return rng.permutation(3 * k)[:2 * k + 5]
+    if kind == "duplicates":
+        base = rng.permutation(3 * k)[:2 * k]
+        return np.insert(base, rng.integers(1, base.size, size=6), base[:6])
+    assert kind == "after-completion"   # clean block, late repairs, repeats
+    return np.concatenate([np.arange(k), np.arange(k, k + 12), np.arange(5)])
+
+
+def _state(decoder):
+    return (decoder.is_complete, decoder.packets_added,
+            decoder.duplicates_seen, decoder.redundant_droplets,
+            int(decoder.min_additional_packets), decoder.inactivation_runs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["systematic-first", "repair-first",
+                             "interleaved", "duplicates",
+                             "after-completion"]),
+       seed=st.integers(0, 2 ** 16),
+       step=st.sampled_from([1, 3, 32]),
+       backend=st.sampled_from(["vectorized", "reference"]),
+       payload=st.booleans())
+def test_deferred_intake_matches_eager_oracle(kind, seed, step, backend,
+                                              payload):
+    """Same completing packet, bytes, finisher runs, counters and
+    ``min_additional_packets`` after every single call."""
+    size = 8 if payload else None
+    with use_backend(backend):
+        code = build_code("raptor", _K, seed=seed % 50)
+        source = make_source(_K, 8, seed)
+        encoder = code.encoder(source)
+        deferred = code.new_decoder(size)
+        eager = eager_raptor_decoder(code.geometry, size)
+        order = _arrivals(kind, seed)
+        for lo in range(0, order.size, step):
+            chunk = [int(i) for i in order[lo:lo + step]]
+            payloads = (np.stack([encoder.droplet_payload(i) for i in chunk])
+                        if payload else None)
+            for decoder in (deferred, eager):
+                if step == 1:
+                    decoder.add_packet(
+                        chunk[0], None if payloads is None else payloads[0])
+                else:
+                    decoder.add_packets(chunk, payloads)
+            assert _state(deferred) == _state(eager), (lo, chunk)
+            assert eager.held_rows == 0
+            assert (deferred._equations_seen + deferred.held_rows
+                    == eager._equations_seen)
+        if payload and deferred.is_complete:
+            assert np.array_equal(deferred.source_data(), source)
+            assert np.array_equal(eager.source_data(), source)
+
+
+@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+@pytest.mark.parametrize("step", [1, 3, 32])
+def test_clean_systematic_block_builds_no_droplet_equation(backend, step):
+    """``k`` loss-free source packets: the engine holds the precode rows
+    and nothing else, and the block completes out of the bank."""
+    with use_backend(backend):
+        code = build_code("raptor", _K, seed=4)
+        source = make_source(_K, 16, seed=4)
+        decoder = code.new_decoder(16)
+        precode_rows = decoder._equations_seen
+        assert precode_rows == (decoder.geometry.intermediate_count - _K)
+        assert decoder.min_additional_packets == _K
+        for lo in range(0, _K, step):
+            ids = list(range(lo, min(lo + step, _K)))
+            if step == 1:
+                decoder.add_packet(ids[0], source[ids[0]])
+            else:
+                decoder.add_packets(ids, source[ids])
+            assert decoder.min_additional_packets == _K - ids[-1] - 1
+        assert decoder.is_complete
+        assert decoder._equations_seen == precode_rows
+        assert decoder.equation_count == precode_rows
+        assert decoder.inactivation_runs == 0
+        assert "held_rows=" in repr(decoder)
+        assert np.array_equal(decoder.source_data(), source)
+
+
+@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+@pytest.mark.parametrize("payload", [True, False])
+def test_first_repair_releases_held_rows_as_one_batch(backend, payload,
+                                                      monkeypatch):
+    """``s`` systematic droplets then a repair: exactly one
+    ``add_equations`` call, of ``s + 1`` rows, held rows first."""
+    held_ids = [3, 0, 17, 9, 30, 31, 32, 5, 21, 11]
+    with use_backend(backend):
+        code = build_code("raptor", _K, seed=4)
+        source = make_source(_K, 16, seed=4)
+        encoder = code.encoder(source)
+        decoder = code.new_decoder(16 if payload else None)
+        calls = []
+        intake = decoder.add_equations
+
+        def spy(indptr, participants, rhs=None):
+            calls.append((len(indptr) - 1, None if rhs is None
+                          else np.array(rhs)))
+            return intake(indptr, participants, rhs)
+
+        monkeypatch.setattr(decoder, "add_equations", spy)
+        decoder.add_packets(held_ids[:8], source[held_ids[:8]]
+                            if payload else None)
+        decoder.add_packet(held_ids[8], source[held_ids[8]]
+                           if payload else None)
+        decoder.add_packet(held_ids[9], source[held_ids[9]]
+                           if payload else None)
+        assert decoder.held_rows == 10 and not calls
+        repair = _K + 6
+        decoder.add_packet(repair, encoder.droplet_payload(repair)
+                           if payload else None)
+        assert decoder.held_rows == 0
+        assert [rows for rows, _ in calls] == [11]
+        seen = decoder._equations_seen
+        if payload:
+            assert np.array_equal(calls[0][1][:10], source[held_ids])
+            assert np.array_equal(calls[0][1][10],
+                                  encoder.droplet_payload(repair))
+        # from here on every droplet enters on arrival
+        decoder.add_packet(1, source[1] if payload else None)
+        assert decoder.held_rows == 0
+        assert decoder._equations_seen == seen + 1

@@ -1,6 +1,6 @@
 """The windowed send path emits exactly what the per-packet one did.
 
-Two layers, both held to per-packet oracles on both codec backends:
+Three layers, all held to per-packet oracles on both codec backends:
 
 * the **look-ahead** behind ``packets()`` — block sources synthesise
   :data:`~repro.fountain.source.LOOKAHEAD` emissions per batched call —
@@ -9,12 +9,17 @@ Two layers, both held to per-packet oracles on both codec backends:
 * the **deficit-bounded windows** of ``MemoryTransport.serve`` and
   ``FileTransport.serve`` against the per-packet serve loops kept in
   :mod:`tests._oracles`: same ``ServeReport`` counters, same subscriber
-  record bytes, same ``stream.pkt`` and ``manifest.json`` bytes.
+  record bytes, same ``stream.pkt`` and ``manifest.json`` bytes;
+* the **windowed UDP serve** (``TransferServer.record_window`` framed
+  in one buffer, a thin per-emission row loop) against
+  ``oracle_udp_serve``: the same datagrams on loopback, in order, and
+  no id skipped when a stop lands mid-window.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import socket
 from itertools import islice
 
 import numpy as np
@@ -22,19 +27,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import make_source, oracle_file_serve, oracle_memory_serve
+from _oracles import (
+    make_source,
+    oracle_file_serve,
+    oracle_memory_serve,
+    oracle_udp_serve,
+)
 from repro import api
 from repro.codes.backend import use_backend
 from repro.codes.registry import build_code
 from repro.errors import ProtocolError, ReproError
 from repro.fountain.carousel import CarouselServer
 from repro.fountain.rateless import RatelessServer
-from repro.fountain.source import LOOKAHEAD
+from repro.fountain.packets import SERIAL_MODULUS
+from repro.fountain.source import LOOKAHEAD, build_packet_source
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss
-from repro.net.transport import FileTransport, MemoryTransport
-from repro.net.transport.base import SERVE_WINDOW
-from repro.protocol.adaptive import AdaptivePolicy
+from repro.net.transport import FileTransport, MemoryTransport, UdpTransport
+from repro.net.transport import udp as udp_module
+from repro.net.transport.base import (
+    FRAME_DATA,
+    FRAME_MANIFEST,
+    SERVE_WINDOW,
+    iter_frames,
+)
+from repro.net.transport.udp import UdpSubscription
+from repro.protocol.adaptive import AdaptivePolicy, PolicyDecision
 from repro.transfer.client import TransferClient
 
 BACKENDS = ["vectorized", "reference"]
@@ -437,3 +455,302 @@ class TestFileServe:
         assert (_file_run(FileTransport.serve, base / "got", code, **options)
                 == _file_run(oracle_file_serve, base / "want", code,
                              **options))
+
+
+# -- record windows: the object-free draw ---------------------------------------
+
+
+class TestRecordWindow:
+    @pytest.mark.parametrize("code", CODES)
+    @pytest.mark.parametrize("size", [OBJECT, 41 * PACKET],
+                             ids=["multi-block", "single-block"])
+    def test_rows_are_the_packets_bytes(self, backend, code, size):
+        want = [p.to_bytes() for p in _session(code, size=size).packets(260)]
+        source = _session(code, size=size).source
+        got = []
+        stream = source.packets()
+        for turn, count in enumerate([1, 70, 3, LOOKAHEAD, 0, 90, 64]):
+            if turn % 2:
+                got += [p.to_bytes() for p in islice(stream, count)]
+            else:
+                window = source.record_window(count)
+                assert window.shape == (count, len(want[0]))
+                got += [row.tobytes() for row in window]
+        assert got == want
+
+    @pytest.mark.parametrize("code", ["lt", "raptor", "tornado-b"])
+    def test_unwind_resumes_from_the_last_record_kept(self, backend, code):
+        want = [p.to_bytes() for p in _session(code).packets(400)]
+        source = _session(code).source
+        got = []
+        for keep in [0, 17, 40, 1, 39, 23] * 3:     # of windows of 40
+            got += [row.tobytes()
+                    for row in source.record_window(40)[:keep]]
+            source.unwind(40 - keep)
+        got += [p.to_bytes() for p in source.packets(40)]
+        assert got == want
+        assert not source._unsent
+
+    def test_reweight_drops_the_slots_taken_back(self, backend):
+        """A per-packet sender stopped before emission ``e`` and then
+        reweighted draws slot ``e`` from the new schedule."""
+        weights = [0.2, 5.0, 1.0]
+        twin = _session("lt").source
+        want = [p.to_bytes() for p in twin.packets(6)]
+        twin.reweight(weights)
+        want += [p.to_bytes() for p in twin.packets(30)]
+        source = _session("lt").source
+        got = [row.tobytes() for row in source.record_window(10)[:6]]
+        source.unwind(4)
+        source.reweight(weights)
+        got += [row.tobytes() for row in source.record_window(30)]
+        assert got == want
+
+
+# -- windowed UDP serve vs the per-packet oracle -------------------------------
+
+
+def _udp_available():
+    try:
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            sock.bind(("127.0.0.1", 0))
+        finally:
+            sock.close()
+        return True
+    except OSError:
+        return False
+
+
+class _Ear:
+    """A loopback socket that keeps every datagram it is sent, in order."""
+
+    def __init__(self):
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 22)
+        self.sock.bind(("127.0.0.1", 0))
+        self.sock.setblocking(False)
+        self.address = self.sock.getsockname()
+
+    def drain(self):
+        datagrams = []
+        while True:
+            try:
+                datagrams.append(self.sock.recv(65535))
+            except BlockingIOError:
+                return datagrams
+
+    def close(self):
+        self.sock.close()
+
+
+@pytest.fixture
+def ears():
+    pair = [_Ear(), _Ear()]
+    yield pair
+    for ear in pair:
+        ear.close()
+
+
+def _udp_run(serve, session, ears, *, destinations=1, loss=0.0, loss_seed=5,
+             **options):
+    """One serve; ``(counters, datagrams per destination)``."""
+    transport = UdpTransport([ear.address for ear in ears[:destinations]],
+                             loss=loss, seed=loss_seed)
+    report = serve(transport, session, **options)
+    return _counters(report), [ear.drain() for ear in ears[:destinations]]
+
+
+def _data_records(datagrams):
+    """The data-frame bodies of a datagram run, in order."""
+    return [body for datagram in datagrams
+            for kind, body in iter_frames(datagram) if kind == FRAME_DATA]
+
+
+class _BareSession:
+    """The least a transport needs of a session, around any source."""
+
+    def __init__(self, source, k):
+        self.source = source
+        self.total_k = k
+
+    def packets(self, count=None):
+        return self.source.packets(count)
+
+    def manifest(self):
+        return {"code": "bare", "packet_size": PACKET, "num_blocks": 1}
+
+
+class _ScriptedPolicy:
+    """Decisions by the book: ``script[i]`` answers the i-th ``decide``."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.asked = 0
+
+    def observe(self, report, now=0.0):
+        pass
+
+    def decide(self, block_ks, now=0.0):
+        weights, done = self.script[min(self.asked, len(self.script) - 1)]
+        self.asked += 1
+        return PolicyDecision(loss=0.0, rate_scale=1.0,
+                              weights=tuple(weights), active=0 if done else 1,
+                              complete=1 if done else 0)
+
+
+@pytest.mark.skipif(not _udp_available(),
+                    reason="UDP loopback sockets unavailable")
+class TestUdpServe:
+    @pytest.mark.parametrize("code", CODES)
+    @pytest.mark.parametrize("size", [OBJECT, 41 * PACKET],
+                             ids=["multi-block", "single-block"])
+    def test_datagrams_identical_to_per_packet_loop(self, backend, ears,
+                                                    code, size):
+        got = _udp_run(UdpTransport.serve, _session(code, size=size), ears,
+                       count=333)
+        want = _udp_run(oracle_udp_serve, _session(code, size=size), ears,
+                        count=333)
+        assert got == want
+        records = _data_records(got[1][0])
+        assert len(records) == 333
+        assert len(records[0]) == PACKET + (16 if size == OBJECT else 12)
+        # manifest frames sit where they sat: before emissions 0, 64, ...
+        kinds = [next(iter_frames(d))[0] for d in got[1][0]]
+        assert [i for i, kind in enumerate(kinds)
+                if kind == FRAME_MANIFEST] == [0, 65, 130, 195, 260, 325, 339]
+
+    @pytest.mark.parametrize("code", ["lt", "tornado-b"])
+    @pytest.mark.parametrize("window", [1, 50, 64, 333])
+    def test_any_window_size(self, backend, ears, monkeypatch, code, window):
+        want = _udp_run(oracle_udp_serve, _session(code), ears, count=333)
+        monkeypatch.setattr(udp_module, "SERVE_WINDOW", window)
+        assert _udp_run(UdpTransport.serve, _session(code), ears,
+                        count=333) == want
+
+    @pytest.mark.parametrize("code", ["lt", "raptor", "rs"])
+    def test_two_destinations_with_injected_loss(self, backend, ears, code):
+        options = dict(destinations=2, loss=0.3, count=200)
+        got = _udp_run(UdpTransport.serve, _session(code), ears, **options)
+        want = _udp_run(oracle_udp_serve, _session(code), ears, **options)
+        assert got == want
+        assert got[0]["dropped"] > 0
+        assert got[0]["delivered"] + got[0]["dropped"] == 400
+        assert got[1][0] != got[1][1]       # independent loss per destination
+
+    @pytest.mark.parametrize("code", ["lt", "tornado-b"])
+    @pytest.mark.parametrize("adapt_every", [7, 64])
+    def test_policy_reweights_on_the_next_slot(self, backend, ears, code,
+                                               adapt_every):
+        script = [((), False), ((0.2, 5.0, 1.0), False), ((), False),
+                  ((3.0, 0.5, 0.5), False), ((), False)]
+
+        def run(serve):
+            policy = _ScriptedPolicy(script)
+            result = _udp_run(serve, _session(code), ears, count=300,
+                              policy=policy, adapt_every=adapt_every)
+            return result, policy.asked
+
+        got, want = run(UdpTransport.serve), run(oracle_udp_serve)
+        assert got == want
+        assert got[1] == (300 - 1) // adapt_every
+        blocks = [int.from_bytes(r[12:16], "big")
+                  for r in _data_records(got[0][1][0])]
+        straight = [p.block for p in _session(code).packets(300)]
+        assert blocks != straight            # the reweights took effect
+
+    def test_serial_wraps_at_2_to_the_32(self, backend, ears):
+        def run(serve):
+            session = _session("lt")
+            session.source._sequencer._serial = SERIAL_MODULUS - 10
+            return _udp_run(serve, session, ears, count=40)
+
+        got = run(UdpTransport.serve)
+        assert got == run(oracle_udp_serve)
+        serials = [int.from_bytes(r[4:8], "big")
+                   for r in _data_records(got[1][0])]
+        assert serials == [(SERIAL_MODULUS - 10 + t) % SERIAL_MODULUS
+                           for t in range(40)]
+
+    @pytest.mark.parametrize("mode", ["rateless", "layered"])
+    def test_sources_without_windows_still_serve(self, backend, ears, mode):
+        def session():
+            code = build_code("lt", 24, seed=5)
+            return _BareSession(build_packet_source(
+                code, make_source(24, PACKET, 5), mode=mode), 24)
+
+        assert not hasattr(session().source, "record_window")
+        got = _udp_run(UdpTransport.serve, session(), ears, count=100)
+        assert got == _udp_run(oracle_udp_serve, session(), ears, count=100)
+        assert len(_data_records(got[1][0])) == 100
+
+    # -- a stop mid-window skips no id ------------------------------------------
+
+    def _straight(self, code, ears, count):
+        return _data_records(_udp_run(
+            oracle_udp_serve, _session(code), ears, count=count)[1][0])
+
+    @pytest.mark.parametrize("code", ["lt", "raptor", "tornado-b"])
+    def test_consecutive_serves_continue_the_stream(self, backend, ears,
+                                                    code):
+        session = _session(code)
+        first = _udp_run(UdpTransport.serve, session, ears, count=70)
+        second = _udp_run(UdpTransport.serve, session, ears, count=130)
+        assert (_data_records(first[1][0]) + _data_records(second[1][0])
+                == self._straight(code, ears, 200))
+
+    @pytest.mark.parametrize("code", ["lt", "raptor", "tornado-b"])
+    def test_stop_mid_window_then_serve_again(self, backend, ears, code):
+        session = _session(code)
+        asked = []
+
+        def stop():
+            asked.append(None)
+            return len(asked) > 37
+
+        first = _udp_run(UdpTransport.serve, session, ears, count=200,
+                         stop=stop)
+        assert first[0]["emitted"] == first[0]["delivered"] == 37
+        # ... and through packets(), which shares the cursors
+        between = [p.to_bytes() for p in session.packets(5)]
+        second = _udp_run(UdpTransport.serve, session, ears, count=100)
+        assert (_data_records(first[1][0]) + between
+                + _data_records(second[1][0])
+                == self._straight(code, ears, 142))
+
+    def test_all_complete_mid_serve_then_serve_again(self, backend, ears):
+        session = _session("lt")
+        policy = _ScriptedPolicy([((), False), ((), True)])
+        first = _udp_run(UdpTransport.serve, session, ears, count=300,
+                         policy=policy, adapt_every=20)
+        assert first[0]["emitted"] == 40
+        second = _udp_run(UdpTransport.serve, session, ears, count=60)
+        assert (_data_records(first[1][0]) + _data_records(second[1][0])
+                == self._straight("lt", ears, 100))
+
+    def test_zero_duration_sends_nothing_and_skips_nothing(self, backend,
+                                                           ears):
+        session = _session("lt")
+        first = _udp_run(UdpTransport.serve, session, ears, count=50,
+                         duration=0.0)
+        assert first[0]["emitted"] == 0
+        second = _udp_run(UdpTransport.serve, session, ears, count=50)
+        assert _data_records(second[1][0]) == self._straight("lt", ears, 50)
+
+    # -- the receiving end counts what it sees ----------------------------------
+
+    def test_subscription_counts_every_datagram(self, backend):
+        data = _data(3)
+        session = api.SenderSession(data, code="raptor", packet_size=PACKET,
+                                    block_size=BLOCK, seed=3)
+        with UdpSubscription("127.0.0.1:0", timeout=2.0) as sub:
+            sub.socket.sendto(b"\x01\xff", sub.address)     # truncated frame
+            report = UdpTransport([sub.address]).serve(session, count=157)
+            receiver = api.ReceiverSession.from_subscription(sub)
+            sub.feed(receiver)
+            assert receiver.is_complete and receiver.data() == data
+            assert sub.malformed == 1
+            # the feed stops reading once the decode completes
+            assert (1 + 157 < sub.datagrams
+                    <= 1 + report.emitted + report.manifest_frames)
+            assert f"datagrams={sub.datagrams}" in repr(sub)
