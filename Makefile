@@ -38,8 +38,10 @@ coverage:
 			"(pip install pytest-cov)"; \
 	fi
 
-# Just the transport layer (framing, pacing, memory/file/UDP delivery)
-# plus the windowed UDP serve held to its per-packet oracle.
+# Just the transport layer (framing, pacing, memory/file/UDP delivery,
+# and the spoofed-datagram loopback test: one hostile record is an
+# erasure, not the end of a fetch) plus the windowed UDP serve held to
+# its per-packet oracle.
 # Binds real loopback sockets; skips gracefully where unavailable.
 test-udp:
 	$(PYTHON) -m pytest -q tests/test_transport.py \
@@ -116,13 +118,15 @@ docs-check:
 	$(PYTHON) tools/check_docs.py README.md docs/ARCHITECTURE.md
 
 # mypy over the typed core: the registry protocols, the repro.api
-# facade, and the protocol layer that consumes them (config: mypy.ini).
+# facade, the protocol layer, and the two clients that consume the
+# IncrementalDecoder Protocol (config: mypy.ini).
 # Skips gracefully when mypy is not installed (the library itself has
 # no dependency on it); CI installs mypy and runs this for real.
 typecheck:
 	@if $(PYTHON) -c "import mypy" >/dev/null 2>&1; then \
 		$(PYTHON) -m mypy src/repro/api.py src/repro/codes/registry.py \
-			src/repro/protocol; \
+			src/repro/protocol src/repro/fountain/client.py \
+			src/repro/transfer/client.py; \
 	else \
 		echo "mypy not installed; skipping typecheck (pip install mypy)"; \
 	fi

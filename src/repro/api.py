@@ -257,6 +257,7 @@ class ReceiverSession:
         self.record_size = record_size(manifest)
         self.header_size = self.record_size - self.codec.plan.packet_size
         self.packets_used = 0
+        self._rejected = 0
         self.receiver_id = int(receiver_id)
         if report is None or report is False:
             self.report_interval: Optional[int] = None
@@ -304,6 +305,13 @@ class ReceiverSession:
     def reporting(self) -> bool:
         return self.report_interval is not None
 
+    @property
+    def rejected(self) -> int:
+        """Wire records dropped as erasures: wrong length, a block id
+        the manifest does not have, or an index outside its block's
+        encoding — a foreign or hostile sender's, never raised."""
+        return self._rejected
+
     def feedback_report(self) -> FeedbackReport:
         """This session's current state as a feedback wire frame."""
         return report_from_client(self.client,
@@ -340,8 +348,7 @@ class ReceiverSession:
 
     def receive_record(self, record: bytes) -> bool:
         """Ingest one on-wire packet record (header + payload bytes)."""
-        return self.receive(EncodingPacket.from_bytes(
-            record, block_aware=self.block_aware))
+        return self.receive_records((record,))
 
     def receive_records(self, records: Sequence[bytes]) -> bool:
         """Ingest a batch of wire records in one decoder pass per block.
@@ -351,6 +358,12 @@ class ReceiverSession:
         here, where headers parse in one vectorized pass and each
         block's packets reach its decoder through
         :meth:`~repro.transfer.client.TransferClient.receive_many`.
+
+        This is the bytes-in boundary, so nothing a record says is
+        trusted: one of the wrong length, or whose header names a block
+        or index the manifest's geometry does not have, is dropped as
+        an erasure and counted in :attr:`rejected` — in the same pass,
+        never raised.
 
         Counter-exact versus feeding :meth:`receive_record` one call
         per record (the deficit-bounded chunking of
@@ -362,38 +375,27 @@ class ReceiverSession:
         if self.client.is_complete:
             return True
         records = list(records)
-        if any(len(r) != self.record_size for r in records):
-            # Malformed lengths take the scalar path so the error
-            # (or skip) behavior matches one-at-a-time feeding.
-            for record in records:
-                if self.receive_record(record):
-                    break
-            return self.is_complete
+        if set(map(len, records)) - {self.record_size}:
+            sized = [r for r in records if len(r) == self.record_size]
+            self._rejected += len(records) - len(sized)
+            records = sized
         if not records:
-            return self.is_complete
+            return False
         buf = np.frombuffer(b"".join(records), dtype=np.uint8)
         buf = buf.reshape(len(records), self.record_size)
         fields = header_fields(buf, self.header_size)
         blocks = (fields[:, 3] if self.block_aware
                   else np.zeros(len(records), dtype=np.int64))
-        payloads = buf[:, self.header_size:]
-        used = self.client.receive_window(blocks, fields[:, 0], payloads)
+        named = self.client.names_packet(blocks, fields[:, 0])
+        if not named.all():
+            self._rejected += len(records) - int(named.sum())
+            buf, fields, blocks = buf[named], fields[named], blocks[named]
+        used = self.client.receive_window(blocks, fields[:, 0],
+                                          buf[:, self.header_size:])
         self.packets_used += used
         if self.reporting:
             self.loss_estimator.observe(fields[:used, 1].tolist())
         return self.client.is_complete
-
-    def receive_stream_bytes(self, raw: bytes) -> bool:
-        """Replay a whole recorded stream; stops early once complete."""
-        if len(raw) % self.record_size:
-            raise ReproError(
-                f"stream is {len(raw)} bytes, not a multiple of the "
-                f"{self.record_size}-byte packet record — truncated or "
-                "wrong manifest?")
-        for off in range(0, len(raw), self.record_size):
-            if self.receive_record(raw[off:off + self.record_size]):
-                break
-        return self.is_complete
 
     def data(self) -> bytes:
         """The reconstructed object, byte-identical to the sender's."""
@@ -405,7 +407,7 @@ class ReceiverSession:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ReceiverSession(code={self.code_spec!r}, "
                 f"blocks={self.client.blocks_complete}/"
-                f"{self.codec.num_blocks})")
+                f"{self.codec.num_blocks}, rejected={self.rejected})")
 
 
 # -- one-call file transfer ----------------------------------------------------

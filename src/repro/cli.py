@@ -459,7 +459,8 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     if args.report and args.transport == "udp":
         print(f"reported: {subscription.feedback_sent} feedback frames "
               f"sent; {subscription.datagrams} datagrams seen, "
-              f"{subscription.malformed} malformed")
+              f"{subscription.malformed} malformed, "
+              f"{session.rejected} records rejected")
     return 0
 
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ParameterError
+from repro.errors import DecodeFailure, ParameterError
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,66 @@ class BlockEncoder:
 
     def __getitem__(self, index):
         return self._materialise()[index]
+
+
+class DecoderBackedCode:
+    """Batch decoding for codes that build a native incremental decoder.
+
+    Tornado, LT and Raptor all decode by feeding the decoder
+    :meth:`new_decoder` hands back, so the batch surface every layer
+    expects of a code is written once, here, on top of it.  For a
+    rateless code the indices are droplet ids.
+    """
+
+    k: int
+
+    def new_decoder(self, payload_size: Optional[int] = None) -> Any:
+        """A fresh incremental decoder over this code's structure."""
+        raise NotImplementedError
+
+    def decode(self, received: Mapping[int, np.ndarray]) -> np.ndarray:
+        """Batch decode from a mapping of packet index to payload."""
+        if not received:
+            raise DecodeFailure("no packets received", missing=self.k)
+        payloads = np.stack([np.asarray(payload, dtype=np.uint8)
+                             for payload in received.values()])
+        decoder = self.new_decoder(payload_size=payloads.shape[1])
+        decoder.add_packets(np.fromiter(received, dtype=np.int64), payloads)
+        return decoder.source_data()
+
+    def is_decodable(self, indices: Iterable[int]) -> bool:
+        """Structural decodability of an index set (no payloads touched)."""
+        decoder = self.new_decoder()
+        decoder.add_packets(np.fromiter(indices, dtype=np.int64))
+        return decoder.is_complete
+
+    def packets_to_decode(self, arrival_order: Sequence[int]) -> int:
+        """Exact number of leading arrivals needed to decode.
+
+        Feeds the incremental decoder in coarse chunks to find the
+        completing chunk, then replays the prefix packet by packet —
+        decodability is monotone in the received set, so the replay
+        gives the exact count at a fraction of the cost of pure single
+        stepping.
+        """
+        order = np.asarray(arrival_order, dtype=np.int64)
+        chunk = max(16, self.k // 64)
+        decoder = self.new_decoder()
+        pos = 0
+        while pos < order.size and not decoder.is_complete:
+            decoder.add_packets(order[pos:pos + chunk])
+            pos += chunk
+        if not decoder.is_complete:
+            raise DecodeFailure(
+                "arrival order never becomes decodable",
+                missing=self.k - decoder.source_known_count)
+        count = max(0, pos - chunk)
+        decoder = self.new_decoder()
+        decoder.add_packets(order[:count])
+        while not decoder.is_complete:
+            decoder.add_packet(int(order[count]))
+            count += 1
+        return count
 
 
 class ErasureCode(abc.ABC):

@@ -10,9 +10,10 @@ source.  There is no ``n``, no stretch factor, and no wrap-around
 duplicates: ``stretch_factor`` is infinite and distinctness efficiency
 is always 1.
 
-The deliberate mirror of :class:`~repro.codes.tornado.code.TornadoCode`
-(``new_decoder`` / ``decode`` / ``is_decodable`` / ``packets_to_decode``)
-lets every fountain, protocol and simulation layer drive both code
+Like :class:`~repro.codes.tornado.code.TornadoCode` it only supplies
+``new_decoder``; ``decode`` / ``is_decodable`` / ``packets_to_decode``
+are the shared :class:`~repro.codes.base.DecoderBackedCode` ones, so
+every fountain, protocol and simulation layer drives both code
 families unchanged; indices simply mean *droplet ids* instead of
 positions in a finite encoding.
 
@@ -27,20 +28,21 @@ True
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
+from repro.codes.base import DecoderBackedCode
 from repro.codes.degree import DegreeDistribution
 from repro.codes.lt.decoder import LTDecoder
 from repro.codes.lt.degree import robust_soliton
 from repro.codes.lt.encoder import DropletSpec, LTEncoder
-from repro.errors import DecodeFailure, ParameterError
+from repro.errors import ParameterError
 
 __all__ = ["LTCode"]
 
 
-class LTCode:
+class LTCode(DecoderBackedCode):
     """An LT rateless code with a fixed, seed-reproducible droplet stream.
 
     Parameters
@@ -118,51 +120,6 @@ class LTCode:
         """A fresh incremental decoder sharing this code's droplet spec."""
         return LTDecoder(self.spec, payload_size=payload_size,
                          inactivation_limit=self.inactivation_limit)
-
-    def decode(self, received: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Batch decode from a mapping of droplet id to payload."""
-        if not received:
-            raise DecodeFailure("no droplets received", missing=self.k)
-        first_payload = np.asarray(next(iter(received.values())))
-        decoder = self.new_decoder(payload_size=first_payload.shape[0])
-        for droplet_id, payload in received.items():
-            decoder.add_packet(int(droplet_id),
-                               np.asarray(payload, dtype=np.uint8))
-        return decoder.source_data()
-
-    def is_decodable(self, indices: Iterable[int]) -> bool:
-        """Structural decodability of a droplet id set (no payloads)."""
-        decoder = self.new_decoder()
-        decoder.add_packets([int(i) for i in indices])
-        return decoder.is_complete
-
-    def packets_to_decode(self, arrival_order: Sequence[int]) -> int:
-        """Number of leading droplets of ``arrival_order`` needed to decode.
-
-        Feeds the incremental decoder in coarse chunks to find the
-        completing chunk, then replays the prefix droplet by droplet —
-        decodability is monotone in the received set, so the replay
-        gives the exact count at a fraction of single-stepping cost.
-        """
-        order = [int(i) for i in arrival_order]
-        chunk = max(16, self.k // 64)
-        decoder = self.new_decoder()
-        pos = 0
-        while pos < len(order) and not decoder.is_complete:
-            decoder.add_packets(order[pos:pos + chunk])
-            pos += chunk
-        if not decoder.is_complete:
-            raise DecodeFailure(
-                "arrival order never becomes decodable",
-                missing=self.k - decoder.source_known_count)
-        start = max(0, pos - chunk)
-        decoder = self.new_decoder()
-        decoder.add_packets(order[:start])
-        count = start
-        while not decoder.is_complete:
-            decoder.add_packet(order[count])
-            count += 1
-        return count
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"LTCode(name={self.name!r}, k={self.k}, "

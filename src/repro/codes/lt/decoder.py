@@ -64,7 +64,6 @@ class LTDecoder(PeelingEngine):
         self._lazy_peel = (self._bitmatrix
                            and self.inactivation_limit >= spec.k)
         self._droplet_ids: Set[int] = set()
-        self._packets_added = 0
         self._duplicates = 0
         self._redundant = 0
         # Droplets a subclass admitted and banked but whose equations
@@ -77,7 +76,7 @@ class LTDecoder(PeelingEngine):
     @property
     def packets_added(self) -> int:
         """Distinct droplets fed in so far."""
-        return self._packets_added
+        return len(self._droplet_ids)
 
     @property
     def duplicates_seen(self) -> int:
@@ -178,7 +177,6 @@ class LTDecoder(PeelingEngine):
         if self.values is not None and not has_payload:
             raise ParameterError("payload decoder requires droplet payloads")
         self._droplet_ids.add(index)
-        self._packets_added += 1
         return True
 
     def _add_one(self, index: int, payload: Optional[np.ndarray],

@@ -30,7 +30,7 @@ table, no stretch-factor ceiling, droplet ids may grow without bound
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -162,34 +162,6 @@ class DropletSpec:
 
     # -- batch derivation (the vectorized path) --------------------------------
 
-    def degrees_of(self, droplet_ids: np.ndarray) -> np.ndarray:
-        """Degrees of many droplets in one vectorized pass."""
-        ids = np.asarray(droplet_ids, dtype=np.int64)
-        if ids.size and int(ids.min()) < 0:
-            raise ParameterError("droplet id must be >= 0")
-        base = (np.uint64(self._key)
-                + ids.astype(np.uint64) * np.uint64(_ID_STRIDE))
-        u = (_splitmix64_np(base) >> np.uint64(11)) * 2.0 ** -53
-        slots = np.searchsorted(self._degree_cdf, u, side="right")
-        np.minimum(slots, self._degree_table.size - 1, out=slots)
-        return self._degree_table[slots]
-
-    def _permute_block(self, xs: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """Feistel outputs for an ``(rows, C)`` grid of walk positions.
-
-        ``keys`` has shape ``(rows, _ROUNDS)``; row ``i`` of ``xs`` is
-        evaluated under droplet ``i``'s permutation.
-        """
-        hb = self._half_bits
-        half_mask = np.uint64((1 << hb) - 1)
-        shift = np.uint64(64 - hb)
-        left = xs >> np.uint64(hb)
-        right = xs & half_mask
-        for r in range(_ROUNDS):
-            f = _splitmix64_np(right + keys[:, r:r + 1]) >> shift
-            left, right = right, left ^ f
-        return ((left << np.uint64(hb)) | right).astype(np.int64)
-
     def neighbour_block(self, droplet_ids: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray]:
         """Neighbour sets of many droplets as a ragged CSR pair.
@@ -261,11 +233,6 @@ class DropletSpec:
         for i in np.nonzero(taken < degrees)[0].tolist():
             flat[indptr[i]:indptr[i + 1]] = self.neighbours(int(ids[i]))
         return flat, indptr
-
-    def neighbour_lists(self, droplet_ids: Iterable[int]):
-        """Neighbour arrays for many droplets (generator, in id order)."""
-        for droplet_id in droplet_ids:
-            yield self.neighbours(droplet_id)
 
     @property
     def average_degree(self) -> float:

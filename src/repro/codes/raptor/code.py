@@ -21,9 +21,10 @@ constant: the ``p99 - p50`` gap of the decode threshold collapses
 compared to LT.
 
 The facade mirrors :class:`~repro.codes.lt.code.LTCode` exactly
-(``n = None``, ``encoder`` / ``new_decoder`` / ``decode`` /
-``is_decodable`` / ``packets_to_decode``), so every fountain, transfer,
-protocol and simulation layer drives both rateless families unchanged.
+(``n = None``, ``encoder`` / ``new_decoder``, batch decoding from the
+shared :class:`~repro.codes.base.DecoderBackedCode`), so every
+fountain, transfer, protocol and simulation layer drives both rateless
+families unchanged.
 
 >>> code = RaptorCode(100, seed=7)
 >>> decoder = code.new_decoder()
@@ -36,19 +37,19 @@ True
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
+from repro.codes.base import DecoderBackedCode
 from repro.codes.raptor.cache import cached_raptor_assets
 from repro.codes.raptor.decoder import RaptorDecoder
 from repro.codes.raptor.encoder import RaptorEncoder
-from repro.errors import DecodeFailure
 
 __all__ = ["RaptorCode"]
 
 
-class RaptorCode:
+class RaptorCode(DecoderBackedCode):
     """A systematic Raptor code with a fixed, seed-reproducible stream.
 
     Parameters
@@ -143,49 +144,6 @@ class RaptorCode:
         """A fresh incremental decoder sharing this code's geometry."""
         return RaptorDecoder(self.geometry, payload_size=payload_size,
                              inactivation_limit=self.inactivation_limit)
-
-    def decode(self, received: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Batch decode from a mapping of droplet id to payload."""
-        if not received:
-            raise DecodeFailure("no droplets received", missing=self.k)
-        first_payload = np.asarray(next(iter(received.values())))
-        decoder = self.new_decoder(payload_size=first_payload.shape[0])
-        for droplet_id, payload in received.items():
-            decoder.add_packet(int(droplet_id),
-                               np.asarray(payload, dtype=np.uint8))
-        return decoder.source_data()
-
-    def is_decodable(self, indices: Iterable[int]) -> bool:
-        """Structural decodability of a droplet id set (no payloads)."""
-        decoder = self.new_decoder()
-        decoder.add_packets([int(i) for i in indices])
-        return decoder.is_complete
-
-    def packets_to_decode(self, arrival_order: Sequence[int]) -> int:
-        """Number of leading droplets of ``arrival_order`` needed to decode.
-
-        Same coarse-chunk-then-replay scheme as the LT code —
-        decodability is monotone in the received set.
-        """
-        order = [int(i) for i in arrival_order]
-        chunk = max(16, self.k // 64)
-        decoder = self.new_decoder()
-        pos = 0
-        while pos < len(order) and not decoder.is_complete:
-            decoder.add_packets(order[pos:pos + chunk])
-            pos += chunk
-        if not decoder.is_complete:
-            raise DecodeFailure(
-                "arrival order never becomes decodable",
-                missing=self.k - decoder.source_known_count)
-        start = max(0, pos - chunk)
-        decoder = self.new_decoder()
-        decoder.add_packets(order[:start])
-        count = start
-        while not decoder.is_complete:
-            decoder.add_packet(order[count])
-            count += 1
-        return count
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"RaptorCode(name={self.name!r}, k={self.k}, "

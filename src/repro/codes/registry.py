@@ -136,6 +136,11 @@ class IncrementalDecoder(Protocol):
     decoder tracks decodability without storing data, the mode the
     large-scale simulations use.  With payloads, ``source_data()``
     returns the reconstructed ``(k, P)`` block once complete.
+
+    The decoder is also the one memory of *what arrived*: it validates
+    and dedups ids itself, and the receivers above it
+    (:class:`~repro.fountain.client.FountainClient` and its views) read
+    every reception counter from here.
     """
 
     @property
@@ -148,14 +153,32 @@ class IncrementalDecoder(Protocol):
         """Source packets recovered (or known recoverable) so far."""
         ...  # pragma: no cover - protocol
 
+    @property
+    def packets_added(self) -> int:
+        """Wire-distinct ids fed in so far — an id counts on its first
+        arrival even when decoding had already recovered its packet."""
+        ...  # pragma: no cover - protocol
+
+    @property
+    def duplicates_seen(self) -> int:
+        """Arrivals whose id had been fed in before."""
+        ...  # pragma: no cover - protocol
+
+    @property
+    def min_additional_packets(self) -> int:
+        """Provable lower bound on the distinct arrivals still needed:
+        0 once complete, else >= 1 and >= ``k - packets_added``.  Batch
+        feeders cap chunks at it, so one completes on its final packet."""
+        ...  # pragma: no cover - protocol
+
     def add_packet(self, index: int,
                    payload: Optional[np.ndarray] = None) -> bool:
-        """Ingest one packet; returns completeness after the update."""
+        """Ingest one packet; True when its id had not been seen before."""
         ...  # pragma: no cover - protocol
 
     def add_packets(self, indices: Sequence[int],
                     payloads: Optional[np.ndarray] = None) -> int:
-        """Ingest a batch of packets; returns how many were ingested."""
+        """Ingest a batch of packets; returns how many ids were new."""
         ...  # pragma: no cover - protocol
 
     def source_data(self) -> np.ndarray:
@@ -438,19 +461,33 @@ class SetDecoder:
     Wraps any :class:`~repro.codes.base.ErasureCode` (Reed-Solomon, the
     interleaved baseline) behind the :class:`IncrementalDecoder`
     contract: received indices accumulate in a set, completeness is the
-    code's own :meth:`is_decodable` (checked only once at least ``k``
-    distinct indices are in, which makes MDS adaptation O(1) amortised),
-    and payload decoding defers to the code's batch :meth:`decode`.
+    code's own :meth:`is_decodable`, and payload decoding defers to the
+    code's batch :meth:`decode`.
+
+    The decodability check runs on an *attempt schedule*: once
+    ``first_attempt`` distinct indices are in (never below ``k``), then
+    after every ``retry_step`` more.  The defaults, ``k`` and 1, check
+    on every new index from ``k`` on — incremental decoding, O(1)
+    amortised for an MDS code; ``(1 + margin) * k`` and a wider step are
+    the paper's *statistical* client (Section 7.2), which
+    :class:`~repro.fountain.client.FountainClient` selects for any code
+    by building this decoder over it.
     """
 
-    def __init__(self, code: Any, payload_size: Optional[int] = None):
+    def __init__(self, code: Any, payload_size: Optional[int] = None,
+                 first_attempt: Optional[int] = None, retry_step: int = 1):
         self.code = code
         self.payload_size = payload_size
+        self.retry_step = max(1, int(retry_step))
+        self._next_attempt = max(int(code.k), int(first_attempt or 0))
         self._indices: set = set()
         self._payloads: Dict[int, np.ndarray] = {}
         self._structural = False
         self._complete = False
         self._decoded: Optional[np.ndarray] = None
+        self._duplicates = 0
+        #: decodability checks run so far.
+        self.decode_attempts = 0
 
     @property
     def is_complete(self) -> bool:
@@ -467,53 +504,59 @@ class SetDecoder:
         return len(self._indices)
 
     @property
-    def values(self) -> Optional[Dict[int, np.ndarray]]:
-        """Payload store, or None when running structurally (mirrors the
-        peeling engine's ``values`` surface)."""
-        if self._structural or not self._payloads:
-            return None
-        return self._payloads
+    def duplicates_seen(self) -> int:
+        return self._duplicates
+
+    @property
+    def min_additional_packets(self) -> int:
+        """Distinct indices still missing before the next scheduled
+        attempt — no attempt, so no completion, can come sooner."""
+        if self._complete:
+            return 0
+        return max(1, self._next_attempt - len(self._indices))
 
     def _check_complete(self) -> None:
-        if not self._complete and len(self._indices) >= self.code.k:
+        if not self._complete and len(self._indices) >= self._next_attempt:
+            self.decode_attempts += 1
             self._complete = bool(self.code.is_decodable(self._indices))
+            self._next_attempt = len(self._indices) + self.retry_step
 
-    def _coerce_payload(self, payload: Any) -> np.ndarray:
-        arr = np.asarray(payload)
-        if (self.payload_size is not None
-                and arr.shape[-1] != self.payload_size):
+    def _admit(self, index: int, payload: Optional[np.ndarray]) -> bool:
+        """Validate, dedup and store one arrival; True when it is new."""
+        n = self.code.n
+        if index < 0 or (n is not None and index >= n):
             raise ParameterError(
-                f"payload carries {arr.shape[-1]} symbols, decoder "
-                f"expects {self.payload_size}")
-        return arr
+                f"packet index {index} outside [0, {n})")
+        if index in self._indices:
+            self._duplicates += 1
+            return False
+        if payload is None:
+            self._structural = True
+        else:
+            payload = np.asarray(payload)
+            if (self.payload_size is not None
+                    and payload.shape[-1] != self.payload_size):
+                raise ParameterError(
+                    f"payload carries {payload.shape[-1]} symbols, "
+                    f"decoder expects {self.payload_size}")
+            self._payloads[index] = payload
+        self._indices.add(index)
+        return True
 
     def add_packet(self, index: int,
                    payload: Optional[np.ndarray] = None) -> bool:
-        index = int(index)
-        if index not in self._indices:
-            self._indices.add(index)
-            if payload is None:
-                self._structural = True
-            else:
-                self._payloads[index] = self._coerce_payload(payload)
-            self._check_complete()
-        return self._complete
+        fresh = self._admit(int(index), payload)
+        self._check_complete()
+        return fresh
 
     def add_packets(self, indices: Sequence[int],
                     payloads: Optional[np.ndarray] = None) -> int:
-        count = 0
-        for pos, index in enumerate(indices):
-            index = int(index)
-            if index in self._indices:
-                continue
-            self._indices.add(index)
-            if payloads is None:
-                self._structural = True
-            else:
-                self._payloads[index] = self._coerce_payload(payloads[pos])
-            count += 1
+        fresh = 0
+        for row, index in enumerate(indices):
+            fresh += self._admit(
+                int(index), None if payloads is None else payloads[row])
         self._check_complete()
-        return count
+        return fresh
 
     def source_data(self) -> np.ndarray:
         if not self._complete:

@@ -10,16 +10,21 @@ magnitude ahead of Reed-Solomon.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.codes.backend import is_vectorized
-from repro.codes.base import BlockEncoder, ErasureCode, as_packet_block
+from repro.codes.base import (
+    BlockEncoder,
+    DecoderBackedCode,
+    ErasureCode,
+    as_packet_block,
+)
 from repro.codes.tornado.decoder import PeelingDecoder
 from repro.codes.tornado.degree import DegreeDistribution, heavy_tail_distribution
 from repro.codes.tornado.graph import CascadeStructure, build_cascade
-from repro.errors import DecodeFailure, ParameterError
+from repro.errors import ParameterError
 from repro.utils.packed import xor_view
 from repro.utils.rng import RngLike, spawn_rng
 
@@ -28,7 +33,7 @@ from repro.utils.rng import RngLike, spawn_rng
 _GRAPH_STREAM = 0x7042
 
 
-class TornadoCode(ErasureCode):
+class TornadoCode(DecoderBackedCode, ErasureCode):
     """A Tornado erasure code with a fixed, seed-reproducible structure.
 
     Parameters
@@ -134,57 +139,17 @@ class TornadoCode(ErasureCode):
         return PeelingDecoder(self.structure, payload_size=payload_size,
                               inactivation_limit=self.inactivation_limit)
 
-    def decode(self, received: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Batch decode from a mapping of packet index to payload."""
-        if not received:
-            raise DecodeFailure("no packets received", missing=self.k)
-        indices = np.fromiter(received.keys(), dtype=np.int64,
-                              count=len(received))
-        first_payload = np.asarray(next(iter(received.values())))
-        decoder = self.new_decoder(payload_size=first_payload.shape[0])
-        payloads = np.stack([np.asarray(received[int(i)], dtype=np.uint8)
-                             for i in indices])
-        decoder.add_packets(indices, payloads)
-        return decoder.source_data()
-
-    def is_decodable(self, indices: Iterable[int]) -> bool:
-        """Structural decodability of an index set (no payloads touched)."""
-        decoder = self.new_decoder()
-        decoder.add_packets(np.fromiter(indices, dtype=np.int64))
-        return decoder.is_complete
-
     def packets_to_decode(self, arrival_order: Sequence[int]) -> int:
         """Exact number of leading arrivals needed to decode.
 
-        Pure peeling feeds the incremental decoder in coarse chunks to
-        find the completing chunk, then replays the prefix packet by
-        packet — decodability is monotone in the received set, so the
-        replay gives the exact count at a fraction of the cost of pure
-        single stepping.  With inactivation enabled, a prefix binary
-        search (each probe one batch decode) is cheaper than per-packet
-        elimination attempts, so the generic strategy is used instead.
+        Pure peeling uses the shared chunk-then-replay scan.  With
+        inactivation enabled, a prefix binary search (each probe one
+        batch decode) is cheaper than per-packet elimination attempts,
+        so the generic strategy is used instead.
         """
         if self.inactivation_limit > 0:
-            return super().packets_to_decode(list(arrival_order))
-        order = np.asarray(arrival_order, dtype=np.int64)
-        chunk = max(16, self.k // 64)
-        decoder = self.new_decoder()
-        pos = 0
-        while pos < order.size and not decoder.is_complete:
-            decoder.add_packets(order[pos:pos + chunk])
-            pos += chunk
-        if not decoder.is_complete:
-            raise DecodeFailure(
-                "arrival order never becomes decodable",
-                missing=self.k - decoder.source_known_count)
-        start = max(0, pos - chunk)
-        decoder = self.new_decoder()
-        decoder.add_packets(order[:start])
-        count = start
-        while not decoder.is_complete:
-            decoder.add_packet(int(order[count]))
-            count += 1
-        return count
+            return ErasureCode.packets_to_decode(self, list(arrival_order))
+        return super().packets_to_decode(arrival_order)
 
     # -- introspection --------------------------------------------------------
 

@@ -69,6 +69,11 @@ class PeelingDecoder(PeelingEngine):
                 raise ParameterError(
                     "cap code runs over GF(2^16); payload size must be even")
         self.structure = structure
+        # Which encoding packets arrived on the wire — not the engine's
+        # ``known``, which also holds what peeling recovered: a first
+        # packet for a recovered node is still a distinct reception
+        # (Section 7.3's eta_d counts repeats, not redundancy).
+        self._received = np.zeros(structure.n, dtype=bool)
         self._packets_added = 0
         self._duplicates = 0
         super().__init__(structure.n,
@@ -113,13 +118,23 @@ class PeelingDecoder(PeelingEngine):
 
     @property
     def packets_added(self) -> int:
-        """Distinct encoding packets fed in so far."""
+        """Distinct encoding packets fed in so far (wire-distinct: a
+        packet peeling had already recovered still counts once)."""
         return self._packets_added
 
     @property
     def duplicates_seen(self) -> int:
-        """Packets fed in that were already known (received twice)."""
+        """Packets fed in whose index had arrived before."""
         return self._duplicates
+
+    @property
+    def min_additional_packets(self) -> int:
+        """Lower bound on further distinct packets needed: no erasure
+        code completes below ``k`` distinct receptions, and the cascade
+        offers no tighter bound short of running the decode."""
+        if self.is_complete:
+            return 0
+        return max(1, self.structure.k - self._packets_added)
 
     # -- feeding packets ----------------------------------------------------------
 
@@ -128,16 +143,18 @@ class PeelingDecoder(PeelingEngine):
         if not 0 <= index < self.structure.n:
             raise ParameterError(
                 f"packet index {index} outside [0, {self.structure.n})")
-        if self.known[index]:
+        if self._received[index]:
             self._duplicates += 1
             return False
-        self._packets_added += 1
         if self.values is not None and payload is None:
             raise ParameterError("payload decoder requires packet payloads")
-        payloads = None if payload is None else np.asarray(
-            payload, dtype=np.uint8)[np.newaxis]
-        self.observe_nodes(np.asarray([index], dtype=np.int64), payloads)
-        self.maybe_inactivate()
+        self._received[index] = True
+        self._packets_added += 1
+        if not self.known[index]:
+            payloads = None if payload is None else np.asarray(
+                payload, dtype=np.uint8)[np.newaxis]
+            self.observe_nodes(np.asarray([index], dtype=np.int64), payloads)
+            self.maybe_inactivate()
         return True
 
     def add_packets(self, indices: Sequence[int],
@@ -152,18 +169,21 @@ class PeelingDecoder(PeelingEngine):
             if payloads is None:
                 raise ParameterError("payload decoder requires packet payloads")
             payloads = np.asarray(payloads, dtype=np.uint8)
-        # Drop indices already known and in-batch duplicates.
+        # Drop indices already received and in-batch duplicates.
         uniq, first = np.unique(idx, return_index=True)
-        fresh_mask = ~self.known[uniq]
+        fresh_mask = ~self._received[uniq]
         fresh = uniq[fresh_mask]
+        self._received[fresh] = True
         self._duplicates += int(idx.size - fresh.size)
         self._packets_added += int(fresh.size)
-        if fresh.size == 0:
-            return 0
-        fresh_payloads = (payloads[first[fresh_mask]]
-                          if self.values is not None else None)
-        self.observe_nodes(fresh, fresh_payloads)
-        self.maybe_inactivate()
+        # Only nodes peeling has not already recovered reach the engine.
+        novel = ~self.known[fresh]
+        if novel.any():
+            self.observe_nodes(
+                fresh[novel],
+                payloads[first[fresh_mask][novel]]
+                if self.values is not None else None)
+            self.maybe_inactivate()
         return int(fresh.size)
 
     # -- cap handling (engine hooks) ---------------------------------------------

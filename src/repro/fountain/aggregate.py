@@ -12,13 +12,14 @@ factor bounds how long the streams stay duplicate-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.codes.base import ErasureCode
 from repro.errors import DecodeFailure, ParameterError
 from repro.fountain.carousel import CarouselServer
+from repro.fountain.client import FountainClient
 from repro.fountain.metrics import ReceptionStats
 from repro.net.loss import LossModel
 from repro.utils.rng import RngLike, ensure_rng
@@ -52,62 +53,42 @@ class MultiSourceClient:
     def __init__(self, code: ErasureCode,
                  payload_size: Optional[int] = None):
         self.code = code
-        if hasattr(code, "new_decoder"):
-            self._decoder = code.new_decoder(payload_size=payload_size)
-            self._seen_fallback: Optional[set] = None
-        else:
-            self._decoder = None
-            self._seen_fallback = set()
-        # A rateless code has unbounded packet indices (code.n is None);
-        # fall back to set-based duplicate tracking for it.
-        self._seen = (np.zeros(code.n, dtype=bool)
-                      if code.n is not None else set())
+        #: the one receiver underneath; a mirror's ``useful`` packets
+        #: are the ones that raised its distinct count.
+        self.client = FountainClient(code, payload_size=payload_size)
         self.reports: Dict[int, SourceReport] = {}
-        self.total_received = 0
-        self.distinct_received = 0
 
     @property
     def is_complete(self) -> bool:
-        if self._decoder is not None:
-            return self._decoder.is_complete
-        return self.code.is_decodable(self._seen_fallback)
+        return self.client.is_complete
 
-    def _first_sighting(self, index: int) -> bool:
-        """Record ``index`` as seen; True when this is its first arrival."""
-        if isinstance(self._seen, set):
-            if index in self._seen:
-                return False
-            self._seen.add(index)
-            return True
-        if self._seen[index]:
-            return False
-        self._seen[index] = True
-        return True
+    @property
+    def total_received(self) -> int:
+        return self.client.total_received
+
+    @property
+    def distinct_received(self) -> int:
+        return self.client.distinct_received
 
     def receive_from(self, source_id: int, index: int,
                      payload: Optional[np.ndarray] = None) -> bool:
-        """Ingest one packet attributed to a mirror; True when complete."""
-        if index < 0 or (self.code.n is not None and index >= self.code.n):
-            raise ParameterError(f"index {index} outside encoding")
+        """Ingest one packet attributed to a mirror; True when complete.
+
+        An index outside the encoding raises
+        :class:`~repro.errors.ParameterError` (the decoder's check) and
+        is attributed to no mirror.
+        """
         report = self.reports.setdefault(
             source_id, SourceReport(source_id, 0, 0))
-        report.received += 1
-        self.total_received += 1
-        if self._first_sighting(index):
-            self.distinct_received += 1
-            report.useful += 1
-            if self._decoder is not None:
-                self._decoder.add_packet(index, payload)
-            else:
-                self._seen_fallback.add(index)
-        return self.is_complete
+        client = self.client
+        total, distinct = client.total_received, client.distinct_received
+        done = client.receive_index(index, payload)
+        report.received += client.total_received - total
+        report.useful += client.distinct_received - distinct
+        return done
 
     def stats(self) -> ReceptionStats:
-        return ReceptionStats(
-            source_packets=self.code.k,
-            distinct_received=self.distinct_received,
-            total_received=self.total_received,
-        )
+        return self.client.stats()
 
 
 @dataclass(frozen=True)
@@ -118,10 +99,6 @@ class AggregationResult:
     slots: int
     stats: ReceptionStats
     per_source: List[SourceReport]
-
-    @property
-    def speedup_base_slots(self) -> int:
-        return self.slots
 
 
 def simulate_aggregate_download(code: ErasureCode,

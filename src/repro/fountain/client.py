@@ -11,14 +11,16 @@ Section 7.2 describes two client decoding protocols:
   the paper chose this for its prototype as "simpler and sufficiently
   fast in practice".
 
-Both are implemented on top of
-:func:`repro.codes.registry.incremental_decoder`, which hands back the
-native peeling decoders (Tornado's
-:class:`~repro.codes.tornado.decoder.PeelingDecoder`, the LT
-:class:`~repro.codes.lt.decoder.LTDecoder`) and adapts every other code
-(Reed-Solomon, interleaved) through the registry's generic
-:class:`~repro.codes.registry.SetDecoder` — so incremental completion
-detection works for *any* registered family.  For a rateless code the
+Both are one loop over one
+:class:`~repro.codes.registry.IncrementalDecoder`; the protocol is only
+a *choice of decoder*: what :func:`~repro.codes.registry.incremental_decoder`
+hands back (the native Tornado / LT / Raptor peeling decoders, the
+generic :class:`~repro.codes.registry.SetDecoder` for every other code),
+or a ``SetDecoder`` over *any* code whose decodability check waits for
+the paper's fixed packet count.  The decoder is the only memory of what
+arrived — it validates and dedups ids, counts the distinct ones and
+bounds how many more are needed; the client only counts receptions
+prior to reconstruction and sizes its batches.  For a rateless code the
 packet ``index`` is the droplet id; the client neither knows nor cares
 that the stream has no end.
 """
@@ -26,12 +28,17 @@ that the stream has no end.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional
+import math
+from typing import Optional
 
 import numpy as np
 
 from repro.codes.base import ErasureCode
-from repro.codes.registry import incremental_decoder
+from repro.codes.registry import (
+    IncrementalDecoder,
+    SetDecoder,
+    incremental_decoder,
+)
 from repro.errors import DecodeFailure, ParameterError
 from repro.fountain.metrics import ReceptionStats
 from repro.fountain.packets import EncodingPacket
@@ -58,7 +65,9 @@ class FountainClient:
         ``(1 + margin) * k`` distinct packets; each failed attempt waits
         for ``retry_step`` more distinct packets.
     payload_size:
-        Payload length; ``None`` for structural (index-only) runs.
+        Payload length; ``None`` for structural (index-only) runs.  A
+        client left at ``None`` whose first packet does carry a payload
+        sizes its decoder from that payload.
     """
 
     def __init__(self, code: ErasureCode,
@@ -71,26 +80,31 @@ class FountainClient:
         self.code = code
         self.mode = mode
         self.statistical_margin = statistical_margin
-        self.retry_step = max(1, retry_step)
+        self.retry_step = retry_step
         self.payload_size = payload_size
+        #: packets received prior to reconstruction, repeats included.
         self.total_received = 0
-        self._seen: Dict[int, Optional[np.ndarray]] = {}
-        self._decoded: Optional[np.ndarray] = None
-        self._complete = False
-        self._next_attempt = int(np.ceil((1 + statistical_margin) * code.k))
-        self._decode_attempts = 0
-        self._decoder_calls = 0
-        if mode is ClientMode.INCREMENTAL:
-            self._decoder = incremental_decoder(code,
-                                                payload_size=payload_size)
-        else:
-            self._decoder = None
-        # When the decoder keeps payload state itself, the client stores
-        # only the ids it has seen — retaining every payload array here
-        # as well would double the receive path's memory footprint.
-        self._retain_payloads = (
-            self._decoder is None
-            or getattr(self._decoder, "values", None) is None)
+        #: the one memory of what arrived (ids, distinct count, deficit).
+        self.decoder = self._new_decoder()
+
+    def _new_decoder(self) -> IncrementalDecoder:
+        """The decoder :attr:`mode` selects — its only consumer."""
+        if self.mode is ClientMode.STATISTICAL:
+            return SetDecoder(
+                self.code, payload_size=self.payload_size,
+                first_attempt=math.ceil(
+                    (1 + self.statistical_margin) * self.code.k),
+                retry_step=self.retry_step)
+        return incremental_decoder(self.code, payload_size=self.payload_size)
+
+    def _sized_for(self, payloads: Optional[np.ndarray]) -> IncrementalDecoder:
+        """The decoder — re-built first, while still empty, when a
+        client constructed without a payload size is handed payloads."""
+        if (payloads is not None and self.payload_size is None
+                and not self.total_received):
+            self.payload_size = int(np.shape(payloads)[-1])
+            self.decoder = self._new_decoder()
+        return self.decoder
 
     # -- feeding ---------------------------------------------------------------
 
@@ -101,26 +115,10 @@ class FountainClient:
     def receive_index(self, index: int,
                       payload: Optional[np.ndarray] = None) -> bool:
         """Ingest by raw encoding index (simulation fast path)."""
-        if self._complete:
-            return True
-        self.total_received += 1
-        if index not in self._seen:
-            self._seen[index] = payload if self._retain_payloads else None
-            if self._decoder is not None:
-                # INCREMENTAL mode always has a decoder (the registry
-                # adapts codes without a native one through SetDecoder).
-                self._decoder_calls += 1
-                self._decoder.add_packet(index, payload)
-                if self._decoder.is_complete:
-                    self._complete = True
-        if (not self._complete and self.mode is ClientMode.STATISTICAL
-                and len(self._seen) >= self._next_attempt):
-            self._decode_attempts += 1
-            if self.code.is_decodable(self._seen.keys()):
-                self._complete = True
-            else:
-                self._next_attempt = len(self._seen) + self.retry_step
-        return self._complete
+        if not self.is_complete:
+            self._sized_for(payload).add_packet(index, payload)
+            self.total_received += 1
+        return self.is_complete
 
     def receive_many(self, indices: np.ndarray,
                      payloads: Optional[np.ndarray] = None) -> bool:
@@ -133,94 +131,42 @@ class FountainClient:
         :attr:`min_additional` — a provable lower bound on the arrivals
         still needed — so a chunk of that size can only complete on its
         *last* packet, exactly where sequential feeding would stop.
-
-        Statistical mode keeps the per-packet loop (its decode-attempt
-        schedule is defined per arrival and the work per packet is a set
-        insert, so batching buys nothing).
         """
-        if self._complete:
-            return True
-        if self.mode is not ClientMode.INCREMENTAL:
-            for row, index in enumerate(indices):
-                self.receive_index(
-                    int(index), None if payloads is None else payloads[row])
-            return self._complete
         indices = np.asarray(indices, dtype=np.int64)
+        decoder = self._sized_for(payloads)
         pos = 0
-        while pos < indices.size and not self._complete:
-            take = min(self.min_additional, indices.size - pos)
-            if take <= 1:
+        while pos < indices.size and not self.is_complete:
+            take = max(1, min(self.min_additional, indices.size - pos))
+            rows = None if payloads is None else payloads[pos:pos + take]
+            if take == 1:
                 # Single-packet steps keep the scalar ingest path (one
                 # neighbour derivation, not a batch call for one row).
-                self.receive_index(
-                    int(indices[pos]),
-                    None if payloads is None else payloads[pos])
-                pos += 1
-                continue
-            chunk = indices[pos:pos + take]
+                decoder.add_packet(int(indices[pos]),
+                                   None if rows is None else rows[0])
+            else:
+                decoder.add_packets(indices[pos:pos + take], rows)
             self.total_received += take
-            rows = []
-            for row, index in enumerate(chunk.tolist()):
-                if index not in self._seen:
-                    self._seen[index] = (
-                        payloads[pos + row] if self._retain_payloads
-                        and payloads is not None else None)
-                    rows.append(row)
-            if rows:
-                fresh = chunk[rows]
-                fresh_payloads = (None if payloads is None
-                                  else payloads[pos:pos + take][rows])
-                self._decoder_calls += 1
-                self._decoder.add_packets(fresh, fresh_payloads)
-                if self._decoder.is_complete:
-                    self._complete = True
             pos += take
-        return self._complete
+        return self.is_complete
 
     # -- results ---------------------------------------------------------------
 
     @property
     def is_complete(self) -> bool:
-        return self._complete
+        return self.decoder.is_complete
 
     @property
     def distinct_received(self) -> int:
-        return len(self._seen)
+        return self.decoder.packets_added
 
     @property
     def min_additional(self) -> int:
-        """Lower bound on further arrivals needed before completion.
-
-        Always at least ``k`` minus the distinct packets seen (no code
-        completes below ``k`` distinct); decoders that can prove a
-        tighter bound (the LT decoder's rank deficit) raise it.  Batch
-        feeders — :meth:`receive_many` and the simulation drivers — cap
-        chunks at this value so no chunk can complete before its final
-        packet, which is what keeps batched reception counters equal to
-        sequential ones.
-        """
-        if self._complete:
-            return 0
-        bound = self.code.k - len(self._seen)
-        if self._decoder is not None:
-            bound = max(bound, getattr(
-                self._decoder, "min_additional_packets", 0))
-        return max(1, bound)
-
-    @property
-    def decoder_calls(self) -> int:
-        """Times the incremental decoder was actually invoked.
-
-        Duplicate ids are filtered out before they reach the decoder, so
-        this stays bounded by the distinct-packet count no matter how
-        many carousel revolutions or mirrored sources repeat an id.
-        """
-        return self._decoder_calls
-
-    @property
-    def decode_attempts(self) -> int:
-        """Statistical-mode decode attempts made so far."""
-        return self._decode_attempts
+        """Lower bound on further arrivals needed before completion —
+        the decoder's ``min_additional_packets``.  Batch feeders
+        (:meth:`receive_many`, the simulation drivers) cap chunks at it
+        so no chunk can complete before its final packet, which keeps
+        batched reception counters equal to sequential ones."""
+        return self.decoder.min_additional_packets
 
     def stats(self) -> ReceptionStats:
         """Reception-efficiency counters up to now."""
@@ -231,20 +177,9 @@ class FountainClient:
         )
 
     def source_data(self) -> np.ndarray:
-        """The reconstructed ``(k, P)`` source block.
-
-        Raises :class:`~repro.errors.DecodeFailure` when not yet complete
-        or when the client ran structurally (no payloads retained).
-        """
-        if not self._complete:
+        """The reconstructed ``(k, P)`` source block; raises
+        :class:`~repro.errors.DecodeFailure` when not yet complete (and
+        the decoder refuses a structural run, which kept no payloads)."""
+        if not self.is_complete:
             raise DecodeFailure("client has not received enough packets")
-        if self._decoded is not None:
-            return self._decoded
-        if self._decoder is not None and self._decoder.values is not None:
-            self._decoded = self._decoder.source_data()
-            return self._decoded
-        payloads = {i: p for i, p in self._seen.items() if p is not None}
-        if len(payloads) < len(self._seen):
-            raise DecodeFailure("client ran in structural mode; no payloads")
-        self._decoded = self.code.decode(payloads)
-        return self._decoded
+        return self.decoder.source_data()

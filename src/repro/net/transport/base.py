@@ -248,9 +248,9 @@ class Subscription(ABC):
 
         Returns the session's completeness; stops early on completion,
         at end of stream for finite transports, or on timeout for live
-        ones.  Sessions exposing ``receive_records`` (the
-        :class:`repro.api.ReceiverSession` batch ingest) are driven one
-        batch per call; the per-record path remains for bare sessions.
+        ones.  The session (:class:`repro.api.ReceiverSession` or a
+        stand-in with its ``is_complete`` / ``receive_records`` surface)
+        is driven one ingest batch per call.
 
         Sessions with reporting enabled (``maybe_report`` returning a
         due :class:`~repro.protocol.feedback.FeedbackReport`) have their
@@ -258,7 +258,6 @@ class Subscription(ABC):
         ingest batch — including the final complete-report, so an
         adaptive sender hears about the finished decode.
         """
-        ingest = getattr(session, "receive_records", None)
         reporter = getattr(session, "maybe_report", None)
 
         def relay() -> None:
@@ -267,21 +266,14 @@ class Subscription(ABC):
                 if report is not None:
                     self.send_feedback(report)
 
-        if not session.is_complete:
-            if ingest is not None:
-                for batch in self.record_batches(timeout=timeout):
-                    done = ingest(batch)
-                    relay()
-                    if done:
-                        break
-            else:
-                for record in self.records(timeout=timeout):
-                    done = session.receive_record(record)
-                    relay()
-                    if done:
-                        break
-        else:
+        if session.is_complete:
             relay()
+        else:
+            for batch in self.record_batches(timeout=timeout):
+                done = session.receive_records(batch)
+                relay()
+                if done:
+                    break
         return bool(session.is_complete)
 
     def receive(self, manifest: Optional[dict] = None,

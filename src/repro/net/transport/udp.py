@@ -145,7 +145,7 @@ class UdpSubscription(Subscription):
         #: data-record size the adopted manifest describes (None before
         #: one is adopted, or when it names no usable geometry).
         self._record_bytes: Optional[int] = None
-        self._pending: Deque[bytes] = deque()
+        self._pending: List[bytes] = []
         self._closed = False
         #: source address of the last well-formed datagram — where
         #: feedback replies go.
@@ -194,38 +194,26 @@ class UdpSubscription(Subscription):
                 f"malformed={self.malformed}, "
                 f"feedback_sent={self.feedback_sent})")
 
-    def _frames(self, timeout: Optional[float]
-                ) -> Iterator[Tuple[int, bytes]]:
-        """Parsed frames from arriving datagrams; times out on silence."""
-        wait = self.timeout if timeout is None else float(timeout)
-        self.socket.settimeout(wait)
-        while True:
-            try:
-                datagram, addr = self.socket.recvfrom(65535)
-            except socket.timeout:
-                raise ProtocolError(
-                    f"no datagrams on {self.address[0]}:"
-                    f"{self.address[1]} within {wait:.1f}s — is the "
-                    "sender running (and pointed here)?") from None
-            except OSError:
-                if self._closed:
-                    return
-                raise
-            self.datagrams += 1
-            try:
-                # Materialise first: a datagram either parses whole or
-                # is discarded whole — no half-delivered prefixes.
-                frames = list(iter_frames(datagram))
-            except ProtocolError:
-                self.malformed += 1
-                continue
-            self._sender = addr
-            yield from frames
+    def _recv(self) -> Optional[Tuple[bytes, Address]]:
+        """One datagram, under the socket's current timeout.
 
-    @property
-    def sender_address(self) -> Optional[Address]:
-        """Source address of the last well-formed datagram, if any."""
-        return self._sender
+        None when a non-blocking poll finds the queue empty, or once the
+        subscription was closed (from another thread) mid-wait; a
+        blocking wait that hears nothing raises.
+        """
+        try:
+            return self.socket.recvfrom(65535)
+        except BlockingIOError:
+            return None
+        except socket.timeout:
+            raise ProtocolError(
+                f"no datagrams on {self.address[0]}:{self.address[1]} "
+                f"within {self.socket.gettimeout():.1f}s — is the "
+                "sender running (and pointed here)?") from None
+        except OSError:
+            if self._closed:
+                return None
+            raise
 
     def send_feedback(self, report: FeedbackReport) -> bool:
         """Fire one feedback frame back at the sender's source address.
@@ -244,8 +232,8 @@ class UdpSubscription(Subscription):
         self.feedback_sent += 1
         return True
 
-    def _learn_manifest(self, body: bytes) -> bool:
-        """Adopt a manifest frame's body; False (and counted) if bogus.
+    def _learn_manifest(self, body: bytes) -> None:
+        """Adopt a manifest frame's body (a bogus one is only counted).
 
         The data-record size it describes is derived here, once per
         adoption, for the per-datagram size filter.
@@ -254,47 +242,28 @@ class UdpSubscription(Subscription):
             self._manifest = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
             self.malformed += 1
-            return False
+            return
         try:
             self._record_bytes = record_size(self._manifest)
         except (KeyError, TypeError, ValueError):
             self._record_bytes = None
-        return True
 
     def manifest(self, timeout: Optional[float] = None) -> dict:
         """Wait for a manifest frame (buffering data frames meanwhile)."""
-        if self._manifest is None:
-            for frame_type, body in self._frames(timeout):
-                if (frame_type == FRAME_MANIFEST
-                        and self._learn_manifest(body)):
-                    break
-                if frame_type == FRAME_DATA:
-                    self._pending.append(body)
-        if self._manifest is None:
-            # _frames() only ends without a manifest when the socket was
-            # closed from another thread mid-wait.
-            raise ProtocolError(
-                "subscription closed before a manifest frame arrived")
+        self.socket.settimeout(
+            self.timeout if timeout is None else float(timeout))
+        while self._manifest is None:
+            heard = self._recv()
+            if heard is None:
+                raise ProtocolError(
+                    "subscription closed before a manifest frame arrived")
+            self._collect(*heard, self._pending)
         return self._manifest
 
     def records(self, timeout: Optional[float] = None) -> Iterator[bytes]:
-        """Data records as they arrive; replays any buffered backlog first.
-
-        Once a manifest is known, records of any other size (foreign
-        senders, a repro sender restarted with a different geometry) are
-        counted in :attr:`malformed` and skipped, not handed to the
-        decoder.
-        """
-        while self._pending:
-            body = self._pending.popleft()
-            if self._wrong_size(body):
-                continue
-            yield body
-        for frame_type, body in self._frames(timeout):
-            if frame_type == FRAME_MANIFEST:
-                self._learn_manifest(body)
-            elif frame_type == FRAME_DATA and not self._wrong_size(body):
-                yield body
+        """Data records as they arrive: :meth:`record_batches`, flattened."""
+        for batch in self.record_batches(timeout=timeout):
+            yield from batch
 
     def _wrong_size(self, body: bytes) -> bool:
         """True (and counted) for a data record the manifest rules out."""
@@ -304,17 +273,24 @@ class UdpSubscription(Subscription):
         self.malformed += 1
         return True
 
-    def _collect(self, datagram: bytes, batch: List[bytes],
-                 addr: Optional[Address] = None) -> None:
-        """Parse one datagram's frames into ``batch`` (data bodies only)."""
+    def _collect(self, datagram: bytes, addr: Address,
+                 batch: List[bytes]) -> None:
+        """Parse one datagram's frames into ``batch`` (data bodies only).
+
+        The one datagram loop: a datagram either parses whole or is
+        discarded whole (no half-delivered prefixes), a manifest frame
+        is adopted, and — once a manifest is known — data records of
+        any other size (foreign senders, a repro sender restarted with
+        a different geometry) are counted in :attr:`malformed` and
+        skipped, not handed to the decoder.
+        """
         self.datagrams += 1
         try:
             frames = list(iter_frames(datagram))
         except ProtocolError:
             self.malformed += 1
             return
-        if addr is not None:
-            self._sender = addr
+        self._sender = addr
         for frame_type, body in frames:
             if frame_type == FRAME_MANIFEST:
                 self._learn_manifest(body)
@@ -329,48 +305,27 @@ class UdpSubscription(Subscription):
         timeout), then empties the kernel's receive queue without
         blocking — so a burst that arrived while the decoder was busy
         becomes a single ingest call instead of one wakeup per packet.
-        Record order and the malformed/size filtering are identical to
-        :meth:`records`.
+        Records buffered while :meth:`manifest` waited come first.
         """
         wait = self.timeout if timeout is None else float(timeout)
-        batch: List[bytes] = []
-        while self._pending:
-            body = self._pending.popleft()
-            if not self._wrong_size(body):
-                batch.append(body)
+        batch = [body for body in self._pending
+                 if not self._wrong_size(body)]
+        self._pending.clear()
         if batch:
             yield batch
-        while True:
-            batch = []
+        while not self._closed:
             self.socket.settimeout(wait)
-            try:
-                datagram, addr = self.socket.recvfrom(65535)
-            except socket.timeout:
-                raise ProtocolError(
-                    f"no datagrams on {self.address[0]}:"
-                    f"{self.address[1]} within {wait:.1f}s — is the "
-                    "sender running (and pointed here)?") from None
-            except OSError:
-                if self._closed:
-                    return
-                raise
-            self._collect(datagram, batch, addr)
-            # Drain whatever else already sits in the kernel queue.
+            heard = self._recv()
+            if heard is None:
+                return
+            batch = []
+            # Then drain whatever else already sits in the kernel queue.
             self.socket.settimeout(0.0)
-            while True:
-                try:
-                    datagram, addr = self.socket.recvfrom(65535)
-                except (BlockingIOError, socket.timeout):
-                    break
-                except OSError:
-                    if self._closed:
-                        break
-                    raise
-                self._collect(datagram, batch, addr)
+            while heard is not None:
+                self._collect(*heard, batch)
+                heard = self._recv()
             if batch:
                 yield batch
-            if self._closed:
-                return
 
 
 class _SenderProtocol(asyncio.DatagramProtocol):

@@ -2,26 +2,25 @@
 
 One receiver owns a bottleneck capacity (packets per round its access
 path can carry), an ambient loss process, a
-:class:`~repro.protocol.congestion.SubscriptionController` and an
-incremental decoder for *any* registered code
-(:func:`repro.codes.registry.incremental_decoder` hands back the native
-peeling decoder for Tornado/LT and the generic set-based adapter for
-MDS codes like Reed-Solomon).  Per round it:
+:class:`~repro.protocol.congestion.SubscriptionController` and a
+structural :class:`~repro.fountain.client.FountainClient` — the one
+receiver, over *any* registered code — whose counters are this
+receiver's reception statistics.  Per round it:
 
 1. receives the packets of its subscribed layers, minus congestion drops
    (arrivals beyond capacity) and ambient losses;
-2. feeds survivors to the decoder and updates duplicate counters;
+2. feeds survivors to the client, which stops on the completing packet;
 3. reacts to burst ends and synchronization points by adjusting its
    subscription level per the paper's join/drop rules.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Set
+from typing import Any, List, Optional
 
 import numpy as np
 
-from repro.codes.registry import incremental_decoder
+from repro.fountain.client import FountainClient
 from repro.fountain.metrics import ReceptionStats
 from repro.net.loss import LossModel
 from repro.protocol.congestion import CongestionPolicy, SubscriptionController
@@ -44,23 +43,13 @@ class LayeredReceiver:
         self.rng = ensure_rng(rng)
         self.controller = SubscriptionController(
             policy=policy, config=config, level=start_level)
-        self.decoder = incremental_decoder(code)
-        self.total_received = 0
+        #: the one receiver underneath (structural: ids only).
+        self.client = FountainClient(code)
         self.congestion_drops = 0
         self.ambient_drops = 0
         self.expected_total = 0
         self.completed_at_round: Optional[int] = None
         self.level_history: List[int] = [start_level]
-        # Channel-level distinctness: a packet already *recovered* by the
-        # decoder but seen for the first time on the wire still counts as
-        # distinct (eta_d measures duplicate receptions, Section 7.3).
-        # Fixed-rate codes get a dense bitmap over [0, n); rateless codes
-        # have unbounded droplet ids, so a set tracks them instead.
-        n = getattr(code, "n", None)
-        self._seen: Optional[np.ndarray] = (
-            np.zeros(n, dtype=bool) if n is not None else None)
-        self._seen_ids: Set[int] = set()
-        self.distinct_received = 0
 
     @property
     def level(self) -> int:
@@ -68,25 +57,7 @@ class LayeredReceiver:
 
     @property
     def is_complete(self) -> bool:
-        return self.decoder.is_complete
-
-    def _observe_distinct(self, chunk: np.ndarray) -> int:
-        """Mark ``chunk`` seen; count its first-ever-seen indices."""
-        if self._seen is not None:
-            fresh = ~self._seen[chunk]
-            # In-chunk duplicates: count first occurrences only.
-            first = np.zeros(chunk.size, dtype=bool)
-            __, first_pos = np.unique(chunk, return_index=True)
-            first[first_pos] = True
-            count = int(np.count_nonzero(fresh & first))
-            self._seen[chunk] = True
-            return count
-        count = 0
-        for index in chunk.tolist():
-            if index not in self._seen_ids:
-                self._seen_ids.add(index)
-                count += 1
-        return count
+        return self.client.is_complete
 
     def process_round(self, round_index: int,
                       per_layer_indices: List[np.ndarray],
@@ -100,32 +71,24 @@ class LayeredReceiver:
         # the packets, so the fixed per-round capacity now bites —
         # exactly how the burst probes for spare headroom.
         admitted = arriving
-        cap = self.capacity
-        if expected > cap:
-            keep = self.rng.permutation(expected)[:cap]
+        if expected > self.capacity:
+            keep = self.rng.permutation(expected)[:self.capacity]
             admitted = arriving[np.sort(keep)]
-            self.congestion_drops += expected - cap
+            self.congestion_drops += expected - self.capacity
         # Ambient (wireless/queue) loss on the survivors.
         survive = self.ambient_loss.deliveries(admitted.size, self.rng)
         self.ambient_drops += int(admitted.size - survive.sum())
         delivered = admitted[survive]
-        # Feed in small chunks and disconnect the moment decoding
-        # completes — only packets received *prior to reconstruction*
-        # count towards the efficiency metrics (Section 7.3).
-        pos = 0
-        while pos < delivered.size and not self.decoder.is_complete:
-            chunk = delivered[pos:pos + 64]
-            self.distinct_received += self._observe_distinct(chunk)
-            self.decoder.add_packets(chunk)
-            self.total_received += int(chunk.size)
-            pos += int(chunk.size)
-        if self.decoder.is_complete:
-            if self.completed_at_round is None:
-                self.completed_at_round = round_index
+        # The client disconnects on the completing packet — only packets
+        # received *prior to reconstruction* count towards the
+        # efficiency metrics (Section 7.3).
+        before = self.client.total_received
+        if self.client.receive_many(delivered):
+            self.completed_at_round = round_index
             # Pro-rate the round's expected packets by the fraction of
             # deliveries consumed before disconnecting, so the observed
             # loss rate is not distorted by the cut-off round.
-            frac = pos / delivered.size if delivered.size else 0.0
+            frac = (self.client.total_received - before) / delivered.size
             self.expected_total += int(round(expected * frac))
             return
         self.expected_total += expected
@@ -145,11 +108,7 @@ class LayeredReceiver:
         """Loss the receiver experienced (congestion + ambient)."""
         if self.expected_total == 0:
             return 0.0
-        return 1.0 - self.total_received / self.expected_total
+        return 1.0 - self.client.total_received / self.expected_total
 
     def stats(self) -> ReceptionStats:
-        return ReceptionStats(
-            source_packets=self.code.k,
-            distinct_received=self.distinct_received,
-            total_received=self.total_received,
-        )
+        return self.client.stats()

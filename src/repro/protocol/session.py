@@ -84,6 +84,20 @@ def _result_from(receiver: LayeredReceiver, rid: int, rounds: int,
     )
 
 
+def _drive(server: LayeredServer, receivers: List[LayeredReceiver],
+           max_rounds: int, code_spec: str) -> List[SessionResult]:
+    """Run server rounds past every receiver until all have completed
+    (or ``max_rounds`` elapse); one result per receiver."""
+    for rnd in range(max_rounds):
+        per_layer, burst = server.next_round()
+        for receiver in receivers:
+            receiver.process_round(rnd, per_layer, burst)
+        if all(receiver.is_complete for receiver in receivers):
+            break
+    return [_result_from(r, rid, server.current_round, code_spec)
+            for rid, r in enumerate(receivers)]
+
+
 def _resolve_code(code: Any, code_spec: Union[str, CodeSpec, None],
                   k: Optional[int], code_seed: int) -> Tuple[Any, str]:
     """Accept a code object, a spec string, or both styles of kwargs.
@@ -166,16 +180,7 @@ def run_session(code: Any = None,
             rng=spawn_rng(seed, 0xBEEF00 + rid),
             start_level=0,
         ))
-    for rnd in range(max_rounds):
-        per_layer, burst = server.next_round()
-        pending = False
-        for receiver in receivers:
-            receiver.process_round(rnd, per_layer, burst)
-            pending = pending or not receiver.is_complete
-        if not pending:
-            break
-    return [_result_from(r, rid, server.current_round, spec_label)
-            for rid, r in enumerate(receivers)]
+    return _drive(server, receivers, max_rounds, spec_label)
 
 
 def run_single_layer_session(code: Any = None,
@@ -209,13 +214,4 @@ def run_single_layer_session(code: Any = None,
         )
         for rid, p in enumerate(loss_rates)
     ]
-    for rnd in range(max_rounds):
-        per_layer, burst = server.next_round()
-        pending = False
-        for receiver in receivers:
-            receiver.process_round(rnd, per_layer, burst)
-            pending = pending or not receiver.is_complete
-        if not pending:
-            break
-    return [_result_from(r, rid, server.current_round, spec_label)
-            for rid, r in enumerate(receivers)]
+    return _drive(server, receivers, max_rounds, spec_label)

@@ -1195,12 +1195,13 @@ def replay_receivers(scenario: Scenario,
                      ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact per-packet replays through the real transfer client.
 
-    For each receiver id: walk the striped stream slot by slot, draw
-    its own loss process per packet, honour join/leave and rate
-    thinning, and feed surviving ``(block, index)`` pairs to a
-    payload-less :class:`~repro.transfer.client.TransferClient` backed
-    by real incremental decoders.  Returns ``(overhead, completed)``
-    arrays aligned with ``receiver_ids``.
+    For each receiver id: draw its own loss process over the striped
+    stream's slots, honour join/leave and rate thinning, and feed the
+    surviving ``(block, index)`` pairs — one counter-exact
+    ``receive_window`` — to a payload-less
+    :class:`~repro.transfer.client.TransferClient` backed by real
+    incremental decoders.  Returns ``(overhead, completed)`` arrays
+    aligned with ``receiver_ids``.
     """
     pop = population if population is not None else _materialize(scenario)
     plan = scenario.plan()
@@ -1248,12 +1249,9 @@ def replay_receivers(scenario: Scenario,
         delivered[:lo] = False
         delivered[hi:] = False
         client = TransferClient(codec, payload_size=None)
-        got = 0
-        for t in np.nonzero(delivered)[0]:
-            got += 1
-            if client.receive_index(int(slot_block[t]), int(slot_index[t])):
-                completed[i] = True
-                break
+        got = client.receive_window(slot_block[delivered],
+                                    slot_index[delivered])
+        completed[i] = client.is_complete
         if completed[i]:
             overhead[i] = got / total_k - 1.0
     return overhead, completed

@@ -15,14 +15,14 @@ work, so late duplicates and carousel wrap-arounds stay cheap.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, cast
 
 import numpy as np
 
 from repro.errors import DecodeFailure, ProtocolError
-from repro.fountain.client import ClientMode, FountainClient
+from repro.fountain.client import FountainClient
 from repro.fountain.metrics import ReceptionStats
-from repro.fountain.packets import EncodingPacket
+from repro.fountain.packets import SERIAL_MODULUS, EncodingPacket
 from repro.transfer.codec import ObjectCodec
 
 #: sentinel for "use the plan's packet size" (None means structural).
@@ -37,9 +37,6 @@ class TransferClient:
     codec:
         The per-block code binding shared with the sender (rebuilt from
         the manifest on the receiving side).
-    mode:
-        Per-block decode strategy (see
-        :class:`~repro.fountain.client.ClientMode`).
     payload_size:
         Payload length handed to the per-block decoders.  Defaults to
         the plan's packet size; pass ``None`` explicitly for structural
@@ -47,17 +44,19 @@ class TransferClient:
     """
 
     def __init__(self, codec: ObjectCodec,
-                 mode: ClientMode = ClientMode.INCREMENTAL,
                  payload_size: object = _PLAN_PAYLOAD):
         if payload_size is _PLAN_PAYLOAD:
             payload_size = codec.plan.packet_size
         self.codec = codec
-        self.mode = mode
-        self.payload_size = payload_size
+        self.payload_size = cast(Optional[int], payload_size)
         self._clients: List[Optional[FountainClient]] = \
             [None] * codec.num_blocks
         self._incomplete = set(range(codec.num_blocks))
         self.total_received = 0
+        #: per block, the exclusive bound of a packet index (the code's
+        #: ``n``; any header value for a rateless one); -1 until a
+        #: packet first names the block — codes build lazily.
+        self._index_bounds = np.full(codec.num_blocks, -1, dtype=np.int64)
 
     def _client_for(self, block: int) -> FountainClient:
         client = self._clients[block]
@@ -65,7 +64,6 @@ class TransferClient:
             if self.payload_size is not None:
                 self.codec.check_wire_dtype(block)
             client = FountainClient(self.codec.code_for(block),
-                                    mode=self.mode,
                                     payload_size=self.payload_size)
             self._clients[block] = client
         return client
@@ -76,17 +74,22 @@ class TransferClient:
         """Ingest one packet; returns True once every block is decodable."""
         return self.receive_index(packet.block, packet.index, packet.payload)
 
-    def receive_index(self, block: int, index: int,
-                      payload: Optional[np.ndarray] = None) -> bool:
-        """Ingest by raw (block, index) pair (simulation fast path)."""
+    def _open_client(self, block: int) -> Optional[FountainClient]:
+        """The block's client while it still wants packets (None once it
+        has decoded); raises for a block id the plan does not have."""
         if not 0 <= block < self.codec.num_blocks:
             raise ProtocolError(
                 f"packet names block {block}, transfer has "
                 f"{self.codec.num_blocks} blocks")
+        return self._client_for(block) if block in self._incomplete else None
+
+    def receive_index(self, block: int, index: int,
+                      payload: Optional[np.ndarray] = None) -> bool:
+        """Ingest by raw (block, index) pair (simulation fast path)."""
+        client = self._open_client(block)
+        if client is not None and client.receive_index(index, payload):
+            self._incomplete.discard(block)
         self.total_received += 1
-        if block in self._incomplete:
-            if self._client_for(block).receive_index(index, payload):
-                self._incomplete.discard(block)
         return self.is_complete
 
     def receive_many(self, block: int, indices: np.ndarray,
@@ -97,15 +100,10 @@ class TransferClient:
         were all delivered); the block's client sees only the prefix up
         to its completion, exactly as sequential feeding would route.
         """
-        if not 0 <= block < self.codec.num_blocks:
-            raise ProtocolError(
-                f"packet names block {block}, transfer has "
-                f"{self.codec.num_blocks} blocks")
-        count = len(indices)
-        self.total_received += count
-        if count and block in self._incomplete:
-            if self._client_for(block).receive_many(indices, payloads):
-                self._incomplete.discard(block)
+        client = self._open_client(block)
+        if client is not None and client.receive_many(indices, payloads):
+            self._incomplete.discard(block)
+        self.total_received += len(indices)
         return self.is_complete
 
     def receive_window(self, blocks: np.ndarray, indices: np.ndarray,
@@ -132,10 +130,23 @@ class TransferClient:
             pos = sel.stop
         return pos
 
-    def block_distinct(self, block: int) -> int:
-        """Distinct packets the given block has received so far."""
-        client = self._clients[block]
-        return 0 if client is None else client.distinct_received
+    def names_packet(self, blocks: np.ndarray,
+                     indices: np.ndarray) -> np.ndarray:
+        """Mask of the ``(block, index)`` header pairs that name a packet.
+
+        The check for ids read off the wire, where a hostile or foreign
+        record is an erasure rather than an error: False for a block id
+        the plan does not have or an index at or beyond a fixed-rate
+        block's ``n``.  The typed feeding methods keep raising for the
+        same mistakes in a caller's own arguments.
+        """
+        known = blocks < self.num_blocks
+        bounds = self._index_bounds[blocks * known]
+        for block in np.unique(blocks[known & (bounds < 0)]).tolist():
+            n = self.codec.code_for(block).n
+            self._index_bounds[block] = SERIAL_MODULUS if n is None else n
+            bounds[blocks == block] = self._index_bounds[block]
+        return known & (indices < bounds)
 
     def block_min_additional(self, block: int) -> int:
         """Lower bound on further packets ``block`` needs to complete.

@@ -125,11 +125,6 @@ class TransferServer(SequencedPacketSource):
                 for spec in codec.plan.blocks]
 
     @property
-    def block_servers(self) -> List[PacketSource]:
-        """Deprecated alias of :attr:`block_sources`."""
-        return self.block_sources
-
-    @property
     def total_k(self) -> int:
         return self.codec.total_k
 

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import api
 from repro.errors import (
@@ -65,6 +67,95 @@ class TestSessions:
                 break
         assert receiver.progress == 1.0
         assert receiver.packets_used >= sender.total_k
+
+
+class TestUntrustedRecords:
+    """``receive_records`` is the bytes-in boundary: a record that is
+    the wrong length or names a packet the manifest's geometry does not
+    have is an erasure — dropped, counted in ``rejected``, never raised."""
+
+    @staticmethod
+    def _stream(spec, block_size, count):
+        data = _random_bytes(6_000, seed=3)
+        sender = api.SenderSession(data, code=spec, packet_size=64,
+                                   block_size=block_size, seed=9)
+        records = [bytes(row) for row in sender.server.record_window(count)]
+        return data, sender, records
+
+    def test_wrong_length_record_is_rejected_not_a_numpy_error(self):
+        data, sender, records = self._stream("lt", 2_048, 400)
+        receiver = api.ReceiverSession(sender.manifest())
+        assert not receiver.receive_record(records[0][:-1])
+        assert not receiver.receive_records([b"", records[1] + b"\0"])
+        assert receiver.rejected == 3 and receiver.packets_used == 0
+        assert receiver.receive_records(records)
+        assert receiver.data() == data
+        assert "rejected=3" in repr(receiver)
+
+    @pytest.mark.parametrize("spec,field,value", [
+        ("lt", 3, 9999),                 # a block the plan does not have
+        ("tornado-a", 0, 2 ** 31),       # an index beyond the block's n
+        ("rs", 0, 2 ** 32 - 1),
+    ])
+    def test_hostile_header_mid_window_is_an_erasure(self, spec, field,
+                                                     value):
+        data, sender, records = self._stream(spec, 2_048, 600)
+        hostile = bytearray(records[7])
+        hostile[4 * field:4 * field + 4] = value.to_bytes(4, "big")
+        records[7] = bytes(hostile)
+        receiver = api.ReceiverSession(sender.manifest())
+        assert receiver.receive_records(records)
+        assert receiver.rejected == 1
+        assert receiver.packets_used == receiver.client.total_received
+        assert receiver.data() == data
+        # The typed API below keeps raising for a caller's own mistake.
+        with pytest.raises(ReproError):
+            api.ReceiverSession(sender.manifest()).client.receive_index(
+                *((9999, 0) if field == 3 else (0, value)))
+
+    @pytest.mark.parametrize("spec,block_size", [
+        ("lt", 2_048), ("raptor", 8_192), ("tornado-a", 2_048),
+        ("rs", 8_192)])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_mutated_and_truncated_records_never_raise(self, spec,
+                                                       block_size, data):
+        payload, sender, records = self._stream(spec, block_size, 700)
+        receiver = api.ReceiverSession(sender.manifest())
+        fixed_rate = receiver.codec.code_for(0).n is not None
+        #: header fields a mutation may overwrite with a value that
+        #: names no packet (any serial / group is harmless; an index is
+        #: only detectably wrong where the code has an n).
+        fields = [(1, 0), (2, 0)]
+        if receiver.block_aware:
+            fields.append((3, receiver.codec.num_blocks))
+        if fixed_rate:
+            fields.append((0, max(receiver.codec.code_for(b).n for b in
+                                  range(receiver.codec.num_blocks))))
+        # Mutations land in the first 60 records: the object is 94
+        # packets, so every one of them arrives before completion.
+        hostile = 0
+        for row in data.draw(st.lists(st.integers(0, 59), unique=True,
+                                      max_size=20), label="mutated rows"):
+            if data.draw(st.booleans(), label="truncate"):
+                size = data.draw(st.integers(0, receiver.record_size + 8)
+                                 .filter(lambda n: n != receiver.record_size))
+                records[row] = (records[row] * 2)[:size]
+                hostile += 1
+            else:
+                field, low = data.draw(st.sampled_from(fields))
+                value = data.draw(st.integers(low, 2 ** 32 - 1))
+                record = bytearray(records[row])
+                record[4 * field:4 * field + 4] = value.to_bytes(4, "big")
+                records[row] = bytes(record)
+                hostile += field in (0, 3)
+        step = data.draw(st.sampled_from([1, 7, 256, 700]), label="batch")
+        for pos in range(0, len(records), step):
+            receiver.receive_records(records[pos:pos + step])
+            assert receiver.packets_used == receiver.client.total_received
+        assert receiver.is_complete
+        assert receiver.rejected == hostile
+        assert receiver.data() == payload
 
 
 class TestSendReceiveFiles:

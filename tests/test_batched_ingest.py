@@ -186,42 +186,54 @@ def test_finisher_respects_inactivation_limit():
     assert not engine.is_complete
 
 
-# -- duplicate droplets are filtered before the decoder ----------------------
+# -- duplicate droplets are the decoder's to drop ------------------------------
 
-def test_duplicate_droplet_ids_never_reach_decoder():
-    """Repeats cost a set lookup, not a decoder call.
+@pytest.mark.parametrize("spec", ["lt", "raptor", "tornado-a", "rs"])
+def test_duplicate_ids_never_change_decoder_state(spec):
+    """Repeats cost a membership test, not an equation.
 
-    Every droplet id is delivered three times (mirrored-server style);
-    the client's decoder must be invoked at most once per distinct id,
-    through both the scalar and the batched receive paths.
+    The client keeps no id set of its own: every id is delivered three
+    times (mirrored-server style) straight into the decoder, which must
+    end in exactly the state single delivery leaves it in — through
+    both the scalar and the batched receive paths.
     """
     k = 24
     source = make_source(k, 16, seed=2)
-    code = build_code("lt", k, seed=2)
-    encoded = code.encode(source, 4 * k)
+    code = build_code(spec, k, seed=2)
+    count = 4 * k if code.n is None else code.n
+    encoded = (code.encode(source, count) if code.n is None
+               else code.encode(source))
 
+    def decoder_state(client):
+        decoder = client.decoder
+        return (decoder.packets_added, decoder.is_complete,
+                decoder.min_additional_packets,
+                getattr(decoder, "_equations_seen", None),
+                getattr(decoder, "redundant_droplets", None))
+
+    once = FountainClient(code, payload_size=16)
     scalar = FountainClient(code, payload_size=16)
-    for index in range(encoded.shape[0]):
+    for index in range(count):
+        once.receive_index(index, encoded[index])
         for _ in range(3):
-            if scalar.receive_index(index, encoded[index]):
-                break
-        if scalar.is_complete:
+            scalar.receive_index(index, encoded[index])
+        assert decoder_state(scalar) == decoder_state(once)
+        if once.is_complete:
             break
     assert scalar.is_complete
-    distinct = scalar.distinct_received
-    assert scalar.decoder_calls == distinct
-    assert scalar.total_received > distinct
-    assert scalar._decoder.packets_added == distinct
-    assert scalar._decoder.duplicates_seen == 0
+    distinct = once.distinct_received
+    assert scalar.distinct_received == distinct
+    assert scalar.total_received == 3 * (distinct - 1) + 1
+    assert scalar.decoder.duplicates_seen == 2 * (distinct - 1)
+    assert once.decoder.duplicates_seen == 0
 
     batched = FountainClient(code, payload_size=16)
-    ids = np.repeat(np.arange(encoded.shape[0]), 3)
+    ids = np.repeat(np.arange(count), 3)
     batched.receive_many(ids, encoded[ids])
-    assert batched.is_complete
-    # One decoder call per deficit chunk, never one per duplicate.
-    assert batched.decoder_calls <= batched.distinct_received
-    assert batched._decoder.packets_added == batched.distinct_received
+    assert decoder_state(batched)[:4] == decoder_state(once)[:4]
+    assert batched.total_received == scalar.total_received
     assert np.array_equal(batched.source_data(), source)
+    assert np.array_equal(scalar.source_data(), source)
 
 
 # -- one droplet decoder: LT and Raptor share intake and counters ------------

@@ -125,7 +125,7 @@ class TestClient:
 
     def test_statistical_makes_attempts(self):
         client, _ = self._run_client(ClientMode.STATISTICAL)
-        assert client.decode_attempts >= 1
+        assert client.decoder.decode_attempts >= 1
 
     def test_metrics_identity(self):
         client, _ = self._run_client(ClientMode.INCREMENTAL)

@@ -229,7 +229,7 @@ class TestFountainIntegration:
                 break
         assert client.is_complete
         assert np.array_equal(client.source_data(), src)
-        assert client.decode_attempts >= 1
+        assert client.decoder.decode_attempts >= 1
 
     def test_mirrors_disjoint_ranges_never_collide(self):
         code = LTCode(70, seed=19)

@@ -245,6 +245,51 @@ class TestSessions:
         # the fountain (fresh droplet ids) never sees one at all.
         assert results[0].distinctness_efficiency == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("spec", ["rs", "interleaved:block_k=200"])
+    def test_mds_session_has_no_reception_overhead(self, spec):
+        """Only packets received *prior to reconstruction* count: an MDS
+        code completes on its k-th distinct packet at any loss rate.
+        (The receiver's old 64-packet feed loop counted up to 63 more.)"""
+        results = run_single_layer_session(
+            code_spec=spec, k=200, loss_rates=[0.05, 0.2, 0.4], seed=3)
+        for result in results:
+            assert result.completed
+            assert result.coding_efficiency == 1.0
+            assert result.overhead == 0.0
+
+    @pytest.mark.parametrize("spec", ["lt", "tornado-a"])
+    @pytest.mark.parametrize("loss", [0.05, 0.4])
+    def test_session_stops_on_the_completing_packet(self, spec, loss):
+        """The receiver's distinct count at completion is exactly the
+        code's decode threshold on the ids it was delivered, in order."""
+        code = build_code(spec, 500, seed=2)
+        config = LayerConfig(1)
+        policy = CongestionPolicy(sp_base_interval=10 ** 6,
+                                  burst_interval=10 ** 6 - 1, burst_length=0)
+        server = LayeredServer(code, config, policy, seed=3)
+        receiver = LayeredReceiver(code, config, policy, 10 ** 9,
+                                   BernoulliLoss(loss), rng=4)
+        delivered = []
+        feed = receiver.client.receive_many
+
+        def recording(indices, payloads=None):
+            delivered.append(np.asarray(indices))
+            return feed(indices, payloads)
+
+        receiver.client.receive_many = recording
+        for rnd in range(4000):
+            receiver.process_round(rnd, *server.next_round())
+            if receiver.is_complete:
+                break
+        assert receiver.is_complete
+        arrivals = np.concatenate(delivered)
+        _, first = np.unique(arrivals, return_index=True)
+        order = arrivals[np.sort(first)]
+        stats = receiver.stats()
+        assert stats.distinct_received == code.packets_to_decode(order)
+        assert stats.total_received == int(np.flatnonzero(
+            arrivals == order[stats.distinct_received - 1])[0]) + 1
+
     def test_rateless_session_distinctness_is_one_at_heavy_loss(self):
         """The carousel degrades past ~50% loss (One Level Property
         ceiling); the rateless fountain does not."""

@@ -411,6 +411,54 @@ class TestUdpUnicast:
         assert sub.malformed >= 1  # the stray records were skipped
 
 
+    @pytest.mark.parametrize("spec,field,value", [
+        ("lt", 3, 9999),            # a block the transfer does not have
+        ("tornado-a", 0, 2 ** 31),  # an index beyond the block's n
+    ])
+    def test_spoofed_record_is_dropped_not_fatal(self, spec, field, value):
+        """One well-framed, right-sized hostile record must not end a
+        fetch: it is an erasure, counted in ``rejected``."""
+        data = _random_bytes(40_000, seed=29)
+        session = api.SenderSession(data, code=spec, seed=3,
+                                    block_size=16_384)
+        receiver = api.ReceiverSession(
+            json.loads(json.dumps(session.manifest())))
+        sub = UdpSubscription("127.0.0.1:0", timeout=10.0)
+        # Queued on the socket before the serve starts, so it is the
+        # first record the receiver reads.
+        header = [0, 0, 0, 0]
+        header[field] = value
+        spoof = b"".join(v.to_bytes(4, "big") for v in header) \
+            + b"\xAA" * session.plan.packet_size
+        assert len(spoof) == receiver.record_size
+        noise = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        noise.sendto(pack_frame(FRAME_DATA, spoof), sub.address)
+        noise.close()
+        errors = []
+
+        def drink():
+            try:
+                sub.feed(receiver, timeout=10.0)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        thread = threading.Thread(target=drink)
+        thread.start()
+        try:
+            session.serve(UdpTransport([sub.address], pace=20_000),
+                          count=200 * session.total_k,
+                          stop=lambda: receiver.is_complete or bool(errors))
+        finally:
+            thread.join(timeout=10.0)
+            sub.close()
+        assert not thread.is_alive()
+        assert not errors, errors
+        assert receiver.rejected == 1
+        assert receiver.data() == data
+        assert receiver.packets_used == receiver.client.total_received
+        assert sub.malformed == 0  # well-framed: only the session can tell
+
+
 @needs_udp
 class TestUdpMulticast:
     def test_loopback_group_reaches_all_members(self):
