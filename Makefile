@@ -118,15 +118,19 @@ docs-check:
 	$(PYTHON) tools/check_docs.py README.md docs/ARCHITECTURE.md
 
 # mypy over the typed core: the registry protocols, the repro.api
-# facade, the protocol layer, and the two clients that consume the
-# IncrementalDecoder Protocol (config: mypy.ini).
+# facade, the protocol layer, the two clients that consume the
+# IncrementalDecoder Protocol, and the one sender (the emission cursor
+# in fountain/source.py, the striped stream in transfer/server.py)
+# (config: mypy.ini).
 # Skips gracefully when mypy is not installed (the library itself has
 # no dependency on it); CI installs mypy and runs this for real.
 typecheck:
 	@if $(PYTHON) -c "import mypy" >/dev/null 2>&1; then \
 		$(PYTHON) -m mypy src/repro/api.py src/repro/codes/registry.py \
 			src/repro/protocol src/repro/fountain/client.py \
-			src/repro/transfer/client.py; \
+			src/repro/transfer/client.py \
+			src/repro/fountain/source.py \
+			src/repro/transfer/server.py; \
 	else \
 		echo "mypy not installed; skipping typecheck (pip install mypy)"; \
 	fi

@@ -1,20 +1,11 @@
-"""Command-line interface: fountain-encode, decode, and transfer files.
+"""Command-line interface: fountain-transfer files, inspect and simulate codes.
 
 The downstream-adoption surface of the library::
 
-    python -m repro encode big.iso shards/ --preset b --seed 2024
-    # ... ship any sufficiently large subset of shards/*.pkt ...
-    python -m repro decode shards/ recovered.iso
-
-    # rateless (LT): every shard is a fresh droplet, mint as many as
-    # you like -- there is no n
-    python -m repro lt encode big.iso shards/ --overhead 0.3
-    python -m repro lt decode shards/ recovered.iso
-    python -m repro lt sim --k 1000 --trials 20   # reception overhead
-
-    # block-segmented bulk transfer: the file is cut into blocks, each
-    # gets its own small code, and one striped packet stream crosses a
-    # (simulated) lossy channel -- the code is any registry spec string
+    # file in, packets on disk, file out: the file is cut into blocks,
+    # each gets its own small code, and one striped packet stream
+    # crosses a (simulated) lossy channel -- the code is any registry
+    # spec string
     python -m repro send big.iso out/ --code tornado-b --loss 0.2
     python -m repro send big.iso out/ --code lt:c=0.05,delta=0.5
     python -m repro recv out/ recovered.iso
@@ -28,6 +19,9 @@ The downstream-adoption surface of the library::
     python -m repro codes list        # every registered code spec
     python -m repro codes list --json # the same, machine-readable
     python -m repro codes cache-stats # build-cache hit/miss counters
+    python -m repro info --k 1000     # a Tornado code's structure
+    python -m repro lt info --k 1000  # a droplet stream's degrees
+    python -m repro lt sim --k 1000 --trials 20   # reception overhead
 
     # population scale: simulate a declarative many-receiver scenario
     # (loss models, join/leave churn, rate tiers — see
@@ -36,24 +30,19 @@ The downstream-adoption surface of the library::
     python -m repro swarm compare examples/scenarios/*.json --receivers 2000
 
 Every subcommand builds its erasure code through the central registry
-(:mod:`repro.codes.registry`); ``send``/``recv`` are thin shells over
-:func:`repro.api.send_file` / :func:`repro.api.receive_stream`, and
-``serve``/``fetch`` drive the :mod:`repro.net.transport` layer
-(``--transport udp`` or ``file``).
-
-``encode`` writes one file per encoding packet (12-byte header + payload,
-the paper's wire format) plus a tiny manifest; ``decode`` reads whatever
-packet files survived and reconstructs the original, refusing cleanly
-when too few are present.  ``decode`` dispatches on the manifest's
-``code`` field, so ``repro decode`` also reconstructs LT shard
-directories (``repro lt decode`` is the self-documenting alias).
+(:mod:`repro.codes.registry`).  There is one sender and one receiver
+behind all four transfer commands: ``send``/``recv`` are thin shells
+over :func:`repro.api.send_file` / :func:`repro.api.receive_stream`
+(``stream.pkt`` + ``manifest.json`` in a directory), and
+``serve``/``fetch`` drive the same
+:class:`~repro.api.SenderSession` / :class:`~repro.api.ReceiverSession`
+over real UDP sockets (:mod:`repro.net.transport.udp`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import pathlib
 import sys
 from typing import List, Optional
@@ -61,7 +50,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro import __version__
-from repro.codes.base import bytes_to_packets, packets_to_bytes
 from repro.codes.lt import robust_soliton_spike
 from repro.codes.registry import (
     REGISTRY,
@@ -70,103 +58,13 @@ from repro.codes.registry import (
     collect_cache_stats,
 )
 from repro.errors import ReproError
-from repro.fountain.packets import EncodingPacket, PacketHeader
 
 MANIFEST_NAME = "manifest.json"
-STREAM_NAME = "stream.pkt"
 
 
 def _lt_spec(args: argparse.Namespace) -> CodeSpec:
     """The LT spec the ``lt`` subcommands' soliton flags describe."""
     return CodeSpec.make("lt", c=args.c, delta=args.delta)
-
-
-def _write_shards(args: argparse.Namespace, payloads, count: int,
-                  manifest: dict, decode_hint: int) -> None:
-    """Write ``count`` packet shards plus the manifest; print the summary.
-
-    ``payloads`` maps an encoding index to its payload row; the shard for
-    index ``i`` is the paper's wire format (12-byte header + payload).
-    """
-    out_dir = pathlib.Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for index in range(count):
-        header = PacketHeader(index=index, serial=index, group=0)
-        packet = EncodingPacket(header=header, payload=payloads(index))
-        (out_dir / f"{index:06d}.pkt").write_bytes(packet.to_bytes())
-    (out_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
-    print(f"wrote {count} packets ({args.packet_size} B payload) "
-          f"and {MANIFEST_NAME} to {out_dir}/")
-    print(f"any ~{decode_hint}+ of them reconstruct "
-          f"{manifest['file_name']} ({manifest['file_size']} bytes)")
-
-
-def cmd_encode(args: argparse.Namespace) -> int:
-    data = pathlib.Path(args.input).read_bytes()
-    source = bytes_to_packets(data, args.packet_size)
-    code = build_code(f"tornado-{args.preset}", source.shape[0],
-                      seed=args.seed)
-    encoding = code.encode(source)
-    manifest = {
-        "version": __version__,
-        "code": "tornado",
-        "preset": args.preset,
-        "seed": args.seed,
-        "k": int(code.k),
-        "n": int(code.n),
-        "packet_size": args.packet_size,
-        "file_size": len(data),
-        "file_name": pathlib.Path(args.input).name,
-    }
-    _write_shards(args, lambda index: encoding[index], code.n, manifest,
-                  decode_hint=int(1.05 * code.k))
-    return 0
-
-
-def _manifest_spec(manifest: dict) -> CodeSpec:
-    """The registry spec a shard manifest's code fields describe."""
-    family = manifest.get("code", "tornado")
-    if family == "lt":
-        return CodeSpec.make("lt", c=manifest.get("c", 0.03),
-                             delta=manifest.get("delta", 0.1))
-    if family == "tornado":
-        return CodeSpec.parse(f"tornado-{manifest['preset']}")
-    return CodeSpec.parse(family)
-
-
-def cmd_decode(args: argparse.Namespace) -> int:
-    in_dir = pathlib.Path(args.input)
-    manifest_path = in_dir / MANIFEST_NAME
-    if not manifest_path.exists():
-        print(f"error: no {MANIFEST_NAME} in {in_dir}", file=sys.stderr)
-        return 2
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("kind") == "transfer":
-        print(f"error: {in_dir} is a block-segmented transfer directory — "
-              "use `repro recv` to reconstruct it", file=sys.stderr)
-        return 2
-    code = build_code(_manifest_spec(manifest), manifest["k"],
-                      seed=manifest["seed"])
-    decoder = code.new_decoder(payload_size=manifest["packet_size"])
-    used = 0
-    for path in sorted(in_dir.glob("*.pkt")):
-        packet = EncodingPacket.from_bytes(path.read_bytes())
-        decoder.add_packet(packet.index, packet.payload)
-        used += 1
-        if decoder.is_complete:
-            break
-    if not decoder.is_complete:
-        missing = code.k - decoder.source_known_count
-        print(f"error: {used} packets were not enough "
-              f"({missing} source packets unresolved) — "
-              "supply more .pkt files", file=sys.stderr)
-        return 1
-    data = packets_to_bytes(decoder.source_data(), manifest["file_size"])
-    pathlib.Path(args.output).write_bytes(data)
-    print(f"reconstructed {manifest['file_name']} "
-          f"({manifest['file_size']} bytes) from {used} packets "
-          f"(overhead {used / manifest['k'] - 1:+.1%})")
-    return 0
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -233,35 +131,6 @@ def cmd_codes_cache_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lt_encode(args: argparse.Namespace) -> int:
-    data = pathlib.Path(args.input).read_bytes()
-    source = bytes_to_packets(data, args.packet_size)
-    code = build_code(_lt_spec(args), source.shape[0], seed=args.seed)
-    count = (args.droplets if args.droplets is not None
-             else int(math.ceil((1 + args.overhead) * code.k)))
-    if count < code.k:
-        raise ReproError(
-            f"{count} droplets cannot cover k={code.k} source packets; "
-            "raise --droplets/--overhead")
-    encoder = code.encoder(source)
-    manifest = {
-        "version": __version__,
-        "code": "lt",
-        "seed": args.seed,
-        "c": args.c,
-        "delta": args.delta,
-        "k": int(code.k),
-        "packet_size": args.packet_size,
-        "file_size": len(data),
-        "file_name": pathlib.Path(args.input).name,
-    }
-    _write_shards(args, encoder.droplet_payload, count, manifest,
-                  decode_hint=int(1.1 * code.k))
-    print("mint more droplets anytime by raising --droplets — "
-          "the fountain has no n")
-    return 0
-
-
 def cmd_lt_sim(args: argparse.Namespace) -> int:
     code = build_code(_lt_spec(args), args.k, seed=args.seed)
     if args.pure_peeling:
@@ -318,7 +187,7 @@ def cmd_recv(args: argparse.Namespace) -> int:
         report = api.receive_stream(in_dir, args.output)
     except ProtocolError:
         print(f"error: {in_dir} is not a transfer directory — "
-              "use `repro decode` for shard directories", file=sys.stderr)
+              "`repro send` writes the ones `recv` reads", file=sys.stderr)
         return 2
     except DecodeFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -332,77 +201,37 @@ def cmd_recv(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_transport(args: argparse.Namespace):
-    """The sender-side transport the serve flags describe."""
-    from repro.net import transport as tx
-
-    if args.transport == "udp":
-        return tx.UdpTransport(
-            args.destination,
-            pace=args.pace,
-            loss=args.loss,
-            seed=args.loss_seed,
-            manifest_interval=args.manifest_interval,
-        )
-    if args.transport == "file":
-        if len(args.destination) != 1:
-            raise ReproError(
-                "file transport takes exactly one destination directory")
-        return tx.FileTransport(args.destination[0], loss=args.loss,
-                                seed=args.loss_seed)
-    raise ReproError(
-        f"transport {args.transport!r} is not servable from the CLI; "
-        "use udp or file (memory is an in-process API transport)")
-
-
-def _check_serve_flags(args: argparse.Namespace) -> None:
-    """Reject flags the chosen transport would silently ignore."""
-    if args.transport == "udp" and args.extra:
-        raise ReproError("--extra only applies to --transport file")
-    if args.transport == "file":
-        for flag, value in (("--pace", args.pace),
-                            ("--duration", args.duration)):
-            if value is not None:
-                raise ReproError(f"{flag} only applies to --transport udp")
-        if args.manifest_interval != 64:
-            raise ReproError(
-                "--manifest-interval only applies to --transport udp")
-        if args.adaptive:
-            raise ReproError(
-                "--adaptive only applies to --transport udp (a recorded "
-                "stream has no feedback return path)")
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro import api
+    from repro.net.transport import UdpTransport
 
-    _check_serve_flags(args)
     session = api.SenderSession.for_file(
         args.input, code=args.code,
         packet_size=args.packet_size,
         block_size=args.block_size,
         schedule=args.schedule, seed=args.seed)
-    transport = _serve_transport(args)
-    options = {}
-    if args.transport == "udp":
-        if args.count is None and args.duration is None:
-            print(f"serving {args.input} forever "
-                  f"({session.code_spec} x {session.num_blocks} blocks) — "
-                  "interrupt to stop", file=sys.stderr)
-        options = {"count": args.count, "duration": args.duration}
-        if args.adaptive:
-            from repro.protocol.adaptive import AdaptivePolicy
+    transport = UdpTransport(
+        args.destination,
+        pace=args.pace,
+        loss=args.loss,
+        seed=args.loss_seed,
+        manifest_interval=args.manifest_interval,
+    )
+    if args.count is None and args.duration is None:
+        print(f"serving {args.input} forever "
+              f"({session.code_spec} x {session.num_blocks} blocks) — "
+              "interrupt to stop", file=sys.stderr)
+    options = {"count": args.count, "duration": args.duration}
+    if args.adaptive:
+        from repro.protocol.adaptive import AdaptivePolicy
 
-            options["policy"] = AdaptivePolicy()
-    else:
-        options = {"count": args.count, "extra": args.extra}
+        options["policy"] = AdaptivePolicy()
     try:
         report = session.serve(transport, **options)
     except KeyboardInterrupt:  # pragma: no cover - interactive stop
         print("interrupted", file=sys.stderr)
         return 130
-    dests = ", ".join(f"{h}:{p}" for h, p in transport.destinations) \
-        if args.transport == "udp" else args.destination[0]
+    dests = ", ".join(f"{h}:{p}" for h, p in transport.destinations)
     print(f"served {report.emitted} packets ({report.delivered} delivered, "
           f"{report.dropped} loss-injected) to {dests} "
           f"in {report.duration:.2f}s "
@@ -420,17 +249,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_fetch(args: argparse.Namespace) -> int:
     from repro import api
     from repro.errors import DecodeFailure, ProtocolError
-    from repro.net import transport as tx
+    from repro.net.transport import UdpSubscription
 
-    if args.transport == "udp":
-        subscription = tx.UdpSubscription(args.source,
-                                          timeout=args.timeout)
-    elif args.transport == "file":
-        subscription = tx.FileTransport(args.source).subscribe()
-    else:
-        raise ReproError(
-            f"transport {args.transport!r} is not fetchable from the CLI; "
-            "use udp or file")
+    subscription = UdpSubscription(args.source, timeout=args.timeout)
     try:
         with subscription:
             session = api.ReceiverSession.from_subscription(
@@ -453,13 +274,14 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     pathlib.Path(args.output).write_bytes(data)
     name = session.manifest.get("file_name", args.output)
     print(f"reconstructed {name} ({len(data)} bytes) from "
-          f"{session.packets_used} packets over {args.transport}")
+          f"{session.packets_used} packets over udp")
     print(f"{session.code_spec}: all blocks complete; reception overhead "
           f"{session.stats().reception_overhead:+.1%}")
-    if args.report and args.transport == "udp":
+    if args.report:
         print(f"reported: {subscription.feedback_sent} feedback frames "
               f"sent; {subscription.datagrams} datagrams seen, "
               f"{subscription.malformed} malformed, "
+              f"{subscription.manifest_conflicts} conflicting manifests, "
               f"{session.rejected} records rejected")
     return 0
 
@@ -570,23 +392,9 @@ def cmd_lt_info(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="Digital-fountain encode/decode (Tornado codes).")
+        description="Digital-fountain file transfer over erasure codes.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    enc = sub.add_parser("encode", help="encode a file into packet shards")
-    enc.add_argument("input", help="file to encode")
-    enc.add_argument("output", help="directory for packet shards")
-    enc.add_argument("--preset", choices=("a", "b"), default="b",
-                     help="tornado-a (fast) or tornado-b (low overhead)")
-    enc.add_argument("--packet-size", type=int, default=1024)
-    enc.add_argument("--seed", type=int, default=2024)
-    enc.set_defaults(func=cmd_encode)
-
-    dec = sub.add_parser("decode", help="reconstruct a file from shards")
-    dec.add_argument("input", help="directory holding .pkt shards")
-    dec.add_argument("output", help="path for the reconstructed file")
-    dec.set_defaults(func=cmd_decode)
 
     info = sub.add_parser("info", help="describe a code's structure")
     info.add_argument("--preset", choices=("a", "b"), default="a")
@@ -644,15 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="spray a file's packet stream over a transport "
-             "(real UDP datagrams, or a recorded stream directory)")
+        help="spray a file's packet stream as real UDP datagrams")
     serve.add_argument("input", help="file to serve")
     serve.add_argument("destination", nargs="+",
                        help="host:port destinations (unicast or multicast "
-                            "group) for udp; one directory for file")
-    serve.add_argument("--transport", default="udp",
-                       choices=("udp", "file"),
-                       help="delivery transport (default: udp)")
+                            "group)")
     serve.add_argument("--code", default="tornado-b",
                        help="per-block code spec (see `repro codes list`)")
     serve.add_argument("--pace", type=float, default=None,
@@ -665,15 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--count", type=int, default=None,
                        help="stop after this many packets")
     serve.add_argument("--duration", type=float, default=None,
-                       help="udp: stop after this many seconds")
-    serve.add_argument("--extra", type=int, default=0,
-                       help="file: extra survivors beyond the decodable "
-                            "minimum")
+                       help="stop after this many seconds")
     serve.add_argument("--manifest-interval", type=int, default=64,
-                       help="udp: data packets between in-band manifest "
+                       help="data packets between in-band manifest "
                             "frames")
     serve.add_argument("--adaptive", action="store_true",
-                       help="udp: listen for receiver feedback reports "
+                       help="listen for receiver feedback reports "
                             "and adapt pacing and block schedule "
                             "(receivers opt in with `fetch --report`)")
     serve.add_argument("--packet-size", type=int, default=1024)
@@ -685,17 +486,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     fetch = sub.add_parser(
         "fetch",
-        help="reconstruct a file from a transport subscription "
-             "(listen on a UDP address, or read a stream directory)")
+        help="reconstruct a file from the UDP datagrams a `serve` sprays")
     fetch.add_argument("source",
-                       help="host:port to listen on (multicast group "
-                            "joins it) for udp; a directory for file")
+                       help="host:port to listen on (a multicast group "
+                            "address joins the group)")
     fetch.add_argument("output", help="path for the reconstructed file")
-    fetch.add_argument("--transport", default="udp",
-                       choices=("udp", "file"),
-                       help="delivery transport (default: udp)")
     fetch.add_argument("--timeout", type=float, default=10.0,
-                       help="udp: seconds of silence before giving up")
+                       help="seconds of silence before giving up")
     fetch.add_argument("--report", action="store_true",
                        help="send periodic feedback reports (loss "
                             "estimate, lagging blocks) back to an "
@@ -742,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     swarm_cmp.set_defaults(func=cmd_swarm_compare)
 
     lt = sub.add_parser(
-        "lt", help="rateless (LT) encode/decode/simulate — a true fountain")
+        "lt", help="rateless (LT) droplet streams: describe and simulate")
     lt_sub = lt.add_subparsers(dest="lt_command", required=True)
 
     def _lt_soliton_flags(p: argparse.ArgumentParser) -> None:
@@ -751,24 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="robust soliton ripple constant")
         p.add_argument("--delta", type=float, default=0.1,
                        help="robust soliton failure target")
-
-    lt_enc = lt_sub.add_parser("encode",
-                               help="mint droplet shards from a file")
-    lt_enc.add_argument("input", help="file to encode")
-    lt_enc.add_argument("output", help="directory for droplet shards")
-    lt_enc.add_argument("--packet-size", type=int, default=1024)
-    lt_enc.add_argument("--overhead", type=float, default=0.30,
-                        help="mint (1+overhead)*k droplets")
-    lt_enc.add_argument("--droplets", type=int, default=None,
-                        help="explicit droplet count (overrides --overhead)")
-    _lt_soliton_flags(lt_enc)
-    lt_enc.set_defaults(func=cmd_lt_encode)
-
-    lt_dec = lt_sub.add_parser("decode",
-                               help="reconstruct a file from droplet shards")
-    lt_dec.add_argument("input", help="directory holding .pkt shards")
-    lt_dec.add_argument("output", help="path for the reconstructed file")
-    lt_dec.set_defaults(func=cmd_decode)
 
     lt_sim = lt_sub.add_parser(
         "sim", help="simulate reception overhead (no payloads)")

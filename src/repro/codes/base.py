@@ -14,6 +14,7 @@ vectorise.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence
 
@@ -168,6 +169,49 @@ class DecoderBackedCode:
             decoder.add_packet(int(order[count]))
             count += 1
         return count
+
+
+class RatelessCode(DecoderBackedCode):
+    """What every rateless family says about itself, once.
+
+    A rateless code has no ``n`` and no stretch-factor ceiling; its
+    ``encode`` is only a finite window of an endless droplet stream.
+    LT and Raptor keep their constructors, ``encoder`` and
+    ``new_decoder``; ``spec`` is the droplet spec both carry.
+    """
+
+    #: A rateless code has no fixed encoding length.
+    n: Optional[int] = None
+    spec: Any
+
+    @property
+    def stretch_factor(self) -> float:
+        """Unbounded: the fountain never runs dry."""
+        return math.inf
+
+    @property
+    def average_degree(self) -> float:
+        """Expected XORs per droplet (encode and decode cost per packet;
+        O(1) for a Raptor repair droplet thanks to its degree cap)."""
+        return self.spec.average_degree
+
+    def encoder(self, source: np.ndarray) -> Any:
+        """Bind this code to a ``(k, P)`` source block for droplet output."""
+        raise NotImplementedError
+
+    def encode(self, source: np.ndarray, count: Optional[int] = None,
+               start: int = 0) -> np.ndarray:
+        """Materialise droplets ``start .. start+count`` as a block.
+
+        ``count`` defaults to ``ceil(1.15 * k)`` — enough for the
+        decoder to succeed with high probability.  (A rateless code has
+        no canonical encoding block; this exists for API symmetry with
+        the fixed-rate codes and for tests.)
+        """
+        if count is None:
+            count = int(math.ceil(1.15 * self.k))
+        return self.encoder(source).payload_block(
+            list(range(start, start + count)))
 
 
 class ErasureCode(abc.ABC):

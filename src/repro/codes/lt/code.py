@@ -12,10 +12,12 @@ is always 1.
 
 Like :class:`~repro.codes.tornado.code.TornadoCode` it only supplies
 ``new_decoder``; ``decode`` / ``is_decodable`` / ``packets_to_decode``
-are the shared :class:`~repro.codes.base.DecoderBackedCode` ones, so
-every fountain, protocol and simulation layer drives both code
-families unchanged; indices simply mean *droplet ids* instead of
-positions in a finite encoding.
+are the shared :class:`~repro.codes.base.DecoderBackedCode` ones (and
+``n = None``, ``stretch_factor``, ``average_degree`` and ``encode`` the
+shared :class:`~repro.codes.base.RatelessCode` ones), so every
+fountain, protocol and simulation layer drives both code families
+unchanged; indices simply mean *droplet ids* instead of positions in a
+finite encoding.
 
 >>> code = LTCode(100, seed=7)
 >>> decoder = code.new_decoder()
@@ -27,12 +29,11 @@ True
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
-from repro.codes.base import DecoderBackedCode
+from repro.codes.base import RatelessCode
 from repro.codes.degree import DegreeDistribution
 from repro.codes.lt.decoder import LTDecoder
 from repro.codes.lt.degree import robust_soliton
@@ -42,7 +43,7 @@ from repro.errors import ParameterError
 __all__ = ["LTCode"]
 
 
-class LTCode(DecoderBackedCode):
+class LTCode(RatelessCode):
     """An LT rateless code with a fixed, seed-reproducible droplet stream.
 
     Parameters
@@ -79,40 +80,11 @@ class LTCode(DecoderBackedCode):
         self.name = name
         self.spec = DropletSpec(self.k, self.degree_dist, self.seed)
 
-    # -- rateless identity -----------------------------------------------------
-
-    #: A rateless code has no fixed encoding length.
-    n: Optional[int] = None
-
-    @property
-    def stretch_factor(self) -> float:
-        """Unbounded: the fountain never runs dry."""
-        return math.inf
-
-    @property
-    def average_degree(self) -> float:
-        """Expected XORs per droplet (encode and decode cost per packet)."""
-        return self.spec.average_degree
-
     # -- encoding --------------------------------------------------------------
 
     def encoder(self, source: np.ndarray) -> LTEncoder:
         """Bind this code to a ``(k, P)`` source block for droplet output."""
         return LTEncoder(self.spec, source)
-
-    def encode(self, source: np.ndarray, count: Optional[int] = None,
-               start: int = 0) -> np.ndarray:
-        """Materialise droplets ``start .. start+count`` as a block.
-
-        ``count`` defaults to ``ceil(1.15 * k)`` — enough for the
-        decoder to succeed with high probability.  (A rateless code has
-        no canonical encoding block; this exists for API symmetry with
-        the fixed-rate codes and for tests.)
-        """
-        if count is None:
-            count = int(math.ceil(1.15 * self.k))
-        return self.encoder(source).payload_block(
-            list(range(start, start + count)))
 
     # -- decoding --------------------------------------------------------------
 

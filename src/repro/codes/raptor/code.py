@@ -20,11 +20,11 @@ the same constraints-plus-random-rows ensemble and the overhead stays
 constant: the ``p99 - p50`` gap of the decode threshold collapses
 compared to LT.
 
-The facade mirrors :class:`~repro.codes.lt.code.LTCode` exactly
-(``n = None``, ``encoder`` / ``new_decoder``, batch decoding from the
-shared :class:`~repro.codes.base.DecoderBackedCode`), so every
-fountain, transfer, protocol and simulation layer drives both rateless
-families unchanged.
+The facade mirrors :class:`~repro.codes.lt.code.LTCode` exactly —
+each is a :class:`~repro.codes.base.RatelessCode` (``n = None``,
+``encode``, batch decoding) supplying ``encoder`` / ``new_decoder`` —
+so every fountain, transfer, protocol and simulation layer drives both
+rateless families unchanged.
 
 >>> code = RaptorCode(100, seed=7)
 >>> decoder = code.new_decoder()
@@ -36,12 +36,11 @@ True
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
-from repro.codes.base import DecoderBackedCode
+from repro.codes.base import RatelessCode
 from repro.codes.raptor.cache import cached_raptor_assets
 from repro.codes.raptor.decoder import RaptorDecoder
 from repro.codes.raptor.encoder import RaptorEncoder
@@ -49,7 +48,7 @@ from repro.codes.raptor.encoder import RaptorEncoder
 __all__ = ["RaptorCode"]
 
 
-class RaptorCode(DecoderBackedCode):
+class RaptorCode(RatelessCode):
     """A systematic Raptor code with a fixed, seed-reproducible stream.
 
     Parameters
@@ -93,25 +92,10 @@ class RaptorCode(DecoderBackedCode):
         self.name = name
         self.spec = self.geometry.spec
 
-    # -- rateless identity -----------------------------------------------------
-
-    #: A rateless code has no fixed encoding length.
-    n: Optional[int] = None
-
-    @property
-    def stretch_factor(self) -> float:
-        """Unbounded: the fountain never runs dry."""
-        return math.inf
-
     @property
     def intermediate_count(self) -> int:
         """``k'`` — source packets plus precode parities."""
         return self.geometry.intermediate_count
-
-    @property
-    def average_degree(self) -> float:
-        """Expected XORs per repair droplet — O(1) thanks to the cap."""
-        return self.spec.average_degree
 
     # -- encoding --------------------------------------------------------------
 
@@ -124,19 +108,6 @@ class RaptorCode(DecoderBackedCode):
         """
         return RaptorEncoder(self.geometry, source,
                              plan=self._assets.encode_plan())
-
-    def encode(self, source: np.ndarray, count: Optional[int] = None,
-               start: int = 0) -> np.ndarray:
-        """Materialise droplets ``start .. start+count`` as a block.
-
-        ``count`` defaults to ``ceil(1.15 * k)`` (API symmetry with the
-        fixed-rate codes and :class:`~repro.codes.lt.code.LTCode`) —
-        comfortably past the decoder's near-``k`` completion point.
-        """
-        if count is None:
-            count = int(math.ceil(1.15 * self.k))
-        return self.encoder(source).payload_block(
-            list(range(start, start + count)))
 
     # -- decoding --------------------------------------------------------------
 

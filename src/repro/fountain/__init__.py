@@ -29,13 +29,7 @@ from repro.fountain.packets import (
     BLOCK_HEADER_SIZE,
     SERIAL_MODULUS,
 )
-from repro.fountain.source import (
-    PacketSource,
-    SequencedPacketSource,
-    available_sources,
-    build_packet_source,
-    register_source,
-)
+from repro.fountain.source import PacketSource, SequencedPacketSource
 from repro.fountain.carousel import CarouselServer
 from repro.fountain.rateless import RatelessServer
 from repro.fountain.client import FountainClient, ClientMode
@@ -55,9 +49,6 @@ __all__ = [
     "SERIAL_MODULUS",
     "PacketSource",
     "SequencedPacketSource",
-    "available_sources",
-    "build_packet_source",
-    "register_source",
     "CarouselServer",
     "RatelessServer",
     "FountainClient",

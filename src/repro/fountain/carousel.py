@@ -14,13 +14,13 @@ asked.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.codes.base import ErasureCode
 from repro.errors import ParameterError
-from repro.fountain.packets import EncodingPacket, HeaderSequencer
+from repro.fountain.packets import HeaderSequencer
 from repro.fountain.source import SequencedPacketSource
 from repro.utils.rng import RngLike, spawn_rng
 
@@ -82,7 +82,6 @@ class CarouselServer(SequencedPacketSource):
         else:
             rng = spawn_rng(seed, _PERMUTATION_STREAM)
             self.order = rng.permutation(code.n).astype(np.int64)
-        self._pos = 0
 
     @property
     def cycle_length(self) -> int:
@@ -96,49 +95,19 @@ class CarouselServer(SequencedPacketSource):
         carries ``order[t % n]``, so simulations can regenerate any
         window of the stream from the shared seed.
         """
-        t = np.arange(count)
-        return self.order[t % self.cycle_length]
+        return self._indices(np.arange(count))
 
-    def packets(self, count: Optional[int] = None) -> Iterator[EncodingPacket]:
-        """Yield the next ``count`` packets (infinite when ``None``)."""
+    def _indices(self, positions: np.ndarray) -> np.ndarray:
+        return self.order[positions % self.cycle_length]
+
+    def _gather(self, indices: np.ndarray) -> np.ndarray:
         if self.encoding is None:
             raise ParameterError(
                 "index-only carousel cannot emit payload packets; "
                 "construct with an encoding block")
-        return super().packets(count)
+        return self.encoding[indices]
 
-    def payload_batch(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Indices and payloads of the next ``count`` carousel slots.
-
-        The batched twin of ``count`` :meth:`_next_packet` calls minus
-        the header stamping: slot ``t`` carries ``order[t % n]``, and the
-        cursor advances by ``count``.  Used by the vectorized transfer
-        simulation, which tracks delivery per (block, index) and never
-        materialises packet objects.
-        """
-        if self.encoding is None:
-            raise ParameterError(
-                "index-only carousel cannot emit payload packets; "
-                "construct with an encoding block")
-        batch = self._ahead(self._pos, count, self.cycle_length)
-        self._pos += int(count)
-        return batch
-
-    def _synthesise(self, first: int, count: int
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-        t = first + np.arange(count, dtype=np.int64)
-        indices = self.order[t % self.cycle_length]
-        return indices, self.encoding[indices]
-
-    def _next_packet(self) -> EncodingPacket:
-        indices, payloads = self._ahead(self._pos, 1, self.cycle_length)
-        header = self._sequencer.next_header(int(indices[0]),
-                                             block=self.block)
-        self._pos += 1
-        return EncodingPacket(header=header, payload=payloads[0])
-
-    def _rewind(self) -> None:
-        self._pos = 0
-
-    def _retreat(self, count: int) -> None:
-        self._pos -= count
+    def _headroom(self, count: int) -> int:
+        # The cycle never ends; looking further ahead than one
+        # revolution would only gather the same rows twice.
+        return self.cycle_length

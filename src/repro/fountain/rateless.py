@@ -37,17 +37,13 @@ id_range)``:
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.codes.lt.code import LTCode
 from repro.errors import ParameterError, ProtocolError
-from repro.fountain.packets import (
-    SERIAL_MODULUS,
-    EncodingPacket,
-    HeaderSequencer,
-)
+from repro.fountain.packets import SERIAL_MODULUS, HeaderSequencer
 from repro.fountain.source import SequencedPacketSource
 
 
@@ -110,14 +106,13 @@ class RatelessServer(SequencedPacketSource):
         self.start = int(start)
         self.id_range = int(id_range)
         self.wrap = bool(wrap)
-        self._emitted = 0
 
     @property
     def ids_remaining(self) -> int:
         """Droplet ids left before the range is exhausted (or wraps)."""
         if self.wrap:
             return self.id_range
-        return max(0, self.id_range - self._emitted)
+        return max(0, self.id_range - self._position)
 
     def _exhausted(self) -> ProtocolError:
         return ProtocolError(
@@ -134,11 +129,11 @@ class RatelessServer(SequencedPacketSource):
         Raises :class:`~repro.errors.ProtocolError` once a non-wrapping
         server has exhausted its id range.
         """
-        if self._emitted >= self.id_range:
+        if self._position >= self.id_range:
             if not self.wrap:
                 raise self._exhausted()
-            return self.start + self._emitted % self.id_range
-        return self.start + self._emitted
+            return self.start + self._position % self.id_range
+        return self.start + self._position
 
     def index_stream(self, count: int) -> np.ndarray:
         """The next ``count`` droplet ids (no packet objects).
@@ -152,51 +147,19 @@ class RatelessServer(SequencedPacketSource):
             raise ProtocolError(
                 f"index stream of {count} exceeds the server's id range "
                 f"of {self.id_range}; widen the range or pass wrap=True")
-        return self.start + (np.arange(count, dtype=np.int64) % self.id_range)
+        return self._indices(np.arange(count, dtype=np.int64))
 
-    def packets(self, count: Optional[int] = None) -> Iterator[EncodingPacket]:
-        """Yield the next ``count`` packets (infinite when ``None``)."""
+    def _indices(self, positions: np.ndarray) -> np.ndarray:
+        return self.start + positions % self.id_range
+
+    def _gather(self, indices: np.ndarray) -> np.ndarray:
         if self.encoder is None:
             raise ParameterError(
                 "index-only rateless server cannot emit payload packets; "
                 "construct with a source block")
-        return super().packets(count)
+        return self.encoder.payload_block(indices)
 
-    def payload_batch(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Droplet ids and payloads of the next ``count`` emissions.
-
-        The batched twin of ``count`` :meth:`_next_packet` calls minus
-        the header stamping, with the same exhaustion semantics: a
-        non-wrapping server raises :class:`~repro.errors.ProtocolError`
-        as soon as the batch would run past its id range.  Payloads
-        derive in one :meth:`~repro.codes.lt.encoder.LTEncoder.payload_block`
-        pass.
-        """
-        if self.encoder is None:
-            raise ParameterError(
-                "index-only rateless server cannot emit payload packets; "
-                "construct with a source block")
-        if not self.wrap and self._emitted + count > self.id_range:
+    def _headroom(self, count: int) -> int:
+        if not self.wrap and self._position + count > self.id_range:
             raise self._exhausted()
-        batch = self._ahead(self._emitted, count, self.ids_remaining)
-        self._emitted += int(count)
-        return batch
-
-    def _synthesise(self, first: int, count: int
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-        ids = self.start + (first
-                            + np.arange(count, dtype=np.int64)) % self.id_range
-        return ids, self.encoder.payload_block(ids)
-
-    def _next_packet(self) -> EncodingPacket:
-        droplet_id = self.next_droplet_id
-        _, payloads = self._ahead(self._emitted, 1, self.ids_remaining)
-        header = self._sequencer.next_header(droplet_id, block=self.block)
-        self._emitted += 1
-        return EncodingPacket(header=header, payload=payloads[0])
-
-    def _rewind(self) -> None:
-        self._emitted = 0
-
-    def _retreat(self, count: int) -> None:
-        self._emitted -= count
+        return self.ids_remaining

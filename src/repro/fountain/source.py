@@ -4,57 +4,31 @@ Every stream the library serves — a carousel cycling a fixed encoding,
 a rateless droplet fountain, a block-striped bulk transfer, a layered
 multicast schedule — ultimately answers the same two questions: *give
 me the next packets* and *start over*.  :class:`PacketSource` spells
-that contract out (it was duck-typed across
-:class:`~repro.fountain.carousel.CarouselServer`,
-:class:`~repro.fountain.rateless.RatelessServer`,
-:class:`~repro.transfer.server.TransferServer` and the layered
-protocol's stream adapter), and :class:`SequencedPacketSource` hosts
-the machinery all of them previously duplicated: sequencer ownership,
-the counted emission loop, and session reset.
+that contract out, and :class:`SequencedPacketSource` hosts the
+machinery behind the sources that stamp wire headers: sequencer
+ownership, the counted emission loop, session reset — and, for the two
+block sources (:class:`~repro.fountain.carousel.CarouselServer`,
+:class:`~repro.fountain.rateless.RatelessServer`), the emission cursor
+itself.  What emission ``t`` of a block carries is a pure function of
+``t``; a block source supplies only that function — a position → index
+map, an index → payload gather, and how far its id range reaches — and
+the cursor, the look-ahead buffer and every draw live here once.
 
-Sources are also *registered by mode name* alongside the code registry
-(:mod:`repro.codes.registry` names the modes: ``"carousel"``,
-``"rateless"``, ``"layered"``), so any delivery shape is buildable from
-a spec::
-
-    from repro.fountain.source import build_packet_source
-
-    source = build_packet_source(code, source_block)        # mode inferred
-    source = build_packet_source(code, source_block, mode="layered")
-
-which is what lets the transfer server, the transports and the CLI
-treat "how packets are produced" as data rather than hard-wired class
-choices.
+Which class serves a code is not data:
+:class:`~repro.transfer.server.TransferServer` builds a rateless or a
+carousel source per block on the codec's ``is_rateless``, and a layered
+stream is built by :func:`repro.protocol.stream.layered_packet_source`.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Protocol,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Iterator, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
-from repro.errors import ParameterError
 from repro.fountain.packets import EncodingPacket, HeaderSequencer
 
-__all__ = [
-    "LOOKAHEAD",
-    "PacketSource",
-    "SequencedPacketSource",
-    "SOURCE_MODES",
-    "available_sources",
-    "build_packet_source",
-    "register_source",
-]
+__all__ = ["LOOKAHEAD", "PacketSource", "SequencedPacketSource"]
 
 
 #: emissions synthesised per look-ahead fill.  A block source derives
@@ -83,18 +57,27 @@ class SequencedPacketSource:
     """Shared emission machinery for sources that stamp wire headers.
 
     Owns (or shares) the :class:`HeaderSequencer`, implements the
-    counted ``packets()`` loop in terms of one abstract
-    :meth:`_next_packet`, and splits :meth:`reset` into the shared
-    sequencer half plus a subclass :meth:`_rewind` hook.
+    counted ``packets()`` loop in terms of :meth:`_next_packet`, and
+    splits :meth:`reset` into the shared sequencer half plus
+    :meth:`_rewind`.
 
-    Block sources synthesise ahead of emission: :meth:`_ahead` serves
-    emission positions — a packet at a time for ``packets()``, a few at
-    a time for small ``payload_batch`` calls — out of a buffer refilled
-    by one batched :meth:`_synthesise` call per :data:`LOOKAHEAD`
-    emissions.  Synthesis is a pure function of the position, so the
-    buffer is keyed by position and never goes stale — the emission
-    cursor (what the subclass reports and ``reset()`` rewinds) is the
-    only stream state.
+    For a block source it also owns the emission cursor — the number of
+    emissions made, which is the only stream state — and every way of
+    drawing from it: a packet at a time (:meth:`_next_packet`), a batch
+    of indices with or without their payloads (:meth:`index_batch`,
+    :meth:`payload_batch`), and back again (:meth:`_retreat`).  The
+    subclass supplies three pure hooks: :meth:`_indices` (emission
+    position → encoding index), :meth:`_gather` (index → payload row)
+    and :meth:`_headroom` (how far the id range reaches).  Payloads are
+    synthesised ahead of emission: :meth:`_ahead` serves the cursor out
+    of a buffer refilled by one batched gather per :data:`LOOKAHEAD`
+    emissions.  The buffer is keyed by position and synthesis is a pure
+    function of it, so it never goes stale.
+
+    A striped server has a schedule where a block source has a cursor:
+    :class:`~repro.transfer.server.TransferServer` overrides
+    :meth:`_next_packet` and :meth:`_rewind` and draws from its block
+    sources.
 
     Parameters
     ----------
@@ -120,48 +103,91 @@ class SequencedPacketSource:
         self._sequencer = (HeaderSequencer(group=group)
                            if sequencer is None else sequencer)
         self.group = self._sequencer.group
+        self._position = 0
         self._ahead_from = 0
         self._ahead_indices = self._ahead_payloads = np.empty(0)
 
-    def _synthesise(self, first: int, count: int
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Indices and payloads of emissions ``first .. first + count``
-        (block-source hook; must not depend on stream state)."""
+    # -- what a block source supplies ------------------------------------------
+
+    def _indices(self, positions: np.ndarray) -> np.ndarray:
+        """The encoding index each of the emission ``positions`` carries."""
         raise NotImplementedError  # pragma: no cover - abstract
 
-    def _ahead(self, position: int, count: int, available: int
-               ) -> Tuple[np.ndarray, np.ndarray]:
-        """Indices and payloads of emissions ``position .. position +
-        count``, through the look-ahead buffer.
+    def _gather(self, indices: np.ndarray) -> np.ndarray:
+        """The payload rows of ``indices``; an index-only source raises
+        :class:`~repro.errors.ParameterError` here."""
+        raise NotImplementedError  # pragma: no cover - abstract
 
-        A miss refills the buffer from ``position`` on, synthesising
-        :data:`LOOKAHEAD` emissions but never more than ``available``
-        (what a bounded id range has left).  Requests of a whole
-        look-ahead or more are their own batch and bypass the buffer.
+    def _headroom(self, count: int) -> int:
+        """How many emissions past the cursor a look-ahead fill may
+        synthesise; raises when the id range has fewer than ``count``
+        left."""
+        raise NotImplementedError  # pragma: no cover - abstract
+
+    # -- the cursor ------------------------------------------------------------
+
+    def _ahead(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Indices and payloads of the next ``count`` emissions, through
+        the look-ahead buffer (the cursor does not move).
+
+        A miss refills the buffer from the cursor on: :data:`LOOKAHEAD`
+        emissions, never more than the headroom.  The id range is asked
+        on a miss only — whatever the buffer holds was in range when it
+        was filled.  Requests of a whole look-ahead or more are their
+        own batch and bypass the buffer.
         """
-        if count >= LOOKAHEAD:
-            return self._synthesise(position, count)
-        row = position - self._ahead_from
-        if not 0 <= row <= len(self._ahead_indices) - count:
-            self._ahead_indices, self._ahead_payloads = self._synthesise(
-                position, max(count, min(LOOKAHEAD, available)))
-            self._ahead_from, row = position, 0
-        return (self._ahead_indices[row:row + count],
-                self._ahead_payloads[row:row + count])
+        row = self._position - self._ahead_from
+        if count < LOOKAHEAD and 0 <= row <= len(self._ahead_indices) - count:
+            return (self._ahead_indices[row:row + count],
+                    self._ahead_payloads[row:row + count])
+        fill = max(count, min(LOOKAHEAD, self._headroom(count)))
+        indices = self._indices(
+            self._position + np.arange(fill, dtype=np.int64))
+        payloads = self._gather(indices)
+        if count < LOOKAHEAD:
+            self._ahead_from = self._position
+            self._ahead_indices, self._ahead_payloads = indices, payloads
+        return indices[:count], payloads[:count]
+
+    def index_batch(self, count: int) -> np.ndarray:
+        """Encoding indices of the next ``count`` emissions; the cursor
+        advances by ``count``.  All an index-only source can emit — the
+        structural simulations' draw."""
+        self._headroom(count)
+        indices = self._indices(
+            self._position + np.arange(count, dtype=np.int64))
+        self._position += int(count)
+        return indices
+
+    def payload_batch(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Indices and payloads of the next ``count`` emissions.
+
+        The batched twin of ``count`` :meth:`_next_packet` calls minus
+        the header stamping, with the same exhaustion semantics: the
+        cursor advances by ``count``, and a bounded id range raises as
+        soon as the batch would run past it.
+        """
+        batch = self._ahead(count)
+        self._position += int(count)
+        return batch
 
     def _next_packet(self) -> EncodingPacket:
-        """Produce the next packet of the stream (subclass hook)."""
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    def _rewind(self) -> None:
-        """Rewind subclass stream state (subclass hook)."""
-        raise NotImplementedError  # pragma: no cover - abstract
+        """Produce the next packet of the stream."""
+        indices, payloads = self._ahead(1)
+        header = self._sequencer.next_header(int(indices[0]),
+                                             block=self.block)
+        self._position += 1
+        return EncodingPacket(header=header, payload=payloads[0])
 
     def _retreat(self, count: int) -> None:
-        """Move the emission cursor back ``count`` emissions (block-source
-        hook).  The look-ahead buffer is keyed by position, so whatever
-        was synthesised for them is served again as-is."""
-        raise NotImplementedError  # pragma: no cover - abstract
+        """Move the cursor back ``count`` emissions.  The look-ahead
+        buffer is keyed by position, so whatever was synthesised for
+        them is served again as-is."""
+        self._position -= count
+
+    def _rewind(self) -> None:
+        """Rewind the stream state below the sequencer."""
+        self._position = 0
 
     def packets(self, count: Optional[int] = None
                 ) -> Iterator[EncodingPacket]:
@@ -181,122 +207,3 @@ class SequencedPacketSource:
         self._ahead_indices = self._ahead_payloads = np.empty(0)
         if self._owns_sequencer:
             self._sequencer.reset()
-
-
-# -- the source registry -------------------------------------------------------
-
-#: mode name -> factory(code, source, **options) -> PacketSource.
-SOURCE_MODES: Dict[str, Callable[..., Any]] = {}
-
-
-def register_source(mode: str, factory: Callable[..., Any]) -> None:
-    """Register a source factory under a delivery-mode name.
-
-    The factory signature is ``factory(code, source=None, *, encoding,
-    seed, sequencer, block, **options)``; unknown options raise inside
-    the factory with the usual parameter errors.
-    """
-    if mode in SOURCE_MODES:
-        raise ParameterError(f"source mode {mode!r} already registered")
-    SOURCE_MODES[mode] = factory
-
-
-def available_sources() -> List[str]:
-    """All registered delivery-mode names, sorted."""
-    return sorted(SOURCE_MODES)
-
-
-def _is_rateless_code(code: Any) -> bool:
-    """Rateless codes have no finite encoding length ``n``."""
-    return getattr(code, "n", None) is None
-
-
-def build_packet_source(code: Any,
-                        source: Optional[np.ndarray] = None,
-                        *,
-                        mode: Optional[str] = None,
-                        encoding: Optional[np.ndarray] = None,
-                        seed: int = 0,
-                        sequencer: Optional[HeaderSequencer] = None,
-                        block: Optional[int] = None,
-                        **options: Any) -> PacketSource:
-    """Build the packet source serving ``code`` over one source block.
-
-    ``mode`` picks the registered delivery shape; by default rateless
-    codes pour droplets (``"rateless"``) and fixed-rate codes cycle a
-    carousel (``"carousel"``).  Fixed-rate callers may pass a
-    precomputed ``encoding`` to skip the encode (the transfer server's
-    encode-once cache rides this).
-    """
-    if mode is None:
-        mode = "rateless" if _is_rateless_code(code) else "carousel"
-    try:
-        factory = SOURCE_MODES[mode]
-    except KeyError:
-        raise ParameterError(
-            f"unknown source mode {mode!r}; registered modes: "
-            f"{', '.join(available_sources())}") from None
-    return factory(code, source, encoding=encoding, seed=seed,
-                   sequencer=sequencer, block=block, **options)
-
-
-# -- default registrations -----------------------------------------------------
-
-
-def _carousel_source(code: Any, source: Optional[np.ndarray] = None, *,
-                     encoding: Optional[np.ndarray] = None, seed: int = 0,
-                     sequencer: Optional[HeaderSequencer] = None,
-                     block: Optional[int] = None,
-                     **options: Any) -> PacketSource:
-    from repro.fountain.carousel import CarouselServer
-
-    if _is_rateless_code(code):
-        raise ParameterError(
-            "mode 'carousel' needs a fixed-rate code (n is defined); "
-            "serve rateless codes with mode='rateless'")
-    if encoding is None:
-        if source is None:
-            raise ParameterError(
-                "carousel source needs the source block (or a "
-                "precomputed encoding=)")
-        encoding = code.encode(source)
-    return CarouselServer(code, encoding=encoding, seed=seed,
-                          sequencer=sequencer, block=block, **options)
-
-
-def _rateless_source(code: Any, source: Optional[np.ndarray] = None, *,
-                     encoding: Optional[np.ndarray] = None, seed: int = 0,
-                     sequencer: Optional[HeaderSequencer] = None,
-                     block: Optional[int] = None,
-                     **options: Any) -> PacketSource:
-    from repro.fountain.rateless import RatelessServer
-
-    if not _is_rateless_code(code):
-        raise ParameterError(
-            f"mode 'rateless' needs a rateless code; "
-            f"{type(code).__name__} has n={code.n}")
-    if encoding is not None:
-        raise ParameterError(
-            "rateless codes have no finite encoding; pass the source block")
-    return RatelessServer(code, source, sequencer=sequencer, block=block,
-                          **options)
-
-
-def _layered_source(code: Any, source: Optional[np.ndarray] = None, *,
-                    encoding: Optional[np.ndarray] = None, seed: int = 0,
-                    sequencer: Optional[HeaderSequencer] = None,
-                    block: Optional[int] = None,
-                    **options: Any) -> PacketSource:
-    from repro.protocol.stream import layered_packet_source
-
-    if block is not None or sequencer is not None:
-        raise ParameterError(
-            "layered sources stamp one sequencer per layer and carry no "
-            "block id; serve blocks through mode 'carousel'/'rateless'")
-    return layered_packet_source(code, source, encoding=encoding,
-                                 seed=seed, **options)
-
-
-register_source("carousel", _carousel_source)
-register_source("rateless", _rateless_source)
-register_source("layered", _layered_source)

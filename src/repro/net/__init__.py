@@ -1,11 +1,13 @@
-"""Network substrate: loss processes, channels and multicast plumbing.
+"""Network substrate: loss processes, channels and delivery transports.
 
 The paper's channels (Section 2) are best-effort packet channels — IP
 multicast, satellite, wireless — whose only failure mode after intra-
 packet FEC is *erasure*.  This package provides the loss processes used
 across the evaluation (independent Bernoulli loss for Sections 6.1-6.3,
-bursty heterogeneous MBone-like traces for Section 6.4) and the
-slot-based multicast fabric the layered prototype simulation runs on.
+bursty heterogeneous MBone-like traces for Section 6.4), the
+:class:`~repro.net.channel.LossyChannel` every simulated crossing draws
+its verdicts from, and — lazily, as :mod:`repro.net.transport` — the
+memory / file / UDP transports that move a real packet stream.
 """
 
 from repro.net.loss import (
@@ -16,8 +18,6 @@ from repro.net.loss import (
 )
 from repro.net.traces import TraceSet, synthesize_mbone_traces
 from repro.net.channel import LossyChannel
-from repro.net.multicast import MulticastGroup, MulticastNetwork
-from repro.net.events import EventLoop
 
 #: `repro.net.transport` resolved lazily (PEP 562): the transport layer
 #: pulls in the transfer stack (for serve-side shadow decoders), which
@@ -41,7 +41,4 @@ __all__ = [
     "TraceSet",
     "synthesize_mbone_traces",
     "LossyChannel",
-    "MulticastGroup",
-    "MulticastNetwork",
-    "EventLoop",
 ]

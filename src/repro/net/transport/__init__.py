@@ -27,11 +27,8 @@ from repro.net.transport.base import (
     ServeReport,
     Subscription,
     Transport,
-    TRANSPORTS,
     iter_frames,
     pack_frame,
-    register_transport,
-    transport_names,
 )
 from repro.net.transport.pacing import TokenBucket
 from repro.net.transport.memory import MemorySubscription, MemoryTransport
@@ -59,7 +56,6 @@ __all__ = [
     "Subscription",
     "TokenBucket",
     "Transport",
-    "TRANSPORTS",
     "FileSubscription",
     "FileTransport",
     "MemorySubscription",
@@ -71,6 +67,4 @@ __all__ = [
     "pack_frame",
     "parse_address",
     "record_size",
-    "register_transport",
-    "transport_names",
 ]

@@ -48,7 +48,7 @@ from __future__ import annotations
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,13 +64,10 @@ __all__ = [
     "ServeReport",
     "Subscription",
     "Transport",
-    "TRANSPORTS",
     "frame_records",
     "iter_frames",
     "pack_frame",
     "packet_ids",
-    "register_transport",
-    "transport_names",
 ]
 
 #: emission budget per source packet before a serve is declared stuck.
@@ -299,7 +296,8 @@ class Subscription(ABC):
 class Transport(ABC):
     """One way to move a packet stream from a sender to receivers."""
 
-    #: registry name (``"memory"``, ``"file"``, ``"udp"``).
+    #: short name reported in :attr:`ServeReport.transport`
+    #: (``"memory"``, ``"file"``, ``"udp"``).
     name: str = "?"
 
     @abstractmethod
@@ -315,20 +313,3 @@ class Transport(ABC):
     @abstractmethod
     def subscribe(self, **options: Any) -> Subscription:
         """A receiver-side subscription to this transport's stream."""
-
-
-#: transport name -> class, for spec-driven construction (CLI, tests).
-TRANSPORTS: Dict[str, Type[Transport]] = {}
-
-
-def register_transport(cls: Type[Transport]) -> Type[Transport]:
-    """Class decorator adding a transport to :data:`TRANSPORTS`."""
-    if cls.name in TRANSPORTS:
-        raise ProtocolError(f"transport {cls.name!r} already registered")
-    TRANSPORTS[cls.name] = cls
-    return cls
-
-
-def transport_names() -> List[str]:
-    """All registered transport names, sorted."""
-    return sorted(TRANSPORTS)

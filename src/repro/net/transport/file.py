@@ -29,7 +29,6 @@ from repro.net.transport.base import (
     Subscription,
     Transport,
     packet_ids,
-    register_transport,
 )
 
 __all__ = ["FileTransport", "FileSubscription",
@@ -109,7 +108,6 @@ class FileSubscription(Subscription):
         return False
 
 
-@register_transport
 class FileTransport(Transport):
     """Record a stream's channel survivors into a directory.
 

@@ -40,7 +40,6 @@ from repro.net.transport.base import (
     Subscription,
     Transport,
     packet_ids,
-    register_transport,
 )
 from repro.protocol.adaptive import AdaptivePolicy
 from repro.protocol.feedback import FeedbackReport, report_from_client
@@ -82,7 +81,6 @@ class MemorySubscription(Subscription):
         return True
 
 
-@register_transport
 class MemoryTransport(Transport):
     """Deliver a stream to in-process subscribers across lossy channels.
 

@@ -63,7 +63,6 @@ from repro.net.transport.base import (
     frame_records,
     iter_frames,
     pack_frame,
-    register_transport,
 )
 from repro.net.transport.file import record_size
 from repro.net.transport.pacing import TokenBucket
@@ -156,6 +155,7 @@ class UdpSubscription(Subscription):
         self.datagrams = 0
         #: data frames whose framing failed to parse (foreign senders).
         self.malformed = 0
+        self._manifest_conflicts = 0
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM,
                              socket.IPPROTO_UDP)
         try:
@@ -188,10 +188,17 @@ class UdpSubscription(Subscription):
             self._closed = True
             self.socket.close()
 
+    @property
+    def manifest_conflicts(self) -> int:
+        """Manifest frames heard that differ from the adopted one (a
+        restarted or foreign sender); each was ignored."""
+        return self._manifest_conflicts
+
     def __repr__(self) -> str:
         where = "closed" if self._closed else "%s:%d" % self.address
         return (f"UdpSubscription({where}, datagrams={self.datagrams}, "
                 f"malformed={self.malformed}, "
+                f"manifest_conflicts={self.manifest_conflicts}, "
                 f"feedback_sent={self.feedback_sent})")
 
     def _recv(self) -> Optional[Tuple[bytes, Address]]:
@@ -233,20 +240,30 @@ class UdpSubscription(Subscription):
         return True
 
     def _learn_manifest(self, body: bytes) -> None:
-        """Adopt a manifest frame's body (a bogus one is only counted).
+        """Adopt the first well-formed manifest frame — for good.
 
-        The data-record size it describes is derived here, once per
-        adoption, for the per-datagram size filter.
+        The receiver session is bound to the manifest it was built
+        from, so a later frame that says otherwise could only re-key
+        the size filter against the stream being decoded: it is counted
+        in :attr:`manifest_conflicts` and ignored (an identical re-send,
+        the in-band norm, is a no-op).  A body that is not a JSON object
+        is only counted malformed.  The data-record size the manifest
+        describes is derived here, once, for the per-datagram filter.
         """
         try:
-            self._manifest = json.loads(body.decode("utf-8"))
+            manifest = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
+            manifest = None
+        if not isinstance(manifest, dict):
             self.malformed += 1
-            return
-        try:
-            self._record_bytes = record_size(self._manifest)
-        except (KeyError, TypeError, ValueError):
-            self._record_bytes = None
+        elif self._manifest is None:
+            self._manifest = manifest
+            try:
+                self._record_bytes = record_size(manifest)
+            except (KeyError, TypeError, ValueError):
+                self._record_bytes = None
+        elif manifest != self._manifest:
+            self._manifest_conflicts += 1
 
     def manifest(self, timeout: Optional[float] = None) -> dict:
         """Wait for a manifest frame (buffering data frames meanwhile)."""
@@ -278,8 +295,8 @@ class UdpSubscription(Subscription):
         """Parse one datagram's frames into ``batch`` (data bodies only).
 
         The one datagram loop: a datagram either parses whole or is
-        discarded whole (no half-delivered prefixes), a manifest frame
-        is adopted, and — once a manifest is known — data records of
+        discarded whole (no half-delivered prefixes), the first
+        manifest frame is adopted, and — once it is — data records of
         any other size (foreign senders, a repro sender restarted with
         a different geometry) are counted in :attr:`malformed` and
         skipped, not handed to the decoder.
@@ -369,7 +386,6 @@ class _SenderProtocol(asyncio.DatagramProtocol):
 _LossStream = LossyChannel
 
 
-@register_transport
 class UdpTransport(Transport):
     """Spray a packet stream over real UDP sockets.
 

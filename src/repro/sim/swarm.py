@@ -75,7 +75,8 @@ from repro.protocol.layering import LayerConfig
 from repro.transfer.blocks import BlockPlan
 from repro.transfer.client import TransferClient
 from repro.transfer.codec import ObjectCodec
-from repro.transfer.schedule import SCHEDULES, make_schedule
+from repro.transfer.schedule import SCHEDULES
+from repro.transfer.server import TransferServer
 from repro.utils.rng import spawn_rng
 
 __all__ = [
@@ -1208,30 +1209,10 @@ def replay_receivers(scenario: Scenario,
     codec = ObjectCodec(plan, code=scenario.code, seed=scenario.seed)
     total_k = plan.total_packets
     limit = scenario.max_sweeps * total_k
-    # Shared across receivers: the emission order of the stream.  For
-    # every slot t, which block it serves and that block's running
-    # emission position; carousels map positions to indices through
-    # their permutation, rateless streams use the position itself.
-    schedule = make_schedule(scenario.schedule, plan.block_ks)
-    slot_block = np.fromiter((next(schedule) for _ in range(limit)),
-                             dtype=np.int64, count=limit)
-    slot_pos = np.zeros(limit, dtype=np.int64)
-    counters = np.zeros(plan.num_blocks, dtype=np.int64)
-    for t in range(limit):
-        b = slot_block[t]
-        slot_pos[t] = counters[b]
-        counters[b] += 1
-    if not codec.is_rateless:
-        from repro.fountain.carousel import CarouselServer
-        orders = [CarouselServer(codec.code_for(spec.block),
-                                 seed=block_seed(scenario.seed, spec.block)
-                                 ).order
-                  for spec in plan.blocks]
-        slot_index = np.array(
-            [orders[b][p % orders[b].size]
-             for b, p in zip(slot_block, slot_pos)], dtype=np.int64)
-    else:
-        slot_index = slot_pos
+    # Shared across receivers: what every slot of the stream carries,
+    # asked of the structural server (no data, ids only).
+    slot_block, slot_index, _ = TransferServer(
+        codec, schedule=scenario.schedule, seed=scenario.seed).window(limit)
 
     overhead = np.full(len(receiver_ids), np.nan)
     completed = np.zeros(len(receiver_ids), dtype=bool)

@@ -1,14 +1,16 @@
 """Block-segmented transfer scenarios (the Figure 3 story at file scale).
 
-One harness, two modes:
+One harness, one loop, two modes — both ask the same
+:class:`~repro.transfer.server.TransferServer` what each emission
+carries and cross the same channel:
 
 * **payload mode** — a full pipeline run: random object bytes, per-block
   encode, striped stream through a lossy channel, per-block incremental
   decode, byte-exact reassembly check.  The ground truth.
-* **structural mode** — indices only, no payload XOR work: per-block
-  positions advance exactly as the servers would, survivors feed a
-  payload-less :class:`~repro.transfer.client.TransferClient`.  Orders
-  of magnitude faster, for sweeps over many blocks/loss rates.
+* **structural mode** — indices only, no payload XOR work: the server
+  holds no data, survivors feed a payload-less
+  :class:`~repro.transfer.client.TransferClient`.  Orders of magnitude
+  faster, for sweeps over many blocks/loss rates.
 
 :func:`compare_schedules` runs both cross-block schedules on the same
 geometry, reproducing the paper's interleaving trade-off: proportional
@@ -20,19 +22,16 @@ of block ``b`` wait a whole revolution for ``b`` to come around again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, Union
 
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.fountain.packets import header_fields
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss, LossModel
 from repro.transfer.blocks import BlockPlan
 from repro.transfer.client import TransferClient
-from repro.codes.registry import block_seed
 from repro.transfer.codec import ObjectCodec
-from repro.transfer.schedule import make_schedule
 from repro.transfer.server import TransferServer
 from repro.utils.rng import spawn_rng
 
@@ -40,7 +39,7 @@ from repro.utils.rng import spawn_rng
 _DATA_STREAM = 0xDA7A
 _LOSS_STREAM = 0x1055
 
-#: structural-mode chunk size for vectorised loss draws.
+#: longest window drawn and crossed in one pass.
 _CHUNK = 4096
 
 
@@ -99,65 +98,29 @@ def simulate_transfer(file_size: int,
     channel = LossyChannel(_as_loss_model(loss),
                            rng=spawn_rng(seed, _LOSS_STREAM))
     limit = int(max_factor * codec.total_k)
+    data = None
     if payloads:
-        data_rng = spawn_rng(seed, _DATA_STREAM)
-        data = data_rng.integers(0, 256, size=file_size,
-                                 dtype=np.uint8).tobytes()
-        server = TransferServer(codec, data, schedule=schedule, seed=seed)
-        client = TransferClient(codec)
-        # Deficit-bounded windows, result-identical to crossing the
-        # channel one packet at a time: every slot advances its block
-        # source (delivered or not), and the transfer cannot complete
-        # before a window's final packet, so reception counters at
-        # completion match the sequential run exactly.  A window is the
-        # server's wire-record array — no packet objects.
-        while not client.is_complete and channel.sent < limit:
-            n = min(client.min_additional, limit - channel.sent, _CHUNK)
-            records = server.record_window(n)[channel.delivery_mask(n)]
-            fields = header_fields(records,
-                                   records.shape[1] - packet_size)
-            blocks = (fields[:, 3] if plan.num_blocks > 1
-                      else np.zeros(len(records), dtype=np.int64))
-            client.receive_window(blocks, fields[:, 0],
-                                  records[:, -packet_size:])
-        sent = channel.sent
-        if not client.is_complete:
-            raise ParameterError(
-                f"transfer did not complete within {limit} emissions; "
-                f"raise max_factor or lower the loss rate")
-        verified = client.object_data() == data
-    else:
-        client = TransferClient(codec, payload_size=None)
-        slots = make_schedule(schedule, plan.block_ks)
-        # Per-block emission positions, advanced exactly as the servers
-        # advance them: a carousel walks its permutation cyclically, a
-        # rateless stream walks droplet ids upward.
-        positions = [0] * plan.num_blocks
-        orders: List[Optional[np.ndarray]] = [None] * plan.num_blocks
-        if not codec.is_rateless:
-            from repro.fountain.carousel import CarouselServer
-            orders = [CarouselServer(codec.code_for(spec.block),
-                                     seed=block_seed(seed, spec.block)).order
-                      for spec in plan.blocks]
-        sent = 0
-        while not client.is_complete and sent < limit:
-            mask = channel.delivery_mask(min(_CHUNK, limit - sent))
-            for delivered in mask:
-                block = next(slots)
-                pos = positions[block]
-                positions[block] = pos + 1
-                sent += 1
-                if not delivered:
-                    continue
-                order = orders[block]
-                index = pos if order is None else int(order[pos % order.size])
-                if client.receive_index(block, index):
-                    break
-        if not client.is_complete:
-            raise ParameterError(
-                f"transfer did not complete within {limit} emissions; "
-                f"raise max_factor or lower the loss rate")
-        verified = False
+        data = spawn_rng(seed, _DATA_STREAM).integers(
+            0, 256, size=file_size, dtype=np.uint8).tobytes()
+    server = TransferServer(codec, data, schedule=schedule, seed=seed)
+    client = TransferClient(codec,
+                            payload_size=packet_size if payloads else None)
+    # Deficit-bounded windows, result-identical to crossing the channel
+    # one packet at a time: every slot advances its block source
+    # (delivered or not), and the transfer cannot complete before a
+    # window's final packet, so reception counters at completion match
+    # the sequential run exactly.  A window is the server's id (and
+    # payload) arrays — no packet objects, no headers.
+    while not client.is_complete and channel.sent < limit:
+        n = min(client.min_additional, limit - channel.sent, _CHUNK)
+        delivered = channel.delivery_mask(n)
+        blocks, indices, rows = server.window(n)
+        client.receive_window(blocks[delivered], indices[delivered],
+                              None if rows is None else rows[delivered])
+    if not client.is_complete:
+        raise ParameterError(
+            f"transfer did not complete within {limit} emissions; "
+            f"raise max_factor or lower the loss rate")
     return TransferRunResult(
         family=family,
         schedule=schedule,
@@ -165,10 +128,10 @@ def simulate_transfer(file_size: int,
         packet_size=plan.packet_size,
         num_blocks=plan.num_blocks,
         total_k=codec.total_k,
-        packets_sent=sent,
+        packets_sent=channel.sent,
         packets_received=client.total_received,
         distinct_received=client.distinct_received,
-        verified=verified,
+        verified=payloads and client.object_data() == data,
     )
 
 

@@ -38,38 +38,23 @@ def _check_weights(block_ks: Sequence[int]) -> Sequence[int]:
 
 
 def interleaved_slots(block_ks: Sequence[int]) -> Iterator[int]:
-    """Proportional striping: block ``b`` owns a ``k_b / sum(k)`` share.
-
-    Deficit round-robin via an event heap: block ``b``'s ``i``-th packet
-    is due at virtual time ``(i + 1) / k_b``; slots pop in due-time
-    order (ties broken by block id), so within any window every block's
-    emission count tracks its share to within one packet.
-    """
-    _check_weights(block_ks)
-
-    def slots() -> Iterator[int]:
-        emitted = [0] * len(block_ks)
-        heap = [(1.0 / k, b) for b, k in enumerate(block_ks)]
-        heapq.heapify(heap)
-        while True:
-            _, b = heapq.heappop(heap)
-            yield b
-            emitted[b] += 1
-            heapq.heappush(heap, ((emitted[b] + 1) / block_ks[b], b))
-
-    return slots()
+    """Proportional striping: block ``b`` owns a ``k_b / sum(k)`` share —
+    :func:`weighted_slots` with every weight 1."""
+    return weighted_slots(block_ks, [1] * len(block_ks))
 
 
 def weighted_slots(block_ks: Sequence[int],
                    weights: Sequence[float]) -> Iterator[int]:
     """Deficit round-robin with per-block weight multipliers.
 
-    The adaptive-sender generalisation of :func:`interleaved_slots`:
-    block ``b`` owns a ``k_b * w_b`` share of the stream, so a policy
-    chasing lagging blocks hands in weights above 1 for the laggards
-    and the schedule concentrates slots there while every block keeps
-    making progress.  ``weights`` of all ones is exactly the
-    proportional stripe.
+    Block ``b`` owns a ``k_b * w_b`` share of the stream, via an event
+    heap: its ``i``-th packet is due at virtual time ``(i + 1) / (k_b *
+    w_b)``; slots pop in due-time order (ties broken by block id), so
+    within any window every block's emission count tracks its share to
+    within one packet.  An adaptive policy chasing lagging blocks hands
+    in weights above 1 for the laggards and the schedule concentrates
+    slots there while every block keeps making progress; ``weights`` of
+    all ones is exactly the proportional stripe.
     """
     _check_weights(block_ks)
     if len(weights) != len(block_ks):

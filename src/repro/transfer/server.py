@@ -1,15 +1,19 @@
 """Serving a block-segmented object as one striped packet stream.
 
 A :class:`TransferServer` composes one fountain sub-source per block —
-built through the source registry
-(:func:`repro.fountain.source.build_packet_source`):
 :class:`~repro.fountain.carousel.CarouselServer` for fixed-rate
-families, :class:`~repro.fountain.rateless.RatelessServer` for LT — and
-pulls packets from them in the order a pluggable cross-block schedule
-dictates.  All sub-sources stamp headers through one shared
+families, :class:`~repro.fountain.rateless.RatelessServer` for rateless
+ones — and pulls packets from them in the order a pluggable cross-block
+schedule dictates.  All sub-sources stamp headers through one shared
 :class:`~repro.fountain.packets.HeaderSequencer`, so serials are
 strictly monotone across the whole striped stream (receivers estimate
 loss from serial gaps exactly as on a single-block stream).
+
+It is the one place that knows what emission ``t`` carries — block,
+encoding index, payload.  Transports pull ``packets()`` or stamped
+:meth:`TransferServer.record_window` windows; simulations build the
+server *without data* (the structural stream, over index-only block
+sources) and draw the same :meth:`TransferServer.window` for the ids.
 
 Header compatibility: a multi-block stream tags every packet with its
 block id via the 16-byte :class:`~repro.fountain.packets.BlockHeader`;
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import islice
-from typing import Deque, Iterator, List, Optional
+from typing import Deque, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,11 +44,9 @@ from repro.fountain.packets import (
     HEADER_SIZE,
     EncodingPacket,
 )
-from repro.fountain.source import (
-    PacketSource,
-    SequencedPacketSource,
-    build_packet_source,
-)
+from repro.fountain.carousel import CarouselServer
+from repro.fountain.rateless import RatelessServer
+from repro.fountain.source import SequencedPacketSource
 from repro.codes.registry import block_seed
 from repro.transfer.codec import ObjectCodec
 from repro.transfer.schedule import make_schedule, weighted_slots
@@ -60,6 +62,8 @@ class TransferServer(SequencedPacketSource):
         :class:`~repro.transfer.codec.ObjectCodec`).
     data:
         The exact object bytes (must match the plan's ``file_size``).
+        Omit them for the *structural* stream: the same emission order,
+        ids only — :meth:`window` draws it, nothing can emit a payload.
     schedule:
         Cross-block schedule name — ``"interleave"`` (default) or
         ``"sequential"``; see :mod:`repro.transfer.schedule`.
@@ -70,12 +74,12 @@ class TransferServer(SequencedPacketSource):
         Group number stamped into every header.
     """
 
-    def __init__(self, codec: ObjectCodec, data: bytes,
+    def __init__(self, codec: ObjectCodec, data: Optional[bytes] = None,
                  schedule: str = "interleave",
                  seed: int = 0, group: int = 0,
                  _payloads: Optional[List] = None):
         super().__init__(group=group)
-        if len(data) != codec.plan.file_size:
+        if data is not None and len(data) != codec.plan.file_size:
             raise ParameterError(
                 f"object is {len(data)} bytes, codec plans for "
                 f"{codec.plan.file_size}")
@@ -87,42 +91,41 @@ class TransferServer(SequencedPacketSource):
             _payloads = self._materialise(codec, data)
         #: per-block payload sources — the encode-once cache every fork
         #: shares: a lazy (n, P) row encoder for fixed-rate codes, the
-        #: (k, P) source block for rateless ones.
+        #: (k, P) source block for rateless ones, None without data.
         self._payloads = _payloads
-        multi = codec.num_blocks > 1
-        rateless = codec.is_rateless
-        self.block_sources: List[PacketSource] = []
-        for spec in codec.plan.blocks:
-            payload = self._payloads[spec.block]
-            self.block_sources.append(build_packet_source(
-                codec.code_for(spec.block),
-                source=payload if rateless else None,
-                encoding=None if rateless else payload,
-                seed=block_seed(self.seed, spec.block),
-                sequencer=self._sequencer,
-                block=spec.block if multi else None))
-        self._schedule = make_schedule(schedule, codec.plan.block_ks)
+        self.block_sources: List[SequencedPacketSource] = []
+        for spec, payload in zip(codec.plan.blocks, _payloads):
+            code = codec.code_for(spec.block)
+            block = spec.block if codec.num_blocks > 1 else None
+            self.block_sources.append(
+                RatelessServer(code, payload, sequencer=self._sequencer,
+                               block=block)
+                if codec.is_rateless else
+                CarouselServer(code, payload,
+                               seed=block_seed(self.seed, spec.block),
+                               sequencer=self._sequencer, block=block))
         #: slots :meth:`unwind` took back, re-emitted before the schedule
         #: moves on.
         self._unsent: Deque[int] = deque()
+        self.reweight(None)
         self._slots = self._slot_stream()
-        self._streams = [source.packets() for source in self.block_sources]
-        #: block ids of the last :meth:`record_window`, for :meth:`unwind`.
-        self._window_blocks = np.empty(0, dtype=np.int64)
+        #: block ids and serials of the last :meth:`window` (the block
+        #: ids for :meth:`unwind`, the serials for the header stamp).
+        self._window_blocks = self._window_serials = np.zeros(0, np.int64)
 
     @staticmethod
-    def _materialise(codec: ObjectCodec, data: bytes) -> List:
+    def _materialise(codec: ObjectCodec, data: Optional[bytes]) -> List:
         """The per-block payload sources: ``(k, P)`` source arrays for
         rateless families, lazy row-on-demand encoders for fixed-rate
         ones.  Redundancy rows a carousel never emits before its
         receivers complete are rows that are never computed — and every
         fork shares the same encoders, so each row is computed at most
         once per server however many streams fan out."""
-        if codec.is_rateless:
-            return [codec.source_block(data, spec.block)
-                    for spec in codec.plan.blocks]
-        return [codec.block_encoder(data, spec.block)
-                for spec in codec.plan.blocks]
+        if data is None:
+            return [None] * codec.num_blocks
+        build = codec.source_block if codec.is_rateless \
+            else codec.block_encoder
+        return [build(data, spec.block) for spec in codec.plan.blocks]
 
     @property
     def total_k(self) -> int:
@@ -141,37 +144,62 @@ class TransferServer(SequencedPacketSource):
             yield next(self._schedule)
 
     def _next_packet(self) -> EncodingPacket:
-        return next(self._streams[next(self._slots)])
+        return self.block_sources[next(self._slots)]._next_packet()
+
+    def window(self, count: int
+               ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """The next ``count`` emissions as ``(blocks, indices,
+        payloads)`` arrays — the only batched draw.
+
+        ``count`` schedule slots, then one batch per block they name;
+        ``payloads`` is ``(count, P)`` rows when the server holds data,
+        ``None`` on a structural one.  Cursors and serials advance as
+        ``count`` packets would advance them (emission ``t`` carries
+        serial ``t`` however drawn), so draws interleave freely.
+        """
+        blocks = np.fromiter(islice(self._slots, count), dtype=np.int64,
+                             count=count)
+        indices = np.empty(count, dtype=np.int64)
+        payloads = None if self._data is None else np.empty(
+            (count, self.codec.plan.packet_size), dtype=np.uint8)
+        for block in np.unique(blocks):
+            rows = blocks == block
+            source, size = self.block_sources[block], int(rows.sum())
+            if payloads is None:
+                indices[rows] = source.index_batch(size)
+            else:
+                indices[rows], payloads[rows] = source.payload_batch(size)
+        self._window_blocks = blocks
+        self._window_serials = self._sequencer.take(count)
+        return blocks, indices, payloads
 
     def record_window(self, count: int) -> np.ndarray:
         """The next ``count`` emissions as a ``(count, H + P)`` array of
         wire records — what ``count`` :meth:`_next_packet` calls and a
         ``to_bytes`` each would serialise, with no per-packet object.
 
-        One pass per layer: ``count`` schedule slots, one
-        ``payload_batch`` per block they name, then index / serial /
+        One :meth:`window` plus the header stamp: index / serial /
         group (/ block, on multi-block plans; single-block plans keep
-        the 12-byte header) stamped as big-endian ``u4`` columns.
-        Cursors advance exactly as ``count`` packets would advance them,
-        so windows and ``packets()`` interleave freely.
+        the 12-byte header) as big-endian ``u4`` columns.
         """
-        blocks = np.fromiter(islice(self._slots, count), dtype=np.int64,
-                             count=count)
+        blocks, indices, payloads = self.window(count)
+        if payloads is None:
+            self.unwind(count)      # refused: the stream has not moved
+            raise ParameterError(
+                "a structural server (built without data) has no payloads "
+                "to record; draw window() for the ids")
         multi = self.num_blocks > 1
         header = BLOCK_HEADER_SIZE if multi else HEADER_SIZE
-        records = np.empty((count, header + self.codec.plan.packet_size),
+        records = np.empty((count, header + payloads.shape[1]),
                            dtype=np.uint8)
         fields = np.empty((count, header // 4), dtype=">u4")
-        for block in np.unique(blocks):
-            rows = blocks == block
-            fields[rows, 0], records[rows, header:] = self.block_sources[
-                block].payload_batch(int(rows.sum()))
-        fields[:, 1] = self._sequencer.take(count)
+        fields[:, 0] = indices
+        fields[:, 1] = self._window_serials
         fields[:, 2] = self.group
         if multi:
             fields[:, 3] = blocks
         records[:, :header] = fields.view(np.uint8)
-        self._window_blocks = blocks
+        records[:, header:] = payloads
         return records
 
     def unwind(self, count: int) -> None:
@@ -202,19 +230,16 @@ class TransferServer(SequencedPacketSource):
         safe mid-stream and invisible to receivers beyond the block
         mix.  ``None`` restores the server's configured schedule.
         """
-        if weights is None:
-            self._schedule = make_schedule(self.schedule,
-                                           self.codec.plan.block_ks)
-        else:
-            self._schedule = weighted_slots(self.codec.plan.block_ks,
-                                            weights)
+        block_ks = self.codec.plan.block_ks
+        self._schedule = (make_schedule(self.schedule, block_ks)
+                          if weights is None
+                          else weighted_slots(block_ks, weights))
         self._unsent.clear()
 
     def _rewind(self) -> None:
         for source in self.block_sources:
             source.reset()
         self.reweight(None)
-        self._streams = [source.packets() for source in self.block_sources]
         self._window_blocks = self._window_blocks[:0]
 
     def fork(self, *, seed: Optional[int] = None,

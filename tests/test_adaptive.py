@@ -549,17 +549,6 @@ class TestSwarmCli:
         assert code == 2
         assert "preset" in capsys.readouterr().err
 
-    def test_serve_adaptive_rejected_on_file_transport(self, tmp_path,
-                                                       capsys):
-        from repro.cli import main
-
-        blob = tmp_path / "f.bin"
-        blob.write_bytes(_random_bytes(2_000, seed=1))
-        code = main(["serve", str(blob), str(tmp_path / "out"),
-                     "--transport", "file", "--adaptive"])
-        assert code == 2
-        assert "--adaptive" in capsys.readouterr().err
-
 
 # -- UDP closed loop -----------------------------------------------------------
 

@@ -127,50 +127,6 @@ class TestAggregation:
 
 
 class TestCli:
-    def test_encode_decode_roundtrip(self, tmp_path):
-        original = tmp_path / "input.bin"
-        payload = bytes(np.random.default_rng(0).integers(
-            0, 256, 50_000, dtype=np.uint8))
-        original.write_bytes(payload)
-        shards = tmp_path / "shards"
-        assert cli.main(["encode", str(original), str(shards),
-                         "--preset", "b", "--packet-size", "512"]) == 0
-        assert (shards / "manifest.json").exists()
-        out = tmp_path / "out.bin"
-        assert cli.main(["decode", str(shards), str(out)]) == 0
-        assert out.read_bytes() == payload
-
-    def test_decode_survives_losing_shards(self, tmp_path):
-        original = tmp_path / "input.bin"
-        original.write_bytes(b"x" * 120_000)
-        shards = tmp_path / "shards"
-        cli.main(["encode", str(original), str(shards),
-                  "--preset", "b", "--packet-size", "512"])
-        # Delete 40% of the shards, scattered.
-        all_shards = sorted(shards.glob("*.pkt"))
-        rng = np.random.default_rng(1)
-        for path in rng.permutation(all_shards)[:int(0.4 * len(all_shards))]:
-            path.unlink()
-        out = tmp_path / "out.bin"
-        assert cli.main(["decode", str(shards), str(out)]) == 0
-        assert out.read_bytes() == b"x" * 120_000
-
-    def test_decode_fails_cleanly_with_too_few(self, tmp_path):
-        original = tmp_path / "input.bin"
-        original.write_bytes(b"y" * 60_000)
-        shards = tmp_path / "shards"
-        cli.main(["encode", str(original), str(shards),
-                  "--packet-size", "512"])
-        all_shards = sorted(shards.glob("*.pkt"))
-        for path in all_shards[:int(0.8 * len(all_shards))]:
-            path.unlink()
-        assert cli.main(["decode", str(shards),
-                         str(tmp_path / "out.bin")]) == 1
-
-    def test_decode_without_manifest(self, tmp_path):
-        assert cli.main(["decode", str(tmp_path),
-                         str(tmp_path / "o.bin")]) == 2
-
     def test_info(self, capsys):
         assert cli.main(["info", "--k", "500"]) == 0
         out = capsys.readouterr().out

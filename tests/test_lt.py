@@ -264,23 +264,6 @@ class TestFountainIntegration:
 
 
 class TestCli:
-    def test_lt_cli_roundtrip(self, tmp_path):
-        from repro.cli import main
-        blob = bytes(np.random.default_rng(24).integers(
-            0, 256, size=30000, dtype=np.uint8))
-        source = tmp_path / "blob.bin"
-        source.write_bytes(blob)
-        shards = tmp_path / "shards"
-        assert main(["lt", "encode", str(source), str(shards),
-                     "--packet-size", "256", "--seed", "9",
-                     "--overhead", "0.6"]) == 0
-        # Lose a quarter of the droplets; the rest still reconstruct.
-        for victim in sorted(shards.glob("*.pkt"))[::4]:
-            victim.unlink()
-        out = tmp_path / "out.bin"
-        assert main(["lt", "decode", str(shards), str(out)]) == 0
-        assert out.read_bytes() == blob
-
     def test_lt_cli_sim_and_info(self, capsys):
         from repro.cli import main
         assert main(["lt", "sim", "--k", "80", "--trials", "2",

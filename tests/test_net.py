@@ -1,18 +1,13 @@
-"""Loss models, traces, channels, multicast fabric, event loop."""
+"""Loss models, traces, channels."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.codes.reed_solomon import cauchy_code
 from repro.errors import ParameterError
 from repro.fountain.carousel import CarouselServer
-from repro.fountain.packets import EncodingPacket, PacketHeader
 from repro.net.channel import LossyChannel
-from repro.net.events import EventLoop
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, TraceLoss
-from repro.net.multicast import MulticastNetwork
 from repro.net.traces import synthesize_mbone_traces
 
 
@@ -118,132 +113,3 @@ class TestChannel:
         assert 0 < len(survivors) < 200
         assert channel.sent == 200
         assert channel.delivered == len(survivors)
-
-
-class TestMulticast:
-    def test_join_leave_delivery(self):
-        net = MulticastNetwork(2)
-        net.attach_receiver(1, LossyChannel(BernoulliLoss(0.0), rng=0))
-        net.attach_receiver(2, LossyChannel(BernoulliLoss(0.0), rng=1))
-        net.join(1, 0)
-        net.join(2, 1)
-        got = []
-        pkt = EncodingPacket(PacketHeader(0, 0, 0),
-                             np.zeros(2, dtype=np.uint8))
-        net.transmit(0, pkt, lambda rid, p: got.append(rid))
-        assert got == [1]
-        net.leave(1, 0)
-        net.transmit(0, pkt, lambda rid, p: got.append(rid))
-        assert got == [1]
-        assert net.subscribed_groups(2) == [1]
-
-    def test_unattached_receiver_rejected(self):
-        net = MulticastNetwork(1)
-        with pytest.raises(ParameterError):
-            net.join(5, 0)
-
-    def test_join_and_leave_mid_sweep(self):
-        """Membership changes take effect from the very next transmit."""
-        net = MulticastNetwork(1)
-        for rid in (1, 2, 3):
-            net.attach_receiver(rid, LossyChannel(BernoulliLoss(0.0),
-                                                  rng=rid))
-        net.join(1, 0)
-        net.join(2, 0)
-        pkt = EncodingPacket(PacketHeader(0, 0, 0),
-                             np.zeros(2, dtype=np.uint8))
-        got = []
-        for step in range(10):
-            if step == 4:
-                net.join(3, 0)      # late joiner catches the tail
-            if step == 7:
-                net.leave(1, 0)     # early leaver misses it
-            net.transmit(0, pkt, lambda rid, p: got.append((step, rid)))
-        per_receiver = {rid: sorted(s for s, r in got if r == rid)
-                        for rid in (1, 2, 3)}
-        assert per_receiver[1] == [0, 1, 2, 3, 4, 5, 6]
-        assert per_receiver[2] == list(range(10))
-        assert per_receiver[3] == [4, 5, 6, 7, 8, 9]
-
-    def test_per_receiver_loss_deterministic_under_seeds(self):
-        """Fixed channel seeds replay the exact same delivery pattern."""
-
-        def run():
-            net = MulticastNetwork(1)
-            for rid in (1, 2):
-                net.attach_receiver(
-                    rid, LossyChannel(BernoulliLoss(0.5), rng=100 + rid))
-                net.join(rid, 0)
-            pkt = EncodingPacket(PacketHeader(0, 0, 0),
-                                 np.zeros(2, dtype=np.uint8))
-            got = []
-            for step in range(200):
-                net.transmit(0, pkt,
-                             lambda rid, p: got.append((step, rid)))
-            return got
-
-        first, second = run(), run()
-        assert first == second
-        # ... and the two receivers' loss processes are independent.
-        assert ({s for s, r in first if r == 1}
-                != {s for s, r in first if r == 2})
-
-    def test_zero_subscriber_group_is_a_no_op(self):
-        """Transmitting into an empty group delivers (and sends) nothing."""
-        net = MulticastNetwork(2)
-        channel = LossyChannel(BernoulliLoss(0.0), rng=0)
-        net.attach_receiver(1, channel)
-        net.join(1, 0)
-        pkt = EncodingPacket(PacketHeader(0, 0, 0),
-                             np.zeros(2, dtype=np.uint8))
-        delivered = []
-        net.transmit(1, pkt, lambda rid, p: delivered.append(rid))
-        assert delivered == []
-        # No subscriber means no channel was exercised at all.
-        assert channel.sent == 0 and channel.delivered == 0
-
-    def test_leave_without_join_is_harmless(self):
-        net = MulticastNetwork(1)
-        net.attach_receiver(1, LossyChannel(BernoulliLoss(0.0), rng=0))
-        net.leave(1, 0)  # never joined: discard, not KeyError
-        assert net.subscribed_groups(1) == []
-
-
-class TestEventLoop:
-    def test_ordering(self):
-        loop = EventLoop()
-        seen = []
-        loop.schedule(5, lambda: seen.append("b"))
-        loop.schedule(1, lambda: seen.append("a"))
-        loop.schedule(5, lambda: seen.append("c"))
-        loop.run_until(10)
-        assert seen == ["a", "b", "c"]
-        assert loop.now == 10
-
-    def test_schedule_in(self):
-        loop = EventLoop()
-        seen = []
-        loop.run_until(3)
-        loop.schedule_in(2, lambda: seen.append(loop.now))
-        loop.run_all()
-        assert seen == [5]
-
-    def test_no_past_scheduling(self):
-        loop = EventLoop()
-        loop.run_until(10)
-        with pytest.raises(ParameterError):
-            loop.schedule(5, lambda: None)
-
-    def test_cascading_events(self):
-        loop = EventLoop()
-        seen = []
-
-        def recurring():
-            seen.append(loop.now)
-            if loop.now < 6:
-                loop.schedule_in(2, recurring)
-
-        loop.schedule(0, recurring)
-        loop.run_all()
-        assert seen == [0, 2, 4, 6]
-        assert loop.pending == 0

@@ -1,20 +1,13 @@
-"""The PacketSource contract, the source registry, and encode-once forks."""
+"""The PacketSource contract, layered streams, and encode-once forks."""
 
 import numpy as np
 import pytest
 
 from repro.codes.registry import build_code, incremental_decoder
 from repro.errors import ParameterError
-from repro.fountain import (
-    CarouselServer,
-    PacketSource,
-    RatelessServer,
-    available_sources,
-    build_packet_source,
-    register_source,
-)
-from repro.fountain.source import SOURCE_MODES
+from repro.fountain import CarouselServer, PacketSource, RatelessServer
 from repro.protocol import LayeredPacketSource
+from repro.protocol.stream import layered_packet_source
 from repro.transfer import BlockPlan, ObjectCodec, TransferClient, TransferServer
 
 
@@ -33,7 +26,7 @@ class TestProtocolConformance:
         plan = BlockPlan(src.nbytes, packet_size=64, block_packets=16)
         codec = ObjectCodec(plan, code="tornado-b", seed=3)
         transfer = TransferServer(codec, src.tobytes())
-        layered = build_packet_source(tornado, src, mode="layered")
+        layered = layered_packet_source(tornado, src)
         for source in (carousel, rateless, transfer, layered):
             assert isinstance(source, PacketSource), type(source)
 
@@ -48,54 +41,11 @@ class TestProtocolConformance:
         server.reset()
         assert [p.index for p in server.packets(5)] == first
 
-
-class TestRegistry:
-    def test_default_modes(self):
-        assert available_sources() == ["carousel", "layered", "rateless"]
-
-    def test_mode_inferred_from_code(self):
-        src = _source_block(24, 32)
-        fixed = build_packet_source(build_code("tornado-a", 24, seed=1), src)
-        assert isinstance(fixed, CarouselServer)
-        rateless = build_packet_source(build_code("lt", 24, seed=1), src)
-        assert isinstance(rateless, RatelessServer)
-
-    def test_unknown_mode_lists_registered(self):
-        with pytest.raises(ParameterError, match="carousel"):
-            build_packet_source(build_code("lt", 8, seed=0),
-                                _source_block(8, 16), mode="pigeon")
-
-    def test_mode_code_mismatch(self):
-        src = _source_block(8, 16)
-        with pytest.raises(ParameterError, match="fixed-rate"):
-            build_packet_source(build_code("lt", 8, seed=0), src,
-                                mode="carousel")
-        with pytest.raises(ParameterError, match="rateless"):
-            build_packet_source(build_code("rs", 8, seed=0), src,
-                                mode="rateless")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ParameterError, match="already registered"):
-            register_source("carousel", lambda *a, **kw: None)
-
-    def test_custom_mode_registers_and_builds(self):
-        def factory(code, source=None, **options):
-            return CarouselServer(code, code.encode(source), seed=9)
-
-        register_source("test-mode", factory)
-        try:
-            built = build_packet_source(build_code("rs", 8, seed=0),
-                                        _source_block(8, 16),
-                                        mode="test-mode")
-            assert isinstance(built, CarouselServer)
-        finally:
-            del SOURCE_MODES["test-mode"]
-
     def test_precomputed_encoding_skips_encode(self):
         code = build_code("tornado-a", 16, seed=5)
         src = _source_block(16, 32)
         encoding = code.encode(src)
-        source = build_packet_source(code, encoding=encoding, seed=1)
+        source = CarouselServer(code, encoding, seed=1)
         decoder = incremental_decoder(code, payload_size=32)
         for packet in source.packets():
             decoder.add_packet(packet.index, packet.payload)
@@ -165,7 +115,7 @@ class TestLayeredPacketSource:
     def test_decodes_over_any_family(self, spec):
         code = build_code(spec, 40, seed=2)
         src = _source_block(40, 32, seed=2)
-        source = build_packet_source(code, src, mode="layered", seed=4)
+        source = layered_packet_source(code, src, seed=4)
         assert isinstance(source, LayeredPacketSource)
         decoder = incremental_decoder(code, payload_size=32)
         groups = set()
@@ -181,7 +131,7 @@ class TestLayeredPacketSource:
     def test_reset_reproduces_stream(self):
         code = build_code("lt", 24, seed=1)
         src = _source_block(24, 16, seed=1)
-        source = build_packet_source(code, src, mode="layered", seed=9)
+        source = layered_packet_source(code, src, seed=9)
         first = [(p.index, p.header.serial, p.header.group)
                  for p in source.packets(40)]
         source.reset()
@@ -189,13 +139,7 @@ class TestLayeredPacketSource:
                  for p in source.packets(40)]
         assert first == again
 
-    def test_rejects_block_sharing(self):
-        code = build_code("lt", 8, seed=0)
-        with pytest.raises(ParameterError, match="layered"):
-            build_packet_source(code, _source_block(8, 16),
-                                mode="layered", block=3)
-
     def test_fixed_rate_needs_source_or_encoding(self):
         code = build_code("tornado-a", 16, seed=0)
         with pytest.raises(ParameterError, match="source block"):
-            build_packet_source(code, mode="layered")
+            layered_packet_source(code)

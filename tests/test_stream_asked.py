@@ -1,0 +1,280 @@
+"""The striped stream is asked, not re-derived.
+
+``TransferServer`` is the one place that knows what emission ``t``
+carries; everything else draws ``window(n)``.  Two layers hold that:
+
+* **parity** — for every registered family, both schedules, single- and
+  multi-block plans and both codec backends, the ids of a structural
+  server's ``window`` are the ids ``packets()`` stamps and the header
+  columns ``record_window`` writes; and any interleaving of ``window``,
+  ``packets()``, ``record_window``, ``unwind``, ``reweight`` and
+  ``reset`` on one server continues the stream a per-packet sender
+  would have sent, serials included.
+* **pins** — ``tests/golden/sim_transfer.json`` holds the counters
+  ``simulate_transfer`` returned, and the overheads ``replay_receivers``
+  returned on three committed scenarios, at the commit *before* the two
+  harnesses stopped re-deriving the emission order by hand.  They are
+  compared exactly.  Regenerate (only for an intended change of what is
+  sent or how it is counted) with::
+
+      PYTHONPATH=src python tests/test_stream_asked.py
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.codes.backend import use_backend
+from repro.codes.registry import available_codes
+from repro.errors import ParameterError
+from repro.fountain.packets import header_fields
+from repro.sim.swarm import Scenario, replay_receivers
+from repro.sim.transfer import simulate_transfer
+from repro.transfer import BlockPlan, ObjectCodec, TransferServer
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "sim_transfer.json"
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent \
+    / "examples" / "scenarios"
+
+FAMILIES = [family.name for family in available_codes()]
+SCHEDULES = ["interleave", "sequential"]
+BACKENDS = ["vectorized", "reference"]
+
+_PACKET = 64
+#: label -> (file_size, block_packets): one 40-packet block, and 100
+#: packets striped over four blocks with a short tail.
+_GEOMETRIES = {"single": (40 * _PACKET - 5, 64),
+               "multi": (100 * _PACKET - 11, 32)}
+_LOSSES = (0.0, 0.1, 0.35)
+_SEED = 20261001
+
+_REPLAYED = ("flash_crowd", "raptor_traces", "layered_tiers")
+_RECEIVERS = list(range(0, 36, 5))
+
+
+# -- pins ----------------------------------------------------------------------
+
+
+def _sim_case(family, schedule, loss, payloads, geometry):
+    file_size, block_packets = _GEOMETRIES[geometry]
+    run = simulate_transfer(file_size, packet_size=_PACKET,
+                            block_packets=block_packets, family=family,
+                            schedule=schedule, loss=loss, seed=_SEED,
+                            payloads=payloads)
+    return [run.packets_sent, run.packets_received, run.distinct_received,
+            run.verified]
+
+
+def _sim_cases():
+    return [(family, schedule, loss, payloads, geometry)
+            for family in FAMILIES for schedule in SCHEDULES
+            for loss in _LOSSES for payloads in (True, False)
+            for geometry in _GEOMETRIES]
+
+
+def _sim_key(family, schedule, loss, payloads, geometry):
+    mode = "payload" if payloads else "structural"
+    return f"{family}|{schedule}|{loss}|{mode}|{geometry}"
+
+
+def _replay_case(name):
+    scenario = Scenario.load(SCENARIOS / f"{name}.json")
+    overhead, completed = replay_receivers(scenario, _RECEIVERS)
+    return {"overhead": [None if np.isnan(value) else float(value)
+                         for value in overhead],
+            "completed": completed.tolist()}
+
+
+def all_pins() -> dict:
+    return {
+        "simulate_transfer": {_sim_key(*case): _sim_case(*case)
+                              for case in _sim_cases()},
+        "replay_receivers": {name: _replay_case(name)
+                             for name in _REPLAYED},
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+class TestPins:
+    def test_every_configuration_is_pinned(self, golden):
+        assert sorted(golden["simulate_transfer"]) == sorted(
+            _sim_key(*case) for case in _sim_cases())
+        assert sorted(golden["replay_receivers"]) == sorted(_REPLAYED)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_simulate_transfer_counters(self, golden, family, schedule):
+        for case in _sim_cases():
+            if case[:2] == (family, schedule):
+                assert (_sim_case(*case)
+                        == golden["simulate_transfer"][_sim_key(*case)]), case
+
+    def test_structural_mode_counts_what_payload_mode_counts(self, golden):
+        pins = golden["simulate_transfer"]
+        for case in _sim_cases():
+            family, schedule, loss, payloads, geometry = case
+            if payloads:
+                twin = _sim_key(family, schedule, loss, False, geometry)
+                assert pins[_sim_key(*case)][:3] == pins[twin][:3], case
+
+    @pytest.mark.parametrize("name", _REPLAYED)
+    def test_replay_receivers_overheads(self, golden, name):
+        assert _replay_case(name) == golden["replay_receivers"][name]
+
+
+# -- parity --------------------------------------------------------------------
+
+
+def _data(size: int) -> bytes:
+    return np.random.default_rng(_SEED).integers(
+        0, 256, size=size, dtype=np.uint8).tobytes()
+
+
+def _codec(family: str, geometry: str) -> ObjectCodec:
+    file_size, block_packets = _GEOMETRIES[geometry]
+    return ObjectCodec(BlockPlan(file_size, _PACKET, block_packets),
+                       code=family, seed=_SEED)
+
+
+@pytest.fixture(params=BACKENDS)
+def backend(request):
+    with use_backend(request.param):
+        yield request.param
+
+
+class TestStructuralParity:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize("geometry", list(_GEOMETRIES))
+    def test_window_ids_are_the_stamped_ids(self, backend, family, schedule,
+                                            geometry):
+        codec = _codec(family, geometry)
+        data = _data(codec.plan.file_size)
+        count = 3 * codec.total_k + 7       # every carousel wraps
+        options = dict(schedule=schedule, seed=5)
+        blocks, indices, payloads = TransferServer(
+            codec, **options).window(count)
+        assert payloads is None
+        ids = list(zip(blocks.tolist(), indices.tolist()))
+        packets = list(TransferServer(codec, data, **options).packets(count))
+        assert ids == [(p.block, p.index) for p in packets]
+
+        full = TransferServer(codec, data, **options)
+        records = full.record_window(count)
+        fields = header_fields(records, records.shape[1] - _PACKET)
+        assert fields[:, 0].tolist() == indices.tolist()
+        assert fields[:, 1].tolist() == list(range(count))
+        if codec.num_blocks > 1:
+            assert fields[:, 3].tolist() == blocks.tolist()
+        else:
+            assert fields.shape[1] == 3 and not blocks.any()
+        # ... and a server holding data hands the payloads over as well
+        full.reset()
+        _, again, rows = full.window(count)
+        assert again.tolist() == indices.tolist()
+        assert rows.tobytes() == records[:, -_PACKET:].tobytes()
+
+    def test_structural_server_emits_no_payload_packets(self, backend):
+        for family in ("lt", "tornado-b"):
+            server = TransferServer(_codec(family, "multi"))
+            with pytest.raises(ParameterError, match="structural"):
+                server.record_window(3)
+            # the refusal did not move the stream
+            twin = TransferServer(_codec(family, "multi"))
+            assert (server.window(9)[1].tolist()
+                    == twin.window(9)[1].tolist())
+            # the index-only block sources refuse before the first packet
+            with pytest.raises(ParameterError, match="index-only"):
+                next(server.packets(3))
+
+
+_WEIGHTS = st.one_of(
+    st.none(),
+    st.lists(st.sampled_from([0.2, 0.5, 1.0, 3.0]), min_size=4, max_size=4))
+_DRAW = st.tuples(st.sampled_from(["window", "records"]),
+                  st.integers(0, 70), st.integers(0, 70),
+                  st.integers(0, 70))
+_OPS = st.lists(st.one_of(
+    _DRAW,
+    st.tuples(st.just("packets"), st.integers(0, 40)),
+    st.tuples(st.just("reweight"), _WEIGHTS),
+    st.tuples(st.just("reset"))), min_size=1, max_size=12)
+
+
+class TestInterleavedDraws:
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(FAMILIES),
+           schedule=st.sampled_from(SCHEDULES), ops=_OPS)
+    def test_any_interleaving_continues_the_stream(self, family, schedule,
+                                                   ops):
+        """``twin`` is the per-packet sender: it emits only what was kept
+        and is reweighted / reset at the same emissions.  ``bare`` holds
+        no data and sees every draw as a ``window``."""
+        codec = _codec(family, "multi")
+        data = _data(codec.plan.file_size)
+        live = TransferServer(codec, data, schedule=schedule, seed=9)
+        twin = TransferServer(codec, data, schedule=schedule, seed=9)
+        bare = TransferServer(codec, schedule=schedule, seed=9)
+        for op, *args in ops:
+            if op == "reset":
+                for server in (live, twin, bare):
+                    server.reset()
+            elif op == "reweight":
+                for server in (live, twin, bare):
+                    server.reweight(args[0])
+            elif op == "packets":
+                got = [p.to_bytes() for p in live.packets(args[0])]
+                assert got == [p.to_bytes() for p in twin.packets(args[0])]
+                bare.window(args[0])
+            else:
+                count, first, second = args
+                first = min(first, count)
+                second = min(second, count - first)
+                kept = count - first - second
+                want = list(twin.packets(kept))
+                ids = [(p.block, p.index) for p in want]
+                if op == "records":
+                    rows = live.record_window(count)[:kept]
+                    assert ([row.tobytes() for row in rows]
+                            == [p.to_bytes() for p in want])
+                else:
+                    blocks, indices, payloads = live.window(count)
+                    assert list(zip(blocks[:kept].tolist(),
+                                    indices[:kept].tolist())) == ids
+                    assert ([row.tobytes() for row in payloads[:kept]]
+                            == [p.payload.tobytes() for p in want])
+                    # a bare window takes its serials too: emission t
+                    # carries serial t however it is drawn
+                    twin_serial = twin._sequencer.serial
+                    assert live._sequencer.serial == (
+                        twin_serial + count - kept)
+                blocks, indices, none = bare.window(count)
+                assert none is None
+                assert list(zip(blocks[:kept].tolist(),
+                                indices[:kept].tolist())) == ids
+                # the tail is taken back in two steps: unwinds add up
+                for server in (live, bare):
+                    server.unwind(first)
+                    server.unwind(second)
+        tail = [p.to_bytes() for p in twin.packets(50)]
+        assert [p.to_bytes() for p in live.packets(50)] == tail
+        blocks, indices, _ = bare.window(50)
+        assert (list(zip(blocks.tolist(), indices.tolist()))
+                == [(int.from_bytes(r[12:16], "big"),
+                     int.from_bytes(r[0:4], "big")) for r in tail])
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(all_pins(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")

@@ -364,15 +364,25 @@ class TestTransferCli:
 
         (tmp_path / "manifest.json").write_text(json.dumps({"code": "lt"}))
         assert main(["recv", str(tmp_path), str(tmp_path / "x")]) == 2
-        assert "repro decode" in capsys.readouterr().err
+        assert "repro send" in capsys.readouterr().err
 
-    def test_decode_rejects_transfer_directories(self, tmp_path, capsys):
+    def test_recv_fails_cleanly_with_too_few_survivors(self, tmp_path,
+                                                       capsys):
         from repro.cli import main
 
-        (tmp_path / "manifest.json").write_text(json.dumps(
-            {"kind": "transfer", "code": "tornado-b"}))
-        assert main(["decode", str(tmp_path), str(tmp_path / "x")]) == 2
-        assert "repro recv" in capsys.readouterr().err
+        src = tmp_path / "f.bin"
+        src.write_bytes(_random_bytes(60_000, seed=34))
+        out_dir = tmp_path / "out"
+        assert main(["send", str(src), str(out_dir), "--packet-size", "500",
+                     "--block-size", "20000"]) == 0
+        stream = out_dir / "stream.pkt"
+        records = stream.read_bytes()
+        # keep a fifth of the records, whole: three blocks starve
+        stream.write_bytes(records[:(len(records) // 516 // 5) * 516])
+        dest = tmp_path / "y"
+        assert main(["recv", str(out_dir), str(dest)]) == 1
+        assert "blocks [0, 1, 2] incomplete" in capsys.readouterr().err
+        assert not dest.exists()
 
     def test_failed_send_leaves_no_stale_manifest(self, tmp_path):
         from repro.cli import main

@@ -20,14 +20,12 @@ from repro.net.transport import (
     FileTransport,
     MemoryTransport,
     TokenBucket,
-    TRANSPORTS,
     UdpSubscription,
     UdpTransport,
     is_multicast,
     iter_frames,
     pack_frame,
     parse_address,
-    transport_names,
 )
 
 
@@ -70,10 +68,6 @@ class TestFraming:
     def test_oversize_body_rejected(self):
         with pytest.raises(ProtocolError, match="length"):
             pack_frame(FRAME_DATA, b"x" * 70_000)
-
-    def test_registry_names(self):
-        assert transport_names() == ["file", "memory", "udp"]
-        assert TRANSPORTS["udp"] is UdpTransport
 
 
 class TestTokenBucket:
@@ -458,6 +452,62 @@ class TestUdpUnicast:
         assert receiver.packets_used == receiver.client.total_received
         assert sub.malformed == 0  # well-framed: only the session can tell
 
+    def test_later_manifest_does_not_rekey_a_running_fetch(self):
+        """The first manifest a subscription adopts stays for its life:
+        a spoofed one (the sender's own, but ``packet_size: 1``) heard
+        mid-stream used to re-key the size filter and erase every
+        genuine record up to the sender's next in-band manifest."""
+        data = _random_bytes(200_000, seed=37)
+        session = api.SenderSession(data, code="lt", seed=3,
+                                    packet_size=1000)
+        sub = UdpSubscription("127.0.0.1:0", timeout=10.0)
+        spoof = pack_frame(FRAME_MANIFEST, json.dumps(
+            dict(session.manifest(), packet_size=1)).encode("utf-8"))
+        noise = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        bound, errors, asked = [], [], []
+
+        def drink():
+            try:
+                bound.append(api.ReceiverSession.from_subscription(
+                    sub, timeout=10.0))
+                sub.feed(bound[0], timeout=10.0)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def stop():
+            asked.append(None)
+            if len(asked) == 2:
+                # The genuine manifest and record 0 are on the wire, so
+                # the receiver binds to them before it hears this.
+                noise.sendto(spoof, sub.address)
+            return bool(errors) or bool(bound and bound[0].is_complete)
+
+        thread = threading.Thread(target=drink)
+        thread.start()
+        try:
+            session.serve(UdpTransport([sub.address], pace=20_000),
+                          count=200 * session.total_k, stop=stop)
+        finally:
+            thread.join(timeout=10.0)
+            sub.close()
+            noise.close()
+        assert not thread.is_alive()
+        assert not errors, errors
+        assert bound[0].data() == data
+        assert sub.malformed == 0           # no genuine record was dropped
+        assert sub.manifest_conflicts == 1  # the spoof; re-sends are no-ops
+        assert "manifest_conflicts=1" in repr(sub)
+
+    def test_manifest_that_is_not_an_object_is_not_adopted(self):
+        manifest = {"code": "lt", "packet_size": 8, "num_blocks": 1}
+        with UdpSubscription("127.0.0.1:0", timeout=2.0) as sub:
+            noise = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            for body in (b"[1, 2]", json.dumps(manifest).encode("utf-8")):
+                noise.sendto(pack_frame(FRAME_MANIFEST, body), sub.address)
+            noise.close()
+            assert sub.manifest() == manifest
+            assert sub.malformed == 1 and sub.manifest_conflicts == 0
+
 
 @needs_udp
 class TestUdpMulticast:
@@ -548,40 +598,3 @@ class TestUdpCli:
                    str(tmp_path / "never.bin"), "--timeout", "0.2"])
         assert rc == 2
         assert not (tmp_path / "never.bin").exists()
-
-
-class TestFileCli:
-    def test_serve_fetch_over_file_transport(self, tmp_path):
-        from repro.cli import main
-
-        data = _random_bytes(40_000, seed=91)
-        src = tmp_path / "f.bin"
-        src.write_bytes(data)
-        out_dir = tmp_path / "out"
-        assert main(["serve", str(src), str(out_dir),
-                     "--transport", "file", "--loss", "0.15",
-                     "--code", "tornado-b", "--block-size", "16384"]) == 0
-        back = tmp_path / "back.bin"
-        assert main(["fetch", str(out_dir), str(back),
-                     "--transport", "file"]) == 0
-        assert back.read_bytes() == data
-
-    def test_mismatched_transport_flags_rejected(self, tmp_path, capsys):
-        """Flags the chosen transport would ignore exit 2, not no-op."""
-        from repro.cli import main
-
-        src = tmp_path / "f.bin"
-        src.write_bytes(b"x" * 4096)
-        cases = [
-            ["serve", str(src), str(tmp_path / "o"), "--transport",
-             "file", "--duration", "5"],
-            ["serve", str(src), str(tmp_path / "o"), "--transport",
-             "file", "--pace", "100"],
-            ["serve", str(src), str(tmp_path / "o"), "--transport",
-             "file", "--manifest-interval", "8"],
-            ["serve", str(src), "127.0.0.1:1", "--count", "1",
-             "--extra", "3"],
-        ]
-        for argv in cases:
-            assert main(argv) == 2, argv
-            assert "only applies" in capsys.readouterr().err

@@ -40,7 +40,7 @@ from repro.errors import ProtocolError, ReproError
 from repro.fountain.carousel import CarouselServer
 from repro.fountain.rateless import RatelessServer
 from repro.fountain.packets import SERIAL_MODULUS
-from repro.fountain.source import LOOKAHEAD, build_packet_source
+from repro.fountain.source import LOOKAHEAD
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss
 from repro.net.transport import FileTransport, MemoryTransport, UdpTransport
@@ -53,6 +53,7 @@ from repro.net.transport.base import (
 )
 from repro.net.transport.udp import UdpSubscription
 from repro.protocol.adaptive import AdaptivePolicy, PolicyDecision
+from repro.protocol.stream import layered_packet_source
 from repro.transfer.client import TransferClient
 
 BACKENDS = ["vectorized", "reference"]
@@ -672,12 +673,13 @@ class TestUdpServe:
         assert serials == [(SERIAL_MODULUS - 10 + t) % SERIAL_MODULUS
                            for t in range(40)]
 
-    @pytest.mark.parametrize("mode", ["rateless", "layered"])
-    def test_sources_without_windows_still_serve(self, backend, ears, mode):
+    @pytest.mark.parametrize("build", [RatelessServer,
+                                       layered_packet_source],
+                             ids=["rateless", "layered"])
+    def test_sources_without_windows_still_serve(self, backend, ears, build):
         def session():
             code = build_code("lt", 24, seed=5)
-            return _BareSession(build_packet_source(
-                code, make_source(24, PACKET, 5), mode=mode), 24)
+            return _BareSession(build(code, make_source(24, PACKET, 5)), 24)
 
         assert not hasattr(session().source, "record_window")
         got = _udp_run(UdpTransport.serve, session(), ears, count=100)
