@@ -119,9 +119,10 @@ docs-check:
 
 # mypy over the typed core: the registry protocols, the repro.api
 # facade, the protocol layer, the two clients that consume the
-# IncrementalDecoder Protocol, and the one sender (the emission cursor
-# in fountain/source.py, the striped stream in transfer/server.py)
-# (config: mypy.ini).
+# IncrementalDecoder Protocol, the one sender (the emission cursor
+# in fountain/source.py, the striped stream in transfer/server.py) and
+# the Raptor cold-start pair (the geometry build in raptor/precode.py,
+# the weighted cache in raptor/cache.py) (config: mypy.ini).
 # Skips gracefully when mypy is not installed (the library itself has
 # no dependency on it); CI installs mypy and runs this for real.
 typecheck:
@@ -130,7 +131,9 @@ typecheck:
 			src/repro/protocol src/repro/fountain/client.py \
 			src/repro/transfer/client.py \
 			src/repro/fountain/source.py \
-			src/repro/transfer/server.py; \
+			src/repro/transfer/server.py \
+			src/repro/codes/raptor/precode.py \
+			src/repro/codes/raptor/cache.py; \
 	else \
 		echo "mypy not installed; skipping typecheck (pip install mypy)"; \
 	fi

@@ -16,9 +16,15 @@ Two measurement groups, both published to ``BENCH_raptor.json``:
   vs the retired solver path, with the byte-identity check inline
   (``plan_speedup`` is a same-machine ratio, gated by the speedup
   rule in ``tools/check_bench.py``);
-* ``raptor-geometry-build-k*`` — what one *cold* spec costs (the
-  systematic scan dominates; at ``k = 8192`` it is over a second,
-  which is exactly why the cache exists) against the cached lookup.
+* ``raptor-geometry-build-k*`` — what one *cold* spec costs (at
+  ``k = 8192`` the echelon's fill-in still makes it most of a second,
+  which is exactly why the cache exists) against the cached lookup,
+  plus ``scan_speedup``: the per-ESI scan the chunked one replaced
+  (``tests/_oracles.py::scalar_systematic_scan``) over the shipped scan
+  on the same spec in the same process, equal arrays asserted — a
+  same-machine ratio the speedup rule tracks and, at ``k = 256`` (the
+  block size every end-to-end workload runs), a ``CASE_FLOORS`` entry
+  holds above 3x.
 """
 
 import time
@@ -32,16 +38,17 @@ from repro.codes.raptor.encoder import (
     build_encode_plan,
     presolve_intermediates,
 )
-from repro.codes.raptor.precode import raptor_geometry
+from repro.codes.raptor.precode import _select_systematic, raptor_geometry
+from tests._oracles import scalar_systematic_scan
 
 PACKET_SIZE = 1024
 
 #: block sizes for the plan-vs-presolve encode comparison.
 PLAN_KS = [128, 1024]
 
-#: geometry-build profile points; 8192 is the "big block" scan cost
-#: the issue asked to put on the record.
-BUILD_KS = [1024, 8192]
+#: geometry-build profile points: 256 is the block size all four
+#: end-to-end workloads run, 8192 the "big block" scan cost.
+BUILD_KS = [256, 1024, 8192]
 
 RESULTS = BenchRecorder("BENCH_raptor.json")
 
@@ -105,9 +112,16 @@ def test_geometry_build_cost(benchmark, k):
         assets.encode_plan()
         plan_s = time.perf_counter() - start
         _, lookup_s = _best_of(lambda: cache.get(k, seed=17).encode_plan())
-        return geometry_s, plan_s, lookup_s
+        spec = assets.geometry.spec
+        rows = assets.geometry.constraint_rows()
+        oracle, scalar_s = _best_of(
+            lambda: scalar_systematic_scan(spec, *rows, k), passes=2)
+        shipped, scan_s = _best_of(
+            lambda: _select_systematic(spec, *rows, k), passes=2)
+        assert np.array_equal(oracle, shipped)
+        return geometry_s, plan_s, lookup_s, scalar_s / scan_s
 
-    geometry_s, plan_s, lookup_s = benchmark.pedantic(
+    geometry_s, plan_s, lookup_s, scan_speedup = benchmark.pedantic(
         measure, rounds=1, iterations=1)
     benchmark.extra_info["cold_seconds"] = round(geometry_s + plan_s, 3)
     RESULTS.record(
@@ -117,6 +131,7 @@ def test_geometry_build_cost(benchmark, k):
         plan_seconds=round(plan_s, 4),
         cold_seconds=round(geometry_s + plan_s, 4),
         cached_lookup_seconds=round(lookup_s, 7),
+        scan_speedup=round(scan_speedup, 1),
     )
     # The whole point of the cache: a hit must be orders of magnitude
     # below a rebuild (conservative 100x bound; measured ~10^5).

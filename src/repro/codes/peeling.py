@@ -48,6 +48,7 @@ factorization (:func:`factor_gf2`) followed by a payload pass; see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -1217,43 +1218,37 @@ def record_solve_plan(num_nodes: int, indptr: np.ndarray,
     # Per-node source rows in arena coordinates, plus dependency level.
     zero_row = num_inputs
     base = num_inputs + 1
-    level = np.zeros(num_nodes, dtype=np.int64)
+    level = [0] * num_nodes
     srcs: List[Optional[List[int]]] = [None] * num_nodes
     for col, cb in zip(fact.inactive, fact.inactive_combos()):
-        rows: List[int] = []
-        while cb:
-            low = cb & -cb
-            rp = int(rhs_rows[low.bit_length() - 1])
-            if rp >= 0:
-                rows.append(rp)
-            cb ^= low
-        srcs[col] = rows or [zero_row]
+        # The combo's set bits, ascending, name the rows whose rhs to XOR.
+        named = rhs_rows[np.nonzero(np.unpackbits(
+            np.frombuffer(cb.to_bytes((m + 7) >> 3, "little"), np.uint8),
+            bitorder="little"))[0]]
+        srcs[col] = named[named >= 0].tolist() or [zero_row]
+    rhs_of = rhs_rows.tolist()
+    row_indptr, row_cols = fact.row_indptr, fact.row_cols
     for c, p in fact.pivots:
-        rows = []
-        rp = int(rhs_rows[p])
-        if rp >= 0:
-            rows.append(rp)
+        rows = [rhs_of[p]] if rhs_of[p] >= 0 else []
         lvl = 0
-        for q in fact.row_cols[fact.row_indptr[p]:fact.row_indptr[p + 1]]:
-            if q == c:
-                continue
-            lvl = max(lvl, int(level[q]) + 1)
-            rows.append(base + q)
+        for q in row_cols[row_indptr[p]:row_indptr[p + 1]]:
+            if q != c:
+                lvl = max(lvl, level[q] + 1)
+                rows.append(base + q)
         level[c] = lvl
         srcs[c] = rows or [zero_row]
-    # Batch nodes into waves by level; within a wave, ascending node id.
+    # Batch nodes into waves by level; within a wave, ascending node id
+    # (the stable sort keeps it).
+    levels = np.asarray(level, dtype=np.int64)
+    order = np.argsort(levels, kind="stable")
+    cuts = np.nonzero(np.diff(levels[order]))[0] + 1
     waves: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for lvl in range(int(level.max()) + 1 if num_nodes else 0):
-        nodes = np.nonzero(level == lvl)[0]
-        if nodes.size == 0:
-            continue
-        seg_sizes = np.asarray([len(srcs[n]) for n in nodes.tolist()],
-                               dtype=np.int64)
+    for nodes in np.split(order, cuts) if num_nodes else ():
+        segs = [srcs[n] for n in nodes.tolist()]
         wave_indptr = np.zeros(nodes.size + 1, dtype=np.int64)
-        np.cumsum(seg_sizes, out=wave_indptr[1:])
-        src = np.empty(int(wave_indptr[-1]), dtype=np.int64)
-        for j, n in enumerate(nodes.tolist()):
-            src[wave_indptr[j]:wave_indptr[j + 1]] = srcs[n]
-        waves.append((base + nodes.astype(np.int64), wave_indptr, src))
+        np.cumsum([len(seg) for seg in segs], out=wave_indptr[1:])
+        src = np.fromiter(chain.from_iterable(segs), dtype=np.int64,
+                          count=int(wave_indptr[-1]))
+        waves.append((base + nodes, wave_indptr, src))
     return SolvePlan(num_nodes=num_nodes, num_inputs=num_inputs,
                      waves=tuple(waves))

@@ -1,26 +1,33 @@
 """Process-wide Raptor geometry + solve-plan cache.
 
-Building a :class:`~repro.codes.raptor.precode.RaptorGeometry` is the
-expensive half of binding a Raptor code: the greedy systematic scan is
-O(k) GF(2) rank updates, and factoring the pre-solve system into a
-:class:`~repro.codes.peeling.SolvePlan` walks every edge of the joint
-constraint matrix.  Both depend only on the canonical parameter tuple
+Binding a Raptor code costs two structural builds: the
+:class:`~repro.codes.raptor.precode.RaptorGeometry` (the systematic
+scan: one batched droplet draw, then O(k) GF(2) rank updates — 2 ms at
+k = 256, echelon fill-in dominating from k ~ 4096 up) and the pre-solve
+system's :class:`~repro.codes.peeling.SolvePlan` (one ``factor_gf2``
+pass over the joint constraint matrix, about the same again).  Both
+depend only on the canonical parameter tuple
 ``(k, eps, c, delta, seed)`` — never on payload bytes — so one process
 should pay them once per spec, no matter how many transfer blocks,
 :meth:`TransferServer.fork() <repro.transfer.server.TransferServer.fork>`
 serving copies, :class:`~repro.transfer.codec.ObjectCodec` rebuilds, or
 swarm threshold-pool samples ask for the same code.
 
-The cache is LRU-bounded (so sweeping many specs in one process — the
-hypothesis suites do — cannot grow memory without bound) and
-thread-safe.  Plans build lazily on first *encoder* use: decoder-only
-consumers (the structural simulations) never pay for a plan at all.
-Hit/miss/eviction counters back the ``repro codes cache-stats`` CLI.
+The cache is an LRU bounded by what it *holds* — the sum of its
+entries' intermediate counts ``k'``, not their number — so sweeping
+many specs in one process (the hypothesis suites do) cannot grow memory
+without bound, while a transfer of many small blocks, which walks its
+per-block specs in order, still finds every one of them on the second
+pass.  It is thread-safe.  Plans build lazily on first *encoder* use:
+decoder-only consumers (the structural simulations) never pay for a
+plan at all.  Hit/miss/eviction counters and the seconds spent in the
+two builds back the ``repro codes cache-stats`` CLI.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
@@ -38,10 +45,11 @@ __all__ = [
     "clear_cache",
 ]
 
-#: default LRU bound — generous for real serving workloads (one entry
-#: per distinct spec string in flight) while keeping parameter sweeps
-#: from pinning every geometry they ever touched.
-_DEFAULT_MAXSIZE = 64
+#: default LRU budget in intermediate symbols (an entry weighs its
+#: ``k'``): ~1,900 blocks of k = 256 or 60 of k = 8192 — generous for
+#: real serving workloads (one entry per block spec in flight) while
+#: keeping parameter sweeps from pinning every geometry they touched.
+_DEFAULT_MAXSIZE = 64 * 8192
 
 _Key = Tuple[int, float, float, float, int]
 
@@ -49,16 +57,18 @@ _Key = Tuple[int, float, float, float, int]
 class RaptorAssets:
     """One cache entry: a shared geometry plus its lazily built plan."""
 
-    __slots__ = ("geometry", "_plan", "_lock")
+    __slots__ = ("geometry", "_plan", "_lock", "plan_seconds")
 
     def __init__(self, geometry: RaptorGeometry):
         self.geometry = geometry
         self._plan: Optional[SolvePlan] = None
         self._lock = threading.Lock()
+        self.plan_seconds = 0.0
 
     @property
     def plan_built(self) -> bool:
-        """True once some encoder paid for the solve plan."""
+        """True once some encoder paid for the solve plan
+        (``plan_seconds`` then says what it paid)."""
         return self._plan is not None
 
     def encode_plan(self) -> SolvePlan:
@@ -68,7 +78,9 @@ class RaptorAssets:
             with self._lock:
                 plan = self._plan
                 if plan is None:
+                    start = time.perf_counter()
                     plan = build_encode_plan(self.geometry)
+                    self.plan_seconds = time.perf_counter() - start
                     self._plan = plan
         return plan
 
@@ -80,6 +92,9 @@ class GeometryPlanCache:
     itself (frozen dataclasses holding numpy arrays neither hash nor
     compare usefully), matching the registry's canonical spec form, so
     every constructor path that agrees on parameters shares one entry.
+    ``maxsize`` is a budget in intermediate symbols: least recently used
+    entries go while the held ``k'`` sum exceeds it (the newest entry
+    always stays, however large).
     """
 
     def __init__(self, maxsize: int = _DEFAULT_MAXSIZE):
@@ -88,9 +103,7 @@ class GeometryPlanCache:
         self.maxsize = int(maxsize)
         self._entries: "OrderedDict[_Key, RaptorAssets]" = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        self.clear()
 
     def get(self, k: int, eps: float = 0.05, c: float = 0.03,
             delta: float = 0.1, seed: int = 0) -> RaptorAssets:
@@ -106,39 +119,51 @@ class GeometryPlanCache:
         # Build outside the lock — geometry construction is the slow
         # part, and concurrent misses on *different* keys must not
         # serialise on it.
+        start = time.perf_counter()
         built = RaptorAssets(raptor_geometry(int(k), eps=float(eps),
                                              c=float(c), delta=float(delta),
                                              seed=int(seed)))
+        elapsed = time.perf_counter() - start
         with self._lock:
+            self._geometry_seconds += elapsed
             entry = self._entries.get(key)
             if entry is not None:
                 # Lost a same-key race; keep the first entry so geometry
                 # identity stays stable for everyone already holding it.
                 return entry
             self._entries[key] = built
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+            self._weight += built.geometry.intermediate_count
+            while self._weight > self.maxsize and len(self._entries) > 1:
+                _, old = self._entries.popitem(last=False)
+                self._weight -= old.geometry.intermediate_count
+                self._evicted_plan_seconds += old.plan_seconds
                 self._evictions += 1
         return built
 
-    def stats(self) -> Dict[str, int]:
-        """Counters for observability: hits, misses, evictions, fill."""
+    def stats(self) -> Dict[str, float]:
+        """Counters for observability: hits, misses, evictions, fill,
+        and the seconds the geometry and plan builds have cost."""
         with self._lock:
             return {
                 "size": len(self._entries),
+                "weight": self._weight,
                 "maxsize": self.maxsize,
                 "hits": self._hits,
                 "misses": self._misses,
                 "evictions": self._evictions,
                 "plans_cached": sum(1 for e in self._entries.values()
                                     if e.plan_built),
+                "geometry_seconds": round(self._geometry_seconds, 6),
+                "plan_seconds": round(self._evicted_plan_seconds + sum(
+                    e.plan_seconds for e in self._entries.values()), 6),
             }
 
     def clear(self) -> None:
         """Drop every entry and zero the counters (test isolation)."""
         with self._lock:
             self._entries.clear()
-            self._hits = self._misses = self._evictions = 0
+            self._hits = self._misses = self._evictions = self._weight = 0
+            self._geometry_seconds = self._evicted_plan_seconds = 0.0
 
     def __len__(self) -> int:
         with self._lock:
@@ -155,7 +180,7 @@ def cached_raptor_assets(k: int, eps: float = 0.05, c: float = 0.03,
     return SHARED_CACHE.get(k, eps=eps, c=c, delta=delta, seed=seed)
 
 
-def cache_stats() -> Dict[str, int]:
+def cache_stats() -> Dict[str, float]:
     """The shared cache's counters (see :meth:`GeometryPlanCache.stats`)."""
     return SHARED_CACHE.stats()
 

@@ -34,11 +34,13 @@ manifest carries:
   selection is a deterministic greedy scan at build time: walk ESIs
   ``0, 1, 2, ...`` and keep each row that grows the GF(2) rank of
   ``constraints + kept rows``, stopping at ``k`` rows — by construction
-  the pre-solve system is then invertible.  Because every received
-  droplet is a distribution row no matter which ids were lost, the
-  receiver always faces the same constraints-plus-random-rows ensemble
-  and the decode overhead is a small constant, independent of the loss
-  pattern — the Raptor claim.
+  the pre-solve system is then invertible.  The candidate rows come
+  from the batched droplet derivation, a bounded chunk at a time, so a
+  cold build costs its rank updates and little else.  Because every
+  received droplet is a distribution row no matter which ids were
+  lost, the receiver always faces the same constraints-plus-random-rows
+  ensemble and the decode overhead is a small constant, independent of
+  the loss pattern — the Raptor claim.
 
 :func:`raptor_geometry` builds all three and is the single source of
 truth for the encoder, the decoder and the property tests that pin
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -120,6 +122,28 @@ def _dense_check_count(k: int, r_ldpc: int, delta: float) -> int:
                int(math.ceil(math.log2(k + r_ldpc + 1))))
 
 
+#: dense scratch of one scan chunk, in 0/1 matrix cells (one byte each):
+#: rows are drawn, and constraint rows packed, ``_SCAN_CHUNK_CELLS // k'``
+#: at a time, so the scan's scratch is bounded by this (4 MiB, plus the
+#: same again for ``neighbour_block``'s walk windows) at any ``k`` — a
+#: whole-scan ``(k, k')`` matrix is 70 MB at k = 8192 and slower than
+#: the per-ESI walk it would replace.  A k = 256 scan is one chunk.
+_SCAN_CHUNK_CELLS = 1 << 22
+
+
+def _packed_rows(indptr: np.ndarray, flat: np.ndarray,
+                 width: int) -> List[int]:
+    """CSR rows over ``width`` columns as Python integers (bit = column)."""
+    count = indptr.size - 1
+    dense = np.zeros((count, width), dtype=np.uint8)
+    dense[np.repeat(np.arange(count), np.diff(indptr)),
+          flat[indptr[0]:indptr[-1]]] = 1
+    packed = np.packbits(dense, axis=1, bitorder="little")
+    raw, step = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[i * step:(i + 1) * step], "little")
+            for i in range(count)]
+
+
 def _select_systematic(spec: DropletSpec, constraint_indptr: np.ndarray,
                        constraint_flat: np.ndarray, k: int) -> np.ndarray:
     """Greedy scan for the ``k`` ESIs that make the pre-solve invertible.
@@ -127,10 +151,14 @@ def _select_systematic(spec: DropletSpec, constraint_indptr: np.ndarray,
     Maintains a GF(2) echelon basis (one Python integer per pivot) over
     the ``k'`` intermediate columns, seeds it with the constraint rows,
     then walks ESIs in order keeping every row that increases the rank.
-    Both ends run the identical scan, so the systematic index never
-    travels on the wire.
+    Candidate rows are drawn a chunk at a time through
+    :meth:`DropletSpec.neighbour_block` — what is still missing plus a
+    little slack for the rows the echelon will reject — and packed into
+    integers in one pass; only the rank updates run row by row.  Both
+    ends run the identical scan, so the systematic index never travels
+    on the wire.
     """
-    basis = {}
+    basis: Dict[int, int] = {}
 
     def grows_rank(row: int) -> bool:
         while row:
@@ -142,27 +170,29 @@ def _select_systematic(spec: DropletSpec, constraint_indptr: np.ndarray,
             row ^= pivot
         return False
 
-    for j in range(constraint_indptr.size - 1):
-        row = 0
-        for col in constraint_flat[constraint_indptr[j]:
-                                   constraint_indptr[j + 1]]:
-            row |= 1 << int(col)
-        grows_rank(row)
+    chunk = max(1, _SCAN_CHUNK_CELLS // spec.k)
+    for lo in range(0, constraint_indptr.size - 1, chunk):
+        for row in _packed_rows(constraint_indptr[lo:lo + chunk + 1],
+                                constraint_flat, spec.k):
+            grows_rank(row)
 
-    chosen = []
+    chosen: List[int] = []
     esi = 0
     scan_limit = 4 * spec.k + 64
     while len(chosen) < k:
-        if esi >= scan_limit:  # pragma: no cover - astronomically unlikely
+        if esi >= scan_limit:  # astronomically unlikely
             raise ParameterError(
                 "systematic index scan did not converge; "
                 "try a different seed")
-        row = 0
-        for col in spec.neighbours(esi):
-            row |= 1 << int(col)
-        if grows_rank(row):
-            chosen.append(esi)
-        esi += 1
+        need = k - len(chosen)
+        count = min(need + (need >> 3) + 8, chunk, scan_limit - esi)
+        flat, indptr = spec.neighbour_block(np.arange(esi, esi + count))
+        for row in _packed_rows(indptr, flat, spec.k):
+            if grows_rank(row):
+                chosen.append(esi)
+                if len(chosen) == k:
+                    break
+            esi += 1
     return np.asarray(chosen, dtype=np.int64)
 
 

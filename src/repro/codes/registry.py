@@ -431,14 +431,15 @@ def available_codes() -> List[CodeFamily]:
 
 # -- cache observability -------------------------------------------------------
 
-#: named providers of build-cache counters (hits/misses/evictions...),
-#: surfaced by ``repro codes cache-stats``.  Providers are callables so
-#: registration stays lazy: nothing is built just to be countable.
-_CACHE_STATS_PROVIDERS: Dict[str, Callable[[], Dict[str, int]]] = {}
+#: named providers of build-cache counters (hits/misses/evictions,
+#: build seconds...), surfaced by ``repro codes cache-stats``.
+#: Providers are callables so registration stays lazy: nothing is built
+#: just to be countable.
+_CACHE_STATS_PROVIDERS: Dict[str, Callable[[], Dict[str, float]]] = {}
 
 
 def register_cache_stats(name: str,
-                         provider: Callable[[], Dict[str, int]]) -> None:
+                         provider: Callable[[], Dict[str, float]]) -> None:
     """Register a named cache-counter provider; raises on duplicates."""
     if name in _CACHE_STATS_PROVIDERS:
         raise ParameterError(f"cache stats provider {name!r} already "
@@ -446,7 +447,7 @@ def register_cache_stats(name: str,
     _CACHE_STATS_PROVIDERS[name] = provider
 
 
-def collect_cache_stats() -> Dict[str, Dict[str, int]]:
+def collect_cache_stats() -> Dict[str, Dict[str, float]]:
     """Every registered cache's counters, keyed by provider name."""
     return {name: dict(provider())
             for name, provider in sorted(_CACHE_STATS_PROVIDERS.items())}
@@ -641,7 +642,7 @@ def _register_defaults() -> None:
     register_code(
         "lt", _lt, rateless=True,
         summary="LT rateless fountain: robust-soliton droplets, no n")
-    def _raptor_cache_stats() -> Dict[str, int]:
+    def _raptor_cache_stats() -> Dict[str, float]:
         # Lazy import: asking for counters must not drag the raptor
         # modules in before anything has built a raptor code.
         from repro.codes.raptor.cache import cache_stats

@@ -187,6 +187,52 @@ def raptor_encode_pair(backend: str, k: int, payload_size: int,
     return fast.intermediates.tobytes(), slow.intermediates.tobytes()
 
 
+# -- per-ESI systematic scan (the chunked scan's oracle) -------------------------
+
+
+def scalar_systematic_scan(spec, constraint_indptr, constraint_flat, k):
+    """``precode._select_systematic`` exactly as it ran before the scan
+    drew its candidates in ``neighbour_block`` chunks: one scalar
+    ``spec.neighbours(esi)`` walk per ESI, every row assembled one
+    ``1 << col`` at a time.  ``tests/test_raptor.py`` holds the chunked
+    scan to it, and ``benchmarks/bench_raptor_encode.py`` times the two
+    side by side (``scan_speedup``)."""
+    basis = {}
+
+    def grows_rank(row: int) -> bool:
+        while row:
+            top = row.bit_length() - 1
+            pivot = basis.get(top)
+            if pivot is None:
+                basis[top] = row
+                return True
+            row ^= pivot
+        return False
+
+    for j in range(constraint_indptr.size - 1):
+        row = 0
+        for col in constraint_flat[constraint_indptr[j]:
+                                   constraint_indptr[j + 1]]:
+            row |= 1 << int(col)
+        grows_rank(row)
+
+    chosen = []
+    esi = 0
+    scan_limit = 4 * spec.k + 64
+    while len(chosen) < k:
+        if esi >= scan_limit:
+            raise ParameterError(
+                "systematic index scan did not converge; "
+                "try a different seed")
+        row = 0
+        for col in spec.neighbours(esi):
+            row |= 1 << int(col)
+        if grows_rank(row):
+            chosen.append(esi)
+        esi += 1
+    return np.asarray(chosen, dtype=np.int64)
+
+
 # -- eager droplet intake (the deferred Raptor intake's oracle) -----------------
 
 

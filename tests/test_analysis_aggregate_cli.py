@@ -154,22 +154,30 @@ class TestCli:
         assert cli.main(["codes", "cache-stats", "--json"]) == 0
         before = json.loads(capsys.readouterr().out)
         stats = before["caches"]["raptor-geometry-plan"]
-        assert {"size", "maxsize", "hits", "misses", "evictions",
-                "plans_cached"} <= set(stats)
+        assert {"size", "weight", "maxsize", "hits", "misses", "evictions",
+                "plans_cached", "geometry_seconds",
+                "plan_seconds"} <= set(stats)
 
         cached_raptor_assets(12, seed=321)   # miss (or prior entry)
         cached_raptor_assets(12, seed=321)   # guaranteed hit
+        # A spec nothing else asks for: a certain cold build, plan included.
+        cached_raptor_assets(13, eps=0.0625, seed=4321).encode_plan()
         assert cli.main(["codes", "cache-stats", "--json"]) == 0
         after = json.loads(capsys.readouterr().out)["caches"][
             "raptor-geometry-plan"]
         assert after["hits"] > stats["hits"]
         assert after["size"] >= 1
+        assert after["weight"] >= 13
+        # Cold start is on the record: time beside the miss and plan counts.
+        assert after["geometry_seconds"] > stats["geometry_seconds"]
+        assert after["plan_seconds"] > stats["plan_seconds"]
 
         # The human-readable table carries the same counters.
         assert cli.main(["codes", "cache-stats"]) == 0
         out = capsys.readouterr().out
         assert "raptor-geometry-plan" in out
         assert "hits:" in out and "misses:" in out
+        assert "geometry_seconds:" in out and "plan_seconds:" in out
 
     def test_codes_list_json(self, capsys):
         """--json shares the table's rows, machine-readable."""

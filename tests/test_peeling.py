@@ -409,6 +409,36 @@ def test_plan_engine_and_oracle_agree_on_square_systems(coeffs):
             assert np.array_equal(plan.apply(rhs), truth)
 
 
+def test_plan_reads_the_zero_row_for_a_zero_rhs_inactive_column():
+    """No row has degree one, so column 1 (the busiest) is inactivated,
+    and the dense-core combination that determines it names only
+    zero-rhs rows: its one source is the arena's pinned zero row."""
+    indptr = np.asarray([0, 2, 4, 7, 8])
+    flat = np.asarray([0, 1, 1, 2, 0, 1, 2, 3])
+    plan = record_solve_plan(4, indptr, flat, np.asarray([-1, -1, -1, 0]), 1)
+    zero_row, base = 1, 2
+    sources = {}
+    for dst, wave_indptr, src in plan.waves:
+        for j, node in enumerate(dst.tolist()):
+            sources[node - base] = src[wave_indptr[j]:
+                                       wave_indptr[j + 1]].tolist()
+    assert sources == {0: [base + 1], 1: [zero_row], 2: [base + 1], 3: [0]}
+    assert plan.waves[0][0].tolist() == [base + 1, base + 3]
+    inputs = make_source(1, 8, seed=4)
+    assert np.array_equal(plan.apply(inputs),
+                          np.concatenate([np.zeros((3, 8), np.uint8), inputs]))
+
+
+@pytest.mark.parametrize("rhs_row, source", [(0, 0), (-1, 1)])
+def test_plan_for_a_single_node(rhs_row, source):
+    plan = record_solve_plan(1, np.asarray([0, 1]), np.asarray([0]),
+                             np.asarray([rhs_row]), 1)
+    (dst, wave_indptr, src), = plan.waves
+    assert (dst.tolist(), wave_indptr.tolist(), src.tolist()) \
+        == ([2], [0, 1], [source])
+    assert all(part.dtype == np.int64 for part in plan.waves[0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(coeffs=_gf2_systems(max_extra_rows=6),
        storage=st.sampled_from(["bitmatrix", "dict"]))

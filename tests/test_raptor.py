@@ -11,10 +11,14 @@ The load-bearing properties, pinned with Hypothesis over random
   intermediate-block geometry (counts, systematic index, constraint
   rows) from the shared ``(k, params, seed)`` tuple under *both* codec
   backends, so the spec string in a manifest is all the wire needs to
-  carry.
+  carry;
+* **scan agreement** — the chunked systematic scan keeps exactly the
+  ESIs the per-ESI loop it replaced keeps
+  (``tests/_oracles.py::scalar_systematic_scan``), at any chunk size.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codes.backend import use_backend
+from repro.codes.degree import DegreeDistribution
+from repro.codes.lt.encoder import DropletSpec
+from repro.codes.raptor import precode
 from repro.codes.raptor.cache import GeometryPlanCache
 from repro.codes.raptor.code import RaptorCode
 from repro.codes.raptor.decoder import RaptorDecoder
@@ -33,6 +40,7 @@ from repro.codes.raptor.encoder import (
 from repro.codes.raptor.precode import raptor_geometry, weakened_soliton
 from repro.codes.registry import build_code
 from repro.errors import DecodeFailure, ParameterError
+from tests._oracles import scalar_systematic_scan
 
 _k = st.integers(min_value=1, max_value=120)
 _eps = st.floats(min_value=0.02, max_value=0.5, allow_nan=False)
@@ -108,6 +116,76 @@ class TestGeometry:
         decoder = code.new_decoder()
         assert decoder.geometry is code.geometry
         assert decoder.spec is code.geometry.spec
+
+
+def _scan_chunk_rows(intermediate_count, rows):
+    """Patch the scan's chunk budget down to ``rows`` rows per draw
+    (``None``: the shipped budget)."""
+    cells = (precode._SCAN_CHUNK_CELLS if rows is None
+             else rows * intermediate_count)
+    return mock.patch.object(precode, "_SCAN_CHUNK_CELLS", cells)
+
+
+def _oracle_esis(geometry):
+    indptr, flat = geometry.constraint_rows()
+    return scalar_systematic_scan(geometry.spec, indptr, flat, geometry.k)
+
+
+class TestChunkedScan:
+    """The chunked systematic scan against the per-ESI loop it replaced."""
+
+    @given(st.integers(min_value=1, max_value=400),
+           st.floats(min_value=0.02, max_value=1.0, allow_nan=False), _seed)
+    @settings(max_examples=40, deadline=None)
+    def test_scan_equals_scalar_oracle_at_any_chunk_size(self, k, eps, seed):
+        """Same ESIs at the shipped chunk size and at 3 and 1 rows per
+        draw, where rejected rows and the k-th kept row fall on chunk
+        edges."""
+        shipped = raptor_geometry(k, eps=eps, seed=seed)
+        expected = _oracle_esis(shipped)
+        np.testing.assert_array_equal(shipped.systematic_esis, expected)
+        for rows in (3, 1):
+            with _scan_chunk_rows(shipped.intermediate_count, rows):
+                again = raptor_geometry(k, eps=eps, seed=seed)
+            np.testing.assert_array_equal(again.systematic_esis, expected)
+
+    @pytest.mark.parametrize("k, eps, seed, esi", [(17, 0.2, 24, 6),
+                                                   (12, 0.05, 159, 3)])
+    def test_row_that_falls_back_to_the_scalar_walk(self, k, eps, seed, esi):
+        """Specs found by search: ``neighbour_block``'s walk window comes
+        up short on a row the scan keeps or rejects, so that row arrives
+        through the scalar fallback."""
+        with mock.patch.object(DropletSpec, "neighbours", autospec=True,
+                               side_effect=DropletSpec.neighbours) as walk:
+            geometry = raptor_geometry(k, eps=eps, seed=seed)
+        assert [call.args[1] for call in walk.call_args_list] == [esi]
+        assert esi < geometry.repair_base
+        np.testing.assert_array_equal(geometry.systematic_esis,
+                                      _oracle_esis(geometry))
+
+    @pytest.mark.parametrize("rows", [None, 3, 1])
+    def test_scan_limit_raises_like_the_oracle(self, rows):
+        """Every droplet of this spec is the same all-ones row, so the
+        rank grows once and the scan runs into its ``4 k' + 64`` limit —
+        without ever drawing an ESI beyond it."""
+        spec = DropletSpec(4, DegreeDistribution((4,), (1.0,)), seed=0)
+        empty = np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        with pytest.raises(ParameterError, match="did not converge"):
+            scalar_systematic_scan(spec, *empty, 2)
+        drawn = []
+        draw = DropletSpec.neighbour_block
+
+        def recording(self, ids):
+            drawn.extend(np.asarray(ids).tolist())
+            return draw(self, ids)
+
+        with _scan_chunk_rows(spec.k, rows), \
+                mock.patch.object(DropletSpec, "neighbour_block", recording), \
+                pytest.raises(ParameterError, match="did not converge"):
+            precode._select_systematic(spec, *empty, 2)
+        assert drawn == list(range(4 * spec.k + 64))
+        np.testing.assert_array_equal(
+            precode._select_systematic(spec, *empty, 1), [0])
 
 
 class TestSystematicMapping:
@@ -293,11 +371,16 @@ class TestSolvePlanProperties:
         assert other_k.geometry.k == k + delta_k
 
     def test_cache_eviction_bound_and_counters(self):
-        cache = GeometryPlanCache(maxsize=3)
-        for k in (4, 5, 6, 7):
+        """The bound is a budget in intermediate symbols, not entries."""
+        weights = {k: raptor_geometry(k, seed=1).intermediate_count
+                   for k in (4, 5, 6, 7)}
+        # One symbol short of holding all four.
+        cache = GeometryPlanCache(maxsize=sum(weights.values()) - 1)
+        for k in weights:
             cache.get(k, seed=1)
         stats = cache.stats()
         assert len(cache) == 3
+        assert stats["weight"] == sum(weights.values()) - weights[4]
         assert stats["evictions"] == 1
         assert stats["misses"] == 4
         # 4 was evicted (LRU); fetching it again is a miss...
@@ -307,6 +390,44 @@ class TestSolvePlanProperties:
         stats = cache.stats()
         assert stats["misses"] == 5
         assert stats["hits"] == 1
+        assert stats["weight"] <= cache.maxsize
+        # An entry heavier than the whole budget still gets its hits.
+        tiny = GeometryPlanCache(maxsize=1)
+        assert tiny.get(4, seed=1) is tiny.get(4, seed=1)
+        assert tiny.stats()["hits"] == 1
+
+    @pytest.mark.parametrize("blocks", [65, 300])
+    def test_in_order_walk_past_64_specs_still_hits(self, blocks):
+        """A transfer walks its per-block specs in order, twice (sender,
+        then receiver): with the old 64-*entry* LRU the 65th block
+        turned every lookup of the second pass into a miss."""
+        cache = GeometryPlanCache()
+        for _ in range(2):
+            for seed in range(blocks):
+                cache.get(32, seed=seed)
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"]) == (blocks, blocks)
+        assert stats["evictions"] == 0 and stats["size"] == blocks
+
+    def test_cache_reports_build_seconds(self):
+        cache = GeometryPlanCache()
+        assert cache.stats()["geometry_seconds"] == 0.0
+        assets = cache.get(40, seed=3)
+        cold = cache.stats()
+        assert cold["geometry_seconds"] > 0.0 and cold["plan_seconds"] == 0.0
+        assets.encode_plan()
+        built = cache.stats()["plan_seconds"]
+        assert built > 0.0
+        # Totals are monotonic: an evicted entry's plan time stays counted.
+        small = GeometryPlanCache(maxsize=1)
+        small.get(40, seed=3).encode_plan()
+        before = small.stats()["plan_seconds"]
+        small.get(40, seed=4)
+        assert small.stats()["evictions"] == 1
+        assert small.stats()["plan_seconds"] == before > 0.0
+        small.clear()
+        assert small.stats()["plan_seconds"] == 0.0
+        assert small.stats()["geometry_seconds"] == 0.0
 
     def test_shared_cache_serves_registry_codes(self):
         """Two RaptorCode builds with one spec share geometry and plan."""

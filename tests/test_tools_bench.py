@@ -244,6 +244,22 @@ class TestCrossCase:
         assert check_bench.check_case_floors(
             "BENCH_other.json", transfer_payload(0.1, 0.1)) == []
 
+    def test_raptor_scan_speedup_floor(self):
+        def raptor_payload(scan_speedup):
+            return {"results": [{"case": "raptor-geometry-build-k256",
+                                 "scan_speedup": scan_speedup}]}
+
+        assert check_bench.check_case_floors(
+            "BENCH_raptor.json", raptor_payload(3.0)) == []
+        regressions = check_bench.check_case_floors(
+            "BENCH_raptor.json", raptor_payload(2.9))
+        assert len(regressions) == 1
+        assert "one droplet at a time" in str(regressions[0])
+        # A build row that lost the metric fails too.
+        assert len(check_bench.check_case_floors(
+            "BENCH_raptor.json",
+            {"results": [{"case": "raptor-geometry-build-k256"}]})) == 1
+
     def test_case_floor_missing_metric_fails(self):
         payload = {"results": [{"case": "raptor-bk128", "seconds": 0.02}]}
         regressions = check_bench.check_case_floors(
