@@ -122,7 +122,9 @@ docs-check:
 # IncrementalDecoder Protocol, the one sender (the emission cursor
 # in fountain/source.py, the striped stream in transfer/server.py) and
 # the Raptor cold-start pair (the geometry build in raptor/precode.py,
-# the weighted cache in raptor/cache.py) (config: mypy.ini).
+# the weighted cache in raptor/cache.py) and the three native decoders
+# behind the IncrementalDecoder contract (lt/decoder.py,
+# raptor/decoder.py, tornado/decoder.py) (config: mypy.ini).
 # Skips gracefully when mypy is not installed (the library itself has
 # no dependency on it); CI installs mypy and runs this for real.
 typecheck:
@@ -133,7 +135,10 @@ typecheck:
 			src/repro/fountain/source.py \
 			src/repro/transfer/server.py \
 			src/repro/codes/raptor/precode.py \
-			src/repro/codes/raptor/cache.py; \
+			src/repro/codes/raptor/cache.py \
+			src/repro/codes/lt/decoder.py \
+			src/repro/codes/raptor/decoder.py \
+			src/repro/codes/tornado/decoder.py; \
 	else \
 		echo "mypy not installed; skipping typecheck (pip install mypy)"; \
 	fi

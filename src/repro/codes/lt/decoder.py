@@ -19,7 +19,7 @@ families through one code path.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -66,9 +66,14 @@ class LTDecoder(PeelingEngine):
         self._droplet_ids: Set[int] = set()
         self._duplicates = 0
         self._redundant = 0
-        # Droplets a subclass admitted and banked but whose equations
-        # :meth:`_deferred` is holding back; they count as rows and as
-        # arrivals in :attr:`min_additional_packets`.  Always 0 for LT.
+        # Droplets admitted and banked whose equations have not entered
+        # the engine: on a lazy engine, every row that arrives while
+        # the system is still short of square (:meth:`_take`; ids here,
+        # payloads already in the rhs rows they will occupy), plus
+        # whatever a subclass's :meth:`_deferred` is holding back.  They
+        # count as rows and as arrivals in
+        # :attr:`min_additional_packets`.
+        self._held_ids: List[int] = []
         self._held_rows = 0
 
     # -- public state ----------------------------------------------------------
@@ -87,6 +92,11 @@ class LTDecoder(PeelingEngine):
     def redundant_droplets(self) -> int:
         """Distinct droplets that carried no new information on arrival."""
         return self._redundant
+
+    @property
+    def held_rows(self) -> int:
+        """Droplets banked but not yet in the engine (see :meth:`_take`)."""
+        return self._held_rows
 
     @property
     def min_additional_packets(self) -> int:
@@ -111,9 +121,9 @@ class LTDecoder(PeelingEngine):
         decoder's bound is ``k' - r = k``, exactly the source size, and
         its systematic fast path never beats it — each banked packet is
         also one row of the system, entered or still held back
-        (:meth:`_deferred`): a held row counts here as the row and the
-        arrival it will be on release, so the bound reads the same
-        whether or not the engine has seen it yet.
+        (:meth:`_take`, :meth:`_deferred`): a held row counts here as
+        the row and the arrival it will be on release, so the bound
+        reads the same whether or not the engine has seen it yet.
 
         Batch feeders size ingest chunks with this so completion can
         only land on a chunk's final packet, keeping reception counters
@@ -180,8 +190,9 @@ class LTDecoder(PeelingEngine):
         return True
 
     def _add_one(self, index: int, payload: Optional[np.ndarray],
-                 drop_late: bool) -> None:
-        """Scalar intake of one admitted droplet: bank, then equation.
+                 drop_late: bool) -> bool:
+        """Scalar intake of one admitted droplet: bank, then equation;
+        True when the engine was handed anything.
 
         With ``drop_late``, a droplet that finds the decoder complete
         (possibly by its own banking) is still new, and was counted,
@@ -190,14 +201,66 @@ class LTDecoder(PeelingEngine):
         self._bank(index, payload)
         if drop_late and self.is_complete:
             self._redundant += 1
-            return
+            return False
         batch = self._deferred(index, payload)
-        if batch is None:
-            if not self.add_equation(
-                    self.spec.neighbours(int(self._esis(index))), payload):
-                self._redundant += 1
-        elif batch[0].size:
-            self._enter(*batch)
+        if batch is not None or self._holds(1):
+            return self._take(*(batch or (index, payload)))
+        if not self.add_equation(
+                self.spec.neighbours(int(self._esis(index))), payload):
+            self._redundant += 1
+        return True
+
+    def _short_of_square(self, arriving: int) -> bool:
+        """True when ``arriving`` more rows still leave fewer rows than
+        unknowns — the first bound of :attr:`min_additional_packets` in
+        integers (on a lazy engine nothing is known before the solve,
+        so every stored row is an active one)."""
+        return (self.num_nodes - self._source_known - self._num_equations
+                - self._held_rows - arriving) > 0
+
+    def _holds(self, arriving: int) -> bool:
+        """True when ``arriving`` rows are to be banked, not entered:
+        only on a lazy engine, and only while the system stays short of
+        square with them (or they join rows already held — the batch
+        that squares it is released together with those)."""
+        return self._lazy_peel and (bool(self._held_ids)
+                                    or self._short_of_square(arriving))
+
+    def _take(self, ids, rhs: Optional[np.ndarray]) -> bool:
+        """Hold droplets ``ids`` or enter them; True when they entered.
+
+        No code completes on fewer rows than unknowns, and a lazy engine
+        (:attr:`_lazy_peel`) does nothing observable with a row before
+        its one factorization can succeed — so until the system is
+        square a row is only *held*: its id here, its payload written
+        once into the rhs row it will occupy
+        (:meth:`~repro.codes.peeling.PeelingEngine._pending_rhs`).  The
+        arrival that squares the system releases everything held as one
+        equation batch, in arrival order; from then on rows enter as
+        they come.  Eager engines peel on arrival, which is observable,
+        and never hold.
+        """
+        count = ids.size if isinstance(ids, np.ndarray) else 1
+        if not count:
+            return False
+        if self._holds(count):
+            held = len(self._held_ids)
+            if self._acc is not None:
+                self._pending_rhs(held + count)[held:] = rhs
+            if isinstance(ids, np.ndarray):
+                self._held_ids.extend(ids.tolist())
+            else:
+                self._held_ids.append(ids)
+            self._held_rows += count
+            if self._short_of_square(0):
+                return False
+            ids = np.asarray(self._held_ids, dtype=np.int64)
+            rhs = (None if self._acc is None
+                   else self._pending_rhs(ids.size))
+            self._held_ids = []
+            self._held_rows -= ids.size
+        self._enter(ids, rhs)
+        return True
 
     def _enter(self, ids: np.ndarray, rhs: Optional[np.ndarray]) -> None:
         """One equation batch for droplets ``ids`` (at least one): one
@@ -212,8 +275,8 @@ class LTDecoder(PeelingEngine):
         index = int(index)
         if not self._admit(index, payload is not None):
             return False
-        self._add_one(index, payload, drop_late=False)
-        self.maybe_inactivate()
+        if self._add_one(index, payload, drop_late=False):
+            self.maybe_inactivate()
         return True
 
     def add_packets(self, indices: Sequence[int],
@@ -240,43 +303,69 @@ class LTDecoder(PeelingEngine):
         if self._vectorized and len(indices) >= _VECTOR_INTAKE_MIN:
             return self._add_packets_batch(indices, payloads)
         fresh = 0
+        entered = False
         for row, index in enumerate(indices):
             index = int(index)
             if self._admit(index, payloads is not None):
                 fresh += 1
-                self._add_one(index,
-                              None if payloads is None else payloads[row],
-                              drop_late=True)
-        self.maybe_inactivate()
+                entered |= self._add_one(
+                    index, None if payloads is None else payloads[row],
+                    drop_late=True)
+        if entered:
+            self.maybe_inactivate()
         return fresh
+
+    def _admit_batch(self, indices: Sequence[int], has_payload: bool):
+        """:meth:`_admit` over a batch: the fresh ids, in arrival order,
+        and their positions in ``indices`` (``None`` = every position).
+
+        A batch whose ids are all new and all distinct — the usual
+        arrival — is admitted with one set test; anything else (a
+        repeat inside or across batches, a negative id) takes the
+        per-id loop, so duplicate counts, arrival-order attribution and
+        the negative-id error are those of one-at-a-time feeding.
+        """
+        ids = np.asarray(indices, dtype=np.int64)
+        listed = ids.tolist()
+        distinct = set(listed)
+        if (len(distinct) == len(listed) and min(listed) >= 0
+                and distinct.isdisjoint(self._droplet_ids)):
+            if self.values is not None and not has_payload:
+                raise ParameterError(
+                    "payload decoder requires droplet payloads")
+            self._droplet_ids |= distinct
+            return ids, None
+        rows = [row for row, index in enumerate(listed)
+                if self._admit(index, has_payload)]
+        return ids[rows], np.asarray(rows, dtype=np.int64)
 
     def _add_packets_batch(self, indices: Sequence[int],
                            payloads: Optional[np.ndarray]) -> int:
         """Vectorized :meth:`add_packets`: one equation batch per call."""
-        has_payload = payloads is not None
-        fresh_rows = []
-        for row, index in enumerate(indices):
-            index = int(index)
-            if self._admit(index, has_payload):
-                fresh_rows.append((row, index))
-        if not fresh_rows:
+        ids, rows = self._admit_batch(indices, payloads is not None)
+        fresh = int(ids.size)
+        if not fresh:
             return 0
-        rows = np.asarray([r for r, _ in fresh_rows], dtype=np.int64)
-        ids = np.asarray([i for _, i in fresh_rows], dtype=np.int64)
         rhs = None
-        if has_payload:
-            rhs = np.ascontiguousarray(
-                np.asarray(payloads, dtype=np.uint8)[rows])
+        if payloads is not None:
+            rhs = np.asarray(payloads, dtype=np.uint8)
+            if rows is not None:
+                rhs = rhs[rows]
         self._bank(ids, rhs)
         if self.is_complete:
             # Late droplets are still new (and counted), but carry no
             # information worth building equations from.
-            self._redundant += len(fresh_rows)
-            return len(fresh_rows)
+            self._redundant += fresh
+            return fresh
         batch = self._deferred(ids, rhs)
         if batch is not None:
             ids, rhs = batch
-        if ids.size:
-            self._enter(ids, rhs)
+        if self._take(ids, rhs):
             self.maybe_inactivate()
-        return len(fresh_rows)
+        return fresh
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (f"{type(self).__name__}(k={self.spec.k}, "
+                f"packets_added={self.packets_added}, "
+                f"held_rows={self.held_rows}, "
+                f"equations={self.equation_count})")

@@ -508,10 +508,29 @@ class PeelingEngine:
         sizes = np.diff(indptr)
         eq_of = np.repeat(np.arange(m), sizes)
         known_edge = self.known[participants]
+        unknown_edge = ~known_edge
+        deg = np.bincount(eq_of[unknown_edge], minlength=m)
+        # Degree >= 2 equations join the active system *before* the
+        # propagation wave, so the wave reduces them like any other.
+        # While the engine is stalled on a kept factorization, degree
+        # one equations join the system too (see _defers_peeling) instead
+        # of solving their node — the elimination retry folds them.
+        min_deg = 1 if self._defers_peeling() else 2
+        keep = np.nonzero(deg >= min_deg)[0]
+        adopted = False
         if self.values is not None:
             if rhs_block is None:
                 raise ParameterError("payload engine requires equation rhs")
-            acc = np.asarray(rhs_block, dtype=np.uint8).copy()
+            acc = np.asarray(rhs_block, dtype=np.uint8)
+            # A block handed out by _pending_rhs already sits in the
+            # rows these equations will occupy; when every one of them
+            # is stored it is adopted as is, anything else is copied.
+            adopted = (acc.base is self._acc and keep.size == m
+                       and acc.__array_interface__["data"]
+                       == self._acc[self._num_equations:]
+                       .__array_interface__["data"])
+            if not adopted:
+                acc = acc.copy()
             if known_edge.any():
                 # Fold the known participants' payloads into each rhs row.
                 k_eqs = eq_of[known_edge]
@@ -522,15 +541,6 @@ class PeelingEngine:
                 xor_view(acc)[ueq] ^= folded
         else:
             acc = None
-        unknown_edge = ~known_edge
-        deg = np.bincount(eq_of[unknown_edge], minlength=m)
-        # Degree >= 2 equations join the active system *before* the
-        # propagation wave, so the wave reduces them like any other.
-        # While the engine is stalled on a kept factorization, degree
-        # one equations join the system too (see _defers_peeling) instead
-        # of solving their node — the elimination retry folds them.
-        min_deg = 1 if self._defers_peeling() else 2
-        keep = np.nonzero(deg >= min_deg)[0]
         if keep.size:
             while self._num_equations + keep.size > self.unknown_count.shape[0]:
                 self._grow_equations()
@@ -540,7 +550,7 @@ class PeelingEngine:
             starts, _ = _group_sorted(eq_of[keep_edge])
             self.unknown_count[eq_ids] = deg[keep]
             self.xor_ids[eq_ids] = np.bitwise_xor.reduceat(nodes_k, starts)
-            if self._acc is not None:
+            if self._acc is not None and not adopted:
                 self._acc[eq_ids] = acc[keep]
             self._num_equations += keep.size
             if self._bitmatrix:
@@ -583,22 +593,46 @@ class PeelingEngine:
         self._num_equations += 1
         return eq
 
-    def _grow_equations(self) -> None:
-        new_cap = max(16, 2 * self.unknown_count.shape[0])
+    def _grow_equations(self, capacity: int = 0) -> None:
+        """Double the equation stores, to at least ``capacity`` rows.
+
+        Whole stores are carried over, not just the stored equations:
+        rows past ``_num_equations`` are zero unless a decoder banked
+        right-hand sides there ahead of entry (:meth:`_pending_rhs`).
+        """
+        old_cap = self.unknown_count.shape[0]
+        new_cap = max(16, 2 * old_cap, capacity)
         grown = np.zeros(new_cap, dtype=np.int64)
-        grown[:self._num_equations] = self.unknown_count[:self._num_equations]
+        grown[:old_cap] = self.unknown_count
         self.unknown_count = grown
         grown = np.zeros(new_cap, dtype=np.int64)
-        grown[:self._num_equations] = self.xor_ids[:self._num_equations]
+        grown[:old_cap] = self.xor_ids
         self.xor_ids = grown
         if self._acc is not None:
             grown = np.zeros((new_cap, self.payload_size), dtype=np.uint8)
-            grown[:self._num_equations] = self._acc[:self._num_equations]
+            grown[:old_cap] = self._acc
             self._acc = grown
         if self._bitmatrix:
             grown = np.zeros((new_cap, self._words), dtype=np.uint64)
-            grown[:self._num_equations] = self._dyn_rows[:self._num_equations]
+            grown[:old_cap] = self._dyn_rows
             self._dyn_rows = grown
+
+    def _pending_rhs(self, count: int) -> np.ndarray:
+        """The rhs rows the next ``count`` stored equations will occupy.
+
+        A decoder that holds droplets back until the system can have
+        full rank writes each payload here once, on arrival, and hands
+        the same view to :meth:`add_equations`, which adopts it in
+        place — no second copy of a held payload.  The first call sizes
+        the stores for a square system plus the usual reception
+        overhead in one step, so banking ``k`` rows never pays for the
+        doublings on the way there.
+        """
+        end = self._num_equations + count
+        if end > self._acc.shape[0]:
+            self._grow_equations(
+                max(end, self.num_nodes + (self.num_nodes >> 3) + 16))
+        return self._acc[self._num_equations:end]
 
     def observe_nodes(self, nodes: np.ndarray,
                       payloads: Optional[np.ndarray] = None) -> None:

@@ -24,11 +24,14 @@ kinds of equations populate it:
   to be source packets verbatim, which the decoder banks in a side
   cache — and while a block has seen nothing *but* systematic ids, the
   bank is all it touches: the rows are only *held* (ids; the payloads
-  already sit in the cache).  The first repair droplet releases every
-  held row plus itself as one equation batch, so the engine ends up
-  with exactly the rows eager intake would have given it, and a
-  loss-free receiver completes without ever building a droplet
-  equation.
+  already sit in the cache).  The first repair droplet hands every
+  held row plus itself to the LT intake as one batch — which enters it
+  there and then on an engine that peels on arrival, and on a lazy
+  engine keeps holding it, repairs and all, until the system is square
+  (:meth:`~repro.codes.lt.decoder.LTDecoder._take`).  Either way the
+  engine ends up with exactly the rows eager intake would have given
+  it, and a loss-free receiver completes without ever building a
+  droplet equation.
 
 Because every droplet row is drawn from the same distribution no
 matter which ids were lost, the engine always faces the
@@ -85,9 +88,9 @@ class RaptorDecoder(LTDecoder):
         if payload_size is not None:
             self._sys_payloads = np.zeros((geometry.k, payload_size),
                                           dtype=np.uint8)
-        # Systematic ids banked but not yet entered as equations, in
-        # arrival order; None once the first repair droplet released
-        # them (from then on every droplet enters on arrival).
+        # Systematic ids banked while nothing else has arrived, in
+        # arrival order; None once the first repair droplet handed
+        # them on (from then on the LT intake alone decides).
         self._held: Optional[List] = []
         self._install_constraints()
 
@@ -100,16 +103,11 @@ class RaptorDecoder(LTDecoder):
         indptr, flat = self.geometry.constraint_rows()
         rhs = None
         if self.values is not None:
-            rhs = np.zeros((indptr.size - 1, self.payload_size),
+            rhs = np.zeros((indptr.size - 1, self.values.shape[1]),
                            dtype=np.uint8)
         self.add_equations(indptr, flat, rhs)
 
     # -- public state ----------------------------------------------------------
-
-    @property
-    def held_rows(self) -> int:
-        """Systematic rows banked but not yet in the engine."""
-        return self._held_rows
 
     @property
     def _engine_complete(self) -> bool:
@@ -189,7 +187,11 @@ class RaptorDecoder(LTDecoder):
         The constraints plus any set of distinct systematic rows are
         linearly independent (the systematic index was chosen so), so
         while nothing else has arrived the solver could learn nothing
-        from them that the bank does not already hold.
+        from them that the bank does not already hold — on any engine,
+        and even when they are all ``k`` of them (the clean block
+        completes out of the bank).  What comes back at the first
+        repair is an ordinary batch: whether it enters now or waits for
+        a square system is the LT intake's rule, not this one's.
         """
         if self._held is None:
             return None
@@ -201,10 +203,12 @@ class RaptorDecoder(LTDecoder):
             self._held = None
             return None
         held = np.hstack(self._held + [ids])
-        if payloads is not None:
+        bank = self._sys_payloads
+        if bank is None:
+            payloads = None  # structural: no row carries a payload
+        elif payloads is not None:
             payloads = np.concatenate([
-                self._sys_payloads[held[:self._held_rows]],
-                np.atleast_2d(payloads)])
+                bank[held[:self._held_rows]], np.atleast_2d(payloads)])
         self._held = None
         self._held_rows = 0
         return held, payloads

@@ -141,6 +141,18 @@ class IncrementalDecoder(Protocol):
     and dedups ids itself, and the receivers above it
     (:class:`~repro.fountain.client.FountainClient` and its views) read
     every reception counter from here.
+
+    *When* it decodes is its own business.  A packet is validated,
+    deduplicated and counted on the call that brings it, but while
+    ``min_additional_packets`` proves the block cannot complete on this
+    arrival a decoder may only *bank* it — the native Tornado, LT and
+    Raptor decoders do (``held_rows``), wherever eager decoding would
+    not show, and enter everything held as one batch on the arrival
+    that makes the system square.  Every member below reads as if each
+    packet had been decoded on arrival: the counters and the bound
+    never depended on it, completion cannot come earlier than the
+    release, and a read of partial progress (``source_known_count``)
+    releases first.  No receiver needs a buffer of its own above this.
     """
 
     @property

@@ -15,7 +15,13 @@ What Tornado adds on top of the generic engine:
   layer — is solved as soon as enough of its participants are known
   (the engine's quiescence hook);
 * packet-feeding bookkeeping: index validation, duplicate counting, and
-  the paper's ``payload_size`` constraints for the GF(2^16) cap.
+  the paper's ``payload_size`` constraints for the GF(2^16) cap;
+* *when* decoding starts: no erasure code completes on fewer than ``k``
+  distinct packets, so until the ``k``-th arrives a packet is validated,
+  deduplicated, counted and banked in the row it will occupy, and the
+  engine sees nothing; the ``k``-th releases everything held as one
+  observation (Section 7.2's *statistical* client, with the decision
+  taken by the decoder rather than by a packet count above it).
 
 The decoder can run in two modes:
 
@@ -76,6 +82,9 @@ class PeelingDecoder(PeelingEngine):
         self._received = np.zeros(structure.n, dtype=bool)
         self._packets_added = 0
         self._duplicates = 0
+        # True until the k-th distinct packet (or a read of partial
+        # state): arrivals are banked, not decoded — see :meth:`_bank`.
+        self._holding = True
         super().__init__(structure.n,
                          payload_size=payload_size,
                          source_count=structure.k,
@@ -136,7 +145,57 @@ class PeelingDecoder(PeelingEngine):
             return 0
         return max(1, self.structure.k - self._packets_added)
 
+    @property
+    def held_rows(self) -> int:
+        """Packets banked but not yet shown to the engine."""
+        return self._packets_added if self._holding else 0
+
+    @property
+    def source_known_count(self) -> int:
+        """Source packets recovered so far (releases a hold first, so it
+        reads what decoding every arrival on the spot would)."""
+        self._release()
+        return self._source_known
+
+    def missing_source_indices(self) -> np.ndarray:
+        """Source packets not yet recovered (releases a hold first)."""
+        self._release()
+        return super().missing_source_indices()
+
     # -- feeding packets ----------------------------------------------------------
+
+    def _bank(self, nodes, payloads: Optional[np.ndarray]) -> None:
+        """Hold fresh packets ``nodes`` until the block can complete.
+
+        Below ``k`` distinct packets (:attr:`min_additional_packets`)
+        no amount of peeling finishes the block, so an arrival is only
+        kept: its payload written once, into the ``values`` row it will
+        occupy anyway; ``_received`` is the list of what is held.  The
+        ``k``-th distinct packet releases everything as one observation
+        and decoding runs on arrival from then on.
+        """
+        if self.values is not None:
+            self.values[nodes] = payloads
+        if self._packets_added >= self.structure.k:
+            self._release()
+
+    def _release(self) -> None:
+        """Show the engine every held packet at once; ends the hold."""
+        if not self._holding:
+            return
+        self._holding = False
+        nodes = np.nonzero(self._received)[0]
+        if nodes.size:
+            self.observe_nodes(nodes, None if self.values is None
+                               else self.values[nodes])
+            self.maybe_inactivate()
+
+    def _spent(self, index):
+        """True for cap redundancy once the cap is solved: it sits in no
+        XOR equation and the one system it served is done, so it can
+        teach the engine nothing — and marking it known would cost the
+        finisher its kept factorization."""
+        return self._cap_solved & (index >= self.structure.cap_offset)
 
     def add_packet(self, index: int, payload: Optional[np.ndarray] = None) -> bool:
         """Feed one encoding packet; returns True when it was new."""
@@ -150,7 +209,9 @@ class PeelingDecoder(PeelingEngine):
             raise ParameterError("payload decoder requires packet payloads")
         self._received[index] = True
         self._packets_added += 1
-        if not self.known[index]:
+        if self._holding:
+            self._bank(index, payload)
+        elif not self.known[index] and not self._spent(index):
             payloads = None if payload is None else np.asarray(
                 payload, dtype=np.uint8)[np.newaxis]
             self.observe_nodes(np.asarray([index], dtype=np.int64), payloads)
@@ -160,15 +221,20 @@ class PeelingDecoder(PeelingEngine):
     def add_packets(self, indices: Sequence[int],
                     payloads: Optional[np.ndarray] = None) -> int:
         """Feed a batch of packets at once; returns the number that were new."""
+        if len(indices) == 1:
+            # a batch of one is the scalar intake, without the set-up
+            return int(self.add_packet(
+                int(indices[0]), None if payloads is None else payloads[0]))
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
             return 0
         if np.any((idx < 0) | (idx >= self.structure.n)):
             raise ParameterError("packet index outside encoding range")
+        block: Optional[np.ndarray] = None
         if self.values is not None:
             if payloads is None:
                 raise ParameterError("payload decoder requires packet payloads")
-            payloads = np.asarray(payloads, dtype=np.uint8)
+            block = np.asarray(payloads, dtype=np.uint8)
         # Drop indices already received and in-batch duplicates.
         uniq, first = np.unique(idx, return_index=True)
         fresh_mask = ~self._received[uniq]
@@ -176,13 +242,17 @@ class PeelingDecoder(PeelingEngine):
         self._received[fresh] = True
         self._duplicates += int(idx.size - fresh.size)
         self._packets_added += int(fresh.size)
+        if self._holding:
+            if fresh.size:
+                self._bank(fresh, None if block is None
+                           else block[first[fresh_mask]])
+            return int(fresh.size)
         # Only nodes peeling has not already recovered reach the engine.
-        novel = ~self.known[fresh]
+        novel = ~(self.known[fresh] | self._spent(fresh))
         if novel.any():
             self.observe_nodes(
                 fresh[novel],
-                payloads[first[fresh_mask][novel]]
-                if self.values is not None else None)
+                None if block is None else block[first[fresh_mask][novel]])
             self.maybe_inactivate()
         return int(fresh.size)
 
@@ -225,14 +295,22 @@ class PeelingDecoder(PeelingEngine):
         code = st.cap_code
         symbol_dtype = code.field.dtype
         last_off = st.last_layer_offset
+        values = self.values
+        assert values is not None
         received: Dict[int, np.ndarray] = {}
         for j in range(st.last_layer_size):
             if self.known[last_off + j]:
-                received[j] = self.values[last_off + j].view(symbol_dtype)
+                received[j] = values[last_off + j].view(symbol_dtype)
         for j in range(st.cap_size):
             if self.known[st.cap_offset + j]:
                 received[st.last_layer_size + j] = (
-                    self.values[st.cap_offset + j].view(symbol_dtype))
+                    values[st.cap_offset + j].view(symbol_dtype))
         decoded = code.decode(received)
         recovered_bytes = decoded[missing_local].view(np.uint8)
-        self.values[last_off + missing_local] = recovered_bytes
+        values[last_off + missing_local] = recovered_bytes
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (f"PeelingDecoder(k={self.structure.k}, "
+                f"packets_added={self.packets_added}, "
+                f"held_rows={self.held_rows}, "
+                f"source_known={self._source_known})")

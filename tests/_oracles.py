@@ -233,50 +233,172 @@ def scalar_systematic_scan(spec, constraint_indptr, constraint_flat, k):
     return np.asarray(chosen, dtype=np.int64)
 
 
-# -- eager droplet intake (the deferred Raptor intake's oracle) -----------------
+# -- eager intake (the held intake's oracles) -----------------------------------
+#
+# The three native decoders' intake exactly as it ran before arrivals
+# were banked until the system is square: every admitted packet is
+# shown to the engine on the call that brought it.  Method bodies are
+# the parent commit's, verbatim.  ``tests/test_batched_ingest.py`` holds
+# the shipped decoders to them — same completing packet, bytes, counters
+# and ``min_additional_packets`` after every call.
+
+
+class _EagerDropletIntake:
+    """``LTDecoder``'s intake before the hold; nothing is ever held."""
+
+    def _deferred(self, ids, payloads):
+        return None
+
+    def _add_one(self, index, payload, drop_late):
+        self._bank(index, payload)
+        if drop_late and self.is_complete:
+            self._redundant += 1
+            return
+        batch = self._deferred(index, payload)
+        if batch is None:
+            if not self.add_equation(
+                    self.spec.neighbours(int(self._esis(index))), payload):
+                self._redundant += 1
+        elif batch[0].size:
+            self._enter(*batch)
+
+    def add_packet(self, index, payload=None):
+        index = int(index)
+        if not self._admit(index, payload is not None):
+            return False
+        self._add_one(index, payload, drop_late=False)
+        self.maybe_inactivate()
+        return True
+
+    def add_packets(self, indices, payloads=None):
+        from repro.codes.peeling import _VECTOR_INTAKE_MIN
+
+        if self._vectorized and len(indices) >= _VECTOR_INTAKE_MIN:
+            return self._add_packets_batch(indices, payloads)
+        fresh = 0
+        for row, index in enumerate(indices):
+            index = int(index)
+            if self._admit(index, payloads is not None):
+                fresh += 1
+                self._add_one(index,
+                              None if payloads is None else payloads[row],
+                              drop_late=True)
+        self.maybe_inactivate()
+        return fresh
+
+    def _add_packets_batch(self, indices, payloads):
+        has_payload = payloads is not None
+        fresh_rows = []
+        for row, index in enumerate(indices):
+            index = int(index)
+            if self._admit(index, has_payload):
+                fresh_rows.append((row, index))
+        if not fresh_rows:
+            return 0
+        rows = np.asarray([r for r, _ in fresh_rows], dtype=np.int64)
+        ids = np.asarray([i for _, i in fresh_rows], dtype=np.int64)
+        rhs = None
+        if has_payload:
+            rhs = np.ascontiguousarray(
+                np.asarray(payloads, dtype=np.uint8)[rows])
+        self._bank(ids, rhs)
+        if self.is_complete:
+            # Late droplets are still new (and counted), but carry no
+            # information worth building equations from.
+            self._redundant += len(fresh_rows)
+            return len(fresh_rows)
+        batch = self._deferred(ids, rhs)
+        if batch is not None:
+            ids, rhs = batch
+        if ids.size:
+            self._enter(ids, rhs)
+            self.maybe_inactivate()
+        return len(fresh_rows)
+
+
+def eager_lt_decoder(spec, payload_size=None, inactivation_limit=None):
+    """An LT decoder that turns every droplet into an equation on
+    arrival."""
+    from repro.codes.lt.decoder import LTDecoder
+
+    class EagerLTDecoder(_EagerDropletIntake, LTDecoder):
+        pass
+
+    return EagerLTDecoder(spec, payload_size=payload_size,
+                          inactivation_limit=inactivation_limit)
 
 
 def eager_raptor_decoder(geometry, payload_size=None):
-    """A Raptor decoder that turns every droplet into an equation on
-    arrival — the intake exactly as it ran before systematic rows were
-    held back, for ``tests/test_batched_ingest.py`` to hold the
-    deferred intake to: same completing packet, bytes, counters and
-    ``min_additional_packets`` after every call."""
+    """A Raptor decoder that turns every droplet — systematic rows
+    included — into an equation on arrival."""
     from repro.codes.raptor.decoder import RaptorDecoder
 
-    class EagerRaptorDecoder(RaptorDecoder):
-        def _add_one(self, index, payload, drop_late):
-            self._bank(index, payload)
-            if (drop_late and self.is_complete) or not self.add_equation(
-                    self.spec.neighbours(int(self._esis(index))), payload):
-                self._redundant += 1
-
-        def _add_packets_batch(self, indices, payloads):
-            has_payload = payloads is not None
-            fresh_rows = []
-            for row, index in enumerate(indices):
-                index = int(index)
-                if self._admit(index, has_payload):
-                    fresh_rows.append((row, index))
-            if not fresh_rows:
-                return 0
-            rows = np.asarray([r for r, _ in fresh_rows], dtype=np.int64)
-            ids = np.asarray([i for _, i in fresh_rows], dtype=np.int64)
-            rhs = None
-            if has_payload:
-                rhs = np.ascontiguousarray(
-                    np.asarray(payloads, dtype=np.uint8)[rows])
-            self._bank(ids, rhs)
-            if self.is_complete:
-                self._redundant += len(fresh_rows)
-                return len(fresh_rows)
-            flat, indptr = self.spec.neighbour_block(self._esis(ids))
-            contributed = self.add_equations(indptr, flat, rhs)
-            self._redundant += int(np.count_nonzero(~contributed))
-            self.maybe_inactivate()
-            return len(fresh_rows)
+    class EagerRaptorDecoder(_EagerDropletIntake, RaptorDecoder):
+        pass
 
     return EagerRaptorDecoder(geometry, payload_size=payload_size)
+
+
+def eager_tornado_decoder(structure, payload_size=None, inactivation_limit=0):
+    """A Tornado decoder that shows the engine every packet on arrival
+    (spent cap redundancy included)."""
+    from repro.codes.tornado.decoder import PeelingDecoder
+
+    class EagerPeelingDecoder(PeelingDecoder):
+        def add_packet(self, index, payload=None):
+            if not 0 <= index < self.structure.n:
+                raise ParameterError(
+                    f"packet index {index} outside [0, {self.structure.n})")
+            if self._received[index]:
+                self._duplicates += 1
+                return False
+            if self.values is not None and payload is None:
+                raise ParameterError(
+                    "payload decoder requires packet payloads")
+            self._received[index] = True
+            self._packets_added += 1
+            if not self.known[index]:
+                payloads = None if payload is None else np.asarray(
+                    payload, dtype=np.uint8)[np.newaxis]
+                self.observe_nodes(np.asarray([index], dtype=np.int64),
+                                   payloads)
+                self.maybe_inactivate()
+            return True
+
+        def add_packets(self, indices, payloads=None):
+            idx = np.asarray(indices, dtype=np.int64)
+            if idx.size == 0:
+                return 0
+            if np.any((idx < 0) | (idx >= self.structure.n)):
+                raise ParameterError("packet index outside encoding range")
+            if self.values is not None:
+                if payloads is None:
+                    raise ParameterError(
+                        "payload decoder requires packet payloads")
+                payloads = np.asarray(payloads, dtype=np.uint8)
+            # Drop indices already received and in-batch duplicates.
+            uniq, first = np.unique(idx, return_index=True)
+            fresh_mask = ~self._received[uniq]
+            fresh = uniq[fresh_mask]
+            self._received[fresh] = True
+            self._duplicates += int(idx.size - fresh.size)
+            self._packets_added += int(fresh.size)
+            # Only nodes peeling has not already recovered reach the engine.
+            novel = ~self.known[fresh]
+            if novel.any():
+                self.observe_nodes(
+                    fresh[novel],
+                    payloads[first[fresh_mask][novel]]
+                    if self.values is not None else None)
+                self.maybe_inactivate()
+            return int(fresh.size)
+
+    decoder = EagerPeelingDecoder(structure, payload_size=payload_size,
+                                  inactivation_limit=inactivation_limit)
+    # Nothing is ever held: ``held_rows`` reads 0 and a read of partial
+    # state has nothing to release.
+    decoder._holding = False
+    return decoder
 
 
 # -- per-packet serve loops (the windowed transports' oracles) -----------------

@@ -23,11 +23,14 @@ from repro.codes.lt.decoder import LTDecoder
 from repro.codes.peeling import PeelingEngine
 from repro.codes.raptor.decoder import RaptorDecoder
 from repro.codes.registry import build_code
+from repro.errors import ParameterError
 from repro.fountain.client import FountainClient
 
 from tests._oracles import (
     assert_batched_identical,
+    eager_lt_decoder,
     eager_raptor_decoder,
+    eager_tornado_decoder,
     make_source,
 )
 
@@ -340,72 +343,249 @@ def test_droplet_decoder_counter_trajectories_are_pinned(key):
             zlib.crc32(repr(trajectory).encode())) == _PINNED[key]
 
 
-# -- deferred systematic intake vs the eager oracle --------------------------
+# -- held intake vs the eager oracles -----------------------------------------
 
 _K = 40
 
+_KINDS = ["systematic-first", "repair-first", "interleaved", "duplicates",
+          "after-completion", "cap-first", "source-first",
+          "exactly-k-then-one"]
 
-def _arrivals(kind, seed):
-    """Droplet-id arrival orders that stress when rows are held/released."""
+
+def _arrivals(kind, seed, k=_K, n=None):
+    """Packet-id arrival orders that stress when rows are held/released.
+
+    ``n`` is the encoding length of a fixed-rate code (ids stay below
+    it); ``None`` draws from a rateless id space of ``3k``.
+    """
     rng = np.random.default_rng(seed)
-    k = _K
+    span = 3 * k if n is None else n
     if kind == "systematic-first":      # lossy source prefix, then repairs
         survivors = np.arange(k)[rng.random(k) > 0.3 * rng.random()]
-        return np.concatenate([survivors, np.arange(k, 3 * k)])
+        return np.concatenate([survivors, np.arange(k, span)])
     if kind == "repair-first":
-        return np.concatenate([np.arange(k, 2 * k), np.arange(k)])
+        return np.concatenate([np.arange(k, min(2 * k, span)), np.arange(k)])
     if kind == "interleaved":
-        return rng.permutation(3 * k)[:2 * k + 5]
+        return rng.permutation(span)[:2 * k + 5]
     if kind == "duplicates":
-        base = rng.permutation(3 * k)[:2 * k]
+        base = rng.permutation(span)[:2 * k]
         return np.insert(base, rng.integers(1, base.size, size=6), base[:6])
-    assert kind == "after-completion"   # clean block, late repairs, repeats
-    return np.concatenate([np.arange(k), np.arange(k, k + 12), np.arange(5)])
+    if kind == "after-completion":      # clean block, late repairs, repeats
+        return np.concatenate([np.arange(k), np.arange(k, k + 12),
+                               np.arange(5)])
+    if kind == "cap-first":             # the top of the id space, downwards
+        return np.arange(span)[::-1]
+    if kind == "source-first":          # a lossy block in id order
+        return np.arange(span)[rng.random(span) > 0.25]
+    assert kind == "exactly-k-then-one"  # k random ids, then one at a time
+    return rng.permutation(span)[:k + 12]
 
 
 def _state(decoder):
     return (decoder.is_complete, decoder.packets_added,
-            decoder.duplicates_seen, decoder.redundant_droplets,
-            int(decoder.min_additional_packets), decoder.inactivation_runs)
+            decoder.duplicates_seen, getattr(decoder, "redundant_droplets", 0),
+            int(decoder.min_additional_packets))
 
 
-@settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(["systematic-first", "repair-first",
-                             "interleaved", "duplicates",
-                             "after-completion"]),
+#: smallest round k whose Tornado cascade has a graph layer under the
+#: cap (below it the code is the cap's Reed-Solomon code alone).
+_K_CASCADE = 200
+
+
+def _held_and_eager(family, seed, size):
+    """The shipped decoder and its eager oracle over one fresh code."""
+    k = _K_CASCADE if family.startswith("tornado") else _K
+    code = build_code(family, k, seed=seed % 50)
+    held = code.new_decoder(size)
+    if family == "raptor":
+        return code, held, eager_raptor_decoder(code.geometry, size)
+    if family == "lt":
+        return code, held, eager_lt_decoder(code.spec, size,
+                                            code.inactivation_limit)
+    return code, held, eager_tornado_decoder(code.structure, size,
+                                             code.inactivation_limit)
+
+
+@settings(max_examples=120, deadline=None)
+@given(family=st.sampled_from(["raptor", "lt", "tornado-a", "tornado-b"]),
+       kind=st.sampled_from(_KINDS),
        seed=st.integers(0, 2 ** 16),
        step=st.sampled_from([1, 3, 32]),
        backend=st.sampled_from(["vectorized", "reference"]),
-       payload=st.booleans())
-def test_deferred_intake_matches_eager_oracle(kind, seed, step, backend,
-                                              payload):
-    """Same completing packet, bytes, finisher runs, counters and
-    ``min_additional_packets`` after every single call."""
+       payload=st.booleans(),
+       probe=st.integers(0, 60))
+def test_deferred_intake_matches_eager_oracle(family, kind, seed, step,
+                                              backend, payload, probe):
+    """Same completing packet, bytes, counters and
+    ``min_additional_packets`` after every single call, never more
+    finisher runs — and a read of partial state mid-hold (after call
+    number ``probe``) answers what eager intake would."""
     size = 8 if payload else None
     with use_backend(backend):
-        code = build_code("raptor", _K, seed=seed % 50)
-        source = make_source(_K, 8, seed)
-        encoder = code.encoder(source)
-        deferred = code.new_decoder(size)
-        eager = eager_raptor_decoder(code.geometry, size)
-        order = _arrivals(kind, seed)
-        for lo in range(0, order.size, step):
+        code, held, eager = _held_and_eager(family, seed, size)
+        source = make_source(code.k, 8, seed)
+        droplets = code.n is None
+        order = _arrivals(kind, seed, code.k, code.n)
+        if payload:
+            encoded = (code.encode(source, int(order.max()) + 1) if droplets
+                       else code.encode(source))
+        for call, lo in enumerate(range(0, order.size, step)):
             chunk = [int(i) for i in order[lo:lo + step]]
-            payloads = (np.stack([encoder.droplet_payload(i) for i in chunk])
-                        if payload else None)
-            for decoder in (deferred, eager):
+            payloads = encoded[chunk] if payload else None
+            for decoder in (held, eager):
                 if step == 1:
                     decoder.add_packet(
                         chunk[0], None if payloads is None else payloads[0])
                 else:
                     decoder.add_packets(chunk, payloads)
-            assert _state(deferred) == _state(eager), (lo, chunk)
+            assert _state(held) == _state(eager), (lo, chunk)
+            assert held.inactivation_runs <= eager.inactivation_runs
             assert eager.held_rows == 0
-            assert (deferred._equations_seen + deferred.held_rows
-                    == eager._equations_seen)
-        if payload and deferred.is_complete:
-            assert np.array_equal(deferred.source_data(), source)
+            if droplets:
+                assert (held._equations_seen + held.held_rows
+                        == eager._equations_seen)
+            if call == probe:
+                assert held.source_known_count == eager.source_known_count
+                assert np.array_equal(held.missing_source_indices(),
+                                      eager.missing_source_indices())
+        if payload and held.is_complete:
+            assert np.array_equal(held.source_data(), source)
             assert np.array_equal(eager.source_data(), source)
+
+
+@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+@pytest.mark.parametrize("family", ["lt", "raptor", "tornado-b"])
+def test_hold_ends_on_the_packet_that_squares_the_system(family, backend):
+    """One packet at a time: nothing enters the engine while the block
+    provably cannot complete, everything does on the arrival after which
+    it could, and rows enter as they come from then on.  Eager engines
+    (the reference backend's droplet decoders) never hold."""
+    with use_backend(backend):
+        k = _K if family != "tornado-b" else _K_CASCADE
+        code = build_code(family, k, seed=3)
+        decoder = code.new_decoder(None)
+        droplets = code.n is None
+        holds = not droplets or decoder._lazy_peel
+        ids = (np.arange(k, 4 * k) if droplets
+               else np.random.default_rng(3).permutation(code.n))
+        before = decoder._equations_seen
+        square = decoder.min_additional_packets
+        assert square == k
+        for fed, index in enumerate(ids.tolist(), start=1):
+            decoder.add_packet(index)
+            if not holds:
+                assert decoder.held_rows == 0
+            elif fed < square:
+                assert decoder.held_rows == fed
+                assert decoder._equations_seen == before
+                assert not decoder.known.any()
+                assert f"held_rows={fed}" in repr(decoder)
+            else:
+                assert decoder.held_rows == 0
+                if droplets:
+                    assert decoder._equations_seen == before + fed
+            if decoder.is_complete:
+                break
+        assert decoder.is_complete and decoder.held_rows == 0
+
+
+# -- a spent cap packet costs no re-factorization -----------------------------
+
+@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+@pytest.mark.parametrize("payload", [True, False])
+def test_cap_redundancy_after_the_cap_is_solved_skips_the_engine(backend,
+                                                                 payload):
+    """Cap redundancy arriving after ``_cap_solved`` is in no XOR
+    equation: it is counted and nothing else — the engine is not called
+    and the finisher keeps its factorization."""
+    size = 8 if payload else None
+    spent_seen = kept_seen = 0
+    with use_backend(backend):
+        for seed in range(4):
+            code = build_code("tornado-b", _K_CASCADE, seed=seed)
+            st_ = code.structure
+            source = make_source(code.k, 8, seed)
+            encoded = code.encode(source)
+            decoder = code.new_decoder(size)
+            eager = eager_tornado_decoder(st_, size, code.inactivation_limit)
+            rng = np.random.default_rng(seed)
+            # the whole last layer (it solves the cap on release), then
+            # the layers under it, shuffled, with the cap's redundancy
+            # sprinkled through
+            body = rng.permutation(st_.last_layer_offset)
+            cap = np.arange(st_.cap_offset, st_.n)
+            where = np.sort(rng.integers(0, body.size, size=cap.size))
+            order = np.concatenate([
+                np.arange(st_.last_layer_offset, st_.cap_offset),
+                np.insert(body, where, cap)])
+            for index in order.tolist():
+                row = encoded[index] if payload else None
+                spent = decoder._cap_solved and index >= st_.cap_offset
+                runs, factored = decoder.inactivation_runs, decoder._factored
+                for d in (decoder, eager):
+                    d.add_packet(index, row)
+                if spent:
+                    spent_seen += 1
+                    kept_seen += factored is not None
+                    assert decoder.inactivation_runs == runs
+                    assert decoder._factored is factored
+                    assert not decoder.known[index]
+                assert _state(decoder) == _state(eager)
+                assert decoder.inactivation_runs <= eager.inactivation_runs
+                if eager.is_complete:
+                    break
+            assert decoder.is_complete
+            if payload:
+                assert np.array_equal(decoder.source_data(), source)
+                assert np.array_equal(eager.source_data(), source)
+    assert spent_seen
+    # only the vectorized finisher keeps a factorization between attempts
+    assert kept_seen or backend == "reference"
+
+
+# -- batch admission: one set test vs the per-id loop -------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(batches=st.lists(
+    st.lists(st.integers(-1, 40), min_size=8, max_size=24),
+    min_size=1, max_size=5))
+def test_batch_admission_matches_the_per_id_loop(batches):
+    """All-fresh batches take one set difference, everything else the
+    loop: fresh ids, their rows, ``duplicates_seen`` and the negative-id
+    error are those of ``_admit`` called per id."""
+    with use_backend("vectorized"):
+        spec = build_code("lt", 16, seed=1).spec
+        fast, slow = LTDecoder(spec), LTDecoder(spec)
+        for batch in batches:
+            expect_rows, error = [], None
+            for row, index in enumerate(batch):
+                try:
+                    if slow._admit(index, False):
+                        expect_rows.append(row)
+                except ParameterError as exc:
+                    error = exc
+                    break
+            if error is not None:
+                with pytest.raises(ParameterError, match=str(error)):
+                    fast._admit_batch(batch, False)
+            else:
+                ids, rows = fast._admit_batch(batch, False)
+                rows = (list(range(len(batch))) if rows is None
+                        else rows.tolist())
+                assert rows == expect_rows
+                assert ids.tolist() == [batch[r] for r in expect_rows]
+            assert fast._droplet_ids == slow._droplet_ids
+            assert fast.duplicates_seen == slow.duplicates_seen
+            if error is not None:
+                break
+
+
+def test_batch_admission_requires_payloads_like_the_loop():
+    spec = build_code("lt", 16, seed=1).spec
+    decoder = LTDecoder(spec, payload_size=4)
+    with pytest.raises(ParameterError, match="requires droplet payloads"):
+        decoder.add_packets(list(range(10)))
+    assert decoder.packets_added == 0
 
 
 @pytest.mark.parametrize("backend", ["vectorized", "reference"])
@@ -439,8 +619,10 @@ def test_clean_systematic_block_builds_no_droplet_equation(backend, step):
 @pytest.mark.parametrize("payload", [True, False])
 def test_first_repair_releases_held_rows_as_one_batch(backend, payload,
                                                       monkeypatch):
-    """``s`` systematic droplets then a repair: exactly one
-    ``add_equations`` call, of ``s + 1`` rows, held rows first."""
+    """``s`` systematic droplets then repairs: exactly one
+    ``add_equations`` call, held rows first, in arrival order — on the
+    first repair where the engine peels on arrival (reference), on the
+    row that squares the system where it does not (vectorized)."""
     held_ids = [3, 0, 17, 9, 30, 31, 32, 5, 21, 11]
     with use_backend(backend):
         code = build_code("raptor", _K, seed=4)
@@ -455,25 +637,38 @@ def test_first_repair_releases_held_rows_as_one_batch(backend, payload,
                           else np.array(rhs)))
             return intake(indptr, participants, rhs)
 
+        def row(index):
+            if not payload:
+                return None
+            return (source[index] if index < _K
+                    else encoder.droplet_payload(index))
+
         monkeypatch.setattr(decoder, "add_equations", spy)
         decoder.add_packets(held_ids[:8], source[held_ids[:8]]
                             if payload else None)
-        decoder.add_packet(held_ids[8], source[held_ids[8]]
-                           if payload else None)
-        decoder.add_packet(held_ids[9], source[held_ids[9]]
-                           if payload else None)
+        decoder.add_packet(held_ids[8], row(held_ids[8]))
+        decoder.add_packet(held_ids[9], row(held_ids[9]))
         assert decoder.held_rows == 10 and not calls
-        repair = _K + 6
-        decoder.add_packet(repair, encoder.droplet_payload(repair)
-                           if payload else None)
+        entered = held_ids + [_K + 6]
+        decoder.add_packet(entered[-1], row(entered[-1]))
+        if decoder._lazy_peel:
+            # still short of square: the repair is held with the rest
+            assert backend == "vectorized"
+            while decoder.min_additional_packets > 1:
+                assert decoder.held_rows == len(entered) and not calls
+                entered.append(_K + 6 + len(entered))
+                decoder.add_packet(entered[-1], row(entered[-1]))
+            entered.append(_K + 6 + len(entered))
+            assert decoder.held_rows == len(entered) - 1 and not calls
+            decoder.add_packet(entered[-1], row(entered[-1]))
+            assert len(entered) == _K
         assert decoder.held_rows == 0
-        assert [rows for rows, _ in calls] == [11]
+        assert [rows for rows, _ in calls] == [len(entered)]
         seen = decoder._equations_seen
         if payload:
-            assert np.array_equal(calls[0][1][:10], source[held_ids])
-            assert np.array_equal(calls[0][1][10],
-                                  encoder.droplet_payload(repair))
+            assert np.array_equal(calls[0][1],
+                                  np.stack([row(i) for i in entered]))
         # from here on every droplet enters on arrival
-        decoder.add_packet(1, source[1] if payload else None)
+        decoder.add_packet(1, row(1))
         assert decoder.held_rows == 0
         assert decoder._equations_seen == seen + 1

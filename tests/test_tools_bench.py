@@ -164,6 +164,19 @@ def swarm_payload(raptor_p99=0.18, lt_p50=0.19):
     ]}
 
 
+def ingest_rows(lt_b1=30.0, tornado_b1=20.0):
+    """Rows the batch-size rules of ``BENCH_transfer.json`` read (the
+    b256 rates are 60 and 40, so the defaults sit exactly at 0.5)."""
+    return [
+        {"case": "ingest-lt-k128-b1", "decode_MBps_vectorized": lt_b1},
+        {"case": "ingest-lt-k128-b256", "decode_MBps_vectorized": 60.0},
+        {"case": "ingest-tornado-b-k256-b1",
+         "decode_MBps_vectorized": tornado_b1},
+        {"case": "ingest-tornado-b-k256-b256",
+         "decode_MBps_vectorized": 40.0},
+    ]
+
+
 class TestCrossCase:
     def test_holding_claim_passes(self):
         assert check_bench.check_cross_cases(
@@ -201,7 +214,7 @@ class TestCrossCase:
             {"case": "raw-raptor-k128", "decode_MBps_vectorized": 1.0,
              "decode_MBps_reference": 4.0,
              "encode_MBps_vectorized": 80.0},
-        ]}
+        ] + ingest_rows()}
         regressions = check_bench.check_cross_cases(
             "BENCH_transfer.json", payload)
         assert len(regressions) == 1
@@ -215,11 +228,38 @@ class TestCrossCase:
             {"case": "raw-raptor-k128", "decode_MBps_vectorized": 10.0,
              "decode_MBps_reference": 4.0,
              "encode_MBps_vectorized": 30.0},
-        ]}
+        ] + ingest_rows()}
         regressions = check_bench.check_cross_cases(
             "BENCH_transfer.json", payload)
         assert len(regressions) == 1
         assert "LT/2" in str(regressions[0])
+
+    def test_batch_size_one_holds_half_the_batched_rate(self):
+        raw = [
+            {"case": "raw-lt-k128", "decode_MBps_vectorized": 20.0,
+             "decode_MBps_reference": 8.0,
+             "encode_MBps_vectorized": 100.0},
+            {"case": "raw-raptor-k128", "decode_MBps_vectorized": 10.0,
+             "decode_MBps_reference": 4.0,
+             "encode_MBps_vectorized": 80.0},
+        ]
+
+        def check(rows):
+            return check_bench.check_cross_cases(
+                "BENCH_transfer.json", {"results": raw + rows})
+
+        assert check(ingest_rows()) == []          # exactly 0.5 passes
+        for rows, family in ((ingest_rows(lt_b1=29.4), "LT"),
+                             (ingest_rows(tornado_b1=19.6), "Tornado")):
+            regressions = check(rows)              # 0.49 fails
+            assert len(regressions) == 1
+            assert f"{family} ingest one" in str(regressions[0])
+        for gone in range(4):                      # a missing row fails
+            rows = ingest_rows()
+            del rows[gone]
+            regressions = check(rows)
+            assert len(regressions) == 1
+            assert "cross-case rule needs this metric" in str(regressions[0])
 
     def test_case_floor_holds_and_fails(self):
         def transfer_payload(b1_speedup, raptor_mbps):
