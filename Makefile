@@ -124,7 +124,8 @@ docs-check:
 # the Raptor cold-start pair (the geometry build in raptor/precode.py,
 # the weighted cache in raptor/cache.py) and the three native decoders
 # behind the IncrementalDecoder contract (lt/decoder.py,
-# raptor/decoder.py, tornado/decoder.py) (config: mypy.ini).
+# raptor/decoder.py, tornado/decoder.py) and the Tornado cap's decode
+# (codes/reed_solomon.py over gf/matrix.py) (config: mypy.ini).
 # Skips gracefully when mypy is not installed (the library itself has
 # no dependency on it); CI installs mypy and runs this for real.
 typecheck:
@@ -138,7 +139,9 @@ typecheck:
 			src/repro/codes/raptor/cache.py \
 			src/repro/codes/lt/decoder.py \
 			src/repro/codes/raptor/decoder.py \
-			src/repro/codes/tornado/decoder.py; \
+			src/repro/codes/tornado/decoder.py \
+			src/repro/codes/reed_solomon.py \
+			src/repro/gf/matrix.py; \
 	else \
 		echo "mypy not installed; skipping typecheck (pip install mypy)"; \
 	fi

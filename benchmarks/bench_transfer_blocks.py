@@ -23,6 +23,7 @@ import pytest
 from _results import BenchRecorder
 from repro.codes.backend import use_backend
 from repro.codes.registry import REGISTRY, build_code, incremental_decoder
+from repro.gf import GF256, cauchy_inverse, cauchy_matrix, gf_invert
 from repro.sim.transfer import simulate_transfer
 
 FILE_SIZE = 384 * 1024
@@ -34,6 +35,16 @@ BLOCK_PACKETS = [64, 128, 384]
 
 #: raw-codec measurement geometry (one transfer block's worth).
 RAW_K = 128
+
+#: the size the Tornado-vs-RS decode ratio is gated at: at RAW_K a
+#: Tornado B code *is* its Reed-Solomon cap, so that size says nothing
+#: about the cascade; at 256 the cap sits under one graph layer (and
+#: whole-block RS needs GF(2^16)).
+CASCADE_K = 256
+
+#: missing packets in the cap-inverse row: what a 128-packet last layer
+#: is short of at the e2e workload's loss (55-68 observed).
+CAP_X = 64
 
 RESULTS = BenchRecorder("BENCH_transfer.json")
 
@@ -85,24 +96,24 @@ def test_transfer_block_size_sweep(benchmark, family, block_packets):
     assert result.reception_overhead < 1.0
 
 
-def _raw_codec_rates(family, backend):
+def _raw_codec_rates(family, backend, k=RAW_K):
     """Raw encode/decode MB/s of one block under one backend.
 
     No channel or transfer machinery — just the codec kernels on a
-    ``(RAW_K, PACKET_SIZE)`` block, best of three passes.  Decode feeds
+    ``(k, PACKET_SIZE)`` block, best of three passes.  Decode feeds
     a deterministic survivor set (every other packet lost) through the
     family's incremental decoder, the path the transfer client runs.
     """
-    block_bytes = RAW_K * PACKET_SIZE
+    block_bytes = k * PACKET_SIZE
     rng = np.random.default_rng(17)
-    source = rng.integers(0, 256, size=(RAW_K, PACKET_SIZE), dtype=np.uint8)
+    source = rng.integers(0, 256, size=(k, PACKET_SIZE), dtype=np.uint8)
     with use_backend(backend):
-        code = build_code(family, RAW_K, seed=17)
+        code = build_code(family, k, seed=17)
         rateless = REGISTRY.is_rateless(family)
         encode_s = decode_s = float("inf")
         for _ in range(3):
             start = time.perf_counter()
-            encoded = (code.encode(source, 2 * RAW_K) if rateless
+            encoded = (code.encode(source, 2 * k) if rateless
                        else code.encode(source))
             encode_s = min(encode_s, time.perf_counter() - start)
         survivors = np.random.default_rng(3).permutation(encoded.shape[0])
@@ -119,13 +130,20 @@ def _raw_codec_rates(family, backend):
     return block_bytes / encode_s / 1e6, block_bytes / decode_s / 1e6
 
 
-@pytest.mark.parametrize("family", ["tornado-b", "lt", "rs", "raptor"])
-def test_raw_codec_throughput(benchmark, family):
+#: every family at one transfer block, and the two sides of the
+#: Tornado-vs-RS ratio at the cascade size.
+RAW_CASES = [(family, RAW_K) for family in ("tornado-b", "lt", "rs", "raptor")
+             ] + [("tornado-b", CASCADE_K), ("rs", CASCADE_K)]
+
+
+@pytest.mark.parametrize("family,k", RAW_CASES,
+                         ids=[f"{f}-k{k}" for f, k in RAW_CASES])
+def test_raw_codec_throughput(benchmark, family, k):
     """Raw encode/decode MB/s per backend, and the vectorized speedup."""
 
     def measure():
-        vec = _raw_codec_rates(family, "vectorized")
-        ref = _raw_codec_rates(family, "reference")
+        vec = _raw_codec_rates(family, "vectorized", k)
+        ref = _raw_codec_rates(family, "reference", k)
         return vec, ref
 
     (enc_vec, dec_vec), (enc_ref, dec_ref) = benchmark.pedantic(
@@ -133,9 +151,9 @@ def test_raw_codec_throughput(benchmark, family):
     benchmark.extra_info["encode_MBps_vectorized"] = round(enc_vec, 1)
     benchmark.extra_info["decode_MBps_vectorized"] = round(dec_vec, 1)
     RESULTS.record(
-        f"raw-{family}-k{RAW_K}",
+        f"raw-{family}-k{k}",
         family=family,
-        k=RAW_K,
+        k=k,
         packet_size=PACKET_SIZE,
         encode_MBps_vectorized=round(enc_vec, 1),
         encode_MBps_reference=round(enc_ref, 1),
@@ -143,6 +161,44 @@ def test_raw_codec_throughput(benchmark, family):
         decode_MBps_reference=round(dec_ref, 1),
         encode_speedup=round(enc_vec / enc_ref, 1),
         decode_speedup=round(dec_vec / dec_ref, 1),
+    )
+
+
+def test_cap_inverse_closed_form(benchmark):
+    """The Tornado cap's x-by-x inverse: closed form vs Gauss-Jordan.
+
+    One process, the same submatrix, best of 20 passes each — a ratio,
+    not a rate; the two inverses are asserted equal (the inverse is
+    unique, so this is also the bench's correctness check).
+    """
+    ell = k = 2 * CAP_X
+    rng = np.random.default_rng(5)
+    rows = np.sort(rng.choice(ell, size=CAP_X, replace=False))
+    cols = np.sort(rng.choice(k, size=CAP_X, replace=False))
+    sub = cauchy_matrix(ell, k, GF256)[np.ix_(rows, cols)]
+
+    def best(call):
+        elapsed = float("inf")
+        for _ in range(20):
+            start = time.perf_counter()
+            out = call()
+            elapsed = min(elapsed, time.perf_counter() - start)
+        return out, elapsed
+
+    def measure():
+        return (best(lambda: gf_invert(sub, GF256)),
+                best(lambda: cauchy_inverse(rows, ell + cols, GF256)))
+
+    (eliminated, elim_s), (closed, closed_s) = benchmark.pedantic(
+        measure, rounds=1, iterations=1)
+    assert np.array_equal(eliminated, closed)
+    benchmark.extra_info["closed_form_speedup"] = round(elim_s / closed_s, 1)
+    RESULTS.record(
+        f"cap-inverse-x{CAP_X}",
+        construction="cauchy",
+        gf_invert_ms=round(elim_s * 1e3, 3),
+        closed_form_ms=round(closed_s * 1e3, 3),
+        closed_form_speedup=round(elim_s / closed_s, 1),
     )
 
 

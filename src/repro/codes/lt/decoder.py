@@ -273,6 +273,7 @@ class LTDecoder(PeelingEngine):
                    payload: Optional[np.ndarray] = None) -> bool:
         """Feed droplet ``index``; returns True when it was a new droplet."""
         index = int(index)
+        self._check_width(payload)
         if not self._admit(index, payload is not None):
             return False
         if self._add_one(index, payload, drop_late=False):
@@ -300,6 +301,7 @@ class LTDecoder(PeelingEngine):
         passes, which is what made batch-size-1 ingest slower than the
         reference backend before the routing existed.
         """
+        self._check_width(payloads)
         if self._vectorized and len(indices) >= _VECTOR_INTAKE_MIN:
             return self._add_packets_batch(indices, payloads)
         fresh = 0

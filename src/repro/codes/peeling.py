@@ -416,12 +416,17 @@ class PeelingEngine:
         # inactivation decoding needs.
         self._raw_nodes = nodes
         self._raw_eqs = eqs
+        # Stores sized with room for the dynamic rows a stalled tail
+        # appends (packets entering as degree-one equations while a
+        # factorization is kept): untouched zero rows cost nothing,
+        # a doubling mid-transfer copies the whole rhs store.
+        capacity = self._num_equations + (self._num_equations >> 3) + 16
         self.unknown_count = np.bincount(
-            eqs, minlength=self._num_equations).astype(np.int64)
-        self.xor_ids = np.zeros(self._num_equations, dtype=np.int64)
+            eqs, minlength=capacity).astype(np.int64)
+        self.xor_ids = np.zeros(capacity, dtype=np.int64)
         np.bitwise_xor.at(self.xor_ids, eqs, nodes)
         if self._acc is not None:
-            self._acc = np.zeros((self._num_equations, self.payload_size),
+            self._acc = np.zeros((capacity, self.payload_size),
                                  dtype=np.uint8)
 
     def add_equation(self, participants: np.ndarray,
@@ -683,6 +688,22 @@ class PeelingEngine:
 
     def _packets_seen(self) -> bool:
         return bool(self._source_known) or bool(np.any(self.known))
+
+    def _check_width(self, payloads: Optional[np.ndarray]) -> None:
+        """Reject a payload (or payload block) of the wrong width.
+
+        The decoders' intakes call this once per call, before any state
+        moves: numpy would broadcast a one-symbol payload across a whole
+        row and raise a bare ``ValueError`` on any other width, by then
+        with the packet already counted.
+        """
+        if payloads is None or self.values is None:
+            return
+        width = np.shape(payloads)[-1:]
+        if width != (self.payload_size,):
+            raise ParameterError(
+                f"payload carries {width[0] if width else 0} symbols, "
+                f"decoder expects {self.payload_size}")
 
     # -- core propagation ------------------------------------------------------
 

@@ -17,8 +17,14 @@ slowness Tornado codes remove.
 
 The decoder uses the standard systematic-code optimisation: received
 source packets are copied through, and only the ``x`` missing source
-packets are solved for using ``x`` redundant packets (reduce, then solve
-an x-by-x system).
+packets are solved for using ``x`` redundant packets: reduce them by the
+known source packets, invert the x-by-x system, apply the inverse.  The
+two matrix-times-packets products, O(x * k * P) together, are the whole
+cost for the Cauchy construction, whose submatrix inverse is a closed
+form in O(x^2) (:func:`repro.gf.matrix.cauchy_inverse`); only the
+Vandermonde construction still eliminates, O(x^3).  There is one decode
+body, array in and array out (:meth:`ReedSolomonCode.decode_rows`);
+:meth:`ReedSolomonCode.decode` is its mapping-keyed spelling.
 """
 
 from __future__ import annotations
@@ -33,9 +39,10 @@ from repro.errors import DecodeFailure, ParameterError
 from repro.gf import (
     GF256,
     GF65536,
+    cauchy_inverse,
     cauchy_matrix,
+    gf_invert,
     gf_matvec_packets,
-    gf_solve,
     gf256_matvec_cached,
     gf256_packet_tables,
     systematize,
@@ -55,6 +62,8 @@ class _RSBlockEncoder(BlockEncoder):
     same per row as one monolithic encode.
     """
 
+    _code: "ReedSolomonCode"
+
     def __init__(self, code: "ReedSolomonCode", source: np.ndarray):
         source = as_packet_block(source, code.k, dtype=code.field.dtype)
         super().__init__(code, source)
@@ -62,7 +71,7 @@ class _RSBlockEncoder(BlockEncoder):
         self._redundant = np.zeros((ell, source.shape[1]),
                                    dtype=code.field.dtype)
         self._have = np.zeros(ell, dtype=bool)
-        self._tables = None
+        self._tables: Optional[tuple] = None
 
     def _ensure_redundant(self, rows: np.ndarray) -> None:
         """Compute-and-cache the redundancy rows (0-based) not yet held."""
@@ -168,49 +177,78 @@ class ReedSolomonCode(ErasureCode):
         return len(distinct) >= self.k
 
     def decode(self, received: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Reconstruct the source block from >= k received packets.
+        """Reconstruct the source block from >= k received packets
+        (:meth:`decode_rows` over the mapping's in-range keys)."""
+        indices = np.fromiter(
+            (i for i in sorted(received) if 0 <= i < self.n), dtype=np.int64)
+        if indices.size < self.k:
+            # before the rows are stacked: nothing to stack when empty
+            raise DecodeFailure(
+                f"need {self.k} packets, got {indices.size}",
+                missing=self.k - int(indices.size))
+        return self.decode_rows(
+            indices, np.stack([received[i] for i in indices.tolist()]))
+
+    def decode_rows(self, indices: np.ndarray,
+                    payloads: np.ndarray) -> np.ndarray:
+        """Reconstruct the ``(k, P)`` source block from an array of
+        distinct codeword positions and the ``(m, P)`` block holding
+        their packets, row for row (any order; ascending costs no
+        gather).
 
         Cost model (paper Table 1): with ``x`` missing source packets,
-        reduction costs O(k * x * P) and the solve O(x^2 * (x + P)); when
-        nothing is missing this is a pure copy.
+        reducing the first ``x`` redundant rows by the known source
+        packets costs O(x * (k - x) * P), inverting the x-by-x system
+        O(x^2) for the Cauchy construction (:func:`cauchy_inverse`; the
+        Vandermonde one pays Gauss-Jordan's O(x^3)) and applying the
+        inverse O(x^2 * P); when nothing is missing this is a pure copy.
         """
-        indices = sorted(i for i in received if 0 <= i < self.n)
-        if len(indices) < self.k:
+        indices = np.asarray(indices, dtype=np.int64)
+        payloads = np.asarray(payloads, dtype=self.field.dtype)
+        if payloads.ndim != 2 or payloads.shape[0] != indices.size:
+            raise ParameterError(
+                f"{indices.size} indices for a payload block of shape "
+                f"{payloads.shape}")
+        steps = np.diff(indices)
+        if np.any(steps <= 0):
+            order = np.argsort(indices, kind="stable")
+            indices, payloads = indices[order], payloads[order]
+            steps = np.diff(indices)
+        if indices.size and (indices[0] < 0 or indices[-1] >= self.n
+                             or not steps.all()):
+            raise ParameterError(
+                f"codeword positions must be distinct and in [0, {self.n})")
+        if indices.size < self.k:
             raise DecodeFailure(
-                f"need {self.k} packets, got {len(indices)}",
-                missing=self.k - len(indices))
-        have_source = [i for i in indices if i < self.k]
-        missing = sorted(set(range(self.k)) - set(have_source))
-        payload_len = np.asarray(received[indices[0]]).shape[0]
-        out = np.zeros((self.k, payload_len), dtype=self.field.dtype)
-        for i in have_source:
-            out[i] = np.asarray(received[i], dtype=self.field.dtype)
-        if not missing:
+                f"need {self.k} packets, got {indices.size}",
+                missing=self.k - int(indices.size))
+        # Ascending order puts the received source rows first.
+        held = int(np.searchsorted(indices, self.k))
+        have_source = indices[:held]
+        out = np.empty((self.k, payloads.shape[1]), dtype=self.field.dtype)
+        out[have_source] = payloads[:held]
+        x = self.k - held
+        if x == 0:
             return out
-        redundant_avail = [i for i in indices if i >= self.k]
-        x = len(missing)
-        if len(redundant_avail) < x:
-            raise DecodeFailure(
-                f"{x} source packets missing but only "
-                f"{len(redundant_avail)} redundant packets received",
-                missing=x - len(redundant_avail))
-        use_rows = redundant_avail[:x]
+        present = np.zeros(self.k, dtype=bool)
+        present[have_source] = True
+        missing = np.nonzero(~present)[0]
+        rows = indices[held:held + x] - self.k
         # Reduce: subtract the contribution of known source packets from
         # each used redundant packet (XOR since the field has char. 2).
-        reduced = np.stack([
-            np.asarray(received[i], dtype=self.field.dtype) for i in use_rows
-        ])
-        rows = [i - self.k for i in use_rows]
-        if have_source:
-            known_block = out[have_source]
-            partial = gf_matvec_packets(
+        reduced = payloads[held:held + x]
+        if held:
+            reduced = reduced ^ gf_matvec_packets(
                 self._redundancy_matrix[np.ix_(rows, have_source)],
-                known_block, self.field)
-            reduced ^= partial
+                payloads[:held], self.field)
         # Solve the x-by-x system for the missing source packets.
-        subsystem = self._redundancy_matrix[np.ix_(rows, missing)]
-        solved = gf_solve(subsystem, reduced, self.field)
-        out[missing] = solved
+        if self.construction == "cauchy":
+            inverse = cauchy_inverse(rows, (self.n - self.k) + missing,
+                                     self.field)
+        else:
+            inverse = gf_invert(
+                self._redundancy_matrix[np.ix_(rows, missing)], self.field)
+        out[missing] = gf_matvec_packets(inverse, reduced, self.field)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

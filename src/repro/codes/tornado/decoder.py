@@ -34,7 +34,7 @@ The decoder can run in two modes:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -153,7 +153,9 @@ class PeelingDecoder(PeelingEngine):
     @property
     def source_known_count(self) -> int:
         """Source packets recovered so far (releases a hold first, so it
-        reads what decoding every arrival on the spot would)."""
+        reads what decoding every arrival on the spot would; a packet
+        :meth:`_enter` folded into a kept factorization counts once the
+        solve recovers it)."""
         self._release()
         return self._source_known
 
@@ -197,11 +199,36 @@ class PeelingDecoder(PeelingEngine):
         finisher its kept factorization."""
         return self._cap_solved & (index >= self.structure.cap_offset)
 
+    def _enter(self, nodes: np.ndarray,
+               payloads: Optional[np.ndarray]) -> None:
+        """Show the engine fresh packets for nodes it has not recovered.
+
+        While the finisher keeps a factorization of the stalled system
+        (and the cap, which counts known nodes, is done) a packet is the
+        degree-one equation it is: it joins the system and folds into
+        the kept dense core, where observing the node would reshape the
+        known set and cost a full re-factorization per arrival.  The
+        solve that completes the block lands on the same packet either
+        way and recovers such a node with all the others; until then it
+        is not ``known``, so partial-progress reads trail eager peeling.
+        """
+        if self._cap_solved and self._defers_peeling():
+            if nodes.size == 1:
+                # the usual tail arrival: the scalar entry, no batch set-up
+                self.add_equation(nodes, None if payloads is None
+                                  else payloads[0])
+            else:
+                self.add_equations(np.arange(nodes.size + 1), nodes, payloads)
+        else:
+            self.observe_nodes(nodes, payloads)
+        self.maybe_inactivate()
+
     def add_packet(self, index: int, payload: Optional[np.ndarray] = None) -> bool:
         """Feed one encoding packet; returns True when it was new."""
         if not 0 <= index < self.structure.n:
             raise ParameterError(
                 f"packet index {index} outside [0, {self.structure.n})")
+        self._check_width(payload)
         if self._received[index]:
             self._duplicates += 1
             return False
@@ -212,10 +239,9 @@ class PeelingDecoder(PeelingEngine):
         if self._holding:
             self._bank(index, payload)
         elif not self.known[index] and not self._spent(index):
-            payloads = None if payload is None else np.asarray(
-                payload, dtype=np.uint8)[np.newaxis]
-            self.observe_nodes(np.asarray([index], dtype=np.int64), payloads)
-            self.maybe_inactivate()
+            self._enter(np.asarray([index], dtype=np.int64),
+                        None if payload is None else np.asarray(
+                            payload, dtype=np.uint8)[np.newaxis])
         return True
 
     def add_packets(self, indices: Sequence[int],
@@ -230,6 +256,7 @@ class PeelingDecoder(PeelingEngine):
             return 0
         if np.any((idx < 0) | (idx >= self.structure.n)):
             raise ParameterError("packet index outside encoding range")
+        self._check_width(payloads)
         block: Optional[np.ndarray] = None
         if self.values is not None:
             if payloads is None:
@@ -250,10 +277,9 @@ class PeelingDecoder(PeelingEngine):
         # Only nodes peeling has not already recovered reach the engine.
         novel = ~(self.known[fresh] | self._spent(fresh))
         if novel.any():
-            self.observe_nodes(
+            self._enter(
                 fresh[novel],
                 None if block is None else block[first[fresh_mask][novel]])
-            self.maybe_inactivate()
         return int(fresh.size)
 
     # -- cap handling (engine hooks) ---------------------------------------------
@@ -290,24 +316,25 @@ class PeelingDecoder(PeelingEngine):
         return recovered_nodes
 
     def _solve_cap_payloads(self, missing_local: np.ndarray) -> None:
-        """Recover missing last-layer payloads via the cap RS decode."""
+        """Recover missing last-layer payloads via the cap RS decode.
+
+        The last graph layer and the cap redundancy are adjacent node
+        ranges, in the cap code's own codeword order, so the known mask
+        and the value rows from ``last_layer_offset`` on are the
+        decode's index array and payload block as they stand.  The
+        decode reads the received source rows and as many redundant ones
+        as are missing — the first ``code.k`` known positions.
+        """
         st = self.structure
         code = st.cap_code
-        symbol_dtype = code.field.dtype
         last_off = st.last_layer_offset
         values = self.values
         assert values is not None
-        received: Dict[int, np.ndarray] = {}
-        for j in range(st.last_layer_size):
-            if self.known[last_off + j]:
-                received[j] = values[last_off + j].view(symbol_dtype)
-        for j in range(st.cap_size):
-            if self.known[st.cap_offset + j]:
-                received[st.last_layer_size + j] = (
-                    values[st.cap_offset + j].view(symbol_dtype))
-        decoded = code.decode(received)
-        recovered_bytes = decoded[missing_local].view(np.uint8)
-        values[last_off + missing_local] = recovered_bytes
+        have = np.nonzero(self.known[last_off:])[0][:code.k]
+        decoded = code.decode_rows(
+            have, values[last_off + have].view(code.field.dtype))
+        values[last_off + missing_local] = decoded[missing_local].view(
+            np.uint8)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"PeelingDecoder(k={self.structure.k}, "

@@ -27,6 +27,7 @@ from repro.gf.matrix import (
     gf256_packet_tables,
     vandermonde_matrix,
     cauchy_matrix,
+    cauchy_inverse,
     systematize,
 )
 
@@ -43,5 +44,6 @@ __all__ = [
     "gf256_packet_tables",
     "vandermonde_matrix",
     "cauchy_matrix",
+    "cauchy_inverse",
     "systematize",
 ]

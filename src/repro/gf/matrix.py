@@ -3,7 +3,8 @@
 Implements exactly what systematic Reed-Solomon erasure codes need:
 
 * Vandermonde and Cauchy generator-matrix constructions,
-* Gauss-Jordan inversion / solving with vectorised row operations,
+* Gauss-Jordan inversion / solving with vectorised row operations, and
+  the closed-form inverse of a Cauchy submatrix (no elimination),
 * systematisation (Rizzo's trick of right-multiplying a Vandermonde
   matrix by the inverse of its top square so the first k encoding packets
   equal the source packets),
@@ -70,6 +71,47 @@ def cauchy_matrix(rows: int, cols: int,
     ys = np.arange(rows, rows + cols, dtype=np.int64)
     denom = xs[:, None] ^ ys[None, :]
     return field.inv_vec(denom)
+
+
+def cauchy_inverse(xs: np.ndarray, ys: np.ndarray,
+                   field: BinaryExtensionField) -> np.ndarray:
+    """Inverse of the square Cauchy matrix ``C[a, b] = 1 / (xs[a] + ys[b])``.
+
+    Closed form (Bloemer et al. [2]), no elimination::
+
+        inv[i, j] = prod_l(ys[i] + xs[l]) * prod_l(xs[j] + ys[l])
+                    / ((xs[j] + ys[i]) * prod_{l != j}(xs[j] + xs[l])
+                                       * prod_{l != i}(ys[i] + ys[l]))
+
+    In the log domain the four products are row / column sums of three
+    log tables and the whole inverse is one ``exp`` gather: O(x^2) for
+    an x-by-x matrix, where Gauss-Jordan is O(x^3) in x pivot steps.
+    ``xs`` and ``ys`` must each be duplicate-free and share no element
+    (what makes ``C`` a Cauchy matrix); for a submatrix of
+    :func:`cauchy_matrix` ``(ell, k)`` pass ``xs = rows`` and
+    ``ys = ell + cols``.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    ys = np.asarray(ys, dtype=np.int64)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ParameterError("a Cauchy matrix is inverted over equally many "
+                             "row and column points")
+    x = xs.size
+    xy = xs[:, None] ^ ys[None, :]
+    xx = xs[:, None] ^ xs[None, :]
+    yy = ys[:, None] ^ ys[None, :]
+    if (np.count_nonzero(xy) != x * x
+            or np.count_nonzero(xx) + np.count_nonzero(yy) != 2 * x * (x - 1)):
+        raise SingularMatrixError(
+            "Cauchy points must be distinct and the two sets disjoint")
+    log = field._log
+    # log[0] reads 0, so the excluded l == j / l == i terms (the zero
+    # diagonals of xs + xs and ys + ys) drop out of the sums unaided.
+    log_xy = log[xy]
+    row = log_xy.sum(axis=1) - log[xx].sum(axis=1)
+    col = log_xy.sum(axis=0) - log[yy].sum(axis=1)
+    exponent = col[:, None] + row[None, :] - log_xy.T
+    return field._exp[exponent % (field.order - 1)].astype(field.dtype)
 
 
 def gf_matmul(a: np.ndarray, b: np.ndarray,
@@ -356,29 +398,16 @@ def gf_solve(mat: np.ndarray, rhs: np.ndarray,
              field: BinaryExtensionField) -> np.ndarray:
     """Solve ``mat @ x = rhs`` where rhs is a block of packets ``(n, P)``.
 
-    Equivalent to ``gf_matvec_packets(gf_invert(mat), rhs)`` but done in a
-    single elimination pass over the augmented system, which is how an RS
-    decoder actually runs.
+    Inverts the n-by-n system first and hands the packet width to
+    :func:`gf_matvec_packets`: eliminating an ``[A | rhs]`` augment
+    would drag the full width through every row operation.
     """
     mat = np.asarray(mat)
     rhs = np.asarray(rhs)
-    n = mat.shape[0]
-    if mat.shape != (n, n):
-        raise ParameterError("coefficient matrix must be square")
-    if rhs.shape[0] != n:
+    if rhs.shape[0] != mat.shape[0]:
         raise ParameterError("right-hand side row count mismatch")
-    if is_vectorized() and n >= 16 and rhs.shape[1] > 4 * n \
-            and getattr(field, "_mul_table", None) is not None:
-        # Wide right-hand sides (packet payloads): eliminating the
-        # payload columns drags the full width through every row op.
-        # Inverting the n-by-n system first keeps the elimination
-        # narrow and hands the width to the lane-vectorised matvec.
-        inverse = gf_invert(mat, field)
-        return gf_matvec_packets(inverse, rhs.astype(field.dtype), field)
-    aug = np.concatenate(
-        [mat.astype(field.dtype), rhs.astype(field.dtype)], axis=1)
-    _eliminate(aug, n, field)
-    return aug[:, n:].copy()
+    return gf_matvec_packets(gf_invert(mat, field),
+                             rhs.astype(field.dtype), field)
 
 
 def systematize(generator: np.ndarray, k: int,

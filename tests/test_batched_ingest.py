@@ -391,10 +391,55 @@ def _state(decoder):
 #: cap (below it the code is the cap's Reed-Solomon code alone).
 _K_CASCADE = 200
 
+#: a k whose cascade has three graph layers under the cap.
+_K_THREE_LAYERS = 1024
 
-def _held_and_eager(family, seed, size):
+#: what a stalled Tornado tail is fed, in turn (see :func:`_stalled_tail`).
+_TAIL_KINDS = ["unknown", "recovered", "spent", "duplicate"]
+
+
+def _stalled_tail(seed, step, structure, decoder, seen):
+    """Chunks for a Tornado block whose tail stalls: a shuffled stream
+    until the hold is over and the cap is solved, then — decided by the
+    decoder's state call by call, because that is where the vectorized
+    finisher keeps a factorization between attempts — one packet kind
+    after another: a node nothing has recovered, a node peeling already
+    has, cap redundancy the solved cap has no use for, a repeat.
+    ``seen[kind]`` counts the tail packets fed while a factorization
+    was kept."""
+    rng = np.random.default_rng(seed)
+    shuffled = rng.permutation(structure.n).tolist()
+    turn = 0
+    for _ in range(4 * structure.n):
+        if decoder.is_complete:
+            return
+        fresh = ~decoder._received
+        if decoder.held_rows or not decoder._cap_solved:
+            pool = [i for i in shuffled if fresh[i]]
+            yield pool[:step]
+            continue
+        below = np.arange(structure.n) < structure.cap_offset
+        pools = {"unknown": fresh & ~decoder.known & below,
+                 "recovered": fresh & decoder.known,
+                 "spent": fresh & ~below,
+                 "duplicate": ~fresh}
+        chunk = []
+        for _ in range(step):
+            kind = _TAIL_KINDS[turn % len(_TAIL_KINDS)]
+            turn += 1
+            pool = np.nonzero(pools[kind])[0]
+            if not pool.size:
+                kind, pool = "unknown", np.nonzero(pools["unknown"])[0]
+            chunk.append(int(rng.choice(pool)))
+            seen[kind] += decoder._factored is not None
+        yield chunk
+    raise AssertionError("the stalled tail never completed")
+
+
+def _held_and_eager(family, seed, size, k=None):
     """The shipped decoder and its eager oracle over one fresh code."""
-    k = _K_CASCADE if family.startswith("tornado") else _K
+    if k is None:
+        k = _K_CASCADE if family.startswith("tornado") else _K
     code = build_code(family, k, seed=seed % 50)
     held = code.new_decoder(size)
     if family == "raptor":
@@ -406,9 +451,62 @@ def _held_and_eager(family, seed, size):
                                              code.inactivation_limit)
 
 
+def _check_against_eager(family, kind, seed, step, backend, payload, probe,
+                         k=None):
+    """Feed the shipped decoder and its eager oracle the same calls and
+    compare them after every one; returns the stalled tail's tally."""
+    size = 8 if payload else None
+    seen = dict.fromkeys(_TAIL_KINDS, 0)
+    with use_backend(backend):
+        code, held, eager = _held_and_eager(family, seed, size, k)
+        source = make_source(code.k, 8, seed)
+        droplets = code.n is None
+        if kind == "stalled-tail" and not droplets:
+            chunks = _stalled_tail(seed, step, code.structure, held, seen)
+            span = code.n
+        else:
+            # a rateless code has no cap to stall behind: a plain shuffle
+            order = _arrivals("interleaved" if kind == "stalled-tail"
+                              else kind, seed, code.k, code.n)
+            chunks = ([int(i) for i in order[lo:lo + step]]
+                      for lo in range(0, order.size, step))
+            span = int(order.max()) + 1
+        if payload:
+            encoded = (code.encode(source, span) if droplets
+                       else code.encode(source))
+        for call, chunk in enumerate(chunks):
+            payloads = encoded[chunk] if payload else None
+            for decoder in (held, eager):
+                if step == 1:
+                    decoder.add_packet(
+                        chunk[0], None if payloads is None else payloads[0])
+                else:
+                    decoder.add_packets(chunk, payloads)
+            assert _state(held) == _state(eager), (call, chunk)
+            assert held.inactivation_runs <= eager.inactivation_runs
+            assert eager.held_rows == 0
+            if droplets:
+                assert (held._equations_seen + held.held_rows
+                        == eager._equations_seen)
+            if call == probe:
+                if not droplets and held._defers_peeling():
+                    # packets folded into the kept factorization are
+                    # recovered by the solve, not on arrival
+                    assert (held.source_known_count
+                            <= eager.source_known_count)
+                    continue
+                assert held.source_known_count == eager.source_known_count
+                assert np.array_equal(held.missing_source_indices(),
+                                      eager.missing_source_indices())
+        if payload and held.is_complete:
+            assert np.array_equal(held.source_data(), source)
+            assert np.array_equal(eager.source_data(), source)
+    return seen
+
+
 @settings(max_examples=120, deadline=None)
 @given(family=st.sampled_from(["raptor", "lt", "tornado-a", "tornado-b"]),
-       kind=st.sampled_from(_KINDS),
+       kind=st.sampled_from(_KINDS + ["stalled-tail"]),
        seed=st.integers(0, 2 ** 16),
        step=st.sampled_from([1, 3, 32]),
        backend=st.sampled_from(["vectorized", "reference"]),
@@ -420,37 +518,30 @@ def test_deferred_intake_matches_eager_oracle(family, kind, seed, step,
     ``min_additional_packets`` after every single call, never more
     finisher runs — and a read of partial state mid-hold (after call
     number ``probe``) answers what eager intake would."""
-    size = 8 if payload else None
-    with use_backend(backend):
-        code, held, eager = _held_and_eager(family, seed, size)
-        source = make_source(code.k, 8, seed)
-        droplets = code.n is None
-        order = _arrivals(kind, seed, code.k, code.n)
-        if payload:
-            encoded = (code.encode(source, int(order.max()) + 1) if droplets
-                       else code.encode(source))
-        for call, lo in enumerate(range(0, order.size, step)):
-            chunk = [int(i) for i in order[lo:lo + step]]
-            payloads = encoded[chunk] if payload else None
-            for decoder in (held, eager):
-                if step == 1:
-                    decoder.add_packet(
-                        chunk[0], None if payloads is None else payloads[0])
-                else:
-                    decoder.add_packets(chunk, payloads)
-            assert _state(held) == _state(eager), (lo, chunk)
-            assert held.inactivation_runs <= eager.inactivation_runs
-            assert eager.held_rows == 0
-            if droplets:
-                assert (held._equations_seen + held.held_rows
-                        == eager._equations_seen)
-            if call == probe:
-                assert held.source_known_count == eager.source_known_count
-                assert np.array_equal(held.missing_source_indices(),
-                                      eager.missing_source_indices())
-        if payload and held.is_complete:
-            assert np.array_equal(held.source_data(), source)
-            assert np.array_equal(eager.source_data(), source)
+    _check_against_eager(family, kind, seed, step, backend, payload, probe)
+
+
+@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+@pytest.mark.parametrize("payload", [True, False])
+@pytest.mark.parametrize("k", [_K_CASCADE, _K_THREE_LAYERS])
+def test_tail_arrivals_fold_into_the_kept_factorization(k, payload, backend):
+    """Every kind of packet a stalled Tornado tail can see — a node
+    nothing has recovered, one peeling already has, spent cap
+    redundancy, a repeat — lands while the finisher keeps a
+    factorization, one at a time and in batches, and the decoder still
+    answers call for call what its eager oracle does, with never more
+    finisher runs."""
+    assert len(build_code("tornado-b", k, seed=0).structure.graphs) == (
+        3 if k == _K_THREE_LAYERS else 1)
+    seen = dict.fromkeys(_TAIL_KINDS, 0)
+    for seed, step in ((0, 1), (1, 1), (2, 3), (3, 32)):
+        tally = _check_against_eager("tornado-b", "stalled-tail", seed, step,
+                                     backend, payload, probe=-1, k=k)
+        for kind in seen:
+            seen[kind] += tally[kind]
+    # only the vectorized finisher keeps a factorization between attempts
+    assert all(seen.values()) if backend == "vectorized" else not any(
+        seen.values())
 
 
 @pytest.mark.parametrize("backend", ["vectorized", "reference"])
@@ -541,6 +632,48 @@ def test_cap_redundancy_after_the_cap_is_solved_skips_the_engine(backend,
     assert spent_seen
     # only the vectorized finisher keeps a factorization between attempts
     assert kept_seen or backend == "reference"
+
+
+# -- typed intake: a payload of the wrong width moves no state ----------------
+
+@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+@pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch"])
+@pytest.mark.parametrize("width", [1, 63, 65])
+@pytest.mark.parametrize("family", ["tornado-a", "tornado-b", "lt", "raptor"])
+def test_wrong_width_payload_is_refused_before_any_state_moves(
+        family, width, batch, backend):
+    """One symbol would broadcast across the row, any other wrong width
+    used to surface as numpy's ``ValueError`` with the packet already
+    counted: both are a ``ParameterError`` now, worded as
+    ``SetDecoder`` words it, and the decoder is as it was — mid-hold
+    and after it."""
+    with use_backend(backend):
+        code = build_code(family, _K_CASCADE, seed=2)
+        source = make_source(code.k, 64, 2)
+        encoded = (code.encode(source, 3 * code.k) if code.n is None
+                   else code.encode(source))
+        decoder = code.new_decoder(64)
+        fed = 0
+        for stage in (0, code.k // 2, code.k + 4):
+            ids = list(range(fed, stage))
+            decoder.add_packets(ids, encoded[ids])
+            fed = stage
+            before = (_state(decoder), decoder.held_rows,
+                      decoder._equations_seen, decoder.known.copy())
+            bad = np.full((2, width), 7, dtype=np.uint8)
+            with pytest.raises(ParameterError, match=(
+                    f"payload carries {width} symbols, decoder expects 64")):
+                if batch:
+                    decoder.add_packets([fed, fed + 1], bad)
+                else:
+                    decoder.add_packet(fed, bad[0])
+            after = (_state(decoder), decoder.held_rows,
+                     decoder._equations_seen, decoder.known)
+            assert before[:3] == after[:3]
+            assert np.array_equal(before[3], after[3])
+        rest = list(range(fed, encoded.shape[0]))
+        decoder.add_packets(rest, encoded[rest])
+        assert np.array_equal(decoder.source_data(), source)
 
 
 # -- batch admission: one set test vs the per-id loop -------------------------

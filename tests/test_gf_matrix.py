@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError, SingularMatrixError
+from repro.codes.backend import use_backend
 from repro.gf import (
     GF256,
     GF65536,
+    cauchy_inverse,
     cauchy_matrix,
     gf_eye,
     gf_invert,
@@ -80,6 +82,41 @@ def test_cauchy_any_square_submatrix_invertible(n):
     rng = np.random.default_rng(100 + n)
     rows = rng.choice(2 * n, size=n, replace=False)
     gf_invert(mat[rows], field)  # must not raise
+
+
+@given(field=st.sampled_from([GF256, GF65536]),
+       backend=st.sampled_from(["vectorized", "reference"]),
+       k=st.integers(1, 128), ell=st.integers(1, 128),
+       data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_cauchy_inverse_closed_form_matches_elimination(field, backend, k,
+                                                        ell, data):
+    """The closed form is the unique inverse: bit-equal to Gauss-Jordan
+    on any equal-size row / column subset of ``cauchy_matrix(ell, k)``,
+    for every x from 1 to ``min(k, ell)``, whatever the order the
+    subsets are listed in."""
+    x = data.draw(st.integers(1, min(k, ell)))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(ell, size=x, replace=False)
+    cols = rng.choice(k, size=x, replace=False)
+    with use_backend(backend):
+        sub = cauchy_matrix(ell, k, field)[np.ix_(rows, cols)]
+        inverse = cauchy_inverse(rows, ell + cols, field)
+        oracle = gf_invert(sub, field)
+        assert inverse.dtype == oracle.dtype
+        assert np.array_equal(inverse, oracle)
+        assert is_identity(gf_matmul(sub, inverse, field))
+        assert is_identity(gf_matmul(inverse, sub, field))
+
+
+def test_cauchy_inverse_rejects_points_that_are_no_cauchy_matrix():
+    with pytest.raises(ParameterError):
+        cauchy_inverse(np.arange(3), np.arange(3, 5), GF256)
+    with pytest.raises(SingularMatrixError):      # a repeated row point
+        cauchy_inverse(np.array([0, 0]), np.array([2, 3]), GF256)
+    with pytest.raises(SingularMatrixError):      # the sets overlap
+        cauchy_inverse(np.array([0, 1]), np.array([1, 2]), GF256)
 
 
 def test_cauchy_size_limit():

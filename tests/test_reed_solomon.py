@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codes.backend import use_backend
 from repro.codes.reed_solomon import (
     ReedSolomonCode,
     cauchy_code,
@@ -73,6 +74,60 @@ def test_cauchy_roundtrip_property(k, extra):
     rng = np.random.default_rng(k * 31 + extra)
     keep = rng.choice(code.n, size=k, replace=False)
     assert np.array_equal(code.decode({int(i): enc[i] for i in keep}), src)
+
+
+@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+@pytest.mark.parametrize("k,n", [(12, 30), (40, 80), (140, 300)])
+def test_array_decode_is_the_mapping_decode(construction, k, n, backend):
+    """One decode body: rows in, block out — equal to the mapping form
+    and to the source at every x from 0 (a pure copy) to k (nothing
+    but redundancy), in any row order, over both fields."""
+    with use_backend(backend):
+        code = ReedSolomonCode(k, n, construction)
+        src = make_source(k, 10, code.field.dtype, seed=k)
+        enc = code.encode(src)
+        rng = np.random.default_rng(n)
+        for x in sorted({0, 1, k // 2, k - 1, k}):
+            lost = rng.choice(k, size=x, replace=False)
+            kept = np.setdiff1d(np.arange(k), lost)
+            spare = k + rng.choice(n - k, size=min(n - k, x + 2),
+                                   replace=False)
+            indices = rng.permutation(np.concatenate([kept, spare]))
+            by_rows = code.decode_rows(indices, enc[indices])
+            by_map = code.decode({int(i): enc[i] for i in indices})
+            assert by_rows.dtype == code.field.dtype
+            assert np.array_equal(by_rows, src), x
+            assert np.array_equal(by_map, src), x
+            ordered = np.sort(indices)
+            assert np.array_equal(code.decode_rows(ordered, enc[ordered]),
+                                  src), x
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_array_decode_fails_like_the_mapping_decode(construction):
+    code = ReedSolomonCode(6, 14, construction)
+    enc = code.encode(make_source(6, 8, code.field.dtype, seed=9))
+    few = np.array([0, 2, 9, 13])
+    with pytest.raises(DecodeFailure) as by_rows:
+        code.decode_rows(few, enc[few])
+    with pytest.raises(DecodeFailure) as by_map:
+        code.decode({int(i): enc[i] for i in few})
+    assert by_rows.value.missing == by_map.value.missing == 2
+    with pytest.raises(DecodeFailure) as empty:
+        code.decode({})
+    assert empty.value.missing == 6
+    # keys outside the codeword do not count, as before
+    with pytest.raises(DecodeFailure) as stray:
+        code.decode({**{int(i): enc[i] for i in few}, 99: enc[0], -1: enc[0]})
+    assert stray.value.missing == 2
+    six = np.array([0, 1, 2, 3, 4, 9])
+    for bad in (np.array([0, 1, 2, 3, 4, 4]), np.array([0, 1, 2, 3, 4, 14]),
+                np.array([-1, 1, 2, 3, 4, 9])):
+        with pytest.raises(ParameterError):
+            code.decode_rows(bad, enc[six])
+    with pytest.raises(ParameterError):
+        code.decode_rows(six, enc[six][:5])
 
 
 def test_is_decodable_counts_distinct():

@@ -164,9 +164,12 @@ def swarm_payload(raptor_p99=0.18, lt_p50=0.19):
     ]}
 
 
-def ingest_rows(lt_b1=30.0, tornado_b1=20.0):
+def ingest_rows(lt_b1=30.0, tornado_b1=20.0, tornado_k256=(24.0, 9.0)):
     """Rows the batch-size rules of ``BENCH_transfer.json`` read (the
-    b256 rates are 60 and 40, so the defaults sit exactly at 0.5)."""
+    b256 rates are 60 and 40, so the defaults sit exactly at 0.5), then
+    the two sides of the Tornado-vs-RS decode ratio at k = 256
+    (``tornado_k256`` = vectorized, reference MB/s against RS at 4 and
+    4: the defaults sit exactly at 6.0 and 2.25)."""
     return [
         {"case": "ingest-lt-k128-b1", "decode_MBps_vectorized": lt_b1},
         {"case": "ingest-lt-k128-b256", "decode_MBps_vectorized": 60.0},
@@ -174,7 +177,22 @@ def ingest_rows(lt_b1=30.0, tornado_b1=20.0):
          "decode_MBps_vectorized": tornado_b1},
         {"case": "ingest-tornado-b-k256-b256",
          "decode_MBps_vectorized": 40.0},
+        {"case": "raw-tornado-b-k256",
+         "decode_MBps_vectorized": tornado_k256[0],
+         "decode_MBps_reference": tornado_k256[1]},
+        {"case": "raw-rs-k256", "decode_MBps_vectorized": 4.0,
+         "decode_MBps_reference": 4.0},
     ]
+
+
+#: raw LT / Raptor rows that satisfy every rule reading them, for tests
+#: about the other rules of ``BENCH_transfer.json``.
+RAW_LT_RAPTOR = [
+    {"case": "raw-lt-k128", "decode_MBps_vectorized": 20.0,
+     "decode_MBps_reference": 8.0, "encode_MBps_vectorized": 100.0},
+    {"case": "raw-raptor-k128", "decode_MBps_vectorized": 10.0,
+     "decode_MBps_reference": 4.0, "encode_MBps_vectorized": 80.0},
+]
 
 
 class TestCrossCase:
@@ -235,18 +253,9 @@ class TestCrossCase:
         assert "LT/2" in str(regressions[0])
 
     def test_batch_size_one_holds_half_the_batched_rate(self):
-        raw = [
-            {"case": "raw-lt-k128", "decode_MBps_vectorized": 20.0,
-             "decode_MBps_reference": 8.0,
-             "encode_MBps_vectorized": 100.0},
-            {"case": "raw-raptor-k128", "decode_MBps_vectorized": 10.0,
-             "decode_MBps_reference": 4.0,
-             "encode_MBps_vectorized": 80.0},
-        ]
-
         def check(rows):
             return check_bench.check_cross_cases(
-                "BENCH_transfer.json", {"results": raw + rows})
+                "BENCH_transfer.json", {"results": RAW_LT_RAPTOR + rows})
 
         assert check(ingest_rows()) == []          # exactly 0.5 passes
         for rows, family in ((ingest_rows(lt_b1=29.4), "LT"),
@@ -261,6 +270,47 @@ class TestCrossCase:
             assert len(regressions) == 1
             assert "cross-case rule needs this metric" in str(regressions[0])
 
+    def test_tornado_holds_its_margin_over_rs_at_k256(self):
+        def check(rows):
+            return check_bench.check_cross_cases(
+                "BENCH_transfer.json", {"results": RAW_LT_RAPTOR + rows})
+
+        assert check(ingest_rows()) == []          # at the line passes
+        for rates, backend in (((23.9, 9.0), "vectorized"),
+                               ((24.0, 8.9), "reference")):
+            regressions = check(ingest_rows(tornado_k256=rates))
+            assert len(regressions) == 1           # just under fails
+            assert "margin over Reed-Solomon" in str(regressions[0])
+            assert f"({backend} backend)" in str(regressions[0])
+        for gone in (4, 5):                        # a missing row fails
+            rows = ingest_rows()
+            del rows[gone]
+            regressions = check(rows)
+            assert len(regressions) == 2           # one per backend rule
+            assert all("cross-case rule needs this metric" in str(r)
+                       for r in regressions)
+
+    def test_closed_form_inverse_speedup_floor(self):
+        def payload(**row):
+            return {"results": [
+                {"case": "ingest-lt-k128-b1", "ingest_speedup": 1.4},
+                {"case": "raptor-bk128", "throughput_MBps": 22.0},
+                {"case": "cap-inverse-x64", **row}]}
+
+        assert check_bench.check_case_floors(
+            "BENCH_transfer.json", payload(closed_form_speedup=3.0)) == []
+        regressions = check_bench.check_case_floors(
+            "BENCH_transfer.json", payload(closed_form_speedup=2.9))
+        assert len(regressions) == 1
+        assert "fell back towards elimination" in str(regressions[0])
+        # A row that lost the metric, or no row at all, fails too.
+        assert len(check_bench.check_case_floors(
+            "BENCH_transfer.json", payload())) == 1
+        gone = payload(closed_form_speedup=9.0)
+        del gone["results"][2]
+        assert len(check_bench.check_case_floors(
+            "BENCH_transfer.json", gone)) == 1
+
     def test_case_floor_holds_and_fails(self):
         def transfer_payload(b1_speedup, raptor_mbps):
             return {"results": [
@@ -268,6 +318,7 @@ class TestCrossCase:
                  "ingest_speedup": b1_speedup},
                 {"case": "raptor-bk128",
                  "throughput_MBps": raptor_mbps},
+                {"case": "cap-inverse-x64", "closed_form_speedup": 12.0},
             ]}
 
         assert check_bench.check_case_floors(
@@ -304,7 +355,7 @@ class TestCrossCase:
         payload = {"results": [{"case": "raptor-bk128", "seconds": 0.02}]}
         regressions = check_bench.check_case_floors(
             "BENCH_transfer.json", payload)
-        assert len(regressions) == 2
+        assert len(regressions) == 3
         assert any("case floor needs this metric" in str(r)
                    for r in regressions)
 
