@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-reference coverage test-udp bench-smoke bench-transfer \
+.PHONY: test test-reference fuzz coverage test-udp bench-smoke bench-transfer \
 	bench-ingest bench-raptor bench-adaptive bench-udp bench-swarm \
 	bench-gate bench-e2e bench-e2e-quick \
 	swarm-smoke docs-check typecheck all
@@ -21,6 +21,13 @@ test:
 # not only when someone remembers to flip the env var locally.
 test-reference:
 	REPRO_CODEC_BACKEND=reference $(PYTHON) -m pytest -x -q
+
+# The property tests on fresh random examples (tests/conftest.py: the
+# `fuzz` hypothesis profile; tier-1 above runs the derandomized one).
+# Not a gate: what it finds is replayed from .hypothesis/ and enters
+# the suite as an @example line on the test that failed.
+fuzz:
+	$(PYTHON) -m pytest -q --hypothesis-profile=fuzz tests
 
 # Line coverage of the codec core (src/repro/codes + src/repro/gf),
 # accumulated across both backends so reference-only and

@@ -350,7 +350,8 @@ class ReceiverSession:
         """Ingest one on-wire packet record (header + payload bytes)."""
         return self.receive_records((record,))
 
-    def receive_records(self, records: Sequence[bytes]) -> bool:
+    def receive_records(self, records: Union[Sequence[bytes], np.ndarray]
+                        ) -> bool:
         """Ingest a batch of wire records in one decoder pass per block.
 
         The batch ingest path of the transport layer: a subscription
@@ -358,6 +359,9 @@ class ReceiverSession:
         here, where headers parse in one vectorized pass and each
         block's packets reach its decoder through
         :meth:`~repro.transfer.client.TransferClient.receive_many`.
+        ``records`` is a sequence of ``bytes``, or the ``(n,
+        record_size)`` uint8 array a datagram drain yields — that one is
+        the record matrix already, no length filter and no join.
 
         This is the bytes-in boundary, so nothing a record says is
         trusted: one of the wrong length, or whose header names a block
@@ -374,21 +378,25 @@ class ReceiverSession:
         """
         if self.client.is_complete:
             return True
-        records = list(records)
-        if set(map(len, records)) - {self.record_size}:
-            sized = [r for r in records if len(r) == self.record_size]
-            self._rejected += len(records) - len(sized)
-            records = sized
-        if not records:
+        if (isinstance(records, np.ndarray) and records.dtype == np.uint8
+                and records.shape[1:] == (self.record_size,)):
+            buf = records       # a transport's drain, already a matrix
+        else:
+            records = list(records)
+            if set(map(len, records)) - {self.record_size}:
+                sized = [r for r in records if len(r) == self.record_size]
+                self._rejected += len(records) - len(sized)
+                records = sized
+            buf = np.frombuffer(b"".join(records), dtype=np.uint8)
+            buf = buf.reshape(len(records), self.record_size)
+        if not len(buf):
             return False
-        buf = np.frombuffer(b"".join(records), dtype=np.uint8)
-        buf = buf.reshape(len(records), self.record_size)
         fields = header_fields(buf, self.header_size)
         blocks = (fields[:, 3] if self.block_aware
-                  else np.zeros(len(records), dtype=np.int64))
+                  else np.zeros(len(buf), dtype=np.int64))
         named = self.client.names_packet(blocks, fields[:, 0])
         if not named.all():
-            self._rejected += len(records) - int(named.sum())
+            self._rejected += len(buf) - int(named.sum())
             buf, fields, blocks = buf[named], fields[named], blocks[named]
         used = self.client.receive_window(blocks, fields[:, 0],
                                           buf[:, self.header_size:])

@@ -235,7 +235,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"served {report.emitted} packets ({report.delivered} delivered, "
           f"{report.dropped} loss-injected) to {dests} "
           f"in {report.duration:.2f}s "
-          f"({report.packets_per_second:,.0f} pkt/s)")
+          f"({report.packets_per_second:,.0f} pkt/s; "
+          f"{report.delivered / max(report.datagrams, 1):.1f} records "
+          f"per datagram)")
     if args.adaptive:
         malformed = (f", {report.malformed_frames} malformed"
                      if report.malformed_frames else "")
@@ -274,7 +276,9 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     pathlib.Path(args.output).write_bytes(data)
     name = session.manifest.get("file_name", args.output)
     print(f"reconstructed {name} ({len(data)} bytes) from "
-          f"{session.packets_used} packets over udp")
+          f"{session.packets_used} packets over udp "
+          f"({subscription.records_yielded / subscription.datagrams:.1f} "
+          f"records per datagram heard)")
     print(f"{session.code_spec}: all blocks complete; reception overhead "
           f"{session.stats().reception_overhead:+.1%}")
     if args.report:

@@ -340,6 +340,7 @@ class PeelingEngine:
         self.unknown_count = np.zeros(0, dtype=np.int64)
         self.xor_ids = np.zeros(0, dtype=np.int64)
         self._inactivation_runs = 0
+        self._fold_runs = 0
         # After a failed solve: (unknowns, equations_seen, rank deficit).
         self._stall_gate: Optional[Tuple[int, int, int]] = None
         # Factorization of the stalled system, kept across failed
@@ -861,6 +862,15 @@ class PeelingEngine:
         """Number of GF(2) finisher attempts executed so far."""
         return self._inactivation_runs
 
+    @property
+    def fold_runs(self) -> int:
+        """The finisher attempts among :attr:`inactivation_runs` that
+        factored nothing: they folded the rows that arrived since the
+        last attempt into the kept factorization (one ``fold_row``
+        each).  ``inactivation_runs - fold_runs`` is how often the
+        stalled system was factored from scratch."""
+        return self._fold_runs
+
     def _elimination_nodes(self) -> np.ndarray:
         """Nodes eligible as elimination columns (default: all unknown).
 
@@ -1040,6 +1050,7 @@ class PeelingEngine:
         """
         fact = self._factored
         if fact is not None and fact.num_rows <= rows.size:
+            self._fold_runs += 1
             fresh = rows.size - fact.num_rows
             row_rep, nodes = self._residual_incidences(rows[fact.num_rows:])
             bounds = np.searchsorted(row_rep, np.arange(fresh + 1)).tolist()

@@ -32,6 +32,20 @@ datagram is self-delimiting and can carry control frames in-band::
     | u8   | u16 (BE) | `length` bytes   |
     +------+----------+------------------+
 
+A datagram carries a *run* of frames, back to back (:func:`iter_frames`
+walks it).  Nothing in a fountain ties one encoding packet to one
+datagram — a receiver does not care which packets arrive — and a
+system call costs the same for 150 bytes as for 1,500, so a sender
+packs consecutive data frames into one datagram up to
+:data:`DATAGRAM_BUDGET` = 1,472 bytes: a 1,500-byte Ethernet MTU less
+the IPv4 and UDP headers, the most a datagram can hold without being
+fragmented on the common path.  Ten 128-byte-payload frames share a
+datagram, two of the paper's 500-byte ones; a frame wider than half
+the budget travels alone.  With the default ``interleave`` schedule the
+frames that share a datagram belong to different blocks, so a lost
+datagram is still about one erasure per block.  A manifest frame is
+always a datagram of its own.
+
 ``FRAME_DATA`` bodies are wire records (the existing 12/16-byte header
 plus payload, exactly as written to ``stream.pkt``); ``FRAME_MANIFEST``
 bodies are the UTF-8 JSON manifest, re-sent periodically so a receiver
@@ -48,13 +62,14 @@ from __future__ import annotations
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ProtocolError
 
 __all__ = [
+    "DATAGRAM_BUDGET",
     "EMISSION_LIMIT_FACTOR",
     "FEED_BATCH",
     "FRAME_DATA",
@@ -64,10 +79,12 @@ __all__ = [
     "ServeReport",
     "Subscription",
     "Transport",
+    "frame_head",
     "frame_records",
     "iter_frames",
     "pack_frame",
     "packet_ids",
+    "unframe_records",
 ]
 
 #: emission budget per source packet before a serve is declared stuck.
@@ -78,6 +95,11 @@ EMISSION_LIMIT_FACTOR = 200
 #: time); bounds what a window holds in memory however large the decode
 #: deficit or the emission count is.
 SERVE_WINDOW = 1024
+
+#: most bytes of data frames a sender packs into one datagram: one
+#: Ethernet MTU less the IPv4 and UDP headers (1500 - 20 - 8; see
+#: "Framing" above).
+DATAGRAM_BUDGET = 1472
 
 #: records per ingest batch for transports without a backlog signal.
 FEED_BATCH = 256
@@ -92,7 +114,8 @@ FRAME_FEEDBACK = 0x03
 _FRAME_HEAD = struct.Struct(">BH")
 
 
-def _frame_head(frame_type: int, length: int) -> bytes:
+def frame_head(frame_type: int, length: int) -> bytes:
+    """The three bytes in front of a ``length``-byte frame body."""
     if length > 0xFFFF:
         raise ProtocolError(
             f"frame body of {length} bytes exceeds the u16 length "
@@ -102,7 +125,7 @@ def _frame_head(frame_type: int, length: int) -> bytes:
 
 def pack_frame(frame_type: int, body: bytes) -> bytes:
     """One length-prefixed frame: type byte, u16 body length, body."""
-    return _frame_head(frame_type, len(body)) + body
+    return frame_head(frame_type, len(body)) + body
 
 
 def frame_records(records: np.ndarray) -> np.ndarray:
@@ -116,9 +139,28 @@ def frame_records(records: np.ndarray) -> np.ndarray:
     count, size = records.shape
     frames = np.empty((count, _FRAME_HEAD.size + size), dtype=np.uint8)
     frames[:, :_FRAME_HEAD.size] = np.frombuffer(
-        _frame_head(FRAME_DATA, size), dtype=np.uint8)
+        frame_head(FRAME_DATA, size), dtype=np.uint8)
     frames[:, _FRAME_HEAD.size:] = records
     return frames
+
+
+def unframe_records(buffer: bytes, size: int) -> Optional[np.ndarray]:
+    """The records of a buffer that is nothing but ``FRAME_DATA`` frames
+    with ``size``-byte bodies, back to back; ``None`` for any other.
+
+    The inverse of :func:`frame_records` and the batched twin of
+    :func:`iter_frames` for the one shape a data stream has: every frame
+    head is checked in one comparison, and the ``(n, size)`` result is a
+    view into ``buffer``, not a copy.
+    """
+    head = np.frombuffer(frame_head(FRAME_DATA, size), dtype=np.uint8)
+    step = head.size + size
+    if len(buffer) % step:
+        return None
+    frames = np.frombuffer(buffer, dtype=np.uint8).reshape(-1, step)
+    if not (frames[:, :head.size] == head).all():
+        return None
+    return frames[:, head.size:]
 
 
 def iter_frames(datagram: bytes) -> Iterator[Tuple[int, bytes]]:
@@ -182,6 +224,10 @@ class ServeReport:
     #: feedback body that fails to decode (bodies are only decoded when
     #: the serve listens, i.e. with ``policy=`` or ``feedback=``).
     malformed_frames: int = 0
+    #: data datagrams handed to the socket, summed over destinations
+    #: (``delivered / datagrams`` is the coalescing factor; 0 on
+    #: transports that move bare records).
+    datagrams: int = 0
 
     @property
     def packets_per_second(self) -> float:
@@ -208,16 +254,19 @@ class Subscription(ABC):
         """
 
     def record_batches(self, timeout: Optional[float] = None
-                       ) -> Iterator[List[bytes]]:
+                       ) -> Iterator[Union[List[bytes], np.ndarray]]:
         """Records grouped into ingest batches, in arrival order.
 
-        The batch feeding surface: each yielded list becomes one
-        ``receive_records`` call on the session.  The default groups
-        :meth:`records` into fixed-size chunks; transports with a real
-        backlog signal override it — the UDP subscription yields one
-        batch per socket drain, so a poll's whole queue reaches the
+        The batch feeding surface: each yielded batch becomes one
+        ``receive_records`` call on the session.  A batch is a sequence
+        of records — a list of ``bytes``, or a 2-D uint8 array with one
+        record per row (``len`` counts records either way).  The default
+        groups :meth:`records` into fixed-size chunks; transports with a
+        real backlog signal override it — the UDP subscription yields
+        one batch per socket drain, so a poll's whole queue reaches the
         decoder in a single ingest pass.  Concatenating the batches
-        always reproduces the :meth:`records` stream exactly.
+        always reproduces the :meth:`records` stream exactly, and
+        :meth:`records` itself always yields ``bytes``.
         """
         batch: List[bytes] = []
         for record in self.records(timeout=timeout):

@@ -52,6 +52,7 @@ from repro.errors import ParameterError, ProtocolError
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss, LossModel
 from repro.net.transport.base import (
+    DATAGRAM_BUDGET,
     EMISSION_LIMIT_FACTOR,
     FRAME_DATA,
     FRAME_FEEDBACK,
@@ -60,9 +61,11 @@ from repro.net.transport.base import (
     ServeReport,
     Subscription,
     Transport,
+    frame_head,
     frame_records,
     iter_frames,
     pack_frame,
+    unframe_records,
 )
 from repro.net.transport.file import record_size
 from repro.net.transport.pacing import TokenBucket
@@ -153,6 +156,9 @@ class UdpSubscription(Subscription):
         self.feedback_sent = 0
         #: every datagram received, well-formed or not.
         self.datagrams = 0
+        #: data records yielded (``records_yielded / datagrams`` approaches the
+        #: sender's coalescing factor on a clean path).
+        self.records_yielded = 0
         #: data frames whose framing failed to parse (foreign senders).
         self.malformed = 0
         self._manifest_conflicts = 0
@@ -197,7 +203,7 @@ class UdpSubscription(Subscription):
     def __repr__(self) -> str:
         where = "closed" if self._closed else "%s:%d" % self.address
         return (f"UdpSubscription({where}, datagrams={self.datagrams}, "
-                f"malformed={self.malformed}, "
+                f"records={self.records_yielded}, malformed={self.malformed}, "
                 f"manifest_conflicts={self.manifest_conflicts}, "
                 f"feedback_sent={self.feedback_sent})")
 
@@ -280,6 +286,8 @@ class UdpSubscription(Subscription):
     def records(self, timeout: Optional[float] = None) -> Iterator[bytes]:
         """Data records as they arrive: :meth:`record_batches`, flattened."""
         for batch in self.record_batches(timeout=timeout):
+            if isinstance(batch, np.ndarray):
+                batch = [row.tobytes() for row in batch]
             yield from batch
 
     def _wrong_size(self, body: bytes) -> bool:
@@ -314,34 +322,93 @@ class UdpSubscription(Subscription):
             elif frame_type == FRAME_DATA and not self._wrong_size(body):
                 batch.append(body)
 
+    def _queued(self, heard: Tuple[bytes, Address]
+                ) -> List[Tuple[bytes, Address]]:
+        """``heard`` and whatever else already sits in the kernel queue."""
+        drain = []
+        self.socket.settimeout(0.0)
+        while heard is not None:
+            drain.append(heard)
+            heard = self._recv()
+        return drain
+
+    def _drain_records(self, drain: List[Tuple[bytes, Address]]
+                       ) -> Union[List[bytes], np.ndarray]:
+        """The data records of a drain's datagrams, in arrival order.
+
+        What :meth:`_collect` gives a datagram at a time — records,
+        counters, adopted manifest, remembered sender — in one pass
+        where the drain has the shape a data stream has.  Datagrams
+        heard before a manifest has fixed the record size take
+        :meth:`_collect`.  Of the rest, those that are whole runs of
+        right-sized data frames (first byte and length pick them, one
+        comparison over the joined buffer confirms every frame head)
+        become one ``(n, record_size)`` array, and only the others
+        (manifests, feedback, foreign traffic) are parsed frame by
+        frame.  Where arrival order is at stake — a record came before
+        the manifest, one of the others could carry a data record too
+        (the frame head occurs somewhere in it), or a picked datagram's
+        heads do not hold — the whole drain takes :meth:`_collect`.
+        """
+        batch: List[bytes] = []
+        told = 0
+        while told < len(drain) and self._record_bytes is None:
+            # no telling a run before a manifest says how long a record is
+            self._collect(*drain[told], batch)
+            told += 1
+        drain = drain[told:]
+        size = self._record_bytes
+        if size is not None and not batch:
+            head = frame_head(FRAME_DATA, size)
+            step = len(head) + size
+            is_run = [len(data) % step == 0 and data[:1] == head[:1]
+                      for data, _ in drain]
+            records = None
+            if not any(head in data
+                       for (data, _), run in zip(drain, is_run) if not run):
+                records = unframe_records(b"".join(
+                    [data for (data, _), run in zip(drain, is_run) if run]),
+                    size)
+            if records is not None:
+                for (data, addr), run in zip(drain, is_run):
+                    if run:
+                        self.datagrams += 1
+                        self._sender = addr
+                    else:
+                        self._collect(data, addr, batch)
+                return records
+        for data, addr in drain:
+            self._collect(data, addr, batch)
+        return batch
+
     def record_batches(self, timeout: Optional[float] = None
-                       ) -> Iterator[List[bytes]]:
+                       ) -> Iterator[Union[List[bytes], np.ndarray]]:
         """One batch per socket drain: everything queued when we poll.
 
         Blocks for the first datagram of a poll (honouring the silence
         timeout), then empties the kernel's receive queue without
         blocking — so a burst that arrived while the decoder was busy
         becomes a single ingest call instead of one wakeup per packet.
-        Records buffered while :meth:`manifest` waited come first.
+        Records buffered while :meth:`manifest` waited come first.  A
+        batch is a sequence of records: a list of ``bytes``, or — a
+        drain of nothing but data datagrams and control frames — one
+        ``(n, record_size)`` uint8 array whose rows are the records.
         """
         wait = self.timeout if timeout is None else float(timeout)
         batch = [body for body in self._pending
                  if not self._wrong_size(body)]
         self._pending.clear()
         if batch:
+            self.records_yielded += len(batch)
             yield batch
         while not self._closed:
             self.socket.settimeout(wait)
             heard = self._recv()
             if heard is None:
                 return
-            batch = []
-            # Then drain whatever else already sits in the kernel queue.
-            self.socket.settimeout(0.0)
-            while heard is not None:
-                self._collect(*heard, batch)
-                heard = self._recv()
-            if batch:
+            batch = self._drain_records(self._queued(heard))
+            if len(batch):
+                self.records_yielded += len(batch)
                 yield batch
 
 
@@ -513,11 +580,19 @@ class UdpTransport(Transport):
         Emissions are drawn a window at a time
         (:meth:`~repro.transfer.server.TransferServer.record_window`,
         framed in one buffer), while every check above still runs once
-        per emission.  When the serve ends with part of a window unsent
-        the source takes those emissions back (``unwind``), so a later
-        serve — or ``packets()`` — continues the stream from the last
-        frame that reached the socket; ``emitted`` counts frames
-        offered to the socket loop, as always.
+        per emission.  Consecutive frames bound for one destination
+        leave as one datagram — a slice of that buffer — for as long as
+        it stays within :data:`~repro.net.transport.base.
+        DATAGRAM_BUDGET`: a run ends at the budget, at a frame the loss
+        channel drops for that destination, before a manifest frame
+        (always a datagram of its own), before the token bucket sleeps
+        (a paced stream never parks a frame behind a sleep), and
+        wherever the window or the serve ends.  When the serve ends
+        with part of a window unsent the source takes those emissions
+        back (``unwind``), so a later serve — or ``packets()`` —
+        continues the stream from the last frame that reached the
+        socket; ``emitted`` / ``delivered`` / ``dropped`` count frames,
+        as always, and ``datagrams`` the data datagrams they left in.
         """
         should_stop = _stop_check(stop)
         adaptive = policy is not None
@@ -552,11 +627,29 @@ class UdpTransport(Transport):
         start = time.perf_counter()
         deadline = None if duration is None else start + float(duration)
         emitted = delivered = dropped = manifest_frames = 0
-        feedback_frames = 0
+        feedback_frames = datagrams = 0
         # Records of the current window not yet handed to the socket: a
         # window left part-sent (stop, duration, everyone complete) ends
         # the serve.
         pending = 0
+        # Each destination's open run: window rows ``opened[di]`` up to
+        # the one being emitted survived and wait to share a datagram.
+        opened = [0] * len(self.destinations)
+        rows = 0
+
+        def send_run(di: int, end: int) -> None:
+            """One datagram: destination ``di``'s open run, up to row ``end``."""
+            nonlocal datagrams
+            if opened[di] < end:
+                transport.sendto(wire[opened[di] * step:end * step],
+                                 self.destinations[di])
+                datagrams += 1
+            opened[di] = end
+
+        def flush(end: int) -> None:
+            for di in range(len(opened)):
+                send_run(di, end)
+
         try:
             while not pending and (count is None or emitted < count):
                 size = (SERVE_WINDOW if count is None
@@ -579,17 +672,22 @@ class UdpTransport(Transport):
                 frames = frame_records(records)
                 wire = memoryview(frames.reshape(-1))
                 step = frames.shape[1]
-                pending = len(frames)
+                per = max(1, DATAGRAM_BUDGET // step)
+                rows = pending = len(frames)
+                opened[:] = [0] * len(opened)
                 survives = None if streams is None else [
                     stream.delivery_mask(pending).tolist()
                     for stream in streams]
-                for row in range(pending):
+                for row in range(rows):
                     if should_stop() or (deadline is not None and
                                          time.perf_counter() >= deadline):
                         break
                     slept = 0.0
                     if bucket is not None:
-                        slept = await bucket.throttle()
+                        slept = bucket.reserve()
+                        if slept > 0.0:
+                            flush(row)
+                            await asyncio.sleep(slept)
                     if slept == 0.0 and emitted % _YIELD_EVERY == 0:
                         # A CPU-bound serve below the pace rate never
                         # runs the bucket dry; yield anyway so the event
@@ -621,19 +719,26 @@ class UdpTransport(Transport):
                         if decision.weights and reweight is not None:
                             reweight(list(decision.weights))
                     if emitted % self.manifest_interval == 0:
+                        flush(row)
                         for dest in self.destinations:
                             transport.sendto(manifest_frame, dest)
                         manifest_frames += 1
-                    frame = wire[row * step:(row + 1) * step]
-                    for di, dest in enumerate(self.destinations):
+                    for di in range(len(opened)):
                         if survives is not None and not survives[di][row]:
                             dropped += 1
+                            send_run(di, row)
+                            opened[di] = row + 1
                             continue
-                        transport.sendto(frame, dest)
                         delivered += 1
+                        if row + 1 - opened[di] == per:
+                            send_run(di, row + 1)
                     emitted += 1
                     pending -= 1
+                flush(rows - pending)
         finally:
+            # The frames of a run still open were counted: they go out
+            # even when an exception ends the serve.
+            flush(rows - pending)
             if pending and draw is not None:
                 # Stopped (or interrupted) mid-window: the source resumes
                 # from the last frame handed to the socket, no id skipped.
@@ -656,4 +761,5 @@ class UdpTransport(Transport):
             socket_errors=protocol.errors,
             feedback_frames=feedback_frames,
             malformed_frames=protocol.malformed,
+            datagrams=datagrams,
         )

@@ -42,6 +42,13 @@ from repro.transfer.blocks import BlockPlan
 
 __all__ = ["ObjectCodec", "block_seed"]
 
+#: the fields :meth:`ObjectCodec.from_manifest` cannot do without, and
+#: the JSON type of each.  A manifest is read off a wire or a disk:
+#: one missing or mistyped is a protocol error that names the field
+#: (ranges and ceilings are not checked here).
+_MANIFEST_FIELDS = (("file_size", int), ("packet_size", int),
+                    ("block_packets", int), ("code", str), ("seed", int))
+
 
 class ObjectCodec:
     """One object, many blocks, one code per block.
@@ -177,6 +184,13 @@ class ObjectCodec:
         if manifest.get("kind") != "transfer":
             raise ProtocolError(
                 f"not a transfer manifest (kind={manifest.get('kind')!r})")
+        for field, kind in _MANIFEST_FIELDS:
+            value = manifest.get(field)
+            # bool is an int to isinstance, and never a size or a seed
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ProtocolError(
+                    f"transfer manifest field {field!r} must be "
+                    f"{kind.__name__}, got {value!r}")
         plan = BlockPlan(manifest["file_size"], manifest["packet_size"],
                          manifest["block_packets"])
         if plan.num_blocks != manifest.get("num_blocks", plan.num_blocks):

@@ -113,6 +113,45 @@ class TestUntrustedRecords:
             api.ReceiverSession(sender.manifest()).client.receive_index(
                 *((9999, 0) if field == 3 else (0, value)))
 
+    @pytest.mark.parametrize("spec,field,value", [
+        ("lt", None, None),
+        ("lt", 3, 9999),
+        ("tornado-a", 0, 2 ** 31),
+    ])
+    def test_record_matrix_equals_the_same_rows_as_bytes(self, spec, field,
+                                                          value):
+        """A drain hands over one ``(n, record_size)`` uint8 matrix — a
+        strided view behind the frame heads — and it is taken as the
+        same rows in a ``bytes`` list are, hostile headers included."""
+        data, sender, records = self._stream(spec, 2_048, 600)
+        if field is not None:
+            hostile = bytearray(records[7])
+            hostile[4 * field:4 * field + 4] = value.to_bytes(4, "big")
+            records[7] = bytes(hostile)
+        listed = api.ReceiverSession(sender.manifest())
+        matrix = api.ReceiverSession(sender.manifest())
+        framed = np.frombuffer(b"".join(b"\x01\x00\x00" + r for r in records),
+                               dtype=np.uint8).reshape(len(records), -1)
+        for lo in range(0, len(records), 37):
+            done = listed.receive_records(records[lo:lo + 37])
+            assert matrix.receive_records(framed[lo:lo + 37, 3:]) == done
+            assert matrix.packets_used == listed.packets_used
+            assert matrix.rejected == listed.rejected
+            assert matrix.stats() == listed.stats()
+        assert matrix.rejected == (field is not None)
+        assert matrix.is_complete and matrix.data() == listed.data() == data
+
+    def test_wrong_width_matrix_is_rejected_row_by_row(self):
+        data, sender, records = self._stream("lt", 2_048, 400)
+        receiver = api.ReceiverSession(sender.manifest())
+        rows = np.frombuffer(b"".join(records[:5]), dtype=np.uint8)
+        assert not receiver.receive_records(rows.reshape(5, -1)[:, 1:])
+        assert not receiver.receive_records(rows.reshape(10, -1))
+        assert receiver.rejected == 15 and receiver.packets_used == 0
+        assert not receiver.receive_records(
+            np.zeros((0, receiver.record_size), dtype=np.uint8))
+        assert receiver.receive_records(records) and receiver.data() == data
+
     @pytest.mark.parametrize("spec,block_size", [
         ("lt", 2_048), ("raptor", 8_192), ("tornado-a", 2_048),
         ("rs", 8_192)])
@@ -156,6 +195,54 @@ class TestUntrustedRecords:
         assert receiver.is_complete
         assert receiver.rejected == hostile
         assert receiver.data() == payload
+
+
+#: every field ``ObjectCodec.from_manifest`` indexes, with a value of
+#: the wrong JSON type for it.
+MANIFEST_DAMAGE = [(field, damage)
+                   for field, wrong in [("file_size", "6000"),
+                                        ("packet_size", 64.0),
+                                        ("block_packets", [32]),
+                                        ("code", 7), ("seed", True)]
+                   for damage in ("missing", wrong)]
+
+
+def damaged_manifest(field, damage):
+    """A sender's manifest, JSON round-tripped, minus or with a
+    mistyped ``field``."""
+    sender = api.SenderSession(_random_bytes(6_000, seed=3), code="lt",
+                               packet_size=64, block_size=2_048, seed=9)
+    manifest = json.loads(json.dumps(sender.manifest()))
+    if damage == "missing":
+        del manifest[field]
+    else:
+        manifest[field] = damage
+    return manifest
+
+
+class TestUntrustedManifest:
+    """A manifest arrives as JSON off a socket or a disk: one that lacks
+    a field, or carries a string where an int belongs, is a
+    ``ProtocolError`` naming the field — not a ``KeyError`` or a
+    ``TypeError`` out of the geometry."""
+
+    @pytest.mark.parametrize("field,damage", MANIFEST_DAMAGE)
+    def test_receiver_session_names_the_field(self, field, damage):
+        with pytest.raises(ProtocolError, match=f"'{field}' must be"):
+            api.ReceiverSession(damaged_manifest(field, damage))
+
+    def test_kind_alone_is_not_a_manifest(self):
+        with pytest.raises(ProtocolError, match="'file_size'"):
+            api.ReceiverSession({"kind": "transfer"})
+
+    @pytest.mark.parametrize("field,damage", MANIFEST_DAMAGE)
+    def test_recorded_directory_names_the_field(self, tmp_path, field,
+                                                damage):
+        (tmp_path / api.MANIFEST_NAME).write_text(
+            json.dumps(damaged_manifest(field, damage)))
+        (tmp_path / api.STREAM_NAME).write_bytes(b"")
+        with pytest.raises(ProtocolError, match=f"'{field}' must be"):
+            api.receive_stream(tmp_path)
 
 
 class TestSendReceiveFiles:

@@ -14,7 +14,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import api
@@ -483,7 +483,8 @@ def _check_against_eager(family, kind, seed, step, backend, payload, probe,
                 else:
                     decoder.add_packets(chunk, payloads)
             assert _state(held) == _state(eager), (call, chunk)
-            assert held.inactivation_runs <= eager.inactivation_runs
+            assert (held.inactivation_runs - held.fold_runs
+                    <= eager.inactivation_runs - eager.fold_runs)
             assert eager.held_rows == 0
             if droplets:
                 assert (held._equations_seen + held.held_rows
@@ -505,6 +506,11 @@ def _check_against_eager(family, kind, seed, step, backend, payload, probe,
 
 
 @settings(max_examples=120, deadline=None)
+@example("tornado-b", "interleaved", 3251, 1, "vectorized", False, 0)
+@example("tornado-b", "repair-first", 14, 1, "vectorized", False, 0)
+@example("tornado-b", "repair-first", 36, 1, "vectorized", False, 0)
+@example("tornado-b", "interleaved", 13, 1, "vectorized", False, 0)
+@example("tornado-b", "duplicates", 13, 1, "vectorized", False, 0)
 @given(family=st.sampled_from(["raptor", "lt", "tornado-a", "tornado-b"]),
        kind=st.sampled_from(_KINDS + ["stalled-tail"]),
        seed=st.integers(0, 2 ** 16),
@@ -516,8 +522,24 @@ def test_deferred_intake_matches_eager_oracle(family, kind, seed, step,
                                               backend, payload, probe):
     """Same completing packet, bytes, counters and
     ``min_additional_packets`` after every single call, never more
-    finisher runs — and a read of partial state mid-hold (after call
-    number ``probe``) answers what eager intake would."""
+    factorizations — and a read of partial state mid-hold (after call
+    number ``probe``) answers what eager intake would.
+
+    The finisher invariant is ``inactivation_runs - fold_runs``, held
+    against eager: how often the stalled system was factored from
+    scratch.  Attempts as such are not comparable once a Tornado tail
+    folds into the kept factorization.  Both decoders pass the same
+    stall gate, but the gate ticks per event and the two see different
+    events: a packet for a node eager peeling has already recovered
+    never reaches the eager engine, while behind a kept factorization
+    that node is still an unknown, so the packet is one more (redundant)
+    degree-one row and, at deficit one, one more attempt; and eager
+    peeling can finish a block in a cascade where the folded system is
+    retried on every arrival.  Each such retry is one ``fold_row``, not
+    a ``factor_gf2`` — the pinned examples below (found by fuzzing: 6
+    attempts against 5 at call 206 of the first, 23 against 12 by its
+    completion) each factor once where eager factors on every attempt.
+    """
     _check_against_eager(family, kind, seed, step, backend, payload, probe)
 
 
@@ -530,7 +552,8 @@ def test_tail_arrivals_fold_into_the_kept_factorization(k, payload, backend):
     redundancy, a repeat — lands while the finisher keeps a
     factorization, one at a time and in batches, and the decoder still
     answers call for call what its eager oracle does, with never more
-    finisher runs."""
+    factorizations (folds counted apart: see
+    ``test_deferred_intake_matches_eager_oracle``)."""
     assert len(build_code("tornado-b", k, seed=0).structure.graphs) == (
         3 if k == _K_THREE_LAYERS else 1)
     seen = dict.fromkeys(_TAIL_KINDS, 0)

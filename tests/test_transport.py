@@ -11,6 +11,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import api
 from repro.errors import ParameterError, ProtocolError, ReproError
@@ -27,6 +29,8 @@ from repro.net.transport import (
     pack_frame,
     parse_address,
 )
+from repro.net.transport.base import FRAME_FEEDBACK
+from test_api import MANIFEST_DAMAGE, damaged_manifest
 
 
 def _random_bytes(n, seed):
@@ -46,6 +50,62 @@ def _udp_available():
 
 needs_udp = pytest.mark.skipif(
     not _udp_available(), reason="UDP loopback sockets unavailable")
+
+#: the datagram alphabet of the drain property: a manifest for 20-byte
+#: records (12-byte header + 8), so a data frame is 23 bytes.
+_MANIFEST = {"code": "lt", "packet_size": 8, "num_blocks": 1}
+_RECORD = 20
+_MANIFEST_FRAME = pack_frame(FRAME_MANIFEST,
+                             json.dumps(_MANIFEST).encode("utf-8"))
+_frame = st.binary(min_size=_RECORD, max_size=_RECORD).map(
+    lambda body: pack_frame(FRAME_DATA, body))
+_run = st.lists(_frame, min_size=1, max_size=12).map(b"".join)
+_odd_frame = st.binary(max_size=2 * _RECORD).filter(
+    lambda body: len(body) != _RECORD).map(
+        lambda body: pack_frame(FRAME_DATA, body))
+
+
+@st.composite
+def _lookalike(draw):
+    """A run's length, but some frame head says otherwise."""
+    run = bytearray(draw(_run))
+    frame = draw(st.integers(0, len(run) // (3 + _RECORD) - 1))
+    run[frame * (3 + _RECORD) + draw(st.integers(0, 2))] ^= draw(
+        st.integers(1, 255))
+    return bytes(run)
+
+
+#: datagrams the one-pass drain takes in its stride: whole runs, and
+#: control or broken frames that can carry no right-sized record ...
+_QUIET = st.one_of(
+    _run, _run, _run, _run,
+    st.just(_MANIFEST_FRAME),
+    st.just(pack_frame(FRAME_MANIFEST, json.dumps(
+        dict(_MANIFEST, packet_size=9)).encode("utf-8"))),
+    st.just(pack_frame(FRAME_MANIFEST, b"\xffnot json")),
+    st.just(pack_frame(FRAME_FEEDBACK, b"\x00\x07report")),
+    _run.map(lambda run: run[:2]),                  # truncated head
+    _odd_frame,
+)
+#: ... and the ones that put arrival order at stake, or look like a run
+#: and are not.
+_LOUD = st.one_of(
+    st.tuples(_run, st.integers(1, _RECORD)).map(   # truncated body
+        lambda cut: cut[0][:-cut[1]]),
+    # two wrong sizes that add up to two right ones
+    st.just(pack_frame(FRAME_DATA, bytes(_RECORD - 1))
+            + pack_frame(FRAME_DATA, bytes(_RECORD + 1))),
+    st.tuples(_frame, _odd_frame).map(b"".join),
+    _frame.map(lambda frame: _MANIFEST_FRAME + frame),  # glued to a manifest
+    _frame.map(lambda frame: pack_frame(FRAME_FEEDBACK, frame)),
+    _lookalike(),
+    st.binary(max_size=70),
+)
+_hosts = st.integers(1, 3)
+_DRAINS = st.one_of(
+    st.lists(st.tuples(_QUIET, _hosts), max_size=12),
+    st.lists(st.tuples(st.one_of(_QUIET, _LOUD), _hosts), max_size=12),
+)
 
 
 class TestFraming:
@@ -498,6 +558,18 @@ class TestUdpUnicast:
         assert sub.manifest_conflicts == 1  # the spoof; re-sends are no-ops
         assert "manifest_conflicts=1" in repr(sub)
 
+    @pytest.mark.parametrize("field,damage", MANIFEST_DAMAGE)
+    def test_damaged_in_band_manifest_is_a_protocol_error(self, field,
+                                                          damage):
+        with UdpSubscription("127.0.0.1:0", timeout=2.0) as sub:
+            noise = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            noise.sendto(pack_frame(FRAME_MANIFEST, json.dumps(
+                damaged_manifest(field, damage)).encode("utf-8")),
+                sub.address)
+            noise.close()
+            with pytest.raises(ProtocolError, match=f"'{field}' must be"):
+                api.ReceiverSession.from_subscription(sub)
+
     def test_manifest_that_is_not_an_object_is_not_adopted(self):
         manifest = {"code": "lt", "packet_size": 8, "num_blocks": 1}
         with UdpSubscription("127.0.0.1:0", timeout=2.0) as sub:
@@ -507,6 +579,59 @@ class TestUdpUnicast:
             noise.close()
             assert sub.manifest() == manifest
             assert sub.malformed == 1 and sub.manifest_conflicts == 0
+
+    # -- the one-pass drain against the datagram loop ------------------------------
+
+    @settings(max_examples=300, deadline=None)
+    @given(drains=st.lists(_DRAINS, min_size=1, max_size=3),
+           adopted=st.booleans())
+    def test_drain_equals_collect_one_datagram_at_a_time(self, drains,
+                                                         adopted):
+        """Any datagram sequence — runs, manifests, feedback, truncated
+        and wrong-size frames, look-alikes — parsed a drain at a time
+        yields what ``_collect`` yields a datagram at a time: records in
+        order, the counters, the adopted manifest, the remembered
+        sender."""
+        with UdpSubscription("127.0.0.1:0") as fast, \
+                UdpSubscription("127.0.0.1:0") as slow:
+            got, want = [], []
+            if adopted:
+                for sub in (fast, slow):
+                    sub._collect(_MANIFEST_FRAME, ("10.0.0.9", 9), [])
+            for drain in drains:
+                drain = [(data, ("10.0.0.%d" % host, 9000 + host))
+                         for data, host in drain]
+                batch = fast._drain_records(drain)
+                if isinstance(batch, np.ndarray):
+                    assert batch.shape[1:] == (fast._record_bytes,)
+                    batch = [row.tobytes() for row in batch]
+                got += batch
+                for data, addr in drain:
+                    slow._collect(data, addr, want)
+                assert got == want
+                for field in ("datagrams", "malformed", "manifest_conflicts",
+                              "_sender", "_manifest", "_record_bytes"):
+                    assert getattr(fast, field) == getattr(slow, field), field
+
+    def test_small_packet_fetch_rides_ten_records_a_datagram(self):
+        """P = 128 over loopback: byte-exact, ten 147-byte frames to a
+        datagram — a manifest heard costs itself and the run it cut."""
+        data = _random_bytes(300_000, seed=43)
+        session = api.SenderSession(data, code="raptor", packet_size=128,
+                                    block_size=32_768, seed=7)
+        with UdpSubscription("127.0.0.1:0", timeout=10.0) as sub:
+            report = session.serve(UdpTransport([sub.address]),
+                                   count=session.total_k + 100)
+            receiver = api.ReceiverSession.from_subscription(sub)
+            sub.feed(receiver)
+            assert receiver.data() == data
+            assert sub.malformed == 0
+            assert sub.records_yielded >= session.total_k
+            assert (sub.datagrams <= -(-sub.records_yielded // 10)
+                    + 2 * report.manifest_frames)
+        assert report.delivered == report.emitted
+        assert report.datagrams <= (-(-report.delivered // 10)
+                                    + report.manifest_frames)
 
 
 @needs_udp
@@ -586,6 +711,40 @@ class TestUdpCli:
         fetcher.join(timeout=30)
         assert codes == {"serve": 0, "fetch": 0}
         assert out.read_bytes() == data
+
+    @pytest.mark.parametrize("field,damage", MANIFEST_DAMAGE)
+    def test_fetch_rejects_a_damaged_manifest_by_name(self, tmp_path, capsys,
+                                                      field, damage):
+        """The first in-band manifest a fetch adopts, minus a key or
+        with one mistyped: exit 2 naming the field, no traceback, no
+        output file."""
+        from repro.cli import main
+
+        frame = pack_frame(FRAME_MANIFEST, json.dumps(
+            damaged_manifest(field, damage)).encode("utf-8"))
+        probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        noise = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        done = threading.Event()
+
+        def spray():        # until the fetcher has bound and heard one
+            while not done.wait(0.02):
+                noise.sendto(frame, ("127.0.0.1", port))
+
+        sprayer = threading.Thread(target=spray)
+        sprayer.start()
+        try:
+            rc = main(["fetch", f"127.0.0.1:{port}",
+                       str(tmp_path / "never.bin"), "--timeout", "5"])
+        finally:
+            done.set()
+            sprayer.join(timeout=5)
+            noise.close()
+        assert rc == 2
+        assert f"'{field}' must be" in capsys.readouterr().err
+        assert not (tmp_path / "never.bin").exists()
 
     def test_fetch_times_out_cleanly(self, tmp_path):
         from repro.cli import main

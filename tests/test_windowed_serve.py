@@ -11,13 +11,16 @@ Three layers, all held to per-packet oracles on both codec backends:
   :mod:`tests._oracles`: same ``ServeReport`` counters, same subscriber
   record bytes, same ``stream.pkt`` and ``manifest.json`` bytes;
 * the **windowed UDP serve** (``TransferServer.record_window`` framed
-  in one buffer, a thin per-emission row loop) against
-  ``oracle_udp_serve``: the same datagrams on loopback, in order, and
-  no id skipped when a stop lands mid-window.
+  in one buffer, a thin per-emission row loop, consecutive frames
+  sharing a datagram up to ``DATAGRAM_BUDGET``) against
+  ``oracle_udp_serve``: the same frames on loopback, in order, and no
+  id skipped when a stop lands mid-window — and the rule for which
+  frames share a datagram pinned on its own.
 """
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import socket
 from itertools import islice
@@ -46,11 +49,13 @@ from repro.net.loss import BernoulliLoss, GilbertElliottLoss
 from repro.net.transport import FileTransport, MemoryTransport, UdpTransport
 from repro.net.transport import udp as udp_module
 from repro.net.transport.base import (
+    DATAGRAM_BUDGET,
     FRAME_DATA,
     FRAME_MANIFEST,
     SERVE_WINDOW,
     iter_frames,
 )
+from repro.net.transport.pacing import TokenBucket
 from repro.net.transport.udp import UdpSubscription
 from repro.protocol.adaptive import AdaptivePolicy, PolicyDecision
 from repro.protocol.stream import layered_packet_source
@@ -553,19 +558,33 @@ def ears():
         ear.close()
 
 
-def _udp_run(serve, session, ears, *, destinations=1, loss=0.0, loss_seed=5,
-             **options):
-    """One serve; ``(counters, datagrams per destination)``."""
+def _udp_datagrams(serve, session, ears, *, destinations=1, loss=0.0,
+                   loss_seed=5, pace=None, **options):
+    """One serve; ``(report, datagrams per destination)``."""
     transport = UdpTransport([ear.address for ear in ears[:destinations]],
-                             loss=loss, seed=loss_seed)
+                             loss=loss, seed=loss_seed, pace=pace)
     report = serve(transport, session, **options)
-    return _counters(report), [ear.drain() for ear in ears[:destinations]]
+    return report, [ear.drain() for ear in ears[:destinations]]
 
 
-def _data_records(datagrams):
-    """The data-frame bodies of a datagram run, in order."""
-    return [body for datagram in datagrams
-            for kind, body in iter_frames(datagram) if kind == FRAME_DATA]
+def _udp_run(serve, session, ears, **options):
+    """One serve; ``(counters, frame stream per destination)``.
+
+    The frame stream — every datagram's ``iter_frames``, flattened — is
+    the contract: how many frames share a datagram is the sender's
+    business, so ``datagrams`` is left out of the counters compared.
+    """
+    report, heard = _udp_datagrams(serve, session, ears, **options)
+    counters = _counters(report)
+    del counters["datagrams"]
+    return counters, [[frame for datagram in datagrams
+                       for frame in iter_frames(datagram)]
+                      for datagrams in heard]
+
+
+def _data_records(frames):
+    """The data-frame bodies of a frame stream, in order."""
+    return [body for kind, body in frames if kind == FRAME_DATA]
 
 
 class _BareSession:
@@ -608,6 +627,8 @@ class TestUdpServe:
                              ids=["multi-block", "single-block"])
     def test_datagrams_identical_to_per_packet_loop(self, backend, ears,
                                                     code, size):
+        """The frames of the per-packet loop's datagrams, in its order
+        (since frames began to share datagrams, no longer one each)."""
         got = _udp_run(UdpTransport.serve, _session(code, size=size), ears,
                        count=333)
         want = _udp_run(oracle_udp_serve, _session(code, size=size), ears,
@@ -617,8 +638,7 @@ class TestUdpServe:
         assert len(records) == 333
         assert len(records[0]) == PACKET + (16 if size == OBJECT else 12)
         # manifest frames sit where they sat: before emissions 0, 64, ...
-        kinds = [next(iter_frames(d))[0] for d in got[1][0]]
-        assert [i for i, kind in enumerate(kinds)
+        assert [i for i, (kind, _) in enumerate(got[1][0])
                 if kind == FRAME_MANIFEST] == [0, 65, 130, 195, 260, 325, 339]
 
     @pytest.mark.parametrize("code", ["lt", "tornado-b"])
@@ -686,6 +706,97 @@ class TestUdpServe:
         assert got == _udp_run(oracle_udp_serve, session(), ears, count=100)
         assert len(_data_records(got[1][0])) == 100
 
+    # -- which frames share a datagram -----------------------------------------
+
+    def test_runs_end_at_budget_drop_manifest_and_window(self, backend, ears,
+                                                         monkeypatch):
+        """Every data datagram is the longest run the rule allows: whole
+        frames, within the budget, serials consecutive (so none spans a
+        row dropped for that destination) and inside one manifest
+        interval and one window."""
+        window, interval, step = 150, 64, 3 + 16 + PACKET
+        per = DATAGRAM_BUDGET // step
+        monkeypatch.setattr(udp_module, "SERVE_WINDOW", window)
+        report, heard = _udp_datagrams(
+            UdpTransport.serve, _session("lt"), ears, destinations=2,
+            loss=0.03, count=500)
+        assert report.dropped > 0 and per == 28
+        total = []
+        for datagrams in heard:
+            runs = []
+            for datagram in datagrams:
+                frames = list(iter_frames(datagram))
+                if frames[0][0] == FRAME_MANIFEST:
+                    assert len(frames) == 1     # a datagram of its own
+                    continue
+                assert len(datagram) == len(frames) * step <= DATAGRAM_BUDGET
+                assert {kind for kind, _ in frames} == {FRAME_DATA}
+                serials = [int.from_bytes(body[4:8], "big")
+                           for _, body in frames]
+                assert serials == list(range(serials[0], serials[-1] + 1))
+                assert serials[0] // interval == serials[-1] // interval
+                assert serials[0] // window == serials[-1] // window
+                runs.append(serials)
+            for run, after in zip(runs, runs[1:]):
+                cut = after[0]
+                if cut == run[-1] + 1 and cut % interval and cut % window:
+                    assert len(run) == per      # only the budget ended it
+            assert max(map(len, runs)) == per
+            total += runs
+        assert report.datagrams == len(total)
+        assert report.delivered == sum(map(len, total))
+
+    @pytest.mark.parametrize("packet", [722, 1024, 2000])
+    def test_wide_frames_travel_alone_byte_identical(self, backend, ears,
+                                                     packet):
+        """A frame wider than half the budget — or than all of it — is
+        its own datagram, exactly the per-packet loop's."""
+        def run(serve):
+            session = api.SenderSession(
+                _data(3, 40 * packet), code="lt", packet_size=packet,
+                block_size=16 * packet, seed=3)
+            report, heard = _udp_datagrams(serve, session, ears,
+                                           loss=0.2, count=100)
+            return report.delivered, heard
+
+        got = run(UdpTransport.serve)
+        assert got == run(oracle_udp_serve)
+        assert all(len(list(iter_frames(d))) == 1 for d in got[1][0])
+
+    def test_half_budget_frames_pair_up(self, backend, ears):
+        session = api.SenderSession(_data(3, 40 * 721), code="lt",
+                                    packet_size=721, block_size=64 * 721,
+                                    seed=3)
+        report, heard = _udp_datagrams(UdpTransport.serve, session, ears,
+                                       count=64)
+        assert report.datagrams == 32
+        assert {len(d) for d in heard[0][1:-1]} == {DATAGRAM_BUDGET}
+
+    def test_paced_serve_sends_each_frame_before_the_sleep(self, backend,
+                                                           ears, monkeypatch):
+        """One token at a time on an injected clock: when the bucket
+        sleeps before emission ``r``, frames ``0 .. r-1`` are already on
+        the wire, not parked in an open run."""
+        now, heard, sleeps = [0.0], [], []
+        real_sleep = asyncio.sleep
+
+        async def sleep(delay):
+            if delay > 0:
+                heard.extend(ears[0].drain())
+                sleeps.append(sum(kind == FRAME_DATA for datagram in heard
+                                  for kind, _ in iter_frames(datagram)))
+                now[0] += delay
+            await real_sleep(0)
+
+        monkeypatch.setattr(
+            udp_module, "TokenBucket",
+            lambda rate: TokenBucket(rate, clock=lambda: now[0]))
+        monkeypatch.setattr(udp_module.asyncio, "sleep", sleep)
+        report, _ = _udp_datagrams(UdpTransport.serve, _session("lt"), ears,
+                                   pace=10.0, count=12)
+        assert report.emitted == 12
+        assert sleeps == list(range(1, 12))
+
     # -- a stop mid-window skips no id ------------------------------------------
 
     def _straight(self, code, ears, count):
@@ -720,6 +831,26 @@ class TestUdpServe:
                 + _data_records(second[1][0])
                 == self._straight(code, ears, 142))
 
+    def test_exception_mid_run_sends_what_was_counted(self, backend, ears):
+        """An exception leaves with a run open: its frames go out, so
+        the stream resumes with no id skipped or sent twice."""
+        session = _session("lt")
+        asked = []
+
+        def stop():
+            asked.append(None)
+            if len(asked) > 37:
+                raise RuntimeError("stop flag broke")
+            return False
+
+        with pytest.raises(RuntimeError):
+            _udp_run(UdpTransport.serve, session, ears, count=200, stop=stop)
+        first = _data_records([frame for datagram in ears[0].drain()
+                               for frame in iter_frames(datagram)])
+        assert len(first) == 37
+        assert (first + [p.to_bytes() for p in session.packets(5)]
+                == self._straight("lt", ears, 42))
+
     def test_all_complete_mid_serve_then_serve_again(self, backend, ears):
         session = _session("lt")
         policy = _ScriptedPolicy([((), False), ((), True)])
@@ -753,6 +884,8 @@ class TestUdpServe:
             assert receiver.is_complete and receiver.data() == data
             assert sub.malformed == 1
             # the feed stops reading once the decode completes
-            assert (1 + 157 < sub.datagrams
-                    <= 1 + report.emitted + report.manifest_frames)
-            assert f"datagrams={sub.datagrams}" in repr(sub)
+            assert (1 + report.datagrams < sub.datagrams
+                    <= 1 + report.datagrams + report.manifest_frames)
+            assert sub.records_yielded == receiver.packets_used == 157
+            assert (f"datagrams={sub.datagrams}, records=157, malformed=1"
+                    in repr(sub))
