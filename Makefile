@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test test-reference fuzz coverage test-udp bench-smoke bench-transfer \
-	bench-ingest bench-raptor bench-adaptive bench-udp bench-swarm \
+	bench-ingest bench-raptor bench-adaptive bench-swarm \
 	bench-gate bench-e2e bench-e2e-quick \
 	swarm-smoke docs-check typecheck all
 
@@ -56,8 +56,8 @@ test-udp:
 
 # One quick pass over the benchmark suite — catches rot in the
 # table/figure harnesses without paying for full measurement runs.
-# Includes the transfer sweep and the UDP throughput bench, which
-# publish BENCH_transfer.json / BENCH_udp.json at the repo root.
+# Includes the transfer sweep, which publishes BENCH_transfer.json at
+# the repo root.  (UDP delivery is measured by bench-e2e below.)
 bench-smoke:
 	$(PYTHON) -m pytest -q benchmarks/bench_*.py
 
@@ -83,10 +83,6 @@ bench-raptor:
 # in-bench and cross-case locked by bench-gate on both backends).
 bench-adaptive:
 	$(PYTHON) -m pytest -q benchmarks/bench_adaptive.py
-
-# UDP loopback delivery: sender spray rate + end-to-end goodput.
-bench-udp:
-	$(PYTHON) -m pytest -q benchmarks/bench_udp_throughput.py
 
 # Swarm scenario engine: receivers/sec + overhead percentiles at bench
 # scale (publishes BENCH_swarm.json).

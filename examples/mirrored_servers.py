@@ -9,37 +9,22 @@ overlap, so some received packets are duplicates.  This example
 measures exactly that trade-off: download speedup from aggregation
 versus the duplicate rate, for mirrors that share one code.
 
+The download itself is the library's
+``repro.fountain.aggregate.simulate_aggregate_download``, which seeds
+its mirrors' carousel orders from the rng it is given — so the numbers
+differ from earlier versions of this example, which seeded them by hand.
+
 Run:  python examples/mirrored_servers.py
 """
 
 import numpy as np
 
 from repro import tornado_a
-from repro.fountain.carousel import CarouselServer
+from repro.fountain.aggregate import simulate_aggregate_download
 from repro.net.loss import BernoulliLoss
 
 K = 1000
 SEED = 9
-
-
-def download(code, servers, loss, horizon, rng):
-    """Interleave the servers' streams; return (slots, received, distinct).
-
-    One wall-clock slot delivers one packet from *each* mirror (they
-    transmit in parallel), subject to loss.
-    """
-    decoder = code.new_decoder()
-    streams = [srv.index_stream(horizon) for srv in servers]
-    total = 0
-    for slot in range(horizon):
-        for stream in streams:
-            if loss.losses(1, rng)[0]:
-                continue
-            total += 1
-            decoder.add_packet(int(stream[slot]))
-            if decoder.is_complete:
-                return slot + 1, total, decoder.packets_added
-    raise RuntimeError("download did not complete")
 
 
 def main() -> None:
@@ -51,14 +36,16 @@ def main() -> None:
           f"{'duplicates':>10}")
     base_slots = None
     for mirrors in (1, 2, 3, 4):
-        # Each mirror carousels the same encoding in its own random order.
-        servers = [CarouselServer(code, seed=100 + m) for m in range(mirrors)]
-        slots, total, distinct = download(code, servers, loss,
-                                          horizon=4 * code.n, rng=rng)
+        # Each mirror carousels the same encoding in its own random
+        # order; a wall-clock slot carries one packet from every mirror.
+        result = simulate_aggregate_download(code, mirrors, loss, rng=rng,
+                                             max_cycles=4)
         if base_slots is None:
-            base_slots = slots
-        print(f"{mirrors:>8}  {slots:>6}  {base_slots / slots:>8.2f}x  "
-              f"{total:>9}  {total - distinct:>10}")
+            base_slots = result.slots
+        print(f"{mirrors:>8}  {result.slots:>6}  "
+              f"{base_slots / result.slots:>8.2f}x  "
+              f"{result.stats.total_received:>9}  "
+              f"{result.stats.duplicates:>10}")
     print("\naggregation cuts download time; duplicates stay modest because")
     print("each mirror permutes the same stretch-2 encoding independently")
     print("(the paper's Section 8 notes bigger stretch factors reduce them")

@@ -44,6 +44,16 @@ def run(sizes_kb: Optional[Sequence[int]] = None,
     sizes = list(sizes_kb) if sizes_kb is not None else PAPER_SIZES_KB
     values: Dict[float, Dict[str, Tuple[List[float], List[float]]]] = {
         p: {} for p in loss_rates}
+
+    def record(p: float, label: str, pool, stream: int) -> None:
+        """Append ``pool``'s average and worst case to ``label``'s series
+        (the worst case draws from rng stream ``stream + 0x1000``)."""
+        avgs, worsts = values[p].setdefault(label, ([], []))
+        avgs.append(pool.average_over_receivers(
+            num_receivers, experiments, spawn_rng(seed, stream)))
+        worsts.append(pool.worst_case(
+            num_receivers, experiments, spawn_rng(seed, stream + 0x1000)))
+
     for si, size in enumerate(sizes):
         k = int(size)
         code = tornado_a(k, seed=seed)
@@ -54,34 +64,14 @@ def run(sizes_kb: Optional[Sequence[int]] = None,
             fpool = build_fountain_pool(
                 tpool, code.n, loss, pool_size=pool_size,
                 rng=spawn_rng(seed, int(0x1000 + si * 10 + p * 100)))
-            label = "tornado-a"
-            avg = fpool.average_over_receivers(
-                num_receivers, experiments,
-                spawn_rng(seed, int(0x2000 + si * 10 + p * 100)))
-            worst = fpool.worst_case(
-                num_receivers, experiments,
-                spawn_rng(seed, int(0x3000 + si * 10 + p * 100)))
-            values[p].setdefault(label, ([], []))
-            values[p][label][0].append(avg)
-            values[p][label][1].append(worst)
+            record(p, "tornado-a", fpool, int(0x2000 + si * 10 + p * 100))
             for block_k in block_sizes:
-                icode = InterleavedCode(k, block_k)
                 ipool = build_interleaved_pool(
-                    icode, loss, pool_size=pool_size,
+                    InterleavedCode(k, block_k), loss, pool_size=pool_size,
                     rng=spawn_rng(seed,
                                   int(0x4000 + si * 10 + p * 100 + block_k)))
-                label = f"interleaved k={block_k}"
-                avg = ipool.average_over_receivers(
-                    num_receivers, experiments,
-                    spawn_rng(seed,
-                              int(0x5000 + si * 10 + p * 100 + block_k)))
-                worst = ipool.worst_case(
-                    num_receivers, experiments,
-                    spawn_rng(seed,
-                              int(0x6000 + si * 10 + p * 100 + block_k)))
-                values[p].setdefault(label, ([], []))
-                values[p][label][0].append(avg)
-                values[p][label][1].append(worst)
+                record(p, f"interleaved k={block_k}", ipool,
+                       int(0x5000 + si * 10 + p * 100 + block_k))
     return Figure5Result(sizes_kb=sizes, loss_rates=list(loss_rates),
                          num_receivers=num_receivers, values=values)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.codes.tornado.presets import tornado_a, tornado_b
 from repro.experiments.report import Table, render_table, seconds
@@ -49,84 +49,127 @@ class TimingCell:
 
 
 @dataclass
-class Table2Result:
+class TimingGrid:
+    """One timing table's measurements (Table 2 here, Table 3 beside it)."""
+
     sizes_kb: List[int]
     cells: Dict[str, Dict[int, TimingCell]] = field(default_factory=dict)
+    #: packets each Tornado run consumed, per preset then size, where the
+    #: timer reports it (Table 3's decodes; empty for Table 2's encodes).
+    tornado_packets_used: Dict[str, Dict[int, int]] = field(
+        default_factory=dict)
 
 
-def _extrapolate_quadratic(measured: Dict[int, float], size: int) -> float:
-    """Extend RS timings with the k^2 model the paper itself uses."""
-    base_size = max(measured)
-    return measured[base_size] * (size / base_size) ** 2
+@dataclass(frozen=True)
+class TimingTable:
+    """One of the paper's two timing tables: what to time for each cell
+    and what to print around the grid.
 
+    ``time_rs(size, payload, construction, seed=)`` returns seconds;
+    ``time_tornado(code, payload, seed=)`` returns ``(seconds, packets
+    used or None)``.  ``rs_max_kb`` is the default largest size at which
+    Reed-Solomon is timed for real.
+    """
 
-def run(sizes_kb: Optional[List[int]] = None, payload: int = 1024,
-        rs_max_kb: int = 1000, seed: int = 0) -> Table2Result:
-    """Measure (and where flagged, extrapolate) the Table 2 grid."""
-    sizes = sizes_kb if sizes_kb is not None else PAPER_SIZES_KB
-    result = Table2Result(sizes_kb=sizes)
-    for label, construction in (("vandermonde", "vandermonde"),
-                                ("cauchy", "cauchy")):
-        measured: Dict[int, float] = {}
-        cells: Dict[int, TimingCell] = {}
-        for size in sizes:
-            if size <= rs_max_kb:
-                measured[size] = time_rs_encode(size, payload, construction,
-                                                seed=seed)
-                cells[size] = TimingCell(measured[size])
-            else:
-                cells[size] = TimingCell(
-                    _extrapolate_quadratic(measured, size), extrapolated=True)
-        result.cells[label] = cells
-    for label, factory in (("tornado-a", tornado_a), ("tornado-b", tornado_b)):
-        cells = {}
-        for size in sizes:
-            code = factory(size, seed=seed)
-            cells[size] = TimingCell(time_tornado_encode(code, payload,
-                                                         seed=seed))
-        result.cells[label] = cells
-    return result
+    description: str
+    title: str
+    footnote: str
+    paper: Dict[str, Dict[int, float]]
+    time_rs: Callable[..., float]
+    time_tornado: Callable[..., Tuple[float, Optional[int]]]
+    rs_max_kb: int
 
+    def run(self, sizes_kb: Optional[List[int]] = None, payload: int = 1024,
+            rs_max_kb: Optional[int] = None, seed: int = 0) -> TimingGrid:
+        """Measure (and where flagged, extrapolate) the grid.
 
-def build_table(result: Table2Result) -> Table:
-    table = Table(
-        title="Table 2: Encoding times (measured here vs paper's 1998 "
-              "UltraSPARC)",
-        header=["SIZE", "Vandermonde", "Cauchy", "Tornado A", "Tornado B",
-                "paper Cauchy", "paper Tornado A"],
-        footnote="~ marks quadratic extrapolation beyond --rs-max-kb "
-                 "(the paper's own cost model); paper columns are the "
-                 "published 167 MHz UltraSPARC numbers.",
-    )
-    for size in result.sizes_kb:
-        label = f"{size} KB" if size < 1000 else f"{size // 1000} MB"
-        paper_c = PAPER_TABLE2["cauchy"].get(size)
-        paper_t = PAPER_TABLE2["tornado-a"].get(size)
-        table.add_row(
-            label,
-            result.cells["vandermonde"][size],
-            result.cells["cauchy"][size],
-            result.cells["tornado-a"][size],
-            result.cells["tornado-b"][size],
-            seconds(paper_c) if paper_c else "n/a",
-            seconds(paper_t) if paper_t else "n/a",
+        Sizes above ``rs_max_kb`` extend the largest measured RS timing
+        with the k^2 model the paper itself uses.
+        """
+        sizes = sizes_kb if sizes_kb is not None else PAPER_SIZES_KB
+        if rs_max_kb is None:
+            rs_max_kb = self.rs_max_kb
+        result = TimingGrid(sizes_kb=sizes)
+        for construction in ("vandermonde", "cauchy"):
+            cells: Dict[int, TimingCell] = {}
+            base = 0
+            for size in sizes:
+                if size <= rs_max_kb:
+                    base = max(base, size)
+                    cells[size] = TimingCell(
+                        self.time_rs(size, payload, construction, seed=seed))
+                else:
+                    cells[size] = TimingCell(
+                        cells[base].seconds * (size / base) ** 2,
+                        extrapolated=True)
+            result.cells[construction] = cells
+        for label, factory in (("tornado-a", tornado_a),
+                               ("tornado-b", tornado_b)):
+            cells, used = {}, {}
+            for size in sizes:
+                elapsed, needed = self.time_tornado(
+                    factory(size, seed=seed), payload, seed=seed)
+                cells[size] = TimingCell(elapsed)
+                if needed is not None:
+                    used[size] = needed
+            result.cells[label] = cells
+            result.tornado_packets_used[label] = used
+        return result
+
+    def build_table(self, result: TimingGrid) -> Table:
+        """Measured columns beside the paper's Cauchy and Tornado A ones."""
+        table = Table(
+            title=self.title,
+            header=["SIZE", "Vandermonde", "Cauchy", "Tornado A", "Tornado B",
+                    "paper Cauchy", "paper Tornado A"],
+            footnote=self.footnote,
         )
-    return table
+        for size in result.sizes_kb:
+            label = f"{size} KB" if size < 1000 else f"{size // 1000} MB"
+            paper_c = self.paper["cauchy"].get(size)
+            paper_t = self.paper["tornado-a"].get(size)
+            table.add_row(
+                label,
+                result.cells["vandermonde"][size],
+                result.cells["cauchy"][size],
+                result.cells["tornado-a"][size],
+                result.cells["tornado-b"][size],
+                seconds(paper_c) if paper_c else "n/a",
+                seconds(paper_t) if paper_t else "n/a",
+            )
+        return table
+
+    def main(self, argv=None) -> None:
+        parser = argparse.ArgumentParser(description=self.description)
+        parser.add_argument("--sizes", type=int, nargs="*", default=None,
+                            help="file sizes in KB (default: paper grid)")
+        parser.add_argument("--rs-max-kb", type=int, default=self.rs_max_kb,
+                            help="largest size at which RS is timed for real")
+        parser.add_argument("--payload", type=int, default=1024)
+        parser.add_argument("--seed", type=int, default=0)
+        args = parser.parse_args(argv)
+        result = self.run(sizes_kb=args.sizes, payload=args.payload,
+                          rs_max_kb=args.rs_max_kb, seed=args.seed)
+        print(render_table(self.build_table(result)))
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", type=int, nargs="*", default=None,
-                        help="file sizes in KB (default: paper grid)")
-    parser.add_argument("--rs-max-kb", type=int, default=1000,
-                        help="largest size at which RS is timed for real")
-    parser.add_argument("--payload", type=int, default=1024)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    result = run(sizes_kb=args.sizes, payload=args.payload,
-                 rs_max_kb=args.rs_max_kb, seed=args.seed)
-    print(render_table(build_table(result)))
+def _encode_seconds(code, payload: int, seed: int) -> Tuple[float, None]:
+    return time_tornado_encode(code, payload, seed=seed), None
 
+
+TABLE2 = TimingTable(
+    description=__doc__,
+    title="Table 2: Encoding times (measured here vs paper's 1998 "
+          "UltraSPARC)",
+    footnote="~ marks quadratic extrapolation beyond --rs-max-kb "
+             "(the paper's own cost model); paper columns are the "
+             "published 167 MHz UltraSPARC numbers.",
+    paper=PAPER_TABLE2,
+    time_rs=time_rs_encode,
+    time_tornado=_encode_seconds,
+    rs_max_kb=1000,
+)
+run, build_table, main = TABLE2.run, TABLE2.build_table, TABLE2.main
 
 if __name__ == "__main__":
     main()

@@ -10,16 +10,8 @@ its quadratic model unless ``--rs-max-kb`` is raised.
 
 from __future__ import annotations
 
-import argparse
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-from repro.codes.tornado.presets import tornado_a, tornado_b
-from repro.experiments.report import Table, render_table, seconds
-from repro.experiments.table2 import TimingCell, _extrapolate_quadratic
+from repro.experiments.table2 import TimingTable
 from repro.sim.timemodel import time_rs_block_decode, time_tornado_decode
-
-PAPER_SIZES_KB = [250, 500, 1000, 2000, 4000, 8000, 16000]
 
 #: Paper-reported decoding seconds (Table 3).
 PAPER_TABLE3 = {
@@ -32,83 +24,19 @@ PAPER_TABLE3 = {
                   4000: 2.00, 8000: 2.90, 16000: 4.70},
 }
 
-
-@dataclass
-class Table3Result:
-    sizes_kb: List[int]
-    cells: Dict[str, Dict[int, TimingCell]] = field(default_factory=dict)
-    tornado_packets_used: Dict[str, Dict[int, int]] = field(
-        default_factory=dict)
-
-
-def run(sizes_kb: Optional[List[int]] = None, payload: int = 1024,
-        rs_max_kb: int = 500, seed: int = 0) -> Table3Result:
-    """Measure (and where flagged, extrapolate) the Table 3 grid."""
-    sizes = sizes_kb if sizes_kb is not None else PAPER_SIZES_KB
-    result = Table3Result(sizes_kb=sizes)
-    for label, construction in (("vandermonde", "vandermonde"),
-                                ("cauchy", "cauchy")):
-        measured: Dict[int, float] = {}
-        cells: Dict[int, TimingCell] = {}
-        for size in sizes:
-            if size <= rs_max_kb:
-                measured[size] = time_rs_block_decode(size, payload,
-                                                      construction, seed=seed)
-                cells[size] = TimingCell(measured[size])
-            else:
-                cells[size] = TimingCell(
-                    _extrapolate_quadratic(measured, size), extrapolated=True)
-        result.cells[label] = cells
-    for label, factory in (("tornado-a", tornado_a), ("tornado-b", tornado_b)):
-        cells = {}
-        used = {}
-        for size in sizes:
-            code = factory(size, seed=seed)
-            elapsed, needed = time_tornado_decode(code, payload, seed=seed)
-            cells[size] = TimingCell(elapsed)
-            used[size] = needed
-        result.cells[label] = cells
-        result.tornado_packets_used[label] = used
-    return result
-
-
-def build_table(result: Table3Result) -> Table:
-    table = Table(
-        title="Table 3: Decoding times (measured here vs paper's 1998 "
-              "UltraSPARC)",
-        header=["SIZE", "Vandermonde", "Cauchy", "Tornado A", "Tornado B",
-                "paper Cauchy", "paper Tornado A"],
-        footnote="RS decodes from k/2 source + k/2 redundant packets; "
-                 "Tornado from its decode-threshold packet set.  ~ marks "
-                 "quadratic extrapolation beyond --rs-max-kb.",
-    )
-    for size in result.sizes_kb:
-        label = f"{size} KB" if size < 1000 else f"{size // 1000} MB"
-        paper_c = PAPER_TABLE3["cauchy"].get(size)
-        paper_t = PAPER_TABLE3["tornado-a"].get(size)
-        table.add_row(
-            label,
-            result.cells["vandermonde"][size],
-            result.cells["cauchy"][size],
-            result.cells["tornado-a"][size],
-            result.cells["tornado-b"][size],
-            seconds(paper_c) if paper_c else "n/a",
-            seconds(paper_t) if paper_t else "n/a",
-        )
-    return table
-
-
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", type=int, nargs="*", default=None)
-    parser.add_argument("--rs-max-kb", type=int, default=500)
-    parser.add_argument("--payload", type=int, default=1024)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    result = run(sizes_kb=args.sizes, payload=args.payload,
-                 rs_max_kb=args.rs_max_kb, seed=args.seed)
-    print(render_table(build_table(result)))
-
+TABLE3 = TimingTable(
+    description=__doc__,
+    title="Table 3: Decoding times (measured here vs paper's 1998 "
+          "UltraSPARC)",
+    footnote="RS decodes from k/2 source + k/2 redundant packets; "
+             "Tornado from its decode-threshold packet set.  ~ marks "
+             "quadratic extrapolation beyond --rs-max-kb.",
+    paper=PAPER_TABLE3,
+    time_rs=time_rs_block_decode,
+    time_tornado=time_tornado_decode,
+    rs_max_kb=500,
+)
+run, build_table, main = TABLE3.run, TABLE3.build_table, TABLE3.main
 
 if __name__ == "__main__":
     main()

@@ -133,9 +133,16 @@ class AdaptivePolicy:
         self.reports_seen += 1
 
     def _fresh(self, now: float) -> List[FeedbackReport]:
+        """Reports heard within ``stale_after`` of ``now``.
+
+        Older ones are forgotten here, not just skipped (callers' clocks
+        only move forward), so the table holds live receivers only
+        however many ids frames have claimed.
+        """
         cutoff = float(now) - self.stale_after
-        return [report for report, seen in self._reports.values()
-                if seen >= cutoff]
+        self._reports = {rid: entry for rid, entry in self._reports.items()
+                         if entry[1] >= cutoff}
+        return [report for report, _ in self._reports.values()]
 
     # -- aggregates ------------------------------------------------------------
 
@@ -227,18 +234,21 @@ class AdaptivePolicy:
         fixed-rate families pass through untouched.
         """
         parsed = REGISTRY.spec(spec)
-        if not REGISTRY.is_rateless(parsed):
+        family = REGISTRY.family(parsed.family)
+        if not family.rateless:
             return parsed.to_string()
         loss = min(self.loss_estimate(now), 0.95)
         boost = loss / max(1e-9, 1.0 - loss)
         params = dict(parsed.params)
+        # A parameter the spec leaves out starts from the family's own
+        # default, so with nothing observed the code comes back unchanged.
+        start = {**family.parameters(), **params}
         if parsed.family == "lt":
-            c = float(params.get("c", 0.03))
-            delta = float(params.get("delta", 0.5))
+            c, delta = float(start["c"]), float(start["delta"])
             params["c"] = round(min(0.5, c * (1.0 + boost)), 6)
             params["delta"] = round(max(0.01, delta * (1.0 - loss)), 6)
         elif parsed.family == "raptor":
-            eps = float(params.get("eps", 0.1))
+            eps = float(start["eps"])
             params["eps"] = round(min(0.5, eps * (1.0 + boost)), 6)
         retuned = CodeSpec.make(parsed.family, **params)
         return REGISTRY.spec(retuned).to_string()

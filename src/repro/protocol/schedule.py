@@ -26,7 +26,8 @@ which reproduces Table 5 exactly (see tests/test_schedule.py).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from itertools import islice
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -73,9 +74,10 @@ def round_schedule(round_index: int, num_layers: int) -> List[Tuple[int, int]]:
             for layer in range(num_layers)]
 
 
-def transmission_stream(layer: int, config: LayerConfig, encoding_size: int,
-                        num_rounds: int) -> Iterator[int]:
-    """Encoding indices sent on ``layer`` over ``num_rounds`` rounds.
+def _layers_stream(layers: Sequence[int], config: LayerConfig,
+                   encoding_size: int,
+                   num_rounds: int) -> Iterator[Tuple[int, int, int]]:
+    """``(round, layer, encoding_index)`` for ``layers``, round by round.
 
     Within a round, a layer walks its block range through every block in
     order (the intra-round order is immaterial to the One Level Property
@@ -87,13 +89,20 @@ def transmission_stream(layer: int, config: LayerConfig, encoding_size: int,
     if encoding_size % block:
         raise ParameterError(
             f"encoding size {encoding_size} not a multiple of block {block}")
-    num_blocks = encoding_size // block
     for rnd in range(num_rounds):
-        start, length = layer_block_range(layer, rnd, config.num_layers)
-        for blk in range(num_blocks):
-            base = blk * block
-            for offset in range(start, start + length):
-                yield base + offset
+        for layer in layers:
+            start, length = layer_block_range(layer, rnd, config.num_layers)
+            for base in range(0, encoding_size, block):
+                for offset in range(start, start + length):
+                    yield rnd, layer, base + offset
+
+
+def transmission_stream(layer: int, config: LayerConfig, encoding_size: int,
+                        num_rounds: int) -> Iterator[int]:
+    """Encoding indices sent on ``layer`` over ``num_rounds`` rounds."""
+    for _, _, index in _layers_stream([layer], config, encoding_size,
+                                      num_rounds):
+        yield index
 
 
 def one_level_stream(level: int, config: LayerConfig, encoding_size: int,
@@ -106,18 +115,7 @@ def one_level_stream(level: int, config: LayerConfig, encoding_size: int,
     choice; any order preserves the One Level Property, which is a
     statement about whole rounds).
     """
-    block = config.block_size
-    if encoding_size % block:
-        raise ParameterError(
-            f"encoding size {encoding_size} not a multiple of block {block}")
-    num_blocks = encoding_size // block
-    for rnd in range(num_rounds):
-        for layer in range(level + 1):
-            start, length = layer_block_range(layer, rnd, config.num_layers)
-            for blk in range(num_blocks):
-                base = blk * block
-                for offset in range(start, start + length):
-                    yield rnd, layer, base + offset
+    return _layers_stream(range(level + 1), config, encoding_size, num_rounds)
 
 
 def verify_one_level_property(config: LayerConfig,
@@ -129,17 +127,10 @@ def verify_one_level_property(config: LayerConfig,
     before full coverage).  Used by tests and by the Table 5 benchmark.
     """
     for level in range(config.num_layers):
-        seen = set()
-        count = 0
-        for _, _, idx in one_level_stream(level, config, encoding_size,
-                                          num_rounds=1 << (config.num_layers)):
-            if count >= encoding_size:
-                break
-            if idx in seen:
-                return False
-            seen.add(idx)
-            count += 1
-        if len(seen) != encoding_size:
+        stream = one_level_stream(level, config, encoding_size,
+                                  num_rounds=1 << config.num_layers)
+        first = {idx for _, _, idx in islice(stream, encoding_size)}
+        if len(first) != encoding_size:
             return False
     return True
 

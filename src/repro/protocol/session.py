@@ -162,13 +162,15 @@ def run_session(code: Any = None,
     if policy is None:
         policy = CongestionPolicy(sp_base_interval=8, burst_interval=4)
     config = LayerConfig(num_layers)
-    server = LayeredServer(code, config, policy, seed=seed,
-                           blocks_per_round=None)
     # Pick a round granularity such that a full-subscription download
     # spans ~dozens of rounds, giving SPs and bursts realistic
-    # sub-download timescales (see LayeredServer.blocks_per_round).
+    # sub-download timescales (see LayeredServer.blocks_per_round).  The
+    # block count is the server's own: its schedule covers n positions
+    # (2k for a rateless code) rounded up to whole blocks.
+    n = getattr(code, "n", None)
+    num_blocks = -(-(2 * code.k if n is None else n) // config.block_size)
     server = LayeredServer(code, config, policy, seed=seed,
-                           blocks_per_round=max(1, server.num_blocks // 16))
+                           blocks_per_round=max(1, num_blocks // 16))
     base_per_round = server.blocks_per_round  # layer-0 packets per round
     receivers = []
     for rid, (loss, cap_mult) in enumerate(

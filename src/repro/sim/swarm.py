@@ -28,7 +28,10 @@ Structural model
 ----------------
 
 Time advances in *sweeps* — one full pass of the cross-block schedule,
-``total_k`` packet slots, ``k_b`` of them for block ``b``.  Receiver
+``total_k`` packet slots, ``k_b`` of them for block ``b``: the paper's
+open loop.  ``run(policy=...)`` closes the loop on the same engine —
+the policy re-deals each sweep's slots from the population's block
+deficits, and a policy that never chases one *is* the open loop.  Receiver
 ``r`` completes block ``b`` once it holds ``T[r, b]`` distinct packets
 of the block, where ``T`` is drawn from the empirical decode-threshold
 distribution of the block's *own* code realisation (sampled once per
@@ -72,6 +75,7 @@ from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel, TraceLo
 from repro.net.traces import MBONE_MEAN_BURST, synthesize_mbone_traces
 from repro.protocol.adaptive import AdaptivePolicy
 from repro.protocol.layering import LayerConfig
+from repro.sim.overhead import sample_decode_thresholds
 from repro.transfer.blocks import BlockPlan
 from repro.transfer.client import TransferClient
 from repro.transfer.codec import ObjectCodec
@@ -625,10 +629,6 @@ def _materialize(scenario: Scenario) -> _Population:
 # -- decode thresholds ---------------------------------------------------------
 
 
-#: fallback thinning rate for rateless decode-threshold sampling when no
-#: receiver population is supplied (direct ``_threshold_tables`` calls).
-_POOL_THINNING = 0.1
-
 #: ceiling on a trial's thinning rate — keeps the sampled id window
 #: finite for near-total-loss receivers (their thresholds are rate-
 #: insensitive far before this point).
@@ -637,7 +637,7 @@ _POOL_THINNING_MAX = 0.9
 
 def _sample_thresholds(code: Any, trials: int, rng: np.random.Generator,
                        rateless: bool,
-                       loss_rates: Optional[np.ndarray] = None) -> np.ndarray:
+                       loss_rates: np.ndarray) -> np.ndarray:
     """Empirical decode thresholds of *this* code realisation.
 
     Fixed-rate codes receive a random permutation prefix of their
@@ -662,24 +662,19 @@ def _sample_thresholds(code: Any, trials: int, rng: np.random.Generator,
     the stream, so a block's survival pattern is a strided subsample of
     the loss process with its burst correlation stripped.
     """
+    if not rateless:
+        return sample_decode_thresholds(code, trials, rng)
     thresholds = np.empty(trials, dtype=np.int64)
     for t in range(trials):
-        if rateless:
-            if loss_rates is not None and loss_rates.size:
-                thin = float(loss_rates[rng.integers(0, loss_rates.size)])
-            else:
-                thin = _POOL_THINNING
-            thin = min(max(thin, 0.0), _POOL_THINNING_MAX)
-            window = int(np.ceil(4 * code.k / (1.0 - thin)))
-            ids = np.nonzero(rng.random(window) > thin)[0]
-        else:
-            ids = rng.permutation(code.n)
+        thin = float(loss_rates[rng.integers(0, loss_rates.size)])
+        thin = min(max(thin, 0.0), _POOL_THINNING_MAX)
+        window = int(np.ceil(4 * code.k / (1.0 - thin)))
+        ids = np.nonzero(rng.random(window) > thin)[0]
         thresholds[t] = code.packets_to_decode(ids)
     return thresholds
 
 
-def _threshold_tables(scenario: Scenario,
-                      loss_rates: Optional[np.ndarray] = None
+def _threshold_tables(scenario: Scenario, loss_rates: np.ndarray
                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Per-block ``k``, per-block carousel period ``n``, and per-block
     threshold samples (stacked into one lookup table).
@@ -705,7 +700,7 @@ def _threshold_tables(scenario: Scenario,
         code = REGISTRY.build(spec, k, seed=block_seed(scenario.seed, b))
         rng = spawn_rng(scenario.seed, _POOL_STREAM + b)
         pools[b] = _sample_thresholds(code, scenario.threshold_trials,
-                                      rng, rateless, loss_rates=loss_rates)
+                                      rng, rateless, loss_rates)
         n_b[b] = np.inf if rateless else float(code.n)
     return k_b, n_b, pools, rateless
 
@@ -734,8 +729,7 @@ def _trace_window_losses(cumsums: List[np.ndarray], trace_ids: np.ndarray,
     return out
 
 
-def _gilbert_beta_params(pop: _Population, rows: np.ndarray,
-                         sweep_slots: int
+def _gilbert_beta_params(pop: _Population, sweep_slots: int
                          ) -> Tuple[np.ndarray, np.ndarray]:
     """Beta parameters for per-sweep delivery fractions of GE receivers.
 
@@ -744,9 +738,9 @@ def _gilbert_beta_params(pop: _Population, rows: np.ndarray,
     over i.i.d. by ``(1 + rho) / (1 - rho)`` with ``rho`` the lag-1
     autocorrelation ``1 - p_gb - p_bg``.
     """
-    p = pop.loss_rate[rows]
+    p = pop.loss_rate
     q = 1.0 - p
-    rho = np.clip(1.0 - pop.p_gb[rows] - pop.p_bg[rows], 0.0, 0.999)
+    rho = np.clip(1.0 - pop.p_gb - pop.p_bg, 0.0, 0.999)
     inflation = (1.0 + rho) / (1.0 - rho)
     var = np.minimum(p * q * inflation / sweep_slots, 0.9 * p * q)
     var = np.maximum(var, 1e-12)
@@ -756,11 +750,36 @@ def _gilbert_beta_params(pop: _Population, rows: np.ndarray,
 
 def _run_rows(scenario: Scenario, pop: _Population, thresholds: np.ndarray,
               k_b: np.ndarray, n_b: np.ndarray, rateless: bool,
-              chunk_tag: int) -> Dict[str, np.ndarray]:
+              chunk_tag: int,
+              policy: Optional[AdaptivePolicy] = None
+              ) -> Dict[str, np.ndarray]:
     """Simulate one slice of the population; returns per-receiver arrays.
 
     ``pop`` and ``thresholds`` are already sliced to this chunk's rows;
     ``chunk_tag`` seeds the chunk's private randomness.
+
+    One sweep engine: every sweep deals ``total_k`` slots over the
+    blocks as ``alloc``.  With no ``policy`` (the paper's open loop)
+    block ``b`` always gets ``k_b``.  With one, the sweep is the
+    feedback epoch: the population's per-block packet deficits from the
+    *previous* sweep's decode state (one sweep of reporting delay
+    included) are summed and fed to ``policy.block_shares`` — the same
+    pure lever a live adaptive serve applies through
+    ``TransferServer.reweight`` — which turns them into this sweep's
+    per-block slot shares.  A single wire
+    :class:`~repro.protocol.feedback.FeedbackReport` names only a
+    receiver's :data:`~repro.protocol.feedback.MAX_LAGGING_BLOCKS`
+    worst blocks, but a receiver files many reports per epoch and the
+    named set rotates as deficits shrink, so the epoch aggregate a real
+    sender accumulates approximates the full deficit vector — which is
+    what this vectorized step sums directly.
+
+    The per-sweep slot budget is the same either way (``active *
+    total_k`` per receiver), so adaptive vs open-loop comparisons are
+    packet-for-packet fair: only *where* slots go changes.  The
+    carousel duplicate correction tracks the cumulative per-block
+    offered slots, whatever dealt them.  A policy needs the whole
+    population's deficits each sweep, so it runs on one chunk only.
     """
     total_k = int(k_b.sum())
     count = pop.size
@@ -774,10 +793,10 @@ def _run_rows(scenario: Scenario, pop: _Population, thresholds: np.ndarray,
     rows = np.arange(count)
     deliveries = np.zeros((count, k_b.size))
     prev_distinct = np.zeros((count, k_b.size))
-    active_sweeps = np.zeros(count)
+    offered = np.zeros((count, k_b.size))
+    alloc = k_b
     q_bernoulli = (1.0 - pop.loss_rate) * pop.rate
-    gil_alpha, gil_beta = _gilbert_beta_params(
-        pop, np.arange(count), total_k)
+    gil_alpha, gil_beta = _gilbert_beta_params(pop, total_k)
     cumsums = [np.concatenate(([0], np.cumsum(t, dtype=np.int64)))
                for t in pop.traces]
     # Bursty processes lose runs of consecutive slots, and the
@@ -794,6 +813,11 @@ def _run_rows(scenario: Scenario, pop: _Population, thresholds: np.ndarray,
     for sweep in range(scenario.max_sweeps):
         if rows.size == 0:
             break
+        if policy is not None:
+            lag = np.maximum(thresholds[rows] - prev_distinct, 0.0)
+            shares = np.asarray(policy.block_shares(
+                lag.sum(axis=0).tolist(), k_b.tolist()))
+            alloc = shares * total_k
         w0 = sweep * total_k
         active = np.clip(
             (np.minimum(pop.leave[rows], w0 + total_k)
@@ -809,7 +833,8 @@ def _run_rows(scenario: Scenario, pop: _Population, thresholds: np.ndarray,
             losses = _trace_window_losses(
                 cumsums, pop.trace_id[t], pop.trace_offset[t] + w0, total_k)
             q[tra] = (1.0 - losses / total_k) * pop.rate[t]
-        trials = np.rint(active[:, None] * k_b[None, :]).astype(np.int64)
+        dealt = active[:, None] * alloc[None, :]
+        trials = np.rint(dealt).astype(np.int64)
         q_col = np.clip(q, 0.0, 1.0)[:, None]
         draws = rng.binomial(trials, q_col)
         bursty = burst_len[rows] > 1.0
@@ -821,132 +846,7 @@ def _run_rows(scenario: Scenario, pop: _Population, thresholds: np.ndarray,
                             + rng.standard_normal(t_b.shape) * np.sqrt(var))
             draws[bursty] = np.clip(noisy, 0, t_b).astype(draws.dtype)
         deliveries += draws
-        active_sweeps += active
-        if rateless:
-            distinct = deliveries
-        else:
-            offered = active_sweeps[:, None] * k_b[None, :]
-            revs = offered / n_b[None, :]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q_hat = np.where(offered > 0, deliveries / offered, 0.0)
-                corrected = n_b[None, :] * -np.expm1(
-                    revs * np.log1p(-np.minimum(q_hat, 1.0 - 1e-12)))
-            distinct = np.where(revs > 1.0, corrected, deliveries)
-        done = distinct >= thresholds[rows]
-        newly = done.all(axis=1)
-        if newly.any():
-            idx = np.nonzero(newly)[0]
-            gained = np.maximum(distinct[idx] - prev_distinct[idx], 1e-12)
-            frac = np.where(prev_distinct[idx] < thresholds[rows[idx]],
-                            (thresholds[rows[idx]] - prev_distinct[idx])
-                            / gained, 0.0)
-            fraction = np.clip(frac.max(axis=1), 0.0, 1.0)
-            before = (deliveries[idx] - draws[idx]).sum(axis=1)
-            got = before + fraction * draws[idx].sum(axis=1)
-            out = rows[idx]
-            received[out] = got
-            overhead[out] = got / total_k - 1.0
-            done_slot[out] = (sweep + fraction) * total_k
-            completed[out] = True
-            keep = ~newly
-            rows = rows[keep]
-            deliveries = deliveries[keep]
-            active_sweeps = active_sweeps[keep]
-            distinct = distinct[keep]
-        prev_distinct = distinct.copy()
-    return {"overhead": overhead, "received": received,
-            "done_slot": done_slot, "completed": completed}
-
-
-def _run_rows_closed(scenario: Scenario, pop: _Population,
-                     thresholds: np.ndarray, k_b: np.ndarray,
-                     n_b: np.ndarray, rateless: bool, chunk_tag: int,
-                     policy: AdaptivePolicy) -> Dict[str, np.ndarray]:
-    """Closed-loop sweep engine: the sender reallocates every sweep.
-
-    The open-loop engine (:func:`_run_rows`) deals each sweep's
-    ``total_k`` slots proportionally — block ``b`` always gets ``k_b``.
-    Here the sweep is the feedback epoch: the population's per-block
-    packet deficits from the *previous* sweep's decode state (one sweep
-    of reporting delay included) are summed and fed to
-    ``policy.block_shares`` — the same pure lever a live adaptive serve
-    applies through ``TransferServer.reweight`` — which turns them into
-    this sweep's per-block slot shares.  A single wire
-    :class:`~repro.protocol.feedback.FeedbackReport` names only a
-    receiver's :data:`~repro.protocol.feedback.MAX_LAGGING_BLOCKS`
-    worst blocks, but a receiver files many reports per epoch and the
-    named set rotates as deficits shrink, so the epoch aggregate a real
-    sender accumulates approximates the full deficit vector — which is
-    what this vectorized step sums directly.
-
-    The per-sweep slot budget is untouched (still ``active * total_k``
-    per receiver), so adaptive vs open-loop comparisons are
-    packet-for-packet fair: only *where* slots go changes.  Because the
-    allocation is no longer proportional, the carousel duplicate
-    correction tracks the actual cumulative per-block offered slots
-    instead of ``active_sweeps * k_b``.  Single-process by design — the
-    policy step needs the whole population's deficits each sweep.
-    """
-    total_k = int(k_b.sum())
-    count = pop.size
-    rng = np.random.default_rng(
-        [int(scenario.seed) & 0x7FFFFFFF, 0xC0DE, int(chunk_tag)])
-    overhead = np.full(count, np.nan)
-    received = np.zeros(count)
-    done_slot = np.full(count, np.inf)
-    completed = np.zeros(count, dtype=bool)
-
-    rows = np.arange(count)
-    deliveries = np.zeros((count, k_b.size))
-    prev_distinct = np.zeros((count, k_b.size))
-    offered = np.zeros((count, k_b.size))
-    q_bernoulli = (1.0 - pop.loss_rate) * pop.rate
-    gil_alpha, gil_beta = _gilbert_beta_params(
-        pop, np.arange(count), total_k)
-    cumsums = [np.concatenate(([0], np.cumsum(t, dtype=np.int64)))
-               for t in pop.traces]
-    burst_len = np.ones(count)
-    gil_rows = pop.kind == _KIND_CODES["gilbert"]
-    burst_len[gil_rows] = 1.0 / np.maximum(pop.p_bg[gil_rows], 1e-9)
-    burst_len[pop.kind == _KIND_CODES["trace"]] = MBONE_MEAN_BURST
-
-    for sweep in range(scenario.max_sweeps):
-        if rows.size == 0:
-            break
-        # -- the policy step: previous sweep's deficits -> slot shares.
-        lag = np.maximum(thresholds[rows] - prev_distinct, 0.0)
-        shares = np.asarray(policy.block_shares(
-            lag.sum(axis=0).tolist(), k_b.tolist()))
-        alloc = shares * total_k
-
-        w0 = sweep * total_k
-        active = np.clip(
-            (np.minimum(pop.leave[rows], w0 + total_k)
-             - np.maximum(pop.join[rows], w0)) / total_k, 0.0, 1.0)
-        q = q_bernoulli[rows].copy()
-        gil = pop.kind[rows] == _KIND_CODES["gilbert"]
-        if gil.any():
-            g = rows[gil]
-            q[gil] = rng.beta(gil_alpha[g], gil_beta[g]) * pop.rate[g]
-        tra = pop.kind[rows] == _KIND_CODES["trace"]
-        if tra.any():
-            t = rows[tra]
-            losses = _trace_window_losses(
-                cumsums, pop.trace_id[t], pop.trace_offset[t] + w0, total_k)
-            q[tra] = (1.0 - losses / total_k) * pop.rate[t]
-        trials = np.rint(active[:, None] * alloc[None, :]).astype(np.int64)
-        q_col = np.clip(q, 0.0, 1.0)[:, None]
-        draws = rng.binomial(trials, q_col)
-        bursty = burst_len[rows] > 1.0
-        if bursty.any():
-            t_b = trials[bursty]
-            q_b = q_col[bursty]
-            var = t_b * q_b * (1.0 - q_b) / burst_len[rows][bursty, None]
-            noisy = np.rint(t_b * q_b
-                            + rng.standard_normal(t_b.shape) * np.sqrt(var))
-            draws[bursty] = np.clip(noisy, 0, t_b).astype(draws.dtype)
-        deliveries += draws
-        offered += active[:, None] * alloc[None, :]
+        offered += dealt
         if rateless:
             distinct = deliveries
         else:
@@ -1013,8 +913,7 @@ class SpotCheckResult:
     structural_overhead: np.ndarray
     replay_overhead: np.ndarray
     replay_completed: np.ndarray
-    #: default agreement tolerance (the ``spot_check_tolerance`` the
-    #: run was configured with).
+    #: default agreement tolerance (``agrees(tolerance=...)`` overrides).
     tolerance: float = 0.05
 
     @property
@@ -1062,7 +961,7 @@ class SpotCheckResult:
 
     def agrees(self, tolerance: Optional[float] = None) -> bool:
         """True when the means agree within ``tolerance`` (defaulting
-        to the run's configured tolerance) or within twice the
+        to :attr:`tolerance`) or within twice the
         sampling-noise scale, whichever is looser.
 
         The completion patterns must agree first: if the model and the
@@ -1259,7 +1158,7 @@ class SwarmSimulator:
         """
         effective_loss = 1.0 - (1.0 - pop.loss_rate) * pop.rate
         k_b, n_b, pools, rateless = _threshold_tables(
-            self.scenario, loss_rates=effective_loss)
+            self.scenario, effective_loss)
         rng = spawn_rng(self.scenario.seed, _CHOICE_STREAM)
         choice = rng.integers(0, pools.shape[1],
                               size=(pop.size, pools.shape[0]))
@@ -1268,7 +1167,6 @@ class SwarmSimulator:
 
     def run(self, workers: Optional[int] = None,
             spot_check: int = 0,
-            spot_check_tolerance: float = 0.05,
             policy: Optional[AdaptivePolicy] = None) -> SwarmResult:
         """Simulate the whole population.
 
@@ -1277,12 +1175,13 @@ class SwarmSimulator:
         worker simulates the same receivers it would single-process).
         ``spot_check`` replays that many sampled receivers through the
         exact transfer client and attaches a :class:`SpotCheckResult`
-        whose default ``agrees()`` bar is ``spot_check_tolerance``.
+        (``agrees(tolerance=...)`` overrides its default bar).
 
-        ``policy`` switches the engine to the closed loop
-        (:func:`_run_rows_closed`): each sweep the population's
-        aggregated block deficits drive the policy's schedule lever.
-        The closed loop is single-process (the policy must see every
+        ``policy`` closes the loop on the same engine
+        (:func:`_run_rows`): each sweep the population's aggregated
+        block deficits drive the policy's schedule lever; without one
+        every sweep is dealt proportionally — the paper's open loop.
+        A closed loop is single-process (the policy must see every
         receiver's deficits) and has no exact-replay counterpart, so it
         rejects ``workers`` > 1 and ``spot_check``.
         """
@@ -1299,9 +1198,7 @@ class SwarmSimulator:
                 raise ParameterError(
                     "spot_check replays the open-loop schedule and "
                     "cannot validate a closed-loop run")
-            merged = _run_rows_closed(scenario, pop, thresholds, k_b,
-                                      n_b, rateless, 0, policy)
-        elif workers is not None and workers > 1:
+        if workers is not None and workers > 1:
             chunks = self._chunk_ranges(pop.size, workers)
             payloads = [(scenario.to_dict(), pop.rows(lo, hi),
                          thresholds[lo:hi], k_b, n_b, rateless, lo)
@@ -1315,7 +1212,7 @@ class SwarmSimulator:
                       for key in parts[0]}
         else:
             merged = _run_rows(scenario, pop, thresholds, k_b, n_b,
-                               rateless, 0)
+                               rateless, 0, policy)
         result = SwarmResult(
             scenario=scenario,
             overhead=merged["overhead"],
@@ -1337,7 +1234,6 @@ class SwarmSimulator:
                 structural_overhead=result.overhead[ids],
                 replay_overhead=replay_oh,
                 replay_completed=replay_done,
-                tolerance=spot_check_tolerance,
             )
         return result
 

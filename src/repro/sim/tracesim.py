@@ -36,57 +36,56 @@ class TraceResult:
     total_receivers: int
 
 
+def _trace_efficiency(label: str, k: int, traces: TraceSet, rng: RngLike,
+                      packets_until: Callable[..., int]) -> TraceResult:
+    """Run every trace receiver from a random offset and average ``k / total``.
+
+    ``packets_until(model, gen)`` returns the packets the receiver took
+    to decode, or raises :class:`DecodeFailure` (the receiver is then
+    left out of the average).
+    """
+    gen = ensure_rng(rng)
+    offsets = traces.random_offsets(gen)
+    efficiencies = []
+    for receiver in range(traces.num_receivers):
+        model = traces.loss_model(receiver, int(offsets[receiver]))
+        try:
+            total = packets_until(model, gen)
+        except DecodeFailure:
+            continue
+        efficiencies.append(k / total)
+    return TraceResult(
+        code_label=label,
+        file_size_kb=k,
+        average_efficiency=float(np.mean(efficiencies)) if efficiencies else 0.0,
+        completed_receivers=len(efficiencies),
+        total_receivers=traces.num_receivers,
+    )
+
+
 def trace_fountain_efficiency(threshold_pool: ThresholdPool, n: int,
                               traces: TraceSet, rng: RngLike = None,
                               max_cycles: int = 400) -> TraceResult:
     """Average efficiency of a fountain code across all trace receivers."""
-    gen = ensure_rng(rng)
-    offsets = traces.random_offsets(gen)
-    efficiencies = []
-    completed = 0
-    for receiver in range(traces.num_receivers):
-        model = traces.loss_model(receiver, int(offsets[receiver]))
+    def packets_until(model, gen):
         threshold = int(threshold_pool.sample(1, gen)[0])
-        try:
-            total = fountain_packets_until(threshold, n, model, gen,
-                                           max_cycles=max_cycles)
-        except DecodeFailure:
-            continue
-        completed += 1
-        efficiencies.append(threshold_pool.k / total)
-    return TraceResult(
-        code_label="tornado",
-        file_size_kb=threshold_pool.k,
-        average_efficiency=float(np.mean(efficiencies)) if efficiencies else 0.0,
-        completed_receivers=completed,
-        total_receivers=traces.num_receivers,
-    )
+        return fountain_packets_until(threshold, n, model, gen,
+                                      max_cycles=max_cycles)
+
+    return _trace_efficiency("tornado", threshold_pool.k, traces, rng,
+                             packets_until)
 
 
 def trace_interleaved_efficiency(code: InterleavedCode, traces: TraceSet,
                                  rng: RngLike = None,
                                  max_cycles: int = 400) -> TraceResult:
     """Average efficiency of an interleaved code across trace receivers."""
-    gen = ensure_rng(rng)
-    offsets = traces.random_offsets(gen)
-    efficiencies = []
-    completed = 0
-    for receiver in range(traces.num_receivers):
-        model = traces.loss_model(receiver, int(offsets[receiver]))
-        try:
-            total = interleaved_packets_until(code, model, gen,
-                                              max_cycles=max_cycles)
-        except DecodeFailure:
-            continue
-        completed += 1
-        efficiencies.append(code.total_k / total)
-    return TraceResult(
-        code_label=f"interleaved-k{code.block_k}",
-        file_size_kb=code.total_k,
-        average_efficiency=float(np.mean(efficiencies)) if efficiencies else 0.0,
-        completed_receivers=completed,
-        total_receivers=traces.num_receivers,
-    )
+    def packets_until(model, gen):
+        return interleaved_packets_until(code, model, gen,
+                                         max_cycles=max_cycles)
+
+    return _trace_efficiency(f"interleaved-k{code.block_k}", code.total_k,
+                             traces, rng, packets_until)
 
 
 def trace_experiment(file_sizes_kb: Sequence[int],

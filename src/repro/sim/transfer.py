@@ -29,6 +29,7 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss, LossModel
+from repro.net.transport.base import EMISSION_LIMIT_FACTOR
 from repro.transfer.blocks import BlockPlan
 from repro.transfer.client import TransferClient
 from repro.transfer.codec import ObjectCodec
@@ -85,19 +86,18 @@ def simulate_transfer(file_size: int,
                       schedule: str = "interleave",
                       loss: Union[float, LossModel] = 0.0,
                       seed: int = 0,
-                      payloads: bool = True,
-                      max_factor: float = 200.0) -> TransferRunResult:
+                      payloads: bool = True) -> TransferRunResult:
     """One download of a ``file_size``-byte object, segmented into blocks.
 
     ``loss`` is a Bernoulli rate or any :class:`~repro.net.loss.LossModel`;
-    ``max_factor`` bounds emissions at ``max_factor * total_k`` so a
-    pathological run fails loudly instead of spinning.
+    emissions are bounded at the transports' ``EMISSION_LIMIT_FACTOR *
+    total_k`` so a pathological run fails loudly instead of spinning.
     """
     plan = BlockPlan(file_size, packet_size, block_packets)
     codec = ObjectCodec(plan, code=family, seed=seed)
     channel = LossyChannel(_as_loss_model(loss),
                            rng=spawn_rng(seed, _LOSS_STREAM))
-    limit = int(max_factor * codec.total_k)
+    limit = EMISSION_LIMIT_FACTOR * codec.total_k
     data = None
     if payloads:
         data = spawn_rng(seed, _DATA_STREAM).integers(
@@ -120,7 +120,7 @@ def simulate_transfer(file_size: int,
     if not client.is_complete:
         raise ParameterError(
             f"transfer did not complete within {limit} emissions; "
-            f"raise max_factor or lower the loss rate")
+            "lower the loss rate")
     return TransferRunResult(
         family=family,
         schedule=schedule,

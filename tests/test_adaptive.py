@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro import api
 from repro.codes.backend import is_vectorized
+from repro.codes.registry import REGISTRY
 from repro.errors import ParameterError, ProtocolError
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss
 from repro.net.transport import (
@@ -217,6 +218,17 @@ class TestAdaptivePolicy:
         assert policy.loss_estimate(now=5.0) == pytest.approx(0.5)
         assert policy.loss_estimate(now=20.0) == 0.0
 
+    def test_stale_reports_are_forgotten_not_just_skipped(self):
+        """One entry per receiver id any frame ever claimed must not
+        outlive ``stale_after``: the table is bounded by who is live."""
+        policy = AdaptivePolicy(stale_after=10.0)
+        self._feed(policy, [0.3] * 10_000, now=0.0)
+        assert len(policy._reports) == 10_000
+        decision = policy.decide([4, 4], now=11.0)
+        assert len(policy._reports) == 0
+        assert decision == AdaptivePolicy(stale_after=10.0).decide(
+            [4, 4], now=11.0)
+
     def test_quantile_provisions_for_stragglers(self):
         policy = AdaptivePolicy(quantile=0.95)
         self._feed(policy, [0.05] * 9 + [0.5])
@@ -265,6 +277,28 @@ class TestAdaptivePolicy:
         raptor = policy.recommend_spec("raptor:eps=0.1")
         assert float(raptor.split("eps=")[1]) > 0.1
         assert policy.recommend_spec("tornado-a") == "tornado-a"
+        # a bare spec moves the same way from the family's own defaults
+        bare = REGISTRY.spec(policy.recommend_spec("lt")).param_dict
+        assert bare["c"] > 0.03 and bare["delta"] < 0.1
+        bare = REGISTRY.spec(policy.recommend_spec("raptor")).param_dict
+        assert bare["eps"] > 0.05
+
+    @pytest.mark.parametrize(
+        "family", [f.name for f in REGISTRY if f.rateless])
+    def test_silent_policy_recommends_the_spec_it_was_given(self, family):
+        """With nothing observed, retuning must not move a parameter:
+        the bare spec and the spelled-out default spec both come back
+        as the family's default code."""
+        defaults = REGISTRY.family(family).parameters()
+        spelled = family + ":" + ",".join(
+            f"{name}={value}" for name, value in sorted(defaults.items()))
+        want = REGISTRY.build(family, 64, seed=3)
+        for spec in (family, spelled):
+            got = REGISTRY.build(AdaptivePolicy().recommend_spec(spec),
+                                 64, seed=3)
+            assert got.spec == want.spec
+            for name in defaults:
+                assert getattr(got, name, None) == getattr(want, name, None)
 
     def test_parameters_validated(self):
         with pytest.raises(ParameterError):

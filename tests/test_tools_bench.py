@@ -294,7 +294,6 @@ class TestCrossCase:
         def payload(**row):
             return {"results": [
                 {"case": "ingest-lt-k128-b1", "ingest_speedup": 1.4},
-                {"case": "raptor-bk128", "throughput_MBps": 22.0},
                 {"case": "cap-inverse-x64", **row}]}
 
         assert check_bench.check_case_floors(
@@ -307,30 +306,29 @@ class TestCrossCase:
         assert len(check_bench.check_case_floors(
             "BENCH_transfer.json", payload())) == 1
         gone = payload(closed_form_speedup=9.0)
-        del gone["results"][2]
+        del gone["results"][1]
         assert len(check_bench.check_case_floors(
             "BENCH_transfer.json", gone)) == 1
 
     def test_case_floor_holds_and_fails(self):
-        def transfer_payload(b1_speedup, raptor_mbps):
+        def transfer_payload(b1_speedup, closed_form):
             return {"results": [
                 {"case": "ingest-lt-k128-b1",
                  "ingest_speedup": b1_speedup},
-                {"case": "raptor-bk128",
-                 "throughput_MBps": raptor_mbps},
-                {"case": "cap-inverse-x64", "closed_form_speedup": 12.0},
+                {"case": "cap-inverse-x64",
+                 "closed_form_speedup": closed_form},
             ]}
 
         assert check_bench.check_case_floors(
-            "BENCH_transfer.json", transfer_payload(1.4, 22.0)) == []
+            "BENCH_transfer.json", transfer_payload(1.4, 12.0)) == []
         regressions = check_bench.check_case_floors(
-            "BENCH_transfer.json", transfer_payload(0.8, 22.0))
+            "BENCH_transfer.json", transfer_payload(0.8, 12.0))
         assert len(regressions) == 1
         assert "batch-size-1" in str(regressions[0])
         regressions = check_bench.check_case_floors(
-            "BENCH_transfer.json", transfer_payload(1.4, 12.0))
+            "BENCH_transfer.json", transfer_payload(1.4, 2.0))
         assert len(regressions) == 1
-        assert "cached-solve-plan" in str(regressions[0])
+        assert "fell back towards elimination" in str(regressions[0])
         # Floors are file-scoped, like the cross-case rules.
         assert check_bench.check_case_floors(
             "BENCH_other.json", transfer_payload(0.1, 0.1)) == []
@@ -352,10 +350,10 @@ class TestCrossCase:
             {"results": [{"case": "raptor-geometry-build-k256"}]})) == 1
 
     def test_case_floor_missing_metric_fails(self):
-        payload = {"results": [{"case": "raptor-bk128", "seconds": 0.02}]}
+        payload = {"results": [{"case": "cap-inverse-x64", "seconds": 0.02}]}
         regressions = check_bench.check_case_floors(
             "BENCH_transfer.json", payload)
-        assert len(regressions) == 3
+        assert len(regressions) == 2
         assert any("case floor needs this metric" in str(r)
                    for r in regressions)
 
