@@ -37,7 +37,8 @@ K = 128
 TORNADO_K = 256
 PACKET_SIZE = 1024
 
-#: the swept intake granularity; 1 is the scalar per-droplet path.
+#: the swept intake granularity; 1 is one droplet per call (the same
+#: intake, on a batch of one row).
 BATCH_SIZES = [1, 16, 64, 256]
 TORNADO_BATCH_SIZES = [1, 16, 256]
 

@@ -144,24 +144,20 @@ class LTDecoder(PeelingEngine):
 
     # -- subclass hooks --------------------------------------------------------
 
-    def _esis(self, ids):
-        """Hook: the spec's droplet rows behind external droplet ids.
-
-        ``ids`` is one id (the scalar intake) or an id array (a batch).
-        A plain LT droplet id *is* its row; a systematic code maps ids
-        through its index first.
+    def _esis(self, ids: np.ndarray) -> np.ndarray:
+        """Hook: the spec's droplet rows behind an array of external
+        droplet ids.  A plain LT droplet id *is* its row; a systematic
+        code maps ids through its index first.
         """
         return ids
 
-    def _bank(self, ids, payloads: Optional[np.ndarray]) -> None:
-        """Hook: sees every fresh droplet before its equation forms.
-
-        One id with its payload, or an id array with row-aligned
-        ``payloads`` — a systematic code keeps the verbatim source
-        packets here.  Nothing to keep for LT.
+    def _bank(self, ids: np.ndarray, payloads: Optional[np.ndarray]) -> None:
+        """Hook: sees every fresh droplet before its equation forms —
+        an id array with row-aligned ``payloads``; a systematic code
+        keeps the verbatim source packets here.  Nothing to keep for LT.
         """
 
-    def _deferred(self, ids, payloads: Optional[np.ndarray]):
+    def _deferred(self, ids: np.ndarray, payloads: Optional[np.ndarray]):
         """Hook: which equations form now, given these banked droplets.
 
         ``None`` (LT, always) means exactly these, the usual way.
@@ -172,43 +168,6 @@ class LTDecoder(PeelingEngine):
         return None
 
     # -- feeding droplets ------------------------------------------------------
-
-    def _admit(self, index: int, has_payload: bool) -> bool:
-        """Validate, dedup and count one droplet id; True when new.
-
-        ``index`` is the droplet id from the packet header — any
-        non-negative integer, there is no ``n`` to bound it.
-        """
-        if index < 0:
-            raise ParameterError("droplet id must be >= 0")
-        if index in self._droplet_ids:
-            self._duplicates += 1
-            return False
-        if self.values is not None and not has_payload:
-            raise ParameterError("payload decoder requires droplet payloads")
-        self._droplet_ids.add(index)
-        return True
-
-    def _add_one(self, index: int, payload: Optional[np.ndarray],
-                 drop_late: bool) -> bool:
-        """Scalar intake of one admitted droplet: bank, then equation;
-        True when the engine was handed anything.
-
-        With ``drop_late``, a droplet that finds the decoder complete
-        (possibly by its own banking) is still new, and was counted,
-        but carries no information worth building an equation from.
-        """
-        self._bank(index, payload)
-        if drop_late and self.is_complete:
-            self._redundant += 1
-            return False
-        batch = self._deferred(index, payload)
-        if batch is not None or self._holds(1):
-            return self._take(*(batch or (index, payload)))
-        if not self.add_equation(
-                self.spec.neighbours(int(self._esis(index))), payload):
-            self._redundant += 1
-        return True
 
     def _short_of_square(self, arriving: int) -> bool:
         """True when ``arriving`` more rows still leave fewer rows than
@@ -226,7 +185,7 @@ class LTDecoder(PeelingEngine):
         return self._lazy_peel and (bool(self._held_ids)
                                     or self._short_of_square(arriving))
 
-    def _take(self, ids, rhs: Optional[np.ndarray]) -> bool:
+    def _take(self, ids: np.ndarray, rhs: Optional[np.ndarray]) -> bool:
         """Hold droplets ``ids`` or enter them; True when they entered.
 
         No code completes on fewer rows than unknowns, and a lazy engine
@@ -240,17 +199,14 @@ class LTDecoder(PeelingEngine):
         they come.  Eager engines peel on arrival, which is observable,
         and never hold.
         """
-        count = ids.size if isinstance(ids, np.ndarray) else 1
+        count = ids.size
         if not count:
             return False
         if self._holds(count):
             held = len(self._held_ids)
             if self._acc is not None:
                 self._pending_rhs(held + count)[held:] = rhs
-            if isinstance(ids, np.ndarray):
-                self._held_ids.extend(ids.tolist())
-            else:
-                self._held_ids.append(ids)
+            self._held_ids.extend(ids.tolist())
             self._held_rows += count
             if self._short_of_square(0):
                 return False
@@ -263,87 +219,80 @@ class LTDecoder(PeelingEngine):
         return True
 
     def _enter(self, ids: np.ndarray, rhs: Optional[np.ndarray]) -> None:
-        """One equation batch for droplets ``ids`` (at least one): one
-        neighbour pass, one engine intake."""
-        flat, indptr = self.spec.neighbour_block(self._esis(ids))
+        """One equation batch for droplets ``ids`` (at least one): their
+        neighbour sets in one ``DropletSpec.neighbour_block`` pass — or,
+        for a batch too small to repay its set-up and on the reference
+        backend, one ``neighbours`` walk per droplet (the same sets) —
+        then one engine intake."""
+        esis = self._esis(ids)
+        if self._vectorized and esis.size >= _VECTOR_INTAKE_MIN:
+            flat, indptr = self.spec.neighbour_block(esis)
+        else:
+            rows = [self.spec.neighbours(esi) for esi in esis.tolist()]
+            flat = np.concatenate(rows)
+            indptr = np.cumsum([0] + [row.size for row in rows])
         contributed = self.add_equations(indptr, flat, rhs)
         self._redundant += int(np.count_nonzero(~contributed))
 
     def add_packet(self, index: int,
                    payload: Optional[np.ndarray] = None) -> bool:
-        """Feed droplet ``index``; returns True when it was a new droplet."""
-        index = int(index)
-        self._check_width(payload)
-        if not self._admit(index, payload is not None):
-            return False
-        if self._add_one(index, payload, drop_late=False):
-            self.maybe_inactivate()
-        return True
+        """Feed droplet ``index``; True when it was a new droplet — a
+        batch of one, :meth:`add_packets` on one row."""
+        return bool(self._intake((index,), None if payload is None
+                                 else np.asarray(payload)[np.newaxis]))
 
     def add_packets(self, indices: Sequence[int],
                     payloads: Optional[np.ndarray] = None) -> int:
         """Feed a batch of droplets; returns the number of new droplet ids.
 
-        The inactivation fallback is considered once, after the whole
-        batch — feeding in chunks is the fast path for simulations.
-
-        Under the vectorized backend the whole batch becomes one
-        :meth:`~repro.codes.peeling.PeelingEngine.add_equations` call:
-        neighbour sets for every new droplet derive in one
-        :meth:`~repro.codes.lt.encoder.DropletSpec.neighbour_block` pass
-        and the engine peels a single combined wave.  Recovered bytes are
-        identical to the sequential path; only the attribution of
-        *redundant* droplets (a statistic) may differ.
-
-        Sub-threshold batches (the one-or-two-droplet tail of a
-        transfer) skip the batch machinery — per-droplet neighbour
-        derivation plus scalar intake is cheaper than one-row CSR
-        passes, which is what made batch-size-1 ingest slower than the
-        reference backend before the routing existed.
+        One intake whatever the batch size: the batch is validated
+        before any state moves, fresh ids are counted and banked, and a
+        droplet that finds the block complete (possibly by its own
+        banking) is counted as redundant and builds no equation.  The
+        rest form one equation batch — held while the system is short
+        of square (:meth:`_take`), then one
+        :meth:`~repro.codes.peeling.PeelingEngine.add_equations` call
+        with the inactivation fallback considered once after it.
+        Recovered bytes do not depend on how a stream is cut into
+        batches; only the attribution of *redundant* droplets (a
+        statistic) may.
         """
-        self._check_width(payloads)
-        if self._vectorized and len(indices) >= _VECTOR_INTAKE_MIN:
-            return self._add_packets_batch(indices, payloads)
-        fresh = 0
-        entered = False
-        for row, index in enumerate(indices):
-            index = int(index)
-            if self._admit(index, payloads is not None):
-                fresh += 1
-                entered |= self._add_one(
-                    index, None if payloads is None else payloads[row],
-                    drop_late=True)
-        if entered:
-            self.maybe_inactivate()
-        return fresh
+        return self._intake(indices, payloads)
 
     def _admit_batch(self, indices: Sequence[int], has_payload: bool):
-        """:meth:`_admit` over a batch: the fresh ids, in arrival order,
-        and their positions in ``indices`` (``None`` = every position).
+        """Validate, dedup and count a batch of droplet ids: the fresh
+        ids, in arrival order, and their positions in ``indices``
+        (``None`` = every position).
 
-        A batch whose ids are all new and all distinct — the usual
-        arrival — is admitted with one set test; anything else (a
-        repeat inside or across batches, a negative id) takes the
-        per-id loop, so duplicate counts, arrival-order attribution and
-        the negative-id error are those of one-at-a-time feeding.
+        An id is any non-negative integer (there is no ``n`` to bound
+        it); the whole batch is checked before any id is recorded.  All
+        new, all distinct ids — the usual arrival — are admitted with
+        one set test, anything else per id, so duplicate counts and
+        arrival-order attribution are those of one-at-a-time feeding.
         """
         ids = np.asarray(indices, dtype=np.int64)
         listed = ids.tolist()
+        if listed and min(listed) < 0:
+            raise ParameterError("droplet id must be >= 0")
+        if listed and self.values is not None and not has_payload:
+            raise ParameterError("payload decoder requires droplet payloads")
+        seen = self._droplet_ids
         distinct = set(listed)
-        if (len(distinct) == len(listed) and min(listed) >= 0
-                and distinct.isdisjoint(self._droplet_ids)):
-            if self.values is not None and not has_payload:
-                raise ParameterError(
-                    "payload decoder requires droplet payloads")
-            self._droplet_ids |= distinct
+        if len(distinct) == len(listed) and distinct.isdisjoint(seen):
+            seen |= distinct
             return ids, None
-        rows = [row for row, index in enumerate(listed)
-                if self._admit(index, has_payload)]
+        rows = []
+        for row, index in enumerate(listed):
+            if index not in seen:
+                seen.add(index)
+                rows.append(row)
+        self._duplicates += len(listed) - len(rows)
         return ids[rows], np.asarray(rows, dtype=np.int64)
 
-    def _add_packets_batch(self, indices: Sequence[int],
-                           payloads: Optional[np.ndarray]) -> int:
-        """Vectorized :meth:`add_packets`: one equation batch per call."""
+    def _intake(self, indices: Sequence[int],
+                payloads: Optional[np.ndarray]) -> int:
+        """The body of :meth:`add_packet` and :meth:`add_packets`."""
+        self._check_width(payloads)
         ids, rows = self._admit_batch(indices, payloads is not None)
         fresh = int(ids.size)
         if not fresh:

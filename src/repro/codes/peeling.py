@@ -73,11 +73,12 @@ def _group_sorted(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 _BITMATRIX_MAX_NODES = 1 << 14
 
 #: smallest batch worth the vectorized intake's fixed dispatch cost in
-#: :meth:`PeelingEngine.add_equations`.  Sub-threshold batches (one or
-#: two droplets at the tail of a transfer) run the scalar per-equation
-#: path instead, which reaches the same fixpoint — at batch size 1 the
-#: vectorized set-up otherwise *loses* to the reference backend
-#: (BENCH_transfer.json's ``ingest-lt-k128-b1`` regression).
+#: :meth:`PeelingEngine.add_equations` and the batch neighbour
+#: derivation of ``LTDecoder._enter`` — the two places a batch is routed
+#: by size.  Sub-threshold batches (one or two droplets at the tail of a
+#: transfer) run per row instead, which reaches the same fixpoint — at
+#: batch size 1 the vectorized set-up otherwise *loses* to the reference
+#: backend (BENCH_transfer.json's ``ingest-lt-k128-b1`` floor).
 _VECTOR_INTAKE_MIN = 8
 
 if hasattr(np, "bitwise_count"):
@@ -500,8 +501,8 @@ class PeelingEngine:
             return contributed
         if not self._vectorized or m < _VECTOR_INTAKE_MIN:
             # Reference discipline, and the vectorized backend's
-            # sub-threshold fast path: tiny batches pay per-equation
-            # costs either way, so skip the batch set-up machinery.
+            # per-row route: tiny batches pay per-equation costs either
+            # way, so skip the batch set-up machinery.
             for i in range(m):
                 seg = participants[indptr[i]:indptr[i + 1]]
                 rhs = None if rhs_block is None else rhs_block[i]

@@ -163,25 +163,18 @@ class RaptorDecoder(LTDecoder):
 
     # -- the three intake hooks ------------------------------------------------
 
-    def _esis(self, ids):
+    def _esis(self, ids: np.ndarray) -> np.ndarray:
         """External droplet ids through the systematic index."""
         return self.geometry.internal_esis(ids)
 
-    def _bank(self, ids, payloads: Optional[np.ndarray]) -> None:
+    def _bank(self, ids: np.ndarray, payloads: Optional[np.ndarray]) -> None:
         """Stash verbatim source packets for the loss-free fast path."""
-        if not isinstance(ids, int):
-            # a batch: keep its systematic rows
-            systematic = ids < self.geometry.k
-            ids = ids[systematic]
-            if payloads is not None:
-                payloads = payloads[systematic]
-        elif ids >= self.geometry.k:
-            return
-        self._sys_mask[ids] = True
+        systematic = ids < self.geometry.k
+        self._sys_mask[ids[systematic]] = True
         if self._sys_payloads is not None and payloads is not None:
-            self._sys_payloads[ids] = payloads
+            self._sys_payloads[ids[systematic]] = payloads[systematic]
 
-    def _deferred(self, ids, payloads: Optional[np.ndarray]):
+    def _deferred(self, ids: np.ndarray, payloads: Optional[np.ndarray]):
         """Hold systematic rows until the block's first repair droplet.
 
         The constraints plus any set of distinct systematic rows are
@@ -197,7 +190,7 @@ class RaptorDecoder(LTDecoder):
             return None
         if np.all(ids < self.geometry.k):
             self._held.append(ids)
-            self._held_rows += np.size(ids)
+            self._held_rows += ids.size
             return _NO_IDS, None
         if not self._held_rows:
             self._held = None
@@ -208,7 +201,7 @@ class RaptorDecoder(LTDecoder):
             payloads = None  # structural: no row carries a payload
         elif payloads is not None:
             payloads = np.concatenate([
-                bank[held[:self._held_rows]], np.atleast_2d(payloads)])
+                bank[held[:self._held_rows]], payloads])
         self._held = None
         self._held_rows = 0
         return held, payloads

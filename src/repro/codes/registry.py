@@ -140,7 +140,15 @@ class IncrementalDecoder(Protocol):
     The decoder is also the one memory of *what arrived*: it validates
     and dedups ids itself, and the receivers above it
     (:class:`~repro.fountain.client.FountainClient` and its views) read
-    every reception counter from here.
+    every reception counter from here.  Three intake contracts hold for
+    every member:
+
+    * ``add_packet(i, p)`` is ``add_packets([i], p[None])`` — one
+      intake body, a packet being a batch of one;
+    * a batch is validated whole (ids, payload presence and width)
+      before any state moves, so a refused batch counts nothing;
+    * an arrival that finds the block complete is counted (distinct or
+      duplicate) and dropped — it reaches no decoding work.
 
     *When* it decodes is its own business.  A packet is validated,
     deduplicated and counted on the call that brings it, but while
@@ -534,42 +542,50 @@ class SetDecoder:
             self._complete = bool(self.code.is_decodable(self._indices))
             self._next_attempt = len(self._indices) + self.retry_step
 
-    def _admit(self, index: int, payload: Optional[np.ndarray]) -> bool:
-        """Validate, dedup and store one arrival; True when it is new."""
-        n = self.code.n
-        if index < 0 or (n is not None and index >= n):
-            raise ParameterError(
-                f"packet index {index} outside [0, {n})")
-        if index in self._indices:
-            self._duplicates += 1
-            return False
-        if payload is None:
-            self._structural = True
-        else:
-            payload = np.asarray(payload)
-            if (self.payload_size is not None
-                    and payload.shape[-1] != self.payload_size):
-                raise ParameterError(
-                    f"payload carries {payload.shape[-1]} symbols, "
-                    f"decoder expects {self.payload_size}")
-            self._payloads[index] = payload
-        self._indices.add(index)
-        return True
-
     def add_packet(self, index: int,
                    payload: Optional[np.ndarray] = None) -> bool:
-        fresh = self._admit(int(index), payload)
-        self._check_complete()
-        return fresh
+        """Feed one packet; True when it was new (a batch of one)."""
+        return bool(self._intake((index,), None if payload is None
+                                 else np.asarray(payload)[np.newaxis]))
 
     def add_packets(self, indices: Sequence[int],
                     payloads: Optional[np.ndarray] = None) -> int:
-        fresh = 0
-        for row, index in enumerate(indices):
-            fresh += self._admit(
-                int(index), None if payloads is None else payloads[row])
-        self._check_complete()
-        return fresh
+        """Feed a batch of packets; returns how many ids were new."""
+        return self._intake(indices, payloads)
+
+    def _intake(self, indices: Sequence[int],
+                payloads: Optional[np.ndarray]) -> int:
+        """The body of :meth:`add_packet` and :meth:`add_packets`: the
+        batch validated whole, then each id deduplicated and counted,
+        its payload kept while the block is still incomplete, and the
+        attempt schedule run once."""
+        listed = np.asarray(indices, dtype=np.int64).tolist()
+        n = self.code.n
+        bad = [index for index in listed
+               if index < 0 or (n is not None and index >= n)]
+        if bad:
+            raise ParameterError(f"packet index {bad[0]} outside [0, {n})")
+        width = np.shape(payloads)[-1:]
+        if (payloads is not None and self.payload_size is not None
+                and width != (self.payload_size,)):
+            raise ParameterError(
+                f"payload carries {width[0] if width else 0} symbols, "
+                f"decoder expects {self.payload_size}")
+        rows = []
+        for row, index in enumerate(listed):
+            if index in self._indices:
+                self._duplicates += 1
+            else:
+                self._indices.add(index)
+                rows.append(row)
+        if rows and not self._complete:
+            if payloads is None:
+                self._structural = True
+            else:
+                for row in rows:
+                    self._payloads[listed[row]] = np.asarray(payloads[row])
+            self._check_complete()
+        return len(rows)
 
     def source_data(self) -> np.ndarray:
         if not self._complete:

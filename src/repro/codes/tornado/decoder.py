@@ -192,12 +192,12 @@ class PeelingDecoder(PeelingEngine):
                                else self.values[nodes])
             self.maybe_inactivate()
 
-    def _spent(self, index):
+    def _spent(self, nodes: np.ndarray) -> np.ndarray:
         """True for cap redundancy once the cap is solved: it sits in no
         XOR equation and the one system it served is done, so it can
         teach the engine nothing — and marking it known would cost the
         finisher its kept factorization."""
-        return self._cap_solved & (index >= self.structure.cap_offset)
+        return self._cap_solved & (nodes >= self.structure.cap_offset)
 
     def _enter(self, nodes: np.ndarray,
                payloads: Optional[np.ndarray]) -> None:
@@ -213,74 +213,61 @@ class PeelingDecoder(PeelingEngine):
         is not ``known``, so partial-progress reads trail eager peeling.
         """
         if self._cap_solved and self._defers_peeling():
-            if nodes.size == 1:
-                # the usual tail arrival: the scalar entry, no batch set-up
-                self.add_equation(nodes, None if payloads is None
-                                  else payloads[0])
-            else:
-                self.add_equations(np.arange(nodes.size + 1), nodes, payloads)
+            self.add_equations(np.arange(nodes.size + 1), nodes, payloads)
         else:
             self.observe_nodes(nodes, payloads)
         self.maybe_inactivate()
 
     def add_packet(self, index: int, payload: Optional[np.ndarray] = None) -> bool:
-        """Feed one encoding packet; returns True when it was new."""
-        if not 0 <= index < self.structure.n:
-            raise ParameterError(
-                f"packet index {index} outside [0, {self.structure.n})")
-        self._check_width(payload)
-        if self._received[index]:
-            self._duplicates += 1
-            return False
-        if self.values is not None and payload is None:
-            raise ParameterError("payload decoder requires packet payloads")
-        self._received[index] = True
-        self._packets_added += 1
-        if self._holding:
-            self._bank(index, payload)
-        elif not self.known[index] and not self._spent(index):
-            self._enter(np.asarray([index], dtype=np.int64),
-                        None if payload is None else np.asarray(
-                            payload, dtype=np.uint8)[np.newaxis])
-        return True
+        """Feed one packet; True when it was new (a batch of one)."""
+        return bool(self._intake((index,), None if payload is None
+                                 else np.asarray(payload)[np.newaxis]))
 
     def add_packets(self, indices: Sequence[int],
                     payloads: Optional[np.ndarray] = None) -> int:
-        """Feed a batch of packets at once; returns the number that were new."""
-        if len(indices) == 1:
-            # a batch of one is the scalar intake, without the set-up
-            return int(self.add_packet(
-                int(indices[0]), None if payloads is None else payloads[0]))
+        """Feed a batch of packets at once; returns the number that were new.
+
+        The one intake, at any batch size: validated before any state
+        moves, deduplicated and counted in one pass over the ids (cheap
+        at one row, where a packet-by-packet stream lands), then banked
+        while the hold lasts, dropped once the block is complete, and
+        otherwise shown to the engine unless peeling has recovered (or
+        the solved cap spent) the node.
+        """
+        return self._intake(indices, payloads)
+
+    def _intake(self, indices: Sequence[int],
+                payloads: Optional[np.ndarray]) -> int:
+        """The body of :meth:`add_packet` and :meth:`add_packets`."""
         idx = np.asarray(indices, dtype=np.int64)
-        if idx.size == 0:
-            return 0
-        if np.any((idx < 0) | (idx >= self.structure.n)):
-            raise ParameterError("packet index outside encoding range")
+        listed = idx.tolist()
+        n = self.structure.n
+        bad = [index for index in listed if not 0 <= index < n]
+        if bad:
+            raise ParameterError(f"packet index {bad[0]} outside [0, {n})")
         self._check_width(payloads)
-        block: Optional[np.ndarray] = None
-        if self.values is not None:
-            if payloads is None:
-                raise ParameterError("payload decoder requires packet payloads")
-            block = np.asarray(payloads, dtype=np.uint8)
-        # Drop indices already received and in-batch duplicates.
-        uniq, first = np.unique(idx, return_index=True)
-        fresh_mask = ~self._received[uniq]
-        fresh = uniq[fresh_mask]
-        self._received[fresh] = True
-        self._duplicates += int(idx.size - fresh.size)
-        self._packets_added += int(fresh.size)
+        if listed and self.values is not None and payloads is None:
+            raise ParameterError("payload decoder requires packet payloads")
+        rows = []
+        for row, index in enumerate(listed):
+            if not self._received[index]:
+                self._received[index] = True
+                rows.append(row)
+        self._duplicates += len(listed) - len(rows)
+        self._packets_added += len(rows)
+        if not rows:
+            return 0
+        nodes = idx[rows]
+        block = (None if self.values is None
+                 else np.asarray(payloads, dtype=np.uint8)[rows])
         if self._holding:
-            if fresh.size:
-                self._bank(fresh, None if block is None
-                           else block[first[fresh_mask]])
-            return int(fresh.size)
-        # Only nodes peeling has not already recovered reach the engine.
-        novel = ~(self.known[fresh] | self._spent(fresh))
-        if novel.any():
-            self._enter(
-                fresh[novel],
-                None if block is None else block[first[fresh_mask][novel]])
-        return int(fresh.size)
+            self._bank(nodes, block)
+        elif not self.is_complete:
+            novel = ~(self.known[nodes] | self._spent(nodes))
+            if novel.any():
+                self._enter(nodes[novel],
+                            None if block is None else block[novel])
+        return len(rows)
 
     # -- cap handling (engine hooks) ---------------------------------------------
 

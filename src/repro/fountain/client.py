@@ -114,20 +114,18 @@ class FountainClient:
 
     def receive_index(self, index: int,
                       payload: Optional[np.ndarray] = None) -> bool:
-        """Ingest by raw encoding index (simulation fast path)."""
-        if not self.is_complete:
-            self._sized_for(payload).add_packet(index, payload)
-            self.total_received += 1
-        return self.is_complete
+        """Ingest by raw encoding index: :meth:`receive_many` of one row."""
+        return self.receive_many((index,), None if payload is None
+                                 else np.asarray(payload)[np.newaxis])
 
     def receive_many(self, indices: np.ndarray,
                      payloads: Optional[np.ndarray] = None) -> bool:
-        """Batch :meth:`receive_index` with identical accounting.
+        """Ingest packets in arrival order; True once decodable.
 
-        Matches the sequential semantics exactly: packets arriving after
+        Matches one-at-a-time feeding exactly: packets arriving after
         completion are neither counted nor decoded, and the reception
-        counters at the moment of completion equal what one-at-a-time
-        feeding would have produced.  The guarantee rests on
+        counters at the moment of completion equal what feeding one
+        packet per call would have produced.  The guarantee rests on
         :attr:`min_additional` — a provable lower bound on the arrivals
         still needed — so a chunk of that size can only complete on its
         *last* packet, exactly where sequential feeding would stop.
@@ -137,14 +135,9 @@ class FountainClient:
         pos = 0
         while pos < indices.size and not self.is_complete:
             take = max(1, min(self.min_additional, indices.size - pos))
-            rows = None if payloads is None else payloads[pos:pos + take]
-            if take == 1:
-                # Single-packet steps keep the scalar ingest path (one
-                # neighbour derivation, not a batch call for one row).
-                decoder.add_packet(int(indices[pos]),
-                                   None if rows is None else rows[0])
-            else:
-                decoder.add_packets(indices[pos:pos + take], rows)
+            decoder.add_packets(
+                indices[pos:pos + take],
+                None if payloads is None else payloads[pos:pos + take])
             self.total_received += take
             pos += take
         return self.is_complete

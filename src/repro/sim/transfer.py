@@ -67,11 +67,6 @@ class TransferRunResult:
         """epsilon such that (1+epsilon) * total_k packets were received."""
         return self.packets_received / self.total_k - 1.0
 
-    @property
-    def send_overhead(self) -> float:
-        """Wire-side epsilon: emissions over total_k, loss included."""
-        return self.packets_sent / self.total_k - 1.0
-
 
 def _as_loss_model(loss: Union[float, LossModel]) -> LossModel:
     if isinstance(loss, LossModel):

@@ -85,16 +85,14 @@ class TransferClient:
 
     def receive_index(self, block: int, index: int,
                       payload: Optional[np.ndarray] = None) -> bool:
-        """Ingest by raw (block, index) pair (simulation fast path)."""
-        client = self._open_client(block)
-        if client is not None and client.receive_index(index, payload):
-            self._incomplete.discard(block)
-        self.total_received += 1
-        return self.is_complete
+        """Ingest by raw (block, index) pair: :meth:`receive_many` of one
+        row."""
+        return self.receive_many(block, (index,), None if payload is None
+                                 else np.asarray(payload)[np.newaxis])
 
     def receive_many(self, block: int, indices: np.ndarray,
                      payloads: Optional[np.ndarray] = None) -> bool:
-        """Batch :meth:`receive_index` for packets of one block.
+        """Ingest packets of one block, in arrival order.
 
         Every packet counts toward the transfer's reception total (they
         were all delivered); the block's client sees only the prefix up

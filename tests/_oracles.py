@@ -238,8 +238,12 @@ def scalar_systematic_scan(spec, constraint_indptr, constraint_flat, k):
 # The three native decoders' intake exactly as it ran before arrivals
 # were banked until the system is square: every admitted packet is
 # shown to the engine on the call that brought it.  Method bodies are
-# the parent commit's, verbatim.  ``tests/test_batched_ingest.py`` holds
-# the shipped decoders to them — same completing packet, bytes, counters
+# the parent commit's, verbatim, but for the edits made when the
+# decoders' scalar intake went: ``add_packets`` runs the droplet batch
+# body at every batch size, ``add_packet`` drops an arrival that finds
+# the block complete as that body always did, and the subclass hooks
+# are handed one-row arrays.  ``tests/test_batched_ingest.py`` holds the
+# shipped decoders to them — same completing packet, bytes, counters
 # and ``min_additional_packets`` after every call.
 
 
@@ -249,8 +253,20 @@ class _EagerDropletIntake:
     def _deferred(self, ids, payloads):
         return None
 
+    def _admit(self, index, has_payload):
+        if index < 0:
+            raise ParameterError("droplet id must be >= 0")
+        if index in self._droplet_ids:
+            self._duplicates += 1
+            return False
+        if self.values is not None and not has_payload:
+            raise ParameterError("payload decoder requires droplet payloads")
+        self._droplet_ids.add(index)
+        return True
+
     def _add_one(self, index, payload, drop_late):
-        self._bank(index, payload)
+        self._bank(np.asarray([index], dtype=np.int64),
+                   None if payload is None else np.asarray(payload)[None])
         if drop_late and self.is_complete:
             self._redundant += 1
             return
@@ -266,27 +282,11 @@ class _EagerDropletIntake:
         index = int(index)
         if not self._admit(index, payload is not None):
             return False
-        self._add_one(index, payload, drop_late=False)
+        self._add_one(index, payload, drop_late=True)
         self.maybe_inactivate()
         return True
 
     def add_packets(self, indices, payloads=None):
-        from repro.codes.peeling import _VECTOR_INTAKE_MIN
-
-        if self._vectorized and len(indices) >= _VECTOR_INTAKE_MIN:
-            return self._add_packets_batch(indices, payloads)
-        fresh = 0
-        for row, index in enumerate(indices):
-            index = int(index)
-            if self._admit(index, payloads is not None):
-                fresh += 1
-                self._add_one(index,
-                              None if payloads is None else payloads[row],
-                              drop_late=True)
-        self.maybe_inactivate()
-        return fresh
-
-    def _add_packets_batch(self, indices, payloads):
         has_payload = payloads is not None
         fresh_rows = []
         for row, index in enumerate(indices):

@@ -22,7 +22,11 @@ from repro.codes.backend import use_backend
 from repro.codes.lt.decoder import LTDecoder
 from repro.codes.peeling import PeelingEngine
 from repro.codes.raptor.decoder import RaptorDecoder
-from repro.codes.registry import build_code
+from repro.codes.registry import (
+    available_codes,
+    build_code,
+    incremental_decoder,
+)
 from repro.errors import ParameterError
 from repro.fountain.client import FountainClient
 
@@ -248,7 +252,7 @@ def test_raptor_decoder_inherits_the_lt_intake():
     class whose namespace holds them, so they must stay on ``LTDecoder``
     itself for the ``codes.decode.intake`` span to survive.
     """
-    for name in ("add_packet", "add_packets", "_add_packets_batch",
+    for name in ("add_packet", "add_packets",
                  "min_additional_packets", "packets_added",
                  "duplicates_seen", "redundant_droplets"):
         assert name in vars(LTDecoder)
@@ -275,7 +279,10 @@ def _droplet_stream(k, seed):
 #: inactivation runs, final (packets_added, duplicates_seen,
 #: redundant_droplets, min_additional_packets), crc32 of the repr of the
 #: whole per-call trajectory of that 4-tuple) — recorded at the parent
-#: commit, where the two decoders were separate classes.
+#: commit, where the two decoders were separate classes.  The three
+#: ``"sys"`` rows whose redundancy reads as its batch-path twin's were
+#: re-recorded when one intake body replaced the scalar one: a droplet
+#: that finds (or makes) the block complete is redundant at any size.
 _PINNED = {
     ("reference", "lt", 1, "bulk"): (64, 0, (80, 10, 36, 0), 0x6B54B509),
     ("reference", "lt", 1, "single"): (51, 4, (80, 10, 38, 0), 0xA04818D5),
@@ -289,8 +296,8 @@ _PINNED = {
     ("reference", "raptor", 2, "bulk"): (64, 1, (80, 10, 24, 0), 0xEADC62E0),
     ("reference", "raptor", 2, "single"): (44, 2, (80, 10, 39, 0), 0x6A1AAA13),
     ("reference", "raptor", 2, "small"): (45, 2, (80, 10, 39, 0), 0xD23A909D),
-    ("reference", "raptor", "sys", "bulk"): (64, 0, (60, 10, 21, 0), 0xD42D9AC0),
-    ("reference", "raptor", "sys", "single"): (40, 0, (60, 10, 0, 0), 0xC4223CC9),
+    ("reference", "raptor", "sys", "bulk"): (64, 0, (60, 10, 28, 0), 0x68E862FA),
+    ("reference", "raptor", "sys", "single"): (40, 0, (60, 10, 21, 0), 0x8F3A3A5A),
     ("reference", "raptor", "sys", "small"): (42, 0, (60, 10, 21, 0), 0x368BE624),
     ("vectorized", "lt", 1, "bulk"): (64, 1, (80, 10, 24, 0), 0x4D64F2B7),
     ("vectorized", "lt", 1, "single"): (51, 5, (80, 10, 35, 0), 0x0412FFFF),
@@ -305,7 +312,7 @@ _PINNED = {
     ("vectorized", "raptor", 2, "single"): (44, 2, (80, 10, 39, 0), 0x6A1AAA13),
     ("vectorized", "raptor", 2, "small"): (45, 2, (80, 10, 39, 0), 0xD23A909D),
     ("vectorized", "raptor", "sys", "bulk"): (64, 0, (60, 10, 28, 0), 0x68E862FA),
-    ("vectorized", "raptor", "sys", "single"): (40, 0, (60, 10, 0, 0), 0xC4223CC9),
+    ("vectorized", "raptor", "sys", "single"): (40, 0, (60, 10, 21, 0), 0x8F3A3A5A),
     ("vectorized", "raptor", "sys", "small"): (42, 0, (60, 10, 21, 0), 0x368BE624),
 }
 _STEP = {"single": 1, "small": 3, "bulk": 32}
@@ -708,12 +715,14 @@ def test_wrong_width_payload_is_refused_before_any_state_moves(
 def test_batch_admission_matches_the_per_id_loop(batches):
     """All-fresh batches take one set difference, everything else the
     loop: fresh ids, their rows, ``duplicates_seen`` and the negative-id
-    error are those of ``_admit`` called per id."""
+    error are those of ``_admit`` called per id — except that a refused
+    batch records none of its ids."""
     with use_backend("vectorized"):
         spec = build_code("lt", 16, seed=1).spec
-        fast, slow = LTDecoder(spec), LTDecoder(spec)
+        fast, slow = LTDecoder(spec), eager_lt_decoder(spec)
         for batch in batches:
             expect_rows, error = [], None
+            before = (set(fast._droplet_ids), fast.duplicates_seen)
             for row, index in enumerate(batch):
                 try:
                     if slow._admit(index, False):
@@ -724,16 +733,15 @@ def test_batch_admission_matches_the_per_id_loop(batches):
             if error is not None:
                 with pytest.raises(ParameterError, match=str(error)):
                     fast._admit_batch(batch, False)
-            else:
-                ids, rows = fast._admit_batch(batch, False)
-                rows = (list(range(len(batch))) if rows is None
-                        else rows.tolist())
-                assert rows == expect_rows
-                assert ids.tolist() == [batch[r] for r in expect_rows]
+                assert (fast._droplet_ids, fast.duplicates_seen) == before
+                break
+            ids, rows = fast._admit_batch(batch, False)
+            rows = (list(range(len(batch))) if rows is None
+                    else rows.tolist())
+            assert rows == expect_rows
+            assert ids.tolist() == [batch[r] for r in expect_rows]
             assert fast._droplet_ids == slow._droplet_ids
             assert fast.duplicates_seen == slow.duplicates_seen
-            if error is not None:
-                break
 
 
 def test_batch_admission_requires_payloads_like_the_loop():
@@ -742,6 +750,92 @@ def test_batch_admission_requires_payloads_like_the_loop():
     with pytest.raises(ParameterError, match="requires droplet payloads"):
         decoder.add_packets(list(range(10)))
     assert decoder.packets_added == 0
+
+
+# -- one intake: a packet is a batch of one -----------------------------------
+
+_FAMILIES = [family.name for family in available_codes()]
+
+
+def _intake_state(decoder):
+    """:func:`_state` plus what only a native decoder's intake shows."""
+    return _state(decoder) + tuple(
+        getattr(decoder, name, None)
+        for name in ("held_rows", "equation_count", "inactivation_runs"))
+
+
+def _family_block(family):
+    """A code of ``family`` at a size with its full machinery (a graph
+    layer under a Tornado cap), an 8-byte source block and its encoded
+    rows (``3k`` droplets for a rateless code)."""
+    k = _K_CASCADE if family.startswith("tornado") else _K
+    code = build_code(family, k, seed=5)
+    source = make_source(k, 8, 5)
+    encoded = (code.encode(source, 3 * k) if code.n is None
+               else code.encode(source))
+    return code, source, encoded
+
+
+@pytest.mark.parametrize("payload", [True, False])
+@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_add_packet_is_add_packets_of_one_row(family, backend, payload):
+    """``add_packet(i, p)`` and ``add_packets([i], p[None])`` leave every
+    decoder in the same state after every call — over a loss-free
+    source prefix followed by repairs and repeats that arrive after
+    completion (for Raptor, the systematic fast path completing out of
+    the bank), and over a shuffled stream with repeats."""
+    size = 8 if payload else None
+    with use_backend(backend):
+        code, source, encoded = _family_block(family)
+        k, span = code.k, encoded.shape[0]
+        rng = np.random.default_rng(k)
+        shuffled = rng.permutation(span)[:2 * k]
+        streams = [
+            np.concatenate([np.arange(k), np.arange(k, k + 20),
+                            np.arange(10)]),
+            np.insert(shuffled, rng.integers(1, shuffled.size, size=12),
+                      shuffled[:12]),
+        ]
+        for ids in streams:
+            one = incremental_decoder(code, payload_size=size)
+            batch = incremental_decoder(code, payload_size=size)
+            for call, index in enumerate(ids.tolist()):
+                row = encoded[index] if payload else None
+                fresh = one.add_packet(index, row)
+                assert fresh is (batch.add_packets(
+                    [index], None if row is None else row[None]) == 1)
+                assert _intake_state(one) == _intake_state(batch), (
+                    call, index)
+            if payload and one.is_complete:
+                assert np.array_equal(one.source_data(), source)
+                assert np.array_equal(batch.source_data(), source)
+        assert one.is_complete  # the shuffled stream decodes every code
+
+
+@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_a_batch_with_an_invalid_id_moves_no_state(family, backend):
+    """The whole batch is validated before any id is recorded: the
+    valid ids in front of a negative one are not swallowed, so feeding
+    them again counts them as fresh."""
+    with use_backend(backend):
+        code, _, encoded = _family_block(family)
+        decoder = incremental_decoder(code, payload_size=8)
+
+        def counters():
+            return (decoder.packets_added, decoder.duplicates_seen,
+                    getattr(decoder, "held_rows", 0),
+                    decoder.min_additional_packets)
+
+        before = counters()
+        ids = list(range(10)) + [-1, 11]
+        with pytest.raises(ParameterError):
+            decoder.add_packets(ids, encoded[ids])
+        assert counters() == before
+        assert decoder.add_packets(list(range(10)), encoded[:10]) == 10
+        assert decoder.packets_added == 10
+        assert decoder.duplicates_seen == 0
 
 
 @pytest.mark.parametrize("backend", ["vectorized", "reference"])

@@ -71,13 +71,22 @@ class TestMetricRules:
         assert check_bench.compare_metric("completion_rate", 1.0, 0.99) \
             is None
 
-    def test_timing_allows_wobble_gates_collapse(self):
-        assert check_bench.compare_metric("seconds", 1.0, 3.0) is None
-        assert check_bench.compare_metric("seconds", 1.0, 5.0) is not None
+    def test_timing_is_reported_never_gated(self):
+        # absolute single-shot timings from another machine: no verdict
+        assert check_bench.compare_metric("seconds", 1.0, 10.0) is None
+        assert check_bench.compare_metric("elapsed_ms", 1.0, 10.0) is None
         assert check_bench.compare_metric("receivers_per_second",
-                                          10000.0, 4000.0) is None
-        assert check_bench.compare_metric("receivers_per_second",
-                                          10000.0, 2000.0) is not None
+                                          10000.0, 1000.0) is None
+        assert check_bench.compare_metric("decode_MBps_vectorized",
+                                          100.0, 10.0) is None
+        assert check_bench.classify("seconds")[0] == "report"
+        assert check_bench.classify("packets_per_sec_reference")[0] \
+            == "report"
+        # same-process ratios keep gating
+        assert check_bench.compare_metric("ingest_speedup", 4.0, 2.5) \
+            is None
+        assert check_bench.compare_metric("ingest_speedup", 4.0, 1.5) \
+            is not None
 
     def test_non_numeric_current_fails(self):
         assert check_bench.compare_metric("seconds", 1.0, "fast") \
@@ -107,11 +116,32 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "REGRESSION" in out and "overhead_p99" in out
 
-    def test_throughput_collapse_fails(self, tmp_path):
-        def collapse(payload):
-            payload["results"][0]["receivers_per_second"] = 1000.0
+    def test_ten_times_slower_timing_passes_with_a_report_line(
+            self, tmp_path, capsys):
+        def slower(payload):
+            payload["results"][0]["seconds"] = 14.0
+            payload["results"][0]["receivers_per_second"] = 1400.0
 
-        assert check_bench.main(write_pair(tmp_path, collapse)) == 1
+        assert check_bench.main(write_pair(tmp_path, slower)) == 0
+        out = capsys.readouterr().out
+        assert "report: BENCH_x.json [flash-crowd] seconds: 14.0" in out
+        assert "receivers_per_second: 1400.0 (baseline 14000.0)" in out
+        assert "REGRESSION" not in out
+
+    def test_speedup_collapse_still_fails(self, tmp_path, capsys):
+        base_dir = tmp_path / "baseline"
+        cur_dir = tmp_path / "current"
+        base_dir.mkdir()
+        cur_dir.mkdir()
+        baseline = json.loads(json.dumps(BASELINE))
+        baseline["results"][1]["ingest_speedup"] = 4.0
+        current = json.loads(json.dumps(baseline))
+        current["results"][1]["ingest_speedup"] = 1.0
+        (base_dir / "BENCH_x.json").write_text(json.dumps(baseline))
+        (cur_dir / "BENCH_x.json").write_text(json.dumps(current))
+        assert check_bench.main(["--baseline-dir", str(base_dir),
+                                 "--current-dir", str(cur_dir)]) == 1
+        assert "ingest_speedup" in capsys.readouterr().out
 
     def test_timing_wobble_passes(self, tmp_path):
         def wobble(payload):
