@@ -25,6 +25,7 @@ from repro.codes.backend import use_backend
 from repro.codes.registry import REGISTRY, build_code, incremental_decoder
 from repro.gf import GF256, cauchy_inverse, cauchy_matrix, gf_invert
 from repro.sim.transfer import simulate_transfer
+from repro.transfer import BlockPlan, ObjectCodec, TransferServer
 
 FILE_SIZE = 384 * 1024
 PACKET_SIZE = 1024
@@ -200,6 +201,59 @@ def test_cap_inverse_closed_form(benchmark):
         closed_form_ms=round(closed_s * 1e3, 3),
         closed_form_speedup=round(elim_s / closed_s, 1),
     )
+
+
+#: emissions per record window, and the block size and block counts of
+#: the window rows: the UDP serve's window over one block and over the
+#: 16 blocks of the e2e benchmark's 4 MiB LT object.
+WINDOW = 512
+WINDOW_K = 256
+WINDOW_BLOCKS = [1, 16]
+
+
+def _window_server(blocks):
+    data = np.random.default_rng(23).integers(
+        0, 256, size=blocks * WINDOW_K * PACKET_SIZE, dtype=np.uint8)
+    codec = ObjectCodec(BlockPlan(data.size, PACKET_SIZE, WINDOW_K),
+                        code="lt", seed=23)
+    return TransferServer(codec, data.tobytes())
+
+
+def test_record_window_across_blocks(benchmark):
+    """Encode MB/s of one LT record window over 1 and over 16 blocks.
+
+    Both servers live in one process and are timed in alternation,
+    best of 40 windows each, so the pair is a same-process ratio: a
+    window that spans many blocks should cost about what one over a
+    single block does, since it synthesises in one pass either way.
+    What still separates them is memory: a one-block stack (256 KiB)
+    stays in L2, a 16-block one (4 MiB) is read from L3.
+    """
+
+    def measure():
+        servers = {blocks: _window_server(blocks)
+                   for blocks in WINDOW_BLOCKS}
+        best = dict.fromkeys(WINDOW_BLOCKS, float("inf"))
+        for _ in range(40):
+            for blocks, server in servers.items():
+                start = time.perf_counter()
+                server.record_window(WINDOW)
+                best[blocks] = min(best[blocks],
+                                   time.perf_counter() - start)
+        return best
+
+    best = benchmark.pedantic(measure, rounds=1, iterations=1)
+    for blocks, seconds in best.items():
+        rate = WINDOW * PACKET_SIZE / seconds / 1e6
+        benchmark.extra_info[f"encode_MBps_b{blocks}"] = round(rate, 1)
+        RESULTS.record(
+            f"window-lt-k{WINDOW_K}-b{blocks}",
+            family="lt",
+            k=WINDOW_K,
+            blocks=blocks,
+            packet_size=PACKET_SIZE,
+            encode_MBps_vectorized=round(rate, 1),
+        )
 
 
 def test_transfer_schedule_gap(benchmark):

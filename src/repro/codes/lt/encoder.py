@@ -30,7 +30,7 @@ table, no stretch-factor ceiling, droplet ids may grow without bound
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from repro.codes.degree import DegreeDistribution
 from repro.errors import ParameterError
 from repro.utils.packed import xor_view
 
-__all__ = ["DropletSpec", "LTEncoder"]
+__all__ = ["DropletSpec", "LTEncoder", "xor_neighbours"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -162,7 +162,9 @@ class DropletSpec:
 
     # -- batch derivation (the vectorized path) --------------------------------
 
-    def neighbour_block(self, droplet_ids: np.ndarray
+    def neighbour_block(self, droplet_ids: np.ndarray,
+                        specs: Optional[Sequence["DropletSpec"]] = None,
+                        member: Optional[np.ndarray] = None
                         ) -> Tuple[np.ndarray, np.ndarray]:
         """Neighbour sets of many droplets as a ragged CSR pair.
 
@@ -170,14 +172,22 @@ class DropletSpec:
         ``flat[indptr[i]:indptr[i + 1]]``, in exactly the order the
         scalar :meth:`neighbours` produces them.
 
+        ``specs`` and ``member`` derive the rows of *sibling* specs in
+        the same pass: row ``i`` is droplet ``droplet_ids[i]`` of
+        ``specs[member[i]]``.  Siblings must agree with this spec on
+        ``k`` and the degree pmf — the same-size blocks of one transfer
+        plan, which differ only in seed — so the one thing that varies
+        per row is the key.  Without them every row is this spec's.
+
         One ragged pass: every droplet gets a walk window sized to make
         a shortfall vanishingly rare (acceptance rate is ``k / domain``,
         at least one in four), all windows evaluate through the Feistel
         network as a single flat batch, and per-row acceptance ranks
         place the kept outputs.  A droplet whose window still came up
         short — possible, since acceptance is deterministic, just
-        unlikely — falls back to the scalar walk; the flat pass produces
-        the identical prefix, so outputs stay bit-equal either way.
+        unlikely — falls back to the scalar walk of its own spec; the
+        flat pass produces the identical prefix, so outputs stay
+        bit-equal either way.
         """
         ids = np.asarray(droplet_ids, dtype=np.int64)
         if ids.size and int(ids.min()) < 0:
@@ -185,8 +195,14 @@ class DropletSpec:
         indptr = np.zeros(ids.size + 1, dtype=np.int64)
         if not ids.size:
             return np.empty(0, dtype=np.int64), indptr
-        base = (np.uint64(self._key)
-                + ids.astype(np.uint64) * np.uint64(_ID_STRIDE))
+        if specs is None:
+            key = np.uint64(self._key)
+        else:
+            if any(spec.k != self.k for spec in specs):
+                raise ParameterError("sibling specs must share k")
+            key = np.array([spec._key for spec in specs],
+                           dtype=np.uint64)[member]
+        base = key + ids.astype(np.uint64) * np.uint64(_ID_STRIDE)
         # One splitmix pass covers the degree word (column 0) and the
         # four Feistel round keys.
         words = _splitmix64_np(base[:, None]
@@ -231,13 +247,53 @@ class DropletSpec:
         flat[indptr[rows_t] + rank[take] - 1] = ys[take]
         taken = np.bincount(rows_t, minlength=ids.size)
         for i in np.nonzero(taken < degrees)[0].tolist():
-            flat[indptr[i]:indptr[i + 1]] = self.neighbours(int(ids[i]))
+            spec = self if specs is None else specs[int(member[i])]
+            flat[indptr[i]:indptr[i + 1]] = spec.neighbours(int(ids[i]))
         return flat, indptr
 
     @property
     def average_degree(self) -> float:
         """Expected XORs per droplet — the per-packet encode/decode cost."""
         return self.degree_dist.average_degree
+
+
+#: neighbour passes the droplet kernel runs over every row before the
+#: rare heavier droplets (the soliton spike) reduce one at a time.
+_LIGHT_DEGREE = 8
+
+
+def xor_neighbours(inputs: np.ndarray, flat: np.ndarray,
+                   indptr: np.ndarray, out: np.ndarray,
+                   rows: Optional[np.ndarray] = None) -> None:
+    """Write the XOR of ``inputs[flat[indptr[i]:indptr[i + 1]]]`` into
+    ``out[rows[i]]`` (``out[i]`` without ``rows``), for every ``i``.
+
+    The vectorized droplet kernel, over a ``(rows, P)`` uint8 block and
+    a CSR of non-empty neighbour sets; ``out`` may be any ``(n, P)``
+    uint8 view, such as the payload columns of a record array.  Rows are
+    sorted by degree, heaviest first, so neighbour ``j`` of every row
+    that has one is a prefix: each pass is one gather and one in-place
+    XOR (through the uint64 lane view when the width packs).  Soliton
+    degrees concentrate at the low end, so a handful of passes covers
+    almost every row, and only the rare heavy droplets fall through to
+    a per-row reduction — measurably faster than one segmented
+    ``reduceat`` over the ragged incidence, whose generic inner loop
+    dominates this shape.
+    """
+    src = xor_view(inputs)
+    lens = np.diff(indptr)
+    order = np.argsort(-lens, kind="stable")
+    starts = indptr[:-1][order]
+    lens = lens[order]
+    acc = src[flat[starts]]
+    light = min(_LIGHT_DEGREE, int(lens[0]))
+    for j in range(1, light):
+        m = int(np.count_nonzero(lens > j))
+        np.bitwise_xor(acc[:m], src[flat[starts[:m] + j]], out=acc[:m])
+    for i in range(int(np.count_nonzero(lens > light))):
+        acc[i] ^= np.bitwise_xor.reduce(
+            src[flat[starts[i] + light:starts[i] + lens[i]]], axis=0)
+    out[order if rows is None else rows[order]] = acc.view(np.uint8)
 
 
 class LTEncoder:
@@ -272,9 +328,8 @@ class LTEncoder:
         """Payloads for many droplets as a ``(len(ids), P)`` block.
 
         The vectorized backend derives every neighbour set in one batch
-        and XORs whole segments with one lane-packed
-        ``bitwise_xor.reduceat``; the reference backend XORs droplet by
-        droplet.  Outputs are byte-identical.
+        and XORs them with :func:`xor_neighbours`; the reference backend
+        XORs droplet by droplet.  Outputs are byte-identical.
         """
         ids = np.asarray(droplet_ids, dtype=np.int64)
         if not is_vectorized():
@@ -282,28 +337,9 @@ class LTEncoder:
             for row, droplet_id in enumerate(ids):
                 out[row] = self.droplet_payload(int(droplet_id))
             return out
-        if ids.size == 0:
-            return np.empty((0, self.payload_size), dtype=np.uint8)
-        flat, indptr = self.spec.neighbour_block(ids)
-        src = xor_view(self.source)
-        starts = indptr[:-1]
-        lens = np.diff(indptr)
-        # Soliton degrees concentrate at the low end, so XOR neighbour
-        # j of every still-active droplet per pass: a handful of masked
-        # gathers covers almost all rows, and only the rare heavy
-        # droplets (the spike) fall through to a per-row reduction —
-        # measurably faster than one segmented reduceat over the ragged
-        # incidence, whose generic inner loop dominates this shape.
-        out = src[flat[starts]].copy()
-        light = int(min(8, int(lens.max())))
-        for j in range(1, light):
-            sel = np.nonzero(lens > j)[0]
-            out[sel] ^= src[flat[starts[sel] + j]]
-        for i in np.nonzero(lens > light)[0].tolist():
-            out[i] ^= np.bitwise_xor.reduce(
-                src[flat[starts[i] + light:indptr[i + 1]]], axis=0)
-        if out.dtype != np.uint8:
-            out = out.view(np.uint8)
+        out = np.empty((ids.size, self.payload_size), dtype=np.uint8)
+        if ids.size:
+            xor_neighbours(self.source, *self.spec.neighbour_block(ids), out)
         return out
 
     def droplets(self, start: int = 0) -> Iterator[np.ndarray]:

@@ -99,15 +99,17 @@ class RaptorCode(RatelessCode):
 
     # -- encoding --------------------------------------------------------------
 
-    def encoder(self, source: np.ndarray) -> RaptorEncoder:
+    def encoder(self, source: np.ndarray,
+                out: Optional[np.ndarray] = None) -> RaptorEncoder:
         """Bind this code to a ``(k, P)`` source block for droplet output.
 
         The bind replays the geometry's cached solve plan — pure XOR
         waves, byte-identical to the engine pre-solve — so per-block
-        encode cost no longer includes a peeling decode.
+        encode cost no longer includes a peeling decode.  ``out``
+        optionally names the ``(k', P)`` rows the intermediates land in.
         """
         return RaptorEncoder(self.geometry, source,
-                             plan=self._assets.encode_plan())
+                             plan=self._assets.encode_plan(), out=out)
 
     # -- decoding --------------------------------------------------------------
 

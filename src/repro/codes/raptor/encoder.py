@@ -110,10 +110,15 @@ class RaptorEncoder:
         <repro.codes.raptor.code.RaptorCode>` always supplies the
         process-cached plan; passing ``None`` keeps the engine path,
         which the differential tests use as the oracle.
+    out:
+        Optional ``(k', P)`` array the intermediates are written into
+        (a transfer server's rows of one stacked slab); by default they
+        get an array of their own.
     """
 
     def __init__(self, geometry: RaptorGeometry, source: np.ndarray,
-                 plan: Optional[SolvePlan] = None):
+                 plan: Optional[SolvePlan] = None,
+                 out: Optional[np.ndarray] = None):
         self.geometry = geometry
         self.source = as_packet_block(source, geometry.k, dtype=np.uint8)
         if plan is not None:
@@ -123,9 +128,13 @@ class RaptorEncoder:
                     f"solve plan shape ({plan.num_inputs} -> "
                     f"{plan.num_nodes}) does not match geometry "
                     f"({geometry.k} -> {geometry.intermediate_count})")
-            self.intermediates = plan.apply(self.source)
+            intermediates = plan.apply(self.source)
         else:
-            self.intermediates = presolve_intermediates(geometry, self.source)
+            intermediates = presolve_intermediates(geometry, self.source)
+        if out is not None:
+            out[...] = intermediates
+            intermediates = out
+        self.intermediates = intermediates
         self._lt = LTEncoder(geometry.spec, self.intermediates)
 
     @property

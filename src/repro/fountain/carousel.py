@@ -95,10 +95,11 @@ class CarouselServer(SequencedPacketSource):
         carries ``order[t % n]``, so simulations can regenerate any
         window of the stream from the shared seed.
         """
-        return self._indices(np.arange(count))
+        return self._indices(0, count)
 
-    def _indices(self, positions: np.ndarray) -> np.ndarray:
-        return self.order[positions % self.cycle_length]
+    def _indices(self, first: int, count: int) -> np.ndarray:
+        return self.order[(first + np.arange(count, dtype=np.int64))
+                          % self.cycle_length]
 
     def _gather(self, indices: np.ndarray) -> np.ndarray:
         if self.encoding is None:

@@ -37,7 +37,7 @@ id_range)``:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -79,6 +79,10 @@ class RatelessServer(SequencedPacketSource):
     block:
         Block id for block-aware headers; ``None`` keeps the legacy
         12-byte header.
+    encoder:
+        An encoder already bound to this block's source, in place of
+        ``source`` — how a transfer server shares one per block across
+        its forks.
     """
 
     def __init__(self, code: LTCode,
@@ -88,7 +92,8 @@ class RatelessServer(SequencedPacketSource):
                  id_range: Optional[int] = None,
                  wrap: bool = False,
                  sequencer: Optional[HeaderSequencer] = None,
-                 block: Optional[int] = None):
+                 block: Optional[int] = None,
+                 encoder: Optional[Any] = None):
         super().__init__(group=group, sequencer=sequencer, block=block)
         if not 0 <= start < SERIAL_MODULUS:
             raise ParameterError(
@@ -102,7 +107,9 @@ class RatelessServer(SequencedPacketSource):
                 f"id range [{start}, {start + id_range}) overflows the "
                 f"uint32 header index; keep start + id_range <= 2**32")
         self.code = code
-        self.encoder = None if source is None else code.encoder(source)
+        if encoder is None and source is not None:
+            encoder = code.encoder(source)
+        self.encoder = encoder
         self.start = int(start)
         self.id_range = int(id_range)
         self.wrap = bool(wrap)
@@ -147,10 +154,15 @@ class RatelessServer(SequencedPacketSource):
             raise ProtocolError(
                 f"index stream of {count} exceeds the server's id range "
                 f"of {self.id_range}; widen the range or pass wrap=True")
-        return self._indices(np.arange(count, dtype=np.int64))
+        return self._indices(0, count)
 
-    def _indices(self, positions: np.ndarray) -> np.ndarray:
-        return self.start + positions % self.id_range
+    def _indices(self, first: int, count: int) -> np.ndarray:
+        first %= self.id_range
+        if first + count <= self.id_range:     # no wrap inside: one arange
+            return np.arange(self.start + first, self.start + first + count,
+                             dtype=np.int64)
+        return self.start + (first + np.arange(count, dtype=np.int64)) \
+            % self.id_range
 
     def _gather(self, indices: np.ndarray) -> np.ndarray:
         if self.encoder is None:

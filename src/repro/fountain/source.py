@@ -31,11 +31,14 @@ from repro.fountain.packets import EncodingPacket, HeaderSequencer
 __all__ = ["LOOKAHEAD", "PacketSource", "SequencedPacketSource"]
 
 
-#: emissions synthesised per look-ahead fill.  A block source derives
-#: this many payloads in one batched pass (one ``payload_block`` / one
-#: fancy-indexed row gather) and hands them out a packet at a time, so
-#: the per-call cost of neighbour derivation is paid once per fill; it
-#: holds at most this many payloads beyond what it has emitted.
+#: emissions synthesised per look-ahead fill, for per-packet pulls.  A
+#: block source derives this many payloads in one batched pass (one
+#: ``payload_block`` / one fancy-indexed row gather) and hands them out
+#: a packet at a time, so the per-call cost of neighbour derivation is
+#: paid once per fill; it holds at most this many payloads beyond what
+#: it has emitted.  A rateless transfer's record windows bypass it:
+#: they draw ids with :meth:`SequencedPacketSource.index_batch` and
+#: synthesise the whole window across blocks in one pass.
 LOOKAHEAD = 32
 
 
@@ -66,13 +69,13 @@ class SequencedPacketSource:
     drawing from it: a packet at a time (:meth:`_next_packet`), a batch
     of indices with or without their payloads (:meth:`index_batch`,
     :meth:`payload_batch`), and back again (:meth:`_retreat`).  The
-    subclass supplies three pure hooks: :meth:`_indices` (emission
-    position → encoding index), :meth:`_gather` (index → payload row)
-    and :meth:`_headroom` (how far the id range reaches).  Payloads are
-    synthesised ahead of emission: :meth:`_ahead` serves the cursor out
-    of a buffer refilled by one batched gather per :data:`LOOKAHEAD`
-    emissions.  The buffer is keyed by position and synthesis is a pure
-    function of it, so it never goes stale.
+    subclass supplies three pure hooks: :meth:`_indices` (a run of
+    emission positions → encoding indices), :meth:`_gather` (index →
+    payload row) and :meth:`_headroom` (how far the id range reaches).
+    Payloads are synthesised ahead of emission: :meth:`_ahead` serves
+    the cursor out of a buffer refilled by one batched gather per
+    :data:`LOOKAHEAD` emissions.  The buffer is keyed by position and
+    synthesis is a pure function of it, so it never goes stale.
 
     A striped server has a schedule where a block source has a cursor:
     :class:`~repro.transfer.server.TransferServer` overrides
@@ -109,8 +112,9 @@ class SequencedPacketSource:
 
     # -- what a block source supplies ------------------------------------------
 
-    def _indices(self, positions: np.ndarray) -> np.ndarray:
-        """The encoding index each of the emission ``positions`` carries."""
+    def _indices(self, first: int, count: int) -> np.ndarray:
+        """The encoding indices emissions ``first .. first + count - 1``
+        carry."""
         raise NotImplementedError  # pragma: no cover - abstract
 
     def _gather(self, indices: np.ndarray) -> np.ndarray:
@@ -141,8 +145,7 @@ class SequencedPacketSource:
             return (self._ahead_indices[row:row + count],
                     self._ahead_payloads[row:row + count])
         fill = max(count, min(LOOKAHEAD, self._headroom(count)))
-        indices = self._indices(
-            self._position + np.arange(fill, dtype=np.int64))
+        indices = self._indices(self._position, fill)
         payloads = self._gather(indices)
         if count < LOOKAHEAD:
             self._ahead_from = self._position
@@ -154,8 +157,7 @@ class SequencedPacketSource:
         advances by ``count``.  All an index-only source can emit — the
         structural simulations' draw."""
         self._headroom(count)
-        indices = self._indices(
-            self._position + np.arange(count, dtype=np.int64))
+        indices = self._indices(self._position, count)
         self._position += int(count)
         return indices
 

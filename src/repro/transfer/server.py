@@ -23,21 +23,26 @@ wire format byte-identical to the paper's.
 Encode once, serve many — and only what is served: fixed-rate blocks
 are held as lazy row-on-demand encoders
 (:meth:`~repro.codes.base.ErasureCode.block_encoder`), rateless blocks
-as their ``(k, P)`` source arrays, and :meth:`TransferServer.fork`
-spins up additional independent streams over the *same* cached
-objects.  Each encoding row is computed at most once no matter how
-many concurrent receivers a transport fans the object out to, and
-redundancy rows the carousels never reach are never computed at all.
+as encoders over views of one stacked array of droplet inputs
+(:class:`_DropletStack`), and :meth:`TransferServer.fork` spins up
+additional independent streams over the *same* cached objects.  Each
+encoding row is computed at most once no matter how many concurrent
+receivers a transport fans the object out to, and redundancy rows the
+carousels never reach are never computed at all.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import islice
-from typing import Deque, Iterator, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.codes.backend import is_vectorized
+from repro.codes.base import bytes_to_packets
+from repro.codes.lt.encoder import xor_neighbours
+from repro.codes.raptor.code import RaptorCode
 from repro.errors import ParameterError
 from repro.fountain.packets import (
     BLOCK_HEADER_SIZE,
@@ -50,6 +55,97 @@ from repro.fountain.source import SequencedPacketSource
 from repro.codes.registry import block_seed
 from repro.transfer.codec import ObjectCodec
 from repro.transfer.schedule import make_schedule, weighted_slots
+
+
+class _DropletStack:
+    """A rateless plan's droplet inputs as one stacked array, and the
+    synthesis pass that serves a whole window from it.
+
+    LT droplets XOR source packets, so the stack is the object's
+    ``(total_k, P)`` packet rows — one ``bytes_to_packets`` over the
+    whole object; block boundaries fall on packet boundaries, so each
+    block's source is a view of it.  Raptor droplets XOR
+    intermediates: every block's pre-solve writes into its rows of one
+    slab, and its systematic ids gather from the object rows.  The
+    per-block encoders (what per-packet pulls read, and what every fork
+    shares) are bound to those views, so nothing is held twice.
+    """
+
+    def __init__(self, codec: ObjectCodec, data: bytes):
+        plan = codec.plan
+        codes = [codec.code_for(spec.block) for spec in plan.blocks]
+        #: the object's packet rows; block b is rows [first_b, first_b + k_b)
+        self.rows = bytes_to_packets(data, plan.packet_size)
+        self._first = np.array([spec.byte_offset // plan.packet_size
+                                for spec in plan.blocks], dtype=np.int64)
+        sources = [self.rows[first:first + spec.k]
+                   for first, spec in zip(self._first.tolist(), plan.blocks)]
+        if isinstance(codes[0], RaptorCode):
+            widths = np.array([code.intermediate_count for code in codes])
+            self._input_first = np.cumsum(widths) - widths
+            #: the rows droplets XOR: the object rows, or the Raptor slab
+            self.inputs = np.empty((int(widths.sum()), plan.packet_size),
+                                   dtype=np.uint8)
+            self.encoders = [
+                code.encoder(source, out=self.inputs[first:first + width])
+                for code, source, first, width in zip(
+                    codes, sources, self._input_first.tolist(),
+                    widths.tolist())]
+            # ids below k are systematic rows; repair id i is internal
+            # droplet row repair_base + (i - k)
+            self._systematic = np.array([code.k for code in codes])
+            self._esi_shift = np.array(
+                [code.geometry.repair_base - code.k for code in codes])
+        else:
+            self.inputs = self.rows
+            self._input_first = self._first
+            self.encoders = [code.encoder(source)
+                             for code, source in zip(codes, sources)]
+            self._systematic = self._esi_shift = np.zeros(len(codes),
+                                                          dtype=np.int64)
+        # Blocks whose droplet specs agree on k and the degree pmf (every
+        # full-size block of a plan) derive their neighbours in one call.
+        groups: Dict[Any, List[int]] = {}
+        for block, code in enumerate(codes):
+            groups.setdefault((code.spec.k, code.spec.degree_dist),
+                              []).append(block)
+        self._group_of = np.empty(len(codes), dtype=np.int64)
+        self._member = np.empty(len(codes), dtype=np.int64)
+        self._groups = []
+        for group, blocks in enumerate(groups.values()):
+            self._group_of[blocks] = group
+            self._member[blocks] = np.arange(len(blocks))
+            self._groups.append([codes[block].spec for block in blocks])
+
+    def synthesise(self, blocks: np.ndarray, indices: np.ndarray,
+                   out: np.ndarray) -> None:
+        """Write the payload of droplet ``indices[r]`` of block
+        ``blocks[r]`` into ``out[r]``, for every row at once.
+
+        Systematic rows are one row gather; droplet rows go through one
+        neighbour derivation per spec group, shifted to their block's
+        rows of the stack, and one XOR gather over it.  The reference
+        backend keeps its per-droplet path.
+        """
+        if not is_vectorized():
+            for row, (block, index) in enumerate(zip(blocks.tolist(),
+                                                     indices.tolist())):
+                out[row] = self.encoders[block].droplet_payload(index)
+            return
+        systematic = indices < self._systematic[blocks]
+        out[systematic] = self.rows[self._first[blocks[systematic]]
+                                    + indices[systematic]]
+        droplets = np.nonzero(~systematic)[0]
+        for group, specs in enumerate(self._groups):
+            rows = droplets[self._group_of[blocks[droplets]] == group]
+            if not rows.size:
+                continue
+            owner = blocks[rows]
+            flat, indptr = specs[0].neighbour_block(
+                indices[rows] + self._esi_shift[owner],
+                specs=specs, member=self._member[owner])
+            flat += np.repeat(self._input_first[owner], np.diff(indptr))
+            xor_neighbours(self.inputs, flat, indptr, out, rows)
 
 
 class TransferServer(SequencedPacketSource):
@@ -77,7 +173,8 @@ class TransferServer(SequencedPacketSource):
     def __init__(self, codec: ObjectCodec, data: Optional[bytes] = None,
                  schedule: str = "interleave",
                  seed: int = 0, group: int = 0,
-                 _payloads: Optional[List] = None):
+                 _cache: Optional[Tuple[List, Optional[_DropletStack]]]
+                 = None):
         super().__init__(group=group)
         if data is not None and len(data) != codec.plan.file_size:
             raise ParameterError(
@@ -87,19 +184,21 @@ class TransferServer(SequencedPacketSource):
         self.schedule = schedule
         self.seed = int(seed)
         self._data = data
-        if _payloads is None:
-            _payloads = self._materialise(codec, data)
-        #: per-block payload sources — the encode-once cache every fork
-        #: shares: a lazy (n, P) row encoder for fixed-rate codes, the
-        #: (k, P) source block for rateless ones, None without data.
-        self._payloads = _payloads
+        if _cache is None:
+            _cache = self._materialise(codec, data)
+        #: the encode-once cache every fork shares: per-block payload
+        #: sources (a lazy (n, P) row encoder for fixed-rate codes, a
+        #: droplet encoder for rateless ones, None without data) and, for
+        #: a rateless plan with data, the stacked droplet inputs those
+        #: encoders view.
+        self._payloads, self._stack = _cache
         self.block_sources: List[SequencedPacketSource] = []
-        for spec, payload in zip(codec.plan.blocks, _payloads):
+        for spec, payload in zip(codec.plan.blocks, self._payloads):
             code = codec.code_for(spec.block)
             block = spec.block if codec.num_blocks > 1 else None
             self.block_sources.append(
-                RatelessServer(code, payload, sequencer=self._sequencer,
-                               block=block)
+                RatelessServer(code, encoder=payload,
+                               sequencer=self._sequencer, block=block)
                 if codec.is_rateless else
                 CarouselServer(code, payload,
                                seed=block_seed(self.seed, spec.block),
@@ -114,18 +213,23 @@ class TransferServer(SequencedPacketSource):
         self._window_blocks = self._window_serials = np.zeros(0, np.int64)
 
     @staticmethod
-    def _materialise(codec: ObjectCodec, data: Optional[bytes]) -> List:
-        """The per-block payload sources: ``(k, P)`` source arrays for
-        rateless families, lazy row-on-demand encoders for fixed-rate
-        ones.  Redundancy rows a carousel never emits before its
-        receivers complete are rows that are never computed — and every
-        fork shares the same encoders, so each row is computed at most
-        once per server however many streams fan out."""
+    def _materialise(codec: ObjectCodec, data: Optional[bytes]
+                     ) -> Tuple[List, Optional[_DropletStack]]:
+        """The per-block payload sources (and the rateless stack).
+
+        Rateless families get encoders over one :class:`_DropletStack`;
+        fixed-rate ones lazy row-on-demand encoders.  Redundancy rows a
+        carousel never emits before its receivers complete are rows that
+        are never computed — and every fork shares the same encoders,
+        so each row is computed at most once per server however many
+        streams fan out."""
         if data is None:
-            return [None] * codec.num_blocks
-        build = codec.source_block if codec.is_rateless \
-            else codec.block_encoder
-        return [build(data, spec.block) for spec in codec.plan.blocks]
+            return [None] * codec.num_blocks, None
+        if codec.is_rateless:
+            stack = _DropletStack(codec, data)
+            return stack.encoders, stack
+        return [codec.block_encoder(data, spec.block)
+                for spec in codec.plan.blocks], None
 
     @property
     def total_k(self) -> int:
@@ -151,47 +255,66 @@ class TransferServer(SequencedPacketSource):
         """The next ``count`` emissions as ``(blocks, indices,
         payloads)`` arrays — the only batched draw.
 
-        ``count`` schedule slots, then one batch per block they name;
         ``payloads`` is ``(count, P)`` rows when the server holds data,
         ``None`` on a structural one.  Cursors and serials advance as
         ``count`` packets would advance them (emission ``t`` carries
         serial ``t`` however drawn), so draws interleave freely.
         """
+        payloads = None if self._data is None else np.empty(
+            (count, self.codec.plan.packet_size), dtype=np.uint8)
+        blocks, indices = self._draw(count, payloads)
+        return blocks, indices, payloads
+
+    def _draw(self, count: int, payloads: Optional[np.ndarray]
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """``count`` schedule slots, their indices, and — when
+        ``payloads`` rows are given — their payloads written into them.
+
+        Indices come from one cursor draw per block the slots name.  A
+        rateless plan then synthesises every payload of the window in
+        one pass over its stack; a carousel gathers per block.
+        """
         blocks = np.fromiter(islice(self._slots, count), dtype=np.int64,
                              count=count)
         indices = np.empty(count, dtype=np.int64)
-        payloads = None if self._data is None else np.empty(
-            (count, self.codec.plan.packet_size), dtype=np.uint8)
-        for block in np.unique(blocks):
-            rows = blocks == block
-            source, size = self.block_sources[block], int(rows.sum())
-            if payloads is None:
-                indices[rows] = source.index_batch(size)
-            else:
+        gather = payloads is not None and self._stack is None
+        # each block's slots, in emission order: one stable sort
+        order = np.argsort(blocks, kind="stable")
+        end = 0
+        for block, size in enumerate(np.bincount(blocks).tolist()):
+            if not size:
+                continue
+            rows, end = order[end:end + size], end + size
+            source = self.block_sources[block]
+            if gather:
                 indices[rows], payloads[rows] = source.payload_batch(size)
+            else:
+                indices[rows] = source.index_batch(size)
+        if payloads is not None and self._stack is not None:
+            self._stack.synthesise(blocks, indices, payloads)
         self._window_blocks = blocks
         self._window_serials = self._sequencer.take(count)
-        return blocks, indices, payloads
+        return blocks, indices
 
     def record_window(self, count: int) -> np.ndarray:
         """The next ``count`` emissions as a ``(count, H + P)`` array of
         wire records — what ``count`` :meth:`_next_packet` calls and a
         ``to_bytes`` each would serialise, with no per-packet object.
 
-        One :meth:`window` plus the header stamp: index / serial /
-        group (/ block, on multi-block plans; single-block plans keep
-        the 12-byte header) as big-endian ``u4`` columns.
+        One draw with the payloads written straight into the records,
+        plus the header stamp: index / serial / group (/ block, on
+        multi-block plans; single-block plans keep the 12-byte header)
+        as big-endian ``u4`` columns.
         """
-        blocks, indices, payloads = self.window(count)
-        if payloads is None:
-            self.unwind(count)      # refused: the stream has not moved
+        if self._data is None:
             raise ParameterError(
                 "a structural server (built without data) has no payloads "
                 "to record; draw window() for the ids")
         multi = self.num_blocks > 1
         header = BLOCK_HEADER_SIZE if multi else HEADER_SIZE
-        records = np.empty((count, header + payloads.shape[1]),
+        records = np.empty((count, header + self.codec.plan.packet_size),
                            dtype=np.uint8)
+        blocks, indices = self._draw(count, records[:, header:])
         fields = np.empty((count, header // 4), dtype=">u4")
         fields[:, 0] = indices
         fields[:, 1] = self._window_serials
@@ -199,7 +322,6 @@ class TransferServer(SequencedPacketSource):
         if multi:
             fields[:, 3] = blocks
         records[:, :header] = fields.view(np.uint8)
-        records[:, header:] = payloads
         return records
 
     def unwind(self, count: int) -> None:
@@ -247,18 +369,19 @@ class TransferServer(SequencedPacketSource):
              group: Optional[int] = None) -> "TransferServer":
         """An independent stream over the *same* cached encodings.
 
-        The fork shares this server's per-block payload arrays (no
-        re-encode) but owns its own schedule cursor, carousel
-        permutations (when ``seed`` differs) and header sequencer —
-        the encode-once/serve-many shape a transport uses to give each
-        receiver, mirror or retransmission sweep its own stream.
+        The fork shares this server's per-block encoders and stacked
+        droplet inputs (no re-encode) but owns its own schedule cursor,
+        carousel permutations (when ``seed`` differs) and header
+        sequencer — the encode-once/serve-many shape a transport uses to
+        give each receiver, mirror or retransmission sweep its own
+        stream.
         """
         return TransferServer(
             self.codec, self._data,
             schedule=self.schedule if schedule is None else schedule,
             seed=self.seed if seed is None else seed,
             group=self.group if group is None else group,
-            _payloads=self._payloads)
+            _cache=(self._payloads, self._stack))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"TransferServer(code={self.codec.code_spec!r}, "

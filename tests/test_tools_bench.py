@@ -194,12 +194,15 @@ def swarm_payload(raptor_p99=0.18, lt_p50=0.19):
     ]}
 
 
-def ingest_rows(lt_b1=30.0, tornado_b1=20.0, tornado_k256=(24.0, 9.0)):
+def ingest_rows(lt_b1=30.0, tornado_b1=20.0, tornado_k256=(24.0, 9.0),
+                window_b16=70.0):
     """Rows the batch-size rules of ``BENCH_transfer.json`` read (the
     b256 rates are 60 and 40, so the defaults sit exactly at 0.5), then
     the two sides of the Tornado-vs-RS decode ratio at k = 256
     (``tornado_k256`` = vectorized, reference MB/s against RS at 4 and
-    4: the defaults sit exactly at 6.0 and 2.25)."""
+    4: the defaults sit exactly at 6.0 and 2.25), then the record window
+    over 16 blocks against one block (``window_b16`` against 100: the
+    default sits exactly at 0.7)."""
     return [
         {"case": "ingest-lt-k128-b1", "decode_MBps_vectorized": lt_b1},
         {"case": "ingest-lt-k128-b256", "decode_MBps_vectorized": 60.0},
@@ -212,6 +215,8 @@ def ingest_rows(lt_b1=30.0, tornado_b1=20.0, tornado_k256=(24.0, 9.0)):
          "decode_MBps_reference": tornado_k256[1]},
         {"case": "raw-rs-k256", "decode_MBps_vectorized": 4.0,
          "decode_MBps_reference": 4.0},
+        {"case": "window-lt-k256-b1", "encode_MBps_vectorized": 100.0},
+        {"case": "window-lt-k256-b16", "encode_MBps_vectorized": window_b16},
     ]
 
 
@@ -319,6 +324,22 @@ class TestCrossCase:
             assert len(regressions) == 2           # one per backend rule
             assert all("cross-case rule needs this metric" in str(r)
                        for r in regressions)
+
+    def test_record_window_holds_across_blocks(self):
+        def check(rows):
+            return check_bench.check_cross_cases(
+                "BENCH_transfer.json", {"results": RAW_LT_RAPTOR + rows})
+
+        assert check(ingest_rows()) == []          # at the line passes
+        regressions = check(ingest_rows(window_b16=69.9))
+        assert len(regressions) == 1               # just under fails
+        assert "one synthesis batch per block" in str(regressions[0])
+        for gone in (6, 7):                        # a missing row fails
+            rows = ingest_rows()
+            del rows[gone]
+            regressions = check(rows)
+            assert len(regressions) == 1
+            assert "cross-case rule needs this metric" in str(regressions[0])
 
     def test_closed_form_inverse_speedup_floor(self):
         def payload(**row):
