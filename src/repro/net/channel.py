@@ -6,6 +6,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.errors import ParameterError
 from repro.fountain.packets import EncodingPacket
 from repro.net.loss import LossModel
 from repro.utils.rng import RngLike, ensure_rng
@@ -27,6 +28,11 @@ class LossyChannel:
     call, so asking it for one packet at a time would flatten the
     bursts back into Bernoulli, while mean bursts are far shorter than
     a chunk.
+
+    A sender that drew a window of verdicts and stopped part-way hands
+    the unused tail back with :meth:`unwind`: the buffer keeps every
+    verdict of the last draw, so the next draw reads them again and the
+    stream goes on as if only the kept part had been drawn.
     """
 
     _CHUNK = 512
@@ -39,19 +45,29 @@ class LossyChannel:
         self._verdicts = np.empty(0, dtype=bool)   # True = lost
         self._pos = 0
 
-    def _refill(self) -> None:
-        self._verdicts = self.loss_model.losses(self._CHUNK, self.rng)
-        self._pos = 0
+    def _take(self, count: int) -> np.ndarray:
+        """The next ``count`` verdicts (True = lost); counts them sent.
+
+        When the buffer runs short the model is asked for whole chunks
+        and the verdicts before this draw are dropped — the ones it
+        hands out stay, so :meth:`unwind` can step back over all of it.
+        """
+        short = count - (len(self._verdicts) - self._pos)
+        if short > 0:
+            chunks = [self.loss_model.losses(self._CHUNK, self.rng)
+                      for _ in range(-(-short // self._CHUNK))]
+            self._verdicts = np.concatenate([self._verdicts[self._pos:],
+                                             *chunks])
+            self._pos = 0
+        verdicts = self._verdicts[self._pos:self._pos + count]
+        self._pos += count
+        self.sent += count
+        self.delivered += count - int(np.count_nonzero(verdicts))
+        return verdicts
 
     def lost(self) -> bool:
         """Cross one packet; True when the channel drops it."""
-        if self._pos >= len(self._verdicts):
-            self._refill()
-        verdict = bool(self._verdicts[self._pos])
-        self._pos += 1
-        self.sent += 1
-        self.delivered += not verdict
-        return verdict
+        return bool(self._take(1)[0])
 
     def transmit(self, packets: Iterable[EncodingPacket]
                  ) -> Iterator[EncodingPacket]:
@@ -62,19 +78,26 @@ class LossyChannel:
 
     def delivery_mask(self, count: int) -> np.ndarray:
         """Vectorised fast path: survival mask for the next ``count`` slots."""
-        mask = np.empty(count, dtype=bool)
-        filled = 0
-        while filled < count:
-            if self._pos >= len(self._verdicts):
-                self._refill()
-            take = min(count - filled, len(self._verdicts) - self._pos)
-            np.logical_not(self._verdicts[self._pos:self._pos + take],
-                           out=mask[filled:filled + take])
-            self._pos += take
-            filled += take
-        self.sent += count
-        self.delivered += int(mask.sum())
-        return mask
+        return ~self._take(count)
+
+    def unwind(self, count: int) -> None:
+        """Take back the last ``count`` verdicts handed out.
+
+        ``sent`` and ``delivered`` return to what they were before those
+        slots crossed, and the next draw reads the same verdicts again —
+        the model's chunks and the RNG stream are untouched.  At least
+        the whole of the last draw can be taken back; asking for more
+        than the buffer holds raises
+        :class:`~repro.errors.ParameterError` and moves nothing.
+        """
+        if not 0 <= count <= self._pos:
+            raise ParameterError(
+                f"cannot unwind {count} verdicts: {self._pos} are "
+                "buffered behind the stream position")
+        self._pos -= count
+        back = self._verdicts[self._pos:self._pos + count]
+        self.sent -= count
+        self.delivered -= count - int(np.count_nonzero(back))
 
     @property
     def observed_loss_rate(self) -> float:

@@ -15,10 +15,15 @@ implementations ship behind this contract:
   pacing and optional Bernoulli loss injection.
 
 Senders call ``transport.serve(session)`` with any object exposing the
-sender-session surface (``packets()``, ``manifest()``, ``codec``,
-``total_k`` — see :class:`repro.api.SenderSession`); receivers consume
-a :class:`Subscription`, which feeds raw wire records (header +
-payload) into a :class:`repro.api.ReceiverSession`.
+sender-session surface (``source``, ``manifest()``, ``codec``,
+``total_k`` — see :class:`repro.api.SenderSession`).  Every serve draws
+whole :meth:`~repro.transfer.server.TransferServer.record_window`
+windows of wire records from ``session.source`` and hands back
+(``unwind``) whatever part of the last one it did not send; only the
+UDP serve still pulls ``packets()``, a window of one, from a source
+that has no record windows.  Receivers consume a :class:`Subscription`,
+which feeds raw wire records (header + payload) into a
+:class:`repro.api.ReceiverSession`.
 
 Framing
 -------
@@ -62,11 +67,12 @@ from __future__ import annotations
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ProtocolError
+from repro.fountain.packets import BLOCK_HEADER_SIZE, header_fields
 
 __all__ = [
     "DATAGRAM_BUDGET",
@@ -82,9 +88,10 @@ __all__ = [
     "frame_head",
     "frame_records",
     "iter_frames",
+    "matrix_batches",
     "pack_frame",
-    "packet_ids",
     "unframe_records",
+    "window_ids",
 ]
 
 #: emission budget per source packet before a serve is declared stuck.
@@ -92,8 +99,8 @@ EMISSION_LIMIT_FACTOR = 200
 
 #: most packets a serve draws from its source in one window (memory and
 #: file also cross the channel with and feed their shadows a window at a
-#: time); bounds what a window holds in memory however large the decode
-#: deficit or the emission count is.
+#: time); bounds what a window holds in memory however large the
+#: emission count is.
 SERVE_WINDOW = 1024
 
 #: most bytes of data frames a sender packs into one datagram: one
@@ -188,11 +195,23 @@ def iter_frames(datagram: bytes) -> Iterator[Tuple[int, bytes]]:
         offset += length
 
 
-def packet_ids(packets: Sequence[Any]) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``(blocks, indices)`` a window of packets names, as arrays —
-    what a structural shadow needs of them."""
-    return (np.array([packet.block for packet in packets], dtype=np.int64),
-            np.array([packet.index for packet in packets], dtype=np.int64))
+def window_ids(records: np.ndarray, packet_size: int
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(blocks, indices)`` a window of wire records names — what a
+    structural shadow needs of them — read off the stamped headers with
+    the parse a receiver does (block 0 under a 12-byte header)."""
+    header = records.shape[1] - packet_size
+    fields = header_fields(records, header)
+    blocks = (fields[:, 3] if header == BLOCK_HEADER_SIZE
+              else np.zeros(len(records), dtype=np.int64))
+    return blocks, fields[:, 0]
+
+
+def matrix_batches(records: np.ndarray) -> Iterator[np.ndarray]:
+    """A record matrix as ingest batches: views of at most
+    :data:`FEED_BATCH` rows, in order."""
+    for start in range(0, len(records), FEED_BATCH):
+        yield records[start:start + FEED_BATCH]
 
 
 @dataclass(frozen=True)
@@ -245,37 +264,30 @@ class Subscription(ABC):
         """The transfer manifest (waits for it on live transports)."""
 
     @abstractmethod
-    def records(self, timeout: Optional[float] = None) -> Iterator[bytes]:
-        """Raw wire records (header + payload), in arrival order.
-
-        Finite transports (file, memory) stop at end of stream; live
-        transports (UDP) raise :class:`~repro.errors.ProtocolError`
-        after ``timeout`` seconds of silence.
-        """
-
     def record_batches(self, timeout: Optional[float] = None
                        ) -> Iterator[Union[List[bytes], np.ndarray]]:
-        """Records grouped into ingest batches, in arrival order.
+        """Raw wire records (header + payload) in ingest batches, in
+        arrival order.
 
-        The batch feeding surface: each yielded batch becomes one
+        The feeding surface: each yielded batch becomes one
         ``receive_records`` call on the session.  A batch is a sequence
         of records — a list of ``bytes``, or a 2-D uint8 array with one
-        record per row (``len`` counts records either way).  The default
-        groups :meth:`records` into fixed-size chunks; transports with a
-        real backlog signal override it — the UDP subscription yields
-        one batch per socket drain, so a poll's whole queue reaches the
-        decoder in a single ingest pass.  Concatenating the batches
-        always reproduces the :meth:`records` stream exactly, and
-        :meth:`records` itself always yields ``bytes``.
+        record per row (``len`` counts records either way).  Finite
+        transports (file, memory) hold their records as one matrix and
+        yield views of at most :data:`FEED_BATCH` rows of it
+        (:func:`matrix_batches`), stopping at end of stream; the UDP
+        subscription yields one batch per socket drain, so a poll's
+        whole queue reaches the decoder in a single ingest pass, and
+        raises :class:`~repro.errors.ProtocolError` after ``timeout``
+        seconds of silence.
         """
-        batch: List[bytes] = []
-        for record in self.records(timeout=timeout):
-            batch.append(record)
-            if len(batch) >= FEED_BATCH:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
+
+    def records(self, timeout: Optional[float] = None) -> Iterator[bytes]:
+        """The records of :meth:`record_batches`, one ``bytes`` each."""
+        for batch in self.record_batches(timeout=timeout):
+            if isinstance(batch, np.ndarray):
+                batch = [row.tobytes() for row in batch]
+            yield from batch
 
     def send_feedback(self, report: Any) -> bool:
         """Send a feedback report back to the sender, best-effort.
@@ -356,7 +368,11 @@ class Transport(ABC):
 
         ``count`` bounds the emissions; transports with a completion
         signal (memory, file — both can shadow the receivers
-        structurally) stop on their own when ``count`` is ``None``.
+        structurally) stop on their own when ``count`` is ``None``:
+        they cross whole windows, let the shadows say at which row
+        completion landed, and unwind the source and the loss channels
+        past the stop, so what went out is what a packet-at-a-time
+        sender would have sent.
         """
 
     @abstractmethod

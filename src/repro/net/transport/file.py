@@ -15,8 +15,9 @@ from __future__ import annotations
 import json
 import pathlib
 import time
-from itertools import compress, islice
 from typing import Any, Iterator, Optional, Union
+
+import numpy as np
 
 from repro.errors import ProtocolError, ReproError
 from repro.fountain.packets import BLOCK_HEADER_SIZE, HEADER_SIZE
@@ -28,7 +29,8 @@ from repro.net.transport.base import (
     ServeReport,
     Subscription,
     Transport,
-    packet_ids,
+    matrix_batches,
+    window_ids,
 )
 
 __all__ = ["FileTransport", "FileSubscription",
@@ -87,15 +89,16 @@ class FileSubscription(Subscription):
         """Packet records present in the recorded stream."""
         return len(self._stream_bytes()) // record_size(self.manifest())
 
-    def records(self, timeout: Optional[float] = None) -> Iterator[bytes]:
+    def record_batches(self, timeout: Optional[float] = None
+                       ) -> Iterator[np.ndarray]:
         size = record_size(self.manifest())
         raw = self._stream_bytes()
         if len(raw) % size:
             raise ReproError(
                 f"stream is {len(raw)} bytes, not a multiple of the "
                 f"{size}-byte packet record — truncated or wrong manifest?")
-        for offset in range(0, len(raw), size):
-            yield raw[offset:offset + size]
+        yield from matrix_batches(
+            np.frombuffer(raw, dtype=np.uint8).reshape(-1, size))
 
     def send_feedback(self, report: Any) -> bool:
         """The contract's documented no-op: a recording has no sender.
@@ -141,6 +144,15 @@ class FileTransport(Transport):
               **options: Any) -> ServeReport:
         """Record the stream's survivors; write the manifest on success.
 
+        The stream crosses in whole ``record_window`` windows, and each
+        window's survivors are written with one call.  The structural
+        shadow takes a window's survivors in one ``receive_window``
+        call, which says how many it consumed before completing; the
+        stop is that survivor plus ``extra`` more, and whatever of the
+        window lies past it is taken back from the source and the
+        channel — the records, the verdicts and the counters are a
+        packet-at-a-time serve's.
+
         ``policy``/``feedback`` are accepted and ignored — the feedback
         no-op of the transport contract: a recorded stream has no
         receivers while it is being written, so there is nothing to
@@ -166,30 +178,34 @@ class FileTransport(Transport):
         # success.
         (self.directory / MANIFEST_NAME).unlink(missing_ok=True)
         start = time.perf_counter()
+        source = session.source
+        packet_size = session.codec.plan.packet_size
         survivors = 0
-        extra_left = extra
-        packets = session.packets(limit)
+        # survivors still to record once the shadow is complete (None
+        # before; the structural shadow only matters for the automatic
+        # stop, so an explicit count skips its decode work too)
+        left: Optional[int] = None
         with open(self.directory / STREAM_NAME, "wb") as stream:
-            while channel.sent < limit:
-                # A window is the most emissions that provably cannot
-                # overshoot the stop: the shadow's deficit in survivors,
-                # then the extra survivors still owed (each emission
-                # yields at most one).  The structural shadow only
-                # matters for the automatic stop; an explicit count
-                # skips its decode work too.
-                deficit = shadow.min_additional if count is None else limit
-                n = min(deficit or extra_left, limit - channel.sent,
-                        SERVE_WINDOW)
-                if n == 0:
-                    break
-                window = list(compress(islice(packets, n),
-                                       channel.delivery_mask(n).tolist()))
-                stream.writelines(packet.to_bytes() for packet in window)
-                survivors += len(window)
-                if not deficit:
-                    extra_left -= len(window)
-                elif count is None:
-                    shadow.receive_window(*packet_ids(window))
+            while left != 0 and channel.sent < limit:
+                n = min(SERVE_WINDOW, limit - channel.sent)
+                records = source.record_window(n)
+                rows = np.flatnonzero(channel.delivery_mask(n))
+                if count is None and left is None:
+                    blocks, indices = window_ids(records, packet_size)
+                    used = shadow.receive_window(blocks[rows], indices[rows])
+                    if shadow.is_complete:
+                        left = used + extra
+                if left is not None:
+                    if left <= len(rows):
+                        # the stop landed inside the window: the rest
+                        # never left
+                        rows = rows[:left]
+                        unsent = n - int(rows[-1]) - 1
+                        source.unwind(unsent)
+                        channel.unwind(unsent)
+                    left -= len(rows)
+                stream.write(records[rows])
+                survivors += len(rows)
         if count is None and not shadow.is_complete:
             raise ReproError(
                 f"channel too lossy: {limit} emissions were not enough "

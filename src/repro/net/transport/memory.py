@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from itertools import compress, islice
 from typing import Any, Callable, Deque, Iterator, List, Optional
 
 import numpy as np
@@ -39,7 +38,8 @@ from repro.net.transport.base import (
     ServeReport,
     Subscription,
     Transport,
-    packet_ids,
+    matrix_batches,
+    window_ids,
 )
 from repro.protocol.adaptive import AdaptivePolicy
 from repro.protocol.feedback import FeedbackReport, report_from_client
@@ -55,13 +55,18 @@ class MemorySubscription(Subscription):
                  transport: Optional["MemoryTransport"] = None):
         self.channel = channel
         self.transport = transport
-        self._records: List[bytes] = []
+        #: delivered records as record-matrix slices, one per delivery.
+        self._matrices: List[np.ndarray] = []
         self._manifest: Optional[dict] = None
 
     @property
     def available(self) -> int:
         """Records buffered for this subscriber so far."""
-        return len(self._records)
+        return sum(map(len, self._matrices))
+
+    def _deliver(self, records: np.ndarray) -> None:
+        """Buffer delivered wire records, one per row of a record matrix."""
+        self._matrices.append(records)
 
     def manifest(self, timeout: Optional[float] = None) -> dict:
         if self._manifest is None:
@@ -70,8 +75,14 @@ class MemorySubscription(Subscription):
                 "a memory subscription")
         return self._manifest
 
-    def records(self, timeout: Optional[float] = None) -> Iterator[bytes]:
-        yield from self._records
+    def record_batches(self, timeout: Optional[float] = None
+                       ) -> Iterator[np.ndarray]:
+        # one matrix, so the batches are FEED_BATCH rows whatever
+        # windows the serve delivered in
+        if len(self._matrices) > 1:
+            self._matrices = [np.concatenate(self._matrices)]
+        for records in self._matrices:
+            yield from matrix_batches(records)
 
     def send_feedback(self, report: FeedbackReport) -> bool:
         """Enqueue an encoded report on the transport's feedback queue."""
@@ -140,6 +151,15 @@ class MemoryTransport(Transport):
         every subscriber is complete (plus ``extra`` more emissions);
         an explicit ``count`` emits exactly that many packets.
 
+        The stream crosses in whole ``record_window`` windows.  Each
+        incomplete shadow takes its delivered rows in one
+        ``receive_window`` call, which says how many it consumed before
+        completing; the stop is the latest completion over all shadows
+        plus ``extra``, and whatever of the window lies past it is
+        taken back — from the source and from every channel — so the
+        stream, the verdicts and the counters are a packet-at-a-time
+        serve's.
+
         With ``policy=`` the serve closes the loop: every
         ``report_every`` emissions each shadow receiver's state is
         encoded as a wire-faithful feedback report (loss from its
@@ -165,39 +185,45 @@ class MemoryTransport(Transport):
         limit = (EMISSION_LIMIT_FACTOR * session.total_k
                  if count is None else count)
         adaptive = policy is not None or feedback is not None
-        source = getattr(session, "source", session)
-        reweight = getattr(source, "reweight", None)
+        source = session.source
         block_ks = session.codec.plan.block_ks
+        packet_size = session.codec.plan.packet_size
         every = max(1, report_every)
         start = time.perf_counter()
         emitted = delivered = 0
-        extra_left = extra
-        stream = session.packets(limit)
-        while emitted < limit:
-            # A window is the most emissions that provably cannot
-            # overshoot the stop — the neediest shadow's deficit, then
-            # the extras — so the stop only ever lands on its last packet.
-            deficit = (max(shadow.min_additional for shadow in shadows)
-                       if count is None else limit)
-            n = min(deficit or extra_left, limit - emitted, SERVE_WINDOW)
+        # the stop: the limit, until every shadow is complete; then the
+        # emission the last one completed on, plus the extras
+        end = limit
+        completed_at = 0
+        while emitted < end:
+            n = min(SERVE_WINDOW, end - emitted)
             if adaptive:
                 n = min(n, every - emitted % every)
-            if n == 0:
-                break
-            if not deficit:
-                extra_left -= n
-            window = list(islice(stream, n))
-            emitted += n
-            blocks, indices = packet_ids(window)
+            records = source.record_window(n)
+            blocks, indices = window_ids(records, packet_size)
             masks = [sub.channel.delivery_mask(n)
                      for sub in self.subscriptions]
-            records = [packet.to_bytes() if wanted else None
-                       for packet, wanted in zip(
-                           window, np.logical_or.reduce(masks).tolist())]
-            for sub, shadow, mask in zip(self.subscriptions, shadows, masks):
-                sub._records.extend(compress(records, mask.tolist()))
-                delivered += int(mask.sum())
-                shadow.receive_window(blocks[mask], indices[mask])
+            for shadow, mask in zip(shadows, masks):
+                if shadow.is_complete:
+                    continue
+                rows = np.flatnonzero(mask)
+                used = shadow.receive_window(blocks[rows], indices[rows])
+                if shadow.is_complete:
+                    completed_at = max(completed_at,
+                                       emitted + int(rows[used - 1]) + 1)
+            if count is None and all(s.is_complete for s in shadows):
+                end = min(limit, completed_at + extra)
+            keep = min(n, end - emitted)
+            if keep < n:
+                # the stop landed inside the window: the rest never left
+                source.unwind(n - keep)
+                for sub in self.subscriptions:
+                    sub.channel.unwind(n - keep)
+            for sub, mask in zip(self.subscriptions, masks):
+                kept = mask[:keep]
+                sub._deliver(records[:keep][kept])
+                delivered += int(np.count_nonzero(kept))
+            emitted += keep
             if adaptive and emitted % every == 0:
                 now = time.perf_counter() - start
                 for i, (sub, shadow) in enumerate(
@@ -211,10 +237,10 @@ class MemoryTransport(Transport):
                     if feedback is not None:
                         feedback(report)
                 self.drain_feedback(policy, feedback, now=now)
-                if policy is not None and reweight is not None:
+                if policy is not None:
                     decision = policy.decide(block_ks, now=now)
                     if decision.weights:
-                        reweight(list(decision.weights))
+                        source.reweight(list(decision.weights))
         if count is None and not all(s.is_complete for s in shadows):
             incomplete = [i for i, s in enumerate(shadows)
                           if not s.is_complete]

@@ -283,13 +283,6 @@ class UdpSubscription(Subscription):
             self._collect(*heard, self._pending)
         return self._manifest
 
-    def records(self, timeout: Optional[float] = None) -> Iterator[bytes]:
-        """Data records as they arrive: :meth:`record_batches`, flattened."""
-        for batch in self.record_batches(timeout=timeout):
-            if isinstance(batch, np.ndarray):
-                batch = [row.tobytes() for row in batch]
-            yield from batch
-
     def _wrong_size(self, body: bytes) -> bool:
         """True (and counted) for a data record the manifest rules out."""
         size = self._record_bytes

@@ -40,8 +40,11 @@ from repro.utils.rng import spawn_rng
 _DATA_STREAM = 0xDA7A
 _LOSS_STREAM = 0x1055
 
-#: longest window drawn and crossed in one pass.
-_CHUNK = 4096
+#: window drawn and crossed in one pass.  The part of the last window
+#: past the completing emission is drawn and taken back, so this stays
+#: near the size of a small transfer: 512 read no slower than 4096 on
+#: 8 MiB objects and 2-3x faster on 384 KiB payload runs.
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -100,18 +103,22 @@ def simulate_transfer(file_size: int,
     server = TransferServer(codec, data, schedule=schedule, seed=seed)
     client = TransferClient(codec,
                             payload_size=packet_size if payloads else None)
-    # Deficit-bounded windows, result-identical to crossing the channel
-    # one packet at a time: every slot advances its block source
-    # (delivered or not), and the transfer cannot complete before a
-    # window's final packet, so reception counters at completion match
-    # the sequential run exactly.  A window is the server's id (and
-    # payload) arrays — no packet objects, no headers.
+    # Whole windows, result-identical to crossing the channel one packet
+    # at a time: receive_window says how many survivors the client took
+    # before completing, and the emissions after the one that completed
+    # it go back to the server and the channel, so the counters are the
+    # sequential run's.  A window is the server's id (and payload)
+    # arrays — no packet objects, no headers.
     while not client.is_complete and channel.sent < limit:
-        n = min(client.min_additional, limit - channel.sent, _CHUNK)
-        delivered = channel.delivery_mask(n)
+        n = min(_CHUNK, limit - channel.sent)
+        arrived = np.flatnonzero(channel.delivery_mask(n))
         blocks, indices, rows = server.window(n)
-        client.receive_window(blocks[delivered], indices[delivered],
-                              None if rows is None else rows[delivered])
+        used = client.receive_window(blocks[arrived], indices[arrived],
+                                     None if rows is None else rows[arrived])
+        if client.is_complete:
+            unsent = n - int(arrived[used - 1]) - 1
+            server.unwind(unsent)
+            channel.unwind(unsent)
     if not client.is_complete:
         raise ParameterError(
             f"transfer did not complete within {limit} emissions; "

@@ -469,8 +469,8 @@ def oracle_memory_serve(transport, session, *, count=None, extra=0,
         for sub, shadow in zip(self.subscriptions, shadows):
             if bool(sub.channel.delivery_mask(1)[0]):
                 if record is None:
-                    record = packet.to_bytes()
-                sub._records.append(record)
+                    record = np.frombuffer(packet.to_bytes(), np.uint8)[None]
+                sub._deliver(record)
                 delivered += 1
                 if not shadow.is_complete:
                     shadow.receive_index(packet.block, packet.index)

@@ -6,10 +6,12 @@ Three layers, all held to per-packet oracles on both codec backends:
   :data:`~repro.fountain.source.LOOKAHEAD` emissions per batched call —
   against ``droplet_payload`` / ``encoding[index]`` one packet at a
   time, including every cursor the sources expose;
-* the **deficit-bounded windows** of ``MemoryTransport.serve`` and
-  ``FileTransport.serve`` against the per-packet serve loops kept in
-  :mod:`tests._oracles`: same ``ServeReport`` counters, same subscriber
-  record bytes, same ``stream.pkt`` and ``manifest.json`` bytes;
+* the **whole record windows** of ``MemoryTransport.serve`` and
+  ``FileTransport.serve`` — the stop found inside a window, the tail
+  taken back from the source and the loss channels — against the
+  per-packet serve loops kept in :mod:`tests._oracles`: same
+  ``ServeReport`` counters, same subscriber record bytes, same
+  ``stream.pkt`` and ``manifest.json`` bytes;
 * the **windowed UDP serve** (``TransferServer.record_window`` framed
   in one buffer, a thin per-emission row loop, consecutive frames
   sharing a datagram up to ``DATAGRAM_BUDGET``) against
@@ -39,7 +41,7 @@ from _oracles import (
 from repro import api
 from repro.codes.backend import use_backend
 from repro.codes.registry import build_code
-from repro.errors import ProtocolError, ReproError
+from repro.errors import ParameterError, ProtocolError, ReproError
 from repro.fountain.carousel import CarouselServer
 from repro.fountain.rateless import RatelessServer
 from repro.fountain.packets import SERIAL_MODULUS
@@ -47,6 +49,8 @@ from repro.fountain.source import LOOKAHEAD
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss
 from repro.net.transport import FileTransport, MemoryTransport, UdpTransport
+from repro.net.transport import file as file_module
+from repro.net.transport import memory as memory_module
 from repro.net.transport import udp as udp_module
 from repro.net.transport.base import (
     DATAGRAM_BUDGET,
@@ -247,21 +251,63 @@ class TestVerdictStream:
         GilbertElliottLoss.from_loss_and_burst(0.2, 6.0),
     ], ids=repr)
     def test_any_partition_draws_the_same_mask(self, model):
+        """... and so does any draw whose tail is unwound: a draw of
+        ``n`` less ``m`` taken back is a draw of ``n - m``."""
         total = 3 * LossyChannel._CHUNK + 17
-        whole = LossyChannel(model, rng=11).delivery_mask(total)
+        straight = LossyChannel(model, rng=11)
+        whole = straight.delivery_mask(total)
         rng = np.random.default_rng(0)
         channel = LossyChannel(model, rng=11)
         parts = []
         while sum(map(len, parts)) < total:
             left = total - sum(map(len, parts))
-            if rng.random() < 0.5:
+            turn = rng.random()
+            if turn < 0.3:
                 parts.append([not channel.lost()])
-            else:
+            elif turn < 0.6:
                 parts.append(channel.delivery_mask(
                     min(left, int(rng.integers(0, 700)))))
+            else:
+                drawn = int(rng.integers(0, 1500))
+                mask = channel.delivery_mask(drawn)
+                back = max(drawn - left, int(rng.integers(0, drawn + 1)))
+                channel.unwind(back)
+                parts.append(mask[:drawn - back])
         assert np.concatenate(parts).tolist() == whole.tolist()
-        assert channel.sent == total
-        assert channel.delivered == int(whole.sum())
+        assert channel.sent == straight.sent == total
+        assert channel.delivered == straight.delivered == int(whole.sum())
+        assert channel.observed_loss_rate == straight.observed_loss_rate
+        # and the stream after the partition is the straight stream's
+        assert (channel.delivery_mask(700).tolist()
+                == straight.delivery_mask(700).tolist())
+
+    @pytest.mark.parametrize("model", [
+        BernoulliLoss(0.3),
+        GilbertElliottLoss.from_loss_and_burst(0.2, 6.0),
+    ], ids=repr)
+    def test_unwinding_past_the_buffer_raises_and_moves_nothing(self, model):
+        straight = LossyChannel(model, rng=4)
+        want = straight.delivery_mask(3000)
+        channel = LossyChannel(model, rng=4)
+        got = channel.delivery_mask(600).tolist()
+        with pytest.raises(ParameterError):
+            channel.unwind(601)
+        with pytest.raises(ParameterError):
+            channel.unwind(-1)
+        assert channel.sent == 600
+        channel.unwind(200)
+        channel.unwind(100)         # unwinds add up
+        got = got[:300]
+        # a draw that refills keeps only itself: all of it can go back,
+        # nothing before it
+        got += channel.delivery_mask(1400).tolist()
+        channel.unwind(1400)
+        with pytest.raises(ParameterError):
+            channel.unwind(1)
+        got = got[:300]
+        got += channel.delivery_mask(2700).tolist()
+        assert got == want.tolist()
+        assert (channel.sent, channel.delivered) == (3000, int(want.sum()))
 
     def test_bernoulli_stream_is_the_seeds_uniform_stream(self):
         """The verdicts every earlier release drew for this seed: one
@@ -389,16 +435,37 @@ class TestMemoryServe:
         assert got == want
         assert got[1] == 200 * 4
 
-    def test_windows_are_capped(self, backend):
-        """A deficit beyond SERVE_WINDOW still serves in bounded windows."""
-        session = _session("rs", size=(SERVE_WINDOW + 300) * PACKET)
-        transport = MemoryTransport(loss=0.0, seed=1)
-        channel = transport.subscribe().channel
-        draw, sizes = channel.delivery_mask, []
-        channel.delivery_mask = lambda n: sizes.append(n) or draw(n)
-        report = transport.serve(session)
-        assert sizes[0] == SERVE_WINDOW == max(sizes)
-        assert sum(sizes) == report.emitted == session.total_k
+    @pytest.mark.parametrize("code", CODES)
+    @pytest.mark.parametrize("kind", ["memory", "file"])
+    def test_windows_are_capped(self, backend, tmp_path, code, kind):
+        """Whole SERVE_WINDOW draws, at most one more than the emissions
+        fill, and the unsent tail goes back to every channel."""
+        session = _session(code, size=(SERVE_WINDOW + 300) * PACKET)
+        source = session.source
+        draw, sizes = source.record_window, []
+        source.record_window = lambda n: sizes.append(n) or draw(n)
+        if kind == "memory":
+            transport = MemoryTransport(loss=0.2, seed=1)
+            channels = [transport.subscribe().channel for _ in range(2)]
+        else:
+            transport = FileTransport(tmp_path, loss=0.2, seed=1)
+        report = transport.serve(session, extra=3)
+        assert len(sizes) <= -(-report.emitted // SERVE_WINDOW) + 1
+        assert set(sizes[:-1]) == {SERVE_WINDOW}
+        if kind == "memory":
+            assert [c.sent for c in channels] == [report.emitted] * 2
+            assert sum(c.delivered for c in channels) == report.delivered
+        else:
+            assert report.emitted - report.dropped == report.delivered
+
+    @pytest.mark.parametrize("code", ["lt", "tornado-b"])
+    @pytest.mark.parametrize("window", [1, 7, 64])
+    def test_any_window_size(self, backend, monkeypatch, code, window):
+        """The stop and its extras land anywhere in a window, or past it."""
+        options = dict(subscribers=3, extra=9)
+        want = _memory_run(oracle_memory_serve, code, **options)
+        monkeypatch.setattr(memory_module, "SERVE_WINDOW", window)
+        assert _memory_run(MemoryTransport.serve, code, **options) == want
 
     def test_feedback_queue_is_fifo(self):
         transport = MemoryTransport(seed=0)
@@ -450,6 +517,15 @@ class TestFileServe:
         got = run(FileTransport.serve, tmp_path / "got")
         assert got == run(oracle_file_serve, tmp_path / "want")
         assert got[2] is False
+
+    @pytest.mark.parametrize("code", ["lt", "tornado-b"])
+    @pytest.mark.parametrize("window", [1, 7, 64])
+    def test_any_window_size(self, backend, tmp_path, monkeypatch, code,
+                             window):
+        want = _file_run(oracle_file_serve, tmp_path / "want", code, extra=9)
+        monkeypatch.setattr(file_module, "SERVE_WINDOW", window)
+        assert _file_run(FileTransport.serve, tmp_path / "got", code,
+                         extra=9) == want
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**16), loss=st.floats(0.0, 0.6),
