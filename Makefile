@@ -48,11 +48,13 @@ coverage:
 # Just the transport layer (framing, pacing, memory/file/UDP delivery,
 # and the spoofed-datagram loopback test: one hostile record is an
 # erasure, not the end of a fetch) plus the windowed UDP serve held to
-# its per-packet oracle.
+# its per-packet oracle, and again with the UDP offloads on and off
+# (tests/test_udp_offload.py).
 # Binds real loopback sockets; skips gracefully where unavailable.
 test-udp:
 	$(PYTHON) -m pytest -q tests/test_transport.py \
-		tests/test_windowed_serve.py::TestUdpServe
+		tests/test_windowed_serve.py::TestUdpServe \
+		tests/test_udp_offload.py
 
 # One quick pass over the benchmark suite — catches rot in the
 # table/figure harnesses without paying for full measurement runs.

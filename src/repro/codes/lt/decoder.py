@@ -55,6 +55,9 @@ class LTDecoder(PeelingEngine):
         super().__init__(spec.k,
                          payload_size=payload_size,
                          inactivation_limit=inactivation_limit)
+        # every node is a source node, so the engine's source counter
+        # counts every known node (read by min_additional_packets)
+        assert self.source_count == self.num_nodes
         # With the finisher able to take on the whole block (limit >= k)
         # the bitmatrix engine decodes lazily: droplets accumulate as
         # packed rows and one factorization plus one payload replay
@@ -131,7 +134,7 @@ class LTDecoder(PeelingEngine):
         """
         if self.is_complete:
             return 0
-        unknowns = self.num_nodes - int(np.count_nonzero(self.known))
+        unknowns = self.num_nodes - self._source_known
         rows = self._held_rows + int(np.count_nonzero(
             self.unknown_count[:self._num_equations] >= 1))
         bound = max(1, unknowns - rows)

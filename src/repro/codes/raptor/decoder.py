@@ -84,6 +84,8 @@ class RaptorDecoder(LTDecoder):
         super().__init__(geometry.spec, payload_size=payload_size,
                          inactivation_limit=inactivation_limit)
         self._sys_mask = np.zeros(geometry.k, dtype=bool)
+        #: systematic ids banked: ``count_nonzero(_sys_mask)``, kept.
+        self._sys_banked = 0
         self._sys_payloads: Optional[np.ndarray] = None
         if payload_size is not None:
             self._sys_payloads = np.zeros((geometry.k, payload_size),
@@ -119,14 +121,14 @@ class RaptorDecoder(LTDecoder):
         """Source recoverable — the system is solved, or every
         systematic packet arrived verbatim (the loss-free fast path)."""
         return (self._engine_complete
-                or bool(self._sys_mask.all()))
+                or self._sys_banked == self.geometry.k)
 
     @property
     def source_known_count(self) -> int:
         """How many source packets are recoverable right now."""
         if self.is_complete:
             return self.geometry.k
-        return int(np.count_nonzero(self._sys_mask))
+        return self._sys_banked
 
     def missing_source_indices(self) -> np.ndarray:
         """Source packet ids not yet recoverable."""
@@ -149,7 +151,7 @@ class RaptorDecoder(LTDecoder):
         if self.values is None:
             raise ParameterError("structural engine holds no payloads")
         assert self._sys_payloads is not None
-        if self._sys_mask.all():
+        if self._sys_banked == self.geometry.k:
             return self._sys_payloads.copy()
         if not self._engine_complete:
             raise DecodeFailure(
@@ -168,9 +170,11 @@ class RaptorDecoder(LTDecoder):
         return self.geometry.internal_esis(ids)
 
     def _bank(self, ids: np.ndarray, payloads: Optional[np.ndarray]) -> None:
-        """Stash verbatim source packets for the loss-free fast path."""
+        """Stash verbatim source packets for the loss-free fast path
+        (``ids`` are fresh: the intake admits an id once)."""
         systematic = ids < self.geometry.k
         self._sys_mask[ids[systematic]] = True
+        self._sys_banked += int(np.count_nonzero(systematic))
         if self._sys_payloads is not None and payloads is not None:
             self._sys_payloads[ids[systematic]] = payloads[systematic]
 

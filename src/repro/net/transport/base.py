@@ -51,6 +51,17 @@ frames that share a datagram belong to different blocks, so a lost
 datagram is still about one erasure per block.  A manifest frame is
 always a datagram of its own.
 
+Where Linux accepts its UDP offloads, the system calls carry runs of
+datagrams too, without changing a byte on the wire.  The UDP sender
+hands a destination's consecutive equal-sized data datagrams (and one
+shorter last one) to the kernel in one ``UDP_SEGMENT`` send, which the
+kernel cuts back into exactly those datagrams — the boundaries, bytes
+and order a ``sendto`` per datagram would give.  The receiver turns on
+``UDP_GRO``, so such a run can arrive as one buffer with its segment
+size attached; it is taken apart at that size and every datagram is
+judged as if it had come alone.  Where a kernel refuses either offload,
+the same datagrams go one per system call.
+
 ``FRAME_DATA`` bodies are wire records (the existing 12/16-byte header
 plus payload, exactly as written to ``stream.pkt``); ``FRAME_MANIFEST``
 bodies are the UTF-8 JSON manifest, re-sent periodically so a receiver

@@ -21,7 +21,18 @@ from any thread, no event loop required — because a fountain receiver
 has no feedback to *schedule*: it just drinks datagrams until its
 decoder completes.  UDP drops packets the kernel's buffers cannot hold;
 that is simply more erasure, which is the entire point of the codes
-upstream.
+upstream (the subscription reports the kernel's count of them where
+the socket offers it, ``SO_RXQ_OVFL``).
+
+Both ends hand the kernel a run of datagrams per system call where
+Linux's UDP offloads are accepted.  The sender passes each
+destination's run of equal-sized data datagrams to one
+``UDP_SEGMENT`` ``sendmsg``, which the kernel cuts back into exactly
+those datagrams: wire bytes, datagram boundaries and order are those of
+one ``sendto`` each, which is also what the sender falls back to where
+the kernel refuses the offload.  The receiver turns on ``UDP_GRO`` and
+reads such runs back as one buffer, which it takes apart into the same
+datagrams (see :meth:`UdpSubscription._drain_records`).
 
 The control plane runs the same sockets in reverse: the subscription
 remembers the sender's source address and ``send_feedback`` fires
@@ -41,10 +52,12 @@ import asyncio
 import ipaddress
 import json
 import socket
+import struct
+import sys
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Iterator, List, Optional, Sequence, \
-    Tuple, Union
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, \
+    Sequence, Tuple, Union
 
 import numpy as np
 
@@ -74,7 +87,7 @@ from repro.protocol.feedback import FeedbackReport
 from repro.utils.rng import ensure_rng, spawn_rng
 
 __all__ = ["UdpTransport", "UdpSubscription", "parse_address",
-           "is_multicast"]
+           "is_multicast", "offload_support"]
 
 Address = Tuple[str, int]
 
@@ -83,6 +96,66 @@ DEFAULT_RCVBUF = 1 << 22
 
 #: sender yields to the event loop at least this often when unpaced.
 _YIELD_EVERY = 64
+
+#: Linux socket options the ``socket`` module does not name: the
+#: segment size of a segmentation-offload send and receive coalescing
+#: (``IPPROTO_UDP``), and the receive-queue drop count
+#: (``SOL_SOCKET``).
+_UDP_SEGMENT = getattr(socket, "UDP_SEGMENT", 103)
+_UDP_GRO = getattr(socket, "UDP_GRO", 104)
+_SO_RXQ_OVFL = getattr(socket, "SO_RXQ_OVFL", 40)
+
+#: the ``UDP_SEGMENT`` control message's payload: a native u16.
+_SEGMENT_SIZE = struct.Struct("=H")
+
+#: most datagrams one segmentation-offload send may carry (the
+#: kernel's ``UDP_MAX_SEGMENTS``) ...
+_MAX_SEGMENTS = 64
+#: ... and most bytes: the largest IPv4 UDP payload (65535 less the
+#: IPv4 and UDP headers).
+_MAX_SEND_BYTES = 65507
+
+#: one receive: the largest UDP payload, a datagram or a coalesced run.
+_RECV_BYTES = 65535
+#: control-message room for a receive: the ``UDP_GRO`` segment size and
+#: the ``SO_RXQ_OVFL`` drop count, one 32-bit value each.
+_CONTROL_BYTES = 2 * socket.CMSG_SPACE(4)
+
+
+def _segmentation_offload(sock: socket.socket) -> bool:
+    """True when the kernel takes ``UDP_SEGMENT`` sends on ``sock``."""
+    try:
+        sock.setsockopt(socket.IPPROTO_UDP, _UDP_SEGMENT, 0)
+    except OSError:
+        return False
+    return True
+
+
+def _receive_offload(sock: socket.socket) -> bool:
+    """Turn on ``UDP_GRO`` coalescing on ``sock``; True when accepted."""
+    try:
+        sock.setsockopt(socket.IPPROTO_UDP, _UDP_GRO, 1)
+    except OSError:
+        return False
+    return True
+
+
+def offload_support() -> Dict[str, bool]:
+    """Which UDP offloads this host's kernel accepts on a fresh socket:
+    ``{"UDP_SEGMENT": ..., "UDP_GRO": ...}``.  Where one is refused the
+    transport sends (or receives) one datagram per system call."""
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        return {"UDP_SEGMENT": _segmentation_offload(sock),
+                "UDP_GRO": _receive_offload(sock)}
+
+
+def _segments(buffer: bytes, gso: int) -> List[bytes]:
+    """The datagrams of one received buffer: the buffer itself, or — a
+    run the kernel coalesced (``gso`` > 0) — its ``gso``-byte slices,
+    the last one possibly shorter."""
+    if not gso:
+        return [buffer]
+    return [buffer[at:at + gso] for at in range(0, len(buffer), gso)]
 
 
 def parse_address(text: Union[str, Address]) -> Address:
@@ -161,12 +234,21 @@ class UdpSubscription(Subscription):
         self.records_yielded = 0
         #: data frames whose framing failed to parse (foreign senders).
         self.malformed = 0
+        #: datagrams the kernel dropped for want of receive-buffer room,
+        #: as of the last one received (``SO_RXQ_OVFL``; stays 0 where
+        #: the socket does not report it).
+        self.kernel_drops = 0
         self._manifest_conflicts = 0
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM,
                              socket.IPPROTO_UDP)
         try:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF,
                             int(buffer_size))
+            _receive_offload(sock)
+            try:
+                sock.setsockopt(socket.SOL_SOCKET, _SO_RXQ_OVFL, 1)
+            except OSError:
+                pass
             if is_multicast(host):
                 # Several group members may share one port on this
                 # host; unicast binds stay exclusive so a double fetch
@@ -204,18 +286,36 @@ class UdpSubscription(Subscription):
         where = "closed" if self._closed else "%s:%d" % self.address
         return (f"UdpSubscription({where}, datagrams={self.datagrams}, "
                 f"records={self.records_yielded}, malformed={self.malformed}, "
+                f"kernel_drops={self.kernel_drops}, "
                 f"manifest_conflicts={self.manifest_conflicts}, "
                 f"feedback_sent={self.feedback_sent})")
 
-    def _recv(self) -> Optional[Tuple[bytes, Address]]:
-        """One datagram, under the socket's current timeout.
+    def _recv(self) -> Optional[Tuple[bytes, Address, int]]:
+        """One received buffer, under the socket's current timeout.
 
-        None when a non-blocking poll finds the queue empty, or once the
+        ``(buffer, sender, gso)``: a datagram (``gso`` 0), or a run of
+        datagrams ``UDP_GRO`` coalesced, ``gso`` bytes each but the
+        last (:func:`_segments` takes it apart).  A buffer the kernel
+        had to truncate is counted malformed and skipped.  None when a
+        non-blocking poll finds the queue empty, or once the
         subscription was closed (from another thread) mid-wait; a
         blocking wait that hears nothing raises.
         """
         try:
-            return self.socket.recvfrom(65535)
+            while True:
+                data, control, flags, addr = self.socket.recvmsg(
+                    _RECV_BYTES, _CONTROL_BYTES)
+                gso = 0
+                for level, kind, value in control:
+                    if level == socket.IPPROTO_UDP and kind == _UDP_GRO:
+                        gso = int.from_bytes(value[:4], sys.byteorder)
+                    elif level == socket.SOL_SOCKET and kind == _SO_RXQ_OVFL:
+                        self.kernel_drops = int.from_bytes(value[:4],
+                                                           sys.byteorder)
+                if not flags & socket.MSG_TRUNC:
+                    return data, addr, gso if gso < len(data) else 0
+                self.datagrams += 1
+                self.malformed += 1
         except BlockingIOError:
             return None
         except socket.timeout:
@@ -291,9 +391,10 @@ class UdpSubscription(Subscription):
         self.malformed += 1
         return True
 
-    def _collect(self, datagram: bytes, addr: Address,
+    def _collect(self, buffer: bytes, addr: Address, gso: int,
                  batch: List[bytes]) -> None:
-        """Parse one datagram's frames into ``batch`` (data bodies only).
+        """Parse one received buffer's frames into ``batch`` (data bodies
+        only), a datagram at a time (``gso``: see :meth:`_recv`).
 
         The one datagram loop: a datagram either parses whole or is
         discarded whole (no half-delivered prefixes), the first
@@ -302,21 +403,22 @@ class UdpSubscription(Subscription):
         a different geometry) are counted in :attr:`malformed` and
         skipped, not handed to the decoder.
         """
-        self.datagrams += 1
-        try:
-            frames = list(iter_frames(datagram))
-        except ProtocolError:
-            self.malformed += 1
-            return
-        self._sender = addr
-        for frame_type, body in frames:
-            if frame_type == FRAME_MANIFEST:
-                self._learn_manifest(body)
-            elif frame_type == FRAME_DATA and not self._wrong_size(body):
-                batch.append(body)
+        for datagram in _segments(buffer, gso):
+            self.datagrams += 1
+            try:
+                frames = list(iter_frames(datagram))
+            except ProtocolError:
+                self.malformed += 1
+                continue
+            self._sender = addr
+            for frame_type, body in frames:
+                if frame_type == FRAME_MANIFEST:
+                    self._learn_manifest(body)
+                elif frame_type == FRAME_DATA and not self._wrong_size(body):
+                    batch.append(body)
 
-    def _queued(self, heard: Tuple[bytes, Address]
-                ) -> List[Tuple[bytes, Address]]:
+    def _queued(self, heard: Tuple[bytes, Address, int]
+                ) -> List[Tuple[bytes, Address, int]]:
         """``heard`` and whatever else already sits in the kernel queue."""
         drain = []
         self.socket.settimeout(0.0)
@@ -325,23 +427,27 @@ class UdpSubscription(Subscription):
             heard = self._recv()
         return drain
 
-    def _drain_records(self, drain: List[Tuple[bytes, Address]]
+    def _drain_records(self, drain: List[Tuple[bytes, Address, int]]
                        ) -> Union[List[bytes], np.ndarray]:
-        """The data records of a drain's datagrams, in arrival order.
+        """The data records of a drain's buffers, in arrival order.
 
         What :meth:`_collect` gives a datagram at a time — records,
         counters, adopted manifest, remembered sender — in one pass
-        where the drain has the shape a data stream has.  Datagrams
+        where the drain has the shape a data stream has.  Buffers
         heard before a manifest has fixed the record size take
         :meth:`_collect`.  Of the rest, those that are whole runs of
         right-sized data frames (first byte and length pick them, one
         comparison over the joined buffer confirms every frame head)
         become one ``(n, record_size)`` array, and only the others
         (manifests, feedback, foreign traffic) are parsed frame by
-        frame.  Where arrival order is at stake — a record came before
-        the manifest, one of the others could carry a data record too
-        (the frame head occurs somewhere in it), or a picked datagram's
-        heads do not hold — the whole drain takes :meth:`_collect`.
+        frame.  A coalesced buffer that looks like one run, cut into
+        segments of whole frames, is taken as it stands — every segment
+        then starts on a frame head the comparison checks — and any
+        other is taken apart first, each of its datagrams judged alone.
+        Where arrival order is at stake — a record came before the
+        manifest, one of the others could carry a data record too (the
+        frame head occurs somewhere in it), or a picked buffer's heads
+        do not hold — the whole drain takes :meth:`_collect`.
         """
         batch: List[bytes] = []
         told = 0
@@ -354,24 +460,31 @@ class UdpSubscription(Subscription):
         if size is not None and not batch:
             head = frame_head(FRAME_DATA, size)
             step = len(head) + size
-            is_run = [len(data) % step == 0 and data[:1] == head[:1]
-                      for data, _ in drain]
+
+            def looks_like_run(data: bytes) -> bool:
+                return len(data) % step == 0 and data[:1] == head[:1]
+
+            drain = [piece for data, addr, gso in drain for piece in (
+                [(data, addr, gso)]
+                if not gso or gso % step == 0 and looks_like_run(data)
+                else [(part, addr, 0) for part in _segments(data, gso)])]
+            is_run = [looks_like_run(data) for data, _, _ in drain]
             records = None
             if not any(head in data
-                       for (data, _), run in zip(drain, is_run) if not run):
+                       for (data, _, _), run in zip(drain, is_run) if not run):
                 records = unframe_records(b"".join(
-                    [data for (data, _), run in zip(drain, is_run) if run]),
+                    [data for (data, _, _), run in zip(drain, is_run) if run]),
                     size)
             if records is not None:
-                for (data, addr), run in zip(drain, is_run):
+                for (data, addr, gso), run in zip(drain, is_run):
                     if run:
-                        self.datagrams += 1
+                        self.datagrams += -(-len(data) // gso) if gso else 1
                         self._sender = addr
                     else:
-                        self._collect(data, addr, batch)
+                        self._collect(data, addr, gso, batch)
                 return records
-        for data, addr in drain:
-            self._collect(data, addr, batch)
+        for data, addr, gso in drain:
+            self._collect(data, addr, gso, batch)
         return batch
 
     def record_batches(self, timeout: Optional[float] = None
@@ -381,7 +494,8 @@ class UdpSubscription(Subscription):
         Blocks for the first datagram of a poll (honouring the silence
         timeout), then empties the kernel's receive queue without
         blocking — so a burst that arrived while the decoder was busy
-        becomes a single ingest call instead of one wakeup per packet.
+        becomes a single ingest call instead of one wakeup per packet
+        (and, with ``UDP_GRO``, a run of datagrams one receive).
         Records buffered while :meth:`manifest` waited come first.  A
         batch is a sequence of records: a list of ``bytes``, or — a
         drain of nothing but data datagrams and control frames — one
@@ -586,23 +700,42 @@ class UdpTransport(Transport):
         continues the stream from the last frame that reached the
         socket; ``emitted`` / ``delivered`` / ``dropped`` count frames,
         as always, and ``datagrams`` the data datagrams they left in.
+
+        A destination's datagrams reach the kernel a run at a time:
+        equal-sized ones (and one shorter last one) gather into a batch
+        that leaves in one ``UDP_SEGMENT`` ``sendmsg`` of at most 64
+        segments and 65,507 bytes, which the kernel cuts back into
+        exactly those datagrams.  A batch goes out wherever a run is
+        flushed above, and a datagram wider than the budget — too wide
+        for a segment — goes alone.  A batch of one, a batch behind
+        frames the event loop still buffers, and a batch the socket
+        cannot take right now are sent a datagram at a time through the
+        transport; a kernel that refuses the offload outright (it sent
+        nothing) gets the batch that way and every datagram after it.
         """
         should_stop = _stop_check(stop)
         adaptive = policy is not None
         if adaptive and count is None:
             count = EMISSION_LIMIT_FACTOR * session.total_k
         loop = asyncio.get_running_loop()
-        transport, protocol = await loop.create_datagram_endpoint(
-            _SenderProtocol,
-            local_addr=self.bind or ("0.0.0.0", 0))
-        sock = transport.get_extra_info("socket")
-        if sock is not None and any(is_multicast(host)
-                                    for host, _ in self.destinations):
-            sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_TTL,
-                            self.ttl)
-            sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_LOOP, 1)
-            sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_IF,
-                            socket.inet_aton(self.interface))
+        # The socket is ours, not the event loop's wrapper: batches go
+        # out through its sendmsg.
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            sock.bind(self.bind or ("0.0.0.0", 0))
+            if any(is_multicast(host) for host, _ in self.destinations):
+                sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_TTL,
+                                self.ttl)
+                sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_LOOP,
+                                1)
+                sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_IF,
+                                socket.inet_aton(self.interface))
+            transport, protocol = await loop.create_datagram_endpoint(
+                _SenderProtocol, sock=sock)
+        except BaseException:
+            sock.close()
+            raise
+        segmenting = _segmentation_offload(sock)
         bucket = None if self.pace is None else TokenBucket(self.pace)
         streams = self._loss_streams()
         source = getattr(session, "source", session)
@@ -629,19 +762,53 @@ class UdpTransport(Transport):
         # the one being emitted survived and wait to share a datagram.
         opened = [0] * len(self.destinations)
         rows = 0
+        # Each destination's datagrams not yet handed to the kernel:
+        # slices of ``wire``, equal-sized but for a shorter last one.
+        batches: List[List[memoryview]] = [[] for _ in self.destinations]
+
+        def send_batch(di: int) -> None:
+            """Hand destination ``di``'s batch to the kernel."""
+            nonlocal segmenting
+            batch, dest = batches[di], self.destinations[di]
+            if len(batch) > 1 and not transport.get_write_buffer_size():
+                try:
+                    sock.sendmsg(batch, [(socket.IPPROTO_UDP, _UDP_SEGMENT,
+                                          _SEGMENT_SIZE.pack(len(batch[0])))],
+                                 0, dest)
+                    batch.clear()
+                    return
+                except BlockingIOError:
+                    pass
+                except OSError:
+                    segmenting = False
+            for datagram in batch:
+                transport.sendto(datagram, dest)
+            batch.clear()
 
         def send_run(di: int, end: int) -> None:
-            """One datagram: destination ``di``'s open run, up to row ``end``."""
+            """One datagram: destination ``di``'s open run, up to row
+            ``end``, joins the destination's batch."""
             nonlocal datagrams
-            if opened[di] < end:
-                transport.sendto(wire[opened[di] * step:end * step],
-                                 self.destinations[di])
-                datagrams += 1
-            opened[di] = end
+            begin, opened[di] = opened[di], end
+            if begin >= end:
+                return
+            datagrams += 1
+            size = (end - begin) * step
+            batch = batches[di]
+            seg = len(batch[0]) if batch else size
+            if size > seg or len(batch) * seg + size > _MAX_SEND_BYTES:
+                send_batch(di)
+                seg = size
+            batch.append(wire[begin * step:end * step])
+            if (size < seg or len(batch) == _MAX_SEGMENTS or not segmenting
+                    or size > DATAGRAM_BUDGET):
+                send_batch(di)
 
         def flush(end: int) -> None:
+            """Every destination's open run and batch, to the kernel."""
             for di in range(len(opened)):
                 send_run(di, end)
+                send_batch(di)
 
         try:
             while not pending and (count is None or emitted < count):

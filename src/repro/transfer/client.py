@@ -112,20 +112,25 @@ class TransferClient:
         counter-exact against it: the run is taken in chunks no longer
         than :attr:`min_additional`, so the transfer can only complete
         on a chunk's final packet, and each chunk reaches the decoders
-        one :meth:`receive_many` per block.  Returns how many packets
-        were consumed — the rest arrived after completion and are left
-        unread, as the sequential loop would leave them.
+        one :meth:`receive_many` per block, in ascending block order —
+        one stable sort and one gather split it, arrival order kept
+        within a block.  Returns how many packets were consumed — the
+        rest arrived after completion and are left unread, as the
+        sequential loop would leave them.
         """
         pos, total = 0, len(blocks)
         while pos < total and self._incomplete:
-            sel = slice(pos, pos + min(self.min_additional, total - pos))
-            chunk = blocks[sel]
-            for block in np.unique(chunk):
-                rows = chunk == block
+            stop = pos + min(self.min_additional, total - pos)
+            order = pos + np.argsort(blocks[pos:stop], kind="stable")
+            chunk, ids = blocks[order], indices[order]
+            rows = None if payloads is None else payloads[order]
+            bounds = [0, *(np.flatnonzero(chunk[1:] != chunk[:-1]) + 1)
+                      .tolist(), len(chunk)]
+            for begin, end in zip(bounds, bounds[1:]):
                 self.receive_many(
-                    int(block), indices[sel][rows],
-                    None if payloads is None else payloads[sel][rows])
-            pos = sel.stop
+                    int(chunk[begin]), ids[begin:end],
+                    None if rows is None else rows[begin:end])
+            pos = stop
         return pos
 
     def names_packet(self, blocks: np.ndarray,

@@ -101,10 +101,33 @@ _LOUD = st.one_of(
     _lookalike(),
     st.binary(max_size=70),
 )
+@st.composite
+def _burst(draw):
+    """One flow's datagrams as ``UDP_GRO`` hands them over in one buffer:
+    two or more of one length — whole runs, or one a look-alike — and
+    maybe a shorter last one."""
+    frames = draw(st.integers(1, 4))
+    run = st.lists(_frame, min_size=frames, max_size=frames).map(b"".join)
+    burst = draw(st.lists(run, min_size=2, max_size=6))
+    if draw(st.booleans()):
+        fake = bytearray(burst[draw(st.integers(0, len(burst) - 1))])
+        fake[draw(st.integers(0, frames - 1)) * (3 + _RECORD)
+             + draw(st.integers(0, 2))] ^= draw(st.integers(1, 255))
+        burst[draw(st.integers(0, len(burst) - 1))] = bytes(fake)
+    tail = draw(st.one_of(st.none(), st.tuples(run, st.integers(
+        1, frames * (3 + _RECORD) - 1)).map(lambda cut: cut[0][:cut[1]])))
+    return burst + ([] if tail is None else [tail])
+
+
 _hosts = st.integers(1, 3)
+#: a drain is a list of ``(datagrams, host)`` buffers: one datagram, or
+#: a coalesced burst.
+_alone = st.one_of(_QUIET, _LOUD).map(lambda datagram: [datagram])
 _DRAINS = st.one_of(
-    st.lists(st.tuples(_QUIET, _hosts), max_size=12),
-    st.lists(st.tuples(st.one_of(_QUIET, _LOUD), _hosts), max_size=12),
+    st.lists(st.tuples(_QUIET.map(lambda datagram: [datagram]), _hosts),
+             max_size=12),
+    st.lists(st.tuples(_alone, _hosts), max_size=12),
+    st.lists(st.tuples(st.one_of(_burst(), _alone), _hosts), max_size=6),
 )
 
 
@@ -588,26 +611,31 @@ class TestUdpUnicast:
     def test_drain_equals_collect_one_datagram_at_a_time(self, drains,
                                                          adopted):
         """Any datagram sequence — runs, manifests, feedback, truncated
-        and wrong-size frames, look-alikes — parsed a drain at a time
-        yields what ``_collect`` yields a datagram at a time: records in
-        order, the counters, the adopted manifest, the remembered
-        sender."""
+        and wrong-size frames, look-alikes, some of them coalesced into
+        one buffer the way ``UDP_GRO`` hands a burst over — parsed a
+        drain at a time yields what ``_collect`` yields a datagram at a
+        time: records in order, the counters, the adopted manifest, the
+        remembered sender."""
         with UdpSubscription("127.0.0.1:0") as fast, \
                 UdpSubscription("127.0.0.1:0") as slow:
             got, want = [], []
             if adopted:
                 for sub in (fast, slow):
-                    sub._collect(_MANIFEST_FRAME, ("10.0.0.9", 9), [])
+                    sub._collect(_MANIFEST_FRAME, ("10.0.0.9", 9), 0, [])
             for drain in drains:
-                drain = [(data, ("10.0.0.%d" % host, 9000 + host))
-                         for data, host in drain]
-                batch = fast._drain_records(drain)
+                drain = [(datagrams, ("10.0.0.%d" % host, 9000 + host))
+                         for datagrams, host in drain]
+                batch = fast._drain_records([
+                    (b"".join(datagrams), addr,
+                     len(datagrams[0]) if len(datagrams) > 1 else 0)
+                    for datagrams, addr in drain])
                 if isinstance(batch, np.ndarray):
                     assert batch.shape[1:] == (fast._record_bytes,)
                     batch = [row.tobytes() for row in batch]
                 got += batch
-                for data, addr in drain:
-                    slow._collect(data, addr, want)
+                for datagrams, addr in drain:
+                    for data in datagrams:
+                        slow._collect(data, addr, 0, want)
                 assert got == want
                 for field in ("datagrams", "malformed", "manifest_conflicts",
                               "_sender", "_manifest", "_record_bytes"):
