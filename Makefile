@@ -49,12 +49,15 @@ coverage:
 # and the spoofed-datagram loopback test: one hostile record is an
 # erasure, not the end of a fetch) plus the windowed UDP serve held to
 # its per-packet oracle, and again with the UDP offloads on and off
-# (tests/test_udp_offload.py).
+# (tests/test_udp_offload.py), plus the closed loop over the sender's
+# reply port: feedback reports, the stop on a complete report, and
+# stray datagrams counted, not fatal (TestUdpAdaptive).
 # Binds real loopback sockets; skips gracefully where unavailable.
 test-udp:
 	$(PYTHON) -m pytest -q tests/test_transport.py \
 		tests/test_windowed_serve.py::TestUdpServe \
-		tests/test_udp_offload.py
+		tests/test_udp_offload.py \
+		tests/test_adaptive.py::TestUdpAdaptive
 
 # One quick pass over the benchmark suite — catches rot in the
 # table/figure harnesses without paying for full measurement runs.

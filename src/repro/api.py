@@ -25,7 +25,7 @@ machinery is exposed as two session objects:
 
 Delivery itself is pluggable: any :mod:`repro.net.transport` transport
 serves a session's stream — in-memory queues, a recorded ``stream.pkt``
-directory, or real asyncio UDP datagrams::
+directory, or real UDP datagrams::
 
     from repro.net.transport import UdpTransport
 

@@ -16,7 +16,7 @@ changes::
     receiver = subscription.receive()                  # ReceiverSession
 
 See :mod:`repro.net.transport.base` for the contract and datagram
-framing, and :mod:`repro.net.transport.udp` for the asyncio delivery
+framing, and :mod:`repro.net.transport.udp` for the socket delivery
 path (`repro serve` / `repro fetch` on the CLI).
 """
 

@@ -10,9 +10,9 @@ implementations ship behind this contract:
 * :class:`~repro.net.transport.file.FileTransport` — a ``stream.pkt``
   plus ``manifest.json`` directory (the `repro send`/`repro recv`
   shape).
-* :class:`~repro.net.transport.udp.UdpTransport` — real asyncio UDP
-  datagrams over unicast or loopback multicast, with token-bucket
-  pacing and optional Bernoulli loss injection.
+* :class:`~repro.net.transport.udp.UdpTransport` — real UDP datagrams
+  from one blocking socket, unicast or loopback multicast, with
+  token-bucket pacing and optional Bernoulli loss injection.
 
 Senders call ``transport.serve(session)`` with any object exposing the
 sender-session surface (``source``, ``manifest()``, ``codec``,

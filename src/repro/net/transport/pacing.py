@@ -11,7 +11,6 @@ to the bucket depth while holding the long-run average at ``rate``.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from typing import Callable
 
@@ -87,16 +86,3 @@ class TokenBucket:
         if self._tokens >= 0:
             return 0.0
         return -self._tokens / self.rate
-
-    async def throttle(self, tokens: float = 1.0) -> float:
-        """Async pacing: sleep until ``tokens`` worth of budget is earned.
-
-        Returns the seconds actually slept.  A zero return means the
-        bucket had budget and control never left the caller — a sender
-        that also listens (the feedback path) must then yield to the
-        event loop itself, or incoming datagrams are never read.
-        """
-        delay = self.reserve(tokens)
-        if delay > 0:
-            await asyncio.sleep(delay)
-        return delay

@@ -1,8 +1,8 @@
-"""Real asyncio UDP delivery: unicast and loopback multicast.
+"""Real UDP delivery: unicast and loopback multicast.
 
 The paper's server "sprays" an unreliable datagram stream at
 arbitrarily many heterogeneous receivers; this module does it with real
-sockets.  The sender is an asyncio datagram endpoint pumping
+sockets.  The sender is a plain loop over one blocking socket, pumping
 length-prefixed frames (see :mod:`repro.net.transport.base`) to any
 number of unicast destinations and/or multicast groups, with
 
@@ -15,11 +15,12 @@ number of unicast destinations and/or multicast groups, with
   deterministic under a fixed seed) so tests exercise real lossy-path
   recovery without a lossy network.
 
-The receiver side is a plain blocking socket behind the
-:class:`~repro.net.transport.base.Subscription` contract — callable
-from any thread, no event loop required — because a fountain receiver
-has no feedback to *schedule*: it just drinks datagrams until its
-decoder completes.  UDP drops packets the kernel's buffers cannot hold;
+Neither end runs an event loop: the paper's server is open loop, with
+nothing to schedule but its pace, and a fountain receiver just drinks
+datagrams until its decoder completes.  The receiver is a plain
+blocking socket behind the
+:class:`~repro.net.transport.base.Subscription` contract, callable from
+any thread.  UDP drops packets the kernel's buffers cannot hold;
 that is simply more erasure, which is the entire point of the codes
 upstream (the subscription reports the kernel's count of them where
 the socket offers it, ``SO_RXQ_OVFL``).
@@ -36,8 +37,8 @@ datagrams (see :meth:`UdpSubscription._drain_records`).
 
 The control plane runs the same sockets in reverse: the subscription
 remembers the sender's source address and ``send_feedback`` fires
-``FRAME_FEEDBACK`` frames straight back at it, the sender's datagram
-endpoint collects them, and ``serve(policy=...)`` folds each decoded
+``FRAME_FEEDBACK`` frames straight back at it, the sender reads them
+off its own socket, and ``serve(policy=...)`` folds each decoded
 :class:`~repro.protocol.feedback.FeedbackReport` into an
 :class:`~repro.protocol.adaptive.AdaptivePolicy` — retargeting the
 token bucket, reweighting the live block schedule, and stopping early
@@ -48,15 +49,13 @@ open-loop again when they stop arriving.
 
 from __future__ import annotations
 
-import asyncio
 import ipaddress
 import json
 import socket
 import struct
 import sys
 import time
-from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, \
+from typing import Any, Callable, Dict, Iterator, List, Optional, \
     Sequence, Tuple, Union
 
 import numpy as np
@@ -93,9 +92,6 @@ Address = Tuple[str, int]
 
 #: default receive-socket buffer: room for a few thousand packets.
 DEFAULT_RCVBUF = 1 << 22
-
-#: sender yields to the event loop at least this often when unpaced.
-_YIELD_EVERY = 64
 
 #: Linux socket options the ``socket`` module does not name: the
 #: segment size of a segmentation-offload send and receive coalescing
@@ -519,42 +515,6 @@ class UdpSubscription(Subscription):
                 yield batch
 
 
-class _SenderProtocol(asyncio.DatagramProtocol):
-    """Fire-and-forget sender; counts (but survives) socket errors.
-
-    Also the sender's ear: receivers fire ``FRAME_FEEDBACK`` datagrams
-    back at this endpoint's source port, and the bodies queue here for
-    the serve loop to decode between sends.
-    """
-
-    def __init__(self) -> None:
-        self.errors = 0
-        self.last_error: Optional[Exception] = None
-        #: undecoded feedback frame bodies, arrival order.
-        self.feedback: Deque[bytes] = deque()
-        #: datagrams that were not well-formed feedback (stray chatter).
-        self.malformed = 0
-
-    def error_received(self, exc: Exception) -> None:
-        # ICMP port-unreachable chatter is normal when a unicast
-        # receiver leaves early; a fountain sender shrugs, but the
-        # count is reported so operators can see a dead destination.
-        self.errors += 1
-        self.last_error = exc
-
-    def datagram_received(self, data: bytes, addr: Address) -> None:
-        try:
-            frames = list(iter_frames(data))
-        except ProtocolError:
-            self.malformed += 1
-            return
-        for frame_type, body in frames:
-            if frame_type == FRAME_FEEDBACK:
-                self.feedback.append(body)
-            else:
-                self.malformed += 1
-
-
 #: one destination's injected loss is a plain channel crossing, read a
 #: verdict at a time through :meth:`LossyChannel.lost`.
 _LossStream = LossyChannel
@@ -571,8 +531,7 @@ class UdpTransport(Transport):
     bind:
         Optional local ``host:port`` for the sending socket.
     pace:
-        Token-bucket rate in packets per second (``None`` = unpaced,
-        with periodic event-loop yields).
+        Token-bucket rate in packets per second (``None`` = unpaced).
     loss:
         Injected Bernoulli loss probability, applied independently per
         packet per destination *before* the socket — test-channel
@@ -610,6 +569,11 @@ class UdpTransport(Transport):
         self.bind = None if bind is None else parse_address(bind)
         self.pace = pace
         self.loss = float(loss)
+        # the loss channel's and the pacer's own checks, before a serve
+        # binds a socket
+        BernoulliLoss(self.loss)
+        if pace is not None:
+            TokenBucket(pace)
         self.loss_model = loss_model
         self.seed = seed
         self.manifest_interval = int(manifest_interval)
@@ -639,11 +603,6 @@ class UdpTransport(Transport):
 
     # -- sending ---------------------------------------------------------------
 
-    def serve(self, session: Any, *, count: Optional[int] = None,
-              **options: Any) -> ServeReport:
-        """Synchronous wrapper: run :meth:`serve_async` to completion."""
-        return asyncio.run(self.serve_async(session, count=count, **options))
-
     def _loss_streams(self) -> Optional[List[_LossStream]]:
         """One independent loss channel per destination."""
         model = self.loss_model
@@ -656,14 +615,13 @@ class UdpTransport(Transport):
                             else spawn_rng(self.seed, i))
                 for i in range(len(self.destinations))]
 
-    async def serve_async(self, session: Any, *,
-                          count: Optional[int] = None,
-                          duration: Optional[float] = None,
-                          stop: Any = None,
-                          policy: Optional[AdaptivePolicy] = None,
-                          feedback: Optional[
-                              Callable[[FeedbackReport], Any]] = None,
-                          adapt_every: int = 64) -> ServeReport:
+    def serve(self, session: Any, *,
+              count: Optional[int] = None,
+              duration: Optional[float] = None,
+              stop: Any = None,
+              policy: Optional[AdaptivePolicy] = None,
+              feedback: Optional[Callable[[FeedbackReport], Any]] = None,
+              adapt_every: int = 64) -> ServeReport:
         """Pump the session's stream into the sockets.
 
         Runs until ``count`` emissions, ``duration`` seconds, or the
@@ -671,18 +629,23 @@ class UdpTransport(Transport):
         none given it serves forever, which is exactly what a fountain
         server does (interrupt it to stop).
 
-        With ``policy=`` the endpoint listens for ``FRAME_FEEDBACK``
-        replies, folds every report into the policy, and every
-        ``adapt_every`` emissions applies its decision: the token
-        bucket retargets to ``pace * rate_scale``, lagging blocks get
-        heavier schedule weight (via the source's ``reweight``), and
-        the serve stops as soon as every known receiver reports a
-        complete decode — the closed-loop path that lets an adaptive
-        sender quit while an open-loop one is still provisioning for
-        the worst case.  An adaptive serve with no explicit bound is
-        additionally capped at the emission-budget limit so a fade that
-        swallows all feedback cannot spin it forever.  ``feedback``
-        (a callable) observes every decoded report.
+        Receivers fire ``FRAME_FEEDBACK`` replies at the serve's source
+        port.  Every ``adapt_every`` emissions, and once more before the
+        socket closes, the serve reads whatever waits there without
+        blocking.  With ``policy=`` it folds every report into the
+        policy and then applies its decision: the token bucket
+        retargets to ``pace * rate_scale``, lagging blocks get heavier
+        schedule weight (via the source's ``reweight``), and the serve
+        stops as soon as every known receiver reports a complete decode
+        — the closed-loop path that lets an adaptive sender quit while
+        an open-loop one is still provisioning for the worst case.  An
+        adaptive serve with no explicit bound is additionally capped at
+        the emission-budget limit so a fade that swallows all feedback
+        cannot spin it forever.  ``feedback`` (a callable) observes
+        every decoded report; bodies are decoded only when one of the
+        two is given.  Stray datagrams are counted in
+        ``malformed_frames`` and a send the kernel refuses in
+        ``socket_errors``; neither ends the serve.
 
         Emissions are drawn a window at a time
         (:meth:`~repro.transfer.server.TransferServer.record_window`,
@@ -707,35 +670,20 @@ class UdpTransport(Transport):
         segments and 65,507 bytes, which the kernel cuts back into
         exactly those datagrams.  A batch goes out wherever a run is
         flushed above, and a datagram wider than the budget — too wide
-        for a segment — goes alone.  A batch of one, a batch behind
-        frames the event loop still buffers, and a batch the socket
-        cannot take right now are sent a datagram at a time through the
-        transport; a kernel that refuses the offload outright (it sent
-        nothing) gets the batch that way and every datagram after it.
+        for a segment — goes alone.  A batch of one is a ``sendto``; a
+        kernel that refuses the offload outright (it sent nothing) gets
+        the batch a datagram at a time, and every datagram after it.
+        The socket blocks, so each datagram is in the kernel when the
+        call that sent it returns.
         """
+        if adapt_every < 1:
+            raise ParameterError(
+                f"adapt_every must be >= 1, got {adapt_every}")
         should_stop = _stop_check(stop)
         adaptive = policy is not None
+        listening = adaptive or feedback is not None
         if adaptive and count is None:
             count = EMISSION_LIMIT_FACTOR * session.total_k
-        loop = asyncio.get_running_loop()
-        # The socket is ours, not the event loop's wrapper: batches go
-        # out through its sendmsg.
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        try:
-            sock.bind(self.bind or ("0.0.0.0", 0))
-            if any(is_multicast(host) for host, _ in self.destinations):
-                sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_TTL,
-                                self.ttl)
-                sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_LOOP,
-                                1)
-                sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_IF,
-                                socket.inet_aton(self.interface))
-            transport, protocol = await loop.create_datagram_endpoint(
-                _SenderProtocol, sock=sock)
-        except BaseException:
-            sock.close()
-            raise
-        segmenting = _segmentation_offload(sock)
         bucket = None if self.pace is None else TokenBucket(self.pace)
         streams = self._loss_streams()
         source = getattr(session, "source", session)
@@ -750,10 +698,8 @@ class UdpTransport(Transport):
         manifest_frame = pack_frame(
             FRAME_MANIFEST,
             json.dumps(session.manifest()).encode("utf-8"))
-        start = time.perf_counter()
-        deadline = None if duration is None else start + float(duration)
         emitted = delivered = dropped = manifest_frames = 0
-        feedback_frames = datagrams = 0
+        feedback_frames = datagrams = errors = malformed = 0
         # Records of the current window not yet handed to the socket: a
         # window left part-sent (stop, duration, everyone complete) ends
         # the serve.
@@ -766,23 +712,32 @@ class UdpTransport(Transport):
         # slices of ``wire``, equal-sized but for a shorter last one.
         batches: List[List[memoryview]] = [[] for _ in self.destinations]
 
+        def send(datagram: Any, dest: Address) -> None:
+            """One datagram to the kernel; a refusal is counted."""
+            nonlocal errors
+            try:
+                sock.sendto(datagram, dest)
+            except OSError:
+                # A full device queue, or ICMP chatter once a unicast
+                # receiver has left: a fountain sender shrugs, but the
+                # count is reported so operators can see it.
+                errors += 1
+
         def send_batch(di: int) -> None:
             """Hand destination ``di``'s batch to the kernel."""
             nonlocal segmenting
             batch, dest = batches[di], self.destinations[di]
-            if len(batch) > 1 and not transport.get_write_buffer_size():
+            if len(batch) > 1:
                 try:
                     sock.sendmsg(batch, [(socket.IPPROTO_UDP, _UDP_SEGMENT,
                                           _SEGMENT_SIZE.pack(len(batch[0])))],
                                  0, dest)
                     batch.clear()
                     return
-                except BlockingIOError:
-                    pass
                 except OSError:
                     segmenting = False
             for datagram in batch:
-                transport.sendto(datagram, dest)
+                send(datagram, dest)
             batch.clear()
 
         def send_run(di: int, end: int) -> None:
@@ -810,106 +765,134 @@ class UdpTransport(Transport):
                 send_run(di, end)
                 send_batch(di)
 
-        try:
-            while not pending and (count is None or emitted < count):
-                size = (SERVE_WINDOW if count is None
-                        else min(SERVE_WINDOW, count - emitted))
-                if adaptive:
-                    # A decision may reweight the schedule from the next
-                    # slot on, so a window ends on the emission it is
-                    # taken at.
-                    decide_at = adapt_every * -(-max(emitted, 1)
-                                                // adapt_every)
-                    size = min(size, decide_at - emitted + 1)
-                if draw is not None:
-                    records = draw(size)
-                else:
-                    packet = next(packets, None)
-                    if packet is None:
-                        break
-                    records = np.frombuffer(packet.to_bytes(),
-                                            dtype=np.uint8)[None]
-                frames = frame_records(records)
-                wire = memoryview(frames.reshape(-1))
-                step = frames.shape[1]
-                per = max(1, DATAGRAM_BUDGET // step)
-                rows = pending = len(frames)
-                opened[:] = [0] * len(opened)
-                survives = None if streams is None else [
-                    stream.delivery_mask(pending).tolist()
-                    for stream in streams]
-                for row in range(rows):
-                    if should_stop() or (deadline is not None and
-                                         time.perf_counter() >= deadline):
-                        break
-                    slept = 0.0
-                    if bucket is not None:
-                        slept = bucket.reserve()
-                        if slept > 0.0:
-                            flush(row)
-                            await asyncio.sleep(slept)
-                    if slept == 0.0 and emitted % _YIELD_EVERY == 0:
-                        # A CPU-bound serve below the pace rate never
-                        # runs the bucket dry; yield anyway so the event
-                        # loop polls the socket and feedback frames get
-                        # read.
-                        await asyncio.sleep(0)
-                    if protocol.feedback and (adaptive
-                                              or feedback is not None):
-                        now = time.perf_counter() - start
-                        while protocol.feedback:
-                            body = protocol.feedback.popleft()
-                            try:
-                                report = FeedbackReport.decode(body)
-                            except ProtocolError:
-                                protocol.malformed += 1
-                                continue
-                            feedback_frames += 1
-                            if policy is not None:
-                                policy.observe(report, now=now)
-                            if feedback is not None:
-                                feedback(report)
-                    if adaptive and emitted and emitted % adapt_every == 0:
-                        now = time.perf_counter() - start
-                        decision = policy.decide(block_ks, now=now)
-                        if decision.all_complete:
-                            break
-                        if bucket is not None and self.pace is not None:
-                            bucket.set_rate(self.pace * decision.rate_scale)
-                        if decision.weights and reweight is not None:
-                            reweight(list(decision.weights))
-                    if emitted % self.manifest_interval == 0:
-                        flush(row)
-                        for dest in self.destinations:
-                            transport.sendto(manifest_frame, dest)
-                        manifest_frames += 1
-                    for di in range(len(opened)):
-                        if survives is not None and not survives[di][row]:
-                            dropped += 1
-                            send_run(di, row)
-                            opened[di] = row + 1
+        def listen() -> None:
+            """Everything queued on the reply port, without blocking:
+            each feedback report handed out (when listening), any other
+            datagram or frame counted malformed."""
+            nonlocal errors, malformed, feedback_frames
+            now = time.perf_counter() - start
+            while True:
+                try:
+                    data = sock.recv(_RECV_BYTES, socket.MSG_DONTWAIT)
+                except BlockingIOError:
+                    return
+                except OSError:
+                    errors += 1
+                    return
+                try:
+                    frames = list(iter_frames(data))
+                except ProtocolError:
+                    malformed += 1
+                    continue
+                for frame_type, body in frames:
+                    if frame_type != FRAME_FEEDBACK:
+                        malformed += 1
+                    elif listening:
+                        try:
+                            report = FeedbackReport.decode(body)
+                        except ProtocolError:
+                            malformed += 1
                             continue
-                        delivered += 1
-                        if row + 1 - opened[di] == per:
-                            send_run(di, row + 1)
-                    emitted += 1
-                    pending -= 1
+                        feedback_frames += 1
+                        if policy is not None:
+                            policy.observe(report, now=now)
+                        if feedback is not None:
+                            feedback(report)
+
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.bind(self.bind or ("0.0.0.0", 0))
+            if any(is_multicast(host) for host, _ in self.destinations):
+                sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_TTL,
+                                self.ttl)
+                sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_LOOP,
+                                1)
+                sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_IF,
+                                socket.inet_aton(self.interface))
+            segmenting = _segmentation_offload(sock)
+            start = time.perf_counter()
+            deadline = None if duration is None else start + float(duration)
+            try:
+                while not pending and (count is None or emitted < count):
+                    size = (SERVE_WINDOW if count is None
+                            else min(SERVE_WINDOW, count - emitted))
+                    if adaptive:
+                        # A decision may reweight the schedule from the
+                        # next slot on, so a window ends on the emission
+                        # it is taken at.
+                        decide_at = adapt_every * -(-max(emitted, 1)
+                                                    // adapt_every)
+                        size = min(size, decide_at - emitted + 1)
+                    if draw is not None:
+                        records = draw(size)
+                    else:
+                        packet = next(packets, None)
+                        if packet is None:
+                            break
+                        records = np.frombuffer(packet.to_bytes(),
+                                                dtype=np.uint8)[None]
+                    frames = frame_records(records)
+                    wire = memoryview(frames.reshape(-1))
+                    step = frames.shape[1]
+                    per = max(1, DATAGRAM_BUDGET // step)
+                    rows = pending = len(frames)
+                    opened[:] = [0] * len(opened)
+                    survives = None if streams is None else [
+                        stream.delivery_mask(pending).tolist()
+                        for stream in streams]
+                    for row in range(rows):
+                        if should_stop() or (deadline is not None and
+                                             time.perf_counter() >= deadline):
+                            break
+                        if bucket is not None:
+                            slept = bucket.reserve()
+                            if slept > 0.0:
+                                flush(row)
+                                time.sleep(slept)
+                        if emitted and emitted % adapt_every == 0:
+                            listen()
+                            if adaptive:
+                                decision = policy.decide(
+                                    block_ks, now=time.perf_counter() - start)
+                                if decision.all_complete:
+                                    break
+                                if bucket is not None:
+                                    bucket.set_rate(
+                                        self.pace * decision.rate_scale)
+                                if decision.weights and reweight is not None:
+                                    reweight(list(decision.weights))
+                        if emitted % self.manifest_interval == 0:
+                            flush(row)
+                            for dest in self.destinations:
+                                send(manifest_frame, dest)
+                            manifest_frames += 1
+                        for di in range(len(opened)):
+                            if survives is not None and not survives[di][row]:
+                                dropped += 1
+                                send_run(di, row)
+                                opened[di] = row + 1
+                                continue
+                            delivered += 1
+                            if row + 1 - opened[di] == per:
+                                send_run(di, row + 1)
+                        emitted += 1
+                        pending -= 1
+                    flush(rows - pending)
+            finally:
+                # The frames of a run still open were counted: they go
+                # out even when an exception ends the serve.
                 flush(rows - pending)
-        finally:
-            # The frames of a run still open were counted: they go out
-            # even when an exception ends the serve.
-            flush(rows - pending)
-            if pending and draw is not None:
-                # Stopped (or interrupted) mid-window: the source resumes
-                # from the last frame handed to the socket, no id skipped.
-                source.unwind(pending)
-            # One final manifest so late joiners of a finite serve still
-            # learn the geometry, then let the endpoint flush and close.
-            for dest in self.destinations:
-                transport.sendto(manifest_frame, dest)
-            manifest_frames += 1
-            await asyncio.sleep(0)
-            transport.close()
+                if pending and draw is not None:
+                    # Stopped (or interrupted) mid-window: the source
+                    # resumes from the last frame handed to the socket,
+                    # no id skipped.
+                    source.unwind(pending)
+                # One final manifest so late joiners of a finite serve
+                # still learn the geometry, and a last read of the reply
+                # port.
+                for dest in self.destinations:
+                    send(manifest_frame, dest)
+                manifest_frames += 1
+                listen()
         return ServeReport(
             transport=self.name,
             emitted=emitted,
@@ -918,8 +901,8 @@ class UdpTransport(Transport):
             duration=time.perf_counter() - start,
             destinations=len(self.destinations),
             manifest_frames=manifest_frames,
-            socket_errors=protocol.errors,
+            socket_errors=errors,
             feedback_frames=feedback_frames,
-            malformed_frames=protocol.malformed,
+            malformed_frames=malformed,
             datagrams=datagrams,
         )

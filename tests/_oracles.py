@@ -14,18 +14,21 @@ under test, so both backends face exactly the same erasures.
 
 from __future__ import annotations
 
+import asyncio
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Deque, Dict, Optional
 
 import numpy as np
 
 from repro.codes.backend import use_backend
 from repro.codes.base import ErasureCode
 from repro.codes.registry import REGISTRY, build_code, incremental_decoder
-from repro.errors import DecodeFailure, ParameterError
+from repro.errors import DecodeFailure, ParameterError, ProtocolError
 from repro.fountain.client import ClientMode
 from repro.fountain.metrics import ReceptionStats
 from repro.fountain.packets import EncodingPacket
+from repro.net.transport.base import FRAME_FEEDBACK, iter_frames
 
 #: seed-mixing constant so the loss stream never collides with the
 #: source-data stream derived from the same test seed.
@@ -565,10 +568,51 @@ def oracle_file_serve(transport, session, *, count=None, extra=0):
     )
 
 
-def oracle_udp_serve(transport, session, **options):
-    """``UdpTransport.serve``, one packet at a time (synchronous wrapper)."""
-    import asyncio
+#: the oracle sender yields to the event loop at least this often when
+#: unpaced.
+_YIELD_EVERY = 64
 
+
+class _SenderProtocol(asyncio.DatagramProtocol):
+    """Fire-and-forget sender; counts (but survives) socket errors.
+
+    Also the sender's ear: receivers fire ``FRAME_FEEDBACK`` datagrams
+    back at this endpoint's source port, and the bodies queue here for
+    the serve loop to decode between sends.
+    """
+
+    def __init__(self) -> None:
+        self.errors = 0
+        self.last_error: Optional[Exception] = None
+        #: undecoded feedback frame bodies, arrival order.
+        self.feedback: Deque[bytes] = deque()
+        #: datagrams that were not well-formed feedback (stray chatter).
+        self.malformed = 0
+
+    def error_received(self, exc: Exception) -> None:
+        # ICMP port-unreachable chatter is normal when a unicast
+        # receiver leaves early; a fountain sender shrugs, but the
+        # count is reported so operators can see a dead destination.
+        self.errors += 1
+        self.last_error = exc
+
+    def datagram_received(self, data: bytes, addr) -> None:
+        try:
+            frames = list(iter_frames(data))
+        except ProtocolError:
+            self.malformed += 1
+            return
+        for frame_type, body in frames:
+            if frame_type == FRAME_FEEDBACK:
+                self.feedback.append(body)
+            else:
+                self.malformed += 1
+
+
+def oracle_udp_serve(transport, session, **options):
+    """``UdpTransport.serve``, one packet at a time, on the asyncio
+    datagram endpoint the UDP sender ran before it became a plain
+    socket loop (synchronous wrapper)."""
     return asyncio.run(oracle_udp_serve_async(transport, session, **options))
 
 
@@ -580,7 +624,6 @@ async def oracle_udp_serve_async(transport, session, *, count=None,
     ``to_bytes``, one ``pack_frame`` and one ``lost()`` verdict per
     destination at a time.  ``TestUdpServe`` holds the windowed serve
     to the datagrams this puts on the wire."""
-    import asyncio
     import json
     import socket
     import time
@@ -594,12 +637,7 @@ async def oracle_udp_serve_async(transport, session, *, count=None,
         pack_frame,
     )
     from repro.net.transport.pacing import TokenBucket
-    from repro.net.transport.udp import (
-        _YIELD_EVERY,
-        _SenderProtocol,
-        _stop_check,
-        is_multicast,
-    )
+    from repro.net.transport.udp import _stop_check, is_multicast
     from repro.protocol.feedback import FeedbackReport
 
     self = transport
@@ -641,7 +679,9 @@ async def oracle_udp_serve_async(transport, session, *, count=None,
                 break
             slept = 0.0
             if bucket is not None:
-                slept = await bucket.throttle()
+                slept = bucket.reserve()
+                if slept > 0:
+                    await asyncio.sleep(slept)
             if slept == 0.0 and emitted % _YIELD_EVERY == 0:
                 # A CPU-bound serve below the pace rate never runs
                 # the bucket dry; yield anyway so the event loop

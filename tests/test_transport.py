@@ -30,6 +30,7 @@ from repro.net.transport import (
     parse_address,
 )
 from repro.net.transport.base import FRAME_FEEDBACK
+from repro.protocol.adaptive import AdaptivePolicy
 from test_api import MANIFEST_DAMAGE, damaged_manifest
 
 
@@ -201,6 +202,39 @@ class TestAddressing:
         assert is_multicast("239.1.2.3")
         assert not is_multicast("127.0.0.1")
         assert not is_multicast("example.org")
+
+
+class TestUdpArguments:
+    """A bad argument is a ``ParameterError`` before any socket opens."""
+
+    @pytest.fixture
+    def no_sockets(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr(socket, "socket", refuse)
+
+    @pytest.mark.parametrize("options", [
+        {"loss": -0.1}, {"loss": 1.0}, {"pace": 0}, {"pace": -5.0}])
+    def test_constructor_rejects_what_the_channel_and_pacer_reject(
+            self, no_sockets, options):
+        with pytest.raises(ParameterError):
+            UdpTransport(["127.0.0.1:9"], **options)
+
+    def test_memory_transport_rejects_the_same_loss(self):
+        with pytest.raises(ParameterError):
+            MemoryTransport(loss=-0.1).subscribe()
+
+    @pytest.mark.parametrize("adapt_every", [0, -1])
+    def test_adapt_every_below_one_is_refused(self, no_sockets, adapt_every):
+        """0 used to divide by zero mid-serve, and a negative value to
+        spin on empty windows forever."""
+        session = api.SenderSession(_random_bytes(4_096, seed=3),
+                                    packet_size=256, block_size=4_096)
+        transport = UdpTransport(["127.0.0.1:9"])
+        with pytest.raises(ParameterError, match="adapt_every"):
+            transport.serve(session, count=100, policy=AdaptivePolicy(),
+                            adapt_every=adapt_every)
 
 
 class TestMemoryTransport:
@@ -392,8 +426,8 @@ class TestUdpUnicast:
     @pytest.mark.parametrize(
         "spec", ["tornado-b", "lt", "rs", "raptor:eps=0.05"])
     def test_megabyte_at_20_percent_loss(self, spec):
-        """Acceptance: >= 1 MiB byte-exact over real asyncio UDP
-        loopback with 20% injected loss, per registry spec string."""
+        """Acceptance: >= 1 MiB byte-exact over real UDP loopback
+        with 20% injected loss, per registry spec string."""
         data = _random_bytes(1_100_000, seed=31)
         # rs blocks stay within GF(2^8): at most 128 packets per block.
         block_size = 128 * 1024 if spec == "rs" else 256 * 1024

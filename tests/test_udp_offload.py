@@ -13,6 +13,8 @@ hears, so:
   one bad segment costing one malformed datagram;
 * datagram sizes that change mid-serve, frames too wide to batch and a
   ``sendmsg`` the kernel refuses all leave the frame stream unchanged;
+* a ``sendto`` the kernel refuses costs that one datagram, counted in
+  ``socket_errors``, and the serve runs on;
 * a subscription reports the kernel's receive-queue drops.
 
 Both codec backends run every serve.
@@ -33,7 +35,8 @@ from repro import api
 from repro.errors import ProtocolError
 from repro.net.transport import UdpSubscription, UdpTransport
 from repro.net.transport import udp as udp_module
-from repro.net.transport.base import FRAME_DATA, FRAME_MANIFEST, pack_frame
+from repro.net.transport.base import (FRAME_DATA, FRAME_MANIFEST, iter_frames,
+                                      pack_frame)
 
 
 def _support():
@@ -144,6 +147,39 @@ class TestSegmentedSend:
         assert refused and not sendmsg_calls
         assert got == _udp_run(oracle_udp_serve, windowed._session("lt"),
                                ears, count=333)
+
+
+@pytest.mark.skipif(not windowed._udp_available(),
+                    reason="UDP loopback sockets unavailable")
+def test_a_refused_sendto_is_counted_and_survived(backend, ears,
+                                                   monkeypatch):
+    """``ENOBUFS`` on one data datagram: the serve counts it in
+    ``socket_errors``, runs on to its count, and every other frame
+    reaches the ear.  (The offload is off, so every datagram is a
+    ``sendto``.)"""
+    monkeypatch.setattr(udp_module, "_segmentation_offload",
+                        lambda sock: False)
+    refused, data_sends = [], []
+    real = socket.socket.sendto
+
+    def refuse_third(sock, datagram, *rest):
+        if datagram[0] == FRAME_DATA:
+            data_sends.append(None)
+            if len(data_sends) == 3:
+                refused.append(bytes(datagram))
+                raise OSError(errno.ENOBUFS, "no buffer space available")
+        return real(sock, datagram, *rest)
+
+    monkeypatch.setattr(socket.socket, "sendto", refuse_third)
+    counters, heard = _udp_run(UdpTransport.serve, windowed._session("lt"),
+                               ears, count=333)
+    want_counters, want = _udp_run(oracle_udp_serve,
+                                   windowed._session("lt"), ears, count=333)
+    lost = list(iter_frames(refused[0]))
+    assert counters["emitted"] == 333
+    assert counters == {**want_counters, "socket_errors": 1}
+    assert lost and heard[0] == [frame for frame in want[0]
+                                 if frame not in lost]
 
 
 # -- the receiving end ---------------------------------------------------------

@@ -22,7 +22,6 @@ Three layers, all held to per-packet oracles on both codec backends:
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import socket
 from itertools import islice
@@ -854,20 +853,18 @@ class TestUdpServe:
         sleeps before emission ``r``, frames ``0 .. r-1`` are already on
         the wire, not parked in an open run."""
         now, heard, sleeps = [0.0], [], []
-        real_sleep = asyncio.sleep
 
-        async def sleep(delay):
+        def sleep(delay):
             if delay > 0:
                 heard.extend(ears[0].drain())
                 sleeps.append(sum(kind == FRAME_DATA for datagram in heard
                                   for kind, _ in iter_frames(datagram)))
                 now[0] += delay
-            await real_sleep(0)
 
         monkeypatch.setattr(
             udp_module, "TokenBucket",
             lambda rate: TokenBucket(rate, clock=lambda: now[0]))
-        monkeypatch.setattr(udp_module.asyncio, "sleep", sleep)
+        monkeypatch.setattr(udp_module.time, "sleep", sleep)
         report, _ = _udp_datagrams(UdpTransport.serve, _session("lt"), ears,
                                    pace=10.0, count=12)
         assert report.emitted == 12
