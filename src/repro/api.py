@@ -62,7 +62,7 @@ import numpy as np
 from repro.codes.registry import CodeSpec
 from repro.errors import DecodeFailure, ReproError
 from repro.fountain.metrics import ReceptionStats
-from repro.fountain.packets import EncodingPacket, header_fields
+from repro.fountain.packets import EncodingPacket, record_ids
 from repro.net.transport.base import ServeReport, Subscription, Transport
 from repro.protocol.adaptive import AdaptivePolicy
 from repro.protocol.feedback import (
@@ -74,8 +74,6 @@ from repro.net.transport.file import (
     MANIFEST_NAME,
     STREAM_NAME,
     FileTransport,
-    manifest_block_aware,
-    record_size,
 )
 from repro.sim.swarm import (
     Scenario,
@@ -247,15 +245,8 @@ class ReceiverSession:
         self.manifest = manifest
         self.codec = ObjectCodec.from_manifest(manifest)
         self.client = TransferClient(self.codec)
-        if "block_header" not in manifest and "num_blocks" not in manifest:
-            # Minimal hand-built manifests: derive the block count from
-            # the rebuilt plan so the header-size inference still holds.
-            manifest = dict(manifest, num_blocks=self.codec.num_blocks)
-        self.block_aware = manifest_block_aware(manifest)
-        #: bytes per on-wire packet record (header + payload); the
-        #: geometry derivation is shared with the file transport.
-        self.record_size = record_size(manifest)
-        self.header_size = self.record_size - self.codec.plan.packet_size
+        #: bytes per on-wire packet record (header + payload).
+        self.record_size = self.codec.record_size
         self.packets_used = 0
         self._rejected = 0
         self.receiver_id = int(receiver_id)
@@ -391,18 +382,17 @@ class ReceiverSession:
             buf = buf.reshape(len(records), self.record_size)
         if not len(buf):
             return False
-        fields = header_fields(buf, self.header_size)
-        blocks = (fields[:, 3] if self.block_aware
-                  else np.zeros(len(buf), dtype=np.int64))
-        named = self.client.names_packet(blocks, fields[:, 0])
+        header = self.codec.header_size
+        blocks, indices, serials = record_ids(buf, header)
+        named = self.client.names_packet(blocks, indices)
         if not named.all():
             self._rejected += len(buf) - int(named.sum())
-            buf, fields, blocks = buf[named], fields[named], blocks[named]
-        used = self.client.receive_window(blocks, fields[:, 0],
-                                          buf[:, self.header_size:])
+            buf, blocks, indices, serials = (
+                buf[named], blocks[named], indices[named], serials[named])
+        used = self.client.receive_window(blocks, indices, buf[:, header:])
         self.packets_used += used
         if self.reporting:
-            self.loss_estimator.observe(fields[:used, 1].tolist())
+            self.loss_estimator.observe(serials[:used].tolist())
         return self.client.is_complete
 
     def data(self) -> bytes:

@@ -24,13 +24,17 @@ appends one uint32 ``block`` field directly after ``group``.  The first
 header, and single-block streams keep emitting the plain 12-byte
 :class:`PacketHeader`, so legacy receivers and block-aware receivers
 agree whenever there is only one block.
+
+This module is the one home of the record layout: :func:`stamp_headers`
+writes a record matrix's headers, :func:`record_ids` reads them, and
+``pack`` / ``unpack`` are their one-row case.  Which header a stream
+carries is the codec's size rule (:mod:`repro.transfer.codec`).
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, ClassVar, Optional, Tuple, Type, TypeVar
 
 import numpy as np
 
@@ -45,64 +49,93 @@ BLOCK_HEADER_SIZE = 16
 #: Exclusive upper bound of every uint32 header field.
 SERIAL_MODULUS = 2 ** 32
 
-_HEADER_STRUCT = struct.Struct(">III")
-_BLOCK_STRUCT = struct.Struct(">IIII")
+
+def stamp_headers(records: np.ndarray, header_size: int, indices: Any,
+                  serials: Any, group: int, blocks: Any) -> None:
+    """Write the headers of a ``(n, header_size + P)`` uint8 record
+    matrix in one pass: big-endian u4 ``index``, ``serial``, ``group``
+    and — under the 16-byte header only — ``block``.  The ids are
+    length-``n`` arrays or scalars."""
+    fields = np.empty((len(records), header_size // 4), dtype=">u4")
+    fields[:, 0] = indices
+    fields[:, 1] = serials
+    fields[:, 2] = group
+    if header_size == BLOCK_HEADER_SIZE:
+        fields[:, 3] = blocks
+    records[:, :header_size] = fields.view(np.uint8)
 
 
-def header_fields(records: np.ndarray, header_size: int) -> np.ndarray:
-    """The header columns of a ``(n, record_size)`` uint8 record matrix.
-
-    One vectorized parse for a whole batch of wire records: column 0 is
-    ``index``, 1 ``serial``, 2 ``group`` and — with the 16-byte
-    :class:`BlockHeader` — 3 ``block``, as an ``(n, header_size // 4)``
-    int64 array.
-    """
+def _fields(records: np.ndarray, header_size: int) -> np.ndarray:
+    """The header fields of a record matrix, one int64 column each."""
     return records[:, :header_size].view(">u4").astype(np.int64)
 
 
-def _check_uint32(name: str, value: int) -> None:
-    if not 0 <= value < SERIAL_MODULUS:
-        raise ProtocolError(
-            f"header field {name}={value} outside uint32 range")
+def record_ids(records: np.ndarray, header_size: int
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(blocks, indices, serials)`` of a record matrix's headers as
+    int64 arrays, in one pass (block 0 under the 12-byte header).
+    Nothing is checked against a geometry: that is the receiver's."""
+    fields = _fields(records, header_size)
+    blocks = (fields[:, 3] if header_size == BLOCK_HEADER_SIZE
+              else np.zeros(len(records), dtype=np.int64))
+    return blocks, fields[:, 0], fields[:, 1]
+
+
+_H = TypeVar("_H", bound="_Header")
+
+
+class _Header:
+    """What both header shapes share: the uint32 range check, and
+    ``pack`` / ``unpack`` as one row of :func:`stamp_headers` and of
+    the column read behind :func:`record_ids`."""
+
+    header_size: ClassVar[int]
+    index: int
+    serial: int
+    group: int
+    block: int
+
+    def __post_init__(self) -> None:
+        for field, value in vars(self).items():
+            if not 0 <= value < SERIAL_MODULUS:
+                raise ProtocolError(
+                    f"header field {field}={value} outside uint32 range")
+
+    def pack(self) -> bytes:
+        """Serialise to the ``header_size``-byte wire format."""
+        row = np.empty((1, self.header_size), dtype=np.uint8)
+        stamp_headers(row, self.header_size, self.index, self.serial,
+                      self.group, self.block)
+        return row.tobytes()
+
+    @classmethod
+    def unpack(cls: Type[_H], data: bytes) -> _H:
+        """Parse the leading ``header_size`` bytes of ``data``."""
+        if len(data) < cls.header_size:
+            raise ProtocolError(
+                f"{cls.__name__} needs {cls.header_size} bytes, "
+                f"got {len(data)}")
+        row = np.frombuffer(data, dtype=np.uint8, count=cls.header_size)
+        return cls(*_fields(row[None], cls.header_size)[0].tolist())
 
 
 @dataclass(frozen=True)
-class PacketHeader:
+class PacketHeader(_Header):
     """The legacy 12-byte header tag of every encoding packet."""
 
     index: int
     serial: int
     group: int = 0
+    header_size: ClassVar[int] = HEADER_SIZE
 
-    def __post_init__(self) -> None:
-        for field in ("index", "serial", "group"):
-            _check_uint32(field, getattr(self, field))
-
-    @property
+    @property  # type: ignore[override]
     def block(self) -> int:
         """Block id of a legacy header: always 0 (a single-block stream)."""
         return 0
 
-    @property
-    def header_size(self) -> int:
-        return HEADER_SIZE
-
-    def pack(self) -> bytes:
-        """Serialise to the 12-byte wire format."""
-        return _HEADER_STRUCT.pack(self.index, self.serial, self.group)
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "PacketHeader":
-        """Parse the leading 12 bytes of ``data``."""
-        if len(data) < HEADER_SIZE:
-            raise ProtocolError(
-                f"header needs {HEADER_SIZE} bytes, got {len(data)}")
-        index, serial, group = _HEADER_STRUCT.unpack(data[:HEADER_SIZE])
-        return cls(index=index, serial=serial, group=group)
-
 
 @dataclass(frozen=True)
-class BlockHeader:
+class BlockHeader(_Header):
     """The 16-byte block-aware header variant.
 
     Identical to :class:`PacketHeader` for its first 12 bytes; the
@@ -116,35 +149,7 @@ class BlockHeader:
     serial: int
     group: int = 0
     block: int = 0
-
-    def __post_init__(self) -> None:
-        for field in ("index", "serial", "group", "block"):
-            _check_uint32(field, getattr(self, field))
-
-    @property
-    def header_size(self) -> int:
-        return BLOCK_HEADER_SIZE
-
-    def pack(self) -> bytes:
-        """Serialise to the 16-byte wire format (legacy prefix + block)."""
-        return _BLOCK_STRUCT.pack(self.index, self.serial, self.group,
-                                  self.block)
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "BlockHeader":
-        """Parse the leading 16 bytes of ``data``."""
-        if len(data) < BLOCK_HEADER_SIZE:
-            raise ProtocolError(
-                f"block header needs {BLOCK_HEADER_SIZE} bytes, "
-                f"got {len(data)}")
-        index, serial, group, block = _BLOCK_STRUCT.unpack(
-            data[:BLOCK_HEADER_SIZE])
-        return cls(index=index, serial=serial, group=group, block=block)
-
-    def legacy(self) -> PacketHeader:
-        """The byte-compatible 12-byte view (drops the block id)."""
-        return PacketHeader(index=self.index, serial=self.serial,
-                            group=self.group)
+    header_size: ClassVar[int] = BLOCK_HEADER_SIZE
 
 
 class HeaderSequencer:
@@ -191,12 +196,9 @@ class HeaderSequencer:
         12-byte :class:`PacketHeader`; otherwise the 16-byte
         :class:`BlockHeader` stamped with the block id.
         """
-        if block is None:
-            header = PacketHeader(index=index, serial=self._serial,
-                                  group=self.group)
-        else:
-            header = BlockHeader(index=index, serial=self._serial,
-                                 group=self.group, block=block)
+        header = (PacketHeader(index, self._serial, self.group)
+                  if block is None else
+                  BlockHeader(index, self._serial, self.group, block))
         self._serial = (self._serial + 1) % SERIAL_MODULUS
         return header
 
@@ -238,11 +240,6 @@ class EncodingPacket:
         """Block id this packet encodes (0 on a legacy header)."""
         return self.header.block
 
-    @property
-    def wire_size(self) -> int:
-        """Total bytes on the wire (header + payload)."""
-        return self.header.header_size + int(np.asarray(self.payload).nbytes)
-
     def to_bytes(self) -> bytes:
         """Serialise header and payload."""
         return self.header.pack() + np.ascontiguousarray(
@@ -256,12 +253,11 @@ class EncodingPacket:
         The wire format is not self-describing (the paper's header has
         no version field), so the caller must know whether the stream
         carries legacy 12-byte or block-aware 16-byte headers — the
-        transfer manifest records which.
+        codec's :attr:`~repro.transfer.codec.ObjectCodec.block_aware`
+        says which.
         """
-        if block_aware:
-            header: "PacketHeader | BlockHeader" = BlockHeader.unpack(data)
-        else:
-            header = PacketHeader.unpack(data)
+        header: "PacketHeader | BlockHeader" = (
+            BlockHeader if block_aware else PacketHeader).unpack(data)
         payload = np.frombuffer(data[header.header_size:],
                                 dtype=np.uint8).copy()
         return cls(header=header, payload=payload)

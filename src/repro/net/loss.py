@@ -15,7 +15,7 @@ Three models cover the paper's evaluation:
 from __future__ import annotations
 
 import abc
-from typing import Optional
+from typing import Union
 
 import numpy as np
 
@@ -58,6 +58,13 @@ class BernoulliLoss(LossModel):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BernoulliLoss(p={self.p})"
+
+
+def as_loss_model(loss: Union[float, LossModel]) -> LossModel:
+    """A ``loss=`` argument as a model: a probability is Bernoulli."""
+    if isinstance(loss, LossModel):
+        return loss
+    return BernoulliLoss(float(loss))
 
 
 class GilbertElliottLoss(LossModel):
@@ -137,7 +144,11 @@ class GilbertElliottLoss(LossModel):
 
 
 class TraceLoss(LossModel):
-    """Replays a boolean loss trace cyclically from a given offset."""
+    """Replays a boolean loss trace cyclically from a given offset.
+
+    Each :meth:`losses` call picks up where the last one stopped, so
+    ``losses(a)`` then ``losses(b)`` is ``losses(a + b)``.
+    """
 
     def __init__(self, trace: np.ndarray, offset: int = 0):
         trace = np.asarray(trace, dtype=bool)
@@ -145,9 +156,11 @@ class TraceLoss(LossModel):
             raise ParameterError("trace must be a non-empty 1-D bool array")
         self.trace = trace
         self.offset = int(offset) % trace.size
+        self._position = self.offset
 
     def losses(self, count: int, rng: RngLike = None) -> np.ndarray:
-        idx = (self.offset + np.arange(count)) % self.trace.size
+        idx = (self._position + np.arange(count)) % self.trace.size
+        self._position = (self._position + count) % self.trace.size
         return self.trace[idx]
 
     def expected_loss_rate(self) -> float:

@@ -37,7 +37,6 @@ from repro.net.transport.file import (
     STREAM_NAME,
     FileSubscription,
     FileTransport,
-    record_size,
 )
 from repro.net.transport.udp import (
     UdpSubscription,
@@ -66,5 +65,4 @@ __all__ = [
     "iter_frames",
     "pack_frame",
     "parse_address",
-    "record_size",
 ]

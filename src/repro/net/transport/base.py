@@ -83,7 +83,6 @@ from typing import Any, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import ProtocolError
-from repro.fountain.packets import BLOCK_HEADER_SIZE, header_fields
 
 __all__ = [
     "DATAGRAM_BUDGET",
@@ -102,7 +101,6 @@ __all__ = [
     "matrix_batches",
     "pack_frame",
     "unframe_records",
-    "window_ids",
 ]
 
 #: emission budget per source packet before a serve is declared stuck.
@@ -204,18 +202,6 @@ def iter_frames(datagram: bytes) -> Iterator[Tuple[int, bytes]]:
                 f"{total - offset} remain in the datagram")
         yield frame_type, datagram[offset:offset + length]
         offset += length
-
-
-def window_ids(records: np.ndarray, packet_size: int
-               ) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``(blocks, indices)`` a window of wire records names — what a
-    structural shadow needs of them — read off the stamped headers with
-    the parse a receiver does (block 0 under a 12-byte header)."""
-    header = records.shape[1] - packet_size
-    fields = header_fields(records, header)
-    blocks = (fields[:, 3] if header == BLOCK_HEADER_SIZE
-              else np.zeros(len(records), dtype=np.int64))
-    return blocks, fields[:, 0]
 
 
 def matrix_batches(records: np.ndarray) -> Iterator[np.ndarray]:

@@ -20,7 +20,7 @@ from typing import Any, Iterator, Optional, Union
 import numpy as np
 
 from repro.errors import ProtocolError, ReproError
-from repro.fountain.packets import BLOCK_HEADER_SIZE, HEADER_SIZE
+from repro.fountain.packets import record_ids
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss
 from repro.net.transport.base import (
@@ -30,33 +30,14 @@ from repro.net.transport.base import (
     Subscription,
     Transport,
     matrix_batches,
-    window_ids,
 )
+from repro.transfer.codec import record_size
 
 __all__ = ["FileTransport", "FileSubscription",
-           "MANIFEST_NAME", "STREAM_NAME",
-           "manifest_block_aware", "record_size"]
+           "MANIFEST_NAME", "STREAM_NAME"]
 
 MANIFEST_NAME = "manifest.json"
 STREAM_NAME = "stream.pkt"
-
-
-def manifest_block_aware(manifest: dict) -> bool:
-    """Whether a manifest's stream carries 16-byte block-aware headers.
-
-    The single home of the derivation every record parser needs:
-    explicit ``block_header`` flag when present, multi-block geometry
-    otherwise.
-    """
-    return bool(manifest.get("block_header",
-                             manifest.get("num_blocks", 1) > 1))
-
-
-def record_size(manifest: dict) -> int:
-    """Bytes per on-wire packet record a manifest describes."""
-    header = (BLOCK_HEADER_SIZE if manifest_block_aware(manifest)
-              else HEADER_SIZE)
-    return header + int(manifest["packet_size"])
 
 
 class FileSubscription(Subscription):
@@ -131,6 +112,7 @@ class FileTransport(Transport):
                  loss: float = 0.0, seed: Optional[int] = None):
         self.directory = pathlib.Path(directory)
         self.loss = float(loss)
+        BernoulliLoss(self.loss)    # the channel's own check, up front
         self.seed = seed
 
     def subscribe(self, **options: Any) -> FileSubscription:
@@ -179,7 +161,7 @@ class FileTransport(Transport):
         (self.directory / MANIFEST_NAME).unlink(missing_ok=True)
         start = time.perf_counter()
         source = session.source
-        packet_size = session.codec.plan.packet_size
+        header = session.codec.header_size
         survivors = 0
         # survivors still to record once the shadow is complete (None
         # before; the structural shadow only matters for the automatic
@@ -191,7 +173,7 @@ class FileTransport(Transport):
                 records = source.record_window(n)
                 rows = np.flatnonzero(channel.delivery_mask(n))
                 if count is None and left is None:
-                    blocks, indices = window_ids(records, packet_size)
+                    blocks, indices, _ = record_ids(records, header)
                     used = shadow.receive_window(blocks[rows], indices[rows])
                     if shadow.is_complete:
                         left = used + extra

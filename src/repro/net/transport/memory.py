@@ -29,7 +29,8 @@ from typing import Any, Callable, Deque, Iterator, List, Optional
 
 import numpy as np
 
-from repro.errors import ProtocolError, ReproError
+from repro.errors import ParameterError, ProtocolError, ReproError
+from repro.fountain.packets import record_ids
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss
 from repro.net.transport.base import (
@@ -39,7 +40,6 @@ from repro.net.transport.base import (
     Subscription,
     Transport,
     matrix_batches,
-    window_ids,
 )
 from repro.protocol.adaptive import AdaptivePolicy
 from repro.protocol.feedback import FeedbackReport, report_from_client
@@ -109,6 +109,7 @@ class MemoryTransport(Transport):
 
     def __init__(self, loss: float = 0.0, seed: Optional[int] = None):
         self.loss = float(loss)
+        BernoulliLoss(self.loss)    # the channel's own check, up front
         self.seed = seed
         self.subscriptions: List[MemorySubscription] = []
         #: encoded feedback frames awaiting the sender (FIFO).
@@ -166,8 +167,12 @@ class MemoryTransport(Transport):
         channel's observed rate), folded into the policy alongside any
         queued subscription reports, and the policy's block-schedule
         decision is applied to the live source via ``reweight``.
-        ``feedback`` sees every report either way.
+        ``feedback`` sees every report either way.  ``report_every``
+        below 1 is a :class:`~repro.errors.ParameterError`.
         """
+        if report_every < 1:
+            raise ParameterError(
+                f"report_every must be >= 1, got {report_every}")
         if options:
             raise ProtocolError(
                 f"memory serve takes count/extra/policy/feedback only, "
@@ -187,8 +192,7 @@ class MemoryTransport(Transport):
         adaptive = policy is not None or feedback is not None
         source = session.source
         block_ks = session.codec.plan.block_ks
-        packet_size = session.codec.plan.packet_size
-        every = max(1, report_every)
+        header = session.codec.header_size
         start = time.perf_counter()
         emitted = delivered = 0
         # the stop: the limit, until every shadow is complete; then the
@@ -198,9 +202,9 @@ class MemoryTransport(Transport):
         while emitted < end:
             n = min(SERVE_WINDOW, end - emitted)
             if adaptive:
-                n = min(n, every - emitted % every)
+                n = min(n, report_every - emitted % report_every)
             records = source.record_window(n)
-            blocks, indices = window_ids(records, packet_size)
+            blocks, indices, _ = record_ids(records, header)
             masks = [sub.channel.delivery_mask(n)
                      for sub in self.subscriptions]
             for shadow, mask in zip(shadows, masks):
@@ -224,7 +228,7 @@ class MemoryTransport(Transport):
                 sub._deliver(records[:keep][kept])
                 delivered += int(np.count_nonzero(kept))
             emitted += keep
-            if adaptive and emitted % every == 0:
+            if adaptive and emitted % report_every == 0:
                 now = time.perf_counter() - start
                 for i, (sub, shadow) in enumerate(
                         zip(self.subscriptions, shadows)):

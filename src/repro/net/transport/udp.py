@@ -62,7 +62,7 @@ import numpy as np
 
 from repro.errors import ParameterError, ProtocolError
 from repro.net.channel import LossyChannel
-from repro.net.loss import BernoulliLoss, LossModel
+from repro.net.loss import LossModel, as_loss_model
 from repro.net.transport.base import (
     DATAGRAM_BUDGET,
     EMISSION_LIMIT_FACTOR,
@@ -79,10 +79,10 @@ from repro.net.transport.base import (
     pack_frame,
     unframe_records,
 )
-from repro.net.transport.file import record_size
 from repro.net.transport.pacing import TokenBucket
 from repro.protocol.adaptive import AdaptivePolicy
 from repro.protocol.feedback import FeedbackReport
+from repro.transfer.codec import record_size
 from repro.utils.rng import ensure_rng, spawn_rng
 
 __all__ = ["UdpTransport", "UdpSubscription", "parse_address",
@@ -362,7 +362,7 @@ class UdpSubscription(Subscription):
             self._manifest = manifest
             try:
                 self._record_bytes = record_size(manifest)
-            except (KeyError, TypeError, ValueError):
+            except ProtocolError:
                 self._record_bytes = None
         elif manifest != self._manifest:
             self._manifest_conflicts += 1
@@ -533,14 +533,11 @@ class UdpTransport(Transport):
     pace:
         Token-bucket rate in packets per second (``None`` = unpaced).
     loss:
-        Injected Bernoulli loss probability, applied independently per
-        packet per destination *before* the socket — test-channel
-        erasure with real-socket delivery.
-    loss_model:
-        Any :class:`~repro.net.loss.LossModel` for the injected loss
-        instead of the Bernoulli shorthand — e.g. ``GilbertElliottLoss``
-        for bursty-channel acceptance runs.  Each destination gets an
-        independent loss channel.  Overrides ``loss``.
+        Injected loss, applied per packet per destination *before* the
+        socket — test-channel erasure with real-socket delivery: a
+        Bernoulli probability, or any :class:`~repro.net.loss.LossModel`
+        (e.g. ``GilbertElliottLoss`` for bursty-channel acceptance
+        runs).  Each destination gets an independent loss channel.
     seed:
         RNG seed for the injected loss (``None`` draws fresh entropy).
     manifest_interval:
@@ -557,8 +554,7 @@ class UdpTransport(Transport):
                  *,
                  bind: Optional[Union[str, Address]] = None,
                  pace: Optional[float] = None,
-                 loss: float = 0.0,
-                 loss_model: Optional[LossModel] = None,
+                 loss: Union[float, LossModel] = 0.0,
                  seed: Optional[int] = None,
                  manifest_interval: int = 64,
                  interface: str = "127.0.0.1",
@@ -568,13 +564,11 @@ class UdpTransport(Transport):
             raise ParameterError("need at least one destination address")
         self.bind = None if bind is None else parse_address(bind)
         self.pace = pace
-        self.loss = float(loss)
         # the loss channel's and the pacer's own checks, before a serve
         # binds a socket
-        BernoulliLoss(self.loss)
+        self.loss = as_loss_model(loss)
         if pace is not None:
             TokenBucket(pace)
-        self.loss_model = loss_model
         self.seed = seed
         self.manifest_interval = int(manifest_interval)
         if self.manifest_interval < 1:
@@ -604,13 +598,11 @@ class UdpTransport(Transport):
     # -- sending ---------------------------------------------------------------
 
     def _loss_streams(self) -> Optional[List[_LossStream]]:
-        """One independent loss channel per destination."""
-        model = self.loss_model
-        if model is None and self.loss > 0:
-            model = BernoulliLoss(self.loss)
-        if model is None:
+        """One independent loss channel per destination (none for a
+        loss that never drops)."""
+        if not self.loss.expected_loss_rate():
             return None
-        return [_LossStream(model,
+        return [_LossStream(self.loss,
                             ensure_rng(None) if self.seed is None
                             else spawn_rng(self.seed, i))
                 for i in range(len(self.destinations))]

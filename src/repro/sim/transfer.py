@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.net.channel import LossyChannel
-from repro.net.loss import BernoulliLoss, LossModel
+from repro.net.loss import LossModel, as_loss_model
 from repro.net.transport.base import EMISSION_LIMIT_FACTOR
 from repro.transfer.blocks import BlockPlan
 from repro.transfer.client import TransferClient
@@ -71,12 +71,6 @@ class TransferRunResult:
         return self.packets_received / self.total_k - 1.0
 
 
-def _as_loss_model(loss: Union[float, LossModel]) -> LossModel:
-    if isinstance(loss, LossModel):
-        return loss
-    return BernoulliLoss(float(loss))
-
-
 def simulate_transfer(file_size: int,
                       packet_size: int = 1024,
                       block_packets: int = 256,
@@ -93,7 +87,7 @@ def simulate_transfer(file_size: int,
     """
     plan = BlockPlan(file_size, packet_size, block_packets)
     codec = ObjectCodec(plan, code=family, seed=seed)
-    channel = LossyChannel(_as_loss_model(loss),
+    channel = LossyChannel(as_loss_model(loss),
                            rng=spawn_rng(seed, _LOSS_STREAM))
     limit = EMISSION_LIMIT_FACTOR * codec.total_k
     data = None

@@ -28,26 +28,73 @@ single integer in the manifest, and no two blocks share a graph.
 round-trip everything a receiver needs through a plain JSON-able dict —
 the transfer layer's "length manifest" (exact file size, packet size,
 block geometry, canonical code spec, seed).
+
+The codec also owns the size rule of the wire record
+(:attr:`ObjectCodec.header_size`: the 16-byte block header on a
+multi-block plan), and :func:`record_size` applies it to a manifest
+before any codec exists.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Tuple, Union
 
 import numpy as np
 
 from repro.codes.registry import REGISTRY, CodeSpec, block_seed
 from repro.errors import ParameterError, ProtocolError
+from repro.fountain.packets import BLOCK_HEADER_SIZE, HEADER_SIZE
 from repro.transfer.blocks import BlockPlan
 
-__all__ = ["ObjectCodec", "block_seed"]
+__all__ = ["ObjectCodec", "block_seed", "record_size"]
 
 #: the fields :meth:`ObjectCodec.from_manifest` cannot do without, and
 #: the JSON type of each.  A manifest is read off a wire or a disk:
-#: one missing or mistyped is a protocol error that names the field
-#: (ranges and ceilings are not checked here).
+#: one missing or mistyped is a protocol error that names the field.
 _MANIFEST_FIELDS = (("file_size", int), ("packet_size", int),
                     ("block_packets", int), ("code", str), ("seed", int))
+
+
+def _header_size(num_blocks: int) -> int:
+    """The size rule: the block header on a multi-block stream."""
+    return BLOCK_HEADER_SIZE if num_blocks > 1 else HEADER_SIZE
+
+
+def _geometry(manifest: Any) -> Tuple[int, int, int, int]:
+    """``(file_size, packet_size, block_packets, num_blocks)`` of an
+    untrusted manifest, in O(1) whatever the sizes say: anything but a
+    transfer manifest whose fields have their types, sizes of at least
+    1, and a block count and header the geometry yields is a
+    :class:`~repro.errors.ProtocolError` (ceilings are not checked)."""
+    kind = manifest.get("kind") if isinstance(manifest, dict) else None
+    if kind != "transfer":
+        raise ProtocolError(f"not a transfer manifest (kind={kind!r})")
+    for field, type_ in _MANIFEST_FIELDS:
+        value = manifest.get(field)
+        # bool is an int to isinstance, and never a size or a seed
+        if not isinstance(value, type_) or isinstance(value, bool):
+            raise ProtocolError(
+                f"transfer manifest field {field!r} must be "
+                f"{type_.__name__}, got {value!r}")
+    sizes = [manifest[field] for field, _ in _MANIFEST_FIELDS[:3]]
+    if min(sizes) < 1:
+        raise ProtocolError(f"transfer manifest sizes must be positive, "
+                            f"got {sizes}")
+    file_size, packet_size, block_packets = sizes
+    num_blocks = -(-file_size // (block_packets * packet_size))
+    aware = _header_size(num_blocks) == BLOCK_HEADER_SIZE
+    for field, value in (("num_blocks", num_blocks), ("block_header", aware)):
+        if manifest.get(field, value) != value:
+            raise ProtocolError(f"manifest claims {field}={manifest[field]!r}"
+                                f" but the geometry yields {value!r}")
+    return file_size, packet_size, block_packets, num_blocks
+
+
+def record_size(manifest: Any) -> int:
+    """Bytes per wire record of the stream a manifest describes, with
+    no plan built: arithmetic on the fields :func:`_geometry` checked."""
+    _, packet_size, _, num_blocks = _geometry(manifest)
+    return _header_size(num_blocks) + packet_size
 
 
 class ObjectCodec:
@@ -98,6 +145,21 @@ class ObjectCodec:
     def total_k(self) -> int:
         """Source packets across all blocks (= the plan's total)."""
         return self.plan.total_packets
+
+    @property
+    def block_aware(self) -> bool:
+        """True when records carry the 16-byte block header."""
+        return self.header_size == BLOCK_HEADER_SIZE
+
+    @property
+    def header_size(self) -> int:
+        """Header bytes in front of every payload on the wire."""
+        return _header_size(self.plan.num_blocks)
+
+    @property
+    def record_size(self) -> int:
+        """Bytes per wire record: header plus payload."""
+        return self.header_size + self.plan.packet_size
 
     def code_for(self, block: int) -> Any:
         """The (cached) erasure code of ``block``.
@@ -173,30 +235,17 @@ class ObjectCodec:
             "packet_size": self.plan.packet_size,
             "block_packets": self.plan.block_packets,
             "num_blocks": self.plan.num_blocks,
-            "block_header": self.plan.num_blocks > 1,
+            "block_header": self.block_aware,
         }
         manifest.update(extra)
         return manifest
 
     @classmethod
     def from_manifest(cls, manifest: dict) -> "ObjectCodec":
-        """Rebuild the sender's codec from its manifest dict."""
-        if manifest.get("kind") != "transfer":
-            raise ProtocolError(
-                f"not a transfer manifest (kind={manifest.get('kind')!r})")
-        for field, kind in _MANIFEST_FIELDS:
-            value = manifest.get(field)
-            # bool is an int to isinstance, and never a size or a seed
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise ProtocolError(
-                    f"transfer manifest field {field!r} must be "
-                    f"{kind.__name__}, got {value!r}")
-        plan = BlockPlan(manifest["file_size"], manifest["packet_size"],
-                         manifest["block_packets"])
-        if plan.num_blocks != manifest.get("num_blocks", plan.num_blocks):
-            raise ProtocolError(
-                f"manifest claims {manifest['num_blocks']} blocks but the "
-                f"geometry yields {plan.num_blocks}")
+        """Rebuild the sender's codec from its manifest dict (checked
+        as :func:`record_size` checks it)."""
+        file_size, packet_size, block_packets, _ = _geometry(manifest)
+        plan = BlockPlan(file_size, packet_size, block_packets)
         return cls(plan, code=manifest["code"], seed=manifest["seed"])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -18,7 +18,9 @@ sources) and draw the same :meth:`TransferServer.window` for the ids.
 Header compatibility: a multi-block stream tags every packet with its
 block id via the 16-byte :class:`~repro.fountain.packets.BlockHeader`;
 a single-block plan degrades to the legacy 12-byte header, keeping the
-wire format byte-identical to the paper's.
+wire format byte-identical to the paper's.  Which one a stream carries
+is the codec's size rule (:attr:`ObjectCodec.block_aware
+<repro.transfer.codec.ObjectCodec.block_aware>`).
 
 Encode once, serve many — and only what is served: fixed-rate blocks
 are held as lazy row-on-demand encoders
@@ -44,11 +46,7 @@ from repro.codes.base import bytes_to_packets
 from repro.codes.lt.encoder import xor_neighbours
 from repro.codes.raptor.code import RaptorCode
 from repro.errors import ParameterError
-from repro.fountain.packets import (
-    BLOCK_HEADER_SIZE,
-    HEADER_SIZE,
-    EncodingPacket,
-)
+from repro.fountain.packets import EncodingPacket, stamp_headers
 from repro.fountain.carousel import CarouselServer
 from repro.fountain.rateless import RatelessServer
 from repro.fountain.source import SequencedPacketSource
@@ -195,7 +193,7 @@ class TransferServer(SequencedPacketSource):
         self.block_sources: List[SequencedPacketSource] = []
         for spec, payload in zip(codec.plan.blocks, self._payloads):
             code = codec.code_for(spec.block)
-            block = spec.block if codec.num_blocks > 1 else None
+            block = spec.block if codec.block_aware else None
             self.block_sources.append(
                 RatelessServer(code, encoder=payload,
                                sequencer=self._sequencer, block=block)
@@ -302,26 +300,18 @@ class TransferServer(SequencedPacketSource):
         ``to_bytes`` each would serialise, with no per-packet object.
 
         One draw with the payloads written straight into the records,
-        plus the header stamp: index / serial / group (/ block, on
-        multi-block plans; single-block plans keep the 12-byte header)
-        as big-endian ``u4`` columns.
+        plus one :func:`~repro.fountain.packets.stamp_headers` pass over
+        the codec's header size.
         """
         if self._data is None:
             raise ParameterError(
                 "a structural server (built without data) has no payloads "
                 "to record; draw window() for the ids")
-        multi = self.num_blocks > 1
-        header = BLOCK_HEADER_SIZE if multi else HEADER_SIZE
-        records = np.empty((count, header + self.codec.plan.packet_size),
-                           dtype=np.uint8)
+        header = self.codec.header_size
+        records = np.empty((count, self.codec.record_size), dtype=np.uint8)
         blocks, indices = self._draw(count, records[:, header:])
-        fields = np.empty((count, header // 4), dtype=">u4")
-        fields[:, 0] = indices
-        fields[:, 1] = self._window_serials
-        fields[:, 2] = self.group
-        if multi:
-            fields[:, 3] = blocks
-        records[:, :header] = fields.view(np.uint8)
+        stamp_headers(records, header, indices, self._window_serials,
+                      self.group, blocks)
         return records
 
     def unwind(self, count: int) -> None:

@@ -590,13 +590,13 @@ class TestSwarmCli:
 @needs_udp
 class TestUdpAdaptive:
     def _run(self, data, *, policy=None, report=None, count=None,
-             loss_model=None, pace=None, seed=71, timeout=30.0):
+             loss=0.0, pace=None, seed=71, timeout=30.0):
         session = api.SenderSession(data, code="lt", seed=seed,
                                     block_size=128 * 1024,
                                     file_name="blob")
         sub = UdpSubscription("127.0.0.1:0", timeout=timeout)
         transport = UdpTransport([sub.address], pace=pace,
-                                 loss_model=loss_model, seed=seed + 1,
+                                 loss=loss, seed=seed + 1,
                                  manifest_interval=32)
         holder = {}
         errors = []
@@ -650,7 +650,7 @@ class TestUdpAdaptive:
         policy = AdaptivePolicy(nominal_loss=0.2)
         receiver, adaptive_report, session = self._run(
             data, policy=policy, report=64, pace=5_000,
-            loss_model=bursty)
+            loss=bursty)
         assert receiver.is_complete
         assert receiver.data() == data
         assert adaptive_report.feedback_frames > 0
@@ -658,7 +658,7 @@ class TestUdpAdaptive:
         # nominal loss plus rateless margin and emits all of it.
         budget = int(session.total_k * 1.6 / (1.0 - 0.2))
         open_receiver, open_report, _ = self._run(
-            data, count=budget, loss_model=bursty, seed=71)
+            data, count=budget, loss=bursty, seed=71)
         assert open_receiver.is_complete
         assert open_receiver.data() == data
         assert adaptive_report.emitted < open_report.emitted

@@ -16,6 +16,7 @@ from repro.errors import (
 )
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss
+from repro.transfer.codec import record_size
 
 
 def _random_bytes(n, seed):
@@ -166,7 +167,7 @@ class TestUntrustedRecords:
         #: names no packet (any serial / group is harmless; an index is
         #: only detectably wrong where the code has an n).
         fields = [(1, 0), (2, 0)]
-        if receiver.block_aware:
+        if receiver.codec.block_aware:
             fields.append((3, receiver.codec.num_blocks))
         if fixed_rate:
             fields.append((0, max(receiver.codec.code_for(b).n for b in
@@ -234,6 +235,37 @@ class TestUntrustedManifest:
     def test_kind_alone_is_not_a_manifest(self):
         with pytest.raises(ProtocolError, match="'file_size'"):
             api.ReceiverSession({"kind": "transfer"})
+
+    @pytest.mark.parametrize("block_size", [2_048, 8_192],
+                             ids=["multi-block", "single-block"])
+    def test_a_block_header_the_geometry_contradicts(self, block_size):
+        """The flag used to win over the geometry: the receiver parsed
+        every record with the wrong header, rejected them all and never
+        completed."""
+        sender = api.SenderSession(_random_bytes(6_000, seed=3), code="lt",
+                                   packet_size=64, block_size=block_size,
+                                   seed=9)
+        manifest = sender.manifest()
+        manifest["block_header"] = not manifest["block_header"]
+        with pytest.raises(ProtocolError, match="block_header"):
+            api.ReceiverSession(manifest)
+        with pytest.raises(ProtocolError, match="block_header"):
+            record_size(manifest)
+
+    def test_record_size_is_the_codecs_and_builds_no_plan(self):
+        for block_size in (2_048, 8_192):
+            sender = api.SenderSession(_random_bytes(6_000, seed=3),
+                                       packet_size=64, block_size=block_size)
+            assert record_size(sender.manifest()) \
+                == sender.codec.record_size \
+                == sender.codec.header_size + 64
+        # a plan of 10**18 one-byte blocks is only arithmetic here
+        hostile = {"kind": "transfer", "code": "lt", "seed": 0,
+                   "file_size": 10 ** 18, "packet_size": 1,
+                   "block_packets": 1}
+        assert record_size(hostile) == 17
+        with pytest.raises(ProtocolError, match="positive"):
+            record_size(dict(hostile, packet_size=0))
 
     @pytest.mark.parametrize("field,damage", MANIFEST_DAMAGE)
     def test_recorded_directory_names_the_field(self, tmp_path, field,

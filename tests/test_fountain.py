@@ -51,7 +51,7 @@ class TestPackets:
         restored = EncodingPacket.from_bytes(pkt.to_bytes())
         assert restored.header == pkt.header
         assert np.array_equal(restored.payload, payload)
-        assert pkt.wire_size == HEADER_SIZE + 20
+        assert len(pkt.to_bytes()) == HEADER_SIZE + 20
 
 
 class TestCarousel:

@@ -25,7 +25,9 @@ import pytest
 
 from repro import api
 from repro.codes.registry import available_codes
-from repro.net.transport.base import FRAME_DATA, frame_records, pack_frame
+from repro.fountain.packets import record_ids
+from repro.net.transport.base import (FRAME_DATA, frame_records, iter_frames,
+                                      pack_frame)
 from repro.protocol.feedback import FeedbackReport
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "wire_vectors.json"
@@ -106,6 +108,27 @@ def test_record_window_frames_match_golden(family, golden):
         frames = frame_records(session.server.record_window(RECORDS))
         assert [bytes(row).hex() for row in frames] \
             == golden[family][label]["frames"]
+
+
+@pytest.mark.parametrize("family",
+                         [family.name for family in available_codes()])
+def test_golden_frames_parse_back_through_the_one_reader(family, golden):
+    """``record_ids`` reads every pinned frame back to the per-packet
+    stream's ``(block, index, serial)``, under both header shapes, and a
+    receiver built from the pinned manifest takes every record."""
+    for label, size, block in _SHAPES:
+        pinned = golden[family][label]
+        receiver = api.ReceiverSession(json.loads(pinned["manifest"]))
+        bodies = [body for frame in pinned["frames"]
+                  for _, body in iter_frames(bytes.fromhex(frame))]
+        records = np.frombuffer(b"".join(bodies), dtype=np.uint8).reshape(
+            len(bodies), receiver.record_size)
+        ids = record_ids(records, receiver.codec.header_size)
+        assert list(zip(*[column.tolist() for column in ids])) == [
+            (packet.block, packet.index, packet.header.serial)
+            for packet in _session(family, size, block).packets(RECORDS)]
+        assert not receiver.receive_records(bodies)
+        assert receiver.rejected == 0 and receiver.packets_used == RECORDS
 
 
 def test_header_sizes_are_the_two_documented_ones(golden):

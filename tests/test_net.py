@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.codes.reed_solomon import cauchy_code
 from repro.errors import ParameterError
@@ -64,6 +66,26 @@ class TestTraceLoss:
         model = TraceLoss(trace, offset=1)
         out = model.losses(6)
         assert out.tolist() == [False, False, True, True, False, False]
+
+    @given(trace=st.lists(st.booleans(), min_size=1, max_size=40),
+           offset=st.integers(0, 100), first=st.integers(0, 90),
+           second=st.integers(0, 90))
+    def test_any_split_reads_the_same_verdicts(self, trace, offset, first,
+                                               second):
+        """Every call used to restart at the offset, so a second
+        ``losses`` call repeated the first."""
+        whole = TraceLoss(np.array(trace), offset).losses(first + second)
+        model = TraceLoss(np.array(trace), offset)
+        split = np.concatenate([model.losses(first), model.losses(second)])
+        assert split.tolist() == whole.tolist()
+
+    def test_a_channel_reads_the_trace_past_one_chunk(self):
+        """A channel asks its model for 512 verdicts at a time; over a
+        trace it used to get the same 512 for the whole stream."""
+        trace = np.random.default_rng(3).random(2_000) < 0.3
+        channel = LossyChannel(TraceLoss(trace, offset=100), rng=0)
+        lost = ~channel.delivery_mask(1_500)
+        assert lost.tolist() == trace[100:1_600].tolist()
 
     def test_rate(self):
         model = TraceLoss(np.array([True, False]))

@@ -89,6 +89,12 @@ class TestFountainReception:
         with pytest.raises(DecodeFailure):
             fountain_packets_until(5, 10, trace, rng=0, max_cycles=3)
 
+    def test_a_trace_fade_in_the_first_cycle_passes(self):
+        """Every cycle used to replay the trace's first cycle, so a
+        receiver whose first cycle fell in a fade never completed."""
+        fade = TraceLoss(np.repeat([True, False], 10))
+        assert fountain_packets_until(5, 10, fade, rng=0, max_cycles=3) == 5
+
 
 class TestInterleavedReception:
     def test_no_loss_counts_until_all_blocks_full(self):

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from repro.codes.backend import use_backend
 from repro.codes.registry import available_codes
 from repro.errors import ParameterError
-from repro.fountain.packets import header_fields
+from repro.fountain.packets import record_ids
 from repro.sim.swarm import Scenario, replay_receivers
 from repro.sim.transfer import simulate_transfer
 from repro.transfer import BlockPlan, ObjectCodec, TransferServer
@@ -171,13 +171,11 @@ class TestStructuralParity:
 
         full = TransferServer(codec, data, **options)
         records = full.record_window(count)
-        fields = header_fields(records, records.shape[1] - _PACKET)
-        assert fields[:, 0].tolist() == indices.tolist()
-        assert fields[:, 1].tolist() == list(range(count))
-        if codec.num_blocks > 1:
-            assert fields[:, 3].tolist() == blocks.tolist()
-        else:
-            assert fields.shape[1] == 3 and not blocks.any()
+        stamped = record_ids(records, records.shape[1] - _PACKET)
+        assert [ids.tolist() for ids in stamped] \
+            == [blocks.tolist(), indices.tolist(), list(range(count))]
+        assert records.shape[1] - _PACKET \
+            == (16 if codec.num_blocks > 1 else 12)
         # ... and a server holding data hands the payloads over as well
         full.reset()
         _, again, rows = full.window(count)

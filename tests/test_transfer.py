@@ -209,7 +209,7 @@ class TestBlockHeader:
 
     def test_legacy_prefix_byte_compatible(self):
         header = BlockHeader(index=7, serial=9, group=1, block=42)
-        assert header.pack()[:HEADER_SIZE] == header.legacy().pack()
+        assert header.pack()[:HEADER_SIZE] == PacketHeader(7, 9, 1).pack()
         # a legacy parser reading a block header sees the right fields
         legacy = PacketHeader.unpack(header.pack())
         assert (legacy.index, legacy.serial, legacy.group) == (7, 9, 1)
@@ -224,7 +224,7 @@ class TestBlockHeader:
         payload = np.arange(20, dtype=np.uint8)
         pkt = EncodingPacket(BlockHeader(3, 4, 0, block=5), payload)
         assert pkt.block == 5
-        assert pkt.wire_size == BLOCK_HEADER_SIZE + 20
+        assert len(pkt.to_bytes()) == BLOCK_HEADER_SIZE + 20
         restored = EncodingPacket.from_bytes(pkt.to_bytes(), block_aware=True)
         assert restored.header == pkt.header
         assert np.array_equal(restored.payload, payload)
@@ -232,7 +232,7 @@ class TestBlockHeader:
     def test_legacy_header_reports_block_zero(self):
         pkt = EncodingPacket(PacketHeader(3, 4, 0), np.zeros(4, np.uint8))
         assert pkt.block == 0
-        assert pkt.wire_size == HEADER_SIZE + 4
+        assert len(pkt.to_bytes()) == HEADER_SIZE + 4
 
 
 class TestTransferEndToEnd:

@@ -29,6 +29,7 @@ from repro.net.transport import (
     pack_frame,
     parse_address,
 )
+from repro.net.loss import GilbertElliottLoss
 from repro.net.transport.base import FRAME_FEEDBACK
 from repro.protocol.adaptive import AdaptivePolicy
 from test_api import MANIFEST_DAMAGE, damaged_manifest
@@ -54,7 +55,8 @@ needs_udp = pytest.mark.skipif(
 
 #: the datagram alphabet of the drain property: a manifest for 20-byte
 #: records (12-byte header + 8), so a data frame is 23 bytes.
-_MANIFEST = {"code": "lt", "packet_size": 8, "num_blocks": 1}
+_MANIFEST = {"kind": "transfer", "code": "lt", "seed": 0, "file_size": 8,
+             "packet_size": 8, "block_packets": 1, "num_blocks": 1}
 _RECORD = 20
 _MANIFEST_FRAME = pack_frame(FRAME_MANIFEST,
                              json.dumps(_MANIFEST).encode("utf-8"))
@@ -221,9 +223,39 @@ class TestUdpArguments:
         with pytest.raises(ParameterError):
             UdpTransport(["127.0.0.1:9"], **options)
 
-    def test_memory_transport_rejects_the_same_loss(self):
-        with pytest.raises(ParameterError):
-            MemoryTransport(loss=-0.1).subscribe()
+    def test_memory_transport_rejects_the_same_loss(self, tmp_path):
+        """So does the file transport, both in the constructor: the
+        memory one used to fail only at ``subscribe()``, the file one
+        once its serve had opened the stream."""
+        for loss in (-0.1, 1.0, 1.5):
+            with pytest.raises(ParameterError):
+                MemoryTransport(loss=loss)
+            with pytest.raises(ParameterError):
+                FileTransport(tmp_path, loss=loss)
+        assert not any(tmp_path.iterdir())
+
+    def test_loss_is_a_probability_or_a_model(self, no_sockets):
+        bursty = GilbertElliottLoss.from_loss_and_burst(0.2, 8.0)
+        assert UdpTransport(["127.0.0.1:9"], loss=bursty).loss is bursty
+        assert UdpTransport(["127.0.0.1:9"],
+                            loss=0.25).loss.expected_loss_rate() == 0.25
+        with pytest.raises(TypeError):
+            UdpTransport(["127.0.0.1:9"], loss_model=bursty)
+
+    @pytest.mark.parametrize("report_every", [0, -1])
+    def test_memory_report_every_below_one_is_refused(self, report_every):
+        """The UDP serve refuses ``adapt_every < 1``; the memory serve
+        used to clamp its twin to 1 and go on."""
+        session = api.SenderSession(_random_bytes(4_096, seed=3),
+                                    packet_size=256, block_size=4_096)
+        transport = MemoryTransport()
+        sub = transport.subscribe()
+        with pytest.raises(ParameterError, match="report_every"):
+            transport.serve(session, count=100, policy=AdaptivePolicy(),
+                            report_every=report_every)
+        # refused before a window was drawn: the stream has not moved
+        assert sub.available == 0
+        assert next(session.packets(1)).header.serial == 0
 
     @pytest.mark.parametrize("adapt_every", [0, -1])
     def test_adapt_every_below_one_is_refused(self, no_sockets, adapt_every):
@@ -318,6 +350,22 @@ class TestFileTransport:
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(ProtocolError, match="manifest"):
             FileTransport(tmp_path).subscribe().manifest()
+
+    @pytest.mark.parametrize("manifest", [
+        [1, 2],
+        {"kind": "transfer", "code": "lt", "seed": 1, "file_size": 100,
+         "block_packets": 4}])
+    def test_a_manifest_that_is_no_transfer_manifest(self, tmp_path,
+                                                      manifest):
+        """A JSON list used to raise ``AttributeError`` here, a manifest
+        without ``packet_size`` a ``KeyError``."""
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / "stream.pkt").write_bytes(bytes(64))
+        sub = FileTransport(tmp_path).subscribe()
+        with pytest.raises(ProtocolError):
+            sub.available
+        with pytest.raises(ProtocolError):
+            next(sub.record_batches())
 
     def test_send_file_rides_file_transport(self, tmp_path):
         """The api facade and the raw transport agree byte for byte."""

@@ -185,7 +185,8 @@ def test_a_refused_sendto_is_counted_and_survived(backend, ears,
 # -- the receiving end ---------------------------------------------------------
 
 #: a manifest for 20-byte records (12-byte header + 8): 23-byte frames.
-_MANIFEST = {"code": "lt", "packet_size": 8, "num_blocks": 1}
+_MANIFEST = {"kind": "transfer", "code": "lt", "seed": 0, "file_size": 8,
+             "packet_size": 8, "block_packets": 1}
 _FRAME = 3 + 20
 
 
@@ -249,8 +250,8 @@ class TestCoalescedReceive:
         runs = [b"".join(pack_frame(FRAME_DATA, record)
                          for record in records[at:at + 4])
                 for at in range(0, 12, 4)]
-        tail = pack_frame(FRAME_MANIFEST, json.dumps(_MANIFEST).encode(
-            "utf-8"))
+        tail = pack_frame(FRAME_MANIFEST, json.dumps(
+            _MANIFEST, separators=(",", ":")).encode("utf-8"))
         assert len(tail) < len(runs[0])
         with UdpSubscription("127.0.0.1:0", timeout=2.0) as sub:
             heard = _coalesced(sub, runs + [tail])

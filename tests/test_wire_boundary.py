@@ -1,0 +1,55 @@
+"""The wire record has two homes, and this scan keeps it there.
+
+``fountain/packets.py`` owns the layout (where each header field sits)
+and ``transfer/codec.py`` the size rule (which header a stream carries,
+and the manifest's ``block_header`` flag).  Any other module of
+``src/`` that names a header size or the flag has started deciding the
+format a second time; the change that adds a stream kind would then
+have to find it.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: the modules allowed to name the format (``fountain/__init__.py``
+#: only re-exports the sizes).
+HOMES = {"fountain/packets.py", "fountain/__init__.py", "transfer/codec.py"}
+
+NAMES = {"HEADER_SIZE", "BLOCK_HEADER_SIZE"}
+KEYS = {"block_header"}
+
+
+def format_mentions(tree: ast.AST):
+    """Line and spelling of every node of ``tree`` that names a header
+    size or the ``block_header`` key."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in NAMES:
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute) and node.attr in NAMES:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.alias) and node.name in NAMES:
+            yield getattr(node, "lineno", 0), node.name
+        elif isinstance(node, ast.Constant) and node.value in KEYS:
+            yield node.lineno, repr(node.value)
+
+
+def test_scan_finds_every_spelling():
+    tree = ast.parse("from repro.fountain import HEADER_SIZE as H\n"
+                     "x = packets.BLOCK_HEADER_SIZE + HEADER_SIZE\n"
+                     "flag = manifest.get('block_header')\n")
+    assert [name for _, name in format_mentions(tree)] == [
+        "HEADER_SIZE", "BLOCK_HEADER_SIZE", "HEADER_SIZE", "'block_header'"]
+
+
+def test_only_the_two_homes_name_the_wire_format():
+    leaks = [f"{path.relative_to(SRC)}:{line}: {name}"
+             for path in sorted(SRC.rglob("*.py"))
+             if path.relative_to(SRC).as_posix() not in HOMES
+             for line, name in format_mentions(
+                 ast.parse(path.read_text(), filename=str(path)))]
+    assert not leaks, ("the wire format leaked out of fountain/packets.py "
+                       "and transfer/codec.py:\n" + "\n".join(leaks))
