@@ -6,7 +6,7 @@ export PYTHONPATH := src
 
 .PHONY: test test-reference fuzz coverage test-udp bench-smoke bench-transfer \
 	bench-ingest bench-raptor bench-adaptive bench-swarm \
-	bench-gate bench-e2e bench-e2e-quick \
+	bench-gate bench-e2e bench-e2e-quick bench-memory \
 	swarm-smoke docs-check typecheck all
 
 all: test docs-check typecheck
@@ -110,6 +110,15 @@ bench-e2e:
 
 bench-e2e-quick:
 	python3 benchmarks/e2e/run.py --quick
+
+# The sender's memory gate: send_file at 10 % loss, extra=64, for
+# tornado-a, tornado-b, lt and raptor at 8 and 32 MiB, each send in a
+# fresh interpreter.  Fails when a fixed-rate family's peak RSS grows by
+# more than stretch + 2 MB per object MB between the two sizes (the
+# slope cancels the interpreter's baseline); rateless families are
+# reported, not gated.
+bench-memory:
+	$(PYTHON) tools/bench_memory.py
 
 # Quick population-scale pass over committed scenarios: one scaled
 # flash crowd with exact-replay validation, plus a cross-scenario

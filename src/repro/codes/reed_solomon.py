@@ -57,9 +57,10 @@ class _RSBlockEncoder(BlockEncoder):
     Source rows are served straight from the source block; redundancy
     rows are products of single redundancy-matrix rows with the source,
     computed in batches on first request and cached.  Over GF(2^8) under
-    the vectorized backend the source's nibble product tables are built
-    once and reused across batches, so scattered row requests cost the
-    same per row as one monolithic encode.
+    the vectorized backend the source's nibble product tables (32x the
+    source bytes) are built once and reused across batches, so scattered
+    row requests cost the same per row as one monolithic encode; they
+    are dropped as soon as every redundancy row is cached.
     """
 
     _code: "ReedSolomonCode"
@@ -89,23 +90,20 @@ class _RSBlockEncoder(BlockEncoder):
             self._redundant[missing] = gf_matvec_packets(
                 sub, self._source, code.field)
         self._have[missing] = True
+        if self._have.all():
+            self._tables = None
 
     def __getitem__(self, index):
         k = self._code.k
-        if np.isscalar(index) or getattr(index, "ndim", 1) == 0:
-            i = int(index)
-            if i < k:
-                return self._source[i]
-            self._ensure_redundant(np.array([i - k]))
-            return self._redundant[i - k]
-        index = np.asarray(index, dtype=np.int64)
-        red = index >= k
-        if red.any():
-            self._ensure_redundant(index[red] - k)
-        out = np.empty((index.shape[0], self._source.shape[1]),
-                       dtype=self._code.field.dtype)
-        out[~red] = self._source[index[~red]]
-        out[red] = self._redundant[index[red] - k]
+        rows = np.arange(self._code.n)[index]
+        red = rows >= k
+        self._ensure_redundant(rows[red] - k)
+        if np.ndim(rows) == 0:
+            return self._redundant[rows - k] if red else self._source[rows]
+        out = np.empty(rows.shape + self._source.shape[1:],
+                       dtype=self._source.dtype)
+        out[~red] = self._source[rows[~red]]
+        out[red] = self._redundant[rows[red] - k]
         return out
 
 

@@ -25,6 +25,7 @@ from repro.codes.tornado.decoder import PeelingDecoder
 from repro.codes.tornado.degree import DegreeDistribution, heavy_tail_distribution
 from repro.codes.tornado.graph import CascadeStructure, build_cascade
 from repro.errors import ParameterError
+from repro.gf import gf_matvec_packets
 from repro.utils.packed import xor_view
 from repro.utils.rng import RngLike, spawn_rng
 
@@ -115,21 +116,24 @@ class TornadoCode(DecoderBackedCode, ErasureCode):
             values[off:off + graph.right_size] = rights
         return values
 
+    def _fill_cap(self, values: np.ndarray) -> None:
+        """Write every cap row of an ``(n, P)`` encoding from its last
+        graph layer: one RS product, its tables in the kernel's scratch."""
+        st = self.structure
+        cap = st.cap_code
+        last = values[st.last_layer_offset:st.cap_offset]
+        values[st.cap_offset:] = gf_matvec_packets(
+            cap._redundancy_matrix, last.view(cap.field.dtype),
+            cap.field).view(np.uint8)
+
     def encode(self, source: np.ndarray) -> np.ndarray:
         """Compute all ``n`` encoding packets for a ``(k, P)`` source block."""
-        st = self.structure
         values = self._cascade_values(source)
-        # Cap: systematic RS over the last graph layer.
-        last = values[st.last_layer_offset:
-                      st.last_layer_offset + st.last_layer_size]
-        symbol_dtype = st.cap_code.field.dtype
-        encoded = st.cap_code.encode(last.view(symbol_dtype))
-        redundant = encoded[st.last_layer_size:].view(np.uint8)
-        values[st.cap_offset:st.cap_offset + st.cap_size] = redundant
+        self._fill_cap(values)
         return values
 
     def block_encoder(self, source: np.ndarray) -> "_TornadoBlockEncoder":
-        """Lazy encoder: cascade up front (cheap XORs), cap rows on demand."""
+        """Lazy encoder: cascade up front (cheap XORs), the cap on demand."""
         return _TornadoBlockEncoder(self, source)
 
     # -- decoding ------------------------------------------------------------
@@ -171,46 +175,27 @@ class TornadoCode(DecoderBackedCode, ErasureCode):
 
 
 class _TornadoBlockEncoder(BlockEncoder):
-    """Lazy Tornado encoding: eager cascade, on-demand cap rows.
+    """Lazy Tornado encoding: eager cascade, the whole cap on demand.
 
     The graph layers cost one XOR per edge — linear work that is also
     the input to every cap row, so they are computed up front.  The cap
-    is the expensive part (a dense RS product over the last layer); its
-    rows are delegated to the cap code's own row-lazy encoder, so a
-    carousel that stops after a partial cycle never pays for the cap
-    rows it did not emit.
+    is the expensive part (a dense RS product over the last layer): the
+    first request that touches any cap row computes all of them in one
+    product, straight into the encoding.  A carousel that never reaches
+    the cap never pays for it, and the encoder holds nothing but its
+    ``(n, P)`` values.
     """
 
     def __init__(self, code: TornadoCode, source: np.ndarray):
         values = code._cascade_values(source)
         super().__init__(code, values[:code.k])
         self._values = values
-        st = code.structure
-        last = values[st.last_layer_offset:
-                      st.last_layer_offset + st.last_layer_size]
-        self._cap = st.cap_code.block_encoder(
-            last.view(st.cap_code.field.dtype))
-        self._cap_have = np.zeros(st.cap_size, dtype=bool)
-
-    def _fill_cap(self, rows: np.ndarray) -> None:
-        """Materialise the cap rows (0-based within the cap) not yet held."""
-        missing = np.unique(rows[~self._cap_have[rows]])
-        if missing.size == 0:
-            return
-        st = self._code.structure
-        cap_rows = self._cap[st.last_layer_size + missing]
-        self._values[st.cap_offset + missing] = cap_rows.view(np.uint8)
-        self._cap_have[missing] = True
+        self._capped = False
 
     def __getitem__(self, index):
-        cap_offset = self._code.structure.cap_offset
-        if np.isscalar(index) or getattr(index, "ndim", 1) == 0:
-            i = int(index)
-            if i >= cap_offset:
-                self._fill_cap(np.array([i - cap_offset]))
-            return self._values[i]
-        index = np.asarray(index, dtype=np.int64)
-        cap = index[index >= cap_offset] - cap_offset
-        if cap.size:
-            self._fill_cap(cap)
-        return self._values[index]
+        rows = np.arange(self._code.n)[index]
+        if not self._capped and np.any(
+                rows >= self._code.structure.cap_offset):
+            self._code._fill_cap(self._values)
+            self._capped = True
+        return self._values[rows]

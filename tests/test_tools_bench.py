@@ -486,3 +486,24 @@ class TestBenchRecorderMerge:
         recorder.flush()
         assert json.loads(target.read_text()) == {"results": [
             {"case": "ingest-b1", "droplets_per_second": 90}]}
+
+
+_MEMORY_SPEC = importlib.util.spec_from_file_location(
+    "bench_memory",
+    pathlib.Path(__file__).resolve().parent.parent / "tools"
+    / "bench_memory.py")
+bench_memory = importlib.util.module_from_spec(_MEMORY_SPEC)
+_MEMORY_SPEC.loader.exec_module(bench_memory)
+
+
+class TestMemoryGate:
+    STRETCHES = {"tornado-b": 2.0, "lt": float("inf")}
+
+    def test_a_fixed_rate_slope_over_stretch_plus_two_fails(self):
+        rows = {"tornado-b": [206.0, 688.0], "lt": [65.0, 120.0]}
+        failures = bench_memory.verdicts(rows, [8, 32], self.STRETCHES)
+        assert len(failures) == 1 and failures[0].startswith("tornado-b")
+
+    def test_rateless_slopes_are_reported_not_gated(self):
+        rows = {"tornado-b": [79.0, 164.0], "lt": [65.0, 900.0]}
+        assert bench_memory.verdicts(rows, [8, 32], self.STRETCHES) == []
