@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-reference fuzz coverage test-udp bench-smoke bench-transfer \
+.PHONY: test fuzz coverage test-udp bench-smoke bench-transfer \
 	bench-ingest bench-raptor bench-adaptive bench-swarm \
 	bench-gate bench-e2e bench-e2e-quick bench-memory \
 	swarm-smoke docs-check typecheck all
@@ -15,13 +15,6 @@ all: test docs-check typecheck
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Tier-1 with the scalar reference backend forced.  The reference
-# implementations are the oracle the differential tests pin the
-# vectorized kernels against, so they must stay green on every change —
-# not only when someone remembers to flip the env var locally.
-test-reference:
-	REPRO_CODEC_BACKEND=reference $(PYTHON) -m pytest -x -q
-
 # The property tests on fresh random examples (tests/conftest.py: the
 # `fuzz` hypothesis profile; tier-1 above runs the derandomized one).
 # Not a gate: what it finds is replayed from .hypothesis/ and enters
@@ -29,16 +22,12 @@ test-reference:
 fuzz:
 	$(PYTHON) -m pytest -q --hypothesis-profile=fuzz tests
 
-# Line coverage of the codec core (src/repro/codes + src/repro/gf),
-# accumulated across both backends so reference-only and
-# vectorized-only branches both count.  Skips gracefully when
-# pytest-cov is not installed (CI installs it and runs this for real).
+# Line coverage of the codec core (src/repro/codes + src/repro/gf) over
+# one tier-1 run.  Skips gracefully when pytest-cov is not installed (CI
+# installs it and runs this for real).
 coverage:
 	@if $(PYTHON) -c "import pytest_cov" >/dev/null 2>&1; then \
 		$(PYTHON) -m pytest -q --cov=repro.codes --cov=repro.gf \
-			--cov-report= ; \
-		REPRO_CODEC_BACKEND=reference $(PYTHON) -m pytest -q \
-			--cov=repro.codes --cov=repro.gf --cov-append \
 			--cov-report=term-missing:skip-covered ; \
 	else \
 		echo "pytest-cov not installed; skipping coverage" \
@@ -71,9 +60,10 @@ bench-smoke:
 bench-transfer:
 	$(PYTHON) -m pytest -q benchmarks/bench_transfer_blocks.py
 
-# Decode-ingest rates: droplets/sec and decode MB/s per backend and
-# batch size, including the gated batched_ingest_speedup headline
-# (asserted >= 4x in the bench itself, floor-checked by bench-gate).
+# Decode-ingest rates: droplets/sec and decode MB/s per batch size,
+# including the gated batched_ingest_vs_xor headline (decode MB/s over
+# one plain XOR pass's MB/s on the same block; its floor is asserted in
+# the bench itself and checked by bench-gate).
 bench-ingest:
 	$(PYTHON) -m pytest -q benchmarks/bench_decode_ingest.py
 
@@ -85,7 +75,7 @@ bench-raptor:
 
 # Closed-loop vs open-loop delivery on the Gilbert satellite population
 # (regenerates BENCH_adaptive.json; the >=15% p99 win is asserted
-# in-bench and cross-case locked by bench-gate on both backends).
+# in-bench and cross-case locked by bench-gate).
 bench-adaptive:
 	$(PYTHON) -m pytest -q benchmarks/bench_adaptive.py
 

@@ -6,9 +6,12 @@ module a one-call way to publish the numbers that actually track the
 project's perf trajectory (reception overhead, goodput, packets per
 second) as a small stable JSON file at the repo root.  The conftest's
 ``pytest_sessionfinish`` hook flushes every recorder that collected
-rows, and a flush merges by ``case`` into the file already on disk, so
-a partial run (``-k``, or one bench module alone) only touches the
-rows it re-measured.
+rows.  Every row names the bench module that recorded it, and a flush
+merges by ``case`` into the file already on disk: a module that ran in
+full this session replaces all of its stored rows, so a case it no
+longer records leaves the file (and the gate); a module that ran in
+part (``-k``, a node id) refreshes only the rows it re-measured; and
+the rows of modules that did not run stay as they are.
 
 The committed ``BENCH_*.json`` files hold only the gated metric rows —
 they are the baselines ``tools/check_bench.py`` compares fresh runs
@@ -24,7 +27,7 @@ import json
 import pathlib
 import platform
 import time
-from typing import Any, Dict, List
+from typing import Any, Collection, Dict, List, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -34,55 +37,63 @@ RUNINFO_NAME = "BENCH_runinfo.json"
 _RECORDERS: List["BenchRecorder"] = []
 
 
-class BenchRecorder:
-    """Collects metric rows for one ``BENCH_<name>.json`` summary.
+def module_name(name: str) -> str:
+    """A bench module's name as rows store it (no package prefix)."""
+    return name.rpartition(".")[2]
 
-    One recorder per summary file: constructing a second recorder for
-    the same file name hands back the first instance, so several bench
-    modules of one session publish into one summary through one row
-    list.
+
+class BenchRecorder:
+    """Collects one bench module's metric rows for one ``BENCH_<name>.json``.
+
+    Several bench modules may publish into one summary file, each
+    through its own recorder (``BenchRecorder(file_name, __name__)``);
+    constructing a second recorder for the same file and module hands
+    back the first instance.
     """
 
-    _by_path: Dict[pathlib.Path, "BenchRecorder"] = {}
+    _by_key: Dict[Tuple[pathlib.Path, str], "BenchRecorder"] = {}
 
-    def __new__(cls, file_name: str) -> "BenchRecorder":
-        path = REPO_ROOT / file_name
-        existing = cls._by_path.get(path)
+    def __new__(cls, file_name: str, module: str) -> "BenchRecorder":
+        key = (REPO_ROOT / file_name, module_name(module))
+        existing = cls._by_key.get(key)
         if existing is not None:
             return existing
         instance = super().__new__(cls)
-        cls._by_path[path] = instance
+        cls._by_key[key] = instance
         return instance
 
-    def __init__(self, file_name: str):
+    def __init__(self, file_name: str, module: str):
         if getattr(self, "rows", None) is not None:
             return  # shared instance, already initialised
         self.path = REPO_ROOT / file_name
+        self.module = module_name(module)
         self.rows: List[Dict[str, Any]] = []
         _RECORDERS.append(self)
 
     def record(self, case: str, **metrics: Any) -> None:
         """Add one result row (numbers or short strings only)."""
-        self.rows.append({"case": case, **metrics})
+        self.rows.append({"case": case, "module": self.module, **metrics})
 
-    def flush(self) -> None:
+    def flush(self, ran_in_full: bool = True) -> None:
         """Merge this session's rows, by ``case``, into the file on disk.
 
-        A case recorded this session replaces the stored row; every
-        other stored row is kept, so a partial run (one bench module of
-        the several that publish into one summary) refreshes its own
-        rows without stripping the rest.  The price: a case no bench
-        records any more (renamed, removed) stays — and stays gated —
-        until its row is deleted from the file by hand.  A file that
-        does not parse as a summary is overwritten, as it always was.
+        A case recorded this session replaces the stored row.  When the
+        module ran in full, every other stored row of this module goes:
+        no test of it records that case any more.  When it ran in part,
+        they stay.  Rows of other modules always stay.  A stored row
+        that names no module predates the field and counts as this
+        module's.  A file that does not parse as a summary is
+        overwritten.
         """
         if not self.rows:
             return
         merged: Dict[str, Dict[str, Any]] = {}
         try:
             stored = json.loads(self.path.read_text())["results"]
-            merged = {row["case"]: row for row in stored}
-        except (OSError, ValueError, KeyError, TypeError):
+            merged = {row["case"]: row for row in stored
+                      if not (ran_in_full and row.get("module", self.module)
+                              == self.module)}
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             pass
         for row in self.rows:
             merged[row["case"]] = row
@@ -91,18 +102,22 @@ class BenchRecorder:
                              + "\n")
 
 
-def flush_all() -> None:
+def flush_all(ran_in_part: Collection[str] = ()) -> None:
     """Write every recorder that collected rows this session, plus the
-    run-metadata sidecar describing the host that produced them."""
+    run-metadata sidecar describing the host that produced them.
+
+    ``ran_in_part`` names the modules only some of whose tests ran (see
+    :meth:`BenchRecorder.flush`)."""
+    partial = {module_name(name) for name in ran_in_part}
     flushed = [recorder for recorder in _RECORDERS if recorder.rows]
     for recorder in flushed:
-        recorder.flush()
+        recorder.flush(ran_in_full=recorder.module not in partial)
     if flushed:
         runinfo = {
             "generated_unix": round(time.time(), 1),
             "python": platform.python_version(),
             "machine": platform.machine(),
-            "files": sorted(recorder.path.name for recorder in flushed),
+            "files": sorted({recorder.path.name for recorder in flushed}),
         }
         (REPO_ROOT / RUNINFO_NAME).write_text(
             json.dumps(runinfo, indent=2, sort_keys=True) + "\n")

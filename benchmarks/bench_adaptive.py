@@ -1,12 +1,12 @@
 """Closed-loop vs open-loop delivery on the satellite Gilbert scenario.
 
 Runs the committed ``satellite_longhaul.json`` population (bench-scaled)
-twice per codec backend — once open loop, once with an
+twice — once open loop, once with an
 :class:`~repro.protocol.adaptive.AdaptivePolicy` driving the swarm
 engine's closed loop — and publishes both tails to
 ``BENCH_adaptive.json``.  The committed claim, locked cross-case by
-``tools/check_bench.py`` on *both* backends: the adaptive p99 reception
-overhead undercuts the open-loop p99 by at least 15%.
+``tools/check_bench.py``: the adaptive p99 reception overhead undercuts
+the open-loop p99 by at least 15%.
 
 The code is swapped from the scenario's ``tornado-a`` to LT for these
 rows: at ``block_packets=128`` tornado-a decodes at exactly ``k`` for
@@ -22,16 +22,13 @@ between the two runs, so the comparison is packet-for-packet fair.
 
 import dataclasses
 
-import pytest
-
 from _results import REPO_ROOT, BenchRecorder
-from repro.codes.backend import use_backend
 from repro.protocol.adaptive import AdaptivePolicy
 from repro.sim.swarm import Scenario, SwarmSimulator
 
 SCENARIOS = REPO_ROOT / "examples" / "scenarios"
 
-RESULTS = BenchRecorder("BENCH_adaptive.json")
+RESULTS = BenchRecorder("BENCH_adaptive.json", __name__)
 
 #: bench-scaled population (full scenario is 20k receivers).  The
 #: scenario's threshold pool (32 trials/block) is kept as committed:
@@ -49,15 +46,13 @@ def _gilbert_lt_scenario() -> Scenario:
     return dataclasses.replace(scenario, code="lt:c=0.03,delta=0.5")
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "reference"])
-def test_adaptive_vs_open_loop(benchmark, backend):
+def test_adaptive_vs_open_loop(benchmark):
     """One Gilbert population, open loop vs the adaptive closed loop."""
     scenario = _gilbert_lt_scenario()
-    with use_backend(backend):
-        open_loop = SwarmSimulator(scenario).run()
-        closed = benchmark.pedantic(
-            lambda: SwarmSimulator(scenario).run(policy=AdaptivePolicy()),
-            rounds=1, iterations=1)
+    open_loop = SwarmSimulator(scenario).run()
+    closed = benchmark.pedantic(
+        lambda: SwarmSimulator(scenario).run(policy=AdaptivePolicy()),
+        rounds=1, iterations=1)
 
     open_summary = open_loop.summary()
     closed_summary = closed.summary()
@@ -75,7 +70,7 @@ def test_adaptive_vs_open_loop(benchmark, backend):
     for label, summary in (("adaptive", closed_summary),
                            ("openloop", open_summary)):
         RESULTS.record(
-            f"{label}-gilbert-{backend}",
+            f"{label}-gilbert",
             code=scenario.code,
             receivers=summary["receivers"],
             num_blocks=summary["num_blocks"],

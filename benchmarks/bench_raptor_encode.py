@@ -50,7 +50,7 @@ PLAN_KS = [128, 1024]
 #: end-to-end workloads run, 8192 the "big block" scan cost.
 BUILD_KS = [256, 1024, 8192]
 
-RESULTS = BenchRecorder("BENCH_raptor.json")
+RESULTS = BenchRecorder("BENCH_raptor.json", __name__)
 
 
 def _best_of(fn, passes=3):

@@ -21,7 +21,7 @@ from repro.sim.swarm import Scenario, SwarmSimulator
 
 SCENARIOS = REPO_ROOT / "examples" / "scenarios"
 
-RESULTS = BenchRecorder("BENCH_swarm.json")
+RESULTS = BenchRecorder("BENCH_swarm.json", __name__)
 
 #: (scenario file, receivers to scale to, exact replays to spot check,
 #: agreement tolerance).  The trace case gets a looser bar: burst and

@@ -10,7 +10,6 @@ import time
 import pytest
 
 from conftest import random_source
-from repro.codes.backend import use_backend
 from repro.codes.reed_solomon import ReedSolomonCode
 from repro.codes.tornado.presets import tornado_a, tornado_b
 
@@ -19,26 +18,23 @@ RS_SIZES = [64, 128, 256]
 TORNADO_SIZES = [256, 1024, 4096]
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "reference"])
 @pytest.mark.parametrize("family,factory", [
     ("tornado-b", lambda k: tornado_b(k, seed=0)),
     ("rs-cauchy", lambda k: ReedSolomonCode(k, 2 * k, "cauchy")),
 ], ids=["tornado-b", "rs-cauchy"])
-def test_encode_rate_per_backend(benchmark, family, factory, backend):
-    """Raw encode MB/s of each backend on one mid-size block."""
+def test_encode_rate(benchmark, family, factory):
+    """Raw encode MB/s on one mid-size block."""
     k = 256
-    with use_backend(backend):
-        code = factory(k)
-        dtype = code.field.dtype if hasattr(code, "field") else "uint8"
-        source = random_source(k, PAYLOAD, dtype)
+    code = factory(k)
+    dtype = code.field.dtype if hasattr(code, "field") else "uint8"
+    source = random_source(k, PAYLOAD, dtype)
 
-        def timed():
-            start = time.perf_counter()
-            code.encode(source)
-            return time.perf_counter() - start
+    def timed():
+        start = time.perf_counter()
+        code.encode(source)
+        return time.perf_counter() - start
 
-        elapsed = benchmark.pedantic(timed, rounds=1, iterations=3)
-    benchmark.extra_info["backend"] = backend
+    elapsed = benchmark.pedantic(timed, rounds=1, iterations=3)
     benchmark.extra_info["encode_MBps"] = round(
         source.nbytes / elapsed / 1e6, 1)
 

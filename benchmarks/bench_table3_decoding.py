@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from conftest import random_source
-from repro.codes.backend import use_backend
 from repro.codes.reed_solomon import ReedSolomonCode
 from repro.codes.tornado.presets import tornado_a, tornado_b
 
@@ -19,9 +18,8 @@ RS_SIZES = [64, 128, 256]
 TORNADO_SIZES = [256, 1024, 4096]
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "reference"])
-def test_tornado_decode_rate_per_backend(benchmark, backend):
-    """Raw decode MB/s of each backend on one mid-size tornado block."""
+def test_tornado_decode_rate(benchmark):
+    """Raw decode MB/s on one mid-size tornado block."""
     k = 1024
     code = tornado_b(k, seed=0)
     source = random_source(k, PAYLOAD)
@@ -30,16 +28,14 @@ def test_tornado_decode_rate_per_backend(benchmark, backend):
     order = rng.permutation(code.n)
     needed = code.packets_to_decode(order)
     received = {int(i): encoding[i] for i in order[:needed]}
-    with use_backend(backend):
 
-        def timed():
-            start = time.perf_counter()
-            result = code.decode(received)
-            return result, time.perf_counter() - start
+    def timed():
+        start = time.perf_counter()
+        result = code.decode(received)
+        return result, time.perf_counter() - start
 
-        result, elapsed = benchmark.pedantic(timed, rounds=1, iterations=1)
+    result, elapsed = benchmark.pedantic(timed, rounds=1, iterations=1)
     assert np.array_equal(result, source)
-    benchmark.extra_info["backend"] = backend
     benchmark.extra_info["decode_MBps"] = round(
         source.nbytes / elapsed / 1e6, 1)
 

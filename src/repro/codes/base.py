@@ -78,7 +78,7 @@ class BlockEncoder:
     work.  A digital-fountain sender rarely emits the whole encoding
     before every receiver completes, so rows it never hands out are rows
     it never has to compute.  Indexing returns exactly the rows
-    ``code.encode(source)`` would, byte for byte, under either backend.
+    ``code.encode(source)`` would, byte for byte.
 
     This base implementation runs the full encode on first payload
     access (correct for any code); codes with a cheap partial encode

@@ -224,11 +224,10 @@ class LTDecoder(PeelingEngine):
     def _enter(self, ids: np.ndarray, rhs: Optional[np.ndarray]) -> None:
         """One equation batch for droplets ``ids`` (at least one): their
         neighbour sets in one ``DropletSpec.neighbour_block`` pass — or,
-        for a batch too small to repay its set-up and on the reference
-        backend, one ``neighbours`` walk per droplet (the same sets) —
-        then one engine intake."""
+        for a batch too small to repay its set-up, one ``neighbours``
+        walk per droplet (the same sets) — then one engine intake."""
         esis = self._esis(ids)
-        if self._vectorized and esis.size >= _VECTOR_INTAKE_MIN:
+        if esis.size >= _VECTOR_INTAKE_MIN:
             flat, indptr = self.spec.neighbour_block(esis)
         else:
             rows = [self.spec.neighbours(esi) for esi in esis.tolist()]

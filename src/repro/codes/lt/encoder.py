@@ -34,7 +34,6 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.codes.backend import is_vectorized
 from repro.codes.base import as_packet_block
 from repro.codes.degree import DegreeDistribution
 from repro.errors import ParameterError
@@ -116,7 +115,7 @@ class DropletSpec:
         bits = max(1, (self.k - 1).bit_length())
         object.__setattr__(self, "_half_bits", (bits + 1) // 2)
 
-    # -- scalar derivation (the reference path) --------------------------------
+    # -- scalar derivation (one droplet at a time) -----------------------------
 
     def _word(self, droplet_id: int, j: int) -> int:
         return _splitmix64((self._key + _ID_STRIDE * droplet_id + j)
@@ -325,18 +324,10 @@ class LTEncoder:
         return np.bitwise_xor.reduce(self.source[neighbours], axis=0)
 
     def payload_block(self, droplet_ids: Sequence[int]) -> np.ndarray:
-        """Payloads for many droplets as a ``(len(ids), P)`` block.
-
-        The vectorized backend derives every neighbour set in one batch
-        and XORs them with :func:`xor_neighbours`; the reference backend
-        XORs droplet by droplet.  Outputs are byte-identical.
-        """
+        """Payloads for many droplets as a ``(len(ids), P)`` block: every
+        neighbour set derived in one batch, XORed by
+        :func:`xor_neighbours`."""
         ids = np.asarray(droplet_ids, dtype=np.int64)
-        if not is_vectorized():
-            out = np.empty((ids.size, self.payload_size), dtype=np.uint8)
-            for row, droplet_id in enumerate(ids):
-                out[row] = self.droplet_payload(int(droplet_id))
-            return out
         out = np.empty((ids.size, self.payload_size), dtype=np.uint8)
         if ids.size:
             xor_neighbours(self.source, *self.spec.neighbour_block(ids), out)

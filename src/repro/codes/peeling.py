@@ -53,10 +53,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.codes.backend import is_vectorized
 from repro.errors import DecodeFailure, ParameterError
-from repro.utils.packed import apply_xor_schedule, apply_xor_schedule_scalar, \
-    xor_view
+from repro.utils.packed import apply_xor_schedule, xor_view
 
 
 def _group_sorted(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -77,8 +75,8 @@ _BITMATRIX_MAX_NODES = 1 << 14
 #: derivation of ``LTDecoder._enter`` — the two places a batch is routed
 #: by size.  Sub-threshold batches (one or two droplets at the tail of a
 #: transfer) run per row instead, which reaches the same fixpoint — at
-#: batch size 1 the vectorized set-up otherwise *loses* to the reference
-#: backend (BENCH_transfer.json's ``ingest-lt-k128-b1`` floor).
+#: batch size 1 the batch set-up otherwise costs more than the walk
+#: (BENCH_transfer.json's ``ingest-lt-k128-b1`` floor).
 _VECTOR_INTAKE_MIN = 8
 
 if hasattr(np, "bitwise_count"):
@@ -326,9 +324,6 @@ class PeelingEngine:
                 f"source_count {source_count} outside (0, {num_nodes}]")
         self.payload_size = payload_size
         self.inactivation_limit = int(inactivation_limit)
-        # Execution strategy is fixed at construction so one engine never
-        # mixes scatter disciplines mid-decode.
-        self._vectorized = is_vectorized()
         self.known = np.zeros(self.num_nodes, dtype=bool)
         self._source_known = 0
         self._num_equations = 0
@@ -345,9 +340,8 @@ class PeelingEngine:
         # After a failed solve: (unknowns, equations_seen, rank deficit).
         self._stall_gate: Optional[Tuple[int, int, int]] = None
         # Factorization of the stalled system, kept across failed
-        # attempts (vectorized backend): valid until the known set
-        # changes (:meth:`_mark_known` drops it), so a retry only folds
-        # the equations that arrived since.
+        # attempts: valid until the known set changes (:meth:`_mark_known`
+        # drops it), so a retry only folds the equations that arrived since.
         self._factored: Optional[GF2Factorization] = None
         # Static incidence (node -> equations), built once by
         # load_static_equations; None until then.
@@ -358,13 +352,12 @@ class PeelingEngine:
         self._static_eq_count = 0
         self._eq_indptr: Optional[np.ndarray] = None
         self._eq_nodes: Optional[np.ndarray] = None
-        # Dynamic incidence for equations added after construction.  The
-        # vectorized backend stores it as a packed uint64 bitmatrix (one
-        # row per equation, bit = participant unknown at entry) so waves
-        # run as whole-matrix bit ops; the reference backend (and any
-        # engine with static equations) keeps per-node adjacency dicts.
-        self._bitmatrix = (self._vectorized
-                           and self.num_nodes <= _BITMATRIX_MAX_NODES)
+        # Dynamic incidence for equations added after construction: a
+        # packed uint64 bitmatrix (one row per equation, bit = participant
+        # unknown at entry) so waves run as whole-matrix bit ops; engines
+        # above _BITMATRIX_MAX_NODES nodes or with static equations keep
+        # per-node adjacency dicts.
+        self._bitmatrix = self.num_nodes <= _BITMATRIX_MAX_NODES
         # Lazy-peel discipline (opt-in, bitmatrix engines only): skip
         # incremental payload peeling entirely and let the gated
         # finisher decode the accumulated system in one factorization
@@ -499,10 +492,9 @@ class PeelingEngine:
         contributed = np.zeros(m, dtype=bool)
         if m <= 0:
             return contributed
-        if not self._vectorized or m < _VECTOR_INTAKE_MIN:
-            # Reference discipline, and the vectorized backend's
-            # per-row route: tiny batches pay per-equation costs either
-            # way, so skip the batch set-up machinery.
+        if m < _VECTOR_INTAKE_MIN:
+            # The per-row route: tiny batches pay per-equation costs
+            # either way, so skip the batch set-up machinery.
             for i in range(m):
                 seg = participants[indptr[i]:indptr[i + 1]]
                 rhs = None if rhs_block is None else rhs_block[i]
@@ -797,7 +789,7 @@ class PeelingEngine:
                 if eqs is None:
                     frontier = np.zeros(0, dtype=np.int64)
                     break
-                if self._vectorized and eqs.size > 24:
+                if eqs.size > 24:
                     # Sort the incidences by equation and apply each
                     # equation's whole update as one segmented reduction —
                     # same result as the element-wise scatter, but the
@@ -980,9 +972,7 @@ class PeelingEngine:
             self._stall_gate = (u, self._equations_seen, u - rows.size)
             return False
         self._inactivation_runs += 1
-        solve = (self._solve_factored if self._vectorized
-                 else self._solve_reference)
-        deficit = solve(rows, unknown_nodes)
+        deficit = self._solve_factored(rows, unknown_nodes)
         if deficit:
             self._stall_gate = (u, self._equations_seen, deficit)
             return False
@@ -998,30 +988,6 @@ class PeelingEngine:
             # checks of now-complete layers) so counters stay consistent.
             self._propagate(unknown_nodes)
         return True
-
-    def _solve_reference(self, rows: np.ndarray,
-                         unknown_nodes: np.ndarray) -> int:
-        """Reference finisher: bit-packed Gauss-Jordan, payloads inline.
-
-        Returns the rank deficit (0 = solved, values written).
-        """
-        u = unknown_nodes.size
-        col_of = np.full(self.num_nodes, -1, dtype=np.int64)
-        col_of[unknown_nodes] = np.arange(u)
-        # Bit-packed coefficient matrix: one uint64 word per 64 columns.
-        mat = np.zeros((rows.size, (u + 63) // 64), dtype=np.uint64)
-        row_rep, nodes = self._residual_incidences(rows)
-        cols = col_of[nodes]
-        # bitwise_or.at because several columns can share a word
-        np.bitwise_or.at(mat, (row_rep, cols >> 6),
-                         np.uint64(1) << (cols & 63).astype(np.uint64))
-        rhs = self._acc[rows].copy() if self._acc is not None else None
-        solved, rank = _gf2_eliminate(mat, u, rhs)
-        if solved is None:
-            return u - rank
-        if self.values is not None:
-            self.values[unknown_nodes] = rhs[solved]
-        return 0
 
     def _defers_peeling(self) -> bool:
         """True while new equations extend a kept factorization.
@@ -1039,7 +1005,7 @@ class PeelingEngine:
 
     def _solve_factored(self, rows: np.ndarray,
                         unknown_nodes: np.ndarray) -> int:
-        """Vectorized-backend finisher, whatever the equation storage.
+        """The finisher, whatever the equation storage.
 
         Factor the residual system structurally (:func:`factor_gf2`) —
         or, when the known set has not moved since a failed attempt,
@@ -1109,61 +1075,6 @@ class PeelingEngine:
             out, dtype=np.uint8).reshape(len(cols), width)
 
 
-def gf2_gauss_jordan(mat: np.ndarray, num_cols: int,
-                     rhs: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    """In-place Gauss-Jordan over GF(2) on a bit-packed matrix.
-
-    Returns the row index holding each column's pivot (so ``rhs[result]``
-    lists the solved values column by column), or ``None`` when the
-    matrix does not have full column rank.  Every ``rhs`` row is XORed
-    along with its coefficient row, so ``rhs`` pivot rows hold the
-    solved values on success.  This is the reference backend's
-    eliminator and the tests' oracle for :func:`factor_gf2`.
-    """
-    solved, _ = _gf2_eliminate(mat, num_cols, rhs)
-    return solved
-
-
-def _gf2_eliminate(mat: np.ndarray, num_cols: int,
-                   rhs: Optional[np.ndarray]
-                   ) -> Tuple[Optional[np.ndarray], int]:
-    """:func:`gf2_gauss_jordan` plus the achieved rank.
-
-    Elimination continues past pivotless columns so that the reported
-    rank is the matrix's true row rank, which the stall gate of
-    :meth:`PeelingEngine.maybe_inactivate` turns into a lower bound on
-    how many more equations a retry needs.
-    """
-    num_rows = mat.shape[0]
-    inline = rhs is not None
-    pivot_row_of_col = np.full(num_cols, -1, dtype=np.int64)
-    row = 0
-    for col in range(num_cols):
-        if row >= num_rows:
-            break
-        word, bit = col >> 6, np.uint64(col & 63)
-        column_bits = (mat[row:, word] >> bit) & np.uint64(1)
-        hits = np.nonzero(column_bits)[0]
-        if hits.size == 0:
-            continue
-        pivot = row + int(hits[0])
-        if pivot != row:
-            mat[[row, pivot]] = mat[[pivot, row]]
-            if inline:
-                rhs[[row, pivot]] = rhs[[pivot, row]]
-        mask = ((mat[:, word] >> bit) & np.uint64(1)).astype(bool)
-        mask[row] = False
-        if np.any(mask):
-            mat[mask] ^= mat[row]
-            if inline:
-                rhs[mask] ^= rhs[row]
-        pivot_row_of_col[col] = row
-        row += 1
-    if row < num_cols:
-        return None, row
-    return pivot_row_of_col, row
-
-
 # -- recorded solve plans ------------------------------------------------------
 
 
@@ -1215,10 +1126,8 @@ class SolvePlan:
     def apply(self, inputs: np.ndarray) -> np.ndarray:
         """Solve for all node values given an ``(num_inputs, P)`` block.
 
-        Returns the ``(num_nodes, P)`` solution block.  Both codec
-        backends replay the identical schedule — the vectorized one as
-        per-wave segmented reductions, the reference one as a plain
-        row-at-a-time XOR loop — so their outputs are byte-identical.
+        Returns the ``(num_nodes, P)`` solution block, one segmented
+        reduction per wave (:func:`~repro.utils.packed.apply_xor_schedule`).
         """
         inputs = np.ascontiguousarray(inputs, dtype=np.uint8)
         if inputs.ndim != 2 or inputs.shape[0] != self.num_inputs:
@@ -1229,10 +1138,7 @@ class SolvePlan:
         arena = np.zeros((self.num_inputs + 1 + self.num_nodes, width),
                          dtype=np.uint8)
         arena[:self.num_inputs] = inputs
-        if is_vectorized():
-            apply_xor_schedule(arena, self.waves)
-        else:
-            apply_xor_schedule_scalar(arena, self.waves)
+        apply_xor_schedule(arena, self.waves)
         return arena[self.num_inputs + 1:]
 
 

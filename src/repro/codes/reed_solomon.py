@@ -33,7 +33,6 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from repro.codes.backend import is_vectorized
 from repro.codes.base import BlockEncoder, ErasureCode, as_packet_block
 from repro.errors import DecodeFailure, ParameterError
 from repro.gf import (
@@ -56,11 +55,11 @@ class _RSBlockEncoder(BlockEncoder):
 
     Source rows are served straight from the source block; redundancy
     rows are products of single redundancy-matrix rows with the source,
-    computed in batches on first request and cached.  Over GF(2^8) under
-    the vectorized backend the source's nibble product tables (32x the
-    source bytes) are built once and reused across batches, so scattered
-    row requests cost the same per row as one monolithic encode; they
-    are dropped as soon as every redundancy row is cached.
+    computed in batches on first request and cached.  Over GF(2^8) the
+    source's nibble product tables (32x the source bytes) are built once
+    and reused across batches, so scattered row requests cost the same
+    per row as one monolithic encode; they are dropped as soon as every
+    redundancy row is cached.
     """
 
     _code: "ReedSolomonCode"
@@ -81,8 +80,7 @@ class _RSBlockEncoder(BlockEncoder):
             return
         code = self._code
         sub = code._redundancy_matrix[missing]
-        if is_vectorized() and code.field.dtype.itemsize == 1 \
-                and getattr(code.field, "_mul_table", None) is not None:
+        if getattr(code.field, "_mul_table", None) is not None:
             if self._tables is None:
                 self._tables = gf256_packet_tables(self._source)
             self._redundant[missing] = gf256_matvec_cached(sub, self._tables)

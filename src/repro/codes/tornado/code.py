@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.codes.backend import is_vectorized
 from repro.codes.base import (
     BlockEncoder,
     DecoderBackedCode,
@@ -107,9 +106,8 @@ class TornadoCode(DecoderBackedCode, ErasureCode):
             gathered = left[graph.edge_left]
             # One segmented XOR per right node; eight bytes per lane when
             # the payload width packs into uint64 words.
-            packed = xor_view(gathered) if is_vectorized() else gathered
             rights = np.bitwise_xor.reduceat(
-                packed, graph.right_indptr[:-1], axis=0)
+                xor_view(gathered), graph.right_indptr[:-1], axis=0)
             if rights.dtype == np.uint64:
                 rights = rights.view(np.uint8)
             off = st.layer_offsets[gi + 1]

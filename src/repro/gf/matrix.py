@@ -22,7 +22,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.codes.backend import is_vectorized
 from repro.errors import ParameterError, SingularMatrixError
 from repro.gf.field import BinaryExtensionField
 
@@ -310,41 +309,32 @@ def gf_matvec_packets(mat: np.ndarray, packets: np.ndarray,
         raise ParameterError(
             f"matrix has {mat.shape[1]} columns but {packets.shape[0]} packets given")
     out = np.zeros((mat.shape[0], packets.shape[1]), dtype=field.dtype)
-    if is_vectorized():
-        table = getattr(field, "_mul_table", None)
-        if table is not None and mat.shape[0] >= 8 and mat.shape[1] > 0:
-            return _gf256_matvec_nibble(mat, packets, out)
-        if table is not None:
-            # GF(2^8), few output rows: per matrix column, a (rows, 256)
-            # row-select then a width-sized column gather, XOR-accumulated.
-            # Keeps every intermediate uint8-sized.
-            matl = mat.astype(np.intp)
-            pk = packets.astype(np.intp)
-            for j in range(mat.shape[1]):
-                out ^= np.take(table[matl[:, j]], pk[j], axis=1)
-            return out
-        # Wider fields: hoist the log gathers out of the loop and rely
-        # on the zero-sentinel tables — one int add plus one
-        # width-native exp gather per entry, no masking passes.
-        # Columns are processed in chunks sized to keep the 3-D gather
-        # under ~4 MB; zero matrix entries land in the zero tail of the
-        # exp table, so the XOR-reduce over a chunk needs no filtering.
-        logm = field._log_z[mat.astype(np.int64)]
-        logp = field._log_z[packets.astype(np.int64)]
-        width = packets.shape[1]
-        step = max(1, (4 << 20) // max(1, mat.shape[0] * width))
-        for j in range(0, mat.shape[1], step):
-            hi = min(j + step, mat.shape[1])
-            prod = field._exp_z[logm[:, j:hi, None] + logp[None, j:hi]]
-            out ^= np.bitwise_xor.reduce(prod, axis=1)
+    table = getattr(field, "_mul_table", None)
+    if table is not None and mat.shape[0] >= 8 and mat.shape[1] > 0:
+        return _gf256_matvec_nibble(mat, packets, out)
+    if table is not None:
+        # GF(2^8), few output rows: per matrix column, a (rows, 256)
+        # row-select then a width-sized column gather, XOR-accumulated.
+        # Keeps every intermediate uint8-sized.
+        matl = mat.astype(np.intp)
+        pk = packets.astype(np.intp)
+        for j in range(mat.shape[1]):
+            out ^= np.take(table[matl[:, j]], pk[j], axis=1)
         return out
-    for j in range(mat.shape[1]):
-        column = mat[:, j]
-        nz = np.nonzero(column)[0]
-        if nz.size == 0:
-            continue
-        prod = field.mul_vec(column[nz][:, None], packets[j][None, :])
-        out[nz] ^= prod
+    # Wider fields: hoist the log gathers out of the loop and rely
+    # on the zero-sentinel tables — one int add plus one
+    # width-native exp gather per entry, no masking passes.
+    # Columns are processed in chunks sized to keep the 3-D gather
+    # under ~4 MB; zero matrix entries land in the zero tail of the
+    # exp table, so the XOR-reduce over a chunk needs no filtering.
+    logm = field._log_z[mat.astype(np.int64)]
+    logp = field._log_z[packets.astype(np.int64)]
+    width = packets.shape[1]
+    step = max(1, (4 << 20) // max(1, mat.shape[0] * width))
+    for j in range(0, mat.shape[1], step):
+        hi = min(j + step, mat.shape[1])
+        prod = field._exp_z[logm[:, j:hi, None] + logp[None, j:hi]]
+        out ^= np.bitwise_xor.reduce(prod, axis=1)
     return out
 
 

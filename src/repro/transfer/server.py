@@ -41,7 +41,6 @@ from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.codes.backend import is_vectorized
 from repro.codes.base import bytes_to_packets
 from repro.codes.lt.encoder import xor_neighbours
 from repro.codes.raptor.code import RaptorCode
@@ -122,14 +121,8 @@ class _DropletStack:
 
         Systematic rows are one row gather; droplet rows go through one
         neighbour derivation per spec group, shifted to their block's
-        rows of the stack, and one XOR gather over it.  The reference
-        backend keeps its per-droplet path.
+        rows of the stack, and one XOR gather over it.
         """
-        if not is_vectorized():
-            for row, (block, index) in enumerate(zip(blocks.tolist(),
-                                                     indices.tolist())):
-                out[row] = self.encoders[block].droplet_payload(index)
-            return
         systematic = indices < self._systematic[blocks]
         out[systematic] = self.rows[self._first[blocks[systematic]]
                                     + indices[systematic]]

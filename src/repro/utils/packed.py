@@ -25,8 +25,8 @@ import numpy as np
 
 from repro.errors import ParameterError
 
-__all__ = ["LANE_BYTES", "apply_xor_schedule", "apply_xor_schedule_scalar",
-           "pack_rows", "unpack_rows", "xor_view"]
+__all__ = ["LANE_BYTES", "apply_xor_schedule", "pack_rows", "unpack_rows",
+           "xor_view"]
 
 #: bytes per packed lane (one uint64 word).
 LANE_BYTES = 8
@@ -98,21 +98,3 @@ def apply_xor_schedule(arena: np.ndarray,
     view = xor_view(arena)
     for dst, indptr, src in waves:
         view[dst] = np.bitwise_xor.reduceat(view[src], indptr[:-1], axis=0)
-
-
-def apply_xor_schedule_scalar(arena: np.ndarray,
-                              waves: Sequence[Tuple[np.ndarray, np.ndarray,
-                                                    np.ndarray]]) -> None:
-    """Reference twin of :func:`apply_xor_schedule`: one row at a time.
-
-    Same schedule, same bytes — the loop XORs each destination's source
-    rows directly in uint8, which is the backend-discipline oracle the
-    differential tests compare the lane-packed replay against.
-    """
-    for dst, indptr, src in waves:
-        for j in range(dst.size):
-            lo, hi = int(indptr[j]), int(indptr[j + 1])
-            row = arena[src[lo]].copy()
-            for t in src[lo + 1:hi].tolist():
-                row ^= arena[t]
-            arena[dst[j]] = row

@@ -1,27 +1,23 @@
-"""Shared helpers for the backend differential tests.
+"""Shared test oracles and harnesses.
 
-The vectorized and reference backends must be *observationally
-identical*: same spec + seed + loss realisation in, byte-identical
-packets and recoveries out.  These helpers run one complete
-encode -> lossy channel -> incremental decode round trip under a chosen
-backend and capture everything an outside observer could see, so the
-tests reduce to ``run_roundtrip("reference", ...) ==
-run_roundtrip("vectorized", ...)``.
-
-The loss realisation is drawn from its own rng, outside the backend
-under test, so both backends face exactly the same erasures.
+:func:`run_roundtrip` runs one encode -> lossy channel -> incremental
+decode trajectory and captures what an outside observer could see;
+``tests/golden/reference_trajectories.json`` holds those trajectories
+as the retired one-packet-at-a-time codec paths produced them.
 """
 
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import json
+import pathlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.codes.backend import use_backend
 from repro.codes.base import ErasureCode
 from repro.codes.registry import REGISTRY, build_code, incremental_decoder
 from repro.errors import DecodeFailure, ParameterError, ProtocolError
@@ -33,6 +29,11 @@ from repro.net.transport.base import FRAME_FEEDBACK, iter_frames
 #: seed-mixing constant so the loss stream never collides with the
 #: source-data stream derived from the same test seed.
 _LOSS_SALT = 0x10555EED
+
+#: the reference codec paths' trajectories, recorded once (see the
+#: module docstring of ``tests/test_differential_codecs.py``).
+REFERENCE_GOLDEN = (pathlib.Path(__file__).resolve().parent / "golden"
+                    / "reference_trajectories.json")
 
 
 @dataclass
@@ -48,6 +49,29 @@ class RoundTrip:
     #: reconstructed source bytes, or None when incomplete.
     recovered: Optional[bytes]
 
+    def digest(self) -> dict:
+        """The golden form: counters as they are, bytes as sha256."""
+        return {"encoded": sha256(self.encoded),
+                "packets_fed": self.packets_fed,
+                "complete": self.complete,
+                "recovered": (None if self.recovered is None
+                              else sha256(self.recovered))}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def reference_golden() -> dict:
+    """The recorded reference trajectories, by section and case key."""
+    return json.loads(REFERENCE_GOLDEN.read_text())
+
+
+def roundtrip_key(spec: str, k: int, payload_size: int, seed: int,
+                  loss: float = 0.3, emissions: Optional[int] = None) -> str:
+    return (f"{spec} k={k} P={payload_size} seed={seed} loss={loss} "
+            f"emissions={emissions}")
+
 
 def make_source(k: int, payload_size: int, seed: int) -> np.ndarray:
     """Deterministic random ``(k, P)`` uint8 source block."""
@@ -61,11 +85,10 @@ def loss_realisation(count: int, loss: float, seed: int) -> np.ndarray:
     return rng.random(count) >= loss
 
 
-def run_roundtrip(backend: str, spec: str, k: int, payload_size: int,
-                  seed: int, loss: float = 0.3,
-                  emissions: Optional[int] = None,
+def run_roundtrip(spec: str, k: int, payload_size: int, seed: int,
+                  loss: float = 0.3, emissions: Optional[int] = None,
                   batch_size: Optional[int] = None) -> RoundTrip:
-    """One full round trip under ``backend``; see :class:`RoundTrip`.
+    """One full round trip; see :class:`RoundTrip`.
 
     Fixed-rate families emit their whole ``(n, P)`` encoding; rateless
     families mint ``emissions`` droplets (default ``3 * k``).  Survivors
@@ -80,113 +103,51 @@ def run_roundtrip(backend: str, spec: str, k: int, payload_size: int,
     rateless = REGISTRY.is_rateless(spec)
     if emissions is None:
         emissions = 3 * k if rateless else None
-    with use_backend(backend):
-        code = build_code(spec, k, seed=seed)
-        if rateless:
-            encoded = code.encode(source, emissions)
-        else:
-            encoded = code.encode(source)
-        mask = loss_realisation(encoded.shape[0], loss, seed)
-        decoder = incremental_decoder(code, payload_size=payload_size)
-        fed = 0
-        survivors = np.nonzero(mask)[0]
-        if batch_size is None:
-            for index in survivors:
-                fed += 1
-                # add_packet's return value means "was new" for some
-                # decoders; is_complete is the portable completion signal.
-                decoder.add_packet(int(index), encoded[index])
-                if decoder.is_complete:
-                    break
-        else:
-            for start in range(0, survivors.size, batch_size):
-                chunk = survivors[start:start + batch_size]
-                fed += int(chunk.size)
-                decoder.add_packets(chunk.tolist(), encoded[chunk])
-                if decoder.is_complete:
-                    break
-        complete = bool(decoder.is_complete)
-        recovered = decoder.source_data().tobytes() if complete else None
+    code = build_code(spec, k, seed=seed)
+    if rateless:
+        encoded = code.encode(source, emissions)
+    else:
+        encoded = code.encode(source)
+    mask = loss_realisation(encoded.shape[0], loss, seed)
+    decoder = incremental_decoder(code, payload_size=payload_size)
+    fed = 0
+    survivors = np.nonzero(mask)[0]
+    if batch_size is None:
+        for index in survivors:
+            fed += 1
+            # add_packet's return value means "was new" for some
+            # decoders; is_complete is the portable completion signal.
+            decoder.add_packet(int(index), encoded[index])
+            if decoder.is_complete:
+                break
+    else:
+        for start in range(0, survivors.size, batch_size):
+            chunk = survivors[start:start + batch_size]
+            fed += int(chunk.size)
+            decoder.add_packets(chunk.tolist(), encoded[chunk])
+            if decoder.is_complete:
+                break
+    complete = bool(decoder.is_complete)
+    recovered = decoder.source_data().tobytes() if complete else None
     return RoundTrip(encoded=encoded.tobytes(), packets_fed=fed,
                      complete=complete, recovered=recovered)
 
 
-def assert_backends_identical(spec: str, k: int, payload_size: int,
-                              seed: int, loss: float = 0.3,
-                              emissions: Optional[int] = None) -> RoundTrip:
-    """Run both backends and assert observational identity.
-
-    Returns the reference run so callers can make further assertions
-    (e.g. that the recovery actually equals the source).
-    """
-    reference = run_roundtrip("reference", spec, k, payload_size, seed,
-                              loss=loss, emissions=emissions)
-    vectorized = run_roundtrip("vectorized", spec, k, payload_size, seed,
-                               loss=loss, emissions=emissions)
-    assert vectorized.encoded == reference.encoded, \
-        f"{spec} k={k} P={payload_size} seed={seed}: encoded bytes differ"
-    assert vectorized.complete == reference.complete, \
-        f"{spec} k={k} P={payload_size} seed={seed}: decode outcome differs"
-    assert vectorized.packets_fed == reference.packets_fed, \
-        f"{spec} k={k} P={payload_size} seed={seed}: completion point differs"
-    assert vectorized.recovered == reference.recovered, \
-        f"{spec} k={k} P={payload_size} seed={seed}: recovered bytes differ"
-    return reference
-
-
-def assert_batched_identical(spec: str, k: int, payload_size: int,
-                             seed: int, loss: float = 0.3,
-                             batch_sizes: tuple = (1, 3, 17, 256),
-                             emissions: Optional[int] = None) -> RoundTrip:
-    """Batched intake recovers the exact bytes of one-at-a-time feeding.
-
-    Runs the per-packet reference round trip once, then replays the
-    same survivor stream through ``add_packets`` under both backends
-    for every batch size: completion outcome and recovered bytes must
-    match, and a batch can only overshoot the sequential completion
-    point by the slack inside its final chunk.
-    """
-    sequential = run_roundtrip("reference", spec, k, payload_size, seed,
-                               loss=loss, emissions=emissions)
-    for backend in ("reference", "vectorized"):
-        for batch_size in batch_sizes:
-            batched = run_roundtrip(backend, spec, k, payload_size, seed,
-                                    loss=loss, emissions=emissions,
-                                    batch_size=batch_size)
-            label = (f"{spec} k={k} seed={seed} backend={backend} "
-                     f"batch={batch_size}")
-            assert batched.complete == sequential.complete, \
-                f"{label}: decode outcome differs from sequential"
-            assert batched.recovered == sequential.recovered, \
-                f"{label}: recovered bytes differ from sequential"
-            if sequential.complete:
-                slack = batch_size - 1
-                assert (sequential.packets_fed <= batched.packets_fed
-                        <= sequential.packets_fed + slack), \
-                    f"{label}: completion point outside chunk slack"
-    return sequential
-
-
-def raptor_encode_pair(backend: str, k: int, payload_size: int,
-                       seed: int, **params: float):
+def raptor_encode_pair(k: int, payload_size: int, seed: int,
+                       **params: float) -> Tuple[bytes, bytes]:
     """Raptor intermediates via the cached solve plan and the pre-solve.
 
-    Builds one geometry (through the process-wide cache, so the test
-    exercises the exact objects production encoders receive) and runs
-    the same source block through both encode paths under ``backend``:
-    the recorded-plan replay and the retired per-block peeling
-    pre-solve, which stays in the tree precisely to serve as this
-    oracle.  Returns ``(plan_bytes, presolve_bytes)``.
+    One cached geometry (the objects production encoders receive), the
+    same source block through the recorded-plan replay and the per-block
+    peeling pre-solve.  Returns ``(plan_bytes, presolve_bytes)``.
     """
     from repro.codes.raptor.cache import cached_raptor_assets
     from repro.codes.raptor.encoder import RaptorEncoder
 
     source = make_source(k, payload_size, seed)
-    with use_backend(backend):
-        assets = cached_raptor_assets(k, seed=seed, **params)
-        fast = RaptorEncoder(assets.geometry, source,
-                             plan=assets.encode_plan())
-        slow = RaptorEncoder(assets.geometry, source)
+    assets = cached_raptor_assets(k, seed=seed, **params)
+    fast = RaptorEncoder(assets.geometry, source, plan=assets.encode_plan())
+    slow = RaptorEncoder(assets.geometry, source)
     return fast.intermediates.tobytes(), slow.intermediates.tobytes()
 
 
@@ -404,18 +365,12 @@ def eager_tornado_decoder(structure, payload_size=None, inactivation_limit=0):
     return decoder
 
 
-# -- per-packet serve loops (the windowed transports' oracles) -----------------
-#
-# The memory, file and (at the end of the module) UDP serve loops
-# exactly as they ran before the send path went windowed: one packet
-# pulled, one loss draw per subscriber, one shadow ``receive_index`` at
-# a time.  ``tests/test_windowed_serve.py`` holds the windowed ``serve``
-# methods to these, byte for byte.
+# -- GF(2) elimination (the finisher's oracle) ------------------------------
 
 
 def pack_gf2_rows(coeffs: np.ndarray) -> np.ndarray:
-    """A ``(rows, cols)`` bool matrix as the bit-packed uint64 rows the
-    reference eliminator (:func:`gf2_gauss_jordan`) works on."""
+    """A ``(rows, cols)`` bool matrix as the bit-packed uint64 rows
+    :func:`gf2_eliminate` works on."""
     coeffs = np.asarray(coeffs, dtype=bool)
     num_rows, num_cols = coeffs.shape
     padded = np.zeros((num_rows, ((num_cols + 63) // 64) * 64), dtype=np.uint8)
@@ -424,21 +379,68 @@ def pack_gf2_rows(coeffs: np.ndarray) -> np.ndarray:
         np.packbits(padded, axis=1, bitorder="little").view(np.uint64))
 
 
+def gf2_eliminate(mat: np.ndarray, num_cols: int,
+                  rhs: Optional[np.ndarray]
+                  ) -> Tuple[Optional[np.ndarray], int]:
+    """In-place Gauss-Jordan over GF(2) on a bit-packed matrix.
+
+    Returns ``(pivots, rank)``: ``pivots`` is the row holding each
+    column's pivot (so ``rhs[pivots]`` lists the solved values column by
+    column), or ``None`` when the matrix lacks full column rank.  Every
+    ``rhs`` row is XORed along with its coefficient row; ``rank`` is
+    the true row rank.  The tests' oracle for ``factor_gf2``.
+    """
+    num_rows = mat.shape[0]
+    inline = rhs is not None
+    pivot_row_of_col = np.full(num_cols, -1, dtype=np.int64)
+    row = 0
+    for col in range(num_cols):
+        if row >= num_rows:
+            break
+        word, bit = col >> 6, np.uint64(col & 63)
+        column_bits = (mat[row:, word] >> bit) & np.uint64(1)
+        hits = np.nonzero(column_bits)[0]
+        if hits.size == 0:
+            continue
+        pivot = row + int(hits[0])
+        if pivot != row:
+            mat[[row, pivot]] = mat[[pivot, row]]
+            if inline:
+                rhs[[row, pivot]] = rhs[[pivot, row]]
+        mask = ((mat[:, word] >> bit) & np.uint64(1)).astype(bool)
+        mask[row] = False
+        if np.any(mask):
+            mat[mask] ^= mat[row]
+            if inline:
+                rhs[mask] ^= rhs[row]
+        pivot_row_of_col[col] = row
+        row += 1
+    if row < num_cols:
+        return None, row
+    return pivot_row_of_col, row
+
+
 def gf2_oracle_solve(coeffs: np.ndarray,
                      rhs: np.ndarray) -> Optional[np.ndarray]:
-    """Solve ``coeffs @ x = rhs`` over GF(2) with the reference eliminator.
+    """Solve ``coeffs @ x = rhs`` over GF(2) with :func:`gf2_eliminate`.
 
     ``coeffs`` is a ``(rows, cols)`` bool matrix, ``rhs`` a ``(rows, P)``
     uint8 payload block.  Returns the ``(cols, P)`` solution, or None
-    when the system lacks full column rank.  :func:`gf2_gauss_jordan`
-    is the one GF(2) eliminator the finisher, the solve plans and these
-    tests are all measured against.
+    when the system lacks full column rank.
     """
-    from repro.codes.peeling import gf2_gauss_jordan
     work = np.array(rhs, dtype=np.uint8)
-    solved = gf2_gauss_jordan(pack_gf2_rows(coeffs),
+    solved, _ = gf2_eliminate(pack_gf2_rows(coeffs),
                               np.asarray(coeffs).shape[1], work)
     return None if solved is None else work[solved]
+
+
+# -- per-packet serve loops (the windowed transports' oracles) -----------------
+#
+# The memory, file and (at the end of the module) UDP serve loops
+# exactly as they ran before the send path went windowed: one packet
+# pulled, one loss draw per subscriber, one shadow ``receive_index`` at
+# a time.  ``tests/test_windowed_serve.py`` holds the windowed ``serve``
+# methods to these, byte for byte.
 
 
 def oracle_memory_serve(transport, session, *, count=None, extra=0,
@@ -518,7 +520,6 @@ def oracle_memory_serve(transport, session, *, count=None, extra=0,
 
 def oracle_file_serve(transport, session, *, count=None, extra=0):
     """``FileTransport.serve``, one packet at a time."""
-    import json
     import time
 
     from repro import __version__
@@ -624,7 +625,6 @@ async def oracle_udp_serve_async(transport, session, *, count=None,
     ``to_bytes``, one ``pack_frame`` and one ``lost()`` verdict per
     destination at a time.  ``TestUdpServe`` holds the windowed serve
     to the datagrams this puts on the wire."""
-    import json
     import socket
     import time
 

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro.codes.backend import is_vectorized
 from repro.codes.registry import REGISTRY
 from repro.errors import ParameterError, ProtocolError
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss
@@ -626,11 +625,6 @@ class TestUdpAdaptive:
             raise errors[0]
         return holder["receiver"], serve_report, session
 
-    @pytest.mark.skipif(
-        not is_vectorized(),
-        reason="wall-clock economy claim: the scalar reference decoder "
-               "cannot drain 1 MiB at pace, so the completion report "
-               "lags the sender and the packet-count win is noise")
     def test_adaptive_beats_open_loop_provisioning(self):
         """Acceptance: >= 1 MiB across real UDP loopback at 20% bursty
         (Gilbert-Elliott) loss — the reporting receiver's complete

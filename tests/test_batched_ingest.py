@@ -18,7 +18,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro.codes.backend import use_backend
 from repro.codes.lt.decoder import LTDecoder
 from repro.codes.peeling import PeelingEngine
 from repro.codes.raptor.decoder import RaptorDecoder
@@ -31,12 +30,16 @@ from repro.errors import ParameterError
 from repro.fountain.client import FountainClient
 
 from tests._oracles import (
-    assert_batched_identical,
     eager_lt_decoder,
     eager_raptor_decoder,
     eager_tornado_decoder,
     make_source,
+    reference_golden,
+    roundtrip_key,
+    run_roundtrip,
+    sha256,
 )
+from tests._routes import DECODE_ROUTES, decode_route
 
 # -- batched vs sequential intake, all families ------------------------------
 
@@ -57,9 +60,32 @@ BATCH_CASES = [
 @pytest.mark.parametrize("spec,k", BATCH_CASES,
                          ids=[f"{s}-k{k}" for s, k in BATCH_CASES])
 def test_batched_intake_matches_sequential(spec, k, seed):
-    run = assert_batched_identical(spec, k, payload_size=24, seed=seed)
-    if run.complete:
-        assert run.recovered == make_source(k, 24, seed).tobytes()
+    """Batched intake recovers the exact bytes of one-at-a-time feeding.
+
+    The one-at-a-time trajectory is the reference paths' recording
+    (``tests/golden/reference_trajectories.json``), and the shipped
+    decoder fed one packet per call must reproduce it.  Fed through
+    ``add_packets`` in chunks, every batch size reaches the same outcome
+    and bytes, and overshoots the sequential completion point by no
+    more than the slack inside its final chunk.
+    """
+    sequential = reference_golden()["roundtrips"][
+        roundtrip_key(spec, k, 24, seed)]
+    assert run_roundtrip(spec, k, 24, seed).digest() == sequential
+    for batch_size in (1, 3, 17, 256):
+        batched = run_roundtrip(spec, k, 24, seed,
+                                batch_size=batch_size).digest()
+        label = f"{spec} k={k} seed={seed} batch={batch_size}"
+        assert batched["encoded"] == sequential["encoded"], label
+        assert batched["complete"] == sequential["complete"], label
+        assert batched["recovered"] == sequential["recovered"], label
+        if sequential["complete"]:
+            fed = sequential["packets_fed"]
+            assert fed <= batched["packets_fed"] <= fed + batch_size - 1, \
+                label
+    if sequential["complete"]:
+        assert sequential["recovered"] == sha256(
+            make_source(k, 24, seed).tobytes())
 
 
 # -- property: arrival order and batch partition are irrelevant --------------
@@ -137,20 +163,17 @@ def _feed_system(engine, source, rows):
 _STALLED_FULL_RANK = [[0, 1], [1, 2], [2, 3], [0, 3], [0, 1, 2]]
 
 
-@pytest.mark.parametrize("backend", ["reference", "vectorized"])
-def test_finisher_solves_fully_stalled_system(backend):
+def test_finisher_solves_fully_stalled_system(route):
     source = make_source(4, 8, seed=5)
-    with use_backend(backend):
-        engine = PeelingEngine(4, payload_size=8, inactivation_limit=4)
-        _feed_system(engine, source, _STALLED_FULL_RANK)
-        assert not engine.is_complete  # no ripple ever started
-        engine.maybe_inactivate()
-        assert engine.is_complete
-        assert np.array_equal(engine.source_data(), source)
+    engine = PeelingEngine(4, payload_size=8, inactivation_limit=4)
+    _feed_system(engine, source, _STALLED_FULL_RANK)
+    assert not engine.is_complete  # no ripple ever started
+    engine.maybe_inactivate()
+    assert engine.is_complete
+    assert np.array_equal(engine.source_data(), source)
 
 
-@pytest.mark.parametrize("backend", ["reference", "vectorized"])
-def test_finisher_failed_attempt_then_closing_row(backend):
+def test_finisher_failed_attempt_then_closing_row(route):
     """A singular stall records its deficit; the closing row finishes it.
 
     ``{0,1},{1,2},{0,2}`` is a dependent cycle (rank 2), ``{2,3}``
@@ -159,15 +182,14 @@ def test_finisher_failed_attempt_then_closing_row(backend):
     all-even span) must complete the decode on arrival.
     """
     source = make_source(4, 8, seed=9)
-    with use_backend(backend):
-        engine = PeelingEngine(4, payload_size=8, inactivation_limit=4)
-        _feed_system(engine, source, [[0, 1], [1, 2], [0, 2], [2, 3]])
-        engine.maybe_inactivate()
-        assert not engine.is_complete
-        _feed_system(engine, source, [[0, 1, 2]])
-        engine.maybe_inactivate()
-        assert engine.is_complete
-        assert np.array_equal(engine.source_data(), source)
+    engine = PeelingEngine(4, payload_size=8, inactivation_limit=4)
+    _feed_system(engine, source, [[0, 1], [1, 2], [0, 2], [2, 3]])
+    engine.maybe_inactivate()
+    assert not engine.is_complete
+    _feed_system(engine, source, [[0, 1, 2]])
+    engine.maybe_inactivate()
+    assert engine.is_complete
+    assert np.array_equal(engine.source_data(), source)
 
 
 def test_finisher_solves_batch_entered_system():
@@ -275,7 +297,7 @@ def _droplet_stream(k, seed):
     return np.insert(ids, where, repeats)
 
 
-#: (backend, spec, seed, feeding) -> (packets fed when complete,
+#: (route, spec, seed, feeding) -> (packets fed when complete,
 #: inactivation runs, final (packets_added, duplicates_seen,
 #: redundant_droplets, min_additional_packets), crc32 of the repr of the
 #: whole per-call trajectory of that 4-tuple) — recorded at the parent
@@ -283,37 +305,39 @@ def _droplet_stream(k, seed):
 #: ``"sys"`` rows whose redundancy reads as its batch-path twin's were
 #: re-recorded when one intake body replaced the scalar one: a droplet
 #: that finds (or makes) the block complete is redundant at any size.
+#: The ``per-row`` rows are the scalar reference decoder's, which took
+#: that route: five of them differ from their ``batched`` twin.
 _PINNED = {
-    ("reference", "lt", 1, "bulk"): (64, 0, (80, 10, 36, 0), 0x6B54B509),
-    ("reference", "lt", 1, "single"): (51, 4, (80, 10, 38, 0), 0xA04818D5),
-    ("reference", "lt", 1, "small"): (51, 2, (80, 10, 38, 0), 0x0708EA85),
-    ("reference", "lt", 2, "bulk"): (64, 0, (80, 10, 27, 0), 0x1AAD2973),
-    ("reference", "lt", 2, "single"): (47, 4, (80, 10, 37, 0), 0x6D8B064E),
-    ("reference", "lt", 2, "small"): (48, 3, (80, 10, 37, 0), 0xF7AD2B12),
-    ("reference", "raptor", 1, "bulk"): (64, 1, (80, 10, 24, 0), 0x4D64F2B7),
-    ("reference", "raptor", 1, "single"): (48, 4, (80, 10, 37, 0), 0xE965DCC3),
-    ("reference", "raptor", 1, "small"): (48, 2, (80, 10, 37, 0), 0xC8992501),
-    ("reference", "raptor", 2, "bulk"): (64, 1, (80, 10, 24, 0), 0xEADC62E0),
-    ("reference", "raptor", 2, "single"): (44, 2, (80, 10, 39, 0), 0x6A1AAA13),
-    ("reference", "raptor", 2, "small"): (45, 2, (80, 10, 39, 0), 0xD23A909D),
-    ("reference", "raptor", "sys", "bulk"): (64, 0, (60, 10, 28, 0), 0x68E862FA),
-    ("reference", "raptor", "sys", "single"): (40, 0, (60, 10, 21, 0), 0x8F3A3A5A),
-    ("reference", "raptor", "sys", "small"): (42, 0, (60, 10, 21, 0), 0x368BE624),
-    ("vectorized", "lt", 1, "bulk"): (64, 1, (80, 10, 24, 0), 0x4D64F2B7),
-    ("vectorized", "lt", 1, "single"): (51, 5, (80, 10, 35, 0), 0x0412FFFF),
-    ("vectorized", "lt", 1, "small"): (51, 3, (80, 10, 35, 0), 0x4C9F0256),
-    ("vectorized", "lt", 2, "bulk"): (64, 1, (80, 10, 24, 0), 0xEADC62E0),
-    ("vectorized", "lt", 2, "single"): (47, 4, (80, 10, 37, 0), 0x6D8B064E),
-    ("vectorized", "lt", 2, "small"): (48, 3, (80, 10, 36, 0), 0x4C083C48),
-    ("vectorized", "raptor", 1, "bulk"): (64, 1, (80, 10, 24, 0), 0x4D64F2B7),
-    ("vectorized", "raptor", 1, "single"): (48, 4, (80, 10, 37, 0), 0xE965DCC3),
-    ("vectorized", "raptor", 1, "small"): (48, 2, (80, 10, 37, 0), 0xC8992501),
-    ("vectorized", "raptor", 2, "bulk"): (64, 1, (80, 10, 24, 0), 0xEADC62E0),
-    ("vectorized", "raptor", 2, "single"): (44, 2, (80, 10, 39, 0), 0x6A1AAA13),
-    ("vectorized", "raptor", 2, "small"): (45, 2, (80, 10, 39, 0), 0xD23A909D),
-    ("vectorized", "raptor", "sys", "bulk"): (64, 0, (60, 10, 28, 0), 0x68E862FA),
-    ("vectorized", "raptor", "sys", "single"): (40, 0, (60, 10, 21, 0), 0x8F3A3A5A),
-    ("vectorized", "raptor", "sys", "small"): (42, 0, (60, 10, 21, 0), 0x368BE624),
+    ("per-row", "lt", 1, "bulk"): (64, 0, (80, 10, 36, 0), 0x6B54B509),
+    ("per-row", "lt", 1, "single"): (51, 4, (80, 10, 38, 0), 0xA04818D5),
+    ("per-row", "lt", 1, "small"): (51, 2, (80, 10, 38, 0), 0x0708EA85),
+    ("per-row", "lt", 2, "bulk"): (64, 0, (80, 10, 27, 0), 0x1AAD2973),
+    ("per-row", "lt", 2, "single"): (47, 4, (80, 10, 37, 0), 0x6D8B064E),
+    ("per-row", "lt", 2, "small"): (48, 3, (80, 10, 37, 0), 0xF7AD2B12),
+    ("per-row", "raptor", 1, "bulk"): (64, 1, (80, 10, 24, 0), 0x4D64F2B7),
+    ("per-row", "raptor", 1, "single"): (48, 4, (80, 10, 37, 0), 0xE965DCC3),
+    ("per-row", "raptor", 1, "small"): (48, 2, (80, 10, 37, 0), 0xC8992501),
+    ("per-row", "raptor", 2, "bulk"): (64, 1, (80, 10, 24, 0), 0xEADC62E0),
+    ("per-row", "raptor", 2, "single"): (44, 2, (80, 10, 39, 0), 0x6A1AAA13),
+    ("per-row", "raptor", 2, "small"): (45, 2, (80, 10, 39, 0), 0xD23A909D),
+    ("per-row", "raptor", "sys", "bulk"): (64, 0, (60, 10, 28, 0), 0x68E862FA),
+    ("per-row", "raptor", "sys", "single"): (40, 0, (60, 10, 21, 0), 0x8F3A3A5A),
+    ("per-row", "raptor", "sys", "small"): (42, 0, (60, 10, 21, 0), 0x368BE624),
+    ("batched", "lt", 1, "bulk"): (64, 1, (80, 10, 24, 0), 0x4D64F2B7),
+    ("batched", "lt", 1, "single"): (51, 5, (80, 10, 35, 0), 0x0412FFFF),
+    ("batched", "lt", 1, "small"): (51, 3, (80, 10, 35, 0), 0x4C9F0256),
+    ("batched", "lt", 2, "bulk"): (64, 1, (80, 10, 24, 0), 0xEADC62E0),
+    ("batched", "lt", 2, "single"): (47, 4, (80, 10, 37, 0), 0x6D8B064E),
+    ("batched", "lt", 2, "small"): (48, 3, (80, 10, 36, 0), 0x4C083C48),
+    ("batched", "raptor", 1, "bulk"): (64, 1, (80, 10, 24, 0), 0x4D64F2B7),
+    ("batched", "raptor", 1, "single"): (48, 4, (80, 10, 37, 0), 0xE965DCC3),
+    ("batched", "raptor", 1, "small"): (48, 2, (80, 10, 37, 0), 0xC8992501),
+    ("batched", "raptor", 2, "bulk"): (64, 1, (80, 10, 24, 0), 0xEADC62E0),
+    ("batched", "raptor", 2, "single"): (44, 2, (80, 10, 39, 0), 0x6A1AAA13),
+    ("batched", "raptor", 2, "small"): (45, 2, (80, 10, 39, 0), 0xD23A909D),
+    ("batched", "raptor", "sys", "bulk"): (64, 0, (60, 10, 28, 0), 0x68E862FA),
+    ("batched", "raptor", "sys", "single"): (40, 0, (60, 10, 21, 0), 0x8F3A3A5A),
+    ("batched", "raptor", "sys", "small"): (42, 0, (60, 10, 21, 0), 0x368BE624),
 }
 _STEP = {"single": 1, "small": 3, "bulk": 32}
 
@@ -321,10 +345,10 @@ _STEP = {"single": 1, "small": 3, "bulk": 32}
 @pytest.mark.parametrize("key", sorted(_PINNED, key=repr), ids=lambda key:
                          "-".join(str(part) for part in key))
 def test_droplet_decoder_counter_trajectories_are_pinned(key):
-    backend, spec, seed, feeding = key
+    route, spec, seed, feeding = key
     k, payload_size = 40, 8
     code_seed = 5 if seed == "sys" else seed
-    with use_backend(backend):
+    with decode_route(route):
         code = build_code(spec, k, seed=code_seed)
         source = np.random.default_rng(code_seed).integers(
             0, 256, size=(k, payload_size), dtype=np.uint8)
@@ -408,8 +432,8 @@ _TAIL_KINDS = ["unknown", "recovered", "spent", "duplicate"]
 def _stalled_tail(seed, step, structure, decoder, seen):
     """Chunks for a Tornado block whose tail stalls: a shuffled stream
     until the hold is over and the cap is solved, then — decided by the
-    decoder's state call by call, because that is where the vectorized
-    finisher keeps a factorization between attempts — one packet kind
+    decoder's state call by call, because that is where the finisher
+    keeps a factorization between attempts — one packet kind
     after another: a node nothing has recovered, a node peeling already
     has, cap redundancy the solved cap has no use for, a repeat.
     ``seen[kind]`` counts the tail packets fed while a factorization
@@ -458,13 +482,14 @@ def _held_and_eager(family, seed, size, k=None):
                                              code.inactivation_limit)
 
 
-def _check_against_eager(family, kind, seed, step, backend, payload, probe,
+def _check_against_eager(family, kind, seed, step, route, payload, probe,
                          k=None):
-    """Feed the shipped decoder and its eager oracle the same calls and
-    compare them after every one; returns the stalled tail's tally."""
+    """Feed the shipped decoder and its eager oracle, both on ``route``,
+    the same calls and compare them after every one; returns the
+    stalled tail's tally."""
     size = 8 if payload else None
     seen = dict.fromkeys(_TAIL_KINDS, 0)
-    with use_backend(backend):
+    with decode_route(route):
         code, held, eager = _held_and_eager(family, seed, size, k)
         source = make_source(code.k, 8, seed)
         droplets = code.n is None
@@ -513,20 +538,20 @@ def _check_against_eager(family, kind, seed, step, backend, payload, probe,
 
 
 @settings(max_examples=120, deadline=None)
-@example("tornado-b", "interleaved", 3251, 1, "vectorized", False, 0)
-@example("tornado-b", "repair-first", 14, 1, "vectorized", False, 0)
-@example("tornado-b", "repair-first", 36, 1, "vectorized", False, 0)
-@example("tornado-b", "interleaved", 13, 1, "vectorized", False, 0)
-@example("tornado-b", "duplicates", 13, 1, "vectorized", False, 0)
+@example("tornado-b", "interleaved", 3251, 1, "batched", False, 0)
+@example("tornado-b", "repair-first", 14, 1, "batched", False, 0)
+@example("tornado-b", "repair-first", 36, 1, "batched", False, 0)
+@example("tornado-b", "interleaved", 13, 1, "batched", False, 0)
+@example("tornado-b", "duplicates", 13, 1, "batched", False, 0)
 @given(family=st.sampled_from(["raptor", "lt", "tornado-a", "tornado-b"]),
        kind=st.sampled_from(_KINDS + ["stalled-tail"]),
        seed=st.integers(0, 2 ** 16),
        step=st.sampled_from([1, 3, 32]),
-       backend=st.sampled_from(["vectorized", "reference"]),
+       route=st.sampled_from(DECODE_ROUTES),
        payload=st.booleans(),
        probe=st.integers(0, 60))
 def test_deferred_intake_matches_eager_oracle(family, kind, seed, step,
-                                              backend, payload, probe):
+                                              route, payload, probe):
     """Same completing packet, bytes, counters and
     ``min_additional_packets`` after every single call, never more
     factorizations — and a read of partial state mid-hold (after call
@@ -547,13 +572,12 @@ def test_deferred_intake_matches_eager_oracle(family, kind, seed, step,
     attempts against 5 at call 206 of the first, 23 against 12 by its
     completion) each factor once where eager factors on every attempt.
     """
-    _check_against_eager(family, kind, seed, step, backend, payload, probe)
+    _check_against_eager(family, kind, seed, step, route, payload, probe)
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "reference"])
 @pytest.mark.parametrize("payload", [True, False])
 @pytest.mark.parametrize("k", [_K_CASCADE, _K_THREE_LAYERS])
-def test_tail_arrivals_fold_into_the_kept_factorization(k, payload, backend):
+def test_tail_arrivals_fold_into_the_kept_factorization(k, payload, route):
     """Every kind of packet a stalled Tornado tail can see — a node
     nothing has recovered, one peeling already has, spent cap
     redundancy, a repeat — lands while the finisher keeps a
@@ -566,144 +590,137 @@ def test_tail_arrivals_fold_into_the_kept_factorization(k, payload, backend):
     seen = dict.fromkeys(_TAIL_KINDS, 0)
     for seed, step in ((0, 1), (1, 1), (2, 3), (3, 32)):
         tally = _check_against_eager("tornado-b", "stalled-tail", seed, step,
-                                     backend, payload, probe=-1, k=k)
+                                     route, payload, probe=-1, k=k)
         for kind in seen:
             seen[kind] += tally[kind]
-    # only the vectorized finisher keeps a factorization between attempts
-    assert all(seen.values()) if backend == "vectorized" else not any(
-        seen.values())
+    assert all(seen.values())
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "reference"])
 @pytest.mark.parametrize("family", ["lt", "raptor", "tornado-b"])
-def test_hold_ends_on_the_packet_that_squares_the_system(family, backend):
+def test_hold_ends_on_the_packet_that_squares_the_system(family, route):
     """One packet at a time: nothing enters the engine while the block
     provably cannot complete, everything does on the arrival after which
-    it could, and rows enter as they come from then on.  Eager engines
-    (the reference backend's droplet decoders) never hold."""
-    with use_backend(backend):
-        k = _K if family != "tornado-b" else _K_CASCADE
-        code = build_code(family, k, seed=3)
-        decoder = code.new_decoder(None)
-        droplets = code.n is None
-        holds = not droplets or decoder._lazy_peel
-        ids = (np.arange(k, 4 * k) if droplets
-               else np.random.default_rng(3).permutation(code.n))
-        before = decoder._equations_seen
-        square = decoder.min_additional_packets
-        assert square == k
-        for fed, index in enumerate(ids.tolist(), start=1):
-            decoder.add_packet(index)
-            if not holds:
-                assert decoder.held_rows == 0
-            elif fed < square:
-                assert decoder.held_rows == fed
-                assert decoder._equations_seen == before
-                assert not decoder.known.any()
-                assert f"held_rows={fed}" in repr(decoder)
-            else:
-                assert decoder.held_rows == 0
-                if droplets:
-                    assert decoder._equations_seen == before + fed
-            if decoder.is_complete:
-                break
-        assert decoder.is_complete and decoder.held_rows == 0
+    it could, and rows enter as they come from then on.  A droplet
+    decoder on adjacency dicts (the per-row route) peels eagerly and
+    never holds."""
+    k = _K if family != "tornado-b" else _K_CASCADE
+    code = build_code(family, k, seed=3)
+    decoder = code.new_decoder(None)
+    droplets = code.n is None
+    holds = not droplets or decoder._lazy_peel
+    assert holds == (not droplets or route == "batched")
+    ids = (np.arange(k, 4 * k) if droplets
+           else np.random.default_rng(3).permutation(code.n))
+    before = decoder._equations_seen
+    square = decoder.min_additional_packets
+    assert square == k
+    for fed, index in enumerate(ids.tolist(), start=1):
+        decoder.add_packet(index)
+        if not holds:
+            assert decoder.held_rows == 0
+        elif fed < square:
+            assert decoder.held_rows == fed
+            assert decoder._equations_seen == before
+            assert not decoder.known.any()
+            assert f"held_rows={fed}" in repr(decoder)
+        else:
+            assert decoder.held_rows == 0
+            if droplets:
+                assert decoder._equations_seen == before + fed
+        if decoder.is_complete:
+            break
+    assert decoder.is_complete and decoder.held_rows == 0
 
 
 # -- a spent cap packet costs no re-factorization -----------------------------
 
-@pytest.mark.parametrize("backend", ["vectorized", "reference"])
 @pytest.mark.parametrize("payload", [True, False])
-def test_cap_redundancy_after_the_cap_is_solved_skips_the_engine(backend,
-                                                                 payload):
+def test_cap_redundancy_after_the_cap_is_solved_skips_the_engine(payload,
+                                                                 route):
     """Cap redundancy arriving after ``_cap_solved`` is in no XOR
     equation: it is counted and nothing else — the engine is not called
     and the finisher keeps its factorization."""
     size = 8 if payload else None
     spent_seen = kept_seen = 0
-    with use_backend(backend):
-        for seed in range(4):
-            code = build_code("tornado-b", _K_CASCADE, seed=seed)
-            st_ = code.structure
-            source = make_source(code.k, 8, seed)
-            encoded = code.encode(source)
-            decoder = code.new_decoder(size)
-            eager = eager_tornado_decoder(st_, size, code.inactivation_limit)
-            rng = np.random.default_rng(seed)
-            # the whole last layer (it solves the cap on release), then
-            # the layers under it, shuffled, with the cap's redundancy
-            # sprinkled through
-            body = rng.permutation(st_.last_layer_offset)
-            cap = np.arange(st_.cap_offset, st_.n)
-            where = np.sort(rng.integers(0, body.size, size=cap.size))
-            order = np.concatenate([
-                np.arange(st_.last_layer_offset, st_.cap_offset),
-                np.insert(body, where, cap)])
-            for index in order.tolist():
-                row = encoded[index] if payload else None
-                spent = decoder._cap_solved and index >= st_.cap_offset
-                runs, factored = decoder.inactivation_runs, decoder._factored
-                for d in (decoder, eager):
-                    d.add_packet(index, row)
-                if spent:
-                    spent_seen += 1
-                    kept_seen += factored is not None
-                    assert decoder.inactivation_runs == runs
-                    assert decoder._factored is factored
-                    assert not decoder.known[index]
-                assert _state(decoder) == _state(eager)
-                assert decoder.inactivation_runs <= eager.inactivation_runs
-                if eager.is_complete:
-                    break
-            assert decoder.is_complete
-            if payload:
-                assert np.array_equal(decoder.source_data(), source)
-                assert np.array_equal(eager.source_data(), source)
+    for seed in range(4):
+        code = build_code("tornado-b", _K_CASCADE, seed=seed)
+        st_ = code.structure
+        source = make_source(code.k, 8, seed)
+        encoded = code.encode(source)
+        decoder = code.new_decoder(size)
+        eager = eager_tornado_decoder(st_, size, code.inactivation_limit)
+        rng = np.random.default_rng(seed)
+        # the whole last layer (it solves the cap on release), then
+        # the layers under it, shuffled, with the cap's redundancy
+        # sprinkled through
+        body = rng.permutation(st_.last_layer_offset)
+        cap = np.arange(st_.cap_offset, st_.n)
+        where = np.sort(rng.integers(0, body.size, size=cap.size))
+        order = np.concatenate([
+            np.arange(st_.last_layer_offset, st_.cap_offset),
+            np.insert(body, where, cap)])
+        for index in order.tolist():
+            row = encoded[index] if payload else None
+            spent = decoder._cap_solved and index >= st_.cap_offset
+            runs, factored = decoder.inactivation_runs, decoder._factored
+            for d in (decoder, eager):
+                d.add_packet(index, row)
+            if spent:
+                spent_seen += 1
+                kept_seen += factored is not None
+                assert decoder.inactivation_runs == runs
+                assert decoder._factored is factored
+                assert not decoder.known[index]
+            assert _state(decoder) == _state(eager)
+            assert decoder.inactivation_runs <= eager.inactivation_runs
+            if eager.is_complete:
+                break
+        assert decoder.is_complete
+        if payload:
+            assert np.array_equal(decoder.source_data(), source)
+            assert np.array_equal(eager.source_data(), source)
     assert spent_seen
-    # only the vectorized finisher keeps a factorization between attempts
-    assert kept_seen or backend == "reference"
+    assert kept_seen
 
 
 # -- typed intake: a payload of the wrong width moves no state ----------------
 
-@pytest.mark.parametrize("backend", ["vectorized", "reference"])
 @pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch"])
 @pytest.mark.parametrize("width", [1, 63, 65])
 @pytest.mark.parametrize("family", ["tornado-a", "tornado-b", "lt", "raptor"])
 def test_wrong_width_payload_is_refused_before_any_state_moves(
-        family, width, batch, backend):
+        family, width, batch, route):
     """One symbol would broadcast across the row, any other wrong width
     used to surface as numpy's ``ValueError`` with the packet already
     counted: both are a ``ParameterError`` now, worded as
     ``SetDecoder`` words it, and the decoder is as it was — mid-hold
     and after it."""
-    with use_backend(backend):
-        code = build_code(family, _K_CASCADE, seed=2)
-        source = make_source(code.k, 64, 2)
-        encoded = (code.encode(source, 3 * code.k) if code.n is None
-                   else code.encode(source))
-        decoder = code.new_decoder(64)
-        fed = 0
-        for stage in (0, code.k // 2, code.k + 4):
-            ids = list(range(fed, stage))
-            decoder.add_packets(ids, encoded[ids])
-            fed = stage
-            before = (_state(decoder), decoder.held_rows,
-                      decoder._equations_seen, decoder.known.copy())
-            bad = np.full((2, width), 7, dtype=np.uint8)
-            with pytest.raises(ParameterError, match=(
-                    f"payload carries {width} symbols, decoder expects 64")):
-                if batch:
-                    decoder.add_packets([fed, fed + 1], bad)
-                else:
-                    decoder.add_packet(fed, bad[0])
-            after = (_state(decoder), decoder.held_rows,
-                     decoder._equations_seen, decoder.known)
-            assert before[:3] == after[:3]
-            assert np.array_equal(before[3], after[3])
-        rest = list(range(fed, encoded.shape[0]))
-        decoder.add_packets(rest, encoded[rest])
-        assert np.array_equal(decoder.source_data(), source)
+    code = build_code(family, _K_CASCADE, seed=2)
+    source = make_source(code.k, 64, 2)
+    encoded = (code.encode(source, 3 * code.k) if code.n is None
+               else code.encode(source))
+    decoder = code.new_decoder(64)
+    fed = 0
+    for stage in (0, code.k // 2, code.k + 4):
+        ids = list(range(fed, stage))
+        decoder.add_packets(ids, encoded[ids])
+        fed = stage
+        before = (_state(decoder), decoder.held_rows,
+                  decoder._equations_seen, decoder.known.copy())
+        bad = np.full((2, width), 7, dtype=np.uint8)
+        with pytest.raises(ParameterError, match=(
+                f"payload carries {width} symbols, decoder expects 64")):
+            if batch:
+                decoder.add_packets([fed, fed + 1], bad)
+            else:
+                decoder.add_packet(fed, bad[0])
+        after = (_state(decoder), decoder.held_rows,
+                 decoder._equations_seen, decoder.known)
+        assert before[:3] == after[:3]
+        assert np.array_equal(before[3], after[3])
+    rest = list(range(fed, encoded.shape[0]))
+    decoder.add_packets(rest, encoded[rest])
+    assert np.array_equal(decoder.source_data(), source)
 
 
 # -- batch admission: one set test vs the per-id loop -------------------------
@@ -717,31 +734,30 @@ def test_batch_admission_matches_the_per_id_loop(batches):
     loop: fresh ids, their rows, ``duplicates_seen`` and the negative-id
     error are those of ``_admit`` called per id — except that a refused
     batch records none of its ids."""
-    with use_backend("vectorized"):
-        spec = build_code("lt", 16, seed=1).spec
-        fast, slow = LTDecoder(spec), eager_lt_decoder(spec)
-        for batch in batches:
-            expect_rows, error = [], None
-            before = (set(fast._droplet_ids), fast.duplicates_seen)
-            for row, index in enumerate(batch):
-                try:
-                    if slow._admit(index, False):
-                        expect_rows.append(row)
-                except ParameterError as exc:
-                    error = exc
-                    break
-            if error is not None:
-                with pytest.raises(ParameterError, match=str(error)):
-                    fast._admit_batch(batch, False)
-                assert (fast._droplet_ids, fast.duplicates_seen) == before
+    spec = build_code("lt", 16, seed=1).spec
+    fast, slow = LTDecoder(spec), eager_lt_decoder(spec)
+    for batch in batches:
+        expect_rows, error = [], None
+        before = (set(fast._droplet_ids), fast.duplicates_seen)
+        for row, index in enumerate(batch):
+            try:
+                if slow._admit(index, False):
+                    expect_rows.append(row)
+            except ParameterError as exc:
+                error = exc
                 break
-            ids, rows = fast._admit_batch(batch, False)
-            rows = (list(range(len(batch))) if rows is None
-                    else rows.tolist())
-            assert rows == expect_rows
-            assert ids.tolist() == [batch[r] for r in expect_rows]
-            assert fast._droplet_ids == slow._droplet_ids
-            assert fast.duplicates_seen == slow.duplicates_seen
+        if error is not None:
+            with pytest.raises(ParameterError, match=str(error)):
+                fast._admit_batch(batch, False)
+            assert (fast._droplet_ids, fast.duplicates_seen) == before
+            break
+        ids, rows = fast._admit_batch(batch, False)
+        rows = (list(range(len(batch))) if rows is None
+                else rows.tolist())
+        assert rows == expect_rows
+        assert ids.tolist() == [batch[r] for r in expect_rows]
+        assert fast._droplet_ids == slow._droplet_ids
+        assert fast.duplicates_seen == slow.duplicates_seen
 
 
 def test_batch_admission_requires_payloads_like_the_loop():
@@ -777,148 +793,141 @@ def _family_block(family):
 
 
 @pytest.mark.parametrize("payload", [True, False])
-@pytest.mark.parametrize("backend", ["vectorized", "reference"])
 @pytest.mark.parametrize("family", _FAMILIES)
-def test_add_packet_is_add_packets_of_one_row(family, backend, payload):
+def test_add_packet_is_add_packets_of_one_row(family, route, payload):
     """``add_packet(i, p)`` and ``add_packets([i], p[None])`` leave every
     decoder in the same state after every call — over a loss-free
     source prefix followed by repairs and repeats that arrive after
     completion (for Raptor, the systematic fast path completing out of
     the bank), and over a shuffled stream with repeats."""
     size = 8 if payload else None
-    with use_backend(backend):
-        code, source, encoded = _family_block(family)
-        k, span = code.k, encoded.shape[0]
-        rng = np.random.default_rng(k)
-        shuffled = rng.permutation(span)[:2 * k]
-        streams = [
-            np.concatenate([np.arange(k), np.arange(k, k + 20),
-                            np.arange(10)]),
-            np.insert(shuffled, rng.integers(1, shuffled.size, size=12),
-                      shuffled[:12]),
-        ]
-        for ids in streams:
-            one = incremental_decoder(code, payload_size=size)
-            batch = incremental_decoder(code, payload_size=size)
-            for call, index in enumerate(ids.tolist()):
-                row = encoded[index] if payload else None
-                fresh = one.add_packet(index, row)
-                assert fresh is (batch.add_packets(
-                    [index], None if row is None else row[None]) == 1)
-                assert _intake_state(one) == _intake_state(batch), (
-                    call, index)
-            if payload and one.is_complete:
-                assert np.array_equal(one.source_data(), source)
-                assert np.array_equal(batch.source_data(), source)
-        assert one.is_complete  # the shuffled stream decodes every code
+    code, source, encoded = _family_block(family)
+    k, span = code.k, encoded.shape[0]
+    rng = np.random.default_rng(k)
+    shuffled = rng.permutation(span)[:2 * k]
+    streams = [
+        np.concatenate([np.arange(k), np.arange(k, k + 20),
+                        np.arange(10)]),
+        np.insert(shuffled, rng.integers(1, shuffled.size, size=12),
+                  shuffled[:12]),
+    ]
+    for ids in streams:
+        one = incremental_decoder(code, payload_size=size)
+        batch = incremental_decoder(code, payload_size=size)
+        for call, index in enumerate(ids.tolist()):
+            row = encoded[index] if payload else None
+            fresh = one.add_packet(index, row)
+            assert fresh is (batch.add_packets(
+                [index], None if row is None else row[None]) == 1)
+            assert _intake_state(one) == _intake_state(batch), (
+                call, index)
+        if payload and one.is_complete:
+            assert np.array_equal(one.source_data(), source)
+            assert np.array_equal(batch.source_data(), source)
+    assert one.is_complete  # the shuffled stream decodes every code
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "reference"])
 @pytest.mark.parametrize("family", _FAMILIES)
-def test_a_batch_with_an_invalid_id_moves_no_state(family, backend):
+def test_a_batch_with_an_invalid_id_moves_no_state(family, route):
     """The whole batch is validated before any id is recorded: the
     valid ids in front of a negative one are not swallowed, so feeding
     them again counts them as fresh."""
-    with use_backend(backend):
-        code, _, encoded = _family_block(family)
-        decoder = incremental_decoder(code, payload_size=8)
+    code, _, encoded = _family_block(family)
+    decoder = incremental_decoder(code, payload_size=8)
 
-        def counters():
-            return (decoder.packets_added, decoder.duplicates_seen,
-                    getattr(decoder, "held_rows", 0),
-                    decoder.min_additional_packets)
+    def counters():
+        return (decoder.packets_added, decoder.duplicates_seen,
+                getattr(decoder, "held_rows", 0),
+                decoder.min_additional_packets)
 
-        before = counters()
-        ids = list(range(10)) + [-1, 11]
-        with pytest.raises(ParameterError):
-            decoder.add_packets(ids, encoded[ids])
-        assert counters() == before
-        assert decoder.add_packets(list(range(10)), encoded[:10]) == 10
-        assert decoder.packets_added == 10
-        assert decoder.duplicates_seen == 0
+    before = counters()
+    ids = list(range(10)) + [-1, 11]
+    with pytest.raises(ParameterError):
+        decoder.add_packets(ids, encoded[ids])
+    assert counters() == before
+    assert decoder.add_packets(list(range(10)), encoded[:10]) == 10
+    assert decoder.packets_added == 10
+    assert decoder.duplicates_seen == 0
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "reference"])
 @pytest.mark.parametrize("step", [1, 3, 32])
-def test_clean_systematic_block_builds_no_droplet_equation(backend, step):
+def test_clean_systematic_block_builds_no_droplet_equation(route, step):
     """``k`` loss-free source packets: the engine holds the precode rows
     and nothing else, and the block completes out of the bank."""
-    with use_backend(backend):
-        code = build_code("raptor", _K, seed=4)
-        source = make_source(_K, 16, seed=4)
-        decoder = code.new_decoder(16)
-        precode_rows = decoder._equations_seen
-        assert precode_rows == (decoder.geometry.intermediate_count - _K)
-        assert decoder.min_additional_packets == _K
-        for lo in range(0, _K, step):
-            ids = list(range(lo, min(lo + step, _K)))
-            if step == 1:
-                decoder.add_packet(ids[0], source[ids[0]])
-            else:
-                decoder.add_packets(ids, source[ids])
-            assert decoder.min_additional_packets == _K - ids[-1] - 1
-        assert decoder.is_complete
-        assert decoder._equations_seen == precode_rows
-        assert decoder.equation_count == precode_rows
-        assert decoder.inactivation_runs == 0
-        assert "held_rows=" in repr(decoder)
-        assert np.array_equal(decoder.source_data(), source)
+    code = build_code("raptor", _K, seed=4)
+    source = make_source(_K, 16, seed=4)
+    decoder = code.new_decoder(16)
+    precode_rows = decoder._equations_seen
+    assert precode_rows == (decoder.geometry.intermediate_count - _K)
+    assert decoder.min_additional_packets == _K
+    for lo in range(0, _K, step):
+        ids = list(range(lo, min(lo + step, _K)))
+        if step == 1:
+            decoder.add_packet(ids[0], source[ids[0]])
+        else:
+            decoder.add_packets(ids, source[ids])
+        assert decoder.min_additional_packets == _K - ids[-1] - 1
+    assert decoder.is_complete
+    assert decoder._equations_seen == precode_rows
+    assert decoder.equation_count == precode_rows
+    assert decoder.inactivation_runs == 0
+    assert "held_rows=" in repr(decoder)
+    assert np.array_equal(decoder.source_data(), source)
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "reference"])
 @pytest.mark.parametrize("payload", [True, False])
-def test_first_repair_releases_held_rows_as_one_batch(backend, payload,
+def test_first_repair_releases_held_rows_as_one_batch(payload, route,
                                                       monkeypatch):
     """``s`` systematic droplets then repairs: exactly one
     ``add_equations`` call, held rows first, in arrival order — on the
-    first repair where the engine peels on arrival (reference), on the
-    row that squares the system where it does not (vectorized)."""
+    row that squares the system where the engine does not peel on
+    arrival (the batched route's bitmatrix store), on the first repair
+    where it does (the per-row route's adjacency dicts)."""
     held_ids = [3, 0, 17, 9, 30, 31, 32, 5, 21, 11]
-    with use_backend(backend):
-        code = build_code("raptor", _K, seed=4)
-        source = make_source(_K, 16, seed=4)
-        encoder = code.encoder(source)
-        decoder = code.new_decoder(16 if payload else None)
-        calls = []
-        intake = decoder.add_equations
+    code = build_code("raptor", _K, seed=4)
+    source = make_source(_K, 16, seed=4)
+    encoder = code.encoder(source)
+    decoder = code.new_decoder(16 if payload else None)
+    calls = []
+    intake = decoder.add_equations
 
-        def spy(indptr, participants, rhs=None):
-            calls.append((len(indptr) - 1, None if rhs is None
-                          else np.array(rhs)))
-            return intake(indptr, participants, rhs)
+    def spy(indptr, participants, rhs=None):
+        calls.append((len(indptr) - 1, None if rhs is None
+                      else np.array(rhs)))
+        return intake(indptr, participants, rhs)
 
-        def row(index):
-            if not payload:
-                return None
-            return (source[index] if index < _K
-                    else encoder.droplet_payload(index))
+    def row(index):
+        if not payload:
+            return None
+        return (source[index] if index < _K
+                else encoder.droplet_payload(index))
 
-        monkeypatch.setattr(decoder, "add_equations", spy)
-        decoder.add_packets(held_ids[:8], source[held_ids[:8]]
-                            if payload else None)
-        decoder.add_packet(held_ids[8], row(held_ids[8]))
-        decoder.add_packet(held_ids[9], row(held_ids[9]))
-        assert decoder.held_rows == 10 and not calls
-        entered = held_ids + [_K + 6]
-        decoder.add_packet(entered[-1], row(entered[-1]))
-        if decoder._lazy_peel:
-            # still short of square: the repair is held with the rest
-            assert backend == "vectorized"
-            while decoder.min_additional_packets > 1:
-                assert decoder.held_rows == len(entered) and not calls
-                entered.append(_K + 6 + len(entered))
-                decoder.add_packet(entered[-1], row(entered[-1]))
+    monkeypatch.setattr(decoder, "add_equations", spy)
+    decoder.add_packets(held_ids[:8], source[held_ids[:8]]
+                        if payload else None)
+    decoder.add_packet(held_ids[8], row(held_ids[8]))
+    decoder.add_packet(held_ids[9], row(held_ids[9]))
+    assert decoder.held_rows == 10 and not calls
+    entered = held_ids + [_K + 6]
+    decoder.add_packet(entered[-1], row(entered[-1]))
+    assert decoder._lazy_peel == (route == "batched")
+    if decoder._lazy_peel:
+        # still short of square: the repair is held with the rest
+        while decoder.min_additional_packets > 1:
+            assert decoder.held_rows == len(entered) and not calls
             entered.append(_K + 6 + len(entered))
-            assert decoder.held_rows == len(entered) - 1 and not calls
             decoder.add_packet(entered[-1], row(entered[-1]))
-            assert len(entered) == _K
-        assert decoder.held_rows == 0
-        assert [rows for rows, _ in calls] == [len(entered)]
-        seen = decoder._equations_seen
-        if payload:
-            assert np.array_equal(calls[0][1],
-                                  np.stack([row(i) for i in entered]))
-        # from here on every droplet enters on arrival
-        decoder.add_packet(1, row(1))
-        assert decoder.held_rows == 0
-        assert decoder._equations_seen == seen + 1
+        entered.append(_K + 6 + len(entered))
+        assert decoder.held_rows == len(entered) - 1 and not calls
+        decoder.add_packet(entered[-1], row(entered[-1]))
+        assert len(entered) == _K
+    assert decoder.held_rows == 0
+    assert [rows for rows, _ in calls] == [len(entered)]
+    seen = decoder._equations_seen
+    if payload:
+        assert np.array_equal(calls[0][1],
+                              np.stack([row(i) for i in entered]))
+    # from here on every droplet enters on arrival
+    decoder.add_packet(1, row(1))
+    assert decoder.held_rows == 0
+    assert decoder._equations_seen == seen + 1

@@ -4,8 +4,9 @@ A rateless ``TransferServer`` synthesises a whole ``record_window`` in
 one pass over its stacked droplet inputs: one neighbour derivation per
 group of blocks whose droplet specs share ``k`` and the degree pmf (a
 key per row), one XOR gather over the stack.  These tests hold that
-pass to the per-packet stream, byte for byte, on both backends, in the
-cases it has to get right — two spec groups in one window, a Raptor
+pass to the per-packet stream, byte for byte, at a packet width of
+whole uint64 lanes and at a ragged one, in the cases it has to get
+right — two spec groups in one window, a Raptor
 window that mixes systematic and repair rows, windows after
 ``unwind`` / ``reweight`` / ``reset``, and a droplet whose walk comes
 up short inside a multi-block window — and hold the stack to being the
@@ -21,18 +22,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codes.backend import is_vectorized, use_backend
 from repro.codes.lt.code import LTCode
 from repro.codes.lt.encoder import DropletSpec
 from repro.transfer import BlockPlan, ObjectCodec, TransferServer
 
 _PACKET = 48
 
+#: bytes off a whole-lane width: none (the XOR kernels' lane view) and
+#: three (their byte route).
+_TRIMS = {"lanes": 0, "ragged": 3}
 
-@pytest.fixture(params=["vectorized", "reference"])
-def backend(request):
-    with use_backend(request.param):
-        yield request.param
+
+@pytest.fixture(params=sorted(_TRIMS))
+def trim(request):
+    return _TRIMS[request.param]
 
 
 def _data(size: int, seed: int = 5) -> bytes:
@@ -60,17 +63,18 @@ def _packets(server: TransferServer, count: int):
 
 class TestWindowParity:
     @pytest.mark.parametrize("code", ["lt", "raptor"])
-    def test_short_tail_puts_two_spec_groups_in_one_window(self, backend,
-                                                           code):
-        live, twin = _pair(code, packets=100, block_packets=32)
+    def test_short_tail_puts_two_spec_groups_in_one_window(self, code, trim):
+        live, twin = _pair(code, packets=100, block_packets=32,
+                           packet_size=_PACKET - trim)
         assert len(live._stack._groups) == 2          # k = 32 and k = 4
         records = _records(live, 90)
         blocks = [int.from_bytes(r[12:16], "big") for r in records]
         assert 3 in blocks and 0 in blocks            # both groups drawn
         assert records == _packets(twin, 90)
 
-    def test_raptor_window_straddles_systematic_and_repair(self, backend):
-        live, twin = _pair("raptor", packets=64, block_packets=32)
+    def test_raptor_window_straddles_systematic_and_repair(self, trim):
+        live, twin = _pair("raptor", packets=64, block_packets=32,
+                           packet_size=_PACKET - trim)
         records = _records(live, 100)                 # ~50 ids per block
         ids = [(int.from_bytes(r[12:16], "big"),
                 int.from_bytes(r[0:4], "big")) for r in records]
@@ -78,8 +82,9 @@ class TestWindowParity:
         assert records == _packets(twin, 100)
 
     @pytest.mark.parametrize("code", ["lt", "raptor"])
-    def test_windows_after_unwind_reweight_and_reset(self, backend, code):
-        live, twin = _pair(code, packets=100, block_packets=32)
+    def test_windows_after_unwind_reweight_and_reset(self, code, trim):
+        live, twin = _pair(code, packets=100, block_packets=32,
+                           packet_size=_PACKET - trim)
         assert _records(live, 40)[:25] == _packets(twin, 25)
         live.unwind(15)
         assert _records(live, 30) == _packets(twin, 30)
@@ -90,7 +95,7 @@ class TestWindowParity:
             server.reset()
         assert _records(live, 50) == _packets(twin, 50)
 
-    def test_short_walk_falls_back_on_its_own_blocks_key(self, backend):
+    def test_short_walk_falls_back_on_its_own_blocks_key(self, trim):
         """Block 1 of this plan has the Raptor geometry ``(k=17,
         eps=0.2, seed=24)`` (``tests/test_raptor.py``'s searched spec):
         its repair droplet 1588 (internal row 1591) is a walk that comes
@@ -98,7 +103,7 @@ class TestWindowParity:
         The two specs share k and the pmf, so both blocks derive in one
         call, and each fallback must walk its own block's spec."""
         live, twin = _pair("raptor:eps=0.2", packets=34, block_packets=17,
-                           seed=1317093447, packet_size=16)
+                           seed=1317093447, packet_size=16 - trim)
         specs = [live.codec.code_for(block).spec for block in (0, 1)]
         assert specs[1].seed == 24 and len(live._stack._groups) == 1
         with mock.patch.object(DropletSpec, "neighbours", autospec=True,
@@ -107,11 +112,10 @@ class TestWindowParity:
         ids = {(int.from_bytes(r[12:16], "big"),
                 int.from_bytes(r[0:4], "big")) for r in records}
         assert {(0, 1369), (1, 1588)} <= ids
-        if is_vectorized():
-            calls = [call.args for call in walk.call_args_list]
-            assert [row for _, row in calls] == [1372, 1591]
-            assert [spec for spec, _ in calls] == specs
-            assert all(got is want for (got, _), want in zip(calls, specs))
+        calls = [call.args for call in walk.call_args_list]
+        assert [row for _, row in calls] == [1372, 1591]
+        assert [spec for spec, _ in calls] == specs
+        assert all(got is want for (got, _), want in zip(calls, specs))
         assert records == _packets(twin, 3300)
 
 

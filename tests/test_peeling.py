@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codes import peeling
-from repro.codes.backend import use_backend
 from repro.codes.lt.decoder import LTDecoder
-from repro.codes.peeling import PeelingEngine, _gf2_eliminate, \
-    gf2_gauss_jordan, record_solve_plan
+from repro.codes.peeling import PeelingEngine, record_solve_plan
 from repro.codes.registry import build_code
 from repro.errors import DecodeFailure, ParameterError
 
-from tests._oracles import gf2_oracle_solve, make_source, pack_gf2_rows
+from tests._oracles import gf2_eliminate, gf2_oracle_solve, make_source, \
+    pack_gf2_rows, reference_golden
 
 
 def payload(*values):
@@ -140,29 +139,30 @@ class TestGaussJordan:
         # x0^x1 = 1, x1 = 1  ->  x0 = 0, x1 = 1.
         mat = np.asarray([[0b11], [0b10]], dtype=np.uint64)
         rhs = np.asarray([[1], [1]], dtype=np.uint8)
-        solved = gf2_gauss_jordan(mat, 2, rhs)
-        assert solved is not None
+        solved, rank = gf2_eliminate(mat, 2, rhs)
+        assert solved is not None and rank == 2
         assert rhs[solved][0, 0] == 0 and rhs[solved][1, 0] == 1
 
     def test_rank_deficient_returns_none(self):
         mat = np.asarray([[0b11], [0b11]], dtype=np.uint64)
-        assert gf2_gauss_jordan(mat, 2, None) is None
+        assert gf2_eliminate(mat, 2, None) == (None, 1)
 
 
 # -- one finisher, three equation storages -----------------------------------
 #
-# On the vectorized backend a stalled engine reaches the one structural
-# factorization (``factor_gf2``) whatever holds its equations: packed
-# bitmatrix rows (LT, Raptor), the static CSR (Tornado), or the dict
-# adjacency used above ``_BITMATRIX_MAX_NODES``.  The reference backend
-# finishes with ``gf2_gauss_jordan`` instead and is what each storage is
-# measured against.
+# A stalled engine reaches the one structural factorization
+# (``factor_gf2``) whatever holds its equations: packed bitmatrix rows
+# (LT, Raptor), the static CSR (Tornado), or the dict adjacency used
+# above ``_BITMATRIX_MAX_NODES``.  Each storage is measured against the
+# completing packet and attempt count of the retired scalar finisher
+# (bit-packed Gauss-Jordan, ``tests._oracles.gf2_eliminate``), recorded
+# in ``tests/golden/reference_trajectories.json``.
 
 #: storage -> (code spec, k, finisher capped below k?).
 #: ``bitmatrix-lazy`` is the LT decoder as shipped (one elimination over
 #: the whole accumulated system); the other LT rows cap the finisher
-#: below ``k`` so that engine peels incrementally, like the reference
-#: backend does, and attempt counts are comparable.  Tornado B needs
+#: below ``k`` so that engine peels incrementally, like the scalar
+#: finisher did, and attempt counts are comparable.  Tornado B needs
 #: k >= 160 to have a cascade graph at all (below that it is one RS cap).
 STORAGES = {
     "bitmatrix": ("lt", 48, True),
@@ -171,12 +171,6 @@ STORAGES = {
     "dict": ("lt", 48, True),
 }
 _P = 16
-
-
-@pytest.fixture(params=["reference", "vectorized"])
-def backend(request):
-    with use_backend(request.param):
-        yield request.param
 
 
 @pytest.fixture
@@ -206,7 +200,7 @@ def _storage_of(engine):
 
 
 def _decode_one_at_a_time(storage, seed, monkeypatch, payload_size=_P):
-    """Feed a shuffled stream packet by packet under the active backend.
+    """Feed a shuffled stream packet by packet.
 
     Returns ``(decoder, packets fed at completion, source block)``.
     """
@@ -232,25 +226,26 @@ def _decode_one_at_a_time(storage, seed, monkeypatch, payload_size=_P):
     raise AssertionError("stream exhausted before completion")
 
 
+@pytest.mark.parametrize("payload", [True, False],
+                         ids=["payload", "structural"])
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("storage", sorted(STORAGES))
 def test_finisher_matches_reference_on_every_storage(
-        storage, seed, backend, factor_calls, monkeypatch):
-    decoder, fed, source = _decode_one_at_a_time(storage, seed, monkeypatch)
-    with use_backend("reference"):
-        oracle, oracle_fed, _ = _decode_one_at_a_time(
-            storage, seed, monkeypatch)
-    assert oracle.inactivation_runs >= 1      # the finisher was needed
+        storage, seed, payload, factor_calls, monkeypatch):
+    """The recorded completing packet and attempt count, with payloads
+    and on a structural decoder (no payload replay at all) alike."""
+    decoder, fed, source = _decode_one_at_a_time(
+        storage, seed, monkeypatch, payload_size=_P if payload else None)
+    oracle_fed, oracle_runs = \
+        reference_golden()["finisher"][f"{storage} seed={seed}"]
+    assert oracle_runs >= 1                   # the finisher was needed
     assert fed == oracle_fed                  # same completing packet
-    assert decoder.source_data().tobytes() == source.tobytes() \
-        == oracle.source_data().tobytes()
+    if payload:
+        assert decoder.source_data().tobytes() == source.tobytes()
     if storage != "bitmatrix-lazy":
-        assert decoder.inactivation_runs == oracle.inactivation_runs
-    if backend == "vectorized":
-        assert _storage_of(decoder) == storage.replace("-lazy", "")
-        assert factor_calls["factor"] >= 1    # reached the one factorization
-    else:
-        assert factor_calls["factor"] == 0    # gf2_gauss_jordan finished it
+        assert decoder.inactivation_runs == oracle_runs
+    assert _storage_of(decoder) == storage.replace("-lazy", "")
+    assert factor_calls["factor"] >= 1        # reached the one factorization
 
 
 def _stalled_engine(storage, payload_size, monkeypatch):
@@ -288,9 +283,10 @@ def _stalled_engine(storage, payload_size, monkeypatch):
     return engine, values
 
 
+@pytest.mark.parametrize("payload", [8, None], ids=["payload", "structural"])
 @pytest.mark.parametrize("redundant_first", [False, True])
 @pytest.mark.parametrize("storage", ["bitmatrix", "static-csr", "dict"])
-def test_failed_attempt_then_fold_and_retry(storage, redundant_first, backend,
+def test_failed_attempt_then_fold_and_retry(storage, redundant_first, payload,
                                             factor_calls, monkeypatch):
     """A singular stall records its deficit; the retry only folds.
 
@@ -301,56 +297,62 @@ def test_failed_attempt_then_fold_and_retry(storage, redundant_first, backend,
 
     With ``redundant_first`` an all-known equation arrives in between.
     The stall gate counts arrivals, so it re-opens with no new row to
-    fold: that attempt must run (as the reference backend's does), fail
-    with the same deficit and leave the kept factorization usable.
+    fold: that attempt must run (as the scalar finisher's did), fail
+    with the same deficit and leave the kept factorization usable.  A
+    structural engine (no payloads) takes the same attempts.
     """
-    engine, values = _stalled_engine(storage, 8, monkeypatch)
+    engine, values = _stalled_engine(storage, payload, monkeypatch)
+
+    def rhs(nodes):
+        if payload is None:
+            return None
+        return np.bitwise_xor.reduce(values[nodes], axis=0)
+
     engine.maybe_inactivate()
     assert not engine.is_complete
     assert engine.source_known_count == 0
     assert engine._stall_gate[2] == 1
     if redundant_first:
-        assert not engine.add_equation([4], values[4])
+        assert not engine.add_equation([4], rhs([4]))
         engine.maybe_inactivate()
         assert engine.inactivation_runs == 2
         assert not engine.is_complete
         assert engine._stall_gate[2] == 1
-    engine.add_equation(
-        [0, 1, 2], np.bitwise_xor.reduce(values[[0, 1, 2]], axis=0))
+    engine.add_equation([0, 1, 2], rhs([0, 1, 2]))
     engine.maybe_inactivate()
     assert engine.is_complete
     assert engine.inactivation_runs == 2 + redundant_first
-    assert np.array_equal(engine.source_data(), values[:4])
-    if backend == "vectorized":
-        assert _storage_of(engine) == storage
-        assert factor_calls == {"factor": 1, "fold": 1}
-    else:
-        assert factor_calls == {"factor": 0, "fold": 0}
+    if payload is not None:
+        assert np.array_equal(engine.source_data(), values[:4])
+    assert _storage_of(engine) == storage
+    assert factor_calls == {"factor": 1, "fold": 1}
 
 
 #: (seed, inactivation_limit) -> (packets at completion, attempts) of a
-#: structural k=64 LT decoder fed ids 0, 1, 2, ... one at a time, per
-#: backend, as the parent commit measured them.  Every seed here has a
-#: limit at which a retry is opened by redundant arrivals alone.
+#: structural k=64 LT decoder fed ids 0, 1, 2, ... one at a time, as
+#: the parent commit measured them.  Every seed here has a limit at
+#: which a retry is opened by redundant arrivals alone.  Both decode
+#: routes read the same: the attempt count does not depend on which
+#: store holds the equations.
 _CAPPED_LT = {
-    (23, 8): {"vectorized": (75, 1), "reference": (75, 1)},
-    (23, 16): {"vectorized": (71, 1), "reference": (71, 1)},
-    (23, 32): {"vectorized": (68, 3), "reference": (68, 3)},
-    (31, 8): {"vectorized": (96, 11), "reference": (96, 10)},
-    (31, 16): {"vectorized": (96, 26), "reference": (96, 25)},
-    (31, 32): {"vectorized": (96, 28), "reference": (96, 28)},
-    (39, 8): {"vectorized": (81, 2), "reference": (81, 2)},
-    (39, 16): {"vectorized": (81, 2), "reference": (81, 2)},
-    (39, 32): {"vectorized": (81, 8), "reference": (81, 9)},
-    (47, 8): {"vectorized": (77, 4), "reference": (77, 3)},
-    (47, 16): {"vectorized": (77, 9), "reference": (77, 8)},
-    (47, 32): {"vectorized": (77, 11), "reference": (77, 11)},
+    (23, 8): (75, 1),
+    (23, 16): (71, 1),
+    (23, 32): (68, 3),
+    (31, 8): (96, 11),
+    (31, 16): (96, 26),
+    (31, 32): (96, 28),
+    (39, 8): (81, 2),
+    (39, 16): (81, 2),
+    (39, 32): (81, 8),
+    (47, 8): (77, 4),
+    (47, 16): (77, 9),
+    (47, 32): (77, 11),
 }
 
 
 @pytest.mark.parametrize("seed,limit", sorted(_CAPPED_LT))
 def test_capped_finisher_retries_through_redundant_arrivals(
-        seed, limit, backend):
+        seed, limit, route):
     """A finisher capped below ``k`` retries many times per decode.
 
     Between attempts the stream delivers droplets whose neighbours are
@@ -362,7 +364,38 @@ def test_capped_finisher_retries_through_redundant_arrivals(
     while not decoder.is_complete:
         decoder.add_packet(fed)
         fed += 1
-    assert (fed, decoder.inactivation_runs) == _CAPPED_LT[seed, limit][backend]
+    assert (fed, decoder.inactivation_runs) == _CAPPED_LT[seed, limit]
+
+
+_K_ROUTE = 40
+
+
+@pytest.mark.parametrize("family", ["lt", "raptor"])
+def test_decode_routes_take_their_store_and_intake(family, route,
+                                                   monkeypatch):
+    """``tests/_routes.py`` forces what it names.  On ``batched`` a
+    droplet decoder's engine keeps a bitmatrix and a released batch
+    enters in one vectorized pass; on ``per-row`` it keeps adjacency
+    dicts and every row of the same batch enters through its own
+    ``add_equation`` call.  Both recover the block."""
+    code = build_code(family, _K_ROUTE, seed=3)
+    source = make_source(_K_ROUTE, 8, seed=3)
+    encoded = code.encode(source, 4 * _K_ROUTE)
+    decoder = code.new_decoder(8)
+    assert decoder._bitmatrix == (route == "batched")
+    rows = []
+    single = decoder.add_equation
+
+    def spy(nodes, rhs=None):
+        rows.append(len(nodes))
+        return single(nodes, rhs)
+
+    monkeypatch.setattr(decoder, "add_equation", spy)
+    ids = np.arange(_K_ROUTE, 4 * _K_ROUTE)
+    decoder.add_packets(ids, encoded[ids])
+    assert decoder.is_complete
+    assert np.array_equal(decoder.source_data(), source)
+    assert bool(rows) == (route == "per-row")
 
 
 @st.composite
@@ -393,20 +426,18 @@ def test_plan_engine_and_oracle_agree_on_square_systems(coeffs):
             truth[coeffs[row]], axis=0, initial=0)
     indptr, flat = _csr(coeffs)
     expected = gf2_oracle_solve(coeffs, rhs)
-    for name in ("reference", "vectorized"):
-        with use_backend(name):
-            engine = PeelingEngine(n, payload_size=8, inactivation_limit=n)
-            engine.add_equations(indptr, flat, rhs)
-            engine.maybe_inactivate()
-            if expected is None:
-                assert not engine.is_complete
-                with pytest.raises(ParameterError):
-                    record_solve_plan(n, indptr, flat, np.arange(n), n)
-                continue
-            assert np.array_equal(expected, truth)
-            assert np.array_equal(engine.source_data(), truth)
-            plan = record_solve_plan(n, indptr, flat, np.arange(n), n)
-            assert np.array_equal(plan.apply(rhs), truth)
+    engine = PeelingEngine(n, payload_size=8, inactivation_limit=n)
+    engine.add_equations(indptr, flat, rhs)
+    engine.maybe_inactivate()
+    if expected is None:
+        assert not engine.is_complete
+        with pytest.raises(ParameterError):
+            record_solve_plan(n, indptr, flat, np.arange(n), n)
+        return
+    assert np.array_equal(expected, truth)
+    assert np.array_equal(engine.source_data(), truth)
+    plan = record_solve_plan(n, indptr, flat, np.arange(n), n)
+    assert np.array_equal(plan.apply(rhs), truth)
 
 
 def test_plan_reads_the_zero_row_for_a_zero_rhs_inactive_column():
@@ -446,14 +477,14 @@ def test_structural_stall_gate_matches_reference_rank(coeffs, storage):
     """A structural engine's recorded deficit is the true rank deficit.
 
     Whenever an elimination attempt actually ran and failed, the stall
-    gate must hold exactly ``columns - rank`` as the reference
-    eliminator computes it; an attempt skipped for want of rows records
+    gate must hold exactly ``columns - rank`` as the scalar eliminator
+    computes it; an attempt skipped for want of rows records
     a smaller, still valid, bound.  Full rank completes.
     """
     m, n = coeffs.shape
-    _, rank = _gf2_eliminate(pack_gf2_rows(coeffs), n, None)
+    _, rank = gf2_eliminate(pack_gf2_rows(coeffs), n, None)
     indptr, flat = _csr(coeffs)
-    with pytest.MonkeyPatch.context() as patch, use_backend("vectorized"):
+    with pytest.MonkeyPatch.context() as patch:
         if storage == "dict":
             patch.setattr(peeling, "_BITMATRIX_MAX_NODES", 0)
         engine = PeelingEngine(n, inactivation_limit=n)

@@ -9,9 +9,8 @@ The load-bearing properties, pinned with Hypothesis over random
   recovered;
 * **geometry agreement** — encoder and decoder derive the identical
   intermediate-block geometry (counts, systematic index, constraint
-  rows) from the shared ``(k, params, seed)`` tuple under *both* codec
-  backends, so the spec string in a manifest is all the wire needs to
-  carry;
+  rows) from the shared ``(k, params, seed)`` tuple, so the spec string
+  in a manifest is all the wire needs to carry;
 * **scan agreement** — the chunked systematic scan keeps exactly the
   ESIs the per-ESI loop it replaced keeps
   (``tests/_oracles.py::scalar_systematic_scan``), at any chunk size.
@@ -25,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codes.backend import use_backend
 from repro.codes.degree import DegreeDistribution
 from repro.codes.lt.encoder import DropletSpec
 from repro.codes.raptor import precode
@@ -97,13 +95,11 @@ class TestGeometry:
 
     @given(_k, _eps, _seed)
     @settings(max_examples=40, deadline=None)
-    def test_geometry_agrees_across_backends(self, k, eps, seed):
-        """Encoder and decoder sides — and both codec backends — derive
+    def test_geometry_agrees_across_derivations(self, k, eps, seed):
+        """Encoder and decoder sides — and any two derivations — reach
         one identical geometry from the shared tuple."""
-        with use_backend("vectorized"):
-            a = raptor_geometry(k, eps=eps, seed=seed)
-        with use_backend("reference"):
-            b = raptor_geometry(k, eps=eps, seed=seed)
+        a = raptor_geometry(k, eps=eps, seed=seed)
+        b = raptor_geometry(k, eps=eps, seed=seed)
         assert a.intermediate_count == b.intermediate_count
         assert a.parity_count == b.parity_count
         assert a.dense_count == b.dense_count

@@ -11,7 +11,8 @@ eps)`` spec, a digest of ``systematic_esis``, ``repair_base``, the
 solve plan's ``wave_count`` / ``xor_terms`` and a digest over every
 wave's ``(dst, indptr, src)``; and, for three of those specs, the bytes
 of repair droplets ``k .. k+3`` of a fixed-seed source block.  All are
-compared exactly, on both codec backends.
+compared exactly; the repair bytes both through the recorded plan and
+through the peeling pre-solve, on each decode route.
 
 The committed file was generated at the commit *before* the systematic
 scan went chunked and the plan recorder stopped walking bits — by the
@@ -31,7 +32,6 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.codes.backend import use_backend
 from repro.codes.raptor.encoder import RaptorEncoder, build_encode_plan
 from repro.codes.raptor.precode import raptor_geometry
 from repro.codes.registry import block_seed
@@ -47,8 +47,6 @@ _PAYLOAD_SPECS = ((17, 7, 0.05), (100, _SEEDS[2], 0.2), (256, 0, 0.05))
 _PAYLOAD = 16
 _SOURCE_SEED = 20260917
 _REPAIRS = 4
-
-BACKENDS = ["vectorized", "reference"]
 
 
 def _key(k: int, seed: int, eps: float) -> str:
@@ -75,12 +73,15 @@ def geometry_pin(k: int, seed: int, eps: float) -> dict:
     }
 
 
-def repair_pin(k: int, seed: int, eps: float) -> list:
-    """Hex of repair droplets ``k .. k+3`` of the fixed source block."""
+def repair_pin(k: int, seed: int, eps: float, planned: bool = True) -> list:
+    """Hex of repair droplets ``k .. k+3`` of the fixed source block,
+    its intermediates from the recorded plan or (``planned=False``) the
+    peeling pre-solve."""
     geometry = raptor_geometry(k, eps=eps, seed=seed)
     source = np.random.default_rng(_SOURCE_SEED).integers(
         0, 256, size=(k, _PAYLOAD), dtype=np.uint8)
-    encoder = RaptorEncoder(geometry, source, plan=build_encode_plan(geometry))
+    encoder = RaptorEncoder(geometry, source, plan=build_encode_plan(geometry)
+                            if planned else None)
     block = encoder.payload_block(range(k, k + _REPAIRS))
     return [bytes(row).hex() for row in block]
 
@@ -109,21 +110,23 @@ def test_every_spec_is_pinned(golden):
         _key(*spec) for spec in _PAYLOAD_SPECS)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("k", _KS)
-def test_geometry_and_plan_match_golden(golden, backend, k):
-    with use_backend(backend):
-        for seed in _SEEDS:
-            for eps in _EPSES:
-                assert (geometry_pin(k, seed, eps)
-                        == golden["geometry"][_key(k, seed, eps)]), (seed, eps)
+def test_geometry_and_plan_match_golden(golden, k):
+    for seed in _SEEDS:
+        for eps in _EPSES:
+            assert (geometry_pin(k, seed, eps)
+                    == golden["geometry"][_key(k, seed, eps)]), (seed, eps)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("spec", _PAYLOAD_SPECS, ids=lambda spec: _key(*spec))
-def test_repair_droplets_match_golden(golden, backend, spec):
-    with use_backend(backend):
-        assert repair_pin(*spec) == golden["repair_droplets"][_key(*spec)]
+def test_repair_droplets_match_golden(golden, spec):
+    assert repair_pin(*spec) == golden["repair_droplets"][_key(*spec)]
+
+
+@pytest.mark.parametrize("spec", _PAYLOAD_SPECS, ids=lambda spec: _key(*spec))
+def test_presolved_repair_droplets_match_golden(golden, route, spec):
+    assert (repair_pin(*spec, planned=False)
+            == golden["repair_droplets"][_key(*spec)])
 
 
 if __name__ == "__main__":

@@ -13,9 +13,10 @@ needed.  Two suites pin that:
 * **Parity** — against ``tests/_oracles.py::SeenSetFountainClient``, the
   client as it stood with its own ``_seen`` dict: hypothesis-drawn
   arrival streams of every awkward kind, every family, payload /
-  structural / sized-from-the-first-payload, scalar and batched feeding,
-  both backends; the reception counters agree after *every* call and
-  the recovered bytes are identical.
+  structural / sized-from-the-first-payload, scalar and batched
+  feeding, both decode routes (``tests/_routes.py``); the reception
+  counters agree after *every* call and the recovered bytes are
+  identical.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.codes.backend import BACKENDS, use_backend
 from repro.codes.registry import (
     IncrementalDecoder,
     available_codes,
@@ -38,6 +38,7 @@ from repro.errors import ParameterError
 from repro.fountain.client import ClientMode, FountainClient
 
 from tests._oracles import SeenSetFountainClient, make_source
+from tests._routes import DECODE_ROUTES, decode_route
 
 FAMILIES = [family.name for family in available_codes()]
 
@@ -46,21 +47,19 @@ _PAYLOAD = 16
 
 
 @functools.lru_cache(maxsize=None)
-def _code(family: str, backend: str):
-    with use_backend(backend):
-        return build_code(family, _K, seed=11)
+def _code(family: str):
+    return build_code(family, _K, seed=11)
 
 
 @functools.lru_cache(maxsize=None)
-def _encoding(family: str, backend: str) -> np.ndarray:
+def _encoding(family: str) -> np.ndarray:
     """Payloads of ids ``0 .. pool``: the whole fixed-rate encoding, or
     the first ``3k`` droplets of a rateless stream."""
-    code = _code(family, backend)
+    code = _code(family)
     source = make_source(_K, _PAYLOAD, seed=5)
-    with use_backend(backend):
-        if code.n is None:
-            return code.encode(source, 3 * _K)
-        return code.encode(source)
+    if code.n is None:
+        return code.encode(source, 3 * _K)
+    return code.encode(source)
 
 
 #: arrival kinds; each maps (pool size, rng) to an id stream that keeps
@@ -113,7 +112,7 @@ def _feed(client, ids, payloads, feeding):
         yield
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("route", DECODE_ROUTES)
 @pytest.mark.parametrize("feeding", [1, 3, 32, None])
 @pytest.mark.parametrize("payload", ["payload", "structural", "unsized"])
 @pytest.mark.parametrize("family", FAMILIES)
@@ -121,13 +120,13 @@ def _feed(client, ids, payloads, feeding):
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_client_matches_the_seen_set_oracle(family, payload, feeding,
-                                            backend, kind, seed):
-    code = _code(family, backend)
-    encoding = _encoding(family, backend)
+                                            route, kind, seed):
+    code = _code(family)
+    encoding = _encoding(family)
     ids = KINDS[kind](encoding.shape[0], np.random.default_rng(seed))
     payloads = None if payload == "structural" else encoding[ids]
     size = _PAYLOAD if payload == "payload" else None
-    with use_backend(backend):
+    with decode_route(route):
         client = FountainClient(code, payload_size=size)
         # The oracle's client-side payload retention never worked over
         # a structural Raptor decoder (its held-row release indexes a
@@ -160,8 +159,8 @@ def test_statistical_schedule_matches_the_oracle(family, feeding, kind,
     the same distinct counts, so the same completing packet.  (The
     oracle never batched statistical reception and its deficit bound
     ignores the schedule, so ``min_additional`` is not compared.)"""
-    code = _code(family, "vectorized")
-    encoding = _encoding(family, "vectorized")
+    code = _code(family)
+    encoding = _encoding(family)
     ids = KINDS[kind](encoding.shape[0], np.random.default_rng(seed))
     options = dict(mode=ClientMode.STATISTICAL, statistical_margin=margin,
                    retry_step=retry_step, payload_size=_PAYLOAD)
@@ -180,24 +179,24 @@ def test_statistical_schedule_matches_the_oracle(family, feeding, kind,
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_every_family_decoder_satisfies_the_protocol(family):
-    decoder = incremental_decoder(_code(family, "vectorized"))
+    decoder = incremental_decoder(_code(family))
     assert isinstance(decoder, IncrementalDecoder)
     assert decoder.packets_added == decoder.duplicates_seen == 0
     assert decoder.min_additional_packets == _K
     assert not decoder.is_complete
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("route", DECODE_ROUTES)
 @pytest.mark.parametrize("family", FAMILIES)
 @given(seed=st.integers(0, 2 ** 16))
 @settings(max_examples=10, deadline=None)
-def test_add_packet_returns_true_exactly_on_first_sighting(family, backend,
+def test_add_packet_returns_true_exactly_on_first_sighting(family, route,
                                                            seed):
-    code = _code(family, backend)
+    code = _code(family)
     pool = 3 * _K if code.n is None else code.n
     ids = np.random.default_rng(seed).integers(0, pool, size=4 * pool)
     seen = set()
-    with use_backend(backend):
+    with decode_route(route):
         scalar = incremental_decoder(code)
         batched = incremental_decoder(code)
         for pos, index in enumerate(ids.tolist()):
@@ -218,7 +217,7 @@ def test_tornado_recovered_node_still_counts_as_distinct():
     """A first-time packet for a node peeling already recovered is a
     distinct reception — the reason receivers used to keep a second id
     set above this decoder."""
-    code = _code("tornado-a", "vectorized")
+    code = _code("tornado-a")
     decoder = code.new_decoder()
     order = np.random.default_rng(3).permutation(code.n)
     recovered = np.empty(0, dtype=np.int64)
@@ -245,7 +244,7 @@ def test_tornado_recovered_node_still_counts_as_distinct():
                          [f.name for f in available_codes() if not f.rateless])
 def test_index_outside_the_encoding_raises_and_counts_nothing(family):
     """The typed API keeps raising for a caller's own bad argument."""
-    code = _code(family, "vectorized")
+    code = _code(family)
     client = FountainClient(code)
     for bad in (code.n, -1):
         with pytest.raises(ParameterError):

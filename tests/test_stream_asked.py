@@ -4,9 +4,10 @@
 carries; everything else draws ``window(n)``.  Two layers hold that:
 
 * **parity** — for every registered family, both schedules, single- and
-  multi-block plans and both codec backends, the ids of a structural
-  server's ``window`` are the ids ``packets()`` stamps and the header
-  columns ``record_window`` writes; and any interleaving of ``window``,
+  multi-block plans, at a packet width of whole uint64 lanes and at a
+  ragged one, the ids of a structural server's ``window`` are the ids
+  ``packets()`` stamps and the header columns ``record_window`` writes;
+  and any interleaving of ``window``,
   ``packets()``, ``record_window``, ``unwind``, ``reweight`` and
   ``reset`` on one server continues the stream a per-packet sender
   would have sent, serials included.
@@ -30,7 +31,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codes.backend import use_backend
 from repro.codes.registry import available_codes
 from repro.errors import ParameterError
 from repro.fountain.packets import record_ids
@@ -44,7 +44,6 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent \
 
 FAMILIES = [family.name for family in available_codes()]
 SCHEDULES = ["interleave", "sequential"]
-BACKENDS = ["vectorized", "reference"]
 
 _PACKET = 64
 #: label -> (file_size, block_packets): one 40-packet block, and 100
@@ -140,25 +139,30 @@ def _data(size: int) -> bytes:
         0, 256, size=size, dtype=np.uint8).tobytes()
 
 
-def _codec(family: str, geometry: str) -> ObjectCodec:
+def _codec(family: str, geometry: str, packet: int = _PACKET) -> ObjectCodec:
+    """The plan of ``geometry`` at ``packet`` bytes a packet: the same
+    packet counts and the same short tail."""
     file_size, block_packets = _GEOMETRIES[geometry]
-    return ObjectCodec(BlockPlan(file_size, _PACKET, block_packets),
+    packets = -(-file_size // _PACKET)
+    file_size -= packets * (_PACKET - packet)
+    return ObjectCodec(BlockPlan(file_size, packet, block_packets),
                        code=family, seed=_SEED)
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    with use_backend(request.param):
-        yield request.param
+#: whole uint64 lanes (the XOR kernels' lane view) and a ragged width
+#: (their byte route).
+_WIDTHS = {"lanes": _PACKET, "ragged": _PACKET - 3}
 
 
 class TestStructuralParity:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("schedule", SCHEDULES)
     @pytest.mark.parametrize("geometry", list(_GEOMETRIES))
-    def test_window_ids_are_the_stamped_ids(self, backend, family, schedule,
-                                            geometry):
-        codec = _codec(family, geometry)
+    @pytest.mark.parametrize("width", sorted(_WIDTHS))
+    def test_window_ids_are_the_stamped_ids(self, family, schedule, geometry,
+                                            width):
+        packet = _WIDTHS[width]
+        codec = _codec(family, geometry, packet)
         data = _data(codec.plan.file_size)
         count = 3 * codec.total_k + 7       # every carousel wraps
         options = dict(schedule=schedule, seed=5)
@@ -171,18 +175,18 @@ class TestStructuralParity:
 
         full = TransferServer(codec, data, **options)
         records = full.record_window(count)
-        stamped = record_ids(records, records.shape[1] - _PACKET)
+        stamped = record_ids(records, records.shape[1] - packet)
         assert [ids.tolist() for ids in stamped] \
             == [blocks.tolist(), indices.tolist(), list(range(count))]
-        assert records.shape[1] - _PACKET \
+        assert records.shape[1] - packet \
             == (16 if codec.num_blocks > 1 else 12)
         # ... and a server holding data hands the payloads over as well
         full.reset()
         _, again, rows = full.window(count)
         assert again.tolist() == indices.tolist()
-        assert rows.tobytes() == records[:, -_PACKET:].tobytes()
+        assert rows.tobytes() == records[:, -packet:].tobytes()
 
-    def test_structural_server_emits_no_payload_packets(self, backend):
+    def test_structural_server_emits_no_payload_packets(self):
         for family in ("lt", "tornado-b"):
             server = TransferServer(_codec(family, "multi"))
             with pytest.raises(ParameterError, match="structural"):

@@ -77,30 +77,33 @@ class TestMetricRules:
         assert check_bench.compare_metric("elapsed_ms", 1.0, 10.0) is None
         assert check_bench.compare_metric("receivers_per_second",
                                           10000.0, 1000.0) is None
-        assert check_bench.compare_metric("decode_MBps_vectorized",
-                                          100.0, 10.0) is None
+        assert check_bench.compare_metric("decode_MBps", 100.0, 10.0) is None
         assert check_bench.classify("seconds")[0] == "report"
-        assert check_bench.classify("packets_per_sec_reference")[0] \
-            == "report"
+        assert check_bench.classify("packets_per_sec")[0] == "report"
         # same-process ratios keep gating
-        assert check_bench.compare_metric("ingest_speedup", 4.0, 2.5) \
-            is None
-        assert check_bench.compare_metric("ingest_speedup", 4.0, 1.5) \
+        for ratio in ("scan_speedup", "decode_vs_xor", "ingest_vs_xor"):
+            assert check_bench.compare_metric(ratio, 4.0, 2.5) is None
+            assert check_bench.compare_metric(ratio, 4.0, 1.5) is not None
+
+    def test_module_is_configuration(self):
+        assert check_bench.compare_metric(
+            "module", "bench_decode_ingest", "bench_transfer_blocks") \
             is not None
 
     def test_non_numeric_current_fails(self):
         assert check_bench.compare_metric("seconds", 1.0, "fast") \
             is not None
 
-    def test_batched_ingest_speedup_has_absolute_floor(self):
-        # Below the 4x floor fails even when it beats the baseline.
+    def test_batched_ingest_ratio_has_absolute_floor(self):
+        floor = check_bench.BATCHED_INGEST_FLOOR
+        # Below the floor fails even when it beats the baseline.
         assert check_bench.compare_metric(
-            "batched_ingest_speedup", 3.0, 3.5) is not None
+            "batched_ingest_vs_xor", 0.8 * floor, 0.9 * floor) is not None
         assert check_bench.compare_metric(
-            "batched_ingest_speedup", 6.5, 4.2) is None
+            "batched_ingest_vs_xor", 2 * floor, 1.1 * floor) is None
         # The relative factor still guards collapse above the floor.
         assert check_bench.compare_metric(
-            "batched_ingest_speedup", 12.0, 5.0) is not None
+            "batched_ingest_vs_xor", 6 * floor, 2 * floor) is not None
 
 
 class TestCompare:
@@ -128,20 +131,20 @@ class TestCompare:
         assert "receivers_per_second: 1400.0 (baseline 14000.0)" in out
         assert "REGRESSION" not in out
 
-    def test_speedup_collapse_still_fails(self, tmp_path, capsys):
+    def test_ratio_collapse_still_fails(self, tmp_path, capsys):
         base_dir = tmp_path / "baseline"
         cur_dir = tmp_path / "current"
         base_dir.mkdir()
         cur_dir.mkdir()
         baseline = json.loads(json.dumps(BASELINE))
-        baseline["results"][1]["ingest_speedup"] = 4.0
+        baseline["results"][1]["decode_vs_xor"] = 0.04
         current = json.loads(json.dumps(baseline))
-        current["results"][1]["ingest_speedup"] = 1.0
+        current["results"][1]["decode_vs_xor"] = 0.01
         (base_dir / "BENCH_x.json").write_text(json.dumps(baseline))
         (cur_dir / "BENCH_x.json").write_text(json.dumps(current))
         assert check_bench.main(["--baseline-dir", str(base_dir),
                                  "--current-dir", str(cur_dir)]) == 1
-        assert "ingest_speedup" in capsys.readouterr().out
+        assert "decode_vs_xor" in capsys.readouterr().out
 
     def test_timing_wobble_passes(self, tmp_path):
         def wobble(payload):
@@ -194,39 +197,31 @@ def swarm_payload(raptor_p99=0.18, lt_p50=0.19):
     ]}
 
 
-def ingest_rows(lt_b1=30.0, tornado_b1=20.0, tornado_k256=(24.0, 9.0),
+def ingest_rows(lt_b1=30.0, tornado_b1=20.0, tornado_k256=24.0,
                 window_b16=70.0):
     """Rows the batch-size rules of ``BENCH_transfer.json`` read (the
     b256 rates are 60 and 40, so the defaults sit exactly at 0.5), then
     the two sides of the Tornado-vs-RS decode ratio at k = 256
-    (``tornado_k256`` = vectorized, reference MB/s against RS at 4 and
-    4: the defaults sit exactly at 6.0 and 2.25), then the record window
-    over 16 blocks against one block (``window_b16`` against 100: the
-    default sits exactly at 0.7)."""
+    (``tornado_k256`` MB/s against RS at 4: the default sits exactly at
+    6.0), then the record window over 16 blocks against one block
+    (``window_b16`` against 100: the default sits exactly at 0.7)."""
     return [
-        {"case": "ingest-lt-k128-b1", "decode_MBps_vectorized": lt_b1},
-        {"case": "ingest-lt-k128-b256", "decode_MBps_vectorized": 60.0},
-        {"case": "ingest-tornado-b-k256-b1",
-         "decode_MBps_vectorized": tornado_b1},
-        {"case": "ingest-tornado-b-k256-b256",
-         "decode_MBps_vectorized": 40.0},
-        {"case": "raw-tornado-b-k256",
-         "decode_MBps_vectorized": tornado_k256[0],
-         "decode_MBps_reference": tornado_k256[1]},
-        {"case": "raw-rs-k256", "decode_MBps_vectorized": 4.0,
-         "decode_MBps_reference": 4.0},
-        {"case": "window-lt-k256-b1", "encode_MBps_vectorized": 100.0},
-        {"case": "window-lt-k256-b16", "encode_MBps_vectorized": window_b16},
+        {"case": "ingest-lt-k128-b1", "decode_MBps": lt_b1},
+        {"case": "ingest-lt-k128-b256", "decode_MBps": 60.0},
+        {"case": "ingest-tornado-b-k256-b1", "decode_MBps": tornado_b1},
+        {"case": "ingest-tornado-b-k256-b256", "decode_MBps": 40.0},
+        {"case": "raw-tornado-b-k256", "decode_MBps": tornado_k256},
+        {"case": "raw-rs-k256", "decode_MBps": 4.0},
+        {"case": "window-lt-k256-b1", "encode_MBps": 100.0},
+        {"case": "window-lt-k256-b16", "encode_MBps": window_b16},
     ]
 
 
 #: raw LT / Raptor rows that satisfy every rule reading them, for tests
 #: about the other rules of ``BENCH_transfer.json``.
 RAW_LT_RAPTOR = [
-    {"case": "raw-lt-k128", "decode_MBps_vectorized": 20.0,
-     "decode_MBps_reference": 8.0, "encode_MBps_vectorized": 100.0},
-    {"case": "raw-raptor-k128", "decode_MBps_vectorized": 10.0,
-     "decode_MBps_reference": 4.0, "encode_MBps_vectorized": 80.0},
+    {"case": "raw-lt-k128", "decode_MBps": 20.0, "encode_MBps": 100.0},
+    {"case": "raw-raptor-k128", "decode_MBps": 10.0, "encode_MBps": 80.0},
 ]
 
 
@@ -261,26 +256,22 @@ class TestCrossCase:
 
     def test_decode_throughput_ratio_fails_on_collapse(self):
         payload = {"results": [
-            {"case": "raw-lt-k128", "decode_MBps_vectorized": 20.0,
-             "decode_MBps_reference": 8.0,
-             "encode_MBps_vectorized": 100.0},
-            {"case": "raw-raptor-k128", "decode_MBps_vectorized": 1.0,
-             "decode_MBps_reference": 4.0,
-             "encode_MBps_vectorized": 80.0},
+            {"case": "raw-lt-k128", "decode_MBps": 20.0,
+             "encode_MBps": 100.0},
+            {"case": "raw-raptor-k128", "decode_MBps": 1.0,
+             "encode_MBps": 80.0},
         ] + ingest_rows()}
         regressions = check_bench.check_cross_cases(
             "BENCH_transfer.json", payload)
         assert len(regressions) == 1
-        assert "vectorized backend" in str(regressions[0])
+        assert "LT-class" in str(regressions[0])
 
     def test_raptor_encode_ratio_fails_on_collapse(self):
         payload = {"results": [
-            {"case": "raw-lt-k128", "decode_MBps_vectorized": 20.0,
-             "decode_MBps_reference": 8.0,
-             "encode_MBps_vectorized": 100.0},
-            {"case": "raw-raptor-k128", "decode_MBps_vectorized": 10.0,
-             "decode_MBps_reference": 4.0,
-             "encode_MBps_vectorized": 30.0},
+            {"case": "raw-lt-k128", "decode_MBps": 20.0,
+             "encode_MBps": 100.0},
+            {"case": "raw-raptor-k128", "decode_MBps": 10.0,
+             "encode_MBps": 30.0},
         ] + ingest_rows()}
         regressions = check_bench.check_cross_cases(
             "BENCH_transfer.json", payload)
@@ -311,19 +302,15 @@ class TestCrossCase:
                 "BENCH_transfer.json", {"results": RAW_LT_RAPTOR + rows})
 
         assert check(ingest_rows()) == []          # at the line passes
-        for rates, backend in (((23.9, 9.0), "vectorized"),
-                               ((24.0, 8.9), "reference")):
-            regressions = check(ingest_rows(tornado_k256=rates))
-            assert len(regressions) == 1           # just under fails
-            assert "margin over Reed-Solomon" in str(regressions[0])
-            assert f"({backend} backend)" in str(regressions[0])
+        regressions = check(ingest_rows(tornado_k256=23.9))
+        assert len(regressions) == 1               # just under fails
+        assert "margin over Reed-Solomon" in str(regressions[0])
         for gone in (4, 5):                        # a missing row fails
             rows = ingest_rows()
             del rows[gone]
             regressions = check(rows)
-            assert len(regressions) == 2           # one per backend rule
-            assert all("cross-case rule needs this metric" in str(r)
-                       for r in regressions)
+            assert len(regressions) == 1
+            assert "cross-case rule needs this metric" in str(regressions[0])
 
     def test_record_window_holds_across_blocks(self):
         def check(rows):
@@ -344,7 +331,7 @@ class TestCrossCase:
     def test_closed_form_inverse_speedup_floor(self):
         def payload(**row):
             return {"results": [
-                {"case": "ingest-lt-k128-b1", "ingest_speedup": 1.4},
+                {"case": "ingest-lt-k128-b1", "ingest_vs_xor": 0.04},
                 {"case": "cap-inverse-x64", **row}]}
 
         assert check_bench.check_case_floors(
@@ -362,22 +349,22 @@ class TestCrossCase:
             "BENCH_transfer.json", gone)) == 1
 
     def test_case_floor_holds_and_fails(self):
-        def transfer_payload(b1_speedup, closed_form):
+        def transfer_payload(b1_ratio, closed_form):
             return {"results": [
-                {"case": "ingest-lt-k128-b1",
-                 "ingest_speedup": b1_speedup},
+                {"case": "ingest-lt-k128-b1", "ingest_vs_xor": b1_ratio},
                 {"case": "cap-inverse-x64",
                  "closed_form_speedup": closed_form},
             ]}
 
+        floor = check_bench.SINGLE_INGEST_FLOOR
         assert check_bench.check_case_floors(
-            "BENCH_transfer.json", transfer_payload(1.4, 12.0)) == []
+            "BENCH_transfer.json", transfer_payload(floor, 12.0)) == []
         regressions = check_bench.check_case_floors(
-            "BENCH_transfer.json", transfer_payload(0.8, 12.0))
+            "BENCH_transfer.json", transfer_payload(0.99 * floor, 12.0))
         assert len(regressions) == 1
         assert "batch-size-1" in str(regressions[0])
         regressions = check_bench.check_case_floors(
-            "BENCH_transfer.json", transfer_payload(1.4, 2.0))
+            "BENCH_transfer.json", transfer_payload(2 * floor, 2.0))
         assert len(regressions) == 1
         assert "fell back towards elimination" in str(regressions[0])
         # Floors are file-scoped, like the cross-case rules.
@@ -447,32 +434,99 @@ def _load_results_module(name):
     return module
 
 
+def _cases(path):
+    return [row["case"] for row in json.loads(path.read_text())["results"]]
+
+
 class TestBenchRecorderMerge:
-    def test_second_session_keeps_the_first_sessions_cases(self, tmp_path):
+    def test_second_session_keeps_the_other_modules_cases(self, tmp_path):
         """A standalone ``bench-ingest`` must not strip the transfer rows
-        another session published into the same summary file."""
+        another module published into the same summary file."""
         target = str(tmp_path / "BENCH_t.json")
-        first = _load_results_module("_results_session_one").BenchRecorder(
-            target)
-        first.record("transfer-lt", goodput=20.0)
-        first.record("ingest-b256", droplets_per_second=1000)
-        first.flush()
+        first = _load_results_module("_results_session_one")
+        transfer = first.BenchRecorder(target, "bench_transfer")
+        transfer.record("transfer-lt", goodput=20.0)
+        transfer.flush()
+        ingest = first.BenchRecorder(target, "bench_ingest")
+        ingest.record("ingest-b256", droplets_per_second=1000)
+        ingest.flush()
         second = _load_results_module("_results_session_two").BenchRecorder(
-            target)
+            target, "bench_ingest")
         second.record("ingest-b256", droplets_per_second=1500)
         second.record("ingest-b1", droplets_per_second=90)
         second.flush()
         assert json.loads(pathlib.Path(target).read_text()) == {"results": [
-            {"case": "ingest-b1", "droplets_per_second": 90},
-            {"case": "ingest-b256", "droplets_per_second": 1500},
-            {"case": "transfer-lt", "goodput": 20.0},
+            {"case": "ingest-b1", "module": "bench_ingest",
+             "droplets_per_second": 90},
+            {"case": "ingest-b256", "module": "bench_ingest",
+             "droplets_per_second": 1500},
+            {"case": "transfer-lt", "module": "bench_transfer",
+             "goodput": 20.0},
         ]}
+
+    def test_a_full_run_drops_the_cases_its_module_stopped_recording(
+            self, tmp_path):
+        """A case no bench records any more leaves the file (and the
+        gate) on the next full run of the module that recorded it."""
+        target = tmp_path / "BENCH_t.json"
+        old = _load_results_module("_results_session_old")
+        adaptive = old.BenchRecorder(str(target), "bench_adaptive")
+        adaptive.record("adaptive-gilbert-reference", overhead_p99=0.78)
+        adaptive.record("adaptive-gilbert-vectorized", overhead_p99=0.78)
+        adaptive.flush()
+        swarm = old.BenchRecorder(str(target), "bench_swarm")
+        swarm.record("flash-crowd", overhead_p99=0.2)
+        swarm.flush()
+        new = _load_results_module("_results_session_new").BenchRecorder(
+            str(target), "bench_adaptive")
+        new.record("adaptive-gilbert", overhead_p99=0.78)
+        new.flush()
+        assert _cases(target) == ["adaptive-gilbert", "flash-crowd"]
+
+    def test_a_partial_run_keeps_the_cases_it_did_not_reach(self, tmp_path):
+        target = tmp_path / "BENCH_t.json"
+        first = _load_results_module("_results_session_all").BenchRecorder(
+            str(target), "bench_ingest")
+        first.record("ingest-b1", droplets_per_second=90)
+        first.record("ingest-b256", droplets_per_second=1000)
+        first.flush()
+        narrowed = _load_results_module(
+            "_results_session_k").BenchRecorder(str(target), "bench_ingest")
+        narrowed.record("ingest-b1", droplets_per_second=95)
+        narrowed.flush(ran_in_full=False)
+        assert _cases(target) == ["ingest-b1", "ingest-b256"]
+
+    def test_rows_that_name_no_module_go_with_any_full_run(self, tmp_path):
+        target = tmp_path / "BENCH_t.json"
+        target.write_text(json.dumps({"results": [
+            {"case": "old-row", "overhead_p99": 0.5}]}))
+        recorder = _load_results_module(
+            "_results_session_legacy").BenchRecorder(str(target), "bench_a")
+        recorder.record("new-row", overhead_p99=0.4)
+        recorder.flush()
+        assert _cases(target) == ["new-row"]
+
+    def test_flush_all_runs_named_modules_as_partial(self, tmp_path,
+                                                     monkeypatch):
+        target = tmp_path / "BENCH_t.json"
+        target.write_text(json.dumps({"results": [
+            {"case": "a-stale", "module": "bench_a"},
+            {"case": "b-stale", "module": "bench_b"}]}))
+        results = _load_results_module("_results_session_flush_all")
+        monkeypatch.setattr(results, "REPO_ROOT", tmp_path)
+        results.BenchRecorder(str(target), "benchmarks.bench_a").record(
+            "a-fresh", seconds=1.0)
+        results.BenchRecorder(str(target), "bench_b").record(
+            "b-fresh", seconds=1.0)
+        results.flush_all(ran_in_part=["bench_a"])
+        assert _cases(target) == ["a-fresh", "a-stale", "b-fresh"]
+        assert (tmp_path / results.RUNINFO_NAME).exists()
 
     def test_recorder_without_rows_leaves_the_file_alone(self, tmp_path):
         target = tmp_path / "BENCH_t.json"
         target.write_text("untouched")
         _load_results_module("_results_session_idle").BenchRecorder(
-            str(target)).flush()
+            str(target), "bench_idle").flush()
         assert target.read_text() == "untouched"
 
     @pytest.mark.parametrize("stored", ["not json", "{}", '{"results": 3}',
@@ -481,11 +535,12 @@ class TestBenchRecorderMerge:
         target = tmp_path / "BENCH_t.json"
         target.write_text(stored)
         recorder = _load_results_module(
-            "_results_session_bad").BenchRecorder(str(target))
+            "_results_session_bad").BenchRecorder(str(target), "bench_bad")
         recorder.record("ingest-b1", droplets_per_second=90)
         recorder.flush()
         assert json.loads(target.read_text()) == {"results": [
-            {"case": "ingest-b1", "droplets_per_second": 90}]}
+            {"case": "ingest-b1", "module": "bench_bad",
+             "droplets_per_second": 90}]}
 
 
 _MEMORY_SPEC = importlib.util.spec_from_file_location(

@@ -17,7 +17,8 @@ hears, so:
   ``socket_errors``, and the serve runs on;
 * a subscription reports the kernel's receive-queue drops.
 
-Both codec backends run every serve.
+Every serve drawn from ``test_windowed_serve``'s sessions runs at both
+of its packet widths (whole uint64 lanes and ragged).
 """
 
 import errno
@@ -29,7 +30,7 @@ import numpy as np
 import pytest
 
 import test_windowed_serve as windowed
-from test_windowed_serve import _data, _udp_run, backend, ears  # noqa: F401
+from test_windowed_serve import _data, _udp_run, ears, width  # noqa: F401
 from _oracles import oracle_udp_serve
 from repro import api
 from repro.errors import ProtocolError
@@ -90,8 +91,7 @@ def sendmsg_calls(monkeypatch):
 
 @needs_segment
 class TestSegmentedSend:
-    def test_a_serve_batches_its_datagrams(self, backend, ears,
-                                           sendmsg_calls):
+    def test_a_serve_batches_its_datagrams(self, width, ears, sendmsg_calls):
         got = _udp_run(UdpTransport.serve, windowed._session("lt"), ears,
                        count=300)
         assert got == _udp_run(oracle_udp_serve, windowed._session("lt"),
@@ -104,7 +104,7 @@ class TestSegmentedSend:
         (2000, False),    # wider than the budget: never batched
         (100, False),     # runs of 12, a short run at every window edge
     ])
-    def test_mixed_sizes_in_one_serve(self, backend, ears, monkeypatch,
+    def test_mixed_sizes_in_one_serve(self, ears, monkeypatch,
                                       sendmsg_calls, packet, single_block):
         monkeypatch.setattr(udp_module, "SERVE_WINDOW", 100)
 
@@ -127,7 +127,7 @@ class TestSegmentedSend:
             assert all(sum(lengths) <= 65507 and len(lengths) <= 64
                        for lengths, _ in sendmsg_calls)
 
-    def test_a_refused_sendmsg_falls_back_for_good(self, backend, ears,
+    def test_a_refused_sendmsg_falls_back_for_good(self, width, ears,
                                                    monkeypatch,
                                                    sendmsg_calls):
         """``EIO`` (a device without checksum offload) sends nothing: the
@@ -151,8 +151,7 @@ class TestSegmentedSend:
 
 @pytest.mark.skipif(not windowed._udp_available(),
                     reason="UDP loopback sockets unavailable")
-def test_a_refused_sendto_is_counted_and_survived(backend, ears,
-                                                   monkeypatch):
+def test_a_refused_sendto_is_counted_and_survived(width, ears, monkeypatch):
     """``ENOBUFS`` on one data datagram: the serve counts it in
     ``socket_errors``, runs on to its count, and every other frame
     reaches the ear.  (The offload is off, so every datagram is a

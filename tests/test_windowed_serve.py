@@ -1,6 +1,8 @@
 """The windowed send path emits exactly what the per-packet one did.
 
-Three layers, all held to per-packet oracles on both codec backends:
+Three layers, all held to per-packet oracles at a packet width of whole
+uint64 lanes and at a ragged one (the XOR kernels' lane view and their
+byte route):
 
 * the **look-ahead** behind ``packets()`` — block sources synthesise
   :data:`~repro.fountain.source.LOOKAHEAD` emissions per batched call —
@@ -24,7 +26,9 @@ from __future__ import annotations
 
 import dataclasses
 import socket
+import sys
 from itertools import islice
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -38,7 +42,6 @@ from _oracles import (
     oracle_udp_serve,
 )
 from repro import api
-from repro.codes.backend import use_backend
 from repro.codes.registry import build_code
 from repro.errors import ParameterError, ProtocolError, ReproError
 from repro.fountain.carousel import CarouselServer
@@ -64,28 +67,37 @@ from repro.protocol.adaptive import AdaptivePolicy, PolicyDecision
 from repro.protocol.stream import layered_packet_source
 from repro.transfer.client import TransferClient
 
-BACKENDS = ["vectorized", "reference"]
 CODES = ["lt", "raptor", "tornado-b", "rs", "interleaved"]
 
 #: three blocks of 60/60/37 packets: uneven, so the stripe and the
-#: deficit sums are not symmetric.
+#: deficit sums are not symmetric.  A test that asks for ``width`` runs
+#: at each of :data:`WIDTHS` with the same packet counts.
 PACKET = 32
 BLOCK = 60 * PACKET
 OBJECT = 157 * PACKET
 
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    with use_backend(request.param):
-        yield request.param
+#: whole uint64 lanes (the XOR kernels' lane view) and a ragged width
+#: (their byte route).
+WIDTHS = {"lanes": 32, "ragged": 36}
 
 
-def _data(seed: int, size: int = OBJECT) -> bytes:
+@pytest.fixture(params=sorted(WIDTHS))
+def width(request, monkeypatch):
+    packet = WIDTHS[request.param]
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "PACKET", packet)
+    monkeypatch.setattr(module, "BLOCK", 60 * packet)
+    monkeypatch.setattr(module, "OBJECT", 157 * packet)
+    return packet
+
+
+def _data(seed: int, size: Optional[int] = None) -> bytes:
     return np.random.default_rng(seed).integers(
-        0, 256, size=size, dtype=np.uint8).tobytes()
+        0, 256, size=OBJECT if size is None else size,
+        dtype=np.uint8).tobytes()
 
 
-def _session(code: str, seed: int = 3, size: int = OBJECT):
+def _session(code: str, seed: int = 3, size: Optional[int] = None):
     return api.SenderSession(_data(seed, size), code=code, packet_size=PACKET,
                              block_size=BLOCK, seed=seed)
 
@@ -114,7 +126,7 @@ def _carousel(k=24, spec="tornado-b", seed=5, lazy=True):
 
 class TestLookahead:
     @pytest.mark.parametrize("spec", ["lt", "raptor"])
-    def test_rateless_packets_match_per_droplet_oracle(self, backend, spec):
+    def test_rateless_packets_match_per_droplet_oracle(self, width, spec):
         server, encoder = _rateless(spec=spec, start=7, block=2)
         packets = list(server.packets(3 * LOOKAHEAD + 5))
         for serial, packet in enumerate(packets):
@@ -126,7 +138,7 @@ class TestLookahead:
 
     @pytest.mark.parametrize("spec", ["tornado-b", "rs", "interleaved"])
     @pytest.mark.parametrize("lazy", [True, False])
-    def test_carousel_packets_match_row_oracle(self, backend, spec, lazy):
+    def test_carousel_packets_match_row_oracle(self, width, spec, lazy):
         server, encoding = _carousel(spec=spec, lazy=lazy)
         n = server.cycle_length
         packets = list(server.packets(2 * n + 3))   # wraps the cycle twice
@@ -136,7 +148,7 @@ class TestLookahead:
             assert type(packet.index) is int
             assert packet.payload.tobytes() == encoding[index].tobytes()
 
-    def test_narrow_id_range_raises_on_the_same_emission(self, backend):
+    def test_narrow_id_range_raises_on_the_same_emission(self, width):
         server, encoder = _rateless(start=100, id_range=LOOKAHEAD + 3)
         stream = server.packets()
         got = []
@@ -150,7 +162,7 @@ class TestLookahead:
         with pytest.raises(ProtocolError):
             server.next_droplet_id
 
-    def test_wrapping_id_range_cycles(self, backend):
+    def test_wrapping_id_range_cycles(self, width):
         server, encoder = _rateless(start=9, id_range=5, wrap=True)
         packets = list(server.packets(13))
         assert [p.index for p in packets] == [9 + t % 5 for t in range(13)]
@@ -159,7 +171,7 @@ class TestLookahead:
             assert (packet.payload.tobytes()
                     == encoder.droplet_payload(packet.index).tobytes())
 
-    def test_cursors_report_emitted_not_synthesised(self, backend):
+    def test_cursors_report_emitted_not_synthesised(self, width):
         server, _ = _rateless(start=4, id_range=100)
         stream = server.packets()
         for emitted in range(1, 4):
@@ -172,7 +184,7 @@ class TestLookahead:
         ids, _ = carousel.payload_batch(2)
         assert ids.tolist() == carousel.order[1:3].tolist()
 
-    def test_reset_drops_the_buffer_and_restarts(self, backend):
+    def test_reset_drops_the_buffer_and_restarts(self, width):
         for server in (_rateless()[0], _carousel()[0]):
             first = [p.to_bytes() for p in server.packets(5)]
             assert len(server._ahead_payloads)
@@ -181,7 +193,7 @@ class TestLookahead:
             assert [p.to_bytes() for p in server.packets(5)] == first
 
     @pytest.mark.parametrize("make", [_rateless, _carousel])
-    def test_payload_batch_interleaves_with_packets(self, backend, make):
+    def test_payload_batch_interleaves_with_packets(self, width, make):
         server, _ = make()
         straight, _ = make()
         want = list(straight.packets(3 * LOOKAHEAD))
@@ -202,8 +214,7 @@ class TestLookahead:
                                 for p in want[:len(got_ids)]]
 
     @pytest.mark.parametrize("code", ["lt", "tornado-b"])
-    def test_reweight_mid_stream_only_moves_the_slot_cursor(self, backend,
-                                                            code):
+    def test_reweight_mid_stream_only_moves_the_slot_cursor(self, width, code):
         weights = [0.2, 3.0, 1.0]
         live = _session(code).source
         head = [p.to_bytes() for p in live.packets(50)]
@@ -227,7 +238,7 @@ class TestLookahead:
         counts = np.bincount([p.block for p in tail], minlength=3)
         assert counts[1] > counts[0]        # the weights took effect
 
-    def test_forks_are_independent_streams(self, backend):
+    def test_forks_are_independent_streams(self, width):
         server = _session("lt").source
         want = [p.to_bytes() for p in _session("lt").source.packets(90)]
         fork = server.fork()
@@ -336,7 +347,7 @@ class TestVerdictStream:
 
 class TestReceiveWindow:
     @pytest.mark.parametrize("code", CODES)
-    def test_matches_sequential_receive_index(self, backend, code):
+    def test_matches_sequential_receive_index(self, width, code):
         session = _session(code)
         arrivals = [(p.block, p.index) for p in session.packets(400)
                     if p.header.serial % 5]
@@ -385,7 +396,7 @@ class TestMemoryServe:
         {"count": 400, "subscribers": 2},
         {"loss": 0.0},
     ], ids=str)
-    def test_identical_to_per_packet_loop(self, backend, code, options):
+    def test_identical_to_per_packet_loop(self, width, code, options):
         got = _memory_run(MemoryTransport.serve, code, **options)
         want = _memory_run(oracle_memory_serve, code, **options)
         assert got[0] == want[0]
@@ -398,8 +409,7 @@ class TestMemoryServe:
         {"report_every": 1, "count": 90},
         {"report_every": 50, "count": 300, "subscribers": 3},
     ], ids=str)
-    def test_same_reports_at_the_same_emissions(self, backend, code,
-                                                options):
+    def test_same_reports_at_the_same_emissions(self, width, code, options):
         def run(serve):
             seen = []
             session = _session(code)
@@ -421,7 +431,7 @@ class TestMemoryServe:
         assert got[1], "the policy must have seen reports"
         assert got == want
 
-    def test_too_lossy_raises_after_the_same_limit(self, backend):
+    def test_too_lossy_raises_after_the_same_limit(self, width):
         def run(serve):
             session = _session("rs", size=4 * PACKET)
             transport = MemoryTransport(loss=0.9999, seed=2)
@@ -436,7 +446,7 @@ class TestMemoryServe:
 
     @pytest.mark.parametrize("code", CODES)
     @pytest.mark.parametrize("kind", ["memory", "file"])
-    def test_windows_are_capped(self, backend, tmp_path, code, kind):
+    def test_windows_are_capped(self, width, tmp_path, code, kind):
         """Whole SERVE_WINDOW draws, at most one more than the emissions
         fill, and the unsent tail goes back to every channel."""
         session = _session(code, size=(SERVE_WINDOW + 300) * PACKET)
@@ -459,7 +469,7 @@ class TestMemoryServe:
 
     @pytest.mark.parametrize("code", ["lt", "tornado-b"])
     @pytest.mark.parametrize("window", [1, 7, 64])
-    def test_any_window_size(self, backend, monkeypatch, code, window):
+    def test_any_window_size(self, width, monkeypatch, code, window):
         """The stop and its extras land anywhere in a window, or past it."""
         options = dict(subscribers=3, extra=9)
         want = _memory_run(oracle_memory_serve, code, **options)
@@ -496,7 +506,7 @@ class TestFileServe:
         {"count": 150},
         {"loss": 0.0},
     ], ids=str)
-    def test_identical_to_per_packet_loop(self, backend, tmp_path, code,
+    def test_identical_to_per_packet_loop(self, width, tmp_path, code,
                                           options):
         got = _file_run(FileTransport.serve, tmp_path / "got", code,
                         **options)
@@ -504,7 +514,7 @@ class TestFileServe:
                          **options)
         assert got == want
 
-    def test_too_lossy_raises_after_the_same_limit(self, backend, tmp_path):
+    def test_too_lossy_raises_after_the_same_limit(self, width, tmp_path):
         def run(serve, directory):
             session = _session("rs", size=4 * PACKET)
             transport = FileTransport(directory, loss=0.9999, seed=2)
@@ -519,7 +529,7 @@ class TestFileServe:
 
     @pytest.mark.parametrize("code", ["lt", "tornado-b"])
     @pytest.mark.parametrize("window", [1, 7, 64])
-    def test_any_window_size(self, backend, tmp_path, monkeypatch, code,
+    def test_any_window_size(self, width, tmp_path, monkeypatch, code,
                              window):
         want = _file_run(oracle_file_serve, tmp_path / "want", code, extra=9)
         monkeypatch.setattr(file_module, "SERVE_WINDOW", window)
@@ -543,9 +553,10 @@ class TestFileServe:
 
 class TestRecordWindow:
     @pytest.mark.parametrize("code", CODES)
-    @pytest.mark.parametrize("size", [OBJECT, 41 * PACKET],
+    @pytest.mark.parametrize("packets", [157, 41],
                              ids=["multi-block", "single-block"])
-    def test_rows_are_the_packets_bytes(self, backend, code, size):
+    def test_rows_are_the_packets_bytes(self, width, code, packets):
+        size = packets * PACKET
         want = [p.to_bytes() for p in _session(code, size=size).packets(260)]
         source = _session(code, size=size).source
         got = []
@@ -560,7 +571,7 @@ class TestRecordWindow:
         assert got == want
 
     @pytest.mark.parametrize("code", ["lt", "raptor", "tornado-b"])
-    def test_unwind_resumes_from_the_last_record_kept(self, backend, code):
+    def test_unwind_resumes_from_the_last_record_kept(self, width, code):
         want = [p.to_bytes() for p in _session(code).packets(400)]
         source = _session(code).source
         got = []
@@ -572,7 +583,7 @@ class TestRecordWindow:
         assert got == want
         assert not source._unsent
 
-    def test_reweight_drops_the_slots_taken_back(self, backend):
+    def test_reweight_drops_the_slots_taken_back(self, width):
         """A per-packet sender stopped before emission ``e`` and then
         reweighted draws slot ``e`` from the new schedule."""
         weights = [0.2, 5.0, 1.0]
@@ -698,12 +709,13 @@ class _ScriptedPolicy:
                     reason="UDP loopback sockets unavailable")
 class TestUdpServe:
     @pytest.mark.parametrize("code", CODES)
-    @pytest.mark.parametrize("size", [OBJECT, 41 * PACKET],
+    @pytest.mark.parametrize("packets", [157, 41],
                              ids=["multi-block", "single-block"])
-    def test_datagrams_identical_to_per_packet_loop(self, backend, ears,
-                                                    code, size):
+    def test_datagrams_identical_to_per_packet_loop(self, width, ears, code,
+                                                    packets):
         """The frames of the per-packet loop's datagrams, in its order
         (since frames began to share datagrams, no longer one each)."""
+        size = packets * PACKET
         got = _udp_run(UdpTransport.serve, _session(code, size=size), ears,
                        count=333)
         want = _udp_run(oracle_udp_serve, _session(code, size=size), ears,
@@ -711,21 +723,22 @@ class TestUdpServe:
         assert got == want
         records = _data_records(got[1][0])
         assert len(records) == 333
-        assert len(records[0]) == PACKET + (16 if size == OBJECT else 12)
+        assert len(records[0]) == PACKET + (16 if packets == 157 else 12)
         # manifest frames sit where they sat: before emissions 0, 64, ...
         assert [i for i, (kind, _) in enumerate(got[1][0])
                 if kind == FRAME_MANIFEST] == [0, 65, 130, 195, 260, 325, 339]
 
     @pytest.mark.parametrize("code", ["lt", "tornado-b"])
     @pytest.mark.parametrize("window", [1, 50, 64, 333])
-    def test_any_window_size(self, backend, ears, monkeypatch, code, window):
+    def test_any_window_size(self, width, ears, monkeypatch, code,
+                             window):
         want = _udp_run(oracle_udp_serve, _session(code), ears, count=333)
         monkeypatch.setattr(udp_module, "SERVE_WINDOW", window)
         assert _udp_run(UdpTransport.serve, _session(code), ears,
                         count=333) == want
 
     @pytest.mark.parametrize("code", ["lt", "raptor", "rs"])
-    def test_two_destinations_with_injected_loss(self, backend, ears, code):
+    def test_two_destinations_with_injected_loss(self, width, ears, code):
         options = dict(destinations=2, loss=0.3, count=200)
         got = _udp_run(UdpTransport.serve, _session(code), ears, **options)
         want = _udp_run(oracle_udp_serve, _session(code), ears, **options)
@@ -736,7 +749,7 @@ class TestUdpServe:
 
     @pytest.mark.parametrize("code", ["lt", "tornado-b"])
     @pytest.mark.parametrize("adapt_every", [7, 64])
-    def test_policy_reweights_on_the_next_slot(self, backend, ears, code,
+    def test_policy_reweights_on_the_next_slot(self, width, ears, code,
                                                adapt_every):
         script = [((), False), ((0.2, 5.0, 1.0), False), ((), False),
                   ((3.0, 0.5, 0.5), False), ((), False)]
@@ -755,7 +768,7 @@ class TestUdpServe:
         straight = [p.block for p in _session(code).packets(300)]
         assert blocks != straight            # the reweights took effect
 
-    def test_serial_wraps_at_2_to_the_32(self, backend, ears):
+    def test_serial_wraps_at_2_to_the_32(self, width, ears):
         def run(serve):
             session = _session("lt")
             session.source._sequencer._serial = SERIAL_MODULUS - 10
@@ -771,7 +784,7 @@ class TestUdpServe:
     @pytest.mark.parametrize("build", [RatelessServer,
                                        layered_packet_source],
                              ids=["rateless", "layered"])
-    def test_sources_without_windows_still_serve(self, backend, ears, build):
+    def test_sources_without_windows_still_serve(self, width, ears, build):
         def session():
             code = build_code("lt", 24, seed=5)
             return _BareSession(build(code, make_source(24, PACKET, 5)), 24)
@@ -783,7 +796,7 @@ class TestUdpServe:
 
     # -- which frames share a datagram -----------------------------------------
 
-    def test_runs_end_at_budget_drop_manifest_and_window(self, backend, ears,
+    def test_runs_end_at_budget_drop_manifest_and_window(self, width, ears,
                                                          monkeypatch):
         """Every data datagram is the longest run the rule allows: whole
         frames, within the budget, serials consecutive (so none spans a
@@ -795,7 +808,7 @@ class TestUdpServe:
         report, heard = _udp_datagrams(
             UdpTransport.serve, _session("lt"), ears, destinations=2,
             loss=0.03, count=500)
-        assert report.dropped > 0 and per == 28
+        assert report.dropped > 0 and per == {32: 28, 36: 26}[PACKET]
         total = []
         for datagrams in heard:
             runs = []
@@ -822,8 +835,7 @@ class TestUdpServe:
         assert report.delivered == sum(map(len, total))
 
     @pytest.mark.parametrize("packet", [722, 1024, 2000])
-    def test_wide_frames_travel_alone_byte_identical(self, backend, ears,
-                                                     packet):
+    def test_wide_frames_travel_alone_byte_identical(self, ears, packet):
         """A frame wider than half the budget — or than all of it — is
         its own datagram, exactly the per-packet loop's."""
         def run(serve):
@@ -838,7 +850,7 @@ class TestUdpServe:
         assert got == run(oracle_udp_serve)
         assert all(len(list(iter_frames(d))) == 1 for d in got[1][0])
 
-    def test_half_budget_frames_pair_up(self, backend, ears):
+    def test_half_budget_frames_pair_up(self, ears):
         session = api.SenderSession(_data(3, 40 * 721), code="lt",
                                     packet_size=721, block_size=64 * 721,
                                     seed=3)
@@ -847,8 +859,8 @@ class TestUdpServe:
         assert report.datagrams == 32
         assert {len(d) for d in heard[0][1:-1]} == {DATAGRAM_BUDGET}
 
-    def test_paced_serve_sends_each_frame_before_the_sleep(self, backend,
-                                                           ears, monkeypatch):
+    def test_paced_serve_sends_each_frame_before_the_sleep(self, width, ears,
+                                                           monkeypatch):
         """One token at a time on an injected clock: when the bucket
         sleeps before emission ``r``, frames ``0 .. r-1`` are already on
         the wire, not parked in an open run."""
@@ -877,8 +889,7 @@ class TestUdpServe:
             oracle_udp_serve, _session(code), ears, count=count)[1][0])
 
     @pytest.mark.parametrize("code", ["lt", "raptor", "tornado-b"])
-    def test_consecutive_serves_continue_the_stream(self, backend, ears,
-                                                    code):
+    def test_consecutive_serves_continue_the_stream(self, width, ears, code):
         session = _session(code)
         first = _udp_run(UdpTransport.serve, session, ears, count=70)
         second = _udp_run(UdpTransport.serve, session, ears, count=130)
@@ -886,7 +897,7 @@ class TestUdpServe:
                 == self._straight(code, ears, 200))
 
     @pytest.mark.parametrize("code", ["lt", "raptor", "tornado-b"])
-    def test_stop_mid_window_then_serve_again(self, backend, ears, code):
+    def test_stop_mid_window_then_serve_again(self, width, ears, code):
         session = _session(code)
         asked = []
 
@@ -904,7 +915,7 @@ class TestUdpServe:
                 + _data_records(second[1][0])
                 == self._straight(code, ears, 142))
 
-    def test_exception_mid_run_sends_what_was_counted(self, backend, ears):
+    def test_exception_mid_run_sends_what_was_counted(self, width, ears):
         """An exception leaves with a run open: its frames go out, so
         the stream resumes with no id skipped or sent twice."""
         session = _session("lt")
@@ -924,7 +935,7 @@ class TestUdpServe:
         assert (first + [p.to_bytes() for p in session.packets(5)]
                 == self._straight("lt", ears, 42))
 
-    def test_all_complete_mid_serve_then_serve_again(self, backend, ears):
+    def test_all_complete_mid_serve_then_serve_again(self, width, ears):
         session = _session("lt")
         policy = _ScriptedPolicy([((), False), ((), True)])
         first = _udp_run(UdpTransport.serve, session, ears, count=300,
@@ -934,8 +945,7 @@ class TestUdpServe:
         assert (_data_records(first[1][0]) + _data_records(second[1][0])
                 == self._straight("lt", ears, 100))
 
-    def test_zero_duration_sends_nothing_and_skips_nothing(self, backend,
-                                                           ears):
+    def test_zero_duration_sends_nothing_and_skips_nothing(self, width, ears):
         session = _session("lt")
         first = _udp_run(UdpTransport.serve, session, ears, count=50,
                          duration=0.0)
@@ -945,7 +955,7 @@ class TestUdpServe:
 
     # -- the receiving end counts what it sees ----------------------------------
 
-    def test_subscription_counts_every_datagram(self, backend):
+    def test_subscription_counts_every_datagram(self, width):
         data = _data(3)
         session = api.SenderSession(data, code="raptor", packet_size=PACKET,
                                     block_size=BLOCK, seed=3)
