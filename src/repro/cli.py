@@ -185,8 +185,8 @@ def cmd_recv(args: argparse.Namespace) -> int:
         return 2
     try:
         report = api.receive_stream(in_dir, args.output)
-    except ProtocolError:
-        print(f"error: {in_dir} is not a transfer directory — "
+    except ProtocolError as exc:
+        print(f"error: {in_dir} is not a transfer directory ({exc}) — "
               "`repro send` writes the ones `recv` reads", file=sys.stderr)
         return 2
     except DecodeFailure as exc:

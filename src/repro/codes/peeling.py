@@ -47,6 +47,7 @@ factorization (:func:`factor_gf2`) followed by a payload pass; see
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
@@ -55,6 +56,24 @@ import numpy as np
 
 from repro.errors import DecodeFailure, ParameterError
 from repro.utils.packed import apply_xor_schedule, xor_view
+
+
+def payload_store(rows: int, width: int) -> np.ndarray:
+    """A zeroed ``(rows, width)`` uint8 payload store.
+
+    Decoders keep their node values and equation right-hand sides here.
+    Each store is a private anonymous mapping of its own, which goes
+    back to the system the moment the decoder holding it is dropped.  A
+    heap block would stay resident for reuse (a code build's large
+    temporaries raise glibc's mmap threshold up to 32 MiB, pulling
+    decoder stores into the heap), so a receiver that opens every
+    block's decoder at once and drops each as its block completes would
+    keep the sum of them all.
+    """
+    if rows * width == 0:
+        return np.zeros((rows, width), dtype=np.uint8)
+    return np.frombuffer(mmap.mmap(-1, rows * width, flags=mmap.MAP_PRIVATE),
+                         dtype=np.uint8).reshape(rows, width)
 
 
 def _group_sorted(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -373,10 +392,9 @@ class PeelingEngine:
         if payload_size is not None:
             if payload_size <= 0:
                 raise ParameterError("payload_size must be positive")
-            self.values: Optional[np.ndarray] = np.zeros(
-                (self.num_nodes, payload_size), dtype=np.uint8)
-            self._acc: Optional[np.ndarray] = np.zeros(
-                (0, payload_size), dtype=np.uint8)
+            self.values: Optional[np.ndarray] = payload_store(
+                self.num_nodes, payload_size)
+            self._acc: Optional[np.ndarray] = payload_store(0, payload_size)
         else:
             self.values = None
             self._acc = None
@@ -421,8 +439,7 @@ class PeelingEngine:
         self.xor_ids = np.zeros(capacity, dtype=np.int64)
         np.bitwise_xor.at(self.xor_ids, eqs, nodes)
         if self._acc is not None:
-            self._acc = np.zeros((capacity, self.payload_size),
-                                 dtype=np.uint8)
+            self._acc = payload_store(capacity, self.payload_size)
 
     def add_equation(self, participants: np.ndarray,
                      rhs: Optional[np.ndarray] = None) -> bool:
@@ -608,7 +625,7 @@ class PeelingEngine:
         grown[:old_cap] = self.xor_ids
         self.xor_ids = grown
         if self._acc is not None:
-            grown = np.zeros((new_cap, self.payload_size), dtype=np.uint8)
+            grown = payload_store(new_cap, self.payload_size)
             grown[:old_cap] = self._acc
             self._acc = grown
         if self._bitmatrix:

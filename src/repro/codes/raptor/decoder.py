@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.codes.lt.decoder import LTDecoder
 from repro.codes.lt.encoder import LTEncoder
+from repro.codes.peeling import payload_store
 from repro.codes.raptor.precode import RaptorGeometry
 from repro.errors import DecodeFailure, ParameterError
 
@@ -88,8 +89,7 @@ class RaptorDecoder(LTDecoder):
         self._sys_banked = 0
         self._sys_payloads: Optional[np.ndarray] = None
         if payload_size is not None:
-            self._sys_payloads = np.zeros((geometry.k, payload_size),
-                                          dtype=np.uint8)
+            self._sys_payloads = payload_store(geometry.k, payload_size)
         # Systematic ids banked while nothing else has arrived, in
         # arrival order; None once the first repair droplet handed
         # them on (from then on the LT intake alone decides).

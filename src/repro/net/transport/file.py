@@ -13,6 +13,7 @@ recorded as safety margin.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import time
 from typing import Any, Iterator, Optional, Union
@@ -25,11 +26,11 @@ from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss
 from repro.net.transport.base import (
     EMISSION_LIMIT_FACTOR,
+    FEED_BATCH,
     SERVE_WINDOW,
     ServeReport,
     Subscription,
     Transport,
-    matrix_batches,
 )
 from repro.transfer.codec import record_size
 
@@ -43,14 +44,13 @@ STREAM_NAME = "stream.pkt"
 class FileSubscription(Subscription):
     """Replays a recorded transfer directory as a record feed.
 
-    The stream file is read once and cached — a recorded directory is
-    immutable for the life of a subscription.
+    The stream is read from one open file, :data:`FEED_BATCH` records at
+    a time, so a replay holds one batch of it, not the whole recording.
     """
 
     def __init__(self, directory: Union[str, pathlib.Path]):
         self.directory = pathlib.Path(directory)
         self._manifest: Optional[dict] = None
-        self._raw: Optional[bytes] = None
 
     def manifest(self, timeout: Optional[float] = None) -> dict:
         if self._manifest is None:
@@ -60,26 +60,30 @@ class FileSubscription(Subscription):
             self._manifest = json.loads(path.read_text())
         return self._manifest
 
-    def _stream_bytes(self) -> bytes:
-        if self._raw is None:
-            self._raw = (self.directory / STREAM_NAME).read_bytes()
-        return self._raw
+    def _stream_path(self) -> pathlib.Path:
+        path = self.directory / STREAM_NAME
+        if not path.is_file():
+            raise ProtocolError(f"no {STREAM_NAME} in {self.directory}")
+        return path
 
     @property
     def available(self) -> int:
         """Packet records present in the recorded stream."""
-        return len(self._stream_bytes()) // record_size(self.manifest())
+        return self._stream_path().stat().st_size // record_size(
+            self.manifest())
 
     def record_batches(self, timeout: Optional[float] = None
                        ) -> Iterator[np.ndarray]:
         size = record_size(self.manifest())
-        raw = self._stream_bytes()
-        if len(raw) % size:
-            raise ReproError(
-                f"stream is {len(raw)} bytes, not a multiple of the "
-                f"{size}-byte packet record — truncated or wrong manifest?")
-        yield from matrix_batches(
-            np.frombuffer(raw, dtype=np.uint8).reshape(-1, size))
+        with open(self._stream_path(), "rb") as stream:
+            total = os.fstat(stream.fileno()).st_size
+            if total % size:
+                raise ReproError(
+                    f"stream is {total} bytes, not a multiple of the "
+                    f"{size}-byte packet record — truncated or wrong "
+                    "manifest?")
+            while raw := stream.read(FEED_BATCH * size):
+                yield np.frombuffer(raw, dtype=np.uint8).reshape(-1, size)
 
     def send_feedback(self, report: Any) -> bool:
         """The contract's documented no-op: a recording has no sender.

@@ -12,19 +12,20 @@ server stripes packets over the blocks — lives in
 :mod:`repro.transfer.schedule`.
 
 All byte/packet accounting is here: block byte offsets and lengths are
-exact, the final packet of the tail block is zero-padded up to
-``packet_size``, and :meth:`BlockPlan.reassemble` strips that padding so
-the reconstructed object is byte-identical to the input.
+exact, and the final packet of the tail block is zero-padded up to
+``packet_size``.  A receiver writes each decoded block back at its byte
+range (:class:`~repro.transfer.client.TransferClient`), which strips that
+padding, so the reconstructed object is byte-identical to the input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
-from repro.codes.base import bytes_to_packets, packets_to_bytes
+from repro.codes.base import bytes_to_packets
 from repro.errors import ParameterError
 
 
@@ -123,25 +124,6 @@ class BlockPlan:
         """The ``(k, packet_size)`` source array of ``block`` (tail padded)."""
         return bytes_to_packets(self.slice_bytes(data, block),
                                 self.packet_size)
-
-    def reassemble(self, sources: Sequence[np.ndarray]) -> bytes:
-        """Concatenate per-block source arrays back into the exact object.
-
-        ``sources[b]`` is block ``b``'s decoded ``(k, packet_size)``
-        array; the tail block's zero padding is stripped via the plan's
-        recorded byte lengths.
-        """
-        if len(sources) != self.num_blocks:
-            raise ParameterError(
-                f"got {len(sources)} blocks, plan has {self.num_blocks}")
-        parts = []
-        for spec, source in zip(self.blocks, sources):
-            if source.shape[0] != spec.k:
-                raise ParameterError(
-                    f"block {spec.block} has {source.shape[0]} packets, "
-                    f"plan expects {spec.k}")
-            parts.append(packets_to_bytes(source, spec.byte_length))
-        return b"".join(parts)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tail = self.blocks[-1].k

@@ -5,8 +5,12 @@ The multi-block generalisation of
 :class:`TransferClient` keeps one per-block incremental decoder (a
 ``FountainClient`` over the block's code), routes each arriving packet
 to its block by the header's block id, tracks per-block completion, and
-once every block has decoded reassembles the *exact* original bytes —
-the plan's length manifest strips the tail block's zero padding.
+holds the decoded object once: the moment a block decodes, its exact
+byte range (the tail packet's zero padding stripped) is written into one
+``file_size`` object buffer — allocated at the first completion, never
+from a manifest alone — and the block's client and decoder are dropped;
+only its final reception counters stay.  A structural client (no
+payloads) drops its decoders the same way and has no buffer.
 
 Packets for already-complete blocks are counted (they are real
 receptions the paper's efficiency metrics must see) but do no decoding
@@ -49,8 +53,16 @@ class TransferClient:
             payload_size = codec.plan.packet_size
         self.codec = codec
         self.payload_size = cast(Optional[int], payload_size)
+        #: per block, its client while it decodes (None before its first
+        #: packet and once it has completed).
         self._clients: List[Optional[FountainClient]] = \
             [None] * codec.num_blocks
+        #: per completed block, its reception counters at completion.
+        self._final: List[Optional[ReceptionStats]] = \
+            [None] * codec.num_blocks
+        #: the object's bytes, written block by block as blocks complete
+        #: (None until the first block with payloads completes).
+        self._object: Optional[np.ndarray] = None
         self._incomplete = set(range(codec.num_blocks))
         self.total_received = 0
         #: per block, the exclusive bound of a packet index (the code's
@@ -100,9 +112,25 @@ class TransferClient:
         """
         client = self._open_client(block)
         if client is not None and client.receive_many(indices, payloads):
-            self._incomplete.discard(block)
+            self._finish(block, client)
         self.total_received += len(indices)
         return self.is_complete
+
+    def _finish(self, block: int, client: FountainClient) -> None:
+        """Write a just-completed block into the object buffer and drop
+        its client (and with it the decoder); its counters stay."""
+        self._incomplete.discard(block)
+        self._final[block] = client.stats()
+        self._clients[block] = None
+        if client.payload_size is None:
+            return      # structural: nothing decoded, nothing to keep
+        spec = self.codec.plan.blocks[block]
+        if self._object is None:
+            self._object = np.empty(self.codec.plan.file_size,
+                                    dtype=np.uint8)
+        rows = np.ascontiguousarray(client.source_data()).view(np.uint8)
+        self._object[spec.byte_offset:spec.byte_end] = \
+            rows.reshape(-1)[:spec.byte_length]
 
     def receive_window(self, blocks: np.ndarray, indices: np.ndarray,
                        payloads: Optional[np.ndarray] = None) -> int:
@@ -208,15 +236,17 @@ class TransferClient:
 
     @property
     def distinct_received(self) -> int:
-        return sum(client.distinct_received
-                   for client in self._clients if client is not None)
+        return sum(stats.distinct_received
+                   for stats in map(self.block_stats, range(self.num_blocks))
+                   if stats is not None)
 
     # -- results ---------------------------------------------------------------
 
     def block_stats(self, block: int) -> Optional[ReceptionStats]:
-        """Reception counters of one block (None before its first packet)."""
+        """Reception counters of one block (None before its first packet;
+        the counters at completion once it has decoded)."""
         client = self._clients[block]
-        return None if client is None else client.stats()
+        return self._final[block] if client is None else client.stats()
 
     def stats(self) -> ReceptionStats:
         """Aggregate reception counters across all blocks."""
@@ -227,25 +257,38 @@ class TransferClient:
         )
 
     def block_data(self, block: int) -> np.ndarray:
-        """One decoded block's ``(k, P)`` source array."""
-        client = self._clients[self.codec.plan.spec(block).block]
-        if client is None or not client.is_complete:
+        """One decoded block's ``(k, P)`` source array, read from the
+        object buffer (the tail packet zero-padded)."""
+        spec = self.codec.plan.spec(block)
+        if block in self._incomplete:
             raise DecodeFailure(
                 f"block {block} has not received enough packets")
-        return client.source_data()
+        rows = np.zeros((spec.k, self.codec.plan.packet_size),
+                        dtype=np.uint8)
+        rows.reshape(-1)[:spec.byte_length] = \
+            self._decoded()[spec.byte_offset:spec.byte_end]
+        return rows
 
     def object_data(self) -> bytes:
-        """The reconstructed object, byte-identical to the sender's input.
+        """The reconstructed object, byte-identical to the sender's input:
+        one ``bytes`` copy of the object buffer.
 
         Raises :class:`~repro.errors.DecodeFailure` while any block is
-        still incomplete.
+        still incomplete (or on a structural client, which decoded no
+        payloads).
         """
         if not self.is_complete:
             raise DecodeFailure(
                 f"{len(self._incomplete)} of {self.codec.num_blocks} "
                 f"blocks still incomplete: {self.incomplete_blocks[:8]}")
-        return self.codec.plan.reassemble(
-            [self.block_data(b) for b in range(self.codec.num_blocks)])
+        return self._decoded().tobytes()
+
+    def _decoded(self) -> np.ndarray:
+        """The object buffer; raises on a structural client."""
+        if self._object is None:
+            raise DecodeFailure(
+                "structural client: no payloads were decoded")
+        return self._object
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"TransferClient(blocks={self.blocks_complete}/"

@@ -41,7 +41,6 @@ from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.codes.base import bytes_to_packets
 from repro.codes.lt.encoder import xor_neighbours
 from repro.codes.raptor.code import RaptorCode
 from repro.errors import ParameterError
@@ -59,20 +58,25 @@ class _DropletStack:
     synthesis pass that serves a whole window from it.
 
     LT droplets XOR source packets, so the stack is the object's
-    ``(total_k, P)`` packet rows — one ``bytes_to_packets`` over the
-    whole object; block boundaries fall on packet boundaries, so each
-    block's source is a view of it.  Raptor droplets XOR
-    intermediates: every block's pre-solve writes into its rows of one
-    slab, and its systematic ids gather from the object rows.  The
-    per-block encoders (what per-packet pulls read, and what every fork
-    shares) are bound to those views, so nothing is held twice.
+    ``(total_k, P)`` packet rows — a read-only view of the object's own
+    ``bytes`` when they are whole packets, else of one private padded
+    copy (a ``bytearray`` is always copied, so a caller mutating it
+    later cannot reach the stream); block boundaries fall on packet
+    boundaries, so each block's source is a view of it.  Raptor
+    droplets XOR intermediates: every block's pre-solve writes into its
+    rows of one slab, and its systematic ids gather from the object
+    rows.  The per-block encoders (what per-packet pulls read, and what
+    every fork shares) are bound to those views, so nothing is held
+    twice.
     """
 
     def __init__(self, codec: ObjectCodec, data: bytes):
         plan = codec.plan
         codes = [codec.code_for(spec.block) for spec in plan.blocks]
         #: the object's packet rows; block b is rows [first_b, first_b + k_b)
-        self.rows = bytes_to_packets(data, plan.packet_size)
+        padded_len = plan.total_packets * plan.packet_size
+        self.rows = np.frombuffer(data.ljust(padded_len, b"\0"),
+                                  dtype=np.uint8).reshape(-1, plan.packet_size)
         self._first = np.array([spec.byte_offset // plan.packet_size
                                 for spec in plan.blocks], dtype=np.int64)
         sources = [self.rows[first:first + spec.k]

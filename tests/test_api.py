@@ -334,6 +334,16 @@ class TestSendReceiveFiles:
         with pytest.raises(ReproError, match="record"):
             api.receive_stream(out)
 
+    def test_missing_stream_is_a_protocol_error(self, tmp_path):
+        """It used to escape as a bare ``FileNotFoundError``."""
+        src = tmp_path / "f.bin"
+        src.write_bytes(_random_bytes(20_000, seed=8))
+        out = tmp_path / "out"
+        api.send_file(src, out, block_size=4_096, packet_size=500)
+        (out / api.STREAM_NAME).unlink()
+        with pytest.raises(ProtocolError, match=api.STREAM_NAME):
+            api.receive_stream(out)
+
     def test_insufficient_stream_raises_decode_failure(self, tmp_path):
         src = tmp_path / "f.bin"
         src.write_bytes(_random_bytes(20_000, seed=9))

@@ -166,3 +166,35 @@ class TestOneStack:
             np.testing.assert_array_equal(
                 source.encoder.source,
                 plan.source_block(server._data, spec.block))
+
+    @pytest.mark.parametrize("code", ["lt", "raptor"])
+    def test_whole_packet_bytes_are_viewed_not_copied(self, code):
+        codec = ObjectCodec(BlockPlan(100 * _PACKET, _PACKET, 32),
+                            code=code, seed=11)
+        data = _data(codec.plan.file_size)
+        rows = TransferServer(codec, data, seed=3)._stack.rows
+        assert np.shares_memory(rows, np.frombuffer(data, np.uint8))
+        assert not rows.flags.writeable
+
+    @pytest.mark.parametrize("code", ["lt", "raptor"])
+    def test_a_ragged_object_gets_one_padded_copy(self, code):
+        server, _ = _pair(code, packets=100, block_packets=32)
+        rows = server._stack.rows
+        assert not np.shares_memory(
+            rows, np.frombuffer(server._data, np.uint8))
+        assert not rows[-1, -3:].any()
+
+    @pytest.mark.parametrize("code", ["lt", "raptor", "tornado-b"])
+    def test_mutating_a_bytearray_after_the_session_changes_nothing(
+            self, code):
+        from repro.api import SenderSession
+
+        data = _data(100 * _PACKET)
+        options = dict(code=code, packet_size=_PACKET,
+                       block_size=32 * _PACKET, seed=11)
+        expected = SenderSession(data, **options).source.record_window(400)
+        mutable = bytearray(data)
+        session = SenderSession(mutable, **options)
+        mutable[:] = bytes(len(mutable))
+        np.testing.assert_array_equal(session.source.record_window(400),
+                                      expected)

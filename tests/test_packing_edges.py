@@ -14,6 +14,7 @@ from repro.codes.base import bytes_to_packets, packets_to_bytes
 from repro.codes.registry import build_code
 from repro.errors import ParameterError
 from repro.fountain.packets import BlockHeader, EncodingPacket, PacketHeader
+from repro.transfer import ObjectCodec, TransferClient, TransferServer
 from repro.transfer.blocks import BlockPlan
 
 
@@ -49,6 +50,16 @@ class TestBytesToPackets:
             bytes_to_packets(b"abc", 0)
 
 
+def _received(plan: BlockPlan, data: bytes) -> TransferClient:
+    """A client that has decoded ``data`` off its lossless stream."""
+    codec = ObjectCodec(plan, code="rs", seed=1)
+    server = TransferServer(codec, data)
+    client = TransferClient(codec)
+    while not client.is_complete:
+        client.receive_window(*server.window(codec.total_k))
+    return client
+
+
 class TestBlockPlanTails:
     @pytest.mark.parametrize("file_size", [1, 36, 37, 37 * 16, 37 * 16 + 1,
                                            37 * 16 * 3 - 5])
@@ -60,7 +71,10 @@ class TestBlockPlanTails:
         sources = [plan.source_block(data, b) for b in range(plan.num_blocks)]
         for block, src in enumerate(sources):
             assert src.shape == (plan.block_ks[block], 37)
-        assert plan.reassemble(sources) == data
+        client = _received(plan, data)
+        for block, src in enumerate(sources):
+            np.testing.assert_array_equal(client.block_data(block), src)
+        assert client.object_data() == data
 
 
 class TestPacketSerialization:

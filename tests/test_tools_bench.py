@@ -562,3 +562,10 @@ class TestMemoryGate:
     def test_rateless_slopes_are_reported_not_gated(self):
         rows = {"tornado-b": [79.0, 164.0], "lt": [65.0, 900.0]}
         assert bench_memory.verdicts(rows, [8, 32], self.STRETCHES) == []
+
+    def test_a_receiver_slope_over_the_bound_fails_any_family(self):
+        rows = {"tornado-b": [87.0, 206.0], "lt": [70.0, 200.0]}
+        failures = bench_memory.receiver_verdicts(rows, [8, 32])
+        assert len(failures) == 1 and failures[0].startswith("lt receiver")
+        assert bench_memory.receiver_verdicts(
+            {"lt": [70.0, 150.0]}, [8, 32]) == []

@@ -86,13 +86,9 @@ class TestBlockPlan:
                    for b in range(plan.num_blocks)]
         assert all(src.shape == (plan.blocks[b].k, 64)
                    for b, src in enumerate(sources))
-        assert plan.reassemble(sources) == data
-
-    def test_reassemble_validates_shapes(self):
-        data = _random_bytes(5000, seed=2)
-        plan = BlockPlan(len(data), packet_size=64, block_packets=16)
-        with pytest.raises(ParameterError):
-            plan.reassemble([plan.source_block(data, 0)])
+        # each block's rows are its exact bytes, the tail packet padded
+        assert all(src.tobytes() == plan.slice_bytes(data, b).ljust(
+            src.size, b"\0") for b, src in enumerate(sources))
 
 
 class TestObjectCodec:
@@ -419,3 +415,16 @@ class TestTransferCli:
         stream = out_dir / "stream.pkt"
         stream.write_bytes(stream.read_bytes()[:-7])  # tear mid-record
         assert main(["recv", str(out_dir), str(tmp_path / "y")]) == 2
+
+    def test_recv_without_a_stream_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        src = tmp_path / "f.bin"
+        src.write_bytes(_random_bytes(50_000, seed=32))
+        out_dir = tmp_path / "out"
+        assert main(["send", str(src), str(out_dir), "--packet-size", "500",
+                     "--block-size", "5000"]) == 0
+        (out_dir / "stream.pkt").unlink()
+        assert main(["recv", str(out_dir), str(tmp_path / "y")]) == 2
+        assert "stream.pkt" in capsys.readouterr().err
+        assert not (tmp_path / "y").exists()

@@ -30,7 +30,7 @@ from repro.net.transport import (
     parse_address,
 )
 from repro.net.loss import GilbertElliottLoss
-from repro.net.transport.base import FRAME_FEEDBACK
+from repro.net.transport.base import FEED_BATCH, FRAME_FEEDBACK
 from repro.protocol.adaptive import AdaptivePolicy
 from test_api import MANIFEST_DAMAGE, damaged_manifest
 
@@ -366,6 +366,41 @@ class TestFileTransport:
             sub.available
         with pytest.raises(ProtocolError):
             next(sub.record_batches())
+
+    def _recorded(self, directory):
+        data = _random_bytes(300_000, seed=8)
+        session = api.SenderSession(data, code="lt", packet_size=500,
+                                    block_size=20_000, seed=9)
+        return session.serve(FileTransport(directory, loss=0.1, seed=2),
+                             extra=40)
+
+    def test_replay_reads_feed_batch_windows_of_the_file(self, tmp_path):
+        report = self._recorded(tmp_path)
+        raw = (tmp_path / "stream.pkt").read_bytes()
+        sub = FileTransport(tmp_path).subscribe()
+        assert sub.available == report.delivered == len(raw) // 516
+        batches = list(sub.record_batches())
+        assert [len(b) for b in batches[:-1]] == \
+            [FEED_BATCH] * (len(batches) - 1)
+        assert 0 < len(batches[-1]) <= FEED_BATCH
+        assert b"".join(b.tobytes() for b in batches) == raw
+
+    def test_a_manifest_without_a_stream_is_a_protocol_error(self,
+                                                            tmp_path):
+        self._recorded(tmp_path)
+        (tmp_path / "stream.pkt").unlink()
+        sub = FileTransport(tmp_path).subscribe()
+        with pytest.raises(ProtocolError, match="stream.pkt"):
+            sub.available
+        with pytest.raises(ProtocolError, match="stream.pkt"):
+            next(sub.record_batches())
+
+    def test_a_torn_stream_fails_before_the_first_batch(self, tmp_path):
+        self._recorded(tmp_path)
+        stream = tmp_path / "stream.pkt"
+        stream.write_bytes(stream.read_bytes()[:-7])
+        with pytest.raises(ReproError, match="not a multiple"):
+            next(FileTransport(tmp_path).subscribe().record_batches())
 
     def test_send_file_rides_file_transport(self, tmp_path):
         """The api facade and the raw transport agree byte for byte."""

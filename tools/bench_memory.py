@@ -1,26 +1,30 @@
 #!/usr/bin/env python
-"""bench_memory: a sender's peak RSS per object megabyte, per family.
+"""bench_memory: sender and receiver peak RSS per object megabyte.
 
 For each family, :func:`repro.api.send_file` streams a random object
-through the file transport at 10 % loss with ``extra=64``, once per
-object size, each run in a fresh interpreter that prints its own
+through the file transport at 10 % loss with ``extra=64``, and
+:func:`repro.api.receive_stream` decodes the directory it wrote, once
+per object size, each run in a fresh interpreter that prints its own
 ``ru_maxrss``.  The slope between the smallest and the largest size —
 MB of peak RSS per MB of object — cancels the interpreter's baseline
-(numpy, the package, the code caches) and leaves what the sender holds
-per byte it sends.
+(numpy, the package, the code caches) and leaves what each end holds
+per byte it moves.
 
-A fixed-rate family caches its whole ``n * P`` encoding by design, so
+A fixed-rate sender caches its whole ``n * P`` encoding by design, so
 its slope may be at most ``stretch + 2``; above that the sender is
 holding something else that scales with the object, such as
 per-block GF(2^8) nibble tables (32x the packets they cover).  Rateless
-families are reported, not gated.
+senders are reported, not gated.  A receiver of any family holds the
+object buffer, the ``bytes`` it returns and the decoders of the blocks
+still open, so its slope may be at most :data:`RECEIVER_BOUND`; above
+that it is keeping finished blocks' decoders or a whole recording.
 
 Usage::
 
     python tools/bench_memory.py                       # 8 and 32 MiB
     python tools/bench_memory.py --sizes 4 16 --codes tornado-b
 
-Exits non-zero when a fixed-rate family's slope is over its bound.
+Exits non-zero when a slope is over its bound.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import math
 import os
 import pathlib
 import resource
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -41,19 +46,27 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 CODES = ["tornado-a", "tornado-b", "lt", "raptor"]
 SIZES_MIB = [8, 32]
 MIB = 1 << 20
+#: most MB of receiver peak RSS per object MB, for every family.
+RECEIVER_BOUND = 5.0
 
 
-def child(code: str, path: str, out_dir: str) -> None:
-    """One send in this interpreter; prints its peak RSS in MiB."""
-    from repro.api import send_file
-    send_file(path, out_dir, code, loss=0.1, extra=64)
+def child(role: str, code: str, path: str, out_dir: str) -> None:
+    """One send of ``path`` into ``out_dir`` (or one receive of
+    ``out_dir``) in this interpreter; prints its peak RSS in MiB."""
+    from repro.api import receive_stream, send_file
+    if role == "send":
+        send_file(path, out_dir, code, loss=0.1, extra=64)
+    else:
+        receive_stream(out_dir)
     print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 
 
-def peak_rss(code: str, path: pathlib.Path, out_dir: pathlib.Path) -> float:
-    """Peak RSS (MiB) of a fresh interpreter sending ``path``."""
+def peak_rss(role: str, code: str, path: pathlib.Path,
+             out_dir: pathlib.Path) -> float:
+    """Peak RSS (MiB) of a fresh interpreter running :func:`child`."""
     done = subprocess.run(
-        [sys.executable, __file__, "--child", code, str(path), str(out_dir)],
+        [sys.executable, __file__, "--child", role, code, str(path),
+         str(out_dir)],
         check=True, capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)))
     return float(done.stdout.split()[-1])
@@ -76,12 +89,21 @@ def verdicts(rows: Dict[str, List[float]], sizes: List[int],
     return failures
 
 
+def receiver_verdicts(rows: Dict[str, List[float]],
+                      sizes: List[int]) -> List[str]:
+    """One line per family whose receiver slope is over the bound."""
+    return [f"{code} receiver: {slope(rss, sizes):.2f} MB per object MB "
+            f"> {RECEIVER_BOUND:.2f}"
+            for code, rss in rows.items()
+            if slope(rss, sizes) > RECEIVER_BOUND]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--codes", nargs="+", default=CODES)
     parser.add_argument("--sizes", nargs="+", type=int, default=SIZES_MIB,
                         help="object sizes in MiB (at least two)")
-    parser.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
+    parser.add_argument("--child", nargs=4, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         child(*args.child)
@@ -95,7 +117,8 @@ def main(argv=None) -> int:
     # inf for a rateless family.
     stretches = {code: float(build_code(code, 256).stretch_factor)
                  for code in args.codes}
-    rows: Dict[str, List[float]] = {code: [] for code in args.codes}
+    sent: Dict[str, List[float]] = {code: [] for code in args.codes}
+    received: Dict[str, List[float]] = {code: [] for code in args.codes}
     rng = np.random.default_rng(2024)
     with tempfile.TemporaryDirectory() as tmp:
         for size in sizes:
@@ -103,18 +126,26 @@ def main(argv=None) -> int:
             obj.write_bytes(rng.integers(0, 256, size * MIB,
                                          dtype=np.uint8).tobytes())
             for code in args.codes:
-                rows[code].append(
-                    peak_rss(code, obj, pathlib.Path(tmp) / f"{code}-{size}"))
+                out_dir = pathlib.Path(tmp) / f"{code}-{size}"
+                sent[code].append(peak_rss("send", code, obj, out_dir))
+                received[code].append(peak_rss("recv", code, obj, out_dir))
+                shutil.rmtree(out_dir)
             obj.unlink()
-    print("sender peak RSS (MiB), send_file at 10 % loss, extra=64")
-    print(f"{'code':<10}" + "".join(f"{f'{s} MiB':>10}" for s in sizes)
+    print("peak RSS (MiB): send_file at 10 % loss, extra=64, then "
+          "receive_stream")
+    print(f"{'code':<10}{'end':<6}"
+          + "".join(f"{f'{s} MiB':>10}" for s in sizes)
           + f"{'slope':>8}{'bound':>8}")
-    for code, rss in rows.items():
+    for code in args.codes:
         bound = stretches[code] + 2
-        print(f"{code:<10}" + "".join(f"{r:>10.1f}" for r in rss)
-              + f"{slope(rss, sizes):>8.2f}"
-              + (f"{bound:>8.2f}" if math.isfinite(bound) else f"{'-':>8}"))
-    failures = verdicts(rows, sizes, stretches)
+        for end, rss, limit in (("send", sent[code], bound),
+                                ("recv", received[code], RECEIVER_BOUND)):
+            print(f"{code:<10}{end:<6}" + "".join(f"{r:>10.1f}" for r in rss)
+                  + f"{slope(rss, sizes):>8.2f}"
+                  + (f"{limit:>8.2f}" if math.isfinite(limit)
+                     else f"{'-':>8}"))
+    failures = (verdicts(sent, sizes, stretches)
+                + receiver_verdicts(received, sizes))
     for line in failures:
         print("FAIL", line)
     return 1 if failures else 0
