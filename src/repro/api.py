@@ -330,12 +330,10 @@ class ReceiverSession:
         return self.feedback_report()
 
     def receive(self, packet: EncodingPacket) -> bool:
-        """Ingest one packet; True once every block is decodable."""
-        if not self.client.is_complete:
-            self.packets_used += 1
-            if self.reporting:
-                self.loss_estimator.observe([packet.header.serial])
-        return self.client.receive(packet)
+        """Ingest one packet: :meth:`receive_records` of its record, so
+        a packet this session's geometry does not have is rejected like
+        any other record.  True once every block is decodable."""
+        return self.receive_record(packet.to_bytes())
 
     def receive_record(self, record: bytes) -> bool:
         """Ingest one on-wire packet record (header + payload bytes)."""

@@ -9,8 +9,8 @@ Two server shapes approximate/realise the fountain of Section 3:
   paper motivates: stream unbounded LT droplets, no stretch-factor
   ceiling, no wrap-around duplicates.
 
-Both emit :class:`~repro.fountain.packets.EncodingPacket` (the paper's
-12-byte header + payload) stamped by a shared
+Both emit :class:`~repro.fountain.packets.EncodingPacket` (one wire
+record: the paper's 12-byte header + payload) numbered by a shared
 :class:`~repro.fountain.packets.HeaderSequencer`; a
 :class:`~repro.fountain.client.FountainClient` drinks packets from
 either stream until its decoder completes, tracking the
@@ -21,15 +21,13 @@ carousel streams (Section 8's mirroring application).
 """
 
 from repro.fountain.packets import (
-    PacketHeader,
-    BlockHeader,
     EncodingPacket,
     HeaderSequencer,
     HEADER_SIZE,
     BLOCK_HEADER_SIZE,
     SERIAL_MODULUS,
 )
-from repro.fountain.source import PacketSource, SequencedPacketSource
+from repro.fountain.source import SequencedPacketSource
 from repro.fountain.carousel import CarouselServer
 from repro.fountain.rateless import RatelessServer
 from repro.fountain.client import FountainClient, ClientMode
@@ -40,14 +38,11 @@ from repro.fountain.aggregate import (
 )
 
 __all__ = [
-    "PacketHeader",
-    "BlockHeader",
     "EncodingPacket",
     "HeaderSequencer",
     "HEADER_SIZE",
     "BLOCK_HEADER_SIZE",
     "SERIAL_MODULUS",
-    "PacketSource",
     "SequencedPacketSource",
     "CarouselServer",
     "RatelessServer",

@@ -82,6 +82,10 @@ class FountainClient:
         self.statistical_margin = statistical_margin
         self.retry_step = retry_step
         self.payload_size = payload_size
+        field = getattr(code, "field", None)
+        #: one payload symbol of a wire record: a byte, or two for a
+        #: Reed-Solomon code over GF(2^16).
+        self._symbol = np.dtype(np.uint8 if field is None else field.dtype)
         #: packets received prior to reconstruction, repeats included.
         self.total_received = 0
         #: the one memory of what arrived (ids, distinct count, deficit).
@@ -109,8 +113,10 @@ class FountainClient:
     # -- feeding ---------------------------------------------------------------
 
     def receive(self, packet: EncodingPacket) -> bool:
-        """Ingest one packet; returns True once the source is decodable."""
-        return self.receive_index(packet.index, packet.payload)
+        """Ingest one packet, its payload bytes read as the code's
+        symbols; returns True once the source is decodable."""
+        return self.receive_index(packet.index,
+                                  packet.payload.view(self._symbol))
 
     def receive_index(self, index: int,
                       payload: Optional[np.ndarray] = None) -> bool:

@@ -14,27 +14,29 @@ same 12-byte header: three big-endian unsigned 32-bit fields.
 
 For a rateless (LT) stream the ``index`` field carries the *droplet id*
 — unbounded, never repeating — instead of a position in a finite
-encoding.  :class:`HeaderSequencer` owns the serial/group stamping all
+encoding.  :class:`HeaderSequencer` owns the serial numbering all
 fountain servers share.
 
 Block-segmented transfers (:mod:`repro.transfer`) tag each packet with
-the block it encodes via :class:`BlockHeader`, a 16-byte extension that
-appends one uint32 ``block`` field directly after ``group``.  The first
-12 bytes of a :class:`BlockHeader` are byte-identical to the legacy
-header, and single-block streams keep emitting the plain 12-byte
-:class:`PacketHeader`, so legacy receivers and block-aware receivers
-agree whenever there is only one block.
+the block it encodes in a 16-byte header that appends one uint32
+``block`` field directly after ``group``.  Its first 12 bytes are
+byte-identical to the legacy header, and single-block streams keep
+emitting the plain 12-byte header, so legacy receivers and block-aware
+receivers agree whenever there is only one block.
 
 This module is the one home of the record layout: :func:`stamp_headers`
-writes a record matrix's headers, :func:`record_ids` reads them, and
-``pack`` / ``unpack`` are their one-row case.  Which header a stream
-carries is the codec's size rule (:mod:`repro.transfer.codec`).
+writes a record matrix's headers and :func:`record_ids` reads them.  An
+:class:`EncodingPacket` is one row of such a matrix — stamped by the
+first, read by the second — so a packet and a row of a record window
+are the same bytes.  Which header a stream carries is the codec's size
+rule (:mod:`repro.transfer.codec`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Optional, Tuple, Type, TypeVar
+from functools import cached_property
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
@@ -65,95 +67,19 @@ def stamp_headers(records: np.ndarray, header_size: int, indices: Any,
     records[:, :header_size] = fields.view(np.uint8)
 
 
-def _fields(records: np.ndarray, header_size: int) -> np.ndarray:
-    """The header fields of a record matrix, one int64 column each."""
-    return records[:, :header_size].view(">u4").astype(np.int64)
-
-
 def record_ids(records: np.ndarray, header_size: int
                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(blocks, indices, serials)`` of a record matrix's headers as
     int64 arrays, in one pass (block 0 under the 12-byte header).
     Nothing is checked against a geometry: that is the receiver's."""
-    fields = _fields(records, header_size)
+    fields = records[:, :header_size].view(">u4").astype(np.int64)
     blocks = (fields[:, 3] if header_size == BLOCK_HEADER_SIZE
               else np.zeros(len(records), dtype=np.int64))
     return blocks, fields[:, 0], fields[:, 1]
 
 
-_H = TypeVar("_H", bound="_Header")
-
-
-class _Header:
-    """What both header shapes share: the uint32 range check, and
-    ``pack`` / ``unpack`` as one row of :func:`stamp_headers` and of
-    the column read behind :func:`record_ids`."""
-
-    header_size: ClassVar[int]
-    index: int
-    serial: int
-    group: int
-    block: int
-
-    def __post_init__(self) -> None:
-        for field, value in vars(self).items():
-            if not 0 <= value < SERIAL_MODULUS:
-                raise ProtocolError(
-                    f"header field {field}={value} outside uint32 range")
-
-    def pack(self) -> bytes:
-        """Serialise to the ``header_size``-byte wire format."""
-        row = np.empty((1, self.header_size), dtype=np.uint8)
-        stamp_headers(row, self.header_size, self.index, self.serial,
-                      self.group, self.block)
-        return row.tobytes()
-
-    @classmethod
-    def unpack(cls: Type[_H], data: bytes) -> _H:
-        """Parse the leading ``header_size`` bytes of ``data``."""
-        if len(data) < cls.header_size:
-            raise ProtocolError(
-                f"{cls.__name__} needs {cls.header_size} bytes, "
-                f"got {len(data)}")
-        row = np.frombuffer(data, dtype=np.uint8, count=cls.header_size)
-        return cls(*_fields(row[None], cls.header_size)[0].tolist())
-
-
-@dataclass(frozen=True)
-class PacketHeader(_Header):
-    """The legacy 12-byte header tag of every encoding packet."""
-
-    index: int
-    serial: int
-    group: int = 0
-    header_size: ClassVar[int] = HEADER_SIZE
-
-    @property  # type: ignore[override]
-    def block(self) -> int:
-        """Block id of a legacy header: always 0 (a single-block stream)."""
-        return 0
-
-
-@dataclass(frozen=True)
-class BlockHeader(_Header):
-    """The 16-byte block-aware header variant.
-
-    Identical to :class:`PacketHeader` for its first 12 bytes; the
-    trailing uint32 carries the block id, so ``(block, index)`` names an
-    encoding packet of a segmented object.  Multi-block streams must use
-    this variant; single-block streams stay on the byte-compatible
-    legacy header.
-    """
-
-    index: int
-    serial: int
-    group: int = 0
-    block: int = 0
-    header_size: ClassVar[int] = BLOCK_HEADER_SIZE
-
-
 class HeaderSequencer:
-    """Stamps consecutive transmission serials into packet headers.
+    """Hands out consecutive transmission serials for packet headers.
 
     The serial/group bookkeeping every fountain server needs is
     identical whether the stream cycles a finite encoding
@@ -162,7 +88,7 @@ class HeaderSequencer:
     (:class:`~repro.fountain.rateless.RatelessServer`): each emitted
     packet gets the next serial number and the server's group tag.
     Servers own *which* encoding index goes out next; this owns the
-    header around it.
+    serial stamped beside it.
 
     One sequencer may be *shared* by several servers (the per-block
     sub-servers of a :class:`~repro.transfer.server.TransferServer`),
@@ -188,25 +114,11 @@ class HeaderSequencer:
         """The serial the next emitted packet will carry."""
         return self._serial
 
-    def next_header(self, index: int, block: Optional[int] = None
-                    ) -> "PacketHeader | BlockHeader":
-        """The header for encoding packet ``index``; advances the serial.
-
-        With ``block=None`` (single-block streams) this emits the legacy
-        12-byte :class:`PacketHeader`; otherwise the 16-byte
-        :class:`BlockHeader` stamped with the block id.
-        """
-        header = (PacketHeader(index, self._serial, self.group)
-                  if block is None else
-                  BlockHeader(index, self._serial, self.group, block))
-        self._serial = (self._serial + 1) % SERIAL_MODULUS
-        return header
-
     def take(self, count: int) -> np.ndarray:
         """The serials of the next ``count`` packets; advances past them.
 
-        The batched twin of ``count`` :meth:`next_header` calls, for
-        callers that stamp a whole window of headers in one pass.
+        The one serial draw: a window of records takes its whole run, a
+        single packet ``take(1)``.
         """
         serials = (self._serial
                    + np.arange(count, dtype=np.int64)) % SERIAL_MODULUS
@@ -224,31 +136,74 @@ class HeaderSequencer:
         self._serial = self._start_serial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncodingPacket:
-    """A header (legacy or block-aware) plus its fixed-length payload."""
+    """One whole wire record — header and payload — as a uint8 row.
 
-    header: "PacketHeader | BlockHeader"
-    payload: np.ndarray
+    A record of one: :meth:`stamp` writes it with :func:`stamp_headers`,
+    its ids are one :func:`record_ids` read, and :meth:`to_bytes` is the
+    record itself.
+    """
 
-    @property
-    def index(self) -> int:
-        return self.header.index
+    record: np.ndarray
+    header_size: int
+
+    @classmethod
+    def stamp(cls, payload: np.ndarray, index: int, serial: int,
+              group: int = 0, block: Optional[int] = None
+              ) -> "EncodingPacket":
+        """The record carrying ``payload`` as encoding packet ``index``.
+
+        ``block=None`` (a single-block stream) gets the legacy 12-byte
+        header, a block id the 16-byte one.  A field outside uint32
+        raises :class:`~repro.errors.ProtocolError`.
+        """
+        for field, value in (("index", index), ("serial", serial),
+                             ("group", group),
+                             ("block", 0 if block is None else block)):
+            if not 0 <= value < SERIAL_MODULUS:
+                raise ProtocolError(
+                    f"header field {field}={value} outside uint32 range")
+        header = HEADER_SIZE if block is None else BLOCK_HEADER_SIZE
+        body = np.ascontiguousarray(payload).view(np.uint8).reshape(-1)
+        record = np.empty((1, header + len(body)), dtype=np.uint8)
+        record[0, header:] = body
+        stamp_headers(record, header, index, serial, group, block)
+        return cls(record[0], header)
+
+    @cached_property
+    def _ids(self) -> Tuple[int, int, int]:
+        """``(block, index, serial)`` of the header."""
+        blocks, indices, serials = record_ids(self.record[np.newaxis],
+                                              self.header_size)
+        return int(blocks[0]), int(indices[0]), int(serials[0])
 
     @property
     def block(self) -> int:
         """Block id this packet encodes (0 on a legacy header)."""
-        return self.header.block
+        return self._ids[0]
+
+    @property
+    def index(self) -> int:
+        return self._ids[1]
+
+    @property
+    def serial(self) -> int:
+        return self._ids[2]
+
+    @property
+    def payload(self) -> np.ndarray:
+        """The payload bytes: a view of the record past its header."""
+        return self.record[self.header_size:]
 
     def to_bytes(self) -> bytes:
-        """Serialise header and payload."""
-        return self.header.pack() + np.ascontiguousarray(
-            self.payload).tobytes()
+        """The wire record."""
+        return self.record.tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes,
                    block_aware: bool = False) -> "EncodingPacket":
-        """Parse a packet serialised by :meth:`to_bytes`.
+        """Parse a record serialised by :meth:`to_bytes`.
 
         The wire format is not self-describing (the paper's header has
         no version field), so the caller must know whether the stream
@@ -256,8 +211,8 @@ class EncodingPacket:
         codec's :attr:`~repro.transfer.codec.ObjectCodec.block_aware`
         says which.
         """
-        header: "PacketHeader | BlockHeader" = (
-            BlockHeader if block_aware else PacketHeader).unpack(data)
-        payload = np.frombuffer(data[header.header_size:],
-                                dtype=np.uint8).copy()
-        return cls(header=header, payload=payload)
+        header = BLOCK_HEADER_SIZE if block_aware else HEADER_SIZE
+        if len(data) < header:
+            raise ProtocolError(
+                f"a record needs {header} header bytes, got {len(data)}")
+        return cls(np.frombuffer(data, dtype=np.uint8).copy(), header)

@@ -1,13 +1,12 @@
-"""The one producer contract behind every packet stream.
+"""The emission machinery behind every packet stream.
 
 Every stream the library serves — a carousel cycling a fixed encoding,
-a rateless droplet fountain, a block-striped bulk transfer, a layered
-multicast schedule — ultimately answers the same two questions: *give
-me the next packets* and *start over*.  :class:`PacketSource` spells
-that contract out, and :class:`SequencedPacketSource` hosts the
-machinery behind the sources that stamp wire headers: sequencer
-ownership, the counted emission loop, session reset — and, for the two
-block sources (:class:`~repro.fountain.carousel.CarouselServer`,
+a rateless droplet fountain, a block-striped bulk transfer — answers
+the same two questions: *give me the next packets* and *start over*.
+:class:`SequencedPacketSource` hosts the machinery behind them:
+sequencer ownership, the counted emission loop, session reset — and,
+for the two block sources
+(:class:`~repro.fountain.carousel.CarouselServer`,
 :class:`~repro.fountain.rateless.RatelessServer`), the emission cursor
 itself.  What emission ``t`` of a block carries is a pure function of
 ``t``; a block source supplies only that function — a position → index
@@ -16,19 +15,18 @@ the cursor, the look-ahead buffer and every draw live here once.
 
 Which class serves a code is not data:
 :class:`~repro.transfer.server.TransferServer` builds a rateless or a
-carousel source per block on the codec's ``is_rateless``, and a layered
-stream is built by :func:`repro.protocol.stream.layered_packet_source`.
+carousel source per block on the codec's ``is_rateless``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Protocol, Tuple, runtime_checkable
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.fountain.packets import EncodingPacket, HeaderSequencer
 
-__all__ = ["LOOKAHEAD", "PacketSource", "SequencedPacketSource"]
+__all__ = ["LOOKAHEAD", "SequencedPacketSource"]
 
 
 #: emissions synthesised per look-ahead fill, for per-packet pulls.  A
@@ -42,22 +40,8 @@ __all__ = ["LOOKAHEAD", "PacketSource", "SequencedPacketSource"]
 LOOKAHEAD = 32
 
 
-@runtime_checkable
-class PacketSource(Protocol):
-    """The producer side of every stream: emit packets, start over."""
-
-    def packets(self, count: Optional[int] = None
-                ) -> Iterator[EncodingPacket]:
-        """Yield the next ``count`` packets (infinite when ``None``)."""
-        ...  # pragma: no cover - protocol
-
-    def reset(self) -> None:
-        """Rewind the stream to its start (a fresh session)."""
-        ...  # pragma: no cover - protocol
-
-
 class SequencedPacketSource:
-    """Shared emission machinery for sources that stamp wire headers.
+    """Shared emission machinery for sources that stamp wire records.
 
     Owns (or shares) the :class:`HeaderSequencer`, implements the
     counted ``packets()`` loop in terms of :meth:`_next_packet`, and
@@ -174,12 +158,12 @@ class SequencedPacketSource:
         return batch
 
     def _next_packet(self) -> EncodingPacket:
-        """Produce the next packet of the stream."""
+        """The next emission as a one-row record, out of the look-ahead."""
         indices, payloads = self._ahead(1)
-        header = self._sequencer.next_header(int(indices[0]),
-                                             block=self.block)
+        serial = int(self._sequencer.take(1)[0])
         self._position += 1
-        return EncodingPacket(header=header, payload=payloads[0])
+        return EncodingPacket.stamp(payloads[0], int(indices[0]), serial,
+                                    self.group, self.block)
 
     def _retreat(self, count: int) -> None:
         """Move the cursor back ``count`` emissions.  The look-ahead

@@ -1,8 +1,8 @@
 """The transport contract: one way to move a packet stream anywhere.
 
-A *transport* carries the records of a
-:class:`~repro.fountain.source.PacketSource` from a sender session to
-any number of receiver subscriptions.  Three interchangeable
+A *transport* carries the wire records of a sender session's
+:class:`~repro.transfer.server.TransferServer` to any number of
+receiver subscriptions.  Three interchangeable
 implementations ship behind this contract:
 
 * :class:`~repro.net.transport.memory.MemoryTransport` — in-process
@@ -19,9 +19,8 @@ sender-session surface (``source``, ``manifest()``, ``codec``,
 ``total_k`` — see :class:`repro.api.SenderSession`).  Every serve draws
 whole :meth:`~repro.transfer.server.TransferServer.record_window`
 windows of wire records from ``session.source`` and hands back
-(``unwind``) whatever part of the last one it did not send; only the
-UDP serve still pulls ``packets()``, a window of one, from a source
-that has no record windows.  Receivers consume a :class:`Subscription`,
+(``unwind``) whatever part of the last one it did not send; none pulls
+``packets()``.  Receivers consume a :class:`Subscription`,
 which feeds raw wire records (header + payload) into a
 :class:`repro.api.ReceiverSession`.
 

@@ -515,8 +515,9 @@ class UdpSubscription(Subscription):
                 yield batch
 
 
-#: one destination's injected loss is a plain channel crossing, read a
-#: verdict at a time through :meth:`LossyChannel.lost`.
+#: one destination's injected loss is a plain channel crossing; the
+#: serve reads a window's verdicts at once through
+#: :meth:`LossyChannel.delivery_mask`.
 _LossStream = LossyChannel
 
 
@@ -678,15 +679,10 @@ class UdpTransport(Transport):
             count = EMISSION_LIMIT_FACTOR * session.total_k
         bucket = None if self.pace is None else TokenBucket(self.pace)
         streams = self._loss_streams()
-        source = getattr(session, "source", session)
-        reweight = getattr(source, "reweight", None)
-        # A transfer server hands over whole windows of wire records and
-        # takes back what a stop leaves unsent; any other source is
-        # pulled a packet — a window of one — at a time.
-        draw = getattr(source, "record_window", None)
-        packets = None if draw is not None else session.packets(count)
-        codec = getattr(session, "codec", None)
-        block_ks = codec.plan.block_ks if codec is not None else [1]
+        # The transfer server hands over whole windows of wire records
+        # and takes back what a stop leaves unsent.
+        source = session.source
+        block_ks = session.codec.plan.block_ks
         manifest_frame = pack_frame(
             FRAME_MANIFEST,
             json.dumps(session.manifest()).encode("utf-8"))
@@ -814,15 +810,7 @@ class UdpTransport(Transport):
                         decide_at = adapt_every * -(-max(emitted, 1)
                                                     // adapt_every)
                         size = min(size, decide_at - emitted + 1)
-                    if draw is not None:
-                        records = draw(size)
-                    else:
-                        packet = next(packets, None)
-                        if packet is None:
-                            break
-                        records = np.frombuffer(packet.to_bytes(),
-                                                dtype=np.uint8)[None]
-                    frames = frame_records(records)
+                    frames = frame_records(source.record_window(size))
                     wire = memoryview(frames.reshape(-1))
                     step = frames.shape[1]
                     per = max(1, DATAGRAM_BUDGET // step)
@@ -850,8 +838,8 @@ class UdpTransport(Transport):
                                 if bucket is not None:
                                     bucket.set_rate(
                                         self.pace * decision.rate_scale)
-                                if decision.weights and reweight is not None:
-                                    reweight(list(decision.weights))
+                                if decision.weights:
+                                    source.reweight(list(decision.weights))
                         if emitted % self.manifest_interval == 0:
                             flush(row)
                             for dest in self.destinations:
@@ -873,7 +861,7 @@ class UdpTransport(Transport):
                 # The frames of a run still open were counted: they go
                 # out even when an exception ends the serve.
                 flush(rows - pending)
-                if pending and draw is not None:
+                if pending:
                     # Stopped (or interrupted) mid-window: the source
                     # resumes from the last frame handed to the socket,
                     # no id skipped.

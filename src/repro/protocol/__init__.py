@@ -36,7 +36,6 @@ from repro.protocol.feedback import (
 )
 from repro.protocol.adaptive import AdaptivePolicy, PolicyDecision
 from repro.protocol.server import LayeredServer
-from repro.protocol.stream import LayeredPacketSource, layered_packet_source
 from repro.protocol.receiver import LayeredReceiver
 from repro.protocol.session import SessionResult, run_session, run_single_layer_session
 
@@ -54,8 +53,6 @@ __all__ = [
     "AdaptivePolicy",
     "PolicyDecision",
     "LayeredServer",
-    "LayeredPacketSource",
-    "layered_packet_source",
     "LayeredReceiver",
     "SessionResult",
     "run_session",

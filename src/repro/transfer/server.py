@@ -10,13 +10,14 @@ strictly monotone across the whole striped stream (receivers estimate
 loss from serial gaps exactly as on a single-block stream).
 
 It is the one place that knows what emission ``t`` carries — block,
-encoding index, payload.  Transports pull ``packets()`` or stamped
-:meth:`TransferServer.record_window` windows; simulations build the
+encoding index, payload.  Transports draw stamped
+:meth:`TransferServer.record_window` windows (``packets()`` is the
+same records one at a time, for in-process callers); simulations build the
 server *without data* (the structural stream, over index-only block
 sources) and draw the same :meth:`TransferServer.window` for the ids.
 
 Header compatibility: a multi-block stream tags every packet with its
-block id via the 16-byte :class:`~repro.fountain.packets.BlockHeader`;
+block id in the 16-byte block header (:mod:`repro.fountain.packets`);
 a single-block plan degrades to the legacy 12-byte header, keeping the
 wire format byte-identical to the paper's.  Which one a stream carries
 is the codec's size rule (:attr:`ObjectCodec.block_aware
@@ -293,8 +294,8 @@ class TransferServer(SequencedPacketSource):
 
     def record_window(self, count: int) -> np.ndarray:
         """The next ``count`` emissions as a ``(count, H + P)`` array of
-        wire records — what ``count`` :meth:`_next_packet` calls and a
-        ``to_bytes`` each would serialise, with no per-packet object.
+        wire records — the rows ``count`` :meth:`_next_packet` calls
+        would stamp one at a time, with no per-packet object.
 
         One draw with the payloads written straight into the records,
         plus one :func:`~repro.fountain.packets.stamp_headers` pass over

@@ -462,8 +462,6 @@ def oracle_memory_serve(transport, session, *, count=None, extra=0,
     limit = (EMISSION_LIMIT_FACTOR * session.total_k
              if count is None else count)
     adaptive = policy is not None or feedback is not None
-    source = getattr(session, "source", session)
-    reweight = getattr(source, "reweight", None)
     block_ks = session.codec.plan.block_ks
     start = time.perf_counter()
     emitted = delivered = dropped = 0
@@ -494,10 +492,10 @@ def oracle_memory_serve(transport, session, *, count=None, extra=0,
                 if feedback is not None:
                     feedback(report)
             self.drain_feedback(policy, feedback, now=now)
-            if policy is not None and reweight is not None:
+            if policy is not None:
                 decision = policy.decide(block_ks, now=now)
                 if decision.weights:
-                    reweight(list(decision.weights))
+                    session.source.reweight(list(decision.weights))
         if count is None and all(s.is_complete for s in shadows):
             if extra_left <= 0:
                 break
@@ -621,9 +619,9 @@ async def oracle_udp_serve_async(transport, session, *, count=None,
                                  duration=None, stop=None, policy=None,
                                  feedback=None, adapt_every=64):
     """``UdpTransport.serve_async`` exactly as it ran before the UDP
-    send path went windowed: one packet pulled, one header object and
-    ``to_bytes``, one ``pack_frame`` and one ``lost()`` verdict per
-    destination at a time.  ``TestUdpServe`` holds the windowed serve
+    send path went windowed: one packet pulled, one ``to_bytes``, one
+    ``pack_frame`` and one ``lost()`` verdict per destination at a
+    time.  ``TestUdpServe`` holds the windowed serve
     to the datagrams this puts on the wire."""
     import socket
     import time
@@ -659,10 +657,7 @@ async def oracle_udp_serve_async(transport, session, *, count=None,
                         socket.inet_aton(self.interface))
     bucket = None if self.pace is None else TokenBucket(self.pace)
     streams = self._loss_streams()
-    source = getattr(session, "source", session)
-    reweight = getattr(source, "reweight", None)
-    codec = getattr(session, "codec", None)
-    block_ks = codec.plan.block_ks if codec is not None else [1]
+    block_ks = session.codec.plan.block_ks
     manifest_frame = pack_frame(
         FRAME_MANIFEST,
         json.dumps(session.manifest()).encode("utf-8"))
@@ -708,8 +703,8 @@ async def oracle_udp_serve_async(transport, session, *, count=None,
                     break
                 if bucket is not None and self.pace is not None:
                     bucket.set_rate(self.pace * decision.rate_scale)
-                if decision.weights and reweight is not None:
-                    reweight(list(decision.weights))
+                if decision.weights:
+                    session.source.reweight(list(decision.weights))
             if emitted % self.manifest_interval == 0:
                 for dest in self.destinations:
                     transport.sendto(manifest_frame, dest)

@@ -1,6 +1,7 @@
 """The repro.api facade: sessions and one-call file transfer."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -8,15 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
+from repro.codes import available_codes
 from repro.errors import (
     DecodeFailure,
     ParameterError,
     ProtocolError,
     ReproError,
 )
+from repro.fountain.packets import EncodingPacket
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss
 from repro.transfer.codec import record_size
+
+
+FAMILIES = [family.name for family in available_codes()]
 
 
 def _random_bytes(n, seed):
@@ -152,6 +158,72 @@ class TestUntrustedRecords:
         assert not receiver.receive_records(
             np.zeros((0, receiver.record_size), dtype=np.uint8))
         assert receiver.receive_records(records) and receiver.data() == data
+
+    @staticmethod
+    def _two_block_sender(spec):
+        data = _random_bytes(6_000, seed=3)
+        sender = api.SenderSession(data, code=spec, packet_size=64,
+                                   block_size=4_096, seed=9)
+        assert sender.num_blocks == 2
+        return data, sender
+
+    @pytest.mark.parametrize("case", ["unknown-block", "short-payload",
+                                      "legacy-header"])
+    @pytest.mark.parametrize("spec", FAMILIES)
+    def test_a_packet_passes_the_same_gate_as_its_record(self, spec, case):
+        """``receive(packet)`` is ``receive_records`` of the packet's
+        record: a packet naming a block the plan lacks, one with a short
+        payload and one under the 12-byte header on a block-aware stream
+        are rejected before anything counts them, and a block they name
+        stays untouched."""
+        data, sender = self._two_block_sender(spec)
+        payload = bytes(range(64))
+        hostile = {
+            "unknown-block": lambda: EncodingPacket.from_bytes(
+                struct.pack(">4I", 0, 0, 0, 99) + payload, block_aware=True),
+            "short-payload": lambda: EncodingPacket.from_bytes(
+                struct.pack(">4I", 0, 1, 0, 0) + payload[:10],
+                block_aware=True),
+            "legacy-header": lambda: EncodingPacket.from_bytes(
+                struct.pack(">3I", 3, 2, 0) + payload),
+        }[case]()
+        typed = api.ReceiverSession(sender.manifest())
+        raw = api.ReceiverSession(sender.manifest())
+        assert not typed.receive(hostile)
+        assert not raw.receive_records([hostile.to_bytes()])
+        for session in (typed, raw):
+            assert session.packets_used == 0 and session.rejected == 1
+            assert session.client.block_stats(0) is None
+        assert typed.stats() == raw.stats()
+        for packet in sender.packets():
+            done = typed.receive(packet)
+            assert raw.receive_records([packet.to_bytes()]) == done
+            assert (typed.packets_used, typed.rejected) \
+                == (raw.packets_used, raw.rejected)
+            assert typed.stats() == raw.stats()
+            if done:
+                break
+        assert typed.rejected == 1
+        assert typed.data() == raw.data() == data
+
+    @pytest.mark.parametrize("spec", FAMILIES)
+    def test_a_packet_stream_counts_as_its_records(self, spec):
+        """On a clean stream both intakes agree packet by packet:
+        completion, ``packets_used``, ``rejected`` and ``stats()``, and
+        the payload bytes decode as the family's symbols."""
+        data, sender = self._two_block_sender(spec)
+        typed = api.ReceiverSession(sender.manifest())
+        raw = api.ReceiverSession(sender.manifest())
+        for packet in sender.packets():
+            done = typed.receive(packet)
+            assert raw.receive_records([packet.to_bytes()]) == done
+            assert (typed.packets_used, typed.rejected) \
+                == (raw.packets_used, raw.rejected)
+            assert typed.stats() == raw.stats()
+            if done:
+                break
+        assert typed.rejected == 0 and typed.is_complete
+        assert typed.data() == raw.data() == data
 
     @pytest.mark.parametrize("spec,block_size", [
         ("lt", 2_048), ("raptor", 8_192), ("tornado-a", 2_048),

@@ -18,38 +18,47 @@ from repro.fountain.packets import (
     SERIAL_MODULUS,
     EncodingPacket,
     HeaderSequencer,
-    PacketHeader,
+    stamp_headers,
 )
 from repro.fountain.rateless import RatelessServer
+
+
+_EMPTY = np.zeros(0, dtype=np.uint8)
 
 
 class TestPackets:
     def test_header_is_12_bytes(self):
         assert HEADER_SIZE == 12
-        assert len(PacketHeader(1, 2, 3).pack()) == 12
+        assert len(EncodingPacket.stamp(_EMPTY, 1, 2, 3).to_bytes()) == 12
 
     @given(index=st.integers(0, 2**32 - 1), serial=st.integers(0, 2**32 - 1),
            group=st.integers(0, 2**32 - 1))
     @settings(max_examples=50)
     def test_header_roundtrip(self, index, serial, group):
-        header = PacketHeader(index, serial, group)
-        assert PacketHeader.unpack(header.pack()) == header
+        record = EncodingPacket.stamp(_EMPTY, index, serial, group).to_bytes()
+        parsed = EncodingPacket.from_bytes(record)
+        assert (parsed.index, parsed.serial, parsed.block) == (index, serial, 0)
+        assert int.from_bytes(record[8:12], "big") == group
+        # a record of one is a row of the window writer's matrix
+        row = np.empty((1, HEADER_SIZE), dtype=np.uint8)
+        stamp_headers(row, HEADER_SIZE, index, serial, group, None)
+        assert row.tobytes() == record
 
     def test_header_range_checks(self):
-        with pytest.raises(ProtocolError):
-            PacketHeader(-1, 0, 0)
-        with pytest.raises(ProtocolError):
-            PacketHeader(2**32, 0, 0)
+        for fields in [(-1, 0, 0), (2**32, 0, 0), (0, 2**32, 0), (0, 0, -1)]:
+            with pytest.raises(ProtocolError):
+                EncodingPacket.stamp(np.zeros(4, np.uint8), *fields)
 
     def test_unpack_short_buffer(self):
         with pytest.raises(ProtocolError):
-            PacketHeader.unpack(b"short")
+            EncodingPacket.from_bytes(b"short")
 
     def test_packet_roundtrip(self):
         payload = np.arange(20, dtype=np.uint8)
-        pkt = EncodingPacket(PacketHeader(7, 9, 1), payload)
+        pkt = EncodingPacket.stamp(payload, 7, 9, 1)
         restored = EncodingPacket.from_bytes(pkt.to_bytes())
-        assert restored.header == pkt.header
+        assert restored.to_bytes() == pkt.to_bytes()
+        assert (restored.index, restored.serial) == (7, 9)
         assert np.array_equal(restored.payload, payload)
         assert len(pkt.to_bytes()) == HEADER_SIZE + 20
 
@@ -68,7 +77,7 @@ class TestCarousel:
         code = cauchy_code(4)
         enc = code.encode(np.zeros((4, 2), dtype=np.uint8))
         server = CarouselServer(code, enc, seed=2)
-        serials = [p.header.serial for p in server.packets(10)]
+        serials = [p.serial for p in server.packets(10)]
         assert serials == list(range(10))
 
     def test_index_stream_stateless(self):
@@ -209,8 +218,9 @@ class TestHeaderSequencer:
         for _ in range(6):
             for stream in streams:
                 merged.append(next(stream))
-        assert [p.header.serial for p in merged] == list(range(12))
-        assert all(p.header.group == 3 for p in merged)
+        assert [p.serial for p in merged] == list(range(12))
+        assert all(int.from_bytes(p.to_bytes()[8:12], "big") == 3
+                   for p in merged)
         # each server still walks its own index sequence
         assert [p.index for p in merged[1::2]] == list(range(6))
 
@@ -222,12 +232,12 @@ class TestHeaderSequencer:
         list(server.packets(3))
         server.reset()
         assert sequencer.serial == 3  # owner resets it, not the server
-        assert next(server.packets(1)).header.serial == 3
+        assert next(server.packets(1)).serial == 3
 
     def test_serial_wraparound(self):
         sequencer = HeaderSequencer(group=0,
                                     start_serial=SERIAL_MODULUS - 2)
-        serials = [sequencer.next_header(0).serial for _ in range(4)]
+        serials = [int(sequencer.take(1)[0]) for _ in range(4)]
         assert serials == [SERIAL_MODULUS - 2, SERIAL_MODULUS - 1, 0, 1]
 
     def test_start_serial_range_checked(self):
@@ -245,7 +255,7 @@ class TestRatelessIdRange:
 
     def test_exhaustion_fails_fast_with_clear_error(self):
         """Regression: droplet ids used to walk straight past the uint32
-        header ceiling and die inside PacketHeader."""
+        header ceiling and die inside the header range check."""
         server = self._server(start=100, id_range=3)
         assert [p.index for p in server.packets(3)] == [100, 101, 102]
         with pytest.raises(ProtocolError, match="droplet id range exhausted"):

@@ -3,7 +3,7 @@
 ``tests/golden/wire_vectors.json`` pins, for every registered family, a
 fixed-seed manifest and the first :data:`RECORDS` framed data records of
 a single-block stream (legacy 12-byte header) and of a multi-block
-stream (16-byte ``BlockHeader``), plus one encoded ``FeedbackReport``.
+stream (16-byte block header), plus one encoded ``FeedbackReport``.
 Everything above the codec may be merged, re-based or deleted behind
 these vectors; a change that moves one of them changed what a peer on
 another host sees.
@@ -125,7 +125,7 @@ def test_golden_frames_parse_back_through_the_one_reader(family, golden):
             len(bodies), receiver.record_size)
         ids = record_ids(records, receiver.codec.header_size)
         assert list(zip(*[column.tolist() for column in ids])) == [
-            (packet.block, packet.index, packet.header.serial)
+            (packet.block, packet.index, packet.serial)
             for packet in _session(family, size, block).packets(RECORDS)]
         assert not receiver.receive_records(bodies)
         assert receiver.rejected == 0 and receiver.packets_used == RECORDS

@@ -260,7 +260,7 @@ class TestFountainIntegration:
         server = RatelessServer(code, src, start=500)
         packets = list(server.packets(3))
         assert [p.index for p in packets] == [500, 501, 502]
-        assert [p.header.serial for p in packets] == [0, 1, 2]
+        assert [p.serial for p in packets] == [0, 1, 2]
 
 
 class TestCli:

@@ -13,7 +13,7 @@ import pytest
 from repro.codes.base import bytes_to_packets, packets_to_bytes
 from repro.codes.registry import build_code
 from repro.errors import ParameterError
-from repro.fountain.packets import BlockHeader, EncodingPacket, PacketHeader
+from repro.fountain.packets import EncodingPacket
 from repro.transfer import ObjectCodec, TransferClient, TransferServer
 from repro.transfer.blocks import BlockPlan
 
@@ -81,11 +81,9 @@ class TestPacketSerialization:
     @pytest.mark.parametrize("payload_size", [0, 1, 7, 13])
     def test_wire_roundtrip_odd_payloads(self, payload_size):
         payload = np.arange(payload_size, dtype=np.uint8)
-        for header, aware in [
-            (PacketHeader(index=3, serial=2), False),
-            (BlockHeader(index=3, serial=2, block=1), True),
-        ]:
-            packet = EncodingPacket(header=header, payload=payload)
+        for block, aware in [(None, False), (1, True)]:
+            packet = EncodingPacket.stamp(payload, index=3, serial=2,
+                                          block=block)
             parsed = EncodingPacket.from_bytes(packet.to_bytes(),
                                                block_aware=aware)
             assert parsed.index == 3

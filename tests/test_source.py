@@ -1,13 +1,10 @@
-"""The PacketSource contract, layered streams, and encode-once forks."""
+"""Block-source emission, and encode-once forks."""
 
 import numpy as np
 import pytest
 
 from repro.codes.registry import build_code, incremental_decoder
-from repro.errors import ParameterError
-from repro.fountain import CarouselServer, PacketSource, RatelessServer
-from repro.protocol import LayeredPacketSource
-from repro.protocol.stream import layered_packet_source
+from repro.fountain import CarouselServer, RatelessServer
 from repro.transfer import BlockPlan, ObjectCodec, TransferClient, TransferServer
 
 
@@ -17,19 +14,6 @@ def _source_block(k, payload, seed=0):
 
 
 class TestProtocolConformance:
-    def test_every_producer_is_a_packet_source(self):
-        src = _source_block(32, 64)
-        tornado = build_code("tornado-a", 32, seed=1)
-        lt = build_code("lt", 32, seed=1)
-        carousel = CarouselServer(tornado, tornado.encode(src), seed=2)
-        rateless = RatelessServer(lt, src)
-        plan = BlockPlan(src.nbytes, packet_size=64, block_packets=16)
-        codec = ObjectCodec(plan, code="tornado-b", seed=3)
-        transfer = TransferServer(codec, src.tobytes())
-        layered = layered_packet_source(tornado, src)
-        for source in (carousel, rateless, transfer, layered):
-            assert isinstance(source, PacketSource), type(source)
-
     def test_counted_emission_continues_across_calls(self):
         src = _source_block(16, 32)
         lt = build_code("lt", 16, seed=4)
@@ -108,38 +92,3 @@ class TestTransferFork:
             if client.receive(packet):
                 break
         assert client.object_data() == data
-
-
-class TestLayeredPacketSource:
-    @pytest.mark.parametrize("spec", ["tornado-a", "lt", "rs"])
-    def test_decodes_over_any_family(self, spec):
-        code = build_code(spec, 40, seed=2)
-        src = _source_block(40, 32, seed=2)
-        source = layered_packet_source(code, src, seed=4)
-        assert isinstance(source, LayeredPacketSource)
-        decoder = incremental_decoder(code, payload_size=32)
-        groups = set()
-        for packet in source.packets():
-            groups.add(packet.header.group)
-            decoder.add_packet(packet.index, packet.payload)
-            if decoder.is_complete:
-                break
-        assert np.array_equal(decoder.source_data(), src)
-        assert groups  # layer ids ride the header's group field
-        assert all(g < source.num_layers for g in groups)
-
-    def test_reset_reproduces_stream(self):
-        code = build_code("lt", 24, seed=1)
-        src = _source_block(24, 16, seed=1)
-        source = layered_packet_source(code, src, seed=9)
-        first = [(p.index, p.header.serial, p.header.group)
-                 for p in source.packets(40)]
-        source.reset()
-        again = [(p.index, p.header.serial, p.header.group)
-                 for p in source.packets(40)]
-        assert first == again
-
-    def test_fixed_rate_needs_source_or_encoding(self):
-        code = build_code("tornado-a", 16, seed=0)
-        with pytest.raises(ParameterError, match="source block"):
-            layered_packet_source(code)

@@ -6,7 +6,8 @@ carries; everything else draws ``window(n)``.  Two layers hold that:
 * **parity** — for every registered family, both schedules, single- and
   multi-block plans, at a packet width of whole uint64 lanes and at a
   ragged one, the ids of a structural server's ``window`` are the ids
-  ``packets()`` stamps and the header columns ``record_window`` writes;
+  ``packets()`` stamps and the header columns ``record_window`` writes,
+  and each packet's bytes are its row of a twin's ``record_window``;
   and any interleaving of ``window``,
   ``packets()``, ``record_window``, ``unwind``, ``reweight`` and
   ``reset`` on one server continues the stream a per-packet sender
@@ -180,6 +181,9 @@ class TestStructuralParity:
             == [blocks.tolist(), indices.tolist(), list(range(count))]
         assert records.shape[1] - packet \
             == (16 if codec.num_blocks > 1 else 12)
+        # a packet is a record of one: the same bytes as the window's row
+        assert [p.to_bytes() for p in packets] \
+            == [row.tobytes() for row in records]
         # ... and a server holding data hands the payloads over as well
         full.reset()
         _, again, rows = full.window(count)

@@ -12,9 +12,8 @@ from repro.errors import DecodeFailure, ParameterError, ProtocolError
 from repro.fountain.packets import (
     BLOCK_HEADER_SIZE,
     HEADER_SIZE,
-    BlockHeader,
     EncodingPacket,
-    PacketHeader,
+    record_ids,
 )
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss
@@ -197,36 +196,45 @@ class TestSchedules:
 
 
 class TestBlockHeader:
+    _EMPTY = np.zeros(0, dtype=np.uint8)
+
     def test_roundtrip_and_size(self):
-        header = BlockHeader(index=7, serial=9, group=1, block=42)
-        packed = header.pack()
+        packed = EncodingPacket.stamp(self._EMPTY, 7, 9, group=1,
+                                      block=42).to_bytes()
         assert len(packed) == BLOCK_HEADER_SIZE == 16
-        assert BlockHeader.unpack(packed) == header
+        ids = record_ids(np.frombuffer(packed, np.uint8)[None],
+                         BLOCK_HEADER_SIZE)
+        assert [int(column[0]) for column in ids] == [42, 7, 9]
+        assert int.from_bytes(packed[8:12], "big") == 1
 
     def test_legacy_prefix_byte_compatible(self):
-        header = BlockHeader(index=7, serial=9, group=1, block=42)
-        assert header.pack()[:HEADER_SIZE] == PacketHeader(7, 9, 1).pack()
+        packed = EncodingPacket.stamp(self._EMPTY, 7, 9, 1,
+                                      block=42).to_bytes()
+        assert packed[:HEADER_SIZE] \
+            == EncodingPacket.stamp(self._EMPTY, 7, 9, 1).to_bytes()
         # a legacy parser reading a block header sees the right fields
-        legacy = PacketHeader.unpack(header.pack())
-        assert (legacy.index, legacy.serial, legacy.group) == (7, 9, 1)
+        legacy = EncodingPacket.from_bytes(packed)
+        assert (legacy.index, legacy.serial, legacy.block) == (7, 9, 0)
+        assert int.from_bytes(legacy.to_bytes()[8:12], "big") == 1
 
     def test_block_field_range_checked(self):
         with pytest.raises(ProtocolError):
-            BlockHeader(0, 0, 0, block=2 ** 32)
+            EncodingPacket.stamp(self._EMPTY, 0, 0, 0, block=2 ** 32)
         with pytest.raises(ProtocolError):
-            BlockHeader.unpack(b"\0" * 15)
+            EncodingPacket.from_bytes(b"\0" * 15, block_aware=True)
 
     def test_packet_roundtrip_block_aware(self):
         payload = np.arange(20, dtype=np.uint8)
-        pkt = EncodingPacket(BlockHeader(3, 4, 0, block=5), payload)
+        pkt = EncodingPacket.stamp(payload, 3, 4, 0, block=5)
         assert pkt.block == 5
         assert len(pkt.to_bytes()) == BLOCK_HEADER_SIZE + 20
         restored = EncodingPacket.from_bytes(pkt.to_bytes(), block_aware=True)
-        assert restored.header == pkt.header
+        assert restored.to_bytes() == pkt.to_bytes()
+        assert (restored.block, restored.index, restored.serial) == (5, 3, 4)
         assert np.array_equal(restored.payload, payload)
 
     def test_legacy_header_reports_block_zero(self):
-        pkt = EncodingPacket(PacketHeader(3, 4, 0), np.zeros(4, np.uint8))
+        pkt = EncodingPacket.stamp(np.zeros(4, np.uint8), 3, 4, 0)
         assert pkt.block == 0
         assert len(pkt.to_bytes()) == HEADER_SIZE + 4
 
@@ -253,9 +261,9 @@ class TestTransferEndToEnd:
         codec = ObjectCodec(BlockPlan(len(data), 100, 10), seed=9)
         server = TransferServer(codec, data)
         packets = list(server.packets(10))
-        assert all(isinstance(p.header, BlockHeader) for p in packets)
+        assert all(p.header_size == BLOCK_HEADER_SIZE for p in packets)
         # serials strictly monotone across the whole striped stream
-        assert [p.header.serial for p in packets] == list(range(10))
+        assert [p.serial for p in packets] == list(range(10))
         assert {p.block for p in packets} == set(range(codec.num_blocks))
 
     def test_single_block_stream_stays_legacy(self):
@@ -263,8 +271,8 @@ class TestTransferEndToEnd:
         codec = ObjectCodec(BlockPlan(len(data), 100, 64), seed=9)
         server = TransferServer(codec, data)
         packet = next(server.packets(1))
-        assert isinstance(packet.header, PacketHeader)
-        assert packet.header.header_size == HEADER_SIZE
+        assert packet.header_size == HEADER_SIZE
+        assert len(packet.to_bytes()) == HEADER_SIZE + 100
 
     def test_server_validates_object_size(self):
         codec = ObjectCodec(BlockPlan(1000, 100, 4))
@@ -275,10 +283,10 @@ class TestTransferEndToEnd:
         data = _random_bytes(4000, seed=12)
         codec = ObjectCodec(BlockPlan(len(data), 100, 10), seed=13)
         server = TransferServer(codec, data)
-        first = [(p.block, p.index, p.header.serial)
+        first = [(p.block, p.index, p.serial)
                  for p in server.packets(20)]
         server.reset()
-        again = [(p.block, p.index, p.header.serial)
+        again = [(p.block, p.index, p.serial)
                  for p in server.packets(20)]
         assert first == again
 

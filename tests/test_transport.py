@@ -255,7 +255,7 @@ class TestUdpArguments:
                             report_every=report_every)
         # refused before a window was drawn: the stream has not moved
         assert sub.available == 0
-        assert next(session.packets(1)).header.serial == 0
+        assert next(session.packets(1)).serial == 0
 
     @pytest.mark.parametrize("adapt_every", [0, -1])
     def test_adapt_every_below_one_is_refused(self, no_sockets, adapt_every):

@@ -64,7 +64,6 @@ from repro.net.transport.base import (
 from repro.net.transport.pacing import TokenBucket
 from repro.net.transport.udp import UdpSubscription
 from repro.protocol.adaptive import AdaptivePolicy, PolicyDecision
-from repro.protocol.stream import layered_packet_source
 from repro.transfer.client import TransferClient
 
 CODES = ["lt", "raptor", "tornado-b", "rs", "interleaved"]
@@ -131,7 +130,7 @@ class TestLookahead:
         packets = list(server.packets(3 * LOOKAHEAD + 5))
         for serial, packet in enumerate(packets):
             assert packet.index == 7 + serial
-            assert packet.header.serial == serial
+            assert packet.serial == serial
             assert packet.block == 2
             assert (packet.payload.tobytes()
                     == encoder.droplet_payload(7 + serial).tobytes())
@@ -166,7 +165,7 @@ class TestLookahead:
         server, encoder = _rateless(start=9, id_range=5, wrap=True)
         packets = list(server.packets(13))
         assert [p.index for p in packets] == [9 + t % 5 for t in range(13)]
-        assert [p.header.serial for p in packets] == list(range(13))
+        assert [p.serial for p in packets] == list(range(13))
         for packet in packets:
             assert (packet.payload.tobytes()
                     == encoder.droplet_payload(packet.index).tobytes())
@@ -350,7 +349,7 @@ class TestReceiveWindow:
     def test_matches_sequential_receive_index(self, width, code):
         session = _session(code)
         arrivals = [(p.block, p.index) for p in session.packets(400)
-                    if p.header.serial % 5]
+                    if p.serial % 5]
         blocks, indices = map(np.array, zip(*arrivals))
         scalar = TransferClient(session.codec, payload_size=None)
         used = next(n for n, (b, i) in enumerate(arrivals, 1)
@@ -673,20 +672,6 @@ def _data_records(frames):
     return [body for kind, body in frames if kind == FRAME_DATA]
 
 
-class _BareSession:
-    """The least a transport needs of a session, around any source."""
-
-    def __init__(self, source, k):
-        self.source = source
-        self.total_k = k
-
-    def packets(self, count=None):
-        return self.source.packets(count)
-
-    def manifest(self):
-        return {"code": "bare", "packet_size": PACKET, "num_blocks": 1}
-
-
 class _ScriptedPolicy:
     """Decisions by the book: ``script[i]`` answers the i-th ``decide``."""
 
@@ -780,19 +765,6 @@ class TestUdpServe:
                    for r in _data_records(got[1][0])]
         assert serials == [(SERIAL_MODULUS - 10 + t) % SERIAL_MODULUS
                            for t in range(40)]
-
-    @pytest.mark.parametrize("build", [RatelessServer,
-                                       layered_packet_source],
-                             ids=["rateless", "layered"])
-    def test_sources_without_windows_still_serve(self, width, ears, build):
-        def session():
-            code = build_code("lt", 24, seed=5)
-            return _BareSession(build(code, make_source(24, PACKET, 5)), 24)
-
-        assert not hasattr(session().source, "record_window")
-        got = _udp_run(UdpTransport.serve, session(), ears, count=100)
-        assert got == _udp_run(oracle_udp_serve, session(), ears, count=100)
-        assert len(_data_records(got[1][0])) == 100
 
     # -- which frames share a datagram -----------------------------------------
 

@@ -5,7 +5,9 @@ and ``transfer/codec.py`` the size rule (which header a stream carries,
 and the manifest's ``block_header`` flag).  Any other module of
 ``src/`` that names a header size or the flag has started deciding the
 format a second time; the change that adds a stream kind would then
-have to find it.
+have to find it.  The header fields are written and read in one module
+only — ``stamp_headers`` and ``record_ids``, a packet being a record of
+one — so no other module names the field dtype (``">u4"``) either.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ HOMES = {"fountain/packets.py", "fountain/__init__.py", "transfer/codec.py"}
 
 NAMES = {"HEADER_SIZE", "BLOCK_HEADER_SIZE"}
 KEYS = {"block_header"}
+
+#: the one module that writes and reads the header fields, and the
+#: dtype they are written in.
+FIELD_HOME = "fountain/packets.py"
+FIELD_DTYPE = ">u4"
 
 
 def format_mentions(tree: ast.AST):
@@ -53,3 +60,28 @@ def test_only_the_two_homes_name_the_wire_format():
                  ast.parse(path.read_text(), filename=str(path)))]
     assert not leaks, ("the wire format leaked out of fountain/packets.py "
                        "and transfer/codec.py:\n" + "\n".join(leaks))
+
+
+def field_dtype_mentions(tree: ast.AST):
+    """Line of every string constant of ``tree`` that is the header
+    field dtype."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value == FIELD_DTYPE:
+            yield node.lineno
+
+
+def test_scan_finds_the_field_dtype():
+    tree = ast.parse("fields = rows.view('>u4')\n"
+                     "wide = np.dtype(\">u4\")\n"
+                     "other = rows.view('<u4')\n")
+    assert list(field_dtype_mentions(tree)) == [1, 2]
+
+
+def test_one_writer_and_one_reader_of_the_header_fields():
+    leaks = [f"{path.relative_to(SRC)}:{line}"
+             for path in sorted(SRC.rglob("*.py"))
+             if path.relative_to(SRC).as_posix() != FIELD_HOME
+             for line in field_dtype_mentions(
+                 ast.parse(path.read_text(), filename=str(path)))]
+    assert not leaks, (f"header fields ({FIELD_DTYPE!r}) handled outside "
+                       f"{FIELD_HOME}:\n" + "\n".join(leaks))
