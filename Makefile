@@ -128,7 +128,9 @@ docs-check:
 # mypy over the typed core: the registry protocols, the repro.api
 # facade, the protocol layer, the two clients that consume the
 # IncrementalDecoder Protocol, the one sender (the emission cursor
-# in fountain/source.py, the striped stream in transfer/server.py) and
+# in fountain/source.py, the two block sources in fountain/carousel.py
+# and fountain/rateless.py, the record layout in fountain/packets.py,
+# the striped stream in transfer/server.py) and
 # the Raptor cold-start pair (the geometry build in raptor/precode.py,
 # the weighted cache in raptor/cache.py) and the three native decoders
 # behind the IncrementalDecoder contract (lt/decoder.py,
@@ -142,6 +144,9 @@ typecheck:
 			src/repro/protocol src/repro/fountain/client.py \
 			src/repro/transfer/client.py \
 			src/repro/fountain/source.py \
+			src/repro/fountain/carousel.py \
+			src/repro/fountain/rateless.py \
+			src/repro/fountain/packets.py \
 			src/repro/transfer/server.py \
 			src/repro/codes/raptor/precode.py \
 			src/repro/codes/raptor/cache.py \

@@ -192,7 +192,9 @@ class SenderSession:
         :class:`~repro.protocol.feedback.FeedbackReport` (observability
         taps, tests).  Remaining ``options`` pass straight to the
         transport's ``serve`` — ``count``/``extra`` for memory and
-        file, ``count``/``duration``/``stop`` for UDP.
+        file (memory's ``extra`` counts emissions after the last shadow
+        receiver completes, file's counts survivors of its channel),
+        ``count``/``duration``/``stop`` for UDP.
         """
         if policy is not None:
             options["policy"] = policy

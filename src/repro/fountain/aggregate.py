@@ -21,6 +21,7 @@ from repro.errors import DecodeFailure, ParameterError
 from repro.fountain.carousel import CarouselServer
 from repro.fountain.client import FountainClient
 from repro.fountain.metrics import ReceptionStats
+from repro.net.channel import LossyChannel
 from repro.net.loss import LossModel
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -108,26 +109,29 @@ def simulate_aggregate_download(code: ErasureCode,
                                 max_cycles: int = 50) -> AggregationResult:
     """Download from ``num_sources`` parallel mirrors; structural only.
 
-    One wall-clock slot carries one packet from every mirror; each is
-    lost independently.  Returns the completion slot and the aggregate
-    reception statistics — the data behind examples/mirrored_servers.py.
+    One wall-clock slot carries one packet from every mirror, each
+    mirror through a loss channel of its own.  Returns the completion
+    slot and the aggregate reception statistics — the data behind
+    examples/mirrored_servers.py.
     """
     if num_sources < 1:
         raise ParameterError("need at least one source")
     gen = ensure_rng(rng)
     servers = [CarouselServer(code, seed=int(gen.integers(1 << 30)))
                for _ in range(num_sources)]
+    channels = [LossyChannel(loss_model, gen) for _ in servers]
     client = MultiSourceClient(code)
-    horizon = max_cycles * code.n
-    streams = [srv.index_stream(horizon) for srv in servers]
-    for slot in range(horizon):
-        for sid, stream in enumerate(streams):
-            if loss_model.losses(1, gen)[0]:
-                continue
-            if client.receive_from(sid, int(stream[slot])):
+    cycle = np.stack([srv.index_stream(code.n) for srv in servers], axis=1)
+    for first in range(0, max_cycles * code.n, code.n):
+        # a carousel cycle of verdicts per mirror, read slot-major:
+        # every mirror's packet of a slot before the next slot
+        delivered = np.stack([channel.delivery_mask(code.n)
+                              for channel in channels], axis=1)
+        for slot, sid in np.argwhere(delivered).tolist():
+            if client.receive_from(sid, int(cycle[slot, sid])):
                 return AggregationResult(
                     num_sources=num_sources,
-                    slots=slot + 1,
+                    slots=first + slot + 1,
                     stats=client.stats(),
                     per_source=sorted(client.reports.values(),
                                       key=lambda r: r.source_id),

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.codes.base import ErasureCode
 from repro.errors import ParameterError
-from repro.fountain.packets import HeaderSequencer
 from repro.fountain.source import SequencedPacketSource
 from repro.utils.rng import RngLike, spawn_rng
 
@@ -48,27 +47,15 @@ class CarouselServer(SequencedPacketSource):
     seed:
         Seed for the default permutation.
     group:
-        Group number stamped into packet headers (ignored when a shared
-        ``sequencer`` is supplied — the sequencer's group wins).
-    sequencer:
-        Optional shared :class:`HeaderSequencer`.  The per-block
-        sub-servers of a block-segmented transfer all stamp from one
-        sequencer so serials stay strictly monotone across the striped
-        stream; by default the server owns a private one.
-    block:
-        Block id for block-aware headers.  ``None`` (the default) keeps
-        the legacy 12-byte header — required for single-block streams,
-        which must stay byte-compatible.
+        Group number stamped into packet headers.
     """
 
     def __init__(self, code: ErasureCode,
                  encoding=None,
                  order: Optional[Sequence[int]] = None,
                  seed: RngLike = 0,
-                 group: int = 0,
-                 sequencer: Optional[HeaderSequencer] = None,
-                 block: Optional[int] = None):
-        super().__init__(group=group, sequencer=sequencer, block=block)
+                 group: int = 0):
+        super().__init__(group=group)
         self.code = code
         self.encoding = encoding
         if encoding is not None and encoding.shape[0] != code.n:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -90,10 +90,10 @@ class HeaderSequencer:
     Servers own *which* encoding index goes out next; this owns the
     serial stamped beside it.
 
-    One sequencer may be *shared* by several servers (the per-block
-    sub-servers of a :class:`~repro.transfer.server.TransferServer`),
-    which keeps serials strictly monotone across the whole striped
-    stream.  Serials are transmission counters, not identifiers, so on
+    A :class:`~repro.transfer.server.TransferServer` stamps its whole
+    striped stream from one, which keeps serials strictly monotone
+    across every block.  Serials are transmission counters, not
+    identifiers, so on
     reaching ``2**32`` they wrap to 0 — receivers use serial *gaps* to
     estimate loss and a once-per-4-billion-packets wrap never looks
     like loss at any plausible window size.
@@ -164,12 +164,25 @@ class EncodingPacket:
             if not 0 <= value < SERIAL_MODULUS:
                 raise ProtocolError(
                     f"header field {field}={value} outside uint32 range")
+        return cls.stamp_rows(np.ascontiguousarray(payload)[np.newaxis],
+                              index, serial, group, block)[0]
+
+    @classmethod
+    def stamp_rows(cls, payloads: np.ndarray, indices: Any, serials: Any,
+                   group: int = 0, block: Optional[int] = None
+                   ) -> List["EncodingPacket"]:
+        """Packets over the rows of one record matrix: ``payloads[r]``
+        as encoding packet ``indices[r]``, headers as :meth:`stamp`
+        writes them, in one :func:`stamp_headers` pass and unchecked (a
+        source's cursor and sequencer keep the fields in range)."""
         header = HEADER_SIZE if block is None else BLOCK_HEADER_SIZE
-        body = np.ascontiguousarray(payload).view(np.uint8).reshape(-1)
-        record = np.empty((1, header + len(body)), dtype=np.uint8)
-        record[0, header:] = body
-        stamp_headers(record, header, index, serial, group, block)
-        return cls(record[0], header)
+        body = np.ascontiguousarray(payloads).view(np.uint8).reshape(
+            len(payloads), -1)
+        records = np.empty((len(body), header + body.shape[1]),
+                           dtype=np.uint8)
+        records[:, header:] = body
+        stamp_headers(records, header, indices, serials, group, block)
+        return [cls(record, header) for record in records]
 
     @cached_property
     def _ids(self) -> Tuple[int, int, int]:

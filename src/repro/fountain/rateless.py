@@ -12,8 +12,8 @@ droplet's payload on demand; no two packets it emits are ever
 duplicates, so the receiver's distinctness efficiency is always 1.
 
 Both servers emit the same
-:class:`~repro.fountain.packets.EncodingPacket` wire format through the
-shared :class:`~repro.fountain.packets.HeaderSequencer` — for a rateless
+:class:`~repro.fountain.packets.EncodingPacket` wire format, serials
+from a :class:`~repro.fountain.packets.HeaderSequencer` — for a rateless
 stream the header's ``index`` field carries the droplet id.
 
 Droplet-id ranges
@@ -37,13 +37,13 @@ id_range)``:
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.codes.lt.code import LTCode
 from repro.errors import ParameterError, ProtocolError
-from repro.fountain.packets import SERIAL_MODULUS, HeaderSequencer
+from repro.fountain.packets import SERIAL_MODULUS
 from repro.fountain.source import SequencedPacketSource
 
 
@@ -62,8 +62,7 @@ class RatelessServer(SequencedPacketSource):
     start:
         First droplet id to emit.  Give each mirror its own range.
     group:
-        Group number stamped into packet headers (ignored when a shared
-        ``sequencer`` is supplied — the sequencer's group wins).
+        Group number stamped into packet headers.
     id_range:
         Number of droplet ids this server may use, i.e. ids
         ``[start, start + id_range)``.  Defaults to all remaining uint32
@@ -73,16 +72,6 @@ class RatelessServer(SequencedPacketSource):
         raises :class:`~repro.errors.ProtocolError` with a clear
         message; ``True`` wraps back to ``start`` and re-emits the same
         droplets (documented duplicate cost).
-    sequencer:
-        Optional shared :class:`HeaderSequencer` (see
-        :class:`~repro.fountain.carousel.CarouselServer`).
-    block:
-        Block id for block-aware headers; ``None`` keeps the legacy
-        12-byte header.
-    encoder:
-        An encoder already bound to this block's source, in place of
-        ``source`` — how a transfer server shares one per block across
-        its forks.
     """
 
     def __init__(self, code: LTCode,
@@ -90,11 +79,8 @@ class RatelessServer(SequencedPacketSource):
                  start: int = 0,
                  group: int = 0,
                  id_range: Optional[int] = None,
-                 wrap: bool = False,
-                 sequencer: Optional[HeaderSequencer] = None,
-                 block: Optional[int] = None,
-                 encoder: Optional[Any] = None):
-        super().__init__(group=group, sequencer=sequencer, block=block)
+                 wrap: bool = False):
+        super().__init__(group=group)
         if not 0 <= start < SERIAL_MODULUS:
             raise ParameterError(
                 f"start droplet id {start} outside uint32 range")
@@ -107,9 +93,7 @@ class RatelessServer(SequencedPacketSource):
                 f"id range [{start}, {start + id_range}) overflows the "
                 f"uint32 header index; keep start + id_range <= 2**32")
         self.code = code
-        if encoder is None and source is not None:
-            encoder = code.encoder(source)
-        self.encoder = encoder
+        self.encoder = None if source is None else code.encoder(source)
         self.start = int(start)
         self.id_range = int(id_range)
         self.wrap = bool(wrap)
@@ -119,7 +103,7 @@ class RatelessServer(SequencedPacketSource):
         """Droplet ids left before the range is exhausted (or wraps)."""
         if self.wrap:
             return self.id_range
-        return max(0, self.id_range - self._position)
+        return max(0, self.id_range - self._emitted)
 
     def _exhausted(self) -> ProtocolError:
         return ProtocolError(
@@ -136,11 +120,12 @@ class RatelessServer(SequencedPacketSource):
         Raises :class:`~repro.errors.ProtocolError` once a non-wrapping
         server has exhausted its id range.
         """
-        if self._position >= self.id_range:
+        emitted = self._emitted
+        if emitted >= self.id_range:
             if not self.wrap:
                 raise self._exhausted()
-            return self.start + self._position % self.id_range
-        return self.start + self._position
+            return self.start + emitted % self.id_range
+        return self.start + emitted
 
     def index_stream(self, count: int) -> np.ndarray:
         """The next ``count`` droplet ids (no packet objects).

@@ -368,7 +368,9 @@ class Transport(ABC):
         they cross whole windows, let the shadows say at which row
         completion landed, and unwind the source and the loss channels
         past the stop, so what went out is what a packet-at-a-time
-        sender would have sent.
+        sender would have sent.  Their ``extra`` moves the stop on:
+        memory counts ``extra`` more emissions after the last shadow
+        completes, file ``extra`` more survivors of its channel.
         """
 
     @abstractmethod

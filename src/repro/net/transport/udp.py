@@ -538,7 +538,8 @@ class UdpTransport(Transport):
         socket — test-channel erasure with real-socket delivery: a
         Bernoulli probability, or any :class:`~repro.net.loss.LossModel`
         (e.g. ``GilbertElliottLoss`` for bursty-channel acceptance
-        runs).  Each destination gets an independent loss channel.
+        runs).  Each destination gets an independent loss channel,
+        kept for the transport's lifetime.
     seed:
         RNG seed for the injected loss (``None`` draws fresh entropy).
     manifest_interval:
@@ -571,6 +572,12 @@ class UdpTransport(Transport):
         if pace is not None:
             TokenBucket(pace)
         self.seed = seed
+        #: one independent loss channel per destination (none for a
+        #: loss that never drops).
+        self._channels = None if not self.loss.expected_loss_rate() else [
+            _LossStream(self.loss, ensure_rng(None) if seed is None
+                        else spawn_rng(seed, i))
+            for i in range(len(self.destinations))]
         self.manifest_interval = int(manifest_interval)
         if self.manifest_interval < 1:
             raise ParameterError("manifest_interval must be >= 1")
@@ -597,16 +604,6 @@ class UdpTransport(Transport):
         return UdpSubscription(address, interface=self.interface, **options)
 
     # -- sending ---------------------------------------------------------------
-
-    def _loss_streams(self) -> Optional[List[_LossStream]]:
-        """One independent loss channel per destination (none for a
-        loss that never drops)."""
-        if not self.loss.expected_loss_rate():
-            return None
-        return [_LossStream(self.loss,
-                            ensure_rng(None) if self.seed is None
-                            else spawn_rng(self.seed, i))
-                for i in range(len(self.destinations))]
 
     def serve(self, session: Any, *,
               count: Optional[int] = None,
@@ -652,9 +649,10 @@ class UdpTransport(Transport):
         (a paced stream never parks a frame behind a sleep), and
         wherever the window or the serve ends.  When the serve ends
         with part of a window unsent the source takes those emissions
-        back (``unwind``), so a later serve — or ``packets()`` —
-        continues the stream from the last frame that reached the
-        socket; ``emitted`` / ``delivered`` / ``dropped`` count frames,
+        back (``unwind``), and so does every loss channel its verdicts,
+        so a later serve — or ``packets()`` — continues the stream from
+        the last frame that reached the socket; ``emitted`` /
+        ``delivered`` / ``dropped`` count frames,
         as always, and ``datagrams`` the data datagrams they left in.
 
         A destination's datagrams reach the kernel a run at a time:
@@ -678,7 +676,7 @@ class UdpTransport(Transport):
         if adaptive and count is None:
             count = EMISSION_LIMIT_FACTOR * session.total_k
         bucket = None if self.pace is None else TokenBucket(self.pace)
-        streams = self._loss_streams()
+        streams = self._channels
         # The transfer server hands over whole windows of wire records
         # and takes back what a stop leaves unsent.
         source = session.source
@@ -814,11 +812,11 @@ class UdpTransport(Transport):
                     wire = memoryview(frames.reshape(-1))
                     step = frames.shape[1]
                     per = max(1, DATAGRAM_BUDGET // step)
+                    survives = None if streams is None else [
+                        stream.delivery_mask(len(frames)).tolist()
+                        for stream in streams]
                     rows = pending = len(frames)
                     opened[:] = [0] * len(opened)
-                    survives = None if streams is None else [
-                        stream.delivery_mask(pending).tolist()
-                        for stream in streams]
                     for row in range(rows):
                         if should_stop() or (deadline is not None and
                                              time.perf_counter() >= deadline):
@@ -863,9 +861,11 @@ class UdpTransport(Transport):
                 flush(rows - pending)
                 if pending:
                     # Stopped (or interrupted) mid-window: the source
-                    # resumes from the last frame handed to the socket,
-                    # no id skipped.
+                    # and the loss channels resume from the last frame
+                    # handed to the socket, no id or verdict skipped.
                     source.unwind(pending)
+                    for stream in streams or ():
+                        stream.unwind(pending)
                 # One final manifest so late joiners of a finite serve
                 # still learn the geometry, and a last read of the reply
                 # port.

@@ -3,18 +3,19 @@
 A :class:`TransferServer` composes one fountain sub-source per block —
 :class:`~repro.fountain.carousel.CarouselServer` for fixed-rate
 families, :class:`~repro.fountain.rateless.RatelessServer` for rateless
-ones — and pulls packets from them in the order a pluggable cross-block
-schedule dictates.  All sub-sources stamp headers through one shared
-:class:`~repro.fountain.packets.HeaderSequencer`, so serials are
-strictly monotone across the whole striped stream (receivers estimate
-loss from serial gaps exactly as on a single-block stream).
+ones — and draws encoding indices from them in the order a pluggable
+cross-block schedule dictates.  The server stamps every header itself,
+from one :class:`~repro.fountain.packets.HeaderSequencer`, so serials
+are strictly monotone across the whole striped stream (receivers
+estimate loss from serial gaps exactly as on a single-block stream).
 
 It is the one place that knows what emission ``t`` carries — block,
-encoding index, payload.  Transports draw stamped
-:meth:`TransferServer.record_window` windows (``packets()`` is the
-same records one at a time, for in-process callers); simulations build the
-server *without data* (the structural stream, over index-only block
-sources) and draw the same :meth:`TransferServer.window` for the ids.
+encoding index, payload — and :meth:`TransferServer.record_window` is
+the one place its records are stamped.  Transports draw those windows;
+``packets()`` hands out the rows of one held window at a time, for
+in-process callers; simulations build the server *without data* (the
+structural stream, over index-only block sources) and draw the same
+:meth:`TransferServer.window` for the ids.
 
 Header compatibility: a multi-block stream tags every packet with its
 block id in the 16-byte block header (:mod:`repro.fountain.packets`);
@@ -26,8 +27,8 @@ is the codec's size rule (:attr:`ObjectCodec.block_aware
 Encode once, serve many — and only what is served: fixed-rate blocks
 are held as lazy row-on-demand encoders
 (:meth:`~repro.codes.base.ErasureCode.block_encoder`), rateless blocks
-as encoders over views of one stacked array of droplet inputs
-(:class:`_DropletStack`), and :meth:`TransferServer.fork` spins up
+as one stacked array of droplet inputs (:class:`_DropletStack`), and
+:meth:`TransferServer.fork` spins up
 additional independent streams over the *same* cached objects.  Each
 encoding row is computed at most once no matter how many concurrent
 receivers a transport fans the object out to, and redundancy rows the
@@ -66,9 +67,7 @@ class _DropletStack:
     boundaries, so each block's source is a view of it.  Raptor
     droplets XOR intermediates: every block's pre-solve writes into its
     rows of one slab, and its systematic ids gather from the object
-    rows.  The per-block encoders (what per-packet pulls read, and what
-    every fork shares) are bound to those views, so nothing is held
-    twice.
+    rows.  Every fork shares the stack, so nothing is encoded twice.
     """
 
     def __init__(self, codec: ObjectCodec, data: bytes):
@@ -80,19 +79,17 @@ class _DropletStack:
                                   dtype=np.uint8).reshape(-1, plan.packet_size)
         self._first = np.array([spec.byte_offset // plan.packet_size
                                 for spec in plan.blocks], dtype=np.int64)
-        sources = [self.rows[first:first + spec.k]
-                   for first, spec in zip(self._first.tolist(), plan.blocks)]
         if isinstance(codes[0], RaptorCode):
             widths = np.array([code.intermediate_count for code in codes])
             self._input_first = np.cumsum(widths) - widths
             #: the rows droplets XOR: the object rows, or the Raptor slab
             self.inputs = np.empty((int(widths.sum()), plan.packet_size),
                                    dtype=np.uint8)
-            self.encoders = [
-                code.encoder(source, out=self.inputs[first:first + width])
-                for code, source, first, width in zip(
-                    codes, sources, self._input_first.tolist(),
-                    widths.tolist())]
+            for code, first, input_first, width in zip(
+                    codes, self._first.tolist(), self._input_first.tolist(),
+                    widths.tolist()):
+                code.encoder(self.rows[first:first + code.k],
+                             out=self.inputs[input_first:input_first + width])
             # ids below k are systematic rows; repair id i is internal
             # droplet row repair_base + (i - k)
             self._systematic = np.array([code.k for code in codes])
@@ -101,8 +98,6 @@ class _DropletStack:
         else:
             self.inputs = self.rows
             self._input_first = self._first
-            self.encoders = [code.encoder(source)
-                             for code, source in zip(codes, sources)]
             self._systematic = self._esi_shift = np.zeros(len(codes),
                                                           dtype=np.int64)
         # Blocks whose droplet specs agree on k and the degree pmf (every
@@ -183,22 +178,18 @@ class TransferServer(SequencedPacketSource):
         if _cache is None:
             _cache = self._materialise(codec, data)
         #: the encode-once cache every fork shares: per-block payload
-        #: sources (a lazy (n, P) row encoder for fixed-rate codes, a
-        #: droplet encoder for rateless ones, None without data) and, for
-        #: a rateless plan with data, the stacked droplet inputs those
-        #: encoders view.
+        #: sources (a lazy (n, P) row encoder for fixed-rate codes, None
+        #: for rateless ones and without data) and, for a rateless plan
+        #: with data, the stacked droplet inputs.
         self._payloads, self._stack = _cache
-        self.block_sources: List[SequencedPacketSource] = []
-        for spec, payload in zip(codec.plan.blocks, self._payloads):
-            code = codec.code_for(spec.block)
-            block = spec.block if codec.block_aware else None
-            self.block_sources.append(
-                RatelessServer(code, encoder=payload,
-                               sequencer=self._sequencer, block=block)
-                if codec.is_rateless else
-                CarouselServer(code, payload,
-                               seed=block_seed(self.seed, spec.block),
-                               sequencer=self._sequencer, block=block))
+        #: the per-block cursors the schedule draws indices from (a
+        #: carousel also gathers its rows); the server stamps them.
+        self.block_sources: List[SequencedPacketSource] = [
+            RatelessServer(codec.code_for(spec.block))
+            if codec.is_rateless else
+            CarouselServer(codec.code_for(spec.block), payload,
+                           seed=block_seed(self.seed, spec.block))
+            for spec, payload in zip(codec.plan.blocks, self._payloads)]
         #: slots :meth:`unwind` took back, re-emitted before the schedule
         #: moves on.
         self._unsent: Deque[int] = deque()
@@ -213,8 +204,8 @@ class TransferServer(SequencedPacketSource):
                      ) -> Tuple[List, Optional[_DropletStack]]:
         """The per-block payload sources (and the rateless stack).
 
-        Rateless families get encoders over one :class:`_DropletStack`;
-        fixed-rate ones lazy row-on-demand encoders.  Redundancy rows a
+        Rateless families get one :class:`_DropletStack`; fixed-rate
+        ones lazy row-on-demand encoders.  Redundancy rows a
         carousel never emits before its receivers complete are rows that
         are never computed — and every fork shares the same encoders,
         so each row is computed at most once per server however many
@@ -222,8 +213,7 @@ class TransferServer(SequencedPacketSource):
         if data is None:
             return [None] * codec.num_blocks, None
         if codec.is_rateless:
-            stack = _DropletStack(codec, data)
-            return stack.encoders, stack
+            return [None] * codec.num_blocks, _DropletStack(codec, data)
         return [codec.block_encoder(data, spec.block)
                 for spec in codec.plan.blocks], None
 
@@ -243,9 +233,6 @@ class TransferServer(SequencedPacketSource):
                 yield self._unsent.popleft()
             yield next(self._schedule)
 
-    def _next_packet(self) -> EncodingPacket:
-        return self.block_sources[next(self._slots)]._next_packet()
-
     def window(self, count: int
                ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """The next ``count`` emissions as ``(blocks, indices,
@@ -256,6 +243,7 @@ class TransferServer(SequencedPacketSource):
         ``count`` packets would advance them (emission ``t`` carries
         serial ``t`` however drawn), so draws interleave freely.
         """
+        self._hand_back()
         payloads = None if self._data is None else np.empty(
             (count, self.codec.plan.packet_size), dtype=np.uint8)
         blocks, indices = self._draw(count, payloads)
@@ -282,10 +270,9 @@ class TransferServer(SequencedPacketSource):
                 continue
             rows, end = order[end:end + size], end + size
             source = self.block_sources[block]
+            indices[rows] = drawn = source.index_batch(size)
             if gather:
-                indices[rows], payloads[rows] = source.payload_batch(size)
-            else:
-                indices[rows] = source.index_batch(size)
+                payloads[rows] = source._gather(drawn)
         if payloads is not None and self._stack is not None:
             self._stack.synthesise(blocks, indices, payloads)
         self._window_blocks = blocks
@@ -294,8 +281,8 @@ class TransferServer(SequencedPacketSource):
 
     def record_window(self, count: int) -> np.ndarray:
         """The next ``count`` emissions as a ``(count, H + P)`` array of
-        wire records — the rows ``count`` :meth:`_next_packet` calls
-        would stamp one at a time, with no per-packet object.
+        wire records — the one stamping site: ``packets()`` hands out
+        the rows of windows of :data:`~repro.fountain.source.LOOKAHEAD`.
 
         One draw with the payloads written straight into the records,
         plus one :func:`~repro.fountain.packets.stamp_headers` pass over
@@ -305,6 +292,7 @@ class TransferServer(SequencedPacketSource):
             raise ParameterError(
                 "a structural server (built without data) has no payloads "
                 "to record; draw window() for the ids")
+        self._hand_back()
         header = self.codec.header_size
         records = np.empty((count, self.codec.record_size), dtype=np.uint8)
         blocks, indices = self._draw(count, records[:, header:])
@@ -312,15 +300,20 @@ class TransferServer(SequencedPacketSource):
                       self.group, blocks)
         return records
 
+    def _stamp_window(self, count: int) -> List[EncodingPacket]:
+        header = self.codec.header_size
+        return [EncodingPacket(record, header)
+                for record in self.record_window(count)]
+
     def unwind(self, count: int) -> None:
         """Take back the last ``count`` emissions of the last window.
 
         For a sender stopped mid-window: slots, block cursors and
         serials return to the last record that actually went out, so
         the next window (or packet) continues the stream with no id
-        skipped.  Synthesis is a pure function of the emission
-        position, so the sources' look-ahead buffers stay valid.
+        skipped.  A window ``packets()`` holds is handed back first.
         """
+        self._hand_back()
         if count <= 0:
             return
         unsent = self._window_blocks[-count:]
@@ -329,6 +322,8 @@ class TransferServer(SequencedPacketSource):
         for block, emissions in zip(*np.unique(unsent, return_counts=True)):
             self.block_sources[block]._retreat(int(emissions))
         self._sequencer.retreat(count)
+
+    _take_back = unwind
 
     def reweight(self, weights: Optional[List[float]]) -> None:
         """Swap the cross-block schedule for a weighted stripe, live.
@@ -340,6 +335,7 @@ class TransferServer(SequencedPacketSource):
         safe mid-stream and invisible to receivers beyond the block
         mix.  ``None`` restores the server's configured schedule.
         """
+        self._hand_back()
         block_ks = self.codec.plan.block_ks
         self._schedule = (make_schedule(self.schedule, block_ks)
                           if weights is None

@@ -634,8 +634,10 @@ async def oracle_udp_serve_async(transport, session, *, count=None,
         ServeReport,
         pack_frame,
     )
+    from repro.net.channel import LossyChannel
     from repro.net.transport.pacing import TokenBucket
     from repro.net.transport.udp import _stop_check, is_multicast
+    from repro.utils.rng import ensure_rng, spawn_rng
     from repro.protocol.feedback import FeedbackReport
 
     self = transport
@@ -656,7 +658,12 @@ async def oracle_udp_serve_async(transport, session, *, count=None,
         sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_IF,
                         socket.inet_aton(self.interface))
     bucket = None if self.pace is None else TokenBucket(self.pace)
-    streams = self._loss_streams()
+    # one fresh loss channel per destination for each serve, as the
+    # per-packet serve built them
+    streams = None if not self.loss.expected_loss_rate() else [
+        LossyChannel(self.loss, ensure_rng(None) if self.seed is None
+                     else spawn_rng(self.seed, i))
+        for i in range(len(self.destinations))]
     block_ks = session.codec.plan.block_ks
     manifest_frame = pack_frame(
         FRAME_MANIFEST,

@@ -21,7 +21,7 @@ from repro.fountain.aggregate import (
     MultiSourceClient,
     simulate_aggregate_download,
 )
-from repro.net.loss import BernoulliLoss
+from repro.net.loss import BernoulliLoss, GilbertElliottLoss
 from repro.utils.rng import ensure_rng
 from repro import cli
 
@@ -111,6 +111,26 @@ class TestAggregation:
                                              rng=4)
         # No loss, one mirror: completes within ~ (1+eps)k slots.
         assert result.slots <= 1.35 * code.k
+
+    def test_bursty_loss_keeps_its_bursts(self):
+        """Each mirror crosses a channel of its own, which asks the
+        model for whole chunks: the loss runs it hands out keep their
+        mean burst (asked one slot at a time, Gilbert-Elliott redraws
+        its hidden state per packet and the runs average ~1.25)."""
+        handed = []
+
+        class Recording(GilbertElliottLoss):
+            def losses(self, count, rng=None):
+                handed.append(super().losses(count, rng))
+                return handed[-1]
+
+        model = Recording.from_loss_and_burst(0.2, 10.0)
+        simulate_aggregate_download(tornado_a(300, seed=1), 4, model, rng=6)
+        edges = np.diff(np.concatenate(
+            [[0], np.concatenate(handed).astype(np.int8), [0]]))
+        runs = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
+        assert len(runs) >= 20
+        assert runs.mean() >= 5
 
     def test_index_validation(self):
         code = tornado_a(100, seed=2)

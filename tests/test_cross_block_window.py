@@ -141,30 +141,36 @@ class TestSiblingDerivation:
 
 class TestOneStack:
     @pytest.mark.parametrize("code", ["lt", "raptor"])
-    def test_block_sources_and_forks_view_the_stack(self, code):
+    def test_forks_share_the_stack(self, code):
+        """LT droplets XOR the object rows; Raptor's pre-solve writes
+        each block's intermediates into its rows of one slab."""
         server, _ = _pair(code, packets=100, block_packets=32)
-        stack = server._stack
-        for source in server.block_sources:
-            encoder = source.encoder
-            assert np.shares_memory(encoder.source, stack.rows)
-            if code == "raptor":
-                assert np.shares_memory(encoder.intermediates, stack.inputs)
-            else:
-                assert stack.inputs is stack.rows
+        stack, codec = server._stack, server.codec
+        if code == "raptor":
+            first = 0
+            for spec in codec.plan.blocks:
+                block_code = codec.code_for(spec.block)
+                want = block_code.encoder(codec.source_block(
+                    server._data, spec.block)).intermediates
+                width = block_code.intermediate_count
+                np.testing.assert_array_equal(
+                    stack.inputs[first:first + width], want)
+                first += width
+            assert first == len(stack.inputs)
+        else:
+            assert stack.inputs is stack.rows
         fork = server.fork(seed=9)
         assert fork._stack is stack
-        for mine, theirs in zip(server.block_sources, fork.block_sources):
-            assert theirs.encoder is mine.encoder
-            assert np.shares_memory(theirs.encoder.source, stack.rows)
 
     def test_stack_is_the_object_rows(self):
         server, _ = _pair("lt", packets=100, block_packets=32)
         plan = server.codec.plan
         rows = server._stack.rows
         assert rows.shape == (plan.total_packets, plan.packet_size)
-        for spec, source in zip(plan.blocks, server.block_sources):
+        for spec in plan.blocks:
+            first = spec.byte_offset // plan.packet_size
             np.testing.assert_array_equal(
-                source.encoder.source,
+                rows[first:first + spec.k],
                 plan.source_block(server._data, spec.block))
 
     @pytest.mark.parametrize("code", ["lt", "raptor"])

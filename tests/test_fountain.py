@@ -204,36 +204,6 @@ class TestHeaderSequencer:
         src = np.zeros((8, 4), dtype=np.uint8)
         return RatelessServer(code, src, **kwargs)
 
-    def test_shared_across_carousel_and_rateless(self):
-        """One sequencer, two server shapes: serials stay strictly
-        monotone across the merged stream and every header carries the
-        sequencer's group."""
-        sequencer = HeaderSequencer(group=3)
-        code = cauchy_code(8)
-        enc = code.encode(np.zeros((8, 4), dtype=np.uint8))
-        carousel = CarouselServer(code, enc, seed=1, sequencer=sequencer)
-        rateless = self._tiny_rateless(sequencer=sequencer)
-        merged = []
-        streams = (carousel.packets(), rateless.packets())
-        for _ in range(6):
-            for stream in streams:
-                merged.append(next(stream))
-        assert [p.serial for p in merged] == list(range(12))
-        assert all(int.from_bytes(p.to_bytes()[8:12], "big") == 3
-                   for p in merged)
-        # each server still walks its own index sequence
-        assert [p.index for p in merged[1::2]] == list(range(6))
-
-    def test_shared_sequencer_not_reset_by_server(self):
-        sequencer = HeaderSequencer(group=0)
-        code = cauchy_code(4)
-        enc = code.encode(np.zeros((4, 2), dtype=np.uint8))
-        server = CarouselServer(code, enc, seed=2, sequencer=sequencer)
-        list(server.packets(3))
-        server.reset()
-        assert sequencer.serial == 3  # owner resets it, not the server
-        assert next(server.packets(1)).serial == 3
-
     def test_serial_wraparound(self):
         sequencer = HeaderSequencer(group=0,
                                     start_serial=SERIAL_MODULUS - 2)

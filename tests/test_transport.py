@@ -547,6 +547,33 @@ class TestUdpUnicast:
         # One encode pass for the whole fan-out: each block encoded once.
         assert len(encodes) == session.num_blocks
 
+    def test_repeated_serves_continue_the_loss_stream(self):
+        """A destination's loss channel lives as long as the transport:
+        two serves of 300 drop the serials one serve of 600 drops."""
+        data = _random_bytes(100 * 64, seed=5)
+
+        def dropped(counts):
+            session = api.SenderSession(data, code="lt", packet_size=64,
+                                        seed=5)
+            with UdpSubscription("127.0.0.1:0") as sub:
+                transport = UdpTransport([sub.address], loss=0.3, seed=5)
+                reports = [session.serve(transport, count=count)
+                           for count in counts]
+                serials = set()
+                with pytest.raises(ProtocolError, match="within"):
+                    for batch in sub.record_batches(timeout=0.5):
+                        serials.update(int.from_bytes(bytes(record[4:8]),
+                                                      "big")
+                                       for record in batch)
+                assert sub.kernel_drops == 0
+            assert sum(report.dropped for report in reports) == len(
+                set(range(600)) - serials)
+            return set(range(600)) - serials
+
+        once = dropped([600])
+        assert 0 < len(once) < 600
+        assert dropped([300, 300]) == once
+
     def test_subscription_times_out_loudly(self):
         sub = UdpSubscription("127.0.0.1:0", timeout=0.2)
         with pytest.raises(ProtocolError, match="within"):

@@ -126,12 +126,12 @@ def _carousel(k=24, spec="tornado-b", seed=5, lazy=True):
 class TestLookahead:
     @pytest.mark.parametrize("spec", ["lt", "raptor"])
     def test_rateless_packets_match_per_droplet_oracle(self, width, spec):
-        server, encoder = _rateless(spec=spec, start=7, block=2)
+        server, encoder = _rateless(spec=spec, start=7)
         packets = list(server.packets(3 * LOOKAHEAD + 5))
         for serial, packet in enumerate(packets):
             assert packet.index == 7 + serial
             assert packet.serial == serial
-            assert packet.block == 2
+            assert packet.block == 0
             assert (packet.payload.tobytes()
                     == encoder.droplet_payload(7 + serial).tobytes())
 
@@ -180,19 +180,22 @@ class TestLookahead:
             assert server.ids_remaining == 100 - emitted
         carousel, _ = _carousel()
         next(carousel.packets())
-        ids, _ = carousel.payload_batch(2)
+        ids = carousel.index_batch(2)
         assert ids.tolist() == carousel.order[1:3].tolist()
 
-    def test_reset_drops_the_buffer_and_restarts(self, width):
+    def test_reset_drops_the_window_and_restarts(self, width):
         for server in (_rateless()[0], _carousel()[0]):
             first = [p.to_bytes() for p in server.packets(5)]
-            assert len(server._ahead_payloads)
+            assert len(server._held) == LOOKAHEAD
             server.reset()
-            assert not len(server._ahead_payloads)
+            assert not server._held
             assert [p.to_bytes() for p in server.packets(5)] == first
 
     @pytest.mark.parametrize("make", [_rateless, _carousel])
-    def test_payload_batch_interleaves_with_packets(self, width, make):
+    def test_index_batch_interleaves_with_packets(self, width, make):
+        """A draw hands the held window's unpulled rows back first: the
+        ids it draws, and the packets after it, are the straight
+        stream's."""
         server, _ = make()
         straight, _ = make()
         want = list(straight.packets(3 * LOOKAHEAD))
@@ -201,9 +204,9 @@ class TestLookahead:
         cuts = [3, 0, LOOKAHEAD - 1, 1, LOOKAHEAD + 7, 2]
         for turn, count in enumerate(cuts):
             if turn % 2:
-                ids, payloads = server.payload_batch(count)
+                ids = server.index_batch(count)
                 got_ids += ids.tolist()
-                got_payloads += [row.tobytes() for row in payloads]
+                got_payloads += [row.tobytes() for row in server._gather(ids)]
             else:
                 for packet in islice(stream, count):
                     got_ids.append(packet.index)
@@ -220,22 +223,64 @@ class TestLookahead:
         live.reweight(weights)
         tail = list(live.packets(120))
         # The oracle: per-block streams are untouched by the reweight, so
-        # block b's j-th packet after it is the (emitted_b + j)-th packet
-        # of a solo stream of block b — whatever was synthesised ahead.
-        solo = _session(code).source.block_sources
-        pulled = [source.packets() for source in solo]
+        # block b's j-th packet after it carries the (emitted_b + j)-th
+        # index of block b's cursor — whatever was drawn ahead — and
+        # that index's droplet_payload / encoding row.
+        codec, data = live.codec, live._data
         emitted = [0, 0, 0]
         for record in head:
             emitted[int.from_bytes(record[12:16], "big")] += 1
-        for b, count in enumerate(emitted):
-            for _ in range(count):
-                next(pulled[b])
+        rows = []
+        for b, source in enumerate(live.block_sources):
+            block_code = codec.code_for(b)
+            block_source = codec.source_block(data, b)
+            rows.append(block_code.encoder(block_source).droplet_payload
+                        if codec.is_rateless
+                        else block_code.encode(block_source).__getitem__)
+        cursors = [source.index_stream(200) for source in live.block_sources]
         for packet in tail:
-            twin = next(pulled[packet.block])
-            assert packet.index == twin.index
-            assert packet.payload.tobytes() == twin.payload.tobytes()
+            index = int(cursors[packet.block][emitted[packet.block]])
+            emitted[packet.block] += 1
+            assert packet.index == index
+            assert packet.payload.tobytes() == rows[packet.block](
+                index).tobytes()
         counts = np.bincount([p.block for p in tail], minlength=3)
         assert counts[1] > counts[0]        # the weights took effect
+
+    def test_per_packet_pulls_stamp_at_the_one_site(self, monkeypatch):
+        """``packets()`` hands out rows of the transfer server's record
+        windows: one ``stamp_headers`` pass per :data:`LOOKAHEAD`
+        packets, synthesised by the droplet stack — no per-block
+        encoder, no one-row stamp."""
+        from repro.codes.lt.encoder import LTEncoder
+        from repro.transfer import server as server_module
+
+        stamps, synthesised = [], []
+        stamp_headers = server_module.stamp_headers
+        payload_block = LTEncoder.payload_block
+
+        def counting_stamp(records, *args):
+            stamps.append(len(records))
+            return stamp_headers(records, *args)
+
+        def counting_payload_block(encoder, ids):
+            synthesised.append(len(ids))
+            return payload_block(encoder, ids)
+
+        monkeypatch.setattr(server_module, "stamp_headers", counting_stamp)
+        monkeypatch.setattr(LTEncoder, "payload_block",
+                            counting_payload_block)
+        options = dict(code="lt", packet_size=PACKET, block_size=BLOCK,
+                       seed=3)
+        data = _data(3, 5 * BLOCK)
+        session = api.SenderSession(data, **options)
+        assert session.num_blocks == 5
+        packets = [p.to_bytes() for p in session.packets(3 * LOOKAHEAD)]
+        assert stamps == [LOOKAHEAD] * 3
+        assert synthesised == []
+        twin = api.SenderSession(data, **options).source
+        assert packets == [row.tobytes()
+                           for row in twin.record_window(3 * LOOKAHEAD)]
 
     def test_forks_are_independent_streams(self, width):
         server = _session("lt").source

@@ -7,7 +7,9 @@ and the manifest's ``block_header`` flag).  Any other module of
 format a second time; the change that adds a stream kind would then
 have to find it.  The header fields are written and read in one module
 only — ``stamp_headers`` and ``record_ids``, a packet being a record of
-one — so no other module names the field dtype (``">u4"``) either.
+one — so no other module names the field dtype (``">u4"``) either.  And
+no other module reads the codec's ``block_aware`` flag: a sender picks
+its header kind by stamping at the codec's ``header_size``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ KEYS = {"block_header"}
 #: dtype they are written in.
 FIELD_HOME = "fountain/packets.py"
 FIELD_DTYPE = ">u4"
+
+#: the codec's header-kind flag, and the modules that may read it.
+FLAG = "block_aware"
+FLAG_HOMES = {"fountain/packets.py", "transfer/codec.py"}
 
 
 def format_mentions(tree: ast.AST):
@@ -85,3 +91,30 @@ def test_one_writer_and_one_reader_of_the_header_fields():
                  ast.parse(path.read_text(), filename=str(path)))]
     assert not leaks, (f"header fields ({FIELD_DTYPE!r}) handled outside "
                        f"{FIELD_HOME}:\n" + "\n".join(leaks))
+
+
+def flag_reads(tree: ast.AST):
+    """Line of every attribute read of the header-kind flag in
+    ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == FLAG:
+            yield node.lineno
+
+
+def test_scan_finds_the_flag_read():
+    tree = ast.parse("block = spec.block if codec.block_aware else None\n"
+                     "packet = EncodingPacket.from_bytes(data, "
+                     "block_aware=True)\n"
+                     "aware = getattr(self, 'codec').block_aware\n")
+    assert sorted(flag_reads(tree)) == [1, 3]
+
+
+def test_only_the_two_homes_read_the_header_kind():
+    leaks = [f"{path.relative_to(SRC)}:{line}"
+             for path in sorted(SRC.rglob("*.py"))
+             if path.relative_to(SRC).as_posix() not in FLAG_HOMES
+             for line in flag_reads(
+                 ast.parse(path.read_text(), filename=str(path)))]
+    assert not leaks, (f"the header kind ({FLAG}) read outside "
+                       f"{' and '.join(sorted(FLAG_HOMES))}:\n"
+                       + "\n".join(leaks))
