@@ -134,8 +134,10 @@ docs-check:
 # the Raptor cold-start pair (the geometry build in raptor/precode.py,
 # the weighted cache in raptor/cache.py) and the three native decoders
 # behind the IncrementalDecoder contract (lt/decoder.py,
-# raptor/decoder.py, tornado/decoder.py) and the Tornado cap's decode
-# (codes/reed_solomon.py over gf/matrix.py) (config: mypy.ini).
+# raptor/decoder.py, tornado/decoder.py), the Tornado cap's decode
+# (codes/reed_solomon.py over gf/matrix.py), and the one loss process
+# and reception engine (net/loss.py, net/channel.py, sim/transfer.py)
+# (config: mypy.ini).
 # Skips gracefully when mypy is not installed (the library itself has
 # no dependency on it); CI installs mypy and runs this for real.
 typecheck:
@@ -154,7 +156,9 @@ typecheck:
 			src/repro/codes/raptor/decoder.py \
 			src/repro/codes/tornado/decoder.py \
 			src/repro/codes/reed_solomon.py \
-			src/repro/gf/matrix.py; \
+			src/repro/gf/matrix.py \
+			src/repro/net/channel.py src/repro/net/loss.py \
+			src/repro/sim/transfer.py; \
 	else \
 		echo "mypy not installed; skipping typecheck (pip install mypy)"; \
 	fi

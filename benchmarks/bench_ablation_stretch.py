@@ -13,9 +13,10 @@ import pytest
 
 from repro.codes.tornado.code import TornadoCode
 from repro.codes.tornado.degree import two_point_distribution
+from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss
 from repro.sim.overhead import ThresholdPool
-from repro.sim.reception import fountain_packets_until
+from repro.sim.transfer import SlotWindow, packets_until_decode
 
 K = 400
 STRETCHES = [1.5, 2.0, 4.0]
@@ -41,11 +42,14 @@ def test_duplicates_at_extreme_loss(benchmark, stretch):
     """At 60% loss a bigger carousel wraps less, so fewer duplicates."""
     code = _code(stretch)
     pool = ThresholdPool.for_code(code, trials=10, rng=1)
+    # the carousel's slots: a Tornado plan of the same n (only ids matter)
+    window = SlotWindow(K, K, f"tornado-a:stretch={stretch}")
+    assert window.block_n.tolist() == [code.n]
 
     def receive():
         rng = np.random.default_rng(2)
-        totals = [fountain_packets_until(int(t), code.n,
-                                         BernoulliLoss(0.6), rng)
+        totals = [packets_until_decode(window, int(t),
+                                       LossyChannel(BernoulliLoss(0.6), rng))
                   for t in pool.sample(10, rng)]
         return float(np.mean(totals))
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.codes.interleaved import InterleavedCode
 from repro.codes.tornado.presets import tornado_a
 from repro.net.loss import BernoulliLoss
 from repro.sim.overhead import ThresholdPool
@@ -11,8 +10,10 @@ from repro.sim.receivers import (
     build_interleaved_pool,
     scaling_experiment,
 )
+from repro.sim.transfer import SlotWindow
 
 K = 512
+CAROUSEL = SlotWindow(K, K, "tornado-a")
 
 
 @pytest.fixture(scope="module")
@@ -23,22 +24,22 @@ def threshold_pool():
 def test_build_fountain_pool(benchmark, threshold_pool):
     benchmark.pedantic(
         build_fountain_pool,
-        args=(threshold_pool, 2 * K, BernoulliLoss(0.5)),
+        args=(threshold_pool, CAROUSEL, BernoulliLoss(0.5)),
         kwargs={"pool_size": 40, "rng": 2},
         rounds=1, iterations=1)
 
 
 def test_build_interleaved_pool(benchmark):
-    code = InterleavedCode(K, 20)
+    window = SlotWindow(K, 20, "rs")
     benchmark.pedantic(
         build_interleaved_pool,
-        args=(code, BernoulliLoss(0.5)),
+        args=(window, BernoulliLoss(0.5)),
         kwargs={"pool_size": 40, "rng": 3},
         rounds=1, iterations=1)
 
 
 def test_scaling_sweep(benchmark, threshold_pool):
-    pool = build_fountain_pool(threshold_pool, 2 * K, BernoulliLoss(0.5),
+    pool = build_fountain_pool(threshold_pool, CAROUSEL, BernoulliLoss(0.5),
                                pool_size=40, rng=4)
     results = benchmark(scaling_experiment, pool, [1, 10, 100, 1000, 10000],
                         100, 5)
@@ -51,9 +52,9 @@ def test_figure4_shape_claim(benchmark):
     def shape():
         tpool = ThresholdPool.for_code(tornado_a(K, seed=0), trials=15,
                                        rng=6)
-        fpool = build_fountain_pool(tpool, 2 * K, BernoulliLoss(0.5),
+        fpool = build_fountain_pool(tpool, CAROUSEL, BernoulliLoss(0.5),
                                     pool_size=30, rng=7)
-        ipool = build_interleaved_pool(InterleavedCode(K, 20),
+        ipool = build_interleaved_pool(SlotWindow(K, 20, "rs"),
                                        BernoulliLoss(0.5),
                                        pool_size=30, rng=8)
         ftor = scaling_experiment(fpool, [10000], 40, 9)[0].worst

@@ -2,17 +2,18 @@
 
 import pytest
 
-from repro.codes.interleaved import InterleavedCode
+from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss
-from repro.sim.reception import interleaved_packets_until
 from repro.sim.receivers import build_interleaved_pool
+from repro.sim.transfer import SlotWindow, packets_until_decode
 
 
 @pytest.mark.parametrize("total_k", [128, 512, 2048])
 def test_interleaved_reception_vs_size(benchmark, total_k):
-    code = InterleavedCode(total_k, 20)
+    window = SlotWindow(total_k, 20, "rs")
     loss = BernoulliLoss(0.5)
-    total = benchmark(interleaved_packets_until, code, loss, 1)
+    total = benchmark(lambda: packets_until_decode(
+        window, window.codec.plan.block_ks, LossyChannel(loss, 1)))
     benchmark.extra_info["efficiency"] = total_k / total
 
 
@@ -23,7 +24,7 @@ def test_figure5_decay_claim(benchmark):
         out = []
         for total_k in (128, 1024):
             pool = build_interleaved_pool(
-                InterleavedCode(total_k, 20), BernoulliLoss(0.5),
+                SlotWindow(total_k, 20, "rs"), BernoulliLoss(0.5),
                 pool_size=25, rng=total_k)
             out.append(pool.average_efficiency())
         return out

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.codes.interleaved import InterleavedCode
 from repro.codes.tornado.presets import tornado_a
 from repro.net.traces import synthesize_mbone_traces
 from repro.sim.overhead import ThresholdPool
@@ -10,6 +9,7 @@ from repro.sim.tracesim import (
     trace_fountain_efficiency,
     trace_interleaved_efficiency,
 )
+from repro.sim.transfer import SlotWindow
 
 K = 400
 
@@ -30,7 +30,9 @@ def test_trace_synthesis(benchmark):
 def test_fountain_on_traces(benchmark, traces):
     pool = ThresholdPool.for_code(tornado_a(K, seed=0), trials=12, rng=2)
     result = benchmark.pedantic(trace_fountain_efficiency,
-                                args=(pool, 2 * K, traces),
+                                args=(pool,
+                                      SlotWindow(K, K, "tornado-a"),
+                                      traces),
                                 kwargs={"rng": 3},
                                 rounds=1, iterations=1)
     benchmark.extra_info["avg_efficiency"] = result.average_efficiency
@@ -38,9 +40,9 @@ def test_fountain_on_traces(benchmark, traces):
 
 
 def test_interleaved_on_traces(benchmark, traces):
-    code = InterleavedCode(K, 20)
+    window = SlotWindow(K, 20, "rs")
     result = benchmark.pedantic(trace_interleaved_efficiency,
-                                args=(code, traces),
+                                args=(window, traces),
                                 kwargs={"rng": 4},
                                 rounds=1, iterations=1)
     benchmark.extra_info["avg_efficiency"] = result.average_efficiency

@@ -19,6 +19,7 @@ import heapq
 import numpy as np
 
 from repro import tornado_a
+from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss
 
 K = 800
@@ -48,7 +49,7 @@ def main() -> None:
     path_rng = np.random.default_rng(1)
     for pi, (name, loss, base_delay, spacing) in enumerate(paths):
         indices = np.arange(pi, code.n, len(paths))
-        survived = loss.deliveries(indices.size, path_rng)
+        survived = LossyChannel(loss, path_rng).delivery_mask(indices.size)
         for j, index in enumerate(indices[survived]):
             jitter = float(path_rng.exponential(0.5))
             heapq.heappush(events,

@@ -16,6 +16,7 @@ import numpy as np
 from repro import tornado_a
 from repro.fountain.carousel import CarouselServer
 from repro.fountain.client import ClientMode, FountainClient
+from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss
 
 K = 1500                 # ~1.5 MB image at 1 KB packets
@@ -49,7 +50,8 @@ def main() -> None:
     for name, join_slot, loss_model in clients:
         client = FountainClient(code, mode=ClientMode.INCREMENTAL,
                                 payload_size=PACKET_SIZE)
-        deliveries = loss_model.deliveries(horizon - join_slot, stream_rng)
+        deliveries = LossyChannel(loss_model, stream_rng).delivery_mask(
+            horizon - join_slot)
         for offset in np.nonzero(deliveries)[0]:
             slot = join_slot + int(offset)
             index = int(indices[slot])

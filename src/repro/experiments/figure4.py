@@ -18,7 +18,6 @@ import argparse
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.codes.interleaved import InterleavedCode
 from repro.codes.tornado.presets import tornado_a
 from repro.experiments.report import render_series
 from repro.net.loss import BernoulliLoss
@@ -29,6 +28,7 @@ from repro.sim.receivers import (
     build_interleaved_pool,
     scaling_experiment,
 )
+from repro.sim.transfer import SlotWindow
 from repro.utils.rng import spawn_rng
 
 PAPER_RECEIVER_COUNTS = [1, 10, 100, 1000, 10000]
@@ -57,19 +57,21 @@ def run(k: int = 1000,
     code = tornado_a(k, seed=seed)
     threshold_pool = ThresholdPool.for_code(
         code, trials=threshold_trials, rng=spawn_rng(seed, 0x41))
+    carousel = SlotWindow(k, k, "tornado-a")
+    interleaved = {block_k: SlotWindow(k, block_k, "rs")
+                   for block_k in block_sizes}
     curves: Dict[float, Dict[str, List[ScalingResult]]] = {}
     for p in loss_rates:
         loss = BernoulliLoss(p)
         per_code: Dict[str, List[ScalingResult]] = {}
-        fpool = build_fountain_pool(threshold_pool, code.n, loss,
+        fpool = build_fountain_pool(threshold_pool, carousel, loss,
                                     pool_size=pool_size,
                                     rng=spawn_rng(seed, int(0x100 + p * 100)))
         per_code["tornado-a"] = scaling_experiment(
             fpool, counts, experiments, spawn_rng(seed, int(0x200 + p * 100)))
-        for block_k in block_sizes:
-            icode = InterleavedCode(k, block_k)
+        for block_k, window in interleaved.items():
             ipool = build_interleaved_pool(
-                icode, loss, pool_size=pool_size,
+                window, loss, pool_size=pool_size,
                 rng=spawn_rng(seed, int(0x300 + p * 100 + block_k)))
             per_code[f"interleaved k={block_k}"] = scaling_experiment(
                 ipool, counts, experiments,

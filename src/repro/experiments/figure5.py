@@ -12,12 +12,12 @@ import argparse
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.codes.interleaved import InterleavedCode
 from repro.codes.tornado.presets import tornado_a
 from repro.experiments.report import render_series
 from repro.net.loss import BernoulliLoss
 from repro.sim.overhead import ThresholdPool
 from repro.sim.receivers import build_fountain_pool, build_interleaved_pool
+from repro.sim.transfer import SlotWindow
 from repro.utils.rng import spawn_rng
 
 PAPER_SIZES_KB = [100, 250, 500, 1000, 2500, 5000, 10000]
@@ -59,15 +59,18 @@ def run(sizes_kb: Optional[Sequence[int]] = None,
         code = tornado_a(k, seed=seed)
         tpool = ThresholdPool.for_code(
             code, trials=threshold_trials, rng=spawn_rng(seed, 0x51 + si))
+        carousel = SlotWindow(k, k, "tornado-a")
+        interleaved = {block_k: SlotWindow(k, block_k, "rs")
+                       for block_k in block_sizes}
         for p in loss_rates:
             loss = BernoulliLoss(p)
             fpool = build_fountain_pool(
-                tpool, code.n, loss, pool_size=pool_size,
+                tpool, carousel, loss, pool_size=pool_size,
                 rng=spawn_rng(seed, int(0x1000 + si * 10 + p * 100)))
             record(p, "tornado-a", fpool, int(0x2000 + si * 10 + p * 100))
-            for block_k in block_sizes:
+            for block_k, window in interleaved.items():
                 ipool = build_interleaved_pool(
-                    InterleavedCode(k, block_k), loss, pool_size=pool_size,
+                    window, loss, pool_size=pool_size,
                     rng=spawn_rng(seed,
                                   int(0x4000 + si * 10 + p * 100 + block_k)))
                 record(p, f"interleaved k={block_k}", ipool,

@@ -2,32 +2,32 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator, TypeVar
 
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.fountain.packets import EncodingPacket
 from repro.net.loss import LossModel
 from repro.utils.rng import RngLike, ensure_rng
+
+#: whatever crosses a channel: it reads verdicts, never packets.
+Packet = TypeVar("Packet")
 
 
 class LossyChannel:
     """Applies a :class:`~repro.net.loss.LossModel` to whatever crosses it.
 
-    The channel owns its RNG so that two channels built from the same
-    model but different seeds produce independent loss processes — one
-    per receiver, as in all of the paper's experiments.
+    The channel owns its RNG and its process state, so two channels
+    built over one model run independent loss processes — one per
+    receiver, as in all of the paper's experiments.
 
     Verdicts come from one buffered stream: the model is always asked
     for :attr:`_CHUNK` slots at a time and every consumer
     (:meth:`lost`, :meth:`transmit`, :meth:`delivery_mask`) reads the
     same buffer, so any partition of ``n`` draws yields the same ``n``
-    verdicts.  That also keeps stateful models honest: Gilbert-Elliott
-    re-draws its hidden state from stationarity on every ``losses``
-    call, so asking it for one packet at a time would flatten the
-    bursts back into Bernoulli, while mean bursts are far shorter than
-    a chunk.
+    verdicts.  Each chunk continues the process where the last one left
+    it (:meth:`~repro.net.loss.LossModel.draw`), so a Gilbert-Elliott
+    chain keeps its bursts across chunks.
 
     A sender that drew a window of verdicts and stopped part-way hands
     the unused tail back with :meth:`unwind`: the buffer keeps every
@@ -44,6 +44,8 @@ class LossyChannel:
         self.delivered = 0
         self._verdicts = np.empty(0, dtype=bool)   # True = lost
         self._pos = 0
+        #: the loss process's hidden state after the last chunk drawn.
+        self._state: Any = None
 
     def _take(self, count: int) -> np.ndarray:
         """The next ``count`` verdicts (True = lost); counts them sent.
@@ -54,10 +56,12 @@ class LossyChannel:
         """
         short = count - (len(self._verdicts) - self._pos)
         if short > 0:
-            chunks = [self.loss_model.losses(self._CHUNK, self.rng)
-                      for _ in range(-(-short // self._CHUNK))]
-            self._verdicts = np.concatenate([self._verdicts[self._pos:],
-                                             *chunks])
+            chunks = [self._verdicts[self._pos:]]
+            for _ in range(-(-short // self._CHUNK)):
+                verdicts, self._state = self.loss_model.draw(
+                    self._CHUNK, self.rng, self._state)
+                chunks.append(verdicts)
+            self._verdicts = np.concatenate(chunks)
             self._pos = 0
         verdicts = self._verdicts[self._pos:self._pos + count]
         self._pos += count
@@ -69,8 +73,7 @@ class LossyChannel:
         """Cross one packet; True when the channel drops it."""
         return bool(self._take(1)[0])
 
-    def transmit(self, packets: Iterable[EncodingPacket]
-                 ) -> Iterator[EncodingPacket]:
+    def transmit(self, packets: Iterable[Packet]) -> Iterator[Packet]:
         """Yield the packets that survive the channel, in order."""
         for packet in packets:
             if not self.lost():

@@ -15,7 +15,7 @@ Three models cover the paper's evaluation:
 from __future__ import annotations
 
 import abc
-from typing import Union
+from typing import Any, Tuple, Union
 
 import numpy as np
 
@@ -24,19 +24,26 @@ from repro.utils.rng import RngLike, ensure_rng
 
 
 class LossModel(abc.ABC):
-    """A stationary (or trace-driven) packet-erasure process."""
+    """A stationary (or trace-driven) packet-erasure process.
+
+    :meth:`draw` takes a process's state and returns it, and a
+    :class:`~repro.net.channel.LossyChannel` keeps it.  The one state a
+    model holds itself is :meth:`TraceLoss.losses`' read position, which
+    a channel does not read: a channel starts at the trace's offset."""
 
     @abc.abstractmethod
-    def losses(self, count: int, rng: RngLike = None) -> np.ndarray:
-        """Boolean array of length ``count``; True means the packet is lost."""
+    def draw(self, count: int, rng: np.random.Generator,
+             state: Any) -> Tuple[np.ndarray, Any]:
+        """``count`` verdicts (True = lost) from ``state`` on, and the
+        state after them; None starts a fresh process."""
 
     @abc.abstractmethod
     def expected_loss_rate(self) -> float:
         """Long-run fraction of packets lost."""
 
-    def deliveries(self, count: int, rng: RngLike = None) -> np.ndarray:
-        """Complement of :meth:`losses` (True = delivered)."""
-        return ~self.losses(count, rng)
+    def losses(self, count: int, rng: RngLike = None) -> np.ndarray:
+        """``count`` verdicts of a fresh process; True means lost."""
+        return self.draw(count, ensure_rng(rng), None)[0]
 
 
 class BernoulliLoss(LossModel):
@@ -47,11 +54,11 @@ class BernoulliLoss(LossModel):
             raise ParameterError(f"loss probability {p} outside [0, 1)")
         self.p = float(p)
 
-    def losses(self, count: int, rng: RngLike = None) -> np.ndarray:
-        gen = ensure_rng(rng)
+    def draw(self, count: int, rng: np.random.Generator,
+             state: Any) -> Tuple[np.ndarray, Any]:
         if self.p == 0:
-            return np.zeros(count, dtype=bool)
-        return gen.random(count) < self.p
+            return np.zeros(count, dtype=bool), None
+        return rng.random(count) < self.p, None
 
     def expected_loss_rate(self) -> float:
         return self.p
@@ -122,13 +129,13 @@ class GilbertElliottLoss(LossModel):
         pi_bad = self.stationary_bad_probability
         return pi_bad * self.loss_bad + (1 - pi_bad) * self.loss_good
 
-    def losses(self, count: int, rng: RngLike = None) -> np.ndarray:
-        gen = ensure_rng(rng)
-        # Vectorised chain simulation: draw per-slot uniforms, then scan.
-        u_state = gen.random(count)
-        u_loss = gen.random(count)
+    def draw(self, count: int, rng: np.random.Generator,
+             state: Any) -> Tuple[np.ndarray, Any]:
+        u_state = rng.random(count)
+        u_loss = rng.random(count)
+        if state is None:
+            state = rng.random() < self.stationary_bad_probability
         states = np.empty(count, dtype=bool)  # True = bad
-        state = gen.random() < self.stationary_bad_probability
         for t in range(count):
             if state:
                 state = not (u_state[t] < self.p_bg)
@@ -136,7 +143,7 @@ class GilbertElliottLoss(LossModel):
                 state = u_state[t] < self.p_gb
             states[t] = state
         loss_prob = np.where(states, self.loss_bad, self.loss_good)
-        return u_loss < loss_prob
+        return u_loss < loss_prob, state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"GilbertElliottLoss(rate={self.expected_loss_rate():.3f}, "
@@ -146,8 +153,9 @@ class GilbertElliottLoss(LossModel):
 class TraceLoss(LossModel):
     """Replays a boolean loss trace cyclically from a given offset.
 
-    Each :meth:`losses` call picks up where the last one stopped, so
-    ``losses(a)`` then ``losses(b)`` is ``losses(a + b)``.
+    A process's state is its read position.  Each :meth:`losses` call
+    picks up where the last one stopped, so ``losses(a)`` then
+    ``losses(b)`` is ``losses(a + b)``.
     """
 
     def __init__(self, trace: np.ndarray, offset: int = 0):
@@ -158,10 +166,16 @@ class TraceLoss(LossModel):
         self.offset = int(offset) % trace.size
         self._position = self.offset
 
+    def draw(self, count: int, rng: np.random.Generator,
+             state: Any) -> Tuple[np.ndarray, Any]:
+        position = self.offset if state is None else state
+        idx = (position + np.arange(count)) % self.trace.size
+        return self.trace[idx], (position + count) % self.trace.size
+
     def losses(self, count: int, rng: RngLike = None) -> np.ndarray:
-        idx = (self._position + np.arange(count)) % self.trace.size
-        self._position = (self._position + count) % self.trace.size
-        return self.trace[idx]
+        lost, self._position = self.draw(count, ensure_rng(rng),
+                                         self._position)
+        return lost
 
     def expected_loss_rate(self) -> float:
         return float(self.trace.mean())

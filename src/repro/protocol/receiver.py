@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.fountain.client import FountainClient
 from repro.fountain.metrics import ReceptionStats
+from repro.net.channel import LossyChannel
 from repro.net.loss import LossModel
 from repro.protocol.congestion import CongestionPolicy, SubscriptionController
 from repro.protocol.layering import LayerConfig
@@ -39,8 +40,8 @@ class LayeredReceiver:
         self.config = config
         self.policy = policy
         self.capacity = int(capacity_per_round)
-        self.ambient_loss = ambient_loss
         self.rng = ensure_rng(rng)
+        self.ambient = LossyChannel(ambient_loss, self.rng)
         self.controller = SubscriptionController(
             policy=policy, config=config, level=start_level)
         #: the one receiver underneath (structural: ids only).
@@ -76,7 +77,7 @@ class LayeredReceiver:
             admitted = arriving[np.sort(keep)]
             self.congestion_drops += expected - self.capacity
         # Ambient (wireless/queue) loss on the survivors.
-        survive = self.ambient_loss.deliveries(admitted.size, self.rng)
+        survive = self.ambient.delivery_mask(admitted.size)
         self.ambient_drops += int(admitted.size - survive.sum())
         delivered = admitted[survive]
         # The client disconnects on the completing packet — only packets

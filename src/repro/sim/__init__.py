@@ -2,8 +2,6 @@
 
 * :mod:`repro.sim.overhead` — reception-overhead distributions (Figure 2)
   and threshold pools reused by the larger simulations.
-* :mod:`repro.sim.reception` — carousel reception under loss: packets
-  received until decode, for fountain and interleaved codes.
 * :mod:`repro.sim.receivers` — multi-receiver scaling (Figure 4) and
   file-size scaling (Figure 5).
 * :mod:`repro.sim.tracesim` — trace-driven comparison (Figure 6).
@@ -11,7 +9,9 @@
 * :mod:`repro.sim.timemodel` — machine-local cost calibration for the
   timing tables.
 * :mod:`repro.sim.transfer` — block-segmented file transfer under loss
-  (interleaved vs. sequential cross-block schedules).
+  (interleaved vs. sequential cross-block schedules), and the one
+  reception engine: packets received until decode, read off the
+  sender's own slot window through each receiver's channel.
 * :mod:`repro.sim.swarm` — declarative many-receiver swarm scenarios,
   run vectorized over the whole population (with exact-replay spot
   checks).
@@ -23,10 +23,6 @@ from repro.sim.overhead import (
     overhead_statistics,
     percent_unfinished_curve,
 )
-from repro.sim.reception import (
-    fountain_packets_until,
-    interleaved_packets_until,
-)
 from repro.sim.receivers import (
     EfficiencyPool,
     build_fountain_pool,
@@ -37,8 +33,10 @@ from repro.sim.tracesim import trace_experiment
 from repro.sim.speedup import max_blocks_within_overhead, speedup_table_entry
 from repro.sim.timemodel import TimingModel
 from repro.sim.transfer import (
+    SlotWindow,
     TransferRunResult,
     compare_schedules,
+    packets_until_decode,
     simulate_transfer,
 )
 from repro.sim.swarm import (
@@ -58,8 +56,6 @@ __all__ = [
     "sample_decode_thresholds",
     "overhead_statistics",
     "percent_unfinished_curve",
-    "fountain_packets_until",
-    "interleaved_packets_until",
     "EfficiencyPool",
     "build_fountain_pool",
     "build_interleaved_pool",
@@ -68,6 +64,8 @@ __all__ = [
     "max_blocks_within_overhead",
     "speedup_table_entry",
     "TimingModel",
+    "SlotWindow",
+    "packets_until_decode",
     "TransferRunResult",
     "simulate_transfer",
     "compare_schedules",

@@ -1,8 +1,10 @@
 """Multi-receiver and file-size scaling experiments (Figures 4 and 5).
 
-Receivers are i.i.d. — each sees its own loss process on the shared
-carousel — so a population of ``r`` receivers is ``r`` independent draws
-of "total packets received until decode".  We first build an
+Receivers are i.i.d. — each reads the shared carousel
+(:class:`~repro.sim.transfer.SlotWindow`) through a loss channel of its
+own — so a population of ``r`` receivers is ``r`` independent draws of
+"total packets received until decode"
+(:func:`~repro.sim.transfer.packets_until_decode`).  We first build an
 :class:`EfficiencyPool` of a few hundred genuine per-receiver
 simulations, then bootstrap arbitrary receiver-set sizes from it:
 
@@ -18,17 +20,17 @@ EXPERIMENTS.md, and pool sizes are parameters everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from repro.codes.base import ErasureCode
-from repro.codes.interleaved import InterleavedCode
 from repro.errors import ParameterError
-from repro.net.loss import BernoulliLoss, LossModel
+from repro.net.channel import LossyChannel
+from repro.net.loss import LossModel
 from repro.sim.overhead import ThresholdPool
-from repro.sim.reception import fountain_packets_until, interleaved_packets_until
-from repro.utils.rng import RngLike, ensure_rng, spawn_rng
+from repro.sim.transfer import SlotWindow, packets_until_decode
+from repro.utils.rng import RngLike, ensure_rng
 
 
 @dataclass
@@ -62,7 +64,16 @@ class EfficiencyPool:
         return float((self.k / draws).mean())
 
 
-def build_fountain_pool(threshold_pool: ThresholdPool, n: int,
+def _pool(window: SlotWindow, loss: LossModel, needs: Iterable[ArrayLike],
+          gen: np.random.Generator) -> EfficiencyPool:
+    """One entry per need: a receiver through a fresh channel."""
+    totals = np.array([
+        packets_until_decode(window, need, LossyChannel(loss, gen))
+        for need in needs], dtype=np.int64)
+    return EfficiencyPool(totals=totals, k=window.codec.total_k)
+
+
+def build_fountain_pool(threshold_pool: ThresholdPool, window: SlotWindow,
                         loss: LossModel, pool_size: int = 300,
                         rng: RngLike = None) -> EfficiencyPool:
     """Pool for a fountain code on a lossy carousel.
@@ -70,22 +81,16 @@ def build_fountain_pool(threshold_pool: ThresholdPool, n: int,
     Each entry pairs a fresh decode threshold with a fresh loss pattern.
     """
     gen = ensure_rng(rng)
-    thresholds = threshold_pool.sample(pool_size, gen)
-    totals = np.array([
-        fountain_packets_until(int(t), n, loss, gen) for t in thresholds
-    ], dtype=np.int64)
-    return EfficiencyPool(totals=totals, k=threshold_pool.k)
+    return _pool(window, loss, threshold_pool.sample(pool_size, gen), gen)
 
 
-def build_interleaved_pool(code: InterleavedCode, loss: LossModel,
+def build_interleaved_pool(window: SlotWindow, loss: LossModel,
                            pool_size: int = 300,
                            rng: RngLike = None) -> EfficiencyPool:
-    """Pool for an interleaved block code on its interleaved carousel."""
-    gen = ensure_rng(rng)
-    totals = np.array([
-        interleaved_packets_until(code, loss, gen) for _ in range(pool_size)
-    ], dtype=np.int64)
-    return EfficiencyPool(totals=totals, k=code.total_k)
+    """Pool for an interleaved block code on its interleaved carousel:
+    every block needs its own ``k_b`` (MDS)."""
+    need = window.codec.plan.block_ks
+    return _pool(window, loss, [need] * pool_size, ensure_rng(rng))
 
 
 @dataclass

@@ -24,27 +24,30 @@ from typing import Optional
 
 import numpy as np
 
-from repro.codes.interleaved import InterleavedCode
 from repro.errors import DecodeFailure
+from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss
-from repro.sim.reception import interleaved_packets_until
 from repro.sim.timemodel import TimingModel
+from repro.sim.transfer import SlotWindow, packets_until_decode
 from repro.utils.rng import RngLike, ensure_rng, spawn_rng
 
 
-def overhead_percentile(code: InterleavedCode, p: float, trials: int,
+def overhead_percentile(window: SlotWindow, p: float, trials: int,
                         percentile: float, rng: RngLike = None) -> float:
-    """Empirical reception-overhead percentile on a Bernoulli(p) carousel."""
+    """Empirical reception-overhead percentile of an interleaved
+    carousel on Bernoulli(p) channels (every block needs its ``k_b``)."""
     gen = ensure_rng(rng)
     loss = BernoulliLoss(p)
+    need = window.codec.plan.block_ks
     overheads = []
     for _ in range(trials):
         try:
-            total = interleaved_packets_until(code, loss, gen)
+            total = packets_until_decode(window, need,
+                                         LossyChannel(loss, gen))
         except DecodeFailure:
             overheads.append(np.inf)
             continue
-        overheads.append(total / code.total_k - 1.0)
+        overheads.append(total / window.codec.total_k - 1.0)
     return float(np.percentile(overheads, percentile))
 
 
@@ -69,8 +72,8 @@ def max_blocks_within_overhead(total_k: int, p: float,
     best = 1
     probe = 2
     while probe <= hi:
-        code = InterleavedCode(total_k, -(-total_k // probe))
-        if overhead_percentile(code, p, trials, percentile,
+        window = SlotWindow(total_k, -(-total_k // probe), "rs")
+        if overhead_percentile(window, p, trials, percentile,
                                spawn_rng(gen, probe)) <= overhead_bound:
             best = probe
             probe *= 2
@@ -82,8 +85,8 @@ def max_blocks_within_overhead(total_k: int, p: float,
     lo = best
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        code = InterleavedCode(total_k, -(-total_k // mid))
-        if overhead_percentile(code, p, trials, percentile,
+        window = SlotWindow(total_k, -(-total_k // mid), "rs")
+        if overhead_percentile(window, p, trials, percentile,
                                spawn_rng(gen, 10_000 + mid)) <= overhead_bound:
             lo = mid
         else:

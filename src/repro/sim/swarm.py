@@ -71,6 +71,7 @@ import numpy as np
 
 from repro.codes.registry import REGISTRY, block_seed
 from repro.errors import ParameterError, ProtocolError
+from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel, TraceLoss
 from repro.net.traces import MBONE_MEAN_BURST, synthesize_mbone_traces
 from repro.protocol.adaptive import AdaptivePolicy
@@ -1095,10 +1096,10 @@ def replay_receivers(scenario: Scenario,
                      ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact per-packet replays through the real transfer client.
 
-    For each receiver id: draw its own loss process over the striped
-    stream's slots, honour join/leave and rate thinning, and feed the
-    surviving ``(block, index)`` pairs — one counter-exact
-    ``receive_window`` — to a payload-less
+    For each receiver id: cross the striped stream's slots through a
+    channel over its own loss process, honour join/leave and rate
+    thinning, and feed the surviving ``(block, index)`` pairs — one
+    counter-exact ``receive_window`` — to a payload-less
     :class:`~repro.transfer.client.TransferClient` backed by real
     incremental decoders.  Returns ``(overhead, completed)`` arrays
     aligned with ``receiver_ids``.
@@ -1119,8 +1120,7 @@ def replay_receivers(scenario: Scenario,
         rid = int(rid)
         rng = np.random.default_rng(
             [int(scenario.seed) & 0x7FFFFFFF, _REPLAY_STREAM, rid])
-        model = pop.loss_model(rid)
-        delivered = model.deliveries(limit, rng)
+        delivered = LossyChannel(pop.loss_model(rid), rng).delivery_mask(limit)
         if pop.rate[rid] < 1.0:
             delivered &= rng.random(limit) < pop.rate[rid]
         lo = int(np.ceil(pop.join[rid]))

@@ -13,15 +13,16 @@ The trace set is the synthetic MBone substitute of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from repro.codes.interleaved import InterleavedCode
 from repro.errors import DecodeFailure
+from repro.net.channel import LossyChannel
 from repro.net.traces import TraceSet
 from repro.sim.overhead import ThresholdPool
-from repro.sim.reception import fountain_packets_until, interleaved_packets_until
+from repro.sim.transfer import SlotWindow, packets_until_decode
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -36,21 +37,25 @@ class TraceResult:
     total_receivers: int
 
 
-def _trace_efficiency(label: str, k: int, traces: TraceSet, rng: RngLike,
-                      packets_until: Callable[..., int]) -> TraceResult:
+def _trace_efficiency(label: str, window: SlotWindow, traces: TraceSet,
+                      rng: RngLike,
+                      need: Callable[[np.random.Generator], ArrayLike]
+                      ) -> TraceResult:
     """Run every trace receiver from a random offset and average ``k / total``.
 
-    ``packets_until(model, gen)`` returns the packets the receiver took
-    to decode, or raises :class:`DecodeFailure` (the receiver is then
-    left out of the average).
+    Each receiver reads ``window`` through a channel over its own trace
+    and needs ``need(gen)`` distinct packets per block; one that does
+    not get there (:class:`DecodeFailure`) is left out of the average.
     """
     gen = ensure_rng(rng)
+    k = window.codec.total_k
     offsets = traces.random_offsets(gen)
     efficiencies = []
     for receiver in range(traces.num_receivers):
-        model = traces.loss_model(receiver, int(offsets[receiver]))
+        channel = LossyChannel(
+            traces.loss_model(receiver, int(offsets[receiver])), gen)
         try:
-            total = packets_until(model, gen)
+            total = packets_until_decode(window, need(gen), channel)
         except DecodeFailure:
             continue
         efficiencies.append(k / total)
@@ -63,29 +68,24 @@ def _trace_efficiency(label: str, k: int, traces: TraceSet, rng: RngLike,
     )
 
 
-def trace_fountain_efficiency(threshold_pool: ThresholdPool, n: int,
-                              traces: TraceSet, rng: RngLike = None,
-                              max_cycles: int = 400) -> TraceResult:
-    """Average efficiency of a fountain code across all trace receivers."""
-    def packets_until(model, gen):
-        threshold = int(threshold_pool.sample(1, gen)[0])
-        return fountain_packets_until(threshold, n, model, gen,
-                                      max_cycles=max_cycles)
-
-    return _trace_efficiency("tornado", threshold_pool.k, traces, rng,
-                             packets_until)
+def trace_fountain_efficiency(threshold_pool: ThresholdPool,
+                              window: SlotWindow, traces: TraceSet,
+                              rng: RngLike = None) -> TraceResult:
+    """Average efficiency of a fountain code across all trace receivers:
+    each needs a fresh draw from ``threshold_pool``."""
+    return _trace_efficiency(
+        "tornado", window, traces, rng,
+        lambda gen: int(threshold_pool.sample(1, gen)[0]))
 
 
-def trace_interleaved_efficiency(code: InterleavedCode, traces: TraceSet,
-                                 rng: RngLike = None,
-                                 max_cycles: int = 400) -> TraceResult:
-    """Average efficiency of an interleaved code across trace receivers."""
-    def packets_until(model, gen):
-        return interleaved_packets_until(code, model, gen,
-                                         max_cycles=max_cycles)
-
-    return _trace_efficiency(f"interleaved-k{code.block_k}", code.total_k,
-                             traces, rng, packets_until)
+def trace_interleaved_efficiency(window: SlotWindow, traces: TraceSet,
+                                 rng: RngLike = None) -> TraceResult:
+    """Average efficiency of an interleaved code across trace receivers:
+    each needs every block's ``k_b``."""
+    need = window.codec.plan.block_ks
+    return _trace_efficiency(
+        f"interleaved-k{window.codec.plan.block_packets}", window, traces,
+        rng, lambda gen: need)
 
 
 def trace_experiment(file_sizes_kb: Sequence[int],
@@ -102,9 +102,9 @@ def trace_experiment(file_sizes_kb: Sequence[int],
     results: List[TraceResult] = []
     for size_kb in file_sizes_kb:
         k = int(size_kb)  # 1 KB packets: k packets per size_kb
-        pool = pool_factory(k)
-        results.append(trace_fountain_efficiency(pool, 2 * k, traces, gen))
+        results.append(trace_fountain_efficiency(
+            pool_factory(k), SlotWindow(k, k, "tornado-a"), traces, gen))
         for block_k in block_sizes:
-            code = InterleavedCode(k, block_k)
-            results.append(trace_interleaved_efficiency(code, traces, gen))
+            results.append(trace_interleaved_efficiency(
+                SlotWindow(k, block_k, "rs"), traces, gen))
     return results

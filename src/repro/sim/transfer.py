@@ -17,20 +17,28 @@ geometry, reproducing the paper's interleaving trade-off: proportional
 striping fills all blocks in near-lockstep (residual coupon-collector
 tail only), while sequential visits make a receiver that lost packets
 of block ``b`` wait a whole revolution for ``b`` to come around again.
+
+:func:`packets_until_decode` answers Figures 4-6 and Table 4 — how many
+packets does one receiver take before it can decode? — off the same
+server's emissions (:class:`SlotWindow`), through the receiver's own
+channel: a Reed-Solomon block needs exactly its ``k_b`` distinct packets
+(MDS), a Tornado block a draw from its
+:class:`~repro.sim.overhead.ThresholdPool`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Union
+from typing import Dict, List, Union
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from repro.errors import ParameterError
+from repro.errors import DecodeFailure, ParameterError
 from repro.net.channel import LossyChannel
 from repro.net.loss import LossModel, as_loss_model
 from repro.net.transport.base import EMISSION_LIMIT_FACTOR
-from repro.transfer.blocks import BlockPlan
+from repro.transfer.blocks import BlockPlan, BlockSpec
 from repro.transfer.client import TransferClient
 from repro.transfer.codec import ObjectCodec
 from repro.transfer.server import TransferServer
@@ -146,3 +154,78 @@ def compare_schedules(file_size: int,
                                 seed=seed, payloads=payloads)
         for name in ("interleave", "sequential")
     }
+
+
+class SlotWindow:
+    """The emission order of the structural :class:`TransferServer` that
+    serves ``total_k`` source packets in ``ceil(total_k / block_k)``
+    blocks as even as possible (the paper's interleaved split, larger
+    blocks first), each coded with ``code`` (one-byte packets: only the
+    ids matter), drawn a revolution at a time as far as any receiver
+    reads, and shared by all of them.  Slots are global ids: block
+    ``b``'s index ``i`` is ``first[b] + i``.  Fixed-rate codes only — a
+    need is counted out of each block's ``n``."""
+
+    def __init__(self, total_k: int, block_k: int, code: str):
+        plan = BlockPlan(total_k, 1, block_k)
+        base, extra = divmod(total_k, plan.num_blocks)
+        ks = [base + (b < extra) for b in range(plan.num_blocks)]
+        plan.blocks = tuple(BlockSpec(b, sum(ks[:b]), k_b, k_b)
+                            for b, k_b in enumerate(ks))
+        self.codec = ObjectCodec(plan, code=code, seed=0)
+        if self.codec.is_rateless:
+            raise ParameterError(f"{code} is rateless: a slot window "
+                                 "counts out of each block's n")
+        self._server = TransferServer(self.codec)
+        self.block_n = np.array([source.cycle_length
+                                 for source in self._server.block_sources])
+        self._first = np.cumsum(self.block_n) - self.block_n
+        #: the block of every global id.
+        self.block_of = np.repeat(np.arange(self.block_n.size), self.block_n)
+        self._revolutions: List[np.ndarray] = []
+
+    def revolution(self, r: int) -> np.ndarray:
+        """The ids of revolution ``r``: the ``len(block_of)`` emissions
+        from ``r * len(block_of)`` on."""
+        while len(self._revolutions) <= r:
+            blocks, indices, _ = self._server.window(self.block_of.size)
+            self._revolutions.append(self._first[blocks] + indices)
+        return self._revolutions[r]
+
+
+def packets_until_decode(window: SlotWindow, need: ArrayLike,
+                         channel: LossyChannel) -> int:
+    """Packets one receiver takes from ``window`` through ``channel``
+    until every block ``b`` holds ``need[b]`` distinct packets (a scalar
+    need is every block's), wrap-around duplicates included — the
+    denominator of the paper's reception efficiency.  A receiver still
+    short after the revolutions that cover ``EMISSION_LIMIT_FACTOR *
+    total_k`` emissions raises :class:`~repro.errors.DecodeFailure`."""
+    needs = np.broadcast_to(np.asarray(need, dtype=np.int64),
+                            window.block_n.shape)
+    if np.any(needs < 1) or np.any(needs > window.block_n):
+        raise ParameterError(f"needs {needs.tolist()} outside [1, n_b] "
+                             f"for n_b = {window.block_n.tolist()}")
+    size = window.block_of.size
+    seen = np.zeros(size, dtype=bool)
+    have = np.zeros(needs.size, dtype=np.int64)
+    received = 0
+    for r in range(-(-EMISSION_LIMIT_FACTOR * window.codec.total_k // size)):
+        ids = window.revolution(r)[channel.delivery_mask(size)]
+        # the fresh arrivals: first sight of an id not seen before
+        _, first = np.unique(ids, return_index=True)
+        first = np.sort(first[~seen[ids[first]]])
+        seen[ids[first]] = True
+        blocks = window.block_of[ids[first]]
+        counts = np.bincount(blocks, minlength=needs.size)
+        short, have = needs - have, have + counts
+        if np.all(have >= needs):
+            # a block still short completes on its short-th fresh
+            # arrival, and the last of those completes the receiver
+            by_block = first[np.argsort(blocks, kind="stable")]
+            due = np.flatnonzero(short > 0)
+            return received + 1 + int(by_block[
+                (np.cumsum(counts) - counts)[due] + short[due] - 1].max())
+        received += ids.size
+    raise DecodeFailure(f"receiver short of its need after {received} "
+                        "packets")

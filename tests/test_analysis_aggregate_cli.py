@@ -114,15 +114,16 @@ class TestAggregation:
 
     def test_bursty_loss_keeps_its_bursts(self):
         """Each mirror crosses a channel of its own, which asks the
-        model for whole chunks: the loss runs it hands out keep their
-        mean burst (asked one slot at a time, Gilbert-Elliott redraws
-        its hidden state per packet and the runs average ~1.25)."""
+        model for whole chunks and carries the chain between them: the
+        loss runs it hands out keep their mean burst (asked one slot at
+        a time from a fresh chain, the runs averaged ~1.25)."""
         handed = []
 
         class Recording(GilbertElliottLoss):
-            def losses(self, count, rng=None):
-                handed.append(super().losses(count, rng))
-                return handed[-1]
+            def draw(self, count, rng, state):
+                lost, state = super().draw(count, rng, state)
+                handed.append(lost)
+                return lost, state
 
         model = Recording.from_loss_and_burst(0.2, 10.0)
         simulate_aggregate_download(tornado_a(300, seed=1), 4, model, rng=6)

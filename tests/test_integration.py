@@ -17,7 +17,7 @@ from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss
 from repro.net.traces import synthesize_mbone_traces
 from repro.sim.overhead import ThresholdPool
-from repro.sim.reception import fountain_packets_until
+from repro.sim.transfer import SlotWindow, packets_until_decode
 
 
 class TestFileRoundtrips:
@@ -87,10 +87,11 @@ class TestConsistencyAcrossPaths:
         reception counts for identical loss processes (statistically)."""
         code = tornado_a(400, seed=8)
         pool = ThresholdPool.for_code(code, trials=40, rng=9)
+        carousel = SlotWindow(code.k, code.k, "tornado-a")
         p = 0.3
         sim_totals = [
-            fountain_packets_until(int(t), code.n, BernoulliLoss(p),
-                                   rng=100 + i)
+            packets_until_decode(carousel, int(t),
+                                 LossyChannel(BernoulliLoss(p), 100 + i))
             for i, t in enumerate(pool.sample(40, rng=10))
         ]
         # Direct client runs over the real carousel.
@@ -115,13 +116,14 @@ class TestConsistencyAcrossPaths:
         (the Section 6.4 takeaway)."""
         code = tornado_a(500, seed=11)
         pool = ThresholdPool.for_code(code, trials=30, rng=12)
+        carousel = SlotWindow(code.k, code.k, "tornado-a")
         uniform = BernoulliLoss(0.2)
         bursty = GilbertElliottLoss.from_loss_and_burst(0.2, 8)
         t_uniform = np.mean([
-            fountain_packets_until(int(t), code.n, uniform, rng=i)
+            packets_until_decode(carousel, int(t), LossyChannel(uniform, i))
             for i, t in enumerate(pool.sample(30, rng=13))])
         t_bursty = np.mean([
-            fountain_packets_until(int(t), code.n, bursty, rng=i)
+            packets_until_decode(carousel, int(t), LossyChannel(bursty, i))
             for i, t in enumerate(pool.sample(30, rng=14))])
         assert t_bursty == pytest.approx(t_uniform, rel=0.1)
 
@@ -153,7 +155,8 @@ class TestFailureInjection:
         worst = int(np.argmax(traces.loss_rates()))
         code = tornado_a(300, seed=20)
         pool = ThresholdPool.for_code(code, trials=10, rng=21)
-        total = fountain_packets_until(
-            int(pool.sample(1, rng=22)[0]), code.n,
-            traces.loss_model(worst), rng=23, max_cycles=2000)
+        total = packets_until_decode(
+            SlotWindow(code.k, code.k, "tornado-a"),
+            int(pool.sample(1, rng=22)[0]),
+            LossyChannel(traces.loss_model(worst), 23))
         assert total >= code.k

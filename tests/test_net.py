@@ -29,12 +29,6 @@ class TestBernoulli:
         with pytest.raises(ParameterError):
             BernoulliLoss(-0.1)
 
-    def test_deliveries_complement(self):
-        model = BernoulliLoss(0.5)
-        a = model.losses(100, 7)
-        b = model.deliveries(100, 7)
-        assert np.array_equal(a, ~b)
-
 
 class TestGilbertElliott:
     def test_stationary_rate(self):
