@@ -127,10 +127,8 @@ docs-check:
 
 # mypy over the typed core: the registry protocols, the repro.api
 # facade, the protocol layer, the two clients that consume the
-# IncrementalDecoder Protocol, the one sender (the emission cursor
-# in fountain/source.py, the two block sources in fountain/carousel.py
-# and fountain/rateless.py, the record layout in fountain/packets.py,
-# the striped stream in transfer/server.py) and
+# IncrementalDecoder Protocol, the one sender (the record layout in
+# fountain/packets.py, the one packet server in transfer/server.py) and
 # the Raptor cold-start pair (the geometry build in raptor/precode.py,
 # the weighted cache in raptor/cache.py) and the three native decoders
 # behind the IncrementalDecoder contract (lt/decoder.py,
@@ -145,9 +143,6 @@ typecheck:
 		$(PYTHON) -m mypy src/repro/api.py src/repro/codes/registry.py \
 			src/repro/protocol src/repro/fountain/client.py \
 			src/repro/transfer/client.py \
-			src/repro/fountain/source.py \
-			src/repro/fountain/carousel.py \
-			src/repro/fountain/rateless.py \
 			src/repro/fountain/packets.py \
 			src/repro/transfer/server.py \
 			src/repro/codes/raptor/precode.py \

@@ -14,9 +14,9 @@ import pytest
 
 from repro.codes.lt import LTCode
 from repro.codes.tornado.presets import tornado_a, tornado_b
-from repro.fountain.carousel import CarouselServer
 from repro.fountain.client import FountainClient
 from repro.sim.overhead import overhead_statistics, sample_decode_thresholds
+from repro.transfer.schedule import carousel_order
 
 TRIALS = 8
 
@@ -73,10 +73,9 @@ def test_lt_beats_carousel_total_reception(benchmark):
 
     def compare():
         code = tornado_a(k, seed=0)
-        server = CarouselServer(code, seed=1)
         client = FountainClient(code)
         drop = np.random.default_rng(2)
-        for index in server.index_stream(20 * k):
+        for index in np.resize(carousel_order(code.n, 1), 20 * k):
             if drop.random() < loss:
                 continue
             if client.receive_index(int(index)):

@@ -14,10 +14,10 @@ Run:  python examples/software_distribution.py
 import numpy as np
 
 from repro import tornado_a
-from repro.fountain.carousel import CarouselServer
 from repro.fountain.client import ClientMode, FountainClient
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss
+from repro.transfer.schedule import carousel_order
 
 K = 1500                 # ~1.5 MB image at 1 KB packets
 PACKET_SIZE = 256        # kept small so the demo runs in a blink
@@ -30,7 +30,8 @@ def main() -> None:
 
     code = tornado_a(K, seed=SHARED_SEED)
     encoding = code.encode(image)
-    server = CarouselServer(code, encoding, seed=SHARED_SEED)
+    # The carousel: emission t carries encoding packet order[t % n].
+    order = carousel_order(code.n, SHARED_SEED)
 
     # A heterogeneous client population: join time (slot), loss process.
     clients = [
@@ -46,7 +47,7 @@ def main() -> None:
     stream_rng = np.random.default_rng(1)
     # Precompute a long index stream once; clients sample their window.
     horizon = 30 * code.n
-    indices = server.index_stream(horizon)
+    indices = np.resize(order, horizon)
     for name, join_slot, loss_model in clients:
         client = FountainClient(code, mode=ClientMode.INCREMENTAL,
                                 payload_size=PACKET_SIZE)

@@ -32,8 +32,9 @@ class InterleavedCode(ErasureCode):
     when ``block_k`` does not divide K; every block gets the same stretch
     factor.
 
-    The *transmission* (carousel) order interleaves blocks —
-    see :meth:`carousel_order`.
+    The paper's interleaved transmission order is a transfer-layer
+    schedule: an ``rs`` plan served under ``"interleave"``
+    (:mod:`repro.transfer.schedule`).
     """
 
     def __init__(self, total_k: int, block_k: int, stretch: float = 2.0,
@@ -80,21 +81,6 @@ class InterleavedCode(ErasureCode):
             raise ParameterError(
                 f"block {block} has no packet {within}")
         return int(self._block_offsets[block]) + within
-
-    def carousel_order(self) -> np.ndarray:
-        """One full carousel cycle in interleaved order.
-
-        Position ``t`` carries packet ``t // B`` of block ``t % B`` (the
-        paper's "one packet about each block in turn"); uneven blocks skip
-        their turn once their packets are exhausted.
-        """
-        rounds = max(self.block_ns)
-        order = []
-        for r in range(rounds):
-            for b in range(self.num_blocks):
-                if r < self.block_ns[b]:
-                    order.append(self._block_offsets[b] + r)
-        return np.asarray(order, dtype=np.int64)
 
     # -- coding ------------------------------------------------------------------
 

@@ -35,8 +35,9 @@ Module map:
   :class:`~repro.codes.tornado.code.TornadoCode` so fountain, protocol
   and simulation layers drive both families through one interface.
 
-Streaming droplets over a (lossy) channel is the fountain layer's job:
-see :class:`repro.fountain.rateless.RatelessServer`.
+Streaming droplets over a (lossy) channel is the transfer layer's job:
+a :class:`repro.transfer.server.TransferServer` block emits droplet
+``t`` as its emission ``t``.
 """
 
 from repro.codes.lt.code import LTCode

@@ -1,20 +1,13 @@
-"""The digital-fountain transmission layer (paper Sections 3, 4 and 7).
+"""The digital-fountain reception layer (paper Sections 3, 4 and 7).
 
-Two server shapes approximate/realise the fountain of Section 3:
-
-* :class:`~repro.fountain.carousel.CarouselServer` — the paper's
-  approximation: cycle through a random permutation of a fixed-rate
-  erasure encoding (Tornado, Reed-Solomon, interleaved).
-* :class:`~repro.fountain.rateless.RatelessServer` — the ideal the
-  paper motivates: stream unbounded LT droplets, no stretch-factor
-  ceiling, no wrap-around duplicates.
-
-Both emit :class:`~repro.fountain.packets.EncodingPacket` (one wire
-record: the paper's 12-byte header + payload) numbered by a shared
-:class:`~repro.fountain.packets.HeaderSequencer`; a
-:class:`~repro.fountain.client.FountainClient` drinks packets from
-either stream until its decoder completes, tracking the
-reception-efficiency metrics of Section 6/7.3
+Packets on the wire are :class:`~repro.fountain.packets.EncodingPacket`
+records (the paper's 12-byte header + payload, or the 16-byte block
+header of a striped transfer); one server,
+:class:`~repro.transfer.server.TransferServer`, stamps them all, as a
+carousel over a fixed-rate encoding or a rateless droplet stream.  A
+:class:`~repro.fountain.client.FountainClient` drinks packets of either
+shape until its decoder completes, tracking the reception-efficiency
+metrics of Section 6/7.3
 (:class:`~repro.fountain.metrics.ReceptionStats`);
 :class:`~repro.fountain.aggregate.MultiSourceClient` merges several
 carousel streams (Section 8's mirroring application).
@@ -22,14 +15,10 @@ carousel streams (Section 8's mirroring application).
 
 from repro.fountain.packets import (
     EncodingPacket,
-    HeaderSequencer,
     HEADER_SIZE,
     BLOCK_HEADER_SIZE,
     SERIAL_MODULUS,
 )
-from repro.fountain.source import SequencedPacketSource
-from repro.fountain.carousel import CarouselServer
-from repro.fountain.rateless import RatelessServer
 from repro.fountain.client import FountainClient, ClientMode
 from repro.fountain.metrics import ReceptionStats
 from repro.fountain.aggregate import (
@@ -39,13 +28,9 @@ from repro.fountain.aggregate import (
 
 __all__ = [
     "EncodingPacket",
-    "HeaderSequencer",
     "HEADER_SIZE",
     "BLOCK_HEADER_SIZE",
     "SERIAL_MODULUS",
-    "SequencedPacketSource",
-    "CarouselServer",
-    "RatelessServer",
     "FountainClient",
     "ClientMode",
     "ReceptionStats",

@@ -18,11 +18,11 @@ import numpy as np
 
 from repro.codes.base import ErasureCode
 from repro.errors import DecodeFailure, ParameterError
-from repro.fountain.carousel import CarouselServer
 from repro.fountain.client import FountainClient
 from repro.fountain.metrics import ReceptionStats
 from repro.net.channel import LossyChannel
 from repro.net.loss import LossModel
+from repro.transfer.schedule import carousel_order
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -46,9 +46,7 @@ class MultiSourceClient:
 
     Carousel mirrors must cycle the *same* encoding (same code, same
     seed-derived graph) but may use independent transmission orders —
-    which is exactly what keeps early duplicates rare.  Rateless (LT)
-    mirrors share the droplet spec instead and should emit disjoint
-    droplet-id ranges, which keeps duplicates at exactly zero.
+    which is exactly what keeps early duplicates rare.
     """
 
     def __init__(self, code: ErasureCode,
@@ -117,11 +115,10 @@ def simulate_aggregate_download(code: ErasureCode,
     if num_sources < 1:
         raise ParameterError("need at least one source")
     gen = ensure_rng(rng)
-    servers = [CarouselServer(code, seed=int(gen.integers(1 << 30)))
-               for _ in range(num_sources)]
-    channels = [LossyChannel(loss_model, gen) for _ in servers]
+    cycle = np.stack([carousel_order(code.n, int(gen.integers(1 << 30)))
+                      for _ in range(num_sources)], axis=1)
+    channels = [LossyChannel(loss_model, gen) for _ in range(num_sources)]
     client = MultiSourceClient(code)
-    cycle = np.stack([srv.index_stream(code.n) for srv in servers], axis=1)
     for first in range(0, max_cycles * code.n, code.n):
         # a carousel cycle of verdicts per mirror, read slot-major:
         # every mirror's packet of a slot before the next slot

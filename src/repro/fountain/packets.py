@@ -14,8 +14,8 @@ same 12-byte header: three big-endian unsigned 32-bit fields.
 
 For a rateless (LT) stream the ``index`` field carries the *droplet id*
 — unbounded, never repeating — instead of a position in a finite
-encoding.  :class:`HeaderSequencer` owns the serial numbering all
-fountain servers share.
+encoding.  Serials are a stream's emission count mod ``2**32``
+(:class:`~repro.transfer.server.TransferServer` numbers every stream).
 
 Block-segmented transfers (:mod:`repro.transfer`) tag each packet with
 the block it encodes in a 16-byte header that appends one uint32
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
@@ -78,64 +78,6 @@ def record_ids(records: np.ndarray, header_size: int
     return blocks, fields[:, 0], fields[:, 1]
 
 
-class HeaderSequencer:
-    """Hands out consecutive transmission serials for packet headers.
-
-    The serial/group bookkeeping every fountain server needs is
-    identical whether the stream cycles a finite encoding
-    (:class:`~repro.fountain.carousel.CarouselServer`) or pours
-    unbounded droplets
-    (:class:`~repro.fountain.rateless.RatelessServer`): each emitted
-    packet gets the next serial number and the server's group tag.
-    Servers own *which* encoding index goes out next; this owns the
-    serial stamped beside it.
-
-    A :class:`~repro.transfer.server.TransferServer` stamps its whole
-    striped stream from one, which keeps serials strictly monotone
-    across every block.  Serials are transmission counters, not
-    identifiers, so on
-    reaching ``2**32`` they wrap to 0 — receivers use serial *gaps* to
-    estimate loss and a once-per-4-billion-packets wrap never looks
-    like loss at any plausible window size.
-    """
-
-    def __init__(self, group: int = 0, start_serial: int = 0):
-        if not 0 <= group < SERIAL_MODULUS:
-            raise ProtocolError(f"group {group} outside uint32 range")
-        if not 0 <= start_serial < SERIAL_MODULUS:
-            raise ProtocolError(
-                f"start_serial {start_serial} outside uint32 range")
-        self.group = group
-        self._start_serial = start_serial
-        self._serial = start_serial
-
-    @property
-    def serial(self) -> int:
-        """The serial the next emitted packet will carry."""
-        return self._serial
-
-    def take(self, count: int) -> np.ndarray:
-        """The serials of the next ``count`` packets; advances past them.
-
-        The one serial draw: a window of records takes its whole run, a
-        single packet ``take(1)``.
-        """
-        serials = (self._serial
-                   + np.arange(count, dtype=np.int64)) % SERIAL_MODULUS
-        self._serial = (self._serial + count) % SERIAL_MODULUS
-        return serials
-
-    def retreat(self, count: int) -> None:
-        """Hand the last ``count`` serials back: a sender that stamped a
-        window and was stopped before all of it reached the wire re-uses
-        them for what it sends next."""
-        self._serial = (self._serial - count) % SERIAL_MODULUS
-
-    def reset(self) -> None:
-        """Rewind to the starting serial (a fresh session)."""
-        self._serial = self._start_serial
-
-
 @dataclass(frozen=True, eq=False)
 class EncodingPacket:
     """One whole wire record — header and payload — as a uint8 row.
@@ -164,25 +106,12 @@ class EncodingPacket:
             if not 0 <= value < SERIAL_MODULUS:
                 raise ProtocolError(
                     f"header field {field}={value} outside uint32 range")
-        return cls.stamp_rows(np.ascontiguousarray(payload)[np.newaxis],
-                              index, serial, group, block)[0]
-
-    @classmethod
-    def stamp_rows(cls, payloads: np.ndarray, indices: Any, serials: Any,
-                   group: int = 0, block: Optional[int] = None
-                   ) -> List["EncodingPacket"]:
-        """Packets over the rows of one record matrix: ``payloads[r]``
-        as encoding packet ``indices[r]``, headers as :meth:`stamp`
-        writes them, in one :func:`stamp_headers` pass and unchecked (a
-        source's cursor and sequencer keep the fields in range)."""
         header = HEADER_SIZE if block is None else BLOCK_HEADER_SIZE
-        body = np.ascontiguousarray(payloads).view(np.uint8).reshape(
-            len(payloads), -1)
-        records = np.empty((len(body), header + body.shape[1]),
-                           dtype=np.uint8)
-        records[:, header:] = body
-        stamp_headers(records, header, indices, serials, group, block)
-        return [cls(record, header) for record in records]
+        body = np.ascontiguousarray(payload).view(np.uint8).reshape(-1)
+        record = np.empty((1, header + body.size), dtype=np.uint8)
+        record[0, header:] = body
+        stamp_headers(record, header, index, serial, group, block)
+        return cls(record[0], header)
 
     @cached_property
     def _ids(self) -> Tuple[int, int, int]:

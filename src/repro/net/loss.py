@@ -27,9 +27,8 @@ class LossModel(abc.ABC):
     """A stationary (or trace-driven) packet-erasure process.
 
     :meth:`draw` takes a process's state and returns it, and a
-    :class:`~repro.net.channel.LossyChannel` keeps it.  The one state a
-    model holds itself is :meth:`TraceLoss.losses`' read position, which
-    a channel does not read: a channel starts at the trace's offset."""
+    :class:`~repro.net.channel.LossyChannel` keeps it: a model holds no
+    process state, so :meth:`losses` is always a fresh process."""
 
     @abc.abstractmethod
     def draw(self, count: int, rng: np.random.Generator,
@@ -153,9 +152,10 @@ class GilbertElliottLoss(LossModel):
 class TraceLoss(LossModel):
     """Replays a boolean loss trace cyclically from a given offset.
 
-    A process's state is its read position.  Each :meth:`losses` call
-    picks up where the last one stopped, so ``losses(a)`` then
-    ``losses(b)`` is ``losses(a + b)``.
+    A process's state is its read position, which starts at
+    ``offset``; a :class:`~repro.net.channel.LossyChannel` keeps it, so
+    a channel's ``delivery_mask(a)`` then ``delivery_mask(b)`` reads the
+    trace as one ``losses(a + b)`` call does.
     """
 
     def __init__(self, trace: np.ndarray, offset: int = 0):
@@ -164,18 +164,12 @@ class TraceLoss(LossModel):
             raise ParameterError("trace must be a non-empty 1-D bool array")
         self.trace = trace
         self.offset = int(offset) % trace.size
-        self._position = self.offset
 
     def draw(self, count: int, rng: np.random.Generator,
              state: Any) -> Tuple[np.ndarray, Any]:
         position = self.offset if state is None else state
         idx = (position + np.arange(count)) % self.trace.size
         return self.trace[idx], (position + count) % self.trace.size
-
-    def losses(self, count: int, rng: RngLike = None) -> np.ndarray:
-        lost, self._position = self.draw(count, ensure_rng(rng),
-                                         self._position)
-        return lost
 
     def expected_loss_rate(self) -> float:
         return float(self.trace.mean())

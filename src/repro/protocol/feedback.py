@@ -28,8 +28,8 @@ sender can reweight its cross-block schedule toward whichever blocks
 the population is actually stuck on.
 
 Loss estimation rides the existing header: transmission serials are
-strictly monotone across a striped stream (one shared
-:class:`~repro.fountain.packets.HeaderSequencer`), so the gap between
+strictly monotone across a striped stream (the stream's emission
+count mod ``2**32``), so the gap between
 the serial span a receiver observed and the records it actually got *is*
 the channel's loss, no extra wire bytes needed.  :class:`LossEstimator`
 folds per-batch gap measurements into an EWMA.

@@ -177,8 +177,8 @@ class SlotWindow:
             raise ParameterError(f"{code} is rateless: a slot window "
                                  "counts out of each block's n")
         self._server = TransferServer(self.codec)
-        self.block_n = np.array([source.cycle_length
-                                 for source in self._server.block_sources])
+        self.block_n = np.array([self.codec.code_for(b).n
+                                 for b in range(plan.num_blocks)])
         self._first = np.cumsum(self.block_n) - self.block_n
         #: the block of every global id.
         self.block_of = np.repeat(np.arange(self.block_n.size), self.block_n)

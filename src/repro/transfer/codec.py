@@ -204,7 +204,7 @@ class ObjectCodec:
         if self.is_rateless:
             raise ParameterError(
                 f"{self.code_spec} is rateless — there is no finite "
-                "encoding; serve the block through a RatelessServer instead")
+                "encoding; serve it as a TransferServer's droplet stream")
         self.check_wire_dtype(block)
         return self.code_for(block).encode(self.source_block(data, block))
 
@@ -218,7 +218,7 @@ class ObjectCodec:
         if self.is_rateless:
             raise ParameterError(
                 f"{self.code_spec} is rateless — there is no finite "
-                "encoding; serve the block through a RatelessServer instead")
+                "encoding; serve it as a TransferServer's droplet stream")
         self.check_wire_dtype(block)
         return self.code_for(block).block_encoder(
             self.source_block(data, block))

@@ -19,6 +19,9 @@ the paper's Figure 3 trade-off at file scale:
 Both are infinite, deterministic generators over block ids, weighted by
 the per-block source sizes so the uneven tail block is neither starved
 nor over-served.
+
+Within a fixed-rate block, :func:`carousel_order` is the order a
+carousel cycles its encoding in.
 """
 
 from __future__ import annotations
@@ -28,9 +31,24 @@ from typing import Dict, Iterator, Sequence
 import numpy as np
 
 from repro.errors import ParameterError
+from repro.utils.rng import RngLike, spawn_rng
 
 #: most slots a weighted schedule computes per sort (one serve window).
 SLOT_CHUNK = 512
+
+
+#: rng stream label for a carousel's transmission permutation.
+_PERMUTATION_STREAM = 0x5EED
+
+
+def carousel_order(n: int, seed: RngLike) -> np.ndarray:
+    """One carousel cycle over ``n`` encoding packets: a seed-derived
+    random permutation (paper Section 6: "the server then simply cycled
+    through a random permutation of the source and redundant packets").
+    Emission ``t`` of a carousel carries ``carousel_order(n, seed)[t %
+    n]``."""
+    return spawn_rng(seed, _PERMUTATION_STREAM).permutation(n).astype(
+        np.int64)
 
 
 def _check_weights(block_ks: Sequence[int]) -> Sequence[int]:

@@ -1,21 +1,22 @@
 """Serving a block-segmented object as one striped packet stream.
 
-A :class:`TransferServer` composes one fountain sub-source per block —
-:class:`~repro.fountain.carousel.CarouselServer` for fixed-rate
-families, :class:`~repro.fountain.rateless.RatelessServer` for rateless
-ones — and draws encoding indices from them in the order a pluggable
-cross-block schedule dictates.  The server stamps every header itself,
-from one :class:`~repro.fountain.packets.HeaderSequencer`, so serials
-are strictly monotone across the whole striped stream (receivers
-estimate loss from serial gaps exactly as on a single-block stream).
+A :class:`TransferServer` is the one packet server: it stripes an
+object's blocks in the order a pluggable cross-block schedule dictates,
+and it knows what every emission carries.  Emission ``t`` of block
+``b`` is a pure function of ``t`` — the carousel index
+``carousel_order(n_b, block_seed(seed, b))[t % n_b]`` on a fixed-rate
+block (paper Sections 4 and 6), droplet ``t`` on a rateless one
+(Section 3) — so a block's whole stream state is one cursor, the count
+of its emissions.  Serials are the stream's emission count mod
+``2**32`` (the sum of the cursors), strictly monotone across the whole
+striped stream, so receivers estimate loss from serial gaps exactly as
+on a single-block stream.
 
-It is the one place that knows what emission ``t`` carries — block,
-encoding index, payload — and :meth:`TransferServer.record_window` is
-the one place its records are stamped.  Transports draw those windows;
-``packets()`` hands out the rows of one held window at a time, for
-in-process callers; simulations build the server *without data* (the
-structural stream, over index-only block sources) and draw the same
-:meth:`TransferServer.window` for the ids.
+:meth:`TransferServer.record_window` is the one place records are
+stamped.  Transports draw those windows; ``packets()`` hands out the
+rows of one held window at a time, for in-process callers; simulations
+build the server *without data* (the structural stream) and draw the
+same :meth:`TransferServer.window` for the ids.
 
 Header compatibility: a multi-block stream tags every packet with its
 block id in the 16-byte block header (:mod:`repro.fountain.packets`);
@@ -45,14 +46,27 @@ import numpy as np
 
 from repro.codes.lt.encoder import xor_neighbours
 from repro.codes.raptor.code import RaptorCode
-from repro.errors import ParameterError
-from repro.fountain.packets import EncodingPacket, stamp_headers
-from repro.fountain.carousel import CarouselServer
-from repro.fountain.rateless import RatelessServer
-from repro.fountain.source import SequencedPacketSource
+from repro.errors import ParameterError, ProtocolError
+from repro.fountain.packets import (
+    SERIAL_MODULUS,
+    EncodingPacket,
+    stamp_headers,
+)
 from repro.codes.registry import block_seed
 from repro.transfer.codec import ObjectCodec
-from repro.transfer.schedule import make_schedule, weighted_slots
+from repro.transfer.schedule import (
+    carousel_order,
+    make_schedule,
+    weighted_slots,
+)
+
+#: rows of the record window a per-packet pull is served from.
+#: ``packets()`` stamps this many emissions in one :meth:`record_window
+#: <TransferServer.record_window>` (one batched synthesis, one header
+#: pass) and hands them out a packet at a time; the server holds at
+#: most this many records beyond what it has emitted, and hands the
+#: rest back before any other draw.
+LOOKAHEAD = 32
 
 
 class _DropletStack:
@@ -139,7 +153,7 @@ class _DropletStack:
             xor_neighbours(self.inputs, flat, indptr, out, rows)
 
 
-class TransferServer(SequencedPacketSource):
+class TransferServer:
     """Streams one object's blocks, striped by a cross-block schedule.
 
     Parameters
@@ -166,7 +180,8 @@ class TransferServer(SequencedPacketSource):
                  seed: int = 0, group: int = 0,
                  _cache: Optional[Tuple[List, Optional[_DropletStack]]]
                  = None):
-        super().__init__(group=group)
+        if not 0 <= group < SERIAL_MODULUS:
+            raise ProtocolError(f"group {group} outside uint32 range")
         if data is not None and len(data) != codec.plan.file_size:
             raise ParameterError(
                 f"object is {len(data)} bytes, codec plans for "
@@ -174,6 +189,7 @@ class TransferServer(SequencedPacketSource):
         self.codec = codec
         self.schedule = schedule
         self.seed = int(seed)
+        self.group = group
         self._data = data
         if _cache is None:
             _cache = self._materialise(codec, data)
@@ -182,22 +198,30 @@ class TransferServer(SequencedPacketSource):
         #: for rateless ones and without data) and, for a rateless plan
         #: with data, the stacked droplet inputs.
         self._payloads, self._stack = _cache
-        #: the per-block cursors the schedule draws indices from (a
-        #: carousel also gathers its rows); the server stamps them.
-        self.block_sources: List[SequencedPacketSource] = [
-            RatelessServer(codec.code_for(spec.block))
-            if codec.is_rateless else
-            CarouselServer(codec.code_for(spec.block), payload,
-                           seed=block_seed(self.seed, spec.block))
-            for spec, payload in zip(codec.plan.blocks, self._payloads)]
+        #: emissions per block so far — the whole per-block stream state.
+        self._cursors = np.zeros(codec.num_blocks, dtype=np.int64)
+        #: a fixed-rate plan's carousel cycles end to end (block b's
+        #: ``_cycle_n[b]`` indices from ``_cycle_first[b]``); None on a
+        #: rateless plan, whose emission t carries droplet t.
+        self._cycles: Optional[np.ndarray] = None
+        if not codec.is_rateless:
+            cycles = [carousel_order(codec.code_for(spec.block).n,
+                                     block_seed(self.seed, spec.block))
+                      for spec in codec.plan.blocks]
+            self._cycle_n = np.array([cycle.size for cycle in cycles])
+            self._cycle_first = np.cumsum(self._cycle_n) - self._cycle_n
+            self._cycles = np.concatenate(cycles)
+        #: the held record window per-packet pulls are served from, and
+        #: how many of its rows went out.
+        self._held: List[EncodingPacket] = []
+        self._pulled = 0
         #: slots :meth:`unwind` took back, re-emitted before the schedule
         #: moves on.
         self._unsent: Deque[int] = deque()
         self.reweight(None)
         self._slots = self._slot_stream()
-        #: block ids and serials of the last :meth:`window` (the block
-        #: ids for :meth:`unwind`, the serials for the header stamp).
-        self._window_blocks = self._window_serials = np.zeros(0, np.int64)
+        #: block ids of the last draw, for :meth:`unwind`.
+        self._window_blocks = np.zeros(0, np.int64)
 
     @staticmethod
     def _materialise(codec: ObjectCodec, data: Optional[bytes]
@@ -246,43 +270,57 @@ class TransferServer(SequencedPacketSource):
         self._hand_back()
         payloads = None if self._data is None else np.empty(
             (count, self.codec.plan.packet_size), dtype=np.uint8)
-        blocks, indices = self._draw(count, payloads)
+        blocks, indices, _ = self._draw(count, payloads)
         return blocks, indices, payloads
 
     def _draw(self, count: int, payloads: Optional[np.ndarray]
-              ) -> Tuple[np.ndarray, np.ndarray]:
-        """``count`` schedule slots, their indices, and — when
-        ``payloads`` rows are given — their payloads written into them.
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``count`` schedule slots, their indices and serials, and —
+        when ``payloads`` rows are given — their payloads written into
+        them.
 
-        Indices come from one cursor draw per block the slots name.  A
-        rateless plan then synthesises every payload of the window in
-        one pass over its stack; a carousel gathers per block.
+        A slot's index is its block's cursor plus its rank among the
+        window's slots of that block, through the block's carousel
+        cycle on a fixed-rate plan.  A rateless plan then synthesises
+        every payload of the window in one pass over its stack; a
+        carousel gathers per block.  A droplet id past the uint32
+        header field raises before a cursor moves.
         """
         blocks = np.fromiter(islice(self._slots, count), dtype=np.int64,
                              count=count)
-        indices = np.empty(count, dtype=np.int64)
-        gather = payloads is not None and self._stack is None
+        sizes = np.bincount(blocks, minlength=self.num_blocks)
+        if (self._cycles is None
+                and (self._cursors + sizes).max() > SERIAL_MODULUS):
+            raise ProtocolError(
+                "droplet ids exhausted: a block's stream carries ids "
+                "below 2**32 in its uint32 header field")
         # each block's slots, in emission order: one stable sort
         order = np.argsort(blocks, kind="stable")
-        end = 0
-        for block, size in enumerate(np.bincount(blocks).tolist()):
-            if not size:
-                continue
-            rows, end = order[end:end + size], end + size
-            source = self.block_sources[block]
-            indices[rows] = drawn = source.index_batch(size)
-            if gather:
-                payloads[rows] = source._gather(drawn)
+        first = np.cumsum(sizes) - sizes
+        emissions = np.empty(count, dtype=np.int64)
+        emissions[order] = np.arange(count) + np.repeat(
+            self._cursors - first, sizes)
+        if self._cycles is None:
+            indices = emissions
+        else:
+            indices = self._cycles[self._cycle_first[blocks]
+                                   + emissions % self._cycle_n[blocks]]
         if payloads is not None and self._stack is not None:
             self._stack.synthesise(blocks, indices, payloads)
+        elif payloads is not None:
+            for block in np.flatnonzero(sizes).tolist():
+                rows = order[first[block]:first[block] + sizes[block]]
+                payloads[rows] = self._payloads[block][indices[rows]]
+        serials = (int(self._cursors.sum()) + np.arange(
+            count, dtype=np.int64)) % SERIAL_MODULUS
+        self._cursors += sizes
         self._window_blocks = blocks
-        self._window_serials = self._sequencer.take(count)
-        return blocks, indices
+        return blocks, indices, serials
 
     def record_window(self, count: int) -> np.ndarray:
         """The next ``count`` emissions as a ``(count, H + P)`` array of
         wire records — the one stamping site: ``packets()`` hands out
-        the rows of windows of :data:`~repro.fountain.source.LOOKAHEAD`.
+        the rows of windows of :data:`LOOKAHEAD`.
 
         One draw with the payloads written straight into the records,
         plus one :func:`~repro.fountain.packets.stamp_headers` pass over
@@ -295,15 +333,43 @@ class TransferServer(SequencedPacketSource):
         self._hand_back()
         header = self.codec.header_size
         records = np.empty((count, self.codec.record_size), dtype=np.uint8)
-        blocks, indices = self._draw(count, records[:, header:])
-        stamp_headers(records, header, indices, self._window_serials,
-                      self.group, blocks)
+        blocks, indices, serials = self._draw(count, records[:, header:])
+        stamp_headers(records, header, indices, serials, self.group, blocks)
         return records
 
-    def _stamp_window(self, count: int) -> List[EncodingPacket]:
-        header = self.codec.header_size
-        return [EncodingPacket(record, header)
-                for record in self.record_window(count)]
+    def packets(self, count: Optional[int] = None
+                ) -> Iterator[EncodingPacket]:
+        """Yield the next ``count`` packets (infinite when ``None``)."""
+        emitted = 0
+        while count is None or emitted < count:
+            yield self._next_packet()
+            emitted += 1
+
+    def _next_packet(self) -> EncodingPacket:
+        """The next emission: a row of the held record window, stamped
+        with the rest of it when the last one ran out.  A rateless
+        window stops at the last droplet id, so the raise lands on the
+        emission that needs an id past it."""
+        if self._pulled == len(self._held):
+            size = LOOKAHEAD
+            if self._cycles is None:
+                size = max(1, min(size, SERIAL_MODULUS
+                                  - int(self._cursors.max())))
+            header = self.codec.header_size
+            self._held = [EncodingPacket(record, header)
+                          for record in self.record_window(size)]
+            self._pulled = 0
+        packet = self._held[self._pulled]
+        self._pulled += 1
+        return packet
+
+    def _hand_back(self) -> None:
+        """Take back the held rows not yet pulled, so the next draw
+        starts at the last emitted packet."""
+        unpulled = len(self._held) - self._pulled
+        self._held, self._pulled = [], 0
+        if unpulled:
+            self._retreat(unpulled)
 
     def unwind(self, count: int) -> None:
         """Take back the last ``count`` emissions of the last window.
@@ -314,26 +380,26 @@ class TransferServer(SequencedPacketSource):
         skipped.  A window ``packets()`` holds is handed back first.
         """
         self._hand_back()
-        if count <= 0:
-            return
+        if count > 0:
+            self._retreat(count)
+
+    def _retreat(self, count: int) -> None:
+        """Put the last draw's last ``count`` slots back at the front of
+        the schedule and their blocks' cursors back."""
         unsent = self._window_blocks[-count:]
         self._window_blocks = self._window_blocks[:-count]
         self._unsent.extendleft(unsent[::-1].tolist())
-        for block, emissions in zip(*np.unique(unsent, return_counts=True)):
-            self.block_sources[block]._retreat(int(emissions))
-        self._sequencer.retreat(count)
-
-    _take_back = unwind
+        self._cursors -= np.bincount(unsent, minlength=self.num_blocks)
 
     def reweight(self, weights: Optional[List[float]]) -> None:
         """Swap the cross-block schedule for a weighted stripe, live.
 
         The adaptive sender's schedule lever: only the slot cursor
-        changes — the per-block sources, their carousel positions, the
-        header sequencer, and the encode-once payload cache (shared
-        with every ``fork()``) are all untouched, so reweighting is
-        safe mid-stream and invisible to receivers beyond the block
-        mix.  ``None`` restores the server's configured schedule.
+        changes — the block cursors, the serials and the encode-once
+        payload cache (shared with every ``fork()``) are all untouched,
+        so reweighting is safe mid-stream and invisible to receivers
+        beyond the block mix.  ``None`` restores the server's
+        configured schedule.
         """
         self._hand_back()
         block_ks = self.codec.plan.block_ks
@@ -342,9 +408,11 @@ class TransferServer(SequencedPacketSource):
                           else weighted_slots(block_ks, weights))
         self._unsent.clear()
 
-    def _rewind(self) -> None:
-        for source in self.block_sources:
-            source.reset()
+    def reset(self) -> None:
+        """Rewind the stream to its start (a fresh session): the held
+        window is dropped, not handed back."""
+        self._held, self._pulled = [], 0
+        self._cursors[:] = 0
         self.reweight(None)
         self._window_blocks = self._window_blocks[:0]
 
@@ -354,11 +422,10 @@ class TransferServer(SequencedPacketSource):
         """An independent stream over the *same* cached encodings.
 
         The fork shares this server's per-block encoders and stacked
-        droplet inputs (no re-encode) but owns its own schedule cursor,
-        carousel permutations (when ``seed`` differs) and header
-        sequencer — the encode-once/serve-many shape a transport uses to
-        give each receiver, mirror or retransmission sweep its own
-        stream.
+        droplet inputs (no re-encode) but owns its own schedule, block
+        cursors and carousel permutations (when ``seed`` differs) — the
+        encode-once/serve-many shape a transport uses to give each
+        receiver, mirror or retransmission sweep its own stream.
         """
         return TransferServer(
             self.codec, self._data,

@@ -25,6 +25,7 @@ from repro.fountain.client import ClientMode
 from repro.fountain.metrics import ReceptionStats
 from repro.fountain.packets import EncodingPacket
 from repro.net.transport.base import FRAME_FEEDBACK, iter_frames
+from repro.transfer import BlockPlan, ObjectCodec, TransferServer
 
 #: seed-mixing constant so the loss stream never collides with the
 #: source-data stream derived from the same test seed.
@@ -77,6 +78,19 @@ def make_source(k: int, payload_size: int, seed: int) -> np.ndarray:
     """Deterministic random ``(k, P)`` uint8 source block."""
     rng = np.random.default_rng(seed)
     return rng.integers(0, 256, size=(k, payload_size), dtype=np.uint8)
+
+
+def single_block_server(spec: str, source: np.ndarray, seed: int = 0,
+                        data: bool = True) -> TransferServer:
+    """A one-block server (12-byte header) over a ``(k, P)`` uint8
+    ``source``: ``seed`` is its code-graph and carousel seed, and
+    without ``data`` it is the structural stream.  Its code is
+    ``server.codec.code_for(0)``."""
+    k, payload = source.shape
+    codec = ObjectCodec(BlockPlan(source.size, payload, k), code=spec,
+                        seed=seed)
+    return TransferServer(codec, source.tobytes() if data else None,
+                          seed=seed)
 
 
 def loss_realisation(count: int, loss: float, seed: int) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Fountain layer: packet framing, carousel, client, metrics."""
+"""Fountain layer: packet framing, the carousel and rateless streams of a
+single-block :class:`TransferServer`, client, metrics."""
 
 import numpy as np
 import pytest
@@ -6,24 +7,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codes.base import bytes_to_packets, packets_to_bytes
-from repro.codes.lt import LTCode
-from repro.codes.reed_solomon import cauchy_code
+from repro.codes.registry import block_seed
 from repro.codes.tornado.presets import tornado_a
 from repro.errors import DecodeFailure, ParameterError, ProtocolError
-from repro.fountain.carousel import CarouselServer
 from repro.fountain.client import ClientMode, FountainClient
 from repro.fountain.metrics import ReceptionStats
 from repro.fountain.packets import (
     HEADER_SIZE,
     SERIAL_MODULUS,
     EncodingPacket,
-    HeaderSequencer,
     stamp_headers,
 )
-from repro.fountain.rateless import RatelessServer
+from repro.transfer import TransferServer
+from repro.transfer.schedule import carousel_order
+
+from _oracles import make_source, single_block_server
 
 
 _EMPTY = np.zeros(0, dtype=np.uint8)
+
+
+def _server(spec, k, seed=0, data=True):
+    return single_block_server(spec, make_source(k, 4, seed), seed, data)
 
 
 class TestPackets:
@@ -65,45 +70,51 @@ class TestPackets:
 
 class TestCarousel:
     def test_cycles_through_permutation(self):
-        code = cauchy_code(8)
-        rng = np.random.default_rng(0)
-        enc = code.encode(rng.integers(0, 256, size=(8, 4), dtype=np.uint8))
-        server = CarouselServer(code, enc, seed=1)
-        indices = [p.index for p in server.packets(2 * code.n)]
-        assert sorted(indices[:code.n]) == list(range(code.n))
-        assert indices[:code.n] == indices[code.n:]
+        server = _server("rs", 8, seed=1)
+        n = server.codec.code_for(0).n
+        packets = list(server.packets(2 * n))
+        indices = [p.index for p in packets]
+        assert sorted(indices[:n]) == list(range(n))
+        assert indices[:n] == indices[n:]
+        assert indices[:n] == carousel_order(n, block_seed(1, 0)).tolist()
+        assert {(p.header_size, p.block) for p in packets} == {(HEADER_SIZE,
+                                                               0)}
 
     def test_serials_increase(self):
-        code = cauchy_code(4)
-        enc = code.encode(np.zeros((4, 2), dtype=np.uint8))
-        server = CarouselServer(code, enc, seed=2)
+        server = _server("rs", 4, seed=2)
         serials = [p.serial for p in server.packets(10)]
         assert serials == list(range(10))
 
     def test_index_stream_stateless(self):
-        code = cauchy_code(8)
-        server = CarouselServer(code, seed=3)
-        a = server.index_stream(20)
-        b = server.index_stream(20)
-        assert np.array_equal(a, b)
+        """The structural stream is a pure function of the seed: two
+        servers, a reset, and the data-bearing server draw one order."""
+        server = _server("rs", 8, seed=3, data=False)
+        first = server.window(20)[1]
+        assert np.array_equal(_server("rs", 8, seed=3, data=False)
+                              .window(20)[1], first)
+        server.reset()
+        assert np.array_equal(server.window(20)[1], first)
+        assert [p.index for p in _server("rs", 8, seed=3).packets(20)] == (
+            first.tolist())
 
-    def test_explicit_order_validated(self):
-        code = cauchy_code(4)
-        with pytest.raises(ParameterError):
-            CarouselServer(code, order=[0, 1, 2])  # not a full permutation
-        server = CarouselServer(code, order=list(range(code.n)))
-        assert np.array_equal(server.index_stream(code.n),
-                              np.arange(code.n))
+    def test_carousel_order_is_a_seeded_permutation(self):
+        n = 16
+        order = carousel_order(n, 7)
+        assert sorted(order.tolist()) == list(range(n))
+        assert order.dtype == np.int64
+        assert np.array_equal(carousel_order(n, 7), order)
+        assert not np.array_equal(carousel_order(n, 8), order)
+        # each block of a server permutes under its own seed
+        assert not np.array_equal(carousel_order(n, block_seed(7, 0)),
+                                  carousel_order(n, block_seed(7, 1)))
 
-    def test_index_only_cannot_emit_payloads(self):
-        server = CarouselServer(cauchy_code(4), seed=4)
+    def test_structural_server_cannot_emit_payloads(self):
+        server = _server("rs", 4, seed=4, data=False)
         with pytest.raises(ParameterError):
             next(server.packets(1))
 
     def test_reset(self):
-        code = cauchy_code(4)
-        enc = code.encode(np.zeros((4, 2), dtype=np.uint8))
-        server = CarouselServer(code, enc, seed=5)
+        server = _server("rs", 4, seed=5)
         first = [p.index for p in server.packets(3)]
         server.reset()
         assert [p.index for p in server.packets(3)] == first
@@ -115,13 +126,13 @@ class TestClient:
         rng = np.random.default_rng(7)
         src = rng.integers(0, 256, size=(150, 8), dtype=np.uint8)
         enc = code.encode(src)
-        server = CarouselServer(code, enc, seed=8)
+        order = carousel_order(code.n, 8)
         client = FountainClient(code, mode=mode)
         loss_rng = np.random.default_rng(loss_seed)
-        for packet in server.packets(20 * code.n):
+        for index in np.resize(order, 20 * code.n).tolist():
             if loss_rng.random() < 0.3:
                 continue
-            if client.receive(packet):
+            if client.receive_index(index, enc[index]):
                 break
         return client, src
 
@@ -149,17 +160,15 @@ class TestClient:
             client.source_data()
 
     def test_rs_client(self):
-        code = cauchy_code(20)
-        rng = np.random.default_rng(9)
-        src = rng.integers(0, 256, size=(20, 4), dtype=np.uint8)
-        enc = code.encode(src)
-        server = CarouselServer(code, enc, seed=10)
+        server = _server("rs", 20, seed=10)
+        code = server.codec.code_for(0)
         client = FountainClient(code)
         for packet in server.packets(code.n):
             if client.receive(packet):
                 break
         assert client.distinct_received == code.k  # MDS: exactly k
-        assert np.array_equal(client.source_data(), src)
+        assert np.array_equal(client.source_data(),
+                              server.codec.source_block(server._data, 0))
 
 
 class TestBytesPacketsRoundtrip:
@@ -198,78 +207,53 @@ class TestBytesPacketsRoundtrip:
             bytes_to_packets(b"abc", 3, dtype=np.uint16)
 
 
-class TestHeaderSequencer:
-    def _tiny_rateless(self, **kwargs):
-        code = LTCode(8, seed=0)
-        src = np.zeros((8, 4), dtype=np.uint8)
-        return RatelessServer(code, src, **kwargs)
+class TestHeaderCeilings:
+    """Every header field is a uint32: a rateless block's droplet ids
+    stop at ``2**32 - 1``, serials wrap, and a group must fit."""
 
-    def test_serial_wraparound(self):
-        sequencer = HeaderSequencer(group=0,
-                                    start_serial=SERIAL_MODULUS - 2)
-        serials = [int(sequencer.take(1)[0]) for _ in range(4)]
-        assert serials == [SERIAL_MODULUS - 2, SERIAL_MODULUS - 1, 0, 1]
+    def test_droplet_ids_stop_below_2_to_the_32(self):
+        server = _server("lt", 8)
+        server._cursors[0] = SERIAL_MODULUS - 2
+        stream = server.packets()
+        got = [next(stream) for _ in range(2)]
+        assert [p.index for p in got] == [SERIAL_MODULUS - 2,
+                                          SERIAL_MODULUS - 1]
+        encoder = server.codec.code_for(0).encoder(
+            server.codec.source_block(server._data, 0))
+        assert (got[-1].payload.tobytes()
+                == encoder.droplet_payload(SERIAL_MODULUS - 1).tobytes())
+        with pytest.raises(ProtocolError, match="droplet ids exhausted"):
+            next(stream)
+        with pytest.raises(ProtocolError, match="droplet ids exhausted"):
+            server.window(1)
 
-    def test_start_serial_range_checked(self):
-        with pytest.raises(ProtocolError):
-            HeaderSequencer(start_serial=SERIAL_MODULUS)
-        with pytest.raises(ProtocolError):
-            HeaderSequencer(group=SERIAL_MODULUS)
+    def test_exhausted_draw_moves_no_cursor(self):
+        """The ceiling raises before the cursor moves: the ids below it
+        are still there to draw, and serials carry on from them."""
+        server = _server("lt", 8)
+        server._cursors[0] = SERIAL_MODULUS - 2
+        with pytest.raises(ProtocolError, match="droplet ids exhausted"):
+            server.window(3)
+        assert server._cursors.tolist() == [SERIAL_MODULUS - 2]
+        _, ids, _ = server.window(2)
+        assert ids.tolist() == [SERIAL_MODULUS - 2, SERIAL_MODULUS - 1]
+        assert server._cursors.tolist() == [SERIAL_MODULUS]
 
+    def test_serials_wrap_to_zero(self):
+        server = _server("rs", 4)
+        server._cursors[0] = SERIAL_MODULUS - 1
+        serials = [p.serial for p in server.packets(3)]
+        assert serials == [SERIAL_MODULUS - 1, 0, 1]
 
-class TestRatelessIdRange:
-    def _server(self, **kwargs):
-        code = LTCode(8, seed=0)
-        src = np.zeros((8, 4), dtype=np.uint8)
-        return RatelessServer(code, src, **kwargs)
-
-    def test_exhaustion_fails_fast_with_clear_error(self):
-        """Regression: droplet ids used to walk straight past the uint32
-        header ceiling and die inside the header range check."""
-        server = self._server(start=100, id_range=3)
-        assert [p.index for p in server.packets(3)] == [100, 101, 102]
-        with pytest.raises(ProtocolError, match="droplet id range exhausted"):
-            next(server.packets(1))
-
-    def test_header_ceiling_fails_before_overflow(self):
-        server = self._server(start=SERIAL_MODULUS - 2)
-        assert server.id_range == 2
-        packets = list(server.packets(2))
-        assert [p.index for p in packets] == [SERIAL_MODULUS - 2,
-                                              SERIAL_MODULUS - 1]
-        with pytest.raises(ProtocolError):
-            next(server.packets(1))
-
-    def test_range_overflowing_uint32_rejected_at_construction(self):
-        with pytest.raises(ParameterError):
-            self._server(start=SERIAL_MODULUS - 2, id_range=3)
-        with pytest.raises(ParameterError):
-            self._server(start=SERIAL_MODULUS)
-        with pytest.raises(ParameterError):
-            self._server(id_range=0)
-
-    def test_wrap_cycles_back_to_start(self):
-        server = self._server(start=50, id_range=4, wrap=True)
-        ids = [p.index for p in server.packets(10)]
-        assert ids == [50, 51, 52, 53] * 2 + [50, 51]
-        assert server.ids_remaining == 4  # a wrapping server never runs dry
-
-    def test_index_stream_respects_range(self):
-        server = self._server(start=10, id_range=5)
-        assert server.index_stream(5).tolist() == [10, 11, 12, 13, 14]
-        with pytest.raises(ProtocolError):
-            server.index_stream(6)
-        wrapping = self._server(start=10, id_range=5, wrap=True)
-        assert wrapping.index_stream(7).tolist() == [10, 11, 12, 13, 14,
-                                                     10, 11]
-
-    def test_ids_remaining_counts_down(self):
-        server = self._server(start=0, id_range=10)
-        assert server.ids_remaining == 10
-        list(server.packets(4))
-        assert server.ids_remaining == 6
-        server.reset()
-        assert server.ids_remaining == 10
+    def test_group_range_checked(self):
+        codec = _server("rs", 4).codec
+        for group in (SERIAL_MODULUS, -1):
+            with pytest.raises(ProtocolError):
+                TransferServer(codec, group=group)
+        record = TransferServer(codec, bytes(16),
+                                group=SERIAL_MODULUS - 1).record_window(1)
+        assert int.from_bytes(record[0, 8:12].tobytes(), "big") == (
+            SERIAL_MODULUS - 1)
 
 
 class TestReceptionStats:

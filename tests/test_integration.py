@@ -11,13 +11,14 @@ from repro import (
     tornado_a,
     tornado_b,
 )
-from repro.fountain.carousel import CarouselServer
 from repro.fountain.client import ClientMode, FountainClient
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss
 from repro.net.traces import synthesize_mbone_traces
 from repro.sim.overhead import ThresholdPool
 from repro.sim.transfer import SlotWindow, packets_until_decode
+from repro.transfer import BlockPlan, ObjectCodec, TransferServer
+from repro.transfer.schedule import carousel_order
 
 
 class TestFileRoundtrips:
@@ -37,11 +38,11 @@ class TestFileRoundtrips:
             source = bytes_to_packets(data, 256)
             code = factory(source.shape[0], seed=1)
         encoding = code.encode(source)
-        server = CarouselServer(code, encoding, seed=2)
+        carousel = np.resize(carousel_order(code.n, 2), 10 * code.n)
         channel = LossyChannel(BernoulliLoss(0.3), rng=3)
         client = FountainClient(code, mode=ClientMode.INCREMENTAL)
-        for packet in channel.transmit(server.packets(10 * code.n)):
-            if client.receive(packet):
+        for index in channel.transmit(carousel.tolist()):
+            if client.receive_index(index, encoding[index]):
                 break
         assert client.is_complete
         assert packets_to_bytes(client.source_data(), len(data)) == data
@@ -51,12 +52,11 @@ class TestFileRoundtrips:
         source = bytes_to_packets(data, 128)
         code = InterleavedCode(source.shape[0], 20)
         encoding = code.encode(source)
-        server = CarouselServer(code, encoding,
-                                order=code.carousel_order())
+        carousel = np.resize(carousel_order(code.n, 4), 50 * code.n)
         channel = LossyChannel(BernoulliLoss(0.2), rng=4)
         client = FountainClient(code, mode=ClientMode.INCREMENTAL)
-        for packet in channel.transmit(server.packets(50 * code.n)):
-            if client.receive(packet):
+        for index in channel.transmit(carousel.tolist()):
+            if client.receive_index(index, encoding[index]):
                 break
         assert client.is_complete
         assert packets_to_bytes(client.source_data(), len(data)) == data
@@ -66,11 +66,12 @@ class TestWireFormat:
     def test_packets_survive_serialisation(self):
         """Headers and payloads cross a byte-level 'network' intact."""
         from repro.fountain.packets import EncodingPacket
-        code = tornado_a(130, seed=5)
         rng = np.random.default_rng(6)
         src = rng.integers(0, 256, size=(130, 64), dtype=np.uint8)
-        encoding = code.encode(src)
-        server = CarouselServer(code, encoding, seed=7)
+        codec = ObjectCodec(BlockPlan(src.size, 64, 130), code="tornado-a",
+                            seed=5)
+        server = TransferServer(codec, src.tobytes(), seed=7)
+        code = codec.code_for(0)
         client = FountainClient(code, mode=ClientMode.INCREMENTAL)
         for packet in server.packets(code.n):
             wire = packet.to_bytes()          # serialise
@@ -97,11 +98,11 @@ class TestConsistencyAcrossPaths:
         # Direct client runs over the real carousel.
         client_totals = []
         for trial in range(15):
-            server = CarouselServer(code, seed=trial)
+            carousel = np.resize(carousel_order(code.n, trial), 10 * code.n)
             client = FountainClient(code, mode=ClientMode.INCREMENTAL)
             loss = BernoulliLoss(p)
             rng = np.random.default_rng(200 + trial)
-            for index in server.index_stream(10 * code.n):
+            for index in carousel:
                 if loss.losses(1, rng)[0]:
                     continue
                 if client.receive_index(int(index)):
@@ -134,12 +135,11 @@ class TestFailureInjection:
         rng = np.random.default_rng(16)
         src = rng.integers(0, 256, size=(200, 16), dtype=np.uint8)
         encoding = code.encode(src)
-        server = CarouselServer(code, encoding, seed=17)
+        carousel = np.resize(carousel_order(code.n, 17), 3 * code.n)
         client = FountainClient(code, mode=ClientMode.INCREMENTAL)
-        packets = list(server.packets(3 * code.n))
         # Outage: the first 1.5 cycles vanish entirely.
-        for packet in packets[int(1.5 * code.n):]:
-            if client.receive(packet):
+        for index in carousel[int(1.5 * code.n):].tolist():
+            if client.receive_index(index, encoding[index]):
                 break
         assert client.is_complete
         assert np.array_equal(client.source_data(), src)

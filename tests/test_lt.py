@@ -14,7 +14,9 @@ from repro.codes.lt import (
     robust_soliton_spike,
 )
 from repro.errors import DecodeFailure, ParameterError
-from repro.fountain import ClientMode, FountainClient, RatelessServer
+from repro.fountain import ClientMode, FountainClient
+
+from _oracles import single_block_server
 
 
 def random_source(k, payload=24, seed=0):
@@ -203,10 +205,9 @@ class TestAcceptanceOverhead:
 
 class TestFountainIntegration:
     def test_rateless_server_lossy_channel_roundtrip(self):
-        code = LTCode(90, seed=14)
         src = random_source(90, payload=32, seed=15)
-        server = RatelessServer(code, src)
-        client = FountainClient(code, payload_size=32)
+        server = single_block_server("lt", src, seed=14)
+        client = FountainClient(server.codec.code_for(0), payload_size=32)
         drop = np.random.default_rng(16)
         for packet in server.packets():
             if drop.random() < 0.4:     # 40% loss: the fountain shrugs
@@ -219,10 +220,10 @@ class TestFountainIntegration:
         assert stats.coding_efficiency > 0.7
 
     def test_statistical_mode_client(self):
-        code = LTCode(60, seed=17)
         src = random_source(60, payload=16, seed=18)
-        server = RatelessServer(code, src)
-        client = FountainClient(code, mode=ClientMode.STATISTICAL,
+        server = single_block_server("lt", src, seed=17)
+        client = FountainClient(server.codec.code_for(0),
+                                mode=ClientMode.STATISTICAL,
                                 payload_size=16)
         for packet in server.packets(200):
             if client.receive(packet):
@@ -231,35 +232,32 @@ class TestFountainIntegration:
         assert np.array_equal(client.source_data(), src)
         assert client.decoder.decode_attempts >= 1
 
-    def test_mirrors_disjoint_ranges_never_collide(self):
-        code = LTCode(70, seed=19)
-        src = random_source(70, payload=8, seed=20)
-        mirrors = [RatelessServer(code, src, start=m * 2**24)
-                   for m in range(3)]
-        client = FountainClient(code, payload_size=8)
-        streams = [m.packets() for m in mirrors]
-        done = False
-        while not done:
-            for stream in streams:
-                if client.receive(next(stream)):
-                    done = True
-                    break
-        assert np.array_equal(client.source_data(), src)
-        assert client.stats().duplicates == 0
-
     def test_server_requires_source_for_payload_packets(self):
-        code = LTCode(10, seed=21)
-        server = RatelessServer(code)
-        assert server.index_stream(4).tolist() == [0, 1, 2, 3]
+        server = single_block_server("lt", random_source(10), seed=21,
+                                     data=False)
+        assert server.window(4)[1].tolist() == [0, 1, 2, 3]
         with pytest.raises(ParameterError):
             next(server.packets(1))
 
+    def test_droplet_is_a_pure_function_of_its_id(self):
+        """A rateless block's emission t carries droplet t whatever the
+        transmission seed: a fork under another seed, or another server
+        over the same code, repeats the same droplets."""
+        src = random_source(40, payload=8, seed=20)
+        server = single_block_server("lt", src, seed=19)
+        want = [p.to_bytes() for p in server.packets(50)]
+        server.reset()
+        assert [p.to_bytes() for p in server.fork(seed=99).packets(50)] == (
+            want)
+        encoder = server.codec.code_for(0).encoder(src)
+        for index, record in enumerate(want):
+            assert record[12:] == encoder.droplet_payload(index).tobytes()
+
     def test_header_index_carries_droplet_id(self):
-        code = LTCode(30, seed=22)
-        src = random_source(30, payload=8, seed=23)
-        server = RatelessServer(code, src, start=500)
+        server = single_block_server(
+            "lt", random_source(30, payload=8, seed=23), seed=22)
         packets = list(server.packets(3))
-        assert [p.index for p in packets] == [500, 501, 502]
+        assert [p.index for p in packets] == [0, 1, 2]
         assert [p.serial for p in packets] == [0, 1, 2]
 
 

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.codes.reed_solomon import cauchy_code
 from repro.errors import ParameterError
-from repro.fountain.carousel import CarouselServer
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, TraceLoss
 from repro.net.traces import synthesize_mbone_traces
+from repro.transfer import BlockPlan, ObjectCodec, TransferServer
 
 
 class TestBernoulli:
@@ -66,11 +65,14 @@ class TestTraceLoss:
            second=st.integers(0, 90))
     def test_any_split_reads_the_same_verdicts(self, trace, offset, first,
                                                second):
-        """Every call used to restart at the offset, so a second
-        ``losses`` call repeated the first."""
-        whole = TraceLoss(np.array(trace), offset).losses(first + second)
+        """A trace's read position lives in the channel: two
+        ``delivery_mask`` calls read the verdicts of one long
+        ``losses`` call, whatever the split."""
         model = TraceLoss(np.array(trace), offset)
-        split = np.concatenate([model.losses(first), model.losses(second)])
+        whole = model.losses(first + second)
+        channel = LossyChannel(model, rng=0)
+        split = ~np.concatenate([channel.delivery_mask(first),
+                                 channel.delivery_mask(second)])
         assert split.tolist() == whole.tolist()
 
     def test_a_channel_reads_the_trace_past_one_chunk(self):
@@ -121,9 +123,9 @@ class TestChannel:
         assert abs(channel.observed_loss_rate - 0.4) < 0.02
 
     def test_transmit_filters(self):
-        code = cauchy_code(8)
-        enc = code.encode(np.zeros((8, 2), dtype=np.uint8))
-        server = CarouselServer(code, enc, seed=1)
+        plan = BlockPlan(16, packet_size=2, block_packets=8)
+        server = TransferServer(ObjectCodec(plan, code="rs"), bytes(16),
+                                seed=1)
         channel = LossyChannel(BernoulliLoss(0.5), rng=2)
         survivors = list(channel.transmit(server.packets(200)))
         assert 0 < len(survivors) < 200

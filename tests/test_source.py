@@ -1,11 +1,13 @@
-"""Block-source emission, and encode-once forks."""
+"""Per-block emission from one server, and encode-once forks."""
 
 import numpy as np
 import pytest
 
-from repro.codes.registry import build_code, incremental_decoder
-from repro.fountain import CarouselServer, RatelessServer
+from repro.codes.registry import block_seed, incremental_decoder
 from repro.transfer import BlockPlan, ObjectCodec, TransferClient, TransferServer
+from repro.transfer.schedule import carousel_order
+
+from _oracles import single_block_server
 
 
 def _source_block(k, payload, seed=0):
@@ -15,9 +17,7 @@ def _source_block(k, payload, seed=0):
 
 class TestProtocolConformance:
     def test_counted_emission_continues_across_calls(self):
-        src = _source_block(16, 32)
-        lt = build_code("lt", 16, seed=4)
-        server = RatelessServer(lt, src)
+        server = single_block_server("lt", _source_block(16, 32), seed=4)
         first = [p.index for p in server.packets(5)]
         second = [p.index for p in server.packets(5)]
         assert first == list(range(5))
@@ -25,17 +25,38 @@ class TestProtocolConformance:
         server.reset()
         assert [p.index for p in server.packets(5)] == first
 
-    def test_precomputed_encoding_skips_encode(self):
-        code = build_code("tornado-a", 16, seed=5)
+    def test_carousel_block_decodes(self):
         src = _source_block(16, 32)
-        encoding = code.encode(src)
-        source = CarouselServer(code, encoding, seed=1)
-        decoder = incremental_decoder(code, payload_size=32)
-        for packet in source.packets():
+        server = single_block_server("tornado-a", src, seed=5)
+        decoder = incremental_decoder(server.codec.code_for(0),
+                                      payload_size=32)
+        for packet in server.packets():
             decoder.add_packet(packet.index, packet.payload)
             if decoder.is_complete:
                 break
         assert np.array_equal(decoder.source_data(), src)
+
+    @pytest.mark.parametrize("spec", ["lt", "rs"])
+    def test_each_block_has_its_own_cursor(self, spec):
+        """Emission t of block b is block b's own t-th: droplet t of a
+        rateless block, slot t of a fixed-rate block's carousel — however
+        the schedule stripes the blocks."""
+        plan = BlockPlan(50 * 8, packet_size=8, block_packets=16)
+        codec = ObjectCodec(plan, code=spec, seed=2)
+        server = TransferServer(codec, seed=6)
+        blocks, ids, _ = server.window(300)
+        assert set(blocks.tolist()) == set(range(codec.num_blocks))
+        for block in range(codec.num_blocks):
+            mine = ids[blocks == block]
+            if codec.is_rateless:
+                want = np.arange(mine.size)
+            else:
+                want = np.resize(carousel_order(codec.code_for(block).n,
+                                                block_seed(6, block)),
+                                 mine.size)
+            assert mine.tolist() == want.tolist()
+        assert server._cursors.tolist() == np.bincount(
+            blocks, minlength=codec.num_blocks).tolist()
 
 
 class TestTransferFork:

@@ -4,10 +4,10 @@ Three layers, all held to per-packet oracles at a packet width of whole
 uint64 lanes and at a ragged one (the XOR kernels' lane view and their
 byte route):
 
-* the **look-ahead** behind ``packets()`` — block sources synthesise
-  :data:`~repro.fountain.source.LOOKAHEAD` emissions per batched call —
+* the **look-ahead** behind ``packets()`` — the server stamps
+  :data:`~repro.transfer.server.LOOKAHEAD` emissions per record window —
   against ``droplet_payload`` / ``encoding[index]`` one packet at a
-  time, including every cursor the sources expose;
+  time, and against the draws it hands its held rows back to;
 * the **whole record windows** of ``MemoryTransport.serve`` and
   ``FileTransport.serve`` — the stop found inside a window, the tail
   taken back from the source and the loss channels — against the
@@ -40,14 +40,12 @@ from _oracles import (
     oracle_file_serve,
     oracle_memory_serve,
     oracle_udp_serve,
+    single_block_server,
 )
 from repro import api
-from repro.codes.registry import build_code
+from repro.codes.registry import block_seed
 from repro.errors import ParameterError, ProtocolError, ReproError
-from repro.fountain.carousel import CarouselServer
-from repro.fountain.rateless import RatelessServer
-from repro.fountain.packets import SERIAL_MODULUS
-from repro.fountain.source import LOOKAHEAD
+from repro.fountain.packets import SERIAL_MODULUS, record_ids
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss
 from repro.net.transport import FileTransport, MemoryTransport, UdpTransport
@@ -65,6 +63,8 @@ from repro.net.transport.pacing import TokenBucket
 from repro.net.transport.udp import UdpSubscription
 from repro.protocol.adaptive import AdaptivePolicy, PolicyDecision
 from repro.transfer.client import TransferClient
+from repro.transfer.schedule import carousel_order
+from repro.transfer.server import LOOKAHEAD
 
 CODES = ["lt", "raptor", "tornado-b", "rs", "interleaved"]
 
@@ -110,78 +110,102 @@ def _counters(report) -> dict:
 # -- look-ahead behind packets() -----------------------------------------------
 
 
-def _rateless(k=24, spec="lt", seed=5, **options):
-    code = build_code(spec, k, seed=seed)
+def _rateless(k=24, spec="lt", seed=5):
     source = make_source(k, PACKET, seed)
-    return RatelessServer(code, source, **options), code.encoder(source)
+    server = single_block_server(spec, source, seed)
+    return server, server.codec.code_for(0).encoder(source)
 
 
-def _carousel(k=24, spec="tornado-b", seed=5, lazy=True):
-    code = build_code(spec, k, seed=seed)
+def _carousel(k=24, spec="tornado-b", seed=5):
     source = make_source(k, PACKET, seed)
-    encoding = code.block_encoder(source) if lazy else code.encode(source)
-    return CarouselServer(code, encoding, seed=seed), code.encode(source)
+    server = single_block_server(spec, source, seed)
+    return server, server.codec.code_for(0).encode(source)
 
 
 class TestLookahead:
     @pytest.mark.parametrize("spec", ["lt", "raptor"])
     def test_rateless_packets_match_per_droplet_oracle(self, width, spec):
-        server, encoder = _rateless(spec=spec, start=7)
+        server, encoder = _rateless(spec=spec)
         packets = list(server.packets(3 * LOOKAHEAD + 5))
         for serial, packet in enumerate(packets):
-            assert packet.index == 7 + serial
+            assert packet.index == serial
             assert packet.serial == serial
             assert packet.block == 0
             assert (packet.payload.tobytes()
-                    == encoder.droplet_payload(7 + serial).tobytes())
+                    == encoder.droplet_payload(serial).tobytes())
 
     @pytest.mark.parametrize("spec", ["tornado-b", "rs", "interleaved"])
-    @pytest.mark.parametrize("lazy", [True, False])
-    def test_carousel_packets_match_row_oracle(self, width, spec, lazy):
-        server, encoding = _carousel(spec=spec, lazy=lazy)
-        n = server.cycle_length
-        packets = list(server.packets(2 * n + 3))   # wraps the cycle twice
-        for slot, packet in enumerate(packets):
-            index = int(server.order[slot % n])
-            assert packet.index == index
-            assert type(packet.index) is int
-            assert packet.payload.tobytes() == encoding[index].tobytes()
+    @pytest.mark.parametrize("route", ["packets", "records", "window"])
+    def test_carousel_packets_match_row_oracle(self, width, spec, route):
+        """Every draw route reads the same carousel: per-packet pulls (a
+        window of :data:`LOOKAHEAD` at a time), one record window, and
+        one ``window()`` draw, each wrapping the cycle inside a draw."""
+        server, encoding = _carousel(spec=spec)
+        n = len(encoding)
+        order = carousel_order(n, block_seed(5, 0))
+        count = 2 * n + 3                           # wraps the cycle twice
+        if route == "packets":
+            packets = list(server.packets(count))
+            got = [(p.index, p.payload.tobytes()) for p in packets]
+            assert all(type(p.index) is int for p in packets)
+        elif route == "records":
+            header = server.codec.header_size
+            records = server.record_window(count)
+            blocks, ids, serials = record_ids(records, header)
+            assert not blocks.any()
+            assert serials.tolist() == list(range(count))
+            got = [(int(i), row[header:].tobytes())
+                   for i, row in zip(ids, records)]
+        else:
+            blocks, ids, payloads = server.window(count)
+            assert not blocks.any()
+            got = [(int(i), row.tobytes()) for i, row in zip(ids, payloads)]
+        assert len(got) == count
+        for slot, (index, payload) in enumerate(got):
+            assert index == int(order[slot % n])
+            assert payload == encoding[index].tobytes()
 
-    def test_narrow_id_range_raises_on_the_same_emission(self, width):
-        server, encoder = _rateless(start=100, id_range=LOOKAHEAD + 3)
+    def test_a_carousel_cursor_has_no_id_ceiling(self, width):
+        """Only droplet ids are bounded by the uint32 header field: a
+        carousel block past ``2**32`` emissions keeps cycling its
+        permutation, and its serials wrap."""
+        server, encoding = _carousel()
+        n = len(encoding)
+        order = carousel_order(n, block_seed(5, 0))
+        first = SERIAL_MODULUS + 5
+        server._cursors[0] = first
+        packets = list(server.packets(LOOKAHEAD + n))
+        for t, packet in enumerate(packets, start=first):
+            assert packet.index == int(order[t % n])
+            assert packet.serial == t % SERIAL_MODULUS
+            assert (packet.payload.tobytes()
+                    == encoding[packet.index].tobytes())
+
+    def test_id_ceiling_raises_on_the_same_emission(self, width):
+        server, encoder = _rateless()
+        first = SERIAL_MODULUS - LOOKAHEAD - 3
+        server._cursors[0] = first
         stream = server.packets()
         got = []
-        with pytest.raises(ProtocolError, match="id range exhausted"):
-            for packet in stream:
+        with pytest.raises(ProtocolError, match="droplet ids exhausted"):
+            for packet in islice(stream, LOOKAHEAD + 4):
                 got.append(packet)
-        assert [p.index for p in got] == list(range(100, 103 + LOOKAHEAD))
+        assert [p.index for p in got] == list(range(first, SERIAL_MODULUS))
         assert (got[-1].payload.tobytes()
                 == encoder.droplet_payload(got[-1].index).tobytes())
-        assert server.ids_remaining == 0
-        with pytest.raises(ProtocolError):
-            server.next_droplet_id
 
-    def test_wrapping_id_range_cycles(self, width):
-        server, encoder = _rateless(start=9, id_range=5, wrap=True)
-        packets = list(server.packets(13))
-        assert [p.index for p in packets] == [9 + t % 5 for t in range(13)]
-        assert [p.serial for p in packets] == list(range(13))
-        for packet in packets:
-            assert (packet.payload.tobytes()
-                    == encoder.droplet_payload(packet.index).tobytes())
-
-    def test_cursors_report_emitted_not_synthesised(self, width):
-        server, _ = _rateless(start=4, id_range=100)
+    def test_a_draw_starts_at_the_last_emitted_packet(self, width):
+        server, _ = _rateless()
         stream = server.packets()
-        for emitted in range(1, 4):
+        for _ in range(3):
             next(stream)
-            # a whole LOOKAHEAD has been synthesised; three were emitted
-            assert server.next_droplet_id == 4 + emitted
-            assert server.ids_remaining == 100 - emitted
-        carousel, _ = _carousel()
+        # a whole LOOKAHEAD has been synthesised; three were emitted
+        assert len(server._held) == LOOKAHEAD
+        assert server.window(2)[1].tolist() == [3, 4]
+        carousel, encoding = _carousel()
+        order = carousel_order(len(encoding), block_seed(5, 0))
         next(carousel.packets())
-        ids = carousel.index_batch(2)
-        assert ids.tolist() == carousel.order[1:3].tolist()
+        assert carousel.window(2)[1].tolist() == order[1:3].tolist()
 
     def test_reset_drops_the_window_and_restarts(self, width):
         for server in (_rateless()[0], _carousel()[0]):
@@ -192,10 +216,10 @@ class TestLookahead:
             assert [p.to_bytes() for p in server.packets(5)] == first
 
     @pytest.mark.parametrize("make", [_rateless, _carousel])
-    def test_index_batch_interleaves_with_packets(self, width, make):
+    def test_window_interleaves_with_packets(self, width, make):
         """A draw hands the held window's unpulled rows back first: the
-        ids it draws, and the packets after it, are the straight
-        stream's."""
+        ids and payloads it draws, and the packets after it, are the
+        straight stream's."""
         server, _ = make()
         straight, _ = make()
         want = list(straight.packets(3 * LOOKAHEAD))
@@ -204,9 +228,9 @@ class TestLookahead:
         cuts = [3, 0, LOOKAHEAD - 1, 1, LOOKAHEAD + 7, 2]
         for turn, count in enumerate(cuts):
             if turn % 2:
-                ids = server.index_batch(count)
+                _, ids, payloads = server.window(count)
                 got_ids += ids.tolist()
-                got_payloads += [row.tobytes() for row in server._gather(ids)]
+                got_payloads += [row.tobytes() for row in payloads]
             else:
                 for packet in islice(stream, count):
                     got_ids.append(packet.index)
@@ -230,14 +254,15 @@ class TestLookahead:
         emitted = [0, 0, 0]
         for record in head:
             emitted[int.from_bytes(record[12:16], "big")] += 1
-        rows = []
-        for b, source in enumerate(live.block_sources):
+        rows, cursors = [], []
+        for b in range(codec.num_blocks):
             block_code = codec.code_for(b)
             block_source = codec.source_block(data, b)
             rows.append(block_code.encoder(block_source).droplet_payload
                         if codec.is_rateless
                         else block_code.encode(block_source).__getitem__)
-        cursors = [source.index_stream(200) for source in live.block_sources]
+            cursors.append(np.arange(200) if codec.is_rateless else np.resize(
+                carousel_order(block_code.n, block_seed(live.seed, b)), 200))
         for packet in tail:
             index = int(cursors[packet.block][emitted[packet.block]])
             emitted[packet.block] += 1
@@ -801,7 +826,8 @@ class TestUdpServe:
     def test_serial_wraps_at_2_to_the_32(self, width, ears):
         def run(serve):
             session = _session("lt")
-            session.source._sequencer._serial = SERIAL_MODULUS - 10
+            # three block cursors summing to 2**32 - 10 emissions
+            session.source._cursors[:] = (SERIAL_MODULUS - 10) // 3
             return _udp_run(serve, session, ears, count=40)
 
         got = run(UdpTransport.serve)
