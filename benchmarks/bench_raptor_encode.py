@@ -10,7 +10,7 @@ cache (:mod:`repro.codes.raptor.cache`) then shares one geometry and
 one plan across every consumer that agrees on ``(k, eps, c, delta,
 seed)``.
 
-Two measurement groups, both published to ``BENCH_raptor.json``:
+Three measurement groups, all published to ``BENCH_raptor.json``:
 
 * ``raptor-plan-k*`` — per-block intermediate pre-solve, plan replay
   vs the retired solver path, with the byte-identity check inline
@@ -24,7 +24,14 @@ Two measurement groups, both published to ``BENCH_raptor.json``:
   on the same spec in the same process, equal arrays asserted — a
   same-machine ratio the speedup rule tracks and, at ``k = 256`` (the
   block size every end-to-end workload runs), a ``CASE_FLOORS`` entry
-  holds above 3x.
+  holds above 3x;
+* ``raptor-structural-decode-k*`` — a structural (payload-less) decode
+  of one 20 %-loss id stream, fed in deficit-sized chunks as the serve
+  shadows feed it: the peeling engine (``RaptorDecoder``) against the
+  rank test ``new_decoder(None)`` hands out, equal completing packet
+  asserted, plus what the rank test's generator costs cold.
+  ``rank_speedup`` is a same-process ratio; at ``k = 256`` a
+  ``CASE_FLOORS`` entry holds it above half of what it first measured.
 """
 
 import time
@@ -34,6 +41,7 @@ import pytest
 
 from _results import BenchRecorder
 from repro.codes.raptor.cache import GeometryPlanCache
+from repro.codes.raptor.decoder import RaptorDecoder, RaptorRankDecoder
 from repro.codes.raptor.encoder import (
     build_encode_plan,
     presolve_intermediates,
@@ -49,6 +57,12 @@ PLAN_KS = [128, 1024]
 #: geometry-build profile points: 256 is the block size all four
 #: end-to-end workloads run, 8192 the "big block" scan cost.
 BUILD_KS = [256, 1024, 8192]
+
+#: block sizes for the structural decode comparison.
+STRUCTURAL_KS = [256, 1024]
+
+#: channel loss of the structural decode's id stream.
+STRUCTURAL_LOSS = 0.2
 
 RESULTS = BenchRecorder("BENCH_raptor.json", __name__)
 
@@ -136,3 +150,56 @@ def test_geometry_build_cost(benchmark, k):
     # The whole point of the cache: a hit must be orders of magnitude
     # below a rebuild (conservative 100x bound; measured ~10^5).
     assert lookup_s * 100 < geometry_s + plan_s
+
+
+def _decode_structurally(decoder, ids):
+    """Feed ``ids`` in deficit-sized chunks until complete; returns how
+    many were fed."""
+    pos = 0
+    while pos < ids.size and not decoder.is_complete:
+        take = max(1, decoder.min_additional_packets)
+        decoder.add_packets(ids[pos:pos + take])
+        pos += take
+    assert decoder.is_complete
+    return pos
+
+
+@pytest.mark.parametrize("k", STRUCTURAL_KS,
+                         ids=[f"k{k}" for k in STRUCTURAL_KS])
+def test_structural_decode_speedup(benchmark, k):
+    """Engine vs rank test on one lossy id stream, same completion."""
+    ids = np.arange(4 * k)
+    ids = ids[np.random.default_rng(k).random(ids.size) >= STRUCTURAL_LOSS]
+
+    def measure():
+        assets = GeometryPlanCache().get(k, seed=17)
+        start = time.perf_counter()
+        assets.generator()
+        generator_s = time.perf_counter() - start
+        # alternating passes, so a slow spell of the box hits both
+        engine_s = rank_s = float("inf")
+        for _ in range(9):
+            engine, seconds = _best_of(lambda: _decode_structurally(
+                RaptorDecoder(assets.geometry), ids), passes=1)
+            engine_s = min(engine_s, seconds)
+            rank, seconds = _best_of(lambda: _decode_structurally(
+                RaptorRankDecoder(assets.geometry, assets.generator), ids),
+                passes=1)
+            rank_s = min(rank_s, seconds)
+            assert engine == rank
+        return engine, generator_s, engine_s, rank_s
+
+    packets, generator_s, engine_s, rank_s = benchmark.pedantic(
+        measure, rounds=1, iterations=1)
+    benchmark.extra_info["rank_speedup"] = round(engine_s / rank_s, 1)
+    RESULTS.record(
+        f"raptor-structural-decode-k{k}",
+        k=k,
+        loss=STRUCTURAL_LOSS,
+        packets=packets,
+        engine_ms=round(engine_s * 1e3, 2),
+        rank_ms=round(rank_s * 1e3, 2),
+        generator_seconds=round(generator_s, 4),
+        rank_speedup=round(engine_s / rank_s, 1),
+    )
+    assert rank_s < engine_s

@@ -17,8 +17,12 @@ from repro.codes.raptor.cache import (
     clear_cache,
 )
 from repro.codes.raptor.code import RaptorCode
-from repro.codes.raptor.decoder import RaptorDecoder
-from repro.codes.raptor.encoder import RaptorEncoder, build_encode_plan
+from repro.codes.raptor.decoder import RaptorDecoder, RaptorRankDecoder
+from repro.codes.raptor.encoder import (
+    RaptorEncoder,
+    build_encode_plan,
+    build_generator,
+)
 from repro.codes.raptor.precode import RaptorGeometry, raptor_geometry
 
 __all__ = [
@@ -28,7 +32,9 @@ __all__ = [
     "RaptorDecoder",
     "RaptorEncoder",
     "RaptorGeometry",
+    "RaptorRankDecoder",
     "build_encode_plan",
+    "build_generator",
     "cache_stats",
     "cached_raptor_assets",
     "clear_cache",

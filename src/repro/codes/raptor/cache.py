@@ -1,38 +1,48 @@
-"""Process-wide Raptor geometry + solve-plan cache.
+"""Process-wide Raptor geometry, solve-plan and generator cache.
 
 Binding a Raptor code costs two structural builds: the
 :class:`~repro.codes.raptor.precode.RaptorGeometry` (the systematic
 scan: one batched droplet draw, then O(k) GF(2) rank updates — 2 ms at
 k = 256, echelon fill-in dominating from k ~ 4096 up) and the pre-solve
 system's :class:`~repro.codes.peeling.SolvePlan` (one ``factor_gf2``
-pass over the joint constraint matrix, about the same again).  Both
-depend only on the canonical parameter tuple
+pass over the joint constraint matrix, about the same again).  A
+structural decoder asks for a third: the generator bit matrix
+(:func:`~repro.codes.raptor.encoder.build_generator` — one more
+``factor_gf2`` of the same system plus a back-substitution, and
+``k' * ceil(k / 64) * 8`` bytes: 9 kB at k = 256, 8.7 MB at k = 8192).
+All three depend only on the canonical parameter tuple
 ``(k, eps, c, delta, seed)`` — never on payload bytes — so one process
 should pay them once per spec, no matter how many transfer blocks,
 :meth:`TransferServer.fork() <repro.transfer.server.TransferServer.fork>`
-serving copies, :class:`~repro.transfer.codec.ObjectCodec` rebuilds, or
-swarm threshold-pool samples ask for the same code.
+serving copies, :class:`~repro.transfer.codec.ObjectCodec` rebuilds,
+serve shadows or swarm threshold-pool samples ask for the same code.
 
-The cache is an LRU bounded by what it *holds* — the sum of its
-entries' intermediate counts ``k'``, not their number — so sweeping
-many specs in one process (the hypothesis suites do) cannot grow memory
-without bound, while a transfer of many small blocks, which walks its
-per-block specs in order, still finds every one of them on the second
-pass.  It is thread-safe.  Plans build lazily on first *encoder* use:
-decoder-only consumers (the structural simulations) never pay for a
-plan at all.  Hit/miss/eviction counters and the seconds spent in the
-two builds back the ``repro codes cache-stats`` CLI.
+The cache is an LRU bounded by what it *holds*: the sum of its
+entries' intermediate counts ``k'`` (not their number), and the bytes
+of the generators built so far.  Sweeping many specs in one process
+(the hypothesis suites do) cannot grow memory without bound, while a
+transfer of many small blocks, which walks its per-block specs in
+order, still finds every one of them on the second pass.  It is
+thread-safe.  Plans and generators build lazily, each on first use by
+the consumer that needs it: an encoder pays for the plan, a structural
+decoder that sees a repair droplet for the generator, and a consumer
+of neither pays for neither.  Hit/miss/eviction counters and the
+seconds spent in the three builds back the ``repro codes cache-stats``
+CLI.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.codes.peeling import SolvePlan
-from repro.codes.raptor.encoder import build_encode_plan
+from repro.codes.raptor.encoder import build_encode_plan, build_generator
 from repro.codes.raptor.precode import RaptorGeometry, raptor_geometry
 from repro.errors import ParameterError
 
@@ -51,25 +61,41 @@ __all__ = [
 #: keeping parameter sweeps from pinning every geometry they touched.
 _DEFAULT_MAXSIZE = 64 * 8192
 
+#: LRU budget for built generators, in bytes: 7 of k = 8192, ~480 of
+#: k = 1024, every block of a k = 256 transfer up to ~7,000 blocks.
+_GENERATOR_BYTES = 64 << 20
+
 _Key = Tuple[int, float, float, float, int]
 
 
 class RaptorAssets:
-    """One cache entry: a shared geometry plus its lazily built plan."""
+    """One cache entry: a shared geometry plus its lazily built plan
+    and generator."""
 
-    __slots__ = ("geometry", "_plan", "_lock", "plan_seconds")
+    __slots__ = ("geometry", "_plan", "_generator", "_lock", "plan_seconds",
+                 "generator_seconds", "_on_generator")
 
-    def __init__(self, geometry: RaptorGeometry):
+    def __init__(self, geometry: RaptorGeometry,
+                 on_generator: Callable[[], None]):
         self.geometry = geometry
         self._plan: Optional[SolvePlan] = None
+        self._generator: Optional[np.ndarray] = None
         self._lock = threading.Lock()
         self.plan_seconds = 0.0
+        self.generator_seconds = 0.0
+        #: told once the generator is built (the owning cache's charge).
+        self._on_generator = on_generator
 
     @property
     def plan_built(self) -> bool:
         """True once some encoder paid for the solve plan
         (``plan_seconds`` then says what it paid)."""
         return self._plan is not None
+
+    @property
+    def generator_bytes(self) -> int:
+        """Bytes the built generator holds (0 before it is built)."""
+        return 0 if self._generator is None else self._generator.nbytes
 
     def encode_plan(self) -> SolvePlan:
         """The geometry's solve plan, factored on first request."""
@@ -84,6 +110,21 @@ class RaptorAssets:
                     self._plan = plan
         return plan
 
+    def generator(self) -> np.ndarray:
+        """The geometry's generator bit matrix, built on first request
+        (:func:`~repro.codes.raptor.encoder.build_generator`)."""
+        if self._generator is not None:
+            return self._generator
+        with self._lock:
+            if self._generator is not None:
+                return self._generator
+            start = time.perf_counter()
+            generator = build_generator(self.geometry)
+            self.generator_seconds = time.perf_counter() - start
+            self._generator = generator
+        self._on_generator()
+        return generator
+
 
 class GeometryPlanCache:
     """LRU mapping of ``(k, eps, c, delta, seed)`` to :class:`RaptorAssets`.
@@ -92,9 +133,10 @@ class GeometryPlanCache:
     itself (frozen dataclasses holding numpy arrays neither hash nor
     compare usefully), matching the registry's canonical spec form, so
     every constructor path that agrees on parameters shares one entry.
-    ``maxsize`` is a budget in intermediate symbols: least recently used
-    entries go while the held ``k'`` sum exceeds it (the newest entry
-    always stays, however large).
+    Two budgets bound it: ``maxsize`` in intermediate symbols and
+    :data:`_GENERATOR_BYTES` in built generator bytes.  Least recently
+    used entries go while either is exceeded (the newest entry always
+    stays, however large); building a generator counts as a use.
     """
 
     def __init__(self, maxsize: int = _DEFAULT_MAXSIZE):
@@ -122,7 +164,8 @@ class GeometryPlanCache:
         start = time.perf_counter()
         built = RaptorAssets(raptor_geometry(int(k), eps=float(eps),
                                              c=float(c), delta=float(delta),
-                                             seed=int(seed)))
+                                             seed=int(seed)),
+                             on_generator=functools.partial(self._used, key))
         elapsed = time.perf_counter() - start
         with self._lock:
             self._geometry_seconds += elapsed
@@ -133,29 +176,54 @@ class GeometryPlanCache:
                 return entry
             self._entries[key] = built
             self._weight += built.geometry.intermediate_count
-            while self._weight > self.maxsize and len(self._entries) > 1:
-                _, old = self._entries.popitem(last=False)
-                self._weight -= old.geometry.intermediate_count
-                self._evicted_plan_seconds += old.plan_seconds
-                self._evictions += 1
+            self._evict()
         return built
+
+    def _used(self, key: _Key) -> None:
+        """An entry just built its generator: the most recent use, and
+        the byte budget may now be exceeded."""
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                self._evict()
+
+    def _evict(self) -> None:
+        """Drop LRU entries while a budget is exceeded (lock held)."""
+        generator_bytes = sum(e.generator_bytes
+                              for e in self._entries.values())
+        while ((self._weight > self.maxsize
+                or generator_bytes > _GENERATOR_BYTES)
+               and len(self._entries) > 1):
+            _, old = self._entries.popitem(last=False)
+            self._weight -= old.geometry.intermediate_count
+            generator_bytes -= old.generator_bytes
+            self._evicted_plan_seconds += old.plan_seconds
+            self._evicted_generator_seconds += old.generator_seconds
+            self._evictions += 1
 
     def stats(self) -> Dict[str, float]:
         """Counters for observability: hits, misses, evictions, fill,
-        and the seconds the geometry and plan builds have cost."""
+        and the seconds the geometry, plan and generator builds have
+        cost."""
         with self._lock:
+            entries = list(self._entries.values())
             return {
-                "size": len(self._entries),
+                "size": len(entries),
                 "weight": self._weight,
                 "maxsize": self.maxsize,
                 "hits": self._hits,
                 "misses": self._misses,
                 "evictions": self._evictions,
-                "plans_cached": sum(1 for e in self._entries.values()
-                                    if e.plan_built),
+                "plans_cached": sum(1 for e in entries if e.plan_built),
+                "generators_cached": sum(1 for e in entries
+                                         if e.generator_bytes),
+                "generator_bytes": sum(e.generator_bytes for e in entries),
                 "geometry_seconds": round(self._geometry_seconds, 6),
                 "plan_seconds": round(self._evicted_plan_seconds + sum(
-                    e.plan_seconds for e in self._entries.values()), 6),
+                    e.plan_seconds for e in entries), 6),
+                "generator_seconds": round(
+                    self._evicted_generator_seconds
+                    + sum(e.generator_seconds for e in entries), 6),
             }
 
     def clear(self) -> None:
@@ -164,6 +232,7 @@ class GeometryPlanCache:
             self._entries.clear()
             self._hits = self._misses = self._evictions = self._weight = 0
             self._geometry_seconds = self._evicted_plan_seconds = 0.0
+            self._evicted_generator_seconds = 0.0
 
     def __len__(self) -> int:
         with self._lock:

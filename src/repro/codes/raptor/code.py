@@ -36,13 +36,13 @@ True
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.codes.base import RatelessCode
 from repro.codes.raptor.cache import cached_raptor_assets
-from repro.codes.raptor.decoder import RaptorDecoder
+from repro.codes.raptor.decoder import RaptorDecoder, RaptorRankDecoder
 from repro.codes.raptor.encoder import RaptorEncoder
 
 __all__ = ["RaptorCode"]
@@ -63,18 +63,12 @@ class RaptorCode(RatelessCode):
     seed:
         Shared sender/receiver seed; the same ``(k, parameters, seed)``
         always yields the identical geometry and droplet stream.
-    inactivation_limit:
-        Stall threshold for the decoder's GF(2) fallback.  ``None``
-        (default) allows it at any residual size — maximum-likelihood
-        decoding of the concatenated system, the constant-overhead
-        operating point.
     name:
         Optional label used in reports.
     """
 
     def __init__(self, k: int, eps: float = 0.05, c: float = 0.03,
                  delta: float = 0.1, seed: int = 0,
-                 inactivation_limit: Optional[int] = None,
                  name: str = "raptor"):
         # Geometry (and, lazily, the encode solve plan) comes from the
         # process-wide spec-keyed cache: every block of a transfer, every
@@ -88,7 +82,6 @@ class RaptorCode(RatelessCode):
         self.c = self.geometry.c
         self.delta = self.geometry.delta
         self.seed = self.geometry.seed
-        self.inactivation_limit = inactivation_limit
         self.name = name
         self.spec = self.geometry.spec
 
@@ -113,10 +106,15 @@ class RaptorCode(RatelessCode):
 
     # -- decoding --------------------------------------------------------------
 
-    def new_decoder(self, payload_size: Optional[int] = None) -> RaptorDecoder:
-        """A fresh incremental decoder sharing this code's geometry."""
-        return RaptorDecoder(self.geometry, payload_size=payload_size,
-                             inactivation_limit=self.inactivation_limit)
+    def new_decoder(self, payload_size: Optional[int] = None
+                    ) -> Union[RaptorDecoder, RaptorRankDecoder]:
+        """A fresh incremental decoder sharing this code's geometry: the
+        peeling engine when it is to recover payloads, a rank test over
+        the cached generator when it only answers *when* (structural,
+        ``payload_size=None``)."""
+        if payload_size is None:
+            return RaptorRankDecoder(self.geometry, self._assets.generator)
+        return RaptorDecoder(self.geometry, payload_size=payload_size)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"RaptorCode(name={self.name!r}, k={self.k}, "

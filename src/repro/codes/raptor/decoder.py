@@ -40,21 +40,26 @@ inactivation finisher over it is maximum-likelihood decoding of the
 concatenated code, and completion lands on the first droplet that
 brings the matrix to full rank over the ``k'`` intermediates.  The
 source packets are then one capped-degree re-encode away.
+
+That full-rank point is all a structural (payload-less) decoder is
+asked for, and :class:`RaptorRankDecoder` finds it without the engine:
+a rank test over the source packets not seen verbatim, against the
+geometry's generator (:func:`~repro.codes.raptor.encoder.build_generator`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.codes.lt.decoder import LTDecoder
 from repro.codes.lt.encoder import LTEncoder
 from repro.codes.peeling import payload_store
-from repro.codes.raptor.precode import RaptorGeometry
+from repro.codes.raptor.precode import RaptorGeometry, grows_rank
 from repro.errors import DecodeFailure, ParameterError
 
-__all__ = ["RaptorDecoder"]
+__all__ = ["RaptorDecoder", "RaptorRankDecoder"]
 
 _NO_IDS = np.empty(0, dtype=np.int64)
 
@@ -69,21 +74,21 @@ class RaptorDecoder(LTDecoder):
         spec).
     payload_size:
         Droplet payload length in bytes; ``None`` selects structural
-        mode (the decoder then only answers *when* decoding completes).
-    inactivation_limit:
-        Stall threshold for the GF(2) fallback; ``None`` (default)
-        allows it at any residual size — maximum-likelihood decoding of
-        the concatenated system, the constant-overhead operating point.
+        mode (the decoder then only answers *when* decoding completes;
+        :class:`RaptorRankDecoder` answers that without the engine).
+
+    The GF(2) fallback may run at any residual size:
+    maximum-likelihood decoding of the concatenated system, the
+    constant-overhead operating point — and the property
+    :class:`RaptorRankDecoder` is exact against.
     """
 
     def __init__(self, geometry: RaptorGeometry,
-                 payload_size: Optional[int] = None,
-                 inactivation_limit: Optional[int] = None):
+                 payload_size: Optional[int] = None):
         self.geometry = geometry
         # The engine's nodes are the k' intermediates, all of which
         # must be solved (geometry.spec.k == intermediate_count).
-        super().__init__(geometry.spec, payload_size=payload_size,
-                         inactivation_limit=inactivation_limit)
+        super().__init__(geometry.spec, payload_size=payload_size)
         self._sys_mask = np.zeros(geometry.k, dtype=bool)
         #: systematic ids banked: ``count_nonzero(_sys_mask)``, kept.
         self._sys_banked = 0
@@ -215,3 +220,143 @@ class RaptorDecoder(LTDecoder):
                 f"source_known={self.source_known_count}, "
                 f"held_rows={self.held_rows}, "
                 f"equations={self.equation_count})")
+
+
+class RaptorRankDecoder:
+    """Structural Raptor decoding as a GF(2) rank over the missing source.
+
+    The precode constraints plus the ``k`` systematic rows are the
+    invertible pre-solve system, so in its coordinates a systematic id
+    is a unit row over the source packets and a repair droplet is its
+    *generator row*: the XOR, over the droplet's neighbours, of the
+    ``generator()`` rows writing each intermediate as source packets.
+    The received system therefore reaches full rank over the ``k'``
+    intermediates — the block decodes, :class:`RaptorDecoder` being
+    maximum-likelihood — exactly when the systematic ids seen plus the
+    rank of the repair rows restricted to the source packets still
+    missing reach ``k``.  No equation is built and nothing peels.
+    Repair rows fold only where the engine would attempt a solve — the
+    block cannot complete anywhere else — so the generator is first
+    fetched there, and a loss-free block never asks for it.
+
+    Every counter of the decoder contract reads as
+    ``RaptorDecoder(geometry)``'s after every call, the bound included:
+    :attr:`min_additional_packets` is the engine's count bound plus its
+    stall gate, which keeps the rank deficit of the last attempt the
+    engine would have made (see there).
+    """
+
+    def __init__(self, geometry: RaptorGeometry,
+                 generator: Callable[[], np.ndarray]):
+        self.geometry = geometry
+        self.spec = geometry.spec
+        self._generator = generator
+        self._ids: Set[int] = set()
+        self._duplicates = 0
+        self._systematic = 0
+        #: source packets not seen verbatim, as bits.
+        self._missing = (1 << geometry.k) - 1
+        #: echelon basis of the repair rows over the missing columns.
+        self._basis: Dict[int, int] = {}
+        #: repair ids not folded into the basis yet.
+        self._pending: List[int] = []
+        #: (distinct ids, rank deficit) at the engine's last attempt.
+        self._gate: Optional[Tuple[int, int]] = None
+
+    @property
+    def is_complete(self) -> bool:
+        return self._systematic + len(self._basis) == self.geometry.k
+
+    @property
+    def source_known_count(self) -> int:
+        return self.geometry.k if self.is_complete else self._systematic
+
+    @property
+    def packets_added(self) -> int:
+        return len(self._ids)
+
+    @property
+    def duplicates_seen(self) -> int:
+        return self._duplicates
+
+    @property
+    def min_additional_packets(self) -> int:
+        """The engine's bound: ``k`` less the distinct arrivals, and the
+        deficit of its last failed attempt less one per arrival since.
+        The exact deficit would be tighter, but chunk feeders and
+        feedback frames read this bound, so it stays the engine's."""
+        if self.is_complete:
+            return 0
+        distinct = len(self._ids)
+        bound = max(1, self.geometry.k - distinct)
+        if self._gate is not None:
+            seen, deficit = self._gate
+            bound = max(bound, deficit - (distinct - seen))
+        return bound
+
+    def add_packet(self, index: int,
+                   payload: Optional[np.ndarray] = None) -> bool:
+        """Feed droplet ``index``: :meth:`add_packets` on one row."""
+        return bool(self.add_packets((index,)))
+
+    def add_packets(self, indices: Sequence[int],
+                    payloads: Optional[np.ndarray] = None) -> int:
+        """Feed a batch of droplet ids (payloads, if any, are not
+        read); returns how many were new."""
+        listed = np.asarray(indices, dtype=np.int64).tolist()
+        if listed and min(listed) < 0:
+            raise ParameterError("droplet id must be >= 0")
+        seen = self._ids
+        if len(set(listed)) == len(listed) and seen.isdisjoint(listed):
+            seen.update(listed)     # the usual arrival: all new
+            fresh = listed
+        else:
+            fresh = []
+            for index in listed:
+                if index not in seen:
+                    seen.add(index)
+                    fresh.append(index)
+        self._duplicates += len(listed) - len(fresh)
+        if not fresh or self.is_complete:
+            return len(fresh)
+        k = self.geometry.k
+        systematic = [i for i in fresh if i < k]
+        if systematic:
+            for index in systematic:
+                self._missing ^= 1 << index
+            self._systematic += len(systematic)
+            # project the basis onto the columns still missing
+            rows, self._basis = list(self._basis.values()), {}
+            for row in rows:
+                grows_rank(self._basis, row & self._missing)
+        self._pending += [i for i in fresh if i >= k]
+        # The engine attempts a solve where a call leaves a square
+        # system holding a repair row (every distinct id past the
+        # systematic ones is one), and again once as many arrivals came
+        # as its last deficit; the block cannot complete anywhere else,
+        # so repairs fold here and nowhere else.
+        distinct = len(seen)
+        if (distinct >= k and distinct > self._systematic
+                and not self.is_complete
+                and (self._gate is None
+                     or distinct - self._gate[0] >= self._gate[1])):
+            for row in self._generator_rows(self._pending):
+                grows_rank(self._basis, row & self._missing)
+            self._pending = []
+            self._gate = (distinct,
+                          k - self._systematic - len(self._basis))
+        return len(fresh)
+
+    def _generator_rows(self, ids: List[int]) -> List[int]:
+        """Repair droplets ``ids`` as rows over the source packets."""
+        if not ids:
+            return []
+        flat, indptr = self.spec.neighbour_block(
+            self.geometry.internal_esis(np.asarray(ids, dtype=np.int64)))
+        rows = np.bitwise_xor.reduceat(self._generator()[flat], indptr[:-1])
+        raw, step = rows.tobytes(), rows.shape[1] * 8
+        return [int.from_bytes(raw[i:i + step], "little")
+                for i in range(0, len(raw), step)]
+
+    def source_data(self) -> np.ndarray:
+        raise ParameterError("structural engine holds no payloads")

@@ -25,17 +25,27 @@ After the bind:
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.codes.base import as_packet_block
 from repro.codes.lt.encoder import LTEncoder
-from repro.codes.peeling import PeelingEngine, SolvePlan, record_solve_plan
+from repro.codes.peeling import (
+    PeelingEngine,
+    SolvePlan,
+    factor_gf2,
+    record_solve_plan,
+)
 from repro.codes.raptor.precode import RaptorGeometry
 from repro.errors import DecodeFailure, ParameterError
 
-__all__ = ["RaptorEncoder", "build_encode_plan", "presolve_intermediates"]
+__all__ = [
+    "RaptorEncoder",
+    "build_encode_plan",
+    "build_generator",
+    "presolve_intermediates",
+]
 
 
 def presolve_intermediates(geometry: RaptorGeometry,
@@ -69,6 +79,19 @@ def presolve_intermediates(geometry: RaptorGeometry,
     return engine.source_data()
 
 
+def _presolve_system(geometry: RaptorGeometry):
+    """The pre-solve system as one equation CSR ``(indptr, flat, r)``:
+    the ``r`` precode constraints first, then the ``k`` systematic
+    droplet rows in source order."""
+    con_indptr, con_flat = geometry.constraint_rows()
+    sys_flat, sys_indptr = geometry.spec.neighbour_block(
+        geometry.systematic_esis)
+    indptr = np.concatenate([con_indptr,
+                             int(con_indptr[-1]) + sys_indptr[1:]])
+    return (indptr, np.concatenate([con_flat, sys_flat]),
+            int(con_indptr.size - 1))
+
+
 def build_encode_plan(geometry: RaptorGeometry) -> SolvePlan:
     """Factor a geometry's pre-solve system into a reusable solve plan.
 
@@ -80,18 +103,48 @@ def build_encode_plan(geometry: RaptorGeometry) -> SolvePlan:
     invertible by the greedy ESI scan's construction, the plan's output
     is byte-identical to :func:`presolve_intermediates` on every input.
     """
-    con_indptr, con_flat = geometry.constraint_rows()
-    sys_flat, sys_indptr = geometry.spec.neighbour_block(
-        geometry.systematic_esis)
-    r = int(con_indptr.size - 1)
-    indptr = np.concatenate([con_indptr,
-                             int(con_indptr[-1]) + sys_indptr[1:]])
-    flat = np.concatenate([con_flat, sys_flat])
+    indptr, flat, r = _presolve_system(geometry)
     rhs_rows = np.concatenate([
         np.full(r, -1, dtype=np.int64),           # constraints: zero rhs
         np.arange(geometry.k, dtype=np.int64)])   # systematic: source rows
     return record_solve_plan(geometry.intermediate_count, indptr, flat,
                              rhs_rows, num_inputs=geometry.k)
+
+
+def _packed(values: List[int], words: int) -> np.ndarray:
+    """Python-int bit rows as a ``(len(values), words)`` uint64 array
+    (bit ``i`` in word ``i >> 6``, bit ``i & 63``)."""
+    raw = b"".join(value.to_bytes(words * 8, "little") for value in values)
+    return np.frombuffer(raw, dtype="<u8").reshape(-1, words).copy()
+
+
+def build_generator(geometry: RaptorGeometry) -> np.ndarray:
+    """The ``(k', ceil(k / 64))`` bit matrix writing every intermediate
+    as an XOR of source packets (:func:`_packed` rows: bit ``i`` of row
+    ``c`` set when source packet ``i`` is in intermediate ``c``).
+
+    One :func:`~repro.codes.peeling.factor_gf2` of the pre-solve system:
+    a determined column is the XOR of the right-hand sides its
+    ``col_expr`` names, directly or through the inactive columns it
+    names — and only the systematic rows (bits ``r ..``) carry a
+    non-zero right-hand side.  Equal to ``encode_plan().apply`` of the
+    identity, without moving a payload row.
+    """
+    indptr, flat, r = _presolve_system(geometry)
+    m, nodes = indptr.size - 1, geometry.intermediate_count
+    fact = factor_gf2(np.repeat(np.arange(m), np.diff(indptr)), flat, m,
+                      np.arange(nodes), nodes)
+    words = (geometry.k + 63) >> 6
+    exprs = [fact.col_expr[c] for c in range(nodes)]
+    generator = _packed([rhs >> r for _, rhs in exprs], words)
+    combos = fact.inactive_combos()
+    named = np.unpackbits(
+        _packed([inactive for inactive, _ in exprs],
+                (len(combos) + 63) >> 6).view(np.uint8),
+        axis=1, bitorder="little")
+    for t, combo in enumerate(_packed([c >> r for c in combos], words)):
+        generator[named[:, t].astype(bool)] ^= combo
+    return generator
 
 
 class RaptorEncoder:

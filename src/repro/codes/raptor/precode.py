@@ -144,6 +144,19 @@ def _packed_rows(indptr: np.ndarray, flat: np.ndarray,
             for i in range(count)]
 
 
+def grows_rank(basis: Dict[int, int], row: int) -> bool:
+    """Fold one GF(2) row (a Python integer, bit = column) into an
+    echelon ``basis`` keyed by top bit; True when it raised the rank."""
+    while row:
+        top = row.bit_length() - 1
+        pivot = basis.get(top)
+        if pivot is None:
+            basis[top] = row
+            return True
+        row ^= pivot
+    return False
+
+
 def _select_systematic(spec: DropletSpec, constraint_indptr: np.ndarray,
                        constraint_flat: np.ndarray, k: int) -> np.ndarray:
     """Greedy scan for the ``k`` ESIs that make the pre-solve invertible.
@@ -159,22 +172,11 @@ def _select_systematic(spec: DropletSpec, constraint_indptr: np.ndarray,
     on the wire.
     """
     basis: Dict[int, int] = {}
-
-    def grows_rank(row: int) -> bool:
-        while row:
-            top = row.bit_length() - 1
-            pivot = basis.get(top)
-            if pivot is None:
-                basis[top] = row
-                return True
-            row ^= pivot
-        return False
-
     chunk = max(1, _SCAN_CHUNK_CELLS // spec.k)
     for lo in range(0, constraint_indptr.size - 1, chunk):
         for row in _packed_rows(constraint_indptr[lo:lo + chunk + 1],
                                 constraint_flat, spec.k):
-            grows_rank(row)
+            grows_rank(basis, row)
 
     chosen: List[int] = []
     esi = 0
@@ -188,7 +190,7 @@ def _select_systematic(spec: DropletSpec, constraint_indptr: np.ndarray,
         count = min(need + (need >> 3) + 8, chunk, scan_limit - esi)
         flat, indptr = spec.neighbour_block(np.arange(esi, esi + count))
         for row in _packed_rows(indptr, flat, spec.k):
-            if grows_rank(row):
+            if grows_rank(basis, row):
                 chosen.append(esi)
                 if len(chosen) == k:
                     break

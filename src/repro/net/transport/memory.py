@@ -150,7 +150,8 @@ class MemoryTransport(Transport):
 
         With ``count=None`` the serve stops once a structural shadow of
         every subscriber is complete (plus ``extra`` more emissions);
-        an explicit ``count`` emits exactly that many packets.
+        an explicit ``count`` emits exactly that many packets, and
+        without ``policy``/``feedback`` to report to, feeds no shadow.
 
         The stream crosses in whole ``record_window`` windows.  Each
         incomplete shadow takes its delivered rows in one
@@ -190,6 +191,10 @@ class MemoryTransport(Transport):
         limit = (EMISSION_LIMIT_FACTOR * session.total_k
                  if count is None else count)
         adaptive = policy is not None or feedback is not None
+        # the shadows decide the automatic stop and write the feedback
+        # reports; an explicit count without either skips their decode
+        # work
+        watched = shadows if count is None or adaptive else []
         source = session.source
         block_ks = session.codec.plan.block_ks
         header = session.codec.header_size
@@ -207,7 +212,7 @@ class MemoryTransport(Transport):
             blocks, indices, _ = record_ids(records, header)
             masks = [sub.channel.delivery_mask(n)
                      for sub in self.subscriptions]
-            for shadow, mask in zip(shadows, masks):
+            for shadow, mask in zip(watched, masks):
                 if shadow.is_complete:
                     continue
                 rows = np.flatnonzero(mask)

@@ -472,9 +472,11 @@ def _held_and_eager(family, seed, size, k=None):
     if k is None:
         k = _K_CASCADE if family.startswith("tornado") else _K
     code = build_code(family, k, seed=seed % 50)
-    held = code.new_decoder(size)
     if family == "raptor":
+        # the engine itself: a structural new_decoder is a rank test
+        held = RaptorDecoder(code.geometry, payload_size=size)
         return code, held, eager_raptor_decoder(code.geometry, size)
+    held = code.new_decoder(size)
     if family == "lt":
         return code, held, eager_lt_decoder(code.spec, size,
                                             code.inactivation_limit)
@@ -605,7 +607,8 @@ def test_hold_ends_on_the_packet_that_squares_the_system(family, route):
     never holds."""
     k = _K if family != "tornado-b" else _K_CASCADE
     code = build_code(family, k, seed=3)
-    decoder = code.new_decoder(None)
+    decoder = (RaptorDecoder(code.geometry) if family == "raptor"
+               else code.new_decoder(None))
     droplets = code.n is None
     holds = not droplets or decoder._lazy_peel
     assert holds == (not droplets or route == "batched")
@@ -887,7 +890,7 @@ def test_first_repair_releases_held_rows_as_one_batch(payload, route,
     code = build_code("raptor", _K, seed=4)
     source = make_source(_K, 16, seed=4)
     encoder = code.encoder(source)
-    decoder = code.new_decoder(16 if payload else None)
+    decoder = RaptorDecoder(code.geometry, 16 if payload else None)
     calls = []
     intake = decoder.add_equations
 

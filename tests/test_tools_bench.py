@@ -374,7 +374,9 @@ class TestCrossCase:
     def test_raptor_scan_speedup_floor(self):
         def raptor_payload(scan_speedup):
             return {"results": [{"case": "raptor-geometry-build-k256",
-                                 "scan_speedup": scan_speedup}]}
+                                 "scan_speedup": scan_speedup},
+                                {"case": "raptor-structural-decode-k256",
+                                 "rank_speedup": 2.2}]}
 
         assert check_bench.check_case_floors(
             "BENCH_raptor.json", raptor_payload(3.0)) == []
@@ -383,9 +385,20 @@ class TestCrossCase:
         assert len(regressions) == 1
         assert "one droplet at a time" in str(regressions[0])
         # A build row that lost the metric fails too.
+        payload = raptor_payload(3.0)
+        del payload["results"][0]["scan_speedup"]
         assert len(check_bench.check_case_floors(
-            "BENCH_raptor.json",
-            {"results": [{"case": "raptor-geometry-build-k256"}]})) == 1
+            "BENCH_raptor.json", payload)) == 1
+
+    def test_raptor_rank_speedup_floor(self):
+        payload = {"results": [{"case": "raptor-geometry-build-k256",
+                                "scan_speedup": 3.0},
+                               {"case": "raptor-structural-decode-k256",
+                                "rank_speedup": 2.1}]}
+        regressions = check_bench.check_case_floors(
+            "BENCH_raptor.json", payload)
+        assert len(regressions) == 1
+        assert "fell back towards the engine" in str(regressions[0])
 
     def test_case_floor_missing_metric_fails(self):
         payload = {"results": [{"case": "cap-inverse-x64", "seconds": 0.02}]}

@@ -26,7 +26,7 @@ baselines, metric by metric, with per-metric tolerance rules:
 * *case floors* (``CASE_FLOORS``) pin one metric of one named case to
   an absolute minimum on the fresh payload — hard perf contracts (the
   batch-size-1 ingest rate over one XOR pass, the chunked systematic
-  scan's and the
+  scan's, the structural Raptor rank test's and the
   closed-form Cauchy inverse's leads over what they replaced) that must
   hold regardless of what the baseline drifted to; every one is a
   same-process ratio, never an absolute rate, so none depends on the
@@ -123,6 +123,12 @@ CASE_FLOORS: List[Tuple[str, str, str, float, str]] = [
     # scan it replaced (same process, same spec; measured ~8x).
     ("BENCH_raptor.json", "raptor-geometry-build-k256", "scan_speedup", 3.0,
      "the systematic scan fell back towards one droplet at a time"),
+    # A structural Raptor decode is a rank test over the missing source
+    # packets: at k = 256 it must hold >= 2.2x the peeling engine on
+    # the same 20 %-loss id stream (same process, same completing
+    # packet asserted; half of the ~4.5x first measured).
+    ("BENCH_raptor.json", "raptor-structural-decode-k256", "rank_speedup",
+     2.2, "the structural Raptor decoder fell back towards the engine"),
     # The Tornado cap inverts its x-by-x Cauchy system by formula: at
     # x = 64 the closed form must hold >= 3x Gauss-Jordan on the same
     # submatrix (same process, equal inverses asserted in-bench;
