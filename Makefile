@@ -112,14 +112,16 @@ bench-memory:
 	$(PYTHON) tools/bench_memory.py
 
 # Quick population-scale pass over committed scenarios: one scaled
-# flash crowd with exact-replay validation, plus a cross-scenario
-# comparison table.
+# flash crowd with exact-replay validation, a cross-scenario comparison
+# table, and one closed-loop run.
 swarm-smoke:
 	$(PYTHON) -m repro swarm run examples/scenarios/flash_crowd.json \
 		--receivers 3000 --spot-check 8
 	$(PYTHON) -m repro swarm compare \
 		examples/scenarios/layered_tiers.json \
 		examples/scenarios/midstream_joiners.json --receivers 2000
+	$(PYTHON) -m repro swarm run examples/scenarios/satellite_longhaul.json \
+		--receivers 2000 --adaptive
 
 # Fails if any ```python block in the docs does not run as written.
 docs-check:

@@ -169,15 +169,18 @@ class MemoryTransport(Transport):
         queued subscription reports, and the policy's block-schedule
         decision is applied to the live source via ``reweight``.
         ``feedback`` sees every report either way.  ``report_every``
-        below 1 is a :class:`~repro.errors.ParameterError`.
+        below 1 is a :class:`~repro.errors.ParameterError`; it stays an
+        option, unlike the policy's tuning, because the pinned serve
+        trajectories (``tests/golden/structural_raptor_serves.json``)
+        run cadences 1-3.
         """
         if report_every < 1:
             raise ParameterError(
                 f"report_every must be >= 1, got {report_every}")
         if options:
             raise ProtocolError(
-                f"memory serve takes count/extra/policy/feedback only, "
-                f"got {options}")
+                "memory serve takes count/extra/policy/feedback/"
+                f"report_every only, got {options}")
         if not self.subscriptions:
             raise ProtocolError(
                 "no subscribers: call subscribe() before serve()")

@@ -635,7 +635,10 @@ class UdpTransport(Transport):
         every decoded report; bodies are decoded only when one of the
         two is given.  Stray datagrams are counted in
         ``malformed_frames`` and a send the kernel refuses in
-        ``socket_errors``; neither ends the serve.
+        ``socket_errors``; neither ends the serve.  ``adapt_every``, the
+        twin of the memory serve's ``report_every``, stays an option for
+        the same reason: tests hold the serve to its per-packet oracle
+        at several cadences.
 
         Emissions are drawn a window at a time
         (:meth:`~repro.transfer.server.TransferServer.record_window`,

@@ -18,7 +18,7 @@ delivery):
 * :mod:`repro.protocol.feedback` — the compact receiver→sender
   :class:`FeedbackReport` wire frame and serial-gap loss estimation.
 * :mod:`repro.protocol.adaptive` — :class:`AdaptivePolicy`, aggregating
-  reports into rate / block-schedule / code-spec retuning decisions.
+  reports into rate and block-schedule decisions.
 """
 
 from repro.protocol.layering import LayerConfig

@@ -5,7 +5,7 @@ headline — but ROADMAP's channel-aware delivery needs a whisper of it:
 each receiver periodically tells the sender how lossy its channel looks
 and how far its decode has progressed, and an
 :class:`~repro.protocol.adaptive.AdaptivePolicy` aggregates those
-whispers into rate / schedule / spec decisions.  One report is a single
+whispers into rate and schedule decisions.  One report is a single
 small datagram body, cheap enough that even a 100k-receiver swarm's
 feedback stays a rounding error next to the data stream.
 
@@ -56,6 +56,12 @@ FEEDBACK_VERSION = 1
 
 #: worst blocks a report names (bounds the frame at 47 bytes).
 MAX_LAGGING_BLOCKS = 8
+
+#: :class:`LossEstimator`'s forgetting factor, per serial.
+LOSS_ALPHA = 0.01
+
+#: serials are u32: the stream's emission count mod ``2**32``.
+_SERIAL_RING = 1 << 32
 
 _HEAD = struct.Struct(">BBIHHHIHB")
 _PAIR = struct.Struct(">HH")
@@ -158,19 +164,17 @@ class LossEstimator:
     Transmission serials are consecutive across the whole striped
     stream, so between two observations the span of serials that went
     past is ``newest - last_seen`` while the records that arrived are
-    countable — the shortfall is loss.  The estimate is a *ratio of
-    decayed sums* (received over span, each forgotten at ``alpha`` per
-    serial), not an average of per-batch ratios: ratio-of-ratios is
-    badly biased when batches are small (a one-packet batch is either
-    0% or ~100% loss), while the ratio of sums is exact under any
-    batching of the same stream.
+    countable — the shortfall is loss.  Serials are compared by their
+    forward distance mod ``2**32``, so the estimate runs on across the
+    wrap.  The estimate is a *ratio of decayed sums* (received over
+    span, each forgotten at :data:`LOSS_ALPHA` per serial), not an
+    average of per-batch ratios: ratio-of-ratios is badly biased when
+    batches are small (a one-packet batch is either 0% or ~100% loss),
+    while the ratio of sums is exact under any batching of the same
+    stream.
     """
 
-    def __init__(self, alpha: float = 0.01):
-        if not 0.0 < alpha < 1.0:
-            raise ProtocolError(
-                f"forgetting factor must be in (0, 1), got {alpha}")
-        self.alpha = float(alpha)
+    def __init__(self) -> None:
         self._last_serial: Optional[int] = None
         self._span_acc = 0.0
         self._got_acc = 0.0
@@ -186,25 +190,29 @@ class LossEstimator:
         """Fold one batch of received serials into the estimate."""
         if len(serials) == 0:
             return self.loss
-        newest = max(serials)
+        base = serials[0] if self._last_serial is None else self._last_serial
+        half = _SERIAL_RING >> 1
+        # signed distance from base, forward across the wrap
+        ahead = [(s - base + half) % _SERIAL_RING - half for s in serials]
+        newest = max(ahead)
         if self._last_serial is None:
-            span = newest - min(serials) + 1
+            span = newest - min(ahead) + 1
             got = len(serials)
         else:
-            span = newest - self._last_serial
-            got = sum(1 for s in serials if s > self._last_serial)
+            span = newest
+            got = sum(1 for a in ahead if a > 0)
             if span <= 0:        # reordered stragglers only
                 return self.loss
-        self._last_serial = newest
-        decay = (1.0 - self.alpha) ** span
+        self._last_serial = (base + newest) % _SERIAL_RING
+        decay = (1.0 - LOSS_ALPHA) ** span
         self._span_acc = self._span_acc * decay + span
         self._got_acc = self._got_acc * decay + got
         return self.loss
 
 
 def report_from_client(client: Any, *, receiver_id: int = 0,
-                       loss: float = 0.0, packets_used: int = 0,
-                       receivers: int = 1) -> FeedbackReport:
+                       loss: float = 0.0,
+                       packets_used: int = 0) -> FeedbackReport:
     """Build a report from a live transfer client's decode state.
 
     ``client`` is anything with the
@@ -212,7 +220,8 @@ def report_from_client(client: Any, *, receiver_id: int = 0,
     (``progress``, ``is_complete``, ``incomplete_blocks``,
     ``block_min_additional``, ``num_blocks``) — the transfer client
     itself, or the per-block :class:`~repro.fountain.client.
-    FountainClient` wrapped in one.
+    FountainClient` wrapped in one.  The report speaks for that one
+    receiver (``receivers=1``).
     """
     deficits = [(int(b), min(0xFFFF, int(client.block_min_additional(b))))
                 for b in client.incomplete_blocks
@@ -225,6 +234,5 @@ def report_from_client(client: Any, *, receiver_id: int = 0,
         packets_used=int(packets_used),
         blocks_total=min(0xFFFF, int(client.num_blocks)),
         complete=bool(client.is_complete),
-        receivers=receivers,
         lagging=tuple(deficits[:MAX_LAGGING_BLOCKS]),
     )

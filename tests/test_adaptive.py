@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro.codes.registry import REGISTRY
 from repro.errors import ParameterError, ProtocolError
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss
 from repro.net.transport import (
@@ -37,6 +36,14 @@ from repro.protocol import (
     FeedbackReport,
     LossEstimator,
     report_from_client,
+)
+from repro.protocol import feedback
+from repro.protocol.adaptive import (
+    MAX_RECEIVERS,
+    MAX_SCALE,
+    NOMINAL_LOSS,
+    SCHEDULE_GAIN,
+    STALE_AFTER,
 )
 from repro.protocol.feedback import MAX_LAGGING_BLOCKS
 from repro.transfer import BlockPlan, ObjectCodec, TransferClient, TransferServer
@@ -130,6 +137,7 @@ class TestFeedbackFrame:
         report = report_from_client(FakeClient(), receiver_id=7, loss=0.2)
         assert report.lagging == ((2, 9), (0, 3), (3, 1))
         assert report.blocks_total == 4
+        assert report.receivers == 1
         assert not report.complete
 
 
@@ -149,13 +157,14 @@ class TestLossEstimator:
         est.observe(serials.tolist())
         assert abs(est.loss - loss) < 0.05
 
-    def test_chunking_does_not_bias(self):
+    def test_chunking_does_not_bias(self, monkeypatch):
         """Ratio-of-sums: tiny per-call batches and one big batch of
         the same stream must agree (per-batch ratio averaging fails
         this badly)."""
         serials = self._stream(0.2)
         # negligible forgetting, so the only difference is batching
-        small, big = LossEstimator(alpha=1e-7), LossEstimator(alpha=1e-7)
+        monkeypatch.setattr(feedback, "LOSS_ALPHA", 1e-7)
+        small, big = LossEstimator(), LossEstimator()
         big.observe(serials.tolist())
         for start in range(0, len(serials), 7):
             small.observe(serials[start:start + 7].tolist())
@@ -172,9 +181,30 @@ class TestLossEstimator:
         est = LossEstimator()
         assert est.observe([]) == 0.0
 
-    def test_alpha_validated(self):
-        with pytest.raises(ProtocolError):
-            LossEstimator(alpha=1.5)
+    @pytest.mark.parametrize("chunk", [1, 7, 500])
+    def test_estimate_runs_on_across_the_serial_wrap(self, chunk):
+        """Serials are the emission count mod 2**32: a stream that
+        crosses the wrap must read as the same stream shifted, not
+        freeze at the wrap (50 % loss after it, as in a long serve)."""
+        rng = np.random.default_rng(11)
+        n = 6_000
+        kept = np.arange(n)[(np.arange(n) < n // 2)
+                            | (rng.random(n) >= 0.5)]
+        straight, wrapped = LossEstimator(), LossEstimator()
+        offset = (1 << 32) - n // 2
+        for start in range(0, len(kept), chunk):
+            batch = kept[start:start + chunk]
+            straight.observe(batch.tolist())
+            wrapped.observe(((batch + offset) % (1 << 32)).tolist())
+            assert wrapped.loss == pytest.approx(straight.loss, abs=1e-12)
+        assert straight.loss > 0.3
+
+    def test_first_batch_straddling_the_wrap(self):
+        est = LossEstimator()
+        est.observe([(1 << 32) - 2, (1 << 32) - 1, 1, 2])
+        assert est.loss == pytest.approx(0.2)
+        est.observe([3, 5])     # 6 of 8 serials, lightly forgotten
+        assert est.loss == pytest.approx(0.25, abs=0.01)
 
 
 # -- the policy ----------------------------------------------------------------
@@ -186,58 +216,99 @@ class TestAdaptivePolicy:
             policy.observe(FeedbackReport(receiver_id=i, loss=loss,
                                           complete=complete), now=now)
 
+    def _scales(self, policy, steps, now=0.0):
+        return [policy.decide([4], now=now).rate_scale
+                for _ in range(steps)]
+
     def test_rate_steps_down_on_clean_channels(self):
-        """Convergence: a clean population walks the scale down to the
-        clamp (the sender stops over-provisioning)."""
-        policy = AdaptivePolicy(nominal_loss=0.2, rate_alpha=0.5)
+        """Convergence: a clean population walks the scale down to
+        ``(1 - NOMINAL_LOSS) / (1 - loss)`` (the sender stops
+        over-provisioning)."""
+        policy = AdaptivePolicy()
         self._feed(policy, [0.0, 0.01, 0.0])
-        scales = [policy.rate_scale() for _ in range(12)]
+        scales = self._scales(policy, 12)
         assert scales[0] < 1.0
-        assert scales[-1] == pytest.approx(0.8, abs=0.02)
+        assert scales[-1] == pytest.approx((1 - NOMINAL_LOSS) / 0.99,
+                                           abs=0.02)
         assert all(b <= a + 1e-9 for a, b in zip(scales, scales[1:]))
 
     def test_rate_steps_up_under_fades(self):
-        policy = AdaptivePolicy(nominal_loss=0.1, rate_alpha=0.5)
+        policy = AdaptivePolicy()
         self._feed(policy, [0.4, 0.45, 0.5], now=0.0)
-        scales = [policy.rate_scale(now=0.0) for _ in range(12)]
+        scales = self._scales(policy, 12, now=0.0)
         assert scales[-1] > scales[0] > 1.0
         # converges to (1 - nominal) / (1 - quantile loss)
-        assert scales[-1] == pytest.approx(0.9 / 0.5, rel=0.05)
+        assert scales[-1] == pytest.approx((1 - NOMINAL_LOSS) / 0.5,
+                                           rel=0.05)
 
     def test_rate_scale_clamped(self):
-        policy = AdaptivePolicy(nominal_loss=0.0, max_scale=2.0)
+        policy = AdaptivePolicy()
         self._feed(policy, [0.95])
-        for _ in range(20):
-            scale = policy.rate_scale()
-        assert scale <= 2.0
+        scales = self._scales(policy, 20)
+        assert (1 - NOMINAL_LOSS) / 0.05 > MAX_SCALE  # the clamp binds
+        assert max(scales) <= MAX_SCALE
+        assert scales[-1] == pytest.approx(MAX_SCALE, rel=1e-4)
 
     def test_stale_reports_fade_out(self):
-        policy = AdaptivePolicy(stale_after=10.0)
+        policy = AdaptivePolicy()
         self._feed(policy, [0.5], now=0.0)
-        assert policy.loss_estimate(now=5.0) == pytest.approx(0.5)
-        assert policy.loss_estimate(now=20.0) == 0.0
+        assert policy.loss_estimate(now=STALE_AFTER / 2) == pytest.approx(0.5)
+        assert policy.loss_estimate(now=STALE_AFTER) == pytest.approx(0.5)
+        assert policy.loss_estimate(now=STALE_AFTER * 2) == 0.0
 
     def test_stale_reports_are_forgotten_not_just_skipped(self):
         """One entry per receiver id any frame ever claimed must not
-        outlive ``stale_after``: the table is bounded by who is live."""
-        policy = AdaptivePolicy(stale_after=10.0)
+        outlive ``STALE_AFTER``: the table is bounded by who is live."""
+        policy = AdaptivePolicy()
         self._feed(policy, [0.3] * 10_000, now=0.0)
         assert len(policy._reports) == 10_000
-        decision = policy.decide([4, 4], now=11.0)
+        decision = policy.decide([4, 4], now=STALE_AFTER + 1.0)
         assert len(policy._reports) == 0
-        assert decision == AdaptivePolicy(stale_after=10.0).decide(
-            [4, 4], now=11.0)
+        assert decision == AdaptivePolicy().decide(
+            [4, 4], now=STALE_AFTER + 1.0)
+
+    def test_report_table_is_capped(self):
+        """A flood of ids inside one staleness window keeps at most
+        ``MAX_RECEIVERS`` entries, evicting the ones heard longest ago:
+        the decision is that of a policy that heard only the freshest
+        ``MAX_RECEIVERS``."""
+        flood = 300
+        reports = [FeedbackReport(
+            receiver_id=i, loss=0.6 if i < flood else 0.05,
+            blocks_total=3, lagging=((1, 9),) if i < flood else ((2, 4),))
+            for i in range(MAX_RECEIVERS + flood)]
+        flooded, fresh_only = AdaptivePolicy(), AdaptivePolicy()
+        for report in reports:
+            flooded.observe(report, now=1.0)
+        for report in reports[flood:]:
+            fresh_only.observe(report, now=1.0)
+        assert len(flooded._reports) == MAX_RECEIVERS
+        assert list(flooded._reports) == list(fresh_only._reports)
+        assert flooded.decide([4, 4, 4], now=2.0) == fresh_only.decide(
+            [4, 4, 4], now=2.0)
+        assert flooded.loss_estimate(now=2.0) == pytest.approx(0.05)
+
+    def test_a_report_refreshes_its_receiver_against_eviction(self):
+        policy = AdaptivePolicy()
+        for i in range(MAX_RECEIVERS):
+            policy.observe(FeedbackReport(receiver_id=i), now=0.0)
+        policy.observe(FeedbackReport(receiver_id=0, loss=0.5), now=1.0)
+        policy.observe(FeedbackReport(receiver_id=MAX_RECEIVERS), now=1.0)
+        assert len(policy._reports) == MAX_RECEIVERS
+        assert 0 in policy._reports and 1 not in policy._reports
 
     def test_quantile_provisions_for_stragglers(self):
-        policy = AdaptivePolicy(quantile=0.95)
-        self._feed(policy, [0.05] * 9 + [0.5])
+        """The worst decile is provisioned for, one straggler in twenty
+        is not."""
+        policy = AdaptivePolicy()
+        self._feed(policy, [0.05] * 8 + [0.5] * 2)
         assert policy.loss_estimate() == pytest.approx(0.5)
-        median = AdaptivePolicy(quantile=0.5)
-        self._feed(median, [0.05] * 9 + [0.5])
-        assert median.loss_estimate() == pytest.approx(0.05)
+        lone = AdaptivePolicy()
+        self._feed(lone, [0.05] * 19 + [0.5])
+        assert lone.loss_estimate() == pytest.approx(0.05)
 
     def test_receiver_count_hints_weight_the_quantile(self):
-        policy = AdaptivePolicy(quantile=0.5)
+        policy = AdaptivePolicy()
         policy.observe(FeedbackReport(receiver_id=0, loss=0.01,
                                       receivers=1000))
         policy.observe(FeedbackReport(receiver_id=1, loss=0.5))
@@ -251,61 +322,46 @@ class TestAdaptivePolicy:
         assert decision.all_complete
 
     def test_block_shares_blend(self):
-        policy = AdaptivePolicy(schedule_gain=0.5)
+        assert SCHEDULE_GAIN == 0.5
+        policy = AdaptivePolicy()
         base = policy.block_shares([0.0, 0.0], [4, 4])
         assert base == [0.5, 0.5]
         chased = policy.block_shares([0.0, 10.0], [4, 4])
         assert chased == pytest.approx([0.25, 0.75])
         assert sum(chased) == pytest.approx(1.0)
 
-    def test_schedule_weights_floor(self):
-        policy = AdaptivePolicy(schedule_gain=1.0)
+    def test_starved_block_keeps_half_its_proportional_weight(self):
+        policy = AdaptivePolicy()
         policy.observe(FeedbackReport(receiver_id=0, loss=0.1,
                                       blocks_total=2, lagging=((1, 50),)))
-        weights = policy.schedule_weights([4, 4])
-        assert weights[0] == 0.05  # starved block keeps a floor share
+        weights = policy.decide([4, 4]).weights
+        assert weights[0] == pytest.approx(1.0 - SCHEDULE_GAIN)
+        assert weights[0] >= 0.5
         assert weights[1] > 1.0
 
-    def test_recommend_spec_retunes_rateless_only(self):
+    @settings(max_examples=100, deadline=None)
+    @given(lagging=st.lists(st.tuples(st.integers(0, 5),
+                                      st.integers(0, 0xFFFF)),
+                            max_size=MAX_LAGGING_BLOCKS).map(tuple),
+           ks=st.lists(st.integers(1, 300), min_size=6, max_size=6))
+    def test_every_weight_keeps_half_its_proportional_share(self, lagging,
+                                                            ks):
         policy = AdaptivePolicy()
-        self._feed(policy, [0.3, 0.3, 0.3])
-        lt = policy.recommend_spec("lt:c=0.03,delta=0.5")
-        params = dict(p.split("=") for p in lt.split(":")[1].split(","))
-        assert float(params["c"]) > 0.03
-        assert float(params["delta"]) < 0.5
-        raptor = policy.recommend_spec("raptor:eps=0.1")
-        assert float(raptor.split("eps=")[1]) > 0.1
-        assert policy.recommend_spec("tornado-a") == "tornado-a"
-        # a bare spec moves the same way from the family's own defaults
-        bare = REGISTRY.spec(policy.recommend_spec("lt")).param_dict
-        assert bare["c"] > 0.03 and bare["delta"] < 0.1
-        bare = REGISTRY.spec(policy.recommend_spec("raptor")).param_dict
-        assert bare["eps"] > 0.05
+        policy.observe(FeedbackReport(receiver_id=0, blocks_total=6,
+                                      lagging=lagging))
+        for weight in policy.decide(ks).weights:
+            assert weight >= (1.0 - SCHEDULE_GAIN) * (1 - 1e-12)
 
-    @pytest.mark.parametrize(
-        "family", [f.name for f in REGISTRY if f.rateless])
-    def test_silent_policy_recommends_the_spec_it_was_given(self, family):
-        """With nothing observed, retuning must not move a parameter:
-        the bare spec and the spelled-out default spec both come back
-        as the family's default code."""
-        defaults = REGISTRY.family(family).parameters()
-        spelled = family + ":" + ",".join(
-            f"{name}={value}" for name, value in sorted(defaults.items()))
-        want = REGISTRY.build(family, 64, seed=3)
-        for spec in (family, spelled):
-            got = REGISTRY.build(AdaptivePolicy().recommend_spec(spec),
-                                 64, seed=3)
-            assert got.spec == want.spec
-            for name in defaults:
-                assert getattr(got, name, None) == getattr(want, name, None)
-
-    def test_parameters_validated(self):
-        with pytest.raises(ParameterError):
-            AdaptivePolicy(quantile=1.5)
-        with pytest.raises(ParameterError):
-            AdaptivePolicy(min_scale=0.0)
-        with pytest.raises(ParameterError):
-            AdaptivePolicy(schedule_gain=2.0)
+    def test_decide_filters_staleness_once(self, monkeypatch):
+        policy = AdaptivePolicy()
+        self._feed(policy, [0.2, 0.3])
+        calls = []
+        fresh = AdaptivePolicy._fresh
+        monkeypatch.setattr(AdaptivePolicy, "_fresh",
+                            lambda self, now: calls.append(now)
+                            or fresh(self, now))
+        policy.decide([4, 4], now=3.0)
+        assert calls == [3.0]
 
 
 # -- live schedule machinery ---------------------------------------------------
@@ -641,9 +697,13 @@ class TestUdpAdaptive:
         competing process, 1600-3260 at 10k, 1860-2560 at 25k)."""
         data = _random_bytes(1_100_000, seed=37)
         bursty = GilbertElliottLoss.from_loss_and_burst(0.2, 8.0)
-        policy = AdaptivePolicy(nominal_loss=0.2)
+        policy = AdaptivePolicy()
+        # the rate lever paces at pace * (1 - NOMINAL_LOSS) / (1 - loss):
+        # this base keeps that at 5 kpkt/s * 0.8 / (1 - loss), the rate
+        # of a policy provisioned for this channel's 20 %
+        pace = 5_000 * (1 - 0.2) / (1 - NOMINAL_LOSS)
         receiver, adaptive_report, session = self._run(
-            data, policy=policy, report=64, pace=5_000,
+            data, policy=policy, report=64, pace=pace,
             loss=bursty)
         assert receiver.is_complete
         assert receiver.data() == data

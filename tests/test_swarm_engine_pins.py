@@ -10,9 +10,11 @@ bit) for the open loop, ``workers=2`` and the closed loop under a
 default :class:`~repro.protocol.adaptive.AdaptivePolicy`.
 
 The property that makes "one engine" checkable: a policy that never
-chases a deficit (``schedule_gain=0.0``) deals every sweep
+chases a deficit (``SCHEDULE_GAIN`` set to 0.0) deals every sweep
 proportionally, so it must equal the open loop array for array on
-every committed scenario.
+every committed scenario.  And the closed loop reads the policy's
+schedule lever only: a stub that exposes nothing but ``block_shares``
+reproduces the pinned closed-loop arrays.
 
 Regenerate (only for an intended change of the structural model)
 with::
@@ -29,7 +31,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.protocol import AdaptivePolicy
+from repro.protocol import AdaptivePolicy, adaptive
 from repro.sim.swarm import SwarmResult, SwarmSimulator, load_scenario
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "swarm_engine.json"
@@ -42,23 +44,28 @@ _MODES = ("open", "workers2", "closed")
 _ARRAYS = ("overhead", "received", "completion_slot")
 
 
+def _scenario(name: str):
+    return load_scenario(SCENARIOS_DIR / f"{name}.json").scaled(_RECEIVERS)
+
+
 @functools.lru_cache(maxsize=None)
 def _run(name: str, mode: str) -> SwarmResult:
     """One run, shared between the pins and the property (read-only)."""
-    scenario = load_scenario(SCENARIOS_DIR / f"{name}.json").scaled(_RECEIVERS)
     kwargs = {"open": {}, "workers2": {"workers": 2},
-              "closed": {"policy": AdaptivePolicy()},
-              "zero-gain": {"policy": AdaptivePolicy(schedule_gain=0.0)}}
-    return SwarmSimulator(scenario).run(**kwargs[mode])
+              "closed": {"policy": AdaptivePolicy()}}
+    return SwarmSimulator(_scenario(name)).run(**kwargs[mode])
 
 
-def engine_pin(name: str, mode: str) -> dict:
-    """One run's per-receiver outcome, floats spelled exactly."""
-    result = _run(name, mode)
+def _pin(result: SwarmResult) -> dict:
+    """A run's per-receiver outcome, floats spelled exactly."""
     pin = {key: [float(v).hex() for v in getattr(result, key)]
            for key in _ARRAYS}
     pin["completed"] = [int(v) for v in result.completed]
     return pin
+
+
+def engine_pin(name: str, mode: str) -> dict:
+    return _pin(_run(name, mode))
 
 
 def all_pins() -> dict:
@@ -86,14 +93,33 @@ def test_engine_matches_golden(golden, name, mode):
 
 @pytest.mark.parametrize(
     "name", sorted(p.stem for p in SCENARIOS_DIR.glob("*.json")))
-def test_zero_gain_policy_is_the_open_loop(name):
+def test_zero_gain_policy_is_the_open_loop(monkeypatch, name):
+    monkeypatch.setattr(adaptive, "SCHEDULE_GAIN", 0.0)
     opened = _run(name, "open")
-    closed = _run(name, "zero-gain")
+    closed = SwarmSimulator(_scenario(name)).run(policy=AdaptivePolicy())
     assert opened.completed.any()
     np.testing.assert_array_equal(closed.completed, opened.completed)
     for key in _ARRAYS:
         np.testing.assert_array_equal(getattr(closed, key),
                                       getattr(opened, key), err_msg=key)
+
+
+class _SharesOnly:
+    """A policy with the schedule lever and nothing else."""
+
+    __slots__ = ("_policy",)
+
+    def __init__(self):
+        self._policy = AdaptivePolicy()
+
+    def block_shares(self, deficits, block_ks):
+        return self._policy.block_shares(deficits, block_ks)
+
+
+@pytest.mark.parametrize("name", _PINNED)
+def test_closed_loop_reads_only_block_shares(golden, name):
+    result = SwarmSimulator(_scenario(name)).run(policy=_SharesOnly())
+    assert _pin(result) == golden[name]["closed"]
 
 
 if __name__ == "__main__":

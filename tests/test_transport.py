@@ -309,6 +309,17 @@ class TestMemoryTransport:
         with pytest.raises(ProtocolError, match="subscribe"):
             MemoryTransport().serve(session)
 
+    def test_unknown_option_error_names_every_accepted_option(self):
+        session = api.SenderSession(b"x" * 4096, packet_size=256,
+                                    block_size=4_096)
+        transport = MemoryTransport()
+        transport.subscribe()
+        with pytest.raises(ProtocolError) as err:
+            transport.serve(session, count=10, adapt_every=3)
+        for option in ("count", "extra", "policy", "feedback",
+                       "report_every", "adapt_every"):
+            assert option in str(err.value)
+
     def test_explicit_count_emits_exactly(self):
         session = api.SenderSession(_random_bytes(8_192, seed=4),
                                     packet_size=256, block_size=4_096)

@@ -491,8 +491,7 @@ class TestMemoryServe:
 
             kwargs = {k: v for k, v in options.items() if k != "subscribers"}
             report = serve(transport, session, feedback=tap,
-                           policy=AdaptivePolicy(nominal_loss=0.25),
-                           **kwargs)
+                           policy=AdaptivePolicy(), **kwargs)
             return (_counters(report), seen,
                     [list(sub.records()) for sub in subs])
 
@@ -755,7 +754,7 @@ class _ScriptedPolicy:
     def decide(self, block_ks, now=0.0):
         weights, done = self.script[min(self.asked, len(self.script) - 1)]
         self.asked += 1
-        return PolicyDecision(loss=0.0, rate_scale=1.0,
+        return PolicyDecision(rate_scale=1.0,
                               weights=tuple(weights), active=0 if done else 1,
                               complete=1 if done else 0)
 
