@@ -55,8 +55,9 @@ import socket
 import struct
 import sys
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, \
-    Sequence, Tuple, Union
+from bisect import bisect_right
+from typing import Any, Callable, Collection, Dict, Iterator, List, \
+    Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -583,6 +584,8 @@ class UdpTransport(Transport):
             raise ParameterError("manifest_interval must be >= 1")
         self.interface = interface
         self.ttl = int(ttl)
+        self._multicast = any(is_multicast(host)
+                              for host, _ in self.destinations)
         self._subscribed = 0
 
     def subscribe(self, address: Optional[Union[str, Address]] = None,
@@ -642,33 +645,42 @@ class UdpTransport(Transport):
 
         Emissions are drawn a window at a time
         (:meth:`~repro.transfer.server.TransferServer.record_window`,
-        framed in one buffer), while every check above still runs once
-        per emission.  Consecutive frames bound for one destination
-        leave as one datagram — a slice of that buffer — for as long as
-        it stays within :data:`~repro.net.transport.base.
+        framed in one buffer).  Consecutive frames bound for one
+        destination leave as one datagram — a slice of that buffer — for
+        as long as it stays within :data:`~repro.net.transport.base.
         DATAGRAM_BUDGET`: a run ends at the budget, at a frame the loss
         channel drops for that destination, before a manifest frame
         (always a datagram of its own), before the token bucket sleeps
         (a paced stream never parks a frame behind a sleep), and
-        wherever the window or the serve ends.  When the serve ends
-        with part of a window unsent the source takes those emissions
-        back (``unwind``), and so does every loss channel its verdicts,
-        so a later serve — or ``packets()`` — continues the stream from
-        the last frame that reached the socket; ``emitted`` /
-        ``delivered`` / ``dropped`` count frames,
-        as always, and ``datagrams`` the data datagrams they left in.
+        wherever the window or the serve ends.  Each window is planned
+        once — its manifest rows and the rows each destination's loss
+        channel drops fix every datagram's bounds — and the loop steps
+        a datagram at a time.  It stops between datagrams for the
+        checks above only where one can fire: at each manifest and each
+        ``adapt_every`` point, and, when a ``stop`` flag, a
+        ``duration`` or a pace is given, at every emission — so
+        ``stop`` is asked, the clock read and a token spent once per
+        emission, and a sleep cuts every open run short before it.
+        When the serve ends with part of a window
+        unsent the source takes those emissions back (``unwind``), and
+        so does every loss channel its verdicts, so a later serve — or
+        ``packets()`` — continues the stream from the last frame that
+        reached the socket; ``emitted`` / ``delivered`` / ``dropped``
+        count frames, as always, and ``datagrams`` the data datagrams
+        they left in.
 
         A destination's datagrams reach the kernel a run at a time:
         equal-sized ones (and one shorter last one) gather into a batch
         that leaves in one ``UDP_SEGMENT`` ``sendmsg`` of at most 64
         segments and 65,507 bytes, which the kernel cuts back into
-        exactly those datagrams.  A batch goes out wherever a run is
-        flushed above, and a datagram wider than the budget — too wide
-        for a segment — goes alone.  A batch of one is a ``sendto``; a
-        kernel that refuses the offload outright (it sent nothing) gets
-        the batch a datagram at a time, and every datagram after it.
-        The socket blocks, so each datagram is in the kernel when the
-        call that sent it returns.
+        exactly those datagrams.  A batch goes out wherever every
+        destination's runs are cut above (a manifest, a sleep, the end
+        of a window or of the serve), and a datagram wider than the
+        budget — too wide for a segment — goes alone.  A batch of one is a
+        ``sendto``; a kernel that refuses the offload outright (it sent
+        nothing) gets the batch a datagram at a time, and every datagram
+        after it.  The socket blocks, so each datagram is in the kernel
+        when the call that sent it returns.
         """
         if adapt_every < 1:
             raise ParameterError(
@@ -679,6 +691,9 @@ class UdpTransport(Transport):
         if adaptive and count is None:
             count = EMISSION_LIMIT_FACTOR * session.total_k
         bucket = None if self.pace is None else TokenBucket(self.pace)
+        # every emission is a point where the serve may stop or sleep
+        stepping = stop is not None or duration is not None \
+            or bucket is not None
         streams = self._channels
         # The transfer server hands over whole windows of wire records
         # and takes back what a stop leaves unsent.
@@ -687,19 +702,26 @@ class UdpTransport(Transport):
         manifest_frame = pack_frame(
             FRAME_MANIFEST,
             json.dumps(session.manifest()).encode("utf-8"))
+        interval = self.manifest_interval
         emitted = delivered = dropped = manifest_frames = 0
         feedback_frames = datagrams = errors = malformed = 0
-        # Records of the current window not yet handed to the socket: a
-        # window left part-sent (stop, duration, everyone complete) ends
-        # the serve.
-        pending = 0
-        # Each destination's open run: window rows ``opened[di]`` up to
-        # the one being emitted survived and wait to share a datagram.
-        opened = [0] * len(self.destinations)
-        rows = 0
+        dests = range(len(self.destinations))
+        # The open window's plan: its frames as one buffer of ``rows``
+        # frames of ``step`` bytes (``per`` to a datagram), the first
+        # ``done`` of them handed over; and per destination the rows
+        # its loss channel drops (``gone``) and the sorted rows a run
+        # may not cross (``stops``: those, each manifest row and
+        # ``rows``).  ``rows`` is 0 between windows.
+        rows = done = step = per = 0
+        wire = memoryview(b"")
+        gone: List[Collection[int]] = []
+        stops: List[List[int]] = []
+        # Each destination's open run begins at the first surviving
+        # window row at or after ``opened``.
+        opened = [0] * len(dests)
         # Each destination's datagrams not yet handed to the kernel:
         # slices of ``wire``, equal-sized but for a shorter last one.
-        batches: List[List[memoryview]] = [[] for _ in self.destinations]
+        batches: List[List[memoryview]] = [[] for _ in dests]
 
         def send(datagram: Any, dest: Address) -> None:
             """One datagram to the kernel; a refusal is counted."""
@@ -729,30 +751,80 @@ class UdpTransport(Transport):
                 send(datagram, dest)
             batch.clear()
 
-        def send_run(di: int, end: int) -> None:
-            """One datagram: destination ``di``'s open run, up to row
-            ``end``, joins the destination's batch."""
-            nonlocal datagrams
-            begin, opened[di] = opened[di], end
-            if begin >= end:
-                return
-            datagrams += 1
-            size = (end - begin) * step
-            batch = batches[di]
-            seg = len(batch[0]) if batch else size
-            if size > seg or len(batch) * seg + size > _MAX_SEND_BYTES:
-                send_batch(di)
-                seg = size
-            batch.append(wire[begin * step:end * step])
-            if (size < seg or len(batch) == _MAX_SEGMENTS or not segmenting
-                    or size > DATAGRAM_BUDGET):
-                send_batch(di)
+        def send_runs(row: int, cut: bool) -> None:
+            """Every destination's datagrams that are due before row
+            ``row``'s checks — and, with ``cut``, every frame before the
+            row, the run open there cut short, and the destination's
+            batch — to the kernel.
 
-        def flush(end: int) -> None:
-            """Every destination's open run and batch, to the kernel."""
-            for di in range(len(opened)):
-                send_run(di, end)
-                send_batch(di)
+            A run begins at the first surviving row and ends after
+            ``per`` frames or at the next stop, whichever comes first.
+            It is due once its end is known: right after its last frame
+            when the budget ended it, else at the row that did (the cut
+            before a manifest row or at the window end, a dropped row).
+            So before row ``row``'s checks a run of ``per`` frames is
+            due when it ends at or before ``row``, a shorter one when it
+            ends before it.  Each datagram joins its destination's
+            batch, which goes to the kernel before a wider datagram
+            joins or one would pass 65,507 bytes, after a shorter one
+            joins, at 64 segments, and at a cut.
+            """
+            nonlocal datagrams
+            for di in dests:
+                batch, dead, ahead = batches[di], gone[di], stops[di]
+                begin = opened[di]
+                while True:
+                    while begin in dead:
+                        begin += 1
+                    if begin >= row:
+                        break
+                    # the runs from here to the next stop: ``per`` frames
+                    # each, the last one shorter; those before ``last``
+                    # go now
+                    stop = ahead[bisect_right(ahead, begin)]
+                    if cut or stop < row:
+                        last = min(stop, row)
+                    else:
+                        last = begin + (row - begin) // per * per
+                    for low in range(begin, last, per):
+                        high = min(low + per, last)
+                        datagrams += 1
+                        size = (high - low) * step
+                        seg = len(batch[0]) if batch else size
+                        if (size > seg
+                                or len(batch) * seg + size > _MAX_SEND_BYTES):
+                            send_batch(di)
+                            seg = size
+                        batch.append(wire[low * step:high * step])
+                        if (size < seg or len(batch) == _MAX_SEGMENTS
+                                or not segmenting or size > DATAGRAM_BUDGET):
+                            send_batch(di)
+                    begin = last
+                    if last < stop:
+                        break
+                opened[di] = begin
+                if cut:
+                    send_batch(di)
+
+        def close_window() -> int:
+            """Send and count the window's first ``done`` rows; hand
+            the rest back to the source and the loss channels, and
+            return how many that was."""
+            nonlocal rows, emitted, delivered, dropped
+            send_runs(done, cut=True)
+            emitted += done
+            lost = sum(row < done for dead in gone for row in dead)
+            delivered += done * len(dests) - lost
+            dropped += lost
+            unsent, rows = rows - done, 0
+            if unsent:
+                # Stopped (or interrupted) mid-window: the source and
+                # the loss channels resume from the last frame handed
+                # to the socket, no id or verdict skipped.
+                source.unwind(unsent)
+                for stream in streams or ():
+                    stream.unwind(unsent)
+            return unsent
 
         def listen() -> None:
             """Everything queued on the reply port, without blocking:
@@ -790,7 +862,7 @@ class UdpTransport(Transport):
 
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
             sock.bind(self.bind or ("0.0.0.0", 0))
-            if any(is_multicast(host) for host, _ in self.destinations):
+            if self._multicast:
                 sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_TTL,
                                 self.ttl)
                 sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_LOOP,
@@ -801,7 +873,7 @@ class UdpTransport(Transport):
             start = time.perf_counter()
             deadline = None if duration is None else start + float(duration)
             try:
-                while not pending and (count is None or emitted < count):
+                while count is None or emitted < count:
                     size = (SERVE_WINDOW if count is None
                             else min(SERVE_WINDOW, count - emitted))
                     if adaptive:
@@ -812,24 +884,40 @@ class UdpTransport(Transport):
                                                     // adapt_every)
                         size = min(size, decide_at - emitted + 1)
                     frames = frame_records(source.record_window(size))
+                    rows, step = frames.shape
                     wire = memoryview(frames.reshape(-1))
-                    step = frames.shape[1]
                     per = max(1, DATAGRAM_BUDGET // step)
-                    survives = None if streams is None else [
-                        stream.delivery_mask(len(frames)).tolist()
-                        for stream in streams]
-                    rows = pending = len(frames)
-                    opened[:] = [0] * len(opened)
-                    for row in range(rows):
+                    manifests = range(-emitted % interval, rows, interval)
+                    if streams is None:
+                        gone = [()] * len(dests)
+                        stops = [[*manifests, rows]] * len(dests)
+                    else:
+                        gone = [set(np.flatnonzero(
+                            ~stream.delivery_mask(rows)).tolist())
+                            for stream in streams]
+                        stops = [sorted(dead.union(manifests, (rows,)))
+                                 for dead in gone]
+                    opened[:] = [0] * len(dests)
+                    # where a check may fire: every row, or the
+                    # manifest and adapt_every points
+                    looks = range(rows) if stepping else sorted(
+                        set(manifests).union(range(-emitted % adapt_every,
+                                                   rows, adapt_every)))
+                    for row in looks:
+                        # the rows before this one count as emitted:
+                        # their runs go out now or in the window's last cut
+                        done = row
+                        send_runs(row, cut=False)
                         if should_stop() or (deadline is not None and
                                              time.perf_counter() >= deadline):
                             break
                         if bucket is not None:
                             slept = bucket.reserve()
                             if slept > 0.0:
-                                flush(row)
+                                send_runs(row, cut=True)
                                 time.sleep(slept)
-                        if emitted and emitted % adapt_every == 0:
+                        at = emitted + row
+                        if at and at % adapt_every == 0:
                             listen()
                             if adaptive:
                                 decision = policy.decide(
@@ -841,34 +929,20 @@ class UdpTransport(Transport):
                                         self.pace * decision.rate_scale)
                                 if decision.weights:
                                     source.reweight(list(decision.weights))
-                        if emitted % self.manifest_interval == 0:
-                            flush(row)
+                        if at % interval == 0:
+                            send_runs(row, cut=True)
                             for dest in self.destinations:
                                 send(manifest_frame, dest)
                             manifest_frames += 1
-                        for di in range(len(opened)):
-                            if survives is not None and not survives[di][row]:
-                                dropped += 1
-                                send_run(di, row)
-                                opened[di] = row + 1
-                                continue
-                            delivered += 1
-                            if row + 1 - opened[di] == per:
-                                send_run(di, row + 1)
-                        emitted += 1
-                        pending -= 1
-                    flush(rows - pending)
+                    else:
+                        done = rows
+                    if close_window():
+                        break
             finally:
                 # The frames of a run still open were counted: they go
                 # out even when an exception ends the serve.
-                flush(rows - pending)
-                if pending:
-                    # Stopped (or interrupted) mid-window: the source
-                    # and the loss channels resume from the last frame
-                    # handed to the socket, no id or verdict skipped.
-                    source.unwind(pending)
-                    for stream in streams or ():
-                        stream.unwind(pending)
+                if rows:
+                    close_window()
                 # One final manifest so late joiners of a finite serve
                 # still learn the geometry, and a last read of the reply
                 # port.

@@ -38,9 +38,7 @@ carousels never reach are never computed at all.
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import islice
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,8 +54,8 @@ from repro.codes.registry import block_seed
 from repro.transfer.codec import ObjectCodec
 from repro.transfer.schedule import (
     carousel_order,
-    make_schedule,
-    weighted_slots,
+    schedule_chunks,
+    weighted_chunks,
 )
 
 #: rows of the record window a per-packet pull is served from.
@@ -215,13 +213,9 @@ class TransferServer:
         #: how many of its rows went out.
         self._held: List[EncodingPacket] = []
         self._pulled = 0
-        #: slots :meth:`unwind` took back, re-emitted before the schedule
-        #: moves on.
-        self._unsent: Deque[int] = deque()
-        self.reweight(None)
-        self._slots = self._slot_stream()
         #: block ids of the last draw, for :meth:`unwind`.
         self._window_blocks = np.zeros(0, np.int64)
+        self.reweight(None)
 
     @staticmethod
     def _materialise(codec: ObjectCodec, data: Optional[bytes]
@@ -249,13 +243,19 @@ class TransferServer:
     def num_blocks(self) -> int:
         return self.codec.num_blocks
 
-    def _slot_stream(self) -> Iterator[int]:
-        """The block of each emission: taken-back slots first, then
-        whatever schedule is current (``reweight`` swaps it live)."""
-        while True:
-            while self._unsent:
-                yield self._unsent.popleft()
-            yield next(self._schedule)
+    def _take_slots(self, count: int) -> np.ndarray:
+        """The blocks of the next ``count`` emissions, as a new array:
+        the held slot chunk's next slots (taken-back slots are its
+        prefix), topped up from the current schedule's chunks."""
+        parts = [self._chunk[self._at:self._at + count]]
+        self._at += parts[0].size
+        short = count - parts[0].size
+        while short > 0:
+            self._chunk = next(self._chunks)
+            self._at = min(short, self._chunk.size)
+            parts.append(self._chunk[:self._at])
+            short -= self._at
+        return np.concatenate(parts)
 
     def window(self, count: int
                ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
@@ -286,8 +286,7 @@ class TransferServer:
         carousel gathers per block.  A droplet id past the uint32
         header field raises before a cursor moves.
         """
-        blocks = np.fromiter(islice(self._slots, count), dtype=np.int64,
-                             count=count)
+        blocks = self._take_slots(count)
         sizes = np.bincount(blocks, minlength=self.num_blocks)
         if (self._cycles is None
                 and (self._cursors + sizes).max() > SERIAL_MODULUS):
@@ -378,17 +377,28 @@ class TransferServer:
         serials return to the last record that actually went out, so
         the next window (or packet) continues the stream with no id
         skipped.  A window ``packets()`` holds is handed back first.
+        Only emissions of the last window that went out can be taken
+        back: a ``count`` below 0 or above them raises
+        :class:`~repro.errors.ParameterError` and moves nothing, as
+        :meth:`LossyChannel.unwind
+        <repro.net.channel.LossyChannel.unwind>` does.
         """
+        kept = self._window_blocks.size - (len(self._held) - self._pulled)
+        if not 0 <= count <= kept:
+            raise ParameterError(
+                f"cannot unwind {count} emissions: the last window has "
+                f"{kept} behind the stream position")
         self._hand_back()
         if count > 0:
             self._retreat(count)
 
     def _retreat(self, count: int) -> None:
         """Put the last draw's last ``count`` slots back at the front of
-        the schedule and their blocks' cursors back."""
+        the held slot chunk and their blocks' cursors back."""
         unsent = self._window_blocks[-count:]
         self._window_blocks = self._window_blocks[:-count]
-        self._unsent.extendleft(unsent[::-1].tolist())
+        self._chunk = np.concatenate([unsent, self._chunk[self._at:]])
+        self._at = 0
         self._cursors -= np.bincount(unsent, minlength=self.num_blocks)
 
     def reweight(self, weights: Optional[List[float]]) -> None:
@@ -403,10 +413,13 @@ class TransferServer:
         """
         self._hand_back()
         block_ks = self.codec.plan.block_ks
-        self._schedule = (make_schedule(self.schedule, block_ks)
-                          if weights is None
-                          else weighted_slots(block_ks, weights))
-        self._unsent.clear()
+        self._chunks = (schedule_chunks(self.schedule, block_ks)
+                        if weights is None
+                        else weighted_chunks(block_ks, weights))
+        #: the held slot chunk and the position of the next slot in it;
+        #: slots taken back before a reweight are dropped with it.
+        self._chunk = self._window_blocks[:0]
+        self._at = 0
 
     def reset(self) -> None:
         """Rewind the stream to its start (a fresh session): the held

@@ -649,7 +649,12 @@ class TestRecordWindow:
             source.unwind(40 - keep)
         got += [p.to_bytes() for p in source.packets(40)]
         assert got == want
-        assert not source._unsent
+        # no taken-back slot is left queued: the slots to come are the
+        # straight stream's
+        twin = _session(code).source
+        list(twin.packets(400))
+        assert ([ids.tolist() for ids in source.window(700)[:2]]
+                == [ids.tolist() for ids in twin.window(700)[:2]])
 
     def test_reweight_drops_the_slots_taken_back(self, width):
         """A per-packet sender stopped before emission ``e`` and then
@@ -665,6 +670,35 @@ class TestRecordWindow:
         source.reweight(weights)
         got += [row.tobytes() for row in source.record_window(30)]
         assert got == want
+
+    @pytest.mark.parametrize("count", [-3, 11, 20])
+    def test_unwind_past_the_last_window_raises_and_moves_nothing(
+            self, count):
+        """Only what the last window emitted can be taken back, as on a
+        loss channel: asking for more, or for less than nothing,
+        raises and leaves the source and the channel in step."""
+        source, twin = _session("lt").source, _session("lt").source
+        channel = LossyChannel(BernoulliLoss(0.3), rng=5)
+        source.record_window(10)
+        twin.record_window(10)
+        channel.delivery_mask(10)
+        for unwind in (source.unwind, channel.unwind):
+            with pytest.raises(ParameterError, match="cannot unwind"):
+                unwind(count)
+        assert channel.sent == 10
+        assert (source.record_window(30).tobytes()
+                == twin.record_window(30).tobytes())
+
+    def test_unwind_counts_only_the_pulled_rows_of_a_held_window(self):
+        """After ``packets()`` pulled 5 rows of a held window, those 5
+        are the last window's emissions: a sixth raises."""
+        source = _session("lt").source
+        pulled = [p.to_bytes() for p in source.packets(5)]
+        with pytest.raises(ParameterError, match="cannot unwind"):
+            source.unwind(6)
+        source.unwind(2)
+        got = pulled[:3] + [row.tobytes() for row in source.record_window(20)]
+        assert got == [p.to_bytes() for p in _session("lt").packets(23)]
 
 
 # -- windowed UDP serve vs the per-packet oracle -------------------------------
@@ -713,10 +747,11 @@ def ears():
 
 
 def _udp_datagrams(serve, session, ears, *, destinations=1, loss=0.0,
-                   loss_seed=5, pace=None, **options):
+                   loss_seed=5, pace=None, manifest_interval=64, **options):
     """One serve; ``(report, datagrams per destination)``."""
     transport = UdpTransport([ear.address for ear in ears[:destinations]],
-                             loss=loss, seed=loss_seed, pace=pace)
+                             loss=loss, seed=loss_seed, pace=pace,
+                             manifest_interval=manifest_interval)
     report = serve(transport, session, **options)
     return report, [ear.drain() for ear in ears[:destinations]]
 
@@ -728,12 +763,50 @@ def _udp_run(serve, session, ears, **options):
     the contract: how many frames share a datagram is the sender's
     business, so ``datagrams`` is left out of the counters compared.
     """
-    report, heard = _udp_datagrams(serve, session, ears, **options)
+    return _frame_streams(*_udp_datagrams(serve, session, ears, **options))
+
+
+def _frame_streams(report, heard):
+    """A serve's ``(counters, frame stream per destination)``, as
+    :func:`_udp_run` returns them."""
     counters = _counters(report)
     del counters["datagrams"]
     return counters, [[frame for datagram in datagrams
                        for frame in iter_frames(datagram)]
                       for datagrams in heard]
+
+
+def _longest_runs(report, heard, interval, window, step):
+    """Check that every data datagram heard is the longest run the rule
+    allows — whole frames, within the budget, serials consecutive (so
+    none spans a row dropped for that destination), inside one manifest
+    interval and one window — and return the runs' serials."""
+    per = DATAGRAM_BUDGET // step
+    total = []
+    for datagrams in heard:
+        runs = []
+        for datagram in datagrams:
+            frames = list(iter_frames(datagram))
+            if frames[0][0] == FRAME_MANIFEST:
+                assert len(frames) == 1     # a datagram of its own
+                continue
+            assert len(datagram) == len(frames) * step <= DATAGRAM_BUDGET
+            assert {kind for kind, _ in frames} == {FRAME_DATA}
+            serials = [int.from_bytes(body[4:8], "big")
+                       for _, body in frames]
+            assert serials == list(range(serials[0], serials[-1] + 1))
+            assert serials[0] // interval == serials[-1] // interval
+            assert serials[0] // window == serials[-1] // window
+            runs.append(serials)
+        for run, after in zip(runs, runs[1:]):
+            cut = after[0]
+            if cut == run[-1] + 1 and cut % interval and cut % window:
+                assert len(run) == per      # only the budget ended it
+        total.append(runs)
+    assert report.datagrams == sum(map(len, total))
+    assert report.delivered == sum(len(run) for runs in total
+                                   for run in runs)
+    return total
 
 
 def _data_records(frames):
@@ -851,30 +924,31 @@ class TestUdpServe:
             UdpTransport.serve, _session("lt"), ears, destinations=2,
             loss=0.03, count=500)
         assert report.dropped > 0 and per == {32: 28, 36: 26}[PACKET]
-        total = []
-        for datagrams in heard:
-            runs = []
-            for datagram in datagrams:
-                frames = list(iter_frames(datagram))
-                if frames[0][0] == FRAME_MANIFEST:
-                    assert len(frames) == 1     # a datagram of its own
-                    continue
-                assert len(datagram) == len(frames) * step <= DATAGRAM_BUDGET
-                assert {kind for kind, _ in frames} == {FRAME_DATA}
-                serials = [int.from_bytes(body[4:8], "big")
-                           for _, body in frames]
-                assert serials == list(range(serials[0], serials[-1] + 1))
-                assert serials[0] // interval == serials[-1] // interval
-                assert serials[0] // window == serials[-1] // window
-                runs.append(serials)
-            for run, after in zip(runs, runs[1:]):
-                cut = after[0]
-                if cut == run[-1] + 1 and cut % interval and cut % window:
-                    assert len(run) == per      # only the budget ended it
+        for runs in _longest_runs(report, heard, interval, window, step):
             assert max(map(len, runs)) == per
-            total += runs
-        assert report.datagrams == len(total)
-        assert report.delivered == sum(map(len, total))
+
+    @pytest.mark.parametrize("interval,adapt_every", [
+        (1, 64),      # every emission is a cut
+        (7, 64),      # an odd stride
+        (64, 7),      # listen points that do not divide manifest points
+    ])
+    @pytest.mark.parametrize("loss", [0.0, 0.3])
+    @pytest.mark.parametrize("destinations", [1, 2])
+    def test_manifest_intervals_against_the_oracle(
+            self, width, ears, monkeypatch, interval, adapt_every, loss,
+            destinations):
+        """Any manifest stride and listen cadence: the oracle's frames,
+        and datagrams the longest runs the rule allows."""
+        window = 150
+        monkeypatch.setattr(udp_module, "SERVE_WINDOW", window)
+        options = dict(destinations=destinations, loss=loss, count=333,
+                       manifest_interval=interval, adapt_every=adapt_every)
+        report, heard = _udp_datagrams(UdpTransport.serve, _session("lt"),
+                                       ears, **options)
+        assert _frame_streams(report, heard) == _udp_run(
+            oracle_udp_serve, _session("lt"), ears, **options)
+        assert report.manifest_frames == -(-333 // interval) + 1
+        _longest_runs(report, heard, interval, window, 3 + 16 + PACKET)
 
     @pytest.mark.parametrize("packet", [722, 1024, 2000])
     def test_wide_frames_travel_alone_byte_identical(self, ears, packet):
@@ -923,6 +997,33 @@ class TestUdpServe:
                                    pace=10.0, count=12)
         assert report.emitted == 12
         assert sleeps == list(range(1, 12))
+
+    def test_irregular_sleeps_cut_lossy_runs_and_lose_no_frame(
+            self, width, ears, monkeypatch):
+        """A token bucket that sleeps before some rows and not others
+        cuts every destination's open run there, mid-plan: two lossy
+        destinations still hear the unpaced oracle's frames."""
+        now, slept = [0.0], []
+        steps = iter(np.random.default_rng(4).uniform(0.0, 0.2, size=1000))
+
+        def clock():
+            now[0] += next(steps)
+            return now[0]
+
+        def sleep(delay):
+            slept.append(delay)
+            now[0] += delay
+
+        monkeypatch.setattr(
+            udp_module, "TokenBucket",
+            lambda rate: TokenBucket(rate, clock=clock))
+        monkeypatch.setattr(udp_module.time, "sleep", sleep)
+        options = dict(destinations=2, loss=0.3, count=333)
+        got = _udp_run(UdpTransport.serve, _session("lt"), ears, pace=10.0,
+                       **options)
+        assert 0 < len(slept) < 333
+        assert got == _udp_run(oracle_udp_serve, _session("lt"), ears,
+                               **options)
 
     # -- a stop mid-window skips no id ------------------------------------------
 
