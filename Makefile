@@ -114,8 +114,9 @@ bench-memory:
 # Quick population-scale pass over committed scenarios: one scaled
 # flash crowd with exact-replay validation, a cross-scenario comparison
 # table, and one closed-loop run on a scenario whose schedule lever
-# moves the tail (bursty_wireless: p99 overhead 0.426 open loop, 0.310
-# closed), so a loop that stopped acting would show.
+# moves the tail (bursty_wireless at 2,000 receivers: p99 overhead
+# 0.581 open loop, 0.514 closed), so a loop that stopped acting would
+# show; its spot check replays the slots the closed loop dealt.
 swarm-smoke:
 	$(PYTHON) -m repro swarm run examples/scenarios/flash_crowd.json \
 		--receivers 3000 --spot-check 8
@@ -123,7 +124,7 @@ swarm-smoke:
 		examples/scenarios/layered_tiers.json \
 		examples/scenarios/midstream_joiners.json --receivers 2000
 	$(PYTHON) -m repro swarm run examples/scenarios/bursty_wireless.json \
-		--receivers 2000 --adaptive
+		--receivers 2000 --adaptive --spot-check 16
 
 # Fails if any ```python block in the docs does not run as written.
 docs-check:

@@ -352,7 +352,8 @@ def cmd_swarm_run(args: argparse.Namespace) -> int:
         print(f"\nspot check ({spot.receiver_ids.size} exact replays): "
               f"structural {spot.structural_mean:+.4f} vs replay "
               f"{spot.replay_mean:+.4f} "
-              f"(|diff| {spot.mean_difference:.4f}, noise scale "
+              f"(|diff| {spot.mean_difference:.4f}, paired p90 "
+              f"{spot.paired_p90:+.4f}, noise scale "
               f"{spot.noise_scale:.4f}) {verdict}")
         if not spot.agrees():
             return 1

@@ -134,13 +134,26 @@ class GilbertElliottLoss(LossModel):
         u_loss = rng.random(count)
         if state is None:
             state = rng.random() < self.stationary_bad_probability
-        states = np.empty(count, dtype=bool)  # True = bad
-        for t in range(count):
-            if state:
-                state = not (u_state[t] < self.p_bg)
-            else:
-                state = u_state[t] < self.p_gb
-            states[t] = state
+        # A slot's uniform decides its state from the last one by a
+        # reset (to bad when only the good->bad test passes, to good
+        # when only the bad->good one does), a swap (both pass) or a
+        # keep (neither): every state is the last reset's value — the
+        # start state is a reset before slot 0 — flipped once per swap
+        # since.
+        to_bad = np.empty(count + 1, dtype=bool)
+        to_bad[0] = state
+        np.less(u_state, self.p_gb, out=to_bad[1:])
+        to_good = u_state < self.p_bg
+        reset = np.empty(count + 1, dtype=bool)
+        reset[0] = True
+        np.not_equal(to_bad[1:], to_good, out=reset[1:])
+        swaps = np.zeros(count + 1, dtype=np.uint8)
+        np.logical_and(to_bad[1:], to_good, out=swaps[1:].view(bool))
+        parity = np.bitwise_xor.accumulate(swaps)
+        last = np.maximum.accumulate(np.where(reset, np.arange(count + 1), 0))
+        states = (to_bad[last] ^ (parity ^ parity[last]).view(bool))[1:]
+        if count:
+            state = bool(states[-1])  # True = bad
         loss_prob = np.where(states, self.loss_bad, self.loss_good)
         return u_loss < loss_prob, state
 

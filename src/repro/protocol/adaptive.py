@@ -108,11 +108,18 @@ class AdaptivePolicy:
     forgotten, and the table never holds more than
     :data:`MAX_RECEIVERS`: a report from a new id at the cap evicts
     the receiver heard longest ago.
+
+    A complete report ends a receiver's part in the serve only if the
+    table heard that id decoding first: one whose first word is
+    "complete" (a spoofed frame, or a receiver that finished before it
+    ever reported) counts as neither complete nor active, so it cannot
+    end a serve.
     """
 
     def __init__(self) -> None:
-        #: receiver_id -> (report, timestamp of arrival).
-        self._reports: Dict[int, Tuple[FeedbackReport, float]] = {}
+        #: receiver_id -> (report, timestamp of arrival, whether the
+        #: table heard this id report a not-complete decode).
+        self._reports: Dict[int, Tuple[FeedbackReport, float, bool]] = {}
         self._rate_scale = 1.0
         self.reports_seen = 0
 
@@ -120,14 +127,16 @@ class AdaptivePolicy:
 
     def observe(self, report: FeedbackReport, now: float = 0.0) -> None:
         """Fold one receiver's report in (latest per receiver wins)."""
-        self._reports.pop(report.receiver_id, None)
+        last = self._reports.pop(report.receiver_id, None)
+        heard = last is not None and (last[2] or not last[0].complete)
         if len(self._reports) >= MAX_RECEIVERS:
             del self._reports[next(iter(self._reports))]
-        self._reports[report.receiver_id] = (report, float(now))
+        self._reports[report.receiver_id] = (report, float(now), heard)
         self.reports_seen += 1
 
     def _fresh(self, now: float) -> List[FeedbackReport]:
-        """Reports heard within :data:`STALE_AFTER` of ``now``.
+        """Reports heard within :data:`STALE_AFTER` of ``now``, bar the
+        complete ones of ids never heard decoding.
 
         Older ones are forgotten here, not just skipped (callers' clocks
         only move forward), so the table holds live receivers only
@@ -136,7 +145,8 @@ class AdaptivePolicy:
         cutoff = float(now) - STALE_AFTER
         self._reports = {rid: entry for rid, entry in self._reports.items()
                          if entry[1] >= cutoff}
-        return [report for report, _ in self._reports.values()]
+        return [report for report, _, heard in self._reports.values()
+                if heard or not report.complete]
 
     # -- levers ----------------------------------------------------------------
 

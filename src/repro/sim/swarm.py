@@ -13,49 +13,26 @@ populations instead of one receiver at a time:
   join/leave churn and optional layered rate tiers).  Scenarios
   round-trip through JSON, so experiments live in committed files
   (see ``examples/scenarios/``) rather than ad-hoc scripts.
-* :class:`SwarmSimulator` — runs the whole population *vectorized*: one
-  numpy pass per carousel sweep over a ``(receivers x blocks)``
-  completion matrix, using empirical decode thresholds from
-  :class:`~repro.sim.overhead.ThresholdPool` instead of per-receiver
-  Python decoders.  10^5 heterogeneous receivers simulate in seconds.
-  ``workers=N`` fans the population out over processes.
-* :func:`replay_receivers` — the exact-decode spot check: replays a
-  sampled sub-population through the real
-  :class:`~repro.transfer.client.TransferClient` (per-packet loss
-  draws, real incremental decoders) to validate the structural model.
+* :class:`SwarmSimulator` — runs the whole population at once, every
+  receiver crossing the real stream through its own channel, with
+  empirical decode thresholds instead of per-receiver decoders.
+* :func:`replay_receivers` — the referee: the same slots and channels
+  fed to the real :class:`~repro.transfer.client.TransferClient`.
 
 Structural model
 ----------------
 
-Time advances in *sweeps* — one full pass of the cross-block schedule,
-``total_k`` packet slots, ``k_b`` of them for block ``b``: the paper's
-open loop.  ``run(policy=...)`` closes the loop on the same engine —
-the policy re-deals each sweep's slots from the population's block
-deficits, and a policy that never chases one *is* the open loop.  Receiver
-``r`` completes block ``b`` once it holds ``T[r, b]`` distinct packets
-of the block, where ``T`` is drawn from the empirical decode-threshold
-distribution of the block's *own* code realisation (sampled once per
-block, not per receiver).  Per sweep, delivered counts are binomial
-draws with the receiver's per-sweep delivery probability:
-
-* Bernoulli loss: the exact per-packet process (binomial counts are
-  distributionally identical to per-packet draws).
-* Gilbert-Elliott: a beta-binomial moment-matched to the chain's
-  sweep-window mean and autocorrelation-inflated variance.
-* traces: the exact per-sweep delivered fraction read from the trace
-  window (burst/outage structure preserved at sweep granularity).
-
-For rateless codes every delivered packet is a fresh droplet, so
-``distinct == delivered``.  For fixed-rate carousels, any ``n``
-consecutive emissions of a block are distinct, so ``distinct ==
-delivered`` until a receiver's offered window exceeds one revolution;
-beyond that an expected-coverage correction
-``n * (1 - (1 - q)^revolutions)`` accounts for duplicates.  Completion
-within a sweep is linearly interpolated, and a receiver's reception
-overhead is ``received / total_k - 1`` — the same epsilon the
-per-receiver pipelines report.  :meth:`SwarmSimulator.run` with
-``spot_check=m`` quantifies the model error against ``m`` exact
-replays.
+The stream is what the structural
+:class:`~repro.transfer.server.TransferServer` emits, a *sweep* of
+``total_k`` slots at a time (``run(policy=...)`` reweights it at each
+sweep boundary).  Every receiver reads it through its own
+:class:`~repro.net.channel.LossyChannel` from its join slot until it
+leaves, so every loss process is exact per slot, and a carousel's
+wrap-around duplicates count as the real client counts them.  Receiver
+``r`` completes on the slot where its last block ``b`` holds ``T[r,
+b]`` distinct packets, ``T`` drawn from the decode thresholds of the
+block's own code realisation; that pool is the one approximation, and
+``run(spot_check=m)`` measures it on ``m`` replays.
 """
 
 from __future__ import annotations
@@ -73,10 +50,11 @@ from repro.codes.registry import REGISTRY, block_seed
 from repro.errors import ParameterError, ProtocolError
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel, TraceLoss
-from repro.net.traces import MBONE_MEAN_BURST, synthesize_mbone_traces
+from repro.net.traces import synthesize_mbone_traces
 from repro.protocol.adaptive import AdaptivePolicy
 from repro.protocol.layering import LayerConfig
 from repro.sim.overhead import sample_decode_thresholds
+from repro.sim.transfer import fresh_arrivals
 from repro.transfer.blocks import BlockPlan
 from repro.transfer.client import TransferClient
 from repro.transfer.codec import ObjectCodec
@@ -104,6 +82,7 @@ _POOL_STREAM = 0xF001
 _CHOICE_STREAM = 0xC40D
 _SPOT_STREAM = 0x5B07
 _REPLAY_STREAM = 0xBE91
+_THIN_STREAM = 0x7819
 
 #: a value that may be a scalar or a ``(low, high)`` uniform range.
 Range = Union[float, Tuple[float, float]]
@@ -530,12 +509,8 @@ def load_scenario(path: Union[str, pathlib.Path]) -> Scenario:
 
 @dataclass
 class _Population:
-    """Per-receiver attribute arrays, materialised from the scenario.
-
-    Materialisation is deterministic in the scenario seed and does not
-    depend on worker chunking, so a fan-out over processes simulates
-    the *same* population as a single-process run.
-    """
+    """Per-receiver attribute arrays, materialised from the scenario
+    (deterministic in its seed, whatever the worker chunking)."""
 
     group_index: np.ndarray
     kind: np.ndarray
@@ -649,19 +624,11 @@ def _sample_thresholds(code: Any, trials: int, rng: np.random.Generator,
 
     ``loss_rates`` carries the *population's* per-receiver effective
     droplet-loss rates; each rateless trial thins at a rate drawn from
-    it, so the pool is a mixture matched to the receivers that will
-    draw from it.  This matters: within one LT realisation the
-    threshold *median* is rate-insensitive, but the tail is not — a
-    realisation whose early droplet ids leave some source packet thinly
-    covered pays a long-wait threshold exactly when the thinning
-    happens to knock out the few covering ids, a probability that peaks
-    at intermediate rates.  A single fixed rate can therefore sit at a
-    tail-inflating operating point that almost no real receiver
-    occupies, biasing the structural model against exact replays.
-    Per-block interleaving also justifies i.i.d. thinning here even for
-    bursty channels: consecutive slots of one block are far apart in
-    the stream, so a block's survival pattern is a strided subsample of
-    the loss process with its burst correlation stripped.
+    it, so the pool is a mixture matched to the receivers that draw
+    from it: within one LT realisation the threshold's tail (not its
+    median) depends on the rate.  Interleaving justifies i.i.d.
+    thinning even for bursty channels: one block's slots lie far apart
+    in the stream.
     """
     if not rateless:
         return sample_decode_thresholds(code, trials, rng)
@@ -675,26 +642,14 @@ def _sample_thresholds(code: Any, trials: int, rng: np.random.Generator,
     return thresholds
 
 
-def _threshold_tables(scenario: Scenario, loss_rates: np.ndarray
-                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Per-block ``k``, per-block carousel period ``n``, and per-block
-    threshold samples (stacked into one lookup table).
-
-    Returns ``(k_b, n_b, pools_by_block, rateless)`` where
-    ``pools_by_block`` is a ``(num_blocks, trials)`` array of decode
-    thresholds sampled from each block's *own* code realisation (the
-    one every receiver of the transfer actually shares, built with the
-    block's seed).  Sampling per block matters: the threshold
-    distribution *conditioned on a realisation* is much tighter than
-    the mixture over realisations, and receivers only ever experience
-    the conditional one — pooling across realisations would
-    systematically inflate the last-block tail.
-    """
+def _threshold_pools(scenario: Scenario,
+                     loss_rates: np.ndarray) -> np.ndarray:
+    """A ``(num_blocks, trials)`` table of decode thresholds sampled
+    from each block's *own* code realisation (the one every receiver
+    shares): much tighter than the mixture over realisations."""
     spec = REGISTRY.spec(scenario.code)
     rateless = REGISTRY.is_rateless(spec)
     plan = scenario.plan()
-    k_b = np.asarray(plan.block_ks, dtype=np.int64)
-    n_b = np.zeros(plan.num_blocks)
     pools = np.empty((plan.num_blocks, scenario.threshold_trials),
                      dtype=np.int64)
     for b, k in enumerate(plan.block_ks):
@@ -702,192 +657,199 @@ def _threshold_tables(scenario: Scenario, loss_rates: np.ndarray
         rng = spawn_rng(scenario.seed, _POOL_STREAM + b)
         pools[b] = _sample_thresholds(code, scenario.threshold_trials,
                                       rng, rateless, loss_rates)
-        n_b[b] = np.inf if rateless else float(code.n)
-    return k_b, n_b, pools, rateless
+    return pools
 
 
-# -- the vectorised engine -----------------------------------------------------
+# -- one receiver's slots ------------------------------------------------------
 
 
-def _trace_window_losses(cumsums: List[np.ndarray], trace_ids: np.ndarray,
-                         starts: np.ndarray, width: int) -> np.ndarray:
-    """Loss counts in cyclic trace windows ``[start, start + width)``."""
-    out = np.empty(trace_ids.size, dtype=np.int64)
-    for tid in np.unique(trace_ids):
-        cs = cumsums[int(tid)]
-        length = cs.size - 1
-        total = int(cs[-1])
-        mask = trace_ids == tid
-        begin = starts[mask] % length
-        full, rem = divmod(width, length)
-        end = begin + rem
-        wrap = end > length
-        partial = np.where(
-            wrap,
-            (cs[length] - cs[begin]) + cs[np.minimum(end - length, length)],
-            cs[np.minimum(end, length)] - cs[begin])
-        out[mask] = full * total + partial
-    return out
+def _spans(pop: _Population, limit: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every receiver's listening slots ``[lo, hi)`` of a ``limit``-slot
+    stream: from its join slot until it leaves."""
+    lo = np.ceil(pop.join).astype(np.int64)
+    hi = np.minimum(pop.leave, limit).astype(np.int64)
+    return lo, hi
 
 
-def _gilbert_beta_params(pop: _Population, sweep_slots: int
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-    """Beta parameters for per-sweep delivery fractions of GE receivers.
+def _channels(seed: int, pop: _Population, row: int,
+              rid: int) -> List[LossyChannel]:
+    """Receiver ``rid``'s channels (``row`` of ``pop``), read from its
+    join slot on: its own loss process, and for a rate tier a Bernoulli
+    channel dropping the slots it does not listen to."""
+    base = int(seed) & 0x7FFFFFFF
+    channels = [LossyChannel(pop.loss_model(row), np.random.default_rng(
+        [base, _REPLAY_STREAM, rid]))]
+    rate = float(pop.rate[row])
+    if rate < 1.0:
+        channels.append(LossyChannel(BernoulliLoss(1.0 - rate),
+                                     np.random.default_rng(
+                                         [base, _THIN_STREAM, rid])))
+    return channels
 
-    Moment-matched: mean is the stationary delivery rate ``1 - p``; the
-    variance of the sweep-window mean of a 2-state chain is inflated
-    over i.i.d. by ``(1 + rho) / (1 - rho)`` with ``rho`` the lag-1
-    autocorrelation ``1 - p_gb - p_bg``.
-    """
-    p = pop.loss_rate
-    q = 1.0 - p
-    rho = np.clip(1.0 - pop.p_gb - pop.p_bg, 0.0, 0.999)
-    inflation = (1.0 + rho) / (1.0 - rho)
-    var = np.minimum(p * q * inflation / sweep_slots, 0.9 * p * q)
-    var = np.maximum(var, 1e-12)
-    nu = np.maximum(p * q / var - 1.0, 1e-3)
-    return q * nu, p * nu
+
+def _delivered(channels: List[LossyChannel], count: int) -> np.ndarray:
+    """The next ``count`` slots' delivery mask across ``channels``."""
+    return np.logical_and.reduce([c.delivery_mask(count) for c in channels])
+
+
+# -- the exact engine ----------------------------------------------------------
+
+
+#: receivers whose delivery masks one step of a sweep builds at once.
+_ROW_CHUNK = 256
+#: most slots of one step: a sweep is read a step at a time, so a
+#: receiver's channels stop within a step of its completion.
+_STEP = 2048
+
+
+def _completion_slots(fresh: np.ndarray, order: np.ndarray,
+                      edges: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """Each row's slot where its last block short of ``need`` reaches
+    it: per (row, block), the first slot of the block's run
+    (``order[edges[b]:edges[b + 1]]``) where the running fresh count
+    does, searched in row tallies offset into one ascending array."""
+    rows, width = fresh.shape
+    tally = np.zeros((rows, width + 1), dtype=np.int64)
+    np.cumsum(fresh[:, order], axis=1, out=tally[:, 1:])
+    row, block = np.nonzero(need > 0)
+    offset = np.arange(rows) * (width + 1)
+    target = tally[row, edges[block]] + need[row, block] + offset[row]
+    pos = np.searchsorted((tally[:, 1:] + offset[:, None]).ravel(), target)
+    last = np.full(rows, -1)
+    np.maximum.at(last, row, order[pos - row * width])
+    return last
 
 
 def _run_rows(scenario: Scenario, pop: _Population, thresholds: np.ndarray,
-              k_b: np.ndarray, n_b: np.ndarray, rateless: bool,
-              chunk_tag: int,
+              first_id: int,
               policy: Optional[AdaptivePolicy] = None
-              ) -> Dict[str, np.ndarray]:
+              ) -> Dict[str, Any]:
     """Simulate one slice of the population; returns per-receiver arrays.
 
-    ``pop`` and ``thresholds`` are already sliced to this chunk's rows;
-    ``chunk_tag`` seeds the chunk's private randomness.
-
-    One sweep engine: every sweep deals ``total_k`` slots over the
-    blocks as ``alloc``.  With no ``policy`` (the paper's open loop)
-    block ``b`` always gets ``k_b``.  With one, the sweep is the
-    feedback epoch: the population's per-block packet deficits from the
-    *previous* sweep's decode state (one sweep of reporting delay
-    included) are summed and fed to ``policy.block_shares`` — the same
-    pure lever a live adaptive serve applies through
-    ``TransferServer.reweight`` — which turns them into this sweep's
-    per-block slot shares.  A single wire
-    :class:`~repro.protocol.feedback.FeedbackReport` names only a
-    receiver's :data:`~repro.protocol.feedback.MAX_LAGGING_BLOCKS`
-    worst blocks, but a receiver files many reports per epoch and the
-    named set rotates as deficits shrink, so the epoch aggregate a real
-    sender accumulates approximates the full deficit vector — which is
-    what this vectorized step sums directly.
-
-    The per-sweep slot budget is the same either way (``active *
-    total_k`` per receiver), so adaptive vs open-loop comparisons are
-    packet-for-packet fair: only *where* slots go changes.  The
-    carousel duplicate correction tracks the cumulative per-block
-    offered slots, whatever dealt them.  A policy needs the whole
-    population's deficits each sweep, so it runs on one chunk only.
+    ``pop`` and ``thresholds`` are sliced to this chunk's rows, the
+    first of which is receiver ``first_id``.  A sweep is the structural
+    server's next ``total_k`` slots; a ``policy`` first reweights it
+    from the listening receivers' summed block deficits (the weights
+    are returned for a replay).  Each receiver's channels fill its row
+    of a step's delivery mask.  A carousel arrival is fresh on the
+    first sight of its id, asked only once some block has moved
+    ``n_b`` past the receiver's join cursor.  A receiver completes on
+    the slot where its last block reaches ``T[r, b]`` fresh arrivals.
     """
+    plan = scenario.plan()
+    server = TransferServer(
+        ObjectCodec(plan, code=scenario.code, seed=scenario.seed),
+        schedule=scenario.schedule, seed=scenario.seed)
+    k_b = np.asarray(plan.block_ks)
+    # carousel periods (a rateless id never repeats) and global ids:
+    # block b's index i is id id_base[b] + i
+    if server.codec.is_rateless:
+        n_b, id_base = np.full(k_b.size, np.inf), np.zeros_like(k_b)
+    else:
+        n_b = np.array([server.codec.code_for(b).n for b in range(k_b.size)])
+        id_base = np.cumsum(n_b) - n_b
+    total_n = int(id_base[-1] + n_b[-1]) if np.isfinite(n_b).all() else 0
     total_k = int(k_b.sum())
-    count = pop.size
-    rng = np.random.default_rng(
-        [int(scenario.seed) & 0x7FFFFFFF, 0xC0DE, int(chunk_tag)])
-    overhead = np.full(count, np.nan)
-    received = np.zeros(count)
-    done_slot = np.full(count, np.inf)
-    completed = np.zeros(count, dtype=bool)
-
-    rows = np.arange(count)
-    deliveries = np.zeros((count, k_b.size))
-    prev_distinct = np.zeros((count, k_b.size))
-    offered = np.zeros((count, k_b.size))
-    alloc = k_b
-    q_bernoulli = (1.0 - pop.loss_rate) * pop.rate
-    gil_alpha, gil_beta = _gilbert_beta_params(pop, total_k)
-    cumsums = [np.concatenate(([0], np.cumsum(t, dtype=np.int64)))
-               for t in pop.traces]
-    # Bursty processes lose runs of consecutive slots, and the
-    # interleaved schedule deals consecutive slots to *different*
-    # blocks — so given a sweep's delivery rate, per-block counts are
-    # far less variable than binomial (a burst of length L removes
-    # ~L/B slots from every block).  Shrink the allocation variance by
-    # the mean burst length; L = 1 recovers plain binomial.
-    burst_len = np.ones(count)
-    gil_rows = pop.kind == _KIND_CODES["gilbert"]
-    burst_len[gil_rows] = 1.0 / np.maximum(pop.p_bg[gil_rows], 1e-9)
-    burst_len[pop.kind == _KIND_CODES["trace"]] = MBONE_MEAN_BURST
-
-    for sweep in range(scenario.max_sweeps):
-        if rows.size == 0:
+    lo, hi = _spans(pop, scenario.max_sweeps * total_k)
+    received = np.zeros(pop.size)
+    done_slot = np.full(pop.size, np.inf)
+    have = np.zeros(thresholds.shape, dtype=np.int64)
+    channels: List[Optional[List[LossyChannel]]] = [None] * pop.size
+    #: every block's cursor at each receiver's join slot, the ids each
+    #: receiver past a wrap has seen, and the id every slot carried
+    joined = np.zeros(thresholds.shape, dtype=np.int64)
+    seen: Dict[int, np.ndarray] = {}
+    slot_ids = np.zeros(scenario.max_sweeps * total_k, dtype=np.int64)
+    cursor = np.zeros(k_b.size, dtype=np.int64)
+    weights_log: List[List[float]] = []
+    live = np.flatnonzero(hi > lo)
+    for w0 in [sweep * total_k + step
+               for sweep in range(scenario.max_sweeps)
+               for step in range(0, total_k, _STEP)]:
+        w1 = min(w0 + _STEP, (w0 // total_k + 1) * total_k)
+        keep = (hi[live] > w0) & np.isinf(done_slot[live])
+        for row in live[~keep].tolist():
+            channels[row] = None
+            seen.pop(row, None)
+        live = live[keep]
+        if live.size == 0:
             break
-        if policy is not None:
-            lag = np.maximum(thresholds[rows] - prev_distinct, 0.0)
-            shares = np.asarray(policy.block_shares(
-                lag.sum(axis=0).tolist(), k_b.tolist()))
-            alloc = shares * total_k
-        w0 = sweep * total_k
-        active = np.clip(
-            (np.minimum(pop.leave[rows], w0 + total_k)
-             - np.maximum(pop.join[rows], w0)) / total_k, 0.0, 1.0)
-        q = q_bernoulli[rows].copy()
-        gil = pop.kind[rows] == _KIND_CODES["gilbert"]
-        if gil.any():
-            g = rows[gil]
-            q[gil] = rng.beta(gil_alpha[g], gil_beta[g]) * pop.rate[g]
-        tra = pop.kind[rows] == _KIND_CODES["trace"]
-        if tra.any():
-            t = rows[tra]
-            losses = _trace_window_losses(
-                cumsums, pop.trace_id[t], pop.trace_offset[t] + w0, total_k)
-            q[tra] = (1.0 - losses / total_k) * pop.rate[t]
-        dealt = active[:, None] * alloc[None, :]
-        trials = np.rint(dealt).astype(np.int64)
-        q_col = np.clip(q, 0.0, 1.0)[:, None]
-        draws = rng.binomial(trials, q_col)
-        bursty = burst_len[rows] > 1.0
-        if bursty.any():
-            t_b = trials[bursty]
-            q_b = q_col[bursty]
-            var = t_b * q_b * (1.0 - q_b) / burst_len[rows][bursty, None]
-            noisy = np.rint(t_b * q_b
-                            + rng.standard_normal(t_b.shape) * np.sqrt(var))
-            draws[bursty] = np.clip(noisy, 0, t_b).astype(draws.dtype)
-        deliveries += draws
-        offered += dealt
-        if rateless:
-            distinct = deliveries
-        else:
-            revs = offered / n_b[None, :]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q_hat = np.where(offered > 0, deliveries / offered, 0.0)
-                corrected = n_b[None, :] * -np.expm1(
-                    revs * np.log1p(-np.minimum(q_hat, 1.0 - 1e-12)))
-            distinct = np.where(revs > 1.0, corrected, deliveries)
-        done = distinct >= thresholds[rows]
-        newly = done.all(axis=1)
-        if newly.any():
-            idx = np.nonzero(newly)[0]
-            gained = np.maximum(distinct[idx] - prev_distinct[idx], 1e-12)
-            frac = np.where(prev_distinct[idx] < thresholds[rows[idx]],
-                            (thresholds[rows[idx]] - prev_distinct[idx])
-                            / gained, 0.0)
-            fraction = np.clip(frac.max(axis=1), 0.0, 1.0)
-            before = (deliveries[idx] - draws[idx]).sum(axis=1)
-            got = before + fraction * draws[idx].sum(axis=1)
-            out = rows[idx]
-            received[out] = got
-            overhead[out] = got / total_k - 1.0
-            done_slot[out] = (sweep + fraction) * total_k
-            completed[out] = True
-            keep = ~newly
-            rows = rows[keep]
-            deliveries = deliveries[keep]
-            offered = offered[keep]
-            distinct = distinct[keep]
-        prev_distinct = distinct.copy()
-    return {"overhead": overhead, "received": received,
-            "done_slot": done_slot, "completed": completed}
+        if policy is not None and w0 % total_k == 0:
+            heard = live[lo[live] <= w0]
+            deficits = np.maximum(thresholds[heard] - have[heard], 0)
+            shares = policy.block_shares(deficits.sum(axis=0).tolist(),
+                                         k_b.tolist())
+            weights_log.append([share / (k / total_k) for share, k
+                                in zip(shares, k_b.tolist())])
+            server.reweight(weights_log[-1])
+        blocks, indices, _ = server.window(w1 - w0)
+        ids = id_base[blocks] + indices
+        slot_ids[w0:w1] = ids
+        one_hot = np.zeros((w1 - w0, k_b.size), dtype=np.float32)
+        one_hot[np.arange(w1 - w0), blocks] = 1.0
+        at_slot = cursor + np.concatenate(
+            (np.zeros((1, k_b.size), dtype=np.int64),
+             np.cumsum(one_hot, axis=0, dtype=np.int64)))
+        edges = np.concatenate(([0], np.cumsum(at_slot[-1] - cursor)))
+        cursor = at_slot[-1]
+        order = np.argsort(blocks, kind="stable")
+        listening = live[lo[live] < w1]
+        for c in range(0, listening.size, _ROW_CHUNK):
+            rows = listening[c:c + _ROW_CHUNK]
+            start = np.maximum(lo[rows], w0) - w0
+            stop = np.minimum(hi[rows], w1) - w0
+            joining = lo[rows] >= w0
+            joined[rows[joining]] = at_slot[start[joining]]
+            mask = np.zeros((rows.size, w1 - w0), dtype=bool)
+            for i, row in enumerate(rows.tolist()):
+                if channels[row] is None:
+                    channels[row] = _channels(scenario.seed, pop, row,
+                                              first_id + row)
+                mask[i, start[i]:stop[i]] = _delivered(
+                    channels[row], int(stop[i] - start[i]))
+            wraps = np.flatnonzero((cursor - joined[rows] > n_b).any(axis=1))
+            fresh = mask.copy() if wraps.size else mask
+            for i in wraps.tolist():
+                row = int(rows[i])
+                if row not in seen:
+                    # the ids it got before this step, read again off
+                    # fresh channels: the verdicts its live ones gave
+                    past = slot_ids[lo[row]:w0]
+                    seen[row] = np.zeros(total_n, dtype=bool)
+                    seen[row][past[_delivered(_channels(
+                        scenario.seed, pop, row, first_id + row),
+                        past.size)]] = True
+                arrived = np.flatnonzero(mask[i])
+                fresh[i] = False
+                fresh[i, arrived[fresh_arrivals(ids[arrived],
+                                                seen[row])]] = True
+            need = thresholds[rows] - have[rows]
+            have[rows] += np.rint(fresh.astype(np.float32) @ one_hot
+                                  ).astype(np.int64)
+            received[rows] += np.count_nonzero(mask, axis=1)
+            done = np.flatnonzero((have[rows] >= thresholds[rows])
+                                  .all(axis=1))
+            if done.size:
+                last = _completion_slots(fresh[done], order, edges,
+                                         need[done])
+                late = np.arange(w1 - w0) > last[:, None]
+                received[rows[done]] -= np.count_nonzero(mask[done] & late,
+                                                         axis=1)
+                done_slot[rows[done]] = w0 + last + 1
+    completed = np.isfinite(done_slot)
+    out = {"overhead": np.where(completed, received / total_k - 1.0, np.nan),
+           "received": received, "done_slot": done_slot,
+           "completed": completed}
+    if policy is not None:
+        out["weights"] = weights_log
+    return out
 
 
-def _simulate_chunk(payload: Tuple) -> Dict[str, np.ndarray]:
+def _simulate_chunk(payload: Tuple) -> Dict[str, Any]:
     """Top-level worker entry point (must be picklable)."""
-    scenario_dict, pop, thresholds, k_b, n_b, rateless, tag = payload
+    scenario_dict, pop, thresholds, first_id = payload
     scenario = Scenario.from_dict(scenario_dict)
-    return _run_rows(scenario, pop, thresholds, k_b, n_b, rateless, tag)
+    return _run_rows(scenario, pop, thresholds, first_id)
 
 
 # -- results -------------------------------------------------------------------
@@ -901,13 +863,12 @@ def _percentile(values: np.ndarray, q: float) -> Optional[float]:
 
 @dataclass(frozen=True)
 class SpotCheckResult:
-    """Agreement between the structural model and exact replays.
+    """Agreement between the engine and exact replays.
 
-    ``structural_overhead`` holds the vectorized model's per-receiver
-    overheads for the sampled ids; ``replay_overhead`` the exact
-    :class:`~repro.transfer.client.TransferClient` replays of the same
-    receivers (fresh loss realizations, identical loss *parameters*),
-    so agreement is distributional: the sample means should match.
+    ``structural_overhead`` holds the engine's overheads for the
+    sampled ids, ``replay_overhead`` the real-decoder replays of the
+    same receivers over the same slots and channel draws: the paired
+    difference measures the threshold pool and nothing else.
     """
 
     receiver_ids: np.ndarray
@@ -931,47 +892,38 @@ class SpotCheckResult:
     def mean_difference(self) -> float:
         return abs(self.structural_mean - self.replay_mean)
 
+    def _paired_difference(self) -> np.ndarray:
+        """Engine minus replay, over the receivers both completed."""
+        paired = ~np.isnan(self.structural_overhead) & self.replay_completed
+        return (self.structural_overhead[paired]
+                - self.replay_overhead[paired])
+
+    @property
+    def paired_mean(self) -> float:
+        diff = self._paired_difference()
+        return float(diff.mean()) if diff.size else float("nan")
+
+    @property
+    def paired_p90(self) -> float:
+        diff = self._paired_difference()
+        return float(np.percentile(diff, 90)) if diff.size else float("nan")
+
     @property
     def noise_scale(self) -> float:
-        """Standard error of the mean difference under sampling noise.
-
-        Both sides are sample means of per-receiver overheads; with a
-        heavy-tailed overhead distribution a small sample's means can
-        differ substantially even when the model is exact, so agreement
-        must be judged against this scale, not zero.
-
-        The design is *paired* — the same sampled receivers, sharing
-        deterministic attributes (loss parameters, trace identity and
-        offset, join/leave), appear on both sides — so the standard
-        error of the paired differences is the correct estimator; the
-        unpaired two-sample formula ignores the shared per-receiver
-        attributes and is only a fallback when the completion patterns
-        leave too few pairs to difference.
-        """
-        struct_done = ~np.isnan(self.structural_overhead)
-        paired = struct_done & self.replay_completed
-        if np.count_nonzero(paired) >= 2:
-            diff = (self.structural_overhead[paired]
-                    - self.replay_overhead[paired])
-            return float(np.sqrt(diff.var() / diff.size))
-        s = self.structural_overhead[struct_done]
-        r = self.replay_overhead[self.replay_completed]
-        if s.size < 2 or r.size < 2:
+        """Standard error of the paired differences (infinite below two
+        pairs): a heavy-tailed overhead makes small samples' means
+        differ even when the pool is exact, so agreement is judged
+        against this scale, not zero."""
+        diff = self._paired_difference()
+        if diff.size < 2:
             return float("inf")
-        return float(np.sqrt(s.var() / s.size + r.var() / r.size))
+        return float(np.sqrt(diff.var() / diff.size))
 
     def agrees(self, tolerance: Optional[float] = None) -> bool:
         """True when the means agree within ``tolerance`` (defaulting
-        to :attr:`tolerance`) or within twice the
-        sampling-noise scale, whichever is looser.
-
-        The completion patterns must agree first: if the model and the
-        replays disagree grossly on *whether* the sampled receivers
-        finish at all, no overhead comparison can rescue that.  At
-        least two completed replays (and two structural completions)
-        are needed to estimate the noise scale — smaller samples
-        cannot establish agreement and fail the check.
-        """
+        to :attr:`tolerance`) or within twice :attr:`noise_scale`,
+        whichever is looser — once the two sides agree on *whether*
+        the sampled receivers finish (within a quarter of them)."""
         if tolerance is None:
             tolerance = self.tolerance
         struct_done = ~np.isnan(self.structural_overhead)
@@ -982,7 +934,7 @@ class SpotCheckResult:
         if not struct_done.any() and not self.replay_completed.any():
             return True  # both sides agree: nobody completes
         if not np.isfinite(self.noise_scale):
-            return False
+            return False  # under two pairs cannot establish agreement
         bound = max(tolerance, 2.0 * self.noise_scale)
         return bool(self.mean_difference <= bound)
 
@@ -992,6 +944,8 @@ class SpotCheckResult:
             "structural_mean_overhead": self.structural_mean,
             "replay_mean_overhead": self.replay_mean,
             "mean_difference": self.mean_difference,
+            "paired_difference_mean": self.paired_mean,
+            "paired_difference_p90": self.paired_p90,
             "noise_scale": self.noise_scale,
             "replay_completed": int(self.replay_completed.sum()),
         }
@@ -1096,45 +1050,62 @@ def replay_receivers(scenario: Scenario,
                      ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact per-packet replays through the real transfer client.
 
-    For each receiver id: cross the striped stream's slots through a
-    channel over its own loss process, honour join/leave and rate
-    thinning, and feed the surviving ``(block, index)`` pairs — one
-    counter-exact ``receive_window`` — to a payload-less
-    :class:`~repro.transfer.client.TransferClient` backed by real
-    incremental decoders.  Returns ``(overhead, completed)`` arrays
-    aligned with ``receiver_ids``.
+    Each receiver crosses the stream's slots from its join slot until
+    it leaves through the channels the engine reads, and its survivors
+    feed a payload-less :class:`~repro.transfer.client.TransferClient`
+    backed by real incremental decoders.  Returns ``(overhead,
+    completed)`` arrays aligned with ``receiver_ids``.
     """
     pop = population if population is not None else _materialize(scenario)
+    overhead, completed, _ = _replay(scenario, receiver_ids, pop)
+    return overhead, completed
+
+
+def _replay(scenario: Scenario, receiver_ids: Sequence[int],
+            pop: _Population,
+            weights: Optional[List[List[float]]] = None
+            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`replay_receivers`, plus each receiver's completion slot.
+
+    ``weights`` are a closed-loop engine run's per-sweep schedule
+    weights: the server is reweighted with each at its sweep's first
+    slot (past the last, with all ones — the stripe a policy with no
+    deficits deals), so the replay crosses the slots that run dealt.
+    """
     plan = scenario.plan()
     codec = ObjectCodec(plan, code=scenario.code, seed=scenario.seed)
     total_k = plan.total_packets
     limit = scenario.max_sweeps * total_k
     # Shared across receivers: what every slot of the stream carries,
     # asked of the structural server (no data, ids only).
-    slot_block, slot_index, _ = TransferServer(
-        codec, schedule=scenario.schedule, seed=scenario.seed).window(limit)
-
+    server = TransferServer(codec, schedule=scenario.schedule,
+                            seed=scenario.seed)
+    sweeps = []
+    for sweep in range(scenario.max_sweeps):
+        if weights is not None:
+            server.reweight(weights[sweep] if sweep < len(weights)
+                            else [1.0] * plan.num_blocks)
+        sweeps.append(server.window(total_k)[:2])
+    slot_block, slot_index = (np.concatenate(part) for part in zip(*sweeps))
+    lo, hi = _spans(pop, limit)
     overhead = np.full(len(receiver_ids), np.nan)
     completed = np.zeros(len(receiver_ids), dtype=bool)
+    done_slot = np.full(len(receiver_ids), np.inf)
     for i, rid in enumerate(receiver_ids):
         rid = int(rid)
-        rng = np.random.default_rng(
-            [int(scenario.seed) & 0x7FFFFFFF, _REPLAY_STREAM, rid])
-        delivered = LossyChannel(pop.loss_model(rid), rng).delivery_mask(limit)
-        if pop.rate[rid] < 1.0:
-            delivered &= rng.random(limit) < pop.rate[rid]
-        lo = int(np.ceil(pop.join[rid]))
-        hi = limit if np.isinf(pop.leave[rid]) \
-            else min(limit, int(pop.leave[rid]))
-        delivered[:lo] = False
-        delivered[hi:] = False
+        delivered = np.zeros(limit, dtype=bool)
+        if hi[rid] > lo[rid]:
+            delivered[lo[rid]:hi[rid]] = _delivered(
+                _channels(scenario.seed, pop, rid, rid),
+                int(hi[rid] - lo[rid]))
         client = TransferClient(codec, payload_size=None)
         got = client.receive_window(slot_block[delivered],
                                     slot_index[delivered])
         completed[i] = client.is_complete
         if completed[i]:
             overhead[i] = got / total_k - 1.0
-    return overhead, completed
+            done_slot[i] = np.flatnonzero(delivered)[got - 1] + 1
+    return overhead, completed, done_slot
 
 
 # -- the simulator -------------------------------------------------------------
@@ -1147,62 +1118,45 @@ class SwarmSimulator:
         self.scenario = scenario
         self.plan = scenario.plan()
 
-    def _thresholds(self, pop: _Population
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-        """Per-(receiver, block) decode thresholds plus block geometry.
-
-        Rateless pools thin at the population's own effective
-        droplet-loss rates (channel loss plus rate-tier thinning), so
-        the threshold mixture each receiver draws from matches the id
-        patterns the population actually collects.
-        """
+    def _thresholds(self, pop: _Population) -> np.ndarray:
+        """Per-(receiver, block) decode thresholds, from pools thinned
+        at the population's effective loss (channel and rate tier)."""
         effective_loss = 1.0 - (1.0 - pop.loss_rate) * pop.rate
-        k_b, n_b, pools, rateless = _threshold_tables(
-            self.scenario, effective_loss)
+        pools = _threshold_pools(self.scenario, effective_loss)
         rng = spawn_rng(self.scenario.seed, _CHOICE_STREAM)
         choice = rng.integers(0, pools.shape[1],
                               size=(pop.size, pools.shape[0]))
-        thresholds = pools[np.arange(pools.shape[0])[None, :], choice]
-        return k_b, n_b, thresholds, rateless
+        return pools[np.arange(pools.shape[0])[None, :], choice]
 
     def run(self, workers: Optional[int] = None,
             spot_check: int = 0,
             policy: Optional[AdaptivePolicy] = None) -> SwarmResult:
         """Simulate the whole population.
 
-        ``workers`` > 1 fans receiver ranges out over a process pool
-        (the population and thresholds are materialised once, so every
-        worker simulates the same receivers it would single-process).
+        ``workers`` > 1 fans receiver ranges out over a process pool;
+        every receiver reads its own channels, so the fan-out simulates
+        the same receivers, draw for draw, as one process.
         ``spot_check`` replays that many sampled receivers through the
-        exact transfer client and attaches a :class:`SpotCheckResult`
-        (``agrees(tolerance=...)`` overrides its default bar).
-
-        ``policy`` closes the loop on the same engine
-        (:func:`_run_rows`): each sweep the population's aggregated
-        block deficits drive the policy's schedule lever; without one
-        every sweep is dealt proportionally — the paper's open loop.
-        A closed loop is single-process (the policy must see every
-        receiver's deficits) and has no exact-replay counterpart, so it
-        rejects ``workers`` > 1 and ``spot_check``.
+        exact transfer client and attaches a :class:`SpotCheckResult`.
+        ``policy`` closes the loop on the same engine: at each sweep
+        boundary the population's summed block deficits drive its
+        schedule lever.  A closed loop is single-process (the policy
+        sees every receiver's deficits); its spot check replays the
+        slots the run dealt.
         """
         start = time.perf_counter()
         scenario = self.scenario
         pop = _materialize(scenario)
-        k_b, n_b, thresholds, rateless = self._thresholds(pop)
-        if policy is not None:
-            if workers is not None and workers > 1:
-                raise ParameterError(
-                    "closed-loop runs are single-process: the policy "
-                    "aggregates the whole population every sweep")
-            if spot_check > 0:
-                raise ParameterError(
-                    "spot_check replays the open-loop schedule and "
-                    "cannot validate a closed-loop run")
+        thresholds = self._thresholds(pop)
+        if policy is not None and workers is not None and workers > 1:
+            raise ParameterError(
+                "closed-loop runs are single-process: the policy "
+                "aggregates the whole population every sweep")
         if workers is not None and workers > 1:
-            chunks = self._chunk_ranges(pop.size, workers)
+            bounds = np.linspace(0, pop.size, workers + 1).astype(int)
             payloads = [(scenario.to_dict(), pop.rows(lo, hi),
-                         thresholds[lo:hi], k_b, n_b, rateless, lo)
-                        for lo, hi in chunks]
+                         thresholds[lo:hi], int(lo))
+                        for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
             import concurrent.futures
 
             with concurrent.futures.ProcessPoolExecutor(
@@ -1211,8 +1165,7 @@ class SwarmSimulator:
             merged = {key: np.concatenate([p[key] for p in parts])
                       for key in parts[0]}
         else:
-            merged = _run_rows(scenario, pop, thresholds, k_b, n_b,
-                               rateless, 0, policy)
+            merged = _run_rows(scenario, pop, thresholds, 0, policy)
         result = SwarmResult(
             scenario=scenario,
             overhead=merged["overhead"],
@@ -1220,15 +1173,15 @@ class SwarmSimulator:
             completion_slot=merged["done_slot"],
             completed=merged["completed"],
             group_index=pop.group_index,
-            total_k=int(k_b.sum()),
+            total_k=self.plan.total_packets,
             elapsed=time.perf_counter() - start,
         )
         if spot_check > 0:
             rng = spawn_rng(scenario.seed, _SPOT_STREAM)
             ids = rng.choice(pop.size, size=min(spot_check, pop.size),
                              replace=False)
-            replay_oh, replay_done = replay_receivers(scenario, ids,
-                                                      population=pop)
+            replay_oh, replay_done, _ = _replay(scenario, ids, pop,
+                                                merged.get("weights"))
             result.spot_check = SpotCheckResult(
                 receiver_ids=ids,
                 structural_overhead=result.overhead[ids],
@@ -1236,12 +1189,6 @@ class SwarmSimulator:
                 replay_completed=replay_done,
             )
         return result
-
-    @staticmethod
-    def _chunk_ranges(size: int, workers: int) -> List[Tuple[int, int]]:
-        bounds = np.linspace(0, size, workers + 1).astype(int)
-        return [(int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
 def run_scenario(scenario: Union[Scenario, str, pathlib.Path],

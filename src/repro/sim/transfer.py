@@ -193,6 +193,20 @@ class SlotWindow:
         return self._revolutions[r]
 
 
+def fresh_arrivals(ids: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """The positions in ``ids`` — one receiver's arrivals, in order, as
+    global ids — of the first sight of each id not marked in ``seen``,
+    in order; marks them seen.  A carousel's wrap-around duplicates,
+    across calls or inside one, are the arrivals left out."""
+    first = np.flatnonzero(~seen[ids])
+    # an id met again inside ``ids`` keeps only its earliest position
+    owner = np.full(seen.size, ids.size)
+    np.minimum.at(owner, ids[first], first)
+    first = first[owner[ids[first]] == first]
+    seen[ids[first]] = True
+    return first
+
+
 def packets_until_decode(window: SlotWindow, need: ArrayLike,
                          channel: LossyChannel) -> int:
     """Packets one receiver takes from ``window`` through ``channel``
@@ -212,10 +226,7 @@ def packets_until_decode(window: SlotWindow, need: ArrayLike,
     received = 0
     for r in range(-(-EMISSION_LIMIT_FACTOR * window.codec.total_k // size)):
         ids = window.revolution(r)[channel.delivery_mask(size)]
-        # the fresh arrivals: first sight of an id not seen before
-        _, first = np.unique(ids, return_index=True)
-        first = np.sort(first[~seen[ids[first]]])
-        seen[ids[first]] = True
+        first = fresh_arrivals(ids, seen)
         blocks = window.block_of[ids[first]]
         counts = np.bincount(blocks, minlength=needs.size)
         short, have = needs - have, have + counts

@@ -315,11 +315,28 @@ class TestAdaptivePolicy:
         assert policy.loss_estimate() == pytest.approx(0.01)
 
     def test_complete_receivers_leave_the_aggregate(self):
+        """A receiver heard decoding and then complete leaves the
+        aggregate and counts as complete; a complete report from an id
+        never heard decoding counts as neither, so it ends nothing."""
         policy = AdaptivePolicy()
+        self._feed(policy, [0.4])
+        decision = policy.decide([4, 4])
+        assert (decision.active, decision.complete) == (1, 0)
         self._feed(policy, [0.4], complete=True)
         assert policy.loss_estimate() == 0.0
         decision = policy.decide([4, 4])
+        assert (decision.active, decision.complete) == (0, 1)
         assert decision.all_complete
+
+        lone = AdaptivePolicy()
+        self._feed(lone, [0.4], complete=True)
+        assert lone.loss_estimate() == 0.0
+        decision = lone.decide([4, 4])
+        assert (decision.active, decision.complete) == (0, 0)
+        assert not decision.all_complete
+        # ... and its id stays unheard until it reports decoding
+        self._feed(lone, [0.4], complete=True)
+        assert not lone.decide([4, 4]).all_complete
 
     def test_block_shares_blend(self):
         assert SCHEDULE_GAIN == 0.5
@@ -551,15 +568,28 @@ class TestSwarmClosedLoop:
         np.testing.assert_array_equal(a.overhead, b.overhead)
         np.testing.assert_array_equal(a.completion_slot, b.completion_slot)
 
-    def test_closed_loop_rejects_workers_and_spot_check(self):
+    def test_closed_loop_rejects_workers(self):
         from repro.sim.swarm import SwarmSimulator
 
         scenario = _gilbert_scenario(receivers=60)
         with pytest.raises(ParameterError, match="single-process"):
             SwarmSimulator(scenario).run(workers=2, policy=AdaptivePolicy())
-        with pytest.raises(ParameterError, match="spot_check"):
-            SwarmSimulator(scenario).run(spot_check=5,
-                                         policy=AdaptivePolicy())
+
+    def test_closed_loop_spot_check_replays_the_dealt_slots(self):
+        """The referee of a closed loop: replays reweighted with the
+        run's per-sweep weights cross the slots it dealt, so on a code
+        whose every pooled threshold is ``k_b`` (tornado-a at 128) they
+        read the engine's overheads exactly."""
+        from repro.sim.swarm import SwarmSimulator
+
+        scenario = _gilbert_scenario(code="tornado-a", receivers=90)
+        result = SwarmSimulator(scenario).run(spot_check=12,
+                                              policy=AdaptivePolicy())
+        spot = result.spot_check
+        assert spot.replay_completed.all()
+        np.testing.assert_array_equal(spot.structural_overhead,
+                                      spot.replay_overhead)
+        assert spot.agrees()
 
     def test_degenerate_thresholds_stay_near_proportional(self):
         """With identical per-block thresholds (tornado-a decodes at
@@ -796,3 +826,57 @@ class TestUdpAdaptive:
         assert report.emitted == count
         assert report.feedback_frames == 0 and seen == []
         assert report.malformed_frames == 3
+
+    def test_a_spoofed_complete_report_does_not_end_the_serve(self):
+        """A complete report from an id the policy never heard decoding
+        counts for nothing: one sent at the serve's start must not stop
+        it before the real receiver (which reports decoding every 128
+        packets, so not before the first decisions) finishes, and the
+        real receiver's own complete report still does."""
+        data = _random_bytes(400_000, seed=53)
+        session = api.SenderSession(data, code="lt", seed=53,
+                                    block_size=128 * 1024,
+                                    file_name="blob")
+        sub = UdpSubscription("127.0.0.1:0", timeout=20.0)
+        ear = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        ear.bind(("127.0.0.1", 0))
+        ear.settimeout(20.0)
+        transport = UdpTransport([sub.address, ear.getsockname()],
+                                 pace=4_000, manifest_interval=32)
+        spoof = FeedbackReport(receiver_id=0xBAD, loss=0.0, progress=1.0,
+                               packets_used=1, blocks_total=1,
+                               complete=True)
+        seen, holder, errors = [], {}, []
+
+        def drink():
+            try:
+                receiver = api.ReceiverSession.from_subscription(
+                    sub, timeout=20.0, report=128, receiver_id=7)
+                holder["receiver"] = receiver
+                sub.feed(receiver, timeout=20.0)
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        def spoofer():
+            _, sender = ear.recvfrom(65536)
+            ear.sendto(pack_frame(FRAME_FEEDBACK, spoof.encode()), sender)
+
+        threads = [threading.Thread(target=drink),
+                   threading.Thread(target=spoofer)]
+        for thread in threads:
+            thread.start()
+        try:
+            report = session.serve(transport, policy=AdaptivePolicy(),
+                                   feedback=seen.append)
+        finally:
+            for thread in threads:
+                thread.join(timeout=20.0)
+            sub.close()
+            ear.close()
+        assert not errors, errors
+        assert holder["receiver"].data() == data
+        ids = [r.receiver_id for r in seen]
+        assert ids[0] == 0xBAD and 7 in ids
+        assert seen[-1].receiver_id == 7 and seen[-1].complete
+        # the real completion stopped the serve, well inside its budget
+        assert report.emitted < 3 * session.total_k

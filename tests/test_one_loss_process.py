@@ -17,6 +17,7 @@ import ast
 import pathlib
 
 import numpy as np
+import pytest
 
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, TraceLoss
@@ -27,20 +28,27 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 HOMES = {"net/loss.py", "net/channel.py"}
 
 #: ``net/traces.py`` synthesises each MBone trace with one whole-trace
-#: ``losses`` call — one process per trace, so no chain restarts — and
+#: ``losses`` call — one process per trace, so no chain restarts — from
+#: Beta-skewed per-trace loss rates, and
 #: ``tests/golden/swarm_engine.json`` pins what those traces produce.
 EXEMPT = {"net/traces.py"}
 
 #: the methods that hand out verdicts.
 ASKS = {"losses", "deliveries", "draw"}
 
+#: draws shaped like a loss count or a loss rate: a module that makes
+#: one is modelling a loss process instead of running it.
+SHAPED = {"binomial", "beta", "normal", "standard_normal", "poisson",
+          "hypergeometric"}
 
-def verdict_calls(tree: ast.AST):
-    """Line and name of every ``<x>.losses(...)``-style call in ``tree``."""
+
+def verdict_calls(tree: ast.AST, names=ASKS):
+    """Line and name of every ``<x>.losses(...)``-style call in ``tree``
+    (any attribute call in ``names``)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) \
                 and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in ASKS:
+                and node.func.attr in names:
             yield node.lineno, node.func.attr
 
 
@@ -60,6 +68,31 @@ def test_only_a_channel_asks_a_loss_model():
              for line, name in verdict_calls(
                  ast.parse(path.read_text(), filename=str(path)))]
     assert not leaks, ("a loss process is run outside LossyChannel:\n"
+                       + "\n".join(leaks))
+
+
+def test_shaped_scan_finds_every_draw():
+    tree = ast.parse("a = rng.binomial(n, q)\n"
+                     "b = rng.beta(a, b) * r\n"
+                     "c = rng.standard_normal(s) + rng.normal(0, 1)\n"
+                     "d = np.random.default_rng(1).poisson(3)\n"
+                     "e = rng.hypergeometric(5, 5, 3)\n"
+                     "f = rng.random(9) < p\n")
+    assert sorted(name for _, name in verdict_calls(tree, SHAPED)) == [
+        "beta", "binomial", "hypergeometric", "normal", "poisson",
+        "standard_normal"]
+
+
+def test_loss_shaped_draws_stay_in_net():
+    """No module outside the loss models and the channel draws a loss
+    count or rate from a distribution: a receiver's losses are read off
+    its own channel, slot by slot."""
+    leaks = [f"{path.relative_to(SRC)}:{line}: .{name}("
+             for path in sorted(SRC.rglob("*.py"))
+             if path.relative_to(SRC).as_posix() not in HOMES | EXEMPT
+             for line, name in verdict_calls(
+                 ast.parse(path.read_text(), filename=str(path)), SHAPED)]
+    assert not leaks, ("a loss-shaped draw outside net/:\n"
                        + "\n".join(leaks))
 
 
@@ -112,3 +145,39 @@ def test_a_standalone_call_keeps_its_draw_order():
         state = (u >= model.p_bg) if state else (u < model.p_gb)
         expected.append(v < (model.loss_bad if state else model.loss_good))
     assert model.losses(500, 6).tolist() == expected
+
+
+def looped_gilbert_draw(model, count, rng, state):
+    """The slot-by-slot chain ``GilbertElliottLoss.draw`` ran before
+    its scan: the same uniforms, read in the same order."""
+    u_state = rng.random(count)
+    u_loss = rng.random(count)
+    if state is None:
+        state = rng.random() < model.stationary_bad_probability
+    states = np.empty(count, dtype=bool)
+    for t in range(count):
+        if state:
+            state = not (u_state[t] < model.p_bg)
+        else:
+            state = u_state[t] < model.p_gb
+        states[t] = state
+    loss_prob = np.where(states, model.loss_bad, model.loss_good)
+    return u_loss < loss_prob, state
+
+
+@pytest.mark.parametrize("rate,burst", [(0.05, 1.0), (0.2, 6.0),
+                                        (0.45, 48.0)])
+@pytest.mark.parametrize("start", [None, True, False])
+def test_the_scan_is_the_slot_loop(rate, burst, start):
+    """Resets, swaps and keeps give every state the loop gives, and the
+    state it hands on, at every length (a chain's first slot, a
+    channel's chunk, a long run)."""
+    model = GilbertElliottLoss.from_loss_and_burst(rate, burst)
+    for count in (0, 1, 7, 512, 1_000_000):
+        seed = 1000 + count
+        got, got_state = model.draw(count, np.random.default_rng(seed),
+                                    start)
+        want, want_state = looped_gilbert_draw(
+            model, count, np.random.default_rng(seed), start)
+        assert np.array_equal(got, want), count
+        assert bool(got_state) == bool(want_state), count

@@ -15,7 +15,11 @@ carries; everything else draws ``window(n)``.  Two layers hold that:
 * **pins** — ``tests/golden/sim_transfer.json`` holds the counters
   ``simulate_transfer`` returned, and the overheads ``replay_receivers``
   returned on three committed scenarios, at the commit *before* the two
-  harnesses stopped re-deriving the emission order by hand.  They are
+  harnesses stopped re-deriving the emission order by hand.  The replay
+  pins of ``flash_crowd`` (joiners) and ``layered_tiers`` (rate tiers)
+  were re-recorded once, when a receiver's channel came to start at its
+  join slot and rate thinning became a channel of its own;
+  ``raptor_traces`` (neither) stayed byte-identical.  They are
   compared exactly.  Regenerate (only for an intended change of what is
   sent or how it is counted) with::
 

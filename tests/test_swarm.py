@@ -282,12 +282,16 @@ class TestSwarmEngine:
         assert {g["group"] for g in groups} == {"early", "late"}
 
     def test_workers_match_single_process_statistics(self):
+        # every receiver reads its own channels, so a fan-out simulates
+        # the same receivers draw for draw
         scenario = tiny_scenario()
         single = SwarmSimulator(scenario).run()
         fanned = SwarmSimulator(scenario).run(workers=2)
-        assert fanned.completion_rate == single.completion_rate
-        assert fanned.overhead_percentile(50) == pytest.approx(
-            single.overhead_percentile(50), abs=0.03)
+        for key in ("overhead", "received", "completion_slot",
+                    "completed"):
+            np.testing.assert_array_equal(getattr(fanned, key),
+                                          getattr(single, key),
+                                          err_msg=key)
 
     def test_overhead_cdf_monotone(self):
         result = SwarmSimulator(tiny_scenario()).run()
@@ -370,6 +374,107 @@ class TestStructuralAgreement:
             replay_overhead=np.full(3, np.nan),
             replay_completed=np.zeros(3, dtype=bool))
         assert spot.agrees()
+
+
+#: scenarios whose every pooled threshold is the block's k: Tornado B
+#: at k = 128 is its Reed-Solomon cap, Tornado A at 128 decodes at k on
+#: every sampled order, and Reed-Solomon is MDS.  Joiners, leavers and
+#: bursty channels all appear among them.
+_DETERMINISTIC = ("flash_crowd", "midstream_joiners", "satellite_longhaul")
+
+
+class TestExactEngine:
+    """With a deterministic threshold the engine *is* the replay: the
+    same slots, the same channels, receiver for receiver."""
+
+    @pytest.mark.parametrize("closed", [False, True],
+                             ids=["open", "closed"])
+    @pytest.mark.parametrize("name", _DETERMINISTIC)
+    def test_engine_equals_the_replay(self, name, closed):
+        from repro.protocol import AdaptivePolicy
+        from repro.sim.swarm import _materialize, _replay, _run_rows
+
+        scenario = load_scenario(SCENARIOS_DIR / f"{name}.json").scaled(600)
+        pop = _materialize(scenario)
+        thresholds = SwarmSimulator(scenario)._thresholds(pop)
+        k_b = np.asarray(scenario.plan().block_ks)
+        assert (thresholds == k_b[None, :]).all()
+        run = _run_rows(scenario, pop, thresholds, 0,
+                        AdaptivePolicy() if closed else None)
+        ids = np.random.default_rng(41).choice(pop.size, 80, replace=False)
+        overhead, completed, slot = _replay(scenario, ids, pop,
+                                            run.get("weights"))
+        assert completed.any()
+        np.testing.assert_array_equal(completed, run["completed"][ids])
+        np.testing.assert_array_equal(overhead, run["overhead"][ids])
+        np.testing.assert_array_equal(slot, run["done_slot"][ids])
+
+    @pytest.mark.parametrize("closed", [False, True],
+                             ids=["open", "closed"])
+    @pytest.mark.parametrize("schedule", ["interleave", "sequential"])
+    def test_every_loss_kind_and_tier_equals_the_replay(self, schedule,
+                                                        closed):
+        """Reed-Solomon decodes at exactly ``k``, so on a population
+        mixing every loss kind, joiners, leavers and thinned rate tiers
+        the engine and the replay agree for every receiver."""
+        from repro.protocol import AdaptivePolicy
+        from repro.sim.swarm import _materialize, _replay, _run_rows
+
+        scenario = tiny_scenario(
+            code="rs", file_size=48 * 1024, block_packets=16,
+            schedule=schedule, max_sweeps=30, groups=[
+                ReceiverGroup(name="tier", count=12,
+                              loss=LossSpec.make("bernoulli", p=[0.0, 0.2]),
+                              rate_fraction=[0.3, 0.9], join=[0, 40]),
+                ReceiverGroup(name="bursty", count=12,
+                              loss=LossSpec.make("gilbert", rate=[0.1, 0.3],
+                                                 burst=[2.0, 9.0]),
+                              join=[0, 60], leave=[30, 160]),
+                ReceiverGroup(name="trace", count=12,
+                              loss=LossSpec.make("trace", pool=3,
+                                                 length=2000),
+                              join=[0, 70])])
+        pop = _materialize(scenario)
+        thresholds = SwarmSimulator(scenario)._thresholds(pop)
+        assert (thresholds == 16).all()
+        run = _run_rows(scenario, pop, thresholds, 0,
+                        AdaptivePolicy() if closed else None)
+        ids = np.arange(pop.size)
+        overhead, completed, slot = _replay(scenario, ids, pop,
+                                            run.get("weights"))
+        assert completed.any() and not completed.all()
+        np.testing.assert_array_equal(completed, run["completed"])
+        np.testing.assert_array_equal(overhead, run["overhead"])
+        np.testing.assert_array_equal(slot, run["done_slot"])
+
+    def test_carousel_duplicates_inside_one_sweep(self):
+        """A closed loop may deal one block more than its ``n_b`` slots
+        in a sweep: every id past the first sight is a duplicate there
+        too, as the real client counts it."""
+        from repro.sim.swarm import _materialize, _replay, _run_rows
+
+        class Starve:
+            def block_shares(self, deficits, block_ks):
+                return [0.9] + [0.1 / (len(block_ks) - 1)] * (
+                    len(block_ks) - 1)
+
+        scenario = tiny_scenario(
+            code="rs", file_size=32 * 1024, block_packets=8,
+            groups=[ReceiverGroup(name="all", count=40,
+                                  loss=LossSpec.make("bernoulli",
+                                                     p=[0.5, 0.7]))])
+        pop = _materialize(scenario)
+        thresholds = SwarmSimulator(scenario)._thresholds(pop)
+        run = _run_rows(scenario, pop, thresholds, 0, Starve())
+        # block 0 gets 0.9 of 32 slots, past its n of 16, and at this
+        # loss its 16 distinct ids fall short of its k of 8 for some
+        assert 0.9 * 32 > 16
+        overhead, completed, slot = _replay(scenario, np.arange(40), pop,
+                                            run["weights"])
+        assert completed.sum() >= 30
+        np.testing.assert_array_equal(completed, run["completed"])
+        np.testing.assert_array_equal(overhead, run["overhead"])
+        np.testing.assert_array_equal(slot, run["done_slot"])
 
 
 class TestCommittedScenarios:

@@ -1,13 +1,15 @@
-"""Swarm sweep-engine pins: one engine, the parent's answers.
+"""Swarm sweep-engine pins: one engine, bit for bit.
 
-``sim/swarm.py`` used to keep an open-loop and a closed-loop sweep
-engine side by side; they are one function now (open loop = no
-policy).  ``tests/golden/swarm_engine.json`` pins what both produced at
-the commit *before* the merge: for four committed scenarios scaled to
-300 receivers, the ``completed`` vector and ``overhead`` / ``received``
-/ ``completion_slot`` (as ``float.hex()``, so the comparison is bit for
-bit) for the open loop, ``workers=2`` and the closed loop under a
-default :class:`~repro.protocol.adaptive.AdaptivePolicy`.
+``sim/swarm.py`` has one sweep engine (open loop = no policy).
+``tests/golden/swarm_engine.json`` pins what it produces for four
+committed scenarios scaled to 300 receivers: the ``completed`` vector
+and ``overhead`` / ``received`` / ``completion_slot`` (as
+``float.hex()``, so the comparison is bit for bit) for the open loop,
+``workers=2`` and the closed loop under a default
+:class:`~repro.protocol.adaptive.AdaptivePolicy`.  The pins were
+recorded when the engine became exact per slot (every receiver's own
+channel over the server's real schedule); the moment-matched count
+model before it pinned other numbers.
 
 The property that makes "one engine" checkable: a policy that never
 chases a deficit (``SCHEDULE_GAIN`` set to 0.0) deals every sweep

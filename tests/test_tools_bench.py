@@ -190,9 +190,9 @@ class TestCompare:
                               "--current-dir", str(tmp_path / "empty")])
 
 
-def swarm_payload(raptor_p99=0.18, lt_p50=0.19):
+def swarm_payload(raptor_p99=0.25, lt_p90=0.33):
     return {"results": [
-        {"case": "mobile-traces", "overhead_p50": lt_p50},
+        {"case": "mobile-traces", "overhead_p90": lt_p90},
         {"case": "raptor-traces", "overhead_p99": raptor_p99},
     ]}
 
@@ -230,11 +230,11 @@ class TestCrossCase:
         assert check_bench.check_cross_cases(
             "BENCH_swarm.json", swarm_payload()) == []
 
-    def test_raptor_p99_above_lt_median_fails(self):
+    def test_raptor_p99_above_lt_p90_fails(self):
         regressions = check_bench.check_cross_cases(
-            "BENCH_swarm.json", swarm_payload(raptor_p99=0.25))
+            "BENCH_swarm.json", swarm_payload(raptor_p99=0.34))
         assert len(regressions) == 1
-        assert "undercut the LT median" in str(regressions[0])
+        assert "undercut the LT p90" in str(regressions[0])
         assert "raptor-traces" in str(regressions[0])
 
     def test_rules_only_fire_for_their_file(self):
@@ -243,14 +243,14 @@ class TestCrossCase:
             "BENCH_other.json", swarm_payload(raptor_p99=0.9)) == []
 
     def test_missing_case_or_metric_fails(self):
-        gone = {"results": [{"case": "mobile-traces", "overhead_p50": 0.2}]}
+        gone = {"results": [{"case": "mobile-traces", "overhead_p90": 0.3}]}
         regressions = check_bench.check_cross_cases(
             "BENCH_swarm.json", gone)
         assert len(regressions) == 1
         assert "cross-case rule needs this metric" in str(regressions[0])
 
         unmetric = swarm_payload()
-        del unmetric["results"][0]["overhead_p50"]
+        del unmetric["results"][0]["overhead_p90"]
         assert len(check_bench.check_cross_cases(
             "BENCH_swarm.json", unmetric)) == 1
 
@@ -414,15 +414,15 @@ class TestCrossCase:
         base_dir.mkdir()
         cur_dir.mkdir()
         (base_dir / "BENCH_swarm.json").write_text(
-            json.dumps(swarm_payload(raptor_p99=0.25)))
+            json.dumps(swarm_payload(raptor_p99=0.34)))
         (cur_dir / "BENCH_swarm.json").write_text(
-            json.dumps(swarm_payload(raptor_p99=0.25)))
+            json.dumps(swarm_payload(raptor_p99=0.34)))
         # Identical baseline and current — only the cross-case claim
         # itself can (and must) fail the gate.
         assert check_bench.main(
             ["--baseline-dir", str(base_dir),
              "--current-dir", str(cur_dir)]) == 1
-        assert "undercut the LT median" in capsys.readouterr().out
+        assert "undercut the LT p90" in capsys.readouterr().out
 
 
 class TestAgainstCommittedBaselines:

@@ -34,7 +34,7 @@ baselines, metric by metric, with per-metric tolerance rules:
 * *cross-case claims* (``CROSS_CASE_RULES``) are one-sided inequalities
   between two cases of the same fresh summary — e.g. the systematic
   Raptor claim that its p99 reception overhead undercuts the plain-LT
-  median on the identical trace population.  These gate the *claim*
+  p90 on the identical trace population.  These gate the *claim*
   itself, not drift against a baseline, so they are evaluated on the
   fresh payload alone; a missing case or metric fails the rule.
 
@@ -148,11 +148,16 @@ CROSS_CASE_RULES: List[Tuple[str, Tuple[str, str], str, float,
                              Tuple[str, str], str]] = [
     # The constant-overhead headline: on the identical mobile-trace
     # population, the systematic Raptor swarm's p99 reception overhead
-    # must undercut the plain-LT swarm's *median* — the p99-vs-p50
-    # collapse is the paper-level claim the subsystem exists to make.
+    # must undercut the plain-LT swarm's p90 — its tail sits below the
+    # LT population's upper decile.  1,000 real-decoder replays per
+    # case at 4,000 receivers read Raptor p99 0.265 [0.244, 0.288]
+    # against LT p90 0.335 [0.316, 0.360] (bootstrap 95 % intervals,
+    # clear of each other); LT's median, 0.188 [0.183, 0.194], sits
+    # below the Raptor p99, so the stronger p99-vs-p50 claim does not
+    # hold on exact receivers.
     ("BENCH_swarm.json", ("raptor-traces", "overhead_p99"), "<=", 1.0,
-     ("mobile-traces", "overhead_p50"),
-     "systematic Raptor p99 overhead must undercut the LT median"),
+     ("mobile-traces", "overhead_p90"),
+     "systematic Raptor p99 overhead must undercut the LT p90"),
     # Raptor decode must stay LT-class: the two-stage decoder (precode
     # constraints + inactivation) may not cost more than 4x plain LT
     # ingest.
