@@ -131,9 +131,11 @@ docs-check:
 	$(PYTHON) tools/check_docs.py README.md docs/ARCHITECTURE.md
 
 # mypy over the typed core: the registry protocols, the repro.api
-# facade, the protocol layer, the two clients that consume the
-# IncrementalDecoder Protocol, the one sender (the record layout in
-# fountain/packets.py, the one packet server in transfer/server.py) and
+# facade, the protocol layer, the receivers that feed the
+# IncrementalDecoder Protocol (transfer/client.py,
+# fountain/aggregate.py, protocol/receiver.py), the one sender (the
+# record layout in fountain/packets.py, the one packet server in
+# transfer/server.py) and
 # the Raptor cold-start pair (the geometry build in raptor/precode.py,
 # the weighted cache in raptor/cache.py) and the three native decoders
 # behind the IncrementalDecoder contract (lt/decoder.py,
@@ -146,8 +148,8 @@ docs-check:
 typecheck:
 	@if $(PYTHON) -c "import mypy" >/dev/null 2>&1; then \
 		$(PYTHON) -m mypy src/repro/api.py src/repro/codes/registry.py \
-			src/repro/protocol src/repro/fountain/client.py \
-			src/repro/transfer/client.py \
+			src/repro/protocol src/repro/transfer/client.py \
+			src/repro/fountain/aggregate.py \
 			src/repro/fountain/packets.py \
 			src/repro/transfer/server.py \
 			src/repro/codes/raptor/precode.py \

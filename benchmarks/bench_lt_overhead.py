@@ -14,7 +14,7 @@ import pytest
 
 from repro.codes.lt import LTCode
 from repro.codes.tornado.presets import tornado_a, tornado_b
-from repro.fountain.client import FountainClient
+from repro.codes.registry import feed, incremental_decoder
 from repro.sim.overhead import overhead_statistics, sample_decode_thresholds
 from repro.transfer.schedule import carousel_order
 
@@ -73,14 +73,15 @@ def test_lt_beats_carousel_total_reception(benchmark):
 
     def compare():
         code = tornado_a(k, seed=0)
-        client = FountainClient(code)
+        decoder = incremental_decoder(code)
         drop = np.random.default_rng(2)
+        carousel_total = 0
         for index in np.resize(carousel_order(code.n, 1), 20 * k):
             if drop.random() < loss:
                 continue
-            if client.receive_index(int(index)):
+            carousel_total += feed(decoder, (int(index),))
+            if decoder.is_complete:
                 break
-        carousel_total = client.total_received
         lt_needed = LTCode(k, seed=0).packets_to_decode(
             np.random.default_rng(3).permutation(6 * k))
         return carousel_total, lt_needed

@@ -14,7 +14,8 @@ Run:  python examples/software_distribution.py
 import numpy as np
 
 from repro import tornado_a
-from repro.fountain.client import ClientMode, FountainClient
+from repro.codes.registry import feed, incremental_decoder
+from repro.fountain.metrics import ReceptionStats
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss
 from repro.transfer.schedule import carousel_order
@@ -49,18 +50,18 @@ def main() -> None:
     horizon = 30 * code.n
     indices = np.resize(order, horizon)
     for name, join_slot, loss_model in clients:
-        client = FountainClient(code, mode=ClientMode.INCREMENTAL,
-                                payload_size=PACKET_SIZE)
+        decoder = incremental_decoder(code, payload_size=PACKET_SIZE)
         deliveries = LossyChannel(loss_model, stream_rng).delivery_mask(
             horizon - join_slot)
         for offset in np.nonzero(deliveries)[0]:
             slot = join_slot + int(offset)
             index = int(indices[slot])
-            if client.receive_index(index, encoding[index]):
+            feed(decoder, (index,), encoding[index][np.newaxis])
+            if decoder.is_complete:
                 break
-        assert client.is_complete, f"{name} did not finish in the horizon"
-        assert np.array_equal(client.source_data(), image)
-        stats = client.stats()
+        assert decoder.is_complete, f"{name} did not finish in the horizon"
+        assert np.array_equal(decoder.source_data(), image)
+        stats = ReceptionStats.of_decoder(K, decoder)
         print(f"{name:>18}  {join_slot:>7}  "
               f"{loss_model.expected_loss_rate():>6.0%}  "
               f"{stats.total_received:>8}  "

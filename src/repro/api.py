@@ -317,13 +317,23 @@ class ReceiverSession:
 
         Reports fire every ``report_interval`` consumed packets, plus
         exactly one final report once the decode completes; sessions
-        built without ``report=`` never produce any.
+        built without ``report=`` never produce any.  A session that
+        completes inside its first interval is due, before its final
+        report, the one it would have sent before its first packet: a
+        sender counts a complete report only from a receiver it heard
+        decoding (:class:`~repro.protocol.adaptive.AdaptivePolicy`).
+        Call until None to relay everything due.
         """
         if self.report_interval is None:
             return None
         if self.is_complete:
             if self._final_reported:
                 return None
+            if not self._reported_at:
+                self._reported_at = self.packets_used
+                return report_from_client(
+                    TransferClient(self.codec, payload_size=None),
+                    receiver_id=self.receiver_id)
             self._final_reported = True
             return self.feedback_report()
         if self.packets_used - self._reported_at < self.report_interval:

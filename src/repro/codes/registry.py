@@ -79,6 +79,7 @@ __all__ = [
     "block_seed",
     "build_code",
     "collect_cache_stats",
+    "feed",
     "incremental_decoder",
     "parse_spec",
     "register_cache_stats",
@@ -138,9 +139,10 @@ class IncrementalDecoder(Protocol):
     returns the reconstructed ``(k, P)`` block once complete.
 
     The decoder is also the one memory of *what arrived*: it validates
-    and dedups ids itself, and the receivers above it
-    (:class:`~repro.fountain.client.FountainClient` and its views) read
-    every reception counter from here.  Three intake contracts hold for
+    and dedups ids itself, and the receivers above it (the per-block
+    decoders of :class:`~repro.transfer.client.TransferClient`, the
+    mirror and layered receivers) read every reception counter from
+    here and feed it through :func:`feed`.  Three intake contracts hold for
     every member:
 
     * ``add_packet(i, p)`` is ``add_packets([i], p[None])`` — one
@@ -204,6 +206,31 @@ class IncrementalDecoder(Protocol):
     def source_data(self) -> np.ndarray:
         """The reconstructed ``(k, P)`` source block."""
         ...  # pragma: no cover - protocol
+
+
+def feed(decoder: IncrementalDecoder, indices: Sequence[int],
+         payloads: Optional[np.ndarray] = None) -> int:
+    """Feed arrival-ordered packets until ``decoder`` completes; returns
+    how many it consumed.
+
+    Counter-exact against one ``add_packet`` per packet: the batch
+    enters in chunks of at most ``min_additional_packets``, a provable
+    lower bound on the arrivals still needed, so a chunk can complete
+    the block only on its last packet — where one-at-a-time feeding
+    would stop.  The packets after completion are left unread: neither
+    counted nor decoded, so the decoder's ``packets_added +
+    duplicates_seen`` is every packet received prior to reconstruction.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    pos = 0
+    while pos < indices.size and not decoder.is_complete:
+        take = max(1, min(decoder.min_additional_packets,
+                          indices.size - pos))
+        decoder.add_packets(
+            indices[pos:pos + take],
+            None if payloads is None else payloads[pos:pos + take])
+        pos += take
+    return pos
 
 
 # -- spec strings --------------------------------------------------------------
@@ -490,9 +517,10 @@ class SetDecoder:
     after every ``retry_step`` more.  The defaults, ``k`` and 1, check
     on every new index from ``k`` on — incremental decoding, O(1)
     amortised for an MDS code; ``(1 + margin) * k`` and a wider step are
-    the paper's *statistical* client (Section 7.2), which
-    :class:`~repro.fountain.client.FountainClient` selects for any code
-    by building this decoder over it.
+    the paper's *statistical* client (Section 7.2) — "the client waits
+    until a fixed number of packets arrive from which it is likely that
+    the source can be reconstructed" — for any code, built by passing
+    them here: ``SetDecoder(code, first_attempt=..., retry_step=...)``.
     """
 
     def __init__(self, code: Any, payload_size: Optional[int] = None,
@@ -613,7 +641,7 @@ def incremental_decoder(code: Any,
     Codes with a native ``new_decoder`` (Tornado, LT — both ride the
     shared peeling engine) return it; everything else is adapted through
     :class:`SetDecoder`.  This is the single seam that lets the layered
-    protocol, the fountain client and the transfer client treat every
+    protocol, the mirror client and the transfer client treat every
     registered family identically.
     """
     if hasattr(code, "new_decoder"):

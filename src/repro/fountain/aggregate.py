@@ -17,8 +17,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.codes.base import ErasureCode
+from repro.codes.registry import feed, incremental_decoder
 from repro.errors import DecodeFailure, ParameterError
-from repro.fountain.client import FountainClient
 from repro.fountain.metrics import ReceptionStats
 from repro.net.channel import LossyChannel
 from repro.net.loss import LossModel
@@ -52,22 +52,22 @@ class MultiSourceClient:
     def __init__(self, code: ErasureCode,
                  payload_size: Optional[int] = None):
         self.code = code
-        #: the one receiver underneath; a mirror's ``useful`` packets
+        #: the one memory of what arrived; a mirror's ``useful`` packets
         #: are the ones that raised its distinct count.
-        self.client = FountainClient(code, payload_size=payload_size)
+        self.decoder = incremental_decoder(code, payload_size=payload_size)
         self.reports: Dict[int, SourceReport] = {}
 
     @property
     def is_complete(self) -> bool:
-        return self.client.is_complete
+        return self.decoder.is_complete
 
     @property
     def total_received(self) -> int:
-        return self.client.total_received
+        return self.stats().total_received
 
     @property
     def distinct_received(self) -> int:
-        return self.client.distinct_received
+        return self.decoder.packets_added
 
     def receive_from(self, source_id: int, index: int,
                      payload: Optional[np.ndarray] = None) -> bool:
@@ -79,15 +79,14 @@ class MultiSourceClient:
         """
         report = self.reports.setdefault(
             source_id, SourceReport(source_id, 0, 0))
-        client = self.client
-        total, distinct = client.total_received, client.distinct_received
-        done = client.receive_index(index, payload)
-        report.received += client.total_received - total
-        report.useful += client.distinct_received - distinct
-        return done
+        distinct = self.decoder.packets_added
+        report.received += feed(self.decoder, (index,), None if payload
+                                is None else np.asarray(payload)[np.newaxis])
+        report.useful += self.decoder.packets_added - distinct
+        return self.is_complete
 
     def stats(self) -> ReceptionStats:
-        return self.client.stats()
+        return ReceptionStats.of_decoder(self.code.k, self.decoder)
 
 
 @dataclass(frozen=True)

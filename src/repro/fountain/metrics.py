@@ -15,6 +15,7 @@ duplicate packets (carousel wrap-around, layer switching).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.errors import ParameterError
 
@@ -37,6 +38,15 @@ class ReceptionStats:
             raise ParameterError(
                 "a receiver with receptions has at least one distinct "
                 "packet (the first one)")
+
+    @classmethod
+    def of_decoder(cls, k: int, decoder: Any) -> "ReceptionStats":
+        """The counters of an
+        :class:`~repro.codes.registry.IncrementalDecoder` fed through
+        :func:`~repro.codes.registry.feed`, which stops at completion:
+        every arrival it saw was received prior to reconstruction."""
+        distinct = decoder.packets_added
+        return cls(k, distinct, distinct + decoder.duplicates_seen)
 
     @property
     def efficiency(self) -> float:

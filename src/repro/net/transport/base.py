@@ -307,8 +307,8 @@ class Subscription(ABC):
         is driven one ingest batch per call.
 
         Sessions with reporting enabled (``maybe_report`` returning a
-        due :class:`~repro.protocol.feedback.FeedbackReport`) have their
-        reports forwarded through :meth:`send_feedback` after every
+        due :class:`~repro.protocol.feedback.FeedbackReport`) have every
+        report due forwarded through :meth:`send_feedback` after every
         ingest batch — including the final complete-report, so an
         adaptive sender hears about the finished decode.
         """
@@ -316,8 +316,7 @@ class Subscription(ABC):
 
         def relay() -> None:
             if reporter is not None:
-                report = reporter()
-                if report is not None:
+                for report in iter(reporter, None):
                     self.send_feedback(report)
 
         if session.is_complete:

@@ -218,10 +218,9 @@ def report_from_client(client: Any, *, receiver_id: int = 0,
     ``client`` is anything with the
     :class:`~repro.transfer.client.TransferClient` progress surface
     (``progress``, ``is_complete``, ``incomplete_blocks``,
-    ``block_min_additional``, ``num_blocks``) — the transfer client
-    itself, or the per-block :class:`~repro.fountain.client.
-    FountainClient` wrapped in one.  The report speaks for that one
-    receiver (``receivers=1``).
+    ``block_min_additional``, ``num_blocks``) — in the tree, the
+    transfer client itself, the one receiver over per-block decoders.
+    The report speaks for that one receiver (``receivers=1``).
     """
     deficits = [(int(b), min(0xFFFF, int(client.block_min_additional(b))))
                 for b in client.incomplete_blocks

@@ -3,13 +3,14 @@
 One receiver owns a bottleneck capacity (packets per round its access
 path can carry), an ambient loss process, a
 :class:`~repro.protocol.congestion.SubscriptionController` and a
-structural :class:`~repro.fountain.client.FountainClient` — the one
-receiver, over *any* registered code — whose counters are this
-receiver's reception statistics.  Per round it:
+structural :class:`~repro.codes.registry.IncrementalDecoder` — over
+*any* registered code — whose counters are this receiver's reception
+statistics.  Per round it:
 
 1. receives the packets of its subscribed layers, minus congestion drops
    (arrivals beyond capacity) and ambient losses;
-2. feeds survivors to the client, which stops on the completing packet;
+2. feeds survivors to the decoder (:func:`~repro.codes.registry.feed`),
+   which stops on the completing packet;
 3. reacts to burst ends and synchronization points by adjusting its
    subscription level per the paper's join/drop rules.
 """
@@ -20,7 +21,7 @@ from typing import Any, List, Optional
 
 import numpy as np
 
-from repro.fountain.client import FountainClient
+from repro.codes.registry import feed, incremental_decoder
 from repro.fountain.metrics import ReceptionStats
 from repro.net.channel import LossyChannel
 from repro.net.loss import LossModel
@@ -44,8 +45,8 @@ class LayeredReceiver:
         self.ambient = LossyChannel(ambient_loss, self.rng)
         self.controller = SubscriptionController(
             policy=policy, config=config, level=start_level)
-        #: the one receiver underneath (structural: ids only).
-        self.client = FountainClient(code)
+        #: the one memory of what arrived (structural: ids only).
+        self.decoder = incremental_decoder(code)
         self.congestion_drops = 0
         self.ambient_drops = 0
         self.expected_total = 0
@@ -58,7 +59,7 @@ class LayeredReceiver:
 
     @property
     def is_complete(self) -> bool:
-        return self.client.is_complete
+        return self.decoder.is_complete
 
     def process_round(self, round_index: int,
                       per_layer_indices: List[np.ndarray],
@@ -80,16 +81,16 @@ class LayeredReceiver:
         survive = self.ambient.delivery_mask(admitted.size)
         self.ambient_drops += int(admitted.size - survive.sum())
         delivered = admitted[survive]
-        # The client disconnects on the completing packet — only packets
-        # received *prior to reconstruction* count towards the
+        # The receiver disconnects on the completing packet — only
+        # packets received *prior to reconstruction* count towards the
         # efficiency metrics (Section 7.3).
-        before = self.client.total_received
-        if self.client.receive_many(delivered):
+        used = feed(self.decoder, delivered)
+        if self.is_complete:
             self.completed_at_round = round_index
             # Pro-rate the round's expected packets by the fraction of
             # deliveries consumed before disconnecting, so the observed
             # loss rate is not distorted by the cut-off round.
-            frac = (self.client.total_received - before) / delivered.size
+            frac = used / delivered.size
             self.expected_total += int(round(expected * frac))
             return
         self.expected_total += expected
@@ -109,7 +110,7 @@ class LayeredReceiver:
         """Loss the receiver experienced (congestion + ambient)."""
         if self.expected_total == 0:
             return 0.0
-        return 1.0 - self.client.total_received / self.expected_total
+        return 1.0 - self.stats().total_received / self.expected_total
 
     def stats(self) -> ReceptionStats:
-        return self.client.stats()
+        return ReceptionStats.of_decoder(self.code.k, self.decoder)

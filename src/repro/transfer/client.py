@@ -1,15 +1,16 @@
 """Receiving a block-segmented transfer: route, decode, reassemble.
 
-The multi-block generalisation of
-:class:`~repro.fountain.client.FountainClient`: a
-:class:`TransferClient` keeps one per-block incremental decoder (a
-``FountainClient`` over the block's code), routes each arriving packet
-to its block by the header's block id, tracks per-block completion, and
+The one receiver of packet ids (a single-block stream is a one-block
+transfer): a :class:`TransferClient` keeps one
+:class:`~repro.codes.registry.IncrementalDecoder` per block, built over
+the block's code on its first packet, routes each arriving packet to
+its block by the header's block id and feeds it through
+:func:`~repro.codes.registry.feed`, tracks per-block completion, and
 holds the decoded object once: the moment a block decodes, its exact
 byte range (the tail packet's zero padding stripped) is written into one
 ``file_size`` object buffer — allocated at the first completion, never
-from a manifest alone — and the block's client and decoder are dropped;
-only its final reception counters stay.  A structural client (no
+from a manifest alone — and the block's decoder is dropped; only its
+reception counters at completion stay.  A structural client (no
 payloads) drops its decoders the same way and has no buffer.
 
 Packets for already-complete blocks are counted (they are real
@@ -23,8 +24,8 @@ from typing import List, Optional, cast
 
 import numpy as np
 
+from repro.codes.registry import IncrementalDecoder, feed, incremental_decoder
 from repro.errors import DecodeFailure, ProtocolError
-from repro.fountain.client import FountainClient
 from repro.fountain.metrics import ReceptionStats
 from repro.fountain.packets import SERIAL_MODULUS, EncodingPacket
 from repro.transfer.codec import ObjectCodec
@@ -53,9 +54,9 @@ class TransferClient:
             payload_size = codec.plan.packet_size
         self.codec = codec
         self.payload_size = cast(Optional[int], payload_size)
-        #: per block, its client while it decodes (None before its first
+        #: per block, its decoder while it decodes (None before its first
         #: packet and once it has completed).
-        self._clients: List[Optional[FountainClient]] = \
+        self._decoders: List[Optional[IncrementalDecoder]] = \
             [None] * codec.num_blocks
         #: per completed block, its reception counters at completion.
         self._final: List[Optional[ReceptionStats]] = \
@@ -70,30 +71,30 @@ class TransferClient:
         #: packet first names the block — codes build lazily.
         self._index_bounds = np.full(codec.num_blocks, -1, dtype=np.int64)
 
-    def _client_for(self, block: int) -> FountainClient:
-        client = self._clients[block]
-        if client is None:
-            if self.payload_size is not None:
-                self.codec.check_wire_dtype(block)
-            client = FountainClient(self.codec.code_for(block),
-                                    payload_size=self.payload_size)
-            self._clients[block] = client
-        return client
-
     # -- feeding ---------------------------------------------------------------
 
     def receive(self, packet: EncodingPacket) -> bool:
         """Ingest one packet; returns True once every block is decodable."""
         return self.receive_index(packet.block, packet.index, packet.payload)
 
-    def _open_client(self, block: int) -> Optional[FountainClient]:
-        """The block's client while it still wants packets (None once it
-        has decoded); raises for a block id the plan does not have."""
+    def _open_decoder(self, block: int) -> Optional[IncrementalDecoder]:
+        """The block's decoder while it still wants packets (built on
+        the first, None once it has decoded); raises for a block id the
+        plan does not have."""
         if not 0 <= block < self.codec.num_blocks:
             raise ProtocolError(
                 f"packet names block {block}, transfer has "
                 f"{self.codec.num_blocks} blocks")
-        return self._client_for(block) if block in self._incomplete else None
+        if block not in self._incomplete:
+            return None
+        decoder = self._decoders[block]
+        if decoder is None:
+            if self.payload_size is not None:
+                self.codec.check_wire_dtype(block)
+            decoder = incremental_decoder(self.codec.code_for(block),
+                                          payload_size=self.payload_size)
+            self._decoders[block] = decoder
+        return decoder
 
     def receive_index(self, block: int, index: int,
                       payload: Optional[np.ndarray] = None) -> bool:
@@ -107,28 +108,31 @@ class TransferClient:
         """Ingest packets of one block, in arrival order.
 
         Every packet counts toward the transfer's reception total (they
-        were all delivered); the block's client sees only the prefix up
-        to its completion, exactly as sequential feeding would route.
+        were all delivered); the block's decoder sees only the prefix up
+        to its completion (:func:`~repro.codes.registry.feed`), exactly
+        as sequential feeding would route.
         """
-        client = self._open_client(block)
-        if client is not None and client.receive_many(indices, payloads):
-            self._finish(block, client)
+        decoder = self._open_decoder(block)
+        if decoder is not None:
+            feed(decoder, indices, payloads)
+            if decoder.is_complete:
+                self._finish(block, decoder)
         self.total_received += len(indices)
         return self.is_complete
 
-    def _finish(self, block: int, client: FountainClient) -> None:
+    def _finish(self, block: int, decoder: IncrementalDecoder) -> None:
         """Write a just-completed block into the object buffer and drop
-        its client (and with it the decoder); its counters stay."""
+        its decoder; its counters stay."""
         self._incomplete.discard(block)
-        self._final[block] = client.stats()
-        self._clients[block] = None
-        if client.payload_size is None:
+        self._final[block] = self._stats(block, decoder)
+        self._decoders[block] = None
+        if self.payload_size is None:
             return      # structural: nothing decoded, nothing to keep
         spec = self.codec.plan.blocks[block]
         if self._object is None:
             self._object = np.empty(self.codec.plan.file_size,
                                     dtype=np.uint8)
-        rows = np.ascontiguousarray(client.source_data()).view(np.uint8)
+        rows = np.ascontiguousarray(decoder.source_data()).view(np.uint8)
         self._object[spec.byte_offset:spec.byte_end] = \
             rows.reshape(-1)[:spec.byte_length]
 
@@ -187,10 +191,10 @@ class TransferClient:
         """
         if block not in self._incomplete:
             return 0
-        client = self._clients[block]
-        if client is None:
+        decoder = self._decoders[block]
+        if decoder is None:
             return self.codec.plan.spec(block).k
-        return client.min_additional
+        return decoder.min_additional_packets
 
     @property
     def min_additional(self) -> int:
@@ -245,8 +249,14 @@ class TransferClient:
     def block_stats(self, block: int) -> Optional[ReceptionStats]:
         """Reception counters of one block (None before its first packet;
         the counters at completion once it has decoded)."""
-        client = self._clients[block]
-        return self._final[block] if client is None else client.stats()
+        decoder = self._decoders[block]
+        return (self._final[block] if decoder is None
+                else self._stats(block, decoder))
+
+    def _stats(self, block: int,
+               decoder: IncrementalDecoder) -> ReceptionStats:
+        return ReceptionStats.of_decoder(self.codec.plan.spec(block).k,
+                                         decoder)
 
     def stats(self) -> ReceptionStats:
         """Aggregate reception counters across all blocks."""

@@ -55,6 +55,17 @@ _MANIFEST_FIELDS = (("file_size", int), ("packet_size", int),
                     ("block_packets", int), ("code", str), ("seed", int))
 
 
+#: Ceilings on an untrusted manifest's geometry, checked in O(1) before
+#: any plan or array is sized (docs/ARCHITECTURE.md states what each
+#: permits).  Blocks: a feedback report names a block in 16 bits.
+MAX_BLOCKS = 0xFFFF
+#: Source packets in one block: a Reed-Solomon block over GF(2^16) at
+#: stretch 2 holds no more.
+MAX_BLOCK_PACKETS = 1 << 15
+#: Bytes of one packet's payload: more than a UDP datagram carries.
+MAX_PACKET_SIZE = 1 << 16
+
+
 def _header_size(num_blocks: int) -> int:
     """The size rule: the block header on a multi-block stream."""
     return BLOCK_HEADER_SIZE if num_blocks > 1 else HEADER_SIZE
@@ -64,8 +75,10 @@ def _geometry(manifest: Any) -> Tuple[int, int, int, int]:
     """``(file_size, packet_size, block_packets, num_blocks)`` of an
     untrusted manifest, in O(1) whatever the sizes say: anything but a
     transfer manifest whose fields have their types, sizes of at least
-    1, and a block count and header the geometry yields is a
-    :class:`~repro.errors.ProtocolError` (ceilings are not checked)."""
+    1, a packet size, block size and block count within
+    :data:`MAX_PACKET_SIZE`, :data:`MAX_BLOCK_PACKETS` and
+    :data:`MAX_BLOCKS`, and a block count and header the geometry
+    yields is a :class:`~repro.errors.ProtocolError`."""
     kind = manifest.get("kind") if isinstance(manifest, dict) else None
     if kind != "transfer":
         raise ProtocolError(f"not a transfer manifest (kind={kind!r})")
@@ -82,6 +95,15 @@ def _geometry(manifest: Any) -> Tuple[int, int, int, int]:
                             f"got {sizes}")
     file_size, packet_size, block_packets = sizes
     num_blocks = -(-file_size // (block_packets * packet_size))
+    # a block holds no more packets than the whole object
+    largest_k = min(block_packets, -(-file_size // packet_size))
+    for field, value, ceiling in (
+            ("packet_size", packet_size, MAX_PACKET_SIZE),
+            ("block_packets", largest_k, MAX_BLOCK_PACKETS),
+            ("num_blocks", num_blocks, MAX_BLOCKS)):
+        if value > ceiling:
+            raise ProtocolError(f"transfer manifest {field} {value} is "
+                                f"above the ceiling of {ceiling}")
     aware = _header_size(num_blocks) == BLOCK_HEADER_SIZE
     for field, value in (("num_blocks", num_blocks), ("block_header", aware)):
         if manifest.get(field, value) != value:

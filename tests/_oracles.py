@@ -9,6 +9,7 @@ as the retired one-packet-at-a-time codec paths produced them.
 from __future__ import annotations
 
 import asyncio
+import enum
 import hashlib
 import json
 import pathlib
@@ -21,7 +22,6 @@ import numpy as np
 from repro.codes.base import ErasureCode
 from repro.codes.registry import REGISTRY, build_code, incremental_decoder
 from repro.errors import DecodeFailure, ParameterError, ProtocolError
-from repro.fountain.client import ClientMode
 from repro.fountain.metrics import ReceptionStats
 from repro.fountain.packets import EncodingPacket
 from repro.net.transport.base import FRAME_FEEDBACK, iter_frames
@@ -760,16 +760,25 @@ async def oracle_udp_serve_async(transport, session, *, count=None,
     )
 
 
-# -- the seen-set receiver (the one-decoder-contract client's oracle) ----------
+# -- the seen-set receiver (the one-decoder-contract receivers' oracle) --------
 #
-# ``FountainClient`` exactly as it stood before the decoder became the
-# only memory of what arrived: its own ``_seen`` dict above the decoder,
-# its own statistical attempt schedule, payloads retained client-side
-# when the decoder runs structurally.  ``tests/test_receiver_parity.py``
-# holds the contract-based client to it — same counters after every
-# call, same bytes.  Verbatim but for the class name and one probe in
+# The single-block ``FountainClient`` exactly as it stood before the
+# decoder became the only memory of what arrived: its own ``_seen`` dict
+# above the decoder, its own statistical attempt schedule, payloads
+# retained client-side when the decoder runs structurally.
+# ``tests/test_receiver_parity.py`` holds the decoders fed through
+# ``repro.codes.registry.feed`` (and a one-block ``TransferClient``) to
+# it — same counters after every call, same bytes.  Verbatim but for
+# the class name, the mode enum kept here beside it, and one probe in
 # ``source_data`` (``getattr(..., "values", None)``: ``SetDecoder`` no
 # longer carries the peeling engine's ``values`` attribute).
+
+class ClientMode(enum.Enum):
+    """Client decode strategies of paper Section 7.2."""
+
+    INCREMENTAL = "incremental"
+    STATISTICAL = "statistical"
+
 
 class SeenSetFountainClient:
     """Consumes encoding packets and reconstructs the source block.

@@ -23,6 +23,7 @@ from repro import api
 from repro.errors import ParameterError, ProtocolError
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss
 from repro.net.transport import (
+    EMISSION_LIMIT_FACTOR,
     FRAME_DATA,
     MemoryTransport,
     TokenBucket,
@@ -504,6 +505,28 @@ class TestMemoryAdaptive:
         assert len(complete) == 1
         assert receiver.maybe_report() is None  # already finalised
 
+    def test_a_receiver_done_inside_one_interval_is_heard_decoding(self):
+        """A session that completes inside its first report interval
+        relays, before its complete report, the not-complete one it
+        would have sent before its first packet — so a policy that
+        counts a complete report only from a receiver it heard decoding
+        reads this one as complete (without it the serve ran to its
+        emission bound)."""
+        data = _random_bytes(20_000, seed=23)
+        sender = api.SenderSession(data, code="lt", seed=23)
+        receiver = api.ReceiverSession(sender.manifest(), report=64)
+        records = [p.to_bytes() for p in sender.packets(3 * sender.total_k)]
+        assert receiver.receive_records(records)
+        assert receiver.packets_used < 64
+        reports = list(iter(receiver.maybe_report, None))
+        assert [r.complete for r in reports] == [False, True]
+        assert reports[0].progress == 0.0 and reports[0].lagging
+        policy = AdaptivePolicy()
+        for report in reports:
+            policy.observe(report)
+        decision = policy.decide(sender.codec.plan.block_ks)
+        assert (decision.complete, decision.active) == (1, 0)
+
     def test_receiver_loss_estimate_rides_serials(self):
         data, session = self._session(seed=19)
         transport = MemoryTransport(loss=0.3, seed=29)
@@ -746,6 +769,18 @@ class TestUdpAdaptive:
         assert open_receiver.is_complete
         assert open_receiver.data() == data
         assert adaptive_report.emitted < open_report.emitted
+
+    def test_a_receiver_done_inside_one_interval_stops_the_serve(self):
+        """A 20 KB LT object (``total_k`` 20) finishes inside one
+        ``report=64`` interval; its complete report, preceded by the
+        not-complete one, stops the serve long before the emission
+        bound it reached while it was the receiver's only frame."""
+        data = _random_bytes(20_000, seed=61)
+        receiver, report, session = self._run(
+            data, policy=AdaptivePolicy(), report=64, pace=20_000)
+        assert receiver.data() == data
+        assert report.feedback_frames == 2
+        assert report.emitted < EMISSION_LIMIT_FACTOR * session.total_k // 4
 
     def test_feedback_frames_ride_the_reply_socket(self):
         data = _random_bytes(150_000, seed=41)

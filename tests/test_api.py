@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,12 @@ from repro.errors import (
 from repro.fountain.packets import EncodingPacket
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss
-from repro.transfer.codec import record_size
+from repro.transfer.codec import (
+    MAX_BLOCK_PACKETS,
+    MAX_BLOCKS,
+    MAX_PACKET_SIZE,
+    record_size,
+)
 
 
 FAMILIES = [family.name for family in available_codes()]
@@ -331,13 +337,55 @@ class TestUntrustedManifest:
             assert record_size(sender.manifest()) \
                 == sender.codec.record_size \
                 == sender.codec.header_size + 64
-        # a plan of 10**18 one-byte blocks is only arithmetic here
+        # a plan of MAX_BLOCKS one-byte blocks is only arithmetic here
         hostile = {"kind": "transfer", "code": "lt", "seed": 0,
-                   "file_size": 10 ** 18, "packet_size": 1,
+                   "file_size": MAX_BLOCKS, "packet_size": 1,
                    "block_packets": 1}
         assert record_size(hostile) == 17
         with pytest.raises(ProtocolError, match="positive"):
             record_size(dict(hostile, packet_size=0))
+
+    def test_a_manifest_naming_2_to_the_40_packets_is_refused(self):
+        """One-byte packets in one-packet blocks over 2**40 bytes: the
+        block ceiling refuses it in O(1), before a ``BlockSpec`` per
+        block (2**40 of them) or any per-block array is built."""
+        hostile = {"kind": "transfer", "code": "lt", "seed": 0,
+                   "file_size": 2 ** 40, "packet_size": 1,
+                   "block_packets": 1}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolError, match="num_blocks"):
+                record_size(hostile)
+            with pytest.raises(ProtocolError, match="num_blocks"):
+                api.ReceiverSession(hostile)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("field,ceiling,manifest", [
+        ("packet_size", MAX_PACKET_SIZE,
+         lambda n: {"file_size": n, "packet_size": n, "block_packets": 1}),
+        ("block_packets", MAX_BLOCK_PACKETS,
+         lambda n: {"file_size": n, "packet_size": 1, "block_packets": n}),
+        ("num_blocks", MAX_BLOCKS,
+         lambda n: {"file_size": n, "packet_size": 1, "block_packets": 1}),
+    ])
+    def test_each_ceiling_admits_its_value_and_refuses_one_more(
+            self, field, ceiling, manifest):
+        base = {"kind": "transfer", "code": "lt", "seed": 0}
+        assert record_size(dict(base, **manifest(ceiling))) > 0
+        with pytest.raises(ProtocolError, match=field):
+            record_size(dict(base, **manifest(ceiling + 1)))
+
+    def test_block_packets_beyond_the_object_are_not_a_block(self):
+        """A sender whose block size exceeds its object declares more
+        packets per block than any block holds: the ceiling reads the
+        largest block, not the declared size."""
+        manifest = {"kind": "transfer", "code": "lt", "seed": 0,
+                    "file_size": 1_000, "packet_size": 1,
+                    "block_packets": 10 * MAX_BLOCK_PACKETS}
+        assert api.ReceiverSession(manifest).codec.plan.block_ks == [1_000]
 
     @pytest.mark.parametrize("field,damage", MANIFEST_DAMAGE)
     def test_recorded_directory_names_the_field(self, tmp_path, field,

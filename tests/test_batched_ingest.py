@@ -24,10 +24,10 @@ from repro.codes.raptor.decoder import RaptorDecoder
 from repro.codes.registry import (
     available_codes,
     build_code,
+    feed,
     incremental_decoder,
 )
 from repro.errors import ParameterError
-from repro.fountain.client import FountainClient
 
 from tests._oracles import (
     eager_lt_decoder,
@@ -221,10 +221,10 @@ def test_finisher_respects_inactivation_limit():
 def test_duplicate_ids_never_change_decoder_state(spec):
     """Repeats cost a membership test, not an equation.
 
-    The client keeps no id set of its own: every id is delivered three
+    No receiver keeps an id set of its own: every id is delivered three
     times (mirrored-server style) straight into the decoder, which must
-    end in exactly the state single delivery leaves it in — through
-    both the scalar and the batched receive paths.
+    end in exactly the state single delivery leaves it in — fed one
+    packet per ``feed`` call and as one batch.
     """
     k = 24
     source = make_source(k, 16, seed=2)
@@ -233,34 +233,33 @@ def test_duplicate_ids_never_change_decoder_state(spec):
     encoded = (code.encode(source, count) if code.n is None
                else code.encode(source))
 
-    def decoder_state(client):
-        decoder = client.decoder
+    def decoder_state(decoder):
         return (decoder.packets_added, decoder.is_complete,
                 decoder.min_additional_packets,
                 getattr(decoder, "_equations_seen", None),
                 getattr(decoder, "redundant_droplets", None))
 
-    once = FountainClient(code, payload_size=16)
-    scalar = FountainClient(code, payload_size=16)
+    once = incremental_decoder(code, payload_size=16)
+    scalar = incremental_decoder(code, payload_size=16)
+    scalar_total = 0
     for index in range(count):
-        once.receive_index(index, encoded[index])
+        feed(once, (index,), encoded[index][np.newaxis])
         for _ in range(3):
-            scalar.receive_index(index, encoded[index])
+            scalar_total += feed(scalar, (index,), encoded[index][np.newaxis])
         assert decoder_state(scalar) == decoder_state(once)
         if once.is_complete:
             break
     assert scalar.is_complete
-    distinct = once.distinct_received
-    assert scalar.distinct_received == distinct
-    assert scalar.total_received == 3 * (distinct - 1) + 1
-    assert scalar.decoder.duplicates_seen == 2 * (distinct - 1)
-    assert once.decoder.duplicates_seen == 0
+    distinct = once.packets_added
+    assert scalar.packets_added == distinct
+    assert scalar_total == 3 * (distinct - 1) + 1
+    assert scalar.duplicates_seen == 2 * (distinct - 1)
+    assert once.duplicates_seen == 0
 
-    batched = FountainClient(code, payload_size=16)
+    batched = incremental_decoder(code, payload_size=16)
     ids = np.repeat(np.arange(count), 3)
-    batched.receive_many(ids, encoded[ids])
+    assert feed(batched, ids, encoded[ids]) == scalar_total
     assert decoder_state(batched)[:4] == decoder_state(once)[:4]
-    assert batched.total_received == scalar.total_received
     assert np.array_equal(batched.source_data(), source)
     assert np.array_equal(scalar.source_data(), source)
 

@@ -32,6 +32,7 @@ import pytest
 from repro import api
 from repro.codes.peeling import payload_store
 from repro.codes.registry import build_code
+from repro.fountain.metrics import ReceptionStats
 from repro.net.transport import FileTransport, MemoryTransport, UdpTransport
 from repro.net.transport.udp import UdpSubscription
 from repro.transfer import TransferClient
@@ -111,9 +112,9 @@ class TestCompletedBlockRelease:
         finish = TransferClient._finish
         receive_many = TransferClient.receive_many
 
-        def recording(self, block, client):
-            decoders[block] = weakref.ref(client.decoder)
-            finish(self, block, client)
+        def recording(self, block, decoder):
+            decoders[block] = weakref.ref(decoder)
+            finish(self, block, decoder)
 
         def checking(self, *args, **kwargs):
             done = receive_many(self, *args, **kwargs)
@@ -134,15 +135,18 @@ class TestCompletedBlockRelease:
         kept = {}
         finish = TransferClient._finish
 
-        def keeping(self, block, client):
-            kept[block] = client
-            finish(self, block, client)
+        def keeping(self, block, decoder):
+            kept[block] = decoder
+            finish(self, block, decoder)
 
         monkeypatch.setattr(TransferClient, "_finish", keeping)
         receiver = deliver(code, tmp_path / "kept")
         assert _counters(receiver) == released
-        assert released[0] == [kept[b].stats() for b in sorted(kept)]
-        assert released[2] == sum(c.distinct_received for c in kept.values())
+        plan = receiver.codec.plan
+        assert released[0] == [
+            ReceptionStats.of_decoder(plan.spec(b).k, kept[b])
+            for b in sorted(kept)]
+        assert released[2] == sum(d.packets_added for d in kept.values())
 
     def test_block_data_reads_zero_padded_rows_from_the_buffer(
             self, code, deliver, tmp_path):

@@ -1,5 +1,8 @@
 """Fountain layer: packet framing, the carousel and rateless streams of a
-single-block :class:`TransferServer`, client, metrics."""
+single-block :class:`TransferServer`, the decoders a receiver feeds,
+metrics."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,10 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codes.base import bytes_to_packets, packets_to_bytes
-from repro.codes.registry import block_seed
+from repro.codes.registry import (
+    SetDecoder,
+    block_seed,
+    feed,
+    incremental_decoder,
+)
 from repro.codes.tornado.presets import tornado_a
 from repro.errors import DecodeFailure, ParameterError, ProtocolError
-from repro.fountain.client import ClientMode, FountainClient
 from repro.fountain.metrics import ReceptionStats
 from repro.fountain.packets import (
     HEADER_SIZE,
@@ -18,7 +25,7 @@ from repro.fountain.packets import (
     EncodingPacket,
     stamp_headers,
 )
-from repro.transfer import TransferServer
+from repro.transfer import TransferClient, TransferServer
 from repro.transfer.schedule import carousel_order
 
 from _oracles import make_source, single_block_server
@@ -121,53 +128,58 @@ class TestCarousel:
 
 
 class TestClient:
+    """Paper §7.2's two client protocols, one packet fed at a time."""
+
     def _run_client(self, mode, loss_seed=0):
         code = tornado_a(150, seed=6)
         rng = np.random.default_rng(7)
         src = rng.integers(0, 256, size=(150, 8), dtype=np.uint8)
         enc = code.encode(src)
         order = carousel_order(code.n, 8)
-        client = FountainClient(code, mode=mode)
+        decoder = (incremental_decoder(code, payload_size=8)
+                   if mode == "incremental" else
+                   SetDecoder(code, payload_size=8,
+                              first_attempt=math.ceil(1.05 * code.k),
+                              retry_step=8))
         loss_rng = np.random.default_rng(loss_seed)
         for index in np.resize(order, 20 * code.n).tolist():
             if loss_rng.random() < 0.3:
                 continue
-            if client.receive_index(index, enc[index]):
+            feed(decoder, (index,), enc[index][np.newaxis])
+            if decoder.is_complete:
                 break
-        return client, src
+        return decoder, src
 
-    @pytest.mark.parametrize("mode", [ClientMode.INCREMENTAL,
-                                      ClientMode.STATISTICAL])
+    @pytest.mark.parametrize("mode", ["incremental", "statistical"])
     def test_client_reconstructs(self, mode):
-        client, src = self._run_client(mode)
-        assert client.is_complete
-        assert np.array_equal(client.source_data(), src)
+        decoder, src = self._run_client(mode)
+        assert decoder.is_complete
+        assert np.array_equal(decoder.source_data(), src)
 
     def test_statistical_makes_attempts(self):
-        client, _ = self._run_client(ClientMode.STATISTICAL)
-        assert client.decoder.decode_attempts >= 1
+        decoder, _ = self._run_client("statistical")
+        assert decoder.decode_attempts >= 1
 
     def test_metrics_identity(self):
-        client, _ = self._run_client(ClientMode.INCREMENTAL)
-        stats = client.stats()
+        decoder, _ = self._run_client("incremental")
+        stats = ReceptionStats.of_decoder(150, decoder)
         assert stats.efficiency == pytest.approx(
             stats.coding_efficiency * stats.distinctness_efficiency)
 
     def test_incomplete_client_raises(self):
         code = tornado_a(150, seed=6)
-        client = FountainClient(code)
+        decoder = incremental_decoder(code, payload_size=8)
         with pytest.raises(DecodeFailure):
-            client.source_data()
+            decoder.source_data()
 
     def test_rs_client(self):
         server = _server("rs", 20, seed=10)
-        code = server.codec.code_for(0)
-        client = FountainClient(code)
-        for packet in server.packets(code.n):
+        client = TransferClient(server.codec)
+        for packet in server.packets(server.codec.code_for(0).n):
             if client.receive(packet):
                 break
-        assert client.distinct_received == code.k  # MDS: exactly k
-        assert np.array_equal(client.source_data(),
+        assert client.distinct_received == 20  # MDS: exactly k
+        assert np.array_equal(client.block_data(0),
                               server.codec.source_block(server._data, 0))
 
 

@@ -11,7 +11,8 @@ from repro import (
     tornado_a,
     tornado_b,
 )
-from repro.fountain.client import ClientMode, FountainClient
+from repro.codes.registry import feed, incremental_decoder
+from repro.transfer import TransferClient
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss
 from repro.net.traces import synthesize_mbone_traces
@@ -40,12 +41,13 @@ class TestFileRoundtrips:
         encoding = code.encode(source)
         carousel = np.resize(carousel_order(code.n, 2), 10 * code.n)
         channel = LossyChannel(BernoulliLoss(0.3), rng=3)
-        client = FountainClient(code, mode=ClientMode.INCREMENTAL)
+        decoder = incremental_decoder(code, payload_size=encoding.shape[1])
         for index in channel.transmit(carousel.tolist()):
-            if client.receive_index(index, encoding[index]):
+            feed(decoder, (index,), encoding[index][np.newaxis])
+            if decoder.is_complete:
                 break
-        assert client.is_complete
-        assert packets_to_bytes(client.source_data(), len(data)) == data
+        assert decoder.is_complete
+        assert packets_to_bytes(decoder.source_data(), len(data)) == data
 
     def test_interleaved_file_roundtrip(self):
         data = bytes(range(256)) * 100
@@ -54,12 +56,13 @@ class TestFileRoundtrips:
         encoding = code.encode(source)
         carousel = np.resize(carousel_order(code.n, 4), 50 * code.n)
         channel = LossyChannel(BernoulliLoss(0.2), rng=4)
-        client = FountainClient(code, mode=ClientMode.INCREMENTAL)
+        decoder = incremental_decoder(code, payload_size=encoding.shape[1])
         for index in channel.transmit(carousel.tolist()):
-            if client.receive_index(index, encoding[index]):
+            feed(decoder, (index,), encoding[index][np.newaxis])
+            if decoder.is_complete:
                 break
-        assert client.is_complete
-        assert packets_to_bytes(client.source_data(), len(data)) == data
+        assert decoder.is_complete
+        assert packets_to_bytes(decoder.source_data(), len(data)) == data
 
 
 class TestWireFormat:
@@ -71,15 +74,14 @@ class TestWireFormat:
         codec = ObjectCodec(BlockPlan(src.size, 64, 130), code="tornado-a",
                             seed=5)
         server = TransferServer(codec, src.tobytes(), seed=7)
-        code = codec.code_for(0)
-        client = FountainClient(code, mode=ClientMode.INCREMENTAL)
-        for packet in server.packets(code.n):
+        client = TransferClient(codec)
+        for packet in server.packets(codec.code_for(0).n):
             wire = packet.to_bytes()          # serialise
             restored = EncodingPacket.from_bytes(wire)  # deserialise
             if client.receive(restored):
                 break
         assert client.is_complete
-        assert np.array_equal(client.source_data(), src)
+        assert np.array_equal(client.block_data(0), src)
 
 
 class TestConsistencyAcrossPaths:
@@ -99,16 +101,18 @@ class TestConsistencyAcrossPaths:
         client_totals = []
         for trial in range(15):
             carousel = np.resize(carousel_order(code.n, trial), 10 * code.n)
-            client = FountainClient(code, mode=ClientMode.INCREMENTAL)
+            decoder = incremental_decoder(code)
             loss = BernoulliLoss(p)
             rng = np.random.default_rng(200 + trial)
+            received = 0
             for index in carousel:
                 if loss.losses(1, rng)[0]:
                     continue
-                if client.receive_index(int(index)):
+                received += feed(decoder, (int(index),))
+                if decoder.is_complete:
                     break
-            assert client.is_complete
-            client_totals.append(client.total_received)
+            assert decoder.is_complete
+            client_totals.append(received)
         assert np.mean(client_totals) == pytest.approx(
             np.mean(sim_totals), rel=0.15)
 
@@ -136,13 +140,14 @@ class TestFailureInjection:
         src = rng.integers(0, 256, size=(200, 16), dtype=np.uint8)
         encoding = code.encode(src)
         carousel = np.resize(carousel_order(code.n, 17), 3 * code.n)
-        client = FountainClient(code, mode=ClientMode.INCREMENTAL)
+        decoder = incremental_decoder(code, payload_size=16)
         # Outage: the first 1.5 cycles vanish entirely.
         for index in carousel[int(1.5 * code.n):].tolist():
-            if client.receive_index(index, encoding[index]):
+            feed(decoder, (index,), encoding[index][np.newaxis])
+            if decoder.is_complete:
                 break
-        assert client.is_complete
-        assert np.array_equal(client.source_data(), src)
+        assert decoder.is_complete
+        assert np.array_equal(decoder.source_data(), src)
 
     def test_decoder_rejects_corrupt_index(self):
         code = tornado_a(100, seed=18)

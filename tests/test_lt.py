@@ -13,8 +13,9 @@ from repro.codes.lt import (
     robust_soliton_normaliser,
     robust_soliton_spike,
 )
+from repro.codes.registry import SetDecoder, feed
 from repro.errors import DecodeFailure, ParameterError
-from repro.fountain import ClientMode, FountainClient
+from repro.transfer import TransferClient
 
 from _oracles import single_block_server
 
@@ -207,30 +208,33 @@ class TestFountainIntegration:
     def test_rateless_server_lossy_channel_roundtrip(self):
         src = random_source(90, payload=32, seed=15)
         server = single_block_server("lt", src, seed=14)
-        client = FountainClient(server.codec.code_for(0), payload_size=32)
+        client = TransferClient(server.codec)
         drop = np.random.default_rng(16)
         for packet in server.packets():
             if drop.random() < 0.4:     # 40% loss: the fountain shrugs
                 continue
             if client.receive(packet):
                 break
-        assert np.array_equal(client.source_data(), src)
-        stats = client.stats()
+        assert np.array_equal(client.block_data(0), src)
+        stats = client.block_stats(0)
         assert stats.distinctness_efficiency == 1.0
         assert stats.coding_efficiency > 0.7
 
     def test_statistical_mode_client(self):
         src = random_source(60, payload=16, seed=18)
         server = single_block_server("lt", src, seed=17)
-        client = FountainClient(server.codec.code_for(0),
-                                mode=ClientMode.STATISTICAL,
-                                payload_size=16)
+        # the paper's statistical protocol: a first decode attempt after
+        # 5 % more than k distinct packets, then one every 8 more
+        decoder = SetDecoder(server.codec.code_for(0), payload_size=16,
+                             first_attempt=math.ceil(1.05 * 60),
+                             retry_step=8)
         for packet in server.packets(200):
-            if client.receive(packet):
+            feed(decoder, (packet.index,), packet.payload[np.newaxis])
+            if decoder.is_complete:
                 break
-        assert client.is_complete
-        assert np.array_equal(client.source_data(), src)
-        assert client.decoder.decode_attempts >= 1
+        assert decoder.is_complete
+        assert np.array_equal(decoder.source_data(), src)
+        assert decoder.decode_attempts >= 1
 
     def test_server_requires_source_for_payload_packets(self):
         server = single_block_server("lt", random_source(10), seed=21,

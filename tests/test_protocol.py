@@ -9,6 +9,7 @@ from repro.errors import ParameterError
 from repro.net.loss import BernoulliLoss
 from repro.protocol.congestion import CongestionPolicy, SubscriptionController
 from repro.protocol.layering import LayerConfig
+from repro.protocol import receiver as protocol_receiver
 from repro.protocol.receiver import LayeredReceiver
 from repro.protocol.server import LayeredServer
 from repro.protocol.session import (
@@ -259,7 +260,8 @@ class TestSessions:
 
     @pytest.mark.parametrize("spec", ["lt", "tornado-a"])
     @pytest.mark.parametrize("loss", [0.05, 0.4])
-    def test_session_stops_on_the_completing_packet(self, spec, loss):
+    def test_session_stops_on_the_completing_packet(self, spec, loss,
+                                                    monkeypatch):
         """The receiver's distinct count at completion is exactly the
         code's decode threshold on the ids it was delivered, in order."""
         code = build_code(spec, 500, seed=2)
@@ -270,13 +272,13 @@ class TestSessions:
         receiver = LayeredReceiver(code, config, policy, 10 ** 9,
                                    BernoulliLoss(loss), rng=4)
         delivered = []
-        feed = receiver.client.receive_many
+        feed = protocol_receiver.feed
 
-        def recording(indices, payloads=None):
+        def recording(decoder, indices, payloads=None):
             delivered.append(np.asarray(indices))
-            return feed(indices, payloads)
+            return feed(decoder, indices, payloads)
 
-        receiver.client.receive_many = recording
+        monkeypatch.setattr(protocol_receiver, "feed", recording)
         for rnd in range(4000):
             receiver.process_round(rnd, *server.next_round())
             if receiver.is_complete:

@@ -1,8 +1,9 @@
 """One receiver over one decoder contract, held to the receiver it replaced.
 
-``FountainClient`` keeps no id set of its own: the decoder validates and
-dedups ids, counts the distinct ones and bounds how many more are
-needed.  Two suites pin that:
+No receiver keeps an id set of its own: the decoder validates and dedups
+ids, counts the distinct ones and bounds how many more are needed, and
+every receiver feeds it through :func:`~repro.codes.registry.feed`.
+Two suites pin that:
 
 * **Contract** — every registered family's ``incremental_decoder`` is an
   :class:`~repro.codes.registry.IncrementalDecoder` whose ``add_packet``
@@ -11,17 +12,20 @@ needed.  Two suites pin that:
   ``duplicates_seen``, a ``min_additional_packets`` never below
   ``k - packets_added``).
 * **Parity** — against ``tests/_oracles.py::SeenSetFountainClient``, the
-  client as it stood with its own ``_seen`` dict: hypothesis-drawn
-  arrival streams of every awkward kind, every family, payload /
-  structural / sized-from-the-first-payload, scalar and batched
-  feeding, both decode routes (``tests/_routes.py``); the reception
-  counters agree after *every* call and the recovered bytes are
-  identical.
+  single-block client as it stood with its own ``_seen`` dict:
+  hypothesis-drawn arrival streams of every awkward kind, every family,
+  payload / structural, one packet per call and batched feeding, both
+  decode routes (``tests/_routes.py``), for a decoder fed through
+  ``feed`` (incremental, and the statistical ``SetDecoder`` schedule)
+  and for a one-block :class:`~repro.transfer.client.TransferClient`;
+  the reception counters agree after *every* call and the recovered
+  bytes are identical.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -30,14 +34,16 @@ from hypothesis import strategies as st
 
 from repro.codes.registry import (
     IncrementalDecoder,
+    SetDecoder,
     available_codes,
     build_code,
+    feed,
     incremental_decoder,
 )
 from repro.errors import ParameterError
-from repro.fountain.client import ClientMode, FountainClient
+from repro.transfer import BlockPlan, ObjectCodec, TransferClient
 
-from tests._oracles import SeenSetFountainClient, make_source
+from tests._oracles import ClientMode, SeenSetFountainClient, make_source
 from tests._routes import DECODE_ROUTES, decode_route
 
 FAMILIES = [family.name for family in available_codes()]
@@ -55,7 +61,10 @@ def _code(family: str):
 def _encoding(family: str) -> np.ndarray:
     """Payloads of ids ``0 .. pool``: the whole fixed-rate encoding, or
     the first ``3k`` droplets of a rateless stream."""
-    code = _code(family)
+    return _encode(_code(family))
+
+
+def _encode(code) -> np.ndarray:
     source = make_source(_K, _PAYLOAD, seed=5)
     if code.n is None:
         return code.encode(source, 3 * _K)
@@ -90,60 +99,96 @@ KINDS = {"wraparound": _wraparound, "mirrored": _mirrored,
          "after-completion": _after_completion}
 
 
-def _counters(client):
-    return (client.total_received, client.distinct_received,
-            client.is_complete, client.min_additional)
+def _counters(decoder):
+    """A decoder's reception counters, in the oracle's terms."""
+    return (decoder.packets_added + decoder.duplicates_seen,
+            decoder.packets_added, decoder.is_complete,
+            decoder.min_additional_packets)
 
 
-def _feed(client, ids, payloads, feeding):
-    """Yield after every feeding call: scalar calls for ``feeding == 1``,
-    ``receive_many`` chunks otherwise (``None`` = the whole stream)."""
-    if feeding == 1:
-        for row, index in enumerate(ids.tolist()):
-            client.receive_index(
-                index, None if payloads is None else payloads[row])
-            yield
-        return
+def _oracle_counters(oracle):
+    return (oracle.total_received, oracle.distinct_received,
+            oracle.is_complete, oracle.min_additional)
+
+
+def _feed(receive, ids, payloads, feeding):
+    """Yield after every ``receive(ids, rows)`` call: one packet a call
+    for ``feeding == 1``, chunks otherwise (``None`` = the whole
+    stream)."""
     step = ids.size if feeding is None else feeding
     for pos in range(0, ids.size, step):
-        client.receive_many(
-            ids[pos:pos + step],
-            None if payloads is None else payloads[pos:pos + step])
+        receive(ids[pos:pos + step],
+                None if payloads is None else payloads[pos:pos + step])
         yield
 
 
 @pytest.mark.parametrize("route", DECODE_ROUTES)
 @pytest.mark.parametrize("feeding", [1, 3, 32, None])
-@pytest.mark.parametrize("payload", ["payload", "structural", "unsized"])
+@pytest.mark.parametrize("payload", ["payload", "structural"])
 @pytest.mark.parametrize("family", FAMILIES)
 @given(kind=st.sampled_from(sorted(KINDS)), seed=st.integers(0, 2 ** 16))
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_client_matches_the_seen_set_oracle(family, payload, feeding,
-                                            route, kind, seed):
+def test_feed_matches_the_seen_set_oracle(family, payload, feeding,
+                                          route, kind, seed):
     code = _code(family)
     encoding = _encoding(family)
     ids = KINDS[kind](encoding.shape[0], np.random.default_rng(seed))
     payloads = None if payload == "structural" else encoding[ids]
     size = _PAYLOAD if payload == "payload" else None
     with decode_route(route):
-        client = FountainClient(code, payload_size=size)
+        decoder = incremental_decoder(code, payload_size=size)
         # The oracle's client-side payload retention never worked over
         # a structural Raptor decoder (its held-row release indexes a
         # payload bank it does not have): size that one oracle.
         oracle = SeenSetFountainClient(
             code, payload_size=_PAYLOAD if family == "raptor"
             and payloads is not None else size)
-        for _ in zip(_feed(client, ids, payloads, feeding),
-                     _feed(oracle, ids, payloads, feeding)):
-            assert _counters(client) == _counters(oracle)
-        assert client.is_complete
-        assert client.stats() == oracle.stats()
+        for _ in zip(_feed(functools.partial(feed, decoder), ids, payloads,
+                           feeding),
+                     _feed(oracle.receive_many, ids, payloads, feeding)):
+            assert _counters(decoder) == _oracle_counters(oracle)
+        assert decoder.is_complete
         if payloads is not None:
-            assert client.source_data().tobytes() \
+            assert decoder.source_data().tobytes() \
                 == oracle.source_data().tobytes()
-            assert client.source_data().tobytes() \
+            assert decoder.source_data().tobytes() \
                 == make_source(_K, _PAYLOAD, seed=5).tobytes()
+
+
+@pytest.mark.parametrize("feeding", [1, 3, 32, None])
+@pytest.mark.parametrize("payload", ["payload", "structural"])
+@pytest.mark.parametrize("family", FAMILIES)
+@given(kind=st.sampled_from(sorted(KINDS)), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_one_block_transfer_client_matches_the_oracle(family, payload,
+                                                      feeding, kind, seed):
+    """A single-block stream is a one-block transfer: the transfer
+    client's block counters are the oracle's after every call, and its
+    object is the oracle's bytes."""
+    codec = ObjectCodec(BlockPlan(_K * _PAYLOAD, _PAYLOAD, _K), code=family,
+                        seed=11)
+    code = codec.code_for(0)
+    encoding = _encode(code)
+    ids = KINDS[kind](encoding.shape[0], np.random.default_rng(seed))
+    payloads = None if payload == "structural" else encoding[ids]
+    size = _PAYLOAD if payload == "payload" else None
+    client = TransferClient(codec, payload_size=size)
+    oracle = SeenSetFountainClient(
+        code, payload_size=_PAYLOAD if family == "raptor"
+        and payloads is not None else size)
+    for _ in zip(_feed(functools.partial(client.receive_many, 0), ids,
+                       payloads, feeding),
+                 _feed(oracle.receive_many, ids, payloads, feeding)):
+        stats = client.block_stats(0)
+        assert (stats.total_received, stats.distinct_received,
+                client.is_complete, client.min_additional) \
+            == _oracle_counters(oracle)
+    assert client.is_complete
+    assert client.block_stats(0) == oracle.stats()
+    if payloads is not None:
+        assert client.object_data() == oracle.source_data().tobytes()
 
 
 @pytest.mark.parametrize("feeding", [1, 3, 32, None])
@@ -155,23 +200,27 @@ def test_client_matches_the_seen_set_oracle(family, payload, feeding,
           suppress_health_check=[HealthCheck.too_slow])
 def test_statistical_schedule_matches_the_oracle(family, feeding, kind,
                                                  seed, margin, retry_step):
-    """The attempt schedule moved into ``SetDecoder``: same attempts at
-    the same distinct counts, so the same completing packet.  (The
-    oracle never batched statistical reception and its deficit bound
-    ignores the schedule, so ``min_additional`` is not compared.)"""
+    """The §7.2 statistical protocol is a ``SetDecoder`` attempt
+    schedule: same attempts at the same distinct counts, so the same
+    completing packet.  (The oracle never batched statistical reception
+    and its deficit bound ignores the schedule, so ``min_additional``
+    is not compared.)"""
     code = _code(family)
     encoding = _encoding(family)
     ids = KINDS[kind](encoding.shape[0], np.random.default_rng(seed))
-    options = dict(mode=ClientMode.STATISTICAL, statistical_margin=margin,
-                   retry_step=retry_step, payload_size=_PAYLOAD)
-    client = FountainClient(code, **options)
-    oracle = SeenSetFountainClient(code, **options)
-    for _ in zip(_feed(client, ids, encoding[ids], feeding),
-                 _feed(oracle, ids, encoding[ids], feeding)):
-        assert _counters(client)[:3] == _counters(oracle)[:3]
-        assert client.decoder.decode_attempts == oracle.decode_attempts
-    assert client.is_complete
-    assert client.source_data().tobytes() == oracle.source_data().tobytes()
+    decoder = SetDecoder(code, payload_size=_PAYLOAD,
+                         first_attempt=math.ceil((1 + margin) * code.k),
+                         retry_step=retry_step)
+    oracle = SeenSetFountainClient(
+        code, mode=ClientMode.STATISTICAL, statistical_margin=margin,
+        retry_step=retry_step, payload_size=_PAYLOAD)
+    for _ in zip(_feed(functools.partial(feed, decoder), ids,
+                       encoding[ids], feeding),
+                 _feed(oracle.receive_many, ids, encoding[ids], feeding)):
+        assert _counters(decoder)[:3] == _oracle_counters(oracle)[:3]
+        assert decoder.decode_attempts == oracle.decode_attempts
+    assert decoder.is_complete
+    assert decoder.source_data().tobytes() == oracle.source_data().tobytes()
 
 
 # -- the contract ----------------------------------------------------------------
@@ -245,8 +294,8 @@ def test_tornado_recovered_node_still_counts_as_distinct():
 def test_index_outside_the_encoding_raises_and_counts_nothing(family):
     """The typed API keeps raising for a caller's own bad argument."""
     code = _code(family)
-    client = FountainClient(code)
+    decoder = incremental_decoder(code)
     for bad in (code.n, -1):
         with pytest.raises(ParameterError):
-            client.receive_index(bad)
-    assert _counters(client) == (0, 0, False, _K)
+            feed(decoder, (bad,))
+    assert _counters(decoder) == (0, 0, False, _K)
