@@ -51,7 +51,7 @@ def main() -> None:
     print("\nThe same session over every registered code family")
     print("(the fountain never wraps, so its eta_d is exactly 1):")
     for spec in ("tornado-a", "lt", "rs"):
-        results = run_single_layer_session(code_spec=spec, k=400,
+        results = run_single_layer_session(spec, k=400,
                                            loss_rates=[0.2, 0.45],
                                            seed=SEED)
         for r in results:

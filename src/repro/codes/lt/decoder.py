@@ -27,6 +27,11 @@ from repro.codes.lt.encoder import DropletSpec
 from repro.codes.peeling import PeelingEngine, _VECTOR_INTAKE_MIN
 from repro.errors import ParameterError
 
+#: The distinct droplets a block holds: ``DROPLET_CAP_PER_K * k +
+#: DROPLET_CAP_FLOOR`` at most (see :class:`LTDecoder`).
+DROPLET_CAP_PER_K = 8
+DROPLET_CAP_FLOOR = 4096
+
 
 class LTDecoder(PeelingEngine):
     """Incremental droplet decoder over a :class:`DropletSpec`.
@@ -44,6 +49,14 @@ class LTDecoder(PeelingEngine):
         this is the difference between Luby's asymptotic overhead and
         near-optimal finite-length behaviour; disable (0) to measure
         pure peeling.
+
+    Bounded state: a batch that would take the block past the cap
+    (above) first makes it forget its droplets — their ids and, while
+    it is open, all its decoding state — and it starts over from that
+    batch.  An honest block completes on about ``1.05 k`` of them; ids
+    that never raise the rank (spoofed records over half the block)
+    cost at most a cap's worth of memory.  The counters run on; an id
+    fed again after a forget counts as new.
     """
 
     def __init__(self, spec: DropletSpec,
@@ -67,6 +80,9 @@ class LTDecoder(PeelingEngine):
         self._lazy_peel = (self._bitmatrix
                            and self.inactivation_limit >= spec.k)
         self._droplet_ids: Set[int] = set()
+        self._droplet_cap = DROPLET_CAP_PER_K * spec.k + DROPLET_CAP_FLOOR
+        #: distinct droplets counted before the last forget.
+        self._forgotten = 0
         self._duplicates = 0
         self._redundant = 0
         # Droplets admitted and banked whose equations have not entered
@@ -84,7 +100,7 @@ class LTDecoder(PeelingEngine):
     @property
     def packets_added(self) -> int:
         """Distinct droplets fed in so far."""
-        return len(self._droplet_ids)
+        return self._forgotten + len(self._droplet_ids)
 
     @property
     def duplicates_seen(self) -> int:
@@ -278,6 +294,8 @@ class LTDecoder(PeelingEngine):
             raise ParameterError("droplet id must be >= 0")
         if listed and self.values is not None and not has_payload:
             raise ParameterError("payload decoder requires droplet payloads")
+        if len(self._droplet_ids) + len(listed) > self._droplet_cap:
+            self._forget()
         seen = self._droplet_ids
         distinct = set(listed)
         if len(distinct) == len(listed) and distinct.isdisjoint(seen):
@@ -290,6 +308,22 @@ class LTDecoder(PeelingEngine):
                 rows.append(row)
         self._duplicates += len(listed) - len(rows)
         return ids[rows], np.asarray(rows, dtype=np.int64)
+
+    def _fresh(self) -> "LTDecoder":
+        """Hook: a new decoder of this block, as constructed."""
+        return LTDecoder(self.spec, self.payload_size,
+                         self.inactivation_limit)
+
+    def _forget(self) -> None:
+        """Drop every droplet id this block holds and, unless it is
+        complete, all its decoding state; the counters run on."""
+        forgotten = self.packets_added
+        if not self.is_complete:
+            counters = self._duplicates, self._redundant
+            self.__dict__.update(self._fresh().__dict__)
+            self._duplicates, self._redundant = counters
+        self._droplet_ids = set()
+        self._forgotten = forgotten
 
     def _intake(self, indices: Sequence[int],
                 payloads: Optional[np.ndarray]) -> int:

@@ -101,6 +101,9 @@ class RaptorDecoder(LTDecoder):
         self._held: Optional[List] = []
         self._install_constraints()
 
+    def _fresh(self) -> "RaptorDecoder":
+        return RaptorDecoder(self.geometry, self.payload_size)
+
     def _install_constraints(self) -> None:
         """Pre-install the precode rows as zero-rhs equations.
 

@@ -4,13 +4,12 @@
   subscription levels (Section 7.1.1).
 * :mod:`repro.protocol.schedule` — the reverse-binary packet schedule
   across layers with the One Level Property (Section 7.1.2, Table 5,
-  Figure 7).
+  Figure 7), and the one round walk the sender runs over it.
 * :mod:`repro.protocol.congestion` — synchronization points, sender
   bursts, and the receiver join/drop rules (from Vicisano, Rizzo and
   Crowcroft [19], as adopted by the paper).
-* :mod:`repro.protocol.server` / :mod:`repro.protocol.receiver` /
-  :mod:`repro.protocol.session` — the end-to-end prototype simulation
-  behind Figure 8.
+* :mod:`repro.protocol.receiver` / :mod:`repro.protocol.session` — the
+  end-to-end prototype simulation behind Figure 8.
 
 Beyond the paper, the feedback control plane (ROADMAP's channel-aware
 delivery):
@@ -24,9 +23,7 @@ delivery):
 from repro.protocol.layering import LayerConfig
 from repro.protocol.schedule import (
     layer_block_range,
-    round_schedule,
-    transmission_stream,
-    one_level_stream,
+    layered_rounds,
 )
 from repro.protocol.congestion import CongestionPolicy, SubscriptionController
 from repro.protocol.feedback import (
@@ -35,16 +32,13 @@ from repro.protocol.feedback import (
     report_from_client,
 )
 from repro.protocol.adaptive import AdaptivePolicy, PolicyDecision
-from repro.protocol.server import LayeredServer
 from repro.protocol.receiver import LayeredReceiver
 from repro.protocol.session import SessionResult, run_session, run_single_layer_session
 
 __all__ = [
     "LayerConfig",
     "layer_block_range",
-    "round_schedule",
-    "transmission_stream",
-    "one_level_stream",
+    "layered_rounds",
     "CongestionPolicy",
     "SubscriptionController",
     "FeedbackReport",
@@ -52,7 +46,6 @@ __all__ = [
     "report_from_client",
     "AdaptivePolicy",
     "PolicyDecision",
-    "LayeredServer",
     "LayeredReceiver",
     "SessionResult",
     "run_session",

@@ -26,35 +26,25 @@ class LayerConfig:
     Parameters
     ----------
     num_layers:
-        ``g`` — number of layers / multicast groups (>= 1).
-    base_rate:
-        Packets per round on layer 0 (and layer 1).  The paper's
-        experiments express everything in multiples of the base rate, so
-        the default of 1 packet/round is the natural unit.
+        ``g`` — number of layers / multicast groups (>= 1).  Rates are
+        packets per block per round, in the unit the paper's experiments
+        use: layer 0 sends one.
     """
 
     num_layers: int
-    base_rate: int = 1
 
     def __post_init__(self) -> None:
         if self.num_layers < 1:
             raise ParameterError("need at least one layer")
-        if self.base_rate < 1:
-            raise ParameterError("base rate must be >= 1 packet per round")
 
     def layer_rate(self, layer: int) -> int:
         """Packets per round on ``layer`` (B_i = 2^(i-1), B_0 = 1)."""
         self._check_layer(layer)
-        if layer == 0:
-            return self.base_rate
-        return self.base_rate * (1 << (layer - 1))
+        return 1 if layer == 0 else 1 << (layer - 1)
 
     def level_rate(self, level: int) -> int:
-        """Cumulative packets per round at subscription ``level``.
-
-        Equals ``2^level * base_rate`` for level >= 1 and ``base_rate``
-        for level 0.
-        """
+        """Cumulative packets per round at subscription ``level``:
+        ``2^level`` for level >= 1 and 1 for level 0."""
         self._check_layer(level)
         return sum(self.layer_rate(i) for i in range(level + 1))
 

@@ -48,7 +48,6 @@ class LayeredReceiver:
         #: the one memory of what arrived (structural: ids only).
         self.decoder = incremental_decoder(code)
         self.congestion_drops = 0
-        self.ambient_drops = 0
         self.expected_total = 0
         self.completed_at_round: Optional[int] = None
         self.level_history: List[int] = [start_level]
@@ -64,7 +63,7 @@ class LayeredReceiver:
     def process_round(self, round_index: int,
                       per_layer_indices: List[np.ndarray],
                       was_burst: bool) -> None:
-        """Consume one server round at the current subscription level."""
+        """Consume one walk round at the current subscription level."""
         if self.is_complete:
             return
         arriving = np.concatenate(per_layer_indices[:self.level + 1])
@@ -79,7 +78,6 @@ class LayeredReceiver:
             self.congestion_drops += expected - self.capacity
         # Ambient (wireless/queue) loss on the survivors.
         survive = self.ambient.delivery_mask(admitted.size)
-        self.ambient_drops += int(admitted.size - survive.sum())
         delivered = admitted[survive]
         # The receiver disconnects on the completing packet — only
         # packets received *prior to reconstruction* count towards the

@@ -26,13 +26,19 @@ which reproduces Table 5 exactly (see tests/test_schedule.py).
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterator, List, Sequence, Tuple
+from itertools import count
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
 from repro.errors import ParameterError
+from repro.protocol.congestion import CongestionPolicy
 from repro.protocol.layering import LayerConfig
+
+#: Block groups in one sweep of the layered session's schedule (about
+#: as many wall-clock rounds): fine enough that a download spans
+#: several synchronization points and bursts.
+SWEEP_ROUNDS = 16
 
 
 def _bit(value: int, position: int) -> int:
@@ -68,69 +74,72 @@ def layer_block_range(layer: int, round_index: int,
     return start, 1 << free_bits
 
 
-def round_schedule(round_index: int, num_layers: int) -> List[Tuple[int, int]]:
-    """Per-layer ``(start, length)`` ranges for one round, layer 0 first."""
-    return [layer_block_range(layer, round_index, num_layers)
-            for layer in range(num_layers)]
+def layered_rounds(config: LayerConfig, policy: CongestionPolicy,
+                   num_blocks: int, blocks_per_round: int
+                   ) -> Iterator[Tuple[List[np.ndarray], bool]]:
+    """The sender's walk: ``(per_layer_positions, was_burst)`` for each
+    wall-clock round, without end.
 
-
-def _layers_stream(layers: Sequence[int], config: LayerConfig,
-                   encoding_size: int,
-                   num_rounds: int) -> Iterator[Tuple[int, int, int]]:
-    """``(round, layer, encoding_index)`` for ``layers``, round by round.
-
-    Within a round, a layer walks its block range through every block in
-    order (the intra-round order is immaterial to the One Level Property
-    but fixed here for reproducibility).  ``encoding_size`` must be a
-    multiple of the block size; the protocol server pads its permuted
-    encoding up to one (see :class:`~repro.protocol.server.LayeredServer`).
+    One schedule round sends every layer's range (Figure 7) in
+    ``blocks_per_round`` consecutive blocks of the ``num_blocks``; the
+    reverse-binary pattern advances once per sweep over all blocks.  A
+    burst round (``policy``) packs two schedule rounds into one
+    round-time, doubling every layer's rate.  Positions are sweep-major
+    (sweep ``s`` sends ``s * num_blocks * block_size + offset``), so
+    none repeats; a session maps them onto encoding ids.
     """
-    block = config.block_size
-    if encoding_size % block:
+    if not 1 <= blocks_per_round <= num_blocks:
         raise ParameterError(
-            f"encoding size {encoding_size} not a multiple of block {block}")
-    for rnd in range(num_rounds):
-        for layer in layers:
-            start, length = layer_block_range(layer, rnd, config.num_layers)
-            for base in range(0, encoding_size, block):
-                for offset in range(start, start + length):
-                    yield rnd, layer, base + offset
-
-
-def transmission_stream(layer: int, config: LayerConfig, encoding_size: int,
-                        num_rounds: int) -> Iterator[int]:
-    """Encoding indices sent on ``layer`` over ``num_rounds`` rounds."""
-    for _, _, index in _layers_stream([layer], config, encoding_size,
-                                      num_rounds):
-        yield index
-
-
-def one_level_stream(level: int, config: LayerConfig, encoding_size: int,
-                     num_rounds: int) -> Iterator[Tuple[int, int, int]]:
-    """Merged stream seen at subscription ``level``.
-
-    Yields ``(round, layer, encoding_index)`` triples in transmission
-    order: rounds outermost, then layers top-down within the round (the
-    relative order of concurrent layers within a round is a modelling
-    choice; any order preserves the One Level Property, which is a
-    statement about whole rounds).
-    """
-    return _layers_stream(range(level + 1), config, encoding_size, num_rounds)
+            f"blocks_per_round {blocks_per_round} outside [1, {num_blocks}]")
+    g = config.num_layers
+    block = config.block_size
+    rounds_per_sweep = -(-num_blocks // blocks_per_round)
+    schedule_round = 0
+    for time_round in count():
+        burst = policy.is_burst_round(time_round)
+        chunks: List[List[np.ndarray]] = [[] for _ in range(g)]
+        for _ in range(2 if burst else 1):
+            pattern, group = divmod(schedule_round, rounds_per_sweep)
+            first = group * blocks_per_round
+            bases = (np.arange(first, min(first + blocks_per_round,
+                                          num_blocks)) * block
+                     + pattern * num_blocks * block)
+            for layer in range(g):
+                start, length = layer_block_range(layer, pattern, g)
+                chunks[layer].append((bases[:, None] + np.arange(
+                    start, start + length)[None, :]).ravel())
+            schedule_round += 1
+        yield [np.concatenate(layer) for layer in chunks], burst
 
 
 def verify_one_level_property(config: LayerConfig,
                               encoding_size: int) -> bool:
     """Check the One Level Property for every subscription level.
 
-    For each level, the first ``encoding_size`` packets of the merged
-    stream must be a permutation of the whole encoding (no duplicates
-    before full coverage).  Used by tests and by the Table 5 benchmark.
+    Walks :func:`layered_rounds` as the 4-layer session sends it
+    (:data:`SWEEP_ROUNDS` block groups a sweep, Figure 8's burst every
+    fourth round): the first ``encoding_size`` positions each level
+    receives must cover the encoding.  "First" is schedule order, the
+    order of sweep-major positions: a burst round straddling a sweep
+    boundary hands a level the next sweep's lower layers before this
+    sweep's upper ones, an order within one round-time that the
+    property does not speak to.  Used by tests and by Table 5.
     """
+    block = config.block_size
+    if encoding_size % block:
+        raise ParameterError(
+            f"encoding size {encoding_size} not a multiple of block {block}")
+    num_blocks = encoding_size // block
     for level in range(config.num_layers):
-        stream = one_level_stream(level, config, encoding_size,
-                                  num_rounds=1 << config.num_layers)
-        first = {idx for _, _, idx in islice(stream, encoding_size)}
-        if len(first) != encoding_size:
+        received: List[np.ndarray] = []
+        for positions, _ in layered_rounds(
+                config, CongestionPolicy(burst_interval=4), num_blocks,
+                max(1, num_blocks // SWEEP_ROUNDS)):
+            received += positions[:level + 1]
+            if sum(p.size for p in received) >= encoding_size:
+                break
+        first = np.sort(np.concatenate(received))[:encoding_size]
+        if np.unique(first % encoding_size).size != encoding_size:
             return False
     return True
 

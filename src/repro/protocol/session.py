@@ -12,22 +12,28 @@ testbed is documented in DESIGN.md section 5):
   experiment ("these results allow us to focus on the efficiency of the
   packet transmission scheme independent of the layering scheme").
 
-Both accept either a prebuilt code object or a registry spec string
-(``code_spec="lt"`` with ``k=...``), so layered multicast runs over any
-registered family — Tornado, LT, Reed-Solomon — through one call:
+Both take ``code`` as a prebuilt code object or a registry spec string
+(with ``k=...``), so layered multicast runs over any registered family
+— Tornado, LT, Reed-Solomon — through one call:
 
-    run_session(code_spec="lt", k=1200, ambient_loss_rates=[0.1],
+    run_session("lt", k=1200, ambient_loss_rates=[0.1],
                 capacity_multipliers=[4.0])
 
-Each returns per-receiver :class:`SessionResult` records carrying the
-observed loss rate, the three efficiencies of Section 7.3, the code
-spec the session ran over, and the reception overhead.
+Each returns one :class:`SessionResult` per receiver (observed loss,
+the three efficiencies of Section 7.3, code spec, reception overhead).
+The sender is :func:`~repro.protocol.schedule.layered_rounds`, the one
+walk of the reverse-binary schedule; :func:`_schedule` maps positions
+onto a fixed-rate code's permuted carousel, and a rateless code's
+position *is* its droplet id, so a fountain never repeats one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from itertools import islice
+from typing import Any, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.codes.registry import CodeSpec, build_code
 from repro.errors import ParameterError
@@ -35,8 +41,11 @@ from repro.net.loss import BernoulliLoss
 from repro.protocol.congestion import CongestionPolicy
 from repro.protocol.layering import LayerConfig
 from repro.protocol.receiver import LayeredReceiver
-from repro.protocol.server import LayeredServer
+from repro.protocol.schedule import SWEEP_ROUNDS, layered_rounds
 from repro.utils.rng import RngLike, spawn_rng
+
+#: rng stream label for a fixed-rate code's carousel permutation.
+_PERMUTATION_STREAM = 0xCA11
 
 
 @dataclass(frozen=True)
@@ -84,42 +93,74 @@ def _result_from(receiver: LayeredReceiver, rid: int, rounds: int,
     )
 
 
-def _drive(server: LayeredServer, receivers: List[LayeredReceiver],
-           max_rounds: int, code_spec: str) -> List[SessionResult]:
-    """Run server rounds past every receiver until all have completed
-    (or ``max_rounds`` elapse); one result per receiver."""
-    for rnd in range(max_rounds):
-        per_layer, burst = server.next_round()
+def _schedule(code: Any, config: LayerConfig,
+              seed: RngLike) -> Tuple[int, Optional[np.ndarray]]:
+    """Blocks in the schedule, and its offset -> encoding id map.
+
+    A fixed-rate code's ``n`` ids are permuted once; the pad positions
+    (fewer than a block) wrap onto the permutation's start, at most
+    ``B - 1`` early repeats a pass.  A rateless code's position is its
+    droplet id (map ``None``); its ``2k`` positions a sweep (the
+    fixed-rate presets' stretch) set only the sweep granularity.  Call
+    it before any receiver's rng: a ``Generator`` seed advances on
+    every draw.
+    """
+    block = config.block_size
+    n = getattr(code, "n", None)
+    if n is None:
+        return -(-2 * code.k // block), None
+    num_blocks = -(-n // block)
+    permutation = spawn_rng(seed, _PERMUTATION_STREAM).permutation(n)
+    pad = num_blocks * block - n
+    return num_blocks, np.concatenate([permutation, permutation[:pad]])
+
+
+def _run(code: Any, config: LayerConfig, policy: CongestionPolicy,
+         seed: RngLike, max_rounds: int, groups: int,
+         links: Sequence[Tuple[float, float]], stream: int,
+         label: str) -> List[SessionResult]:
+    """Run the walk's rounds past one receiver per ``(ambient loss,
+    capacity in layer-0 packets a round)`` link until all have completed
+    (or ``max_rounds`` elapse); one result per receiver.  A sweep spans
+    ``groups`` block groups; receiver ``i`` draws rng ``stream + i``."""
+    num_blocks, ids = _schedule(code, config, seed)
+    blocks_per_round = max(1, num_blocks // groups)
+    receivers = [
+        LayeredReceiver(
+            code, config, policy,
+            capacity_per_round=max(1, int(capacity * blocks_per_round)),
+            ambient_loss=BernoulliLoss(loss),
+            rng=spawn_rng(seed, stream + rid))
+        for rid, (loss, capacity) in enumerate(links)]
+    rounds = layered_rounds(config, policy, num_blocks, blocks_per_round)
+    elapsed = 0
+    for positions, burst in islice(rounds, max_rounds):
+        if ids is not None:
+            positions = [ids[p % ids.size] for p in positions]
         for receiver in receivers:
-            receiver.process_round(rnd, per_layer, burst)
+            receiver.process_round(elapsed, positions, burst)
+        elapsed += 1
         if all(receiver.is_complete for receiver in receivers):
             break
-    return [_result_from(r, rid, server.current_round, code_spec)
+    return [_result_from(r, rid, elapsed, label)
             for rid, r in enumerate(receivers)]
 
 
-def _resolve_code(code: Any, code_spec: Union[str, CodeSpec, None],
-                  k: Optional[int], code_seed: int) -> Tuple[Any, str]:
-    """Accept a code object, a spec string, or both styles of kwargs.
+def _resolve_code(code: Any, k: Optional[int],
+                  code_seed: int) -> Tuple[Any, str]:
+    """A code object, or one built from a spec string at ``k``.
 
     Returns ``(code, label)`` where ``label`` is the canonical spec
     string (best-effort for anonymous code objects).
     """
     if isinstance(code, (str, CodeSpec)):
-        if code_spec is not None:
-            raise ParameterError("pass either code or code_spec, not both")
-        code_spec = code
-        code = None
-    if code is not None and code_spec is not None:
-        raise ParameterError("pass either code or code_spec, not both")
-    if code_spec is not None:
         if k is None:
             raise ParameterError(
-                "k (number of source packets) is required with code_spec")
-        spec = CodeSpec.parse(code_spec)
+                "k (number of source packets) is required with a spec")
+        spec = CodeSpec.parse(code)
         return build_code(spec, k, seed=code_seed), spec.to_string()
     if code is None:
-        raise ParameterError("a code or a code_spec is required")
+        raise ParameterError("a code or a spec string is required")
     label = getattr(code, "name", None)
     return code, label if label else type(code).__name__.lower()
 
@@ -132,7 +173,6 @@ def run_session(code: Any = None,
                 max_rounds: int = 400,
                 seed: RngLike = 0,
                 *,
-                code_spec: Union[str, CodeSpec, None] = None,
                 k: Optional[int] = None,
                 code_seed: int = 0) -> List[SessionResult]:
     """Simulate the 4-layer protocol for a heterogeneous receiver set.
@@ -141,8 +181,9 @@ def run_session(code: Any = None,
     ----------
     code:
         The shared erasure code (the paper used Tornado A on a 2 MB file
-        split into 8264 500-byte packets) — or a registry spec string,
-        equivalent to passing it as ``code_spec``.
+        split into 8264 500-byte packets), or a registry spec string
+        (e.g. ``"lt"``, ``"rs"``, ``"tornado-a"``) built at ``k``
+        source packets with ``code_seed``.
     ambient_loss_rates:
         Per-receiver ambient (non-congestion) loss probability.
     capacity_multipliers:
@@ -152,37 +193,18 @@ def run_session(code: Any = None,
     policy:
         Congestion-control constants; defaults tuned so a download spans
         several SP epochs (see :class:`CongestionPolicy`).
-    code_spec, k, code_seed:
-        Registry path: build ``code_spec`` (e.g. ``"lt"``, ``"rs"``,
-        ``"tornado-a"``) at ``k`` source packets with ``code_seed``.
     """
-    code, spec_label = _resolve_code(code, code_spec, k, code_seed)
+    code, label = _resolve_code(code, k, code_seed)
     if len(ambient_loss_rates) != len(capacity_multipliers):
         raise ParameterError("one capacity per ambient loss rate required")
     if policy is None:
         policy = CongestionPolicy(sp_base_interval=8, burst_interval=4)
-    config = LayerConfig(num_layers)
-    # Pick a round granularity such that a full-subscription download
-    # spans ~dozens of rounds, giving SPs and bursts realistic
-    # sub-download timescales (see LayeredServer.blocks_per_round).  The
-    # block count is the server's own: its schedule covers n positions
-    # (2k for a rateless code) rounded up to whole blocks.
-    n = getattr(code, "n", None)
-    num_blocks = -(-(2 * code.k if n is None else n) // config.block_size)
-    server = LayeredServer(code, config, policy, seed=seed,
-                           blocks_per_round=max(1, num_blocks // 16))
-    base_per_round = server.blocks_per_round  # layer-0 packets per round
-    receivers = []
-    for rid, (loss, cap_mult) in enumerate(
-            zip(ambient_loss_rates, capacity_multipliers)):
-        receivers.append(LayeredReceiver(
-            code, config, policy,
-            capacity_per_round=max(1, int(cap_mult * base_per_round)),
-            ambient_loss=BernoulliLoss(loss),
-            rng=spawn_rng(seed, 0xBEEF00 + rid),
-            start_level=0,
-        ))
-    return _drive(server, receivers, max_rounds, spec_label)
+    # A full-subscription download spans ~dozens of rounds, so SPs and
+    # bursts act on sub-download timescales.
+    return _run(code, LayerConfig(num_layers), policy, seed, max_rounds,
+                SWEEP_ROUNDS, list(zip(ambient_loss_rates,
+                                       capacity_multipliers)),
+                0xBEEF00, label)
 
 
 def run_single_layer_session(code: Any = None,
@@ -190,30 +212,21 @@ def run_single_layer_session(code: Any = None,
                              max_rounds: int = 4000,
                              seed: RngLike = 0,
                              *,
-                             code_spec: Union[str, CodeSpec, None] = None,
                              k: Optional[int] = None,
                              code_seed: int = 0) -> List[SessionResult]:
     """Single multicast group at a fixed rate (Figure 8, left column).
 
-    Receivers never change level, so distinctness efficiency reflects
-    only carousel wrap-around: by the One Level Property it stays at
-    100% until the loss rate approaches ``(c-1-eps)/c`` (~50% minus the
-    code overhead at stretch 2).  Rateless codes never wrap, so their
-    distinctness efficiency is identically 1 at any loss rate.
+    ``code`` is a code object or a spec string, as in
+    :func:`run_session`.  Receivers never change level, so distinctness
+    efficiency reflects only carousel wrap-around: by the One Level
+    Property it stays at 100% until the loss rate approaches
+    ``(c-1-eps)/c`` (~50% minus the code overhead at stretch 2).
+    Rateless codes never wrap, so their distinctness efficiency is
+    identically 1 at any loss rate.
     """
-    code, spec_label = _resolve_code(code, code_spec, k, code_seed)
-    config = LayerConfig(1)
+    code, label = _resolve_code(code, k, code_seed)
     policy = CongestionPolicy(sp_base_interval=10 ** 6,
                               burst_interval=10 ** 6 - 1, burst_length=0)
-    server = LayeredServer(code, config, policy, seed=seed)
-    receivers = [
-        LayeredReceiver(
-            code, config, policy,
-            capacity_per_round=10 ** 9,  # no bottleneck: ambient loss only
-            ambient_loss=BernoulliLoss(p),
-            rng=spawn_rng(seed, 0xFACE00 + rid),
-            start_level=0,
-        )
-        for rid, p in enumerate(loss_rates)
-    ]
-    return _drive(server, receivers, max_rounds, spec_label)
+    # One block group a sweep; no bottleneck: ambient loss only.
+    return _run(code, LayerConfig(1), policy, seed, max_rounds, 1,
+                [(p, 10 ** 9) for p in loss_rates], 0xFACE00, label)

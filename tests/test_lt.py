@@ -1,19 +1,24 @@
 """LT rateless codes: soliton pmfs, droplet streams, decode thresholds."""
 
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.codes.degree import DegreeDistribution
 from repro.codes.lt import (
     DropletSpec,
     LTCode,
+    LTDecoder,
     ideal_soliton,
     robust_soliton,
     robust_soliton_normaliser,
     robust_soliton_spike,
 )
-from repro.codes.registry import SetDecoder, feed
+from repro.codes.lt import decoder as lt_decoder
+from repro.codes.registry import SetDecoder, build_code, feed
 from repro.errors import DecodeFailure, ParameterError
 from repro.transfer import TransferClient
 
@@ -176,6 +181,77 @@ class TestRoundTrip:
         ml_needs = np.mean([ml.packets_to_decode(o) for o in orders])
         pure_needs = np.mean([pure.packets_to_decode(o) for o in orders])
         assert ml_needs < pure_needs
+
+
+def _held_bytes(decoder):
+    """Bytes of the state a decoder holds: a deep copy under tracemalloc."""
+    tracemalloc.start()
+    try:
+        held = copy.deepcopy(decoder)  # noqa: F841 - alive while measured
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDropletCap:
+    def test_a_million_spoofed_ids_hold_under_a_megabyte(self):
+        """An open block fed 10**6 distinct ids that cannot complete it
+        holds under 1 MB (a plain id set alone would hold ~60 MB), and
+        honest droplets still complete it afterwards."""
+        # degree 1 over k = 2: about half of all ids name packet 0
+        # only, and however many arrive the rank stays at 1
+        spec = DropletSpec(2, DegreeDistribution((1,), (1.0,)), seed=0)
+        ids = np.arange(2 * 10 ** 6 + 10_000, dtype=np.int64)
+        spoofed = ids[spec.neighbour_block(ids)[0] == 0][:10 ** 6]
+        assert spoofed.size == 10 ** 6
+        decoder = LTDecoder(spec)
+        for start in range(0, spoofed.size, 4096):
+            decoder.add_packets(spoofed[start:start + 4096])
+        assert not decoder.is_complete
+        assert decoder.packets_added == 10 ** 6
+        assert decoder.duplicates_seen == 0
+        assert _held_bytes(decoder) < 10 ** 6
+        honest = np.arange(10 ** 7, 10 ** 7 + 64)
+        used = feed(decoder, honest)
+        assert decoder.is_complete
+        assert decoder.packets_added == 10 ** 6 + used
+
+    @pytest.mark.parametrize("family", ["lt", "raptor"])
+    def test_the_block_starts_over_at_the_cap_and_decodes_exactly(
+            self, family, monkeypatch):
+        """Spoofed payloads up to the cap, then honest droplets in one
+        batch: the batch that passes the cap forgets the spoofed
+        equations, so the recovered bytes are the source's."""
+        monkeypatch.setattr(lt_decoder, "DROPLET_CAP_PER_K", 0)
+        monkeypatch.setattr(lt_decoder, "DROPLET_CAP_FLOOR", 40)
+        k = 60
+        code = build_code(family, k, seed=3)
+        src = random_source(k, seed=4)
+        decoder = code.new_decoder(payload_size=src.shape[1])
+        garbage = random_source(40, seed=5)
+        decoder.add_packets(np.arange(10 ** 6, 10 ** 6 + 40), garbage)
+        assert not decoder.is_complete
+        honest = np.arange(k, 4 * k)  # repair droplets only
+        decoder.add_packets(honest, code.encoder(src).payload_block(honest))
+        assert decoder.is_complete
+        assert decoder.packets_added == 40 + honest.size
+        assert np.array_equal(decoder.source_data(), src)
+
+    def test_a_complete_block_keeps_its_data_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(lt_decoder, "DROPLET_CAP_PER_K", 0)
+        monkeypatch.setattr(lt_decoder, "DROPLET_CAP_FLOOR", 200)
+        code = LTCode(50, seed=6)
+        src = random_source(50, seed=7)
+        encoder = code.encoder(src)
+        decoder = code.new_decoder(payload_size=src.shape[1])
+        ids = np.arange(150)
+        decoder.add_packets(ids, encoder.payload_block(ids))
+        assert decoder.is_complete
+        late = np.arange(1000, 1100)
+        decoder.add_packets(late, encoder.payload_block(late))
+        assert len(decoder._droplet_ids) == 100
+        assert decoder.packets_added == 250
+        assert np.array_equal(decoder.source_data(), src)
 
 
 class TestAcceptanceOverhead:

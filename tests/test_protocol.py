@@ -1,4 +1,4 @@
-"""Congestion control, layered server/receiver, session integration."""
+"""Congestion control, the layered walk and receiver, session integration."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,29 @@ import pytest
 from repro.codes.registry import build_code
 from repro.codes.tornado.presets import tornado_a
 from repro.errors import ParameterError
+from repro.experiments import figure8
 from repro.net.loss import BernoulliLoss
 from repro.protocol.congestion import CongestionPolicy, SubscriptionController
 from repro.protocol.layering import LayerConfig
 from repro.protocol import receiver as protocol_receiver
 from repro.protocol.receiver import LayeredReceiver
-from repro.protocol.server import LayeredServer
+from repro.protocol.schedule import layered_rounds
 from repro.protocol.session import (
     SessionResult,
+    _schedule,
     run_session,
     run_single_layer_session,
 )
+
+
+def _sent_ids(code, config, policy, seed, blocks_per_round=None):
+    """What a session sends: the walk's rounds mapped onto encoding ids."""
+    num_blocks, ids = _schedule(code, config, seed)
+    for positions, burst in layered_rounds(
+            config, policy, num_blocks, blocks_per_round or num_blocks):
+        if ids is not None:
+            positions = [ids[p % ids.size] for p in positions]
+        yield positions, burst
 
 
 class TestCongestionPolicy:
@@ -91,25 +103,25 @@ class TestSubscriptionController:
         assert ctl.at_sp() == 3  # cannot join above max
 
 
-class TestLayeredServer:
+class TestLayeredRounds:
     def test_round_volume_matches_rates(self):
         code = tornado_a(512, seed=0)
         config = LayerConfig(4)
         policy = CongestionPolicy(burst_interval=100, burst_length=0)
-        server = LayeredServer(code, config, policy, seed=1)
-        per_layer, burst = server.next_round()
+        num_blocks = _schedule(code, config, 0)[0]
+        per_layer, burst = next(_sent_ids(code, config, policy, seed=1))
         assert not burst
         for layer, indices in enumerate(per_layer):
-            assert indices.size == config.layer_rate(layer) * server.num_blocks
+            assert indices.size == config.layer_rate(layer) * num_blocks
 
     def test_burst_doubles_volume(self):
         code = tornado_a(512, seed=0)
         config = LayerConfig(4)
         policy = CongestionPolicy(burst_interval=4, burst_length=1)
-        server = LayeredServer(code, config, policy, seed=1)
-        per_layer, burst = server.next_round()  # round 0 is a burst
+        # round 0 is a burst
+        per_layer, burst = next(_sent_ids(code, config, policy, seed=1))
         assert burst
-        assert per_layer[0].size == 2 * server.num_blocks
+        assert per_layer[0].size == 2 * _schedule(code, config, 0)[0]
 
     def test_full_level_sees_permutation_per_sweep(self):
         """A top-level subscriber gets every encoding index exactly once
@@ -117,22 +129,30 @@ class TestLayeredServer:
         code = tornado_a(512, seed=0)  # n=1024, divisible by 8
         config = LayerConfig(4)
         policy = CongestionPolicy(burst_interval=100, burst_length=0)
-        server = LayeredServer(code, config, policy, seed=1)
-        got = []
-        for _ in range(server.rounds_per_sweep):
-            per_layer, _ = server.next_round()
-            got.extend(np.concatenate(per_layer).tolist())
-        assert sorted(got) == list(range(code.n))
+        per_layer, _ = next(_sent_ids(code, config, policy, seed=1))
+        assert sorted(np.concatenate(per_layer).tolist()) == \
+            list(range(code.n))
 
     def test_blocks_per_round_granularity(self):
         code = tornado_a(512, seed=0)
         config = LayerConfig(4)
         policy = CongestionPolicy(burst_interval=100, burst_length=0)
-        server = LayeredServer(code, config, policy, seed=1,
-                               blocks_per_round=16)
-        assert server.rounds_per_sweep == server.num_blocks // 16
-        per_layer, _ = server.next_round()
-        assert per_layer[3].size == 4 * 16
+        num_blocks = _schedule(code, config, 0)[0]
+        schedule_size = num_blocks * config.block_size
+        rounds = layered_rounds(config, policy, num_blocks, 16)
+        sweep = [next(rounds) for _ in range(num_blocks // 16)]
+        assert all(per_layer[3].size == 4 * 16 for per_layer, _ in sweep)
+        assert max(np.concatenate(per_layer).max()
+                   for per_layer, _ in sweep) == schedule_size - 1
+        per_layer, _ = next(rounds)  # the next round starts sweep 1
+        assert np.concatenate(per_layer).min() == schedule_size
+
+    def test_blocks_per_round_outside_the_sweep_is_refused(self):
+        policy = CongestionPolicy(burst_interval=100, burst_length=0)
+        for blocks_per_round in (0, 9):
+            with pytest.raises(ParameterError, match="blocks_per_round"):
+                next(layered_rounds(LayerConfig(2), policy, 8,
+                                    blocks_per_round))
 
     def test_rateless_sweep_tiles_fresh_ids(self):
         """A rateless code's schedule mints every slot's droplet id
@@ -140,33 +160,24 @@ class TestLayeredServer:
         code = build_code("lt", 512, seed=0)
         config = LayerConfig(4)
         policy = CongestionPolicy(burst_interval=100, burst_length=0)
-        server = LayeredServer(code, config, policy, seed=1)
-        first_sweep = []
-        for _ in range(server.rounds_per_sweep):
-            per_layer, _ = server.next_round()
-            first_sweep.extend(np.concatenate(per_layer).tolist())
-        assert sorted(first_sweep) == list(range(server.schedule_size))
-        second_sweep = []
-        for _ in range(server.rounds_per_sweep):
-            per_layer, _ = server.next_round()
-            second_sweep.extend(np.concatenate(per_layer).tolist())
+        assert _schedule(code, config, 1)[1] is None
+        schedule_size = _schedule(code, config, 0)[0] * config.block_size
+        assert schedule_size == 2 * code.k
+        rounds = _sent_ids(code, config, policy, seed=1)
+        first_sweep = np.concatenate(next(rounds)[0]).tolist()
+        assert sorted(first_sweep) == list(range(schedule_size))
+        second_sweep = np.concatenate(next(rounds)[0]).tolist()
         assert not set(first_sweep) & set(second_sweep)
 
-    def test_rateless_cycle_length_override(self):
-        code = build_code("lt", 100, seed=0)
-        config = LayerConfig(2)
-        policy = CongestionPolicy(burst_interval=100, burst_length=0)
-        server = LayeredServer(code, config, policy, cycle_length=64)
-        assert server.schedule_size == 64
-        with pytest.raises(ParameterError):
-            LayeredServer(code, config, policy, cycle_length=0)
-
-    def test_cycle_length_rejected_for_fixed_rate(self):
-        code = tornado_a(128, seed=0)
-        config = LayerConfig(2)
-        policy = CongestionPolicy(burst_interval=100, burst_length=0)
-        with pytest.raises(ParameterError, match="rateless"):
-            LayeredServer(code, config, policy, cycle_length=64)
+    def test_fixed_rate_pad_wraps_onto_the_permutations_start(self):
+        """n = 1002 is not a multiple of B = 8: the sweep's 6 pad
+        positions carry the permutation's first 6 ids again."""
+        code = build_code("rs", 501, seed=0)
+        config = LayerConfig(4)
+        ids = _schedule(code, config, 2)[1]
+        assert code.n == 1002 and ids.size == 1008
+        assert sorted(ids[:code.n].tolist()) == list(range(code.n))
+        assert ids[code.n:].tolist() == ids[:6].tolist()
 
 
 class TestLayeredReceiver:
@@ -175,16 +186,16 @@ class TestLayeredReceiver:
         config = LayerConfig(4)
         policy = CongestionPolicy(burst_interval=4, burst_length=1,
                                   sp_base_interval=8)
-        server = LayeredServer(code, config, policy, seed=1,
-                               blocks_per_round=16)
+        rounds = _sent_ids(code, config, policy, seed=1,
+                           blocks_per_round=16)
         receiver = LayeredReceiver(code, config, policy, capacity,
                                    BernoulliLoss(loss), rng=2)
-        return server, receiver
+        return rounds, receiver
 
     def test_receiver_completes(self):
-        server, receiver = self._setup(capacity=1000, loss=0.1)
+        rounds, receiver = self._setup(capacity=1000, loss=0.1)
         for rnd in range(500):
-            per_layer, burst = server.next_round()
+            per_layer, burst = next(rounds)
             receiver.process_round(rnd, per_layer, burst)
             if receiver.is_complete:
                 break
@@ -195,9 +206,9 @@ class TestLayeredReceiver:
             stats.coding_efficiency * stats.distinctness_efficiency)
 
     def test_congestion_drops_counted(self):
-        server, receiver = self._setup(capacity=8, loss=0.0)
+        rounds, receiver = self._setup(capacity=8, loss=0.0)
         receiver.controller.level = 3
-        per_layer, burst = server.next_round()
+        per_layer, burst = next(rounds)
         receiver.process_round(0, per_layer, burst)
         assert receiver.congestion_drops > 0
 
@@ -230,7 +241,7 @@ class TestSessions:
     @pytest.mark.parametrize("spec", ["tornado-a", "lt", "rs"])
     def test_layered_session_over_any_registered_code(self, spec):
         """The scenario unlock: layered multicast over every family."""
-        results = run_session(code_spec=spec, k=300,
+        results = run_session(spec, k=300,
                               ambient_loss_rates=[0.05, 0.15],
                               capacity_multipliers=[8.0, 2.0], seed=7)
         assert all(r.completed for r in results)
@@ -239,7 +250,7 @@ class TestSessions:
 
     @pytest.mark.parametrize("spec", ["tornado-a", "lt", "rs"])
     def test_single_layer_session_over_any_registered_code(self, spec):
-        results = run_single_layer_session(code_spec=spec, k=300,
+        results = run_single_layer_session(spec, k=300,
                                            loss_rates=[0.2], seed=4)
         assert results[0].completed
         # LT and RS never see a wrap-around duplicate below half loss;
@@ -252,7 +263,7 @@ class TestSessions:
         code completes on its k-th distinct packet at any loss rate.
         (The receiver's old 64-packet feed loop counted up to 63 more.)"""
         results = run_single_layer_session(
-            code_spec=spec, k=200, loss_rates=[0.05, 0.2, 0.4], seed=3)
+            spec, k=200, loss_rates=[0.05, 0.2, 0.4], seed=3)
         for result in results:
             assert result.completed
             assert result.coding_efficiency == 1.0
@@ -268,7 +279,7 @@ class TestSessions:
         config = LayerConfig(1)
         policy = CongestionPolicy(sp_base_interval=10 ** 6,
                                   burst_interval=10 ** 6 - 1, burst_length=0)
-        server = LayeredServer(code, config, policy, seed=3)
+        rounds = _sent_ids(code, config, policy, seed=3)
         receiver = LayeredReceiver(code, config, policy, 10 ** 9,
                                    BernoulliLoss(loss), rng=4)
         delivered = []
@@ -280,7 +291,7 @@ class TestSessions:
 
         monkeypatch.setattr(protocol_receiver, "feed", recording)
         for rnd in range(4000):
-            receiver.process_round(rnd, *server.next_round())
+            receiver.process_round(rnd, *next(rounds))
             if receiver.is_complete:
                 break
         assert receiver.is_complete
@@ -295,7 +306,7 @@ class TestSessions:
     def test_rateless_session_distinctness_is_one_at_heavy_loss(self):
         """The carousel degrades past ~50% loss (One Level Property
         ceiling); the rateless fountain does not."""
-        results = run_single_layer_session(code_spec="lt", k=300,
+        results = run_single_layer_session("lt", k=300,
                                            loss_rates=[0.65], seed=5)
         assert results[0].completed
         assert results[0].distinctness_efficiency == pytest.approx(1.0)
@@ -307,19 +318,16 @@ class TestSessions:
 
     def test_spec_with_parameters_labels_results(self):
         results = run_single_layer_session(
-            code_spec="lt:c=0.05,delta=0.5", k=200, loss_rates=[0.1],
+            "lt:c=0.05,delta=0.5", k=200, loss_rates=[0.1],
             seed=2)
         assert results[0].code_spec == "lt:c=0.05,delta=0.5"
 
     def test_code_spec_requires_k(self):
         with pytest.raises(ParameterError, match="k"):
-            run_session(code_spec="lt", ambient_loss_rates=[0.1],
+            run_session("lt", ambient_loss_rates=[0.1],
                         capacity_multipliers=[1.0])
 
-    def test_code_and_code_spec_mutually_exclusive(self):
-        code = tornado_a(100, seed=0)
-        with pytest.raises(ParameterError, match="not both"):
-            run_session(code, [0.1], [1.0], code_spec="lt", k=100)
+    def test_code_is_required(self):
         with pytest.raises(ParameterError, match="required"):
             run_session(ambient_loss_rates=[0.1],
                         capacity_multipliers=[1.0])
@@ -351,7 +359,7 @@ class TestSessionResult:
         assert "eta  80.0%" in row
 
     def test_as_row_matches_session_output(self):
-        result = run_single_layer_session(code_spec="tornado-a", k=200,
+        result = run_single_layer_session("tornado-a", k=200,
                                           loss_rates=[0.1], seed=1)[0]
         row = result.as_row()
         assert "tornado-a" in row
@@ -359,3 +367,40 @@ class TestSessionResult:
         # overhead and efficiency describe the same reception count.
         assert result.overhead == pytest.approx(
             1 / result.efficiency - 1, abs=0.02)
+
+
+class TestFigure8Pin:
+    """Per-receiver rows of a small Figure 8 run, recorded before the
+    layered walk and its id map moved into ``protocol/schedule.py`` and
+    ``protocol/session.py``: the move must not change one value."""
+
+    SINGLE = [
+        (0.09582309582309578, 0.8152173913043478, 0.8152173913043478,
+         1.0, True, 1, 0),
+        (0.2915811088295688, 0.8695652173913043, 0.8695652173913043,
+         1.0, True, 1, 0),
+        (0.6091324200913242, 0.7009345794392523, 0.8426966292134831,
+         0.8317757009345794, True, 2, 0),
+    ]
+    LAYERED = [
+        (0.3403846153846154, 0.8746355685131195, 0.8746355685131195,
+         1.0, True, 105, 0),
+        (0.23709369024856597, 0.7518796992481203, 0.8130081300813008,
+         0.924812030075188, True, 89, 2),
+        (0.22173913043478266, 0.8379888268156425, 0.8645533141210374,
+         0.9692737430167597, True, 89, 2),
+        (0.1549893842887473, 0.7537688442211056, 0.821917808219178,
+         0.9170854271356784, True, 46, 2),
+    ]
+
+    @staticmethod
+    def _rows(results):
+        return [(r.observed_loss, r.efficiency, r.coding_efficiency,
+                 r.distinctness_efficiency, r.completed, r.rounds,
+                 r.level_changes) for r in results]
+
+    def test_small_figure8_rows_are_pinned(self):
+        result = figure8.run(k=300, single_loss_rates=(0.1, 0.3, 0.6),
+                             layered_receivers=4, seed=5)
+        assert self._rows(result.single_layer) == self.SINGLE
+        assert self._rows(result.layered) == self.LAYERED
