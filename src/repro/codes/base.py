@@ -82,7 +82,8 @@ class BlockEncoder:
 
     This base implementation runs the full encode on first payload
     access (correct for any code); codes with a cheap partial encode
-    override :meth:`_materialise` or ``__getitem__``.  Instances are
+    override :meth:`_materialise` or ``__getitem__``, and may take the
+    :meth:`expect_rows` hint to size that partial encode.  Instances are
     shared freely — e.g. across the forks of a transfer server, even on
     different threads: a cached row is only ever written with its one
     deterministic value, so the worst a concurrent duplicate fill can
@@ -101,6 +102,13 @@ class BlockEncoder:
 
     def __len__(self) -> int:
         return self._code.n
+
+    def expect_rows(self, rows: np.ndarray) -> None:
+        """Hint that the coming requests ask for ``rows`` (0-based
+        encoding rows, repeats allowed), so an encoder that computes
+        rows in batches can compute exactly these in one.  Requests
+        keep ``code.encode(source)``'s bytes whatever the hint said;
+        here the hint is ignored."""
 
     def _materialise(self) -> np.ndarray:
         if self._encoding is None:

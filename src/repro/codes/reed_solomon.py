@@ -59,7 +59,10 @@ class _RSBlockEncoder(BlockEncoder):
     source's nibble product tables (32x the source bytes) are built once
     and reused across batches, so scattered row requests cost the same
     per row as one monolithic encode; they are dropped as soon as every
-    redundancy row is cached.
+    redundancy row is cached.  After an :meth:`expect_rows` hint, the
+    next batch computes the hinted rows with it, in one product whose
+    tables live in the kernel's scratch: a serve that names its rows
+    before it asks holds no tables at all.
     """
 
     _code: "ReedSolomonCode"
@@ -72,6 +75,13 @@ class _RSBlockEncoder(BlockEncoder):
                                    dtype=code.field.dtype)
         self._have = np.zeros(ell, dtype=bool)
         self._tables: Optional[tuple] = None
+        #: the redundancy rows (0-based) of a pending expect_rows hint
+        self._expected: Optional[np.ndarray] = None
+
+    def expect_rows(self, rows: np.ndarray) -> None:
+        """The next batch computes the redundancy rows among ``rows``."""
+        rows = np.asarray(rows, dtype=np.int64)
+        self._expected = rows[rows >= self._code.k] - self._code.k
 
     def _ensure_redundant(self, rows: np.ndarray) -> None:
         """Compute-and-cache the redundancy rows (0-based) not yet held."""
@@ -79,10 +89,15 @@ class _RSBlockEncoder(BlockEncoder):
         if missing.size == 0:
             return
         code = self._code
+        expected, self._expected = self._expected, None
+        if expected is not None:
+            missing = np.union1d(missing, expected)
+            missing = missing[~self._have[missing]]
         sub = code._redundancy_matrix[missing]
-        if getattr(code.field, "_mul_table", None) is not None:
-            if self._tables is None:
-                self._tables = gf256_packet_tables(self._source)
+        if (self._tables is None and expected is None
+                and getattr(code.field, "_mul_table", None) is not None):
+            self._tables = gf256_packet_tables(self._source)
+        if self._tables is not None:
             self._redundant[missing] = gf256_matvec_cached(sub, self._tables)
         else:
             self._redundant[missing] = gf_matvec_packets(

@@ -10,7 +10,7 @@ magnitude ahead of Reed-Solomon.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -114,14 +114,18 @@ class TornadoCode(DecoderBackedCode, ErasureCode):
             values[off:off + graph.right_size] = rights
         return values
 
-    def _fill_cap(self, values: np.ndarray) -> None:
-        """Write every cap row of an ``(n, P)`` encoding from its last
-        graph layer: one RS product, its tables in the kernel's scratch."""
+    def _fill_cap(self, values: np.ndarray,
+                  rows: Union[slice, np.ndarray] = slice(None)) -> None:
+        """Write cap rows ``rows`` (positions in the cap; every cap row
+        by default) of an ``(n, P)`` encoding from its last graph layer:
+        one RS product over those rows of the cap's redundancy matrix,
+        its tables in the kernel's scratch.  Past the table build, its
+        cost is proportional to the rows it computes."""
         st = self.structure
         cap = st.cap_code
         last = values[st.last_layer_offset:st.cap_offset]
-        values[st.cap_offset:] = gf_matvec_packets(
-            cap._redundancy_matrix, last.view(cap.field.dtype),
+        values[st.cap_offset:][rows] = gf_matvec_packets(
+            cap._redundancy_matrix[rows], last.view(cap.field.dtype),
             cap.field).view(np.uint8)
 
     def encode(self, source: np.ndarray) -> np.ndarray:
@@ -173,27 +177,46 @@ class TornadoCode(DecoderBackedCode, ErasureCode):
 
 
 class _TornadoBlockEncoder(BlockEncoder):
-    """Lazy Tornado encoding: eager cascade, the whole cap on demand.
+    """Lazy Tornado encoding: eager cascade, the cap on demand.
 
     The graph layers cost one XOR per edge — linear work that is also
     the input to every cap row, so they are computed up front.  The cap
-    is the expensive part (a dense RS product over the last layer): the
-    first request that touches any cap row computes all of them in one
-    product, straight into the encoding.  A carousel that never reaches
-    the cap never pays for it, and the encoder holds nothing but its
-    ``(n, P)`` values.
+    is the expensive part (a dense RS product over the last layer, its
+    cost proportional to the rows it computes).  A request that touches
+    a cap row not yet computed runs one product, straight into the
+    encoding, over the cap rows an :meth:`expect_rows` hint named plus
+    the ones requested; with no hint pending it computes every cap row
+    still missing.  So a carousel that never reaches the cap never pays
+    for it, a serve that names its rows before it asks (the file serve)
+    pays for those alone, and the encoder holds nothing but its
+    ``(n, P)`` values and which cap rows they hold.
     """
 
     def __init__(self, code: TornadoCode, source: np.ndarray):
         values = code._cascade_values(source)
         super().__init__(code, values[:code.k])
         self._values = values
-        self._capped = False
+        #: which cap rows ``_values`` holds
+        self._capped = np.zeros(code.structure.cap_size, dtype=bool)
+        #: the cap rows of a pending :meth:`expect_rows` hint
+        self._expected: Optional[np.ndarray] = None
+
+    def expect_rows(self, rows: np.ndarray) -> None:
+        """The next cap fill computes the cap rows among ``rows``."""
+        offset = self._code.structure.cap_offset
+        rows = np.asarray(rows, dtype=np.int64)
+        self._expected = rows[rows >= offset] - offset
 
     def __getitem__(self, index):
         rows = np.arange(self._code.n)[index]
-        if not self._capped and np.any(
-                rows >= self._code.structure.cap_offset):
-            self._code._fill_cap(self._values)
-            self._capped = True
+        offset = self._code.structure.cap_offset
+        cap = rows[rows >= offset] - offset
+        if not self._capped[cap].all():
+            fill = np.flatnonzero(~self._capped)
+            expected, self._expected = self._expected, None
+            if expected is not None:
+                fill = np.union1d(expected, cap)
+                fill = fill[~self._capped[fill]]
+            self._code._fill_cap(self._values, fill)
+            self._capped[fill] = True
         return self._values[rows]

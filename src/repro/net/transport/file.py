@@ -21,7 +21,6 @@ from typing import Any, Iterator, Optional, Union
 import numpy as np
 
 from repro.errors import ProtocolError, ReproError
-from repro.fountain.packets import record_ids
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss
 from repro.net.transport.base import (
@@ -53,11 +52,25 @@ class FileSubscription(Subscription):
         self._manifest: Optional[dict] = None
 
     def manifest(self, timeout: Optional[float] = None) -> dict:
+        """The recorded manifest: a UTF-8 JSON object.  A missing or
+        unreadable one is a :class:`~repro.errors.ProtocolError`, as a
+        malformed manifest frame is to a UDP subscription."""
         if self._manifest is None:
             path = self.directory / MANIFEST_NAME
             if not path.exists():
                 raise ProtocolError(f"no {MANIFEST_NAME} in {self.directory}")
-            self._manifest = json.loads(path.read_text())
+            try:
+                # UnicodeDecodeError and JSONDecodeError are ValueErrors
+                manifest = json.loads(path.read_bytes().decode("utf-8"))
+            except (ValueError, RecursionError) as err:
+                raise ProtocolError(
+                    f"{MANIFEST_NAME} in {self.directory} is not UTF-8 "
+                    f"JSON: {err}") from None
+            if not isinstance(manifest, dict):
+                raise ProtocolError(
+                    f"{MANIFEST_NAME} in {self.directory} is not a JSON "
+                    f"object")
+            self._manifest = manifest
         return self._manifest
 
     def _stream_path(self) -> pathlib.Path:
@@ -130,14 +143,20 @@ class FileTransport(Transport):
               **options: Any) -> ServeReport:
         """Record the stream's survivors; write the manifest on success.
 
-        The stream crosses in whole ``record_window`` windows, and each
-        window's survivors are written with one call.  The structural
-        shadow takes a window's survivors in one ``receive_window``
-        call, which says how many it consumed before completing; the
-        stop is that survivor plus ``extra`` more, and whatever of the
-        window lies past it is taken back from the source and the
-        channel — the records, the verdicts and the counters are a
-        packet-at-a-time serve's.
+        Two passes over the same stream.  The first draws ids only
+        (``TransferServer.draw_ids``), in windows of
+        :data:`SERVE_WINDOW` emissions crossing the channel: the
+        structural shadow takes a window's survivors in one
+        ``receive_window`` call, which says how many it consumed before
+        completing; the stop is that survivor plus ``extra`` more, and
+        whatever of the window lies past it is taken back from the
+        source and the channel.  The second stamps and writes only the
+        survivors, window by window, after telling the block encoders
+        which rows they will be asked for (``TransferServer.expect``) —
+        so no dropped row and no row past the stop is ever synthesised,
+        and a Tornado block computes the cap rows it records in one
+        product.  The records, the verdicts, the counters and where the
+        stream stops are a packet-at-a-time serve's.
 
         ``policy``/``feedback`` are accepted and ignored — the feedback
         no-op of the transport contract: a recorded stream has no
@@ -165,8 +184,8 @@ class FileTransport(Transport):
         (self.directory / MANIFEST_NAME).unlink(missing_ok=True)
         start = time.perf_counter()
         source = session.source
-        header = session.codec.header_size
-        survivors = 0
+        # the survivors' (blocks, indices, serials), window by window
+        kept = [np.zeros((3, 0), dtype=np.int64)]
         # survivors still to record once the shadow is complete (None
         # before; the structural shadow only matters for the automatic
         # stop, so an explicit count skips its decode work too)
@@ -174,10 +193,9 @@ class FileTransport(Transport):
         with open(self.directory / STREAM_NAME, "wb") as stream:
             while left != 0 and channel.sent < limit:
                 n = min(SERVE_WINDOW, limit - channel.sent)
-                records = source.record_window(n)
+                blocks, indices, serials = source.draw_ids(n)
                 rows = np.flatnonzero(channel.delivery_mask(n))
                 if count is None and left is None:
-                    blocks, indices, _ = record_ids(records, header)
                     used = shadow.receive_window(blocks[rows], indices[rows])
                     if shadow.is_complete:
                         left = used + extra
@@ -190,8 +208,14 @@ class FileTransport(Transport):
                         source.unwind(unsent)
                         channel.unwind(unsent)
                     left -= len(rows)
-                stream.write(records[rows])
-                survivors += len(rows)
+                kept.append(np.stack([blocks[rows], indices[rows],
+                                      serials[rows]]))
+            ids = np.concatenate(kept, axis=1)
+            source.expect(ids[0], ids[1])
+            for first in range(0, ids.shape[1], SERVE_WINDOW):
+                stream.write(source.records(
+                    *ids[:, first:first + SERVE_WINDOW]))
+        survivors = ids.shape[1]
         if count is None and not shadow.is_complete:
             raise ReproError(
                 f"channel too lossy: {limit} emissions were not enough "

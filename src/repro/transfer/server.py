@@ -12,11 +12,15 @@ of its emissions.  Serials are the stream's emission count mod
 striped stream, so receivers estimate loss from serial gaps exactly as
 on a single-block stream.
 
-:meth:`TransferServer.record_window` is the one place records are
-stamped.  Transports draw those windows; ``packets()`` hands out the
-rows of one held window at a time, for in-process callers; simulations
-build the server *without data* (the structural stream) and draw the
-same :meth:`TransferServer.window` for the ids.
+:meth:`TransferServer.records` is the one place records are stamped:
+it synthesises and stamps given emissions without moving the stream.
+:meth:`~TransferServer.draw_ids` moves the stream with no payload, and
+:meth:`~TransferServer.record_window` is the two in one.  The UDP and
+memory transports draw record windows; the file transport draws ids
+first and stamps only the survivors it records; ``packets()`` hands out
+the rows of one held window at a time, for in-process callers;
+simulations build the server *without data* (the structural stream)
+and draw the same :meth:`TransferServer.window` for the ids.
 
 Header compatibility: a multi-block stream tags every packet with its
 block id in the 16-byte block header (:mod:`repro.fountain.packets`);
@@ -32,8 +36,16 @@ as one stacked array of droplet inputs (:class:`_DropletStack`), and
 :meth:`TransferServer.fork` spins up
 additional independent streams over the *same* cached objects.  Each
 encoding row is computed at most once no matter how many concurrent
-receivers a transport fans the object out to, and redundancy rows the
-carousels never reach are never computed at all.
+receivers a transport fans the object out to, and redundancy rows no
+draw reaches are never computed at all.  A record window is
+synthesised whole, though: a UDP or memory serve pays for the rows its
+channels drop and, when its stop lands inside a window, for the rows
+past it, and a Tornado block computes its whole cap at the first cap
+row a window asks for.  The file serve synthesises only what it
+records: it knows its survivors before it stamps one, hands their rows
+to :meth:`TransferServer.expect` — so each fixed-rate block computes
+exactly those rows, a Tornado cap in one product — and stamps them
+with :meth:`TransferServer.records`.
 """
 
 from __future__ import annotations
@@ -224,8 +236,9 @@ class TransferServer:
 
         Rateless families get one :class:`_DropletStack`; fixed-rate
         ones lazy row-on-demand encoders.  Redundancy rows a
-        carousel never emits before its receivers complete are rows that
-        are never computed — and every fork shares the same encoders,
+        carousel never draws are never computed (bar the rest of an
+        unhinted Tornado cap, filled whole) — and every fork shares the
+        same encoders,
         so each row is computed at most once per server however many
         streams fan out."""
         if data is None:
@@ -267,25 +280,26 @@ class TransferServer:
         ``count`` packets would advance them (emission ``t`` carries
         serial ``t`` however drawn), so draws interleave freely.
         """
-        self._hand_back()
-        payloads = None if self._data is None else np.empty(
-            (count, self.codec.plan.packet_size), dtype=np.uint8)
-        blocks, indices, _ = self._draw(count, payloads)
+        blocks, indices, _ = self.draw_ids(count)
+        payloads = None
+        if self._data is not None:
+            payloads = np.empty((count, self.codec.plan.packet_size),
+                                dtype=np.uint8)
+            self._synthesise(blocks, indices, payloads)
         return blocks, indices, payloads
 
-    def _draw(self, count: int, payloads: Optional[np.ndarray]
-              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``count`` schedule slots, their indices and serials, and —
-        when ``payloads`` rows are given — their payloads written into
-        them.
+    def draw_ids(self, count: int
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next ``count`` emissions' ``(blocks, indices, serials)``
+        and no payload: the stream moves on as :meth:`window` moves it,
+        and :meth:`records` stamps any of these emissions later.
 
         A slot's index is its block's cursor plus its rank among the
         window's slots of that block, through the block's carousel
-        cycle on a fixed-rate plan.  A rateless plan then synthesises
-        every payload of the window in one pass over its stack; a
-        carousel gathers per block.  A droplet id past the uint32
+        cycle on a fixed-rate plan.  A droplet id past the uint32
         header field raises before a cursor moves.
         """
+        self._hand_back()
         blocks = self._take_slots(count)
         sizes = np.bincount(blocks, minlength=self.num_blocks)
         if (self._cycles is None
@@ -304,37 +318,75 @@ class TransferServer:
         else:
             indices = self._cycles[self._cycle_first[blocks]
                                    + emissions % self._cycle_n[blocks]]
-        if payloads is not None and self._stack is not None:
-            self._stack.synthesise(blocks, indices, payloads)
-        elif payloads is not None:
-            for block in np.flatnonzero(sizes).tolist():
-                rows = order[first[block]:first[block] + sizes[block]]
-                payloads[rows] = self._payloads[block][indices[rows]]
         serials = (int(self._cursors.sum()) + np.arange(
             count, dtype=np.int64)) % SERIAL_MODULUS
         self._cursors += sizes
         self._window_blocks = blocks
         return blocks, indices, serials
 
-    def record_window(self, count: int) -> np.ndarray:
-        """The next ``count`` emissions as a ``(count, H + P)`` array of
-        wire records — the one stamping site: ``packets()`` hands out
-        the rows of windows of :data:`LOOKAHEAD`.
+    def _by_block(self, blocks: np.ndarray
+                  ) -> Iterator[Tuple[int, np.ndarray]]:
+        """Each block of ``blocks`` with its rows, in emission order."""
+        sizes = np.bincount(blocks, minlength=self.num_blocks)
+        order = np.argsort(blocks, kind="stable")
+        ends = np.cumsum(sizes)
+        for block in np.flatnonzero(sizes).tolist():
+            yield block, order[ends[block] - sizes[block]:ends[block]]
 
-        One draw with the payloads written straight into the records,
-        plus one :func:`~repro.fountain.packets.stamp_headers` pass over
-        the codec's header size.
-        """
+    def _synthesise(self, blocks: np.ndarray, indices: np.ndarray,
+                    payloads: np.ndarray) -> None:
+        """Write the payload of emission ``(blocks[r], indices[r])``
+        into ``payloads[r]`` — a pure function of the ids: no cursor is
+        read or moved.  A rateless plan synthesises every row in one
+        pass over its stack; a carousel gathers per block."""
+        if self._stack is not None:
+            self._stack.synthesise(blocks, indices, payloads)
+            return
+        for block, rows in self._by_block(blocks):
+            payloads[rows] = self._payloads[block][indices[rows]]
+
+    def _require_data(self) -> None:
         if self._data is None:
             raise ParameterError(
                 "a structural server (built without data) has no payloads "
                 "to record; draw window() for the ids")
-        self._hand_back()
+
+    def expect(self, blocks: np.ndarray, indices: np.ndarray) -> None:
+        """Tell each fixed-rate block encoder the rows of ``(blocks,
+        indices)`` that :meth:`records` is about to be asked for
+        (:meth:`BlockEncoder.expect_rows
+        <repro.codes.base.BlockEncoder.expect_rows>`), so a block that
+        computes rows in batches computes exactly these in one.  A
+        rateless plan synthesises per row and takes no hint."""
+        self._require_data()
+        if self._stack is None:
+            for block, rows in self._by_block(blocks):
+                self._payloads[block].expect_rows(indices[rows])
+
+    def records(self, blocks: np.ndarray, indices: np.ndarray,
+                serials: np.ndarray) -> np.ndarray:
+        """The wire records of the given emissions as a ``(m, H + P)``
+        array — the one stamping site; no cursor moves.
+
+        One synthesis with the payloads written straight into the
+        records, plus one :func:`~repro.fountain.packets.stamp_headers`
+        pass over the codec's header size.
+        """
+        self._require_data()
         header = self.codec.header_size
-        records = np.empty((count, self.codec.record_size), dtype=np.uint8)
-        blocks, indices, serials = self._draw(count, records[:, header:])
+        records = np.empty((len(blocks), self.codec.record_size),
+                           dtype=np.uint8)
+        self._synthesise(blocks, indices, records[:, header:])
         stamp_headers(records, header, indices, serials, self.group, blocks)
         return records
+
+    def record_window(self, count: int) -> np.ndarray:
+        """The next ``count`` emissions as a ``(count, H + P)`` array of
+        wire records: :meth:`draw_ids` stamped by :meth:`records`.
+        ``packets()`` hands out the rows of windows of
+        :data:`LOOKAHEAD`."""
+        self._require_data()
+        return self.records(*self.draw_ids(count))
 
     def packets(self, count: Optional[int] = None
                 ) -> Iterator[EncodingPacket]:

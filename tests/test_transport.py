@@ -5,13 +5,16 @@ environment forbids them (sandboxed CI runners without network
 namespaces).
 """
 
+import functools
 import json
+import pathlib
 import socket
+import tempfile
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import api
@@ -32,12 +35,27 @@ from repro.net.transport import (
 from repro.net.loss import GilbertElliottLoss
 from repro.net.transport.base import FEED_BATCH, FRAME_FEEDBACK
 from repro.protocol.adaptive import AdaptivePolicy
+from repro.transfer.codec import record_size
 from test_api import MANIFEST_DAMAGE, damaged_manifest
 
 
 def _random_bytes(n, seed):
     return bytes(np.random.default_rng(seed).integers(0, 256, n,
                                                       dtype=np.uint8))
+
+
+@functools.lru_cache(maxsize=None)
+def _small_recording():
+    """``(data, manifest bytes, stream bytes)`` of a small recorded
+    transfer."""
+    data = _random_bytes(3_000, seed=12)
+    session = api.SenderSession(data, code="lt", packet_size=100,
+                                block_size=1_000, seed=4)
+    with tempfile.TemporaryDirectory() as directory:
+        path = pathlib.Path(directory)
+        session.serve(FileTransport(path, loss=0.1, seed=3))
+        return (data, (path / "manifest.json").read_bytes(),
+                (path / "stream.pkt").read_bytes())
 
 
 def _udp_available():
@@ -377,6 +395,46 @@ class TestFileTransport:
             sub.available
         with pytest.raises(ProtocolError):
             next(sub.record_batches())
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw=st.one_of(
+        st.binary(max_size=48),
+        st.text(max_size=24).map(str.encode),
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=6),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+                st.sampled_from(["kind", "code", "seed", "file_size"])
+                | st.text(max_size=3), inner, max_size=3),
+            max_leaves=6).map(lambda value: json.dumps(value).encode())),
+        cut=st.none() | st.floats(0.0, 1.0))
+    @example(raw=b'{"a": ', cut=None)
+    @example(raw=b"\xff\xfe[1,2]", cut=None)
+    @example(raw=b"[" * 100_000, cut=None)
+    @example(raw=b"", cut=1.0)
+    def test_any_manifest_bytes_are_a_manifest_or_a_protocol_error(
+            self, tmp_path_factory, raw, cut):
+        """Whatever bytes ``manifest.json`` holds — arbitrary ones, JSON
+        values, the recorded manifest torn at ``cut`` of its length (or
+        whole) — ``manifest()``, ``available`` and ``receive()`` each
+        accept a valid manifest or raise ``ProtocolError``."""
+        data, manifest, stream = _small_recording()
+        body = raw if cut is None else manifest[:round(cut * len(manifest))]
+        directory = tmp_path_factory.mktemp("manifest")
+        (directory / "manifest.json").write_bytes(body)
+        (directory / "stream.pkt").write_bytes(stream)
+        sub = FileTransport(directory).subscribe()
+        outcomes = []
+        for probe in (sub.manifest, lambda: sub.available, sub.receive):
+            try:
+                outcomes.append(probe())
+            except ProtocolError:
+                outcomes.append(None)
+        if body == manifest:
+            assert outcomes[1] == len(stream) // record_size(outcomes[0])
+            assert outcomes[2].data() == data
+        else:
+            assert outcomes[1:] == [None, None]
 
     def _recorded(self, directory):
         data = _random_bytes(300_000, seed=8)

@@ -8,12 +8,14 @@ byte route):
   :data:`~repro.transfer.server.LOOKAHEAD` emissions per record window —
   against ``droplet_payload`` / ``encoding[index]`` one packet at a
   time, and against the draws it hands its held rows back to;
-* the **whole record windows** of ``MemoryTransport.serve`` and
-  ``FileTransport.serve`` — the stop found inside a window, the tail
-  taken back from the source and the loss channels — against the
-  per-packet serve loops kept in :mod:`tests._oracles`: same
-  ``ServeReport`` counters, same subscriber record bytes, same
-  ``stream.pkt`` and ``manifest.json`` bytes;
+* the **whole windows** of ``MemoryTransport.serve`` (record windows)
+  and ``FileTransport.serve`` (ids-only windows, then only the
+  survivors stamped) — the stop found inside a window, the tail taken
+  back from the source and the loss channels — against the per-packet
+  serve loops kept in :mod:`tests._oracles`: same ``ServeReport``
+  counters, same subscriber record bytes, same ``stream.pkt`` and
+  ``manifest.json`` bytes, and a file serve synthesises no row it does
+  not record;
 * the **windowed UDP serve** (``TransferServer.record_window`` framed
   in one buffer, a thin per-emission row loop, consecutive frames
   sharing a datagram up to ``DATAGRAM_BUDGET``) against
@@ -27,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import socket
 import sys
+import tracemalloc
 from itertools import islice
 from typing import Optional
 
@@ -44,6 +47,7 @@ from _oracles import (
 )
 from repro import api
 from repro.codes.registry import block_seed
+from repro.codes.tornado.code import _TornadoBlockEncoder
 from repro.errors import ParameterError, ProtocolError, ReproError
 from repro.fountain.packets import SERIAL_MODULUS, record_ids
 from repro.net.channel import LossyChannel
@@ -62,6 +66,7 @@ from repro.net.transport.base import (
 from repro.net.transport.pacing import TokenBucket
 from repro.net.transport.udp import UdpSubscription
 from repro.protocol.adaptive import AdaptivePolicy, PolicyDecision
+from repro.transfer import server as server_module
 from repro.transfer.client import TransferClient
 from repro.transfer.schedule import carousel_order
 from repro.transfer.server import LOOKAHEAD
@@ -515,12 +520,14 @@ class TestMemoryServe:
     @pytest.mark.parametrize("code", CODES)
     @pytest.mark.parametrize("kind", ["memory", "file"])
     def test_windows_are_capped(self, width, tmp_path, code, kind):
-        """Whole SERVE_WINDOW draws, at most one more than the emissions
+        """Whole SERVE_WINDOW draws (record windows on memory, the
+        ids-only pass on file), at most one more than the emissions
         fill, and the unsent tail goes back to every channel."""
         session = _session(code, size=(SERVE_WINDOW + 300) * PACKET)
         source = session.source
-        draw, sizes = source.record_window, []
-        source.record_window = lambda n: sizes.append(n) or draw(n)
+        name = "record_window" if kind == "memory" else "draw_ids"
+        draw, sizes = getattr(source, name), []
+        setattr(source, name, lambda n: sizes.append(n) or draw(n))
         if kind == "memory":
             transport = MemoryTransport(loss=0.2, seed=1)
             channels = [transport.subscribe().channel for _ in range(2)]
@@ -603,6 +610,82 @@ class TestFileServe:
         monkeypatch.setattr(file_module, "SERVE_WINDOW", window)
         assert _file_run(FileTransport.serve, tmp_path / "got", code,
                          extra=9) == want
+
+    @pytest.mark.parametrize("code", ["lt", "raptor", "tornado-b"])
+    @pytest.mark.parametrize("options", [
+        {"extra": 9},
+        {"extra": 3, "loss": 0.4},
+        {"count": 150},
+    ], ids=str)
+    def test_only_the_survivors_are_synthesised(self, width, tmp_path,
+                                                monkeypatch, code, options):
+        """Every payload row the serve synthesises is a row it records:
+        none the channel dropped, none past the stop."""
+        rows = []
+        synthesise = server_module._DropletStack.synthesise
+        monkeypatch.setattr(
+            server_module._DropletStack, "synthesise",
+            lambda self, blocks, *rest: rows.append(len(blocks))
+            or synthesise(self, blocks, *rest))
+        getitem = _TornadoBlockEncoder.__getitem__
+        monkeypatch.setattr(
+            _TornadoBlockEncoder, "__getitem__",
+            lambda self, index: rows.append(
+                np.arange(len(self))[index].size) or getitem(self, index))
+        counters = _file_run(FileTransport.serve, tmp_path, code,
+                             **options)[0]
+        assert counters["delivered"] < counters["emitted"]
+        assert sum(rows) == counters["delivered"]
+
+    @pytest.mark.parametrize("code", CODES)
+    def test_serves_continue_the_stream(self, width, tmp_path, code):
+        """Two counted serves, then automatic ones, on one session: each
+        writes what a packet-at-a-time serve writes, so the ids-only
+        pass leaves the stream where the per-packet loop leaves it."""
+        def run(serve, directory):
+            session = _session(code)
+            transport = FileTransport(directory, loss=0.2, seed=4)
+            written = []
+            for options in ({"count": 40}, {"count": 71}, {}, {"extra": 5}):
+                report = serve(transport, session, **options)
+                written.append((_counters(report),
+                                (directory / "stream.pkt").read_bytes(),
+                                (directory / "manifest.json").read_bytes()))
+            return written
+
+        assert (run(FileTransport.serve, tmp_path / "got")
+                == run(oracle_file_serve, tmp_path / "want"))
+
+    def test_an_rs_serve_computes_its_rows_without_held_tables(self,
+                                                               tmp_path):
+        """1 MiB of ``rs`` in 128 KiB blocks: the serve computes each
+        block's recorded redundancy rows and no others, in one product
+        whose tables are the kernel's scratch, not eight blocks' worth
+        of held ones."""
+        data = np.random.default_rng(1).integers(
+            0, 256, size=1 << 20, dtype=np.uint8).tobytes()
+        session = api.SenderSession(data, code="rs", packet_size=1024,
+                                    block_size=128 << 10, seed=3)
+        transport = FileTransport(tmp_path, loss=0.1, seed=5)
+        tracemalloc.start()
+        try:
+            report = transport.serve(session)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 << 20
+        header = session.codec.header_size
+        records = np.fromfile(tmp_path / "stream.pkt", dtype=np.uint8)
+        blocks, indices, _ = record_ids(
+            records.reshape(report.delivered, -1), header)
+        encoders = session.source._payloads
+        assert len(encoders) == 8
+        for block, encoder in enumerate(encoders):
+            k = encoder._code.k
+            mine = indices[(blocks == block) & (indices >= k)]
+            assert (np.flatnonzero(encoder._have).tolist()
+                    == (np.unique(mine) - k).tolist())
+            assert encoder._tables is None
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**16), loss=st.floats(0.0, 0.6),
