@@ -90,6 +90,7 @@ __all__ = [
     "FRAME_DATA",
     "FRAME_FEEDBACK",
     "FRAME_MANIFEST",
+    "MAX_FRAME_BODY",
     "SERVE_WINDOW",
     "ServeReport",
     "Subscription",
@@ -127,11 +128,13 @@ FRAME_MANIFEST = 0x02
 FRAME_FEEDBACK = 0x03
 
 _FRAME_HEAD = struct.Struct(">BH")
+#: the longest frame body the u16 length prefix states.
+MAX_FRAME_BODY = 0xFFFF
 
 
 def frame_head(frame_type: int, length: int) -> bytes:
     """The three bytes in front of a ``length``-byte frame body."""
-    if length > 0xFFFF:
+    if length > MAX_FRAME_BODY:
         raise ProtocolError(
             f"frame body of {length} bytes exceeds the u16 length "
             "prefix; shrink the packet size")

@@ -30,7 +30,6 @@ from typing import Any, Callable, Deque, Iterator, List, Optional
 import numpy as np
 
 from repro.errors import ParameterError, ProtocolError, ReproError
-from repro.fountain.packets import record_ids
 from repro.net.channel import LossyChannel
 from repro.net.loss import BernoulliLoss
 from repro.net.transport.base import (
@@ -153,14 +152,15 @@ class MemoryTransport(Transport):
         an explicit ``count`` emits exactly that many packets, and
         without ``policy``/``feedback`` to report to, feeds no shadow.
 
-        The stream crosses in whole ``record_window`` windows.  Each
-        incomplete shadow takes its delivered rows in one
-        ``receive_window`` call, which says how many it consumed before
-        completing; the stop is the latest completion over all shadows
-        plus ``extra``, and whatever of the window lies past it is
-        taken back — from the source and from every channel — so the
-        stream, the verdicts and the counters are a packet-at-a-time
-        serve's.
+        Two passes, as the file serve makes.  The first draws ids only
+        (``TransferServer.draw_ids``) in windows crossing every
+        subscriber's channel: each incomplete shadow takes its delivered
+        rows in one ``receive_window`` call, which says how many it
+        consumed before completing; the stop is the latest completion
+        plus ``extra``, and the window past it is taken back from the
+        source and every channel.  The second stamps only the rows some
+        subscriber receives (``expect``, then ``records``).  The stream,
+        the verdicts and the counters are a packet-at-a-time serve's.
 
         With ``policy=`` the serve closes the loop: every
         ``report_every`` emissions each shadow receiver's state is
@@ -200,21 +200,23 @@ class MemoryTransport(Transport):
         watched = shadows if count is None or adaptive else []
         source = session.source
         block_ks = session.codec.plan.block_ks
-        header = session.codec.header_size
         start = time.perf_counter()
-        emitted = delivered = 0
+        emitted = 0
         # the stop: the limit, until every shadow is complete; then the
         # emission the last one completed on, plus the extras
         end = limit
         completed_at = 0
+        # the rows at least one subscriber receives, as (blocks,
+        # indices, serials), and each subscriber's mask over them
+        heard = [np.zeros((3, 0), dtype=np.int64)]
+        verdicts = [np.zeros((len(self.subscriptions), 0), dtype=bool)]
         while emitted < end:
             n = min(SERVE_WINDOW, end - emitted)
             if adaptive:
                 n = min(n, report_every - emitted % report_every)
-            records = source.record_window(n)
-            blocks, indices, _ = record_ids(records, header)
-            masks = [sub.channel.delivery_mask(n)
-                     for sub in self.subscriptions]
+            blocks, indices, serials = source.draw_ids(n)
+            masks = np.array([sub.channel.delivery_mask(n)
+                              for sub in self.subscriptions])
             for shadow, mask in zip(watched, masks):
                 if shadow.is_complete:
                     continue
@@ -231,10 +233,10 @@ class MemoryTransport(Transport):
                 source.unwind(n - keep)
                 for sub in self.subscriptions:
                     sub.channel.unwind(n - keep)
-            for sub, mask in zip(self.subscriptions, masks):
-                kept = mask[:keep]
-                sub._deliver(records[:keep][kept])
-                delivered += int(np.count_nonzero(kept))
+            rows = np.flatnonzero(masks[:, :keep].any(axis=0))
+            heard.append(np.stack([blocks[rows], indices[rows],
+                                   serials[rows]]))
+            verdicts.append(masks[:, rows])
             emitted += keep
             if adaptive and emitted % report_every == 0:
                 now = time.perf_counter() - start
@@ -253,6 +255,13 @@ class MemoryTransport(Transport):
                     decision = policy.decide(block_ks, now=now)
                     if decision.weights:
                         source.reweight(list(decision.weights))
+        ids = np.concatenate(heard, axis=1)
+        masks = np.concatenate(verdicts, axis=1)
+        source.expect(ids[0], ids[1])
+        records = source.records(*ids)
+        for sub, mask in zip(self.subscriptions, masks):
+            sub._deliver(records[mask])
+        delivered = int(np.count_nonzero(masks))
         if count is None and not all(s.is_complete for s in shadows):
             incomplete = [i for i, s in enumerate(shadows)
                           if not s.is_complete]

@@ -70,6 +70,7 @@ from repro.net.transport.base import (
     FRAME_DATA,
     FRAME_FEEDBACK,
     FRAME_MANIFEST,
+    MAX_FRAME_BODY,
     SERVE_WINDOW,
     ServeReport,
     Subscription,
@@ -350,8 +351,10 @@ class UdpSubscription(Subscription):
         the size filter against the stream being decoded: it is counted
         in :attr:`manifest_conflicts` and ignored (an identical re-send,
         the in-band norm, is a no-op).  A body that is not a JSON object
-        is only counted malformed.  The data-record size the manifest
-        describes is derived here, once, for the per-datagram filter.
+        is only counted malformed, and so is a manifest whose records
+        are too long to frame: no sender can send that stream.  The
+        data-record size the manifest describes is derived here, once,
+        for the per-datagram filter.
         """
         try:
             manifest = json.loads(body.decode("utf-8"))
@@ -360,11 +363,14 @@ class UdpSubscription(Subscription):
         if not isinstance(manifest, dict):
             self.malformed += 1
         elif self._manifest is None:
-            self._manifest = manifest
             try:
-                self._record_bytes = record_size(manifest)
+                size = record_size(manifest)
             except ProtocolError:
-                self._record_bytes = None
+                size = None
+            if size is not None and size > MAX_FRAME_BODY:
+                self.malformed += 1
+            else:
+                self._manifest, self._record_bytes = manifest, size
         elif manifest != self._manifest:
             self._manifest_conflicts += 1
 

@@ -782,7 +782,7 @@ def _run_rows(scenario: Scenario, pop: _Population, thresholds: np.ndarray,
             weights_log.append([share / (k / total_k) for share, k
                                 in zip(shares, k_b.tolist())])
             server.reweight(weights_log[-1])
-        blocks, indices, _ = server.window(w1 - w0)
+        blocks, indices, _ = server.draw_ids(w1 - w0)
         ids = id_base[blocks] + indices
         slot_ids[w0:w1] = ids
         one_hot = np.zeros((w1 - w0, k_b.size), dtype=np.float32)
@@ -1085,7 +1085,7 @@ def _replay(scenario: Scenario, receiver_ids: Sequence[int],
         if weights is not None:
             server.reweight(weights[sweep] if sweep < len(weights)
                             else [1.0] * plan.num_blocks)
-        sweeps.append(server.window(total_k)[:2])
+        sweeps.append(server.draw_ids(total_k)[:2])
     slot_block, slot_index = (np.concatenate(part) for part in zip(*sweeps))
     lo, hi = _spans(pop, limit)
     overhead = np.full(len(receiver_ids), np.nan)

@@ -109,14 +109,17 @@ def simulate_transfer(file_size: int,
     # at a time: receive_window says how many survivors the client took
     # before completing, and the emissions after the one that completed
     # it go back to the server and the channel, so the counters are the
-    # sequential run's.  A window is the server's id (and payload)
-    # arrays — no packet objects, no headers.
+    # sequential run's.  A window is the server's id arrays, and only
+    # the rows that arrive are synthesised — no packet objects.
+    header = codec.header_size
     while not client.is_complete and channel.sent < limit:
         n = min(_CHUNK, limit - channel.sent)
         arrived = np.flatnonzero(channel.delivery_mask(n))
-        blocks, indices, rows = server.window(n)
-        used = client.receive_window(blocks[arrived], indices[arrived],
-                                     None if rows is None else rows[arrived])
+        blocks, indices, serials = (ids[arrived]
+                                    for ids in server.draw_ids(n))
+        rows = (server.records(blocks, indices, serials)[:, header:]
+                if payloads else None)
+        used = client.receive_window(blocks, indices, rows)
         if client.is_complete:
             unsent = n - int(arrived[used - 1]) - 1
             server.unwind(unsent)
@@ -188,7 +191,7 @@ class SlotWindow:
         """The ids of revolution ``r``: the ``len(block_of)`` emissions
         from ``r * len(block_of)`` on."""
         while len(self._revolutions) <= r:
-            blocks, indices, _ = self._server.window(self.block_of.size)
+            blocks, indices, _ = self._server.draw_ids(self.block_of.size)
             self._revolutions.append(self._first[blocks] + indices)
         return self._revolutions[r]
 

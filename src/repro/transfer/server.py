@@ -15,12 +15,13 @@ on a single-block stream.
 :meth:`TransferServer.records` is the one place records are stamped:
 it synthesises and stamps given emissions without moving the stream.
 :meth:`~TransferServer.draw_ids` moves the stream with no payload, and
-:meth:`~TransferServer.record_window` is the two in one.  The UDP and
-memory transports draw record windows; the file transport draws ids
-first and stamps only the survivors it records; ``packets()`` hands out
-the rows of one held window at a time, for in-process callers;
-simulations build the server *without data* (the structural stream)
-and draw the same :meth:`TransferServer.window` for the ids.
+:meth:`~TransferServer.record_window` is the two in one.  Wherever the
+stop is known before a row is stamped, ids come first: the memory and
+file transports and the simulations draw ids and stamp only what is
+delivered (a structural server, built *without data*, draws ids
+alone).  Only the UDP serve, which its receivers stop from afar, and
+``packets()``, which hands out one held window's rows at a time, draw
+record windows.
 
 Header compatibility: a multi-block stream tags every packet with its
 block id in the 16-byte block header (:mod:`repro.fountain.packets`);
@@ -37,15 +38,12 @@ as one stacked array of droplet inputs (:class:`_DropletStack`), and
 additional independent streams over the *same* cached objects.  Each
 encoding row is computed at most once no matter how many concurrent
 receivers a transport fans the object out to, and redundancy rows no
-draw reaches are never computed at all.  A record window is
-synthesised whole, though: a UDP or memory serve pays for the rows its
-channels drop and, when its stop lands inside a window, for the rows
-past it, and a Tornado block computes its whole cap at the first cap
-row a window asks for.  The file serve synthesises only what it
-records: it knows its survivors before it stamps one, hands their rows
-to :meth:`TransferServer.expect` — so each fixed-rate block computes
-exactly those rows, a Tornado cap in one product — and stamps them
-with :meth:`TransferServer.records`.
+draw reaches are never computed at all.  A serve that knows its
+survivors hands their rows to :meth:`TransferServer.expect` before it
+stamps them, so each fixed-rate block computes exactly those rows — a
+Tornado cap in one product.  A record window is synthesised whole: a
+UDP serve pays for the rows its channels drop, and a Tornado block
+computes its whole cap at the first cap row such a window asks for.
 """
 
 from __future__ import annotations
@@ -174,7 +172,7 @@ class TransferServer:
     data:
         The exact object bytes (must match the plan's ``file_size``).
         Omit them for the *structural* stream: the same emission order,
-        ids only — :meth:`window` draws it, nothing can emit a payload.
+        ids only — :meth:`draw_ids` draws it, nothing can emit a payload.
     schedule:
         Cross-block schedule name — ``"interleave"`` (default) or
         ``"sequential"``; see :mod:`repro.transfer.schedule`.
@@ -270,29 +268,13 @@ class TransferServer:
             short -= self._at
         return np.concatenate(parts)
 
-    def window(self, count: int
-               ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """The next ``count`` emissions as ``(blocks, indices,
-        payloads)`` arrays — the only batched draw.
-
-        ``payloads`` is ``(count, P)`` rows when the server holds data,
-        ``None`` on a structural one.  Cursors and serials advance as
-        ``count`` packets would advance them (emission ``t`` carries
-        serial ``t`` however drawn), so draws interleave freely.
-        """
-        blocks, indices, _ = self.draw_ids(count)
-        payloads = None
-        if self._data is not None:
-            payloads = np.empty((count, self.codec.plan.packet_size),
-                                dtype=np.uint8)
-            self._synthesise(blocks, indices, payloads)
-        return blocks, indices, payloads
-
     def draw_ids(self, count: int
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The next ``count`` emissions' ``(blocks, indices, serials)``
-        and no payload: the stream moves on as :meth:`window` moves it,
-        and :meth:`records` stamps any of these emissions later.
+        — the only draw, and it synthesises no payload: :meth:`records`
+        stamps any of these emissions later.  Cursors and serials
+        advance as ``count`` packets would advance them (emission ``t``
+        carries serial ``t`` however drawn), so draws interleave freely.
 
         A slot's index is its block's cursor plus its rank among the
         window's slots of that block, through the block's carousel
@@ -333,23 +315,11 @@ class TransferServer:
         for block in np.flatnonzero(sizes).tolist():
             yield block, order[ends[block] - sizes[block]:ends[block]]
 
-    def _synthesise(self, blocks: np.ndarray, indices: np.ndarray,
-                    payloads: np.ndarray) -> None:
-        """Write the payload of emission ``(blocks[r], indices[r])``
-        into ``payloads[r]`` — a pure function of the ids: no cursor is
-        read or moved.  A rateless plan synthesises every row in one
-        pass over its stack; a carousel gathers per block."""
-        if self._stack is not None:
-            self._stack.synthesise(blocks, indices, payloads)
-            return
-        for block, rows in self._by_block(blocks):
-            payloads[rows] = self._payloads[block][indices[rows]]
-
     def _require_data(self) -> None:
         if self._data is None:
             raise ParameterError(
                 "a structural server (built without data) has no payloads "
-                "to record; draw window() for the ids")
+                "to record; draw_ids() draws the ids")
 
     def expect(self, blocks: np.ndarray, indices: np.ndarray) -> None:
         """Tell each fixed-rate block encoder the rows of ``(blocks,
@@ -369,14 +339,21 @@ class TransferServer:
         array — the one stamping site; no cursor moves.
 
         One synthesis with the payloads written straight into the
-        records, plus one :func:`~repro.fountain.packets.stamp_headers`
-        pass over the codec's header size.
+        records — a rateless plan's in one pass over its stack, a
+        carousel's gathered per block — plus one
+        :func:`~repro.fountain.packets.stamp_headers` pass over the
+        codec's header size.
         """
         self._require_data()
         header = self.codec.header_size
         records = np.empty((len(blocks), self.codec.record_size),
                            dtype=np.uint8)
-        self._synthesise(blocks, indices, records[:, header:])
+        payloads = records[:, header:]
+        if self._stack is not None:
+            self._stack.synthesise(blocks, indices, payloads)
+        else:
+            for block, rows in self._by_block(blocks):
+                payloads[rows] = self._payloads[block][indices[rows]]
         stamp_headers(records, header, indices, serials, self.group, blocks)
         return records
 

@@ -96,11 +96,11 @@ class TestCarousel:
         """The structural stream is a pure function of the seed: two
         servers, a reset, and the data-bearing server draw one order."""
         server = _server("rs", 8, seed=3, data=False)
-        first = server.window(20)[1]
+        first = server.draw_ids(20)[1]
         assert np.array_equal(_server("rs", 8, seed=3, data=False)
-                              .window(20)[1], first)
+                              .draw_ids(20)[1], first)
         server.reset()
-        assert np.array_equal(server.window(20)[1], first)
+        assert np.array_equal(server.draw_ids(20)[1], first)
         assert [p.index for p in _server("rs", 8, seed=3).packets(20)] == (
             first.tolist())
 
@@ -237,7 +237,7 @@ class TestHeaderCeilings:
         with pytest.raises(ProtocolError, match="droplet ids exhausted"):
             next(stream)
         with pytest.raises(ProtocolError, match="droplet ids exhausted"):
-            server.window(1)
+            server.draw_ids(1)
 
     def test_exhausted_draw_moves_no_cursor(self):
         """The ceiling raises before the cursor moves: the ids below it
@@ -245,9 +245,9 @@ class TestHeaderCeilings:
         server = _server("lt", 8)
         server._cursors[0] = SERIAL_MODULUS - 2
         with pytest.raises(ProtocolError, match="droplet ids exhausted"):
-            server.window(3)
+            server.draw_ids(3)
         assert server._cursors.tolist() == [SERIAL_MODULUS - 2]
-        _, ids, _ = server.window(2)
+        _, ids, _ = server.draw_ids(2)
         assert ids.tolist() == [SERIAL_MODULUS - 2, SERIAL_MODULUS - 1]
         assert server._cursors.tolist() == [SERIAL_MODULUS]
 

@@ -315,7 +315,7 @@ class TestFountainIntegration:
     def test_server_requires_source_for_payload_packets(self):
         server = single_block_server("lt", random_source(10), seed=21,
                                      data=False)
-        assert server.window(4)[1].tolist() == [0, 1, 2, 3]
+        assert server.draw_ids(4)[1].tolist() == [0, 1, 2, 3]
         with pytest.raises(ParameterError):
             next(server.packets(1))
 

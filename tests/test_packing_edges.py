@@ -55,8 +55,11 @@ def _received(plan: BlockPlan, data: bytes) -> TransferClient:
     codec = ObjectCodec(plan, code="rs", seed=1)
     server = TransferServer(codec, data)
     client = TransferClient(codec)
+    header = codec.header_size
     while not client.is_complete:
-        client.receive_window(*server.window(codec.total_k))
+        blocks, indices, serials = server.draw_ids(codec.total_k)
+        client.receive_window(blocks, indices, server.records(
+            blocks, indices, serials)[:, header:])
     return client
 
 

@@ -123,7 +123,7 @@ class TestInterleavedReception:
     def test_matches_packets_to_decode_under_no_loss(self):
         window = SlotWindow(60, 20, "rs")
         total = interleaved_total(window, BernoulliLoss(0.0), rng=0)
-        blocks, indices, _ = TransferServer(window.codec).window(120)
+        blocks, indices, _ = TransferServer(window.codec).draw_ids(120)
         client = TransferClient(window.codec, payload_size=None)
         assert total == client.receive_window(blocks, indices)
 
@@ -144,7 +144,7 @@ class TestInterleavedReception:
         distinct packets)."""
         window = SlotWindow(4000, 50, "rs")
         codec = window.codec
-        blocks, indices, _ = TransferServer(codec).window(20_000)
+        blocks, indices, _ = TransferServer(codec).draw_ids(20_000)
         for receiver in range(60):
             engine = packets_until_decode(
                 window, codec.plan.block_ks,
@@ -164,7 +164,7 @@ class TestInterleavedReception:
         icode = InterleavedCode(250, 20)
         assert window.codec.plan.block_ks == icode.block_sizes
         assert window.block_n.tolist() == icode.block_ns
-        blocks, indices, _ = TransferServer(window.codec).window(2_000)
+        blocks, indices, _ = TransferServer(window.codec).draw_ids(2_000)
         for receiver in range(10):
             engine = interleaved_total(window, BernoulliLoss(0.3), receiver)
             mask = LossyChannel(BernoulliLoss(0.3),

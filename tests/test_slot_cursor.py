@@ -85,7 +85,7 @@ def _ids(records: np.ndarray, codec: ObjectCodec) -> list:
 _WEIGHTS = st.lists(st.sampled_from([0.2, 0.5, 1.0, 3.0]), min_size=7,
                     max_size=7)
 _OPS = st.lists(st.one_of(
-    st.tuples(st.sampled_from(["window", "records"]), st.integers(0, 300)),
+    st.tuples(st.sampled_from(["draw_ids", "records"]), st.integers(0, 300)),
     st.tuples(st.just("unwind"), st.floats(0.0, 1.0)),
     st.tuples(st.just("reweight"), st.one_of(st.none(), _WEIGHTS)),
     st.tuples(st.just("packets"), st.integers(0, 80))),
@@ -126,11 +126,9 @@ class TestSlotCursor:
                 got = _ids(server.record_window(arg), codec)
                 assert got == model.take(arg)
             else:
-                blocks_drawn, indices, payloads = server.window(arg)
-                want = model.take(arg)
-                assert list(zip(blocks_drawn.tolist(), indices.tolist())) \
-                    == [(block, index) for block, index, _ in want]
-                assert payloads.shape == (arg, _PACKET)
+                got = server.draw_ids(arg)
+                assert list(zip(*(ids.tolist() for ids in got))) \
+                    == model.take(arg)
         # ... and the serial goes on from the last emission kept
         assert _ids(server.record_window(50), codec) == model.take(50)
 

@@ -44,7 +44,7 @@ class TestProtocolConformance:
         plan = BlockPlan(50 * 8, packet_size=8, block_packets=16)
         codec = ObjectCodec(plan, code=spec, seed=2)
         server = TransferServer(codec, seed=6)
-        blocks, ids, _ = server.window(300)
+        blocks, ids, _ = server.draw_ids(300)
         assert set(blocks.tolist()) == set(range(codec.num_blocks))
         for block in range(codec.num_blocks):
             mine = ids[blocks == block]

@@ -1,14 +1,14 @@
 """The striped stream is asked, not re-derived.
 
 ``TransferServer`` is the one place that knows what emission ``t``
-carries; everything else draws ``window(n)``.  Two layers hold that:
+carries; everything else draws ``draw_ids(n)``.  Two layers hold that:
 
 * **parity** — for every registered family, both schedules, single- and
   multi-block plans, at a packet width of whole uint64 lanes and at a
-  ragged one, the ids of a structural server's ``window`` are the ids
+  ragged one, the ids of a structural server's ``draw_ids`` are the ids
   ``packets()`` stamps and the header columns ``record_window`` writes,
   and each packet's bytes are its row of a twin's ``record_window``;
-  and any interleaving of ``window``,
+  and any interleaving of ``draw_ids``,
   ``packets()``, ``record_window``, ``unwind``, ``reweight`` and
   ``reset`` on one server continues the stream a per-packet sender
   would have sent, serials included.
@@ -171,9 +171,9 @@ class TestStructuralParity:
         data = _data(codec.plan.file_size)
         count = 3 * codec.total_k + 7       # every carousel wraps
         options = dict(schedule=schedule, seed=5)
-        blocks, indices, payloads = TransferServer(
-            codec, **options).window(count)
-        assert payloads is None
+        blocks, indices, serials = TransferServer(
+            codec, **options).draw_ids(count)
+        assert serials.tolist() == list(range(count))
         ids = list(zip(blocks.tolist(), indices.tolist()))
         packets = list(TransferServer(codec, data, **options).packets(count))
         assert ids == [(p.block, p.index) for p in packets]
@@ -188,10 +188,11 @@ class TestStructuralParity:
         # a packet is a record of one: the same bytes as the window's row
         assert [p.to_bytes() for p in packets] \
             == [row.tobytes() for row in records]
-        # ... and a server holding data hands the payloads over as well
+        # ... and a server holding data stamps the same rows from its ids
         full.reset()
-        _, again, rows = full.window(count)
-        assert again.tolist() == indices.tolist()
+        again = full.draw_ids(count)
+        assert again[1].tolist() == indices.tolist()
+        rows = full.records(*again)[:, -packet:]
         assert rows.tobytes() == records[:, -packet:].tobytes()
 
     def test_structural_server_emits_no_payload_packets(self):
@@ -204,14 +205,14 @@ class TestStructuralParity:
                            lambda: next(server.packets(3))):
                 with pytest.raises(ParameterError, match="structural"):
                     refuse()
-                assert (server.window(9)[1].tolist()
-                        == twin.window(9)[1].tolist())
+                assert (server.draw_ids(9)[1].tolist()
+                        == twin.draw_ids(9)[1].tolist())
 
 
 _WEIGHTS = st.one_of(
     st.none(),
     st.lists(st.sampled_from([0.2, 0.5, 1.0, 3.0]), min_size=4, max_size=4))
-_DRAW = st.tuples(st.sampled_from(["window", "records"]),
+_DRAW = st.tuples(st.sampled_from(["draw_ids", "records"]),
                   st.integers(0, 70), st.integers(0, 70),
                   st.integers(0, 70))
 _OPS = st.lists(st.one_of(
@@ -229,7 +230,7 @@ class TestInterleavedDraws:
                                                    ops):
         """``twin`` is the per-packet sender: it emits only what was kept
         and is reweighted / reset at the same emissions.  ``bare`` holds
-        no data and sees every draw as a ``window``."""
+        no data and sees every draw as a ``draw_ids``."""
         codec = _codec(family, "multi")
         data = _data(codec.plan.file_size)
         live = TransferServer(codec, data, schedule=schedule, seed=9)
@@ -245,7 +246,7 @@ class TestInterleavedDraws:
             elif op == "packets":
                 got = [p.to_bytes() for p in live.packets(args[0])]
                 assert got == [p.to_bytes() for p in twin.packets(args[0])]
-                bare.window(args[0])
+                bare.draw_ids(args[0])
             else:
                 count, first, second = args
                 first = min(first, count)
@@ -258,29 +259,31 @@ class TestInterleavedDraws:
                     assert ([row.tobytes() for row in rows]
                             == [p.to_bytes() for p in want])
                 else:
-                    blocks, indices, payloads = live.window(count)
+                    blocks, indices, serials = live.draw_ids(count)
                     assert list(zip(blocks[:kept].tolist(),
                                     indices[:kept].tolist())) == ids
+                    payloads = live.records(blocks, indices, serials)[
+                        :, codec.header_size:]
                     assert ([row.tobytes() for row in payloads[:kept]]
                             == [p.payload.tobytes() for p in want])
-                blocks, indices, none = bare.window(count)
-                assert none is None
+                blocks, indices, serials = bare.draw_ids(count)
+                assert serials[:kept].tolist() == [p.serial for p in want]
                 assert list(zip(blocks[:kept].tolist(),
                                 indices[:kept].tolist())) == ids
                 # the tail is taken back in two steps: unwinds add up
                 for server in (live, bare):
                     server.unwind(first)
                     server.unwind(second)
-                if op == "window":
-                    # a bare window takes its serials too: emission t
+                if op == "draw_ids":
+                    # an ids-only draw takes its serials too: emission t
                     # carries serial t however it is drawn, so the next
                     # emission carries the twin's next serial
                     assert (next(live.packets(1)).serial
                             == next(twin.packets(1)).serial)
-                    bare.window(1)
+                    bare.draw_ids(1)
         tail = [p.to_bytes() for p in twin.packets(50)]
         assert [p.to_bytes() for p in live.packets(50)] == tail
-        blocks, indices, _ = bare.window(50)
+        blocks, indices, _ = bare.draw_ids(50)
         assert (list(zip(blocks.tolist(), indices.tolist()))
                 == [(int.from_bytes(r[12:16], "big"),
                      int.from_bytes(r[0:4], "big")) for r in tail])

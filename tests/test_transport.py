@@ -33,9 +33,13 @@ from repro.net.transport import (
     parse_address,
 )
 from repro.net.loss import GilbertElliottLoss
-from repro.net.transport.base import FEED_BATCH, FRAME_FEEDBACK
+from repro.net.transport.base import (
+    FEED_BATCH,
+    FRAME_FEEDBACK,
+    MAX_FRAME_BODY,
+)
 from repro.protocol.adaptive import AdaptivePolicy
-from repro.transfer.codec import record_size
+from repro.transfer.codec import MAX_PACKET_SIZE, record_size
 from test_api import MANIFEST_DAMAGE, damaged_manifest
 
 
@@ -150,6 +154,31 @@ _DRAINS = st.one_of(
     st.lists(st.tuples(_alone, _hosts), max_size=12),
     st.lists(st.tuples(st.one_of(_burst(), _alone), _hosts), max_size=6),
 )
+
+#: the longest frame body one IPv4 datagram carries (65,507 bytes of
+#: UDP payload less the frame head).
+_DATAGRAM_BODY = 65_507 - 3
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner,
+                                     max_size=3)),
+    max_leaves=8)
+#: any JSON object as a manifest frame: transfer manifests up to the
+#: packet size ceiling, whose records are too long for a frame near the
+#: top of it, and objects of any other shape.
+_ANY_MANIFEST = st.one_of(
+    st.fixed_dictionaries({
+        "kind": st.just("transfer"), "code": st.sampled_from(["lt", "rs"]),
+        "seed": st.integers(0, 9), "file_size": st.integers(1, 1 << 20),
+        "block_packets": st.integers(1, 64),
+        "packet_size": st.one_of(
+            st.integers(1, 64),
+            st.integers(MAX_FRAME_BODY - 20, MAX_PACKET_SIZE + 1))}),
+    st.dictionaries(st.text(max_size=12), _JSON, max_size=6))
+#: data frame body sizes: short ones and ones near the datagram ceiling.
+_BODY_SIZES = st.lists(st.one_of(st.integers(0, 64), st.integers(
+    _DATAGRAM_BODY - 600, _DATAGRAM_BODY)), max_size=4)
 
 
 class TestFraming:
@@ -815,6 +844,41 @@ class TestUdpUnicast:
             noise.close()
             assert sub.manifest() == manifest
             assert sub.malformed == 1 and sub.manifest_conflicts == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(manifest=_ANY_MANIFEST, sizes=_BODY_SIZES, fitting=st.booleans())
+    @example(manifest={"kind": "transfer", "code": "lt", "seed": 0,
+                       "file_size": 1 << 20, "block_packets": 16,
+                       "packet_size": MAX_PACKET_SIZE},
+             sizes=[100], fitting=False)
+    def test_any_manifest_then_any_data_ends_only_in_silence(
+            self, manifest, sizes, fitting):
+        """A manifest frame of any JSON object, then data frames of any
+        size: ``record_batches`` yields or counts every frame and ends
+        only in its silence timeout.  A manifest whose records no frame
+        can carry (a packet size near ``MAX_PACKET_SIZE``) is counted
+        malformed, not adopted to size every later drain with."""
+        try:
+            size = record_size(manifest)
+        except ProtocolError:
+            size = None
+        if fitting and size is not None and size <= _DATAGRAM_BODY:
+            sizes = sizes + [size]
+        with UdpSubscription("127.0.0.1:0", timeout=0.1) as sub:
+            noise = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            noise.sendto(pack_frame(FRAME_MANIFEST, json.dumps(
+                manifest).encode("utf-8")), sub.address)
+            for body in sizes:
+                noise.sendto(pack_frame(FRAME_DATA, bytes(body)),
+                             sub.address)
+            noise.close()
+            yielded = 0
+            with pytest.raises(ProtocolError, match="within"):
+                for batch in sub.record_batches():
+                    yielded += len(batch)
+            framable = size is None or size <= MAX_FRAME_BODY
+            assert (sub._manifest is not None) == framable
+            assert yielded + sub.malformed == len(sizes) + (not framable)
 
     # -- the one-pass drain against the datagram loop ------------------------------
 

@@ -8,14 +8,14 @@ byte route):
   :data:`~repro.transfer.server.LOOKAHEAD` emissions per record window —
   against ``droplet_payload`` / ``encoding[index]`` one packet at a
   time, and against the draws it hands its held rows back to;
-* the **whole windows** of ``MemoryTransport.serve`` (record windows)
-  and ``FileTransport.serve`` (ids-only windows, then only the
-  survivors stamped) — the stop found inside a window, the tail taken
-  back from the source and the loss channels — against the per-packet
-  serve loops kept in :mod:`tests._oracles`: same ``ServeReport``
-  counters, same subscriber record bytes, same ``stream.pkt`` and
-  ``manifest.json`` bytes, and a file serve synthesises no row it does
-  not record;
+* the **whole windows** of ``MemoryTransport.serve`` and
+  ``FileTransport.serve`` (ids-only windows, then only the survivors
+  stamped) — the stop found inside a window, the tail taken back from
+  the source and the loss channels — against the per-packet serve
+  loops kept in :mod:`tests._oracles`: same ``ServeReport`` counters,
+  same subscriber record bytes, same ``stream.pkt`` and
+  ``manifest.json`` bytes, and neither serve synthesises a row no
+  subscriber receives;
 * the **windowed UDP serve** (``TransferServer.record_window`` framed
   in one buffer, a thin per-emission row loop, consecutive frames
   sharing a datagram up to ``DATAGRAM_BUDGET``) against
@@ -140,11 +140,12 @@ class TestLookahead:
                     == encoder.droplet_payload(serial).tobytes())
 
     @pytest.mark.parametrize("spec", ["tornado-b", "rs", "interleaved"])
-    @pytest.mark.parametrize("route", ["packets", "records", "window"])
+    @pytest.mark.parametrize("route", ["packets", "records", "draw_ids"])
     def test_carousel_packets_match_row_oracle(self, width, spec, route):
         """Every draw route reads the same carousel: per-packet pulls (a
         window of :data:`LOOKAHEAD` at a time), one record window, and
-        one ``window()`` draw, each wrapping the cycle inside a draw."""
+        one ``draw_ids()`` draw stamped later, each wrapping the cycle
+        inside a draw."""
         server, encoding = _carousel(spec=spec)
         n = len(encoding)
         order = carousel_order(n, block_seed(5, 0))
@@ -162,8 +163,10 @@ class TestLookahead:
             got = [(int(i), row[header:].tobytes())
                    for i, row in zip(ids, records)]
         else:
-            blocks, ids, payloads = server.window(count)
+            blocks, ids, serials = server.draw_ids(count)
             assert not blocks.any()
+            payloads = server.records(blocks, ids, serials)[
+                :, server.codec.header_size:]
             got = [(int(i), row.tobytes()) for i, row in zip(ids, payloads)]
         assert len(got) == count
         for slot, (index, payload) in enumerate(got):
@@ -206,11 +209,11 @@ class TestLookahead:
             next(stream)
         # a whole LOOKAHEAD has been synthesised; three were emitted
         assert len(server._held) == LOOKAHEAD
-        assert server.window(2)[1].tolist() == [3, 4]
+        assert server.draw_ids(2)[1].tolist() == [3, 4]
         carousel, encoding = _carousel()
         order = carousel_order(len(encoding), block_seed(5, 0))
         next(carousel.packets())
-        assert carousel.window(2)[1].tolist() == order[1:3].tolist()
+        assert carousel.draw_ids(2)[1].tolist() == order[1:3].tolist()
 
     def test_reset_drops_the_window_and_restarts(self, width):
         for server in (_rateless()[0], _carousel()[0]):
@@ -233,7 +236,9 @@ class TestLookahead:
         cuts = [3, 0, LOOKAHEAD - 1, 1, LOOKAHEAD + 7, 2]
         for turn, count in enumerate(cuts):
             if turn % 2:
-                _, ids, payloads = server.window(count)
+                blocks, ids, serials = server.draw_ids(count)
+                payloads = server.records(blocks, ids, serials)[
+                    :, server.codec.header_size:]
                 got_ids += ids.tolist()
                 got_payloads += [row.tobytes() for row in payloads]
             else:
@@ -517,17 +522,87 @@ class TestMemoryServe:
         assert got == want
         assert got[1] == 200 * 4
 
+    def test_too_lossy_still_delivers_what_went_out(self, width):
+        """The survivors are stamped before the raise: what went out
+        before the limit is in the subscriber's buffer, as it is after
+        a packet-at-a-time serve."""
+        def run(serve):
+            session = _session("rs", size=4 * PACKET)
+            transport = MemoryTransport(loss=0.997, seed=2)
+            sub = transport.subscribe()
+            with pytest.raises(ReproError, match="channel too lossy"):
+                serve(transport, session)
+            return list(sub.records())
+
+        got = run(MemoryTransport.serve)
+        assert got and got == run(oracle_memory_serve)
+
+    @pytest.mark.parametrize("code", ["lt", "raptor", "tornado-b"])
+    @pytest.mark.parametrize("subscribers", [1, 3])
+    @pytest.mark.parametrize("adaptive", [False, True],
+                             ids=["open", "policy"])
+    def test_only_the_received_rows_are_synthesised(
+            self, width, monkeypatch, code, subscribers, adaptive):
+        """Every payload row the serve synthesises is a row at least one
+        subscriber receives: none every channel dropped, none past the
+        stop, none twice."""
+        rows = []
+        synthesise = server_module._DropletStack.synthesise
+        monkeypatch.setattr(
+            server_module._DropletStack, "synthesise",
+            lambda self, blocks, *rest: rows.append(len(blocks))
+            or synthesise(self, blocks, *rest))
+        getitem = _TornadoBlockEncoder.__getitem__
+        monkeypatch.setattr(
+            _TornadoBlockEncoder, "__getitem__",
+            lambda self, index: rows.append(
+                np.arange(len(self))[index].size) or getitem(self, index))
+        session = _session(code)
+        transport = MemoryTransport(loss=0.2, seed=5)
+        subs = [transport.subscribe() for _ in range(subscribers)]
+        options = ({"policy": AdaptivePolicy(), "report_every": 16}
+                   if adaptive else {})
+        report = transport.serve(session, extra=4, **options)
+        header = session.codec.header_size
+        received = set()
+        for sub in subs:
+            for batch in sub.record_batches():
+                received.update(record_ids(batch, header)[2].tolist())
+        assert len(received) < report.emitted
+        assert sum(rows) == len(received)
+
+    def test_an_rs_serve_computes_its_rows_without_held_tables(self):
+        """1 MiB of ``rs`` in 128 KiB blocks: the survivors' redundancy
+        rows are computed in one product whose tables are the kernel's
+        scratch, not eight blocks' worth of held ones."""
+        data = np.random.default_rng(1).integers(
+            0, 256, size=1 << 20, dtype=np.uint8).tobytes()
+        session = api.SenderSession(data, code="rs", packet_size=1024,
+                                    block_size=128 << 10, seed=3)
+        transport = MemoryTransport(loss=0.1, seed=5)
+        sub = transport.subscribe()
+        tracemalloc.start()
+        try:
+            report = transport.serve(session)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 << 20
+        assert sub.available == report.delivered
+        encoders = session.source._payloads
+        assert len(encoders) == 8
+        assert all(encoder._tables is None for encoder in encoders)
+
     @pytest.mark.parametrize("code", CODES)
     @pytest.mark.parametrize("kind", ["memory", "file"])
     def test_windows_are_capped(self, width, tmp_path, code, kind):
-        """Whole SERVE_WINDOW draws (record windows on memory, the
-        ids-only pass on file), at most one more than the emissions
-        fill, and the unsent tail goes back to every channel."""
+        """Whole SERVE_WINDOW draws of the ids-only pass, at most one
+        more than the emissions fill, and the unsent tail goes back to
+        every channel."""
         session = _session(code, size=(SERVE_WINDOW + 300) * PACKET)
         source = session.source
-        name = "record_window" if kind == "memory" else "draw_ids"
-        draw, sizes = getattr(source, name), []
-        setattr(source, name, lambda n: sizes.append(n) or draw(n))
+        draw, sizes = source.draw_ids, []
+        source.draw_ids = lambda n: sizes.append(n) or draw(n)
         if kind == "memory":
             transport = MemoryTransport(loss=0.2, seed=1)
             channels = [transport.subscribe().channel for _ in range(2)]
@@ -736,8 +811,8 @@ class TestRecordWindow:
         # straight stream's
         twin = _session(code).source
         list(twin.packets(400))
-        assert ([ids.tolist() for ids in source.window(700)[:2]]
-                == [ids.tolist() for ids in twin.window(700)[:2]])
+        assert ([ids.tolist() for ids in source.draw_ids(700)]
+                == [ids.tolist() for ids in twin.draw_ids(700)])
 
     def test_reweight_drops_the_slots_taken_back(self, width):
         """A per-packet sender stopped before emission ``e`` and then

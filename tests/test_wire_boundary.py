@@ -9,7 +9,9 @@ have to find it.  The header fields are written and read in one module
 only — ``stamp_headers`` and ``record_ids``, a packet being a record of
 one — so no other module names the field dtype (``">u4"``) either.  And
 no other module reads the codec's ``block_aware`` flag: a sender picks
-its header kind by stamping at the codec's ``header_size``.
+its header kind by stamping at the codec's ``header_size``.  Only the
+receive path (``api.py``) reads headers back: a sender draws its ids
+before it stamps them, so no send path names ``record_ids``.
 """
 
 from __future__ import annotations
@@ -117,4 +119,40 @@ def test_only_the_two_homes_read_the_header_kind():
                  ast.parse(path.read_text(), filename=str(path)))]
     assert not leaks, (f"the header kind ({FLAG}) read outside "
                        f"{' and '.join(sorted(FLAG_HOMES))}:\n"
+                       + "\n".join(leaks))
+
+
+#: the header reader, and the modules that may name it: its home and
+#: the receive path.  A sender knows the ids it stamped.
+READER = "record_ids"
+READER_HOMES = {"fountain/packets.py", "api.py"}
+
+
+def reader_mentions(tree: ast.AST):
+    """Line of every node of ``tree`` that names the header reader."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == READER:
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr == READER:
+            yield node.lineno
+        elif isinstance(node, ast.alias) and node.name == READER:
+            yield getattr(node, "lineno", 0)
+
+
+def test_scan_finds_the_reader():
+    tree = ast.parse("from repro.fountain.packets import record_ids\n"
+                     "ids = packets.record_ids(records, 16)\n"
+                     "more = record_ids(records, 12)\n"
+                     "name = 'record_ids'\n")
+    assert sorted(reader_mentions(tree)) == [1, 2, 3]
+
+
+def test_the_send_side_never_reads_a_header():
+    leaks = [f"{path.relative_to(SRC)}:{line}"
+             for path in sorted(SRC.rglob("*.py"))
+             if path.relative_to(SRC).as_posix() not in READER_HOMES
+             for line in reader_mentions(
+                 ast.parse(path.read_text(), filename=str(path)))]
+    assert not leaks, (f"{READER} named outside "
+                       f"{' and '.join(sorted(READER_HOMES))}:\n"
                        + "\n".join(leaks))
