@@ -126,7 +126,8 @@ swarm-smoke:
 	$(PYTHON) -m repro swarm run examples/scenarios/bursty_wireless.json \
 		--receivers 2000 --adaptive --spot-check 16
 
-# Fails if any ```python block in the docs does not run as written.
+# Fails if any ```python block in the docs does not run as written, or
+# if the code, tests, tools or docs name a *.md file that does not exist.
 docs-check:
 	$(PYTHON) tools/check_docs.py README.md docs/ARCHITECTURE.md
 

@@ -1,8 +1,9 @@
 """Ablation — degree-distribution families for the Tornado cascade.
 
-DESIGN.md's construction section claims the two-point (3/20) family
-gives the most robust finite-length peeling among the openly
-reproducible candidates; this bench re-runs the selection experiment at
+The Tornado presets (:mod:`repro.codes.tornado.presets`) rest on the
+claim that the two-point (3/20) family gives the most robust
+finite-length peeling among the openly reproducible candidates; this
+bench re-runs the selection experiment at
 small scale and records each family's mean reception overhead.
 """
 

@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark suite.
 
-Each ``bench_*`` file regenerates one table or figure of the paper (see
-DESIGN.md's per-experiment index).  Benchmarks are sized to finish in
-seconds; the experiment runners under ``repro.experiments`` accept
-flags to reach full paper scale.
+Each ``bench_*`` file regenerates one table or figure of the paper
+(README's "Reproducing the paper" table maps each to its runner).
+Benchmarks are sized to finish in seconds; the experiment runners under
+``repro.experiments`` accept flags to reach full paper scale.
 """
 
 import pathlib

@@ -25,10 +25,11 @@ Bookkeeping is the standard O(edges) scheme:
   in payload mode), so the recovered value is read off directly.
 
 Propagation is wave-vectorised: all nodes that became known in a wave
-update their equations with ``np.add.at`` / ``np.bitwise_xor.at`` scatter
-operations, and the next wave is the set of newly solvable nodes.  Static
-equations use a prebuilt CSR incidence; dynamically added equations keep
-per-node adjacency lists, and a wave walks both.
+update their equations in one segmented reduction per wave (incidences
+sorted by equation, one ``np.bitwise_xor.reduceat``), and the next wave
+is the set of newly solvable nodes.  Static equations use a prebuilt CSR
+incidence; dynamically added equations keep per-node adjacency lists
+(or a packed bitmatrix), and a wave walks both.
 
 The engine can run in two modes:
 
@@ -539,9 +540,10 @@ class PeelingEngine:
                 raise ParameterError("payload engine requires equation rhs")
             acc = np.asarray(rhs_block, dtype=np.uint8)
             # A block handed out by _pending_rhs already sits in the
-            # rows these equations will occupy; when every one of them
-            # is stored it is adopted as is, anything else is copied.
-            adopted = (acc.base is self._acc and keep.size == m
+            # rows these equations will occupy (it starts at the first
+            # free row's address); when every one of them is stored it
+            # is adopted as is, anything else is copied.
+            adopted = (keep.size == m
                        and acc.__array_interface__["data"]
                        == self._acc[self._num_equations:]
                        .__array_interface__["data"])
@@ -790,51 +792,38 @@ class PeelingEngine:
             xor_view(self._acc)[touched] ^= folded
         return touched
 
+    def _wave_incidences(self, frontier: np.ndarray) -> Optional[np.ndarray]:
+        """One peeling wave over the static CSR and the adjacency dicts.
+
+        The wave's incidences are sorted by equation and each equation's
+        whole update is one segmented reduction, the payload XOR once
+        per *equation* rather than per edge, through a uint64 view when
+        the width packs.  Returns the touched equation ids, or None when
+        the wave missed.
+        """
+        eqs, nodes_rep = self._gather_incidences(frontier)
+        if eqs is None:
+            return None
+        order = np.argsort(eqs)
+        eqs_s = eqs[order]
+        nodes_s = nodes_rep[order]
+        starts, touched = _group_sorted(eqs_s)
+        self.unknown_count[touched] -= np.diff(np.append(starts, eqs_s.size))
+        self.xor_ids[touched] ^= np.bitwise_xor.reduceat(nodes_s, starts)
+        if self._acc is not None:
+            folded = np.bitwise_xor.reduceat(
+                xor_view(self.values[nodes_s]), starts, axis=0)
+            xor_view(self._acc)[touched] ^= folded
+        return touched
+
     def _propagate(self, frontier: np.ndarray) -> None:
         """Run peeling waves until quiescent, invoking the subclass hook."""
         while True:
             while frontier.size:
-                if self._bitmatrix:
-                    touched = self._wave_bitmatrix(frontier)
-                    if touched is None:
-                        frontier = np.zeros(0, dtype=np.int64)
-                        break
-                    ready = touched[self.unknown_count[touched] == 1]
-                    frontier = self._advance_wave(ready)
-                    continue
-                eqs, nodes_rep = self._gather_incidences(frontier)
-                if eqs is None:
-                    frontier = np.zeros(0, dtype=np.int64)
+                touched = (self._wave_bitmatrix(frontier) if self._bitmatrix
+                           else self._wave_incidences(frontier))
+                if touched is None:
                     break
-                if eqs.size > 24:
-                    # Sort the incidences by equation and apply each
-                    # equation's whole update as one segmented reduction —
-                    # same result as the element-wise scatter, but the
-                    # payload XOR runs once per *equation* instead of once
-                    # per edge, through a uint64 view when the width packs.
-                    # Tiny frontiers (the tail of a transfer, one packet at
-                    # a time) skip the sort machinery: the element-wise
-                    # scatter below computes the same XOR fixpoint.
-                    order = np.argsort(eqs, kind="stable")
-                    eqs_s = eqs[order]
-                    nodes_s = nodes_rep[order]
-                    starts, touched = _group_sorted(eqs_s)
-                    counts = np.diff(np.append(starts, eqs_s.size))
-                    self.unknown_count[touched] -= counts
-                    self.xor_ids[touched] ^= np.bitwise_xor.reduceat(
-                        nodes_s, starts)
-                    if self._acc is not None:
-                        pay = self.values[nodes_s]
-                        folded = np.bitwise_xor.reduceat(
-                            xor_view(pay), starts, axis=0)
-                        xor_view(self._acc)[touched] ^= folded
-                else:
-                    np.subtract.at(self.unknown_count, eqs, 1)
-                    np.bitwise_xor.at(self.xor_ids, eqs, nodes_rep)
-                    if self._acc is not None:
-                        np.bitwise_xor.at(self._acc, eqs,
-                                          self.values[nodes_rep])
-                    touched = np.unique(eqs)
                 ready = touched[self.unknown_count[touched] == 1]
                 frontier = self._advance_wave(ready)
             extra = self._on_quiescent()
@@ -877,8 +866,10 @@ class PeelingEngine:
         """The finisher attempts among :attr:`inactivation_runs` that
         factored nothing: they folded the rows that arrived since the
         last attempt into the kept factorization (one ``fold_row``
-        each).  ``inactivation_runs - fold_runs`` is how often the
-        stalled system was factored from scratch."""
+        each).  ``inactivation_runs - fold_runs`` is how often an
+        attempt factored the stalled system from scratch; the core a
+        short system keeps (:meth:`_keeps_core`) is factored outside
+        any attempt."""
         return self._fold_runs
 
     def _elimination_nodes(self) -> np.ndarray:
@@ -983,28 +974,40 @@ class PeelingEngine:
         if u == 0:
             return True
         rows = np.nonzero(self.unknown_count[:self._num_equations] >= 1)[0]
-        if rows.size < u:
+        short = rows.size < u
+        if short and not self._keeps_core():
             # Rank is at most rows.size; at least u - rows.size more
             # equations must arrive before a solve can succeed.
             self._stall_gate = (u, self._equations_seen, u - rows.size)
             return False
-        self._inactivation_runs += 1
+        if not short:
+            # A short system is factored for the core it leaves behind,
+            # not as an attempt: it cannot succeed.
+            self._inactivation_runs += 1
         deficit = self._solve_factored(rows, unknown_nodes)
         if deficit:
             self._stall_gate = (u, self._equations_seen, deficit)
             return False
         self._stall_gate = None
         self._mark_known(unknown_nodes)
-        if self._lazy_peel and bool(np.all(self.known)):
-            # Every node is recovered; nothing is left for peeling to
-            # cascade.  Resolve the remaining row counts wholesale
-            # instead of replaying payload waves over the full system.
-            self.unknown_count[:self._num_equations] = 0
-        else:
-            # Let peeling mop up anything downstream (e.g. unknown
-            # checks of now-complete layers) so counters stay consistent.
-            self._propagate(unknown_nodes)
+        # Every node that sits in an equation is known now (what the
+        # elimination leaves out sits in none), so peeling has nothing
+        # left to recover and no right-hand side will be read again:
+        # settle every row's count and id wholesale, no payload moved.
+        self.unknown_count[:self._num_equations] = 0
+        self.xor_ids[:self._num_equations] = 0
         return True
+
+    def _keeps_core(self) -> bool:
+        """Hook: factor a stalled system with fewer rows than unknowns
+        and keep the factorization (default: never).
+
+        Such a system cannot be solved yet, but its factorization stays
+        valid as long as the known set does not move, and a subclass
+        that holds its arrivals back from peeling meanwhile folds each
+        one into it instead of factoring again.
+        """
+        return False
 
     def _defers_peeling(self) -> bool:
         """True while new equations extend a kept factorization.

@@ -5,9 +5,9 @@ degree distributions by LP, this module *evaluates* them — asymptotic
 thresholds via the density-evolution recursion of Luby et al. [9]
 ("Analysis of Random Processes via And-Or Tree Evaluation") and
 finite-length thresholds via direct single-graph peeling simulation.
-The preset selection recorded in EXPERIMENTS.md was produced with these
-tools, and ``benchmarks/bench_ablation_degrees.py`` re-runs a small
-version of it.
+The presets of :mod:`repro.codes.tornado.presets` were selected with
+these tools, and ``benchmarks/bench_ablation_degrees.py`` re-runs a
+small version of the selection.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def finite_length_threshold(dist: DegreeDistribution, left_size: int,
     of random (graph, loss) trials recover every message node.  This is
     the number that actually governs reception overhead at a given k —
     finite graphs fall measurably short of their asymptotic threshold,
-    which is why DESIGN.md's construction section tunes on it.
+    which is why the preset selection tunes on it.
     """
     gen = ensure_rng(rng)
     right_size = max(1, int(round(left_size * beta)))

@@ -21,7 +21,11 @@ What Tornado adds on top of the generic engine:
   deduplicated, counted and banked in the row it will occupy, and the
   engine sees nothing; the ``k``-th releases everything held as one
   observation (Section 7.2's *statistical* client, with the decision
-  taken by the decoder rather than by a packet count above it).
+  taken by the decoder rather than by a packet count above it);
+* *how* the tail ends: once the cap is solved, a stalled block keeps
+  one GF(2) factorization of what is left and banks every later packet
+  behind it until the system has full rank, then solves once
+  (:meth:`PeelingDecoder._fold_tail`).
 
 The decoder can run in two modes:
 
@@ -34,7 +38,7 @@ The decoder can run in two modes:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -95,6 +99,9 @@ class PeelingDecoder(PeelingEngine):
         self._cap_members[structure.cap_member_indices()] = True
         self._cap_known = 0
         self._cap_solved = False
+        # Tail packets banked behind the kept factorization, in arrival
+        # order (see :meth:`_fold_tail`).
+        self._tail: List[int] = []
 
     # -- construction ---------------------------------------------------------
 
@@ -147,7 +154,9 @@ class PeelingDecoder(PeelingEngine):
 
     @property
     def held_rows(self) -> int:
-        """Packets banked but not yet shown to the engine."""
+        """Packets held below ``k`` distinct ones, not yet shown to the
+        engine (a tail banked behind a kept factorization is folded,
+        not held: see :meth:`_fold_tail`)."""
         return self._packets_added if self._holding else 0
 
     @property
@@ -201,21 +210,62 @@ class PeelingDecoder(PeelingEngine):
 
     def _enter(self, nodes: np.ndarray,
                payloads: Optional[np.ndarray]) -> None:
-        """Show the engine fresh packets for nodes it has not recovered.
+        """Show the engine fresh packets for nodes it has not recovered:
+        observed and peeled, with the finisher considered after — or,
+        once the cap is solved and the finisher keeps a factorization of
+        the stalled system, banked behind it (:meth:`_fold_tail`)."""
+        if self._cap_solved and self._factored is not None:
+            self._fold_tail(nodes, payloads)
+            return
+        self.observe_nodes(nodes, payloads)
+        self.maybe_inactivate()
 
-        While the finisher keeps a factorization of the stalled system
-        (and the cap, which counts known nodes, is done) a packet is the
-        degree-one equation it is: it joins the system and folds into
-        the kept dense core, where observing the node would reshape the
-        known set and cost a full re-factorization per arrival.  The
-        solve that completes the block lands on the same packet either
-        way and recovers such a node with all the others; until then it
-        is not ``known``, so partial-progress reads trail eager peeling.
+    def _keeps_core(self) -> bool:
+        # Once the cap is solved nothing but a packet moves the known
+        # set, and every packet folds into the kept core instead.
+        return self._cap_solved
+
+    def _fold_tail(self, nodes: np.ndarray,
+                   payloads: Optional[np.ndarray]) -> None:
+        """Bank tail packets behind the kept factorization until the
+        system has full rank, then solve once.
+
+        A packet is the unit row ``x[node] = payload``.  Every node it
+        can name is a column of the kept factorization, so the row folds
+        straight into its dense core (``GF2Factorization.fold_row``) and
+        the core's deficit is the system's, exactly: no engine call and
+        no payload move until it reads zero.  Meanwhile the packet's
+        payload is written once, into the rhs row its equation will
+        occupy (``_pending_rhs``), and its id is held.  The packet that
+        brings the deficit to zero — it may sit mid-batch; the rest of
+        the batch finds the block complete — enters every held row as
+        one ``add_equations`` batch, and one solve recovers every
+        unknown.  Eager intake completes on the same packet: a block's
+        checks are functions of its source, so the source is determined
+        exactly when every column is, and its finisher solves at full
+        rank.  Until then a banked node is not ``known``, so
+        partial-progress reads trail eager peeling.
         """
-        if self._cap_solved and self._defers_peeling():
-            self.add_equations(np.arange(nodes.size + 1), nodes, payloads)
-        else:
-            self.observe_nodes(nodes, payloads)
+        fact = self._factored
+        assert fact is not None
+        listed = nodes.tolist()
+        take = 0
+        while fact.deficit and take < len(listed):
+            fact.fold_row(listed[take:take + 1])
+            take += 1
+        held = len(self._tail)
+        if payloads is not None:
+            self._pending_rhs(held + take)[held:] = payloads[:take]
+        self._tail.extend(listed[:take])
+        if fact.deficit:
+            return
+        ids = np.asarray(self._tail, dtype=np.int64)
+        self._tail = []
+        self.add_equations(np.arange(ids.size + 1), ids,
+                           None if self.values is None
+                           else self._pending_rhs(ids.size))
+        # The stall gate passes: the held rows are at least the deficit
+        # it recorded when the core was built.
         self.maybe_inactivate()
 
     def add_packet(self, index: int, payload: Optional[np.ndarray] = None) -> bool:

@@ -196,7 +196,7 @@ def plan_layer_sizes(k: int, stretch: float, beta: float,
     layer small relative to the remaining redundancy budget, giving the
     cap's Reed-Solomon code a large quorum margin: the cap then never
     gates decoding, which removes the dominant finite-length fluctuation
-    of the deep cascade end (see DESIGN.md, "Tornado code construction").
+    of the deep cascade end.
     """
     if k <= 0:
         raise ParameterError("k must be positive")

@@ -12,16 +12,14 @@ The exact 1998 degree sequences were proprietary (they became Digital
 Fountain Inc.'s core IP) and were never published; what the paper pins
 down is the *trade-off axis*: B spends more decode work to buy a lower
 overhead.  We reproduce that axis with the best openly-reproducible
-machinery we found (the selection experiments live in
-``benchmarks/bench_ablation_degrees.py`` and are summarised in
-EXPERIMENTS.md):
+machinery we found (``benchmarks/bench_ablation_degrees.py`` re-runs the
+selection experiments at small scale):
 
 * **tornado_a** uses a two-point left degree distribution (3/20, 30% of
   edges on the high degree) with pure peeling — the paper's original
   decoding algorithm.  Its measured mean overhead is ~0.13-0.16 at
   k = 1000..8000 versus the paper's 0.0548; the gap is the price of not
-  having the authors' hand-optimised sequences (see EXPERIMENTS.md for
-  the full comparison).
+  having the authors' hand-optimised sequences.
 * **tornado_b** uses the same cascade plus bounded *inactivation
   decoding* (GF(2) elimination on the stalled residual, as in modern
   RaptorQ): slower to decode, substantially lower overhead (~0.01-0.03)

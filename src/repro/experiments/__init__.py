@@ -8,7 +8,8 @@ line::
     python -m repro.experiments.figure4 --full
 
 Runners print the paper's published numbers next to the measured ones;
-EXPERIMENTS.md records a full paper-vs-measured pass.
+README's "Reproducing the paper" table maps each artifact to its runner
+and benchmark.
 """
 
 from repro.experiments.report import Table, render_table, render_series

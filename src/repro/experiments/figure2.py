@@ -7,8 +7,9 @@ Tornado B mean 0.0306 / max 0.0550 / std 0.0031.
 
 Our measured statistics land at A ~0.13-0.16 mean (pure peeling with
 openly-reproducible degree sequences) and B ~0.02 (inactivation
-decoding); EXPERIMENTS.md discusses the gap.  Default trial counts are
-reduced; ``--trials 10000`` reproduces the paper's scale.
+decoding); ``repro.codes.tornado.presets`` explains the gap.  Default
+trial counts are reduced; ``--trials 10000`` reproduces the paper's
+scale.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The paper's artefacts are tables and line plots; in a terminal-first
 reproduction we print aligned tables and (for figures) the underlying
-series, which is what EXPERIMENTS.md snapshots.
+series a reader compares against the paper's plots.
 """
 
 from __future__ import annotations

@@ -71,8 +71,28 @@ def record_ids(records: np.ndarray, header_size: int
                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(blocks, indices, serials)`` of a record matrix's headers as
     int64 arrays, in one pass (block 0 under the 12-byte header).
-    Nothing is checked against a geometry: that is the receiver's."""
-    fields = records[:, :header_size].view(">u4").astype(np.int64)
+    Nothing is checked against a geometry: that is the receiver's.
+
+    Anything but a 2-D uint8 matrix with at least ``header_size``
+    columns, under a 12- or 16-byte header, raises
+    :class:`~repro.errors.ProtocolError`; what it allocates is the
+    three id arrays and, for a matrix whose rows are not contiguous, a
+    copy of the header columns.
+    """
+    if header_size not in (HEADER_SIZE, BLOCK_HEADER_SIZE):
+        raise ProtocolError(
+            f"a record header is {HEADER_SIZE} or {BLOCK_HEADER_SIZE} "
+            f"bytes, not {header_size}")
+    records = np.asarray(records)
+    if (records.dtype != np.uint8 or records.ndim != 2
+            or records.shape[1] < header_size):
+        raise ProtocolError(
+            f"a record matrix is uint8 rows of at least {header_size} "
+            f"bytes, got {records.dtype} of shape {records.shape}")
+    head = records[:, :header_size]
+    if head.strides[1] != 1:
+        head = np.ascontiguousarray(head)
+    fields = head.view(">u4").astype(np.int64)
     blocks = (fields[:, 3] if header_size == BLOCK_HEADER_SIZE
               else np.zeros(len(records), dtype=np.int64))
     return blocks, fields[:, 0], fields[:, 1]

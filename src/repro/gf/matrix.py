@@ -186,7 +186,7 @@ def _nibble_fill(packets: np.ndarray, planes: np.ndarray,
 #: Per-thread reused buffers for the nibble kernels.  Freshly allocated
 #: multi-MB tables cost more in page faults than in arithmetic, so
 #: build-apply-discard calls recycle one scratch set per thread (single
-#: entry — re-keyed on shape change, so residency stays small).
+#: entry, grown to the largest call seen, never shrunk).
 #: Thread-local because the UDP transport decodes on receiver threads
 #: while a sender thread is still encoding; a shared buffer would let
 #: one thread's gather scribble over another's mid-matvec.
@@ -194,13 +194,19 @@ _SCRATCH = threading.local()
 
 
 def _nibble_scratch(cols: int, lanes: int) -> tuple:
-    store = getattr(_SCRATCH, "nibble", None)
-    if store is None or store[0] != (cols, lanes):
-        bufs = (np.empty((8, cols, lanes), dtype=np.uint64),
-                np.empty((16, cols, lanes), dtype=np.uint64),
-                np.empty((16, cols, lanes), dtype=np.uint64))
-        _SCRATCH.nibble = store = ((cols, lanes), bufs)
-    return store[1]
+    """Bit-plane and nibble-table buffers for ``cols`` packets of
+    ``lanes`` uint64 lanes: contiguous leading views of flat per-thread
+    buffers, kept by capacity — a call alternating between shapes (a
+    Reed-Solomon decode's two products) reuses them rather than
+    reallocating at every change."""
+    size = cols * lanes
+    bufs = getattr(_SCRATCH, "nibble", None)
+    if bufs is None or bufs[0].size < 8 * size:
+        _SCRATCH.nibble = bufs = (np.empty(8 * size, dtype=np.uint64),
+                                  np.empty(16 * size, dtype=np.uint64),
+                                  np.empty(16 * size, dtype=np.uint64))
+    return tuple(buf[:planes * size].reshape(planes, cols, lanes)
+                 for buf, planes in zip(bufs, (8, 16, 16)))
 
 
 def gf256_packet_tables(packets: np.ndarray) -> tuple:

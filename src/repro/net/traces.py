@@ -8,8 +8,8 @@ average around 18% over the sampled sections, and pronounced burstiness
 periods of time").
 
 Those traces are not redistributable here, so we synthesise a trace set
-with the same published characteristics (the substitution is recorded in
-DESIGN.md section 5):
+with the same published characteristics (README, "Reproducing the
+paper", lists the substitutions):
 
 * per-receiver stationary loss drawn from a right-skewed Beta
   distribution calibrated to mean ~0.18 with support reaching past 0.30;

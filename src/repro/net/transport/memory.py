@@ -260,7 +260,10 @@ class MemoryTransport(Transport):
         source.expect(ids[0], ids[1])
         records = source.records(*ids)
         for sub, mask in zip(self.subscriptions, masks):
-            sub._deliver(records[mask])
+            # a subscriber who hears every stamped row (the only one, or
+            # one who lost nothing the others heard) is handed the
+            # matrix itself: nothing downstream writes to it
+            sub._deliver(records if mask.all() else records[mask])
         delivered = int(np.count_nonzero(masks))
         if count is None and not all(s.is_complete for s in shadows):
             incomplete = [i for i, s in enumerate(shadows)

@@ -2,7 +2,7 @@
 
 Reproduces the paper's prototype measurements in simulation (the
 substitution of a discrete-event simulation for the Berkeley/CMU/Cornell
-testbed is documented in DESIGN.md section 5):
+testbed is listed in README, "Reproducing the paper"):
 
 * :func:`run_session` — the 4-layer protocol: receivers with
   heterogeneous bottleneck capacities and ambient loss climb and drop

@@ -6,7 +6,7 @@ plots the distribution of ``threshold / k - 1`` ("length overhead") over
 10,000 runs for Tornado A and B; the larger simulations reuse the same
 samples through :class:`ThresholdPool` so that 10^4-receiver sweeps pay
 the decoder cost only once per (code, trial), not per receiver — the
-bootstrap approximation is documented in EXPERIMENTS.md.
+bootstrap approximation and its limit are documented on the class.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ class ThresholdPool:
     pool of a few hundred genuine decoder runs this reproduces the
     per-receiver threshold distribution faithfully for the averages and
     scales to arbitrarily many simulated receivers.  (Extreme tails
-    beyond the pool's own max are clipped — noted in EXPERIMENTS.md;
-    increase ``trials`` for tail-sensitive runs.)
+    beyond the pool's own max are clipped; increase ``trials`` for
+    tail-sensitive runs.)
     """
 
     thresholds: np.ndarray

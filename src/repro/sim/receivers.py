@@ -13,8 +13,9 @@ simulations, then bootstrap arbitrary receiver-set sizes from it:
   = expectation of ``min`` over ``r`` draws, averaged over experiments.
 
 The pool bootstrap is what makes the 10^4-receiver points tractable; its
-fidelity limits (tail clipping at the pool max) are recorded in
-EXPERIMENTS.md, and pool sizes are parameters everywhere.
+fidelity limit is the tail, clipped at the pool's own max
+(:class:`~repro.sim.overhead.ThresholdPool`), so pool sizes are
+parameters everywhere.
 """
 
 from __future__ import annotations

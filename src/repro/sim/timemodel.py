@@ -4,9 +4,9 @@ Table 4 of the paper derives interleaved decode times from a quadratic
 model fitted to the Cauchy column of Table 3 ("we approximate the
 decoding time for a block of k source data packets by k^2/31250
 seconds" — a constant particular to their 167 MHz UltraSPARC).  We fit
-the same-shaped model on the present machine (the substitution is listed
-in DESIGN.md section 5: ratios survive the hardware change, absolute
-numbers do not), and measure Tornado decode times directly.
+the same-shaped model on the present machine (a substitution README's
+"Reproducing the paper" lists: ratios survive the hardware change,
+absolute numbers do not), and measure Tornado decode times directly.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ trace for each file size.  We plot the average reception efficiency for
 120 receivers for various file sizes."
 
 The trace set is the synthetic MBone substitute of
-:mod:`repro.net.traces` (substitution documented in DESIGN.md section 5).
+:mod:`repro.net.traces` (README, "Reproducing the paper", lists the
+substitution).
 """
 
 from __future__ import annotations

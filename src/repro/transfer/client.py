@@ -65,6 +65,9 @@ class TransferClient:
         #: (None until the first block with payloads completes).
         self._object: Optional[np.ndarray] = None
         self._incomplete = set(range(codec.num_blocks))
+        #: per block, True once it has decoded: the set's complement as
+        #: a mask a window of block ids can index.
+        self._decoded_mask = np.zeros(codec.num_blocks, dtype=bool)
         self.total_received = 0
         #: per block, the exclusive bound of a packet index (the code's
         #: ``n``; any header value for a rateless one); -1 until a
@@ -124,6 +127,7 @@ class TransferClient:
         """Write a just-completed block into the object buffer and drop
         its decoder; its counters stay."""
         self._incomplete.discard(block)
+        self._decoded_mask[block] = True
         self._final[block] = self._stats(block, decoder)
         self._decoders[block] = None
         if self.payload_size is None:
@@ -143,17 +147,30 @@ class TransferClient:
         The batch twin of one :meth:`receive_index` call per packet, and
         counter-exact against it: the run is taken in chunks no longer
         than :attr:`min_additional`, so the transfer can only complete
-        on a chunk's final packet, and each chunk reaches the decoders
-        one :meth:`receive_many` per block, in ascending block order —
-        one stable sort and one gather split it, arrival order kept
-        within a block.  Returns how many packets were consumed — the
+        on a chunk's final packet.  A chunk's packets for blocks that
+        have already decoded are counted in one step; the rest reach
+        the decoders one :meth:`receive_many` per block, in ascending
+        block order — one stable sort and one gather split them,
+        arrival order kept within a block.  A block id the plan does
+        not have raises :class:`~repro.errors.ProtocolError` before
+        anything is taken.  Returns how many packets were consumed — the
         rest arrived after completion and are left unread, as the
         sequential loop would leave them.
         """
+        outside = (blocks < 0) | (blocks >= self.num_blocks)
+        if outside.any():
+            raise ProtocolError(
+                f"packet names block {int(blocks[outside][0])}, transfer "
+                f"has {self.num_blocks} blocks")
         pos, total = 0, len(blocks)
         while pos < total and self._incomplete:
             stop = pos + min(self.min_additional, total - pos)
-            order = pos + np.argsort(blocks[pos:stop], kind="stable")
+            live = pos + np.flatnonzero(~self._decoded_mask[blocks[pos:stop]])
+            self.total_received += stop - pos - live.size
+            pos = stop
+            if not live.size:
+                continue
+            order = live[np.argsort(blocks[live], kind="stable")]
             chunk, ids = blocks[order], indices[order]
             rows = None if payloads is None else payloads[order]
             bounds = [0, *(np.flatnonzero(chunk[1:] != chunk[:-1]) + 1)
@@ -162,7 +179,6 @@ class TransferClient:
                 self.receive_many(
                     int(chunk[begin]), ids[begin:end],
                     None if rows is None else rows[begin:end])
-            pos = stop
         return pos
 
     def names_packet(self, blocks: np.ndarray,

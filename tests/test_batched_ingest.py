@@ -597,6 +597,71 @@ def test_tail_arrivals_fold_into_the_kept_factorization(k, payload, route):
     assert all(seen.values())
 
 
+def _short_core(decoder):
+    """True when the decoder keeps a factorization of a system that had
+    fewer rows than unknowns when it was factored (rows folded since
+    are the banked tail)."""
+    fact = decoder._factored
+    return fact is not None and (fact.num_rows - len(decoder._tail)
+                                 < len(fact.pivots) + len(fact.inactive))
+
+
+@pytest.mark.parametrize("payload", [True, False])
+@pytest.mark.parametrize("family", ["tornado-a", "tornado-b"])
+def test_a_short_stalled_tail_keeps_one_core(family, payload, route,
+                                             monkeypatch):
+    """Once the cap is solved, a stalled Tornado B block keeps one
+    factorization of its residual system even with fewer rows than
+    unknowns, and banks every later packet behind it as one folded
+    unit row: nothing is observed and nothing refactored until the
+    packet that brings the deficit to zero, which may sit mid-batch.
+    Call for call it answers what eager intake does, completes on the
+    same packet with the same bytes, and never factors from scratch
+    more often.  Tornado A (pure peeling, which does not complete at
+    full rank) never keeps a core."""
+    from repro.codes.peeling import GF2Factorization
+
+    folds = []
+    fold_row = GF2Factorization.fold_row
+    monkeypatch.setattr(GF2Factorization, "fold_row",
+                        lambda self, cols: folds.append(1)
+                        or fold_row(self, cols))
+    size = 8 if payload else None
+    short = mid_batch = 0
+    for seed, step in ((0, 1), (1, 1), (2, 5), (3, 32), (4, 7), (5, 16)):
+        code, held, eager = _held_and_eager(family, seed, size)
+        source = make_source(code.k, 8, seed)
+        encoded = code.encode(source) if payload else None
+        order = np.random.default_rng(seed).permutation(code.n).tolist()
+        for lo in range(0, code.n, step):
+            chunk = order[lo:lo + step]
+            rows = encoded[chunk] if payload else None
+            fresh = ~(held._received[chunk] | held.known[chunk])
+            banked = held._factored is not None and held._cap_solved
+            del folds[:]
+            for decoder in (held, eager):
+                decoder.add_packets(chunk, rows)
+            assert _state(held) == _state(eager), (seed, lo)
+            assert (held.inactivation_runs - held.fold_runs
+                    <= eager.inactivation_runs - eager.fold_runs)
+            if family == "tornado-a":
+                assert held._factored is None and not folds
+                assert held.inactivation_runs == 0
+            short += _short_core(held)
+            if banked and held.is_complete:
+                mid_batch += len(folds) < int(np.count_nonzero(
+                    fresh & (np.asarray(chunk) < code.structure.cap_offset)))
+            if held.is_complete:
+                break
+        assert held.is_complete and eager.is_complete
+        if payload:
+            assert np.array_equal(held.source_data(), source)
+            assert np.array_equal(eager.source_data(), source)
+    if family == "tornado-b":
+        assert short, "no tail stalled short of rows behind a solved cap"
+        assert mid_batch, "no batch completed on a packet before its last"
+
+
 @pytest.mark.parametrize("family", ["lt", "raptor", "tornado-b"])
 def test_hold_ends_on_the_packet_that_squares_the_system(family, route):
     """One packet at a time: nothing enters the engine while the block

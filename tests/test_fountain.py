@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.codes.base import bytes_to_packets, packets_to_bytes
@@ -20,9 +20,11 @@ from repro.codes.tornado.presets import tornado_a
 from repro.errors import DecodeFailure, ParameterError, ProtocolError
 from repro.fountain.metrics import ReceptionStats
 from repro.fountain.packets import (
+    BLOCK_HEADER_SIZE,
     HEADER_SIZE,
     SERIAL_MODULUS,
     EncodingPacket,
+    record_ids,
     stamp_headers,
 )
 from repro.transfer import TransferClient, TransferServer
@@ -64,6 +66,62 @@ class TestPackets:
     def test_unpack_short_buffer(self):
         with pytest.raises(ProtocolError):
             EncodingPacket.from_bytes(b"short")
+
+    @settings(max_examples=200)
+    @given(data=st.binary(max_size=40), block_aware=st.booleans())
+    def test_any_bytes_parse_or_raise_a_protocol_error(self, data,
+                                                       block_aware):
+        """Hostile bytes: a record of any length either parses to its
+        own bytes and the big-endian fields where the layout puts them,
+        or is a :class:`ProtocolError` — never another exception."""
+        header = BLOCK_HEADER_SIZE if block_aware else HEADER_SIZE
+        try:
+            packet = EncodingPacket.from_bytes(data, block_aware=block_aware)
+        except ProtocolError:
+            assert len(data) < header
+            return
+        field = [int.from_bytes(data[i:i + 4], "big") for i in (0, 4, 12)]
+        assert packet.to_bytes() == data
+        assert packet.payload.tobytes() == data[header:]
+        assert (packet.index, packet.serial) == (field[0], field[1])
+        assert packet.block == (field[2] if block_aware else 0)
+
+    @settings(max_examples=200)
+    @given(rows=st.integers(0, 4), width=st.integers(0, 24),
+           header=st.sampled_from([HEADER_SIZE, BLOCK_HEADER_SIZE, 0, 13]),
+           dtype=st.sampled_from([np.uint8, np.uint16, np.int64]),
+           layout=st.sampled_from(["c", "fortran", "flat", "cube"]),
+           seed=st.integers(0, 2 ** 16))
+    @example(rows=3, width=13, header=BLOCK_HEADER_SIZE, dtype=np.uint8,
+             layout="c", seed=0)
+    def test_any_matrix_reads_or_raises_a_protocol_error(
+            self, rows, width, header, dtype, layout, seed):
+        """``record_ids`` on any array and header size: the per-row
+        header fields, or a :class:`ProtocolError` (a uint8 matrix too
+        narrow for its header used to escape as numpy's ``ValueError``).
+        A matrix whose rows are strided reads the same as a C one."""
+        matrix = np.random.default_rng(seed).integers(
+            0, 256, (rows, width)).astype(dtype)
+        if layout == "fortran":
+            matrix = np.asfortranarray(matrix)
+        elif layout == "flat":
+            matrix = matrix.reshape(-1)
+        elif layout == "cube":
+            matrix = matrix[np.newaxis]
+        try:
+            blocks, indices, serials = record_ids(matrix, header)
+        except ProtocolError:
+            assert (header not in (HEADER_SIZE, BLOCK_HEADER_SIZE)
+                    or dtype is not np.uint8 or matrix.ndim != 2
+                    or width < header)
+            return
+        rows_bytes = [bytes(row) for row in matrix.tolist()]
+        field = [[int.from_bytes(r[i:i + 4], "big") for r in rows_bytes]
+                 for i in (0, 4, 12)]
+        assert indices.tolist() == field[0]
+        assert serials.tolist() == field[1]
+        assert blocks.tolist() == (field[2] if header == BLOCK_HEADER_SIZE
+                                   else [0] * rows)
 
     def test_packet_roundtrip(self):
         payload = np.arange(20, dtype=np.uint8)

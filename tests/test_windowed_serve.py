@@ -444,6 +444,37 @@ class TestReceiveWindow:
         assert windowed.distinct_received == scalar.distinct_received
         assert windowed.min_additional == 0
 
+    @pytest.mark.parametrize("code", ["tornado-b", "rs", "lt"])
+    def test_decoded_blocks_cost_no_receive_many_call(self, width, code,
+                                                      monkeypatch):
+        """A block that has decoded is counted in one step per chunk:
+        ``receive_many`` sees only blocks still decoding, and the
+        counters are the per-packet loop's.  A block id the plan does
+        not have raises before anything is taken."""
+        session = _session(code)
+        arrivals = [(p.block, p.index) for p in session.packets(600)
+                    if p.serial % 4]
+        blocks, indices = map(np.array, zip(*arrivals))
+        scalar = TransferClient(session.codec, payload_size=None)
+        used = next(n for n, (b, i) in enumerate(arrivals, 1)
+                    if scalar.receive_index(int(b), int(i)))
+        late = []
+        receive_many = TransferClient.receive_many
+        monkeypatch.setattr(
+            TransferClient, "receive_many",
+            lambda self, block, *rest: late.append(
+                block not in self._incomplete)
+            or receive_many(self, block, *rest))
+        windowed = TransferClient(session.codec, payload_size=None)
+        assert windowed.receive_window(blocks, indices) == used
+        assert late and not any(late)
+        assert windowed.total_received == scalar.total_received
+        assert windowed.distinct_received == scalar.distinct_received
+        fresh = TransferClient(session.codec, payload_size=None)
+        with pytest.raises(ProtocolError, match="names block 3"):
+            fresh.receive_window(np.array([0, 3]), np.array([0, 0]))
+        assert fresh.total_received == 0
+
 
 # -- windowed serves vs the per-packet oracles ---------------------------------
 
@@ -592,6 +623,35 @@ class TestMemoryServe:
         encoders = session.source._payloads
         assert len(encoders) == 8
         assert all(encoder._tables is None for encoder in encoders)
+
+    def test_a_lone_subscriber_is_handed_the_records_not_a_copy(self):
+        """1 MiB of ``rs`` to one subscriber on a clean channel, where
+        the stamped records are most of what a warm serve holds (the
+        first serve also allocates the kernel's scratch tables): every
+        row is heard, so the subscriber is handed the record matrix
+        itself and the peak holds the records once, not twice."""
+        data = np.random.default_rng(1).integers(
+            0, 256, size=1 << 20, dtype=np.uint8).tobytes()
+
+        def rs_session():
+            return api.SenderSession(data, code="rs", packet_size=1024,
+                                     block_size=128 << 10, seed=3)
+
+        warm = MemoryTransport(loss=0.0, seed=5)
+        warm.subscribe()
+        warm.serve(rs_session())
+        transport = MemoryTransport(loss=0.0, seed=5)
+        sub = transport.subscribe()
+        session = rs_session()
+        tracemalloc.start()
+        try:
+            report = transport.serve(session)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(matrix.nbytes for matrix in sub._matrices)
+        assert sub.available == report.delivered == report.emitted
+        assert peak < 2 * held
 
     @pytest.mark.parametrize("code", CODES)
     @pytest.mark.parametrize("kind", ["memory", "file"])
