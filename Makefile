@@ -48,10 +48,12 @@ test-udp:
 		tests/test_udp_offload.py \
 		tests/test_adaptive.py::TestUdpAdaptive
 
-# One quick pass over the benchmark suite — catches rot in the
-# table/figure harnesses without paying for full measurement runs.
-# Includes the transfer sweep, which publishes BENCH_transfer.json at
-# the repo root.  (UDP delivery is measured by bench-e2e below.)
+# One pass over the five benchmark modules, each of which publishes
+# rows of a committed BENCH_*.json that bench-gate reads:
+# bench_transfer_blocks, bench_decode_ingest, bench_raptor_encode,
+# bench_adaptive and bench_swarm.  (The paper's tables and figures are
+# checked in tier-1 by tests/test_paper_claims.py; UDP delivery is
+# measured by bench-e2e below.)
 bench-smoke:
 	$(PYTHON) -m pytest -q benchmarks/bench_*.py
 
@@ -126,8 +128,10 @@ swarm-smoke:
 	$(PYTHON) -m repro swarm run examples/scenarios/bursty_wireless.json \
 		--receivers 2000 --adaptive --spot-check 16
 
-# Fails if any ```python block in the docs does not run as written, or
-# if the code, tests, tools or docs name a *.md file that does not exist.
+# Fails if any ```python block in the docs does not run as written, if
+# the code, tests, tools or docs name a *.md file, or a .py path with a
+# directory part, that does not exist, or if README's "Reproducing the
+# paper" table is not the one repro.experiments.claims renders.
 docs-check:
 	$(PYTHON) tools/check_docs.py README.md docs/ARCHITECTURE.md
 

@@ -6,8 +6,8 @@ thresholds via the density-evolution recursion of Luby et al. [9]
 ("Analysis of Random Processes via And-Or Tree Evaluation") and
 finite-length thresholds via direct single-graph peeling simulation.
 The presets of :mod:`repro.codes.tornado.presets` were selected with
-these tools, and ``benchmarks/bench_ablation_degrees.py`` re-runs a
-small version of the selection.
+these tools, and ``tests/test_paper_claims.py``'s degree-family test
+re-runs a small version of the selection.
 """
 
 from __future__ import annotations

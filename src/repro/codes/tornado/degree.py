@@ -56,14 +56,14 @@ def two_point_distribution(low: int, high: int,
                            high_edge_fraction: float) -> DegreeDistribution:
     """Two-degree mix specified by the *edge* fraction on the high degree.
 
-    Empirically (see benchmarks/bench_ablation_degrees.py) a low/high mix
-    with minimum degree 3 gives the most robust finite-length peeling of
-    the families we evaluated: the absence of degree-2 message nodes
-    eliminates the residual 2-core cycles that otherwise trap the last
-    few packets, and the heavy fraction sustains the decoding wave
-    through the mid-tunnel of the density-evolution condition.  The
-    shipped Tornado presets build on ``two_point_distribution(3, 20,
-    0.30)``.
+    Empirically (the degree-family test in tests/test_paper_claims.py) a
+    low/high mix with minimum degree 3 gives the most robust
+    finite-length peeling of the families we evaluated: the absence of
+    degree-2 message nodes eliminates the residual 2-core cycles that
+    otherwise trap the last few packets, and the heavy fraction sustains
+    the decoding wave through the mid-tunnel of the density-evolution
+    condition.  The shipped Tornado presets build on
+    ``two_point_distribution(3, 20, 0.30)``.
     """
     if low < 1 or high <= low:
         raise ParameterError("need 1 <= low < high")

@@ -12,8 +12,8 @@ The exact 1998 degree sequences were proprietary (they became Digital
 Fountain Inc.'s core IP) and were never published; what the paper pins
 down is the *trade-off axis*: B spends more decode work to buy a lower
 overhead.  We reproduce that axis with the best openly-reproducible
-machinery we found (``benchmarks/bench_ablation_degrees.py`` re-runs the
-selection experiments at small scale):
+machinery we found (the degree-family test in
+``tests/test_paper_claims.py`` re-runs the selection at small scale):
 
 * **tornado_a** uses a two-point left degree distribution (3/20, 30% of
   edges on the high degree) with pure peeling — the paper's original

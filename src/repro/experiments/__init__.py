@@ -8,8 +8,8 @@ line::
     python -m repro.experiments.figure4 --full
 
 Runners print the paper's published numbers next to the measured ones;
-README's "Reproducing the paper" table maps each artifact to its runner
-and benchmark.
+:mod:`repro.experiments.claims` checks each claim against its runner at
+tier-1 scale, and README's "Reproducing the paper" table lists them.
 """
 
 from repro.experiments.report import Table, render_table, render_series

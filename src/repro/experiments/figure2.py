@@ -2,14 +2,10 @@
 
 "We show the percentage of 10,000 trials in which the receiver could
 not reconstruct the source data for specific percentage overheads."
-Paper statistics: Tornado A mean 0.0548 / max 0.0850 / std 0.0052;
-Tornado B mean 0.0306 / max 0.0550 / std 0.0031.
-
-Our measured statistics land at A ~0.13-0.16 mean (pure peeling with
-openly-reproducible degree sequences) and B ~0.02 (inactivation
-decoding); ``repro.codes.tornado.presets`` explains the gap.  Default
-trial counts are reduced; ``--trials 10000`` reproduces the paper's
-scale.
+The paper's statistics are :data:`PAPER_STATS`; the claims in
+:mod:`repro.experiments.claims` hold the measured ones against them
+(Tornado A's mean and max are a known gap).  Default trial counts are
+reduced; ``--trials 10000`` reproduces the paper's scale.
 """
 
 from __future__ import annotations

@@ -62,9 +62,9 @@ def run(sizes_kb: Optional[List[int]] = None,
         seed: int = 0) -> Table4Result:
     """Compute the Table 4 grid.
 
-    ``payload`` only affects the absolute decode timings, not the
-    criterion; the default keeps runtimes small since the ratio is
-    payload-independent to first order.
+    ``payload`` sets the packet size both decoders are timed at (the RS
+    model's fit and the Tornado decode); it does not touch the
+    reliability criterion.
     """
     sizes = sizes_kb if sizes_kb is not None else PAPER_SIZES_KB
     rates = loss_rates if loss_rates is not None else PAPER_LOSS_RATES
@@ -74,7 +74,7 @@ def run(sizes_kb: Optional[List[int]] = None,
     probe = tornado_a(probe_k, seed=seed)
     thresholds = sample_decode_thresholds(probe, threshold_trials, rng)
     bound = float(np.percentile(thresholds / probe_k - 1.0, 99))
-    timing = TimingModel.fit()
+    timing = TimingModel.fit(payload=payload)
     result = Table4Result(sizes_kb=sizes, loss_rates=rates,
                           overhead_bound=bound)
     for size in sizes:

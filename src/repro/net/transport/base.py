@@ -74,6 +74,7 @@ and a fountain sender missing every report just stays open-loop.
 
 from __future__ import annotations
 
+import json
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -100,6 +101,7 @@ __all__ = [
     "iter_frames",
     "matrix_batches",
     "pack_frame",
+    "parse_manifest",
     "unframe_records",
 ]
 
@@ -204,6 +206,20 @@ def iter_frames(datagram: bytes) -> Iterator[Tuple[int, bytes]]:
                 f"{total - offset} remain in the datagram")
         yield frame_type, datagram[offset:offset + length]
         offset += length
+
+
+def parse_manifest(body: bytes) -> dict:
+    """The JSON object a manifest file's or frame's bytes spell; bytes
+    that are not UTF-8 JSON (nested past the parser's recursion limit
+    too) or not an object raise :class:`~repro.errors.ProtocolError`."""
+    try:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        manifest = json.loads(body.decode("utf-8"))
+    except (ValueError, RecursionError) as err:
+        raise ProtocolError(f"manifest is not UTF-8 JSON: {err}") from None
+    if not isinstance(manifest, dict):
+        raise ProtocolError("manifest is not a JSON object")
+    return manifest
 
 
 def matrix_batches(records: np.ndarray) -> Iterator[np.ndarray]:

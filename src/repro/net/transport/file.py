@@ -30,6 +30,7 @@ from repro.net.transport.base import (
     ServeReport,
     Subscription,
     Transport,
+    parse_manifest,
 )
 from repro.transfer.codec import record_size
 
@@ -60,17 +61,9 @@ class FileSubscription(Subscription):
             if not path.exists():
                 raise ProtocolError(f"no {MANIFEST_NAME} in {self.directory}")
             try:
-                # UnicodeDecodeError and JSONDecodeError are ValueErrors
-                manifest = json.loads(path.read_bytes().decode("utf-8"))
-            except (ValueError, RecursionError) as err:
-                raise ProtocolError(
-                    f"{MANIFEST_NAME} in {self.directory} is not UTF-8 "
-                    f"JSON: {err}") from None
-            if not isinstance(manifest, dict):
-                raise ProtocolError(
-                    f"{MANIFEST_NAME} in {self.directory} is not a JSON "
-                    f"object")
-            self._manifest = manifest
+                self._manifest = parse_manifest(path.read_bytes())
+            except ProtocolError as err:
+                raise ProtocolError(f"{path}: {err}") from None
         return self._manifest
 
     def _stream_path(self) -> pathlib.Path:

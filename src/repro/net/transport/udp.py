@@ -79,6 +79,7 @@ from repro.net.transport.base import (
     frame_records,
     iter_frames,
     pack_frame,
+    parse_manifest,
     unframe_records,
 )
 from repro.net.transport.pacing import TokenBucket
@@ -350,19 +351,18 @@ class UdpSubscription(Subscription):
         from, so a later frame that says otherwise could only re-key
         the size filter against the stream being decoded: it is counted
         in :attr:`manifest_conflicts` and ignored (an identical re-send,
-        the in-band norm, is a no-op).  A body that is not a JSON object
-        is only counted malformed, and so is a manifest whose records
-        are too long to frame: no sender can send that stream.  The
-        data-record size the manifest describes is derived here, once,
-        for the per-datagram filter.
+        the in-band norm, is a no-op).  A body ``parse_manifest``
+        refuses is only counted malformed, and so is a manifest whose
+        records are too long to frame: no sender can send that stream.
+        The data-record size the manifest describes is derived here,
+        once, for the per-datagram filter.
         """
         try:
-            manifest = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            manifest = None
-        if not isinstance(manifest, dict):
+            manifest = parse_manifest(body)
+        except ProtocolError:
             self.malformed += 1
-        elif self._manifest is None:
+            return
+        if self._manifest is None:
             try:
                 size = record_size(manifest)
             except ProtocolError:

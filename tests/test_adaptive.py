@@ -110,6 +110,24 @@ class TestFeedbackFrame:
         with pytest.raises(ProtocolError):
             FeedbackReport.decode(body[:-min(cut, len(body))])
 
+    @settings(max_examples=200, deadline=None)
+    @given(body=st.one_of(
+        st.binary(max_size=64),
+        # a real head with any lagging count, then any pairs
+        st.tuples(reports, st.integers(0, 255), st.binary(max_size=48)).map(
+            lambda t: t[0].encode()[:feedback._HEAD.size - 1] + bytes([t[1]])
+            + t[2])))
+    def test_any_bytes_decode_or_raise_a_protocol_error(self, body):
+        """Hostile bytes: ``decode`` gives a report that survives its own
+        round trip, or raises ``ProtocolError`` — never another
+        exception."""
+        try:
+            report = FeedbackReport.decode(body)
+        except ProtocolError:
+            return
+        assert len(report.lagging) <= MAX_LAGGING_BLOCKS
+        assert FeedbackReport.decode(report.encode()) == report
+
     def test_too_many_lagging_blocks_rejected(self):
         pairs = tuple((b, 1) for b in range(MAX_LAGGING_BLOCKS + 1))
         with pytest.raises(ProtocolError, match="lagging"):

@@ -6,7 +6,6 @@ import pytest
 from repro.codes.registry import build_code
 from repro.codes.tornado.presets import tornado_a
 from repro.errors import ParameterError
-from repro.experiments import figure8
 from repro.net.loss import BernoulliLoss
 from repro.protocol.congestion import CongestionPolicy, SubscriptionController
 from repro.protocol.layering import LayerConfig
@@ -367,40 +366,3 @@ class TestSessionResult:
         # overhead and efficiency describe the same reception count.
         assert result.overhead == pytest.approx(
             1 / result.efficiency - 1, abs=0.02)
-
-
-class TestFigure8Pin:
-    """Per-receiver rows of a small Figure 8 run, recorded before the
-    layered walk and its id map moved into ``protocol/schedule.py`` and
-    ``protocol/session.py``: the move must not change one value."""
-
-    SINGLE = [
-        (0.09582309582309578, 0.8152173913043478, 0.8152173913043478,
-         1.0, True, 1, 0),
-        (0.2915811088295688, 0.8695652173913043, 0.8695652173913043,
-         1.0, True, 1, 0),
-        (0.6091324200913242, 0.7009345794392523, 0.8426966292134831,
-         0.8317757009345794, True, 2, 0),
-    ]
-    LAYERED = [
-        (0.3403846153846154, 0.8746355685131195, 0.8746355685131195,
-         1.0, True, 105, 0),
-        (0.23709369024856597, 0.7518796992481203, 0.8130081300813008,
-         0.924812030075188, True, 89, 2),
-        (0.22173913043478266, 0.8379888268156425, 0.8645533141210374,
-         0.9692737430167597, True, 89, 2),
-        (0.1549893842887473, 0.7537688442211056, 0.821917808219178,
-         0.9170854271356784, True, 46, 2),
-    ]
-
-    @staticmethod
-    def _rows(results):
-        return [(r.observed_loss, r.efficiency, r.coding_efficiency,
-                 r.distinctness_efficiency, r.completed, r.rounds,
-                 r.level_changes) for r in results]
-
-    def test_small_figure8_rows_are_pinned(self):
-        result = figure8.run(k=300, single_loss_rates=(0.1, 0.3, 0.6),
-                             layered_receivers=4, seed=5)
-        assert self._rows(result.single_layer) == self.SINGLE
-        assert self._rows(result.layered) == self.LAYERED

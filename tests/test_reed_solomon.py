@@ -41,6 +41,17 @@ class TestRoundtrip:
             rec = code.decode({int(i): enc[i] for i in keep})
             assert np.array_equal(rec, src)
 
+    @pytest.mark.parametrize("k", [64, 128, 256])
+    def test_decode_half_source_half_redundant(self, construction, k):
+        """Table 3's protocol: k/2 source and k/2 redundant packets."""
+        code = ReedSolomonCode(k, 2 * k, construction)
+        src = make_source(k, 512, code.field.dtype, seed=k)
+        enc = code.encode(src)
+        half = k // 2
+        rec = code.decode({i: enc[i] for i in
+                           [*range(half), *range(k, 2 * k - half)]})
+        assert np.array_equal(rec, src)
+
     def test_decode_all_source_is_copy(self, construction):
         code = ReedSolomonCode(5, 10, construction)
         src = make_source(5, 8, code.field.dtype, seed=3)

@@ -102,6 +102,11 @@ class TestOneLevelProperty:
         # level 1 = layers 0 and 1, each rate 1 per block: 2 blocks ->
         # 4 packets per round.
         assert sum(positions.size for positions in per_layer[:2]) == 4
+        # the top layer of four sends 4 per block: 128 blocks -> 512
+        # packets in each of the first eight rounds.
+        rounds = layered_rounds(LayerConfig(4), NO_BURST, 128, 128)
+        assert [per_layer[3].size for per_layer, _ in islice(rounds, 8)] \
+            == [4 * 128] * 8
 
     def test_encoding_size_must_align(self):
         config = LayerConfig(3)

@@ -112,6 +112,13 @@ class TestFountainReception:
         assert fountain_total(5, 10, fade, rng=0) == 5
 
 
+    @pytest.mark.parametrize("stretch", [2.0, 4.0])
+    def test_a_carousel_window_spans_the_codes_encoding(self, stretch):
+        window = SlotWindow(400, 400, f"tornado-a:stretch={stretch}")
+        code = tornado_a(400, stretch=stretch, seed=0)
+        assert window.block_n.tolist() == [code.n]
+
+
 class TestInterleavedReception:
     def test_no_loss_counts_until_all_blocks_full(self):
         window = SlotWindow(40, 20, "rs")

@@ -57,13 +57,26 @@ class TestEncoding:
 
 
 class TestDecoding:
+    @pytest.mark.parametrize("k", [256, 400, 1024, 4096])
     @pytest.mark.parametrize("preset", [tornado_a, tornado_b],
                              ids=["A", "B"])
-    def test_roundtrip_at_threshold(self, preset):
-        code = preset(400, seed=6)
-        src, enc = encode_random(code, seed=7)
+    def test_roundtrip_at_threshold(self, preset, k):
+        code = preset(k, seed=6)
+        src, enc = encode_random(code, payload=512, seed=7)
         rng = np.random.default_rng(8)
         order = rng.permutation(code.n)
+        needed = code.packets_to_decode(order)
+        rec = code.decode({int(i): enc[i] for i in order[:needed]})
+        assert np.array_equal(rec, src)
+
+    @pytest.mark.parametrize("cap_threshold", [64, 128, 256])
+    def test_roundtrip_at_any_cascade_depth(self, cap_threshold):
+        """A larger cap threshold stops the cascade earlier: fewer graph
+        layers over a bigger Reed-Solomon cap, decoded all the same."""
+        code = TornadoCode(600, degree_dist=two_point_distribution(3, 20, 0.30),
+                           cap_threshold=cap_threshold, seed=0)
+        src, enc = encode_random(code, payload=256, seed=2)
+        order = np.random.default_rng(2).permutation(code.n)
         needed = code.packets_to_decode(order)
         rec = code.decode({int(i): enc[i] for i in order[:needed]})
         assert np.array_equal(rec, src)

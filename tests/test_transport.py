@@ -37,7 +37,9 @@ from repro.net.transport.base import (
     FEED_BATCH,
     FRAME_FEEDBACK,
     MAX_FRAME_BODY,
+    unframe_records,
 )
+from repro.net.transport.udp import _segments
 from repro.protocol.adaptive import AdaptivePolicy
 from repro.transfer.codec import MAX_PACKET_SIZE, record_size
 from test_api import MANIFEST_DAMAGE, damaged_manifest
@@ -155,6 +157,20 @@ _DRAINS = st.one_of(
     st.lists(st.tuples(st.one_of(_burst(), _alone), _hosts), max_size=6),
 )
 
+
+@st.composite
+def _heard(draw):
+    """A drain as ``_recv`` hands it over: ``(buffer, host, gso)``, each
+    buffer's ``gso`` its datagrams' length (0 for one datagram) or any
+    length below the buffer's."""
+    heard = []
+    for datagrams, host in draw(_DRAINS):
+        buffer = b"".join(datagrams)
+        gso = len(datagrams[0]) if len(datagrams) > 1 else 0
+        heard.append((buffer, host, draw(st.one_of(
+            st.just(gso), st.integers(0, max(0, len(buffer) - 1))))))
+    return heard
+
 #: the longest frame body one IPv4 datagram carries (65,507 bytes of
 #: UDP payload less the frame head).
 _DATAGRAM_BODY = 65_507 - 3
@@ -201,6 +217,56 @@ class TestFraming:
     def test_oversize_body_rejected(self):
         with pytest.raises(ProtocolError, match="length"):
             pack_frame(FRAME_DATA, b"x" * 70_000)
+
+    @settings(max_examples=200)
+    @given(data=st.one_of(st.binary(max_size=80), _QUIET, _LOUD))
+    def test_any_datagram_frames_or_raises_a_protocol_error(self, data):
+        """Hostile bytes: ``iter_frames`` takes a datagram apart into
+        frames that pack back to it, or raises ``ProtocolError`` —
+        never another exception."""
+        try:
+            frames = list(iter_frames(data))
+        except ProtocolError:
+            return
+        assert b"".join(pack_frame(*frame) for frame in frames) == data
+
+    @settings(max_examples=200)
+    @given(data=st.one_of(st.binary(max_size=80), _QUIET, _LOUD),
+           size=st.one_of(st.just(_RECORD),
+                          st.integers(0, MAX_FRAME_BODY + 8)))
+    def test_any_buffer_unframes_as_iter_frames_reads_it(self, data, size):
+        """``unframe_records`` gives the bodies exactly when every frame
+        ``iter_frames`` reads is a ``size``-byte data frame, else None;
+        only a size no frame can state raises (``ProtocolError``)."""
+        try:
+            records = unframe_records(data, size)
+        except ProtocolError:
+            assert size > MAX_FRAME_BODY
+            return
+        try:
+            frames = list(iter_frames(data))
+        except ProtocolError:
+            frames = [(None, b"")]
+        if all(kind == FRAME_DATA and len(body) == size
+               for kind, body in frames):
+            assert [row.tobytes() for row in records] == [
+                body for _, body in frames]
+        else:
+            assert records is None
+
+    @settings(max_examples=200)
+    @given(data=st.binary(max_size=200), gso=st.integers(0, 2 ** 32 - 1))
+    def test_any_coalesced_buffer_splits_into_its_segments(self, data, gso):
+        """``_segments`` cuts a ``UDP_GRO`` buffer into ``gso``-byte
+        datagrams (the last one shorter) that join back to it, for any
+        ``gso`` the kernel's u32 can state."""
+        segments = _segments(data, gso)
+        assert b"".join(segments) == data
+        if not gso:
+            assert segments == [data]
+        else:
+            assert all(len(part) == gso for part in segments[:-1])
+            assert all(0 < len(part) <= gso for part in segments)
 
 
 class TestTokenBucket:
@@ -835,11 +901,15 @@ class TestUdpUnicast:
             with pytest.raises(ProtocolError, match=f"'{field}' must be"):
                 api.ReceiverSession.from_subscription(sub)
 
-    def test_manifest_that_is_not_an_object_is_not_adopted(self):
+    @pytest.mark.parametrize("bad", [b"[1, 2]", b"[" * 5000],
+                             ids=["array", "deep-nesting"])
+    def test_manifest_that_is_not_an_object_is_not_adopted(self, bad):
+        """Nesting deeper than the JSON parser recurses used to raise
+        ``RecursionError`` out of ``manifest()``, uncounted."""
         manifest = {"code": "lt", "packet_size": 8, "num_blocks": 1}
         with UdpSubscription("127.0.0.1:0", timeout=2.0) as sub:
             noise = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            for body in (b"[1, 2]", json.dumps(manifest).encode("utf-8")):
+            for body in (bad, json.dumps(manifest).encode("utf-8")):
                 noise.sendto(pack_frame(FRAME_MANIFEST, body), sub.address)
             noise.close()
             assert sub.manifest() == manifest
@@ -883,16 +953,17 @@ class TestUdpUnicast:
     # -- the one-pass drain against the datagram loop ------------------------------
 
     @settings(max_examples=300, deadline=None)
-    @given(drains=st.lists(_DRAINS, min_size=1, max_size=3),
+    @given(drains=st.lists(_heard(), min_size=1, max_size=3),
            adopted=st.booleans())
-    def test_drain_equals_collect_one_datagram_at_a_time(self, drains,
-                                                         adopted):
+    def test_drain_equals_collect_one_buffer_at_a_time(self, drains,
+                                                       adopted):
         """Any datagram sequence — runs, manifests, feedback, truncated
-        and wrong-size frames, look-alikes, some of them coalesced into
-        one buffer the way ``UDP_GRO`` hands a burst over — parsed a
-        drain at a time yields what ``_collect`` yields a datagram at a
-        time: records in order, the counters, the adopted manifest, the
-        remembered sender."""
+        and wrong-size frames, look-alikes, garbage, some of them
+        coalesced into one buffer the way ``UDP_GRO`` hands a burst over,
+        at their own ``gso`` or any other — parsed a drain at a time
+        yields what ``_collect`` yields a buffer at a time: records in
+        order, the counters, the adopted manifest, the remembered
+        sender."""
         with UdpSubscription("127.0.0.1:0") as fast, \
                 UdpSubscription("127.0.0.1:0") as slow:
             got, want = [], []
@@ -900,19 +971,15 @@ class TestUdpUnicast:
                 for sub in (fast, slow):
                     sub._collect(_MANIFEST_FRAME, ("10.0.0.9", 9), 0, [])
             for drain in drains:
-                drain = [(datagrams, ("10.0.0.%d" % host, 9000 + host))
-                         for datagrams, host in drain]
-                batch = fast._drain_records([
-                    (b"".join(datagrams), addr,
-                     len(datagrams[0]) if len(datagrams) > 1 else 0)
-                    for datagrams, addr in drain])
+                drain = [(buffer, ("10.0.0.%d" % host, 9000 + host), gso)
+                         for buffer, host, gso in drain]
+                batch = fast._drain_records(drain)
                 if isinstance(batch, np.ndarray):
                     assert batch.shape[1:] == (fast._record_bytes,)
                     batch = [row.tobytes() for row in batch]
                 got += batch
-                for datagrams, addr in drain:
-                    for data in datagrams:
-                        slow._collect(data, addr, 0, want)
+                for heard in drain:
+                    slow._collect(*heard, want)
                 assert got == want
                 for field in ("datagrams", "malformed", "manifest_conflicts",
                               "_sender", "_manifest", "_record_bytes"):

@@ -1,14 +1,17 @@
 #!/usr/bin/env python
 """docs-check: execute every fenced ``python`` block in the given docs,
-and resolve every ``*.md`` name the code and docs cite.
+and resolve every ``*.md`` and module path the code and docs cite.
 
 Keeps README code honest — each block runs in its own namespace, in a
 temporary working directory, with ``src/`` on the path. Fails loudly on
 the first block that raises.  Then every name ending in ``.md`` that the
 shipped files (:data:`CITING`) mention must name a file, relative to
-the repo root or to the citing file's directory: a pointer to a
-document that does not exist fails the check like a block that does
-not run.
+the repo root or to the citing file's directory, and so must every
+``.py`` name with a directory part (``benchmarks/bench_swarm.py``), or
+else be the tail of a file's path in the tree (``raptor/precode.py``):
+a pointer to a file that does not exist fails the check like a block
+that does not run.  Last, README's "Reproducing the paper" table must
+be the one ``repro.experiments.claims.markdown_table`` renders.
 
 Usage::
 
@@ -25,6 +28,7 @@ import tempfile
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 _BLOCK_RE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 _MD_NAME_RE = re.compile(r"[\w./-]*\w\.md\b")
+_PY_PATH_RE = re.compile(r"(?:[\w.-]+/)+\w+\.py\b")
 
 #: what ships and cites documents: code, tests, tools, examples, the
 #: docs and the build (the change logs are history and may name
@@ -70,10 +74,15 @@ def _citing_files(root: pathlib.Path):
                         and "golden" not in f.relative_to(root).parts)
 
 
-def dangling_md_names(root: pathlib.Path = REPO_ROOT):
-    """``(file, line, name)`` for every ``*.md`` name in the shipped
-    files that resolves neither from the repo root nor from the citing
-    file's directory."""
+def dangling_names(root: pathlib.Path = REPO_ROOT):
+    """``(file, line, name)`` for every ``*.md`` name and every ``.py``
+    name with a directory part in the shipped files that resolves
+    neither from the repo root nor from the citing file's directory
+    (nor, for a ``.py`` name, as the tail of a file's path)."""
+    tails = set()
+    for path in root.rglob("*.py"):
+        parts = path.relative_to(root).parts
+        tails.update("/".join(parts[i:]) for i in range(len(parts)))
     found = []
     for path in _citing_files(root):
         try:
@@ -81,11 +90,20 @@ def dangling_md_names(root: pathlib.Path = REPO_ROOT):
         except UnicodeDecodeError:
             continue
         for number, line in enumerate(text.splitlines(), 1):
-            for name in _MD_NAME_RE.findall(line):
+            for name in _MD_NAME_RE.findall(line) + _PY_PATH_RE.findall(line):
                 if not ((root / name).is_file()
-                        or (path.parent / name).is_file()):
+                        or (path.parent / name).is_file()
+                        or name.endswith(".py") and name in tails):
                     found.append((path.relative_to(root), number, name))
     return found
+
+
+def claims_table_drift(readme: pathlib.Path = REPO_ROOT / "README.md"):
+    """The claims table README should hold, or None when it holds it."""
+    from repro.experiments.claims import markdown_table
+
+    table = markdown_table()
+    return None if table in readme.read_text() else table
 
 
 def main(argv) -> int:
@@ -103,14 +121,20 @@ def main(argv) -> int:
                                      else pathlib.Path(cwd) / target)
         finally:
             os.chdir(cwd)
-    dangling = dangling_md_names()
+    dangling = dangling_names()
     for path, number, name in dangling:
         print(f"FAIL {path}:{number}: {name} names no file")
-    if failures or dangling:
+    table = claims_table_drift()
+    if table is not None:
+        print("FAIL README.md: the claims table drifted from "
+              f"repro.experiments.claims; it should read:\n{table}")
+    if failures or dangling or table is not None:
         print(f"{failures} doc block(s) failed, "
-              f"{len(dangling)} dangling document name(s)")
+              f"{len(dangling)} dangling file name(s), claims table "
+              f"{'drifted' if table is not None else 'current'}")
         return 1
-    print("all doc blocks ran clean; every document name resolves")
+    print("all doc blocks ran clean; every file name resolves; the "
+          "claims table is current")
     return 0
 
 
