@@ -151,17 +151,22 @@ class DecoderBackedCode:
         return decoder.is_complete
 
     def packets_to_decode(self, arrival_order: Sequence[int]) -> int:
-        """Exact number of leading arrivals needed to decode.
+        """Exact number of leading arrivals (ids, repeats allowed)
+        needed to decode; :class:`~repro.errors.DecodeFailure` if none.
 
-        Feeds the incremental decoder in coarse chunks to find the
-        completing chunk, then replays the prefix packet by packet —
-        decodability is monotone in the received set, so the replay
-        gives the exact count at a fraction of the cost of pure single
-        stepping.
+        Every code's one threshold scan, on its incremental decoder (the
+        native one, else :class:`~repro.codes.registry.SetDecoder`):
+        feeds coarse chunks to find the completing chunk, then replays
+        the prefix packet by packet — decodability is monotone in the
+        received set, so the replay gives the exact count at a fraction
+        of the cost of pure single stepping.
         """
+        # lazy: the registry imports this module
+        from repro.codes.registry import incremental_decoder
+
         order = np.asarray(arrival_order, dtype=np.int64)
         chunk = max(16, self.k // 64)
-        decoder = self.new_decoder()
+        decoder = incremental_decoder(self)
         pos = 0
         while pos < order.size and not decoder.is_complete:
             decoder.add_packets(order[pos:pos + chunk])
@@ -171,7 +176,7 @@ class DecoderBackedCode:
                 "arrival order never becomes decodable",
                 missing=self.k - decoder.source_known_count)
         count = max(0, pos - chunk)
-        decoder = self.new_decoder()
+        decoder = incremental_decoder(self)
         decoder.add_packets(order[:count])
         while not decoder.is_complete:
             decoder.add_packet(int(order[count]))
@@ -263,25 +268,8 @@ class ErasureCode(abc.ABC):
     def is_decodable(self, indices: Iterable[int]) -> bool:
         """True when the packet index set determines the source data."""
 
-    def packets_to_decode(self, arrival_order: Sequence[int]) -> int:
-        """Number of leading packets of ``arrival_order`` needed to decode.
-
-        ``arrival_order`` lists *distinct* encoding packet indices in the
-        order they arrive.  Returns the smallest prefix length whose index
-        set is decodable.  Decodability is monotone in the received set,
-        so a binary search over prefixes is valid; subclasses with
-        incremental decoders override this with an O(edges) scan.
-        """
-        lo, hi = self.k, len(arrival_order)
-        if not self.is_decodable(arrival_order[:hi]):
-            raise ValueError("arrival order never becomes decodable")
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.is_decodable(arrival_order[:mid]):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+    # the one threshold scan (on SetDecoder for a code without new_decoder)
+    packets_to_decode = DecoderBackedCode.packets_to_decode
 
     def block_encoder(self, source: np.ndarray) -> BlockEncoder:
         """A lazy row-on-demand view of ``encode(source)``.

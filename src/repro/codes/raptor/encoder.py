@@ -115,7 +115,7 @@ def _packed(values: List[int], words: int) -> np.ndarray:
     """Python-int bit rows as a ``(len(values), words)`` uint64 array
     (bit ``i`` in word ``i >> 6``, bit ``i & 63``)."""
     raw = b"".join(value.to_bytes(words * 8, "little") for value in values)
-    return np.frombuffer(raw, dtype="<u8").reshape(-1, words).copy()
+    return np.frombuffer(raw, dtype="<u8").reshape(len(values), words).copy()
 
 
 def build_generator(geometry: RaptorGeometry) -> np.ndarray:

@@ -10,7 +10,7 @@ magnitude ahead of Reed-Solomon.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -144,18 +144,6 @@ class TornadoCode(DecoderBackedCode, ErasureCode):
         """A fresh incremental decoder over this code's structure."""
         return PeelingDecoder(self.structure, payload_size=payload_size,
                               inactivation_limit=self.inactivation_limit)
-
-    def packets_to_decode(self, arrival_order: Sequence[int]) -> int:
-        """Exact number of leading arrivals needed to decode.
-
-        Pure peeling uses the shared chunk-then-replay scan.  With
-        inactivation enabled, a prefix binary search (each probe one
-        batch decode) is cheaper than per-packet elimination attempts,
-        so the generic strategy is used instead.
-        """
-        if self.inactivation_limit > 0:
-            return ErasureCode.packets_to_decode(self, list(arrival_order))
-        return super().packets_to_decode(arrival_order)
 
     # -- introspection --------------------------------------------------------
 

@@ -17,10 +17,10 @@ implementations ship behind this contract:
 Senders call ``transport.serve(session)`` with any object exposing the
 sender-session surface (``source``, ``manifest()``, ``codec``,
 ``total_k`` — see :class:`repro.api.SenderSession`).  Every serve draws
-whole :meth:`~repro.transfer.server.TransferServer.record_window`
-windows of wire records from ``session.source`` and hands back
-(``unwind``) whatever part of the last one it did not send; none pulls
-``packets()``.  Receivers consume a :class:`Subscription`,
+whole windows from ``session.source`` (UDP ``record_window``; memory and
+file ``draw_ids``, then ``records`` of only the rows they deliver) and
+hands back (``unwind``) whatever part of the last one it did not send;
+none pulls ``packets()``.  Receivers consume a :class:`Subscription`,
 which feeds raw wire records (header + payload) into a
 :class:`repro.api.ReceiverSession`.
 

@@ -169,9 +169,12 @@ class LossEstimator:
     wrap.  The estimate is a *ratio of decayed sums* (received over
     span, each forgotten at :data:`LOSS_ALPHA` per serial), not an
     average of per-batch ratios: ratio-of-ratios is badly biased when
-    batches are small (a one-packet batch is either 0% or ~100% loss),
-    while the ratio of sums is exact under any batching of the same
-    stream.
+    batches are small (a one-packet batch is either 0% or ~100% loss).
+    It is unbiased at any batching (``TestLossEstimator.test_error_band``
+    pins its mean and p90 error), but not batching-invariant: a batch's
+    arrivals are decayed as if all came at its end, so one 20,000-slot
+    Bernoulli(0.1) stream reads 0.054 fed a serial at a time and 0.077
+    fed 1,024 at a time.
     """
 
     def __init__(self) -> None:

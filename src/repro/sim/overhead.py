@@ -24,9 +24,13 @@ from repro.utils.stats import SummaryStats, summarize
 
 def sample_decode_thresholds(code: ErasureCode, trials: int,
                              rng: RngLike = None) -> np.ndarray:
-    """Sample ``trials`` decode thresholds under random arrival order."""
+    """Sample ``trials`` decode thresholds of a fixed-rate code, each
+    over a random permutation of its ``n`` packets."""
     if trials <= 0:
         raise ParameterError("need at least one trial")
+    if code.n is None:
+        raise ParameterError(
+            f"{code!r} is rateless: it has no n packets to permute")
     gen = ensure_rng(rng)
     thresholds = np.empty(trials, dtype=np.int64)
     for t in range(trials):

@@ -147,6 +147,17 @@ def run_roundtrip(spec: str, k: int, payload_size: int, seed: int,
                      complete=complete, recovered=recovered)
 
 
+def shortest_decodable_prefix(code, order) -> Optional[int]:
+    """A decode threshold by brute force: the shortest prefix of
+    ``order`` whose id set ``code.is_decodable`` accepts, every length
+    tried in turn from 0 (None when not even the whole order decodes).
+    ``packets_to_decode`` is held to it."""
+    for length in range(len(order) + 1):
+        if code.is_decodable(order[:length]):
+            return length
+    return None
+
+
 def raptor_encode_pair(k: int, payload_size: int, seed: int,
                        **params: float) -> Tuple[bytes, bytes]:
     """Raptor intermediates via the cached solve plan and the pre-solve.

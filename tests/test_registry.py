@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.codes.lt.code import LTCode
 from repro.codes.registry import (
@@ -21,6 +23,8 @@ from repro.codes.registry import (
 from repro.codes.reed_solomon import ReedSolomonCode
 from repro.codes.tornado.code import TornadoCode
 from repro.errors import DecodeFailure, ParameterError
+
+from _oracles import shortest_decodable_prefix
 
 
 class TestSpecParsing:
@@ -240,3 +244,45 @@ class TestSetDecoder:
             decoder.add_packet(0, np.zeros(16, dtype=np.uint8))
         with pytest.raises(ParameterError, match="32"):
             decoder.add_packets([1], np.zeros((1, 16), dtype=np.uint8))
+
+
+FAMILIES = [family.name for family in available_codes()]
+
+
+class TestDecodeThreshold:
+    """``packets_to_decode`` is one scan for every code: the shortest
+    arrival prefix the code's decoder completes on."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_an_order_that_never_decodes_raises_decode_failure(self,
+                                                               family):
+        code = build_code(family, 64, seed=0)
+        with pytest.raises(DecodeFailure):
+            code.packets_to_decode(list(range(10)))
+
+    @given(family=st.sampled_from(FAMILIES),
+           k=st.sampled_from([12, 40, 160]),
+           seed=st.integers(0, 2 ** 16),
+           kind=st.sampled_from(["permutation", "repeats", "short"]))
+    @settings(max_examples=60)
+    # a Raptor geometry with no inactive column: its generator build
+    # once failed to reshape an empty bit matrix
+    @example(family="raptor", k=12, seed=119, kind="permutation")
+    def test_threshold_is_the_shortest_decodable_prefix(self, family, k,
+                                                        seed, kind):
+        code = build_code(family, k, seed=seed)
+        span = 3 * k if code.n is None else code.n
+        rng = np.random.default_rng(seed)
+        if kind == "permutation":
+            order = rng.permutation(span)
+        elif kind == "repeats":
+            order = rng.integers(0, span, size=2 * span)
+        else:
+            # fewer than k ids: no code decodes on these
+            order = rng.permutation(span)[:int(rng.integers(0, k))]
+        expected = shortest_decodable_prefix(code, order)
+        if expected is None:
+            with pytest.raises(DecodeFailure):
+                code.packets_to_decode(order)
+        else:
+            assert code.packets_to_decode(order) == expected

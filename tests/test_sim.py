@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.codes.interleaved import InterleavedCode
+from repro.codes.lt.code import LTCode
 from repro.codes.reed_solomon import cauchy_code
 from repro.codes.tornado.presets import tornado_a
 from repro.errors import DecodeFailure, ParameterError
@@ -74,6 +75,14 @@ class TestOverheadSampling:
     def test_empty_trials_rejected(self):
         with pytest.raises(ParameterError):
             sample_decode_thresholds(cauchy_code(4), 0)
+
+    def test_rateless_code_rejected(self):
+        # a rateless code has no n to permute; the swarm draws its
+        # thresholds over loss-thinned droplet ids instead
+        with pytest.raises(ParameterError, match="rateless"):
+            sample_decode_thresholds(LTCode(64), 3)
+        with pytest.raises(ParameterError, match="rateless"):
+            ThresholdPool.for_code(LTCode(64), trials=3)
 
 
 class TestFountainReception:
