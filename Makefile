@@ -40,13 +40,17 @@ coverage:
 # its per-packet oracle, and again with the UDP offloads on and off
 # (tests/test_udp_offload.py), plus the closed loop over the sender's
 # reply port: feedback reports, the stop on a complete report, and
-# stray datagrams counted, not fatal (TestUdpAdaptive).
+# stray datagrams counted, not fatal (TestUdpAdaptive), plus the UDP
+# serve's report counts: dropped records are emitted x destinations -
+# delivered, the oracle's own tally, and packets_used the records a
+# receiver took (tests/test_report_counts.py::test_udp_serve_counts).
 # Binds real loopback sockets; skips gracefully where unavailable.
 test-udp:
 	$(PYTHON) -m pytest -q tests/test_transport.py \
 		tests/test_windowed_serve.py::TestUdpServe \
 		tests/test_udp_offload.py \
-		tests/test_adaptive.py::TestUdpAdaptive
+		tests/test_adaptive.py::TestUdpAdaptive \
+		tests/test_report_counts.py::test_udp_serve_counts
 
 # One pass over the five benchmark modules, each of which publishes
 # rows of a committed BENCH_*.json that bench-gate reads:

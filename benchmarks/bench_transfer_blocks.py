@@ -80,7 +80,7 @@ def test_transfer_block_size_sweep(benchmark, family, block_packets):
         _run_pipeline, args=(family, block_packets), rounds=1, iterations=1)
     benchmark.extra_info["num_blocks"] = result.num_blocks
     benchmark.extra_info["reception_overhead"] = round(
-        result.reception_overhead, 4)
+        result.stats.reception_overhead, 4)
     benchmark.extra_info["throughput_MBps"] = round(
         FILE_SIZE / elapsed / 1e6, 3)
     RESULTS.record(
@@ -90,11 +90,11 @@ def test_transfer_block_size_sweep(benchmark, family, block_packets):
         num_blocks=result.num_blocks,
         file_size=FILE_SIZE,
         loss=LOSS,
-        reception_overhead=round(result.reception_overhead, 4),
+        reception_overhead=round(result.stats.reception_overhead, 4),
         throughput_MBps=round(FILE_SIZE / elapsed / 1e6, 3),
         seconds=round(elapsed, 4),
     )
-    assert result.reception_overhead < 1.0
+    assert result.stats.reception_overhead < 1.0
 
 
 def _raw_codec_rates(family, k=RAW_K):
@@ -262,12 +262,12 @@ def test_transfer_schedule_gap(benchmark):
 
     inter, seq = benchmark.pedantic(compare, rounds=1, iterations=1)
     benchmark.extra_info["interleave_overhead"] = round(
-        inter.reception_overhead, 4)
+        inter.stats.reception_overhead, 4)
     benchmark.extra_info["sequential_overhead"] = round(
-        seq.reception_overhead, 4)
+        seq.stats.reception_overhead, 4)
     RESULTS.record(
         "schedule-gap-tornado-b-bk128",
-        interleave_overhead=round(inter.reception_overhead, 4),
-        sequential_overhead=round(seq.reception_overhead, 4),
+        interleave_overhead=round(inter.stats.reception_overhead, 4),
+        sequential_overhead=round(seq.stats.reception_overhead, 4),
     )
-    assert inter.packets_received < seq.packets_received
+    assert inter.stats.total_received < seq.stats.total_received

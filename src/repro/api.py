@@ -249,7 +249,6 @@ class ReceiverSession:
         self.client = TransferClient(self.codec)
         #: bytes per on-wire packet record (header + payload).
         self.record_size = self.codec.record_size
-        self.packets_used = 0
         self._rejected = 0
         self.receiver_id = int(receiver_id)
         if report is None or report is False:
@@ -299,6 +298,11 @@ class ReceiverSession:
         return self.report_interval is not None
 
     @property
+    def packets_used(self) -> int:
+        """Packets consumed: the client's reception total."""
+        return self.client.total_received
+
+    @property
     def rejected(self) -> int:
         """Wire records dropped as erasures: wrong length, a block id
         the manifest does not have, or an index outside its block's
@@ -309,8 +313,7 @@ class ReceiverSession:
         """This session's current state as a feedback wire frame."""
         return report_from_client(self.client,
                                   receiver_id=self.receiver_id,
-                                  loss=self.loss_estimate,
-                                  packets_used=self.packets_used)
+                                  loss=self.loss_estimate)
 
     def maybe_report(self) -> Optional[FeedbackReport]:
         """A report if one is due, else None (the ``feed``-loop hook).
@@ -400,7 +403,6 @@ class ReceiverSession:
             buf, blocks, indices, serials = (
                 buf[named], blocks[named], indices[named], serials[named])
         used = self.client.receive_window(blocks, indices, buf[:, header:])
-        self.packets_used += used
         if self.reporting:
             self.loss_estimator.observe(serials[:used].tolist())
         return self.client.is_complete
@@ -433,15 +435,14 @@ class SendReport:
     num_blocks: int
     total_k: int
     loss: float
-    #: packets pushed into the channel.
-    sent: int
-    #: survivors recorded into ``stream.pkt``.
-    survivors: int
+    #: the file serve's counts: ``emitted`` packets pushed into the
+    #: channel, ``delivered`` survivors recorded into ``stream.pkt``.
+    serve: ServeReport
 
     @property
     def reception_overhead(self) -> float:
         """Survivors beyond the source packet count, as a fraction."""
-        return self.survivors / self.total_k - 1.0
+        return self.serve.delivered / self.total_k - 1.0
 
 
 @dataclass(frozen=True)
@@ -451,10 +452,10 @@ class ReceiveReport:
     data: bytes
     file_name: str
     code_spec: str
-    #: packets consumed before every block decoded.
-    packets_used: int
     #: packet records available in the stream file.
     packets_available: int
+    #: the receiver's counts; ``total_received`` is the packets
+    #: consumed before every block decoded.
     stats: ReceptionStats
 
     @property
@@ -495,7 +496,6 @@ def send_file(input_path: Union[str, pathlib.Path],
         loss_seed = seed + 1
     out_dir = pathlib.Path(out_dir)
     transport = FileTransport(out_dir, loss=loss, seed=loss_seed)
-    report = session.serve(transport, extra=extra)
     return SendReport(
         out_dir=out_dir,
         file_name=input_path.name,
@@ -505,8 +505,7 @@ def send_file(input_path: Union[str, pathlib.Path],
         num_blocks=session.num_blocks,
         total_k=session.total_k,
         loss=loss,
-        sent=report.emitted,
-        survivors=report.delivered,
+        serve=session.serve(transport, extra=extra),
     )
 
 
@@ -537,7 +536,6 @@ def receive_stream(in_dir: Union[str, pathlib.Path],
         data=data,
         file_name=manifest.get("file_name", ""),
         code_spec=session.code_spec,
-        packets_used=session.packets_used,
         packets_available=subscription.available,
         stats=session.stats(),
     )

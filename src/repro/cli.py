@@ -166,9 +166,9 @@ def cmd_send(args: argparse.Namespace) -> int:
         loss_seed=args.loss_seed,
         extra=args.extra,
     )
-    print(f"sent {report.sent} packets across a {args.loss:.0%}-loss "
-          f"channel; {report.survivors} survivors in "
-          f"{report.out_dir / api.STREAM_NAME}")
+    print(f"sent {report.serve.emitted} packets across a "
+          f"{args.loss:.0%}-loss channel; {report.serve.delivered} "
+          f"survivors in {report.out_dir / api.STREAM_NAME}")
     print(f"{report.code_spec} x {report.num_blocks} blocks, "
           f"schedule={report.schedule}, "
           f"reception overhead {report.reception_overhead:+.1%}")
@@ -193,7 +193,7 @@ def cmd_recv(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"reconstructed {report.file_name or args.output} "
-          f"({report.file_size} bytes) from {report.packets_used} of "
+          f"({report.file_size} bytes) from {report.stats.total_received} of "
           f"{report.packets_available} stream packets")
     print(f"{report.code_spec}: all blocks complete; reception overhead "
           f"{report.stats.reception_overhead:+.1%} "

@@ -130,11 +130,13 @@ CLAIMS = (
                         for x in r.results), (1, 1)),
     Claim("figure8", "one layer below 50 % loss: no duplicate arrives "
           "(distinctness efficiency)", None,
-          lambda r: min(x.distinctness_efficiency for x in r.single_layer
+          lambda r: min(x.stats.distinctness_efficiency
+                        for x in r.single_layer
                         if x.observed_loss < 0.5), (1, 1)),
     Claim("figure8", "one layer above 50 % loss: the carousel wraps, "
           "duplicates arrive", None,
-          lambda r: max(x.distinctness_efficiency for x in r.single_layer
+          lambda r: max(x.stats.distinctness_efficiency
+                        for x in r.single_layer
                         if x.observed_loss > 0.5), (0, 0.99)),
 )
 

@@ -4,6 +4,11 @@ The interleaved approach needs super-linearly many packets as the file
 grows (coupon collection across ever more blocks), so both its average
 and its minimum efficiency fall with file size; Tornado's efficiency is
 size-independent.  Loss rates 10% and 50%, file sizes 100 KB - 10 MB.
+
+A file of at most 128 KB (1 KB packets) has ``k <= 128``, the cascade's
+cap threshold, so ``tornado_a(k)`` is only its Reed-Solomon cap there:
+those "tornado-a" points measure an MDS code and do not show Tornado
+flat in file size.
 """
 
 from __future__ import annotations

@@ -6,6 +6,9 @@ Gilbert-Elliott traces for the Yajnik/Kurose/Towsley data) while
 downloading files of 100 KB - 10 MB from the carousel.  Expected shape:
 "Figure 6 looks similar to the plot in Figure 5 with loss probability
 p = 0.1" — Tornado flat and high, interleaved decaying with file size.
+
+As in Figure 5, its "tornado-a" points at 128 KB or less are
+``tornado_a(k)``'s Reed-Solomon cap alone (``k <= 128``, 1 KB packets).
 """
 
 from __future__ import annotations

@@ -70,9 +70,9 @@ def _panel(results: List[SessionResult], title: str) -> Table:
     )
     for r in sorted(results, key=lambda r: r.observed_loss):
         table.add_row(f"{r.observed_loss * 100:.1f}",
-                      f"{r.distinctness_efficiency * 100:.1f}",
-                      f"{r.coding_efficiency * 100:.1f}",
-                      f"{r.efficiency * 100:.1f}",
+                      f"{r.stats.distinctness_efficiency * 100:.1f}",
+                      f"{r.stats.coding_efficiency * 100:.1f}",
+                      f"{r.stats.efficiency * 100:.1f}",
                       "yes" if r.completed else "no")
     return table
 

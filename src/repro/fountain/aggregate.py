@@ -61,14 +61,6 @@ class MultiSourceClient:
     def is_complete(self) -> bool:
         return self.decoder.is_complete
 
-    @property
-    def total_received(self) -> int:
-        return self.stats().total_received
-
-    @property
-    def distinct_received(self) -> int:
-        return self.decoder.packets_added
-
     def receive_from(self, source_id: int, index: int,
                      payload: Optional[np.ndarray] = None) -> bool:
         """Ingest one packet attributed to a mirror; True when complete.

@@ -239,8 +239,6 @@ class ServeReport:
     #: records actually placed on the medium (after injected loss),
     #: summed over all destinations/subscribers.
     delivered: int
-    #: records suppressed by injected loss.
-    dropped: int
     #: wall-clock seconds the serve ran.
     duration: float
     #: destinations (UDP) or subscribers (memory) served; 1 for file.
@@ -262,6 +260,12 @@ class ServeReport:
     #: (``delivered / datagrams`` is the coalescing factor; 0 on
     #: transports that move bare records).
     datagrams: int = 0
+
+    @property
+    def dropped(self) -> int:
+        """Records suppressed by injected loss: every emission goes to
+        every destination, and those not delivered were dropped."""
+        return self.emitted * self.destinations - self.delivered
 
     @property
     def packets_per_second(self) -> float:

@@ -226,6 +226,5 @@ class FileTransport(Transport):
             transport=self.name,
             emitted=channel.sent,
             delivered=survivors,
-            dropped=channel.sent - channel.delivered,
             duration=time.perf_counter() - start,
         )

@@ -244,8 +244,7 @@ class MemoryTransport(Transport):
                         zip(self.subscriptions, shadows)):
                     report = FeedbackReport.decode(report_from_client(
                         shadow, receiver_id=i,
-                        loss=sub.channel.observed_loss_rate,
-                        packets_used=shadow.total_received).encode())
+                        loss=sub.channel.observed_loss_rate).encode())
                     if policy is not None:
                         policy.observe(report, now=now)
                     if feedback is not None:
@@ -275,7 +274,6 @@ class MemoryTransport(Transport):
             transport=self.name,
             emitted=emitted,
             delivered=delivered,
-            dropped=emitted * len(shadows) - delivered,
             duration=time.perf_counter() - start,
             destinations=len(self.subscriptions),
         )

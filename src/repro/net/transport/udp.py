@@ -709,7 +709,7 @@ class UdpTransport(Transport):
             FRAME_MANIFEST,
             json.dumps(session.manifest()).encode("utf-8"))
         interval = self.manifest_interval
-        emitted = delivered = dropped = manifest_frames = 0
+        emitted = delivered = manifest_frames = 0
         feedback_frames = datagrams = errors = malformed = 0
         dests = range(len(self.destinations))
         # The open window's plan: its frames as one buffer of ``rows``
@@ -816,12 +816,11 @@ class UdpTransport(Transport):
             """Send and count the window's first ``done`` rows; hand
             the rest back to the source and the loss channels, and
             return how many that was."""
-            nonlocal rows, emitted, delivered, dropped
+            nonlocal rows, emitted, delivered
             send_runs(done, cut=True)
             emitted += done
-            lost = sum(row < done for dead in gone for row in dead)
-            delivered += done * len(dests) - lost
-            dropped += lost
+            delivered += done * len(dests) - sum(
+                row < done for dead in gone for row in dead)
             unsent, rows = rows - done, 0
             if unsent:
                 # Stopped (or interrupted) mid-window: the source and
@@ -960,7 +959,6 @@ class UdpTransport(Transport):
             transport=self.name,
             emitted=emitted,
             delivered=delivered,
-            dropped=dropped,
             duration=time.perf_counter() - start,
             destinations=len(self.destinations),
             manifest_frames=manifest_frames,

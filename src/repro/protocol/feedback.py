@@ -214,14 +214,14 @@ class LossEstimator:
 
 
 def report_from_client(client: Any, *, receiver_id: int = 0,
-                       loss: float = 0.0,
-                       packets_used: int = 0) -> FeedbackReport:
+                       loss: float = 0.0) -> FeedbackReport:
     """Build a report from a live transfer client's decode state.
 
     ``client`` is anything with the
     :class:`~repro.transfer.client.TransferClient` progress surface
     (``progress``, ``is_complete``, ``incomplete_blocks``,
-    ``block_min_additional``, ``num_blocks``) — in the tree, the
+    ``block_min_additional``, ``num_blocks``, and ``total_received``,
+    the report's ``packets_used``) — in the tree, the
     transfer client itself, the one receiver over per-block decoders.
     The report speaks for that one receiver (``receivers=1``).
     """
@@ -233,7 +233,7 @@ def report_from_client(client: Any, *, receiver_id: int = 0,
         receiver_id=receiver_id,
         loss=loss,
         progress=float(client.progress),
-        packets_used=int(packets_used),
+        packets_used=int(client.total_received),
         blocks_total=min(0xFFFF, int(client.num_blocks)),
         complete=bool(client.is_complete),
         lagging=tuple(deficits[:MAX_LAGGING_BLOCKS]),

@@ -20,7 +20,8 @@ Both take ``code`` as a prebuilt code object or a registry spec string
                 capacity_multipliers=[4.0])
 
 Each returns one :class:`SessionResult` per receiver (observed loss,
-the three efficiencies of Section 7.3, code spec, reception overhead).
+its :class:`~repro.fountain.metrics.ReceptionStats` — the three
+efficiencies of Section 7.3 and the reception overhead — and code spec).
 The sender is :func:`~repro.protocol.schedule.layered_rounds`, the one
 walk of the reverse-binary schedule; :func:`_schedule` maps positions
 onto a fixed-rate code's permuted carousel, and a rateless code's
@@ -37,6 +38,7 @@ import numpy as np
 
 from repro.codes.registry import CodeSpec, build_code
 from repro.errors import ParameterError
+from repro.fountain.metrics import ReceptionStats
 from repro.net.loss import BernoulliLoss
 from repro.protocol.congestion import CongestionPolicy
 from repro.protocol.layering import LayerConfig
@@ -54,42 +56,37 @@ class SessionResult:
 
     receiver_id: int
     observed_loss: float
-    efficiency: float
-    coding_efficiency: float
-    distinctness_efficiency: float
+    #: the receiver's counts: the three efficiencies of Section 7.3
+    #: and the reception overhead are its properties.
+    stats: ReceptionStats
     completed: bool
     rounds: int
     level_changes: int
     #: canonical spec of the code the session ran over ("?" when the
     #: caller passed an anonymous code object).
     code_spec: str = "?"
-    #: reception overhead: (packets received before completion) / k - 1.
-    overhead: float = 0.0
 
     def as_row(self) -> str:
+        stats = self.stats
         return (f"recv {self.receiver_id:3d}  code {self.code_spec:<10}  "
                 f"loss {self.observed_loss:6.1%}  "
-                f"eta {self.efficiency:6.1%}  "
-                f"eta_c {self.coding_efficiency:6.1%}  "
-                f"eta_d {self.distinctness_efficiency:6.1%}  "
-                f"overhead {self.overhead:+6.1%}")
+                f"eta {stats.efficiency:6.1%}  "
+                f"eta_c {stats.coding_efficiency:6.1%}  "
+                f"eta_d {stats.distinctness_efficiency:6.1%}  "
+                f"overhead {stats.reception_overhead:+6.1%}")
 
 
 def _result_from(receiver: LayeredReceiver, rid: int, rounds: int,
                  code_spec: str) -> SessionResult:
-    stats = receiver.stats()
     return SessionResult(
         receiver_id=rid,
         observed_loss=receiver.observed_loss_rate(),
-        efficiency=stats.efficiency,
-        coding_efficiency=stats.coding_efficiency,
-        distinctness_efficiency=stats.distinctness_efficiency,
+        stats=receiver.stats(),
         completed=receiver.is_complete,
         rounds=receiver.completed_at_round + 1
         if receiver.completed_at_round is not None else rounds,
         level_changes=max(0, len(receiver.level_history) - 1),
         code_spec=code_spec,
-        overhead=stats.reception_overhead,
     )
 
 

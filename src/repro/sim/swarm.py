@@ -836,10 +836,7 @@ def _run_rows(scenario: Scenario, pop: _Population, thresholds: np.ndarray,
                 received[rows[done]] -= np.count_nonzero(mask[done] & late,
                                                          axis=1)
                 done_slot[rows[done]] = w0 + last + 1
-    completed = np.isfinite(done_slot)
-    out = {"overhead": np.where(completed, received / total_k - 1.0, np.nan),
-           "received": received, "done_slot": done_slot,
-           "completed": completed}
+    out = {"received": received, "done_slot": done_slot}
     if policy is not None:
         out["weights"] = weights_log
     return out
@@ -956,18 +953,29 @@ class SwarmResult:
     """Per-receiver outcomes plus aggregate views of one swarm run."""
 
     scenario: Scenario
-    overhead: np.ndarray
+    #: packets each receiver took until it completed (or left).
     received: np.ndarray
+    #: the slot each receiver completed on; inf for one that did not.
     completion_slot: np.ndarray
-    completed: np.ndarray
     group_index: np.ndarray
     total_k: int
     elapsed: float
     spot_check: Optional[SpotCheckResult] = None
 
     @property
+    def completed(self) -> np.ndarray:
+        return np.isfinite(self.completion_slot)
+
+    @property
+    def overhead(self) -> np.ndarray:
+        """Reception overhead of each completed receiver (NaN for the
+        rest): ``received / total_k - 1``."""
+        return np.where(self.completed, self.received / self.total_k - 1.0,
+                        np.nan)
+
+    @property
     def receivers(self) -> int:
-        return int(self.overhead.size)
+        return int(self.received.size)
 
     @property
     def completion_rate(self) -> float:
@@ -1168,10 +1176,8 @@ class SwarmSimulator:
             merged = _run_rows(scenario, pop, thresholds, 0, policy)
         result = SwarmResult(
             scenario=scenario,
-            overhead=merged["overhead"],
             received=merged["received"],
             completion_slot=merged["done_slot"],
-            completed=merged["completed"],
             group_index=pop.group_index,
             total_k=self.plan.total_packets,
             elapsed=time.perf_counter() - start,

@@ -29,16 +29,17 @@ channel: a Reed-Solomon block needs exactly its ``k_b`` distinct packets
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.errors import DecodeFailure, ParameterError
+from repro.fountain.metrics import ReceptionStats
 from repro.net.channel import LossyChannel
 from repro.net.loss import LossModel, as_loss_model
 from repro.net.transport.base import EMISSION_LIMIT_FACTOR
-from repro.transfer.blocks import BlockPlan, BlockSpec
+from repro.transfer.blocks import BlockPlan
 from repro.transfer.client import TransferClient
 from repro.transfer.codec import ObjectCodec
 from repro.transfer.server import TransferServer
@@ -64,19 +65,13 @@ class TransferRunResult:
     file_size: int
     packet_size: int
     num_blocks: int
-    total_k: int
     #: server emissions until the client completed (the wire cost).
     packets_sent: int
-    #: survivors the client saw (= sent minus channel losses).
-    packets_received: int
-    distinct_received: int
+    #: the client's counts: ``total_received`` is the survivors it saw
+    #: (= sent minus channel losses), ``source_packets`` the total k.
+    stats: ReceptionStats
     #: True when payloads were simulated and reassembly was byte-exact.
     verified: bool
-
-    @property
-    def reception_overhead(self) -> float:
-        """epsilon such that (1+epsilon) * total_k packets were received."""
-        return self.packets_received / self.total_k - 1.0
 
 
 def simulate_transfer(file_size: int,
@@ -134,10 +129,8 @@ def simulate_transfer(file_size: int,
         file_size=plan.file_size,
         packet_size=plan.packet_size,
         num_blocks=plan.num_blocks,
-        total_k=codec.total_k,
         packets_sent=channel.sent,
-        packets_received=client.total_received,
-        distinct_received=client.distinct_received,
+        stats=client.stats(),
         verified=payloads and client.object_data() == data,
     )
 
@@ -159,6 +152,15 @@ def compare_schedules(file_size: int,
     }
 
 
+class _EvenPlan(BlockPlan):
+    """A plan of one-byte packets whose blocks are as even as possible,
+    larger blocks first (the paper's interleaved split)."""
+
+    def _extent(self, block: int) -> Tuple[int, int]:
+        base, extra = divmod(self.file_size, self.num_blocks)
+        return block * base + min(block, extra), base + (block < extra)
+
+
 class SlotWindow:
     """The emission order of the structural :class:`TransferServer` that
     serves ``total_k`` source packets in ``ceil(total_k / block_k)``
@@ -170,11 +172,7 @@ class SlotWindow:
     need is counted out of each block's ``n``."""
 
     def __init__(self, total_k: int, block_k: int, code: str):
-        plan = BlockPlan(total_k, 1, block_k)
-        base, extra = divmod(total_k, plan.num_blocks)
-        ks = [base + (b < extra) for b in range(plan.num_blocks)]
-        plan.blocks = tuple(BlockSpec(b, sum(ks[:b]), k_b, k_b)
-                            for b, k_b in enumerate(ks))
+        plan = _EvenPlan(total_k, 1, block_k)
         self.codec = ObjectCodec(plan, code=code, seed=0)
         if self.codec.is_rateless:
             raise ParameterError(f"{code} is rateless: a slot window "

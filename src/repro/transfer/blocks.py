@@ -21,7 +21,8 @@ padding, so the reconstructed object is byte-identical to the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from functools import cached_property
+from typing import List, Tuple
 
 import numpy as np
 
@@ -56,6 +57,9 @@ class BlockPlan:
         Source packets per block (the per-block ``k``).  Every block has
         exactly this many packets except possibly the last, which takes
         the remainder — the *uneven tail*.
+
+    A block's :class:`BlockSpec` is worked out from its index when asked
+    for, so a plan costs the same at one block or at a million.
     """
 
     def __init__(self, file_size: int, packet_size: int, block_packets: int):
@@ -69,19 +73,8 @@ class BlockPlan:
         self.packet_size = int(packet_size)
         self.block_packets = int(block_packets)
         self.total_packets = -(-self.file_size // self.packet_size)
-        block_bytes = self.block_packets * self.packet_size
-        specs: List[BlockSpec] = []
-        offset = 0
-        while offset < self.file_size:
-            length = min(block_bytes, self.file_size - offset)
-            specs.append(BlockSpec(
-                block=len(specs),
-                byte_offset=offset,
-                byte_length=length,
-                k=-(-length // self.packet_size),
-            ))
-            offset += length
-        self.blocks = tuple(specs)
+        self.num_blocks = -(-self.file_size
+                            // (self.block_packets * self.packet_size))
 
     @classmethod
     def from_block_size(cls, file_size: int, packet_size: int,
@@ -95,20 +88,25 @@ class BlockPlan:
 
     # -- lookups ---------------------------------------------------------------
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
+    @cached_property
     def block_ks(self) -> List[int]:
-        """Per-block source packet counts (the schedule weights)."""
-        return [spec.k for spec in self.blocks]
+        """Per-block source packet counts (the schedule weights), worked
+        out on first use: every serve and reweight reads them."""
+        return [self.spec(block).k for block in range(self.num_blocks)]
 
     def spec(self, block: int) -> BlockSpec:
         if not 0 <= block < self.num_blocks:
             raise ParameterError(
                 f"no block {block} in a {self.num_blocks}-block plan")
-        return self.blocks[block]
+        offset, length = self._extent(block)
+        return BlockSpec(block, offset, length, -(-length // self.packet_size))
+
+    def _extent(self, block: int) -> Tuple[int, int]:
+        """Block ``block``'s byte offset and length: ``block_packets``
+        packets each, the tail taking what is left."""
+        block_bytes = self.block_packets * self.packet_size
+        offset = block * block_bytes
+        return offset, min(block_bytes, self.file_size - offset)
 
     # -- byte <-> packet-block conversion --------------------------------------
 
@@ -126,7 +124,7 @@ class BlockPlan:
                                 self.packet_size)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        tail = self.blocks[-1].k
+        tail = self.spec(self.num_blocks - 1).k
         tail_note = "" if tail == self.block_packets else f", tail_k={tail}"
         return (f"BlockPlan(file_size={self.file_size}, "
                 f"packet_size={self.packet_size}, "

@@ -132,7 +132,7 @@ class TransferClient:
         self._decoders[block] = None
         if self.payload_size is None:
             return      # structural: nothing decoded, nothing to keep
-        spec = self.codec.plan.blocks[block]
+        spec = self.codec.plan.spec(block)
         if self._object is None:
             self._object = np.empty(self.codec.plan.file_size,
                                     dtype=np.uint8)
@@ -246,19 +246,13 @@ class TransferClient:
     @property
     def bytes_complete(self) -> int:
         """Exact object bytes covered by the blocks decoded so far."""
-        return sum(spec.byte_length for spec in self.codec.plan.blocks
-                   if spec.block not in self._incomplete)
+        return sum(self.codec.plan.spec(block).byte_length
+                   for block in np.flatnonzero(self._decoded_mask).tolist())
 
     @property
     def progress(self) -> float:
         """Fraction of the object's bytes whose blocks have decoded."""
         return self.bytes_complete / self.codec.plan.file_size
-
-    @property
-    def distinct_received(self) -> int:
-        return sum(stats.distinct_received
-                   for stats in map(self.block_stats, range(self.num_blocks))
-                   if stats is not None)
 
     # -- results ---------------------------------------------------------------
 
@@ -278,7 +272,10 @@ class TransferClient:
         """Aggregate reception counters across all blocks."""
         return ReceptionStats(
             source_packets=self.codec.total_k,
-            distinct_received=self.distinct_received,
+            distinct_received=sum(
+                stats.distinct_received
+                for stats in map(self.block_stats, range(self.num_blocks))
+                if stats is not None),
             total_received=self.total_received,
         )
 

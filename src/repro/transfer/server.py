@@ -94,13 +94,13 @@ class _DropletStack:
 
     def __init__(self, codec: ObjectCodec, data: bytes):
         plan = codec.plan
-        codes = [codec.code_for(spec.block) for spec in plan.blocks]
+        codes = [codec.code_for(block) for block in range(plan.num_blocks)]
         #: the object's packet rows; block b is rows [first_b, first_b + k_b)
         padded_len = plan.total_packets * plan.packet_size
         self.rows = np.frombuffer(data.ljust(padded_len, b"\0"),
                                   dtype=np.uint8).reshape(-1, plan.packet_size)
-        self._first = np.array([spec.byte_offset // plan.packet_size
-                                for spec in plan.blocks], dtype=np.int64)
+        ks = np.array(plan.block_ks, dtype=np.int64)
+        self._first = np.cumsum(ks) - ks
         if isinstance(codes[0], RaptorCode):
             widths = np.array([code.intermediate_count for code in codes])
             self._input_first = np.cumsum(widths) - widths
@@ -213,9 +213,9 @@ class TransferServer:
         #: rateless plan, whose emission t carries droplet t.
         self._cycles: Optional[np.ndarray] = None
         if not codec.is_rateless:
-            cycles = [carousel_order(codec.code_for(spec.block).n,
-                                     block_seed(self.seed, spec.block))
-                      for spec in codec.plan.blocks]
+            cycles = [carousel_order(codec.code_for(block).n,
+                                     block_seed(self.seed, block))
+                      for block in range(codec.num_blocks)]
             self._cycle_n = np.array([cycle.size for cycle in cycles])
             self._cycle_first = np.cumsum(self._cycle_n) - self._cycle_n
             self._cycles = np.concatenate(cycles)
@@ -243,8 +243,8 @@ class TransferServer:
             return [None] * codec.num_blocks, None
         if codec.is_rateless:
             return [None] * codec.num_blocks, _DropletStack(codec, data)
-        return [codec.block_encoder(data, spec.block)
-                for spec in codec.plan.blocks], None
+        return [codec.block_encoder(data, block)
+                for block in range(codec.num_blocks)], None
 
     @property
     def total_k(self) -> int:

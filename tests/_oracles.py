@@ -465,7 +465,10 @@ def gf2_oracle_solve(coeffs: np.ndarray,
 # exactly as they ran before the send path went windowed: one packet
 # pulled, one loss draw per subscriber, one shadow ``receive_index`` at
 # a time.  ``tests/test_windowed_serve.py`` holds the windowed ``serve``
-# methods to these, byte for byte.
+# methods to these, byte for byte.  Each loop still counts its dropped
+# records itself and asserts that count against ``ServeReport.dropped``,
+# which the report derives from ``emitted``, ``destinations`` and
+# ``delivered``.
 
 
 def oracle_memory_serve(transport, session, *, count=None, extra=0,
@@ -510,8 +513,7 @@ def oracle_memory_serve(transport, session, *, count=None, extra=0,
                     zip(self.subscriptions, shadows)):
                 report = FeedbackReport.decode(report_from_client(
                     shadow, receiver_id=i,
-                    loss=sub.channel.observed_loss_rate,
-                    packets_used=shadow.total_received).encode())
+                    loss=sub.channel.observed_loss_rate).encode())
                 if policy is not None:
                     policy.observe(report, now=now)
                 if feedback is not None:
@@ -531,14 +533,15 @@ def oracle_memory_serve(transport, session, *, count=None, extra=0,
         raise ReproError(
             f"channel too lossy: {limit} emissions were not enough "
             f"for subscribers {incomplete[:8]}")
-    return ServeReport(
+    report = ServeReport(
         transport=self.name,
         emitted=emitted,
         delivered=delivered,
-        dropped=dropped,
         duration=time.perf_counter() - start,
         destinations=len(self.subscriptions),
     )
+    assert report.dropped == dropped
+    return report
 
 
 def oracle_file_serve(transport, session, *, count=None, extra=0):
@@ -583,13 +586,14 @@ def oracle_file_serve(transport, session, *, count=None, extra=0):
     )
     (self.directory / MANIFEST_NAME).write_text(
         json.dumps(manifest, indent=2))
-    return ServeReport(
+    report = ServeReport(
         transport=self.name,
         emitted=channel.sent,
         delivered=survivors,
-        dropped=channel.sent - channel.delivered,
         duration=time.perf_counter() - start,
     )
+    assert report.dropped == channel.sent - channel.delivered
+    return report
 
 
 #: the oracle sender yields to the event loop at least this often when
@@ -757,11 +761,10 @@ async def oracle_udp_serve_async(transport, session, *, count=None,
         manifest_frames += 1
         await asyncio.sleep(0)
         transport.close()
-    return ServeReport(
+    report = ServeReport(
         transport=self.name,
         emitted=emitted,
         delivered=delivered,
-        dropped=dropped,
         duration=time.perf_counter() - start,
         destinations=len(self.destinations),
         manifest_frames=manifest_frames,
@@ -769,6 +772,8 @@ async def oracle_udp_serve_async(transport, session, *, count=None,
         feedback_frames=feedback_frames,
         malformed_frames=protocol.malformed,
     )
+    assert report.dropped == dropped
+    return report
 
 
 # -- the seen-set receiver (the one-decoder-contract receivers' oracle) --------

@@ -150,6 +150,7 @@ class TestFeedbackFrame:
             is_complete = False
             num_blocks = 4
             incomplete_blocks = [0, 2, 3]
+            total_received = 12
 
             def block_min_additional(self, block):
                 return {0: 3, 2: 9, 3: 1}[block]
@@ -157,6 +158,7 @@ class TestFeedbackFrame:
         report = report_from_client(FakeClient(), receiver_id=7, loss=0.2)
         assert report.lagging == ((2, 9), (0, 3), (3, 1))
         assert report.blocks_total == 4
+        assert report.packets_used == 12
         assert report.receivers == 1
         assert not report.complete
 

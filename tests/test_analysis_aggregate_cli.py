@@ -93,8 +93,8 @@ class TestAggregation:
         client.receive_from(0, 5)
         client.receive_from(1, 5)  # duplicate across mirrors
         client.receive_from(1, 6)
-        assert client.total_received == 3
-        assert client.distinct_received == 2
+        assert client.stats().total_received == 3
+        assert client.stats().distinct_received == 2
         assert client.reports[1].duplicate_rate == pytest.approx(0.5)
 
     def test_more_mirrors_faster(self):

@@ -363,6 +363,25 @@ class TestUntrustedManifest:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_adopting_a_manifest_at_the_block_ceiling_is_small(self):
+        """``MAX_BLOCKS`` one-byte blocks: the plan works out each
+        block's spec from its index, so adoption allocates only the
+        client's per-block slots (one ``BlockSpec`` per block took the
+        peak past 16 MiB)."""
+        manifest = {"kind": "transfer", "code": "lt", "seed": 0,
+                    "file_size": MAX_BLOCKS, "packet_size": 1,
+                    "block_packets": 1}
+        tracemalloc.start()
+        try:
+            receiver = api.ReceiverSession(manifest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert receiver.codec.num_blocks == MAX_BLOCKS
+        assert receiver.codec.plan.spec(MAX_BLOCKS - 1).byte_end \
+            == MAX_BLOCKS
+        assert peak < 8 << 20
+
     @pytest.mark.parametrize("field,ceiling,manifest", [
         ("packet_size", MAX_PACKET_SIZE,
          lambda n: {"file_size": n, "packet_size": n, "block_packets": 1}),
@@ -410,7 +429,7 @@ class TestSendReceiveFiles:
         report = api.send_file(src, out, code=spec, loss=0.2, extra=8,
                                block_size=block_size, seed=5)
         assert report.code_spec == spec
-        assert report.survivors >= report.total_k
+        assert report.serve.delivered >= report.total_k
         assert (out / api.STREAM_NAME).exists()
         back = tmp_path / "back.bin"
         received = api.receive_stream(out, back)
@@ -429,7 +448,7 @@ class TestSendReceiveFiles:
         assert manifest["kind"] == "transfer"
         assert manifest["code"] == "tornado-b"
         assert manifest["file_name"] == "f.bin"
-        assert manifest["packets_written"] == report.survivors
+        assert manifest["packets_written"] == report.serve.delivered
 
     def test_too_lossy_channel_raises_and_drops_manifest(self, tmp_path):
         src = tmp_path / "f.bin"
@@ -482,8 +501,8 @@ class TestSendReceiveFiles:
         report = api.send_file(src, tmp_path / "out", code="lt",
                                block_size=16_384, loss=0.1)
         assert report.reception_overhead == pytest.approx(
-            report.survivors / report.total_k - 1)
-        assert report.sent >= report.survivors
+            report.serve.delivered / report.total_k - 1)
+        assert report.serve.emitted >= report.serve.delivered
 
 
 class TestTopLevelExports:

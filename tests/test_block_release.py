@@ -90,7 +90,8 @@ DELIVERIES = [pytest.param(_memory, id="memory"),
 def _counters(receiver: api.ReceiverSession):
     client = receiver.client
     return ([client.block_stats(b) for b in range(client.num_blocks)],
-            client.stats(), client.distinct_received, client.progress,
+            client.stats(), client.stats().distinct_received,
+            client.progress,
             receiver.packets_used)
 
 
@@ -153,7 +154,7 @@ class TestCompletedBlockRelease:
         receiver = deliver(code, tmp_path)
         plan = receiver.codec.plan
         data = _object()
-        for spec in plan.blocks:
+        for spec in map(plan.spec, range(plan.num_blocks)):
             rows = receiver.client.block_data(spec.block)
             assert rows.shape == (spec.k, PACKET)
             np.testing.assert_array_equal(

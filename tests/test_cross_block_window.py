@@ -148,7 +148,7 @@ class TestOneStack:
         stack, codec = server._stack, server.codec
         if code == "raptor":
             first = 0
-            for spec in codec.plan.blocks:
+            for spec in map(codec.plan.spec, range(codec.num_blocks)):
                 block_code = codec.code_for(spec.block)
                 want = block_code.encoder(codec.source_block(
                     server._data, spec.block)).intermediates
@@ -167,7 +167,7 @@ class TestOneStack:
         plan = server.codec.plan
         rows = server._stack.rows
         assert rows.shape == (plan.total_packets, plan.packet_size)
-        for spec in plan.blocks:
+        for spec in map(plan.spec, range(plan.num_blocks)):
             first = spec.byte_offset // plan.packet_size
             np.testing.assert_array_equal(
                 rows[first:first + spec.k],

@@ -134,8 +134,9 @@ def _transfer_fingerprint(family, file_size, packet_size, block_packets):
                                block_packets=block_packets, family=family,
                                loss=0.2, seed=5)
     assert result.verified
-    return [result.packets_sent, result.packets_received,
-            result.distinct_received, result.total_k, result.num_blocks]
+    return [result.packets_sent, result.stats.total_received,
+            result.stats.distinct_received, result.stats.source_packets,
+            result.num_blocks]
 
 
 @pytest.mark.parametrize("family", TRANSFER_FAMILIES)

@@ -236,7 +236,7 @@ class TestClient:
         for packet in server.packets(server.codec.code_for(0).n):
             if client.receive(packet):
                 break
-        assert client.distinct_received == 20  # MDS: exactly k
+        assert client.stats().distinct_received == 20  # MDS: exactly k
         assert np.array_equal(client.block_data(0),
                               server.codec.source_block(server._data, 0))
 

@@ -142,9 +142,9 @@ class TestFigure8Pin:
 
     @staticmethod
     def _rows(results):
-        return [(r.observed_loss, r.efficiency, r.coding_efficiency,
-                 r.distinctness_efficiency, r.completed, r.rounds,
-                 r.level_changes) for r in results]
+        return [(r.observed_loss, r.stats.efficiency,
+                 r.stats.coding_efficiency, r.stats.distinctness_efficiency,
+                 r.completed, r.rounds, r.level_changes) for r in results]
 
     def test_small_figure8_rows_are_pinned(self):
         run = result("figure8")

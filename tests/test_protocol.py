@@ -6,6 +6,7 @@ import pytest
 from repro.codes.registry import build_code
 from repro.codes.tornado.presets import tornado_a
 from repro.errors import ParameterError
+from repro.fountain.metrics import ReceptionStats
 from repro.net.loss import BernoulliLoss
 from repro.protocol.congestion import CongestionPolicy, SubscriptionController
 from repro.protocol.layering import LayerConfig
@@ -218,19 +219,19 @@ class TestSessions:
         results = run_single_layer_session(code, [0.05, 0.2], seed=4)
         for r in results:
             assert r.completed
-            assert r.distinctness_efficiency == pytest.approx(1.0)
+            assert r.stats.distinctness_efficiency == pytest.approx(1.0)
 
     def test_single_layer_degrades_beyond_half_loss(self):
         code = tornado_a(400, seed=3)
         results = run_single_layer_session(code, [0.65], seed=5)
         assert results[0].completed
-        assert results[0].distinctness_efficiency < 0.98
+        assert results[0].stats.distinctness_efficiency < 0.98
 
     def test_layered_session_runs_heterogeneous(self):
         code = tornado_a(400, seed=6)
         results = run_session(code, [0.05, 0.15], [8.0, 2.0], seed=7)
         assert all(r.completed for r in results)
-        assert all(0 < r.efficiency <= 1 for r in results)
+        assert all(0 < r.stats.efficiency <= 1 for r in results)
 
     def test_session_parameter_validation(self):
         code = tornado_a(100, seed=0)
@@ -244,7 +245,7 @@ class TestSessions:
                               ambient_loss_rates=[0.05, 0.15],
                               capacity_multipliers=[8.0, 2.0], seed=7)
         assert all(r.completed for r in results)
-        assert all(0 < r.efficiency <= 1 for r in results)
+        assert all(0 < r.stats.efficiency <= 1 for r in results)
         assert all(r.code_spec == spec for r in results)
 
     @pytest.mark.parametrize("spec", ["tornado-a", "lt", "rs"])
@@ -254,7 +255,7 @@ class TestSessions:
         assert results[0].completed
         # LT and RS never see a wrap-around duplicate below half loss;
         # the fountain (fresh droplet ids) never sees one at all.
-        assert results[0].distinctness_efficiency == pytest.approx(1.0)
+        assert results[0].stats.distinctness_efficiency == pytest.approx(1.0)
 
     @pytest.mark.parametrize("spec", ["rs", "interleaved:block_k=200"])
     def test_mds_session_has_no_reception_overhead(self, spec):
@@ -265,8 +266,8 @@ class TestSessions:
             spec, k=200, loss_rates=[0.05, 0.2, 0.4], seed=3)
         for result in results:
             assert result.completed
-            assert result.coding_efficiency == 1.0
-            assert result.overhead == 0.0
+            assert result.stats.coding_efficiency == 1.0
+            assert result.stats.reception_overhead == 0.0
 
     @pytest.mark.parametrize("spec", ["lt", "tornado-a"])
     @pytest.mark.parametrize("loss", [0.05, 0.4])
@@ -308,7 +309,7 @@ class TestSessions:
         results = run_single_layer_session("lt", k=300,
                                            loss_rates=[0.65], seed=5)
         assert results[0].completed
-        assert results[0].distinctness_efficiency == pytest.approx(1.0)
+        assert results[0].stats.distinctness_efficiency == pytest.approx(1.0)
 
     def test_spec_string_as_positional_code(self):
         results = run_session("rs", [0.1], [4.0], k=200, seed=3)
@@ -337,14 +338,12 @@ class TestSessionResult:
         fields = dict(
             receiver_id=3,
             observed_loss=0.125,
-            efficiency=0.8,
-            coding_efficiency=0.9,
-            distinctness_efficiency=0.888,
+            stats=ReceptionStats(source_packets=8, distinct_received=9,
+                                 total_received=10),
             completed=True,
             rounds=17,
             level_changes=2,
             code_spec="lt:c=0.05",
-            overhead=0.25,
         )
         fields.update(overrides)
         return SessionResult(**fields)
@@ -362,7 +361,7 @@ class TestSessionResult:
                                           loss_rates=[0.1], seed=1)[0]
         row = result.as_row()
         assert "tornado-a" in row
-        assert f"{result.overhead:+6.1%}" in row
+        assert f"{result.stats.reception_overhead:+6.1%}" in row
         # overhead and efficiency describe the same reception count.
-        assert result.overhead == pytest.approx(
-            1 / result.efficiency - 1, abs=0.02)
+        assert result.stats.reception_overhead == pytest.approx(
+            1 / result.stats.efficiency - 1, abs=0.02)

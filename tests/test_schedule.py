@@ -202,4 +202,4 @@ def test_a_rateless_session_never_repeats_a_packet(seed, num_layers, losses,
     results = run_session("lt", losses, capacities, num_layers=num_layers,
                           seed=seed, k=120)
     for result in results:
-        assert result.distinctness_efficiency == 1.0
+        assert result.stats.distinctness_efficiency == 1.0

@@ -71,8 +71,8 @@ def _sim_case(family, schedule, loss, payloads, geometry):
                             block_packets=block_packets, family=family,
                             schedule=schedule, loss=loss, seed=_SEED,
                             payloads=payloads)
-    return [run.packets_sent, run.packets_received, run.distinct_received,
-            run.verified]
+    return [run.packets_sent, run.stats.total_received,
+            run.stats.distinct_received, run.verified]
 
 
 def _sim_cases():

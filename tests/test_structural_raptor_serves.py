@@ -69,6 +69,7 @@ def _digest(chunks) -> str:
 def _counters(report) -> dict:
     fields = dataclasses.asdict(report)
     del fields["duration"]
+    fields["dropped"] = report.dropped
     return fields
 
 

@@ -14,6 +14,7 @@ from repro.sim.swarm import (
     LossSpec,
     ReceiverGroup,
     Scenario,
+    SwarmResult,
     SwarmSimulator,
     load_scenario,
     replay_receivers,
@@ -383,6 +384,14 @@ class TestStructuralAgreement:
 _DETERMINISTIC = ("flash_crowd", "midstream_joiners", "satellite_longhaul")
 
 
+def _engine_result(scenario, pop, run):
+    """The engine's rows as the :class:`SwarmResult` a run reports."""
+    return SwarmResult(scenario=scenario, received=run["received"],
+                       completion_slot=run["done_slot"],
+                       group_index=pop.group_index,
+                       total_k=scenario.plan().total_packets, elapsed=0.0)
+
+
 class TestExactEngine:
     """With a deterministic threshold the engine *is* the replay: the
     same slots, the same channels, receiver for receiver."""
@@ -405,8 +414,9 @@ class TestExactEngine:
         overhead, completed, slot = _replay(scenario, ids, pop,
                                             run.get("weights"))
         assert completed.any()
-        np.testing.assert_array_equal(completed, run["completed"][ids])
-        np.testing.assert_array_equal(overhead, run["overhead"][ids])
+        engine = _engine_result(scenario, pop, run)
+        np.testing.assert_array_equal(completed, engine.completed[ids])
+        np.testing.assert_array_equal(overhead, engine.overhead[ids])
         np.testing.assert_array_equal(slot, run["done_slot"][ids])
 
     @pytest.mark.parametrize("closed", [False, True],
@@ -443,8 +453,9 @@ class TestExactEngine:
         overhead, completed, slot = _replay(scenario, ids, pop,
                                             run.get("weights"))
         assert completed.any() and not completed.all()
-        np.testing.assert_array_equal(completed, run["completed"])
-        np.testing.assert_array_equal(overhead, run["overhead"])
+        engine = _engine_result(scenario, pop, run)
+        np.testing.assert_array_equal(completed, engine.completed)
+        np.testing.assert_array_equal(overhead, engine.overhead)
         np.testing.assert_array_equal(slot, run["done_slot"])
 
     def test_carousel_duplicates_inside_one_sweep(self):
@@ -472,8 +483,9 @@ class TestExactEngine:
         overhead, completed, slot = _replay(scenario, np.arange(40), pop,
                                             run["weights"])
         assert completed.sum() >= 30
-        np.testing.assert_array_equal(completed, run["completed"])
-        np.testing.assert_array_equal(overhead, run["overhead"])
+        engine = _engine_result(scenario, pop, run)
+        np.testing.assert_array_equal(completed, engine.completed)
+        np.testing.assert_array_equal(overhead, engine.overhead)
         np.testing.assert_array_equal(slot, run["done_slot"])
 
 

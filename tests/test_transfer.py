@@ -41,8 +41,9 @@ class TestBlockPlan:
         assert plan.num_blocks == 4
         assert plan.block_ks == [16, 16, 16, 16]
         assert plan.total_packets == 64
-        assert [s.byte_offset for s in plan.blocks] == [0, 1024, 2048, 3072]
-        assert all(s.byte_length == 1024 for s in plan.blocks)
+        specs = [plan.spec(b) for b in range(plan.num_blocks)]
+        assert [s.byte_offset for s in specs] == [0, 1024, 2048, 3072]
+        assert all(s.byte_length == 1024 for s in specs)
 
     def test_uneven_tail(self):
         plan = BlockPlan(file_size=5000, packet_size=64, block_packets=16)
@@ -50,8 +51,8 @@ class TestBlockPlan:
         # 5000 bytes = 4 full 1024-byte blocks + 904-byte tail (15 packets,
         # last one partially filled).
         assert plan.block_ks == [16, 16, 16, 16, 15]
-        assert plan.blocks[-1].byte_length == 5000 - 4 * 1024
-        assert plan.blocks[-1].byte_end == 5000
+        assert plan.spec(4).byte_length == 5000 - 4 * 1024
+        assert plan.spec(4).byte_end == 5000
 
     def test_single_block_plan(self):
         plan = BlockPlan(file_size=100, packet_size=64, block_packets=16)
@@ -83,7 +84,7 @@ class TestBlockPlan:
                         for b in range(plan.num_blocks)) == data
         sources = [plan.source_block(data, b)
                    for b in range(plan.num_blocks)]
-        assert all(src.shape == (plan.blocks[b].k, 64)
+        assert all(src.shape == (plan.spec(b).k, 64)
                    for b, src in enumerate(sources))
         # each block's rows are its exact bytes, the tail packet padded
         assert all(src.tobytes() == plan.slice_bytes(data, b).ljust(
@@ -99,7 +100,7 @@ class TestObjectCodec:
         plan = BlockPlan(5000, 64, 16)
         codec = ObjectCodec(plan, code="tornado-b", seed=3)
         for b in range(plan.num_blocks):
-            assert codec.code_for(b).k == plan.blocks[b].k
+            assert codec.code_for(b).k == plan.spec(b).k
         # cached: same object back
         assert codec.code_for(0) is codec.code_for(0)
 
@@ -323,22 +324,22 @@ class TestTransferSim:
                                    family="tornado-b", loss=0.15, seed=21)
         assert result.verified
         assert result.num_blocks == 4
-        assert result.packets_received <= result.packets_sent
-        assert result.reception_overhead >= 0.0
+        assert result.stats.total_received <= result.packets_sent
+        assert result.stats.reception_overhead >= 0.0
 
     def test_structural_matches_geometry(self):
         result = simulate_transfer(200_000, packet_size=1000,
                                    block_packets=50, family="lt",
                                    loss=0.1, seed=22, payloads=False)
         assert not result.verified
-        assert result.total_k == 200
-        assert result.distinct_received >= result.total_k
+        assert result.stats.source_packets == 200
+        assert result.stats.distinct_received >= 200
 
     def test_interleave_beats_sequential(self):
         out = compare_schedules(400_000, packet_size=1000, block_packets=50,
                                 family="tornado-b", loss=0.1, seed=23)
-        assert (out["interleave"].packets_received
-                < out["sequential"].packets_received)
+        assert (out["interleave"].stats.total_received
+                < out["sequential"].stats.total_received)
 
 
 class TestTransferCli:

@@ -109,6 +109,7 @@ def _session(code: str, seed: int = 3, size: Optional[int] = None):
 def _counters(report) -> dict:
     fields = dataclasses.asdict(report)
     del fields["duration"]
+    fields["dropped"] = report.dropped
     return fields
 
 
@@ -441,7 +442,7 @@ class TestReceiveWindow:
         assert windowed.is_complete
         assert fed == used
         assert windowed.total_received == scalar.total_received
-        assert windowed.distinct_received == scalar.distinct_received
+        assert windowed.stats() == scalar.stats()
         assert windowed.min_additional == 0
 
     @pytest.mark.parametrize("code", ["tornado-b", "rs", "lt"])
@@ -469,7 +470,7 @@ class TestReceiveWindow:
         assert windowed.receive_window(blocks, indices) == used
         assert late and not any(late)
         assert windowed.total_received == scalar.total_received
-        assert windowed.distinct_received == scalar.distinct_received
+        assert windowed.stats() == scalar.stats()
         fresh = TransferClient(session.codec, payload_size=None)
         with pytest.raises(ProtocolError, match="names block 3"):
             fresh.receive_window(np.array([0, 3]), np.array([0, 0]))
